@@ -20,11 +20,12 @@ tier1:
 # node-aware halo relay, the hierarchical cost model and experiment sweeps,
 # the HTTP serving layer with its concurrent cached solves and job
 # coalescing, the topology-carrying CLI, the column-parallel SPAI build
-# with its dense QR kernel, and the root facade's cross-backend transport
-# suite).
+# with its dense QR kernel, the partitioner and the core build that sit on
+# the rank-parallel set-up path, and the root facade's cross-backend
+# transport suite).
 tier2:
 	$(GO) build ./...
-	$(GO) test -race ./internal/simmpi/... ./internal/tcpmpi/... ./internal/mprun/... ./internal/fsai/... ./internal/spai/... ./internal/dense/... ./internal/parallel/... ./internal/sparse/... ./internal/vecops/... ./internal/krylov/... ./internal/distmat/... ./internal/archmodel/... ./internal/experiments/... ./internal/serve/... ./cmd/fsaiserve/... ./cmd/mmsolve/... .
+	$(GO) test -race ./internal/simmpi/... ./internal/tcpmpi/... ./internal/mprun/... ./internal/fsai/... ./internal/spai/... ./internal/dense/... ./internal/parallel/... ./internal/sparse/... ./internal/vecops/... ./internal/krylov/... ./internal/distmat/... ./internal/partition/... ./internal/core/... ./internal/archmodel/... ./internal/experiments/... ./internal/serve/... ./cmd/fsaiserve/... ./cmd/mmsolve/... .
 
 # bench: the serial-vs-parallel kernel pairs plus the CG-variant
 # (classic/overlap/fused/pipelined), blocking-vs-overlap SpMV, and

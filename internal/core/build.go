@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/fsai"
@@ -85,12 +86,57 @@ type Build struct {
 	ImbalanceIndex float64
 	// Extension statistics from Algorithm 3 (zero-valued for FSAI).
 	Extend ExtendStats
+	// Phases says where this rank's share of the build time went.
+	Phases SetupPhases
 	// MRows and MOp are this rank's rows of the explicit approximate
 	// inverse M and its halo-ready operator — set only for Method SPAI,
 	// where the solve is right-preconditioned GMRES rather than the
 	// two-triangular-solve CG of the FSAI family (GRows/GTRows are nil).
 	MRows *sparse.CSR
 	MOp   *distmat.Op
+}
+
+// SetupPhases is one rank's wall-clock breakdown of BuildPrecond. Phases
+// that contain a collective include the wait for the slowest rank.
+type SetupPhases struct {
+	// Extend covers the base pattern and its extension (Algorithm 3).
+	Extend time.Duration
+	// FirstBuild is the factor on the (extended) pattern — the only build of
+	// plain FSAI and of SPAI; Filter and Rebuild are Algorithm 2 steps 4–5.
+	FirstBuild, Filter, Rebuild time.Duration
+	// RowsReused and RowsSolved split the rebuild's rows into those copied
+	// from the first build and those solved again.
+	RowsReused, RowsSolved int
+	// Transpose is the distributed Gᵀ; HaloPlans the localization and halo
+	// schedules of the factors.
+	Transpose, HaloPlans time.Duration
+}
+
+// MeanPhases merges the ranks' breakdowns of one build: the mean time per
+// phase and the summed row counts. Ranks run side by side and meet at every
+// collective, so each spends the same total; the mean splits that total by
+// phase without counting one rank's work and another's wait for it twice.
+func MeanPhases(ranks []SetupPhases) SetupPhases {
+	var m SetupPhases
+	for _, q := range ranks {
+		m.Extend += q.Extend
+		m.FirstBuild += q.FirstBuild
+		m.Filter += q.Filter
+		m.Rebuild += q.Rebuild
+		m.Transpose += q.Transpose
+		m.HaloPlans += q.HaloPlans
+		m.RowsReused += q.RowsReused
+		m.RowsSolved += q.RowsSolved
+	}
+	if n := time.Duration(len(ranks)); n > 0 {
+		m.Extend /= n
+		m.FirstBuild /= n
+		m.Filter /= n
+		m.Rebuild /= n
+		m.Transpose /= n
+		m.HaloPlans /= n
+	}
+	return m
 }
 
 // BuildPrecond constructs the selected preconditioner variant on a
@@ -104,6 +150,15 @@ func BuildPrecond(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, cfg Conf
 	}
 	if cfg.Method == SPAI {
 		return buildSPAIDist(c, l, lo, hi, aRows, cfg)
+	}
+	var ph SetupPhases
+	mark := time.Now()
+	// lap returns the time since the previous lap (or the start).
+	lap := func() time.Duration {
+		now := time.Now()
+		d := now.Sub(mark)
+		mark = now
+		return d
 	}
 	var s *fsai.DistRows
 	if cfg.PatternLevel > 1 || cfg.Threshold > 0 {
@@ -121,7 +176,7 @@ func BuildPrecond(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, cfg Conf
 	}
 	baseNNZ := c.AllreduceSumInt64(int64(s.Pattern.NNZ()))[0]
 
-	var final *fsai.DistRows
+	var g *sparse.CSR
 	var st ExtendStats
 	filterUsed := 0.0
 	switch cfg.Method {
@@ -129,7 +184,12 @@ func BuildPrecond(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, cfg Conf
 		// Baseline: the pattern of the lower triangle of A, "without
 		// thresholding and filtering only null entries" — structural zeros
 		// cannot occur in LowerPatternDist, so the pattern is used as is.
-		final = s
+		ph.Extend = lap()
+		var err error
+		if g, err = fsai.BuildDistWorkers(c, l, aRows, s, cfg.rankWorkers()); err != nil {
+			return nil, fmt.Errorf("core: final build: %w", err)
+		}
+		ph.FirstBuild = lap()
 	case FSAIE, FSAIEComm:
 		lz := distmat.Localize(lo, hi, PatternCSR(s))
 		ext, est, err := ExtendPattern(l, s, lz, ExtendOptions{
@@ -140,25 +200,27 @@ func BuildPrecond(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, cfg Conf
 			return nil, err
 		}
 		st = est
+		ph.Extend = lap()
 		gExt, err := fsai.BuildDistWorkers(c, l, aRows, ext, cfg.rankWorkers())
 		if err != nil {
 			return nil, fmt.Errorf("core: precompute on extended pattern: %w", err)
 		}
-		f := cfg.Filter
-		if cfg.Strategy == DynamicFilter {
-			f = DynamicFilterValue(c, gExt, lo, cfg.Filter, s.Pattern)
+		ph.FirstBuild = lap()
+		var rs RebuildStats
+		g, rs, err = FilterRebuild(c, l, aRows, gExt, s.Pattern, cfg.Filter, cfg.Strategy, cfg.rankWorkers())
+		if err != nil {
+			return nil, err
 		}
-		filterUsed = f
-		final = fsai.FilterDist(gExt, lo, hi, f, s.Pattern)
+		filterUsed = rs.FilterUsed
+		ph.Filter, ph.Rebuild = rs.FilterTime, rs.RebuildTime
+		ph.RowsReused, ph.RowsSolved = rs.RowsReused, rs.RowsSolved
+		lap() // FilterRebuild timed itself; restart the clock
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", cfg.Method)
 	}
 
-	g, err := fsai.BuildDistWorkers(c, l, aRows, final, cfg.rankWorkers())
-	if err != nil {
-		return nil, fmt.Errorf("core: final build: %w", err)
-	}
 	gt := distmat.TransposeDist(c, l, lo, hi, g)
+	ph.Transpose = lap()
 
 	finalNNZ := c.AllreduceSumInt64(int64(g.NNZ()))[0]
 	var opOpts []distmat.OpOption
@@ -180,6 +242,8 @@ func BuildPrecond(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, cfg Conf
 		ImbalanceIndex: distmat.NNZImbalanceIndex(c, int64(g.NNZ())),
 		Extend:         st,
 	}
+	ph.HaloPlans = lap()
+	b.Phases = ph
 	if baseNNZ > 0 {
 		b.PctNNZIncrease = 100 * float64(finalNNZ-baseNNZ) / float64(baseNNZ)
 	}
@@ -198,10 +262,12 @@ func buildSPAIDist(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows *sparse.
 	if cfg.CGVariant != krylov.CGClassic {
 		return nil, fmt.Errorf("core: SPAI pairs with GMRES, which has no %v schedule", cfg.CGVariant)
 	}
+	t0 := time.Now()
 	m, err := spai.BuildDist(c, l, lo, hi, aRows, cfg.spaiOptions())
 	if err != nil {
 		return nil, fmt.Errorf("core: SPAI build: %w", err)
 	}
+	t1 := time.Now()
 	baseNNZ := c.AllreduceSumInt64(int64(aRows.NNZ()))[0]
 	finalNNZ := c.AllreduceSumInt64(int64(m.NNZ()))[0]
 	b := &Build{
@@ -212,6 +278,7 @@ func buildSPAIDist(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows *sparse.
 		FinalNNZGlobal: finalNNZ,
 		ImbalanceIndex: distmat.NNZImbalanceIndex(c, int64(m.NNZ())),
 	}
+	b.Phases = SetupPhases{FirstBuild: t1.Sub(t0), HaloPlans: time.Since(t1)}
 	if baseNNZ > 0 {
 		b.PctNNZIncrease = 100 * float64(finalNNZ-baseNNZ) / float64(baseNNZ)
 	}
@@ -276,6 +343,7 @@ func BuildSerialLevelWorkers(a *sparse.CSR, method Method, filter float64, lineB
 	s := fsai.PowerPatternWorkers(a, level, tau, workers)
 	base := s.NNZ()
 	var pattern *sparse.Pattern
+	var gExt *sparse.CSR // factor on the extended pattern, if there is one
 	switch method {
 	case FSAI:
 		pattern = s
@@ -284,7 +352,7 @@ func BuildSerialLevelWorkers(a *sparse.CSR, method Method, filter float64, lineB
 		if err != nil {
 			return nil, 0, err
 		}
-		gExt, err := fsai.BuildWorkers(a, ext, workers)
+		gExt, err = fsai.BuildWorkers(a, ext, workers)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -293,7 +361,8 @@ func BuildSerialLevelWorkers(a *sparse.CSR, method Method, filter float64, lineB
 	default:
 		return nil, 0, fmt.Errorf("core: unknown method %v", method)
 	}
-	g, err := fsai.BuildWorkers(a, pattern, workers)
+	// Rows the filter left whole are copied from gExt, not solved again.
+	g, _, err := fsai.RebuildWorkers(a, gExt, pattern, workers)
 	if err != nil {
 		return nil, 0, err
 	}

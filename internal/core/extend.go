@@ -101,8 +101,22 @@ func ExtendPattern(l *distmat.Layout, s *fsai.DistRows, lz *distmat.Localized, o
 	totalCols := nLocal + len(lz.Halo)
 
 	st := ExtendStats{BaseNNZ: int64(s.Pattern.NNZ())}
-	rowSets := make([][]int, nLocal)
+	// Counting pass: a row can grow by at most w candidates per cache line it
+	// touches, which bounds the slab every row set is carved from. Localized
+	// columns are sorted, so the entries of one line are adjacent.
 	var lineCount int64
+	for li := 0; li < nLocal; li++ {
+		locRow, _ := lz.M.Row(li)
+		last := -1
+		for _, j := range locRow {
+			if line := j / w; line != last {
+				last = line
+				lineCount++
+			}
+		}
+	}
+	slab := make([]int, 0, s.Pattern.NNZ()+int(lineCount)*w)
+	rowSets := make([][]int, nLocal)
 	var rowOwners []int // scratch: owners of this row's existing halo entries
 	for li := 0; li < nLocal; li++ {
 		gi := lo + li
@@ -122,15 +136,15 @@ func ExtendPattern(l *distmat.Layout, s *fsai.DistRows, lz *distmat.Localized, o
 			return k < len(rowOwners) && rowOwners[k] == peer
 		}
 
-		set := append([]int(nil), origGlobal...)
-		seenLine := map[int]bool{}
+		first := len(slab)
+		slab = append(slab, origGlobal...)
+		lastLine := -1
 		for _, j := range locRow {
 			line := j / w
-			if seenLine[line] {
+			if line == lastLine {
 				continue
 			}
-			seenLine[line] = true
-			lineCount++
+			lastLine = line
 			start := line * w
 			end := start + w
 			if end > totalCols {
@@ -149,20 +163,20 @@ func ExtendPattern(l *distmat.Layout, s *fsai.DistRows, lz *distmat.Localized, o
 					continue // keep G lower triangular
 				}
 				if local {
-					set = append(set, gk)
+					slab = append(slab, gk)
 					continue
 				}
 				if !opt.CommAware {
 					continue
 				}
 				if rowSendsTo(l.Owner(gk)) {
-					set = append(set, gk)
+					slab = append(slab, gk)
 				} else {
 					st.RejectedHalo++
 				}
 			}
 		}
-		rowSets[li] = set
+		rowSets[li] = slab[first:]
 	}
 	ext := &fsai.DistRows{
 		Lo: lo, Hi: hi,

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"time"
+
+	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/fsai"
 	"fsaicomm/internal/simmpi"
 	"fsaicomm/internal/sparse"
@@ -116,4 +120,46 @@ func bisectFilter(gExt *sparse.CSR, lo int, base *sparse.Pattern, start float64,
 		}
 	}
 	return hiF
+}
+
+// RebuildStats reports what FilterRebuild did on this rank.
+type RebuildStats struct {
+	// FilterUsed is the Filter value applied here (ranks differ under the
+	// dynamic strategy).
+	FilterUsed float64
+	// RowsReused counts the rows whose pattern the filter left untouched and
+	// whose values were therefore copied from the extended-pattern factor;
+	// RowsSolved counts the rows that were solved again.
+	RowsReused, RowsSolved int
+	// FilterTime covers choosing the Filter value and filtering the pattern,
+	// RebuildTime the row gather, the copies and the solves.
+	FilterTime, RebuildTime time.Duration
+}
+
+// FilterRebuild is steps 4–5 of Algorithm 2 on one rank: pick the Filter
+// value (Algorithm 4 under DynamicFilter), drop the small extension entries
+// of gExt — the factor precomputed on the extended pattern; base, the
+// unextended pattern, is protected — and compute the factor on what
+// survives. Rows the filter left whole are copied from gExt rather than
+// solved a second time (see fsai.RebuildWorkers for why that is exact), so
+// with a filter that removes nothing this costs one pass over the pattern
+// and no row gather payload. Collective: every rank calls it, whatever share
+// of its rows it has to solve.
+func FilterRebuild(c *simmpi.Comm, l *distmat.Layout, aRows, gExt *sparse.CSR, base *sparse.Pattern, filter float64, strategy FilterStrategy, workers int) (*sparse.CSR, RebuildStats, error) {
+	lo, hi := l.Range(c.Rank())
+	t0 := time.Now()
+	st := RebuildStats{FilterUsed: filter}
+	if strategy == DynamicFilter {
+		st.FilterUsed = DynamicFilterValue(c, gExt, lo, filter, base)
+	}
+	final := fsai.FilterDist(gExt, lo, hi, st.FilterUsed, base)
+	t1 := time.Now()
+	st.FilterTime = t1.Sub(t0)
+	g, reused, err := fsai.RebuildDistWorkers(c, l, aRows, gExt, final, workers)
+	if err != nil {
+		return nil, st, fmt.Errorf("core: final build: %w", err)
+	}
+	st.RebuildTime = time.Since(t1)
+	st.RowsReused, st.RowsSolved = reused, g.Rows-reused
+	return g, st, nil
 }

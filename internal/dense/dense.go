@@ -28,22 +28,24 @@ func Cholesky(a []float64, n int) error {
 		return fmt.Errorf("dense: Cholesky buffer %d too small for n=%d", len(a), n)
 	}
 	for j := 0; j < n; j++ {
-		d := a[j*n+j]
-		for k := 0; k < j; k++ {
-			d -= a[j*n+k] * a[j*n+k]
+		rj := a[j*n : j*n+j+1] // row j up to its diagonal
+		d := rj[j]
+		for _, x := range rj[:j] {
+			d -= x * x
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return fmt.Errorf("%w (pivot %d = %g)", ErrNotPositiveDefinite, j, d)
 		}
 		d = math.Sqrt(d)
-		a[j*n+j] = d
+		rj[j] = d
 		inv := 1 / d
 		for i := j + 1; i < n; i++ {
-			s := a[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= a[i*n+k] * a[j*n+k]
+			ri := a[i*n : i*n+j+1]
+			s := ri[j]
+			for k, x := range rj[:j] {
+				s -= ri[k] * x
 			}
-			a[i*n+j] = s * inv
+			ri[j] = s * inv
 		}
 	}
 	return nil
@@ -54,11 +56,12 @@ func Cholesky(a []float64, n int) error {
 func SolveChol(a []float64, n int, b []float64) {
 	// Forward substitution L y = b.
 	for i := 0; i < n; i++ {
+		ri := a[i*n : i*n+i+1]
 		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= a[i*n+k] * b[k]
+		for k, x := range ri[:i] {
+			s -= x * b[k]
 		}
-		b[i] = s / a[i*n+i]
+		b[i] = s / ri[i]
 	}
 	// Back substitution Lᵀ x = y.
 	for i := n - 1; i >= 0; i-- {

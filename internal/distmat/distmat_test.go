@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -281,19 +284,58 @@ func TestGatherRemoteRows(t *testing.T) {
 		wanted := []int{0, n / 2, n - 1, lo}
 		got := GatherRemoteRows(c, l, lo, hi, rows, wanted)
 		for _, g := range wanted {
-			rd, ok := got[g]
-			if !ok {
-				return fmt.Errorf("rank %d missing row %d", c.Rank(), g)
-			}
+			gc, gv := got.Row(g) // panics on a row that was not gathered
 			wc, wv := a.Row(g)
-			if len(rd.Cols) != len(wc) {
-				return fmt.Errorf("rank %d row %d: %d cols, want %d", c.Rank(), g, len(rd.Cols), len(wc))
+			if len(gc) != len(wc) {
+				return fmt.Errorf("rank %d row %d: %d cols, want %d", c.Rank(), g, len(gc), len(wc))
 			}
 			for k := range wc {
-				if rd.Cols[k] != wc[k] || rd.Vals[k] != wv[k] {
+				if gc[k] != wc[k] || gv[k] != wv[k] {
 					return fmt.Errorf("rank %d row %d entry %d mismatch", c.Rank(), g, k)
 				}
 			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGatherRemoteRowsUnevenNeeds: the gather is collective even when only
+// some ranks want anything — a rank with an empty list (or a purely local
+// one) still joins the count exchange and serves its peers — and a row that
+// was never asked for is refused loudly.
+func TestGatherRemoteRowsUnevenNeeds(t *testing.T) {
+	a := grid2d(6, 4)
+	n := a.Rows
+	nranks := 4
+	l := NewUniformLayout(n, nranks)
+	_, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
+		lo, hi := l.Range(c.Rank())
+		rows := ExtractLocalRows(a, lo, hi)
+		var wanted []int
+		switch c.Rank() {
+		case 1:
+			wanted = []int{lo} // local only
+		case 2:
+			wanted = []int{n - 1, 0, 0, n - 1, lo} // every other rank, repeated
+		}
+		got := GatherRemoteRows(c, l, lo, hi, rows, wanted)
+		for _, g := range wanted {
+			gc, gv := got.Row(g)
+			wc, wv := a.Row(g)
+			if !slices.Equal(gc, wc) || !slices.Equal(gv, wv) {
+				return fmt.Errorf("rank %d row %d: got %v %v, want %v %v", c.Rank(), g, gc, gv, wc, wv)
+			}
+		}
+		if c.Rank() == 2 {
+			defer func() {
+				if recover() == nil {
+					t.Error("Row served a remote row that was never gathered")
+				}
+			}()
+			got.Row(1)
 		}
 		return nil
 	})
@@ -338,6 +380,149 @@ func TestTransposeDistMatchesSerial(t *testing.T) {
 			for k := range wc {
 				if gc[k] != wc[k] || gv[k] != wv[k] {
 					t.Fatalf("rank %d row %d entry %d mismatch", r, lo+li, k)
+				}
+			}
+		}
+	}
+}
+
+// randomLayout cuts n rows into nranks contiguous blocks at random places;
+// blocks may be empty.
+func randomLayout(rng *rand.Rand, n, nranks int) *Layout {
+	off := make([]int, nranks+1)
+	for r := 1; r < nranks; r++ {
+		off[r] = rng.Intn(n + 1)
+	}
+	off[nranks] = n
+	sort.Ints(off)
+	return &Layout{N: n, Offsets: off}
+}
+
+// TestTransposeDistRandomLayouts: on 1–5 ranks over random (also empty)
+// blocks of a random nonsymmetric matrix, every rank's rows of the
+// distributed transpose equal those rows of CSR.Transpose, bit for bit, and
+// arrive sorted — TransposeDist assembles them without sorting.
+func TestTransposeDistRandomLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(40)
+		c0 := sparse.NewCOO(n, n)
+		for i := 0; i < n; i++ {
+			for _, j := range rng.Perm(n)[:rng.Intn(min(n, 6)+1)] {
+				c0.Add(i, j, rng.NormFloat64())
+			}
+		}
+		a := c0.ToCSR()
+		want := a.Transpose()
+		nranks := 1 + trial%5
+		l := randomLayout(rng, n, nranks)
+		if err := l.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*sparse.CSR, nranks)
+		if _, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
+			lo, hi := l.Range(c.Rank())
+			got[c.Rank()] = TransposeDist(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
+			return nil
+		}); err != nil {
+			t.Fatalf("trial %d (n=%d, offsets %v): %v", trial, n, l.Offsets, err)
+		}
+		for r := 0; r < nranks; r++ {
+			lo, hi := l.Range(r)
+			if err := got[r].Validate(); err != nil { // sorted rows, in-range columns
+				t.Fatalf("trial %d rank %d: %v", trial, r, err)
+			}
+			if got[r].Rows != hi-lo || got[r].Cols != n {
+				t.Fatalf("trial %d rank %d: shape %dx%d, want %dx%d", trial, r, got[r].Rows, got[r].Cols, hi-lo, n)
+			}
+			for li := 0; li < hi-lo; li++ {
+				gc, gv := got[r].Row(li)
+				wc, wv := want.Row(lo + li)
+				if !slices.Equal(gc, wc) || !slices.Equal(gv, wv) {
+					t.Fatalf("trial %d rank %d row %d: got %v %v, want %v %v", trial, r, lo+li, gc, gv, wc, wv)
+				}
+			}
+		}
+	}
+}
+
+// TestTransposeDistRejectsForeignColumn: a rank that receives an entry for a
+// row it does not own (here: the ranks disagree on where the blocks meet)
+// must panic, as GatherRemoteRows does on a request for a non-local row,
+// rather than file the entry under a wrong row.
+func TestTransposeDistRejectsForeignColumn(t *testing.T) {
+	a := grid2d(4, 4)
+	n := a.Rows
+	layouts := []*Layout{
+		{N: n, Offsets: []int{0, n / 2, n}},
+		{N: n, Offsets: []int{0, n/2 + 1, n}}, // rank 1 thinks row n/2 is rank 0's
+	}
+	_, err := simmpi.Run(2, testTimeout, func(c *simmpi.Comm) error {
+		l := layouts[c.Rank()]
+		lo, hi := l.Range(c.Rank())
+		TransposeDist(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "outside rows") {
+		t.Fatalf("foreign column not rejected: %v", err)
+	}
+}
+
+// TestLocalizeSortedAndUnsortedRows: Localize places a row sorted by global
+// column without sorting it, and still orders a row that was not.
+func TestLocalizeSortedAndUnsortedRows(t *testing.T) {
+	// Rows 3..5 of a 9-column matrix; row 1 is stored out of column order.
+	sorted := &sparse.CSR{Rows: 3, Cols: 9,
+		RowPtr: []int{0, 4, 9, 10},
+		ColIdx: []int{1, 3, 5, 8 /**/, 0, 2, 4, 5, 7 /**/, 4},
+		Val:    []float64{1, 3, 5, 8 /**/, 10, 12, 14, 15, 17 /**/, 24}}
+	shuffled := sorted.Clone()
+	copy(shuffled.ColIdx[4:9], []int{7, 4, 0, 5, 2})
+	copy(shuffled.Val[4:9], []float64{17, 14, 10, 15, 12})
+	want := Localize(3, 6, sorted)
+	if err := want.M.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(want.Halo, []int{0, 1, 2, 7, 8}) {
+		t.Fatalf("halo %v", want.Halo)
+	}
+	// locals 3,4,5 → 0,1,2; halo 0,1,2,7,8 → 3,4,5,6,7
+	if !slices.Equal(want.M.ColIdx, []int{0, 2, 4, 7 /**/, 1, 2, 3, 5, 6 /**/, 1}) ||
+		!slices.Equal(want.M.Val, []float64{3, 5, 1, 8 /**/, 14, 15, 10, 12, 17 /**/, 24}) {
+		t.Fatalf("localized %v %v", want.M.ColIdx, want.M.Val)
+	}
+	got := Localize(3, 6, shuffled)
+	if !slices.Equal(got.M.ColIdx, want.M.ColIdx) || !slices.Equal(got.M.Val, want.M.Val) || !slices.Equal(got.Halo, want.Halo) {
+		t.Fatalf("unsorted input localized to %v %v", got.M.ColIdx, got.M.Val)
+	}
+}
+
+// TestPermuteMatchesEntrywise: P A Pᵀ for random permutations, checked
+// position by position, with valid (sorted) rows.
+func TestPermuteMatchesEntrywise(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(30)
+		c0 := sparse.NewCOO(n, n)
+		for i := 0; i < n; i++ {
+			for _, j := range rng.Perm(n)[:rng.Intn(min(n, 5)+1)] {
+				c0.Add(i, j, rng.NormFloat64())
+			}
+		}
+		a := c0.ToCSR()
+		oldToNew := rng.Perm(n)
+		pa := Permute(a, oldToNew)
+		if err := pa.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if pa.NNZ() != a.NNZ() {
+			t.Fatalf("nnz %d, want %d", pa.NNZ(), a.NNZ())
+		}
+		for i := 0; i < n; i++ {
+			cols, vals := a.Row(i)
+			for k, j := range cols {
+				if got := pa.At(oldToNew[i], oldToNew[j]); got != vals[k] {
+					t.Fatalf("(%d,%d)→(%d,%d) = %v, want %v", i, j, oldToNew[i], oldToNew[j], got, vals[k])
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package distmat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -55,59 +56,71 @@ func (lz *Localized) HaloSet() []int { return lz.Halo }
 // Localize remaps a local-rows matrix (global column indices) into the
 // local+halo column numbering.
 func Localize(lo, hi int, rows *sparse.CSR) *Localized {
-	// Collect halo columns.
-	haloSet := map[int]bool{}
+	var halo []int
 	for _, g := range rows.ColIdx {
 		if g < lo || g >= hi {
-			haloSet[g] = true
+			halo = append(halo, g)
 		}
 	}
-	halo := make([]int, 0, len(haloSet))
-	for g := range haloSet {
-		halo = append(halo, g)
-	}
-	sort.Ints(halo)
-	slot := make(map[int]int, len(halo))
-	for k, g := range halo {
-		slot[g] = k
-	}
+	slices.Sort(halo)
+	halo = slices.Compact(halo)
 	nl := hi - lo
 	m := &sparse.CSR{
 		Rows:   rows.Rows,
 		Cols:   nl + len(halo),
 		RowPtr: append([]int(nil), rows.RowPtr...),
 		ColIdx: make([]int, rows.NNZ()),
-		Val:    append([]float64(nil), rows.Val...),
+		Val:    make([]float64, rows.NNZ()),
 	}
-	for k, g := range rows.ColIdx {
-		if g >= lo && g < hi {
-			m.ColIdx[k] = g - lo
-		} else {
-			m.ColIdx[k] = nl + slot[g]
+	slot := func(g int) int { return nl + sort.SearchInts(halo, g) }
+	for i := 0; i < m.Rows; i++ {
+		cols, vals := rows.Row(i)
+		idx, val := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]], m.Val[m.RowPtr[i]:m.RowPtr[i+1]]
+		// In a row sorted by global column the entries below lo come first,
+		// then the local ones, then those from hi up.
+		below, local, sorted := 0, 0, true
+		for k, g := range cols {
+			if k > 0 && g <= cols[k-1] {
+				sorted = false
+			}
+			if g < lo {
+				below++
+			} else if g < hi {
+				local++
+			}
+		}
+		if !sorted {
+			for k, g := range cols {
+				if g >= lo && g < hi {
+					idx[k] = g - lo
+				} else {
+					idx[k] = slot(g)
+				}
+			}
+			copy(val, vals)
+			sparse.SortRowByColumn(idx, val)
+			continue
+		}
+		// Locals number before every halo slot and halo slots ascend with the
+		// global index, so emitting local, below, above keeps the row sorted.
+		n := copy(val, vals[below:below+local])
+		n += copy(val[n:], vals[:below])
+		copy(val[n:], vals[below+local:])
+		w := 0
+		for _, g := range cols[below : below+local] {
+			idx[w] = g - lo
+			w++
+		}
+		for _, g := range cols[:below] {
+			idx[w] = slot(g)
+			w++
+		}
+		for _, g := range cols[below+local:] {
+			idx[w] = slot(g)
+			w++
 		}
 	}
-	// Re-sort each row by the new column numbering (locals stay ordered;
-	// halo slots are ordered among themselves, but locals and halos
-	// interleave differently than global order).
-	for i := 0; i < m.Rows; i++ {
-		loK, hiK := m.RowPtr[i], m.RowPtr[i+1]
-		idx := m.ColIdx[loK:hiK]
-		val := m.Val[loK:hiK]
-		sort.Sort(&colValSorter{idx, val})
-	}
 	return &Localized{Lo: lo, Hi: hi, Halo: halo, M: m}
-}
-
-type colValSorter struct {
-	idx []int
-	val []float64
-}
-
-func (s *colValSorter) Len() int           { return len(s.idx) }
-func (s *colValSorter) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
-func (s *colValSorter) Swap(i, j int) {
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
-	s.val[i], s.val[j] = s.val[j], s.val[i]
 }
 
 // HaloPlan is a rank's halo-update schedule: which locally-owned unknowns it

@@ -112,16 +112,23 @@ func ApplyPartition(a *sparse.CSR, part []int, nparts int) (*sparse.CSR, *Layout
 }
 
 // Permute applies the symmetric permutation P A Pᵀ where new index of old
-// row/column i is oldToNew[i].
+// row/column i is oldToNew[i]. The permuted rows are bucketed straight into
+// CSR (sparse.Assembler); a row is sorted only if the permutation disturbed
+// the order of its columns.
 func Permute(a *sparse.CSR, oldToNew []int) *sparse.CSR {
-	c := sparse.NewCOO(a.Rows, a.Cols)
+	as := sparse.NewAssembler(a.Rows, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		as.Count(oldToNew[i], a.RowNNZ(i))
+	}
+	as.Begin()
 	for i := 0; i < a.Rows; i++ {
 		cols, vals := a.Row(i)
+		ni := oldToNew[i]
 		for k, j := range cols {
-			c.Add(oldToNew[i], oldToNew[j], vals[k])
+			as.Put(ni, oldToNew[j], vals[k])
 		}
 	}
-	return c.ToCSR()
+	return as.Finish()
 }
 
 // PermuteVec returns the vector with components moved to their new indices.

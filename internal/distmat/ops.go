@@ -3,6 +3,7 @@ package distmat
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fsaicomm/internal/simmpi"
@@ -140,37 +141,91 @@ func Norm2(c *simmpi.Comm, x []float64, fc *vecops.FlopCounter) float64 {
 	return math.Sqrt(s)
 }
 
+// GatheredRows serves full rows of a distributed matrix by global index
+// after a GatherRemoteRows: the rank's own rows are read in place from its
+// local block, the fetched remote rows sit CSR-style behind a sorted index
+// list, so a lookup is a range test or a binary search — no hash map, no
+// copy of local data.
+type GatheredRows struct {
+	lo, hi int
+	local  *sparse.CSR
+	ids    []int // sorted global indices of the fetched rows
+	ptr    []int // row k of ids occupies cols/vals[ptr[k]:ptr[k+1]]
+	cols   []int
+	vals   []float64
+}
+
+// LocalRows wraps a whole, undistributed matrix as a GatheredRows: every row
+// is local. It lets serial code share the row loops written against
+// GatherRemoteRows.
+func LocalRows(a *sparse.CSR) *GatheredRows {
+	return &GatheredRows{lo: 0, hi: a.Rows, local: a}
+}
+
+// Row returns global row g (global columns) as shared, read-only slices. It
+// panics if g is neither local nor among the gathered rows.
+func (r *GatheredRows) Row(g int) ([]int, []float64) {
+	if g >= r.lo && g < r.hi {
+		return r.local.Row(g - r.lo)
+	}
+	return r.remote(g)
+}
+
+// remote is the slow path of Row, kept apart so that Row inlines.
+func (r *GatheredRows) remote(g int) ([]int, []float64) {
+	k := sort.SearchInts(r.ids, g)
+	if k == len(r.ids) || r.ids[k] != g {
+		panic(fmt.Sprintf("distmat: row %d is neither local to [%d,%d) nor gathered", g, r.lo, r.hi))
+	}
+	return r.cols[r.ptr[k]:r.ptr[k+1]], r.vals[r.ptr[k]:r.ptr[k+1]]
+}
+
+// ownerNear is Layout.Owner for callers that walk indices in nearly sorted
+// order: it steps from the previous answer p instead of searching.
+func ownerNear(l *Layout, g, p int) int {
+	if g < 0 || g >= l.N {
+		panic(fmt.Sprintf("distmat: Owner(%d) outside [0,%d)", g, l.N))
+	}
+	for g < l.Offsets[p] {
+		p--
+	}
+	for g >= l.Offsets[p+1] {
+		p++
+	}
+	return p
+}
+
 // GatherRemoteRows fetches full rows of the distributed matrix for the given
 // global indices from their owners. rows is this rank's local block with
 // global column indices; wanted lists global row indices (duplicates
-// allowed, remote or local). The result maps each wanted global row to its
-// (cols, vals). Collective: all ranks must call together. This is the FSAI
-// setup-phase exchange (each process needs A's rows for its halo unknowns);
-// it happens once per preconditioner build, not per iteration.
-func GatherRemoteRows(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, wanted []int) map[int]RowData {
+// allowed, remote or local). Only the remote ones travel; the result serves
+// every wanted row, local ones straight from rows. Collective: all ranks
+// must call together, a rank that wants nothing included — the request
+// counts are exchanged by every rank so that none waits on a peer that has
+// nothing to ask. This is the FSAI setup-phase exchange (each process needs
+// A's rows for its halo unknowns); it happens once per preconditioner build,
+// not per iteration.
+func GatherRemoteRows(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, wanted []int) *GatheredRows {
 	size := c.Size()
 	rank := c.Rank()
-	out := make(map[int]RowData, len(wanted))
-	needByOwner := make([][]int, size)
-	seen := map[int]bool{}
+	var need []int
 	for _, g := range wanted {
-		if seen[g] {
-			continue
+		if g < lo || g >= hi {
+			need = append(need, g)
 		}
-		seen[g] = true
-		if g >= lo && g < hi {
-			cols, vals := rows.Row(g - lo)
-			out[g] = RowData{Cols: append([]int(nil), cols...), Vals: append([]float64(nil), vals...)}
-			continue
-		}
-		needByOwner[l.Owner(g)] = append(needByOwner[l.Owner(g)], g)
 	}
-	for p := range needByOwner {
-		sort.Ints(needByOwner[p])
-	}
+	slices.Sort(need)
+	need = slices.Compact(need)
+	// need is sorted and ownership is contiguous, so each owner's requests
+	// are one run of it.
+	needByOwner := make([][]int, size)
 	counts := make([]int64, size)
-	for p := 0; p < size; p++ {
-		counts[p] = int64(len(needByOwner[p]))
+	for start, p := 0, 0; start < len(need); {
+		p = ownerNear(l, need[start], p)
+		end := start + sort.SearchInts(need[start:], l.Offsets[p+1])
+		needByOwner[p] = need[start:end]
+		counts[p] = int64(end - start)
+		start = end
 	}
 	all := c.AllgatherInt64(counts)
 	// Send requests.
@@ -185,22 +240,27 @@ func GatherRemoteRows(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, w
 			continue
 		}
 		req := c.RecvInts(r, tagRowMeta)
-		var lens []int
-		var flatCols []int
-		var flatVals []float64
+		total := 0
 		for _, g := range req {
 			if g < lo || g >= hi {
 				panic(fmt.Sprintf("distmat: rank %d asked rank %d for non-local row %d", r, rank, g))
 			}
+			total += rows.RowNNZ(g - lo)
+		}
+		// One int message: the row lengths, then every row's columns.
+		meta := make([]int, len(req), len(req)+total)
+		flatVals := make([]float64, 0, total)
+		for k, g := range req {
 			cols, vals := rows.Row(g - lo)
-			lens = append(lens, len(cols))
-			flatCols = append(flatCols, cols...)
+			meta[k] = len(cols)
+			meta = append(meta, cols...)
 			flatVals = append(flatVals, vals...)
 		}
-		c.SendInts(r, tagRowCols, append(lens, flatCols...))
+		c.SendInts(r, tagRowCols, meta)
 		c.SendFloats(r, tagRowVals, flatVals)
 	}
-	// Collect responses.
+	// Collect responses in owner order, which is the order of need.
+	out := &GatheredRows{lo: lo, hi: hi, local: rows, ids: need, ptr: make([]int, 1, len(need)+1)}
 	for p := 0; p < size; p++ {
 		req := needByOwner[p]
 		if p == rank || len(req) == 0 {
@@ -208,83 +268,113 @@ func GatherRemoteRows(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, w
 		}
 		meta := c.RecvInts(p, tagRowCols)
 		vals := c.RecvFloats(p, tagRowVals)
-		lens := meta[:len(req)]
-		flatCols := meta[len(req):]
-		pos := 0
-		for k, g := range req {
-			n := lens[k]
-			out[g] = RowData{
-				Cols: append([]int(nil), flatCols[pos:pos+n]...),
-				Vals: append([]float64(nil), vals[pos:pos+n]...),
-			}
-			pos += n
+		for _, n := range meta[:len(req)] {
+			out.ptr = append(out.ptr, out.ptr[len(out.ptr)-1]+n)
 		}
+		out.cols = append(out.cols, meta[len(req):]...)
+		out.vals = append(out.vals, vals...)
+	}
+	if len(out.cols) != out.ptr[len(out.ptr)-1] || len(out.vals) != len(out.cols) {
+		panic(fmt.Sprintf("distmat: rank %d gathered %d columns and %d values for %d announced entries",
+			rank, len(out.cols), len(out.vals), out.ptr[len(out.ptr)-1]))
 	}
 	return out
-}
-
-// RowData is one gathered matrix row: global column indices and values.
-type RowData struct {
-	Cols []int
-	Vals []float64
 }
 
 // TransposeDist computes the distributed transpose: given this rank's local
 // rows of G (global columns), it returns this rank's local rows of Gᵀ
 // (global columns). Entry (i,j) owned here is shipped to the owner of row j
-// of Gᵀ (= owner of global column j). Collective.
+// of Gᵀ (= owner of global column j). The received entries are bucketed by
+// row straight into CSR; sources are taken in rank order, each delivers its
+// entries by ascending row i, so every row of Gᵀ arrives with ascending
+// columns and nothing is sorted. Collective.
 func TransposeDist(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR) *sparse.CSR {
 	size := c.Size()
 	rank := c.Rank()
-	// Bucket entries by destination owner; local ones short-circuit.
-	type triple struct {
-		i, j int // global
-		v    float64
-	}
-	buckets := make([][]triple, size)
-	for li := 0; li < rows.Rows; li++ {
-		gi := lo + li
-		cols, vals := rows.Row(li)
-		for k, gj := range cols {
-			dst := l.Owner(gj)
-			buckets[dst] = append(buckets[dst], triple{i: gi, j: gj, v: vals[k]})
-		}
+	if rlo, rhi := l.Range(rank); rlo != lo || rhi != hi || rows.Rows != hi-lo {
+		panic(fmt.Sprintf("distmat: rank %d transposes %d rows as [%d,%d), layout says [%d,%d)", rank, rows.Rows, lo, hi, rlo, rhi))
 	}
 	counts := make([]int64, size)
-	for p := 0; p < size; p++ {
-		counts[p] = int64(len(buckets[p]))
+	own := 0 // owner of the column last looked at
+	for _, gj := range rows.ColIdx {
+		own = ownerNear(l, gj, own)
+		counts[own]++
 	}
 	all := c.AllgatherInt64(counts)
+	// Pack what leaves this rank: (i, j) pairs and values per destination.
+	// Entries that stay are read from rows again below.
+	flat := make([][]int, size)
+	vals := make([][]float64, size)
+	for p, n := range counts {
+		if p != rank && n > 0 {
+			flat[p] = make([]int, 0, 2*n)
+			vals[p] = make([]float64, 0, n)
+		}
+	}
+	for li := 0; li < rows.Rows; li++ {
+		cols, vs := rows.Row(li)
+		for k, gj := range cols {
+			if own = ownerNear(l, gj, own); own != rank {
+				flat[own] = append(flat[own], lo+li, gj)
+				vals[own] = append(vals[own], vs[k])
+			}
+		}
+	}
 	for p := 0; p < size; p++ {
-		if p == rank || len(buckets[p]) == 0 {
-			continue
+		if p != rank && counts[p] > 0 {
+			c.SendInts(p, tagTransp, flat[p])
+			c.SendFloats(p, tagTransp, vals[p])
 		}
-		flat := make([]int, 0, 2*len(buckets[p]))
-		vals := make([]float64, 0, len(buckets[p]))
-		for _, t := range buckets[p] {
-			flat = append(flat, t.i, t.j)
-			vals = append(vals, t.v)
-		}
-		c.SendInts(p, tagTransp, flat)
-		c.SendFloats(p, tagTransp, vals)
 	}
-	nl := hi - lo
-	coo := sparse.NewCOO(nl, l.N)
-	for _, t := range buckets[rank] {
-		coo.Add(t.j-lo, t.i, t.v) // transposed: row j, column i
-	}
+	// What arrives, per source rank, in the same (i, j) / value layout.
+	inIdx := make([][]int, size)
+	inVal := make([][]float64, size)
 	for r := 0; r < size; r++ {
-		if r == rank || all[r*size+rank] == 0 {
-			continue
-		}
-		flat := c.RecvInts(r, tagTransp)
-		vals := c.RecvFloats(r, tagTransp)
-		for k := range vals {
-			gi, gj := flat[2*k], flat[2*k+1]
-			coo.Add(gj-lo, gi, vals[k])
+		if r != rank && all[r*size+rank] > 0 {
+			inIdx[r] = c.RecvInts(r, tagTransp)
+			inVal[r] = c.RecvFloats(r, tagTransp)
 		}
 	}
-	return coo.ToCSR()
+
+	as := sparse.NewAssembler(hi-lo, l.N)
+	for _, gj := range rows.ColIdx {
+		if gj >= lo && gj < hi {
+			as.Count(gj-lo, 1)
+		}
+	}
+	for r, f := range inIdx {
+		if len(f) != 2*len(inVal[r]) {
+			panic(fmt.Sprintf("distmat: rank %d sent rank %d %d indices for %d values", r, rank, len(f), len(inVal[r])))
+		}
+		rlo, rhi := l.Range(r)
+		for k := 0; k < len(f); k += 2 {
+			gi, gj := f[k], f[k+1]
+			if gj < lo || gj >= hi || gi < rlo || gi >= rhi {
+				panic(fmt.Sprintf("distmat: rank %d sent rank %d entry (%d,%d), outside rows [%d,%d) x columns [%d,%d)",
+					r, rank, gi, gj, rlo, rhi, lo, hi))
+			}
+			as.Count(gj-lo, 1)
+		}
+	}
+	as.Begin()
+	for r := 0; r < size; r++ {
+		if r == rank {
+			for li := 0; li < rows.Rows; li++ {
+				cols, vs := rows.Row(li)
+				for k, gj := range cols {
+					if gj >= lo && gj < hi {
+						as.Put(gj-lo, lo+li, vs[k]) // transposed: row j, column i
+					}
+				}
+			}
+			continue
+		}
+		f := inIdx[r]
+		for k, v := range inVal[r] {
+			as.Put(f[2*k+1]-lo, f[2*k], v)
+		}
+	}
+	return as.Finish()
 }
 
 // NNZImbalanceIndex computes the paper's imbalance index for per-rank entry

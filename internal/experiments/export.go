@@ -8,7 +8,6 @@ import (
 
 	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
-	"fsaicomm/internal/fsai"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/simmpi"
 	"fsaicomm/internal/testsets"
@@ -93,9 +92,8 @@ func WriteConvergence(w io.Writer, r *Runner, spec testsets.Spec, filter float64
 			g := ee.gExt[c.Rank()]
 			if method != core.FSAI {
 				base := core.LowerPatternDist(aRows, lo).Pattern
-				final := fsai.FilterDist(g, lo, hi, filter, base)
 				var err error
-				g, err = fsai.BuildDistWorkers(c, me.layout, aRows, final, r.Workers)
+				g, _, err = core.FilterRebuild(c, me.layout, aRows, g, base, filter, core.StaticFilter, r.Workers)
 				if err != nil {
 					return err
 				}

@@ -295,13 +295,8 @@ func (r *Runner) Run(spec testsets.Spec, method core.Method, filter float64, str
 			g = gExt
 		} else {
 			base := core.LowerPatternDist(aRows, lo).Pattern
-			f := filter
-			if strategy == core.DynamicFilter {
-				f = core.DynamicFilterValue(c, gExt, lo, filter, base)
-			}
-			final := fsai.FilterDist(gExt, lo, hi, f, base)
 			var err error
-			g, err = fsai.BuildDistWorkers(c, me.layout, aRows, final, r.Workers)
+			g, _, err = core.FilterRebuild(c, me.layout, aRows, gExt, base, filter, strategy, r.Workers)
 			if err != nil {
 				return err
 			}

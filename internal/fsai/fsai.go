@@ -18,6 +18,8 @@ package fsai
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"fsaicomm/internal/dense"
 	"fsaicomm/internal/distmat"
@@ -60,12 +62,45 @@ func Build(a *sparse.CSR, s *sparse.Pattern) (*sparse.CSR, error) {
 // writing a disjoint slice of g.Val, so the result is bit-identical for
 // every worker count — parallelism only changes wall-clock time.
 func BuildWorkers(a *sparse.CSR, s *sparse.Pattern, workers int) (*sparse.CSR, error) {
+	g, _, err := RebuildWorkers(a, nil, s, workers)
+	return g, err
+}
+
+// RebuildWorkers computes the factor on pattern s given prev, a factor of
+// the same matrix on another pattern (nil for none): a row whose pattern is
+// the same in prev and s is copied, every other row is solved. Copying is
+// exact — a row of G depends on A and on that row's pattern alone, so the
+// same pattern means the same sub-matrix, the same Cholesky and the same
+// bits. It also returns how many rows were copied.
+func RebuildWorkers(a *sparse.CSR, prev *sparse.CSR, s *sparse.Pattern, workers int) (*sparse.CSR, int, error) {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("fsai: matrix %dx%d not square", a.Rows, a.Cols)
+		return nil, 0, fmt.Errorf("fsai: matrix %dx%d not square", a.Rows, a.Cols)
 	}
 	if s.Rows != a.Rows || s.Cols != a.Cols {
-		return nil, fmt.Errorf("fsai: pattern shape %dx%d does not match matrix", s.Rows, s.Cols)
+		return nil, 0, fmt.Errorf("fsai: pattern shape %dx%d does not match matrix", s.Rows, s.Cols)
 	}
+	if prev != nil && prev.Rows != s.Rows {
+		return nil, 0, fmt.Errorf("fsai: previous factor has %d rows, pattern has %d", prev.Rows, s.Rows)
+	}
+	return buildRows(distmat.LocalRows(a), s, 0, prev, workers)
+}
+
+// sameRow reports whether row li of prev has exactly the pattern s gives it.
+func sameRow(prev *sparse.CSR, s *sparse.Pattern, li int) bool {
+	if prev == nil {
+		return false
+	}
+	pc, _ := prev.Row(li)
+	return slices.Equal(pc, s.Row(li))
+}
+
+// buildRows is the row loop shared by every build: rows [lo, lo+s.Rows) of
+// the factor on pattern s (global columns), row li copied from prev where
+// sameRow holds and solved otherwise. src serves the rows of A the solves
+// read: the whole matrix in the serial build, a rank's block plus its
+// gathered halo rows in the distributed one. It returns the factor and the
+// number of copied rows.
+func buildRows(src *distmat.GatheredRows, s *sparse.Pattern, lo int, prev *sparse.CSR, workers int) (*sparse.CSR, int, error) {
 	g := &sparse.CSR{
 		Rows:   s.Rows,
 		Cols:   s.Cols,
@@ -73,13 +108,22 @@ func BuildWorkers(a *sparse.CSR, s *sparse.Pattern, workers int) (*sparse.CSR, e
 		ColIdx: append([]int(nil), s.ColIdx...),
 		Val:    make([]float64, s.NNZ()),
 	}
-	err := parallel.For(workers, s.Rows, func(lo, hi int) error {
+	var reused atomic.Int64
+	err := parallel.For(workers, s.Rows, func(clo, chi int) error {
 		// Scratch is per chunk: workers never share mutable state.
 		var buf, rhs []float64
-		for i := lo; i < hi; i++ {
-			cols := s.Row(i)
-			if err := checkRowPattern(i, cols); err != nil {
+		copied := 0
+		for li := clo; li < chi; li++ {
+			cols := s.Row(li)
+			if err := checkRowPattern(lo+li, cols); err != nil {
 				return err
+			}
+			out := g.Val[g.RowPtr[li]:g.RowPtr[li+1]]
+			if sameRow(prev, s, li) {
+				_, pv := prev.Row(li)
+				copy(out, pv)
+				copied++
+				continue
 			}
 			m := len(cols)
 			if cap(buf) < m*m {
@@ -87,18 +131,19 @@ func BuildWorkers(a *sparse.CSR, s *sparse.Pattern, workers int) (*sparse.CSR, e
 				rhs = make([]float64, m)
 			}
 			sub := buf[:m*m]
-			a.SubMatrix(cols, cols, sub)
-			if err := solveRow(i, sub, m, rhs[:m]); err != nil {
+			gatherSub(src, cols, sub)
+			if err := solveRow(lo+li, sub, m, rhs[:m]); err != nil {
 				return err
 			}
-			copy(g.Val[g.RowPtr[i]:g.RowPtr[i+1]], rhs[:m])
+			copy(out, rhs[:m])
 		}
+		reused.Add(int64(copied))
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return g, nil
+	return g, int(reused.Load()), nil
 }
 
 func checkRowPattern(i int, cols []int) error {
@@ -197,7 +242,8 @@ func BuildFilteredWorkers(a *sparse.CSR, s *sparse.Pattern, filter float64, work
 	if filter <= 0 {
 		return g1, nil
 	}
-	return BuildWorkers(a, FilterPattern(g1, filter), workers)
+	g, _, err := RebuildWorkers(a, g1, FilterPattern(g1, filter), workers)
+	return g, err
 }
 
 // DistRows is a rank's block of a distributed lower-triangular pattern:
@@ -238,75 +284,62 @@ func BuildDist(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, s *DistRows
 // gather) stays on the rank goroutine; only the embarrassingly parallel row
 // loop fans out. Results are bit-identical for every worker count.
 func BuildDistWorkers(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, s *DistRows, workers int) (*sparse.CSR, error) {
+	g, _, err := RebuildDistWorkers(c, l, aRows, nil, s, workers)
+	return g, err
+}
+
+// RebuildDistWorkers is the distributed RebuildWorkers: this rank's rows of
+// the factor on pattern s, copying from prev (this rank's rows of a factor
+// of the same matrix on another pattern, or nil) every row whose pattern is
+// unchanged and solving the rest. Only the rows that are solved contribute
+// to the halo row gather, so a rank that copies everything fetches nothing —
+// but it still takes part in the gather, which is collective: ranks may
+// differ in how many rows they copy. It also returns the copied-row count.
+func RebuildDistWorkers(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, prev *sparse.CSR, s *DistRows, workers int) (*sparse.CSR, int, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	if prev != nil && prev.Rows != s.Pattern.Rows {
+		return nil, 0, fmt.Errorf("fsai: previous factor has %d rows, pattern has %d", prev.Rows, s.Pattern.Rows)
 	}
 	lo, hi := s.Lo, s.Hi
-	// Collect the global rows of A needed: every column index in the
-	// pattern (the restriction A(S_i,S_i) reads row k for each k ∈ S_i).
-	needSet := map[int]bool{}
+	// The restriction A(S_i,S_i) reads row k of A for each k ∈ S_i; the
+	// remote ones among them must be fetched (GatherRemoteRows sorts the list
+	// and drops the repeats).
 	var need []int
-	for _, g := range s.Pattern.ColIdx {
-		if !needSet[g] {
-			needSet[g] = true
-			need = append(need, g)
+	for li := 0; li < s.Pattern.Rows; li++ {
+		if sameRow(prev, s.Pattern, li) {
+			continue
+		}
+		for _, g := range s.Pattern.Row(li) {
+			if g < lo || g >= hi {
+				need = append(need, g)
+			}
 		}
 	}
 	rows := distmat.GatherRemoteRows(c, l, lo, hi, aRows, need)
-
-	g := &sparse.CSR{
-		Rows:   s.Pattern.Rows,
-		Cols:   s.Pattern.Cols,
-		RowPtr: append([]int(nil), s.Pattern.RowPtr...),
-		ColIdx: append([]int(nil), s.Pattern.ColIdx...),
-		Val:    make([]float64, s.Pattern.NNZ()),
-	}
-	err := parallel.For(workers, s.Pattern.Rows, func(clo, chi int) error {
-		var buf, rhs []float64
-		for li := clo; li < chi; li++ {
-			cols := s.Pattern.Row(li)
-			m := len(cols)
-			if cap(buf) < m*m {
-				buf = make([]float64, m*m)
-				rhs = make([]float64, m)
-			}
-			sub := buf[:m*m]
-			gatherSub(rows, cols, sub)
-			if err := solveRow(lo+li, sub, m, rhs[:m]); err != nil {
-				return err
-			}
-			copy(g.Val[g.RowPtr[li]:g.RowPtr[li+1]], rhs[:m])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
+	return buildRows(rows, s.Pattern, lo, prev, workers)
 }
 
-// gatherSub fills the dense m×m restriction A(cols, cols) from gathered row
-// data. cols is sorted; each row's stored columns are sorted, so a merge
-// walk fills each row in O(row nnz + m).
-func gatherSub(rows map[int]distmat.RowData, cols []int, sub []float64) {
+// gatherSub fills the lower triangle of the dense m×m restriction
+// A(cols, cols) — the part the Cholesky solve reads — and zeroes the rest.
+// cols is sorted; each row's stored columns are sorted, so a merge walk
+// fills each row in O(row nnz + m).
+func gatherSub(src *distmat.GatheredRows, cols []int, sub []float64) {
 	m := len(cols)
-	for k := range sub {
-		sub[k] = 0
-	}
+	clear(sub)
 	for ri, gk := range cols {
-		rd, ok := rows[gk]
-		if !ok {
-			panic(fmt.Sprintf("fsai: missing gathered row %d", gk))
-		}
+		rc, rv := src.Row(gk)
+		row := sub[ri*m : ri*m+ri+1]
 		a, b := 0, 0
-		for a < len(rd.Cols) && b < m {
+		for a < len(rc) && b < len(row) {
 			switch {
-			case rd.Cols[a] < cols[b]:
+			case rc[a] < cols[b]:
 				a++
-			case rd.Cols[a] > cols[b]:
+			case rc[a] > cols[b]:
 				b++
 			default:
-				sub[ri*m+b] = rd.Vals[a]
+				row[b] = rv[a]
 				a++
 				b++
 			}
@@ -321,7 +354,11 @@ func gatherSub(rows map[int]distmat.RowData, cols []int, sub []float64) {
 // diagonal always survive; other entries survive when
 // |g_ij| ≥ filter·|g_ii|. base may be nil to filter every off-diagonal.
 func FilterDist(g *sparse.CSR, lo, hi int, filter float64, base *sparse.Pattern) *DistRows {
-	p := &sparse.Pattern{Rows: g.Rows, Cols: g.Cols, RowPtr: make([]int, g.Rows+1)}
+	p := &sparse.Pattern{
+		Rows: g.Rows, Cols: g.Cols,
+		RowPtr: make([]int, g.Rows+1),
+		ColIdx: make([]int, 0, CountFilteredDist(g, lo, filter, base)),
+	}
 	for li := 0; li < g.Rows; li++ {
 		gi := lo + li
 		cols, vals := g.Row(li)

@@ -3,7 +3,7 @@ package fsai
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/simmpi"
@@ -48,35 +48,24 @@ func PowerPatternDist(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, lo, 
 	}
 
 	for lvl := 1; lvl < level; lvl++ {
-		// Gather the Ã-rows of every column currently referenced.
-		needSet := map[int]bool{}
+		// Gather the Ã-rows of every column currently referenced
+		// (GatherRemoteRows keeps the remote ones and drops the repeats).
 		var need []int
 		for _, row := range cur {
-			for _, g := range row {
-				if !needSet[g] {
-					needSet[g] = true
-					need = append(need, g)
-				}
-			}
+			need = append(need, row...)
 		}
 		// GatherRemoteRows works on valued matrices; wrap the thresholded
 		// pattern as a zero-valued CSR.
 		rows := distmat.GatherRemoteRows(c, l, lo, hi, patternAsCSR(at), need)
 		next := make([][]int, nl)
 		for li := 0; li < nl; li++ {
-			merged := map[int]bool{}
+			var row []int
 			for _, k := range cur[li] {
-				rd := rows[k]
-				for _, j := range rd.Cols {
-					merged[j] = true
-				}
+				rc, _ := rows.Row(k)
+				row = append(row, rc...)
 			}
-			row := make([]int, 0, len(merged))
-			for j := range merged {
-				row = append(row, j)
-			}
-			sort.Ints(row)
-			next[li] = row
+			slices.Sort(row)
+			next[li] = slices.Compact(row)
 		}
 		cur = next
 	}

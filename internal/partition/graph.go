@@ -27,58 +27,57 @@ type Graph struct {
 // weight is 1 per coupling direction present; vertex weight is the number of
 // stored entries in the row (so balancing vertex weight balances nnz, which
 // is what the paper's workload rule operates on).
+//
+// Adjacency order is part of the contract, because the partitioner's
+// tie-breaking — and through it every partition, permutation and iteration
+// count downstream — depends on it: the stored positions are visited row by
+// row, an edge is created at the first position that mentions it, and each
+// new edge is appended to both endpoints' lists. Position (i,j) is the first
+// mention of {i,j} exactly when j > i, or j < i and (j,i) is not stored, so
+// one sorted-row lookup per sub-diagonal position decides it.
 func GraphFromMatrix(a *sparse.CSR) *Graph {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("partition: matrix %dx%d not square", a.Rows, a.Cols))
 	}
 	n := a.Rows
-	// Symmetrize the pattern.
-	deg := make([]int, n)
-	type edge struct{ u, v int }
-	seen := make(map[edge]bool, a.NNZ())
-	var edges []edge
-	for i := 0; i < n; i++ {
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if i == j {
-				continue
-			}
-			u, v := i, j
-			if u > v {
-				u, v = v, u
-			}
-			e := edge{u, v}
-			if !seen[e] {
-				seen[e] = true
-				edges = append(edges, e)
-				deg[u]++
-				deg[v]++
+	// visit calls edge(u, v), u < v, for every edge in creation order.
+	visit := func(edge func(u, v int)) {
+		for i := 0; i < n; i++ {
+			cols, _ := a.Row(i)
+			for _, j := range cols {
+				switch {
+				case j > i:
+					edge(i, j)
+				case j < i && !a.Has(j, i):
+					edge(j, i)
+				}
 			}
 		}
 	}
-	g := &Graph{
-		N:       n,
-		Ptr:     make([]int, n+1),
-		Adj:     make([]int, 2*len(edges)),
-		EWeight: make([]int64, 2*len(edges)),
-		VWeight: make([]int64, n),
-	}
+	g := &Graph{N: n, Ptr: make([]int, n+1), VWeight: make([]int64, n)}
+	visit(func(u, v int) {
+		g.Ptr[u+1]++
+		g.Ptr[v+1]++
+	})
 	for i := 0; i < n; i++ {
-		g.Ptr[i+1] = g.Ptr[i] + deg[i]
+		g.Ptr[i+1] += g.Ptr[i]
 		g.VWeight[i] = int64(a.RowNNZ(i))
 		if g.VWeight[i] == 0 {
 			g.VWeight[i] = 1
 		}
 	}
-	next := append([]int(nil), g.Ptr[:n]...)
-	for _, e := range edges {
-		g.Adj[next[e.u]] = e.v
-		g.EWeight[next[e.u]] = 1
-		next[e.u]++
-		g.Adj[next[e.v]] = e.u
-		g.EWeight[next[e.v]] = 1
-		next[e.v]++
+	g.Adj = make([]int, g.Ptr[n])
+	g.EWeight = make([]int64, g.Ptr[n])
+	for k := range g.EWeight {
+		g.EWeight[k] = 1
 	}
+	next := append([]int(nil), g.Ptr[:n]...)
+	visit(func(u, v int) {
+		g.Adj[next[u]] = v
+		next[u]++
+		g.Adj[next[v]] = u
+		next[v]++
+	})
 	return g
 }
 

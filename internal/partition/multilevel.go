@@ -85,16 +85,27 @@ func recursiveBisect(g *Graph, verts []int, base, k int, part []int, rng *rand.R
 // induce builds the sub-graph of g induced by verts (edges to outside
 // vertices are dropped).
 func induce(g *Graph, verts []int) *Graph {
-	local := make(map[int]int, len(verts))
+	local := make([]int, g.N) // sub-graph index of each vertex, -1 outside
+	for i := range local {
+		local[i] = -1
+	}
+	deg := 0
 	for i, v := range verts {
 		local[v] = i
+		deg += g.Ptr[v+1] - g.Ptr[v]
 	}
-	sub := &Graph{N: len(verts), Ptr: make([]int, len(verts)+1), VWeight: make([]int64, len(verts))}
+	sub := &Graph{
+		N:       len(verts),
+		Ptr:     make([]int, len(verts)+1),
+		Adj:     make([]int, 0, deg),
+		EWeight: make([]int64, 0, deg),
+		VWeight: make([]int64, len(verts)),
+	}
 	for i, v := range verts {
 		sub.VWeight[i] = g.VWeight[v]
 		adj, ew := g.Neighbors(v)
 		for k, u := range adj {
-			if j, ok := local[u]; ok {
+			if j := local[u]; j >= 0 {
 				sub.Adj = append(sub.Adj, j)
 				sub.EWeight = append(sub.EWeight, ew[k])
 			}
@@ -165,42 +176,68 @@ func coarsen(g *Graph, rng *rand.Rand) (*Graph, []int) {
 			nc++
 		}
 	}
-	coarse := &Graph{N: nc, Ptr: make([]int, nc+1), VWeight: make([]int64, nc)}
+	coarse := &Graph{
+		N:       nc,
+		Ptr:     make([]int, nc+1),
+		Adj:     make([]int, 0, len(g.Adj)),
+		EWeight: make([]int64, 0, len(g.Adj)),
+		VWeight: make([]int64, nc),
+	}
 	for v := 0; v < g.N; v++ {
 		coarse.VWeight[cmap[v]] += g.VWeight[v]
 	}
-	// Reverse map: coarse vertex -> fine members.
-	members := make([][2]int, nc)
-	count := make([]int, nc)
-	for v := 0; v < g.N; v++ {
-		c := cmap[v]
-		members[c][count[c]] = v
-		count[c]++
+	// slot[cu] is where coarse neighbour cu sits in coarse.Adj if it was met
+	// while building the current row, i.e. if slot[cu] is at or past the
+	// row's start; rows only grow the arrays, so stale slots fall below it.
+	slot := make([]int, nc)
+	for i := range slot {
+		slot[i] = -1
 	}
-	for c := 0; c < nc; c++ {
-		agg := make(map[int]int64)
-		for m := 0; m < count[c]; m++ {
-			v := members[c][m]
-			adj, ew := g.Neighbors(v)
+	var row adjSorter
+	for v := 0; v < g.N; v++ {
+		if v > match[v] {
+			continue // built when its smaller partner came up
+		}
+		c := cmap[v]
+		start := len(coarse.Adj)
+		absorb := func(member int) {
+			adj, ew := g.Neighbors(member)
 			for k, u := range adj {
 				cu := cmap[u]
-				if cu != c {
-					agg[cu] += ew[k]
+				switch {
+				case cu == c:
+				case slot[cu] >= start:
+					coarse.EWeight[slot[cu]] += ew[k]
+				default:
+					slot[cu] = len(coarse.Adj)
+					coarse.Adj = append(coarse.Adj, cu)
+					coarse.EWeight = append(coarse.EWeight, ew[k])
 				}
 			}
 		}
-		keys := make([]int, 0, len(agg))
-		for u := range agg {
-			keys = append(keys, u)
+		absorb(v)
+		if match[v] != v {
+			absorb(match[v])
 		}
-		sort.Ints(keys)
-		for _, u := range keys {
-			coarse.Adj = append(coarse.Adj, u)
-			coarse.EWeight = append(coarse.EWeight, agg[u])
-		}
+		row.adj, row.ew = coarse.Adj[start:], coarse.EWeight[start:]
+		sort.Sort(&row)
 		coarse.Ptr[c+1] = len(coarse.Adj)
 	}
 	return coarse, cmap
+}
+
+// adjSorter orders one vertex's neighbour list by neighbour id, carrying the
+// edge weights along.
+type adjSorter struct {
+	adj []int
+	ew  []int64
+}
+
+func (s *adjSorter) Len() int           { return len(s.adj) }
+func (s *adjSorter) Less(i, j int) bool { return s.adj[i] < s.adj[j] }
+func (s *adjSorter) Swap(i, j int) {
+	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
+	s.ew[i], s.ew[j] = s.ew[j], s.ew[i]
 }
 
 // growBisection seeds side 0 from a random vertex and grows it by BFS until

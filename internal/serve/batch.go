@@ -28,16 +28,15 @@ import (
 // server's batch lock while the batch is enrolled in Server.open; once the
 // leader (or the filling follower) removes it from the map, membership is
 // frozen. done is closed by the leader when the outcome fields (res, herr,
-// hit, setup) are final.
+// st) are final.
 type openBatch struct {
 	rhs  [][]float64
 	full chan struct{} // closed when the batch reaches BatchMax
 	done chan struct{} // closed when the outcome is ready
 
-	res   *fsaicomm.BatchResult
-	herr  *httpError // non-nil: the whole batch failed with this status
-	hit   bool
-	setup time.Duration
+	res  *fsaicomm.BatchResult
+	herr *httpError // non-nil: the whole batch failed with this status
+	st   setupOutcome
 }
 
 // batchEligible reports whether a request may be coalesced: batching is
@@ -165,25 +164,14 @@ func (s *Server) solveBatched(w http.ResponseWriter, r *http.Request, q *solveRe
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.JobTimeout)
 	defer cancel()
 	t0 := time.Now()
-	pv, hit, err := s.prepared.GetOrBuild(skey, func() (any, int64, error) {
-		p, err := fsaicomm.Prepare(a, opt)
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.SizeBytes(), nil
-	})
+	p, st, err := s.prepare(skey, a, opt)
 	if err != nil {
 		s.met.jobsFailed.Add(int64(k))
 		herr := fail(http.StatusUnprocessableEntity, "preparing system: %v", err)
-		s.finishBatch(ob, nil, herr, false, 0)
+		s.finishBatch(ob, nil, herr, setupOutcome{})
 		writeErr(w, herr)
 		return
 	}
-	setup := time.Duration(0)
-	if !hit {
-		setup = time.Since(t0)
-	}
-	p := pv.(*fsaicomm.Prepared)
 
 	br, err := p.SolveBatch(ctx, ob.rhs, so)
 	s.met.latency.observe(time.Since(t0))
@@ -192,7 +180,7 @@ func (s *Server) solveBatched(w http.ResponseWriter, r *http.Request, q *solveRe
 	if err != nil && !errors.Is(err, fsaicomm.ErrCanceled) {
 		s.met.jobsFailed.Add(int64(k))
 		herr := fail(http.StatusUnprocessableEntity, "solve: %v", err)
-		s.finishBatch(ob, nil, herr, hit, setup)
+		s.finishBatch(ob, nil, herr, st)
 		writeErr(w, herr)
 		return
 	}
@@ -210,14 +198,14 @@ func (s *Server) solveBatched(w http.ResponseWriter, r *http.Request, q *solveRe
 		s.met.jobsCanceled.Add(int64(k))
 		herr := fail(http.StatusGatewayTimeout,
 			"batch exceeded its %v deadline after %d iterations", s.cfg.JobTimeout, br.Iterations)
-		s.finishBatch(ob, nil, herr, hit, setup)
+		s.finishBatch(ob, nil, herr, st)
 		writeErr(w, herr)
 		return
 	}
 	s.met.jobsCompleted.Add(int64(k))
-	s.finishBatch(ob, br, nil, hit, setup)
+	s.finishBatch(ob, br, nil, st)
 	s.logf("serve: batch %s ranks=%d k=%d iters=%d hit=%v setup=%v solve=%v",
-		q.Matrix, br.Ranks, k, br.Iterations, hit, setup, br.SolveTime)
+		q.Matrix, br.Ranks, k, br.Iterations, st.hit, st.setup, br.SolveTime)
 	s.writeBatchColumn(w, q, ob, 0, false)
 }
 
@@ -233,16 +221,15 @@ func (s *Server) failBatch(bkey string, ob *openBatch, herr *httpError) {
 		delete(s.open, bkey)
 	}
 	s.batMu.Unlock()
-	s.finishBatch(ob, nil, herr, false, 0)
+	s.finishBatch(ob, nil, herr, setupOutcome{})
 }
 
 // finishBatch publishes the batch outcome and wakes every waiter. Must be
 // called exactly once, after membership is frozen.
-func (s *Server) finishBatch(ob *openBatch, res *fsaicomm.BatchResult, herr *httpError, hit bool, setup time.Duration) {
+func (s *Server) finishBatch(ob *openBatch, res *fsaicomm.BatchResult, herr *httpError, st setupOutcome) {
 	ob.res = res
 	ob.herr = herr
-	ob.hit = hit
-	ob.setup = setup
+	ob.st = st
 	close(ob.done)
 }
 
@@ -263,13 +250,14 @@ func (s *Server) writeBatchColumn(w http.ResponseWriter, q *solveRequest, ob *op
 	k := int64(len(res.Cols))
 	writeJSON(w, http.StatusOK, solveResponse{
 		Matrix:      q.Matrix,
-		CacheHit:    ob.hit,
+		CacheHit:    ob.st.hit,
 		Ranks:       res.Ranks,
 		Iterations:  col.Iterations,
 		Converged:   col.Converged,
 		RelResidual: col.RelResidual,
 		Refinements: res.Refinements,
-		SetupMs:     float64(ob.setup) / float64(time.Millisecond),
+		SetupMs:     float64(ob.st.setup) / float64(time.Millisecond),
+		SetupPhases: ob.st.phases,
 		SolveMs:     float64(res.SolveTime) / float64(time.Millisecond),
 		CommBytes:   res.CommBytes / k,
 		Collectives: res.CollectiveCalls / k,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"fsaicomm"
 )
 
 // latencyBucketsMs are the fixed upper bounds (milliseconds) of the solve
@@ -108,6 +110,43 @@ type occupancySnapshot struct {
 	Buckets map[string]int64 `json:"le"`
 }
 
+// phaseTotals sums fsaicomm.SetupPhases over Prepares: nanoseconds per
+// phase and the rebuild's row counts.
+type phaseTotals struct {
+	partition, permute, extend, firstBuild atomic.Int64
+	filter, rebuild, transpose, haloPlans  atomic.Int64
+	rowsReused, rowsSolved                 atomic.Int64
+}
+
+func (t *phaseTotals) add(ph fsaicomm.SetupPhases) {
+	t.partition.Add(int64(ph.Partition))
+	t.permute.Add(int64(ph.Permute))
+	t.extend.Add(int64(ph.Extend))
+	t.firstBuild.Add(int64(ph.FirstBuild))
+	t.filter.Add(int64(ph.Filter))
+	t.rebuild.Add(int64(ph.Rebuild))
+	t.transpose.Add(int64(ph.Transpose))
+	t.haloPlans.Add(int64(ph.HaloPlans))
+	t.rowsReused.Add(int64(ph.RowsReused))
+	t.rowsSolved.Add(int64(ph.RowsSolved))
+}
+
+func (t *phaseTotals) snapshot() *setupPhasesMs {
+	ms := func(ns *atomic.Int64) float64 { return float64(ns.Load()) / float64(time.Millisecond) }
+	return &setupPhasesMs{
+		Partition:  ms(&t.partition),
+		Permute:    ms(&t.permute),
+		Extend:     ms(&t.extend),
+		FirstBuild: ms(&t.firstBuild),
+		Filter:     ms(&t.filter),
+		Rebuild:    ms(&t.rebuild),
+		Transpose:  ms(&t.transpose),
+		HaloPlans:  ms(&t.haloPlans),
+		RowsReused: t.rowsReused.Load(),
+		RowsSolved: t.rowsSolved.Load(),
+	}
+}
+
 // metrics is the server's counter set. Everything is atomic so handlers
 // never serialize on telemetry; /metrics reads a consistent-enough snapshot.
 type metrics struct {
@@ -139,6 +178,10 @@ type metrics struct {
 
 	batchesTotal  atomic.Int64 // batched solves executed (any occupancy)
 	coalescedJobs atomic.Int64 // jobs that rode another job's batch
+
+	// setupPhases sums where the time of every Prepare went (one per
+	// prepared-cache miss).
+	setupPhases phaseTotals
 
 	latency   *histogram
 	occupancy *occupancyHist
@@ -187,7 +230,9 @@ type metricsSnapshot struct {
 		CoalescedJobs int64             `json:"coalesced_jobs"`
 		Occupancy     occupancySnapshot `json:"occupancy"`
 	} `json:"batch"`
-	LatencyMs histogramSnapshot `json:"solve_latency_ms"`
+	// SetupPhasesMs sums the phase breakdown of every Prepare the server ran.
+	SetupPhasesMs *setupPhasesMs    `json:"setup_phases_ms"`
+	LatencyMs     histogramSnapshot `json:"solve_latency_ms"`
 }
 
 // snapshot renders the counters plus the two caches' occupancy as JSON.
@@ -222,6 +267,7 @@ func (m *metrics) snapshot(prepared, matrices *lru) ([]byte, error) {
 	s.Batch.BatchesTotal = m.batchesTotal.Load()
 	s.Batch.CoalescedJobs = m.coalescedJobs.Load()
 	s.Batch.Occupancy = m.occupancy.snapshot()
+	s.SetupPhasesMs = m.setupPhases.snapshot()
 	s.LatencyMs = m.latency.snapshot()
 	return json.MarshalIndent(&s, "", "  ")
 }

@@ -490,6 +490,11 @@ type solveResponse struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 
 	Trace *fsaicomm.IterTrace `json:"trace,omitempty"`
+
+	// SetupPhases says where setup_ms went; present only on the response
+	// that paid for the Prepare (a cache miss), so cached responses keep
+	// their shape and size.
+	SetupPhases *setupPhasesMs `json:"setup_phases_ms,omitempty"`
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -586,23 +591,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ranks := fsaicomm.AutoRanks(a, opt.Ranks)
 	key := setupKey(q.Matrix, opt, ranks)
 	t0 := time.Now()
-	pv, hit, err := s.prepared.GetOrBuild(key, func() (any, int64, error) {
-		p, err := fsaicomm.Prepare(a, opt)
-		if err != nil {
-			return nil, 0, err
-		}
-		return p, p.SizeBytes(), nil
-	})
+	p, st, err := s.prepare(key, a, opt)
 	if err != nil {
 		s.met.jobsFailed.Add(1)
 		writeErr(w, fail(http.StatusUnprocessableEntity, "preparing system: %v", err))
 		return
 	}
-	setup := time.Duration(0)
-	if !hit {
-		setup = time.Since(t0)
-	}
-	p := pv.(*fsaicomm.Prepared)
+	hit, setup := st.hit, st.setup
 
 	res, err := p.Solve(ctx, rhs, so)
 	s.met.latency.observe(time.Since(t0))
@@ -640,6 +635,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		RelResidual: res.RelResidual,
 		Refinements: res.Refinements,
 		SetupMs:     float64(setup) / float64(time.Millisecond),
+		SetupPhases: st.phases,
 		SolveMs:     float64(res.SolveTime) / float64(time.Millisecond),
 		ModeledSec:  res.ModeledSolveTime,
 		CommBytes:   res.CommBytes,
@@ -648,6 +644,58 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		X:           res.X,
 		Trace:       res.Trace,
 	})
+}
+
+// setupPhasesMs is fsaicomm.SetupPhases on the wire: milliseconds per phase
+// of one Prepare (summed over every Prepare in /metrics), plus the rebuild's
+// reused/solved row counts.
+type setupPhasesMs struct {
+	Partition  float64 `json:"partition"`
+	Permute    float64 `json:"permute"`
+	Extend     float64 `json:"extend"`
+	FirstBuild float64 `json:"first_build"`
+	Filter     float64 `json:"filter"`
+	Rebuild    float64 `json:"rebuild"`
+	Transpose  float64 `json:"transpose"`
+	HaloPlans  float64 `json:"halo_plans"`
+	RowsReused int64   `json:"rows_reused"`
+	RowsSolved int64   `json:"rows_solved"`
+}
+
+// setupOutcome is what a request learns from the prepared cache: whether its
+// system was already there and, if this request paid for the Prepare, how
+// long it took and where the time went.
+type setupOutcome struct {
+	hit    bool
+	setup  time.Duration  // 0 on a hit
+	phases *setupPhasesMs // nil on a hit
+}
+
+// prepare returns the prepared system for key, building it on a miss. The
+// build's phase breakdown is added to the /metrics totals exactly once, by
+// the request that ran it.
+func (s *Server) prepare(key string, a *fsaicomm.Matrix, opt fsaicomm.Options) (*fsaicomm.Prepared, setupOutcome, error) {
+	t0 := time.Now()
+	pv, hit, err := s.prepared.GetOrBuild(key, func() (any, int64, error) {
+		p, err := fsaicomm.Prepare(a, opt)
+		if err != nil {
+			return nil, 0, err
+		}
+		s.met.setupPhases.add(p.SetupPhases())
+		return p, p.SizeBytes(), nil
+	})
+	if err != nil {
+		return nil, setupOutcome{}, err
+	}
+	p := pv.(*fsaicomm.Prepared)
+	st := setupOutcome{hit: hit}
+	if !hit {
+		st.setup = time.Since(t0)
+		var one phaseTotals
+		one.add(p.SetupPhases())
+		st.phases = one.snapshot()
+	}
+	return p, st, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -404,12 +404,16 @@ func BuildDist(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows *sparse.CSR,
 
 	// atCache maps global k to row k of Aᵀ; aCache maps global i to row i
 	// of A. Local rows seed the caches; gathers fill the rest on demand.
-	atCache := map[int]distmat.RowData{}
+	type rowData struct {
+		Cols []int
+		Vals []float64
+	}
+	atCache := map[int]rowData{}
 	for li := 0; li < atRows.Rows; li++ {
 		rc, rv := atRows.Row(li)
-		atCache[lo+li] = distmat.RowData{Cols: rc, Vals: rv}
+		atCache[lo+li] = rowData{Cols: rc, Vals: rv}
 	}
-	aCache := map[int]distmat.RowData{}
+	aCache := map[int]rowData{}
 	atRow := func(k int) ([]int, []float64) {
 		rd, ok := atCache[k]
 		if !ok {
@@ -425,13 +429,17 @@ func BuildDist(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows *sparse.CSR,
 		return rd.Cols, rd.Vals
 	}
 	gatherAt := func(want []int) {
-		for k, rd := range distmat.GatherRemoteRows(c, l, lo, hi, atRows, want) {
-			atCache[k] = rd
+		got := distmat.GatherRemoteRows(c, l, lo, hi, atRows, want)
+		for _, k := range want {
+			rc, rv := got.Row(k)
+			atCache[k] = rowData{Cols: rc, Vals: rv}
 		}
 	}
 	gatherA := func(want []int) {
-		for i, rd := range distmat.GatherRemoteRows(c, l, lo, hi, aRows, want) {
-			aCache[i] = rd
+		got := distmat.GatherRemoteRows(c, l, lo, hi, aRows, want)
+		for _, i := range want {
+			rc, rv := got.Row(i)
+			aCache[i] = rowData{Cols: rc, Vals: rv}
 		}
 	}
 	missingAt := func(ks []int, seen map[int]bool) []int {

@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // COO is a coordinate-format builder for sparse matrices. Entries may be
 // added in any order; duplicates are summed when converting to CSR.
@@ -16,6 +13,17 @@ type COO struct {
 // NewCOO returns an empty COO builder with the given shape.
 func NewCOO(rows, cols int) *COO {
 	return &COO{Rows: rows, Cols: cols}
+}
+
+// Reserve makes room for n entries in total, so that Adds up to that count
+// do not reallocate.
+func (c *COO) Reserve(n int) {
+	if n <= cap(c.I) {
+		return
+	}
+	c.I = append(make([]int, 0, n), c.I...)
+	c.J = append(make([]int, 0, n), c.J...)
+	c.V = append(make([]float64, 0, n), c.V...)
 }
 
 // Add appends entry (i, j) = v. It panics on out-of-range indices so that
@@ -40,41 +48,20 @@ func (c *COO) AddSym(i, j int, v float64) {
 // NNZ returns the number of accumulated (possibly duplicate) entries.
 func (c *COO) NNZ() int { return len(c.I) }
 
-// ToCSR converts the accumulated entries into CSR form, summing duplicates
-// and dropping entries that sum to exactly zero is NOT done (structural
-// zeros are preserved, as FSAI patterns distinguish structure from value).
+// ToCSR converts the accumulated entries into CSR form in O(rows + entries)
+// by counting sort (see Assembler), sorting only the rows whose entries were
+// not added in column order. Duplicates of one position are summed in the
+// order they were added. Entries that sum to exactly zero are NOT dropped
+// (structural zeros are preserved, as FSAI patterns distinguish structure
+// from value).
 func (c *COO) ToCSR() *CSR {
-	type ent struct {
-		i, j int
-		v    float64
+	as := NewAssembler(c.Rows, c.Cols)
+	for _, i := range c.I {
+		as.Count(i, 1)
 	}
-	ents := make([]ent, len(c.I))
-	for k := range c.I {
-		ents[k] = ent{c.I[k], c.J[k], c.V[k]}
+	as.Begin()
+	for k, i := range c.I {
+		as.Put(i, c.J[k], c.V[k])
 	}
-	sort.Slice(ents, func(a, b int) bool {
-		if ents[a].i != ents[b].i {
-			return ents[a].i < ents[b].i
-		}
-		return ents[a].j < ents[b].j
-	})
-	m := NewCSR(c.Rows, c.Cols, len(ents))
-	for k := 0; k < len(ents); {
-		e := ents[k]
-		sum := 0.0
-		for k < len(ents) && ents[k].i == e.i && ents[k].j == e.j {
-			sum += ents[k].v
-			k++
-		}
-		m.ColIdx = append(m.ColIdx, e.j)
-		m.Val = append(m.Val, sum)
-		m.RowPtr[e.i+1] = len(m.ColIdx)
-	}
-	// Fill row pointers for empty rows.
-	for i := 1; i <= c.Rows; i++ {
-		if m.RowPtr[i] < m.RowPtr[i-1] {
-			m.RowPtr[i] = m.RowPtr[i-1]
-		}
-	}
-	return m
+	return as.Finish()
 }

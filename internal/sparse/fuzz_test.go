@@ -110,6 +110,9 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		"garbage",
 		"%%MatrixMarket matrix coordinate real general\n0 0 0\n",
 		"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 nan\n",
+		"%%MatrixMarket matrix coordinate real general\n4000000000000000 4000000000000000 0", // hostile size line
+		"%%MatrixMarket matrix coordinate real general\n3 3 -1\n",
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1\u00a01 1\n", // non-ASCII white space
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

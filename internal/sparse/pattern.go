@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"fsaicomm/internal/parallel"
@@ -65,20 +66,31 @@ func PatternFromRows(rows, cols int, rowSets [][]int) *Pattern {
 	if len(rowSets) != rows {
 		panic(fmt.Sprintf("sparse: PatternFromRows got %d row sets for %d rows", len(rowSets), rows))
 	}
-	p := &Pattern{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	total := 0
+	for _, rs := range rowSets {
+		total += len(rs)
+	}
+	p := &Pattern{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1), ColIdx: make([]int, 0, total)}
 	for i, rs := range rowSets {
-		set := append([]int(nil), rs...)
-		sort.Ints(set)
-		prev := -1
+		// Sort and deduplicate the row in place, where it will stay.
+		start := len(p.ColIdx)
+		p.ColIdx = append(p.ColIdx, rs...)
+		set := p.ColIdx[start:]
+		if !slices.IsSorted(set) {
+			slices.Sort(set)
+		}
+		w, prev := start, -1
 		for _, c := range set {
 			if c < 0 || c >= cols {
 				panic(fmt.Sprintf("sparse: PatternFromRows column %d out of range [0,%d)", c, cols))
 			}
 			if c != prev {
-				p.ColIdx = append(p.ColIdx, c)
+				p.ColIdx[w] = c
+				w++
 				prev = c
 			}
 		}
+		p.ColIdx = p.ColIdx[:w]
 		p.RowPtr[i+1] = len(p.ColIdx)
 	}
 	return p

@@ -106,6 +106,7 @@ type Prepared struct {
 	pct       float64
 	imbalance float64
 	setup     time.Duration
+	phases    SetupPhases
 	// pools hold per-rank krylov workspaces so steady-state solves allocate
 	// only the solution vector. Indexed by rank: concurrent solves share the
 	// pools, but a workspace is only ever used by one rank goroutine at a
@@ -131,11 +132,16 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 	}
 	opt.Ranks = ranks
 
+	var phases SetupPhases
+	t0 := time.Now()
 	part, err := partitionRows(a, opt, ranks)
 	if err != nil {
 		return nil, err
 	}
+	phases.Partition = time.Since(t0)
+	t0 = time.Now()
 	pa, layout, oldToNew := distmat.ApplyPartition(a, part, ranks)
+	phases.Permute = time.Since(t0)
 
 	cfg := core.Config{
 		Method:       opt.Method,
@@ -165,7 +171,8 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 		parts:    make([]prepRank, ranks),
 		pools:    make([]sync.Pool, ranks),
 	}
-	t0 := time.Now()
+	rankPhases := make([]core.SetupPhases, ranks)
+	t0 = time.Now()
 	if _, err := simmpi.Run(ranks, time.Hour, func(c *simmpi.Comm) error {
 		lo, hi := layout.Range(c.Rank())
 		aRows := distmat.ExtractLocalRows(pa, lo, hi)
@@ -173,7 +180,10 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 		if err != nil {
 			return err
 		}
+		tOp := time.Now()
 		aOp := distmat.NewOp(c, layout, lo, hi, aRows)
+		bd.Phases.HaloPlans += time.Since(tOp)
+		rankPhases[c.Rank()] = bd.Phases
 		pr := prepRank{lo: lo, hi: hi, aLZ: aOp.LZ, aPlan: aOp.Plan}
 		if opt.Method == SPAI {
 			pr.mLZ, pr.mPlan = bd.MOp.LZ, bd.MOp.Plan
@@ -191,6 +201,8 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 		return nil, err
 	}
 	p.setup = time.Since(t0)
+	phases.SetupPhases = core.MeanPhases(rankPhases)
+	p.phases = phases
 	for i := range p.pools {
 		p.pools[i].New = func() any { return &krylov.Workspace{} }
 	}
@@ -206,6 +218,21 @@ func (p *Prepared) Rows() int { return p.n }
 // SetupTime returns the wall-clock cost of Prepare — the time every solve
 // served from this Prepared avoids paying again.
 func (p *Prepared) SetupTime() time.Duration { return p.setup }
+
+// SetupPhases says where the wall-clock time of one Prepare went.
+type SetupPhases struct {
+	// Partition is the graph partitioner, Permute the symmetric permutation
+	// that makes each rank's rows contiguous.
+	Partition, Permute time.Duration
+	// The per-rank phases — pattern extension, first build, filter, rebuild
+	// with its reused/solved row counts, transpose, halo plans (A's
+	// included) — merged over ranks: mean times, so that the phases add up
+	// to the time the ranks ran, and summed row counts.
+	core.SetupPhases
+}
+
+// SetupPhases returns the breakdown of the Prepare that built p.
+func (p *Prepared) SetupPhases() SetupPhases { return p.phases }
 
 // PctNNZIncrease returns the factor pattern growth versus the FSAI baseline.
 func (p *Prepared) PctNNZIncrease() float64 { return p.pct }

@@ -146,12 +146,16 @@ mp:
 cover:
 	$(GO) test -cover ./...
 
-# fuzz: short exploration of each sparse-format fuzz target plus the dense
-# QR least-squares kernel behind SPAI (seeds already run under plain
-# `go test`).
+# fuzz: short exploration of each sparse-format fuzz target, the dense QR
+# least-squares kernel behind SPAI, and the three decoders of the socket
+# transport that face bytes another process wrote (seeds already run under
+# plain `go test`).
 fuzz:
 	$(GO) test -fuzz FuzzCSRValidate -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzCOOToCSR -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzReadMatrixMarket -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzCSR32RoundTrip -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzQRLeastSquares -fuzztime 30s ./internal/dense/
+	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/tcpmpi/
+	$(GO) test -fuzz FuzzDecodeP2P -fuzztime 30s ./internal/tcpmpi/
+	$(GO) test -fuzz FuzzDecodeColl -fuzztime 30s ./internal/tcpmpi/

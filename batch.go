@@ -13,11 +13,8 @@ import (
 	"fmt"
 	"time"
 
-	"fsaicomm/internal/archmodel"
-	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
-	"fsaicomm/internal/mprun"
 	"fsaicomm/internal/vecops"
 )
 
@@ -114,9 +111,12 @@ func checkBatchVariant(v CGVariant) error {
 
 // packPermuted interleaves the RHS columns row-major in partition order:
 // pb[p*k+c] = rhs[c][old row of permuted row p].
-func packPermuted(rhs [][]float64, oldToNew []int, n int) []float64 {
+func packPermuted(rhs [][]float64, oldToNew []int) []float64 {
 	k := len(rhs)
-	pb := make([]float64, n*k)
+	if k == 1 {
+		return distmat.PermuteVec(rhs[0], oldToNew)
+	}
+	pb := make([]float64, len(oldToNew)*k)
 	for c := range rhs {
 		col := distmat.PermuteVec(rhs[c], oldToNew)
 		vecops.PackColumn(pb, col, k, c)
@@ -154,54 +154,11 @@ func SolveBatchContext(ctx context.Context, a *Matrix, rhs [][]float64, opt Opti
 	if err := checkBatchRHS(rhs, a.Rows); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults(a.Rows)
-	ranks := AutoRanks(a, opt.Ranks)
-	if ranks < 1 {
-		return nil, fmt.Errorf("fsaicomm: ranks %d < 1", ranks)
-	}
-	topo, err := resolveTopology(ranks, opt.Nodes, opt.RanksPerNode)
+	f, err := solveFullSetup(ctx, a, rhs, len(rhs), opt)
 	if err != nil {
 		return nil, err
 	}
-	part, err := partitionRows(a, opt, ranks)
-	if err != nil {
-		return nil, err
-	}
-	pa, layout, oldToNew := distmat.ApplyPartition(a, part, ranks)
-	k := len(rhs)
-	spec := &mprun.SolveBatchSpec{
-		N:       a.Rows,
-		Ranks:   ranks,
-		Offsets: layout.Offsets,
-		PA:      pa,
-		K:       k,
-		PB:      packPermuted(rhs, oldToNew, a.Rows),
-		Cfg: core.Config{
-			Method:       opt.Method,
-			Filter:       opt.Filter,
-			Strategy:     opt.Strategy,
-			LineBytes:    opt.LineBytes,
-			PatternLevel: opt.PatternLevel,
-			Threshold:    opt.Threshold,
-			Workers:      opt.Workers,
-			CGVariant:    opt.CGVariant,
-			Precision:    opt.Precision,
-		},
-		Tol:               opt.Tol,
-		MaxIter:           opt.MaxIter,
-		Variant:           opt.CGVariant,
-		Arch:              opt.Arch,
-		Nodes:             topo.Nodes,
-		RanksPerNode:      topo.RanksPerNode,
-		NoNodeAggregation: opt.NoNodeAggregation,
-	}
-	outs, err := runRanks(ctx, opt.Transport, ranks, topo, func(int) *mprun.JobSpec {
-		return &mprun.JobSpec{SolveBatch: spec}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assembleBatchResult(a.Rows, ranks, k, oldToNew, outs, 0, 0)
+	return f.batchResult()
 }
 
 // SolveBatch runs one batched distributed CG solve over all columns of rhs
@@ -225,118 +182,45 @@ func (p *Prepared) SolveBatch(ctx context.Context, rhs [][]float64, so SolveOpti
 	if err := checkBatchRHS(rhs, p.n); err != nil {
 		return nil, err
 	}
-	if so.Tol == 0 {
-		so.Tol = 1e-8
-	}
-	if so.MaxIter == 0 {
-		so.MaxIter = 10 * p.n
-		if so.MaxIter < 100 {
-			so.MaxIter = 100
-		}
-	}
-	if so.Arch != "" {
-		if _, err := archmodel.ByName(so.Arch); err != nil {
-			return nil, fmt.Errorf("fsaicomm: %w", err)
-		}
-	}
-
-	topo, err := resolveTopology(p.ranks, so.Nodes, so.RanksPerNode)
+	f, err := p.run(ctx, rhs, len(rhs), so, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	k := len(rhs)
-	pb := packPermuted(rhs, p.oldToNew, p.n)
-	specs := make([]*mprun.PreparedBatchSpec, p.ranks)
-	for r := range specs {
-		pr := &p.parts[r]
-		specs[r] = &mprun.PreparedBatchSpec{
-			Prepared: &mprun.PreparedRankSpec{
-				N: p.n, Ranks: p.ranks, Offsets: p.layout.Offsets,
-				Lo: pr.lo, Hi: pr.hi,
-				ALZ: pr.aLZ, GLZ: pr.gLZ, GTLZ: pr.gtLZ,
-				ASend: pr.aPlan.SendPeers, ARecv: pr.aPlan.RecvPeers,
-				GSend: pr.gPlan.SendPeers, GRecv: pr.gPlan.RecvPeers,
-				GTSend: pr.gtPlan.SendPeers, GTRecv: pr.gtPlan.RecvPeers,
-				ACounts: pr.aPlan.NeedCounts(), GCounts: pr.gPlan.NeedCounts(),
-				GTCounts:          pr.gtPlan.NeedCounts(),
-				Pct:               p.pct,
-				Imbalance:         p.imbalance,
-				Tol:               so.Tol,
-				MaxIter:           so.MaxIter,
-				Variant:           so.CGVariant,
-				Arch:              so.Arch,
-				Precision:         p.setupOpt.Precision,
-				Nodes:             topo.Nodes,
-				RanksPerNode:      topo.RanksPerNode,
-				NoNodeAggregation: so.NoNodeAggregation,
-			},
-			K:      k,
-			BLocal: pb[pr.lo*k : pr.hi*k],
-		}
-	}
-	outs, err := runRanks(ctx, so.Transport, p.ranks, topo, func(rank int) *mprun.JobSpec {
-		return &mprun.JobSpec{PreparedBatch: specs[rank]}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assembleBatchResult(p.n, p.ranks, k, p.oldToNew, outs, p.pct, p.imbalance)
+	return f.batchResult()
 }
 
-// assembleBatchResult folds the per-rank batched outcomes into the
-// caller-facing BatchResult, un-permuting each column of the interleaved
-// solution blocks.
-func assembleBatchResult(n, ranks, k int, oldToNew []int, outs []*mprun.RankOutcome, pct, imb float64) (*BatchResult, error) {
-	root := outs[0]
-	if root == nil || root.Batch == nil {
-		return nil, fmt.Errorf("fsaicomm: rank 0 reported no batch outcome")
+// batchResult assembles the caller-facing BatchResult of a batched solve.
+func (f *rankFold) batchResult() (*BatchResult, error) {
+	root, bo := f.root, f.root.Batch
+	if bo == nil || bo.K != len(f.x) {
+		return nil, fmt.Errorf("fsaicomm: rank 0 reported no %d-column batch outcome", len(f.x))
 	}
 	res := &BatchResult{
-		Cols:           make([]ColResult, k),
-		Iterations:     root.Iterations,
-		Refinements:    root.Refinements,
-		Ranks:          ranks,
-		PctNNZIncrease: root.Pct,
-		ImbalanceIndex: root.Imbalance,
-		SetupTime:      time.Duration(root.SetupNanos),
-		SolveTime:      time.Duration(root.SolveNanos),
+		Cols:              make([]ColResult, bo.K),
+		Iterations:        root.Iterations,
+		Refinements:       root.Refinements,
+		Ranks:             len(f.costs),
+		PctNNZIncrease:    f.pct,
+		ImbalanceIndex:    f.imb,
+		CommBytes:         f.comm.P2PBytes,
+		CommMessages:      f.comm.P2PMessages,
+		IntraNodeBytes:    f.comm.IntraP2PBytes,
+		IntraNodeMessages: f.comm.IntraP2PMessages,
+		InterNodeBytes:    f.comm.InterP2PBytes,
+		InterNodeMessages: f.comm.InterP2PMessages,
+		CollectiveCalls:   f.comm.CollectiveCalls,
+		CollectiveBytes:   f.comm.CollectiveBytes,
+		SetupTime:         time.Duration(root.SetupNanos),
+		SolveTime:         time.Duration(root.SolveNanos),
 	}
-	if pct != 0 {
-		res.PctNNZIncrease = pct
-	}
-	if imb != 0 {
-		res.ImbalanceIndex = imb
-	}
-	px := make([]float64, n*k)
-	for r, out := range outs {
-		if out == nil || out.Batch == nil {
-			return nil, fmt.Errorf("fsaicomm: rank %d reported no batch outcome", r)
+	for c := range res.Cols {
+		res.Cols[c] = ColResult{
+			X:           f.x[c],
+			Iterations:  bo.Iterations[c],
+			Converged:   bo.Converged[c],
+			RelResidual: bo.RelResidual[c],
+			Broken:      bo.Broken[c],
 		}
-		copy(px[out.Lo*k:out.Hi*k], out.XLocal)
-		res.CommBytes += out.SolveComm.P2PBytes
-		res.CommMessages += out.SolveComm.P2PMessages
-		res.IntraNodeBytes += out.SolveComm.IntraP2PBytes
-		res.IntraNodeMessages += out.SolveComm.IntraP2PMessages
-		res.InterNodeBytes += out.SolveComm.InterP2PBytes
-		res.InterNodeMessages += out.SolveComm.InterP2PMessages
-		res.CollectiveCalls += out.SolveComm.CollectiveCalls
-		res.CollectiveBytes += out.SolveComm.CollectiveBytes
 	}
-	bo := root.Batch
-	for c := 0; c < k; c++ {
-		col := &res.Cols[c]
-		col.X = make([]float64, n)
-		for i := range col.X {
-			col.X[i] = px[oldToNew[i]*k+c]
-		}
-		col.Iterations = bo.Iterations[c]
-		col.Converged = bo.Converged[c]
-		col.RelResidual = bo.RelResidual[c]
-		col.Broken = bo.Broken[c]
-	}
-	if root.Canceled {
-		return res, fmt.Errorf("fsaicomm: %w at iteration %d", krylov.ErrCanceled, res.Iterations)
-	}
-	return res, nil
+	return res, f.err()
 }

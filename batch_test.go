@@ -3,6 +3,7 @@ package fsaicomm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -19,10 +20,22 @@ func batchRHS(a *Matrix, k int) [][]float64 {
 // residual — for both batched CG variants, on the full-setup path.
 func TestSolveBatchMatchesSolveDistributed(t *testing.T) {
 	a := GenerateElasticity2D(9, 9, 3)
-	const k = 3
-	rhs := batchRHS(a, k)
-	for _, v := range []CGVariant{CGClassic, CGFused} {
-		opt := Options{Method: FSAIEComm, Filter: 0.01, Ranks: 3, CGVariant: v}
+	for _, tc := range []struct {
+		v    CGVariant
+		prec Precision
+		k    int
+	}{
+		{CGClassic, FP64, 3},
+		{CGFused, FP64, 3},
+		{CGClassic, FP64, 1},
+		// A k-wide refined batch shares one inner tolerance (the tightest
+		// column's), so only a 1-wide batch repeats the scalar refinement bit
+		// for bit.
+		{CGClassic, FP32, 1},
+	} {
+		v, k := fmt.Sprintf("%v/%v/k=%d", tc.v, tc.prec, tc.k), tc.k
+		rhs := batchRHS(a, k)
+		opt := Options{Method: FSAIEComm, Filter: 0.01, Ranks: 3, CGVariant: tc.v, Precision: tc.prec}
 		br, err := SolveBatch(a, rhs, opt)
 		if err != nil {
 			t.Fatalf("%v: SolveBatch: %v", v, err)

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"fsaicomm/internal/core"
+	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/mprun"
 	"fsaicomm/internal/simmpi"
@@ -55,21 +56,19 @@ func runSelfcheck(ranks int, matrix string) error {
 	for i := range b {
 		b[i] = 1 + float64(i%7)/7
 	}
-	offsets := make([]int, ranks+1)
-	for r := 0; r <= ranks; r++ {
-		offsets[r] = r * a.Rows / ranks
+	job := mprun.JobSpec{
+		Layout: distmat.NewUniformLayout(a.Rows, ranks),
+		Build: &mprun.BuildSource{PA: a,
+			Cfg: core.Config{Method: core.FSAIEComm, Filter: 0.01, LineBytes: 64}},
+		Solve: mprun.SolveParams{Tol: 1e-8, MaxIter: 2000, Variant: krylov.CGClassic},
 	}
-	spec := &mprun.SolveSpec{
-		N: a.Rows, Ranks: ranks, Offsets: offsets, PA: a, PB: b,
-		Cfg: core.Config{Method: core.FSAIEComm, Filter: 0.01, LineBytes: 64},
-		Tol: 1e-8, MaxIter: 2000, Variant: krylov.CGClassic,
-	}
+	jobFor := func(rank int) *mprun.JobSpec { return job.ForRank(rank, b) }
 	fmt.Printf("matrix %s: n=%d nnz=%d ranks=%d\n", matrix, a.Rows, a.NNZ(), ranks)
 
 	simOuts := make([]*mprun.RankOutcome, ranks)
 	t0 := time.Now()
 	if _, err := simmpi.Run(ranks, 60*time.Second, func(c *simmpi.Comm) error {
-		out, err := mprun.RunSolveRank(context.Background(), c, spec)
+		out, err := mprun.RunJob(context.Background(), c, jobFor(c.Rank()), nil)
 		if err != nil {
 			return err
 		}
@@ -80,10 +79,8 @@ func runSelfcheck(ranks int, matrix string) error {
 	}
 	fmt.Printf("sim backend:  %d iterations in %v\n", simOuts[0].Iterations, time.Since(t0).Round(time.Millisecond))
 
-	job := &mprun.JobSpec{Solve: spec}
 	t1 := time.Now()
-	tcpOuts, err := mprun.Launch(context.Background(), ranks, 120*time.Second,
-		func(rank int) *mprun.JobSpec { return job })
+	tcpOuts, err := mprun.Launch(context.Background(), ranks, 120*time.Second, jobFor)
 	if err != nil {
 		return fmt.Errorf("tcp backend: %w", err)
 	}

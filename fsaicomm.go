@@ -27,6 +27,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"time"
 
 	"fsaicomm/internal/archmodel"
@@ -309,6 +310,12 @@ type Options struct {
 	Precision Precision
 }
 
+// MaxRanks bounds Options.Ranks — twice the largest count anything in the
+// repository uses. A world costs ranks² channels on the sim transport and one
+// OS process per rank on tcp, and the count arrives from outside (the /solve
+// body), so it is capped rather than trusted.
+const MaxRanks = 64
+
 // ErrInvalidOptions is wrapped by the errors Validate returns for
 // nonsensical option values, so callers (and the HTTP layer, which maps it
 // to a 400 response) can classify them with errors.Is.
@@ -331,8 +338,8 @@ func (o Options) Validate() error {
 	if o.MaxIter < 0 {
 		return fail("MaxIter %d is negative (0 selects the default 10·n)", o.MaxIter)
 	}
-	if o.Ranks < 0 {
-		return fail("Ranks %d is negative (0 selects an automatic rank count)", o.Ranks)
+	if o.Ranks < 0 || o.Ranks > MaxRanks {
+		return fail("Ranks %d is outside 0..%d (0 selects an automatic rank count)", o.Ranks, MaxRanks)
 	}
 	if o.Filter < 0 || math.IsNaN(o.Filter) {
 		return fail("Filter %g is negative or NaN (0 keeps every extension entry)", o.Filter)
@@ -427,17 +434,46 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// spaiConfig maps the facade options onto the core build config for an SPAI
-// build (serial or distributed; the unused FSAI knobs stay zero).
-func spaiConfig(opt Options) core.Config {
+// buildConfig is the set-up half of the options: what shapes the
+// preconditioner's values and pattern, for every build (serial or
+// distributed, FSAI family or SPAI; a method ignores the other's knobs).
+func buildConfig(opt Options) core.Config {
 	return core.Config{
-		Method:       SPAI,
+		Method:       opt.Method,
+		Filter:       opt.Filter,
+		Strategy:     opt.Strategy,
+		LineBytes:    opt.LineBytes,
 		PatternLevel: opt.PatternLevel,
+		Threshold:    opt.Threshold,
 		Workers:      opt.Workers,
 		SPAISteps:    opt.SPAISteps,
 		SPAIAdd:      opt.SPAIAdd,
 		SPAIEpsilon:  opt.SPAIEpsilon,
 	}
+}
+
+// solveParams is the solve half: what a rank job needs to run the Krylov
+// loop on operators it built or adopted, with the node grouping resolved
+// against the rank count.
+func solveParams(opt Options, ranks int) (mprun.SolveParams, error) {
+	topo, err := resolveTopology(ranks, opt.Nodes, opt.RanksPerNode)
+	if err != nil {
+		return mprun.SolveParams{}, err
+	}
+	return mprun.SolveParams{
+		Solver:               opt.Solver,
+		Restart:              opt.Restart,
+		Tol:                  opt.Tol,
+		MaxIter:              opt.MaxIter,
+		Variant:              opt.CGVariant,
+		Trace:                opt.Trace,
+		ResidualReplaceEvery: opt.ResidualReplaceEvery,
+		Arch:                 opt.Arch,
+		Precision:            opt.Precision,
+		Nodes:                topo.Nodes,
+		RanksPerNode:         topo.RanksPerNode,
+		NoNodeAggregation:    opt.NoNodeAggregation,
+	}, nil
 }
 
 func (o Options) withDefaults(n int) Options {
@@ -609,7 +645,7 @@ func SolveContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Re
 	var precond krylov.Preconditioner
 	var g *sparse.CSR
 	if opt.Solver == SolverGMRES {
-		m, p, err := core.BuildSerialSPAI(a, spaiConfig(opt))
+		m, p, err := core.BuildSerialSPAI(a, buildConfig(opt))
 		if err != nil {
 			return nil, err
 		}
@@ -710,69 +746,35 @@ func SolveDistributedContext(ctx context.Context, a *Matrix, b []float64, opt Op
 	if err := checkInput(a, b, opt.Solver); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults(a.Rows)
-	ranks := AutoRanks(a, opt.Ranks)
-	if ranks < 1 {
-		return nil, fmt.Errorf("fsaicomm: ranks %d < 1", ranks)
-	}
-	topo, err := resolveTopology(ranks, opt.Nodes, opt.RanksPerNode)
+	f, err := solveFullSetup(ctx, a, [][]float64{b}, 0, opt)
 	if err != nil {
 		return nil, err
 	}
-	prof := archmodel.Skylake
-	if opt.Arch != "" {
-		var err error
-		if prof, err = archmodel.ByName(opt.Arch); err != nil {
-			return nil, fmt.Errorf("fsaicomm: %w", err)
-		}
-	}
+	return f.result()
+}
 
+// solveFullSetup is the full-set-up path behind SolveDistributedContext
+// (k = 0) and SolveBatchContext (k = len(rhs)): partition, permute, and one
+// rank job per rank that builds its operators and solves.
+func solveFullSetup(ctx context.Context, a *Matrix, rhs [][]float64, k int, opt Options) (*rankFold, error) {
+	opt = opt.withDefaults(a.Rows)
+	ranks := AutoRanks(a, opt.Ranks)
+	sp, err := solveParams(opt, ranks)
+	if err != nil {
+		return nil, err
+	}
 	part, err := partitionRows(a, opt, ranks)
 	if err != nil {
 		return nil, err
 	}
 	pa, layout, oldToNew := distmat.ApplyPartition(a, part, ranks)
-	pb := distmat.PermuteVec(b, oldToNew)
-
-	spec := &mprun.SolveSpec{
-		N:       a.Rows,
-		Ranks:   ranks,
-		Offsets: layout.Offsets,
-		PA:      pa,
-		PB:      pb,
-		Cfg: core.Config{
-			Method:       opt.Method,
-			Filter:       opt.Filter,
-			Strategy:     opt.Strategy,
-			LineBytes:    opt.LineBytes,
-			PatternLevel: opt.PatternLevel,
-			Threshold:    opt.Threshold,
-			Workers:      opt.Workers,
-			CGVariant:    opt.CGVariant,
-			Precision:    opt.Precision,
-			SPAISteps:    opt.SPAISteps,
-			SPAIAdd:      opt.SPAIAdd,
-			SPAIEpsilon:  opt.SPAIEpsilon,
-		},
-		Solver:               opt.Solver,
-		Restart:              opt.Restart,
-		Tol:                  opt.Tol,
-		MaxIter:              opt.MaxIter,
-		Variant:              opt.CGVariant,
-		Trace:                opt.Trace,
-		ResidualReplaceEvery: opt.ResidualReplaceEvery,
-		Arch:                 opt.Arch,
-		Nodes:                topo.Nodes,
-		RanksPerNode:         topo.RanksPerNode,
-		NoNodeAggregation:    opt.NoNodeAggregation,
+	job := mprun.JobSpec{
+		Layout: layout,
+		Build:  &mprun.BuildSource{PA: pa, Cfg: buildConfig(opt)},
+		K:      k,
+		Solve:  sp,
 	}
-	outs, err := runRanks(ctx, opt.Transport, ranks, topo, func(int) *mprun.JobSpec {
-		return &mprun.JobSpec{Solve: spec}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assembleDistResult(a.Rows, ranks, prof, opt.CGVariant, oldToNew, outs, 0, 0)
+	return runRanks(ctx, opt.Transport, job, nil, nil, rhs, oldToNew)
 }
 
 // resolveTopology maps a requested node grouping onto the resolved rank
@@ -790,91 +792,147 @@ func resolveTopology(ranks, nodes, ranksPerNode int) (simmpi.Topology, error) {
 	return topo, nil
 }
 
-// runRanks executes one job per rank on the selected transport: "sim" (or
-// empty) runs goroutine ranks over the in-process metered channels, "tcp"
-// spawns one OS process per rank wired into a loopback socket mesh. Both
-// paths run the identical mprun rank job, which is what makes their results
-// and meters bit-identical. topo attaches the two-level node grouping to the
-// sim world's meters; the tcp workers derive the same topology from the job
-// spec itself.
-func runRanks(ctx context.Context, transport string, ranks int, topo simmpi.Topology, jobFor func(rank int) *mprun.JobSpec) ([]*mprun.RankOutcome, error) {
-	if transport == "tcp" {
-		return mprun.Launch(ctx, ranks, time.Hour, jobFor)
-	}
-	outs := make([]*mprun.RankOutcome, ranks)
-	_, err := simmpi.RunTopo(ranks, time.Hour, topo, func(c *simmpi.Comm) error {
-		out, err := mprun.RunJob(ctx, c, jobFor(c.Rank()))
-		if err != nil {
-			return err
+// runRanks is the one way a distributed solve runs. It cuts job into one
+// rank job per rank — each gets its rows of the permuted right-hand sides
+// and, when held is given, the operators a Prepare holds for it — and
+// executes them on the selected transport: "sim" (or empty) runs goroutine
+// ranks over the in-process metered channels, "tcp" spawns one OS process per
+// rank wired into a loopback socket mesh. Both run the identical mprun rank
+// job, which is what makes their results and meters bit-identical, and both
+// read the node grouping from the job itself. pools, when given, lends each
+// sim rank a workspace for the solve (worker processes start fresh anyway).
+func runRanks(ctx context.Context, transport string, job mprun.JobSpec, held []mprun.Operators, pools []sync.Pool, rhs [][]float64, oldToNew []int) (*rankFold, error) {
+	ranks := job.Layout.NRanks()
+	pb := packPermuted(rhs, oldToNew)
+	jobs := make([]*mprun.JobSpec, ranks)
+	for r := range jobs {
+		jobs[r] = job.ForRank(r, pb)
+		if held != nil {
+			jobs[r].Adopt = &held[r]
 		}
-		outs[c.Rank()] = out
-		return nil
-	})
+	}
+	topo, err := job.Topology(ranks)
 	if err != nil {
 		return nil, err
 	}
-	return outs, nil
+	var outs []*mprun.RankOutcome
+	if transport == "tcp" {
+		outs, err = mprun.Launch(ctx, ranks, time.Hour, func(rank int) *mprun.JobSpec { return jobs[rank] })
+	} else {
+		outs = make([]*mprun.RankOutcome, ranks)
+		_, err = simmpi.RunTopo(ranks, time.Hour, topo, func(c *simmpi.Comm) error {
+			var ws *krylov.Workspace
+			if pools != nil {
+				pool := &pools[c.Rank()]
+				ws = pool.Get().(*krylov.Workspace)
+				defer pool.Put(ws)
+			}
+			out, err := mprun.RunJob(ctx, c, jobs[c.Rank()], ws)
+			outs[c.Rank()] = out
+			return err
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return foldOutcomes(outs, oldToNew, len(rhs), job.Solve)
 }
 
-// assembleDistResult folds the per-rank outcomes into the caller-facing
-// Result. Communication totals are the sum of the per-rank solve-phase
-// snapshot deltas — charged synchronously on each rank, so the totals are
-// deterministic and identical across transports. pct/imb override the rank-0
-// build metrics when the caller (the prepared path) already knows them.
-func assembleDistResult(n, ranks int, prof archmodel.Profile, variant CGVariant, oldToNew []int, outs []*mprun.RankOutcome, pct, imb float64) (*Result, error) {
-	root := outs[0]
-	res := &Result{
-		Ranks:          ranks,
-		Iterations:     root.Iterations,
-		Converged:      root.Converged,
-		RelResidual:    root.RelResidual,
-		Refinements:    root.Refinements,
-		PctNNZIncrease: root.Pct,
-		ImbalanceIndex: root.Imbalance,
-		SetupTime:      time.Duration(root.SetupNanos),
-		SolveTime:      time.Duration(root.SolveNanos),
-		Trace:          root.Trace,
-	}
-	if pct != 0 {
-		res.PctNNZIncrease = pct
-	}
-	if imb != 0 {
-		res.ImbalanceIndex = imb
-	}
-	costs := make([]experiments.IterCostInputs, ranks)
-	px := make([]float64, n)
+// rankFold is what every distributed result takes from the per-rank
+// outcomes: rank 0's solver statistics, the solve-phase communication summed
+// over ranks, the solution columns in the caller's row order, the per-rank
+// cost inputs, and the solve they came from. pct and imb are the build
+// metrics: rank 0's after a full set-up; a Prepared overwrites them with its
+// own, since adopting ranks report none.
+type rankFold struct {
+	root     *mprun.RankOutcome
+	comm     simmpi.Snapshot
+	x        [][]float64
+	costs    []experiments.IterCostInputs
+	sp       mprun.SolveParams
+	pct, imb float64
+}
+
+// foldOutcomes is the single fold behind Result and BatchResult. The
+// communication totals are sums of per-rank solve-phase snapshot deltas —
+// charged synchronously on each rank, so they are deterministic and identical
+// across transports. k is the number of interleaved solution columns.
+func foldOutcomes(outs []*mprun.RankOutcome, oldToNew []int, k int, sp mprun.SolveParams) (*rankFold, error) {
+	n := len(oldToNew)
+	f := &rankFold{x: make([][]float64, k), costs: make([]experiments.IterCostInputs, len(outs)), sp: sp}
+	px := make([]float64, n*k)
 	for r, out := range outs {
 		if out == nil {
 			return nil, fmt.Errorf("fsaicomm: rank %d reported no outcome", r)
 		}
-		costs[r] = out.Cost
-		copy(px[out.Lo:out.Hi], out.XLocal)
-		res.CommBytes += out.SolveComm.P2PBytes
-		res.CommMessages += out.SolveComm.P2PMessages
-		res.IntraNodeBytes += out.SolveComm.IntraP2PBytes
-		res.IntraNodeMessages += out.SolveComm.IntraP2PMessages
-		res.InterNodeBytes += out.SolveComm.InterP2PBytes
-		res.InterNodeMessages += out.SolveComm.InterP2PMessages
-		res.CollectiveCalls += out.SolveComm.CollectiveCalls
-		res.CollectiveBytes += out.SolveComm.CollectiveBytes
+		f.costs[r] = out.Cost
+		copy(px[out.Lo*k:out.Hi*k], out.XLocal)
+		f.comm.P2PBytes += out.SolveComm.P2PBytes
+		f.comm.P2PMessages += out.SolveComm.P2PMessages
+		f.comm.IntraP2PBytes += out.SolveComm.IntraP2PBytes
+		f.comm.IntraP2PMessages += out.SolveComm.IntraP2PMessages
+		f.comm.InterP2PBytes += out.SolveComm.InterP2PBytes
+		f.comm.InterP2PMessages += out.SolveComm.InterP2PMessages
+		f.comm.CollectiveCalls += out.SolveComm.CollectiveCalls
+		f.comm.CollectiveBytes += out.SolveComm.CollectiveBytes
+	}
+	f.root, f.pct, f.imb = outs[0], outs[0].Pct, outs[0].Imbalance
+	// Un-permute the (possibly partial, under cancellation) solution.
+	for c := range f.x {
+		col := make([]float64, n)
+		for i := range col {
+			col[i] = px[oldToNew[i]*k+c]
+		}
+		f.x[c] = col
+	}
+	return f, nil
+}
+
+// err is the error a result carries out alongside its partial solution.
+func (f *rankFold) err() error {
+	switch root := f.root; {
+	case root.Canceled:
+		return fmt.Errorf("fsaicomm: %w at iteration %d", krylov.ErrCanceled, root.Iterations)
+	case root.Broken:
+		return fmt.Errorf("fsaicomm: %w at iteration %d (rel residual %g)", krylov.ErrBreakdown, root.Iterations, root.RelResidual)
+	}
+	return nil
+}
+
+// result assembles the caller-facing Result of a scalar solve.
+func (f *rankFold) result() (*Result, error) {
+	prof, err := mprun.ProfileFor(f.sp.Arch)
+	if err != nil {
+		return nil, fmt.Errorf("fsaicomm: %w", err)
+	}
+	root := f.root
+	res := &Result{
+		X:                 f.x[0],
+		Ranks:             len(f.costs),
+		Iterations:        root.Iterations,
+		Converged:         root.Converged,
+		RelResidual:       root.RelResidual,
+		Refinements:       root.Refinements,
+		PctNNZIncrease:    f.pct,
+		ImbalanceIndex:    f.imb,
+		CommBytes:         f.comm.P2PBytes,
+		CommMessages:      f.comm.P2PMessages,
+		IntraNodeBytes:    f.comm.IntraP2PBytes,
+		IntraNodeMessages: f.comm.IntraP2PMessages,
+		InterNodeBytes:    f.comm.InterP2PBytes,
+		InterNodeMessages: f.comm.InterP2PMessages,
+		CollectiveCalls:   f.comm.CollectiveCalls,
+		CollectiveBytes:   f.comm.CollectiveBytes,
+		SetupTime:         time.Duration(root.SetupNanos),
+		SolveTime:         time.Duration(root.SolveNanos),
+		Trace:             root.Trace,
 	}
 	if res.Iterations > 0 {
 		res.CommBytesPerIteration = float64(res.CommBytes) / float64(res.Iterations)
 	}
-	res.ModeledSolveTime = experiments.ModeledSolveTime(prof, variant, res.Iterations, costs)
-	res.Phases = experiments.ModeledPhases(prof, variant, res.Iterations, costs)
-	// Un-permute the (possibly partial, under cancellation) solution.
-	res.X = make([]float64, n)
-	for i := range res.X {
-		res.X[i] = px[oldToNew[i]]
-	}
-	if root.Canceled {
-		return res, fmt.Errorf("fsaicomm: %w at iteration %d", krylov.ErrCanceled, res.Iterations)
-	}
-	if root.Broken {
-		return res, fmt.Errorf("fsaicomm: %w at iteration %d (rel residual %g)", krylov.ErrBreakdown, res.Iterations, res.RelResidual)
-	}
-	return res, nil
+	res.ModeledSolveTime = experiments.ModeledSolveTime(prof, f.sp.Variant, res.Iterations, f.costs)
+	res.Phases = experiments.ModeledPhases(prof, f.sp.Variant, res.Iterations, f.costs)
+	return res, f.err()
 }
 
 // Architecture profiles for the experiment drivers (re-exported for

@@ -6,7 +6,6 @@ import (
 
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/fsai"
-	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/simmpi"
 	"fsaicomm/internal/spai"
 	"fsaicomm/internal/sparse"
@@ -31,18 +30,6 @@ type Config struct {
 	// count: ranks simulate distributed processes, workers are threads
 	// inside one process.
 	Workers int
-	// CGVariant selects the distributed solver loop the build is destined
-	// for. Non-classic variants make BuildPrecond construct the G/Gᵀ
-	// operators with the interior/boundary overlap view so the
-	// preconditioner SpMVs also run in the send-then-compute schedule.
-	CGVariant krylov.CGVariant
-	// Precision selects the value width of the solve the build feeds. The
-	// factors are always computed in float64 — narrowing a finished factor
-	// loses far less than building in float32 would — but under FP32 the
-	// G/Gᵀ operators come back switched to the mixed-precision kernel
-	// (float32 values, half-width halos) ready for the iterative-refinement
-	// inner solves.
-	Precision krylov.Precision
 	// SPAISteps, SPAIAdd and SPAIEpsilon configure the adaptive enrichment
 	// of the SPAI method (ignored by the FSAI family): Steps rounds of
 	// pattern growth, at most Add entries per column per round, stopping a
@@ -70,7 +57,9 @@ type Build struct {
 	// GRows and GTRows are this rank's rows of G and Gᵀ with global columns.
 	GRows, GTRows *sparse.CSR
 	// GOp and GTOp are the halo-ready distributed operators used by the
-	// preconditioned solve.
+	// preconditioned solve, in the blocking FP64 schedule: a solve that wants
+	// the overlap view or float32 values asks the operators for them
+	// (EnsureOverlap, SetF32), which needs no communication.
 	GOp, GTOp *distmat.Op
 	// FilterUsed is this rank's final Filter value (ranks differ under the
 	// dynamic strategy).
@@ -223,19 +212,12 @@ func BuildPrecond(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, cfg Conf
 	ph.Transpose = lap()
 
 	finalNNZ := c.AllreduceSumInt64(int64(g.NNZ()))[0]
-	var opOpts []distmat.OpOption
-	if cfg.CGVariant != krylov.CGClassic {
-		opOpts = append(opOpts, distmat.WithOverlap())
-	}
-	if cfg.Precision == krylov.FP32 {
-		opOpts = append(opOpts, distmat.WithF32())
-	}
 	b := &Build{
 		Method:         cfg.Method,
 		GRows:          g,
 		GTRows:         gt,
-		GOp:            distmat.NewOp(c, l, lo, hi, g, opOpts...),
-		GTOp:           distmat.NewOp(c, l, lo, hi, gt, opOpts...),
+		GOp:            distmat.NewOp(c, l, lo, hi, g),
+		GTOp:           distmat.NewOp(c, l, lo, hi, gt),
 		FilterUsed:     filterUsed,
 		BaseNNZGlobal:  baseNNZ,
 		FinalNNZGlobal: finalNNZ,
@@ -256,12 +238,6 @@ func BuildPrecond(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, cfg Conf
 // entry count of A so PctNNZIncrease compares the inverse against the
 // operator it approximates.
 func buildSPAIDist(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows *sparse.CSR, cfg Config) (*Build, error) {
-	if cfg.Precision == krylov.FP32 {
-		return nil, fmt.Errorf("core: SPAI supports float64 solves only (FP32 iterative refinement is a CG-family feature)")
-	}
-	if cfg.CGVariant != krylov.CGClassic {
-		return nil, fmt.Errorf("core: SPAI pairs with GMRES, which has no %v schedule", cfg.CGVariant)
-	}
 	t0 := time.Now()
 	m, err := spai.BuildDist(c, l, lo, hi, aRows, cfg.spaiOptions())
 	if err != nil {

@@ -50,11 +50,6 @@ func WithOverlap() OpOption {
 	return func(op *Op) { op.EnsureOverlap() }
 }
 
-// WithF32 makes NewOp a mixed-precision operator (see SetF32).
-func WithF32() OpOption {
-	return func(op *Op) { op.SetF32(true) }
-}
-
 // SetF32 switches the operator between full and mixed precision. Under f32
 // the products use the float32 value array (accumulating in float64) and the
 // plan exchanges halo values at 4 bytes each; iteration vectors stay float64

@@ -70,10 +70,15 @@ func RunBaselines(r *Runner, spec testsets.Spec) (BaselineRow, error) {
 				}
 				bd, err := core.BuildPrecond(c, me.layout, aRows, core.Config{
 					Method: method, Filter: filter, Strategy: core.DynamicFilter,
-					LineBytes: r.Arch.LineBytes, CGVariant: r.Variant,
+					LineBytes: r.Arch.LineBytes,
 				})
 				if err != nil {
 					return err
+				}
+				if r.Variant != krylov.CGClassic {
+					// The factors follow A into the send-then-compute schedule.
+					bd.GOp.EnsureOverlap()
+					bd.GTOp.EnsureOverlap()
 				}
 				pre = krylov.NewDistSplit(bd.GOp, bd.GTOp)
 			}

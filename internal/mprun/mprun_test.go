@@ -4,14 +4,17 @@ import (
 	"context"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"fsaicomm/internal/core"
+	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/matgen"
 	"fsaicomm/internal/mprun"
 	"fsaicomm/internal/simmpi"
+	"fsaicomm/internal/sparse"
 )
 
 // TestMain makes this test binary self-host its rank workers: when Launch
@@ -22,50 +25,32 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func evenOffsets(n, ranks int) []int {
-	offs := make([]int, ranks+1)
-	for r := 0; r <= ranks; r++ {
-		offs[r] = r * n / ranks
-	}
-	return offs
-}
-
-func solveSpec(ranks int) *mprun.SolveSpec {
-	a := matgen.Poisson2D(16, 16)
+// buildJob is the full-set-up job template over matrix a and a fixed
+// right-hand side; jobFor cuts it per rank.
+func buildJob(a *sparse.CSR, ranks int, sp mprun.SolveParams) (job mprun.JobSpec, jobFor func(rank int) *mprun.JobSpec) {
 	b := make([]float64, a.Rows)
 	for i := range b {
 		b[i] = 1 + float64(i%7)/7
 	}
-	return &mprun.SolveSpec{
-		N:       a.Rows,
-		Ranks:   ranks,
-		Offsets: evenOffsets(a.Rows, ranks),
-		PA:      a,
-		PB:      b,
-		Cfg:     core.Config{Method: core.FSAIEComm, Filter: 0.01, LineBytes: 64},
-		Tol:     1e-8,
-		MaxIter: 500,
-		Variant: krylov.CGClassic,
+	job = mprun.JobSpec{
+		Layout: distmat.NewUniformLayout(a.Rows, ranks),
+		Build: &mprun.BuildSource{PA: a,
+			Cfg: core.Config{Method: core.FSAIEComm, Filter: 0.01, LineBytes: 64}},
+		Solve: sp,
 	}
+	return job, func(rank int) *mprun.JobSpec { return job.ForRank(rank, b) }
 }
 
-// runSim executes the same spec with in-process goroutine ranks — the oracle
+// runSim executes the same jobs with in-process goroutine ranks — the oracle
 // the multi-process path must match bit for bit.
-func runSim(t *testing.T, ranks int, spec *mprun.SolveSpec) []*mprun.RankOutcome {
-	t.Helper()
+func runSim(ranks int, jobFor func(rank int) *mprun.JobSpec) ([]*mprun.RankOutcome, error) {
 	outs := make([]*mprun.RankOutcome, ranks)
 	_, err := simmpi.Run(ranks, 30*time.Second, func(c *simmpi.Comm) error {
-		out, err := mprun.RunSolveRank(context.Background(), c, spec)
-		if err != nil {
-			return err
-		}
+		out, err := mprun.RunJob(context.Background(), c, jobFor(c.Rank()), nil)
 		outs[c.Rank()] = out
-		return nil
+		return err
 	})
-	if err != nil {
-		t.Fatalf("sim run: %v", err)
-	}
-	return outs
+	return outs, err
 }
 
 // TestLaunchSolveMatchesSim is the round-trip check for the multi-process
@@ -77,12 +62,14 @@ func TestLaunchSolveMatchesSim(t *testing.T) {
 		t.Skip("spawns processes")
 	}
 	const ranks = 4
-	spec := solveSpec(ranks)
-	want := runSim(t, ranks, spec)
+	_, jobFor := buildJob(matgen.Poisson2D(16, 16), ranks,
+		mprun.SolveParams{Tol: 1e-8, MaxIter: 500, Variant: krylov.CGClassic})
+	want, err := runSim(ranks, jobFor)
+	if err != nil {
+		t.Fatalf("sim run: %v", err)
+	}
 
-	job := &mprun.JobSpec{Solve: spec}
-	got, err := mprun.Launch(context.Background(), ranks, 60*time.Second,
-		func(rank int) *mprun.JobSpec { return job })
+	got, err := mprun.Launch(context.Background(), ranks, 60*time.Second, jobFor)
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
@@ -124,23 +111,13 @@ func TestLaunchCancelReturnsPartialOutcomes(t *testing.T) {
 	// A big enough system with an unreachably tiny (but positive: zero means
 	// "default") tolerance iterates far past the cancel point; the 16×16
 	// fixture would hit an exact-zero residual within milliseconds.
-	a := matgen.Poisson2D(64, 64)
-	b := make([]float64, a.Rows)
-	for i := range b {
-		b[i] = 1 + float64(i%7)/7
-	}
-	spec := &mprun.SolveSpec{
-		N: a.Rows, Ranks: ranks, Offsets: evenOffsets(a.Rows, ranks), PA: a, PB: b,
-		Cfg: core.Config{Method: core.FSAIEComm, Filter: 0.01, LineBytes: 64},
-		Tol: 1e-300, MaxIter: 1 << 30, Variant: krylov.CGClassic,
-	}
+	_, jobFor := buildJob(matgen.Poisson2D(64, 64), ranks,
+		mprun.SolveParams{Tol: 1e-300, MaxIter: 1 << 30, Variant: krylov.CGClassic})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	start := time.Now()
-	job := &mprun.JobSpec{Solve: spec}
-	outs, err := mprun.Launch(ctx, ranks, 60*time.Second,
-		func(rank int) *mprun.JobSpec { return job })
+	outs, err := mprun.Launch(ctx, ranks, 60*time.Second, jobFor)
 	if err != nil {
 		t.Fatalf("Launch after cancel: %v", err)
 	}
@@ -159,6 +136,47 @@ func TestLaunchCancelReturnsPartialOutcomes(t *testing.T) {
 		}
 		if len(out.XLocal) != out.Hi-out.Lo {
 			t.Errorf("rank %d: partial XLocal len %d, want %d", r, len(out.XLocal), out.Hi-out.Lo)
+		}
+	}
+}
+
+// TestMalformedSpecIsAnError: a spec that names both or neither set-up
+// source, a negative width, or a right-hand side of the wrong length comes
+// back as a descriptive error from every rank — on the sim path directly, on
+// the tcp path through the worker's report — never as a crash.
+func TestMalformedSpecIsAnError(t *testing.T) {
+	const ranks = 2
+	a := matgen.Poisson2D(8, 8)
+	good, _ := buildJob(a, ranks, mprun.SolveParams{Tol: 1e-8, MaxIter: 100})
+	b := make([]float64, a.Rows)
+	cases := []struct {
+		name   string
+		mangle func(j *mprun.JobSpec)
+		want   string
+	}{
+		{"no source", func(j *mprun.JobSpec) { j.Build = nil }, "exactly one set-up source"},
+		{"both sources", func(j *mprun.JobSpec) { j.Adopt = &mprun.Operators{} }, "exactly one set-up source"},
+		{"adopts nothing", func(j *mprun.JobSpec) { j.Build, j.Adopt = nil, &mprun.Operators{} }, "do not hold"},
+		{"negative K", func(j *mprun.JobSpec) { j.K = -1 }, "negative"},
+		{"short rhs", func(j *mprun.JobSpec) { j.B = j.B[1:] }, "right-hand side"},
+		{"scalar rhs for K=2", func(j *mprun.JobSpec) { j.K = 2 }, "right-hand side"},
+		{"layout of another world", func(j *mprun.JobSpec) { j.Layout = distmat.NewUniformLayout(a.Rows, 3) }, "world has 2"},
+		{"no layout", func(j *mprun.JobSpec) { j.Layout = nil }, "empty job spec"},
+	}
+	for _, tc := range cases {
+		jobFor := func(rank int) *mprun.JobSpec {
+			j := good.ForRank(rank, b)
+			tc.mangle(j)
+			return j
+		}
+		if _, err := runSim(ranks, jobFor); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s (sim): error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+		if testing.Short() || tc.name != "short rhs" {
+			continue // one trip through real worker processes is enough
+		}
+		if _, err := mprun.Launch(context.Background(), ranks, 60*time.Second, jobFor); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s (tcp): error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
 }

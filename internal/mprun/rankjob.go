@@ -3,7 +3,6 @@ package mprun
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"fsaicomm/internal/archmodel"
@@ -14,229 +13,166 @@ import (
 	"fsaicomm/internal/simmpi"
 )
 
-// RunJob dispatches a job envelope to its runner.
-func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec) (*RankOutcome, error) {
-	switch {
-	case job.Solve != nil:
-		return RunSolveRank(ctx, c, job.Solve)
-	case job.Prepared != nil:
-		return RunPreparedRank(ctx, c, job.Prepared, nil)
-	case job.SolveBatch != nil:
-		return RunSolveBatchRank(ctx, c, job.SolveBatch)
-	case job.PreparedBatch != nil:
-		return RunPreparedBatchRank(ctx, c, job.PreparedBatch)
-	default:
-		return nil, fmt.Errorf("mprun: empty job spec")
-	}
-}
-
-func profileFor(arch string) (archmodel.Profile, error) {
+// ProfileFor resolves a job's cost-model profile name ("" = skylake).
+func ProfileFor(arch string) (archmodel.Profile, error) {
 	if arch == "" {
 		return archmodel.Skylake, nil
 	}
 	return archmodel.ByName(arch)
 }
 
-// preparedPlan rebuilds a halo plan from a prepared schedule under the
-// communicator's topology: flat worlds (or schedules predating need-count
-// capture) get the historical flat plan; topology worlds get a node-aware
-// plan derived from the shipped need counts, downgraded to the flat baseline
-// when the spec asks for no aggregation.
-func preparedPlan(c *simmpi.Comm, spec *PreparedRankSpec, send, recv [][]int, counts []int64) *distmat.HaloPlan {
-	topo := c.Topology()
-	if topo.Flat() || counts == nil {
-		return distmat.NewHaloPlanFromSchedule(send, recv)
-	}
-	p := distmat.NewHaloPlanFromScheduleTopo(send, recv, counts, c.Rank(), topo)
-	if spec.NoNodeAggregation {
-		p.SetNodeAware(false)
-	}
-	return p
+// rankOps are the operators a solve runs on: a with the factor pair g/gt
+// (CG) or with the explicit inverse m (GMRES). pct and imb are the build
+// metrics of operators built here (zero for adopted ones).
+type rankOps struct {
+	a, g, gt, m *distmat.Op
+	pct, imb    float64
 }
 
-// mixedAInner derives the float32 inner operator of a mixed-precision solve:
-// it shares aOp's localized matrix (whose float32 view is built lazily) but
-// clones the plan, so the inner halo runs half-width while aOp keeps the
-// full-width schedule for the outer FP64 residual. The clone preserves the
-// plan's node-awareness, so NoNodeAggregation and topology routing carry
-// over unchanged.
-func mixedAInner(aOp *distmat.Op, variant krylov.CGVariant) *distmat.Op {
-	var opts []distmat.OpOption
-	if variant != krylov.CGClassic {
-		opts = append(opts, distmat.WithOverlap())
+// obtain is step 1 of the job: the rank's operators from the spec's one
+// set-up source.
+func (j *JobSpec) obtain(c *simmpi.Comm) (rankOps, error) {
+	if ad := j.Adopt; ad != nil {
+		if j.Solve.Solver == krylov.SolverGMRES {
+			return rankOps{a: ad.A.op(c), m: ad.M.op(c)}, nil
+		}
+		return rankOps{a: ad.A.op(c), g: ad.G.op(c), gt: ad.GT.op(c)}, nil
 	}
-	inner := distmat.NewOpFromParts(aOp.LZ, aOp.Plan.Clone(), opts...)
-	inner.SetF32(true)
-	return inner
+	lo, hi := j.Layout.Range(c.Rank())
+	aRows := distmat.ExtractLocalRows(j.Build.PA, lo, hi)
+	bd, err := core.BuildPrecond(c, j.Layout, aRows, j.Build.Cfg)
+	if err != nil {
+		return rankOps{}, err
+	}
+	return rankOps{a: distmat.NewOp(c, j.Layout, lo, hi, aRows), g: bd.GOp, gt: bd.GTOp, m: bd.MOp,
+		pct: bd.PctNNZIncrease, imb: bd.ImbalanceIndex}, nil
 }
 
-// runDistSolve runs one rank's scalar distributed solve at the requested
-// precision: FP64 is the plain DistCG loop; FP32 runs DistCG as the inner
-// solve of the FP64 iterative-refinement loop, with the factor operators
-// (already narrowed by the caller) and a float32 twin of the A operator.
-func runDistSolve(c *simmpi.Comm, aOp, gOp, gtOp *distmat.Op, b, x []float64, opt krylov.Options, prec krylov.Precision) (krylov.Stats, error) {
-	m := krylov.NewDistSplit(gOp, gtOp)
-	if prec != krylov.FP32 {
-		return krylov.DistCG(c, aOp, b, x, m, opt, nil)
+// dress is step 2a: whatever the solve asks of the operators beyond their
+// values, applied the same way to built and adopted ones. It returns the
+// float32 twin of A for the inner solves of a mixed-precision job (nil
+// under FP64). Everything here is rank-local.
+func (ops rankOps) dress(sp SolveParams, k int) (aInner *distmat.Op) {
+	all := []*distmat.Op{ops.a, ops.g, ops.gt}
+	if ops.m != nil {
+		all = []*distmat.Op{ops.a, ops.m}
 	}
-	return krylov.DistCGRefined(c, aOp, mixedAInner(aOp, opt.Variant), b, x, m, opt, nil)
+	// Only the scalar CG loops have a send-then-compute schedule; the
+	// batched loops and GMRES (Variant classic by validation) block.
+	overlap := k == 0 && sp.Variant != krylov.CGClassic
+	for _, op := range all {
+		if overlap {
+			op.EnsureOverlap()
+		}
+		if sp.NoNodeAggregation {
+			// Baseline mode: keep the flat per-rank schedule under the declared
+			// topology, so the meter still classifies intra vs inter traffic
+			// but nothing is aggregated — the comparison plan for
+			// BENCH_nodeaware.
+			op.Plan.SetNodeAware(false)
+		}
+	}
+	if sp.Precision != krylov.FP32 {
+		return nil
+	}
+	// The factors were built in FP64; narrow the rank-private operators (the
+	// float32 value copy is cached on the shared Localized, built once
+	// across solves).
+	ops.g.SetF32(true)
+	ops.gt.SetF32(true)
+	// The inner A shares a's localized matrix but clones the plan, so the
+	// inner halo runs half-width while a keeps the full-width schedule for
+	// the outer FP64 residual. The clone preserves the plan's
+	// node-awareness.
+	aInner = distmat.NewOpFromParts(ops.a.LZ, ops.a.Plan.Clone())
+	if overlap {
+		aInner.EnsureOverlap()
+	}
+	aInner.SetF32(true)
+	return aInner
 }
 
-// RunSolveRank executes one rank of a full SolveDistributed: extract local
-// rows, build the preconditioner, assemble the operators, run distributed
-// CG. It is the single implementation behind both backends — the facade's
-// goroutine ranks and the fsairank worker processes call exactly this.
+// RunJob executes one rank of a distributed solve: obtain the operators
+// (build them here or adopt them), dress them for the solve, run one solve
+// of width K and fold statistics, meters and clocks into the outcome. It is
+// the single implementation behind both backends — the facade's goroutine
+// ranks and the fsairank worker processes call exactly this. ws may carry a
+// pooled workspace (nil allocates a fresh one); workspaces must never be
+// shared between concurrent solves.
 //
 // ctx must be non-nil and the same "all ranks or none" choice on every rank:
-// the CG loop polls it through a per-iteration collective verdict, which is
+// the loops poll it through a per-iteration collective verdict, which is
 // itself a collective every rank must enter.
-func RunSolveRank(ctx context.Context, c *simmpi.Comm, spec *SolveSpec) (*RankOutcome, error) {
+func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Workspace) (*RankOutcome, error) {
 	rank := c.Rank()
-	prof, err := profileFor(spec.Arch)
+	if err := job.check(rank, c.Size()); err != nil {
+		return nil, err
+	}
+	sp := job.Solve
+	prof, err := ProfileFor(sp.Arch)
 	if err != nil {
 		return nil, err
 	}
-	layout := &distmat.Layout{N: spec.N, Offsets: spec.Offsets}
-	lo, hi := layout.Range(rank)
+	lo, hi := job.Layout.Range(rank)
+	out := &RankOutcome{Rank: rank, Lo: lo, Hi: hi}
 	t0 := time.Now()
-	aRows := distmat.ExtractLocalRows(spec.PA, lo, hi)
-	bd, err := core.BuildPrecond(c, layout, aRows, spec.Cfg)
+	ops, err := job.obtain(c)
 	if err != nil {
 		return nil, err
 	}
-	gmres := spec.Solver == krylov.SolverGMRES
-	var aOpts []distmat.OpOption
-	if spec.Variant != krylov.CGClassic {
-		aOpts = append(aOpts, distmat.WithOverlap())
-	}
-	aOp := distmat.NewOp(c, layout, lo, hi, aRows, aOpts...)
-	if spec.NoNodeAggregation {
-		// Baseline mode: keep the flat per-rank schedule under the declared
-		// topology, so the meter still classifies intra vs inter traffic but
-		// nothing is aggregated — the comparison plan for BENCH_nodeaware.
-		aOp.Plan.SetNodeAware(false)
-		if gmres {
-			bd.MOp.Plan.SetNodeAware(false)
+	aInner := ops.dress(sp, job.K)
+	if job.K == 0 { // the batched results carry no modeled time
+		if ops.m != nil {
+			out.Cost = experiments.AssembleSPAIGMRESIterCost(prof, ops.a, ops.m, hi-lo, c.Size(), sp.Restart)
 		} else {
-			bd.GOp.Plan.SetNodeAware(false)
-			bd.GTOp.Plan.SetNodeAware(false)
+			out.Cost = experiments.AssembleIterCost(prof, ops.a, ops.g, ops.gt, hi-lo, c.Size(), sp.Variant)
 		}
 	}
-	var cost experiments.IterCostInputs
-	if gmres {
-		cost = experiments.AssembleSPAIGMRESIterCost(prof, aOp, bd.MOp, hi-lo, spec.Ranks, spec.Restart)
-	} else {
-		cost = experiments.AssembleIterCost(prof, aOp, bd.GOp, bd.GTOp, hi-lo, spec.Ranks, spec.Variant)
+	if job.Build != nil {
+		// One barrier separates the phases: traffic up to and including it is
+		// "setup", everything after is "solve". Phase attribution needs no
+		// meter reset (and hence no cross-rank reset race): each rank's
+		// counters are charged synchronously on its own goroutine, so
+		// snapshot deltas are exact and deterministic on every backend.
+		// Adopted operators cost no communication and no barrier, and
+		// SetupNanos stays 0: that set-up was paid once, elsewhere.
+		c.Barrier()
+		out.SetupNanos = time.Since(t0).Nanoseconds()
+		if rank == 0 {
+			out.Pct, out.Imbalance = ops.pct, ops.imb
+		}
 	}
-	// One barrier separates the phases: traffic up to and including it is
-	// "setup", everything after is "solve". Phase attribution needs no meter
-	// reset (and hence no cross-rank reset race): each rank's counters are
-	// charged synchronously on its own goroutine, so snapshot deltas are
-	// exact and deterministic on every backend.
-	c.Barrier()
-	setupComm := c.Meter().RankSnapshot(rank)
-	out := &RankOutcome{
-		Rank: rank, Lo: lo, Hi: hi,
-		Cost:       cost,
-		SetupComm:  setupComm,
-		SetupNanos: time.Since(t0).Nanoseconds(),
-	}
-	if rank == 0 {
-		out.Pct = bd.PctNNZIncrease
-		out.Imbalance = bd.ImbalanceIndex
-	}
-	t1 := time.Now()
-	xl := make([]float64, hi-lo)
-	// Each rank gets its own Workspace; workspaces must never be shared
-	// between concurrent solves. BuildPrecond already narrowed GOp/GTOp under
-	// Cfg.Precision FP32.
-	opt := krylov.Options{Tol: spec.Tol, MaxIter: spec.MaxIter,
-		Variant: spec.Variant, Restart: spec.Restart,
-		Work:                 &krylov.Workspace{},
-		Trace:                spec.Trace,
-		ResidualReplaceEvery: spec.ResidualReplaceEvery,
-		Ctx:                  ctx}
-	var st krylov.Stats
-	if gmres {
-		st, err = krylov.DistGMRES(c, aOp, spec.PB[lo:hi], xl, krylov.NewDistMatPrecond(bd.MOp), opt, nil)
-	} else {
-		st, err = runDistSolve(c, aOp, bd.GOp, bd.GTOp, spec.PB[lo:hi], xl, opt, spec.Cfg.Precision)
-	}
-	canceled := errors.Is(err, krylov.ErrCanceled)
-	broken := errors.Is(err, krylov.ErrBreakdown)
-	if err != nil && !errors.Is(err, krylov.ErrNoConvergence) && !canceled && !broken {
-		return nil, err
-	}
-	out.SolveNanos = time.Since(t1).Nanoseconds()
-	out.SolveComm = c.Meter().RankSnapshot(rank).Sub(setupComm)
-	out.XLocal = xl
-	out.Iterations = st.Iterations
-	out.Converged = st.Converged
-	out.RelResidual = st.RelResidual
-	out.Canceled = canceled
-	out.Broken = broken
-	out.Refinements = st.Refinements
-	out.Trace = st.Trace
-	return out, nil
-}
+	out.SetupComm = c.Meter().RankSnapshot(rank)
 
-// RunPreparedRank executes one rank of a Prepared.Solve: the localized views
-// and halo schedules come ready-made in the spec, so the rank performs no
-// setup communication and pays only the Krylov loop. ws may carry a pooled
-// workspace (nil allocates a fresh one).
-func RunPreparedRank(ctx context.Context, c *simmpi.Comm, spec *PreparedRankSpec, ws *krylov.Workspace) (*RankOutcome, error) {
-	rank := c.Rank()
-	prof, err := profileFor(spec.Arch)
-	if err != nil {
-		return nil, err
-	}
-	gmres := spec.Solver == krylov.SolverGMRES
-	var opOpts []distmat.OpOption
-	if spec.Variant != krylov.CGClassic {
-		opOpts = append(opOpts, distmat.WithOverlap())
-	}
-	aOp := distmat.NewOpFromParts(spec.ALZ, preparedPlan(c, spec, spec.ASend, spec.ARecv, spec.ACounts), opOpts...)
-	var gOp, gtOp, mOp *distmat.Op
-	var cost experiments.IterCostInputs
-	if gmres {
-		mOp = distmat.NewOpFromParts(spec.MLZ, preparedPlan(c, spec, spec.MSend, spec.MRecv, spec.MCounts))
-		cost = experiments.AssembleSPAIGMRESIterCost(prof, aOp, mOp, spec.Hi-spec.Lo, spec.Ranks, spec.Restart)
-	} else {
-		gOp = distmat.NewOpFromParts(spec.GLZ, preparedPlan(c, spec, spec.GSend, spec.GRecv, spec.GCounts), opOpts...)
-		gtOp = distmat.NewOpFromParts(spec.GTLZ, preparedPlan(c, spec, spec.GTSend, spec.GTRecv, spec.GTCounts), opOpts...)
-		if spec.Precision == krylov.FP32 {
-			// The prepared factor views ship in FP64; narrow the rank-private
-			// operators (the float32 value copy is cached on the shared Localized,
-			// built once across solves).
-			gOp.SetF32(true)
-			gtOp.SetF32(true)
-		}
-		cost = experiments.AssembleIterCost(prof, aOp, gOp, gtOp, spec.Hi-spec.Lo, spec.Ranks, spec.Variant)
-	}
-	setupComm := c.Meter().RankSnapshot(rank)
-	// SetupNanos stays 0: a prepared solve's contract is that setup was paid
-	// once in Prepare, and the facade reports SetupTime 0 accordingly.
-	out := &RankOutcome{
-		Rank: rank, Lo: spec.Lo, Hi: spec.Hi,
-		Cost:      cost,
-		SetupComm: setupComm,
-	}
 	if ws == nil {
 		ws = &krylov.Workspace{}
 	}
-	t1 := time.Now()
-	xl := make([]float64, spec.Hi-spec.Lo)
-	opt := krylov.Options{Tol: spec.Tol, MaxIter: spec.MaxIter,
-		Variant: spec.Variant, Restart: spec.Restart,
+	opt := krylov.Options{Tol: sp.Tol, MaxIter: sp.MaxIter,
+		Variant: sp.Variant, Restart: sp.Restart,
 		Work:                 ws,
-		Trace:                spec.Trace,
-		ResidualReplaceEvery: spec.ResidualReplaceEvery,
+		Trace:                sp.Trace,
+		ResidualReplaceEvery: sp.ResidualReplaceEvery,
 		Ctx:                  ctx}
+	t1 := time.Now()
+	xl := make([]float64, len(job.B))
 	var st krylov.Stats
-	if gmres {
-		st, err = krylov.DistGMRES(c, aOp, spec.BLocal, xl, krylov.NewDistMatPrecond(mOp), opt, nil)
-	} else {
-		st, err = runDistSolve(c, aOp, gOp, gtOp, spec.BLocal, xl, opt, spec.Precision)
+	switch k := job.K; {
+	case k > 0:
+		var bs krylov.BatchStats
+		m := krylov.NewDistSplitBatch(ops.g, ops.gt, k)
+		if aInner != nil {
+			bs, err = krylov.DistCGBatchRefined(c, ops.a, aInner, job.B, xl, m, k, opt, nil)
+		} else {
+			bs, err = krylov.DistCGBatch(c, ops.a, job.B, xl, m, k, opt, nil)
+		}
+		st = krylov.Stats{Iterations: bs.Iterations, Refinements: bs.Refinements}
+		out.Batch = newBatchOutcome(bs)
+	case ops.m != nil:
+		st, err = krylov.DistGMRES(c, ops.a, job.B, xl, krylov.NewDistMatPrecond(ops.m), opt, nil)
+	case aInner != nil:
+		st, err = krylov.DistCGRefined(c, ops.a, aInner, job.B, xl, krylov.NewDistSplit(ops.g, ops.gt), opt, nil)
+	default:
+		st, err = krylov.DistCG(c, ops.a, job.B, xl, krylov.NewDistSplit(ops.g, ops.gt), opt, nil)
 	}
 	canceled := errors.Is(err, krylov.ErrCanceled)
 	broken := errors.Is(err, krylov.ErrBreakdown)
@@ -244,13 +180,13 @@ func RunPreparedRank(ctx context.Context, c *simmpi.Comm, spec *PreparedRankSpec
 		return nil, err
 	}
 	out.SolveNanos = time.Since(t1).Nanoseconds()
-	out.SolveComm = c.Meter().RankSnapshot(rank).Sub(setupComm)
+	out.SolveComm = c.Meter().RankSnapshot(rank).Sub(out.SetupComm)
 	out.XLocal = xl
 	out.Iterations = st.Iterations
 	out.Converged = st.Converged
 	out.RelResidual = st.RelResidual
 	out.Canceled = canceled
-	out.Broken = broken
+	out.Broken = broken && job.K == 0
 	out.Refinements = st.Refinements
 	out.Trace = st.Trace
 	return out, nil

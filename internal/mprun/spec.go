@@ -1,15 +1,21 @@
 // Package mprun runs one rank's share of a distributed solve — the "rank
-// job" — identically under both transport backends. The facade's in-process
-// path calls RunSolveRank/RunPreparedRank directly from goroutine ranks; the
-// multi-process path ships a gob-encoded spec to fsairank worker processes
-// (spawned by Launch, self-hosted by any binary that calls MaybeWorker)
-// whose TCP mesh communicator runs the very same function. One code path on
-// both sides is what makes the cross-backend differential tests meaningful:
-// any divergence in results or meter structure is the transport's fault, not
-// a drifted reimplementation of the solve.
+// job" — identically under both transport backends. There is one job,
+// RunJob, over one spec: it obtains the rank's operators from exactly one
+// set-up source (build them here from the partitioned matrix, or adopt the
+// ones a Prepare cached), dresses them for the requested solve and runs one
+// solve of width K. The facade's in-process path calls RunJob directly from
+// goroutine ranks; the multi-process path ships the gob-encoded spec to
+// fsairank worker processes (spawned by Launch, self-hosted by any binary
+// that calls MaybeWorker) whose TCP mesh communicator runs the very same
+// function. One code path on both sides is what makes the cross-backend
+// differential tests meaningful: any divergence in results or meter
+// structure is the transport's fault, not a drifted reimplementation of the
+// solve.
 package mprun
 
 import (
+	"fmt"
+
 	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/experiments"
@@ -18,26 +24,81 @@ import (
 	"fsaicomm/internal/sparse"
 )
 
-// SolveSpec is the full-setup rank job: partitioned matrix in, solution
-// slice out. Every rank receives the same spec (the permuted matrix and
-// right-hand side are small at this reproduction's scale; each rank extracts
-// its own rows) — what varies per rank is only the rank itself.
-type SolveSpec struct {
-	// N is the system dimension; Ranks the world size; Offsets the layout
-	// row offsets (len Ranks+1).
-	N       int
-	Ranks   int
-	Offsets []int
-	// PA and PB are the partition-permuted matrix and right-hand side.
-	PA *sparse.CSR
-	PB []float64
-	// Cfg shapes the preconditioner build; Cfg.Precision also selects the
-	// solve's precision (FP32 runs the iterative-refinement loop).
+// JobSpec is one rank's job: where its operators come from, and the solve to
+// run on them. Exactly one of Build and Adopt is set.
+type JobSpec struct {
+	// Layout is the row distribution; the rank owns rows Layout.Range(rank).
+	Layout *distmat.Layout
+	// Build makes the rank build its operators here, over the communicator —
+	// the set-up then runs (and is metered) on whichever transport the solve
+	// uses.
+	Build *BuildSource
+	// Adopt hands the rank operators a set-up already built: no set-up
+	// communication, SetupNanos 0.
+	Adopt *Operators
+	// K is the solve's width: 0 runs the scalar loops (CG, refined CG,
+	// GMRES), K ≥ 1 the batched CG loops over K interleaved columns — a
+	// 1-wide batch is still the batch loop.
+	K int
+	// B is this rank's rows of the permuted right-hand side: Hi−Lo values,
+	// or for K ≥ 1 the (Hi−Lo)×K block interleaved row-major
+	// (B[i*K+c] = local component i of column c).
+	B []float64
+	// Solve holds the solve-time knobs.
+	Solve SolveParams
+}
+
+// BuildSource is the full set-up: every rank receives the same permuted
+// matrix (small at this reproduction's scale) and extracts its own rows.
+type BuildSource struct {
+	PA  *sparse.CSR
 	Cfg core.Config
-	// Solver knobs (krylov.Options subset; the workspace is per-rank local).
-	// Solver selects the Krylov loop: CG (the FSAI family) or restarted
-	// GMRES with the Restart cycle length (the SPAI method; the adaptive
-	// knobs ride in Cfg).
+}
+
+// HeldOp is one distributed operator as a finished set-up holds it: the
+// localized rows (read-only, shared by concurrent solves) and the halo
+// schedule as plain index lists plus the need-count matrix captured when the
+// plan was built, from which a per-solve topology's node-aware relay
+// schedule is derived with zero extra communication.
+type HeldOp struct {
+	LZ         *distmat.Localized
+	Send, Recv [][]int
+	Counts     []int64
+}
+
+// Hold captures an operator for later adoption. The schedule lists are
+// referenced, not copied; every adopting solve wraps them in a fresh plan
+// with private buffers.
+func Hold(op *distmat.Op) *HeldOp {
+	return &HeldOp{LZ: op.LZ, Send: op.Plan.SendPeers, Recv: op.Plan.RecvPeers, Counts: op.Plan.NeedCounts()}
+}
+
+// op rebuilds the operator under the communicator's topology.
+func (h *HeldOp) op(c *simmpi.Comm) *distmat.Op {
+	plan := distmat.NewHaloPlanFromScheduleTopo(h.Send, h.Recv, h.Counts, c.Rank(), c.Topology())
+	return distmat.NewOpFromParts(h.LZ, plan)
+}
+
+// Operators is one rank's share of a finished set-up: A with the factor
+// pair G/Gᵀ (the CG family) or with the explicit inverse M (SPAI + GMRES);
+// the unused set is nil.
+type Operators struct {
+	A, G, GT, M *HeldOp
+}
+
+// holds reports whether the set carries what the solver applies.
+func (o *Operators) holds(gmres bool) bool {
+	if gmres {
+		return o.A != nil && o.M != nil
+	}
+	return o.A != nil && o.G != nil && o.GT != nil
+}
+
+// SolveParams are the solve-time knobs of a job — everything that shapes
+// the Krylov loop and its communication but not the operators' values.
+type SolveParams struct {
+	// Solver selects the loop: CG (the FSAI family) or restarted GMRES with
+	// cycle length Restart (SPAI).
 	Solver               krylov.Solver
 	Restart              int
 	Tol                  float64
@@ -47,125 +108,105 @@ type SolveSpec struct {
 	ResidualReplaceEvery int
 	// Arch names the cost-model profile ("" = skylake).
 	Arch string
-	// Nodes/RanksPerNode declare the two-level topology (0/0 = flat); when a
-	// multi-rank topology is in play the halo plans aggregate cross-node
-	// traffic per node pair unless NoNodeAggregation keeps the flat per-rank
-	// schedule (the metered baseline the node-aware benchmarks compare to).
-	Nodes, RanksPerNode int
-	NoNodeAggregation   bool
-}
-
-// PreparedRankSpec is the cached-setup rank job: the localized matrix and
-// factor views plus halo schedules built once by Prepare, shipped (or, in
-// process, shared) so the rank pays only the Krylov loop. Unlike SolveSpec
-// it is per-rank: each rank gets exactly its own share.
-type PreparedRankSpec struct {
-	N       int
-	Ranks   int
-	Offsets []int
-	Lo, Hi  int
-	// Localized views (read-only during solves). GLZ/GTLZ carry the FSAI
-	// factor pair for CG solves; MLZ carries the explicit SPAI inverse for
-	// GMRES solves (the unused set is nil).
-	ALZ, GLZ, GTLZ *distmat.Localized
-	MLZ            *distmat.Localized
-	// Halo-plan schedules as plain index lists (see
-	// distmat.NewHaloPlanFromSchedule) plus the need-count matrices captured
-	// at Prepare time, from which a per-solve topology's node-aware relay
-	// schedule is derived with zero extra communication.
-	ASend, ARecv   [][]int
-	GSend, GRecv   [][]int
-	GTSend, GTRecv [][]int
-	MSend, MRecv   [][]int
-	ACounts        []int64
-	GCounts        []int64
-	GTCounts       []int64
-	MCounts        []int64
-	// BLocal is this rank's slice of the permuted right-hand side.
-	BLocal []float64
-	// Informational, for the result assembly.
-	Pct, Imbalance float64
-	// Solver knobs (Solver/Restart as in SolveSpec).
-	Solver               krylov.Solver
-	Restart              int
-	Tol                  float64
-	MaxIter              int
-	Variant              krylov.CGVariant
-	Trace                bool
-	ResidualReplaceEvery int
-	Arch                 string
-	// Precision selects the solve's value width: FP32 narrows the shipped
-	// factor views locally and runs the iterative-refinement loop.
+	// Precision FP32 narrows the factor operators, adds a float32 twin of A
+	// and runs the FP64 iterative-refinement loop around the CG solve.
 	Precision krylov.Precision
-	// Per-solve topology (see SolveSpec): a cached prepared system can be
-	// solved under any node grouping without redoing the setup exchange.
+	// Nodes/RanksPerNode declare the two-level topology (0/0 = flat); under
+	// a multi-rank topology the halo plans aggregate cross-node traffic per
+	// node pair unless NoNodeAggregation keeps the flat per-rank schedule
+	// (the metered baseline the node-aware benchmarks compare to).
 	Nodes, RanksPerNode int
 	NoNodeAggregation   bool
-}
-
-// JobSpec is the envelope a worker process receives: exactly one of the
-// job kinds is set.
-type JobSpec struct {
-	Solve         *SolveSpec
-	Prepared      *PreparedRankSpec
-	SolveBatch    *SolveBatchSpec
-	PreparedBatch *PreparedBatchSpec
 }
 
 // Topology resolves the job's declared node grouping against the world
 // size. The zero declaration yields the zero (flat) topology, keeping every
 // pre-topology meter reading bit-identical.
 func (j *JobSpec) Topology(size int) (simmpi.Topology, error) {
-	var nodes, rpn int
-	switch {
-	case j.Solve != nil:
-		nodes, rpn = j.Solve.Nodes, j.Solve.RanksPerNode
-	case j.Prepared != nil:
-		nodes, rpn = j.Prepared.Nodes, j.Prepared.RanksPerNode
-	case j.SolveBatch != nil:
-		nodes, rpn = j.SolveBatch.Nodes, j.SolveBatch.RanksPerNode
-	case j.PreparedBatch != nil && j.PreparedBatch.Prepared != nil:
-		nodes, rpn = j.PreparedBatch.Prepared.Nodes, j.PreparedBatch.Prepared.RanksPerNode
-	}
-	if nodes == 0 && rpn == 0 {
+	if j.Solve.Nodes == 0 && j.Solve.RanksPerNode == 0 {
 		return simmpi.Topology{}, nil
 	}
-	return simmpi.ResolveTopology(size, nodes, rpn)
+	return simmpi.ResolveTopology(size, j.Solve.Nodes, j.Solve.RanksPerNode)
+}
+
+// ForRank returns rank's copy of a job template: the same job with B cut to
+// the rank's rows of pb, the whole permuted right-hand side (interleaved for
+// K ≥ 1).
+func (j JobSpec) ForRank(rank int, pb []float64) *JobSpec {
+	lo, hi := j.Layout.Range(rank)
+	k := max(j.K, 1)
+	j.B = pb[lo*k : hi*k]
+	return &j
+}
+
+// check rejects a malformed spec before anything indexes into it, so a bad
+// spec is an error on the sim path and in a worker's report, never a crash.
+func (j *JobSpec) check(rank, size int) error {
+	if j == nil || j.Layout == nil {
+		return fmt.Errorf("mprun: empty job spec (no layout)")
+	}
+	if err := j.Layout.Validate(); err != nil {
+		return fmt.Errorf("mprun: job spec: %w", err)
+	}
+	if j.Layout.NRanks() != size {
+		return fmt.Errorf("mprun: job spec lays out %d ranks, world has %d", j.Layout.NRanks(), size)
+	}
+	if (j.Build == nil) == (j.Adopt == nil) {
+		return fmt.Errorf("mprun: job spec must name exactly one set-up source (build here or adopt)")
+	}
+	gmres := j.Solve.Solver == krylov.SolverGMRES
+	switch {
+	case j.Build != nil && (j.Build.PA == nil || (j.Build.Cfg.Method == core.SPAI) != gmres):
+		return fmt.Errorf("mprun: build source needs a matrix and a method the %v solver applies (SPAI with GMRES, the FSAI family with CG)", j.Solve.Solver)
+	case j.Adopt != nil && !j.Adopt.holds(gmres):
+		return fmt.Errorf("mprun: adopted operators do not hold what a %v solve needs", j.Solve.Solver)
+	case gmres && (j.K > 0 || j.Solve.Variant != krylov.CGClassic || j.Solve.Precision == krylov.FP32):
+		return fmt.Errorf("mprun: GMRES runs one FP64 right-hand side on the classic blocking schedule (K = %d, variant %v, precision %v)", j.K, j.Solve.Variant, j.Solve.Precision)
+	case j.K < 0:
+		return fmt.Errorf("mprun: solve width K = %d is negative", j.K)
+	}
+	if want := j.Layout.LocalSize(rank) * max(j.K, 1); len(j.B) != want {
+		return fmt.Errorf("mprun: rank %d right-hand side has %d values, want %d", rank, len(j.B), want)
+	}
+	return nil
 }
 
 // RankOutcome is what one rank's job reports back. The facade assembles the
-// caller-facing Result from the full outcome set; the multi-process launcher
+// caller-facing result from the full outcome set; the multi-process launcher
 // gob-ships outcomes from the workers.
 type RankOutcome struct {
 	Rank   int
 	Lo, Hi int
-	// XLocal is the rank's slice of the (possibly partial) solution.
+	// XLocal is the rank's slice of the (possibly partial) solution; for a
+	// batched job the interleaved (Hi−Lo)×K block.
 	XLocal []float64
 	// Solver statistics (meaningful on rank 0, which runs the canonical
-	// residual recurrence; other ranks agree by construction).
+	// residual recurrence; other ranks agree by construction). For a
+	// batched job Iterations is the batch loop's count (the maximum over
+	// columns) and Converged/RelResidual stay zero: see Batch.
 	Iterations  int
 	Converged   bool
 	RelResidual float64
-	// Canceled reports that the CG loop stopped on a context verdict.
+	// Canceled reports that the loop stopped on a context verdict.
 	Canceled bool
-	// Broken reports a solver breakdown (NaN/Inf recurrence or non-SPD
-	// curvature): the loop stopped early, XLocal is the partial iterate.
+	// Broken reports a scalar solver breakdown (NaN/Inf recurrence or
+	// non-SPD curvature): the loop stopped early, XLocal is the partial
+	// iterate. A batched job freezes broken columns one by one instead
+	// (Batch.Broken).
 	Broken bool
 	// Refinements counts the FP64 iterative-refinement steps of a
 	// mixed-precision solve (0 for FP64 solves); Iterations then counts the
 	// total inner iterations across all steps.
 	Refinements int
-	// Pct and Imbalance are the build metrics (rank 0 only; zero for
-	// prepared jobs, whose metrics ride in the spec).
+	// Pct and Imbalance are the build metrics (rank 0 of a build-here job
+	// only; whoever cached adopted operators already knows them).
 	Pct, Imbalance float64
 	// Trace is the rank's telemetry when the spec asked for it (rank 0).
 	Trace *krylov.IterTrace
 	// Batch carries the per-column outcomes of a batched job (nil for
-	// scalar jobs). For batched jobs XLocal is the rank's interleaved
-	// (Hi−Lo)×K solution block and Iterations the batch loop's iteration
-	// count (the maximum over columns).
+	// scalar jobs).
 	Batch *BatchOutcome
-	// Cost is the rank's modeled per-iteration cost inputs.
+	// Cost is the rank's modeled per-iteration cost inputs (scalar jobs).
 	Cost experiments.IterCostInputs
 	// SetupComm and SolveComm are this rank's metered traffic in the two
 	// phases, taken as RankSnapshot deltas. Summed over ranks they give the
@@ -173,4 +214,29 @@ type RankOutcome struct {
 	SetupComm, SolveComm simmpi.Snapshot
 	// SetupNanos and SolveNanos are the rank's wall-clock phase durations.
 	SetupNanos, SolveNanos int64
+}
+
+// BatchOutcome is the per-column solver outcome of a batched rank job.
+type BatchOutcome struct {
+	K           int
+	Iterations  []int
+	Converged   []bool
+	RelResidual []float64
+	Broken      []bool
+}
+
+func newBatchOutcome(bs krylov.BatchStats) *BatchOutcome {
+	o := &BatchOutcome{
+		K:           bs.K,
+		Iterations:  make([]int, bs.K),
+		Converged:   make([]bool, bs.K),
+		RelResidual: make([]float64, bs.K),
+		Broken:      append([]bool(nil), bs.Broken...),
+	}
+	for c := range bs.Cols {
+		o.Iterations[c] = bs.Cols[c].Iterations
+		o.Converged[c] = bs.Cols[c].Converged
+		o.RelResidual[c] = bs.Cols[c].RelResidual
+	}
+	return o
 }

@@ -95,7 +95,7 @@ func workerMain() error {
 	if err := dec.Decode(&first); err != nil {
 		return fmt.Errorf("rank %d waiting for job: %w", rank, err)
 	}
-	if first.Start == nil {
+	if first.Start == nil || first.Start.Job == nil {
 		return fmt.Errorf("rank %d: first coordinator message carries no job", rank)
 	}
 	start := first.Start
@@ -133,7 +133,7 @@ func workerMain() error {
 		return err
 	}
 	c := simmpi.NewComm(ep, simmpi.NewMeterTopo(size, topo), start.Timeout)
-	out, jobErr := RunJob(ctx, c, start.Job)
+	out, jobErr := RunJob(ctx, c, start.Job, nil)
 	if jobErr == nil {
 		// The job's final iteration may have posted nonblocking sends whose
 		// chain goroutines are still flushing; exiting the process before

@@ -318,6 +318,10 @@ func TestSolveValidation(t *testing.T) {
 		{"bad method", solveRequest{Matrix: mr.Matrix, Method: "ilu"}, 400, "method"},
 		{"bad cg", solveRequest{Matrix: mr.Matrix, CG: "gmres"}, 400, "variant"},
 		{"bad partitioner", solveRequest{Matrix: mr.Matrix, Partitioner: "metis"}, 400, "partitioner"},
+		// A rank count is a resource request (ranks² channels, or one process
+		// each): 5000 must be refused, not attempted.
+		{"too many ranks", map[string]any{"matrix": mr.Matrix, "ranks": 5000}, 400, "Ranks"},
+		{"too many tcp ranks", solveRequest{Matrix: mr.Matrix, Ranks: 5000, Transport: "tcp"}, 400, "Ranks"},
 		{"missing matrix", solveRequest{}, 400, "matrix"},
 		{"unknown matrix", solveRequest{Matrix: strings.Repeat("0", 32)}, 404, "unknown matrix"},
 		{"wrong rhs length", solveRequest{Matrix: mr.Matrix, RHS: []float64{1, 2, 3}}, 400, "rhs length"},
@@ -339,6 +343,14 @@ func TestSolveValidation(t *testing.T) {
 	m := getMetrics(t, ts.URL)
 	if m.Jobs.Completed != 0 {
 		t.Fatalf("validation requests completed jobs: %d", m.Jobs.Completed)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz after the refused requests: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("healthz after the refused requests: %d", resp.StatusCode)
 	}
 }
 

@@ -122,6 +122,12 @@ func decodeP2P(body []byte) (simmpi.Payload, error) {
 	}
 	typ := body[8]
 	n := int(binary.LittleEndian.Uint32(body[9:]))
+	// The encoder writes empty payloads untyped and nothing else, so a frame
+	// has one spelling and a decoded payload re-encodes to the bytes it came
+	// from.
+	if (typ == typNone) != (n == 0) {
+		return simmpi.Payload{}, fmt.Errorf("tcpmpi: p2p frame type %d with %d values", typ, n)
+	}
 	data := body[13:]
 	want := 8 * n
 	if typ == typF32 {
@@ -179,7 +185,7 @@ func encodeColl(p simmpi.CollPayload) []byte {
 
 func decodeColl(body []byte) (simmpi.CollPayload, error) {
 	bad := func() (simmpi.CollPayload, error) {
-		return simmpi.CollPayload{}, fmt.Errorf("tcpmpi: truncated collective frame (%d bytes)", len(body))
+		return simmpi.CollPayload{}, fmt.Errorf("tcpmpi: truncated or overlong collective frame (%d bytes left)", len(body))
 	}
 	if len(body) < 1 {
 		return bad()
@@ -216,7 +222,7 @@ func decodeColl(body []byte) (simmpi.CollPayload, error) {
 		return bad()
 	}
 	ints, ok := vec()
-	if !ok {
+	if !ok || len(body) != 0 {
 		return bad()
 	}
 	// Mirror the channel backend's nil-for-empty contributions so reduced

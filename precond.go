@@ -52,7 +52,7 @@ func BuildPreconditioner(a *Matrix, opt Options) (*Preconditioner, error) {
 	opt = opt.withDefaults(a.Rows)
 	t0 := time.Now()
 	if opt.Method == SPAI {
-		m, pct, err := core.BuildSerialSPAI(a, spaiConfig(opt))
+		m, pct, err := core.BuildSerialSPAI(a, buildConfig(opt))
 		if err != nil {
 			return nil, err
 		}

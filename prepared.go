@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
@@ -62,30 +61,27 @@ func (o SolveOptions) Validate() error {
 	if o.Restart < 0 {
 		return fmt.Errorf("%w: Restart %d is negative (0 keeps the Prepare-time value)", ErrInvalidOptions, o.Restart)
 	}
-	return Options{
-		Tol:                  o.Tol,
-		MaxIter:              o.MaxIter,
-		CGVariant:            o.CGVariant,
-		Arch:                 o.Arch,
-		ResidualReplaceEvery: o.ResidualReplaceEvery,
-		Transport:            o.Transport,
-		Nodes:                o.Nodes,
-		RanksPerNode:         o.RanksPerNode,
-		NoNodeAggregation:    o.NoNodeAggregation,
-	}.Validate()
+	return o.over(Options{}).Validate()
 }
 
-// prepRank is one rank's share of a prepared system: the localized matrix
-// and factor views (read-only during solves, shared by every solve) and the
-// halo-plan schedules (cloned per solve; only their send buffers are
-// mutable). CG systems carry the g/gt factor pair, GMRES systems the m
-// inverse; the other set is nil.
-type prepRank struct {
-	lo, hi               int
-	aLZ, gLZ, gtLZ       *distmat.Localized
-	mLZ                  *distmat.Localized
-	aPlan, gPlan, gtPlan *distmat.HaloPlan
-	mPlan                *distmat.HaloPlan
+// over returns setup with the per-solve knobs replaced by o's — the options
+// of one solve on a system set up with setup. A zero Tol or MaxIter means
+// the default, not the Prepare-time value; only Restart inherits.
+func (o SolveOptions) over(setup Options) Options {
+	setup.Tol = o.Tol
+	setup.MaxIter = o.MaxIter
+	setup.CGVariant = o.CGVariant
+	if o.Restart > 0 {
+		setup.Restart = o.Restart
+	}
+	setup.Arch = o.Arch
+	setup.Trace = o.Trace
+	setup.ResidualReplaceEvery = o.ResidualReplaceEvery
+	setup.Transport = o.Transport
+	setup.Nodes = o.Nodes
+	setup.RanksPerNode = o.RanksPerNode
+	setup.NoNodeAggregation = o.NoNodeAggregation
+	return setup
 }
 
 // Prepared is a fully set-up distributed system: partition, permutation,
@@ -102,11 +98,14 @@ type Prepared struct {
 	setupOpt  Options // canonicalized setup options (informational)
 	layout    *distmat.Layout
 	oldToNew  []int
-	parts     []prepRank
 	pct       float64
 	imbalance float64
 	setup     time.Duration
 	phases    SetupPhases
+	// parts holds, per rank, the localized matrix and factor views
+	// (read-only, shared by every solve) and the halo schedules (each solve
+	// wraps them in plans with private buffers).
+	parts []mprun.Operators
 	// pools hold per-rank krylov workspaces so steady-state solves allocate
 	// only the solution vector. Indexed by rank: concurrent solves share the
 	// pools, but a workspace is only ever used by one rank goroutine at a
@@ -127,9 +126,6 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 	}
 	opt = opt.withDefaults(a.Rows)
 	ranks := AutoRanks(a, opt.Ranks)
-	if ranks < 1 {
-		return nil, fmt.Errorf("fsaicomm: ranks %d < 1", ranks)
-	}
 	opt.Ranks = ranks
 
 	var phases SetupPhases
@@ -143,32 +139,17 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 	pa, layout, oldToNew := distmat.ApplyPartition(a, part, ranks)
 	phases.Permute = time.Since(t0)
 
-	cfg := core.Config{
-		Method:       opt.Method,
-		Filter:       opt.Filter,
-		Strategy:     opt.Strategy,
-		LineBytes:    opt.LineBytes,
-		PatternLevel: opt.PatternLevel,
-		Threshold:    opt.Threshold,
-		Workers:      opt.Workers,
-		SPAISteps:    opt.SPAISteps,
-		SPAIAdd:      opt.SPAIAdd,
-		SPAIEpsilon:  opt.SPAIEpsilon,
-		// The CG variant is chosen per solve; overlap views are built
-		// lazily (and locally) on the per-solve operators, so the setup
-		// builds the blocking schedule only. Precision is likewise applied
-		// per solve (the rank job narrows its private operators; the float32
-		// value view is cached on the shared Localized), so the build stays
-		// the plain FP64 one.
-		CGVariant: CGClassic,
-	}
+	// The build is the plain FP64 one in the blocking schedule: variant and
+	// precision are chosen per solve, and the rank job dresses its private
+	// operators for them without communication.
+	cfg := buildConfig(opt)
 	p := &Prepared{
 		n:        a.Rows,
 		ranks:    ranks,
 		setupOpt: opt,
 		layout:   layout,
 		oldToNew: oldToNew,
-		parts:    make([]prepRank, ranks),
+		parts:    make([]mprun.Operators, ranks),
 		pools:    make([]sync.Pool, ranks),
 	}
 	rankPhases := make([]core.SetupPhases, ranks)
@@ -184,14 +165,13 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 		aOp := distmat.NewOp(c, layout, lo, hi, aRows)
 		bd.Phases.HaloPlans += time.Since(tOp)
 		rankPhases[c.Rank()] = bd.Phases
-		pr := prepRank{lo: lo, hi: hi, aLZ: aOp.LZ, aPlan: aOp.Plan}
+		held := mprun.Operators{A: mprun.Hold(aOp)}
 		if opt.Method == SPAI {
-			pr.mLZ, pr.mPlan = bd.MOp.LZ, bd.MOp.Plan
+			held.M = mprun.Hold(bd.MOp)
 		} else {
-			pr.gLZ, pr.gtLZ = bd.GOp.LZ, bd.GTOp.LZ
-			pr.gPlan, pr.gtPlan = bd.GOp.Plan, bd.GTOp.Plan
+			held.G, held.GT = mprun.Hold(bd.GOp), mprun.Hold(bd.GTOp)
 		}
-		p.parts[c.Rank()] = pr
+		p.parts[c.Rank()] = held
 		if c.Rank() == 0 {
 			p.pct = bd.PctNNZIncrease
 			p.imbalance = bd.ImbalanceIndex
@@ -246,22 +226,23 @@ func (p *Prepared) Options() Options { return p.setupOpt }
 // byte-budget accounting. It ignores small fixed overheads.
 func (p *Prepared) SizeBytes() int64 {
 	var total int64
-	lzBytes := func(lz *distmat.Localized) int64 {
-		if lz == nil {
-			return 0
-		}
-		return 8 * int64(len(lz.M.RowPtr)+len(lz.M.ColIdx)+len(lz.M.Val)+len(lz.Halo))
-	}
-	planBytes := func(pl *distmat.HaloPlan) int64 {
-		if pl == nil {
-			return 0
-		}
-		return 8 * int64(pl.SendCount()+pl.RecvCount()+len(pl.SendPeerIDs())+len(pl.RecvPeerIDs()))
-	}
 	for i := range p.parts {
 		r := &p.parts[i]
-		total += lzBytes(r.aLZ) + lzBytes(r.gLZ) + lzBytes(r.gtLZ) + lzBytes(r.mLZ)
-		total += planBytes(r.aPlan) + planBytes(r.gPlan) + planBytes(r.gtPlan) + planBytes(r.mPlan)
+		for _, h := range []*mprun.HeldOp{r.A, r.G, r.GT, r.M} {
+			if h == nil {
+				continue
+			}
+			words := len(h.LZ.M.RowPtr) + len(h.LZ.M.ColIdx) + len(h.LZ.M.Val) + len(h.LZ.Halo)
+			// A schedule costs its index lists plus one peer id per non-empty list.
+			for _, lists := range [][][]int{h.Send, h.Recv} {
+				for _, l := range lists {
+					if len(l) > 0 {
+						words += len(l) + 1
+					}
+				}
+			}
+			total += 8 * int64(words)
+		}
 	}
 	total += 8 * int64(len(p.oldToNew))
 	return total
@@ -282,101 +263,31 @@ func (p *Prepared) Solve(ctx context.Context, b []float64, so SolveOptions) (*Re
 	if len(b) != p.n {
 		return nil, fmt.Errorf("fsaicomm: rhs length %d, want %d", len(b), p.n)
 	}
-	if so.Tol == 0 {
-		so.Tol = 1e-8
-	}
-	if so.MaxIter == 0 {
-		so.MaxIter = 10 * p.n
-		if so.MaxIter < 100 {
-			so.MaxIter = 100
-		}
-	}
-	prof := archmodel.Skylake
-	if so.Arch != "" {
-		var err error
-		if prof, err = archmodel.ByName(so.Arch); err != nil {
-			return nil, fmt.Errorf("fsaicomm: %w", err)
-		}
-	}
-	topo, err := resolveTopology(p.ranks, so.Nodes, so.RanksPerNode)
-	if err != nil {
-		return nil, err
-	}
-
-	gmres := p.setupOpt.Solver == SolverGMRES
-	if gmres && so.CGVariant != CGClassic {
+	if p.setupOpt.Solver == SolverGMRES && so.CGVariant != CGClassic {
 		return nil, fmt.Errorf("%w: this system was prepared for SPAI+GMRES, which has only the classic blocking schedule", ErrInvalidOptions)
 	}
-	restart := p.setupOpt.Restart
-	if so.Restart > 0 {
-		restart = so.Restart
-	}
-	pb := distmat.PermuteVec(b, p.oldToNew)
-	specs := make([]*mprun.PreparedRankSpec, p.ranks)
-	for r := range specs {
-		pr := &p.parts[r]
-		spec := &mprun.PreparedRankSpec{
-			N: p.n, Ranks: p.ranks, Offsets: p.layout.Offsets,
-			Lo: pr.lo, Hi: pr.hi,
-			ALZ: pr.aLZ,
-			// The schedules are read-only [][]int views; the rank job wraps
-			// them in a fresh HaloPlan with private send buffers, which is
-			// what Clone used to provide. The need counts captured at Prepare
-			// time let a declared topology rebuild the node-aware relay
-			// schedule locally.
-			ASend: pr.aPlan.SendPeers, ARecv: pr.aPlan.RecvPeers,
-			ACounts:              pr.aPlan.NeedCounts(),
-			BLocal:               pb[pr.lo:pr.hi],
-			Pct:                  p.pct,
-			Imbalance:            p.imbalance,
-			Solver:               p.setupOpt.Solver,
-			Restart:              restart,
-			Tol:                  so.Tol,
-			MaxIter:              so.MaxIter,
-			Variant:              so.CGVariant,
-			Trace:                so.Trace,
-			ResidualReplaceEvery: so.ResidualReplaceEvery,
-			Arch:                 so.Arch,
-			Precision:            p.setupOpt.Precision,
-			Nodes:                topo.Nodes,
-			RanksPerNode:         topo.RanksPerNode,
-			NoNodeAggregation:    so.NoNodeAggregation,
-		}
-		if gmres {
-			spec.MLZ = pr.mLZ
-			spec.MSend, spec.MRecv = pr.mPlan.SendPeers, pr.mPlan.RecvPeers
-			spec.MCounts = pr.mPlan.NeedCounts()
-		} else {
-			spec.GLZ, spec.GTLZ = pr.gLZ, pr.gtLZ
-			spec.GSend, spec.GRecv = pr.gPlan.SendPeers, pr.gPlan.RecvPeers
-			spec.GTSend, spec.GTRecv = pr.gtPlan.SendPeers, pr.gtPlan.RecvPeers
-			spec.GCounts, spec.GTCounts = pr.gPlan.NeedCounts(), pr.gtPlan.NeedCounts()
-		}
-		specs[r] = spec
-	}
-
-	var outs []*mprun.RankOutcome
-	if so.Transport == "tcp" {
-		// The worker processes receive the localized factors over the wire;
-		// their workspaces are fresh per process, so the pools stay local.
-		outs, err = mprun.Launch(ctx, p.ranks, time.Hour, func(rank int) *mprun.JobSpec {
-			return &mprun.JobSpec{Prepared: specs[rank]}
-		})
-	} else {
-		outs = make([]*mprun.RankOutcome, p.ranks)
-		_, err = simmpi.RunTopo(p.ranks, time.Hour, topo, func(c *simmpi.Comm) error {
-			ws := p.pools[c.Rank()].Get().(*krylov.Workspace)
-			defer p.pools[c.Rank()].Put(ws)
-			out, err := mprun.RunPreparedRank(ctx, c, specs[c.Rank()], ws)
-			if err != nil {
-				return err
-			}
-			outs[c.Rank()] = out
-			return nil
-		})
-	}
+	f, err := p.run(ctx, [][]float64{b}, 0, so, p.pools)
 	if err != nil {
 		return nil, err
 	}
-	return assembleDistResult(p.n, p.ranks, prof, so.CGVariant, p.oldToNew, outs, p.pct, p.imbalance)
+	return f.result()
+}
+
+// run is the cached-set-up path behind Solve (k = 0) and SolveBatch
+// (k = len(rhs)): one rank job per rank that adopts the operators Prepare
+// holds and solves under so. The worker processes of a tcp solve receive
+// the held operators over the wire and start with fresh workspaces, so pools
+// only ever serve sim ranks.
+func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOptions, pools []sync.Pool) (*rankFold, error) {
+	sp, err := solveParams(so.over(p.setupOpt).withDefaults(p.n), p.ranks)
+	if err != nil {
+		return nil, err
+	}
+	job := mprun.JobSpec{Layout: p.layout, K: k, Solve: sp}
+	f, err := runRanks(ctx, so.Transport, job, p.parts, pools, rhs, p.oldToNew)
+	if err != nil {
+		return nil, err
+	}
+	f.pct, f.imb = p.pct, p.imbalance
+	return f, nil
 }

@@ -21,6 +21,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"nan tol", Options{Tol: math.NaN()}, "Tol"},
 		{"negative maxiter", Options{MaxIter: -5}, "MaxIter"},
 		{"negative ranks", Options{Ranks: -2}, "Ranks"},
+		{"most ranks allowed", Options{Ranks: MaxRanks}, ""},
+		{"too many ranks", Options{Ranks: MaxRanks + 1}, "Ranks"},
 		{"negative filter", Options{Filter: -0.1}, "Filter"},
 		{"negative linebytes", Options{LineBytes: -64}, "LineBytes"},
 		{"negative pattern level", Options{PatternLevel: -1}, "PatternLevel"},
@@ -100,9 +102,24 @@ func TestParseMethod(t *testing.T) {
 func TestPreparedMatchesSolveDistributed(t *testing.T) {
 	a := GenerateElasticity2D(9, 9, 3)
 	b := GenerateRHS(a, 4)
-	opt := Options{Method: FSAIEComm, Filter: 0.01, Ranks: 3}
-	for _, v := range []CGVariant{CGClassic, CGFused, CGPipelined} {
-		opt.CGVariant = v
+	fsaie := Options{Method: FSAIEComm, Filter: 0.01, Ranks: 3}
+	cases := []struct {
+		name string
+		base Options
+		set  func(o *Options)
+	}{
+		{"classic", fsaie, func(o *Options) {}},
+		{"fused", fsaie, func(o *Options) { o.CGVariant = CGFused }},
+		{"pipelined", fsaie, func(o *Options) { o.CGVariant = CGPipelined }},
+		{"classic-overlap", fsaie, func(o *Options) { o.CGVariant = CGClassicOverlap }},
+		{"fp32", fsaie, func(o *Options) { o.Precision = FP32 }},
+		{"2 nodes", fsaie, func(o *Options) { o.Ranks, o.Nodes = 4, 2 }},
+		{"2 nodes unaggregated", fsaie, func(o *Options) { o.Ranks, o.Nodes, o.NoNodeAggregation = 4, 2, true }},
+		{"spai+gmres", Options{Method: SPAI, Solver: SolverGMRES, SPAISteps: 1, Ranks: 3}, func(o *Options) {}},
+	}
+	for _, tc := range cases {
+		v, opt := tc.name, tc.base
+		tc.set(&opt)
 		ref, err := SolveDistributed(a, b, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
@@ -111,7 +128,8 @@ func TestPreparedMatchesSolveDistributed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: Prepare: %v", v, err)
 		}
-		got, err := p.Solve(context.Background(), b, SolveOptions{CGVariant: v})
+		got, err := p.Solve(context.Background(), b, SolveOptions{CGVariant: opt.CGVariant,
+			Nodes: opt.Nodes, NoNodeAggregation: opt.NoNodeAggregation})
 		if err != nil {
 			t.Fatalf("%v: Prepared.Solve: %v", v, err)
 		}

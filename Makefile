@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 tier2 bench fuzz trace serve mp batch nodeaware spai cover
+.PHONY: all tier1 tier2 bench bce fuzz trace serve mp batch nodeaware spai cover
 
 all: tier1
 
@@ -52,6 +52,23 @@ bench:
 	$(GO) run ./cmd/fsaibench -exp nodeawarejson -out BENCH_nodeaware.json
 	$(GO) run ./cmd/fsaibench -exp mixedjson -transport both -out BENCH_mixed.json
 	$(GO) run ./cmd/fsaibench -exp spaijson -transport both -out BENCH_spai.json
+
+# bce: keep the bounds checks out of the product kernels. Builds the two
+# packages that inline them with the compiler's check_bce pass, prints every
+# check left in rowkernel.go and fails if one sits on an inner-loop line
+# (marked "// bce:inner" in the source) that is not a gather from x (marked
+# "// bce:inner gather") — the one access per entry whose index is data.
+bce:
+	@out="$$($(GO) build -gcflags='-d=ssa/check_bce/debug=1' ./internal/sparse/ ./internal/distmat/ 2>&1)" \
+		|| { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep 'rowkernel\.go' | sort -u | awk -F: ' \
+		NR == FNR { if (/bce:inner/) { inner[FNR] = 1; marked++ } if (/bce:inner gather/) gather[FNR] = 1; next } \
+		{ where = "setup"; if (inner[$$2]) where = gather[$$2] ? "gather" : "INNER LOOP"; \
+		  print $$0 "  [" where "]"; if (where == "INNER LOOP") bad++ } \
+		END { if (!marked) { print "bce: no bce:inner lines in rowkernel.go"; exit 1 } \
+		      if (bad) { print "bce: " bad " bounds check(s) inside a product loop"; exit 1 } \
+		      print "bce: " marked " inner-loop lines, only the gathers are checked" }' \
+		internal/sparse/rowkernel.go -
 
 # trace: emit a sample per-iteration telemetry artifact — the consph-sim
 # catalog instance solved with pipelined CG on 4 ranks, per-iteration
@@ -146,16 +163,18 @@ mp:
 cover:
 	$(GO) test -cover ./...
 
-# fuzz: short exploration of each sparse-format fuzz target, the dense QR
-# least-squares kernel behind SPAI, and the three decoders of the socket
-# transport that face bytes another process wrote (seeds already run under
-# plain `go test`).
+# fuzz: short exploration of each sparse-format fuzz target and the product
+# kernels, the dense QR least-squares kernel behind SPAI, the three decoders
+# of the socket transport that face bytes another process wrote, and the
+# /solve request decoder (seeds already run under plain `go test`).
 fuzz:
 	$(GO) test -fuzz FuzzCSRValidate -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzCOOToCSR -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzReadMatrixMarket -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzCSR32RoundTrip -fuzztime 30s ./internal/sparse/
+	$(GO) test -fuzz FuzzRowKernels -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzQRLeastSquares -fuzztime 30s ./internal/dense/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzDecodeP2P -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzDecodeColl -fuzztime 30s ./internal/tcpmpi/
+	$(GO) test -fuzz FuzzSolveRequest -fuzztime 30s ./internal/serve/

@@ -655,3 +655,79 @@ func BenchmarkTransposeDist50k(b *testing.B) {
 		}
 	}
 }
+
+// ---- Warm-path benchmarks ----
+//
+// The warm-sim and batch-coalesce workloads of the repo benchmark re-solve
+// this 37³ system (2 ranks, fsaie-comm, default filter) from a cached
+// Prepare. BenchmarkRowKernel50k times the product kernels alone on rank
+// 0's three operators and reports ns per stored entry (per column for the
+// k-wide products); the two solve benches time the whole in-process request
+// under them. Together they are a before/after that needs no server; names
+// contain "50k" so `make bench` picks them up.
+
+func prepareWarm50k(b *testing.B) (*Matrix, *Prepared) {
+	a := matgen.Poisson3D(37, 37, 37)
+	p, err := Prepare(a, Options{Method: FSAIEComm, Ranks: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a, p
+}
+
+func BenchmarkRowKernel50k(b *testing.B) {
+	_, p := prepareWarm50k(b)
+	r0 := p.parts[0]
+	for _, o := range []struct {
+		name string
+		lz   *distmat.Localized
+	}{{"A", r0.A.LZ}, {"G", r0.G.LZ}, {"GT", r0.GT.LZ}} {
+		m, m32 := o.lz.M, o.lz.M32()
+		x := make([]float64, 2*m.Cols)
+		for i := range x {
+			x[i] = float64(i%7) - 3
+		}
+		y := make([]float64, 2*m.Rows)
+		for _, kc := range []struct {
+			name string
+			cols int
+			mul  func()
+		}{
+			{"f64", 1, func() { m.MulVec(x[:m.Cols], y[:m.Rows]) }},
+			{"f32", 1, func() { m32.MulVec(x[:m.Cols], y[:m.Rows]) }},
+			{"k2", 2, func() { m.MulMatCols(x, y, 2, nil) }},
+			{"k1batch", 1, func() { m.MulMatCols(x[:m.Cols], y[:m.Rows], 1, nil) }},
+		} {
+			b.Run(o.name+"/"+kc.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kc.mul()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*kc.cols*m.NNZ()), "ns/entry")
+			})
+		}
+	}
+}
+
+func BenchmarkPreparedSolve50k(b *testing.B) {
+	a, p := prepareWarm50k(b)
+	rhs := GenerateRHS(a, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := p.Solve(context.Background(), rhs, SolveOptions{})
+		if err != nil || !res.Converged {
+			b.Fatalf("converged=%v err=%v", res != nil && res.Converged, err)
+		}
+	}
+}
+
+func BenchmarkPreparedSolveBatch2_50k(b *testing.B) {
+	a, p := prepareWarm50k(b)
+	rhs := [][]float64{GenerateRHS(a, 1), GenerateRHS(a, 2)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br, err := p.SolveBatch(context.Background(), rhs, SolveOptions{})
+		if err != nil || !br.AllConverged() {
+			b.Fatalf("err=%v", err)
+		}
+	}
+}

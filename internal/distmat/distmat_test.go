@@ -705,6 +705,10 @@ func TestExchangePayloadSizeMismatchPanics(t *testing.T) {
 	}
 }
 
+// The overlap schedule (interior rows, then boundary rows, through the row
+// kernel) against the blocking Op.MulVec and against the indexed loop over
+// the localized rows, bit for bit, in both precisions; and against the
+// serial product within rounding (the localized column order differs).
 func TestOverlapMatchesBlocking(t *testing.T) {
 	a := grid2d(9, 9)
 	n := a.Rows
@@ -717,37 +721,62 @@ func TestOverlapMatchesBlocking(t *testing.T) {
 	a.MulVec(x, want)
 	nranks := 4
 	l := NewUniformLayout(n, nranks)
-	got := make([]float64, n)
-	interiorNNZ := make([]int, nranks) // per-rank slot: ranks run concurrently
-	_, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
-		lo, hi := l.Range(c.Rank())
-		op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
-		ov := NewOverlapOp(op)
-		// Every local row is in exactly one class.
-		if len(ov.Interior)+len(ov.Boundary) != hi-lo {
-			return fmt.Errorf("rank %d: class split covers %d of %d rows",
-				c.Rank(), len(ov.Interior)+len(ov.Boundary), hi-lo)
+	for _, f32 := range []bool{false, true} {
+		got := make([]float64, n)
+		interiorNNZ := make([]int, nranks) // per-rank slot: ranks run concurrently
+		_, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
+			lo, hi := l.Range(c.Rank())
+			op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
+			op.SetF32(f32)
+			ov := NewOverlapOp(op)
+			// Every local row is in exactly one class.
+			if len(ov.Interior)+len(ov.Boundary) != hi-lo {
+				return fmt.Errorf("rank %d: class split covers %d of %d rows",
+					c.Rank(), len(ov.Interior)+len(ov.Boundary), hi-lo)
+			}
+			scratch := NewDistVec(op.LZ)
+			blocking := make([]float64, hi-lo)
+			op.MulVec(c, x[lo:hi], blocking, scratch, nil)
+			y := make([]float64, hi-lo)
+			ov.MulVecOverlap(c, x[lo:hi], y, scratch, nil)
+			m, m32 := op.LZ.M, op.LZ.M32()
+			for li := range y {
+				sum := 0.0
+				for k := m.RowPtr[li]; k < m.RowPtr[li+1]; k++ {
+					if f32 {
+						sum += float64(m32.Val[k]) * scratch.Ext[m.ColIdx[k]]
+					} else {
+						sum += m.Val[k] * scratch.Ext[m.ColIdx[k]]
+					}
+				}
+				if y[li] != blocking[li] || y[li] != sum {
+					return fmt.Errorf("rank %d f32=%v row %d: overlap %v, blocking %v, indexed loop %v",
+						c.Rank(), f32, li, y[li], blocking[li], sum)
+				}
+			}
+			copy(got[lo:hi], y)
+			interiorNNZ[c.Rank()] = ov.InteriorNNZ()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		y := make([]float64, hi-lo)
-		ov.MulVecOverlap(c, x[lo:hi], y, NewDistVec(op.LZ), nil)
-		copy(got[lo:hi], y)
-		interiorNNZ[c.Rank()] = ov.InteriorNNZ()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-			t.Fatalf("y[%d] = %v, want %v", i, got[i], want[i])
+		tol := 1e-12
+		if f32 {
+			tol = 1e-6
 		}
-	}
-	interiorTotal := 0
-	for _, nnz := range interiorNNZ {
-		interiorTotal += nnz
-	}
-	if interiorTotal == 0 {
-		t.Fatal("no interior work found on a grid partition")
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > tol*(1+math.Abs(want[i])) {
+				t.Fatalf("f32=%v: y[%d] = %v, want %v", f32, i, got[i], want[i])
+			}
+		}
+		interiorTotal := 0
+		for _, nnz := range interiorNNZ {
+			interiorTotal += nnz
+		}
+		if interiorTotal == 0 {
+			t.Fatal("no interior work found on a grid partition")
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package distmat
 
 import (
 	"fsaicomm/internal/simmpi"
+	"fsaicomm/internal/sparse"
 	"fsaicomm/internal/vecops"
 )
 
@@ -50,21 +51,15 @@ func (o *OverlapOp) mulRows(rows []int, xExt, y []float64) {
 	if o.f32 {
 		m := o.LZ.M32()
 		for _, li := range rows {
-			sum := 0.0
-			for k := m.RowPtr[li]; k < m.RowPtr[li+1]; k++ {
-				sum += float64(m.Val[k]) * xExt[m.ColIdx[k]]
-			}
-			y[li] = sum
+			cs, vs := m.Row(li)
+			y[li] = sparse.RowDot(cs, vs, xExt)
 		}
 		return
 	}
 	m := o.LZ.M
 	for _, li := range rows {
-		sum := 0.0
-		for k := m.RowPtr[li]; k < m.RowPtr[li+1]; k++ {
-			sum += m.Val[k] * xExt[m.ColIdx[k]]
-		}
-		y[li] = sum
+		cs, vs := m.Row(li)
+		y[li] = sparse.RowDot(cs, vs, xExt)
 	}
 }
 

@@ -89,7 +89,7 @@ func RunAblation(r *Runner, spec testsets.Spec) (AblationRow, error) {
 			recv := c.AllreduceSumInt64(int64(gOp.Plan.RecvCount()))[0]
 			nb := c.AllreduceSumInt64(int64(len(gOp.Plan.RecvPeerIDs())))[0]
 
-			costs[c.Rank()] = AssembleIterCost(r.Arch, aOp, gOp, gtOp, nl, ranks, r.Variant)
+			costs[c.Rank()] = AssembleIterCost(TraceMisses(r.Arch, aOp, gOp, gtOp), aOp, gOp, gtOp, nl, ranks, r.Variant)
 
 			c.Barrier()
 			if c.Rank() == 0 {

@@ -20,6 +20,40 @@ type IterCostInputs struct {
 	PrecondMisses int64
 }
 
+// TracedMisses is the cache-simulator half of the cost inputs: the misses on
+// x of one product with A and of one preconditioner application, for one
+// rank under one architecture profile. It depends on the operators' sparsity
+// and the profile's cache only — not on the CG variant, the precision, the
+// topology or the right-hand side — so whoever keeps the operators may keep
+// it beside them. Tracing walks every stored entry through the LRU
+// simulator; everything else in the assembly is counting.
+type TracedMisses struct {
+	A, Precond int64
+}
+
+// TraceMisses runs the simulator over A and the factor pair G, Gᵀ.
+func TraceMisses(arch archmodel.Profile, aOp, gOp, gtOp *distmat.Op) TracedMisses {
+	sim := arch.NewProcessCache()
+	return TracedMisses{
+		A:       cache.TraceSpMVOnX(aOp.LZ.M, sim),
+		Precond: cache.TracePrecondProduct(gOp.LZ.M, gtOp.LZ.M, sim),
+	}
+}
+
+// TraceSPAIMisses runs the simulator over A and the explicit inverse M.
+func TraceSPAIMisses(arch archmodel.Profile, aOp, mOp *distmat.Op) TracedMisses {
+	sim := arch.NewProcessCache()
+	return TracedMisses{
+		A:       cache.TraceSpMVOnX(aOp.LZ.M, sim),
+		Precond: cache.TraceSpMVOnX(mOp.LZ.M, sim),
+	}
+}
+
+// Misses recovers the traced half from assembled inputs.
+func (ci IterCostInputs) Misses() TracedMisses {
+	return TracedMisses{A: ci.Rank.CacheMisses - ci.PrecondMisses, Precond: ci.PrecondMisses}
+}
+
 // reductionsFor is the global-collective count per CG iteration of a
 // variant, an input to the message cost model.
 func reductionsFor(variant krylov.CGVariant) int64 {
@@ -74,16 +108,14 @@ func overlapCostFor(variant krylov.CGVariant, rc archmodel.RankCost, intNNZ, tot
 }
 
 // AssembleIterCost builds one rank's per-iteration cost-model inputs from
-// the three distributed operators of a solve (A, G, Gᵀ). nl is the rank's
-// local row count, ranks the world size. The same assembly backs
-// Runner.Run, the ablation and the facade's modeled solve time, so every
-// reported modeled number uses one set of constants: matrix entries stream
-// 12 B each (8 B value + 4 B index), the CG vector kernels stream roughly
-// 10 vector reads/writes, and reductions cost log₂-tree messages.
-func AssembleIterCost(arch archmodel.Profile, aOp, gOp, gtOp *distmat.Op, nl, ranks int, variant krylov.CGVariant) IterCostInputs {
-	sim := arch.NewProcessCache()
-	missA := cache.TraceSpMVOnX(aOp.LZ.M, sim)
-	missPre := cache.TracePrecondProduct(gOp.LZ.M, gtOp.LZ.M, sim)
+// the three distributed operators of a solve (A, G, Gᵀ) and their traced
+// misses. nl is the rank's local row count, ranks the world size. The same
+// assembly backs Runner.Run, the ablation and the facade's modeled solve
+// time, so every reported modeled number uses one set of constants: matrix
+// entries stream 12 B each (8 B value + 4 B index), the CG vector kernels
+// stream roughly 10 vector reads/writes, and reductions cost log₂-tree
+// messages.
+func AssembleIterCost(miss TracedMisses, aOp, gOp, gtOp *distmat.Op, nl, ranks int, variant krylov.CGVariant) IterCostInputs {
 	logP := int64(math.Ceil(math.Log2(float64(ranks + 1))))
 	totNNZ := int64(aOp.LZ.M.NNZ() + gOp.LZ.M.NNZ() + gtOp.LZ.M.NNZ())
 	// Each operator's halo traffic is whatever ONE exchange under the plan's
@@ -104,13 +136,13 @@ func AssembleIterCost(arch archmodel.Profile, aOp, gOp, gtOp *distmat.Op, nl, ra
 		Rank: archmodel.RankCost{
 			Flops:          2*totNNZ + 12*int64(nl),
 			StreamBytes:    12*totNNZ + 80*int64(nl),
-			CacheMisses:    missA + missPre,
+			CacheMisses:    miss.A + miss.Precond,
 			CommBytes:      interBytes,
 			CommMsgs:       interMsgs + reductionsFor(variant)*logP,
 			IntraCommBytes: intraBytes,
 			IntraCommMsgs:  intraMsgs,
 		},
-		PrecondMisses: missPre,
+		PrecondMisses: miss.Precond,
 	}
 	// The classic loop's windows carry zero hiding compute, so it never
 	// needs the overlap view of the operators (interior nnz only feeds the
@@ -132,13 +164,10 @@ func AssembleIterCost(arch archmodel.Profile, aOp, gOp, gtOp *distmat.Op, nl, ra
 // norm, so averaged over a full cycle the reduction count per iteration is
 // (restart+3)/2, rounded up. The windows carry no hiding compute, matching
 // the classic CG pricing.
-func AssembleSPAIGMRESIterCost(arch archmodel.Profile, aOp, mOp *distmat.Op, nl, ranks, restart int) IterCostInputs {
+func AssembleSPAIGMRESIterCost(miss TracedMisses, aOp, mOp *distmat.Op, nl, ranks, restart int) IterCostInputs {
 	if restart < 1 {
 		restart = 30 // krylov's GMRES default cycle length
 	}
-	sim := arch.NewProcessCache()
-	missA := cache.TraceSpMVOnX(aOp.LZ.M, sim)
-	missM := cache.TraceSpMVOnX(mOp.LZ.M, sim)
 	logP := int64(math.Ceil(math.Log2(float64(ranks + 1))))
 	totNNZ := int64(aOp.LZ.M.NNZ() + mOp.LZ.M.NNZ())
 	reductions := int64((restart + 3 + 1) / 2)
@@ -157,7 +186,7 @@ func AssembleSPAIGMRESIterCost(arch archmodel.Profile, aOp, mOp *distmat.Op, nl,
 	rc := archmodel.RankCost{
 		Flops:          2*totNNZ + 4*int64(nl)*int64(restart+1)/2,
 		StreamBytes:    12*totNNZ + 8*vecSweeps*int64(nl),
-		CacheMisses:    missA + missM,
+		CacheMisses:    miss.A + miss.Precond,
 		CommBytes:      interBytes,
 		CommMsgs:       interMsgs + reductions*logP,
 		IntraCommBytes: intraBytes,
@@ -177,7 +206,7 @@ func AssembleSPAIGMRESIterCost(arch archmodel.Profile, aOp, mOp *distmat.Op, nl,
 				{Name: "reduction", Comm: red},
 			},
 		},
-		PrecondMisses: missM,
+		PrecondMisses: miss.Precond,
 	}
 }
 

@@ -311,7 +311,7 @@ func (r *Runner) Run(spec testsets.Spec, method core.Method, filter float64, str
 		gNNZ := c.AllreduceSumInt64(int64(g.NNZ()))[0]
 
 		// Cost model inputs (independent of the solve).
-		ci := AssembleIterCost(r.Arch, aOp, gOp, gtOp, nl, ranks, r.Variant)
+		ci := AssembleIterCost(TraceMisses(r.Arch, aOp, gOp, gtOp), aOp, gOp, gtOp, nl, ranks, r.Variant)
 		costs[c.Rank()] = ci
 		precondRank[c.Rank()] = archmodel.RankCost{
 			Flops:       2 * int64(gOp.LZ.M.NNZ()+gtOp.LZ.M.NNZ()),

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fsaicomm"
 	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
@@ -178,5 +179,52 @@ func TestMalformedSpecIsAnError(t *testing.T) {
 		if _, err := mprun.Launch(context.Background(), ranks, 60*time.Second, jobFor); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s (tcp): error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestCacheTraceRunsOncePerSystemAndProfile counts the cache-simulator runs
+// behind a prepared system's solves: the first scalar solve under a profile
+// traces on every rank, every later one — whatever its variant or topology —
+// is handed the result; profiles are remembered side by side; a batched
+// solve assembles no cost inputs at all; and a full set-up, which has no
+// earlier solve to learn from, traces every time.
+func TestCacheTraceRunsOncePerSystemAndProfile(t *testing.T) {
+	traces := mprun.CountTraces(t)
+	const ranks = 4
+	a := matgen.Poisson2D(12, 12)
+	b := fsaicomm.GenerateRHS(a, 1)
+	p, err := fsaicomm.Prepare(a, fsaicomm.Options{Ranks: ranks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i, step := range []struct {
+		so   fsaicomm.SolveOptions
+		want int64
+	}{
+		{fsaicomm.SolveOptions{}, ranks},
+		{fsaicomm.SolveOptions{Arch: "skylake", CGVariant: fsaicomm.CGFused}, ranks},
+		{fsaicomm.SolveOptions{Arch: "a64fx"}, 2 * ranks},
+		{fsaicomm.SolveOptions{Arch: "skylake", Nodes: 2}, 2 * ranks},
+		{fsaicomm.SolveOptions{Arch: "a64fx", CGVariant: fsaicomm.CGPipelined}, 2 * ranks},
+	} {
+		if _, err := p.Solve(ctx, b, step.so); err != nil {
+			t.Fatal(err)
+		}
+		if got := traces.Load(); got != step.want {
+			t.Fatalf("after solve %d (%+v): %d cache traces, want %d", i+1, step.so, got, step.want)
+		}
+	}
+	if _, err := p.SolveBatch(ctx, [][]float64{b, b}, fsaicomm.SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := traces.Load(); got != 2*ranks {
+		t.Fatalf("a batched solve traced: %d cache traces, want %d", got, 2*ranks)
+	}
+	if _, err := fsaicomm.SolveDistributed(a, b, fsaicomm.Options{Ranks: ranks}); err != nil {
+		t.Fatal(err)
+	}
+	if got := traces.Load(); got != 3*ranks {
+		t.Fatalf("after a full set-up solve: %d cache traces, want %d", got, 3*ranks)
 	}
 }

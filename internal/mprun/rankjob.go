@@ -23,10 +23,12 @@ func ProfileFor(arch string) (archmodel.Profile, error) {
 
 // rankOps are the operators a solve runs on: a with the factor pair g/gt
 // (CG) or with the explicit inverse m (GMRES). pct and imb are the build
-// metrics of operators built here (zero for adopted ones).
+// metrics of operators built here (zero for adopted ones), misses what an
+// earlier job traced on adopted ones (nil: not known yet).
 type rankOps struct {
 	a, g, gt, m *distmat.Op
 	pct, imb    float64
+	misses      *experiments.TracedMisses
 }
 
 // obtain is step 1 of the job: the rank's operators from the spec's one
@@ -34,9 +36,9 @@ type rankOps struct {
 func (j *JobSpec) obtain(c *simmpi.Comm) (rankOps, error) {
 	if ad := j.Adopt; ad != nil {
 		if j.Solve.Solver == krylov.SolverGMRES {
-			return rankOps{a: ad.A.op(c), m: ad.M.op(c)}, nil
+			return rankOps{a: ad.A.op(c), m: ad.M.op(c), misses: ad.Misses}, nil
 		}
-		return rankOps{a: ad.A.op(c), g: ad.G.op(c), gt: ad.GT.op(c)}, nil
+		return rankOps{a: ad.A.op(c), g: ad.G.op(c), gt: ad.GT.op(c), misses: ad.Misses}, nil
 	}
 	lo, hi := j.Layout.Range(c.Rank())
 	aRows := distmat.ExtractLocalRows(j.Build.PA, lo, hi)
@@ -92,6 +94,35 @@ func (ops rankOps) dress(sp SolveParams, k int) (aInner *distmat.Op) {
 	return aInner
 }
 
+// onTrace, when a test sets it, is called once per cache-simulator run.
+var onTrace func()
+
+func traced(m experiments.TracedMisses) experiments.TracedMisses {
+	if onTrace != nil {
+		onTrace()
+	}
+	return m
+}
+
+// cost is step 2b: the rank's cost-model inputs. The cache simulator walks
+// every stored entry of the operators, so it runs only when no earlier job
+// on them handed its result over.
+func (ops rankOps) cost(prof archmodel.Profile, sp SolveParams, nl, ranks int) experiments.IterCostInputs {
+	var miss experiments.TracedMisses
+	switch {
+	case ops.misses != nil:
+		miss = *ops.misses
+	case ops.m != nil:
+		miss = traced(experiments.TraceSPAIMisses(prof, ops.a, ops.m))
+	default:
+		miss = traced(experiments.TraceMisses(prof, ops.a, ops.g, ops.gt))
+	}
+	if ops.m != nil {
+		return experiments.AssembleSPAIGMRESIterCost(miss, ops.a, ops.m, nl, ranks, sp.Restart)
+	}
+	return experiments.AssembleIterCost(miss, ops.a, ops.g, ops.gt, nl, ranks, sp.Variant)
+}
+
 // RunJob executes one rank of a distributed solve: obtain the operators
 // (build them here or adopt them), dress them for the solve, run one solve
 // of width K and fold statistics, meters and clocks into the outcome. It is
@@ -122,11 +153,7 @@ func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Worksp
 	}
 	aInner := ops.dress(sp, job.K)
 	if job.K == 0 { // the batched results carry no modeled time
-		if ops.m != nil {
-			out.Cost = experiments.AssembleSPAIGMRESIterCost(prof, ops.a, ops.m, hi-lo, c.Size(), sp.Restart)
-		} else {
-			out.Cost = experiments.AssembleIterCost(prof, ops.a, ops.g, ops.gt, hi-lo, c.Size(), sp.Variant)
-		}
+		out.Cost = ops.cost(prof, sp, hi-lo, c.Size())
 	}
 	if job.Build != nil {
 		// One barrier separates the phases: traffic up to and including it is

@@ -84,6 +84,11 @@ func (h *HeldOp) op(c *simmpi.Comm) *distmat.Op {
 // the unused set is nil.
 type Operators struct {
 	A, G, GT, M *HeldOp
+	// Misses is what an earlier job on these operators traced under the
+	// solve's architecture profile; the job then assembles its cost inputs
+	// from it instead of running the cache simulator again. Nil makes the
+	// job trace.
+	Misses *experiments.TracedMisses
 }
 
 // holds reports whether the set carries what the solver applies.

@@ -64,11 +64,30 @@ func batchKey(skey string, so fsaicomm.SolveOptions) string {
 }
 
 // solveBatched runs the coalescing /solve path. The caller has already
-// resolved the matrix, the right-hand side and the options.
-func (s *Server) solveBatched(w http.ResponseWriter, r *http.Request, q *solveRequest, a *fsaicomm.Matrix, rhs []float64, opt fsaicomm.Options, so fsaicomm.SolveOptions) {
+// resolved the matrix and the options and checked the right-hand side's
+// shape.
+func (s *Server) solveBatched(w http.ResponseWriter, r *http.Request, q *solveRequest, m *uploaded, opt fsaicomm.Options, so fsaicomm.SolveOptions) {
+	a := m.a
 	ranks := fsaicomm.AutoRanks(a, opt.Ranks)
 	skey := setupKey(q.Matrix, opt, ranks)
 	bkey := batchKey(skey, so)
+
+	// A member needs its right-hand side in hand to enrol, so it is made
+	// before admission here — but not for a request that would open a batch
+	// only to be refused a slot: that one is refused now. (A joiner rides
+	// the leader's slot and is never refused.)
+	s.batMu.Lock()
+	_, joining := s.open[bkey]
+	s.batMu.Unlock()
+	if !joining && s.atCapacity() {
+		s.refuse(w, true)
+		return
+	}
+	rhs, err := q.rightHandSide(m)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
 
 	s.batMu.Lock()
 	if ob := s.open[bkey]; ob != nil {
@@ -130,15 +149,23 @@ func (s *Server) solveBatched(w http.ResponseWriter, r *http.Request, q *solveRe
 			s.failBatch(bkey, ob, nil)
 			return
 		}
-		s.met.jobsRejected.Add(1)
-		herr := fail(http.StatusTooManyRequests,
-			"server at capacity (%d running, %d queued)", s.cfg.MaxInFlight, s.cfg.MaxQueue)
-		s.failBatch(bkey, ob, herr)
-		s.setRetryAfter(w, true)
-		writeErr(w, herr)
+		s.failBatch(bkey, ob, s.refuse(w, true))
 		return
 	}
-	defer func() { <-s.sem }()
+	// As on the scalar path, the slot is free again before any member's
+	// answer is published or written.
+	br, herr, st := func() (*fsaicomm.BatchResult, *httpError, setupOutcome) {
+		defer func() { <-s.sem }()
+		return s.runBatch(q, a, opt, so, skey, bkey, ob)
+	}()
+	s.finishBatch(ob, br, herr, st)
+	s.writeBatchColumn(w, q, ob, 0, false)
+}
+
+// runBatch is the part of a batch that holds the leader's admission slot:
+// the enrollment window, the prepared system and the batched solve. It
+// returns the outcome every member will read.
+func (s *Server) runBatch(q *solveRequest, a *fsaicomm.Matrix, opt fsaicomm.Options, so fsaicomm.SolveOptions, skey, bkey string, ob *openBatch) (*fsaicomm.BatchResult, *httpError, setupOutcome) {
 	s.met.jobsAccepted.Add(1)
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
@@ -167,10 +194,7 @@ func (s *Server) solveBatched(w http.ResponseWriter, r *http.Request, q *solveRe
 	p, st, err := s.prepare(skey, a, opt)
 	if err != nil {
 		s.met.jobsFailed.Add(int64(k))
-		herr := fail(http.StatusUnprocessableEntity, "preparing system: %v", err)
-		s.finishBatch(ob, nil, herr, setupOutcome{})
-		writeErr(w, herr)
-		return
+		return nil, fail(http.StatusUnprocessableEntity, "preparing system: %v", err), setupOutcome{}
 	}
 
 	br, err := p.SolveBatch(ctx, ob.rhs, so)
@@ -179,10 +203,7 @@ func (s *Server) solveBatched(w http.ResponseWriter, r *http.Request, q *solveRe
 	s.met.occupancy.observe(k)
 	if err != nil && !errors.Is(err, fsaicomm.ErrCanceled) {
 		s.met.jobsFailed.Add(int64(k))
-		herr := fail(http.StatusUnprocessableEntity, "solve: %v", err)
-		s.finishBatch(ob, nil, herr, st)
-		writeErr(w, herr)
-		return
+		return nil, fail(http.StatusUnprocessableEntity, "solve: %v", err), st
 	}
 	if br != nil {
 		s.met.iterations.Add(int64(br.Iterations))
@@ -196,17 +217,13 @@ func (s *Server) solveBatched(w http.ResponseWriter, r *http.Request, q *solveRe
 	}
 	if err != nil { // JobTimeout: the batch was cut off collectively
 		s.met.jobsCanceled.Add(int64(k))
-		herr := fail(http.StatusGatewayTimeout,
-			"batch exceeded its %v deadline after %d iterations", s.cfg.JobTimeout, br.Iterations)
-		s.finishBatch(ob, nil, herr, st)
-		writeErr(w, herr)
-		return
+		return nil, fail(http.StatusGatewayTimeout,
+			"batch exceeded its %v deadline after %d iterations", s.cfg.JobTimeout, br.Iterations), st
 	}
 	s.met.jobsCompleted.Add(int64(k))
-	s.finishBatch(ob, br, nil, st)
 	s.logf("serve: batch %s ranks=%d k=%d iters=%d hit=%v setup=%v solve=%v",
 		q.Matrix, br.Ranks, k, br.Iterations, st.hit, st.setup, br.SolveTime)
-	s.writeBatchColumn(w, q, ob, 0, false)
+	return br, nil, st
 }
 
 // failBatch aborts a batch before it solved: enrollment closes, and every

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"fsaicomm"
+	"fsaicomm/internal/matgen"
 	"fsaicomm/internal/testsets"
 )
 
@@ -105,7 +107,7 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	met      *metrics
-	matrices *lru // fingerprint -> *fsaicomm.Matrix
+	matrices *lru // fingerprint -> *uploaded
 	prepared *lru // fingerprint + setup options -> *fsaicomm.Prepared
 	sem      chan struct{}
 
@@ -227,12 +229,20 @@ func fail(code int, format string, args ...any) *httpError {
 	return &httpError{code: code, msg: fmt.Sprintf(format, args...)}
 }
 
+// writeJSON answers with v encoded compactly — a solve response is one
+// 50,000-number array, and indenting it costs as much again as encoding it —
+// from a buffer, so the length is declared and an encoding failure can still
+// become a 500.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": fmt.Sprintf("encoding response: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // the client is gone if this fails
 }
 
 func writeErr(w http.ResponseWriter, err error) {
@@ -290,10 +300,58 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	fp := a.Fingerprint()
 	_, known := s.matrices.Get(fp)
 	if !known {
-		s.matrices.Add(fp, a, matrixBytes(a))
+		s.matrices.Add(fp, &uploaded{a: a, maxNorm: a.MaxNorm()}, matrixBytes(a))
 	}
 	s.logf("serve: matrix %s ingested (%dx%d, %d nnz, cached=%v)", fp, a.Rows, a.Cols, a.NNZ(), known)
 	writeJSON(w, http.StatusOK, matrixResponse{Matrix: fp, Rows: a.Rows, NNZ: a.NNZ(), Cached: known})
+}
+
+// uploaded is a matrix-cache entry: the matrix and its max-norm, taken once
+// at upload so that a seeded right-hand side (which is scaled to it) does
+// not rescan every stored value per request.
+type uploaded struct {
+	a       *fsaicomm.Matrix
+	maxNorm float64
+}
+
+// generateRHS draws the seeded right-hand side; a variable so that a test
+// can count the calls.
+var generateRHS = matgen.RandomRHS
+
+// rightHandSide produces the request's right-hand side once its shape has
+// been checked: the explicit values after a scan for NaN/Inf, or the seeded
+// draw fsaicomm.GenerateRHS would return for this matrix (omitting both
+// means seed 1).
+func (q *solveRequest) rightHandSide(m *uploaded) ([]float64, error) {
+	if q.RHS == nil {
+		seed := q.RHSSeed
+		if seed == 0 {
+			seed = 1
+		}
+		return generateRHS(m.a.Rows, seed, m.maxNorm), nil
+	}
+	for i, v := range q.RHS {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fail(http.StatusBadRequest, "rhs[%d] is not finite", i)
+		}
+	}
+	return q.RHS, nil
+}
+
+// atCapacity reports whether a request arriving now would be refused: every
+// slot busy and the queue full.
+func (s *Server) atCapacity() bool {
+	return len(s.sem) == cap(s.sem) && int(s.met.queued.Load()) >= s.cfg.MaxQueue
+}
+
+// refuse answers 429 with the backlog-derived Retry-After.
+func (s *Server) refuse(w http.ResponseWriter, batched bool) *httpError {
+	s.met.jobsRejected.Add(1)
+	herr := fail(http.StatusTooManyRequests,
+		"server at capacity (%d running, %d queued)", s.cfg.MaxInFlight, s.cfg.MaxQueue)
+	s.setRetryAfter(w, batched)
+	writeErr(w, herr)
+	return herr
 }
 
 func matrixBytes(a *fsaicomm.Matrix) int64 {
@@ -352,6 +410,20 @@ type solveRequest struct {
 	Nodes             int  `json:"nodes,omitempty"`
 	RanksPerNode      int  `json:"ranks_per_node,omitempty"`
 	NoNodeAggregation bool `json:"no_node_aggregation,omitempty"`
+}
+
+// decodeSolve reads a /solve body into the request and the facade options it
+// asks for. Whatever the bytes, it returns either options the facade's
+// validator accepts or a 4xx error (FuzzSolveRequest).
+func decodeSolve(body io.Reader) (*solveRequest, fsaicomm.Options, fsaicomm.SolveOptions, error) {
+	var q solveRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&q); err != nil {
+		return nil, fsaicomm.Options{}, fsaicomm.SolveOptions{}, fail(http.StatusBadRequest, "decoding request: %v", err)
+	}
+	opt, so, err := q.options()
+	return &q, opt, so, err
 }
 
 // options maps the request onto the facade's option types.
@@ -505,14 +577,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	var q solveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
-		writeErr(w, fail(http.StatusBadRequest, "decoding request: %v", err))
-		return
-	}
-	opt, so, err := q.options()
+	q, opt, so, err := decodeSolve(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -529,31 +594,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fail(http.StatusNotFound, "unknown matrix %q (upload it via POST /matrix)", q.Matrix))
 		return
 	}
-	a := mv.(*fsaicomm.Matrix)
-	rhs := q.RHS
-	if rhs == nil {
-		seed := q.RHSSeed
-		if seed == 0 {
-			seed = 1
-		}
-		rhs = fsaicomm.GenerateRHS(a, seed)
-	} else if len(rhs) != a.Rows {
-		writeErr(w, fail(http.StatusBadRequest, "rhs length %d, want %d", len(rhs), a.Rows))
+	m := mv.(*uploaded)
+	if q.RHS != nil && len(q.RHS) != m.a.Rows {
+		writeErr(w, fail(http.StatusBadRequest, "rhs length %d, want %d", len(q.RHS), m.a.Rows))
 		return
-	} else {
-		for i, v := range rhs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				writeErr(w, fail(http.StatusBadRequest, "rhs[%d] is not finite", i))
-				return
-			}
-		}
 	}
+	// Everything above is O(request); the right-hand side (n random draws,
+	// or a scan of n values) is made only once the job is admitted, so a
+	// request refused under overload has cost the server nothing.
 
 	// Coalescing: an eligible request routes through the batching path,
 	// which merges it with concurrent same-system jobs into one batched
 	// solve under a single admission slot.
 	if s.batchEligible(opt.Solver, so) {
-		s.solveBatched(w, r, &q, a, rhs, opt, so)
+		s.solveBatched(w, r, q, m, opt, so)
 		return
 	}
 
@@ -563,11 +617,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		if int(s.met.queued.Load()) >= s.cfg.MaxQueue {
-			s.met.jobsRejected.Add(1)
-			s.setRetryAfter(w, false)
-			writeErr(w, fail(http.StatusTooManyRequests,
-				"server at capacity (%d running, %d queued)", s.cfg.MaxInFlight, s.cfg.MaxQueue))
+		if s.atCapacity() {
+			s.refuse(w, false)
 			return
 		}
 		s.met.queued.Add(1)
@@ -580,31 +631,51 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return // client is gone; nothing to write
 		}
 	}
-	defer func() { <-s.sem }()
+	// The slot covers the work, not the answer: it is free again before the
+	// response is written, so a client that has read its answer never finds
+	// the slot it just used still taken.
+	resp, err := func() (*solveResponse, error) {
+		defer func() { <-s.sem }()
+		return s.solveAdmitted(r, q, m, opt, so)
+	}()
+	switch {
+	case err != nil:
+		writeErr(w, err)
+	case resp != nil: // nil without an error: the client is gone
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// solveAdmitted is the part of a scalar /solve that holds an admission slot:
+// right-hand side, prepared system (cached or built), solve. It returns the
+// response, an error to answer with, or neither when the client has gone.
+func (s *Server) solveAdmitted(r *http.Request, q *solveRequest, m *uploaded, opt fsaicomm.Options, so fsaicomm.SolveOptions) (*solveResponse, error) {
 	s.met.jobsAccepted.Add(1)
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
+	rhs, err := q.rightHandSide(m)
+	if err != nil {
+		s.met.jobsFailed.Add(1)
+		return nil, err
+	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
 	defer cancel()
 
-	ranks := fsaicomm.AutoRanks(a, opt.Ranks)
+	ranks := fsaicomm.AutoRanks(m.a, opt.Ranks)
 	key := setupKey(q.Matrix, opt, ranks)
 	t0 := time.Now()
-	p, st, err := s.prepare(key, a, opt)
+	p, st, err := s.prepare(key, m.a, opt)
 	if err != nil {
 		s.met.jobsFailed.Add(1)
-		writeErr(w, fail(http.StatusUnprocessableEntity, "preparing system: %v", err))
-		return
+		return nil, fail(http.StatusUnprocessableEntity, "preparing system: %v", err)
 	}
-	hit, setup := st.hit, st.setup
 
 	res, err := p.Solve(ctx, rhs, so)
 	s.met.latency.observe(time.Since(t0))
 	if err != nil && !errors.Is(err, fsaicomm.ErrCanceled) {
 		s.met.jobsFailed.Add(1)
-		writeErr(w, fail(http.StatusUnprocessableEntity, "solve: %v", err))
-		return
+		return nil, fail(http.StatusUnprocessableEntity, "solve: %v", err)
 	}
 	s.met.iterations.Add(int64(res.Iterations))
 	s.met.commBytes.Add(res.CommBytes)
@@ -617,24 +688,23 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err != nil { // canceled: deadline or client disconnect
 		s.met.jobsCanceled.Add(1)
 		if r.Context().Err() != nil {
-			return // client is gone
+			return nil, nil
 		}
-		writeErr(w, fail(http.StatusGatewayTimeout,
-			"job exceeded its %v deadline after %d iterations", s.cfg.JobTimeout, res.Iterations))
-		return
+		return nil, fail(http.StatusGatewayTimeout,
+			"job exceeded its %v deadline after %d iterations", s.cfg.JobTimeout, res.Iterations)
 	}
 	s.met.jobsCompleted.Add(1)
 	s.logf("serve: solve %s ranks=%d iters=%d converged=%v hit=%v setup=%v solve=%v",
-		q.Matrix, res.Ranks, res.Iterations, res.Converged, hit, setup, res.SolveTime)
-	writeJSON(w, http.StatusOK, solveResponse{
+		q.Matrix, res.Ranks, res.Iterations, res.Converged, st.hit, st.setup, res.SolveTime)
+	return &solveResponse{
 		Matrix:      q.Matrix,
-		CacheHit:    hit,
+		CacheHit:    st.hit,
 		Ranks:       res.Ranks,
 		Iterations:  res.Iterations,
 		Converged:   res.Converged,
 		RelResidual: res.RelResidual,
 		Refinements: res.Refinements,
-		SetupMs:     float64(setup) / float64(time.Millisecond),
+		SetupMs:     float64(st.setup) / float64(time.Millisecond),
 		SetupPhases: st.phases,
 		SolveMs:     float64(res.SolveTime) / float64(time.Millisecond),
 		ModeledSec:  res.ModeledSolveTime,
@@ -643,7 +713,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		PctNNZ:      res.PctNNZIncrease,
 		X:           res.X,
 		Trace:       res.Trace,
-	})
+	}, nil
 }
 
 // setupPhasesMs is fsaicomm.SetupPhases on the wire: milliseconds per phase

@@ -125,13 +125,7 @@ func (m *CSR) MulVec(x, y []float64) {
 		panic(fmt.Sprintf("sparse: MulVec shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, len(x), len(y)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		sum := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			sum += m.Val[k] * x[m.ColIdx[k]]
-		}
-		y[i] = sum
-	}
+	mulVecRows(m.RowPtr, m.ColIdx, m.Val, x, y, 0, m.Rows)
 }
 
 // MulVecParallel computes y = A x with rows partitioned across workers
@@ -144,13 +138,7 @@ func (m *CSR) MulVecParallel(x, y []float64, workers int) {
 			m.Rows, m.Cols, len(x), len(y)))
 	}
 	_ = parallel.For(workers, m.Rows, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			sum := 0.0
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				sum += m.Val[k] * x[m.ColIdx[k]]
-			}
-			y[i] = sum
-		}
+		mulVecRows(m.RowPtr, m.ColIdx, m.Val, x, y, lo, hi)
 		return nil
 	})
 }

@@ -86,13 +86,7 @@ func (m *CSR32) MulVec(x, y []float64) {
 		panic(fmt.Sprintf("sparse: CSR32 MulVec shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, len(x), len(y)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		sum := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			sum += float64(m.Val[k]) * x[m.ColIdx[k]]
-		}
-		y[i] = sum
-	}
+	mulVecRows(m.RowPtr, m.ColIdx, m.Val, x, y, 0, m.Rows)
 }
 
 // MulVecTrans computes y = Aᵀ x without forming the transpose, with float64
@@ -125,29 +119,5 @@ func (m *CSR32) MulMatCols(x, y []float64, k int, cols []int) {
 		panic(fmt.Sprintf("sparse: CSR32 MulMatCols shape mismatch: A is %dx%d, k=%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, k, len(x), len(y)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		if cols == nil {
-			for c := 0; c < k; c++ {
-				y[i*k+c] = 0
-			}
-			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-				v := float64(m.Val[p])
-				xo := m.ColIdx[p] * k
-				for c := 0; c < k; c++ {
-					y[i*k+c] += v * x[xo+c]
-				}
-			}
-			continue
-		}
-		for _, c := range cols {
-			y[i*k+c] = 0
-		}
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			v := float64(m.Val[p])
-			xo := m.ColIdx[p] * k
-			for _, c := range cols {
-				y[i*k+c] += v * x[xo+c]
-			}
-		}
-	}
+	mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, activeCols(k, cols), 0, m.Rows)
 }

@@ -2,12 +2,11 @@ package sparse
 
 // Sparse matrix times a block of vectors (SpMM). The k right-hand vectors
 // are stored row-major interleaved — X[i*k+c] is component i of vector c —
-// so every stored matrix entry touches k contiguous values of X. That
-// layout is the whole point: one pass over the matrix serves all k vectors,
-// turning the memory-bound SpMV into a kernel with k-fold reuse of every
-// fetched (ColIdx, Val) pair (the bandwidth-locality argument behind the
-// batched multi-RHS solve path). Each column's row sum accumulates in the
-// same left-to-right entry order as MulVec, so column c of MulMat is
+// so every stored matrix entry touches k contiguous values of X, and one
+// pass over the matrix in memory serves all k vectors (the bandwidth-locality
+// argument behind the batched multi-RHS solve path; rowkernel.go walks each
+// row once per column pair, from cache). Each column's row sum accumulates
+// in MulVec's left-to-right entry order, so column c of MulMat is
 // bit-identical to MulVec on column c alone — the property the batched
 // solver's differential tests pin.
 
@@ -19,50 +18,17 @@ import (
 
 // MulMat computes Y = A·X for k interleaved vectors: len(x) = Cols·k,
 // len(y) = Rows·k, both row-major (x[i*k+c]). Column c of the result is
-// bit-identical to MulVec on the de-interleaved column c. k = 1 degenerates
-// to MulVec on the same storage.
-func (m *CSR) MulMat(x, y []float64, k int) {
-	checkMulMat(m, x, y, k, "MulMat")
-	for i := 0; i < m.Rows; i++ {
-		acc := y[i*k : (i+1)*k]
-		for c := range acc {
-			acc[c] = 0
-		}
-		for e := m.RowPtr[i]; e < m.RowPtr[i+1]; e++ {
-			v := m.Val[e]
-			xs := x[m.ColIdx[e]*k : m.ColIdx[e]*k+k]
-			for c, xv := range xs {
-				acc[c] += v * xv
-			}
-		}
-	}
-}
+// bit-identical to MulVec on the de-interleaved column c.
+func (m *CSR) MulMat(x, y []float64, k int) { m.MulMatCols(x, y, k, nil) }
 
 // MulMatCols computes the listed columns of Y = A·X, leaving the other
 // columns of y untouched. cols holds strictly ascending column indices in
 // [0, k). This is the convergence-masking kernel of the batched CG loop:
 // columns that have converged stop costing flops while the survivors keep
-// their exact scalar-solve arithmetic. A nil cols computes every column
-// (same as MulMat).
+// their exact scalar-solve arithmetic. A nil cols computes every column.
 func (m *CSR) MulMatCols(x, y []float64, k int, cols []int) {
-	if cols == nil {
-		m.MulMat(x, y, k)
-		return
-	}
 	checkMulMat(m, x, y, k, "MulMatCols")
-	for i := 0; i < m.Rows; i++ {
-		acc := y[i*k : (i+1)*k]
-		for _, c := range cols {
-			acc[c] = 0
-		}
-		for e := m.RowPtr[i]; e < m.RowPtr[i+1]; e++ {
-			v := m.Val[e]
-			xs := x[m.ColIdx[e]*k : m.ColIdx[e]*k+k]
-			for _, c := range cols {
-				acc[c] += v * xs[c]
-			}
-		}
-	}
+	mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, activeCols(k, cols), 0, m.Rows)
 }
 
 // MulMatParallel computes Y = A·X with rows partitioned across workers
@@ -71,20 +37,9 @@ func (m *CSR) MulMatCols(x, y []float64, k int, cols []int) {
 // result is bit-identical to MulMat for any worker count.
 func (m *CSR) MulMatParallel(x, y []float64, k, workers int) {
 	checkMulMat(m, x, y, k, "MulMatParallel")
+	all := activeCols(k, nil)
 	_ = parallel.For(workers, m.Rows, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			acc := y[i*k : (i+1)*k]
-			for c := range acc {
-				acc[c] = 0
-			}
-			for e := m.RowPtr[i]; e < m.RowPtr[i+1]; e++ {
-				v := m.Val[e]
-				xs := x[m.ColIdx[e]*k : m.ColIdx[e]*k+k]
-				for c, xv := range xs {
-					acc[c] += v * xv
-				}
-			}
-		}
+		mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, all, lo, hi)
 		return nil
 	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
+	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/mprun"
 	"fsaicomm/internal/simmpi"
@@ -106,6 +107,14 @@ type Prepared struct {
 	// (read-only, shared by every solve) and the halo schedules (each solve
 	// wraps them in plans with private buffers).
 	parts []mprun.Operators
+	// traced holds, per architecture profile a scalar solve has run under,
+	// parts with each rank's cache-simulator misses filled in from that
+	// solve's cost inputs. Later solves under the profile adopt these, so
+	// the simulator walks a system's operators once per profile, not once
+	// per solve. The misses depend on the operators and the profile alone,
+	// so one entry serves every variant, precision, topology and transport.
+	tracedMu sync.Mutex
+	traced   map[string][]mprun.Operators
 	// pools hold per-rank krylov workspaces so steady-state solves allocate
 	// only the solution vector. Indexed by rank: concurrent solves share the
 	// pools, but a workspace is only ever used by one rank goroutine at a
@@ -283,11 +292,41 @@ func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOpti
 	if err != nil {
 		return nil, err
 	}
+	prof, err := mprun.ProfileFor(sp.Arch)
+	if err != nil {
+		return nil, fmt.Errorf("fsaicomm: %w", err)
+	}
+	p.tracedMu.Lock()
+	held, known := p.traced[prof.Name]
+	p.tracedMu.Unlock()
+	if !known {
+		held = p.parts
+	}
 	job := mprun.JobSpec{Layout: p.layout, K: k, Solve: sp}
-	f, err := runRanks(ctx, so.Transport, job, p.parts, pools, rhs, p.oldToNew)
+	f, err := runRanks(ctx, so.Transport, job, held, pools, rhs, p.oldToNew)
 	if err != nil {
 		return nil, err
 	}
 	f.pct, f.imb = p.pct, p.imbalance
+	if !known && k == 0 { // batched jobs assemble no cost inputs
+		p.rememberMisses(prof.Name, f.costs)
+	}
 	return f, nil
+}
+
+// rememberMisses keeps what the ranks of the first scalar solve under a
+// profile traced. Concurrent first solves may each trace and each land here;
+// they traced the same operators, so whichever is kept holds the same values.
+func (p *Prepared) rememberMisses(profile string, costs []experiments.IterCostInputs) {
+	held := append([]mprun.Operators(nil), p.parts...)
+	for r := range held {
+		m := costs[r].Misses()
+		held[r].Misses = &m
+	}
+	p.tracedMu.Lock()
+	defer p.tracedMu.Unlock()
+	if p.traced == nil {
+		p.traced = make(map[string][]mprun.Operators)
+	}
+	p.traced[profile] = held
 }

@@ -3,10 +3,14 @@ package fsaicomm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"fsaicomm/internal/experiments"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -155,6 +159,147 @@ func TestPreparedMatchesSolveDistributed(t *testing.T) {
 		if got.CollectiveCalls != ref.CollectiveCalls {
 			t.Fatalf("%v: collective calls %d, reference %d", v, got.CollectiveCalls, ref.CollectiveCalls)
 		}
+	}
+}
+
+// A Prepared remembers, per architecture profile, the cache-simulator misses
+// its first scalar solve traced and hands them to every later solve. The
+// modeled time they feed must not notice: solve 1 (which traces), solve 2
+// (which is handed the result), a tcp solve (whose workers receive it in
+// their spec) and a from-scratch SolveDistributed (which always traces)
+// agree to the bit — for skylake, then a64fx, then skylake again, so two
+// profiles sit side by side; classic and fused; flat and two nodes; and for
+// an SPAI+GMRES system, whose misses are those of A and M.
+func TestMissMemoChangesNoModeledTime(t *testing.T) {
+	a := GenerateElasticity2D(9, 9, 3)
+	b := GenerateRHS(a, 4)
+	ctx := context.Background()
+	for _, sys := range []struct {
+		name     string
+		opt      Options
+		variants []CGVariant
+	}{
+		{"fsaie-comm", Options{Method: FSAIEComm, Filter: 0.01, Ranks: 4}, []CGVariant{CGClassic, CGFused}},
+		{"spai+gmres", Options{Method: SPAI, Solver: SolverGMRES, SPAISteps: 1, Ranks: 4}, []CGVariant{CGClassic}},
+	} {
+		p, err := Prepare(a, sys.opt)
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v", sys.name, err)
+		}
+		for pass, arch := range []string{"skylake", "a64fx", "skylake"} {
+			// Worker processes are slow to start; they join on the last pass,
+			// when what they are handed was traced two profiles ago.
+			transports := []string{"sim", "sim"}
+			if pass == 2 {
+				transports = append(transports, "tcp")
+			}
+			for _, variant := range sys.variants {
+				for _, nodes := range []int{0, 2} {
+					at := fmt.Sprintf("%s arch=%s cg=%v nodes=%d", sys.name, arch, variant, nodes)
+					opt := sys.opt
+					opt.Arch, opt.CGVariant, opt.Nodes = arch, variant, nodes
+					ref, err := SolveDistributed(a, b, opt)
+					if err != nil {
+						t.Fatalf("%s: SolveDistributed: %v", at, err)
+					}
+					so := SolveOptions{Arch: arch, CGVariant: variant, Nodes: nodes}
+					for _, transport := range transports {
+						so.Transport = transport
+						got, err := p.Solve(ctx, b, so)
+						if err != nil {
+							t.Fatalf("%s %s: %v", at, transport, err)
+						}
+						if got.ModeledSolveTime != ref.ModeledSolveTime || !reflect.DeepEqual(got.Phases, ref.Phases) {
+							t.Fatalf("%s %s: modeled %v s, from scratch %v s", at, transport, got.ModeledSolveTime, ref.ModeledSolveTime)
+						}
+					}
+				}
+			}
+		}
+		if len(p.traced) != 2 || p.traced["skylake"] == nil || p.traced["a64fx"] == nil {
+			t.Fatalf("%s: %d profiles remembered, want skylake and a64fx", sys.name, len(p.traced))
+		}
+	}
+}
+
+// The remembered misses reach worker processes inside the job spec: planted
+// values no trace could produce move the modeled time of a tcp solve exactly
+// as they move a sim solve's — workers that traced anyway would not notice
+// them. The memo itself is filled by a tcp solve here, from the outcomes the
+// workers sent back.
+func TestMissMemoTravelsToWorkers(t *testing.T) {
+	a := GeneratePoisson2D(14, 14)
+	b := GenerateRHS(a, 2)
+	ctx := context.Background()
+	p, err := Prepare(a, Options{Ranks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := p.Solve(ctx, b, SolveOptions{Transport: "tcp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := p.traced["skylake"]
+	if len(held) != 3 {
+		t.Fatalf("a tcp first solve left %d ranks' misses, want 3", len(held))
+	}
+	for r := range held {
+		held[r].Misses = &experiments.TracedMisses{A: 1 << 40, Precond: 1 << 40}
+	}
+	sim, err := p.Solve(ctx, b, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp, err := p.Solve(ctx, b, SolveOptions{Transport: "tcp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.ModeledSolveTime == traced.ModeledSolveTime {
+		t.Fatal("planted misses did not move the sim solve's modeled time")
+	}
+	if tcp.ModeledSolveTime != sim.ModeledSolveTime {
+		t.Fatalf("tcp workers modeled %v s, sim ranks %v s: the spec did not carry the misses", tcp.ModeledSolveTime, sim.ModeledSolveTime)
+	}
+}
+
+// Eight first solves racing on a fresh Prepared may each trace; whichever
+// result is kept is the same, and every one of them reports the modeled time
+// a lone solve does. Run under -race by `make tier2`.
+func TestMissMemoConcurrentFirstSolves(t *testing.T) {
+	a := GeneratePoisson2D(20, 20)
+	b := GenerateRHS(a, 8)
+	opt := Options{Method: FSAIEComm, Filter: 0.01, Ranks: 4}
+	ref, err := SolveDistributed(a, b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Prepare(a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const solvers = 8
+	results := make([]*Result, solvers)
+	errs := make([]error, solvers)
+	var wg sync.WaitGroup
+	for w := 0; w < solvers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[w], errs[w] = p.Solve(context.Background(), b, SolveOptions{})
+		}()
+	}
+	wg.Wait()
+	for w := range results {
+		if errs[w] != nil {
+			t.Fatalf("solver %d: %v", w, errs[w])
+		}
+		if results[w].ModeledSolveTime != ref.ModeledSolveTime {
+			t.Fatalf("solver %d: modeled %v s, a lone solve %v s", w, results[w].ModeledSolveTime, ref.ModeledSolveTime)
+		}
+	}
+	again, err := p.Solve(context.Background(), b, SolveOptions{})
+	if err != nil || again.ModeledSolveTime != ref.ModeledSolveTime {
+		t.Fatalf("solve after the race: modeled %v s (err %v), a lone solve %v s", again.ModeledSolveTime, err, ref.ModeledSolveTime)
 	}
 }
 

@@ -1,15 +1,25 @@
 GO ?= go
 
-.PHONY: all tier1 tier2 bench bce fuzz trace serve mp batch nodeaware spai cover
+.PHONY: all tier1 tier2 bench bce fuzz trace serve mp batch nodeaware spai cover loc
 
 all: tier1
 
 # tier1: the fast correctness gate — full build + gofmt + vet + full test
 # suite. The gofmt step fails (and lists the files) on any formatting diff.
+# The twins step fails if a hand-copied second path comes back: a halo32.go
+# or a HaloPlan / ExchangeHandle method named like postSends32 in
+# internal/distmat (the halo exchange is one generic body; the SetF32 switch
+# and the Localized.M32 accessor are not twins and stay), or a non-test
+# *Serial function in internal/krylov (a serial solve is the distributed
+# loop on one rank).
 tier1:
 	$(GO) build ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
+	@twins="$$(ls internal/distmat/halo32.go 2>/dev/null; \
+		grep -nE '^func \([a-z]+ \*?(HaloPlan|ExchangeHandle)\) [A-Za-z0-9_]*[a-z0-9_]32\(' internal/distmat/*.go; \
+		grep -nE '^func (\([^)]*\) )?[A-Za-z0-9_]*Serial\(' $$(ls internal/krylov/*.go | grep -v _test.go))"; \
+		if [ -n "$$twins" ]; then echo "hand-copied twins are back:"; echo "$$twins"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 
@@ -158,6 +168,18 @@ spai:
 mp:
 	$(GO) build -o bin/fsairank ./cmd/fsairank
 	./bin/fsairank -selfcheck
+
+# loc: non-test and test Go lines per package directory and in total, the
+# benchmark module left out — the figure ROADMAP's consolidation item is
+# accepted on, so every PR that claims to shrink the code reports it the
+# same way.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' | xargs wc -l | awk ' \
+		$$2 == "total" { next } \
+		{ d = $$2; sub(/\/[^\/]*$$/, "", d); dirs[d] = 1; \
+		  if ($$2 ~ /_test\.go$$/) { t[d] += $$1; tt += $$1 } else { n[d] += $$1; nt += $$1 } } \
+		END { for (d in dirs) printf "%7d %7d  %s\n", n[d], t[d], d | "sort -k3"; close("sort -k3"); \
+		      printf "%7d %7d  total (non-test, test)\n", nt, tt }'
 
 # cover: per-package statement coverage for the whole module.
 cover:

@@ -341,22 +341,8 @@ func BenchmarkHaloExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveSetup contrasts the setup cost of a dynamic-pattern
-// (FSPAI-style) factor with the static FSAIE extension pipeline — the
-// trade-off the paper's related-work section argues motivates static
-// cache-aware patterns.
-func BenchmarkAdaptiveSetup(b *testing.B) {
-	a := matgen.Poisson2D(40, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fsai.BuildAdaptive(a, fsai.AdaptiveOptions{Steps: 4, AddPerStep: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStaticExtendedSetup is the static counterpart of
-// BenchmarkAdaptiveSetup: extension + two-pass filtered build.
+// BenchmarkStaticExtendedSetup measures the static FSAIE-Comm pipeline:
+// extension + two-pass filtered build.
 func BenchmarkStaticExtendedSetup(b *testing.B) {
 	a := matgen.Poisson2D(40, 40)
 	b.ResetTimer()

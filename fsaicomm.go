@@ -667,7 +667,7 @@ func SolveContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Re
 	case opt.Solver == SolverGMRES:
 		st, err = krylov.GMRES(a, b, x, precond, kopt, nil)
 	case opt.Precision == FP32:
-		st, err = krylov.SolveRefined(a, b, x, krylov.NewSplit32(g, g.Transpose()), kopt, nil)
+		st, err = krylov.SolveRefined(a, b, x, krylov.NewSplit(g, g.Transpose()), kopt, nil)
 	default:
 		st, err = krylov.CG(a, b, x, krylov.NewSplit(g, g.Transpose()), kopt, nil)
 	}

@@ -42,57 +42,6 @@ func NewBatchDistVec(lz *Localized, k int) *BatchDistVec {
 // Local returns the locally-owned interleaved block.
 func (v *BatchDistVec) Local() []float64 { return v.Ext[:v.NLocal*v.K] }
 
-// ExchangeBatch performs one k-wide halo update: xExt is the interleaved
-// extended block (length (nLocal+halo)·k) with the local part already
-// filled; the halo slots are filled from peers. Each peer receives exactly
-// one message per update — the same message count as the scalar Exchange —
-// carrying len(list)·k values, so batching k right-hand sides costs zero
-// extra messages. Frozen (converged) columns still travel: the payload
-// width is fixed at k, which keeps the schedule independent of the
-// convergence mask and the per-neighbour message count exactly 1.
-func (p *HaloPlan) ExchangeBatch(c *simmpi.Comm, xExt []float64, nLocal, k int) {
-	if p.f32 {
-		p.exchangeBatch32(c, xExt, nLocal, k)
-		return
-	}
-	if p.napActive() {
-		// Node-aware and k-wide batching compose: the aggregated envelope is
-		// width-agnostic, so a batch still costs one message per neighbour
-		// (now per node pair for the inter-node leg) carrying k columns.
-		p.napPostSends(c, xExt, k, false)
-		p.napCompleteRecvs(c, xExt, nLocal, k)
-		return
-	}
-	if p.sendBuf == nil {
-		p.sendBuf = make([][]float64, len(p.SendPeers))
-	}
-	for _, peer := range p.sendPeerIDs {
-		list := p.SendPeers[peer]
-		need := len(list) * k
-		buf := p.sendBuf[peer]
-		if cap(buf) < need {
-			buf = make([]float64, need)
-		}
-		buf = buf[:need]
-		p.sendBuf[peer] = buf
-		for m, li := range list {
-			copy(buf[m*k:(m+1)*k], xExt[li*k:li*k+k])
-		}
-		c.SendFloats(peer, tagHaloData, buf)
-	}
-	for _, peer := range p.recvPeerIDs {
-		slots := p.RecvPeers[peer]
-		vals := c.RecvFloats(peer, tagHaloData)
-		if len(vals) != len(slots)*k {
-			panic(fmt.Sprintf("distmat: rank %d batched halo update from %d: got %d values, want %d",
-				c.Rank(), peer, len(vals), len(slots)*k))
-		}
-		for m, s := range slots {
-			copy(xExt[(nLocal+s)*k:(nLocal+s)*k+k], vals[m*k:(m+1)*k])
-		}
-	}
-}
-
 // MulMat computes the local block of Y = A·X for k interleaved columns,
 // performing one k-wide halo update (one message per neighbour regardless
 // of k). x and y hold the rank's interleaved local blocks (length
@@ -109,12 +58,15 @@ func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch 
 	if scratch.NLocal != nl || scratch.K != k {
 		panic(fmt.Sprintf("distmat: MulMat scratch %d×%d, want %d×%d", scratch.NLocal, scratch.K, nl, k))
 	}
-	copy(scratch.Ext[:nl*k], x)
-	op.Plan.ExchangeBatch(c, scratch.Ext, nl, k)
+	if !op.Plan.idle() {
+		copy(scratch.Ext[:nl*k], x)
+		op.Plan.ExchangeBatch(c, scratch.Ext, nl, k)
+		x = scratch.Ext
+	}
 	if op.f32 {
-		op.LZ.M32().MulMatCols(scratch.Ext, y, k, cols)
+		op.LZ.M32().MulMatCols(x, y, k, cols)
 	} else {
-		op.LZ.M.MulMatCols(scratch.Ext, y, k, cols)
+		op.LZ.M.MulMatCols(x, y, k, cols)
 	}
 	nc := int64(k)
 	if cols != nil {

@@ -144,30 +144,13 @@ type HaloPlan struct {
 	needCounts []int64
 	nodeAware  bool
 	nap        *napSched
-	// sendBuf holds per-peer gather buffers, lazily sized and reused across
-	// updates so the per-iteration halo exchange allocates nothing on the
-	// send side (simmpi copies payloads on Send). A plan is confined to its
-	// rank's goroutine, like the Comm it is used with.
-	sendBuf [][]float64
-	// Node-aware exchange workspaces, reused across updates like sendBuf:
-	// the up-gather buffer, the leader's combined outbound and per-member
-	// down buffers, and the received up/inter payload lists.
-	napUpBuf                []float64
-	napOutBufs, napDownBufs [][]float64
-	napUpVals, napInVals    [][]float64
 	// f32 selects the half-width wire format: halo values are narrowed to
 	// float32 at the gather, travel (and are metered) at 4 bytes each, and
-	// are widened back on scatter. The schedule is precision-independent;
-	// only the buffers below differ. See halo32.go.
+	// are widened back on scatter. The schedule is precision-independent.
 	f32 bool
-	// Float32 twins of the exchange workspaces, used only when f32 is set.
-	// The NAP leader needs its own set because self-ups and self-downs ride
-	// the no-copy loopback queue: the payload the leader scatters IS the
-	// buffer it gathered into, so the two precisions cannot share storage.
-	sendBuf32                   [][]float32
-	napUpBuf32                  []float32
-	napOutBufs32, napDownBufs32 [][]float32
-	napUpVals32, napInVals32    [][]float32
+	// ex is the exchange state — primitives and reusable buffers — for the
+	// current width, built on first use (see exchange.go).
+	ex exchanger
 	// async is the reusable handle for StartExchange (one outstanding
 	// nonblocking exchange per plan at a time).
 	async ExchangeHandle
@@ -176,10 +159,11 @@ type HaloPlan struct {
 // SetF32 selects (or clears) the half-width float32 halo wire format for
 // this plan. Mixed-precision solves set it on the plans of their inner
 // operators; the FP64 outer-loop operators keep the full-width default.
-func (p *HaloPlan) SetF32(on bool) { p.f32 = on }
-
-// F32 reports whether the plan exchanges halo values in float32.
-func (p *HaloPlan) F32() bool { return p.f32 }
+func (p *HaloPlan) SetF32(on bool) {
+	if on != p.f32 {
+		p.f32, p.ex = on, nil
+	}
+}
 
 // SendPeerIDs returns the sorted ranks this plan sends to.
 func (p *HaloPlan) SendPeerIDs() []int { return p.sendPeerIDs }
@@ -363,163 +347,6 @@ func (p *HaloPlan) CloneTopo(topo simmpi.Topology) *HaloPlan {
 	c.nodeAware = !topo.Flat()
 	c.nap = nil
 	return c
-}
-
-// Exchange performs one halo update: xExt must have length
-// NLocal+len(Halo); its first NLocal entries are the local values (already
-// filled by the caller), and Exchange fills the halo slots from peers.
-func (p *HaloPlan) Exchange(c *simmpi.Comm, xExt []float64, nLocal int) {
-	// Post all sends, then drain receives; per-pair FIFO channels make this
-	// deadlock-free with buffered channels.
-	p.PostSends(c, xExt)
-	p.CompleteRecvs(c, xExt, nLocal)
-}
-
-// PostSends posts this rank's halo sends from xExt (local values already
-// filled by the caller). The overlap schedule calls it before computing
-// interior rows so the values travel while local work proceeds.
-func (p *HaloPlan) PostSends(c *simmpi.Comm, xExt []float64) {
-	if p.f32 {
-		p.postSends32(c, xExt)
-		return
-	}
-	if p.napActive() {
-		p.napPostSends(c, xExt, 1, false)
-		return
-	}
-	if p.sendBuf == nil {
-		p.sendBuf = make([][]float64, len(p.SendPeers))
-	}
-	for _, peer := range p.sendPeerIDs {
-		list := p.SendPeers[peer]
-		buf := p.sendBuf[peer]
-		if buf == nil {
-			buf = make([]float64, len(list))
-			p.sendBuf[peer] = buf
-		}
-		for k, li := range list {
-			buf[k] = xExt[li]
-		}
-		c.SendFloats(peer, tagHaloData, buf)
-	}
-}
-
-// CompleteRecvs drains this rank's halo receives into the halo slots of
-// xExt, completing an update started with PostSends.
-func (p *HaloPlan) CompleteRecvs(c *simmpi.Comm, xExt []float64, nLocal int) {
-	if p.f32 {
-		p.completeRecvs32(c, xExt, nLocal)
-		return
-	}
-	if p.napActive() {
-		p.napCompleteRecvs(c, xExt, nLocal, 1)
-		return
-	}
-	for _, peer := range p.recvPeerIDs {
-		slots := p.RecvPeers[peer]
-		vals := c.RecvFloats(peer, tagHaloData)
-		if len(vals) != len(slots) {
-			panic(fmt.Sprintf("distmat: rank %d halo update from %d: got %d values, want %d",
-				c.Rank(), peer, len(vals), len(slots)))
-		}
-		for k, s := range slots {
-			xExt[nLocal+s] = vals[k]
-		}
-	}
-}
-
-// StartExchange posts one halo update entirely through the nonblocking
-// primitives: receives first (so a matching send can never block on an
-// unposted receive), then sends, in the MPI_Irecv/MPI_Isend idiom. The
-// returned handle completes the update; metering is identical to
-// PostSends/CompleteRecvs byte for byte, so structural communication
-// claims are independent of which schedule a solver uses. The handle's
-// request slices are reused across calls (one outstanding exchange per
-// plan at a time, like the send buffers).
-func (p *HaloPlan) StartExchange(c *simmpi.Comm, xExt []float64) *ExchangeHandle {
-	if p.f32 {
-		return p.startExchange32(c, xExt)
-	}
-	if p.napActive() {
-		// The aggregated protocol keeps its receives ordered per sender
-		// (ups before directs before downs), so the handle defers all of
-		// them to Complete; the sends still go out nonblocking here, which
-		// is what overlaps them with the caller's interior compute. Metering
-		// is charged at post time either way.
-		p.async.plan = p
-		p.async.nap = true
-		p.async.f32 = false
-		p.napPostSends(c, xExt, 1, true)
-		return &p.async
-	}
-	p.async.nap = false
-	p.async.f32 = false
-	if p.async.recvs == nil {
-		p.async.recvs = make([]*simmpi.Request, 0, len(p.recvPeerIDs))
-	}
-	p.async.plan = p
-	p.async.recvs = p.async.recvs[:0]
-	for _, peer := range p.recvPeerIDs {
-		p.async.recvs = append(p.async.recvs, c.IrecvFloats(peer, tagHaloData))
-	}
-	if p.sendBuf == nil {
-		p.sendBuf = make([][]float64, len(p.SendPeers))
-	}
-	for _, peer := range p.sendPeerIDs {
-		list := p.SendPeers[peer]
-		buf := p.sendBuf[peer]
-		if buf == nil {
-			buf = make([]float64, len(list))
-			p.sendBuf[peer] = buf
-		}
-		for k, li := range list {
-			buf[k] = xExt[li]
-		}
-		// Isend copies the payload at post time, so buf is immediately
-		// reusable; the send handle needs no explicit wait.
-		c.IsendFloats(peer, tagHaloData, buf)
-	}
-	return &p.async
-}
-
-// ExchangeHandle is an in-flight halo update started with StartExchange.
-type ExchangeHandle struct {
-	plan  *HaloPlan
-	recvs []*simmpi.Request
-	nap   bool // node-aware exchange: receives deferred to Complete
-	f32   bool // half-width exchange: complete with the float32 wait path
-}
-
-// Complete waits the posted receives and scatters their values into the
-// halo slots of xExt, finishing the update.
-func (h *ExchangeHandle) Complete(c *simmpi.Comm, xExt []float64, nLocal int) {
-	if h.nap {
-		if h.f32 {
-			h.plan.napCompleteRecvs32(c, xExt, nLocal, 1)
-			return
-		}
-		h.plan.napCompleteRecvs(c, xExt, nLocal, 1)
-		return
-	}
-	if h.f32 {
-		h.complete32(c, xExt, nLocal)
-		return
-	}
-	p := h.plan
-	for i, peer := range p.recvPeerIDs {
-		slots := p.RecvPeers[peer]
-		vals, err := h.recvs[i].Wait()
-		if err != nil {
-			panic(fmt.Sprintf("distmat: rank %d halo update from %d: %v", c.Rank(), peer, err))
-		}
-		if len(vals) != len(slots) {
-			panic(fmt.Sprintf("distmat: rank %d halo update from %d: got %d values, want %d",
-				c.Rank(), peer, len(vals), len(slots)))
-		}
-		for k, s := range slots {
-			xExt[nLocal+s] = vals[k]
-		}
-	}
 }
 
 // RecvGlobals returns, per peer rank, the global indices of the unknowns

@@ -12,6 +12,13 @@
 // work; a Localized view remaps columns to local-then-halo positions for the
 // SpMV kernels, mirroring how distributed CSR codes store local and halo
 // entries separately.
+//
+// The halo update is written once (exchange.go): blocking, overlapped,
+// nonblocking, k-wide and node-aware updates, at full width or with float32
+// on the wire, are one post and one complete over a plan's schedule. The
+// one-rank world needs no second code path either: LocalOp wraps an
+// undistributed matrix, Dot and Norm2 take a nil Comm, and a plan with no
+// peers lets the product read its input in place.
 package distmat
 
 import (

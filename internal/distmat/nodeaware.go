@@ -218,130 +218,48 @@ func buildNapSched(p *HaloPlan) *napSched {
 	return s
 }
 
-// napBuf resizes *store to n float64s, reusing capacity across exchanges.
-func napBuf(store *[]float64, n int) []float64 {
-	if cap(*store) < n {
-		*store = make([]float64, n)
+// relay runs the leader's middle phase of one k-wide exchange: collect the
+// members' ups, trade one combined message per peer node, hand out the
+// downs. Values pass through in the wire type untouched, so the relay adds
+// no rounding.
+func (h *halo[V]) relay(c *simmpi.Comm, k int) {
+	p := h.p
+	r := p.nap.relay
+	if h.upVals == nil {
+		h.upVals = make([][]V, len(r.upMembers))
+		h.inVals = make([][]V, len(r.inNodes))
+		h.outBufs = make([][]V, len(r.outNodes))
+		h.downBufs = make([][]V, len(r.downMembers))
 	}
-	*store = (*store)[:n]
-	return *store
-}
-
-// napPostSends is the send half of a k-wide node-aware exchange: the up
-// message to the node leader, then the unchanged direct intra-node sends.
-// async selects the nonblocking send primitive (metering is identical
-// either way — charged at post time).
-func (p *HaloPlan) napPostSends(c *simmpi.Comm, xExt []float64, k int, async bool) {
-	s := p.napInit()
-	send := c.SendFloats
-	if async {
-		send = func(dst, tag int, data []float64) { c.IsendFloats(dst, tag, data) }
-	}
-	if s.upCount > 0 {
-		buf := napBuf(&p.napUpBuf, s.upCount*k)
-		o := 0
-		for _, d := range s.crossSendIDs {
-			for _, li := range p.SendPeers[d] {
-				copy(buf[o:o+k], xExt[li*k:li*k+k])
-				o += k
-			}
+	// concat copies the segments' k-wide runs of src into dst.
+	concat := func(dst []V, segs []napSeg, src [][]V) {
+		for _, sg := range segs {
+			dst = dst[copy(dst, src[sg.buf][sg.off*k:(sg.off+sg.n)*k]):]
 		}
-		send(s.leaderRank, tagNAPUp, buf)
-	}
-	if p.sendBuf == nil {
-		p.sendBuf = make([][]float64, len(p.SendPeers))
-	}
-	for _, d := range s.intraSendIDs {
-		list := p.SendPeers[d]
-		buf := napBuf(&p.sendBuf[d], len(list)*k)
-		o := 0
-		for _, li := range list {
-			copy(buf[o:o+k], xExt[li*k:li*k+k])
-			o += k
-		}
-		send(d, tagHaloData, buf)
-	}
-}
-
-// napCompleteRecvs is the receive half: the leader first discharges its
-// relay duty (collect ups, exchange one combined message per peer node,
-// hand out downs), then every rank drains its direct intra receives and
-// finally scatters its down message.
-func (p *HaloPlan) napCompleteRecvs(c *simmpi.Comm, xExt []float64, nLocal, k int) {
-	s := p.napInit()
-	if s.isLeader && s.relay != nil {
-		p.napRelay(c, k)
-	}
-	for _, peer := range s.intraRecvIDs {
-		slots := p.RecvPeers[peer]
-		vals := c.RecvFloats(peer, tagHaloData)
-		if len(vals) != len(slots)*k {
-			panic(fmt.Sprintf("distmat: rank %d node-aware direct update from %d: got %d values, want %d",
-				c.Rank(), peer, len(vals), len(slots)*k))
-		}
-		for m, slot := range slots {
-			copy(xExt[(nLocal+slot)*k:(nLocal+slot)*k+k], vals[m*k:(m+1)*k])
-		}
-	}
-	if s.downCount > 0 {
-		vals := c.RecvFloats(s.leaderRank, tagNAPDown)
-		if len(vals) != s.downCount*k {
-			panic(fmt.Sprintf("distmat: rank %d node-aware down update: got %d values, want %d",
-				c.Rank(), len(vals), s.downCount*k))
-		}
-		o := 0
-		for _, src := range s.crossRecvIDs {
-			for _, slot := range p.RecvPeers[src] {
-				copy(xExt[(nLocal+slot)*k:(nLocal+slot)*k+k], vals[o:o+k])
-				o += k
-			}
-		}
-	}
-}
-
-// napRelay runs the leader's middle phase of one k-wide exchange.
-func (p *HaloPlan) napRelay(c *simmpi.Comm, k int) {
-	s := p.nap
-	r := s.relay
-	if p.napUpVals == nil {
-		p.napUpVals = make([][]float64, len(r.upMembers))
-		p.napInVals = make([][]float64, len(r.inNodes))
-		p.napOutBufs = make([][]float64, len(r.outNodes))
-		p.napDownBufs = make([][]float64, len(r.downMembers))
 	}
 	for i, m := range r.upMembers {
-		vals := c.RecvFloats(m, tagNAPUp)
-		if len(vals) != r.upCounts[i]*k {
+		h.upVals[i] = h.recv(c, m, tagNAPUp)
+		if len(h.upVals[i]) != r.upCounts[i]*k {
 			panic(fmt.Sprintf("distmat: leader %d up from %d: got %d values, want %d",
-				c.Rank(), m, len(vals), r.upCounts[i]*k))
+				c.Rank(), m, len(h.upVals[i]), r.upCounts[i]*k))
 		}
-		p.napUpVals[i] = vals
 	}
 	for bi, b := range r.outNodes {
-		buf := napBuf(&p.napOutBufs[bi], r.outCounts[bi]*k)
-		o := 0
-		for _, sg := range r.outSegs[bi] {
-			copy(buf[o:o+sg.n*k], p.napUpVals[sg.buf][sg.off*k:(sg.off+sg.n)*k])
-			o += sg.n * k
-		}
-		c.SendFloats(p.topo.Leader(b), tagNAPInter, buf)
+		buf := resize(&h.outBufs[bi], r.outCounts[bi]*k)
+		concat(buf, r.outSegs[bi], h.upVals)
+		h.send(c, p.topo.Leader(b), tagNAPInter, buf)
 	}
 	for bi, b := range r.inNodes {
-		vals := c.RecvFloats(p.topo.Leader(b), tagNAPInter)
-		if len(vals) != r.inCounts[bi]*k {
+		h.inVals[bi] = h.recv(c, p.topo.Leader(b), tagNAPInter)
+		if len(h.inVals[bi]) != r.inCounts[bi]*k {
 			panic(fmt.Sprintf("distmat: leader %d inter from node %d: got %d values, want %d",
-				c.Rank(), b, len(vals), r.inCounts[bi]*k))
+				c.Rank(), b, len(h.inVals[bi]), r.inCounts[bi]*k))
 		}
-		p.napInVals[bi] = vals
 	}
 	for di, m := range r.downMembers {
-		buf := napBuf(&p.napDownBufs[di], r.downCounts[di]*k)
-		o := 0
-		for _, sg := range r.downSegs[di] {
-			copy(buf[o:o+sg.n*k], p.napInVals[sg.buf][sg.off*k:(sg.off+sg.n)*k])
-			o += sg.n * k
-		}
-		c.SendFloats(m, tagNAPDown, buf)
+		buf := resize(&h.downBufs[di], r.downCounts[di]*k)
+		concat(buf, r.downSegs[di], h.inVals)
+		h.send(c, m, tagNAPDown, buf)
 	}
 }
 

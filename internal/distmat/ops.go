@@ -59,9 +59,6 @@ func (op *Op) SetF32(on bool) {
 	op.Plan.SetF32(on)
 }
 
-// F32 reports whether the operator runs the mixed-precision kernel.
-func (op *Op) F32() bool { return op.f32 }
-
 // NewOp localizes the local rows (global columns) of a distributed matrix
 // and builds its halo plan. Collective: all ranks must call it together.
 func NewOp(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, opts ...OpOption) *Op {
@@ -88,6 +85,13 @@ func NewOpFromParts(lz *Localized, plan *HaloPlan, opts ...OpOption) *Op {
 	return op
 }
 
+// LocalOp wraps a whole, undistributed matrix as the operator of a one-rank
+// world without copying it: every column is local and the plan has no
+// peers, so its products and the solvers over it take a nil Comm.
+func LocalOp(a *sparse.CSR) *Op {
+	return &Op{LZ: &Localized{Hi: a.Rows, M: a}, Plan: &HaloPlan{}}
+}
+
 // Overlap returns the overlap view if it has been built, nil otherwise.
 func (op *Op) Overlap() *OverlapOp { return op.overlap }
 
@@ -110,26 +114,33 @@ func (op *Op) MulVec(c *simmpi.Comm, x, y []float64, scratch *DistVec, fc *vecop
 	if len(x) != nl || len(y) != nl {
 		panic(fmt.Sprintf("distmat: MulVec local length %d/%d, want %d", len(x), len(y), nl))
 	}
-	copy(scratch.Ext[:nl], x)
-	op.Plan.Exchange(c, scratch.Ext, nl)
+	if !op.Plan.idle() {
+		copy(scratch.Ext[:nl], x)
+		op.Plan.Exchange(c, scratch.Ext, nl)
+		x = scratch.Ext
+	}
 	if op.f32 {
-		op.LZ.M32().MulVec(scratch.Ext, y)
+		op.LZ.M32().MulVec(x, y)
 	} else {
-		op.LZ.M.MulVec(scratch.Ext, y)
+		op.LZ.M.MulVec(x, y)
 	}
 	fc.Add(2 * int64(op.LZ.M.NNZ()))
 }
 
-// Dot returns the global dot product of two distributed vectors.
+// Dot returns the global dot product of two distributed vectors; a nil Comm
+// is the one-rank world, where the local product is the global one.
 func Dot(c *simmpi.Comm, x, y []float64, fc *vecops.FlopCounter) float64 {
 	local := vecops.Dot(x, y, fc)
+	if c == nil {
+		return local
+	}
 	return c.AllreduceSum(local)[0]
 }
 
-// Norm2 returns the global Euclidean norm of a distributed vector.
+// Norm2 returns the global Euclidean norm of a distributed vector (nil Comm
+// as for Dot).
 func Norm2(c *simmpi.Comm, x []float64, fc *vecops.FlopCounter) float64 {
-	local := vecops.Dot(x, x, fc)
-	s := c.AllreduceSum(local)[0]
+	s := Dot(c, x, x, fc)
 	if s < 0 {
 		s = 0
 	}

@@ -358,7 +358,7 @@ func TestSetupCost(t *testing.T) {
 	if err := WriteSetupCost(&buf, tinySet()[:1], 64); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Adaptive") {
+	if !strings.Contains(buf.String(), "FSAIE-Comm t/it") {
 		t.Fatal("setup-cost output incomplete")
 	}
 }

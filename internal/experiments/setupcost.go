@@ -14,10 +14,9 @@ import (
 
 // SetupCostRow compares preconditioner construction cost (serial wall
 // clock) and quality (serial PCG iterations) across the whole baseline
-// spectrum for one matrix: Jacobi, IC(0), FSAI, the extended FSAIE-Comm
-// pipeline, and the FSPAI-style adaptive build. The paper reports only the
-// solve phase; this table documents the setup trade-off its related-work
-// section argues qualitatively.
+// spectrum for one matrix: Jacobi, IC(0), FSAI and the extended FSAIE-Comm
+// pipeline. The paper reports only the solve phase; this table documents
+// the setup trade-off its related-work section argues qualitatively.
 type SetupCostRow struct {
 	Spec       testsets.Spec
 	SetupTimes map[string]time.Duration
@@ -25,7 +24,7 @@ type SetupCostRow struct {
 }
 
 // setupVariants orders the compared preconditioners.
-var setupVariants = []string{"jacobi", "ic0", "fsai", "fsaie-comm", "adaptive"}
+var setupVariants = []string{"jacobi", "ic0", "fsai", "fsaie-comm"}
 
 // RunSetupCost builds every variant serially on one matrix and measures
 // construction wall clock plus PCG iterations.
@@ -68,13 +67,6 @@ func RunSetupCost(spec testsets.Spec, lineBytes int) (SetupCostRow, error) {
 			} else {
 				pre = krylov.NewSplit(gm, gm.Transpose())
 			}
-		case "adaptive":
-			gm, e := fsai.BuildAdaptive(a, fsai.AdaptiveOptions{Steps: 4, AddPerStep: 4})
-			if e != nil {
-				err = e
-			} else {
-				pre = krylov.NewSplit(gm, gm.Transpose())
-			}
 		}
 		if err != nil {
 			return row, fmt.Errorf("experiments: setup %s/%s: %w", spec.Name, v, err)
@@ -105,7 +97,7 @@ func WriteSetupCost(w io.Writer, set []testsets.Spec, lineBytes int) error {
 		}
 		rows = append(rows, cells)
 	}
-	writeTable(w, []string{"Matrix", "Jacobi t/it", "IC(0) t/it", "FSAI t/it", "FSAIE-Comm t/it", "Adaptive t/it"}, rows)
+	writeTable(w, []string{"Matrix", "Jacobi t/it", "IC(0) t/it", "FSAI t/it", "FSAIE-Comm t/it"}, rows)
 	fmt.Fprintln(w)
 	return nil
 }

@@ -32,7 +32,6 @@ import (
 
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/simmpi"
-	"fsaicomm/internal/sparse"
 	"fsaicomm/internal/vecops"
 )
 
@@ -42,34 +41,12 @@ import (
 // them would complicate the masked recurrences for no modeled gain.
 var ErrBatchVariant = errors.New("krylov: batched solve supports the classic and fused variants only")
 
-// BatchPreconditioner applies z_c ← M·r_c on the active columns of
-// interleaved n×k blocks in the serial batched solver. Masked columns of z
-// must be left untouched.
-type BatchPreconditioner interface {
-	ApplyBatch(r, z []float64, k int, cols []int, fc *vecops.FlopCounter)
-}
-
-// DistBatchPreconditioner is the distributed counterpart, applied to a
-// rank's local interleaved block. Collective: every rank calls it the same
-// number of times with the same mask.
+// DistBatchPreconditioner applies z_c ← M·r_c on the active columns of a
+// rank's local interleaved block; masked columns of z must be left
+// untouched. Collective: every rank calls it the same number of times with
+// the same mask.
 type DistBatchPreconditioner interface {
 	ApplyBatch(c *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter)
-}
-
-// IdentityBatch is the no-op batched preconditioner.
-type IdentityBatch struct{}
-
-// ApplyBatch copies the active columns of r into z.
-func (IdentityBatch) ApplyBatch(r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
-	if cols == nil {
-		copy(z, r)
-		return
-	}
-	for i := 0; i < len(r)/k; i++ {
-		for _, c := range cols {
-			z[i*k+c] = r[i*k+c]
-		}
-	}
 }
 
 // DistSplitBatch applies z = Gᵀ(G·r) to interleaved blocks with
@@ -216,114 +193,6 @@ func checkBatchOptions(k int, opt Options) error {
 	}
 }
 
-// CGBatch solves the k systems A·x_c = b_c serially with the batched
-// classic PCG recurrence, from zero initial guesses. b and x are n×k
-// row-major interleaved blocks; x is overwritten. Column c of the result
-// is bit-identical to CG on (b column c). The fused variant is accepted
-// but runs the classic recurrence serially (the fused rearrangement only
-// changes communication, which a serial solve has none of).
-func CGBatch(a *sparse.CSR, b, x []float64, m BatchPreconditioner, k int, opt Options, fc *vecops.FlopCounter) (BatchStats, error) {
-	n := a.Rows
-	if err := checkBatchOptions(k, opt); err != nil {
-		return BatchStats{}, err
-	}
-	opt = opt.withDefaults(n)
-	if m == nil {
-		m = IdentityBatch{}
-	}
-	if len(b) != n*k || len(x) != n*k {
-		panic(fmt.Sprintf("krylov: CGBatch block length %d/%d, want %d (k=%d)", len(b), len(x), n*k, k))
-	}
-	ws := opt.Work
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	r, z, d, q := ws.take4(n * k)
-	copy(r, b)
-
-	bs := BatchStats{K: k, Cols: make([]Stats, k), Broken: make([]bool, k)}
-	ctl := newBatchCtl(k)
-	norm0 := make([]float64, k)
-	rho := make([]float64, k)
-	alpha := make([]float64, k)
-	negAlpha := make([]float64, k)
-	beta := make([]float64, k)
-	tmp := make([]float64, k)
-
-	vecops.DotBatch(r, r, k, nil, tmp, fc)
-	for c := 0; c < k; c++ {
-		norm0[c] = math.Sqrt(tmp[c])
-		if norm0[c] == 0 {
-			for i := 0; i < n; i++ {
-				x[i*k+c] = 0
-			}
-			bs.Cols[c].Converged = true
-			ctl.freeze(c)
-		}
-	}
-	if ctl.done() {
-		return batchResult(bs, 0, nil)
-	}
-	m.ApplyBatch(r, z, k, ctl.mask(), fc)
-	copy(d, z)
-	vecops.DotBatch(r, z, k, ctl.mask(), rho, fc)
-
-	for iter := 1; iter <= opt.MaxIter; iter++ {
-		if canceled(nil, opt.Ctx) {
-			return batchResult(bs, iter, opt.Ctx)
-		}
-		a.MulMatCols(d, q, k, ctl.mask())
-		fc.Add(2 * int64(a.NNZ()) * int64(len(ctl.active)))
-		vecops.DotBatch(d, q, k, ctl.mask(), tmp, fc)
-		for _, c := range append([]int(nil), ctl.active...) {
-			if badCurv(tmp[c]) {
-				bs.Broken[c] = true
-				ctl.freeze(c)
-				continue
-			}
-			alpha[c] = rho[c] / tmp[c]
-			negAlpha[c] = -alpha[c]
-		}
-		if ctl.done() {
-			break
-		}
-		vecops.AxpyBatch(alpha, d, x, k, ctl.mask(), fc)
-		vecops.AxpyBatch(negAlpha, q, r, k, ctl.mask(), fc)
-		vecops.DotBatch(r, r, k, ctl.mask(), tmp, fc)
-		bs.Iterations = iter
-		for _, c := range append([]int(nil), ctl.active...) {
-			st := &bs.Cols[c]
-			st.Iterations = iter
-			st.RelResidual = math.Sqrt(tmp[c]) / norm0[c]
-			if nonfinite(tmp[c]) {
-				bs.Broken[c] = true
-				ctl.freeze(c)
-				continue
-			}
-			if st.RelResidual <= opt.Tol {
-				st.Converged = true
-				ctl.freeze(c)
-			}
-		}
-		if ctl.done() {
-			break
-		}
-		m.ApplyBatch(r, z, k, ctl.mask(), fc)
-		vecops.DotBatch(r, z, k, ctl.mask(), tmp, fc)
-		for _, c := range append([]int(nil), ctl.active...) {
-			if nonfinite(tmp[c]) {
-				bs.Broken[c] = true
-				ctl.freeze(c)
-				continue
-			}
-			beta[c] = tmp[c] / rho[c]
-			rho[c] = tmp[c]
-		}
-		vecops.XpayBatch(z, beta, d, k, ctl.mask(), fc)
-	}
-	return batchResult(bs, 0, nil)
-}
-
 // DistCGBatch solves the k distributed systems A·x_c = b_c with the
 // batched CG recurrence. Every rank passes its local interleaved blocks of
 // b and x (x zeroed); all ranks receive identical BatchStats. Per
@@ -343,8 +212,7 @@ func DistCGBatch(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistBatchPrec
 		return distCGFusedBatch(c, op, b, x, m, k, opt, fc)
 	}
 	nl := op.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
+	opt = opt.withDefaults(globalLen(c, nl))
 	if len(b) != nl*k || len(x) != nl*k {
 		panic(fmt.Sprintf("krylov: DistCGBatch local block length %d/%d, want %d (k=%d)", len(b), len(x), nl*k, k))
 	}
@@ -449,8 +317,7 @@ func DistCGBatch(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistBatchPrec
 // byte and message for message).
 func distCGFusedBatch(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistBatchPreconditioner, k int, opt Options, fc *vecops.FlopCounter) (BatchStats, error) {
 	nl := op.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
+	opt = opt.withDefaults(globalLen(c, nl))
 	if len(b) != nl*k || len(x) != nl*k {
 		panic(fmt.Sprintf("krylov: distCGFusedBatch local block length %d/%d, want %d (k=%d)", len(b), len(x), nl*k, k))
 	}

@@ -12,12 +12,12 @@ import (
 	"fsaicomm/internal/vecops"
 )
 
-// jacobiBatch is the batched counterpart of the Jacobi preconditioner,
-// defined here so the serial differential test exercises a non-trivial
-// BatchPreconditioner.
-type jacobiBatch struct{ inv []float64 }
+// distJacobiBatch is the batched counterpart of the Jacobi preconditioner
+// over a rank's local block, defined here so the differential tests exercise
+// a non-trivial DistBatchPreconditioner.
+type distJacobiBatch struct{ inv []float64 }
 
-func (j *jacobiBatch) ApplyBatch(r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
+func (j *distJacobiBatch) ApplyBatch(_ *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
 	n := len(r) / k
 	idx := cols
 	if idx == nil {
@@ -34,11 +34,26 @@ func (j *jacobiBatch) ApplyBatch(r, z []float64, k int, cols []int, fc *vecops.F
 	fc.Add(int64(n) * int64(len(idx)))
 }
 
-// distJacobiBatch is the distributed analog over a rank's local block.
-type distJacobiBatch struct{ inv []float64 }
-
-func (j *distJacobiBatch) ApplyBatch(c *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
-	(&jacobiBatch{inv: j.inv}).ApplyBatch(r, z, k, cols, fc)
+// oneRankBatch runs DistCGBatch on the one-rank world, where the whole
+// matrix is rank 0's block. A nil inv solves unpreconditioned (scaling by an
+// exact 1 leaves every bit of r in z).
+func oneRankBatch(t *testing.T, a *sparse.CSR, b, x, inv []float64, k int, opt Options) (BatchStats, error) {
+	t.Helper()
+	if inv == nil {
+		inv = make([]float64, a.Rows)
+		vecops.Fill(inv, 1)
+	}
+	var bs BatchStats
+	var solveErr error
+	_, err := simmpi.Run(1, testTimeout, func(c *simmpi.Comm) error {
+		op := distmat.NewOp(c, distmat.NewUniformLayout(a.Rows, 1), 0, a.Rows, a)
+		bs, solveErr = DistCGBatch(c, op, b, x, &distJacobiBatch{inv: inv}, k, opt, nil)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bs, solveErr
 }
 
 func packRHS(rhs [][]float64, k int) []float64 {
@@ -50,7 +65,7 @@ func packRHS(rhs [][]float64, k int) []float64 {
 	return b
 }
 
-// The serial batched solve is bit-identical to k scalar solves, per
+// The one-rank batched solve is bit-identical to k scalar solves, per
 // column, with matching Stats — including when the columns converge at
 // different iterations and the mask freezes them one by one.
 func TestCGBatchMatchesScalarBitwise(t *testing.T) {
@@ -80,7 +95,7 @@ func TestCGBatchMatchesScalarBitwise(t *testing.T) {
 
 	b := packRHS(rhs, k)
 	x := make([]float64, n*k)
-	bs, err := CGBatch(a, b, x, &jacobiBatch{inv: jac.InvDiag}, k, opt, nil)
+	bs, err := oneRankBatch(t, a, b, x, jac.InvDiag, k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +134,7 @@ func TestCGBatchZeroColumn(t *testing.T) {
 	rhs := [][]float64{make([]float64, n), matgen.RandomRHS(n, 7, a.MaxNorm())}
 	b := packRHS(rhs, k)
 	x := make([]float64, n*k)
-	bs, err := CGBatch(a, b, x, nil, k, Options{}, nil)
+	bs, err := oneRankBatch(t, a, b, x, nil, k, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +176,7 @@ func TestCGBatchBreakdownIsolatesColumn(t *testing.T) {
 
 	b := packRHS([][]float64{bad, good}, k)
 	x := make([]float64, 4*k)
-	bs, err := CGBatch(a, b, x, nil, k, Options{MaxIter: 50}, nil)
+	bs, err := oneRankBatch(t, a, b, x, nil, k, Options{MaxIter: 50})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
 	}
@@ -185,12 +200,12 @@ func TestBatchVariantRejected(t *testing.T) {
 	b := make([]float64, a.Rows)
 	x := make([]float64, a.Rows)
 	for _, v := range []CGVariant{CGClassicOverlap, CGPipelined} {
-		_, err := CGBatch(a, b, x, nil, 1, Options{Variant: v}, nil)
+		_, err := oneRankBatch(t, a, b, x, nil, 1, Options{Variant: v})
 		if !errors.Is(err, ErrBatchVariant) {
 			t.Fatalf("variant %s: err = %v, want ErrBatchVariant", v, err)
 		}
 	}
-	if _, err := CGBatch(a, b, x, nil, 0, Options{}, nil); err == nil {
+	if _, err := oneRankBatch(t, a, b, x, nil, 0, Options{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -202,7 +217,7 @@ func TestCGBatchCancellation(t *testing.T) {
 	cancel()
 	b := packRHS([][]float64{matgen.RandomRHS(n, 1, a.MaxNorm())}, 1)
 	x := make([]float64, n)
-	bs, err := CGBatch(a, b, x, nil, 1, Options{Ctx: ctx}, nil)
+	bs, err := oneRankBatch(t, a, b, x, nil, 1, Options{Ctx: ctx})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

@@ -3,6 +3,7 @@ package krylov
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -132,8 +133,8 @@ func TestSerialCGCancellation(t *testing.T) {
 		ctx := countingCtx{polls: new(atomic.Int64), limit: tc.limit}
 		y := make([]float64, a.Rows)
 		st, err := CG(a, b, y, nil, Options{Tol: 1e-10, Ctx: ctx}, nil)
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%s: got error %v, want ErrCanceled", tc.name, err)
+		if !errors.Is(err, ErrCanceled) || !strings.Contains(err.Error(), context.Canceled.Error()) {
+			t.Fatalf("%s: got error %v, want ErrCanceled carrying the context's cause", tc.name, err)
 		}
 		if tc.limit == 0 && st.Iterations != 0 {
 			t.Fatalf("%s: pre-canceled solve ran %d iterations", tc.name, st.Iterations)

@@ -1,9 +1,14 @@
-// Package krylov implements the Conjugate Gradient solver of the paper —
-// serial and distributed-memory variants — together with the preconditioner
-// application interfaces the FSAI family plugs into. The distributed solver
-// mirrors the paper's MPI parallelization: the matrix and vectors are
-// distributed by rows, SpMV performs a halo update, and dot products reduce
-// globally.
+// Package krylov implements the Krylov solvers of the reproduction — the
+// paper's preconditioned Conjugate Gradient in its classic, fused,
+// pipelined, batched and mixed-precision forms, and restarted GMRES for the
+// nonsymmetric axis — together with the preconditioner application
+// interfaces the FSAI family plugs into. Every loop is written once, for
+// the distributed setting of the paper's MPI parallelization: the matrix and
+// vectors are distributed by rows, SpMV performs a halo update, and dot
+// products reduce globally. A serial solve (CG, GMRES, SolveRefined) is the
+// same loop on a one-rank world: a nil Comm, under which every reduction is
+// its local value, and distmat.LocalOp, whose product reads the
+// undistributed matrix in place.
 package krylov
 
 import (
@@ -45,6 +50,15 @@ func badCurv(v float64) bool { return !(v > 0) || math.IsInf(v, 1) }
 // nonfinite reports NaN or ±Inf.
 func nonfinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
+// globalLen returns the global problem size from a rank's local length (a
+// nil Comm is the one-rank world).
+func globalLen(c *simmpi.Comm, nl int) int {
+	if c == nil {
+		return nl
+	}
+	return int(c.AllreduceSumInt64(int64(nl))[0])
+}
+
 // canceled is the once-per-iteration cancellation check. Serial solves
 // (c == nil) just poll the context. Distributed solves must exit their
 // collectives in lockstep, so the decision is itself collective: each rank
@@ -80,7 +94,7 @@ type Options struct {
 	RecordResiduals bool
 	// Variant selects the communication structure of the distributed loop
 	// (classic, classic-overlap, fused or pipelined). The zero value is
-	// CGClassic. Ignored by the serial solver.
+	// CGClassic. Ignored by the serial entry points.
 	Variant CGVariant
 	// Work, when non-nil, supplies the iteration vectors so repeated solves
 	// allocate nothing in steady state. In distributed runs each rank must
@@ -141,7 +155,7 @@ type Stats struct {
 	Trace *IterTrace
 }
 
-// Preconditioner applies z ← M·r in the serial solver. Implementations must
+// Preconditioner applies z ← M·r in a serial solve. Implementations must
 // tolerate aliasing-free distinct r and z slices of equal length.
 type Preconditioner interface {
 	Apply(r, z []float64, fc *vecops.FlopCounter)
@@ -178,7 +192,7 @@ func (j *Jacobi) Apply(r, z []float64, fc *vecops.FlopCounter) {
 }
 
 // Split applies the factorized approximate inverse z = Gᵀ(G·r), the
-// preconditioning operation of FSAI/FSAIE/FSAIE-Comm in the serial solver.
+// preconditioning operation of FSAI/FSAIE/FSAIE-Comm in a serial solve.
 type Split struct {
 	G, GT *sparse.CSR
 	w     []float64
@@ -197,88 +211,42 @@ func (s *Split) Apply(r, z []float64, fc *vecops.FlopCounter) {
 	fc.Add(2 * int64(s.G.NNZ()+s.GT.NNZ()))
 }
 
-// matVec is the serial operator the CG loop needs: a matrix-vector product
-// and an entry count for flop accounting. Both sparse.CSR and sparse.CSR32
-// satisfy it, which is how the mixed-precision inner solves reuse the exact
-// same loop.
-type matVec interface {
-	MulVec(x, y []float64)
-	NNZ() int
-}
-
 // CG solves A x = b with preconditioned conjugate gradients, starting from
 // the zero initial guess (as the paper's experiments do). x is overwritten
-// with the solution; pass a zeroed slice.
+// with the solution; pass a zeroed slice. It is DistCG on a one-rank world;
+// Options.Variant is ignored, since the variants rearrange communication a
+// single rank has none of.
 func CG(a *sparse.CSR, b, x []float64, m Preconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	return cgSerial(a, a.Rows, b, x, m, opt, fc)
+	opt.Variant = CGClassic
+	op, pre := oneRank(a, m, &opt)
+	return DistCG(nil, op, b, x, pre, opt, fc)
 }
 
-// cgSerial is the serial classic-CG loop over any matVec operator.
-func cgSerial(a matVec, n int, b, x []float64, m Preconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	opt = opt.withDefaults(n)
-	if m == nil {
-		m = Identity{}
+// rankLocal runs a serial preconditioner as the distributed one of a
+// one-rank world.
+type rankLocal struct{ m Preconditioner }
+
+func (l *rankLocal) Apply(_ *simmpi.Comm, r, z []float64, fc *vecops.FlopCounter) {
+	l.m.Apply(r, z, fc)
+}
+
+// oneRank returns a serial solve's matrix and preconditioner as the
+// distributed loops take them: distmat.LocalOp(a), and m behind rankLocal
+// (nil stays nil). Both live in the solve's workspace, so repeated solves of
+// one system through a caller's Workspace allocate nothing.
+func oneRank(a *sparse.CSR, m Preconditioner, opt *Options) (*distmat.Op, DistPreconditioner) {
+	if opt.Work == nil {
+		opt.Work = &Workspace{}
 	}
 	ws := opt.Work
-	if ws == nil {
-		ws = &Workspace{}
+	if ws.op == nil || ws.op.LZ.M != a {
+		ws.op = distmat.LocalOp(a)
 	}
-	r, z, d, q := ws.take4(n)
-	copy(r, b) // r = b - A·0 = b
-	tr := newTracer(opt.Trace, nil)
-
-	norm0 := vecops.Norm2(r, fc)
-	if norm0 == 0 {
-		vecops.Fill(x, 0)
-		return finish(Stats{Iterations: 0, Converged: true, RelResidual: 0}, fc, tr), nil
+	if m == nil {
+		return ws.op, nil
 	}
-	m.Apply(r, z, fc)
-	copy(d, z)
-	rho := vecops.Dot(r, z, fc)
-	tr.setup()
-
-	st := Stats{}
-	beta := 0.0 // the β that built this iteration's direction d
-	for iter := 1; iter <= opt.MaxIter; iter++ {
-		if canceled(nil, opt.Ctx) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d: %v", ErrCanceled, iter, opt.Ctx.Err())
-		}
-		a.MulVec(d, q)
-		fc.Add(2 * int64(a.NNZ()))
-		dq := vecops.Dot(d, q, fc)
-		if badCurv(dq) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (dᵀAd = %g); matrix not SPD?", ErrBreakdown, iter, dq)
-		}
-		alpha := rho / dq
-		vecops.Axpy(alpha, d, x, fc)
-		vecops.Axpy(-alpha, q, r, fc)
-		rnorm := vecops.Norm2(r, fc)
-		if nonfinite(rnorm) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (‖r‖ = %g)", ErrBreakdown, iter, rnorm)
-		}
-		st.Iterations = iter
-		st.RelResidual = rnorm / norm0
-		if opt.RecordResiduals {
-			st.Residuals = append(st.Residuals, st.RelResidual)
-		}
-		if st.RelResidual <= opt.Tol {
-			st.Converged = true
-			tr.record(iter, st.RelResidual, alpha, beta)
-			return finish(st, fc, tr), nil
-		}
-		m.Apply(r, z, fc)
-		rhoNew := vecops.Dot(r, z, fc)
-		if nonfinite(rhoNew) {
-			tr.record(iter, st.RelResidual, alpha, beta)
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (rᵀMr = %g); preconditioner not finite?", ErrBreakdown, iter, rhoNew)
-		}
-		tr.record(iter, st.RelResidual, alpha, beta)
-		beta = rhoNew / rho
-		rho = rhoNew
-		vecops.Xpay(z, beta, d, fc)
-	}
-	st = finish(st, fc, tr)
-	return st, fmt.Errorf("%w: %d iterations, rel residual %.3e", ErrNoConvergence, st.Iterations, st.RelResidual)
+	ws.pre.m = m
+	return ws.op, &ws.pre
 }
 
 // DistPreconditioner applies z ← M·r on a rank's local slice, communicating
@@ -335,7 +303,8 @@ func mulDist(c *simmpi.Comm, op *distmat.Op, x, y []float64, scratch *distmat.Di
 
 // DistCG solves A x = b in the distributed setting. Every rank passes its
 // local slices of b and x (x zeroed); all ranks receive identical Stats.
-// The operator op must be built over the same layout as b/x.
+// The operator op must be built over the same layout as b/x. A nil Comm is
+// the one-rank world (classic variants only).
 // Options.Variant selects the loop: CGClassic and CGClassicOverlap run the
 // textbook recurrence (three reductions per iteration) with the blocking or
 // overlapped SpMV schedule respectively; CGFused dispatches to DistCGFused
@@ -349,8 +318,7 @@ func DistCG(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner
 	}
 	tr := newTracer(opt.Trace, c)
 	nl := op.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
+	opt = opt.withDefaults(globalLen(c, nl))
 	if m == nil {
 		m = DistIdentity{}
 	}
@@ -383,7 +351,7 @@ func DistCG(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner
 	beta := 0.0 // the β that built this iteration's direction d
 	for iter := 1; iter <= opt.MaxIter; iter++ {
 		if canceled(c, opt.Ctx) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d", ErrCanceled, iter)
+			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d: %v", ErrCanceled, iter, opt.Ctx.Err())
 		}
 		if ov != nil {
 			ov.MulVecOverlap(c, d, q, scratch, fc)

@@ -99,6 +99,10 @@ type Workspace struct {
 	gv                 [][]float64
 	gh, gc, gs, gg, gy []float64
 	scratch            *distmat.DistVec
+	// op and pre are a serial solve's one-rank operator and preconditioner
+	// adapter (see oneRank).
+	op  *distmat.Op
+	pre rankLocal
 }
 
 func grow(v *[]float64, n int) []float64 {
@@ -178,8 +182,7 @@ func (ws *Workspace) distScratch(lz *distmat.Localized) *distmat.DistVec {
 func DistCGFused(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
 	tr := newTracer(opt.Trace, c)
 	nl := op.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
+	opt = opt.withDefaults(globalLen(c, nl))
 	if m == nil {
 		m = DistIdentity{}
 	}

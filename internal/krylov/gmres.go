@@ -119,150 +119,10 @@ func (t *tracer) flushTail() {
 // from the zero initial guess. x is overwritten with the solution; pass a
 // zeroed slice. Options.Restart sets the cycle length (default 30);
 // Options.Variant must be CGClassic (the zero value) — GMRES has no
-// communication-rearranged variants.
+// communication-rearranged variants. It is DistGMRES on a one-rank world.
 func GMRES(a *sparse.CSR, b, x []float64, m Preconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	return gmresSerial(a, a.Rows, b, x, m, opt, fc)
-}
-
-// gmresSerial is the serial restarted-GMRES loop over any matVec operator.
-func gmresSerial(a matVec, n int, b, x []float64, prec Preconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	opt = opt.withDefaults(n)
-	if prec == nil {
-		prec = Identity{}
-	}
-	ws := opt.Work
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	mr := restartLen(opt, n)
-	r, z, w, v, h, cs, sn, g, y := ws.takeGMRES(n, mr)
-	tr := newTracer(opt.Trace, nil)
-
-	st := Stats{}
-	norm0 := 0.0
-	first := true
-	for {
-		// Cycle top: true residual r = b − A·x and its norm.
-		if first {
-			copy(r, b) // x = 0
-		} else {
-			a.MulVec(x, r)
-			fc.Add(2 * int64(a.NNZ()))
-			for i := range r {
-				r[i] = b[i] - r[i]
-			}
-			fc.Add(int64(n))
-		}
-		beta := vecops.Norm2(r, fc)
-		if first {
-			norm0 = beta
-			if norm0 == 0 {
-				vecops.Fill(x, 0)
-				return finish(Stats{Converged: true}, fc, tr), nil
-			}
-			tr.setup()
-			first = false
-		} else {
-			st.RelResidual = beta / norm0
-		}
-		if nonfinite(beta) {
-			tr.flushTail()
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (‖r‖ = %g)", ErrBreakdown, st.Iterations, beta)
-		}
-		if beta/norm0 <= opt.Tol {
-			st.Converged = true
-			st.RelResidual = beta / norm0
-			tr.flushTail()
-			return finish(st, fc, tr), nil
-		}
-		if st.Iterations >= opt.MaxIter {
-			tr.flushTail()
-			st = finish(st, fc, tr)
-			return st, fmt.Errorf("%w: %d iterations, rel residual %.3e", ErrNoConvergence, st.Iterations, st.RelResidual)
-		}
-
-		// Build the cycle's Krylov basis.
-		inv := 1 / beta
-		for i := range r {
-			v[0][i] = r[i] * inv
-		}
-		fc.Add(int64(n))
-		g[0] = beta
-		for i := 1; i <= mr; i++ {
-			g[i] = 0
-		}
-		k := 0 // basis dimension built this cycle
-		cycleDone := false
-		for j := 0; j < mr && !cycleDone; j++ {
-			if canceled(nil, opt.Ctx) {
-				tr.flushTail()
-				return finish(st, fc, tr), fmt.Errorf("%w at iteration %d: %v", ErrCanceled, st.Iterations+1, opt.Ctx.Err())
-			}
-			prec.Apply(v[j], z, fc)
-			a.MulVec(z, w)
-			fc.Add(2 * int64(a.NNZ()))
-			// Modified Gram–Schmidt against the basis built so far.
-			for i := 0; i <= j; i++ {
-				hij := vecops.Dot(v[i], w, fc)
-				h[i*mr+j] = hij
-				vecops.Axpy(-hij, v[i], w, fc)
-			}
-			hnext := vecops.Norm2(w, fc)
-			if nonfinite(hnext) {
-				tr.flushTail()
-				return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (‖w‖ = %g)", ErrBreakdown, st.Iterations+1, hnext)
-			}
-			est, err := givensStep(h, cs, sn, g, mr, j, hnext, norm0)
-			st.Iterations++
-			k = j + 1
-			if err != nil {
-				tr.flushTail()
-				return finish(st, fc, tr), fmt.Errorf("%w at iteration %d: %v", ErrBreakdown, st.Iterations, err)
-			}
-			st.RelResidual = est
-			if opt.RecordResiduals {
-				st.Residuals = append(st.Residuals, est)
-			}
-			tr.record(st.Iterations, est, 0, 0)
-			switch {
-			case hnext == 0:
-				// Happy breakdown: the Krylov space is invariant, so the
-				// cycle's solution is exact up to rounding.
-				if est > opt.Tol {
-					tr.flushTail()
-					return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (happy breakdown with rel residual %.3e > tol)", ErrBreakdown, st.Iterations, est)
-				}
-				st.Converged = true
-				cycleDone = true
-			case est <= opt.Tol || st.Iterations >= opt.MaxIter:
-				st.Converged = est <= opt.Tol
-				cycleDone = true
-			default:
-				inv := 1 / hnext
-				for i := range w {
-					v[j+1][i] = w[i] * inv
-				}
-				fc.Add(int64(n))
-			}
-		}
-
-		// Cycle end: solve the k×k triangular system and fold the correction
-		// x ← x + M·(V·y) — one preconditioner apply per cycle.
-		if err := hessSolve(h, g, y, mr, k); err != nil {
-			tr.flushTail()
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d: %v", ErrBreakdown, st.Iterations, err)
-		}
-		vecops.Fill(w, 0)
-		for i := 0; i < k; i++ {
-			vecops.Axpy(y[i], v[i], w, fc)
-		}
-		prec.Apply(w, z, fc)
-		vecops.Axpy(1, z, x, fc)
-		if st.Converged {
-			tr.flushTail()
-			return finish(st, fc, tr), nil
-		}
-	}
+	op, pre := oneRank(a, m, &opt)
+	return DistGMRES(nil, op, b, x, pre, opt, fc)
 }
 
 // givensStep folds column j of the Hessenberg into the QR factorization
@@ -318,10 +178,11 @@ func hessSolve(h, g, y []float64, m, k int) error {
 // modified-Gram–Schmidt projections are sequential metered collectives
 // (j+1 dots plus one norm for inner iteration j), giving GMRES the
 // latency-bound reduction profile the archmodel cost entries account for.
+// A nil Comm is the one-rank world.
 func DistGMRES(c *simmpi.Comm, op *distmat.Op, b, x []float64, prec DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
 	tr := newTracer(opt.Trace, c)
 	nl := op.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
+	nGlobal := globalLen(c, nl)
 	opt = opt.withDefaults(nGlobal)
 	if prec == nil {
 		prec = DistIdentity{}
@@ -341,6 +202,7 @@ func DistGMRES(c *simmpi.Comm, op *distmat.Op, b, x []float64, prec DistPrecondi
 	norm0 := 0.0
 	first := true
 	for {
+		// Cycle top: true residual r = b − A·x and its norm.
 		if first {
 			copy(r, b) // x = 0
 		} else {
@@ -378,6 +240,7 @@ func DistGMRES(c *simmpi.Comm, op *distmat.Op, b, x []float64, prec DistPrecondi
 			return st, fmt.Errorf("%w: %d iterations, rel residual %.3e", ErrNoConvergence, st.Iterations, st.RelResidual)
 		}
 
+		// Build the cycle's Krylov basis.
 		inv := 1 / beta
 		for i := range r {
 			v[0][i] = r[i] * inv
@@ -387,15 +250,16 @@ func DistGMRES(c *simmpi.Comm, op *distmat.Op, b, x []float64, prec DistPrecondi
 		for i := 1; i <= mr; i++ {
 			g[i] = 0
 		}
-		k := 0
+		k := 0 // basis dimension built this cycle
 		cycleDone := false
 		for j := 0; j < mr && !cycleDone; j++ {
 			if canceled(c, opt.Ctx) {
 				tr.flushTail()
-				return finish(st, fc, tr), fmt.Errorf("%w at iteration %d", ErrCanceled, st.Iterations+1)
+				return finish(st, fc, tr), fmt.Errorf("%w at iteration %d: %v", ErrCanceled, st.Iterations+1, opt.Ctx.Err())
 			}
 			prec.Apply(c, v[j], z, fc)
 			mulDist(c, op, z, w, scratch, fc)
+			// Modified Gram–Schmidt against the basis built so far.
 			for i := 0; i <= j; i++ {
 				hij := distmat.Dot(c, v[i], w, fc)
 				h[i*mr+j] = hij
@@ -422,6 +286,8 @@ func DistGMRES(c *simmpi.Comm, op *distmat.Op, b, x []float64, prec DistPrecondi
 			tr.record(st.Iterations, est, 0, 0)
 			switch {
 			case hnext == 0:
+				// Happy breakdown: the Krylov space is invariant, so the
+				// cycle's solution is exact up to rounding.
 				if est > opt.Tol {
 					tr.flushTail()
 					return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (happy breakdown with rel residual %.3e > tol)", ErrBreakdown, st.Iterations, est)
@@ -440,6 +306,8 @@ func DistGMRES(c *simmpi.Comm, op *distmat.Op, b, x []float64, prec DistPrecondi
 			}
 		}
 
+		// Cycle end: solve the k×k triangular system and fold the correction
+		// x ← x + M·(V·y) — one preconditioner apply per cycle.
 		if err := hessSolve(h, g, y, mr, k); err != nil {
 			tr.flushTail()
 			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d: %v", ErrBreakdown, st.Iterations, err)

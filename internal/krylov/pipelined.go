@@ -39,8 +39,7 @@ import (
 func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
 	tr := newTracer(opt.Trace, c)
 	nl := op.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
+	opt = opt.withDefaults(globalLen(c, nl))
 	if m == nil {
 		m = DistIdentity{}
 	}

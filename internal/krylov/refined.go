@@ -92,105 +92,26 @@ func innerTol(tol, relres float64) float64 {
 	return t
 }
 
-// Split32 applies z = Gᵀ(G·r) with float32-valued factors and float64
-// accumulation — the mixed-precision serial counterpart of Split.
-type Split32 struct {
-	G, GT *sparse.CSR32
-	w     []float64
-}
-
-// NewSplit32 narrows the FP64 factors G and Gᵀ into the mixed-precision
-// split preconditioner.
-func NewSplit32(g, gt *sparse.CSR) *Split32 {
-	return &Split32{G: sparse.NewCSR32(g), GT: sparse.NewCSR32(gt), w: make([]float64, g.Rows)}
-}
-
-// Apply computes z = Gᵀ(G·r).
-func (s *Split32) Apply(r, z []float64, fc *vecops.FlopCounter) {
-	s.G.MulVec(r, s.w)
-	s.GT.MulVec(s.w, z)
-	fc.Add(2 * int64(s.G.NNZ()+s.GT.NNZ()))
-}
-
 // SolveRefined solves A x = b in mixed precision with FP64 iterative
-// refinement: inner CG solves run over the float32 narrowing of A with the
-// given (typically float32-valued, e.g. Split32) preconditioner, the outer
+// refinement: the inner CG solves run over the float32 narrowing of A and of
+// the split preconditioner's factors (nil m: unpreconditioned), the outer
 // loop computes FP64 residuals with the full-precision A. x is overwritten;
 // Stats.Refinements counts outer steps and Stats.Iterations the total inner
 // iterations. Options.Tol/MaxIter apply to the outer residual and the total
-// inner iteration budget respectively.
-func SolveRefined(a *sparse.CSR, b, x []float64, m Preconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	n := a.Rows
-	opt = opt.withDefaults(n)
-	if m == nil {
-		m = Identity{}
+// inner iteration budget respectively. It is DistCGRefined on a one-rank
+// world.
+func SolveRefined(a *sparse.CSR, b, x []float64, m *Split, opt Options, fc *vecops.FlopCounter) (Stats, error) {
+	narrow := func(m *sparse.CSR) *distmat.Op {
+		op := distmat.LocalOp(m)
+		op.SetF32(true)
+		return op
 	}
-	tr := newTracer(opt.Trace, nil)
-	a32 := sparse.NewCSR32(a)
-	r := make([]float64, n)
-	d := make([]float64, n)
-	copy(r, b)
-	norm0 := vecops.Norm2(r, fc)
-	if norm0 == 0 {
-		vecops.Fill(x, 0)
-		return finish(Stats{Converged: true}, fc, tr), nil
+	var inner DistPreconditioner
+	if m != nil {
+		inner = NewDistSplit(narrow(m.G), narrow(m.GT))
 	}
-	vecops.Fill(x, 0)
-	tr.setup()
-
-	st := Stats{RelResidual: 1}
-	for st.Refinements < maxRefinements {
-		if canceled(nil, opt.Ctx) {
-			return finish(st, fc, tr), fmt.Errorf("%w during refinement %d: %v", ErrCanceled, st.Refinements+1, opt.Ctx.Err())
-		}
-		budget := opt.MaxIter - st.Iterations
-		if budget <= 0 {
-			break
-		}
-		vecops.Fill(d, 0)
-		ist, ierr := cgSerial(a32, n, r, d, m, innerOptions(opt, budget, st.RelResidual), fc)
-		st.Iterations += ist.Iterations
-		st.Refinements++
-		// An inner breakdown is expected near the float32 floor (the drifted
-		// recurrences go indefinite before the recurrence residual reaches a
-		// target below the floor): the correction accumulated so far is still
-		// valid progress, so fold it in and let the FP64 residual decide. Only
-		// a breakdown that produced no progress propagates as one (below).
-		innerBroke := errors.Is(ierr, ErrBreakdown)
-		if ierr != nil && !errors.Is(ierr, ErrNoConvergence) && !innerBroke {
-			tr.refine(st.Refinements, ist.Iterations, st.RelResidual)
-			return finish(st, fc, tr), fmt.Errorf("refinement %d inner solve: %w", st.Refinements, ierr)
-		}
-		vecops.Axpy(1, d, x, fc)
-		// FP64 true residual: r = b − A·x with the full-precision operator.
-		a.MulVec(x, r)
-		fc.Add(2 * int64(a.NNZ()))
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		fc.Add(int64(n))
-		prev := st.RelResidual
-		rnorm := vecops.Norm2(r, fc)
-		st.RelResidual = rnorm / norm0
-		tr.refine(st.Refinements, ist.Iterations, st.RelResidual)
-		if nonfinite(rnorm) {
-			return finish(st, fc, tr), fmt.Errorf("%w at refinement %d (‖r‖ = %g)", ErrBreakdown, st.Refinements, rnorm)
-		}
-		if st.RelResidual <= opt.Tol {
-			st.Converged = true
-			return finish(st, fc, tr), nil
-		}
-		if st.RelResidual >= prev*refineStallFactor {
-			if innerBroke {
-				return finish(st, fc, tr), fmt.Errorf("%w at refinement %d (inner solve broke down, rel residual %.3e)",
-					ErrBreakdown, st.Refinements, st.RelResidual)
-			}
-			break // float32 floor: no further refinement can reach Tol
-		}
-	}
-	st = finish(st, fc, tr)
-	return st, fmt.Errorf("%w: %d refinements, %d inner iterations, rel residual %.3e",
-		ErrNoConvergence, st.Refinements, st.Iterations, st.RelResidual)
+	opt.Variant = CGClassic
+	return DistCGRefined(nil, distmat.LocalOp(a), narrow(a), b, x, inner, opt, fc)
 }
 
 // DistCGRefined solves A x = b distributed in mixed precision with FP64
@@ -199,12 +120,12 @@ func SolveRefined(a *sparse.CSR, b, x []float64, m Preconditioner, opt Options, 
 // Localized view with the f32 kernel and half-width halo plan) the inner
 // DistCG solves run against, under the variant chosen in opt. The
 // preconditioner m should likewise be built over f32 operators. Every rank
-// passes its local slices; all ranks receive identical Stats.
+// passes its local slices; all ranks receive identical Stats. A nil Comm is
+// the one-rank world.
 func DistCGRefined(c *simmpi.Comm, aOuter, aInner *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
 	tr := newTracer(opt.Trace, c)
 	nl := aOuter.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
+	opt = opt.withDefaults(globalLen(c, nl))
 	if m == nil {
 		m = DistIdentity{}
 	}
@@ -226,7 +147,7 @@ func DistCGRefined(c *simmpi.Comm, aOuter, aInner *distmat.Op, b, x []float64, m
 	st := Stats{RelResidual: 1}
 	for st.Refinements < maxRefinements {
 		if canceled(c, opt.Ctx) {
-			return finish(st, fc, tr), fmt.Errorf("%w during refinement %d", ErrCanceled, st.Refinements+1)
+			return finish(st, fc, tr), fmt.Errorf("%w during refinement %d: %v", ErrCanceled, st.Refinements+1, opt.Ctx.Err())
 		}
 		// budget and every residual below derive from Allreduce results, so
 		// all ranks take the same branch at every step.
@@ -288,8 +209,7 @@ func DistCGBatchRefined(c *simmpi.Comm, aOuter, aInner *distmat.Op, b, x []float
 		return BatchStats{}, err
 	}
 	nl := aOuter.LZ.NLocal()
-	nGlobal := int(c.AllreduceSumInt64(int64(nl))[0])
-	opt = opt.withDefaults(nGlobal)
+	opt = opt.withDefaults(globalLen(c, nl))
 	if len(b) != nl*k || len(x) != nl*k {
 		panic(fmt.Sprintf("krylov: DistCGBatchRefined local block length %d/%d, want %d (k=%d)", len(b), len(x), nl*k, k))
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // eye builds the n×n identity — the weakest split preconditioner, which
-// still exercises the Split32 narrowing path.
+// still exercises the narrowing of a Split.
 func eye(n int) *sparse.CSR {
 	c := sparse.NewCOO(n, n)
 	for i := 0; i < n; i++ {
@@ -44,7 +44,7 @@ func TestSolveRefinedReachesFP64Tolerance(t *testing.T) {
 	b := matgen.RandomRHS(a.Rows, 3, a.MaxNorm())
 	g := eye(a.Rows)
 	x := make([]float64, a.Rows)
-	st, err := SolveRefined(a, b, x, NewSplit32(g, g.Transpose()), Options{Tol: 1e-10, Trace: true}, nil)
+	st, err := SolveRefined(a, b, x, NewSplit(g, g.Transpose()), Options{Tol: 1e-10, Trace: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSolveRefinedZeroRHS(t *testing.T) {
 	for i := range x {
 		x[i] = 7 // must be overwritten with the zero solution
 	}
-	st, err := SolveRefined(a, make([]float64, a.Rows), x, NewSplit32(g, g.Transpose()), Options{}, nil)
+	st, err := SolveRefined(a, make([]float64, a.Rows), x, NewSplit(g, g.Transpose()), Options{}, nil)
 	if err != nil || !st.Converged || st.Iterations != 0 {
 		t.Fatalf("zero RHS: st=%+v err=%v", st, err)
 	}

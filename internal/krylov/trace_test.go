@@ -122,7 +122,7 @@ func TestTraceMeterConservation(t *testing.T) {
 	}
 }
 
-// The serial solver records the same trace shape with all-zero comm deltas.
+// A serial solve records the same trace shape with all-zero comm deltas.
 func TestTraceSerialCG(t *testing.T) {
 	a := matgen.Poisson2D(10, 10)
 	b := matgen.RandomRHS(a.Rows, 5, a.MaxNorm())

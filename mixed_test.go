@@ -78,8 +78,8 @@ func TestMixedPrecisionReachesFP64Tolerance(t *testing.T) {
 }
 
 // TestMixedPrecisionSerial covers the serial refined path (Solve with
-// Ranks 1) and the reusable-preconditioner path, which share Split32 but
-// not the distributed refinement loop.
+// Ranks 1) and the reusable-preconditioner path: the refinement loop on one
+// rank over the narrowed Split.
 func TestMixedPrecisionSerial(t *testing.T) {
 	a := GeneratePoisson2D(32, 32)
 	b := GenerateRHS(a, 7)

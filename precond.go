@@ -19,11 +19,9 @@ type Preconditioner struct {
 	a      *Matrix
 	split  *krylov.Split
 	method Method
-	prec   Precision
-	// split32 is the float32 view of the factors, built when the
-	// preconditioner was constructed with Options.Precision FP32; SolveWith
-	// then runs the mixed-precision refinement loop.
-	split32 *krylov.Split32
+	// prec FP32 makes SolveWith run the mixed-precision refinement loop over
+	// the float32 narrowing of the factors.
+	prec Precision
 	// inv is the explicit SPAI inverse (Method SPAI only; split is then
 	// nil) and restart the GMRES cycle length SolveWith uses.
 	inv     *Matrix
@@ -65,18 +63,14 @@ func BuildPreconditioner(a *Matrix, opt Options) (*Preconditioner, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Preconditioner{
+	return &Preconditioner{
 		a:      a,
 		split:  krylov.NewSplit(g, g.Transpose()),
 		method: opt.Method,
 		prec:   opt.Precision,
 		pct:    pct,
 		setup:  time.Since(t0),
-	}
-	if opt.Precision == FP32 {
-		p.split32 = krylov.NewSplit32(p.split.G, p.split.GT)
-	}
-	return p, nil
+	}, nil
 }
 
 func checkInputMatrix(a *Matrix, solver Solver) error {
@@ -145,7 +139,7 @@ func (p *Preconditioner) SolveWith(b []float64, opt Options) (*Result, error) {
 	case p.inv != nil:
 		st, err = krylov.GMRES(p.a, b, x, &krylov.MatPrecond{M: p.inv}, kopt, nil)
 	case p.prec == FP32:
-		st, err = krylov.SolveRefined(p.a, b, x, p.split32, kopt, nil)
+		st, err = krylov.SolveRefined(p.a, b, x, p.split, kopt, nil)
 	default:
 		st, err = krylov.CG(p.a, b, x, p.split, kopt, nil)
 	}

@@ -11,7 +11,9 @@ all: tier1
 # internal/distmat (the halo exchange is one generic body; the SetF32 switch
 # and the Localized.M32 accessor are not twins and stay), or a non-test
 # *Serial function in internal/krylov (a serial solve is the distributed
-# loop on one rank).
+# loop on one rank). The spawn step fails if the per-solve process spawn comes
+# back beside the resident mesh: internal/mprun starts worker processes in
+# one place (exec.Command once, in Start) and has no Launch.
 tier1:
 	$(GO) build ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
@@ -20,6 +22,11 @@ tier1:
 		grep -nE '^func \([a-z]+ \*?(HaloPlan|ExchangeHandle)\) [A-Za-z0-9_]*[a-z0-9_]32\(' internal/distmat/*.go; \
 		grep -nE '^func (\([^)]*\) )?[A-Za-z0-9_]*Serial\(' $$(ls internal/krylov/*.go | grep -v _test.go))"; \
 		if [ -n "$$twins" ]; then echo "hand-copied twins are back:"; echo "$$twins"; exit 1; fi
+	@src="$$(ls internal/mprun/*.go | grep -v _test.go)"; \
+		spawns="$$(grep -n 'exec\.Command' $$src | grep -v '^[^:]*:[0-9]*:[[:space:]]*//')"; \
+		launch="$$(grep -nE '^func (\([^)]*\) )?Launch\(' $$src)"; \
+		if [ "$$(echo "$$spawns" | grep -c .)" -gt 1 ] || [ -n "$$launch" ]; then \
+			echo "a second way to spawn rank workers is back in internal/mprun:"; echo "$$spawns"; echo "$$launch"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 
@@ -163,8 +170,9 @@ spai:
 
 # mp: multi-process smoke test — build the rank worker binary and run its
 # selfcheck, which solves one catalog instance on 4 goroutine ranks and
-# again on 4 OS processes over the TCP mesh and diffs the two bit for bit
-# (solution, iteration count, per-rank comm meters).
+# then twice, one job after the other on one mesh of 4 resident OS
+# processes over TCP, and diffs each tcp run against the sim run bit for
+# bit (solution, iteration count, per-rank comm meters).
 mp:
 	$(GO) build -o bin/fsairank ./cmd/fsairank
 	./bin/fsairank -selfcheck

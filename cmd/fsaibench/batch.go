@@ -111,9 +111,10 @@ func measureBatchCell(name string, a *fsaicomm.Matrix, p *fsaicomm.Prepared, v f
 //   - Dubcova2-sim at 4 ranks, classic and fused, k ∈ {1, 4, 16} on the
 //     in-process backend — the per-RHS communication drop versus k;
 //   - a ~50k-row Poisson 3D instance at 4 ranks, classic, k = 16 on every
-//     requested backend — on "tcp" the looped baseline pays k process
-//     spawns, rendezvous and factor ships where the batch pays one, which
-//     is the acceptance number for server-side coalescing.
+//     requested backend — on "tcp" the looped baseline pays k rounds of
+//     per-iteration socket traffic between the resident rank workers where
+//     the batch pays one, which is the acceptance number for server-side
+//     coalescing.
 //
 // Setup is paid once per instance via Prepare, outside all timings. The
 // tcp k=16 row must come out faster per RHS than the loop — the sweep
@@ -130,6 +131,7 @@ func writeBatchJSON(w io.Writer, csvPath string, backends []string, prec fsaicom
 	if err != nil {
 		return fmt.Errorf("prepare %s: %w", spec.Name, err)
 	}
+	defer p.Close()
 	for _, v := range []fsaicomm.CGVariant{fsaicomm.CGClassic, fsaicomm.CGFused} {
 		for _, k := range []int{1, 4, 16} {
 			rec, err := measureBatchCell(spec.Name, a, p, v, "sim", k)
@@ -147,6 +149,7 @@ func writeBatchJSON(w io.Writer, csvPath string, backends []string, prec fsaicom
 	if err != nil {
 		return fmt.Errorf("prepare poisson3d-50k: %w", err)
 	}
+	defer pb.Close()
 	for _, backend := range backends {
 		rec, err := measureBatchCell("poisson3d-50k", big, pb, fsaicomm.CGClassic, backend, 16)
 		if err != nil {

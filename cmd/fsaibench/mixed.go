@@ -88,6 +88,7 @@ func writeMixedJSON(w io.Writer, backends []string) error {
 			return fmt.Errorf("prepare %v at %d ranks: %w", prec, ranks, err)
 		}
 		prepared[prec] = p
+		defer p.Close()
 	}
 
 	var recs []mixedRecord

@@ -138,6 +138,7 @@ func writeSPAIJSON(w io.Writer, backends []string) error {
 			}
 			recs = append(recs, rec)
 		}
+		p.Close() // ends the rank workers a tcp row left resident
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -51,7 +51,9 @@ func transportBackends(flag string) ([]string, error) {
 // writeTransportJSON times classic, fused and pipelined prepared solves at 4
 // and 8 ranks on each requested backend and emits the rows as indented JSON.
 // Setup is paid once per rank count via Prepare — the factors are transport-
-// independent — so ns_per_op isolates what the backend adds to a solve.
+// independent — so ns_per_op isolates what the backend adds to a solve. The
+// first tcp row of a rank count also pays for spawning the resident workers
+// and shipping them the operators; the later ones reuse them.
 // prec selects the solve precision (-precision fp32 measures the refined
 // mixed-precision path instead of the FP64 default).
 func writeTransportJSON(w io.Writer, backends []string, prec fsaicomm.Precision) error {
@@ -91,6 +93,7 @@ func writeTransportJSON(w io.Writer, backends []string, prec fsaicomm.Precision)
 				})
 			}
 		}
+		p.Close() // the tcp rows left rank workers resident; the next rank count starts clean
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

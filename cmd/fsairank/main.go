@@ -1,14 +1,15 @@
 // Command fsairank is the multi-process rank worker. It is normally not run
-// by hand: the mprun launcher re-executes whatever binary called it with the
-// worker environment set, and MaybeWorker takes over. Running fsairank
-// directly gives the self-check mode used by `make mp`:
+// by hand: mprun.Start re-executes whatever binary called it with the worker
+// environment set, and MaybeWorker takes over. Running fsairank directly
+// gives the self-check mode used by `make mp`:
 //
 //	fsairank -selfcheck [-ranks 4] [-matrix Dubcova2-sim]
 //
 // which solves the named catalog matrix once with in-process goroutine ranks
-// and once with one OS process per rank over the TCP mesh, then diffs the two
-// runs bit for bit — solution vector, iteration count, and per-rank metered
-// traffic in both phases.
+// and twice, one job after the other on one mesh of resident workers, with
+// one OS process per rank over the TCP mesh, then diffs each tcp run against
+// the sim run bit for bit — solution vector, iteration count, and per-rank
+// metered traffic in both phases.
 package main
 
 import (
@@ -36,7 +37,7 @@ func main() {
 
 	if !*selfcheck {
 		fmt.Fprintln(os.Stderr, "fsairank: worker environment not set and -selfcheck not given")
-		fmt.Fprintln(os.Stderr, "(this binary is normally spawned by the mprun launcher; see -h)")
+		fmt.Fprintln(os.Stderr, "(this binary is normally spawned by mprun.Start; see -h)")
 		os.Exit(2)
 	}
 	if err := runSelfcheck(*ranks, *matrix); err != nil {
@@ -79,16 +80,40 @@ func runSelfcheck(ranks int, matrix string) error {
 	}
 	fmt.Printf("sim backend:  %d iterations in %v\n", simOuts[0].Iterations, time.Since(t0).Round(time.Millisecond))
 
-	t1 := time.Now()
-	tcpOuts, err := mprun.Launch(context.Background(), ranks, 120*time.Second, jobFor)
+	mesh, err := mprun.Start(ranks)
 	if err != nil {
 		return fmt.Errorf("tcp backend: %w", err)
 	}
-	fmt.Printf("tcp backend:  %d iterations in %v (%d worker processes)\n",
-		tcpOuts[0].Iterations, time.Since(t1).Round(time.Millisecond), ranks)
+	defer mesh.Close()
+	jobs := make([]*mprun.JobSpec, ranks)
+	for r := range jobs {
+		jobs[r] = jobFor(r)
+	}
+	// Two jobs on one mesh: the second finds the workers as the first left
+	// them, and must still match the sim run in every meter.
+	for pass := 1; pass <= 2; pass++ {
+		t1 := time.Now()
+		tcpOuts, err := mesh.Run(context.Background(), jobs)
+		if err != nil {
+			return fmt.Errorf("tcp backend, job %d: %w", pass, err)
+		}
+		fmt.Printf("tcp backend:  %d iterations in %v (job %d on %d resident worker processes)\n",
+			tcpOuts[0].Iterations, time.Since(t1).Round(time.Millisecond), pass, ranks)
+		if err := diffOutcomes(simOuts, tcpOuts); err != nil {
+			return fmt.Errorf("job %d: %w", pass, err)
+		}
+	}
+	if !simOuts[0].Converged {
+		return fmt.Errorf("solve did not converge (%d iterations)", simOuts[0].Iterations)
+	}
+	fmt.Printf("diff: x, iterations, and per-rank comm meters bit-identical across backends\n")
+	return nil
+}
 
-	for r := 0; r < ranks; r++ {
-		s, p := simOuts[r], tcpOuts[r]
+// diffOutcomes compares what every rank reported on the two backends.
+func diffOutcomes(simOuts, tcpOuts []*mprun.RankOutcome) error {
+	for r, s := range simOuts {
+		p := tcpOuts[r]
 		if p == nil {
 			return fmt.Errorf("rank %d: no outcome from worker", r)
 		}
@@ -109,9 +134,5 @@ func runSelfcheck(ranks int, matrix string) error {
 				r, s.SetupComm, s.SolveComm, p.SetupComm, p.SolveComm)
 		}
 	}
-	if !simOuts[0].Converged {
-		return fmt.Errorf("solve did not converge (%d iterations)", simOuts[0].Iterations)
-	}
-	fmt.Printf("diff: x, iterations, and per-rank comm meters bit-identical across backends\n")
 	return nil
 }

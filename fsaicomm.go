@@ -274,8 +274,9 @@ type Options struct {
 	// re-executing the current binary — its main or TestMain must call
 	// mprun.MaybeWorker, which cmd binaries and the facade tests do). Both
 	// backends run the identical rank job and produce bit-identical results
-	// and meters; "tcp" pays real process and socket overheads. Serial Solve
-	// ignores it.
+	// and meters; "tcp" pays real process and socket overheads — the
+	// processes are started for the solve and gone after it; a Prepared
+	// keeps its own between solves. Serial Solve ignores it.
 	Transport string
 	// Nodes and RanksPerNode declare a two-level topology over the ranks:
 	// Nodes contiguous blocks of RanksPerNode ranks each (mpirun's block
@@ -566,6 +567,11 @@ var ErrNotSPD = errors.New("fsaicomm: matrix is not symmetric positive definite"
 // the error.
 var ErrCanceled = krylov.ErrCanceled
 
+// ErrRankLost is wrapped by the error a "tcp" solve returns when a rank's
+// worker process died or became unreachable. It costs the one solve: the
+// next one, on the same Prepared too, runs on freshly started workers.
+var ErrRankLost = simmpi.ErrRankLost
+
 // ErrBreakdown is wrapped by the errors the solve entry points return when
 // the CG recurrence breaks down (NaN/Inf, or non-positive curvature on a
 // matrix that is not positive definite). The loop stops at the detecting
@@ -774,7 +780,7 @@ func solveFullSetup(ctx context.Context, a *Matrix, rhs [][]float64, k int, opt 
 		K:      k,
 		Solve:  sp,
 	}
-	return runRanks(ctx, opt.Transport, job, nil, nil, rhs, oldToNew)
+	return runRanks(ctx, opt.Transport, runTransient, job, nil, nil, rhs, oldToNew)
 }
 
 // resolveTopology maps a requested node grouping onto the resolved rank
@@ -792,16 +798,31 @@ func resolveTopology(ranks, nodes, ranksPerNode int) (simmpi.Topology, error) {
 	return topo, nil
 }
 
+// rankRunner runs one set of rank jobs, jobs[r] on rank r, on worker
+// processes wired into a loopback socket mesh.
+type rankRunner func(ctx context.Context, jobs []*mprun.JobSpec) ([]*mprun.RankOutcome, error)
+
+// runTransient is the rankRunner of a solve with nowhere to keep workers: a
+// mesh is started for the one job and closed after it.
+func runTransient(ctx context.Context, jobs []*mprun.JobSpec) ([]*mprun.RankOutcome, error) {
+	mesh, err := mprun.Start(len(jobs))
+	if err != nil {
+		return nil, err
+	}
+	defer mesh.Close()
+	return mesh.Run(ctx, jobs)
+}
+
 // runRanks is the one way a distributed solve runs. It cuts job into one
 // rank job per rank — each gets its rows of the permuted right-hand sides
 // and, when held is given, the operators a Prepare holds for it — and
 // executes them on the selected transport: "sim" (or empty) runs goroutine
-// ranks over the in-process metered channels, "tcp" spawns one OS process per
-// rank wired into a loopback socket mesh. Both run the identical mprun rank
+// ranks over the in-process metered channels, "tcp" hands them to tcp, which
+// runs them on one OS process per rank. Both run the identical mprun rank
 // job, which is what makes their results and meters bit-identical, and both
 // read the node grouping from the job itself. pools, when given, lends each
 // sim rank a workspace for the solve (worker processes start fresh anyway).
-func runRanks(ctx context.Context, transport string, job mprun.JobSpec, held []mprun.Operators, pools []sync.Pool, rhs [][]float64, oldToNew []int) (*rankFold, error) {
+func runRanks(ctx context.Context, transport string, tcp rankRunner, job mprun.JobSpec, held []mprun.Operators, pools []sync.Pool, rhs [][]float64, oldToNew []int) (*rankFold, error) {
 	ranks := job.Layout.NRanks()
 	pb := packPermuted(rhs, oldToNew)
 	jobs := make([]*mprun.JobSpec, ranks)
@@ -817,7 +838,7 @@ func runRanks(ctx context.Context, transport string, job mprun.JobSpec, held []m
 	}
 	var outs []*mprun.RankOutcome
 	if transport == "tcp" {
-		outs, err = mprun.Launch(ctx, ranks, time.Hour, func(rank int) *mprun.JobSpec { return jobs[rank] })
+		outs, err = tcp(ctx, jobs)
 	} else {
 		outs = make([]*mprun.RankOutcome, ranks)
 		_, err = simmpi.RunTopo(ranks, time.Hour, topo, func(c *simmpi.Comm) error {

@@ -18,7 +18,7 @@ import (
 	"fsaicomm/internal/sparse"
 )
 
-// TestMain makes this test binary self-host its rank workers: when Launch
+// TestMain makes this test binary self-host its rank workers: when Start
 // re-executes it with the worker environment set, MaybeWorker takes over
 // before any test runs.
 func TestMain(m *testing.M) {
@@ -42,11 +42,19 @@ func buildJob(a *sparse.CSR, ranks int, sp mprun.SolveParams) (job mprun.JobSpec
 	return job, func(rank int) *mprun.JobSpec { return job.ForRank(rank, b) }
 }
 
-// runSim executes the same jobs with in-process goroutine ranks — the oracle
-// the multi-process path must match bit for bit.
+// runSim executes the same jobs with in-process goroutine ranks, under the
+// topology the jobs declare — the oracle the multi-process path must match
+// bit for bit.
 func runSim(ranks int, jobFor func(rank int) *mprun.JobSpec) ([]*mprun.RankOutcome, error) {
 	outs := make([]*mprun.RankOutcome, ranks)
-	_, err := simmpi.Run(ranks, 30*time.Second, func(c *simmpi.Comm) error {
+	var topo simmpi.Topology
+	if j := jobFor(0); j != nil {
+		var err error
+		if topo, err = j.Topology(ranks); err != nil {
+			return nil, err
+		}
+	}
+	_, err := simmpi.RunTopo(ranks, 30*time.Second, topo, func(c *simmpi.Comm) error {
 		out, err := mprun.RunJob(context.Background(), c, jobFor(c.Rank()), nil)
 		outs[c.Rank()] = out
 		return err
@@ -54,11 +62,30 @@ func runSim(ranks int, jobFor func(rank int) *mprun.JobSpec) ([]*mprun.RankOutco
 	return outs, err
 }
 
-// TestLaunchSolveMatchesSim is the round-trip check for the multi-process
+// runMesh executes the jobs on a mesh started for them and closed after — what
+// a solve with nowhere to keep workers does.
+func runMesh(ctx context.Context, ranks int, jobFor func(rank int) *mprun.JobSpec) ([]*mprun.RankOutcome, error) {
+	mesh, err := mprun.Start(ranks)
+	if err != nil {
+		return nil, err
+	}
+	defer mesh.Close()
+	return mesh.Run(ctx, jobsOf(ranks, jobFor))
+}
+
+func jobsOf(ranks int, jobFor func(rank int) *mprun.JobSpec) []*mprun.JobSpec {
+	jobs := make([]*mprun.JobSpec, ranks)
+	for r := range jobs {
+		jobs[r] = jobFor(r)
+	}
+	return jobs
+}
+
+// TestMeshSolveMatchesSim is the round-trip check for the multi-process
 // machinery itself: spawn 4 worker processes, run the same rank job the sim
 // backend runs, and require bit-identical solutions, iteration counts, and
 // per-phase meter snapshots on every rank.
-func TestLaunchSolveMatchesSim(t *testing.T) {
+func TestMeshSolveMatchesSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
@@ -70,9 +97,9 @@ func TestLaunchSolveMatchesSim(t *testing.T) {
 		t.Fatalf("sim run: %v", err)
 	}
 
-	got, err := mprun.Launch(context.Background(), ranks, 60*time.Second, jobFor)
+	got, err := runMesh(context.Background(), ranks, jobFor)
 	if err != nil {
-		t.Fatalf("Launch: %v", err)
+		t.Fatalf("mesh run: %v", err)
 	}
 	for r := 0; r < ranks; r++ {
 		w, g := want[r], got[r]
@@ -101,10 +128,10 @@ func TestLaunchSolveMatchesSim(t *testing.T) {
 	}
 }
 
-// TestLaunchCancelReturnsPartialOutcomes cancels mid-solve and expects every
+// TestMeshCancelReturnsPartialOutcomes cancels mid-solve and expects every
 // worker to wind down cleanly, reporting a Canceled outcome rather than
-// hanging or dying.
-func TestLaunchCancelReturnsPartialOutcomes(t *testing.T) {
+// hanging or dying — and the mesh to refuse the next job all the same.
+func TestMeshCancelReturnsPartialOutcomes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
@@ -117,10 +144,18 @@ func TestLaunchCancelReturnsPartialOutcomes(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	start := time.Now()
-	outs, err := mprun.Launch(ctx, ranks, 60*time.Second, jobFor)
+	mesh, err := mprun.Start(ranks)
 	if err != nil {
-		t.Fatalf("Launch after cancel: %v", err)
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	start := time.Now()
+	outs, err := mesh.Run(ctx, jobsOf(ranks, jobFor))
+	if err != nil {
+		t.Fatalf("mesh run after cancel: %v", err)
+	}
+	if mesh.Reusable() {
+		t.Error("a mesh that was sent a cancel is offered for reuse")
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("cancel took %v to wind down", elapsed)
@@ -158,6 +193,7 @@ func TestMalformedSpecIsAnError(t *testing.T) {
 		{"no source", func(j *mprun.JobSpec) { j.Build = nil }, "exactly one set-up source"},
 		{"both sources", func(j *mprun.JobSpec) { j.Adopt = &mprun.Operators{} }, "exactly one set-up source"},
 		{"adopts nothing", func(j *mprun.JobSpec) { j.Build, j.Adopt = nil, &mprun.Operators{} }, "do not hold"},
+		{"held, but by no worker", func(j *mprun.JobSpec) { j.Build, j.Adopt, j.Held = nil, &mprun.Operators{}, true }, "a worker holds: true"},
 		{"negative K", func(j *mprun.JobSpec) { j.K = -1 }, "negative"},
 		{"short rhs", func(j *mprun.JobSpec) { j.B = j.B[1:] }, "right-hand side"},
 		{"scalar rhs for K=2", func(j *mprun.JobSpec) { j.K = 2 }, "right-hand side"},
@@ -176,7 +212,7 @@ func TestMalformedSpecIsAnError(t *testing.T) {
 		if testing.Short() || tc.name != "short rhs" {
 			continue // one trip through real worker processes is enough
 		}
-		if _, err := mprun.Launch(context.Background(), ranks, 60*time.Second, jobFor); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := runMesh(context.Background(), ranks, jobFor); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s (tcp): error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}

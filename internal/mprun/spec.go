@@ -5,12 +5,17 @@
 // ones a Prepare cached), dresses them for the requested solve and runs one
 // solve of width K. The facade's in-process path calls RunJob directly from
 // goroutine ranks; the multi-process path ships the gob-encoded spec to
-// fsairank worker processes (spawned by Launch, self-hosted by any binary
-// that calls MaybeWorker) whose TCP mesh communicator runs the very same
-// function. One code path on both sides is what makes the cross-backend
-// differential tests meaningful: any divergence in results or meter
-// structure is the transport's fault, not a drifted reimplementation of the
-// solve.
+// fsairank worker processes (self-hosted by any binary that calls
+// MaybeWorker) whose TCP mesh communicator runs the very same function. One
+// code path on both sides is what makes the cross-backend differential tests
+// meaningful: any divergence in results or meter structure is the
+// transport's fault, not a drifted reimplementation of the solve.
+//
+// The worker processes are resident: a Mesh (Start, Run, Close) spawns one
+// per rank and forms the socket mesh once; a worker runs every job on a fresh
+// communicator and meter over its long-lived endpoint and keeps the operators
+// of the first adopting job, so later jobs ship a right-hand side and solve
+// parameters only. Mesh.Reusable says when a mesh may take another job.
 package mprun
 
 import (
@@ -36,6 +41,10 @@ type JobSpec struct {
 	// Adopt hands the rank operators a set-up already built: no set-up
 	// communication, SetupNanos 0.
 	Adopt *Operators
+	// Held is the wire form of an Adopt whose operators the receiving worker
+	// keeps: a Mesh strips them (Adopt then carries only the traced misses)
+	// and the worker puts its own back. Nobody else sets it.
+	Held bool
 	// K is the solve's width: 0 runs the scalar loops (CG, refined CG,
 	// GMRES), K ≥ 1 the batched CG loops over K interleaved columns — a
 	// 1-wide batch is still the batch loop.
@@ -164,7 +173,7 @@ func (j *JobSpec) check(rank, size int) error {
 	case j.Build != nil && (j.Build.PA == nil || (j.Build.Cfg.Method == core.SPAI) != gmres):
 		return fmt.Errorf("mprun: build source needs a matrix and a method the %v solver applies (SPAI with GMRES, the FSAI family with CG)", j.Solve.Solver)
 	case j.Adopt != nil && !j.Adopt.holds(gmres):
-		return fmt.Errorf("mprun: adopted operators do not hold what a %v solve needs", j.Solve.Solver)
+		return fmt.Errorf("mprun: adopted operators (those a worker holds: %v) do not hold what a %v solve needs", j.Held, j.Solve.Solver)
 	case gmres && (j.K > 0 || j.Solve.Variant != krylov.CGClassic || j.Solve.Precision == krylov.FP32):
 		return fmt.Errorf("mprun: GMRES runs one FP64 right-hand side on the classic blocking schedule (K = %d, variant %v, precision %v)", j.K, j.Solve.Variant, j.Solve.Precision)
 	case j.K < 0:

@@ -6,14 +6,14 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
-	"time"
 
 	"fsaicomm/internal/simmpi"
 	"fsaicomm/internal/tcpmpi"
 )
 
-// Worker environment. Launch spawns the current executable with these set;
+// Worker environment. Start spawns the current executable with these set;
 // MaybeWorker intercepts the process before it reaches normal main/test
 // logic, so any binary (fsairank, fsaibench, fsaiserve, a test binary) can
 // self-host its rank workers.
@@ -25,24 +25,22 @@ const (
 )
 
 // Control-channel messages, gob-streamed over the worker's coordinator
-// connection (worker dials, launcher accepts).
+// connection (worker dials, Start accepts). A worker says hello, is sent the
+// mesh addresses, answers with a doneMsg once connected to its peers (Err set
+// if it could not), and from then on answers every job with one doneMsg.
 type helloMsg struct {
 	Rank     int
 	MeshAddr string
 }
 
 type coordMsg struct {
-	// Start carries the job; exactly the first message has it set.
-	Start *startMsg
-	// Cancel asks the worker to cancel its job context; the worker still
-	// reports a final result (with partial stats) before exiting.
+	// Addrs lists every rank's mesh address; the first message carries it.
+	Addrs []string
+	// Job is the next job to run.
+	Job *JobSpec
+	// Cancel asks the worker to cancel the running job's context; the worker
+	// still reports an outcome (with partial stats).
 	Cancel bool
-}
-
-type startMsg struct {
-	Addrs   []string
-	Timeout time.Duration
-	Job     *JobSpec
 }
 
 type doneMsg struct {
@@ -52,8 +50,8 @@ type doneMsg struct {
 
 // MaybeWorker turns the current process into a rank worker if the worker
 // environment is set, never returning in that case. Call it first thing in
-// main() (and in TestMain for test binaries that launch multi-process
-// solves); it is a no-op in ordinary processes.
+// main() (and in TestMain for test binaries that run multi-process solves);
+// it is a no-op in ordinary processes.
 func MaybeWorker() {
 	if os.Getenv(envWorker) != "1" {
 		return
@@ -65,16 +63,28 @@ func MaybeWorker() {
 	os.Exit(0)
 }
 
+// job is a job on its way to the rank loop, with the context a cancel ends.
+type job struct {
+	ctx  context.Context
+	spec *JobSpec
+}
+
 func workerMain() error {
 	rank, err := strconv.Atoi(os.Getenv(envRank))
 	if err != nil {
 		return fmt.Errorf("bad %s: %w", envRank, err)
 	}
 	size, err := strconv.Atoi(os.Getenv(envSize))
-	if err != nil {
-		return fmt.Errorf("bad %s: %w", envSize, err)
+	if err != nil || size < 1 {
+		return fmt.Errorf("bad %s %q: %v", envSize, os.Getenv(envSize), err)
 	}
-	coord, err := net.DialTimeout("tcp", os.Getenv(envCoord), 30*time.Second)
+	// A rank gets its share of the host, as an MPI launcher's binding would
+	// give it: size full-width runtimes on one host spend their time waking
+	// spinning threads that steal the peers' cores, and a Workers-parallel
+	// build inside a rank would oversubscribe them.
+	runtime.GOMAXPROCS(max(1, runtime.GOMAXPROCS(0)/size))
+
+	coord, err := net.DialTimeout("tcp", os.Getenv(envCoord), startTimeout)
 	if err != nil {
 		return fmt.Errorf("rank %d dialing coordinator: %w", rank, err)
 	}
@@ -88,65 +98,98 @@ func workerMain() error {
 	if err != nil {
 		return fmt.Errorf("rank %d mesh listen: %w", rank, err)
 	}
+	defer ln.Close() // Connect closes it sooner
 	if err := enc.Encode(helloMsg{Rank: rank, MeshAddr: ln.Addr().String()}); err != nil {
 		return fmt.Errorf("rank %d hello: %w", rank, err)
 	}
 	var first coordMsg
 	if err := dec.Decode(&first); err != nil {
-		return fmt.Errorf("rank %d waiting for job: %w", rank, err)
+		return fmt.Errorf("rank %d waiting for the mesh addresses: %w", rank, err)
 	}
-	if first.Start == nil || first.Start.Job == nil {
-		return fmt.Errorf("rank %d: first coordinator message carries no job", rank)
+	ep, err := tcpmpi.Connect(rank, ln, first.Addrs, tcpmpi.Config{Timeout: opTimeout})
+	if err != nil {
+		enc.Encode(doneMsg{Err: err.Error()})
+		return err
 	}
-	start := first.Start
+	defer ep.Close()
+	if err := enc.Encode(doneMsg{}); err != nil {
+		return fmt.Errorf("rank %d reporting the mesh formed: %w", rank, err)
+	}
 
-	// The job context is canceled by a coordinator cancel message — or by
-	// the coordinator connection dying, which means the launcher process is
-	// gone and finishing the solve would report to nobody.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	// The control channel has its own reader so that a cancel reaches a
+	// running job. It ends, closing jobs, when the coordinator connection
+	// does (Close, or the coordinating process gone): an idle worker then
+	// exits, a busy one is canceled first — it would report to nobody.
+	jobs := make(chan job)
 	go func() {
+		defer close(jobs)
+		cancel := func() {}
 		for {
 			var m coordMsg
 			if err := dec.Decode(&m); err != nil {
 				cancel()
 				return
 			}
-			if m.Cancel {
-				cancel()
+			// Every message ends the context in force: a Cancel that of the
+			// running job, a Job that of the one before, which has reported.
+			cancel()
+			if m.Job != nil {
+				var ctx context.Context
+				ctx, cancel = context.WithCancel(context.Background())
+				jobs <- job{ctx, m.Job}
 			}
 		}
 	}()
 
-	ep, err := tcpmpi.Connect(rank, ln, start.Addrs, tcpmpi.Config{Timeout: start.Timeout})
-	if err != nil {
-		enc.Encode(doneMsg{Err: err.Error()})
-		return err
+	// held are the operators of the first adopting job, which later jobs
+	// that say Held run on.
+	var held *Operators
+	for j := range jobs {
+		if j.spec.Held && j.spec.Adopt != nil && held != nil {
+			ops := *held
+			ops.Misses = j.spec.Adopt.Misses
+			j.spec.Adopt = &ops
+		} else if j.spec.Adopt != nil && held == nil {
+			held = j.spec.Adopt
+		}
+		out, jobErr := runOn(j.ctx, ep, j.spec)
+		msg := doneMsg{Outcome: out}
+		if jobErr != nil {
+			msg.Err = jobErr.Error()
+		}
+		if err := enc.Encode(msg); err != nil {
+			return fmt.Errorf("rank %d reporting result: %w", rank, err)
+		}
+		if jobErr != nil {
+			// The mesh may hold half a job's traffic; leaving tells peers and
+			// coordinator that this worker is not to be reused.
+			return jobErr
+		}
 	}
-	defer ep.Close()
-	// Each worker meters its own rank's traffic; the launcher merges the
-	// per-rank outcomes. The meter carries the job's declared topology so
-	// the intra/inter split is identical to the in-process backend's.
-	topo, err := start.Job.Topology(size)
+	return nil
+}
+
+// runOn runs one job over a fresh communicator and meter on the long-lived
+// endpoint, so no count and no nonblocking chain carries over from the job
+// before. A panic — how the communicator reports a lost peer — comes back as
+// the job's error.
+func runOn(ctx context.Context, ep *tcpmpi.Endpoint, spec *JobSpec) (out *RankOutcome, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			out, err = nil, fmt.Errorf("rank %d panicked: %v", ep.Rank(), p)
+		}
+	}()
+	// Each worker meters its own rank's traffic under the job's declared
+	// topology, so the intra/inter split matches the in-process backend's.
+	topo, err := spec.Topology(ep.Size())
 	if err != nil {
-		enc.Encode(doneMsg{Err: err.Error()})
-		return err
+		return nil, err
 	}
-	c := simmpi.NewComm(ep, simmpi.NewMeterTopo(size, topo), start.Timeout)
-	out, jobErr := RunJob(ctx, c, start.Job, nil)
-	if jobErr == nil {
-		// The job's final iteration may have posted nonblocking sends whose
-		// chain goroutines are still flushing; exiting the process before
-		// they reach the wire would turn a peer's matching receive into a
-		// spurious rank-lost failure.
+	c := simmpi.NewComm(ep, simmpi.NewMeterTopo(ep.Size(), topo), opTimeout)
+	if out, err = RunJob(ctx, c, spec, nil); err == nil {
+		// The last iteration may have posted nonblocking sends whose chains
+		// are still flushing; the next job's traffic must not overtake them.
 		c.Quiesce()
 	}
-	msg := doneMsg{Outcome: out}
-	if jobErr != nil {
-		msg.Err = jobErr.Error()
-	}
-	if err := enc.Encode(msg); err != nil {
-		return fmt.Errorf("rank %d reporting result: %w", rank, err)
-	}
-	return jobErr
+	return out, err
 }

@@ -199,6 +199,7 @@ func (s *Server) runBatch(q *solveRequest, a *fsaicomm.Matrix, opt fsaicomm.Opti
 
 	br, err := p.SolveBatch(ctx, ob.rhs, so)
 	s.met.latency.observe(time.Since(t0))
+	s.recharge(skey, p, so)
 	s.met.batchesTotal.Add(1)
 	s.met.occupancy.observe(k)
 	if err != nil && !errors.Is(err, fsaicomm.ErrCanceled) {

@@ -14,6 +14,7 @@ import (
 // Entries are immutable once inserted (the cached values are read-only by
 // construction), so eviction never waits for readers: a solve holding an
 // evicted *fsaicomm.Prepared finishes on it while the cache forgets it.
+// What an entry owns beyond memory is released through onEvict.
 type lru struct {
 	mu      sync.Mutex
 	budget  int64
@@ -21,6 +22,9 @@ type lru struct {
 	ll      *list.List // front = most recently used
 	items   map[string]*list.Element
 	flights map[string]*flight
+	// onEvict, when set, is handed every value the cache evicts or clears,
+	// after the lock is released. It must not wait for the value's users.
+	onEvict func(val any)
 
 	hits, misses, evictions *atomic.Int64
 }
@@ -40,13 +44,24 @@ type flight struct {
 
 // newLRU wires a cache to the metrics counters it reports into. budget ≤ 0
 // means unbounded.
-func newLRU(budget int64, hits, misses, evictions *atomic.Int64) *lru {
+func newLRU(budget int64, hits, misses, evictions *atomic.Int64, onEvict func(val any)) *lru {
 	return &lru{
 		budget:  budget,
 		ll:      list.New(),
 		items:   make(map[string]*list.Element),
 		flights: make(map[string]*flight),
+		onEvict: onEvict,
 		hits:    hits, misses: misses, evictions: evictions,
+	}
+}
+
+// release hands the values the cache has dropped to onEvict; called with the
+// lock released.
+func (c *lru) release(gone []any) {
+	if c.onEvict != nil {
+		for _, v := range gone {
+			c.onEvict(v)
+		}
 	}
 }
 
@@ -82,11 +97,13 @@ func (c *lru) Get(key string) (any, bool) {
 // larger than the whole budget is still cached and served.
 func (c *lru) Add(key string, val any, bytes int64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.add(key, val, bytes)
+	gone := c.add(key, val, bytes)
+	c.mu.Unlock()
+	c.release(gone)
 }
 
-func (c *lru) add(key string, val any, bytes int64) {
+// add inserts under the lock and returns the values it evicted.
+func (c *lru) add(key string, val any, bytes int64) (gone []any) {
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*lruEntry)
 		c.used += bytes - ent.bytes
@@ -96,17 +113,55 @@ func (c *lru) add(key string, val any, bytes int64) {
 		c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val, bytes: bytes})
 		c.used += bytes
 	}
-	if c.budget <= 0 {
-		return
-	}
-	for c.used > c.budget && c.ll.Len() > 1 {
+	return c.trim()
+}
+
+// trim evicts from the cold end until the budget holds, sparing the newest
+// entry, and returns the evicted values.
+func (c *lru) trim() (gone []any) {
+	for c.budget > 0 && c.used > c.budget && c.ll.Len() > 1 {
 		el := c.ll.Back()
 		ent := el.Value.(*lruEntry)
 		c.ll.Remove(el)
 		delete(c.items, ent.key)
 		c.used -= ent.bytes
 		c.evictions.Add(1)
+		gone = append(gone, ent.val)
 	}
+	return gone
+}
+
+// Recharge corrects what the entry holding val is charged — a value whose
+// footprint changes after insertion reports it here — and evicts from the
+// cold end if the budget no longer holds. A val the cache has let go of in
+// the meantime is not put back.
+func (c *lru) Recharge(key string, val any, bytes int64) {
+	c.mu.Lock()
+	var gone []any
+	if el, ok := c.items[key]; ok {
+		if ent := el.Value.(*lruEntry); ent.val == val && ent.bytes != bytes {
+			c.used += bytes - ent.bytes
+			ent.bytes = bytes
+			gone = c.trim()
+		}
+	}
+	c.mu.Unlock()
+	c.release(gone)
+}
+
+// Clear empties the cache, handing every value to onEvict. These are not
+// evictions: the counter stands still.
+func (c *lru) Clear() {
+	c.mu.Lock()
+	var gone []any
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		gone = append(gone, el.Value.(*lruEntry).val)
+	}
+	c.ll.Init()
+	clear(c.items)
+	c.used = 0
+	c.mu.Unlock()
+	c.release(gone)
 }
 
 // GetOrBuild returns the cached value for key, building it at most once
@@ -141,10 +196,12 @@ func (c *lru) GetOrBuild(key string, build func() (any, int64, error)) (val any,
 	v, bytes, err := build()
 	c.mu.Lock()
 	delete(c.flights, key)
+	var gone []any
 	if err == nil {
-		c.add(key, v, bytes)
+		gone = c.add(key, v, bytes)
 	}
 	c.mu.Unlock()
+	c.release(gone)
 	f.val, f.err = v, err
 	close(f.done)
 	if err != nil {

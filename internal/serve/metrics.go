@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fsaicomm"
+	"fsaicomm/internal/mprun"
 )
 
 // latencyBucketsMs are the fixed upper bounds (milliseconds) of the solve
@@ -230,6 +231,10 @@ type metricsSnapshot struct {
 		CoalescedJobs int64             `json:"coalesced_jobs"`
 		Occupancy     occupancySnapshot `json:"occupancy"`
 	} `json:"batch"`
+	// Ranks reports the worker processes of "tcp" solves, process-wide:
+	// reuses rising while spawns stand still is the resident mesh at work;
+	// meshes resident above the number of cached systems is a leak.
+	Ranks mprun.Counters `json:"ranks"`
 	// SetupPhasesMs sums the phase breakdown of every Prepare the server ran.
 	SetupPhasesMs *setupPhasesMs    `json:"setup_phases_ms"`
 	LatencyMs     histogramSnapshot `json:"solve_latency_ms"`
@@ -267,6 +272,7 @@ func (m *metrics) snapshot(prepared, matrices *lru) ([]byte, error) {
 	s.Batch.BatchesTotal = m.batchesTotal.Load()
 	s.Batch.CoalescedJobs = m.coalescedJobs.Load()
 	s.Batch.Occupancy = m.occupancy.snapshot()
+	s.Ranks = mprun.ReadCounters()
 	s.SetupPhasesMs = m.setupPhases.snapshot()
 	s.LatencyMs = m.latency.snapshot()
 	return json.MarshalIndent(&s, "", "  ")

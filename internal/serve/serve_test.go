@@ -30,7 +30,15 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		// Ends the rank workers that tcp solves have left on cached systems.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	})
 	return s, ts
 }
 
@@ -478,12 +486,16 @@ func TestShutdownDrains(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	var hits, misses, evictions atomic.Int64
-	c := newLRU(100, &hits, &misses, &evictions)
+	var gone []any
+	c := newLRU(100, &hits, &misses, &evictions, func(v any) { gone = append(gone, v) })
 	c.Add("a", 1, 40)
 	c.Add("b", 2, 40)
 	c.Add("c", 3, 40) // over budget: "a" (coldest) must go
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("a survived eviction")
+	}
+	if len(gone) != 1 || gone[0] != 1 {
+		t.Fatalf("eviction hook saw %v, want [1]", gone)
 	}
 	if _, ok := c.Get("b"); !ok {
 		t.Fatal("b evicted prematurely")
@@ -509,9 +521,41 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// An entry whose footprint changes after insertion is recharged in place:
+// the budget is enforced again, from the cold end, without the recharged
+// entry moving; an entry the cache has dropped is not put back; Clear hands
+// everything left to the hook without counting evictions.
+func TestLRURechargeAndClear(t *testing.T) {
+	var hits, misses, evictions atomic.Int64
+	var gone []any
+	c := newLRU(100, &hits, &misses, &evictions, func(v any) { gone = append(gone, v) })
+	c.Add("a", 1, 30)
+	c.Add("b", 2, 30)
+	c.Add("c", 3, 30)
+	c.Recharge("b", 2, 60) // 120 > 100: "a", the coldest, goes
+	if _, ok := c.Get("a"); ok || len(gone) != 1 || gone[0] != 1 || c.UsedBytes() != 90 {
+		t.Fatalf("after recharging b to 60: a cached %v, hook saw %v, %d bytes used", ok, gone, c.UsedBytes())
+	}
+	c.Recharge("a", 1, 10)  // gone: stays gone
+	c.Recharge("c", 99, 10) // another value under the key: not this entry's business
+	if c.Len() != 2 || c.UsedBytes() != 90 {
+		t.Fatalf("recharging what the cache does not hold changed it: %d entries, %d bytes", c.Len(), c.UsedBytes())
+	}
+	c.Recharge("b", 2, 30)
+	if c.UsedBytes() != 60 {
+		t.Fatalf("recharging b back to 30: %d bytes used, want 60", c.UsedBytes())
+	}
+	before := evictions.Load()
+	c.Clear()
+	if c.Len() != 0 || c.UsedBytes() != 0 || len(gone) != 3 || evictions.Load() != before {
+		t.Fatalf("after Clear: %d entries, %d bytes, hook saw %v, %d evictions (was %d)",
+			c.Len(), c.UsedBytes(), gone, evictions.Load(), before)
+	}
+}
+
 func TestLRUSingleflight(t *testing.T) {
 	var hits, misses, evictions atomic.Int64
-	c := newLRU(0, &hits, &misses, &evictions)
+	c := newLRU(0, &hits, &misses, &evictions, nil)
 	var builds atomic.Int64
 	gate := make(chan struct{})
 	const n = 16
@@ -559,7 +603,7 @@ func TestLRUSingleflight(t *testing.T) {
 
 func TestLRUBuildErrorNotCached(t *testing.T) {
 	var hits, misses, evictions atomic.Int64
-	c := newLRU(0, &hits, &misses, &evictions)
+	c := newLRU(0, &hits, &misses, &evictions, nil)
 	wantErr := fmt.Errorf("boom")
 	if _, _, err := c.GetOrBuild("k", func() (any, int64, error) { return nil, 0, wantErr }); err != wantErr {
 		t.Fatalf("err = %v", err)

@@ -124,12 +124,15 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	met := newMetrics()
+	// A prepared system that has solved over "tcp" owns worker processes;
+	// whichever way it leaves the cache, they go with it.
+	closePrepared := func(val any) { val.(*fsaicomm.Prepared).Close() }
 	s := &Server{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		met:      met,
-		matrices: newLRU(cfg.MatrixCacheBytes, &met.matrixHits, &met.matrixMisses, &met.matrixEvictions),
-		prepared: newLRU(cfg.CacheBytes, &met.preparedHits, &met.preparedMisses, &met.preparedEvictions),
+		matrices: newLRU(cfg.MatrixCacheBytes, &met.matrixHits, &met.matrixMisses, &met.matrixEvictions, nil),
+		prepared: newLRU(cfg.CacheBytes, &met.preparedHits, &met.preparedMisses, &met.preparedEvictions, closePrepared),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		open:     make(map[string]*openBatch),
 	}
@@ -149,13 +152,16 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // Shutdown drains the server: new solve jobs are refused with 503 and the
-// call blocks until every accepted job has finished or ctx expires. It does
-// not close listeners — pair it with http.Server.Shutdown, which stops
-// accepting connections while this stops accepting work.
+// call blocks until every accepted job has finished or ctx expires; then the
+// prepared cache is emptied, which ends the rank worker processes its systems
+// keep (a job still running when ctx expired ends its own on its way out).
+// It does not close listeners — pair it with http.Server.Shutdown, which
+// stops accepting connections while this stops accepting work.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
+	defer s.prepared.Clear()
 	done := make(chan struct{})
 	go func() {
 		s.jobs.Wait()
@@ -673,6 +679,7 @@ func (s *Server) solveAdmitted(r *http.Request, q *solveRequest, m *uploaded, op
 
 	res, err := p.Solve(ctx, rhs, so)
 	s.met.latency.observe(time.Since(t0))
+	s.recharge(key, p, so)
 	if err != nil && !errors.Is(err, fsaicomm.ErrCanceled) {
 		s.met.jobsFailed.Add(1)
 		return nil, fail(http.StatusUnprocessableEntity, "solve: %v", err)
@@ -766,6 +773,15 @@ func (s *Server) prepare(key string, a *fsaicomm.Matrix, opt fsaicomm.Options) (
 		st.phases = one.snapshot()
 	}
 	return p, st, nil
+}
+
+// recharge re-reads what a prepared system holds after a "tcp" solve, which
+// may have left worker processes resident on it or taken them away: the
+// cache's byte budget is what bounds the number of resident processes.
+func (s *Server) recharge(key string, p *fsaicomm.Prepared, so fsaicomm.SolveOptions) {
+	if so.Transport == "tcp" {
+		s.prepared.Recharge(key, p, p.SizeBytes())
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

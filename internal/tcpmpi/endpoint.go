@@ -51,8 +51,11 @@ type peerConn struct {
 	conn net.Conn
 	// wmu serializes frame writes: a nonblocking send chain's goroutine and
 	// the rank goroutine's collective contribution may target the same
-	// connection concurrently.
+	// connection concurrently. It also guards wbuf, the storage every
+	// outgoing frame is encoded into, so a steady-state send allocates
+	// nothing.
 	wmu  sync.Mutex
+	wbuf []byte
 	p2p  chan simmpi.Payload
 	coll chan simmpi.CollPayload
 	// dead is closed (once) when the reader loop exits; err holds the cause.
@@ -82,7 +85,6 @@ func (pc *peerConn) fail(err error) {
 type Endpoint struct {
 	rank, size int
 	timeout    time.Duration
-	ln         net.Listener
 	peers      []*peerConn // nil at the endpoint's own index
 	closeOnce  sync.Once
 }
@@ -91,8 +93,11 @@ type Endpoint struct {
 // performing the handshake/rank exchange: rank r accepts one connection from
 // every higher rank (each announced by a hello frame carrying the dialer's
 // rank) and dials every lower rank. addrs[rank] must be the address ln
-// listens on. The endpoint owns ln afterwards and closes it in Close.
+// listens on. Connect owns ln and closes it before returning: once the
+// size−1−rank higher ranks are in nobody else has business connecting, and a
+// rank that lives for hours should not keep an accepting port open.
 func Connect(rank int, ln net.Listener, addrs []string, cfg Config) (*Endpoint, error) {
+	defer ln.Close()
 	cfg = cfg.withDefaults()
 	size := len(addrs)
 	if rank < 0 || rank >= size {
@@ -102,7 +107,6 @@ func Connect(rank int, ln net.Listener, addrs []string, cfg Config) (*Endpoint, 
 		rank:    rank,
 		size:    size,
 		timeout: cfg.Timeout,
-		ln:      ln,
 		peers:   make([]*peerConn, size),
 	}
 	deadline := time.Now().Add(cfg.Timeout)
@@ -122,13 +126,13 @@ func Connect(rank int, ln net.Listener, addrs []string, cfg Config) (*Endpoint, 
 				return
 			}
 			conn.SetReadDeadline(deadline)
-			kind, body, err := readFrame(conn)
-			if err != nil || kind != kindHello || len(body) != 4 {
+			hello, err := readFrame(conn, nil)
+			if err != nil || len(hello) != 5 || hello[0] != kindHello {
 				conn.Close()
 				acceptDone <- fmt.Errorf("tcpmpi: rank %d bad hello from mesh peer: %v", rank, err)
 				return
 			}
-			peer := int(binary.LittleEndian.Uint32(body))
+			peer := int(binary.LittleEndian.Uint32(hello[1:]))
 			if peer <= rank || peer >= size || e.peers[peer] != nil {
 				conn.Close()
 				acceptDone <- fmt.Errorf("tcpmpi: rank %d got hello from unexpected rank %d", rank, peer)
@@ -147,10 +151,8 @@ func Connect(rank int, ln net.Listener, addrs []string, cfg Config) (*Endpoint, 
 			dialErr = fmt.Errorf("tcpmpi: rank %d dialing rank %d at %s: %w", rank, q, addrs[q], err)
 			break
 		}
-		var hello [4]byte
-		binary.LittleEndian.PutUint32(hello[:], uint32(rank))
 		conn.SetWriteDeadline(deadline)
-		if err := writeFrame(conn, kindHello, hello[:]); err != nil {
+		if _, err := conn.Write(endFrame(appendU32(beginFrame(nil, kindHello), uint32(rank)))); err != nil {
 			conn.Close()
 			dialErr = fmt.Errorf("tcpmpi: rank %d hello to rank %d: %w", rank, q, err)
 			break
@@ -158,10 +160,10 @@ func Connect(rank int, ln net.Listener, addrs []string, cfg Config) (*Endpoint, 
 		conn.SetWriteDeadline(time.Time{})
 		e.peers[q] = newPeerConn(conn)
 	}
-	acceptErr := <-acceptDone
-	if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-		d.SetDeadline(time.Time{})
+	if dialErr != nil {
+		ln.Close() // the mesh cannot form any more; do not sit out the accept deadline
 	}
+	acceptErr := <-acceptDone
 	if dialErr != nil || acceptErr != nil {
 		e.Close()
 		if dialErr != nil {
@@ -201,12 +203,16 @@ func dialRetry(network, addr string, deadline time.Time) (net.Conn, error) {
 
 func (e *Endpoint) readLoop(src int, pc *peerConn) {
 	br := bufio.NewReaderSize(pc.conn, 1<<16)
+	// One frame buffer per peer: the decoders copy every value out into a
+	// fresh typed slice, so the bytes are free again once a frame is queued.
+	var frame []byte
 	for {
-		kind, body, err := readFrame(br)
-		if err != nil {
+		var err error
+		if frame, err = readFrame(br, frame); err != nil {
 			pc.fail(fmt.Errorf("%w: rank %d lost rank %d: %v", simmpi.ErrRankLost, e.rank, src, err))
 			return
 		}
+		kind, body := frame[0], frame[1:]
 		switch kind {
 		case kindP2P:
 			p, err := decodeP2P(body)
@@ -244,11 +250,11 @@ func (e *Endpoint) Send(dst int, p simmpi.Payload) error {
 		return pc.err
 	default:
 	}
-	body := encodeP2P(p)
 	pc.wmu.Lock()
 	defer pc.wmu.Unlock()
+	pc.wbuf = endFrame(appendP2P(beginFrame(pc.wbuf, kindP2P), p))
 	pc.conn.SetWriteDeadline(time.Now().Add(e.timeout))
-	if err := writeFrame(pc.conn, kindP2P, body); err != nil {
+	if _, err := pc.conn.Write(pc.wbuf); err != nil {
 		err = fmt.Errorf("%w: rank %d writing to rank %d: %v", simmpi.ErrRankLost, e.rank, dst, err)
 		pc.fail(err)
 		return err
@@ -261,13 +267,13 @@ func (e *Endpoint) Send(dst int, p simmpi.Payload) error {
 // rank exited are still delivered.
 func (e *Endpoint) Recv(src int) (simmpi.Payload, error) {
 	pc := e.peers[src]
-	timer := time.NewTimer(e.timeout)
-	defer timer.Stop()
 	select {
 	case p := <-pc.p2p:
 		return p, nil
 	default:
 	}
+	timer := time.NewTimer(e.timeout)
+	defer timer.Stop()
 	select {
 	case p := <-pc.p2p:
 		return p, nil
@@ -284,12 +290,12 @@ func (e *Endpoint) Recv(src int) (simmpi.Payload, error) {
 }
 
 func (e *Endpoint) collRecv(pc *peerConn, op string, from int) (simmpi.CollPayload, error) {
-	timer := time.NewTimer(e.timeout)
-	defer timer.Stop()
 	var m simmpi.CollPayload
 	select {
 	case m = <-pc.coll:
 	default:
+		timer := time.NewTimer(e.timeout)
+		defer timer.Stop()
 		select {
 		case m = <-pc.coll:
 		case <-pc.dead:
@@ -315,11 +321,11 @@ func (e *Endpoint) sendColl(dst int, p simmpi.CollPayload) error {
 		return pc.err
 	default:
 	}
-	body := encodeColl(p)
 	pc.wmu.Lock()
 	defer pc.wmu.Unlock()
+	pc.wbuf = endFrame(appendColl(beginFrame(pc.wbuf, kindColl), p))
 	pc.conn.SetWriteDeadline(time.Now().Add(e.timeout))
-	if err := writeFrame(pc.conn, kindColl, body); err != nil {
+	if _, err := pc.conn.Write(pc.wbuf); err != nil {
 		err = fmt.Errorf("%w: rank %d writing collective to rank %d: %v", simmpi.ErrRankLost, e.rank, dst, err)
 		pc.fail(err)
 		return err
@@ -363,14 +369,11 @@ func (e *Endpoint) Collective(contrib simmpi.CollPayload) (simmpi.CollPayload, e
 	return e.collRecv(e.peers[0], op, 0)
 }
 
-// Close tears the mesh down: the listener and every connection are closed,
-// which unblocks this endpoint's reader loops and makes the peers' pending
-// operations fail with ErrRankLost.
+// Close tears the mesh down: every connection is closed, which unblocks this
+// endpoint's reader loops and makes the peers' pending operations fail with
+// ErrRankLost.
 func (e *Endpoint) Close() error {
 	e.closeOnce.Do(func() {
-		if e.ln != nil {
-			e.ln.Close()
-		}
 		for _, pc := range e.peers {
 			if pc != nil {
 				pc.conn.Close()

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"fsaicomm/internal/simmpi"
 )
@@ -22,43 +23,62 @@ import (
 // with all integers little-endian and floats as IEEE-754 bit patterns.
 const (
 	kindHello byte = 1 // body: u32 rank — sent by the dialing (higher) rank
-	kindP2P   byte = 2 // body: p2p payload (see encodeP2P)
-	kindColl  byte = 3 // body: collective payload (see encodeColl)
+	kindP2P   byte = 2 // body: p2p payload (see appendP2P)
+	kindColl  byte = 3 // body: collective payload (see appendColl)
 )
 
 // maxFrameBytes bounds a decoded frame; anything larger means a corrupt or
 // hostile stream, not solver traffic.
 const maxFrameBytes = 1 << 30
 
-func writeFrame(w io.Writer, kind byte, body []byte) error {
-	// One buffer, one Write: frames must not interleave when several
-	// goroutines share a connection under the per-conn write mutex.
-	buf := make([]byte, 5+len(body))
-	binary.LittleEndian.PutUint32(buf, uint32(1+len(body)))
-	buf[4] = kind
-	copy(buf[5:], body)
-	_, err := w.Write(buf)
-	return err
+// frameStep is the first allocation readFrame makes for a body and the least
+// it grows by; after that the buffer doubles as bytes actually arrive.
+const frameStep = 64 << 10
+
+// beginFrame starts a frame of the given kind in b's storage: the length
+// field is reserved, the encoders append the body, endFrame fills the length
+// in. One buffer, one Write: frames must not interleave when several
+// goroutines share a connection under the per-conn write mutex.
+func beginFrame(b []byte, kind byte) []byte {
+	return append(b[:0], 0, 0, 0, 0, kind)
 }
 
-// readFrame works on any reader (the mesh handshake reads the raw
-// connection: buffering there would read ahead into the next frame, whose
-// bytes would be lost when the per-peer reader loop takes over with its own
-// buffer).
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+func endFrame(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+// readFrame reads one frame into buf's storage, growing it as needed, and
+// returns kind byte and body as one slice (frame[0] is the kind) so that the
+// caller can hand the storage back for the next frame; nothing decoded from
+// a frame may alias it. The body is not allocated on the header's word: the
+// buffer grows in steps no larger than what has already arrived, so a header
+// that lies costs about twice what the peer really sent, never the 1 GiB the
+// length field can claim.
+//
+// It works on any reader (the mesh handshake reads the raw connection:
+// buffering there would read ahead into the next frame, whose bytes would be
+// lost when the per-peer reader loop takes over with its own buffer).
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	// The header is read into the frame's own storage (a local array would
+	// escape through the Reader interface and cost an allocation per frame).
+	frame := slices.Grow(buf[:0], 4)[:4]
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(frame)
 	if n < 1 || n > maxFrameBytes {
-		return 0, nil, fmt.Errorf("tcpmpi: frame length %d out of range", n)
+		return nil, fmt.Errorf("tcpmpi: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	frame = frame[:0]
+	for len(frame) < int(n) {
+		step := min(int(n)-len(frame), max(len(frame), frameStep, cap(frame)-len(frame)))
+		frame = slices.Grow(frame, step)[:len(frame)+step]
+		if _, err := io.ReadFull(r, frame[len(frame)-step:]); err != nil {
+			return nil, err
+		}
 	}
-	return body[0], body[1:], nil
+	return frame, nil
 }
 
 // Payload type tags inside p2p frames. Empty payloads are typeless on the
@@ -79,7 +99,8 @@ func appendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-func encodeP2P(p simmpi.Payload) []byte {
+// appendP2P appends the body of a point-to-point frame.
+func appendP2P(b []byte, p simmpi.Payload) []byte {
 	typ, n := typNone, 0
 	switch {
 	case len(p.F64) > 0:
@@ -89,7 +110,7 @@ func encodeP2P(p simmpi.Payload) []byte {
 	case len(p.Ints) > 0:
 		typ, n = typInts, len(p.Ints)
 	}
-	b := make([]byte, 0, 9+1+4+8*n)
+	b = slices.Grow(b, 13+8*n)
 	b = appendU32(b, uint32(p.Src))
 	b = appendU32(b, uint32(p.Tag))
 	b = append(b, typ)
@@ -161,11 +182,12 @@ func decodeP2P(body []byte) (simmpi.Payload, error) {
 	return p, nil
 }
 
-func encodeColl(p simmpi.CollPayload) []byte {
+// appendColl appends the body of a collective frame.
+func appendColl(b []byte, p simmpi.CollPayload) []byte {
 	if len(p.Op) > 255 {
 		panic(fmt.Sprintf("tcpmpi: collective op %q too long", p.Op))
 	}
-	b := make([]byte, 0, 1+len(p.Op)+12+8*(len(p.F64)+len(p.I64)+len(p.Ints)))
+	b = slices.Grow(b, 1+len(p.Op)+12+8*(len(p.F64)+len(p.I64)+len(p.Ints)))
 	b = append(b, byte(len(p.Op)))
 	b = append(b, p.Op...)
 	b = appendU32(b, uint32(len(p.F64)))

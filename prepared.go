@@ -3,7 +3,9 @@ package fsaicomm
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fsaicomm/internal/core"
@@ -40,9 +42,10 @@ type SolveOptions struct {
 	// pipelined loop (see Options.ResidualReplaceEvery).
 	ResidualReplaceEvery int
 	// Transport selects the rank runtime: "sim" (default) or "tcp" (one OS
-	// process per rank; the localized factors and halo schedules are shipped
-	// to the workers, so the solve still pays no setup communication). See
-	// Options.Transport.
+	// process per rank). The first "tcp" solve of a Prepared starts the
+	// processes and ships them the localized factors and halo schedules; they
+	// stay, so later solves send a right-hand side and get a solution back,
+	// until Prepared.Close. See Options.Transport.
 	Transport string
 	// Nodes and RanksPerNode declare a per-solve two-level topology (see
 	// Options.Nodes). A cached prepared system can be solved under any node
@@ -92,7 +95,8 @@ func (o SolveOptions) over(setup Options) Options {
 // private operators from the shared read-only parts with zero setup
 // communication, so repeated solves pay only the Krylov loop. This is the
 // unit the serving layer caches: one Prepared per (matrix fingerprint,
-// setup options) pair.
+// setup options) pair. A system solved over the "tcp" transport keeps its
+// rank worker processes, operators shipped, until Close.
 type Prepared struct {
 	n         int
 	ranks     int
@@ -115,6 +119,14 @@ type Prepared struct {
 	// so one entry serves every variant, precision, topology and transport.
 	tracedMu sync.Mutex
 	traced   map[string][]mprun.Operators
+	// mesh is the resident worker set of "tcp" solves: spawned by the first
+	// one, holding parts from then on, closed by Close. meshMu is held by the
+	// solve running on it; a solve that finds it taken runs on a transient
+	// mesh instead of waiting. meshBytes is what the mesh adds to SizeBytes.
+	meshMu    sync.Mutex
+	mesh      *mprun.Mesh
+	meshBytes atomic.Int64
+	closed    atomic.Bool
 	// pools hold per-rank krylov workspaces so steady-state solves allocate
 	// only the solution vector. Indexed by rank: concurrent solves share the
 	// pools, but a workspace is only ever used by one rank goroutine at a
@@ -195,6 +207,9 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 	for i := range p.pools {
 		p.pools[i].New = func() any { return &krylov.Workspace{} }
 	}
+	// The net under a caller that drops a system without Close, as os.File
+	// has one: worker processes must not outlive every reference to it.
+	runtime.SetFinalizer(p, (*Prepared).Close)
 	return p, nil
 }
 
@@ -232,8 +247,15 @@ func (p *Prepared) Options() Options { return p.setupOpt }
 
 // SizeBytes estimates the memory retained by the prepared system — the
 // localized matrix and factor copies plus the halo schedules — for cache
-// byte-budget accounting. It ignores small fixed overheads.
+// byte-budget accounting. It ignores small fixed overheads. While "tcp"
+// solves keep worker processes resident the figure grows by the workers'
+// copy of the operators plus their measured idle resident set, so a cache
+// that re-reads it after a solve bounds the processes with its byte budget.
 func (p *Prepared) SizeBytes() int64 {
+	return p.operatorBytes() + p.meshBytes.Load()
+}
+
+func (p *Prepared) operatorBytes() int64 {
 	var total int64
 	for i := range p.parts {
 		r := &p.parts[i]
@@ -285,8 +307,8 @@ func (p *Prepared) Solve(ctx context.Context, b []float64, so SolveOptions) (*Re
 // run is the cached-set-up path behind Solve (k = 0) and SolveBatch
 // (k = len(rhs)): one rank job per rank that adopts the operators Prepare
 // holds and solves under so. The worker processes of a tcp solve receive
-// the held operators over the wire and start with fresh workspaces, so pools
-// only ever serve sim ranks.
+// the held operators over the wire, once per mesh, and run every job on a
+// fresh workspace, so pools only ever serve sim ranks.
 func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOptions, pools []sync.Pool) (*rankFold, error) {
 	sp, err := solveParams(so.over(p.setupOpt).withDefaults(p.n), p.ranks)
 	if err != nil {
@@ -303,7 +325,7 @@ func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOpti
 		held = p.parts
 	}
 	job := mprun.JobSpec{Layout: p.layout, K: k, Solve: sp}
-	f, err := runRanks(ctx, so.Transport, job, held, pools, rhs, p.oldToNew)
+	f, err := runRanks(ctx, so.Transport, p.runResident, job, held, pools, rhs, p.oldToNew)
 	if err != nil {
 		return nil, err
 	}
@@ -312,6 +334,63 @@ func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOpti
 		p.rememberMisses(prof.Name, f.costs)
 	}
 	return f, nil
+}
+
+// runResident is the rankRunner of a prepared system: the jobs run on the
+// system's own mesh, started here if there is none, whose workers keep the
+// operators after the first job. The mesh survives the job only if every
+// rank reported an outcome and nobody canceled; otherwise it is closed at
+// once and the next solve starts another — a lost worker costs the solve it
+// was lost in, never the entry. A solve that finds the mesh busy, or the
+// system closed, does not wait: it runs on a transient mesh.
+func (p *Prepared) runResident(ctx context.Context, jobs []*mprun.JobSpec) ([]*mprun.RankOutcome, error) {
+	if p.closed.Load() || !p.meshMu.TryLock() {
+		return runTransient(ctx, jobs)
+	}
+	defer p.reap()
+	defer p.meshMu.Unlock()
+	if p.mesh == nil {
+		mesh, err := mprun.Start(p.ranks)
+		if err != nil {
+			return nil, err
+		}
+		p.mesh = mesh
+		p.meshBytes.Store(p.operatorBytes() + mesh.IdleRSS())
+	}
+	outs, err := p.mesh.Run(ctx, jobs)
+	if !p.mesh.Reusable() {
+		p.dropMesh()
+	}
+	return outs, err
+}
+
+// dropMesh ends the resident workers; the caller holds meshMu.
+func (p *Prepared) dropMesh() {
+	if p.mesh != nil {
+		p.mesh.Close()
+		p.mesh = nil
+		p.meshBytes.Store(0)
+	}
+}
+
+// reap ends the workers of a closed system unless a solve is running on
+// them; that solve reaps on its way out.
+func (p *Prepared) reap() {
+	if p.closed.Load() && p.meshMu.TryLock() {
+		p.dropMesh()
+		p.meshMu.Unlock()
+	}
+}
+
+// Close releases the worker processes "tcp" solves have left resident. It
+// does not wait for a running solve — that solve ends them when it is done —
+// and the system stays usable: later "tcp" solves start and stop their own
+// workers. A system that never solved over "tcp" has nothing to close. A
+// system that becomes unreachable unclosed is closed by a finalizer, some
+// time later; call Close to end the workers when you are done with them.
+func (p *Prepared) Close() {
+	p.closed.Store(true)
+	p.reap()
 }
 
 // rememberMisses keeps what the ranks of the first scalar solve under a

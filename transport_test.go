@@ -12,7 +12,7 @@ import (
 )
 
 // TestMain lets this test binary self-host the rank worker processes the
-// "tcp" transport spawns: mprun.Launch re-executes the current binary, and
+// "tcp" transport spawns: mprun.Start re-executes the current binary, and
 // MaybeWorker diverts those copies into worker mode before any test runs.
 func TestMain(m *testing.M) {
 	mprun.MaybeWorker()

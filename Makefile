@@ -11,9 +11,15 @@ all: tier1
 # internal/distmat (the halo exchange is one generic body; the SetF32 switch
 # and the Localized.M32 accessor are not twins and stay), or a non-test
 # *Serial function in internal/krylov (a serial solve is the distributed
-# loop on one rank). The spawn step fails if the per-solve process spawn comes
-# back beside the resident mesh: internal/mprun starts worker processes in
-# one place (exec.Command once, in Start) and has no Launch.
+# loop on one rank). The loops step fails if a Krylov loop body comes back
+# beside the five that exist: non-test internal/krylov compares an iteration
+# count with opt.MaxIter in five places — the k-wide classic and fused CG
+# loops, pipelined CG, and GMRES at its cycle top and inside the cycle (a
+# scalar CG solve is the k-wide loop at width 1) — and has exactly one
+# `for` over maxRefinements (the one FP64 refinement wrapper). The spawn step
+# fails if the per-solve process spawn comes back beside the resident mesh:
+# internal/mprun starts worker processes in one place (exec.Command once, in
+# Start) and has no Launch.
 tier1:
 	$(GO) build ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
@@ -22,6 +28,12 @@ tier1:
 		grep -nE '^func \([a-z]+ \*?(HaloPlan|ExchangeHandle)\) [A-Za-z0-9_]*[a-z0-9_]32\(' internal/distmat/*.go; \
 		grep -nE '^func (\([^)]*\) )?[A-Za-z0-9_]*Serial\(' $$(ls internal/krylov/*.go | grep -v _test.go))"; \
 		if [ -n "$$twins" ]; then echo "hand-copied twins are back:"; echo "$$twins"; exit 1; fi
+	@src="$$(ls internal/krylov/*.go | grep -v _test.go)"; \
+		loops="$$(grep -nE '[<>]= ([a-z]+\.)?opt\.MaxIter' $$src)"; \
+		refines="$$(grep -nE '^[[:space:]]*for .*maxRefinements' $$src)"; \
+		if [ "$$(echo "$$loops" | grep -c .)" -gt 5 ] || [ "$$(echo "$$refines" | grep -c .)" -ne 1 ]; then \
+			echo "internal/krylov has a Krylov loop beside classic-k, fused-k, pipelined, GMRES and the one refinement wrapper:"; \
+			echo "$$loops"; echo "$$refines"; exit 1; fi
 	@src="$$(ls internal/mprun/*.go | grep -v _test.go)"; \
 		spawns="$$(grep -n 'exec\.Command' $$src | grep -v '^[^:]*:[0-9]*:[[:space:]]*//')"; \
 		launch="$$(grep -nE '^func (\([^)]*\) )?Launch\(' $$src)"; \
@@ -194,15 +206,17 @@ cover:
 	$(GO) test -cover ./...
 
 # fuzz: short exploration of each sparse-format fuzz target and the product
-# kernels, the dense QR least-squares kernel behind SPAI, the three decoders
-# of the socket transport that face bytes another process wrote, and the
-# /solve request decoder (seeds already run under plain `go test`).
+# kernels, the k-wide vector kernels at width 1 against the scalar ones they
+# stand in for, the dense QR least-squares kernel behind SPAI, the three
+# decoders of the socket transport that face bytes another process wrote,
+# and the /solve request decoder (seeds already run under plain `go test`).
 fuzz:
 	$(GO) test -fuzz FuzzCSRValidate -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzCOOToCSR -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzReadMatrixMarket -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzCSR32RoundTrip -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzRowKernels -fuzztime 30s ./internal/sparse/
+	$(GO) test -fuzz FuzzBatchKernelsWidth1 -fuzztime 30s ./internal/vecops/
 	$(GO) test -fuzz FuzzQRLeastSquares -fuzztime 30s ./internal/dense/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzDecodeP2P -fuzztime 30s ./internal/tcpmpi/

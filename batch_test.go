@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func batchRHS(a *Matrix, k int) [][]float64 {
@@ -17,25 +19,47 @@ func batchRHS(a *Matrix, k int) [][]float64 {
 
 // A batched solve is bit-identical per column to the scalar solve of that
 // column alone — same solution vector, same iteration count, same final
-// residual — for both batched CG variants, on the full-setup path.
+// residual, same refinements — for both batched CG variants and both
+// precisions, on the full-setup path, sim and tcp. Scalar and batched
+// solves run the same k-wide loops, at width 1 and k; this is the
+// facade-level half of the oracle that licenses having no scalar loop.
 func TestSolveBatchMatchesSolveDistributed(t *testing.T) {
 	a := GenerateElasticity2D(9, 9, 3)
 	for _, tc := range []struct {
 		v    CGVariant
 		prec Precision
 		k    int
+		// same gives every column the same right-hand side: the columns stop
+		// together, so the batch must also pay exactly the scalar solve's
+		// collective calls and halo messages, with k× its halo bytes.
+		same      bool
+		transport string
 	}{
-		{CGClassic, FP64, 3},
-		{CGFused, FP64, 3},
-		{CGClassic, FP64, 1},
+		{v: CGClassic, prec: FP64, k: 3},
+		{v: CGFused, prec: FP64, k: 3},
+		{v: CGClassic, prec: FP64, k: 1},
 		// A k-wide refined batch shares one inner tolerance (the tightest
-		// column's), so only a 1-wide batch repeats the scalar refinement bit
-		// for bit.
-		{CGClassic, FP32, 1},
+		// column's), so only a 1-wide batch, or one of equal columns, repeats
+		// the scalar refinement bit for bit.
+		{v: CGClassic, prec: FP32, k: 1},
+		{v: CGFused, prec: FP32, k: 1},
+		{v: CGClassic, prec: FP32, k: 3, same: true},
+		{v: CGFused, prec: FP32, k: 3, same: true},
+		{v: CGFused, prec: FP64, k: 3, same: true},
+		{v: CGFused, prec: FP32, k: 3, same: true, transport: "tcp"},
 	} {
-		v, k := fmt.Sprintf("%v/%v/k=%d", tc.v, tc.prec, tc.k), tc.k
+		if tc.transport == "tcp" && testing.Short() {
+			continue // spawns worker processes
+		}
+		v, k := fmt.Sprintf("%v/%v/k=%d/same=%v/%s", tc.v, tc.prec, tc.k, tc.same, tc.transport), tc.k
 		rhs := batchRHS(a, k)
-		opt := Options{Method: FSAIEComm, Filter: 0.01, Ranks: 3, CGVariant: tc.v, Precision: tc.prec}
+		if tc.same {
+			for c := range rhs {
+				rhs[c] = rhs[0]
+			}
+		}
+		opt := Options{Method: FSAIEComm, Filter: 0.01, Ranks: 3, CGVariant: tc.v, Precision: tc.prec,
+			Tol: 1e-11, Transport: tc.transport}
 		br, err := SolveBatch(a, rhs, opt)
 		if err != nil {
 			t.Fatalf("%v: SolveBatch: %v", v, err)
@@ -51,10 +75,10 @@ func TestSolveBatchMatchesSolveDistributed(t *testing.T) {
 			}
 			col := br.Cols[c]
 			if col.Iterations != ref.Iterations || col.Converged != ref.Converged ||
-				col.RelResidual != ref.RelResidual {
-				t.Fatalf("%v col %d: stats (%d, %v, %g), scalar (%d, %v, %g)",
-					v, c, col.Iterations, col.Converged, col.RelResidual,
-					ref.Iterations, ref.Converged, ref.RelResidual)
+				col.RelResidual != ref.RelResidual || br.Refinements != ref.Refinements {
+				t.Fatalf("%v col %d: stats (%d, %v, %g, %d refinements), scalar (%d, %v, %g, %d)",
+					v, c, col.Iterations, col.Converged, col.RelResidual, br.Refinements,
+					ref.Iterations, ref.Converged, ref.RelResidual, ref.Refinements)
 			}
 			for i := range ref.X {
 				if col.X[i] != ref.X[i] {
@@ -64,6 +88,15 @@ func TestSolveBatchMatchesSolveDistributed(t *testing.T) {
 			if ref.Iterations > maxIters {
 				maxIters = ref.Iterations
 			}
+			if tc.same && (br.CollectiveCalls != ref.CollectiveCalls || br.CommMessages != ref.CommMessages ||
+				br.CommBytes != int64(k)*ref.CommBytes) {
+				t.Fatalf("%v: batch (%d calls, %d msgs, %d B), scalar (%d, %d, %d): want equal calls and messages, %d× bytes",
+					v, br.CollectiveCalls, br.CommMessages, br.CommBytes,
+					ref.CollectiveCalls, ref.CommMessages, ref.CommBytes, k)
+			}
+		}
+		if tc.prec == FP32 && br.Refinements < 2 {
+			t.Fatalf("%v: %d refinements; the case is meant to refine at least twice", v, br.Refinements)
 		}
 		// The batch loop runs until its slowest column converges; columns
 		// that converge earlier freeze at their own scalar iteration count.
@@ -278,6 +311,62 @@ func TestSolveBatchCancellation(t *testing.T) {
 	}
 	if br == nil || len(br.Cols) != 2 {
 		t.Fatal("Prepared.SolveBatch: no partial result")
+	}
+}
+
+// pollBudgetCtx is a deterministic cancellation source: Err reports Canceled
+// once it has been polled more than limit times, over all ranks. Every rank
+// polls once per cancellation check and the verdict is collective, so a
+// limit of ranks·n lets exactly n checks pass.
+type pollBudgetCtx struct {
+	polls *atomic.Int64
+	limit int64
+}
+
+func (c pollBudgetCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c pollBudgetCtx) Done() <-chan struct{}       { return nil }
+func (c pollBudgetCtx) Value(any) any               { return nil }
+func (c pollBudgetCtx) Err() error {
+	if c.polls.Add(1) > c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A batched solve stopped at ANY of its cancellation checks — the first one,
+// one inside the CG loop, or the refinement wrapper's own between two inner
+// solves — returns ErrCanceled with the partial columns, at width 1 and 2,
+// in FP64 and FP32. (A batched fp32 solve canceled before its first
+// refinement used to come back with a nil error, Converged false and x = 0.)
+func TestPreparedSolveBatchCanceledAtEveryCheck(t *testing.T) {
+	const ranks = 2
+	a := GeneratePoisson2D(12, 12)
+	for _, prec := range []Precision{FP64, FP32} {
+		p, err := Prepare(a, Options{Ranks: ranks, Precision: prec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2} {
+			rhs := batchRHS(a, k)
+			so := SolveOptions{Tol: 1e-12} // deep enough that fp32 needs a second refinement
+			polls := new(atomic.Int64)
+			full, err := p.SolveBatch(pollBudgetCtx{polls: polls, limit: 1 << 40}, rhs, so)
+			if err != nil || !full.AllConverged() {
+				t.Fatalf("%v k=%d: reference solve: %v", prec, k, err)
+			}
+			if prec == FP32 && full.Refinements < 2 {
+				t.Fatalf("k=%d: reference took %d refinements; the sweep needs a check between two", k, full.Refinements)
+			}
+			for checks := int64(0); checks < polls.Load()/ranks; checks++ {
+				br, err := p.SolveBatch(pollBudgetCtx{polls: new(atomic.Int64), limit: ranks * checks}, rhs, so)
+				if !errors.Is(err, ErrCanceled) {
+					t.Fatalf("%v k=%d, %d checks allowed: err = %v, want ErrCanceled", prec, k, checks, err)
+				}
+				if br == nil || len(br.Cols) != k || br.AllConverged() {
+					t.Fatalf("%v k=%d, %d checks allowed: partial result %+v", prec, k, checks, br)
+				}
+			}
+		}
 	}
 }
 

@@ -17,31 +17,6 @@ import (
 	"fsaicomm/internal/vecops"
 )
 
-// BatchDistVec is the k-wide counterpart of DistVec: a rank's interleaved
-// local block plus halo workspace. Local values live in Ext[:NLocal*K];
-// ExchangeBatch fills Ext[NLocal*K:].
-type BatchDistVec struct {
-	NLocal int
-	K      int
-	Ext    []float64
-}
-
-// NewBatchDistVec allocates a batched distributed vector view compatible
-// with lz for batches of size k.
-func NewBatchDistVec(lz *Localized, k int) *BatchDistVec {
-	if k < 1 {
-		panic(fmt.Sprintf("distmat: NewBatchDistVec batch size %d < 1", k))
-	}
-	return &BatchDistVec{
-		NLocal: lz.NLocal(),
-		K:      k,
-		Ext:    make([]float64, (lz.NLocal()+len(lz.Halo))*k),
-	}
-}
-
-// Local returns the locally-owned interleaved block.
-func (v *BatchDistVec) Local() []float64 { return v.Ext[:v.NLocal*v.K] }
-
 // MulMat computes the local block of Y = A·X for k interleaved columns,
 // performing one k-wide halo update (one message per neighbour regardless
 // of k). x and y hold the rank's interleaved local blocks (length
@@ -49,14 +24,25 @@ func (v *BatchDistVec) Local() []float64 { return v.Ext[:v.NLocal*v.K] }
 // active columns of y are computed (nil cols = all); the halo exchange
 // always carries all k columns so the message schedule never depends on the
 // mask. Column c of the result is bit-identical to the scalar Op.MulVec on
-// column c.
-func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch *BatchDistVec, fc *vecops.FlopCounter) {
+// column c — and a 1-wide block is a plain vector, so at k = 1 the product
+// IS the scalar one: MulVec, or the send-then-compute MulVecOverlap when
+// the operator carries the overlap view (same bits, same metered traffic).
+// There is no k-wide overlap schedule; wider blocks always block.
+func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch *DistVec, fc *vecops.FlopCounter) {
 	nl := op.LZ.NLocal()
 	if len(x) != nl*k || len(y) != nl*k {
 		panic(fmt.Sprintf("distmat: MulMat local length %d/%d, want %d (k=%d)", len(x), len(y), nl*k, k))
 	}
 	if scratch.NLocal != nl || scratch.K != k {
 		panic(fmt.Sprintf("distmat: MulMat scratch %d×%d, want %d×%d", scratch.NLocal, scratch.K, nl, k))
+	}
+	if k == 1 && (cols == nil || len(cols) == 1) {
+		if op.overlap != nil {
+			op.overlap.MulVecOverlap(c, x, y, scratch, fc)
+		} else {
+			op.MulVec(c, x, y, scratch, fc)
+		}
+		return
 	}
 	if !op.Plan.idle() {
 		copy(scratch.Ext[:nl*k], x)
@@ -80,12 +66,12 @@ func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch 
 // exact zeros, so the collective is always k wide and the call count per
 // iteration is 1 regardless of batch size or convergence state — the
 // batched counterpart of k separate distmat.Dot calls (and exactly one
-// collective where those cost k).
+// collective where those cost k); at k = 1 it is Dot. A nil Comm is the
+// one-rank world.
 func DotBatchDist(c *simmpi.Comm, x, y []float64, k int, cols []int, out []float64, fc *vecops.FlopCounter) {
 	for i := 0; i < k; i++ {
 		out[i] = 0
 	}
 	vecops.DotBatch(x, y, k, cols, out, fc)
-	g := c.AllreduceSum(out[:k]...)
-	copy(out[:k], g)
+	copy(out[:k], SumAcross(c, out[:k]))
 }

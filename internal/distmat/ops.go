@@ -11,21 +11,33 @@ import (
 	"fsaicomm/internal/vecops"
 )
 
-// DistVec holds a rank's slice of a distributed vector plus halo workspace
-// for one matrix. Local values live in Ext[:NLocal]; Exchange fills
-// Ext[NLocal:].
+// DistVec holds a rank's slice of K interleaved distributed vectors plus
+// halo workspace for one matrix; K = 1 is a plain vector. Local values live
+// in Ext[:NLocal*K]; Exchange / ExchangeBatch fills Ext[NLocal*K:].
 type DistVec struct {
 	NLocal int
+	K      int
 	Ext    []float64
 }
 
 // NewDistVec allocates a distributed vector view compatible with lz.
-func NewDistVec(lz *Localized) *DistVec {
-	return &DistVec{NLocal: lz.NLocal(), Ext: make([]float64, lz.NLocal()+len(lz.Halo))}
+func NewDistVec(lz *Localized) *DistVec { return NewBatchDistVec(lz, 1) }
+
+// NewBatchDistVec allocates the view for k interleaved vectors.
+func NewBatchDistVec(lz *Localized, k int) *DistVec {
+	if k < 1 {
+		panic(fmt.Sprintf("distmat: NewBatchDistVec batch size %d < 1", k))
+	}
+	return &DistVec{NLocal: lz.NLocal(), K: k, Ext: make([]float64, (lz.NLocal()+len(lz.Halo))*k)}
 }
 
-// Local returns the locally-owned portion of the vector.
-func (v *DistVec) Local() []float64 { return v.Ext[:v.NLocal] }
+// Fits reports whether v can serve as the scratch of k-wide products with lz.
+func (v *DistVec) Fits(lz *Localized, k int) bool {
+	return v != nil && v.NLocal == lz.NLocal() && v.K == k && len(v.Ext) == (lz.NLocal()+len(lz.Halo))*k
+}
+
+// Local returns the locally-owned (interleaved) portion of the vector.
+func (v *DistVec) Local() []float64 { return v.Ext[:v.NLocal*v.K] }
 
 // Op bundles a localized matrix with its halo plan so the distributed SpMV
 // reads as a single operation, as it does in the paper's solver.
@@ -135,6 +147,15 @@ func Dot(c *simmpi.Comm, x, y []float64, fc *vecops.FlopCounter) float64 {
 		return local
 	}
 	return c.AllreduceSum(local)[0]
+}
+
+// SumAcross reduces vals element-wise over the ranks in one collective and
+// returns the sums; on the one-rank world (nil Comm) they are vals itself.
+func SumAcross(c *simmpi.Comm, vals []float64) []float64 {
+	if c == nil {
+		return vals
+	}
+	return c.AllreduceSum(vals...)
 }
 
 // Norm2 returns the global Euclidean norm of a distributed vector (nil Comm

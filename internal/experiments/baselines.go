@@ -10,7 +10,6 @@ import (
 	"fsaicomm/internal/simmpi"
 	"fsaicomm/internal/sparse"
 	"fsaicomm/internal/testsets"
-	"fsaicomm/internal/vecops"
 )
 
 // BaselineRow compares the distributed preconditioner landscape on one
@@ -118,7 +117,7 @@ func localJacobi(aRows *sparse.CSR, lo int) (krylov.DistPreconditioner, error) {
 		}
 		inv[li] = 1 / d
 	}
-	return &distJacobi{inv: inv}, nil
+	return krylov.RankLocal(&krylov.Jacobi{InvDiag: inv}), nil
 }
 
 // WriteBaselines renders the comparison for a set of matrices.
@@ -139,15 +138,4 @@ func WriteBaselines(w io.Writer, r *Runner, set []testsets.Spec) error {
 	writeTable(w, []string{"Matrix", "Ranks", "None", "Jacobi", "BJ-IC(0)", "FSAI", "FSAIE-Comm"}, rows)
 	fmt.Fprintln(w)
 	return nil
-}
-
-// distJacobi is the rank-local diagonal scaling used by the baseline sweep.
-type distJacobi struct{ inv []float64 }
-
-// Apply scales by the inverse local diagonal (no communication).
-func (d *distJacobi) Apply(c *simmpi.Comm, rvec, z []float64, fc *vecops.FlopCounter) {
-	for i := range rvec {
-		z[i] = rvec[i] * d.inv[i]
-	}
-	fc.Add(int64(len(rvec)))
 }

@@ -3,6 +3,7 @@ package krylov
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"fsaicomm/internal/distmat"
@@ -12,9 +13,9 @@ import (
 	"fsaicomm/internal/vecops"
 )
 
-// distJacobiBatch is the batched counterpart of the Jacobi preconditioner
-// over a rank's local block, defined here so the differential tests exercise
-// a non-trivial DistBatchPreconditioner.
+// distJacobiBatch is the Jacobi preconditioner over a rank's local block at
+// any width, defined here so the differential tests exercise a k-wide
+// DistPreconditioner that is not the library's own.
 type distJacobiBatch struct{ inv []float64 }
 
 func (j *distJacobiBatch) ApplyBatch(_ *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
@@ -35,8 +36,9 @@ func (j *distJacobiBatch) ApplyBatch(_ *simmpi.Comm, r, z []float64, k int, cols
 }
 
 // oneRankBatch runs DistCGBatch on the one-rank world, where the whole
-// matrix is rank 0's block. A nil inv solves unpreconditioned (scaling by an
-// exact 1 leaves every bit of r in z).
+// matrix is rank 0's block, under serial Jacobi behind the RankLocal adapter
+// (applied column by column on a block). A nil inv solves unpreconditioned
+// (scaling by an exact 1 leaves every bit of r in z).
 func oneRankBatch(t *testing.T, a *sparse.CSR, b, x, inv []float64, k int, opt Options) (BatchStats, error) {
 	t.Helper()
 	if inv == nil {
@@ -47,7 +49,7 @@ func oneRankBatch(t *testing.T, a *sparse.CSR, b, x, inv []float64, k int, opt O
 	var solveErr error
 	_, err := simmpi.Run(1, testTimeout, func(c *simmpi.Comm) error {
 		op := distmat.NewOp(c, distmat.NewUniformLayout(a.Rows, 1), 0, a.Rows, a)
-		bs, solveErr = DistCGBatch(c, op, b, x, &distJacobiBatch{inv: inv}, k, opt, nil)
+		bs, solveErr = DistCGBatch(c, op, b, x, RankLocal(&Jacobi{InvDiag: inv}), k, opt, nil)
 		return nil
 	})
 	if err != nil {
@@ -401,6 +403,138 @@ func TestDistCGBatchDistinctRHSBitwise(t *testing.T) {
 			}
 			if bst.Cols[c].Iterations != wantSt[c].Iterations {
 				t.Fatalf("%s col %d iterations: %d != %d", variant, c, bst.Cols[c].Iterations, wantSt[c].Iterations)
+			}
+		}
+	}
+}
+
+// wideSolve runs one solve of width k on a world of ranks (0: the nil-Comm
+// one-rank world) and returns the assembled interleaved solution, rank 0's
+// outcome and every rank's metered traffic across the solve, snapshotted on
+// the rank's own goroutine. Width 1 goes through the scalar views (DistCG,
+// DistCGRefined — with Options.Trace on, so the outcome carries rank 0's
+// trace), wider blocks through the batch entry points; FP32 runs the
+// refinement wrapper over a float32 twin of A.
+func wideSolve(t *testing.T, a *sparse.CSR, b []float64, k, ranks int, prec Precision, opt Options) ([]float64, BatchStats, []simmpi.Snapshot) {
+	t.Helper()
+	n := a.Rows
+	jac, err := NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, n*k)
+	var out BatchStats
+	rank := func(c *simmpi.Comm, op *distmat.Op, lo, hi int) (BatchStats, error) {
+		m := &distJacobi{inv: jac.InvDiag[lo:hi]}
+		bl, xl := b[lo*k:hi*k], x[lo*k:hi*k]
+		var inner *distmat.Op
+		if prec == FP32 {
+			inner = distmat.NewOpFromParts(op.LZ, op.Plan.Clone())
+			inner.SetF32(true)
+		}
+		switch {
+		case k == 1 && inner != nil:
+			return oneColumn(DistCGRefined(c, op, inner, bl, xl, m, opt, nil))
+		case k == 1:
+			return oneColumn(DistCG(c, op, bl, xl, m, opt, nil))
+		case inner != nil:
+			return DistCGBatchRefined(c, op, inner, bl, xl, m, k, opt, nil)
+		}
+		return DistCGBatch(c, op, bl, xl, m, k, opt, nil)
+	}
+	if ranks == 0 {
+		if out, err = rank(nil, distmat.LocalOp(a), 0, n); err != nil {
+			t.Fatal(err)
+		}
+		return x, out, nil
+	}
+	l := distmat.NewUniformLayout(n, ranks)
+	traffic := make([]simmpi.Snapshot, ranks)
+	_, err = simmpi.Run(ranks, testTimeout, func(c *simmpi.Comm) error {
+		lo, hi := l.Range(c.Rank())
+		op := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(a, lo, hi))
+		pre := c.Meter().RankSnapshot(c.Rank())
+		bs, err := rank(c, op, lo, hi)
+		traffic[c.Rank()] = c.Meter().RankSnapshot(c.Rank()).Sub(pre)
+		if c.Rank() == 0 {
+			out = bs
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, out, traffic
+}
+
+// The oracle that licenses having no scalar CG loop: on every world, in
+// both precisions and for every variant a scalar solve can ask for, each
+// column of a width-3 solve IS the width-1 solve of that column — solution
+// bits, iterations, residual bits, refinements, Broken — and the block pays
+// the width-1 solve's collective calls and halo messages with exactly 3×
+// its halo bytes. The three columns carry the same right-hand side: a
+// refined block shares one inner tolerance (the tightest column's), so only
+// equal columns repeat the width-1 refinement step for step — and only
+// columns that stop together let the meters be compared. The width-1
+// solves run traced, and the trace conserves the rank's metered traffic
+// with one record per iteration (per refinement under FP32), as
+// trace_test.go pins for the scalar entry points.
+func TestWideColumnsAreWidth1Solves(t *testing.T) {
+	a := matgen.CFDDiffusion(12, 11, 50, 2) // coefficients float32 cannot hold
+	n := a.Rows
+	const k = 3
+	rhs := matgen.RandomRHS(n, 3, a.MaxNorm())
+	b3 := packRHS([][]float64{rhs, rhs, rhs}, k)
+	for _, ranks := range []int{0, 1, 2, 4} {
+		for _, prec := range []Precision{FP64, FP32} {
+			for _, v := range []CGVariant{CGClassic, CGClassicOverlap, CGFused} {
+				name := fmt.Sprintf("ranks=%d/%v/%v", ranks, prec, v)
+				// Tight enough that the float32 inner solves need a second
+				// refinement.
+				opt := Options{Tol: 1e-11, Variant: v, Trace: true}
+				x1, one, traffic1 := wideSolve(t, a, rhs, 1, ranks, prec, opt)
+				if !one.allConverged() || (prec == FP32) != (one.Refinements > 1) {
+					t.Fatalf("%s: width-1 outcome %+v", name, one)
+				}
+				tr := one.Trace
+				if tr == nil || (prec == FP64 && len(tr.Iters) != one.Iterations) || len(tr.Refines) != one.Refinements {
+					t.Fatalf("%s: width-1 trace %+v for %+v", name, tr, one)
+				}
+				if ranks > 0 {
+					got, want := tr.Total(), traffic1[0]
+					if got != (CommDelta{CollectiveCalls: want.CollectiveCalls, CollectiveBytes: want.CollectiveBytes,
+						P2PBytes: want.P2PBytes, P2PMessages: want.P2PMessages}) {
+						t.Fatalf("%s: width-1 trace total %+v != rank 0 meter %+v", name, got, want)
+					}
+				}
+
+				opt.Trace = false
+				if v == CGClassicOverlap {
+					opt.Variant = CGClassic // the overlap schedule is a width-1 product's
+				}
+				x3, wide, traffic3 := wideSolve(t, a, b3, k, ranks, prec, opt)
+				if wide.Refinements != one.Refinements || wide.Iterations != one.Iterations {
+					t.Fatalf("%s: block ran %d refinements / %d iterations, width 1 %d / %d",
+						name, wide.Refinements, wide.Iterations, one.Refinements, one.Iterations)
+				}
+				for c := 0; c < k; c++ {
+					for i := 0; i < n; i++ {
+						if x3[i*k+c] != x1[i] {
+							t.Fatalf("%s col %d row %d: block %v != width 1 %v", name, c, i, x3[i*k+c], x1[i])
+						}
+					}
+					got, want := wide.Cols[c], one.Cols[0]
+					if got.Iterations != want.Iterations || got.RelResidual != want.RelResidual ||
+						got.Converged != want.Converged || wide.Broken[c] != one.Broken[0] {
+						t.Fatalf("%s col %d: %+v broken=%v, width 1 %+v broken=%v", name, c, got, wide.Broken[c], want, one.Broken[0])
+					}
+				}
+				for r := range traffic3 {
+					g, w := traffic3[r], traffic1[r]
+					if g.CollectiveCalls != w.CollectiveCalls || g.P2PMessages != w.P2PMessages || g.P2PBytes != k*w.P2PBytes {
+						t.Fatalf("%s rank %d: block traffic %+v, width 1 %+v (want equal calls and messages, %d× bytes)", name, r, g, w, k)
+					}
+				}
 			}
 		}
 	}

@@ -163,3 +163,73 @@ func TestCGContextNoCancelIdentical(t *testing.T) {
 		}
 	}
 }
+
+// No poll budget short of what a solve needs may report anything but
+// ErrCanceled — at width 1 and 2, in FP64 and under the FP64 refinement
+// wrapper, whose own check sits between inner solves. The sweep walks every
+// cancellation point of each solve: before the first iteration, inside an
+// inner solve, and between two refinements (the point where a batched fp32
+// solve used to come back with a nil-mapped ErrNoConvergence and x = 0).
+func TestWideAndRefinedCancellation(t *testing.T) {
+	const ranks = 2
+	a := matgen.Poisson2D(10, 10)
+	l := distmat.NewUniformLayout(a.Rows, ranks)
+	for _, k := range []int{1, 2} {
+		cols := make([][]float64, k)
+		for c := range cols {
+			cols[c] = matgen.RandomRHS(a.Rows, int64(7+c), a.MaxNorm())
+		}
+		b := packRHS(cols, k)
+		for _, prec := range []Precision{FP64, FP32} {
+			solve := func(ctx context.Context) (BatchStats, error) {
+				var bs BatchStats
+				var solveErr error
+				_, err := simmpi.Run(ranks, testTimeout, func(c *simmpi.Comm) error {
+					lo, hi := l.Range(c.Rank())
+					op := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(a, lo, hi))
+					x := make([]float64, (hi-lo)*k)
+					opt := Options{Tol: 1e-10, Ctx: ctx}
+					var s BatchStats
+					var err error
+					if prec == FP32 {
+						inner := distmat.NewOpFromParts(op.LZ, op.Plan.Clone())
+						inner.SetF32(true)
+						s, err = DistCGBatchRefined(c, op, inner, b[lo*k:hi*k], x, nil, k, opt, nil)
+					} else {
+						s, err = DistCGBatch(c, op, b[lo*k:hi*k], x, nil, k, opt, nil)
+					}
+					if c.Rank() == 0 {
+						bs, solveErr = s, err
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return bs, solveErr
+			}
+			polls := new(atomic.Int64)
+			full, err := solve(countingCtx{polls: polls, limit: 1 << 40})
+			if err != nil || !full.allConverged() {
+				t.Fatalf("k=%d %v: reference solve: %+v, %v", k, prec, full, err)
+			}
+			if prec == FP32 && full.Refinements < 2 {
+				t.Fatalf("k=%d: reference took %d refinements; the sweep needs a point between two", k, full.Refinements)
+			}
+			between := false
+			for budget := int64(0); budget < polls.Load()/ranks; budget++ {
+				bs, err := solve(countingCtx{polls: new(atomic.Int64), limit: ranks * budget})
+				if !errors.Is(err, ErrCanceled) {
+					t.Fatalf("k=%d %v, %d checks allowed: err = %v, want ErrCanceled (stats %+v)", k, prec, budget, err, bs)
+				}
+				if bs.allConverged() {
+					t.Fatalf("k=%d %v, %d checks allowed: canceled solve reports convergence", k, prec, budget)
+				}
+				between = between || strings.Contains(err.Error(), "during refinement 2")
+			}
+			if prec == FP32 && !between {
+				t.Fatalf("k=%d: no budget canceled the solve between its refinements", k)
+			}
+		}
+	}
+}

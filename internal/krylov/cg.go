@@ -5,10 +5,13 @@
 // interfaces the FSAI family plugs into. Every loop is written once, for
 // the distributed setting of the paper's MPI parallelization: the matrix and
 // vectors are distributed by rows, SpMV performs a halo update, and dot
-// products reduce globally. A serial solve (CG, GMRES, SolveRefined) is the
-// same loop on a one-rank world: a nil Comm, under which every reduction is
-// its local value, and distmat.LocalOp, whose product reads the
-// undistributed matrix in place.
+// products reduce globally. There are five loop bodies: the classic and the
+// fused CG recurrence, each k wide (batch.go, fused.go) — a scalar solve is
+// the loop at width 1 — pipelined CG, restarted GMRES, and the FP64
+// refinement wrapper around any inner solve (refined.go). A serial solve
+// (CG, GMRES, SolveRefined) is the same loop on a one-rank world: a nil
+// Comm, under which every reduction is its local value, and
+// distmat.LocalOp, whose product reads the undistributed matrix in place.
 package krylov
 
 import (
@@ -222,16 +225,8 @@ func CG(a *sparse.CSR, b, x []float64, m Preconditioner, opt Options, fc *vecops
 	return DistCG(nil, op, b, x, pre, opt, fc)
 }
 
-// rankLocal runs a serial preconditioner as the distributed one of a
-// one-rank world.
-type rankLocal struct{ m Preconditioner }
-
-func (l *rankLocal) Apply(_ *simmpi.Comm, r, z []float64, fc *vecops.FlopCounter) {
-	l.m.Apply(r, z, fc)
-}
-
 // oneRank returns a serial solve's matrix and preconditioner as the
-// distributed loops take them: distmat.LocalOp(a), and m behind rankLocal
+// distributed loops take them: distmat.LocalOp(a), and m behind RankLocal
 // (nil stays nil). Both live in the solve's workspace, so repeated solves of
 // one system through a caller's Workspace allocate nothing.
 func oneRank(a *sparse.CSR, m Preconditioner, opt *Options) (*distmat.Op, DistPreconditioner) {
@@ -249,149 +244,136 @@ func oneRank(a *sparse.CSR, m Preconditioner, opt *Options) (*distmat.Op, DistPr
 	return ws.op, &ws.pre
 }
 
-// DistPreconditioner applies z ← M·r on a rank's local slice, communicating
-// as needed. Implementations are collective: every rank must call Apply the
-// same number of times.
+// DistPreconditioner applies z_c ← M·r_c on the active columns of a rank's
+// local block of k interleaved vectors (cols as in vecops: ascending, nil =
+// all), communicating as needed; masked columns of z must be left
+// untouched. It is the one preconditioner interface of the distributed
+// loops: a scalar solve applies it at k = 1. Implementations are
+// collective: every rank calls ApplyBatch the same number of times with the
+// same mask.
 type DistPreconditioner interface {
-	Apply(c *simmpi.Comm, r, z []float64, fc *vecops.FlopCounter)
+	ApplyBatch(c *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter)
 }
 
 // DistIdentity is the distributed no-op preconditioner.
 type DistIdentity struct{}
 
-// Apply copies r into z (no communication).
-func (DistIdentity) Apply(c *simmpi.Comm, r, z []float64, fc *vecops.FlopCounter) { copy(z, r) }
+// ApplyBatch copies the active columns of r into z (no communication).
+func (DistIdentity) ApplyBatch(_ *simmpi.Comm, r, z []float64, k int, cols []int, _ *vecops.FlopCounter) {
+	if cols == nil {
+		copy(z, r)
+		return
+	}
+	for i := 0; i < len(r); i += k {
+		for _, c := range cols {
+			z[i+c] = r[i+c]
+		}
+	}
+}
+
+// rankLocal is RankLocal's adapter; col holds one column in and out.
+type rankLocal struct {
+	m   Preconditioner
+	col [2][]float64
+}
+
+// RankLocal runs a serial preconditioner that needs nothing of other ranks
+// — diagonal scaling, IC(0) of the rank's own diagonal block — as a
+// distributed one: in place at k = 1, column by column on wider blocks.
+func RankLocal(m Preconditioner) DistPreconditioner { return &rankLocal{m: m} }
+
+func (l *rankLocal) ApplyBatch(_ *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
+	if k == 1 {
+		if cols == nil || len(cols) == 1 {
+			l.m.Apply(r, z, fc)
+		}
+		return
+	}
+	rc, zc := grow(&l.col[0], len(r)/k), grow(&l.col[1], len(r)/k)
+	column := func(c int) {
+		vecops.UnpackColumn(rc, r, k, c)
+		l.m.Apply(rc, zc, fc)
+		vecops.PackColumn(z, zc, k, c)
+	}
+	if cols == nil {
+		for c := 0; c < k; c++ {
+			column(c)
+		}
+	}
+	for _, c := range cols {
+		column(c)
+	}
+}
+
+// haloScratch returns *v when it fits k-wide products with lz and replaces
+// it otherwise, so scratch vectors follow the width they are asked for.
+func haloScratch(v **distmat.DistVec, lz *distmat.Localized, k int) *distmat.DistVec {
+	if !(*v).Fits(lz, k) {
+		*v = distmat.NewBatchDistVec(lz, k)
+	}
+	return *v
+}
 
 // DistSplit applies z = Gᵀ(G·r) with distributed G and Gᵀ, each with its own
-// halo plan — the two preconditioning SpMVs of the paper.
+// halo plan — the two preconditioning products of the paper, at any width:
+// each performs one k-wide halo update (one message per neighbour). The
+// scratch is sized by the first application and follows the width after.
 type DistSplit struct {
-	G, GT  *distmat.Op
-	wG     *distmat.DistVec
-	wGT    *distmat.DistVec
-	interm []float64
+	G, GT   *distmat.Op
+	wG, wGT *distmat.DistVec
+	interm  []float64
 }
 
 // NewDistSplit builds the distributed split preconditioner from the local
 // operators for G and Gᵀ.
-func NewDistSplit(g, gt *distmat.Op) *DistSplit {
-	return &DistSplit{
-		G:      g,
-		GT:     gt,
-		wG:     distmat.NewDistVec(g.LZ),
-		wGT:    distmat.NewDistVec(gt.LZ),
-		interm: make([]float64, g.LZ.NLocal()),
-	}
+func NewDistSplit(g, gt *distmat.Op) *DistSplit { return &DistSplit{G: g, GT: gt} }
+
+// NewDistSplitBatch is NewDistSplit with the scratch for batches of size k
+// in place.
+func NewDistSplitBatch(g, gt *distmat.Op, k int) *DistSplit {
+	s := NewDistSplit(g, gt)
+	s.scratch(k)
+	return s
 }
 
-// Apply computes the local slice of z = Gᵀ(G·r). When the operators were
-// built with the overlap view (distmat.WithOverlap), the two SpMVs run in
-// the send-then-compute schedule; the result is bit-identical either way.
+// scratch returns the intermediate block and the two product scratches at
+// width k.
+func (s *DistSplit) scratch(k int) (interm []float64, wG, wGT *distmat.DistVec) {
+	return grow(&s.interm, s.G.LZ.NLocal()*k), haloScratch(&s.wG, s.G.LZ, k), haloScratch(&s.wGT, s.GT.LZ, k)
+}
+
+// ApplyBatch computes the local block of z = Gᵀ(G·r) on the active columns.
+// At k = 1 the two products run in the send-then-compute schedule when the
+// operators were built with the overlap view (distmat.WithOverlap); the
+// result is bit-identical either way.
+func (s *DistSplit) ApplyBatch(c *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
+	interm, wG, wGT := s.scratch(k)
+	s.G.MulMat(c, r, interm, k, cols, wG, fc)
+	s.GT.MulMat(c, interm, z, k, cols, wGT, fc)
+}
+
+// Apply is ApplyBatch on one vector.
 func (s *DistSplit) Apply(c *simmpi.Comm, r, z []float64, fc *vecops.FlopCounter) {
-	mulDist(c, s.G, r, s.interm, s.wG, fc)
-	mulDist(c, s.GT, s.interm, z, s.wGT, fc)
-}
-
-// mulDist runs one distributed SpMV, using the overlap schedule when the
-// operator carries it.
-func mulDist(c *simmpi.Comm, op *distmat.Op, x, y []float64, scratch *distmat.DistVec, fc *vecops.FlopCounter) {
-	if ov := op.Overlap(); ov != nil {
-		ov.MulVecOverlap(c, x, y, scratch, fc)
-		return
-	}
-	op.MulVec(c, x, y, scratch, fc)
+	s.ApplyBatch(c, r, z, 1, nil, fc)
 }
 
 // DistCG solves A x = b in the distributed setting. Every rank passes its
 // local slices of b and x (x zeroed); all ranks receive identical Stats.
 // The operator op must be built over the same layout as b/x. A nil Comm is
-// the one-rank world (classic variants only).
-// Options.Variant selects the loop: CGClassic and CGClassicOverlap run the
-// textbook recurrence (three reductions per iteration) with the blocking or
-// overlapped SpMV schedule respectively; CGFused dispatches to DistCGFused
-// and CGPipelined to DistCGPipelined.
+// the one-rank world (not under CGPipelined, whose reduction is
+// nonblocking). It has no loop of its own: CGClassic and CGFused are the
+// k-wide recurrences of DistCGBatch at width 1, where every k-wide kernel
+// is its scalar counterpart; CGClassicOverlap is CGClassic on an operator
+// that carries the overlap view, which a 1-wide product then takes, and
+// CGFused dresses its operator the same way; CGPipelined dispatches to
+// DistCGPipelined. The one column's outcome comes back as Stats, its
+// breakdown as an ErrBreakdown-wrapped error.
 func DistCG(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	switch opt.Variant {
-	case CGFused:
-		return DistCGFused(c, op, b, x, m, opt, fc)
-	case CGPipelined:
+	if opt.Variant == CGPipelined {
 		return DistCGPipelined(c, op, b, x, m, opt, fc)
 	}
-	tr := newTracer(opt.Trace, c)
-	nl := op.LZ.NLocal()
-	opt = opt.withDefaults(globalLen(c, nl))
-	if m == nil {
-		m = DistIdentity{}
+	if opt.Variant != CGClassic {
+		op.EnsureOverlap()
 	}
-	if len(b) != nl || len(x) != nl {
-		panic(fmt.Sprintf("krylov: DistCG local length %d/%d, want %d", len(b), len(x), nl))
-	}
-	ws := opt.Work
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	r, z, d, q := ws.take4(nl)
-	copy(r, b)
-	scratch := ws.distScratch(op.LZ)
-	var ov *distmat.OverlapOp
-	if opt.Variant == CGClassicOverlap {
-		ov = op.EnsureOverlap()
-	}
-
-	norm0 := distmat.Norm2(c, r, fc)
-	if norm0 == 0 {
-		vecops.Fill(x, 0)
-		return finish(Stats{Converged: true}, fc, tr), nil
-	}
-	m.Apply(c, r, z, fc)
-	copy(d, z)
-	rho := distmat.Dot(c, r, z, fc)
-	tr.setup()
-
-	st := Stats{}
-	beta := 0.0 // the β that built this iteration's direction d
-	for iter := 1; iter <= opt.MaxIter; iter++ {
-		if canceled(c, opt.Ctx) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d: %v", ErrCanceled, iter, opt.Ctx.Err())
-		}
-		if ov != nil {
-			ov.MulVecOverlap(c, d, q, scratch, fc)
-		} else {
-			op.MulVec(c, d, q, scratch, fc)
-		}
-		dq := distmat.Dot(c, d, q, fc)
-		if badCurv(dq) {
-			// dq is an Allreduce result — identical on every rank — so this
-			// return is itself the collective verdict: all ranks stop here.
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (dᵀAd = %g); matrix not SPD?", ErrBreakdown, iter, dq)
-		}
-		alpha := rho / dq
-		vecops.Axpy(alpha, d, x, fc)
-		vecops.Axpy(-alpha, q, r, fc)
-		rnorm := distmat.Norm2(c, r, fc)
-		if nonfinite(rnorm) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (‖r‖ = %g)", ErrBreakdown, iter, rnorm)
-		}
-		st.Iterations = iter
-		st.RelResidual = rnorm / norm0
-		if opt.RecordResiduals {
-			st.Residuals = append(st.Residuals, st.RelResidual)
-		}
-		if st.RelResidual <= opt.Tol {
-			st.Converged = true
-			tr.record(iter, st.RelResidual, alpha, beta)
-			return finish(st, fc, tr), nil
-		}
-		m.Apply(c, r, z, fc)
-		rhoNew := distmat.Dot(c, r, z, fc)
-		if nonfinite(rhoNew) {
-			tr.record(iter, st.RelResidual, alpha, beta)
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (rᵀMr = %g); preconditioner not finite?", ErrBreakdown, iter, rhoNew)
-		}
-		tr.record(iter, st.RelResidual, alpha, beta)
-		beta = rhoNew / rho
-		rho = rhoNew
-		vecops.Xpay(z, beta, d, fc)
-	}
-	st = finish(st, fc, tr)
-	return st, fmt.Errorf("%w: %d iterations, rel residual %.3e", ErrNoConvergence, st.Iterations, st.RelResidual)
+	return scalarResult(distCGWide(c, op, b, x, m, 1, opt, fc))
 }

@@ -265,14 +265,8 @@ func TestDistCGWithJacobiEquivalent(t *testing.T) {
 	}
 }
 
-type distJacobi struct{ inv []float64 }
-
-func (d *distJacobi) Apply(c *simmpi.Comm, r, z []float64, fc *vecops.FlopCounter) {
-	for i := range r {
-		z[i] = r[i] * d.inv[i]
-	}
-	fc.Add(int64(len(r)))
-}
+// distJacobi is diagonal scaling over a rank's local block, at any width.
+type distJacobi = distJacobiBatch
 
 // Property: CG solves random small SPD systems to the requested tolerance.
 func TestQuickCGSolvesSPD(t *testing.T) {

@@ -7,17 +7,20 @@ package krylov
 // back and reduced in a single variadic AllreduceSum, cutting the
 // collective count per iteration from 3 to 1 while leaving the Krylov
 // space — and therefore the iteration count, up to floating-point rounding
-// — unchanged. The SpMV is driven through the interior/boundary overlap
-// schedule so halo sends are in flight while interior rows are computed,
-// and the vector updates run as fused one-pass kernels (vecops.Dot2,
-// vecops.FusedCGUpdate) so each iteration streams every vector once.
+// — unchanged. The vector updates run as fused one-pass kernels
+// (vecops.Dot2Batch, vecops.FusedCGUpdateBatch — Dot2 and FusedCGUpdate at
+// width 1) so each iteration streams every vector once. A scalar solve
+// (DistCG) drives the SpMV through the interior/boundary overlap schedule,
+// so halo sends are in flight while interior rows are computed; there is no
+// k-wide send-then-compute product, so wider blocks use the blocking
+// schedule — whose metered traffic is the same, byte for byte and message
+// for message.
 
 import (
 	"fmt"
 	"math"
 
 	"fsaicomm/internal/distmat"
-	"fsaicomm/internal/simmpi"
 	"fsaicomm/internal/vecops"
 )
 
@@ -90,6 +93,13 @@ func ParseCGVariant(s string) (CGVariant, error) {
 // (pass it via Options.Work when constructing per-rank Options).
 type Workspace struct {
 	r, z, d, q, s []float64
+	// cols, broken, active and sc are the per-column state of a k-wide CG
+	// solve: the outcome slices its BatchStats hands back, the list of
+	// columns still iterating and the recurrence scalars.
+	cols   []Stats
+	broken []bool
+	active []int
+	sc     []float64
 	// pz, pq, pm, pn are the four extra recurrence vectors of the pipelined
 	// variant (z, q, m, n in Ghysels–Vanroose notation).
 	pz, pq, pm, pn []float64
@@ -98,19 +108,37 @@ type Workspace struct {
 	// of the restarted loop.
 	gv                 [][]float64
 	gh, gc, gs, gg, gy []float64
-	scratch            *distmat.DistVec
+	// scratch is the halo-extended product scratch (see haloScratch).
+	scratch *distmat.DistVec
 	// op and pre are a serial solve's one-rank operator and preconditioner
 	// adapter (see oneRank).
 	op  *distmat.Op
 	pre rankLocal
 }
 
-func grow(v *[]float64, n int) []float64 {
+func grow[T any](v *[]T, n int) []T {
 	if cap(*v) < n {
-		*v = make([]float64, n)
+		*v = make([]T, n)
 	}
 	*v = (*v)[:n]
 	return *v
+}
+
+// columns returns the cleared per-column outcome of a k-wide solve and its
+// active list, every column in it.
+func (ws *Workspace) columns(k int) (BatchStats, []int) {
+	cols, broken, active := grow(&ws.cols, k), grow(&ws.broken, k), grow(&ws.active, k)
+	for c := range active {
+		cols[c], broken[c], active[c] = Stats{}, false, c
+	}
+	return BatchStats{K: k, Cols: cols, Broken: broken}, active
+}
+
+// scalars returns n zeroed recurrence scalars.
+func (ws *Workspace) scalars(n int) []float64 {
+	sc := grow(&ws.sc, n)
+	vecops.Fill(sc, 0)
+	return sc
 }
 
 // take4 returns the four classic-CG vectors (r, z, d, q) of length n.
@@ -158,106 +186,113 @@ func growSlice(v []float64, n int) []float64 {
 	return v[:n]
 }
 
-// distScratch returns a halo-extended vector compatible with lz, reusing
-// the previous one when the layout matches.
-func (ws *Workspace) distScratch(lz *distmat.Localized) *distmat.DistVec {
-	need := lz.NLocal() + len(lz.HaloSet())
-	if ws.scratch == nil || ws.scratch.NLocal != lz.NLocal() || len(ws.scratch.Ext) != need {
-		ws.scratch = distmat.NewDistVec(lz)
-	}
-	return ws.scratch
-}
-
-// DistCGFused solves A x = b with the fused-reduction (Chronopoulos–Gear)
-// preconditioned CG recurrence. Per iteration it performs exactly one
-// collective — AllreduceSum(rᵀu, wᵀu, ‖r‖²) — against the classic loop's
-// three, with byte-identical halo traffic and unchanged neighbour sets
-// (asserted by the metered tests). The SpMV uses the overlap schedule. In
-// exact arithmetic the iterates equal classic PCG's; in floating point the
-// rearranged scalar recurrences
+// fused is the fused-reduction (Chronopoulos–Gear) preconditioned CG
+// recurrence at width k. Per iteration it performs exactly one collective —
+// AllreduceSum of the 3k values rᵀu, wᵀu, ‖r‖² per column — against the
+// classic loop's three, with byte-identical halo traffic and unchanged
+// neighbour sets (asserted by the metered tests). In exact arithmetic the
+// iterates equal classic PCG's; in floating point the rearranged scalar
+// recurrences
 //
 //	β_i = γ_i/γ_{i−1},  α_i = γ_i/(δ_i − β_i·γ_i/α_{i−1})
 //
 // round differently, so iteration counts may shift by ±1.
-func DistCGFused(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	tr := newTracer(opt.Trace, c)
-	nl := op.LZ.NLocal()
-	opt = opt.withDefaults(globalLen(c, nl))
-	if m == nil {
-		m = DistIdentity{}
-	}
-	if len(b) != nl || len(x) != nl {
-		panic(fmt.Sprintf("krylov: DistCGFused local length %d/%d, want %d", len(b), len(x), nl))
-	}
-	ws := opt.Work
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	r, u, w, p, s := ws.take5(nl)
-	scratch := ws.distScratch(op.LZ)
-	ov := op.EnsureOverlap()
-
+func (s *wide) fused(b, x []float64) (BatchStats, error) {
+	c, k, fc, bs := s.c, s.k, s.fc, &s.bs
+	r, u, w, p, sv := s.ws.take5(s.nl * k)
 	copy(r, b)
 	vecops.Fill(p, 0)
-	vecops.Fill(s, 0)
-	m.Apply(c, r, u, fc)
-	ov.MulVecOverlap(c, u, w, scratch, fc)
-	ruL, wuL := vecops.Dot2(r, u, w, fc)
-	rrL := vecops.Dot(r, r, fc)
-	g := c.AllreduceSum(ruL, wuL, rrL)
-	gamma, delta, rr := g[0], g[1], g[2]
-	if rr == 0 {
-		vecops.Fill(x, 0)
-		return finish(Stats{Converged: true}, fc, tr), nil
-	}
-	norm0 := math.Sqrt(rr)
-	if badCurv(gamma) || badCurv(delta) {
-		return finish(Stats{}, fc, tr), fmt.Errorf("%w at DistCGFused setup (rᵀMr = %g, uᵀAu = %g); matrix or preconditioner not SPD?", ErrBreakdown, gamma, delta)
-	}
-	alpha := gamma / delta
-	beta := 0.0
-	tr.setup()
+	vecops.Fill(sv, 0)
+	sc := s.ws.scalars(10 * k)
+	norm0, gamma, alpha, beta := sc[:k], sc[k:2*k], sc[2*k:3*k], sc[3*k:4*k]
+	gammaL, deltaL, rrL, g := sc[4*k:5*k], sc[5*k:6*k], sc[6*k:7*k], sc[7*k:]
 
-	st := Stats{}
-	for iter := 1; iter <= opt.MaxIter; iter++ {
-		if canceled(c, opt.Ctx) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d", ErrCanceled, iter)
+	// Setup pass over every column: the zero-RHS and non-SPD checks come out
+	// of the first collective.
+	s.m.ApplyBatch(c, r, u, k, nil, fc)
+	s.op.MulMat(c, u, w, k, nil, s.scratch, fc)
+	vecops.Dot2Batch(r, u, w, k, nil, gammaL, deltaL, fc)
+	vecops.DotBatch(r, r, k, nil, rrL, fc)
+	copy(g[:k], gammaL)
+	copy(g[k:2*k], deltaL)
+	copy(g[2*k:], rrL)
+	gr := distmat.SumAcross(c, g)
+	live := s.active[:0]
+	for _, col := range s.active {
+		ga, de, rr := gr[col], gr[k+col], gr[2*k+col]
+		if rr == 0 {
+			s.zeroColumn(x, col)
+			bs.Cols[col].Converged = true
+			continue
+		}
+		norm0[col] = math.Sqrt(rr)
+		if badCurv(ga) || badCurv(de) {
+			bs.Broken[col] = true
+			continue
+		}
+		gamma[col] = ga
+		alpha[col] = ga / de
+		live = append(live, col)
+	}
+	s.active = live
+	s.tr.setup()
+
+	for iter := 1; iter <= s.opt.MaxIter && len(s.active) > 0; iter++ {
+		if canceled(c, s.opt.Ctx) {
+			return s.canceledAt(iter)
 		}
 		// p ← u + βp, s ← w + βs, x ← x + αp, r ← r − αs, and the local
 		// ‖r‖² contribution, all in one sweep.
-		rrL := vecops.FusedCGUpdate(alpha, beta, u, w, p, s, x, r, fc)
-		m.Apply(c, r, u, fc)
-		ov.MulVecOverlap(c, u, w, scratch, fc)
-		ruL, wuL := vecops.Dot2(r, u, w, fc)
-		// The single collective of the iteration.
-		g := c.AllreduceSum(ruL, wuL, rrL)
-		gammaNew, delta, rr := g[0], g[1], g[2]
-		if nonfinite(rr) || nonfinite(gammaNew) {
-			// Allreduce results are rank-identical: collective verdict.
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (‖r‖² = %g, rᵀMr = %g)", ErrBreakdown, iter, rr, gammaNew)
+		vecops.FusedCGUpdateBatch(alpha, beta, u, w, p, sv, x, r, k, s.mask(), rrL, fc)
+		s.m.ApplyBatch(c, r, u, k, s.mask(), fc)
+		s.op.MulMat(c, u, w, k, s.mask(), s.scratch, fc)
+		vecops.Dot2Batch(r, u, w, k, s.mask(), gammaL, deltaL, fc)
+		// The single collective of the iteration. Frozen columns contribute
+		// exact zeros so it stays a fixed 3k values.
+		vecops.Fill(g, 0)
+		for _, col := range s.active {
+			g[col], g[k+col], g[2*k+col] = gammaL[col], deltaL[col], rrL[col]
 		}
-		st.Iterations = iter
-		st.RelResidual = math.Sqrt(rr) / norm0
-		if opt.RecordResiduals {
-			st.Residuals = append(st.Residuals, st.RelResidual)
+		gr := distmat.SumAcross(c, g)
+		bs.Iterations = iter
+		live = s.active[:0]
+		for _, col := range s.active {
+			st := &bs.Cols[col]
+			st.Iterations = iter
+			st.RelResidual = math.Sqrt(gr[2*k+col]) / norm0[col]
+			if nonfinite(gr[2*k+col]) || nonfinite(gr[col]) {
+				bs.Broken[col] = true
+				continue
+			}
+			if s.opt.RecordResiduals {
+				st.Residuals = append(st.Residuals, st.RelResidual)
+			}
+			if st.RelResidual <= s.opt.Tol {
+				st.Converged = true
+				continue
+			}
+			live = append(live, col)
 		}
-		if st.RelResidual <= opt.Tol {
-			st.Converged = true
-			tr.record(iter, st.RelResidual, alpha, beta)
-			return finish(st, fc, tr), nil
-		}
+		s.active = live
 		// Record before α/β advance: the pass's traffic (apply, SpMV,
 		// Allreduce) is complete here, and α/β are still the scalars of the
 		// update that produced this iteration's residual.
-		tr.record(iter, st.RelResidual, alpha, beta)
-		beta = gammaNew / gamma
-		denom := delta - beta*gammaNew/alpha
-		if badCurv(denom) {
-			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d (recurrence denominator %g); matrix not SPD?", ErrBreakdown, iter, denom)
+		s.tr.record(iter, bs.Cols[0].RelResidual, alpha[0], beta[0])
+		live = s.active[:0]
+		for _, col := range s.active {
+			gammaNew := gr[col]
+			betaNew := gammaNew / gamma[col]
+			denom := gr[k+col] - betaNew*gammaNew/alpha[col]
+			if badCurv(denom) {
+				bs.Broken[col] = true
+				continue
+			}
+			beta[col] = betaNew
+			alpha[col] = gammaNew / denom
+			gamma[col] = gammaNew
+			live = append(live, col)
 		}
-		alpha = gammaNew / denom
-		gamma = gammaNew
+		s.active = live
 	}
-	st = finish(st, fc, tr)
-	return st, fmt.Errorf("%w: %d iterations, rel residual %.3e", ErrNoConvergence, st.Iterations, st.RelResidual)
+	return conclude(*bs, fc, s.tr, nil)
 }

@@ -295,31 +295,57 @@ func TestDistCGFusedBreakdownOnIndefinite(t *testing.T) {
 	}
 }
 
-// Satellite 2: with a caller-held Workspace and a prebuilt preconditioner,
-// repeated serial solves allocate nothing in steady state.
+// With a caller-held Workspace and a prebuilt preconditioner, repeated
+// one-rank solves allocate nothing in steady state — the scalar view and
+// the k-wide loops it is a view of, whose per-column state (outcome slices,
+// active list, recurrence scalars, product scratch) all comes from the
+// workspace and whose unmasked kernels walk 0..k−1 without a mask list.
 func TestCGWorkspaceZeroAllocs(t *testing.T) {
 	a := matgen.Poisson2D(10, 10)
 	n := a.Rows
-	b := matgen.RandomRHS(n, 37, a.MaxNorm())
 	j, err := NewJacobi(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make([]float64, n)
-	ws := &Workspace{}
-	opt := Options{Tol: 1e-8, Work: ws}
-	// Warm-up solve grows the workspace.
-	if _, err := CG(a, b, x, j, opt, nil); err != nil {
-		t.Fatal(err)
+	const k = 2
+	b2 := packRHS([][]float64{matgen.RandomRHS(n, 37, a.MaxNorm()), matgen.RandomRHS(n, 38, a.MaxNorm())}, k)
+	b1 := make([]float64, n)
+	vecops.UnpackColumn(b1, b2, k, 0)
+	op, pre := distmat.LocalOp(a), RankLocal(j)
+	cases := []struct {
+		name  string
+		x     []float64
+		solve func(x []float64, opt Options) error
+	}{
+		{"CG", make([]float64, n), func(x []float64, opt Options) error {
+			_, err := CG(a, b1, x, j, opt, nil)
+			return err
+		}},
+		{"DistCGBatch k=2 classic", make([]float64, n*k), func(x []float64, opt Options) error {
+			_, err := DistCGBatch(nil, op, b2, x, pre, k, opt, nil)
+			return err
+		}},
+		{"DistCGBatch k=2 fused", make([]float64, n*k), func(x []float64, opt Options) error {
+			opt.Variant = CGFused
+			_, err := DistCGBatch(nil, op, b2, x, pre, k, opt, nil)
+			return err
+		}},
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		vecops.Fill(x, 0)
-		if _, err := CG(a, b, x, j, opt, nil); err != nil {
-			panic(err)
+	for _, tc := range cases {
+		opt := Options{Tol: 1e-8, Work: &Workspace{}}
+		// Warm-up solve grows the workspace.
+		if err := tc.solve(tc.x, opt); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state CG allocates %v times per solve, want 0", allocs)
+		allocs := testing.AllocsPerRun(10, func() {
+			vecops.Fill(tc.x, 0)
+			if err := tc.solve(tc.x, opt); err != nil {
+				panic(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state %s allocates %v times per solve, want 0", tc.name, allocs)
+		}
 	}
 }
 

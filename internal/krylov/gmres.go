@@ -71,7 +71,7 @@ func (p *MatPrecond) Apply(r, z []float64, fc *vecops.FlopCounter) {
 }
 
 // DistMatPrecond applies z ← M·r with a distributed explicit approximate
-// inverse — one halo-exchanged SpMV, no collectives.
+// inverse — one halo-exchanged product, no collectives.
 type DistMatPrecond struct {
 	M *distmat.Op
 	w *distmat.DistVec
@@ -83,9 +83,9 @@ func NewDistMatPrecond(m *distmat.Op) *DistMatPrecond {
 	return &DistMatPrecond{M: m, w: distmat.NewDistVec(m.LZ)}
 }
 
-// Apply computes the local slice of z = M·r.
-func (p *DistMatPrecond) Apply(c *simmpi.Comm, r, z []float64, fc *vecops.FlopCounter) {
-	mulDist(c, p.M, r, z, p.w, fc)
+// ApplyBatch computes the active columns of the local block of z = M·r.
+func (p *DistMatPrecond) ApplyBatch(c *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
+	p.M.MulMat(c, r, z, k, cols, haloScratch(&p.w, p.M.LZ, k), fc)
 }
 
 // restartLen resolves the restart length against the problem size.
@@ -196,7 +196,7 @@ func DistGMRES(c *simmpi.Comm, op *distmat.Op, b, x []float64, prec DistPrecondi
 	}
 	mr := restartLen(opt, nGlobal)
 	r, z, w, v, h, cs, sn, g, y := ws.takeGMRES(nl, mr)
-	scratch := ws.distScratch(op.LZ)
+	scratch := haloScratch(&ws.scratch, op.LZ, 1)
 
 	st := Stats{}
 	norm0 := 0.0
@@ -206,7 +206,7 @@ func DistGMRES(c *simmpi.Comm, op *distmat.Op, b, x []float64, prec DistPrecondi
 		if first {
 			copy(r, b) // x = 0
 		} else {
-			mulDist(c, op, x, r, scratch, fc)
+			op.MulMat(c, x, r, 1, nil, scratch, fc)
 			for i := range r {
 				r[i] = b[i] - r[i]
 			}
@@ -257,8 +257,8 @@ func DistGMRES(c *simmpi.Comm, op *distmat.Op, b, x []float64, prec DistPrecondi
 				tr.flushTail()
 				return finish(st, fc, tr), fmt.Errorf("%w at iteration %d: %v", ErrCanceled, st.Iterations+1, opt.Ctx.Err())
 			}
-			prec.Apply(c, v[j], z, fc)
-			mulDist(c, op, z, w, scratch, fc)
+			prec.ApplyBatch(c, v[j], z, 1, nil, fc)
+			op.MulMat(c, z, w, 1, nil, scratch, fc)
 			// Modified Gram–Schmidt against the basis built so far.
 			for i := 0; i <= j; i++ {
 				hij := distmat.Dot(c, v[i], w, fc)
@@ -316,7 +316,7 @@ func DistGMRES(c *simmpi.Comm, op *distmat.Op, b, x []float64, prec DistPrecondi
 		for i := 0; i < k; i++ {
 			vecops.Axpy(y[i], v[i], w, fc)
 		}
-		prec.Apply(c, w, z, fc)
+		prec.ApplyBatch(c, w, z, 1, nil, fc)
 		vecops.Axpy(1, z, x, fc)
 		if st.Converged {
 			tr.flushTail()

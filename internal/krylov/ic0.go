@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"fsaicomm/internal/simmpi"
 	"fsaicomm/internal/sparse"
 	"fsaicomm/internal/vecops"
 )
@@ -152,17 +151,12 @@ func (p *IC0) Apply(r, z []float64, fc *vecops.FlopCounter) {
 	fc.Add(4 * int64(p.L.NNZ()))
 }
 
-// BlockJacobiIC is the distributed block-Jacobi preconditioner: each rank
-// holds the IC(0) factorization of its local diagonal block of A and
-// applies it with no communication at all. The classical fully-parallel
-// baseline the paper contrasts with ("Block-Jacobi" in §1).
-type BlockJacobiIC struct {
-	local *IC0
-}
-
-// NewBlockJacobiIC factors the local diagonal block A(lo:hi, lo:hi) of a
-// rank's rows (global columns).
-func NewBlockJacobiIC(aRows *sparse.CSR, lo, hi int) (*BlockJacobiIC, error) {
+// NewBlockJacobiIC builds the distributed block-Jacobi preconditioner: each
+// rank holds the IC(0) factorization of its local diagonal block
+// A(lo:hi, lo:hi) of its rows (global columns) and applies it with no
+// communication at all. The classical fully-parallel baseline the paper
+// contrasts with ("Block-Jacobi" in §1).
+func NewBlockJacobiIC(aRows *sparse.CSR, lo, hi int) (DistPreconditioner, error) {
 	nl := hi - lo
 	block := sparse.NewCSR(nl, nl, aRows.NNZ())
 	for li := 0; li < nl; li++ {
@@ -179,10 +173,5 @@ func NewBlockJacobiIC(aRows *sparse.CSR, lo, hi int) (*BlockJacobiIC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("krylov: block-Jacobi local factor: %w", err)
 	}
-	return &BlockJacobiIC{local: ic}, nil
-}
-
-// Apply solves the local block system; purely local, no communication.
-func (b *BlockJacobiIC) Apply(c *simmpi.Comm, r, z []float64, fc *vecops.FlopCounter) {
-	b.local.Apply(r, z, fc)
+	return RankLocal(ic), nil
 }

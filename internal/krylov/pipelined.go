@@ -1,7 +1,7 @@
 package krylov
 
 // The pipelined (Ghysels–Vanroose) Conjugate Gradient variant. The fused
-// recurrence of DistCGFused already pays only one collective per iteration,
+// recurrence of fused.go already pays only one collective per iteration,
 // but that collective is still blocking: every rank stalls in the Allreduce
 // between the SpMV and the vector updates. Pipelining rearranges the
 // recurrence once more so the reduction's operands are available one
@@ -51,7 +51,7 @@ func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreco
 		ws = &Workspace{}
 	}
 	r, u, w, p, s, z, q, mv, nv := ws.take9(nl)
-	scratch := ws.distScratch(op.LZ)
+	scratch := haloScratch(&ws.scratch, op.LZ, 1)
 	ov := op.EnsureOverlap()
 
 	copy(r, b)
@@ -59,7 +59,7 @@ func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreco
 	vecops.Fill(s, 0)
 	vecops.Fill(z, 0)
 	vecops.Fill(q, 0)
-	m.Apply(c, r, u, fc)
+	m.ApplyBatch(c, r, u, 1, nil, fc)
 	ov.MulVecOverlapAsync(c, u, w, scratch, fc)
 	tr.setup()
 
@@ -75,7 +75,7 @@ func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreco
 		// Overlap window: the preconditioner apply and the SpMV execute
 		// while the reduction is in flight. They only read w and write the
 		// scratch vectors m and n, so they commute with the wait.
-		m.Apply(c, w, mv, fc)
+		m.ApplyBatch(c, w, mv, 1, nil, fc)
 		ov.MulVecOverlapAsync(c, mv, nv, scratch, fc)
 		g, err := req.Wait()
 		if err != nil {
@@ -140,10 +140,10 @@ func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreco
 			ov.MulVecOverlapAsync(c, x, nv, scratch, fc)
 			copy(r, b)
 			vecops.Axpy(-1, nv, r, fc)
-			m.Apply(c, r, u, fc)
+			m.ApplyBatch(c, r, u, 1, nil, fc)
 			ov.MulVecOverlapAsync(c, u, w, scratch, fc)
 			ov.MulVecOverlapAsync(c, p, s, scratch, fc)
-			m.Apply(c, s, q, fc)
+			m.ApplyBatch(c, s, q, 1, nil, fc)
 			ov.MulVecOverlapAsync(c, q, z, scratch, fc)
 		}
 		if it > 0 {

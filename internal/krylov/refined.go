@@ -21,6 +21,11 @@ package krylov
 // residual norms) is an Allreduce result, bitwise identical on all ranks,
 // so the distributed variants stay collectively consistent with no extra
 // communication beyond the residual recomputation itself.
+//
+// The outer loop is written once (refine), k wide like the CG recurrences,
+// around "an inner solve of width k" it is handed as a function: the
+// mixed-precision CG solves of DistCGRefined (width 1) and
+// DistCGBatchRefined, or any other solver over narrowed operators.
 
 import (
 	"errors"
@@ -123,99 +128,46 @@ func SolveRefined(a *sparse.CSR, b, x []float64, m *Split, opt Options, fc *veco
 // passes its local slices; all ranks receive identical Stats. A nil Comm is
 // the one-rank world.
 func DistCGRefined(c *simmpi.Comm, aOuter, aInner *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	tr := newTracer(opt.Trace, c)
-	nl := aOuter.LZ.NLocal()
-	opt = opt.withDefaults(globalLen(c, nl))
-	if m == nil {
-		m = DistIdentity{}
-	}
-	if len(b) != nl || len(x) != nl {
-		panic(fmt.Sprintf("krylov: DistCGRefined local length %d/%d, want %d", len(b), len(x), nl))
-	}
-	r := make([]float64, nl)
-	d := make([]float64, nl)
-	scratch := distmat.NewDistVec(aOuter.LZ)
-	copy(r, b)
-	norm0 := distmat.Norm2(c, r, fc)
-	if norm0 == 0 {
-		vecops.Fill(x, 0)
-		return finish(Stats{Converged: true}, fc, tr), nil
-	}
-	vecops.Fill(x, 0)
-	tr.setup()
-
-	st := Stats{RelResidual: 1}
-	for st.Refinements < maxRefinements {
-		if canceled(c, opt.Ctx) {
-			return finish(st, fc, tr), fmt.Errorf("%w during refinement %d: %v", ErrCanceled, st.Refinements+1, opt.Ctx.Err())
-		}
-		// budget and every residual below derive from Allreduce results, so
-		// all ranks take the same branch at every step.
-		budget := opt.MaxIter - st.Iterations
-		if budget <= 0 {
-			break
-		}
-		vecops.Fill(d, 0)
-		ist, ierr := DistCG(c, aInner, r, d, m, innerOptions(opt, budget, st.RelResidual), fc)
-		st.Iterations += ist.Iterations
-		st.Refinements++
-		// Inner breakdown near the float32 floor is survivable: the partial
-		// correction is folded in and the FP64 recomputation decides whether
-		// to refine again. The breakdown verdict is itself an Allreduce-
-		// derived scalar, so every rank takes this branch identically.
-		innerBroke := errors.Is(ierr, ErrBreakdown)
-		if ierr != nil && !errors.Is(ierr, ErrNoConvergence) && !innerBroke {
-			tr.refine(st.Refinements, ist.Iterations, st.RelResidual)
-			return finish(st, fc, tr), fmt.Errorf("refinement %d inner solve: %w", st.Refinements, ierr)
-		}
-		vecops.Axpy(1, d, x, fc)
-		aOuter.MulVec(c, x, r, scratch, fc)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		fc.Add(int64(nl))
-		prev := st.RelResidual
-		rnorm := distmat.Norm2(c, r, fc)
-		st.RelResidual = rnorm / norm0
-		tr.refine(st.Refinements, ist.Iterations, st.RelResidual)
-		if nonfinite(rnorm) {
-			return finish(st, fc, tr), fmt.Errorf("%w at refinement %d (‖r‖ = %g)", ErrBreakdown, st.Refinements, rnorm)
-		}
-		if st.RelResidual <= opt.Tol {
-			st.Converged = true
-			return finish(st, fc, tr), nil
-		}
-		if st.RelResidual >= prev*refineStallFactor {
-			if innerBroke {
-				return finish(st, fc, tr), fmt.Errorf("%w at refinement %d (inner solve broke down, rel residual %.3e)",
-					ErrBreakdown, st.Refinements, st.RelResidual)
-			}
-			break // float32 floor: no further refinement can reach Tol
-		}
-	}
-	st = finish(st, fc, tr)
-	return st, fmt.Errorf("%w: %d refinements, %d inner iterations, rel residual %.3e",
-		ErrNoConvergence, st.Refinements, st.Iterations, st.RelResidual)
+	return scalarResult(refine(c, aOuter, b, x, 1, opt, fc, func(r, d []float64, in Options) (BatchStats, error) {
+		return oneColumn(DistCG(c, aInner, r, d, m, in, fc))
+	}))
 }
 
-// DistCGBatchRefined is the batched counterpart of DistCGRefined: k systems
-// refined together, with the per-column freeze semantics of DistCGBatch.
-// Columns whose FP64 residual reaches Tol (or breaks down, or stalls at the
-// float32 floor) stop being refined — their residual columns are zeroed so
-// subsequent inner solves freeze them immediately. BatchStats.Refinements
-// counts outer steps; per-column Iterations accumulate inner iterations.
-func DistCGBatchRefined(c *simmpi.Comm, aOuter, aInner *distmat.Op, b, x []float64, m DistBatchPreconditioner, k int, opt Options, fc *vecops.FlopCounter) (BatchStats, error) {
+// DistCGBatchRefined is DistCGRefined for k systems refined together, with
+// the per-column freeze semantics of DistCGBatch (classic and fused inner
+// solves only). BatchStats.Refinements counts outer steps; per-column
+// Iterations accumulate inner iterations.
+func DistCGBatchRefined(c *simmpi.Comm, aOuter, aInner *distmat.Op, b, x []float64, m DistPreconditioner, k int, opt Options, fc *vecops.FlopCounter) (BatchStats, error) {
 	if err := checkBatchOptions(k, opt); err != nil {
 		return BatchStats{}, err
 	}
-	nl := aOuter.LZ.NLocal()
-	opt = opt.withDefaults(globalLen(c, nl))
+	return refine(c, aOuter, b, x, k, opt, fc, func(r, d []float64, in Options) (BatchStats, error) {
+		return distCGWide(c, aInner, r, d, m, k, in, fc)
+	})
+}
+
+// refine is the FP64 iterative-refinement loop, k wide: it solves
+// A·x_c = b_c by repeatedly handing the true residual block r = b − A·x to
+// inner — an approximate solve of A·d = r of width k, zero initial guess,
+// to the tolerance and iteration budget of the Options it is given — and
+// folding the correction in. a is the full-precision operator. Columns
+// whose FP64 residual reaches Tol (or breaks down, or stalls at the inner
+// solver's floor) stop being refined — their residual columns are zeroed so
+// subsequent inner solves freeze them at once. An inner solve may fail to
+// converge or break down and the refinement goes on; any other error it
+// returns ends the solve. Options.Trace records at refinement granularity,
+// at width 1.
+func refine(c *simmpi.Comm, a *distmat.Op, b, x []float64, k int, opt Options, fc *vecops.FlopCounter,
+	inner func(r, d []float64, opt Options) (BatchStats, error)) (BatchStats, error) {
+	tr := newTracer(opt.Trace && k == 1, c)
+	nl := a.LZ.NLocal()
 	if len(b) != nl*k || len(x) != nl*k {
-		panic(fmt.Sprintf("krylov: DistCGBatchRefined local block length %d/%d, want %d (k=%d)", len(b), len(x), nl*k, k))
+		panic(fmt.Sprintf("krylov: refinement local length %d/%d, want %d (k = %d)", len(b), len(x), nl*k, k))
 	}
+	opt = opt.withDefaults(globalLen(c, nl))
 	r := make([]float64, nl*k)
 	d := make([]float64, nl*k)
-	scratch := distmat.NewBatchDistVec(aOuter.LZ, k)
+	scratch := distmat.NewBatchDistVec(a.LZ, k)
 	copy(r, b)
 	vecops.Fill(x, 0)
 
@@ -235,56 +187,53 @@ func DistCGBatchRefined(c *simmpi.Comm, aOuter, aInner *distmat.Op, b, x []float
 			allDone = false
 		}
 	}
-	if allDone {
-		return batchResult(bs, 0, nil)
-	}
+	tr.setup()
 
-	for bs.Refinements < maxRefinements {
+	for !allDone && bs.Refinements < maxRefinements {
 		if canceled(c, opt.Ctx) {
-			return batchResult(bs, bs.Iterations, opt.Ctx)
+			return conclude(bs, fc, tr, fmt.Errorf("%w during refinement %d: %v", ErrCanceled, bs.Refinements+1, opt.Ctx.Err()))
 		}
+		// budget and every residual below derive from Allreduce results, so
+		// all ranks take the same branch at every step.
 		budget := opt.MaxIter - bs.Iterations
 		if budget <= 0 {
 			break
 		}
 		// Zero finished columns' residuals: the inner solve then freezes
-		// them at setup (zero RHS) and their corrections stay zero.
-		for col := 0; col < k; col++ {
-			if done[col] {
-				for i := 0; i < nl; i++ {
-					r[i*k+col] = 0
-				}
-			}
-		}
-		// The shared inner tolerance must serve the column farthest from the
+		// them at setup (zero RHS) and their corrections stay zero. The
+		// shared inner tolerance must serve the column farthest from the
 		// target: tol/relres is tightest for the largest relres, so the max
-		// over the active columns gives the deepest requirement.
+		// over the live columns gives the deepest requirement.
 		maxRel := 0.0
 		for col := 0; col < k; col++ {
-			if !done[col] && bs.Cols[col].RelResidual > maxRel {
+			if done[col] {
+				for i := col; i < len(r); i += k {
+					r[i] = 0
+				}
+			} else if bs.Cols[col].RelResidual > maxRel {
 				maxRel = bs.Cols[col].RelResidual
 			}
 		}
 		vecops.Fill(d, 0)
-		ibs, ierr := DistCGBatch(c, aInner, r, d, m, k, innerOptions(opt, budget, maxRel), fc)
+		ibs, ierr := inner(r, d, innerOptions(opt, budget, maxRel))
 		bs.Iterations += ibs.Iterations
 		bs.Refinements++
-		// A column whose inner solve broke down near the float32 floor keeps
-		// its partial correction and stays live: the FP64 recomputation below
-		// decides whether it converged, refines again, or — if the breakdown
-		// produced no progress — marks it Broken for good.
-		innerBroke := make([]bool, k)
 		for col := 0; col < k; col++ {
 			if !done[col] {
 				bs.Cols[col].Iterations += ibs.Cols[col].Iterations
-				innerBroke[col] = ibs.Broken[col]
 			}
 		}
-		if ierr != nil && errors.Is(ierr, ErrCanceled) {
-			return bs, fmt.Errorf("refinement %d inner solve: %w", bs.Refinements, ierr)
+		// An inner solve that broke down near the float32 floor is
+		// survivable: its partial correction is folded in and the column
+		// stays live — the FP64 recomputation below decides whether it
+		// converged, refines again, or, if the breakdown produced no
+		// progress, is Broken for good.
+		if ierr != nil && !errors.Is(ierr, ErrNoConvergence) && !errors.Is(ierr, ErrBreakdown) {
+			tr.refine(bs.Refinements, ibs.Iterations, bs.Cols[0].RelResidual)
+			return conclude(bs, fc, tr, fmt.Errorf("refinement %d inner solve: %w", bs.Refinements, ierr))
 		}
 		vecops.Axpy(1, d, x, fc)
-		aOuter.MulMat(c, x, r, k, nil, scratch, fc)
+		a.MulMat(c, x, r, k, nil, scratch, fc)
 		for i := range r {
 			r[i] = b[i] - r[i]
 		}
@@ -298,28 +247,21 @@ func DistCGBatchRefined(c *simmpi.Comm, aOuter, aInner *distmat.Op, b, x []float
 			st := &bs.Cols[col]
 			prev := st.RelResidual
 			st.RelResidual = math.Sqrt(tmp[col]) / norm0[col]
-			if nonfinite(tmp[col]) {
+			done[col] = true
+			switch {
+			case nonfinite(tmp[col]):
 				bs.Broken[col] = true
-				done[col] = true
-				continue
-			}
-			if st.RelResidual <= opt.Tol {
+			case st.RelResidual <= opt.Tol:
 				st.Converged = true
-				done[col] = true
-				continue
+			case st.RelResidual >= prev*refineStallFactor:
+				// The inner solver's floor for this column: no further
+				// refinement can reach Tol.
+				bs.Broken[col] = ibs.Broken[col]
+			default:
+				done[col], allDone = false, false
 			}
-			if st.RelResidual >= prev*refineStallFactor {
-				if innerBroke[col] {
-					bs.Broken[col] = true
-				}
-				done[col] = true // float32 floor for this column
-				continue
-			}
-			allDone = false
 		}
-		if allDone {
-			break
-		}
+		tr.refine(bs.Refinements, ibs.Iterations, bs.Cols[0].RelResidual)
 	}
-	return batchResult(bs, 0, nil)
+	return conclude(bs, fc, tr, nil)
 }

@@ -5,8 +5,12 @@ import (
 	"math"
 	"testing"
 
+	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/matgen"
+	"fsaicomm/internal/simmpi"
+	"fsaicomm/internal/spai"
 	"fsaicomm/internal/sparse"
+	"fsaicomm/internal/vecops"
 )
 
 // eye builds the n×n identity — the weakest split preconditioner, which
@@ -127,4 +131,64 @@ func TestSolveRefinedBudgetExhaustion(t *testing.T) {
 	if st.Iterations > 5 {
 		t.Fatalf("budget 5 overrun: %d inner iterations", st.Iterations)
 	}
+}
+
+// The refinement wrapper is not a CG loop: handed restarted GMRES over the
+// float32 views of a nonsymmetric A and of its SPAI inverse as the inner
+// solve, it delivers the FP64 answer — mixed-precision SPAI-GMRES with no
+// loop of its own — on the one-rank world and on two ranks.
+func TestRefineComposesWithGMRES(t *testing.T) {
+	a := matgen.ConvectionDiffusion2D(40, 40, 20)
+	n := a.Rows
+	b := matgen.UnitRHS(n, 4)
+	sopt := spai.Options{Steps: 2}
+	opt := Options{Tol: 1e-8}
+	f32 := func(op *distmat.Op) *distmat.Op {
+		v := distmat.NewOpFromParts(op.LZ, op.Plan.Clone())
+		v.SetF32(true)
+		return v
+	}
+	solve := func(c *simmpi.Comm, aOp, mOp *distmat.Op, bl, xl []float64) (BatchStats, error) {
+		a32, m32 := f32(aOp), NewDistMatPrecond(f32(mOp))
+		return refine(c, aOp, bl, xl, 1, opt, nil, func(r, d []float64, in Options) (BatchStats, error) {
+			return oneColumn(DistGMRES(c, a32, r, d, m32, in, nil))
+		})
+	}
+	check := func(world string, x []float64, bs BatchStats, err error) {
+		t.Helper()
+		if err != nil || !bs.Cols[0].Converged || bs.Refinements < 1 {
+			t.Fatalf("%s: %+v, %v", world, bs, err)
+		}
+		if res := residual(a, x, b) / vecops.Norm2(b, nil); res > 1e-8 {
+			t.Fatalf("%s: true FP64 rel residual %g after %d refinements / %d inner iterations",
+				world, res, bs.Refinements, bs.Iterations)
+		}
+		t.Logf("%s: %d refinements, %d inner GMRES iterations, rel residual %.3g", world, bs.Refinements, bs.Iterations, bs.Cols[0].RelResidual)
+	}
+
+	m, err := spai.Build(a, sopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, n)
+	bs, err := solve(nil, distmat.LocalOp(a), distmat.LocalOp(m), b, x)
+	check("one rank", x, bs, err)
+
+	const ranks = 2
+	l := distmat.NewUniformLayout(n, ranks)
+	x = make([]float64, n)
+	_, runErr := simmpi.Run(ranks, testTimeout, func(c *simmpi.Comm) error {
+		lo, hi := l.Range(c.Rank())
+		aRows := distmat.ExtractLocalRows(a, lo, hi)
+		mRows, err := spai.BuildDist(c, l, lo, hi, aRows, sopt)
+		if err != nil {
+			return err
+		}
+		s, err := solve(c, distmat.NewOp(c, l, lo, hi, aRows), distmat.NewOp(c, l, lo, hi, mRows), b[lo:hi], x[lo:hi])
+		if c.Rank() == 0 {
+			bs = s
+		}
+		return err
+	})
+	check("two ranks", x, bs, runErr)
 }

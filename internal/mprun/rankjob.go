@@ -59,8 +59,11 @@ func (ops rankOps) dress(sp SolveParams, k int) (aInner *distmat.Op) {
 	if ops.m != nil {
 		all = []*distmat.Op{ops.a, ops.m}
 	}
-	// Only the scalar CG loops have a send-then-compute schedule; the
-	// batched loops and GMRES (Variant classic by validation) block.
+	// The send-then-compute schedule belongs to the operator, and a 1-wide
+	// product takes it when the operator carries it; only the scalar CG
+	// variants other than classic ask for it. Batched jobs block at every
+	// width (K = 1 included, so that K tells the whole schedule), and so does
+	// GMRES (Variant classic by validation).
 	overlap := k == 0 && sp.Variant != krylov.CGClassic
 	for _, op := range all {
 		if overlap {
@@ -183,10 +186,15 @@ func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Worksp
 	t1 := time.Now()
 	xl := make([]float64, len(job.B))
 	var st krylov.Stats
+	// K = 0 takes the scalar view of the k-wide loops (every CG variant,
+	// Stats with a trace), K ≥ 1 the batch entry points (classic and fused,
+	// per-column outcome); one split preconditioner type serves both.
 	switch k := job.K; {
+	case ops.m != nil:
+		st, err = krylov.DistGMRES(c, ops.a, job.B, xl, krylov.NewDistMatPrecond(ops.m), opt, nil)
 	case k > 0:
 		var bs krylov.BatchStats
-		m := krylov.NewDistSplitBatch(ops.g, ops.gt, k)
+		m := krylov.NewDistSplit(ops.g, ops.gt)
 		if aInner != nil {
 			bs, err = krylov.DistCGBatchRefined(c, ops.a, aInner, job.B, xl, m, k, opt, nil)
 		} else {
@@ -194,8 +202,6 @@ func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Worksp
 		}
 		st = krylov.Stats{Iterations: bs.Iterations, Refinements: bs.Refinements}
 		out.Batch = newBatchOutcome(bs)
-	case ops.m != nil:
-		st, err = krylov.DistGMRES(c, ops.a, job.B, xl, krylov.NewDistMatPrecond(ops.m), opt, nil)
 	case aInner != nil:
 		st, err = krylov.DistCGRefined(c, ops.a, aInner, job.B, xl, krylov.NewDistSplit(ops.g, ops.gt), opt, nil)
 	default:

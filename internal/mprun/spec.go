@@ -45,9 +45,13 @@ type JobSpec struct {
 	// keeps: a Mesh strips them (Adopt then carries only the traced misses)
 	// and the worker puts its own back. Nobody else sets it.
 	Held bool
-	// K is the solve's width: 0 runs the scalar loops (CG, refined CG,
-	// GMRES), K ≥ 1 the batched CG loops over K interleaved columns — a
-	// 1-wide batch is still the batch loop.
+	// K is the shape of the solve's answer, not a choice of loop: 0 asks for
+	// a scalar solve — GMRES, or CG through krylov's width-1 views (every
+	// variant, Stats with a trace, a modeled time) — and K ≥ 1 for the batch
+	// entry points over K interleaved columns (classic and fused, one
+	// outcome per column). The classic and fused CG loops are the same
+	// k-wide bodies either way, so a 1-wide batch and a scalar solve compute
+	// the same bits at the same cost.
 	K int
 	// B is this rank's rows of the permuted right-hand side: Hi−Lo values,
 	// or for K ≥ 1 the (Hi−Lo)×K block interleaved row-major

@@ -223,6 +223,21 @@ func TestSolveCoalescingSingleSlot(t *testing.T) {
 	}
 }
 
+// A batched fp32 job that runs out of JobTimeout before its first
+// refinement is a 504 like its scalar twin, not a 200 carrying x = 0: the
+// refinement wrapper reports the cancellation it saw as ErrCanceled.
+func TestBatchedFP32DeadlineIs504(t *testing.T) {
+	_, ts := testServer(t, Config{BatchMax: 2, BatchWindow: 10 * time.Millisecond, JobTimeout: time.Nanosecond})
+	mr := uploadGen(t, ts.URL, "Dubcova2-sim")
+	resp, body := postJSON(t, ts.URL+"/solve", solveRequest{Matrix: mr.Matrix, Ranks: 2, Precision: "fp32"})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("fp32 batch past its deadline: %d %.200s", resp.StatusCode, body)
+	}
+	if m := getMetrics(t, ts.URL); m.Jobs.Canceled != 1 || m.Batch.BatchesTotal != 1 {
+		t.Fatalf("canceled = %d, batches = %d, want 1 and 1", m.Jobs.Canceled, m.Batch.BatchesTotal)
+	}
+}
+
 // Ineligible requests (variants without a batched loop, traced solves)
 // bypass coalescing entirely even when batching is configured.
 func TestSolveCoalescingEligibility(t *testing.T) {

@@ -35,9 +35,17 @@ func mulVecRows[V Value](rowPtr, colIdx []int, val []V, x, y []float64, lo, hi i
 	}
 }
 
+// firstCols[:k] is the mask "every column" of a block up to 16 wide, shared
+// and never written, so an unmasked product of a usual batch width builds
+// no list.
+var firstCols = [...]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+
 // activeCols resolves a column mask (nil = all k columns) to the list the
 // k-wide kernel walks.
 func activeCols(k int, cols []int) []int {
+	if cols == nil && k <= len(firstCols) {
+		return firstCols[:k]
+	}
 	if cols == nil {
 		cols = make([]int, k)
 		for c := range cols {

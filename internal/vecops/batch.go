@@ -10,7 +10,12 @@ package vecops
 // The cols parameter is the convergence mask of the batched CG loop: a
 // strictly ascending list of still-active column indices in [0, k). Masked
 // (frozen) columns are neither read nor written, so they stop contributing
-// flops the iteration they converge. nil means all columns.
+// flops the iteration they converge. nil means all columns, walked as a
+// plain 0..k−1 loop.
+//
+// A 1-wide block is a plain vector: every kernel called with k = 1 and no
+// mask IS its scalar counterpart (Dot, Dot2, Axpy, Xpay, FusedCGUpdate),
+// which is what lets the k-wide CG loops be the scalar solve too.
 
 import "fmt"
 
@@ -19,6 +24,10 @@ import "fmt"
 func DotBatch(x, y []float64, k int, cols []int, out []float64, fc *FlopCounter) {
 	n := checkBatch2(x, y, k, out, "DotBatch")
 	if cols == nil {
+		if k == 1 {
+			out[0] = Dot(x, y, fc)
+			return
+		}
 		for c := 0; c < k; c++ {
 			out[c] = 0
 		}
@@ -51,56 +60,91 @@ func Dot2Batch(x, y, z []float64, k int, cols []int, outXY, outZY []float64, fc 
 	if len(z) != len(y) || len(outZY) < k {
 		panic(fmt.Sprintf("vecops: Dot2Batch length mismatch z=%d y=%d outZY=%d k=%d", len(z), len(y), len(outZY), k))
 	}
-	idx := cols
-	if idx == nil {
-		idx = allCols(k)
+	if cols == nil {
+		if k == 1 {
+			outXY[0], outZY[0] = Dot2(x, y, z, fc)
+			return
+		}
+		for c := 0; c < k; c++ {
+			outXY[c] = 0
+			outZY[c] = 0
+		}
+		for i := 0; i < n; i++ {
+			xs, ys, zs := x[i*k:i*k+k], y[i*k:i*k+k], z[i*k:i*k+k]
+			for c := 0; c < k; c++ {
+				outXY[c] += xs[c] * ys[c]
+				outZY[c] += zs[c] * ys[c]
+			}
+		}
+		fc.Add(4 * int64(n) * int64(k))
+		return
 	}
-	for _, c := range idx {
+	for _, c := range cols {
 		outXY[c] = 0
 		outZY[c] = 0
 	}
 	for i := 0; i < n; i++ {
 		xs, ys, zs := x[i*k:i*k+k], y[i*k:i*k+k], z[i*k:i*k+k]
-		for _, c := range idx {
+		for _, c := range cols {
 			outXY[c] += xs[c] * ys[c]
 			outZY[c] += zs[c] * ys[c]
 		}
 	}
-	fc.Add(4 * int64(n) * int64(len(idx)))
+	fc.Add(4 * int64(n) * int64(len(cols)))
 }
 
 // AxpyBatch computes y_c ← a[c]·x_c + y_c for every active column.
 // Counts 2·n flops per active column.
 func AxpyBatch(a []float64, x, y []float64, k int, cols []int, fc *FlopCounter) {
 	n := checkBatch2(x, y, k, a, "AxpyBatch")
-	idx := cols
-	if idx == nil {
-		idx = allCols(k)
+	if cols == nil {
+		if k == 1 {
+			Axpy(a[0], x, y, fc)
+			return
+		}
+		for i := 0; i < n; i++ {
+			xs, ys := x[i*k:i*k+k], y[i*k:i*k+k]
+			for c := 0; c < k; c++ {
+				ys[c] += a[c] * xs[c]
+			}
+		}
+		fc.Add(2 * int64(n) * int64(k))
+		return
 	}
 	for i := 0; i < n; i++ {
 		xs, ys := x[i*k:i*k+k], y[i*k:i*k+k]
-		for _, c := range idx {
+		for _, c := range cols {
 			ys[c] += a[c] * xs[c]
 		}
 	}
-	fc.Add(2 * int64(n) * int64(len(idx)))
+	fc.Add(2 * int64(n) * int64(len(cols)))
 }
 
 // XpayBatch computes y_c ← x_c + a[c]·y_c for every active column (the
 // search-direction update). Counts 2·n flops per active column.
 func XpayBatch(x []float64, a []float64, y []float64, k int, cols []int, fc *FlopCounter) {
 	n := checkBatch2(x, y, k, a, "XpayBatch")
-	idx := cols
-	if idx == nil {
-		idx = allCols(k)
+	if cols == nil {
+		if k == 1 {
+			Xpay(x, a[0], y, fc)
+			return
+		}
+		for i := 0; i < n; i++ {
+			xs, ys := x[i*k:i*k+k], y[i*k:i*k+k]
+			for c := 0; c < k; c++ {
+				ys[c] = xs[c] + a[c]*ys[c]
+			}
+		}
+		fc.Add(2 * int64(n) * int64(k))
+		return
 	}
 	for i := 0; i < n; i++ {
 		xs, ys := x[i*k:i*k+k], y[i*k:i*k+k]
-		for _, c := range idx {
+		for _, c := range cols {
 			ys[c] = xs[c] + a[c]*ys[c]
 		}
 	}
-	fc.Add(2 * int64(n) * int64(len(idx)))
+	fc.Add(2 * int64(n) * int64(len(cols)))
 }
 
 // FusedCGUpdateBatch performs the fused-CG iteration update per active
@@ -118,29 +162,49 @@ func FusedCGUpdateBatch(alpha, beta []float64, u, w, p, s, x, r []float64, k int
 		panic(fmt.Sprintf("vecops: FusedCGUpdateBatch length mismatch %d/%d/%d/%d/%d/%d",
 			len(u), len(w), len(p), len(s), len(x), len(r)))
 	}
-	idx := cols
-	if idx == nil {
-		idx = allCols(k)
+	if cols == nil {
+		if k == 1 {
+			rr[0] = FusedCGUpdate(alpha[0], beta[0], u, w, p, s, x, r, fc)
+			return
+		}
+		for c := 0; c < k; c++ {
+			rr[c] = 0
+		}
+		for i := 0; i < n; i++ {
+			us, ws := u[i*k:i*k+k], w[i*k:i*k+k]
+			ps, ss := p[i*k:i*k+k], s[i*k:i*k+k]
+			xs, rs := x[i*k:i*k+k], r[i*k:i*k+k]
+			for c := 0; c < k; c++ {
+				rr[c] += fusedStep(alpha[c], beta[c], us[c], ws[c], &ps[c], &ss[c], &xs[c], &rs[c])
+			}
+		}
+		fc.Add(10 * int64(n) * int64(k))
+		return
 	}
-	for _, c := range idx {
+	for _, c := range cols {
 		rr[c] = 0
 	}
 	for i := 0; i < n; i++ {
 		us, ws := u[i*k:i*k+k], w[i*k:i*k+k]
 		ps, ss := p[i*k:i*k+k], s[i*k:i*k+k]
 		xs, rs := x[i*k:i*k+k], r[i*k:i*k+k]
-		for _, c := range idx {
-			pi := us[c] + beta[c]*ps[c]
-			si := ws[c] + beta[c]*ss[c]
-			ps[c] = pi
-			ss[c] = si
-			xs[c] += alpha[c] * pi
-			ri := rs[c] - alpha[c]*si
-			rs[c] = ri
-			rr[c] += ri * ri
+		for _, c := range cols {
+			rr[c] += fusedStep(alpha[c], beta[c], us[c], ws[c], &ps[c], &ss[c], &xs[c], &rs[c])
 		}
 	}
-	fc.Add(10 * int64(n) * int64(len(idx)))
+	fc.Add(10 * int64(n) * int64(len(cols)))
+}
+
+// fusedStep is the fused-CG update of one vector component: it advances p,
+// s, x and r in place and returns the square of the new residual entry.
+func fusedStep(alpha, beta, u, w float64, p, s, x, r *float64) float64 {
+	pi := u + beta**p
+	si := w + beta**s
+	*p, *s = pi, si
+	*x += alpha * pi
+	ri := *r - alpha*si
+	*r = ri
+	return ri * ri
 }
 
 // PackColumn scatters a length-n vector into column c of an interleaved
@@ -163,14 +227,6 @@ func UnpackColumn(col []float64, block []float64, k, c int) {
 	for i := range col {
 		col[i] = block[i*k+c]
 	}
-}
-
-func allCols(k int) []int {
-	idx := make([]int, k)
-	for c := range idx {
-		idx[c] = c
-	}
-	return idx
 }
 
 // checkBatch2 validates a pair of equal-length interleaved blocks plus a

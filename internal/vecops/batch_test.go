@@ -1,6 +1,7 @@
 package vecops
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -220,4 +221,66 @@ func TestBatchShapePanics(t *testing.T) {
 			tc.call()
 		}()
 	}
+}
+
+// FuzzBatchKernelsWidth1: a 1-wide block is a plain vector, so every k-wide
+// kernel at k = 1 must return its scalar counterpart's bits and count its
+// flops — through the unmasked hand-off the CG loops take at width 1 and
+// through the generic masked body (mask [0]) alike — for any length and any
+// scalars, NaN and Inf included.
+func FuzzBatchKernelsWidth1(f *testing.F) {
+	f.Add(int64(1), uint16(0), 0.5, -1.25)
+	f.Add(int64(2), uint16(1), 0.0, 1.0)
+	f.Add(int64(3), uint16(257), math.Inf(1), math.NaN())
+	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, alpha, beta float64) {
+		n := int(n16 % 1024)
+		rng := rand.New(rand.NewSource(seed))
+		same := func(name string, got, want []float64) {
+			t.Helper()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s[%d]: k-wide %v, scalar %v", name, i, got[i], want[i])
+				}
+			}
+		}
+		for _, mask := range [][]int{nil, {0}} {
+			v := make([][]float64, 6) // u, w, p, s, x, r
+			for i := range v {
+				v[i] = randBlock(rng, n, 1)
+			}
+			clone := func() [][]float64 {
+				c := make([][]float64, len(v))
+				for i := range v {
+					c[i] = append([]float64(nil), v[i]...)
+				}
+				return c
+			}
+			var fk, fs FlopCounter
+			out, out2 := []float64{7}, []float64{7}
+
+			DotBatch(v[0], v[1], 1, mask, out, &fk)
+			same("Dot", out, []float64{Dot(v[0], v[1], &fs)})
+			Dot2Batch(v[0], v[1], v[2], 1, mask, out, out2, &fk)
+			xy, zy := Dot2(v[0], v[1], v[2], &fs)
+			same("Dot2", []float64{out[0], out2[0]}, []float64{xy, zy})
+
+			k, s := clone(), clone()
+			AxpyBatch([]float64{alpha}, k[0], k[1], 1, mask, &fk)
+			Axpy(alpha, s[0], s[1], &fs)
+			same("Axpy", k[1], s[1])
+			XpayBatch(k[0], []float64{beta}, k[2], 1, mask, &fk)
+			Xpay(s[0], beta, s[2], &fs)
+			same("Xpay", k[2], s[2])
+
+			k, s = clone(), clone()
+			FusedCGUpdateBatch([]float64{alpha}, []float64{beta}, k[0], k[1], k[2], k[3], k[4], k[5], 1, mask, out, &fk)
+			same("FusedCGUpdate rr", out, []float64{FusedCGUpdate(alpha, beta, s[0], s[1], s[2], s[3], s[4], s[5], &fs)})
+			for i, name := range []string{"u", "w", "p", "s", "x", "r"} {
+				same("FusedCGUpdate "+name, k[i], s[i])
+			}
+			if fk.Count() != fs.Count() {
+				t.Fatalf("mask %v: k-wide kernels counted %d flops, scalar %d", mask, fk.Count(), fs.Count())
+			}
+		}
+	})
 }

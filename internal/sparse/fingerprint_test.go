@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fsaicomm/internal/matgen"
 	"fsaicomm/internal/sparse"
 	"fsaicomm/internal/testsets"
 )
@@ -69,5 +70,29 @@ func TestFingerprintQuantizesNoise(t *testing.T) {
 	}
 	if got := n.Fingerprint(); got != fp {
 		t.Fatalf("sub-quantum noise changed fingerprint: %s != %s", got, fp)
+	}
+}
+
+// TestFingerprintGolden pins the digest of the benchmark system, of the
+// nonsymmetric catalog entry and of a tiny grid to the values the
+// eight-bytes-per-Write loop produced (commit 1593699), so that feeding the
+// hasher in blocks cannot move a fingerprint a client already holds.
+func TestFingerprintGolden(t *testing.T) {
+	skew, err := testsets.ByName("convdiff-skew-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+		want string
+	}{
+		{"poisson37", matgen.Poisson3D(37, 37, 37), "2cd0392545127268289ab0090fdddd37"},
+		{"convdiff-skew-sim", skew.Generate(), "41af5e51e0f0383c95e983d2b2e99df0"},
+		{"poisson3", matgen.Poisson3D(3, 3, 3), "a6dc9e396db3ebcbcbc0fd356572b7de"},
+	} {
+		if got := tc.a.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -19,7 +19,12 @@ all: tier1
 # `for` over maxRefinements (the one FP64 refinement wrapper). The spawn step
 # fails if the per-solve process spawn comes back beside the resident mesh:
 # internal/mprun starts worker processes in one place (exec.Command once, in
-# Start) and has no Launch.
+# Start) and has no Launch. The analyse step fails if pattern-only set-up work
+# gets a second way in beside the analyse phase: in the library (tests,
+# internal/experiments, the cmd tools and the examples apart) the partitioners
+# are named in fsaicomm.go alone and partitionRows is called once, from
+# distribute; ExtendPattern is called once outside extend.go (its home, where
+# ExtendPatternSerial wraps it for the one-process build), from analysePattern.
 tier1:
 	$(GO) build ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
@@ -39,6 +44,14 @@ tier1:
 		launch="$$(grep -nE '^func (\([^)]*\) )?Launch\(' $$src)"; \
 		if [ "$$(echo "$$spawns" | grep -c .)" -gt 1 ] || [ -n "$$launch" ]; then \
 			echo "a second way to spawn rank workers is back in internal/mprun:"; echo "$$spawns"; echo "$$launch"; exit 1; fi
+	@lib="$$(find . -name '*.go' -not -name '*_test.go' -not -path './internal/experiments/*' -not -path './internal/partition/*' \
+			-not -path './cmd/*' -not -path './examples/*' -not -path './benchmark/*')"; \
+		parts="$$(grep -lE '[^.A-Za-z]partition\.[A-Z]' $$lib)"; \
+		rows="$$(grep -nE '[^A-Za-z]partitionRows\(' $$lib | grep -v 'func partitionRows(')"; \
+		ext="$$(grep -nE '[^A-Za-z]ExtendPattern\(' $$lib | grep -vE '^\./internal/core/extend\.go:|^[^:]*:[0-9]*:[[:space:]]*//')"; \
+		if [ "$$parts" != "./fsaicomm.go" ] || [ "$$(echo "$$rows" | grep -c .)" -ne 1 ] || [ "$$(echo "$$ext" | grep -c .)" -ne 1 ]; then \
+			echo "partitioning or pattern extension has a call site beside the analyse phase:"; \
+			echo "$$parts"; echo "$$rows"; echo "$$ext"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 
@@ -209,7 +222,8 @@ cover:
 # kernels, the k-wide vector kernels at width 1 against the scalar ones they
 # stand in for, the dense QR least-squares kernel behind SPAI, the three
 # decoders of the socket transport that face bytes another process wrote,
-# and the /solve request decoder (seeds already run under plain `go test`).
+# the /solve request decoder, and two same-pattern uploads set up at once
+# against a live cache (seeds already run under plain `go test`).
 fuzz:
 	$(GO) test -fuzz FuzzCSRValidate -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzCOOToCSR -fuzztime 30s ./internal/sparse/
@@ -222,3 +236,4 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeP2P -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzDecodeColl -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzSolveRequest -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz FuzzPatternRace -fuzztime 30s ./internal/serve/

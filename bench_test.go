@@ -603,6 +603,25 @@ func BenchmarkPrepare50k(b *testing.B) {
 	}
 }
 
+// BenchmarkRefactor50k is what the cold-setup workload pays per upload once
+// the pattern is known: the same system with other values on its diagonal,
+// set up by the factor phase alone on the structure of the first Prepare.
+func BenchmarkRefactor50k(b *testing.B) {
+	a := matgen.Poisson3D(37, 37, 37)
+	p, err := Prepare(a, Options{Method: FSAIEComm, Ranks: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a2 := matgen.DiagShift(a, 0.3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Refactor(a2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCOOToCSR50k(b *testing.B) {
 	a := matgen.Poisson3D(37, 37, 37)
 	// Column-major insertion order: every row arrives sorted but the rows

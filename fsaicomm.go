@@ -32,7 +32,6 @@ import (
 
 	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/core"
-	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/matgen"
@@ -761,7 +760,8 @@ func SolveDistributedContext(ctx context.Context, a *Matrix, b []float64, opt Op
 
 // solveFullSetup is the full-set-up path behind SolveDistributedContext
 // (k = 0) and SolveBatchContext (k = len(rhs)): partition, permute, and one
-// rank job per rank that builds its operators and solves.
+// rank job per rank that builds its operators — core.BuildPrecond, the
+// analyse and factor phases Prepare runs, back to back — and solves.
 func solveFullSetup(ctx context.Context, a *Matrix, rhs [][]float64, k int, opt Options) (*rankFold, error) {
 	opt = opt.withDefaults(a.Rows)
 	ranks := AutoRanks(a, opt.Ranks)
@@ -769,18 +769,17 @@ func solveFullSetup(ctx context.Context, a *Matrix, rhs [][]float64, k int, opt 
 	if err != nil {
 		return nil, err
 	}
-	part, err := partitionRows(a, opt, ranks)
+	d, err := distribute(a, opt, ranks)
 	if err != nil {
 		return nil, err
 	}
-	pa, layout, oldToNew := distmat.ApplyPartition(a, part, ranks)
 	job := mprun.JobSpec{
-		Layout: layout,
-		Build:  &mprun.BuildSource{PA: pa, Cfg: buildConfig(opt)},
+		Layout: d.layout,
+		Build:  &mprun.BuildSource{PA: d.permuted(a.Val), Cfg: buildConfig(opt)},
 		K:      k,
 		Solve:  sp,
 	}
-	return runRanks(ctx, opt.Transport, runTransient, job, nil, nil, rhs, oldToNew)
+	return runRanks(ctx, opt.Transport, runTransient, job, nil, nil, rhs, d.oldToNew)
 }
 
 // resolveTopology maps a requested node grouping onto the resolved rank

@@ -216,7 +216,7 @@ func LowerPatternDist(aRows *sparse.CSR, lo int) *fsai.DistRows {
 	rowSets := make([][]int, aRows.Rows)
 	for li := 0; li < aRows.Rows; li++ {
 		gi := lo + li
-		cols, _ := aRows.Row(li)
+		cols := aRows.ColIdx[aRows.RowPtr[li]:aRows.RowPtr[li+1]]
 		set := make([]int, 0, len(cols)+1)
 		hasDiag := false
 		for _, c := range cols {

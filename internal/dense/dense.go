@@ -63,7 +63,11 @@ func SolveChol(a []float64, n int, b []float64) {
 		}
 		b[i] = s / ri[i]
 	}
-	// Back substitution Lᵀ x = y.
+	backSubstitute(a, n, b)
+}
+
+// backSubstitute solves Lᵀ x = y in place on b, L in the lower triangle of a.
+func backSubstitute(a []float64, n int, b []float64) {
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
 		for k := i + 1; k < n; k++ {
@@ -150,4 +154,22 @@ func MulSym(a []float64, n int, x, y []float64) {
 		}
 		y[i] = s
 	}
+}
+
+// SolveSPDLast solves A x = e_{n-1}, the last unit vector, for a symmetric
+// positive definite A (row-major, only the lower triangle is read) — the
+// system every FSAI row is. A and b are overwritten; on return b holds the
+// solution, whatever it held before. The bits are those of SolveSPD on
+// b = e_{n-1}: the forward sweep L y = e_{n-1} subtracts products with +0
+// from +0 and divides +0 by positive pivots until the last row, so for the
+// finite L a successful Cholesky leaves it is y = e_{n-1}/L_{n-1,n-1} and
+// is not run.
+func SolveSPDLast(a []float64, n int, b []float64) error {
+	if err := Cholesky(a, n); err != nil {
+		return err
+	}
+	clear(b[:n-1])
+	b[n-1] = 1 / a[(n-1)*n+n-1]
+	backSubstitute(a, n, b)
+	return nil
 }

@@ -157,3 +157,68 @@ func TestQuickCholLDLTAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSolveSPDLastBits: on 10⁴ random SPD systems — sizes 1 to 40, entries
+// over many magnitudes, exact and signed zeros among them — SolveSPDLast
+// returns the bits SolveSPD returns for the right-hand side e_{n-1}.
+func TestSolveSPDLastBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 10000; trial++ {
+		n := 1 + rng.Intn(40)
+		a := randSPD(rng, n)
+		scale := math.Pow(10, float64(rng.Intn(13)-6))
+		for i := range a {
+			a[i] *= scale
+		}
+		// Sparse restrictions are mostly zeros, of either sign.
+		for k := rng.Intn(n * n); k > 0; k-- {
+			i, j := rng.Intn(n), rng.Intn(n)
+			if i != j {
+				z := 0.0
+				if rng.Intn(2) == 0 {
+					z = math.Copysign(0, -1)
+				}
+				a[i*n+j], a[j*n+i] = z, z
+			}
+		}
+		a2 := append([]float64(nil), a...)
+		want := make([]float64, n)
+		want[n-1] = 1
+		got := make([]float64, n)
+		for i := range got {
+			got[i] = rng.NormFloat64() // must not matter
+		}
+		errWant, errGot := SolveSPD(a, n, want), SolveSPDLast(a2, n, got)
+		if (errWant == nil) != (errGot == nil) {
+			t.Fatalf("trial %d: SolveSPD says %v, SolveSPDLast %v", trial, errWant, errGot)
+		}
+		if errWant != nil {
+			continue // zeroing entries can cost definiteness
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d n %d: x[%d] = %x, SolveSPD gives %x", trial, n, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+func benchSolve(b *testing.B, n int, solve func(a []float64, n int, rhs []float64) error) {
+	a := randSPD(rand.New(rand.NewSource(5)), n)
+	work := make([]float64, n*n)
+	rhs := make([]float64, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, a)
+		clear(rhs)
+		rhs[n-1] = 1
+		if err := solve(work, n, rhs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The FSAI row solve on a 20-entry row, right-hand side e_{n-1}, by the
+// general solver and by the one that knows the right-hand side.
+func BenchmarkSolveSPD(b *testing.B)     { benchSolve(b, 20, SolveSPD) }
+func BenchmarkSolveSPDLast(b *testing.B) { benchSolve(b, 20, SolveSPDLast) }

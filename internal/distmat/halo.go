@@ -37,6 +37,14 @@ type Localized struct {
 	// most once even when concurrent solves share the Localized view.
 	m32     *sparse.CSR32
 	m32Once sync.Once
+	// rotated lists the rows with entries below the local column range, as
+	// (row, entries below, entries inside) triples: the rows whose values
+	// sit in another order here than in the rows they were localized from,
+	// and how WithValues puts them right. unsortedInput says that a row
+	// arrived unsorted and was sorted here, so that its values no longer
+	// follow from the input order alone.
+	rotated       []int
+	unsortedInput bool
 }
 
 // NLocal returns the number of locally owned rows/columns.
@@ -54,7 +62,8 @@ func (lz *Localized) M32() *sparse.CSR32 {
 func (lz *Localized) HaloSet() []int { return lz.Halo }
 
 // Localize remaps a local-rows matrix (global column indices) into the
-// local+halo column numbering.
+// local+halo column numbering. Rows without values (nil Val) localize to a
+// structure without values, to be completed by WithValues.
 func Localize(lo, hi int, rows *sparse.CSR) *Localized {
 	var halo []int
 	for _, g := range rows.ColIdx {
@@ -68,14 +77,17 @@ func Localize(lo, hi int, rows *sparse.CSR) *Localized {
 	m := &sparse.CSR{
 		Rows:   rows.Rows,
 		Cols:   nl + len(halo),
-		RowPtr: append([]int(nil), rows.RowPtr...),
+		RowPtr: rows.RowPtr,
 		ColIdx: make([]int, rows.NNZ()),
-		Val:    make([]float64, rows.NNZ()),
 	}
+	if rows.Val != nil {
+		m.Val = make([]float64, rows.NNZ())
+	}
+	lz := &Localized{Lo: lo, Hi: hi, Halo: halo, M: m}
 	slot := func(g int) int { return nl + sort.SearchInts(halo, g) }
 	for i := 0; i < m.Rows; i++ {
-		cols, vals := rows.Row(i)
-		idx, val := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]], m.Val[m.RowPtr[i]:m.RowPtr[i+1]]
+		p, q := m.RowPtr[i], m.RowPtr[i+1]
+		cols, idx := rows.ColIdx[p:q], m.ColIdx[p:q]
 		// In a row sorted by global column the entries below lo come first,
 		// then the local ones, then those from hi up.
 		below, local, sorted := 0, 0, true
@@ -97,15 +109,17 @@ func Localize(lo, hi int, rows *sparse.CSR) *Localized {
 					idx[k] = slot(g)
 				}
 			}
-			copy(val, vals)
-			sparse.SortRowByColumn(idx, val)
+			lz.unsortedInput = true
+			if m.Val == nil {
+				slices.Sort(idx)
+				continue
+			}
+			copy(m.Val[p:q], rows.Val[p:q])
+			sparse.SortRowByColumn(idx, m.Val[p:q])
 			continue
 		}
 		// Locals number before every halo slot and halo slots ascend with the
 		// global index, so emitting local, below, above keeps the row sorted.
-		n := copy(val, vals[below:below+local])
-		n += copy(val[n:], vals[:below])
-		copy(val[n:], vals[below+local:])
 		w := 0
 		for _, g := range cols[below : below+local] {
 			idx[w] = g - lo
@@ -119,8 +133,48 @@ func Localize(lo, hi int, rows *sparse.CSR) *Localized {
 			idx[w] = slot(g)
 			w++
 		}
+		if below > 0 {
+			lz.rotated = append(lz.rotated, i, below, local)
+		}
+		if m.Val != nil {
+			rotateRow(m.Val[p:q], rows.Val[p:q], below, local)
+		}
 	}
-	return &Localized{Lo: lo, Hi: hi, Halo: halo, M: m}
+	return lz
+}
+
+// rotateRow moves one row's values from global-column order (below, local,
+// above) into localized order (local, below, above).
+func rotateRow(dst, src []float64, below, local int) {
+	n := copy(dst, src[below:below+local])
+	n += copy(dst[n:], src[:below])
+	copy(dst[n:], src[below+local:])
+}
+
+// WithValues returns a view that shares lz's structure — row pointers,
+// localized columns, halo list — over other values: vals are the entries of
+// the rows lz was localized from, row by row in ascending global column, as
+// a matrix with the same pattern stores them. Where no row reaches below
+// the local range the two orders are one and the view shares vals too;
+// otherwise its values are a copy with the rows that do put right.
+func (lz *Localized) WithValues(vals []float64) *Localized {
+	if lz.unsortedInput {
+		panic("distmat: WithValues on a view localized from rows that were not sorted by column")
+	}
+	m := lz.M
+	if len(vals) != m.NNZ() {
+		panic(fmt.Sprintf("distmat: WithValues got %d values for %d entries", len(vals), m.NNZ()))
+	}
+	if len(lz.rotated) > 0 {
+		src := vals
+		vals = slices.Clone(src)
+		for t := 0; t < len(lz.rotated); t += 3 {
+			p, q := m.RowPtr[lz.rotated[t]], m.RowPtr[lz.rotated[t]+1]
+			rotateRow(vals[p:q], src[p:q], lz.rotated[t+1], lz.rotated[t+2])
+		}
+	}
+	return &Localized{Lo: lz.Lo, Hi: lz.Hi, Halo: lz.Halo, rotated: lz.rotated,
+		M: &sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: vals}}
 }
 
 // HaloPlan is a rank's halo-update schedule: which locally-owned unknowns it

@@ -97,7 +97,15 @@ func ApplyPartition(a *sparse.CSR, part []int, nparts int) (*sparse.CSR, *Layout
 	if len(part) != a.Rows {
 		panic(fmt.Sprintf("distmat: partition length %d, want %d", len(part), a.Rows))
 	}
-	n := a.Rows
+	l, oldToNew := PartitionLayout(part, nparts)
+	return Permute(a, oldToNew), l, oldToNew
+}
+
+// PartitionLayout turns a partition assignment into the contiguous layout
+// and the permutation oldToNew that realizes it: the rows of part r become
+// the block Range(r), in their original relative order.
+func PartitionLayout(part []int, nparts int) (*Layout, []int) {
+	n := len(part)
 	counts := make([]int, nparts)
 	for _, p := range part {
 		if p < 0 || p >= nparts {
@@ -115,27 +123,58 @@ func ApplyPartition(a *sparse.CSR, part []int, nparts int) (*sparse.CSR, *Layout
 		oldToNew[i] = next[part[i]]
 		next[part[i]]++
 	}
-	return Permute(a, oldToNew), &Layout{N: n, Offsets: offsets}, oldToNew
+	return &Layout{N: n, Offsets: offsets}, oldToNew
 }
 
 // Permute applies the symmetric permutation P A Pᵀ where new index of old
-// row/column i is oldToNew[i]. The permuted rows are bucketed straight into
-// CSR (sparse.Assembler); a row is sorted only if the permutation disturbed
-// the order of its columns.
+// row/column i is oldToNew[i].
 func Permute(a *sparse.CSR, oldToNew []int) *sparse.CSR {
-	as := sparse.NewAssembler(a.Rows, a.Cols)
+	pa, src := PermutePattern(a, oldToNew)
+	pa.Val = Gather(a.Val, src)
+	return pa
+}
+
+// PermutePattern is the structure of Permute: the permuted matrix without
+// values, and for each of its entries the position in a's entry arrays it
+// came from, so that Gather(a.Val, src) are the permuted values — of a, or
+// of any matrix with a's pattern. A permutation moves whole rows, so each
+// new row is filled in one go; it is sorted only if the permutation
+// disturbed the order of its columns.
+func PermutePattern(a *sparse.CSR, oldToNew []int) (pa *sparse.CSR, src []int) {
+	pa = &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1), ColIdx: make([]int, a.NNZ())}
+	src = make([]int, a.NNZ())
 	for i := 0; i < a.Rows; i++ {
-		as.Count(oldToNew[i], a.RowNNZ(i))
+		pa.RowPtr[oldToNew[i]+1] = a.RowNNZ(i)
 	}
-	as.Begin()
 	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.Row(i)
-		ni := oldToNew[i]
-		for k, j := range cols {
-			as.Put(ni, oldToNew[j], vals[k])
+		pa.RowPtr[i+1] += pa.RowPtr[i]
+	}
+	for i := 0; i < a.Rows; i++ {
+		lo := pa.RowPtr[oldToNew[i]]
+		cols := pa.ColIdx[lo : lo+a.RowNNZ(i)]
+		from := src[lo : lo+len(cols)]
+		sorted := true
+		for k := range cols {
+			p := a.RowPtr[i] + k
+			cols[k], from[k] = oldToNew[a.ColIdx[p]], p
+			if k > 0 && cols[k] < cols[k-1] {
+				sorted = false
+			}
+		}
+		if !sorted {
+			sparse.SortRowByColumn(cols, from)
 		}
 	}
-	return as.Finish()
+	return pa, src
+}
+
+// Gather returns the values at the positions src names: out[k] = vals[src[k]].
+func Gather(vals []float64, src []int) []float64 {
+	out := make([]float64, len(src))
+	for k, p := range src {
+		out[k] = vals[p]
+	}
+	return out
 }
 
 // PermuteVec returns the vector with components moved to their new indices.
@@ -147,18 +186,19 @@ func PermuteVec(x []float64, oldToNew []int) []float64 {
 	return out
 }
 
-// ExtractLocalRows returns the block of global rows [lo,hi) of a as a new
-// CSR with hi-lo rows and untouched (global) column indices. In this
-// simulated runtime every rank shares the process address space, so
-// "scattering" the matrix is a slice extraction.
+// ExtractLocalRows returns the block of global rows [lo,hi) of a as a CSR
+// with hi-lo rows and untouched (global) column indices. In this simulated
+// runtime every rank shares the process address space, so "scattering" the
+// matrix is a slice extraction: the block's entry arrays are views into a's
+// (read-only, like a itself), only the row pointers are its own.
 func ExtractLocalRows(a *sparse.CSR, lo, hi int) *sparse.CSR {
-	nl := hi - lo
-	out := sparse.NewCSR(nl, a.Cols, a.RowPtr[hi]-a.RowPtr[lo])
-	for i := 0; i < nl; i++ {
-		cols, vals := a.Row(lo + i)
-		out.ColIdx = append(out.ColIdx, cols...)
-		out.Val = append(out.Val, vals...)
-		out.RowPtr[i+1] = len(out.ColIdx)
+	p, q := a.RowPtr[lo], a.RowPtr[hi]
+	out := &sparse.CSR{Rows: hi - lo, Cols: a.Cols, RowPtr: make([]int, hi-lo+1), ColIdx: a.ColIdx[p:q:q]}
+	if a.Val != nil {
+		out.Val = a.Val[p:q:q]
+	}
+	for i := range out.RowPtr {
+		out.RowPtr[i] = a.RowPtr[lo+i] - p
 	}
 	return out
 }

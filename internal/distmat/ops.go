@@ -227,12 +227,32 @@ func ownerNear(l *Layout, g, p int) int {
 // global column indices; wanted lists global row indices (duplicates
 // allowed, remote or local). Only the remote ones travel; the result serves
 // every wanted row, local ones straight from rows. Collective: all ranks
-// must call together, a rank that wants nothing included — the request
-// counts are exchanged by every rank so that none waits on a peer that has
-// nothing to ask. This is the FSAI setup-phase exchange (each process needs
-// A's rows for its halo unknowns); it happens once per preconditioner build,
-// not per iteration.
+// must call together, a rank that wants nothing included. This is the FSAI
+// setup-phase exchange (each process needs A's rows for its halo unknowns);
+// it happens once per preconditioner build, not per iteration.
 func GatherRemoteRows(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, wanted []int) *GatheredRows {
+	return PlanGather(c, l, lo, hi, rows, wanted).Values(c, rows)
+}
+
+// GatherPlan is a remote-row gather without the values: which rows this
+// rank fetches, their columns, and which of its own rows it serves to whom.
+// It is a function of the matrix pattern and the wanted rows alone, so one
+// plan serves every matrix with that pattern (Values), shared read-only.
+type GatherPlan struct {
+	lo, hi int
+	ids    []int // sorted global indices of the fetched rows
+	ptr    []int // row k of ids occupies cols[ptr[k]:ptr[k+1]]
+	cols   []int
+	// owners lists, ascending, the ranks the fetched rows come from — the
+	// order their rows sit in ids — and serve[r] the local rows sent to r.
+	owners []int
+	serve  [][]int
+}
+
+// PlanGather is the index half of GatherRemoteRows; rows needs no values.
+// Collective — the request counts are exchanged by every rank so that none
+// waits on a peer that has nothing to ask.
+func PlanGather(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, wanted []int) *GatherPlan {
 	size := c.Size()
 	rank := c.Rank()
 	var need []int
@@ -262,60 +282,111 @@ func GatherRemoteRows(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, w
 		}
 	}
 	// Serve requests.
+	g := &GatherPlan{lo: lo, hi: hi, ids: need, ptr: make([]int, 1, len(need)+1), serve: make([][]int, size)}
 	for r := 0; r < size; r++ {
 		if r == rank || all[r*size+rank] == 0 {
 			continue
 		}
 		req := c.RecvInts(r, tagRowMeta)
 		total := 0
-		for _, g := range req {
-			if g < lo || g >= hi {
-				panic(fmt.Sprintf("distmat: rank %d asked rank %d for non-local row %d", r, rank, g))
+		for k, gi := range req {
+			if gi < lo || gi >= hi {
+				panic(fmt.Sprintf("distmat: rank %d asked rank %d for non-local row %d", r, rank, gi))
 			}
-			total += rows.RowNNZ(g - lo)
+			req[k] = gi - lo
+			total += rows.RowNNZ(gi - lo)
 		}
+		g.serve[r] = req
 		// One int message: the row lengths, then every row's columns.
 		meta := make([]int, len(req), len(req)+total)
-		flatVals := make([]float64, 0, total)
-		for k, g := range req {
-			cols, vals := rows.Row(g - lo)
-			meta[k] = len(cols)
-			meta = append(meta, cols...)
-			flatVals = append(flatVals, vals...)
+		for k, li := range req {
+			meta[k] = rows.RowNNZ(li)
+			meta = append(meta, rows.ColIdx[rows.RowPtr[li]:rows.RowPtr[li+1]]...)
 		}
 		c.SendInts(r, tagRowCols, meta)
-		c.SendFloats(r, tagRowVals, flatVals)
 	}
 	// Collect responses in owner order, which is the order of need.
-	out := &GatheredRows{lo: lo, hi: hi, local: rows, ids: need, ptr: make([]int, 1, len(need)+1)}
 	for p := 0; p < size; p++ {
 		req := needByOwner[p]
 		if p == rank || len(req) == 0 {
 			continue
 		}
+		g.owners = append(g.owners, p)
 		meta := c.RecvInts(p, tagRowCols)
-		vals := c.RecvFloats(p, tagRowVals)
 		for _, n := range meta[:len(req)] {
-			out.ptr = append(out.ptr, out.ptr[len(out.ptr)-1]+n)
+			g.ptr = append(g.ptr, g.ptr[len(g.ptr)-1]+n)
 		}
-		out.cols = append(out.cols, meta[len(req):]...)
-		out.vals = append(out.vals, vals...)
+		g.cols = append(g.cols, meta[len(req):]...)
 	}
-	if len(out.cols) != out.ptr[len(out.ptr)-1] || len(out.vals) != len(out.cols) {
-		panic(fmt.Sprintf("distmat: rank %d gathered %d columns and %d values for %d announced entries",
-			rank, len(out.cols), len(out.vals), out.ptr[len(out.ptr)-1]))
+	if len(g.cols) != g.ptr[len(g.ptr)-1] {
+		panic(fmt.Sprintf("distmat: rank %d gathered %d columns for %d announced entries", rank, len(g.cols), g.ptr[len(g.ptr)-1]))
+	}
+	return g
+}
+
+// Values is the value half: every rank sends the values of the rows it
+// serves and receives those of the rows it fetches. rows is the rank's
+// block of a matrix with the planned pattern. Collective.
+func (g *GatherPlan) Values(c *simmpi.Comm, rows *sparse.CSR) *GatheredRows {
+	for r, req := range g.serve {
+		if len(req) == 0 {
+			continue
+		}
+		var flat []float64
+		for _, li := range req {
+			flat = append(flat, rows.Val[rows.RowPtr[li]:rows.RowPtr[li+1]]...)
+		}
+		c.SendFloats(r, tagRowVals, flat)
+	}
+	out := &GatheredRows{lo: g.lo, hi: g.hi, local: rows, ids: g.ids, ptr: g.ptr, cols: g.cols}
+	for _, p := range g.owners {
+		out.vals = append(out.vals, c.RecvFloats(p, tagRowVals)...)
+	}
+	if len(out.vals) != len(out.cols) {
+		panic(fmt.Sprintf("distmat: rank %d gathered %d values for %d columns", c.Rank(), len(out.vals), len(out.cols)))
 	}
 	return out
 }
 
+// SizeBytes is what the plan's index lists occupy.
+func (g *GatherPlan) SizeBytes() int64 {
+	n := len(g.ids) + len(g.ptr) + len(g.cols) + len(g.owners)
+	for _, req := range g.serve {
+		n += len(req)
+	}
+	return 8 * int64(n)
+}
+
 // TransposeDist computes the distributed transpose: given this rank's local
 // rows of G (global columns), it returns this rank's local rows of Gᵀ
-// (global columns). Entry (i,j) owned here is shipped to the owner of row j
-// of Gᵀ (= owner of global column j). The received entries are bucketed by
-// row straight into CSR; sources are taken in rank order, each delivers its
-// entries by ascending row i, so every row of Gᵀ arrives with ascending
-// columns and nothing is sorted. Collective.
+// (global columns). Collective.
 func TransposeDist(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR) *sparse.CSR {
+	t := PlanTranspose(c, l, lo, hi, rows)
+	return &sparse.CSR{Rows: hi - lo, Cols: l.N, RowPtr: t.RowPtr, ColIdx: t.ColIdx, Val: t.Values(c, rows.Val)}
+}
+
+// TransposePlan is a distributed transpose without the values: this rank's
+// rows of Gᵀ as a pattern, and for every entry of its rows of G where the
+// value goes — a position in Gᵀ's entry array here, or a place in the
+// message to the rank that owns the entry's column. It is a function of
+// G's pattern alone; Values runs it for one set of values. Shared read-only.
+type TransposePlan struct {
+	// RowPtr and ColIdx are this rank's rows of Gᵀ, global columns.
+	RowPtr, ColIdx []int
+	// to[e] is the position in Gᵀ's entries of entry e of G, −1 if it leaves
+	// this rank; send[p] lists the entries shipped to rank p in shipping
+	// order, recv[r] the positions of the values rank r ships here.
+	to         []int
+	send, recv [][]int
+}
+
+// PlanTranspose is the index half of TransposeDist; rows needs no values.
+// Entry (i,j) owned here is announced to the owner of row j of Gᵀ (= owner
+// of global column j). The announced entries are bucketed by row; sources
+// are taken in rank order, each delivers its entries by ascending row i, so
+// every row of Gᵀ is filled with ascending columns and nothing is sorted.
+// Collective.
+func PlanTranspose(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR) *TransposePlan {
 	size := c.Size()
 	rank := c.Rank()
 	if rlo, rhi := l.Range(rank); rlo != lo || rhi != hi || rows.Rows != hi-lo {
@@ -328,80 +399,126 @@ func TransposeDist(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR) *spa
 		counts[own]++
 	}
 	all := c.AllgatherInt64(counts)
-	// Pack what leaves this rank: (i, j) pairs and values per destination.
-	// Entries that stay are read from rows again below.
+	t := &TransposePlan{RowPtr: make([]int, hi-lo+1), to: make([]int, rows.NNZ()), send: make([][]int, size), recv: make([][]int, size)}
+	// Announce what leaves this rank: (i, j) pairs per destination.
 	flat := make([][]int, size)
-	vals := make([][]float64, size)
 	for p, n := range counts {
 		if p != rank && n > 0 {
 			flat[p] = make([]int, 0, 2*n)
-			vals[p] = make([]float64, 0, n)
+			t.send[p] = make([]int, 0, n)
 		}
 	}
 	for li := 0; li < rows.Rows; li++ {
-		cols, vs := rows.Row(li)
-		for k, gj := range cols {
+		for e := rows.RowPtr[li]; e < rows.RowPtr[li+1]; e++ {
+			gj := rows.ColIdx[e]
 			if own = ownerNear(l, gj, own); own != rank {
 				flat[own] = append(flat[own], lo+li, gj)
-				vals[own] = append(vals[own], vs[k])
+				t.send[own] = append(t.send[own], e)
+			} else {
+				t.RowPtr[gj-lo+1]++
 			}
 		}
 	}
 	for p := 0; p < size; p++ {
 		if p != rank && counts[p] > 0 {
 			c.SendInts(p, tagTransp, flat[p])
-			c.SendFloats(p, tagTransp, vals[p])
 		}
 	}
-	// What arrives, per source rank, in the same (i, j) / value layout.
-	inIdx := make([][]int, size)
-	inVal := make([][]float64, size)
+	// What arrives, per source rank, in the same (i, j) layout.
+	in := make([][]int, size)
 	for r := 0; r < size; r++ {
-		if r != rank && all[r*size+rank] > 0 {
-			inIdx[r] = c.RecvInts(r, tagTransp)
-			inVal[r] = c.RecvFloats(r, tagTransp)
+		if r == rank || all[r*size+rank] == 0 {
+			continue
 		}
-	}
-
-	as := sparse.NewAssembler(hi-lo, l.N)
-	for _, gj := range rows.ColIdx {
-		if gj >= lo && gj < hi {
-			as.Count(gj-lo, 1)
-		}
-	}
-	for r, f := range inIdx {
-		if len(f) != 2*len(inVal[r]) {
-			panic(fmt.Sprintf("distmat: rank %d sent rank %d %d indices for %d values", r, rank, len(f), len(inVal[r])))
-		}
+		f := c.RecvInts(r, tagTransp)
 		rlo, rhi := l.Range(r)
-		for k := 0; k < len(f); k += 2 {
+		for k := 0; k+1 < len(f); k += 2 {
 			gi, gj := f[k], f[k+1]
 			if gj < lo || gj >= hi || gi < rlo || gi >= rhi {
 				panic(fmt.Sprintf("distmat: rank %d sent rank %d entry (%d,%d), outside rows [%d,%d) x columns [%d,%d)",
 					r, rank, gi, gj, rlo, rhi, lo, hi))
 			}
-			as.Count(gj-lo, 1)
+			t.RowPtr[gj-lo+1]++
 		}
+		in[r] = f
 	}
-	as.Begin()
+	for i := 0; i < hi-lo; i++ {
+		t.RowPtr[i+1] += t.RowPtr[i]
+	}
+	t.ColIdx = make([]int, t.RowPtr[hi-lo])
+	next := append([]int(nil), t.RowPtr[:hi-lo]...)
+	place := func(row, col int) int {
+		p := next[row]
+		next[row]++
+		t.ColIdx[p] = col // transposed: row j, column i
+		return p
+	}
 	for r := 0; r < size; r++ {
 		if r == rank {
 			for li := 0; li < rows.Rows; li++ {
-				cols, vs := rows.Row(li)
-				for k, gj := range cols {
-					if gj >= lo && gj < hi {
-						as.Put(gj-lo, lo+li, vs[k]) // transposed: row j, column i
+				for e := rows.RowPtr[li]; e < rows.RowPtr[li+1]; e++ {
+					if gj := rows.ColIdx[e]; gj >= lo && gj < hi {
+						t.to[e] = place(gj-lo, lo+li)
+					} else {
+						t.to[e] = -1
 					}
 				}
 			}
 			continue
 		}
-		f := inIdx[r]
-		for k, v := range inVal[r] {
-			as.Put(f[2*k+1]-lo, f[2*k], v)
+		t.recv[r] = make([]int, len(in[r])/2)
+		for k := range t.recv[r] {
+			t.recv[r][k] = place(in[r][2*k+1]-lo, in[r][2*k])
 		}
 	}
-	return as.Finish()
+	return t
+}
+
+// Values is the value half of the transpose: vals are the entries of the
+// rank's rows of a matrix with the planned pattern; the result are the
+// entries of its rows of the transpose, over RowPtr and ColIdx. Collective.
+func (t *TransposePlan) Values(c *simmpi.Comm, vals []float64) []float64 {
+	if len(vals) != len(t.to) {
+		panic(fmt.Sprintf("distmat: transpose planned for %d entries, got %d values", len(t.to), len(vals)))
+	}
+	for p, es := range t.send {
+		if len(es) == 0 {
+			continue
+		}
+		buf := make([]float64, len(es))
+		for k, e := range es {
+			buf[k] = vals[e]
+		}
+		c.SendFloats(p, tagTransp, buf)
+	}
+	out := make([]float64, len(t.ColIdx))
+	for e, p := range t.to {
+		if p >= 0 {
+			out[p] = vals[e]
+		}
+	}
+	for r, ps := range t.recv {
+		if len(ps) == 0 {
+			continue
+		}
+		in := c.RecvFloats(r, tagTransp)
+		if len(in) != len(ps) {
+			panic(fmt.Sprintf("distmat: rank %d sent rank %d %d values for %d planned entries", r, c.Rank(), len(in), len(ps)))
+		}
+		for k, p := range ps {
+			out[p] = in[k]
+		}
+	}
+	return out
+}
+
+// SizeBytes is what the plan's index lists occupy.
+func (t *TransposePlan) SizeBytes() int64 {
+	n := len(t.RowPtr) + len(t.ColIdx) + len(t.to)
+	for p := range t.send {
+		n += len(t.send[p]) + len(t.recv[p])
+	}
+	return 8 * int64(n)
 }
 
 // NNZImbalanceIndex computes the paper's imbalance index for per-rank entry

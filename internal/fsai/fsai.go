@@ -99,13 +99,14 @@ func sameRow(prev *sparse.CSR, s *sparse.Pattern, li int) bool {
 // sameRow holds and solved otherwise. src serves the rows of A the solves
 // read: the whole matrix in the serial build, a rank's block plus its
 // gathered halo rows in the distributed one. It returns the factor and the
-// number of copied rows.
+// number of copied rows. The factor shares the pattern's index arrays, which
+// are read-only like every pattern: only its values are new.
 func buildRows(src *distmat.GatheredRows, s *sparse.Pattern, lo int, prev *sparse.CSR, workers int) (*sparse.CSR, int, error) {
 	g := &sparse.CSR{
 		Rows:   s.Rows,
 		Cols:   s.Cols,
-		RowPtr: append([]int(nil), s.RowPtr...),
-		ColIdx: append([]int(nil), s.ColIdx...),
+		RowPtr: s.RowPtr,
+		ColIdx: s.ColIdx,
 		Val:    make([]float64, s.NNZ()),
 	}
 	var reused atomic.Int64
@@ -161,11 +162,7 @@ func checkRowPattern(i int, cols []int) error {
 // row-major; the diagonal position of row i is last because the pattern is
 // lower triangular and sorted) and writes the normalized g-row into out.
 func solveRow(i int, sub []float64, m int, out []float64) error {
-	for k := range out {
-		out[k] = 0
-	}
-	out[m-1] = 1
-	if err := dense.SolveSPD(sub, m, out); err != nil {
+	if err := dense.SolveSPDLast(sub, m, out); err != nil {
 		return fmt.Errorf("fsai: row %d local system: %w", i, err)
 	}
 	yd := out[m-1]
@@ -302,23 +299,39 @@ func RebuildDistWorkers(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, pr
 	if prev != nil && prev.Rows != s.Pattern.Rows {
 		return nil, 0, fmt.Errorf("fsai: previous factor has %d rows, pattern has %d", prev.Rows, s.Pattern.Rows)
 	}
-	lo, hi := s.Lo, s.Hi
-	// The restriction A(S_i,S_i) reads row k of A for each k ∈ S_i; the
-	// remote ones among them must be fetched (GatherRemoteRows sorts the list
-	// and drops the repeats).
+	rows := distmat.GatherRemoteRows(c, l, s.Lo, s.Hi, aRows, RemoteColumns(s, prev))
+	return buildRows(rows, s.Pattern, s.Lo, prev, workers)
+}
+
+// RemoteColumns lists the rows of A a build on s reads beyond the rank's own
+// block: the restriction A(S_i,S_i) reads row k of A for each k ∈ S_i, so
+// these are the halo columns of every row that is solved — all of them, or
+// with prev those whose pattern differs from prev's. Repeats are left in
+// (the gather sorts the list and drops them).
+func RemoteColumns(s *DistRows, prev *sparse.CSR) []int {
 	var need []int
 	for li := 0; li < s.Pattern.Rows; li++ {
 		if sameRow(prev, s.Pattern, li) {
 			continue
 		}
 		for _, g := range s.Pattern.Row(li) {
-			if g < lo || g >= hi {
+			if g < s.Lo || g >= s.Hi {
 				need = append(need, g)
 			}
 		}
 	}
-	rows := distmat.GatherRemoteRows(c, l, lo, hi, aRows, need)
-	return buildRows(rows, s.Pattern, lo, prev, workers)
+	return need
+}
+
+// BuildGathered is BuildDistWorkers on rows of A that are already here: src
+// must serve the rank's block and every row RemoteColumns(s, nil) names. It
+// communicates nothing.
+func BuildGathered(src *distmat.GatheredRows, s *DistRows, workers int) (*sparse.CSR, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	g, _, err := buildRows(src, s.Pattern, s.Lo, nil, workers)
+	return g, err
 }
 
 // gatherSub fills the lower triangle of the dense m×m restriction

@@ -264,7 +264,9 @@ func TestPreparedSurvivesLostWorkersAndCancels(t *testing.T) {
 	ctx := context.Background()
 	tcp := fsaicomm.SolveOptions{Transport: "tcp"}
 	// An unreachable (but positive: zero means "default") tolerance keeps a
-	// solve iterating until something stops it.
+	// solve iterating until something stops it — the fault, which therefore
+	// comes early: left alone for some 1,500 iterations (300 ms on a quiet
+	// host) the residual underflows and the solve ends in a breakdown.
 	endless := fsaicomm.SolveOptions{Transport: "tcp", Tol: 1e-300, MaxIter: 1 << 30}
 	want, err := p.Solve(ctx, b, tcp)
 	if err != nil {
@@ -286,12 +288,12 @@ func TestPreparedSurvivesLostWorkersAndCancels(t *testing.T) {
 		}, fsaicomm.ErrRankLost},
 		{"worker killed mid-solve", func() error {
 			m := current()
-			time.AfterFunc(300*time.Millisecond, func() { m.KillWorker(0) })
+			time.AfterFunc(100*time.Millisecond, func() { m.KillWorker(0) })
 			_, err := p.Solve(ctx, b, endless)
 			return err
 		}, fsaicomm.ErrRankLost},
 		{"canceled mid-solve", func() error {
-			cctx, cancel := context.WithTimeout(ctx, 300*time.Millisecond)
+			cctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
 			defer cancel()
 			res, err := p.Solve(cctx, b, endless)
 			if res == nil || len(res.X) != a.Rows {

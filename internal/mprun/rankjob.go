@@ -46,7 +46,7 @@ func (j *JobSpec) obtain(c *simmpi.Comm) (rankOps, error) {
 	if err != nil {
 		return rankOps{}, err
 	}
-	return rankOps{a: distmat.NewOp(c, j.Layout, lo, hi, aRows), g: bd.GOp, gt: bd.GTOp, m: bd.MOp,
+	return rankOps{a: bd.AOp, g: bd.GOp, gt: bd.GTOp, m: bd.MOp,
 		pct: bd.PctNNZIncrease, imb: bd.ImbalanceIndex}, nil
 }
 

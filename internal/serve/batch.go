@@ -69,7 +69,7 @@ func batchKey(skey string, so fsaicomm.SolveOptions) string {
 func (s *Server) solveBatched(w http.ResponseWriter, r *http.Request, q *solveRequest, m *uploaded, opt fsaicomm.Options, so fsaicomm.SolveOptions) {
 	a := m.a
 	ranks := fsaicomm.AutoRanks(a, opt.Ranks)
-	skey := setupKey(q.Matrix, opt, ranks)
+	skey := setupKey(q.Matrix, m.pattern, opt, ranks)
 	bkey := batchKey(skey, so)
 
 	// A member needs its right-hand side in hand to enrol, so it is made
@@ -276,6 +276,7 @@ func (s *Server) writeBatchColumn(w http.ResponseWriter, q *solveRequest, ob *op
 		Refinements: res.Refinements,
 		SetupMs:     float64(ob.st.setup) / float64(time.Millisecond),
 		SetupPhases: ob.st.phases,
+		PatternHit:  ob.st.patternHit,
 		SolveMs:     float64(res.SolveTime) / float64(time.Millisecond),
 		CommBytes:   res.CommBytes / k,
 		Collectives: res.CollectiveCalls / k,

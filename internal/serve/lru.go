@@ -92,6 +92,19 @@ func (c *lru) Get(key string) (any, bool) {
 	return nil, false
 }
 
+// Find returns the most recently used value whose key match accepts. It is
+// a look, not a use: recency and the hit and miss counters stand still.
+func (c *lru) Find(match func(key string) bool) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if ent := el.Value.(*lruEntry); match(ent.key) {
+			return ent.val, true
+		}
+	}
+	return nil, false
+}
+
 // Add inserts (or refreshes) a value and evicts from the cold end until the
 // budget holds again. The newest entry is never evicted, so a single value
 // larger than the whole budget is still cached and served.

@@ -162,7 +162,11 @@ type metrics struct {
 	queued        atomic.Int64
 
 	preparedHits, preparedMisses, preparedEvictions atomic.Int64
-	matrixHits, matrixMisses, matrixEvictions       atomic.Int64
+	// What became of the prepared-cache misses: set up by Refactor on a
+	// cached system of the same pattern (of those, how many found their
+	// filtered pattern moved and planned the factors afresh), or by Prepare.
+	patternHits, patternMisses, patternReplans atomic.Int64
+	matrixHits, matrixMisses, matrixEvictions  atomic.Int64
 
 	iterations      atomic.Int64
 	commBytes       atomic.Int64
@@ -201,6 +205,16 @@ type cacheSnapshot struct {
 	BudgetBytes int64 `json:"budget_bytes"`
 }
 
+// preparedSnapshot is the prepared cache's occupancy and, for its misses,
+// how many were set up on a cached system's analysis (pattern hits; replans
+// are those among them whose filtered pattern moved) and how many in full.
+type preparedSnapshot struct {
+	cacheSnapshot
+	PatternHits    int64 `json:"pattern_hits"`
+	PatternMisses  int64 `json:"pattern_misses"`
+	PatternReplans int64 `json:"pattern_replans"`
+}
+
 type metricsSnapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Jobs          struct {
@@ -213,8 +227,8 @@ type metricsSnapshot struct {
 		Queued    int64 `json:"queued"`
 	} `json:"jobs"`
 	Cache struct {
-		Prepared cacheSnapshot `json:"prepared"`
-		Matrices cacheSnapshot `json:"matrices"`
+		Prepared preparedSnapshot `json:"prepared"`
+		Matrices cacheSnapshot    `json:"matrices"`
 	} `json:"cache"`
 	Solve struct {
 		Iterations        int64 `json:"iterations_total"`
@@ -251,10 +265,14 @@ func (m *metrics) snapshot(prepared, matrices *lru) ([]byte, error) {
 	s.Jobs.Canceled = m.jobsCanceled.Load()
 	s.Jobs.InFlight = m.inFlight.Load()
 	s.Jobs.Queued = m.queued.Load()
-	s.Cache.Prepared = cacheSnapshot{
-		Hits: m.preparedHits.Load(), Misses: m.preparedMisses.Load(),
-		Evictions: m.preparedEvictions.Load(),
-		Entries:   prepared.Len(), Bytes: prepared.UsedBytes(), BudgetBytes: prepared.Budget(),
+	s.Cache.Prepared = preparedSnapshot{
+		cacheSnapshot: cacheSnapshot{
+			Hits: m.preparedHits.Load(), Misses: m.preparedMisses.Load(),
+			Evictions: m.preparedEvictions.Load(),
+			Entries:   prepared.Len(), Bytes: prepared.UsedBytes(), BudgetBytes: prepared.Budget(),
+		},
+		PatternHits: m.patternHits.Load(), PatternMisses: m.patternMisses.Load(),
+		PatternReplans: m.patternReplans.Load(),
 	}
 	s.Cache.Matrices = cacheSnapshot{
 		Hits: m.matrixHits.Load(), Misses: m.matrixMisses.Load(),

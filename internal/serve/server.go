@@ -32,6 +32,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -303,21 +304,23 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fail(http.StatusBadRequest, "matrix contains NaN or Inf values"))
 		return
 	}
-	fp := a.Fingerprint()
+	fp, pattern := a.FingerprintWithPattern()
 	_, known := s.matrices.Get(fp)
 	if !known {
-		s.matrices.Add(fp, &uploaded{a: a, maxNorm: a.MaxNorm()}, matrixBytes(a))
+		s.matrices.Add(fp, &uploaded{a: a, maxNorm: a.MaxNorm(), pattern: pattern}, matrixBytes(a))
 	}
 	s.logf("serve: matrix %s ingested (%dx%d, %d nnz, cached=%v)", fp, a.Rows, a.Cols, a.NNZ(), known)
 	writeJSON(w, http.StatusOK, matrixResponse{Matrix: fp, Rows: a.Rows, NNZ: a.NNZ(), Cached: known})
 }
 
-// uploaded is a matrix-cache entry: the matrix and its max-norm, taken once
-// at upload so that a seeded right-hand side (which is scaled to it) does
-// not rescan every stored value per request.
+// uploaded is a matrix-cache entry: the matrix, its max-norm, taken once at
+// upload so that a seeded right-hand side (which is scaled to it) does not
+// rescan every stored value per request, and the digest of its sparsity
+// pattern, which the fingerprint's pass yields on its way.
 type uploaded struct {
 	a       *fsaicomm.Matrix
 	maxNorm float64
+	pattern string
 }
 
 // generateRHS draws the seeded right-hand side; a variable so that a test
@@ -509,14 +512,16 @@ func (q *solveRequest) options() (fsaicomm.Options, fsaicomm.SolveOptions, error
 	return opt, so, nil
 }
 
-// setupKey is the prepared-cache key: content fingerprint plus every option
-// that shapes the partition or the factors, canonicalized so spellings of
-// the same setup share an entry ("" and "multilevel", 0 and 64-byte lines,
-// automatic and explicit equal rank counts). Workers is deliberately
-// excluded: it parallelizes the build without changing its result. So is
-// Transport: setup always runs in-process, and the two solve backends are
-// bit-identical, so a prepared system serves requests on either.
-func setupKey(fp string, o fsaicomm.Options, ranks int) string {
+// setupKey is the prepared-cache key: content fingerprint, pattern digest,
+// and every option that shapes the partition or the factors, canonicalized
+// so spellings of the same setup share an entry ("" and "multilevel", 0 and
+// 64-byte lines, automatic and explicit equal rank counts). Workers is
+// deliberately excluded: it parallelizes the build without changing its
+// result. So is Transport: setup always runs in-process, and the two solve
+// backends are bit-identical, so a prepared system serves requests on
+// either. Everything after the fingerprint is what two systems must share
+// for one to be refactored from the other (donorSuffix).
+func setupKey(fp, pattern string, o fsaicomm.Options, ranks int) string {
 	lb := o.LineBytes
 	if lb == 0 {
 		lb = 64
@@ -529,8 +534,8 @@ func setupKey(fp string, o fsaicomm.Options, ranks int) string {
 	if part == "" {
 		part = "multilevel"
 	}
-	key := fmt.Sprintf("%s|m%d|f%g|s%d|lb%d|pl%d|th%g|r%d|%s|seed%d|%s",
-		fp, o.Method, o.Filter, o.Strategy, lb, pl, o.Threshold, ranks, part, o.PartitionSeed,
+	key := fmt.Sprintf("%s|p%s|m%d|f%g|s%d|lb%d|pl%d|th%g|r%d|%s|seed%d|%s",
+		fp, pattern, o.Method, o.Filter, o.Strategy, lb, pl, o.Threshold, ranks, part, o.PartitionSeed,
 		o.Precision)
 	if o.Method == fsaicomm.SPAI {
 		// The adaptive SPAI knobs shape the cached inverse; the solver is
@@ -539,6 +544,11 @@ func setupKey(fp string, o fsaicomm.Options, ranks int) string {
 	}
 	return key
 }
+
+// donorSuffix is the part of a prepared-cache key behind the fingerprint:
+// pattern digest and setup options. A cached system whose key ends in it
+// was analysed for the same pattern under the same options.
+func donorSuffix(key string) string { return key[strings.IndexByte(key, '|'):] }
 
 // solveResponse answers POST /solve. X round-trips float64s bit-exactly
 // through JSON (encoding/json emits shortest-form decimals), so two cached
@@ -570,9 +580,12 @@ type solveResponse struct {
 	Trace *fsaicomm.IterTrace `json:"trace,omitempty"`
 
 	// SetupPhases says where setup_ms went; present only on the response
-	// that paid for the Prepare (a cache miss), so cached responses keep
-	// their shape and size.
+	// that paid for the set-up (a cache miss), so cached responses keep
+	// their shape and size. PatternHit marks a miss whose set-up ran on the
+	// analysis of a cached system with the same sparsity pattern: the phases
+	// that read the pattern alone then say 0.
 	SetupPhases *setupPhasesMs `json:"setup_phases_ms,omitempty"`
+	PatternHit  bool           `json:"pattern_hit,omitempty"`
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -669,7 +682,7 @@ func (s *Server) solveAdmitted(r *http.Request, q *solveRequest, m *uploaded, op
 	defer cancel()
 
 	ranks := fsaicomm.AutoRanks(m.a, opt.Ranks)
-	key := setupKey(q.Matrix, opt, ranks)
+	key := setupKey(q.Matrix, m.pattern, opt, ranks)
 	t0 := time.Now()
 	p, st, err := s.prepare(key, m.a, opt)
 	if err != nil {
@@ -713,6 +726,7 @@ func (s *Server) solveAdmitted(r *http.Request, q *solveRequest, m *uploaded, op
 		Refinements: res.Refinements,
 		SetupMs:     float64(st.setup) / float64(time.Millisecond),
 		SetupPhases: st.phases,
+		PatternHit:  st.patternHit,
 		SolveMs:     float64(res.SolveTime) / float64(time.Millisecond),
 		ModeledSec:  res.ModeledSolveTime,
 		CommBytes:   res.CommBytes,
@@ -740,21 +754,32 @@ type setupPhasesMs struct {
 }
 
 // setupOutcome is what a request learns from the prepared cache: whether its
-// system was already there and, if this request paid for the Prepare, how
-// long it took and where the time went.
+// system was already there and, if this request paid for the set-up, how
+// long it took, where the time went, and whether a cached system of the same
+// pattern had the analysis done.
 type setupOutcome struct {
-	hit    bool
-	setup  time.Duration  // 0 on a hit
-	phases *setupPhasesMs // nil on a hit
+	hit        bool
+	setup      time.Duration  // 0 on a hit
+	phases     *setupPhasesMs // nil on a hit
+	patternHit bool
 }
 
-// prepare returns the prepared system for key, building it on a miss. The
-// build's phase breakdown is added to the /metrics totals exactly once, by
-// the request that ran it.
+// prepare returns the prepared system for key, setting it up on a miss: by
+// Refactor from the most recently used cached system analysed for the same
+// pattern under the same options, if the cache still holds one, by a full
+// Prepare otherwise. The donor is only ever read, and whatever happens to it
+// afterwards — eviction, Close — leaves the new system whole. The set-up's
+// phase breakdown is added to the /metrics totals exactly once, by the
+// request that ran it.
 func (s *Server) prepare(key string, a *fsaicomm.Matrix, opt fsaicomm.Options) (*fsaicomm.Prepared, setupOutcome, error) {
 	t0 := time.Now()
+	var st setupOutcome
 	pv, hit, err := s.prepared.GetOrBuild(key, func() (any, int64, error) {
-		p, err := fsaicomm.Prepare(a, opt)
+		p, err := s.refactorFromCache(key, a)
+		if st.patternHit = p != nil; err == nil && !st.patternHit {
+			s.met.patternMisses.Add(1)
+			p, err = fsaicomm.Prepare(a, opt)
+		}
 		if err != nil {
 			return nil, 0, err
 		}
@@ -765,14 +790,37 @@ func (s *Server) prepare(key string, a *fsaicomm.Matrix, opt fsaicomm.Options) (
 		return nil, setupOutcome{}, err
 	}
 	p := pv.(*fsaicomm.Prepared)
-	st := setupOutcome{hit: hit}
-	if !hit {
+	if st.hit = hit; !hit {
 		st.setup = time.Since(t0)
 		var one phaseTotals
 		one.add(p.SetupPhases())
 		st.phases = one.snapshot()
 	}
 	return p, st, nil
+}
+
+// refactorFromCache sets a's system up on the analysis of the most recently
+// used cached system whose key shares key's donorSuffix. It returns nil
+// without an error when the cache holds no such system — or holds one whose
+// pattern is not a's after all, two patterns under one digest.
+func (s *Server) refactorFromCache(key string, a *fsaicomm.Matrix) (*fsaicomm.Prepared, error) {
+	suffix := donorSuffix(key)
+	donor, ok := s.prepared.Find(func(k string) bool { return strings.HasSuffix(k, suffix) })
+	if !ok {
+		return nil, nil
+	}
+	p, err := donor.(*fsaicomm.Prepared).Refactor(a)
+	if err != nil {
+		if errors.Is(err, fsaicomm.ErrPatternMismatch) {
+			err = nil
+		}
+		return nil, err
+	}
+	s.met.patternHits.Add(1)
+	if p.SetupPhases().Replanned {
+		s.met.patternReplans.Add(1)
+	}
+	return p, nil
 }
 
 // recharge re-reads what a prepared system holds after a "tcp" solve, which

@@ -118,19 +118,21 @@ func (a *Assembler) Finish() *CSR {
 }
 
 // SortRowByColumn sorts one row's parallel column/value slices by column,
-// keeping entries of equal column in their original order.
-func SortRowByColumn(cols []int, vals []float64) {
-	sort.Stable(&colValSorter{cols, vals})
+// keeping entries of equal column in their original order. The values may be
+// anything that travels with a column: matrix entries, or the positions they
+// came from.
+func SortRowByColumn[V any](cols []int, vals []V) {
+	sort.Stable(&colValSorter[V]{cols, vals})
 }
 
-type colValSorter struct {
+type colValSorter[V any] struct {
 	cols []int
-	vals []float64
+	vals []V
 }
 
-func (s *colValSorter) Len() int           { return len(s.cols) }
-func (s *colValSorter) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
-func (s *colValSorter) Swap(i, j int) {
+func (s *colValSorter[V]) Len() int           { return len(s.cols) }
+func (s *colValSorter[V]) Less(i, j int) bool { return s.cols[i] < s.cols[j] }
+func (s *colValSorter[V]) Swap(i, j int) {
 	s.cols[i], s.cols[j] = s.cols[j], s.cols[i]
 	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }

@@ -206,27 +206,33 @@ func (m *CSR) Diagonal() []float64 {
 }
 
 // IsSymmetric reports whether the matrix is numerically symmetric within tol
-// (relative to the larger of the two compared magnitudes).
+// (relative to the larger of the two compared magnitudes). Rows must be
+// sorted by column. One sweep, no transpose: rows are visited in order, so
+// the entries (i,j) above the diagonal meet the entries of row j below its
+// diagonal one after the other, in the order row j stores them.
 func (m *CSR) IsSymmetric(tol float64) bool {
 	if m.Rows != m.Cols {
 		return false
 	}
-	t := m.Transpose()
-	if len(t.ColIdx) != len(m.ColIdx) {
-		return false
-	}
+	next := append([]int(nil), m.RowPtr[:m.Rows]...) // first entry of each row not yet met
 	for i := 0; i < m.Rows; i++ {
 		ca, va := m.Row(i)
-		cb, vb := t.Row(i)
-		if len(ca) != len(cb) {
+		// Every entry below the diagonal must have been met by now.
+		if p := next[i]; p < m.RowPtr[i+1] && m.ColIdx[p] < i {
 			return false
 		}
-		for k := range ca {
-			if ca[k] != cb[k] {
+		for k, j := range ca {
+			if j <= i {
+				continue
+			}
+			p := next[j]
+			if p == m.RowPtr[j+1] || m.ColIdx[p] != i {
 				return false
 			}
-			diff := math.Abs(va[k] - vb[k])
-			scale := math.Max(math.Abs(va[k]), math.Abs(vb[k]))
+			next[j] = p + 1
+			vb := m.Val[p]
+			diff := math.Abs(va[k] - vb)
+			scale := math.Max(math.Abs(va[k]), math.Abs(vb))
 			if diff > tol*math.Max(scale, 1) {
 				return false
 			}

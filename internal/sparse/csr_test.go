@@ -410,3 +410,63 @@ func TestSymCSRRejectsAsymmetric(t *testing.T) {
 		t.Fatal("rectangular accepted")
 	}
 }
+
+// TestIsSymmetricMatchesTranspose: the one-sweep check agrees with the
+// definition — the matrix equals its transpose in pattern and, within the
+// tolerance, in values — on matrices that are symmetric, that lack one
+// entry's mirror, that have a mirror in the wrong place, and whose values
+// differ across the diagonal.
+func TestIsSymmetricMatchesTranspose(t *testing.T) {
+	byTranspose := func(m *sparse.CSR, tol float64) bool {
+		tr := m.Transpose()
+		if m.Rows != m.Cols || tr.NNZ() != m.NNZ() {
+			return false
+		}
+		for i := 0; i < m.Rows; i++ {
+			ca, va := m.Row(i)
+			cb, vb := tr.Row(i)
+			if len(ca) != len(cb) {
+				return false
+			}
+			for k := range ca {
+				scale := math.Max(math.Max(math.Abs(va[k]), math.Abs(vb[k])), 1)
+				if ca[k] != cb[k] || math.Abs(va[k]-vb[k]) > tol*scale {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(9))
+	verdicts := map[bool]int{}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(12)
+		c := sparse.NewCOO(n, n)
+		for k := rng.Intn(3 * n); k >= 0; k-- {
+			i, j, v := rng.Intn(n), rng.Intn(n), rng.NormFloat64()
+			switch rng.Intn(8) {
+			case 0: // no mirror
+				c.Add(i, j, v)
+			case 1: // mirror with another value
+				c.Add(i, j, v)
+				c.Add(j, i, v*(1+1e-6))
+			default:
+				c.Add(i, j, v)
+				if i != j {
+					c.Add(j, i, v)
+				}
+			}
+		}
+		m := c.ToCSR()
+		for _, tol := range []float64{1e-10, 1e-3} {
+			got, want := m.IsSymmetric(tol), byTranspose(m, tol)
+			if got != want {
+				t.Fatalf("trial %d tol %g: IsSymmetric %v, by transpose %v\n%v", trial, tol, got, want, m.Dense())
+			}
+			verdicts[got]++
+		}
+	}
+	if verdicts[true] < 50 || verdicts[false] < 50 {
+		t.Fatalf("verdicts %v: the trials do not exercise both answers", verdicts)
+	}
+}

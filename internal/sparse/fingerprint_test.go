@@ -96,3 +96,33 @@ func TestFingerprintGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestPatternDigest: the second return of FingerprintWithPattern names the
+// shape and structure alone — other values, same digest; another structure
+// or shape, another digest — and the first is Fingerprint.
+func TestPatternDigest(t *testing.T) {
+	a := fpTestMatrix(150, 3)
+	fp, pat := a.FingerprintWithPattern()
+	if fp != a.Fingerprint() || len(pat) != 32 || pat == fp {
+		t.Fatalf("content %s (Fingerprint %s), pattern %s", fp, a.Fingerprint(), pat)
+	}
+	v := a.Clone()
+	for i := range v.Val {
+		v.Val[i] *= 1.5
+	}
+	if fp2, pat2 := v.FingerprintWithPattern(); fp2 == fp || pat2 != pat {
+		t.Fatalf("other values: content %s → %s, pattern %s → %s", fp, fp2, pat, pat2)
+	}
+	if _, pat2 := fpTestMatrix(150, 4).FingerprintWithPattern(); pat2 == pat {
+		t.Fatal("another structure shares the pattern digest")
+	}
+	// The shape counts even where the structure arrays agree: a 3×3 and a
+	// 3×4 matrix with the same rows.
+	b := matgen.Poisson3D(3, 1, 1)
+	wide := b.Clone()
+	wide.Cols++
+	_, narrowPat := b.FingerprintWithPattern()
+	if _, widePat := wide.FingerprintWithPattern(); widePat == narrowPat {
+		t.Fatal("another shape shares the pattern digest")
+	}
+}

@@ -2,13 +2,16 @@ package fsaicomm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fsaicomm/internal/core"
+	"fsaicomm/internal/dense"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/krylov"
@@ -98,11 +101,15 @@ func (o SolveOptions) over(setup Options) Options {
 // setup options) pair. A system solved over the "tcp" transport keeps its
 // rank worker processes, operators shipped, until Close.
 type Prepared struct {
-	n         int
-	ranks     int
-	setupOpt  Options // canonicalized setup options (informational)
-	layout    *distmat.Layout
-	oldToNew  []int
+	n        int
+	ranks    int
+	setupOpt Options // canonicalized setup options (informational)
+	// st is what the analyse phase found, shared read-only with the system
+	// this one was refactored from and with those refactored from it; plans
+	// holds, per rank, the factor structure the values were moved through —
+	// the donor's own where the filter left its pattern standing.
+	st        *structure
+	plans     []*core.FactorPlan
 	pct       float64
 	imbalance float64
 	setup     time.Duration
@@ -134,76 +141,153 @@ type Prepared struct {
 	pools []sync.Pool
 }
 
-// Prepare partitions A, builds the selected preconditioner variant and the
-// halo schedules, and returns a Prepared system ready for repeated solves.
-// The setup-phase communication (plan index exchange, remote row gather,
-// distributed transpose) happens exactly once, here.
-func Prepare(a *Matrix, opt Options) (*Prepared, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkInputMatrix(a, opt.Solver); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults(a.Rows)
-	ranks := AutoRanks(a, opt.Ranks)
-	opt.Ranks = ranks
+// ErrPatternMismatch is wrapped by the error Refactor returns for a matrix
+// whose shape or sparsity pattern is not the one the system was analysed for.
+var ErrPatternMismatch = errors.New("fsaicomm: matrix does not have the analysed sparsity pattern")
 
-	var phases SetupPhases
+// distribution is the part of the analyse phase every distributed set-up
+// starts with: the partition as a contiguous layout, the permutation that
+// realizes it, and the permuted matrix as a pattern with, for each of its
+// entries, the entry of the caller's matrix it is.
+type distribution struct {
+	layout   *distmat.Layout
+	oldToNew []int
+	pa       *Matrix // no values
+	src      []int
+	// partition and permute are what the two steps took.
+	partition, permute time.Duration
+}
+
+// distribute partitions a's rows over ranks. It reads a's pattern only.
+func distribute(a *Matrix, opt Options, ranks int) (*distribution, error) {
 	t0 := time.Now()
 	part, err := partitionRows(a, opt, ranks)
 	if err != nil {
 		return nil, err
 	}
-	phases.Partition = time.Since(t0)
+	d := &distribution{partition: time.Since(t0)}
 	t0 = time.Now()
-	pa, layout, oldToNew := distmat.ApplyPartition(a, part, ranks)
-	phases.Permute = time.Since(t0)
+	d.layout, d.oldToNew = distmat.PartitionLayout(part, ranks)
+	d.pa, d.src = distmat.PermutePattern(a, d.oldToNew)
+	d.permute = time.Since(t0)
+	return d, nil
+}
 
-	// The build is the plain FP64 one in the blocking schedule: variant and
-	// precision are chosen per solve, and the rank job dresses its private
-	// operators for them without communication.
-	cfg := buildConfig(opt)
-	p := &Prepared{
-		n:        a.Rows,
-		ranks:    ranks,
-		setupOpt: opt,
-		layout:   layout,
-		oldToNew: oldToNew,
-		parts:    make([]mprun.Operators, ranks),
-		pools:    make([]sync.Pool, ranks),
+// permuted returns the permuted matrix with vals, the entries of a matrix
+// with the distributed pattern, in their permuted places.
+func (d *distribution) permuted(vals []float64) *Matrix {
+	pa := *d.pa
+	pa.Val = distmat.Gather(vals, d.src)
+	return &pa
+}
+
+// structure is the result of the analyse phase: what follows from a matrix's
+// sparsity pattern and the set-up options alone. Nothing writes to it once
+// analyse returns, so the factor phase may run on it any number of times,
+// concurrently too.
+type structure struct {
+	*distribution
+	opt Options // canonical: defaults applied, rank count resolved
+	// aPtr and aIdx are a copy of the analysed pattern, what Refactor holds a
+	// matrix against.
+	aPtr, aIdx []int
+	syms       []*core.Symbolic // per rank
+	phases     SetupPhases
+	took       time.Duration
+}
+
+// analyse is the analyse phase: partition, permutation, and on every rank
+// core.Analyse of its rows. It reads a's pattern only.
+func analyse(a *Matrix, opt Options) (*structure, error) {
+	t0 := time.Now()
+	d, err := distribute(a, opt, opt.Ranks)
+	if err != nil {
+		return nil, err
 	}
-	rankPhases := make([]core.SetupPhases, ranks)
-	t0 = time.Now()
-	if _, err := simmpi.Run(ranks, time.Hour, func(c *simmpi.Comm) error {
-		lo, hi := layout.Range(c.Rank())
-		aRows := distmat.ExtractLocalRows(pa, lo, hi)
-		bd, err := core.BuildPrecond(c, layout, aRows, cfg)
+	st := &structure{
+		distribution: d,
+		opt:          opt,
+		aPtr:         slices.Clone(a.RowPtr),
+		aIdx:         slices.Clone(a.ColIdx),
+		syms:         make([]*core.Symbolic, opt.Ranks),
+	}
+	cfg := buildConfig(opt)
+	rankPhases := make([]core.SetupPhases, opt.Ranks)
+	if _, err := simmpi.Run(opt.Ranks, time.Hour, func(c *simmpi.Comm) error {
+		lo, hi := d.layout.Range(c.Rank())
+		sym, err := core.Analyse(c, d.layout, distmat.ExtractLocalRows(d.pa, lo, hi), cfg)
 		if err != nil {
 			return err
 		}
-		tOp := time.Now()
-		aOp := distmat.NewOp(c, layout, lo, hi, aRows)
-		bd.Phases.HaloPlans += time.Since(tOp)
-		rankPhases[c.Rank()] = bd.Phases
-		held := mprun.Operators{A: mprun.Hold(aOp)}
-		if opt.Method == SPAI {
+		st.syms[c.Rank()], rankPhases[c.Rank()] = sym, sym.Phases
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	st.phases = SetupPhases{Partition: d.partition, Permute: d.permute, SetupPhases: core.MeanPhases(rankPhases)}
+	st.took = time.Since(t0)
+	return st, nil
+}
+
+// factor is the factor phase: a's values, moved through the analysed
+// structure, make the operators of a new system. With a donor — a system
+// factored on st before — each rank first tries the donor's factor plan. The
+// build is the plain FP64 one in the blocking schedule: variant and precision
+// are chosen per solve, and the rank job dresses its private operators for
+// them without communication.
+func (st *structure) factor(a *Matrix, donor *Prepared) (*Prepared, error) {
+	t0 := time.Now()
+	ranks := st.opt.Ranks
+	p := &Prepared{
+		n:        a.Rows,
+		ranks:    ranks,
+		setupOpt: st.opt,
+		st:       st,
+		plans:    make([]*core.FactorPlan, ranks),
+		parts:    make([]mprun.Operators, ranks),
+		pools:    make([]sync.Pool, ranks),
+	}
+	pa := st.permuted(a.Val)
+	permute := time.Since(t0)
+	rankPhases := make([]core.SetupPhases, ranks)
+	if _, err := simmpi.Run(ranks, time.Hour, func(c *simmpi.Comm) error {
+		r := c.Rank()
+		lo, hi := st.layout.Range(r)
+		var prev *core.FactorPlan
+		if donor != nil {
+			prev = donor.plans[r]
+		}
+		bd, err := st.syms[r].Factor(c, pa.Val[pa.RowPtr[lo]:pa.RowPtr[hi]], prev)
+		if err != nil {
+			return err
+		}
+		rankPhases[r], p.plans[r] = bd.Phases, bd.Plan
+		held := mprun.Operators{A: mprun.Hold(bd.AOp)}
+		if st.opt.Method == SPAI {
 			held.M = mprun.Hold(bd.MOp)
 		} else {
 			held.G, held.GT = mprun.Hold(bd.GOp), mprun.Hold(bd.GTOp)
 		}
-		p.parts[c.Rank()] = held
-		if c.Rank() == 0 {
+		p.parts[r] = held
+		if r == 0 {
 			p.pct = bd.PctNNZIncrease
 			p.imbalance = bd.ImbalanceIndex
 		}
 		return nil
 	}); err != nil {
+		if errors.Is(err, dense.ErrNotPositiveDefinite) {
+			err = fmt.Errorf("%w: %w", ErrNotSPD, err)
+		}
 		return nil, err
 	}
+	p.phases = SetupPhases{Permute: permute, SetupPhases: core.MeanPhases(rankPhases)}
 	p.setup = time.Since(t0)
-	phases.SetupPhases = core.MeanPhases(rankPhases)
-	p.phases = phases
+	if donor == nil { // the system the structure was analysed for pays for that too
+		p.phases.Partition, p.phases.Extend = st.phases.Partition, st.phases.Extend
+		p.phases.Permute += st.phases.Permute
+		p.phases.HaloPlans += st.phases.HaloPlans
+		p.setup += st.took
+	}
 	for i := range p.pools {
 		p.pools[i].New = func() any { return &krylov.Workspace{} }
 	}
@@ -213,17 +297,72 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 	return p, nil
 }
 
+// Prepare partitions A, builds the selected preconditioner variant and the
+// halo schedules, and returns a Prepared system ready for repeated solves.
+// It is the analyse phase, which reads A's sparsity pattern, followed by the
+// factor phase, which reads its values; Refactor runs the second alone. The
+// setup-phase communication (plan index exchange, remote row gather,
+// distributed transpose) happens exactly once, here.
+func Prepare(a *Matrix, opt Options) (*Prepared, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkInputMatrix(a, opt.Solver); err != nil {
+		return nil, err
+	}
+	opt = opt.withDefaults(a.Rows)
+	opt.Ranks = AutoRanks(a, opt.Ranks)
+	st, err := analyse(a, opt)
+	if err != nil {
+		return nil, err
+	}
+	return st.factor(a, nil)
+}
+
+// Refactor prepares the system of a matrix that has the sparsity pattern p
+// was prepared for and other values — the next Newton step, the next time
+// step — under p's set-up options: the factor phase alone, on the structure
+// p holds. The new system equals Prepare(a, p.Options()) bit for bit. It
+// shares every index array with p, read-only, and owns only its values, so
+// either may be dropped or closed without the other noticing; p stays
+// usable throughout, concurrent solves included. A pattern the values shape
+// is checked, not assumed: where a Filter leaves other entries standing than
+// it did for p, G and Gᵀ are planned afresh. Options whose first pattern
+// depends on values (Threshold, PatternLevel above 1, SPAI) reuse the
+// partition, the permutation and A's operator and rebuild the rest. A matrix
+// of another shape or pattern gets an ErrPatternMismatch-wrapped error.
+func (p *Prepared) Refactor(a *Matrix) (*Prepared, error) {
+	st := p.st
+	if a.Rows != p.n || a.Cols != p.n || !slices.Equal(a.RowPtr, st.aPtr) || !slices.Equal(a.ColIdx, st.aIdx) {
+		return nil, fmt.Errorf("%w (%dx%d with %d entries, analysed %dx%d with %d)",
+			ErrPatternMismatch, a.Rows, a.Cols, len(a.ColIdx), p.n, p.n, len(st.aIdx))
+	}
+	// The structure is that of a matrix Prepare validated; the values are new.
+	if len(a.Val) != len(a.ColIdx) {
+		return nil, fmt.Errorf("fsaicomm: invalid matrix: %d values for %d entries", len(a.Val), len(a.ColIdx))
+	}
+	if !a.IsFinite() {
+		return nil, fmt.Errorf("%w: matrix contains NaN or Inf values", ErrInvalidOptions)
+	}
+	if err := checkSolverMatrix(a, st.opt.Solver); err != nil {
+		return nil, err
+	}
+	return st.factor(a, p)
+}
+
 // Ranks returns the simulated-process count the system was prepared for.
 func (p *Prepared) Ranks() int { return p.ranks }
 
 // Rows returns the system dimension.
 func (p *Prepared) Rows() int { return p.n }
 
-// SetupTime returns the wall-clock cost of Prepare — the time every solve
-// served from this Prepared avoids paying again.
+// SetupTime returns the wall-clock cost of the Prepare or Refactor that made
+// p — the time every solve served from this Prepared avoids paying again.
 func (p *Prepared) SetupTime() time.Duration { return p.setup }
 
-// SetupPhases says where the wall-clock time of one Prepare went.
+// SetupPhases says where the wall-clock time of one Prepare or Refactor
+// went. A phase that did not run reads 0: a Refactor partitions nothing and
+// extends nothing, and moves values where Prepare also plans.
 type SetupPhases struct {
 	// Partition is the graph partitioner, Permute the symmetric permutation
 	// that makes each rank's rows contiguous.
@@ -235,7 +374,7 @@ type SetupPhases struct {
 	core.SetupPhases
 }
 
-// SetupPhases returns the breakdown of the Prepare that built p.
+// SetupPhases returns the breakdown of the Prepare or Refactor that built p.
 func (p *Prepared) SetupPhases() SetupPhases { return p.phases }
 
 // PctNNZIncrease returns the factor pattern growth versus the FSAI baseline.
@@ -245,14 +384,30 @@ func (p *Prepared) PctNNZIncrease() float64 { return p.pct }
 // automatic rank count resolved).
 func (p *Prepared) Options() Options { return p.setupOpt }
 
-// SizeBytes estimates the memory retained by the prepared system — the
-// localized matrix and factor copies plus the halo schedules — for cache
-// byte-budget accounting. It ignores small fixed overheads. While "tcp"
-// solves keep worker processes resident the figure grows by the workers'
-// copy of the operators plus their measured idle resident set, so a cache
-// that re-reads it after a solve bounds the processes with its byte budget.
+// SizeBytes estimates the memory the prepared system keeps alive — the
+// localized matrix and factors, the halo schedules, and the analysed
+// structure behind them — for cache byte-budget accounting. Every array the
+// system references counts in full, whether or not a system it was
+// refactored from (or one refactored from it) references it too: a cache
+// that sums SizeBytes over such systems charges their shared structure once
+// per system, so its budget stays an upper bound on what they hold. Small
+// fixed overheads are ignored. While "tcp" solves keep worker processes
+// resident the figure grows by the workers' copy of the operators plus their
+// measured idle resident set, so a cache that re-reads it after a solve
+// bounds the processes with its byte budget.
 func (p *Prepared) SizeBytes() int64 {
-	return p.operatorBytes() + p.meshBytes.Load()
+	return p.operatorBytes() + p.st.sizeBytes(p.plans) + p.meshBytes.Load()
+}
+
+// sizeBytes is what the structure holds beyond the operators' own index
+// arrays, with the factor plans of one system on it.
+func (st *structure) sizeBytes(plans []*core.FactorPlan) int64 {
+	words := len(st.aPtr) + len(st.aIdx) + len(st.oldToNew) + len(st.pa.RowPtr) + len(st.pa.ColIdx) + len(st.src)
+	total := 8 * int64(words)
+	for r, sym := range st.syms {
+		total += sym.SizeBytes(plans[r])
+	}
+	return total
 }
 
 func (p *Prepared) operatorBytes() int64 {
@@ -275,7 +430,6 @@ func (p *Prepared) operatorBytes() int64 {
 			total += 8 * int64(words)
 		}
 	}
-	total += 8 * int64(len(p.oldToNew))
 	return total
 }
 
@@ -324,8 +478,8 @@ func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOpti
 	if !known {
 		held = p.parts
 	}
-	job := mprun.JobSpec{Layout: p.layout, K: k, Solve: sp}
-	f, err := runRanks(ctx, so.Transport, p.runResident, job, held, pools, rhs, p.oldToNew)
+	job := mprun.JobSpec{Layout: p.st.layout, K: k, Solve: sp}
+	f, err := runRanks(ctx, so.Transport, p.runResident, job, held, pools, rhs, p.st.oldToNew)
 	if err != nil {
 		return nil, err
 	}

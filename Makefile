@@ -25,6 +25,10 @@ all: tier1
 # are named in fsaicomm.go alone and partitionRows is called once, from
 # distribute; ExtendPattern is called once outside extend.go (its home, where
 # ExtendPatternSerial wraps it for the one-process build), from analysePattern.
+# The wire step fails if a second data path comes back beside the rings:
+# non-test internal/tcpmpi has no per-peer reader (readLoop, bufio) and writes
+# three things to a socket — a doorbell byte, the hello and the ring file's
+# name — never a frame.
 tier1:
 	$(GO) build ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
@@ -52,6 +56,12 @@ tier1:
 		if [ "$$parts" != "./fsaicomm.go" ] || [ "$$(echo "$$rows" | grep -c .)" -ne 1 ] || [ "$$(echo "$$ext" | grep -c .)" -ne 1 ]; then \
 			echo "partitioning or pattern extension has a call site beside the analyse phase:"; \
 			echo "$$parts"; echo "$$rows"; echo "$$ext"; exit 1; fi
+	@src="$$(ls internal/tcpmpi/*.go | grep -v _test.go)"; \
+		readers="$$(grep -nE 'readLoop|"bufio"' $$src)"; \
+		writes="$$(grep -nE '\.Write\(' $$src | grep -vE '\.Write\((doorbell|hello|append\(msg, path\.\.\.\))\)|^[^:]*:[0-9]*:[[:space:]]*//')"; \
+		if [ -n "$$readers" ] || [ -n "$$writes" ]; then \
+			echo "internal/tcpmpi moves frames over a socket again (the rings are the one data path):"; \
+			echo "$$readers"; echo "$$writes"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
 
@@ -194,13 +204,15 @@ spai:
 	@rm -f /tmp/fsaicomm-spai.mtx /tmp/fsaicomm-spai-flat.txt /tmp/fsaicomm-spai-nap.txt
 
 # mp: multi-process smoke test — build the rank worker binary and run its
-# selfcheck, which solves one catalog instance on 4 goroutine ranks and
-# then twice, one job after the other on one mesh of 4 resident OS
-# processes over TCP, and diffs each tcp run against the sim run bit for
-# bit (solution, iteration count, per-rank comm meters).
+# selfcheck, which solves one catalog instance on goroutine ranks and then
+# twice, one job after the other on one mesh of resident OS processes, and
+# diffs each tcp run against the sim run bit for bit (solution, iteration
+# count, per-rank comm meters). Once at 2 ranks and once at 4, which on a host
+# of two cores are oversubscribed: their polls hand the core round.
 mp:
 	$(GO) build -o bin/fsairank ./cmd/fsairank
-	./bin/fsairank -selfcheck
+	./bin/fsairank -selfcheck -ranks 2
+	./bin/fsairank -selfcheck -ranks 4
 
 # loc: non-test and test Go lines per package directory and in total, the
 # benchmark module left out — the figure ROADMAP's consolidation item is
@@ -233,6 +245,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBatchKernelsWidth1 -fuzztime 30s ./internal/vecops/
 	$(GO) test -fuzz FuzzQRLeastSquares -fuzztime 30s ./internal/dense/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/tcpmpi/
+	$(GO) test -fuzz FuzzRing -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzDecodeP2P -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzDecodeColl -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzSolveRequest -fuzztime 30s ./internal/serve/

@@ -7,7 +7,7 @@
 //
 // which solves the named catalog matrix once with in-process goroutine ranks
 // and twice, one job after the other on one mesh of resident workers, with
-// one OS process per rank over the TCP mesh, then diffs each tcp run against
+// one OS process per rank over the tcpmpi mesh, then diffs each tcp run against
 // the sim run bit for bit — solution vector, iteration count, and per-rank
 // metered traffic in both phases.
 package main

@@ -1,13 +1,13 @@
 // Package commtest is the transport conformance suite: one table-driven
 // corpus of message-passing semantics, run identically against every
 // simmpi.Transport backend. The in-process channel backend is the oracle
-// (its semantics predate the Transport split); the socket backend must pass
+// (its semantics predate the Transport split); the ring backend must pass
 // the same table verbatim, under both `go test` and `go test -race`. A new
 // backend earns its place by adding a three-line harness, not new tests.
 //
 // The cases only assert behavior observable through the Comm API plus
 // process-shared memory (atomics), because every harness runs its ranks as
-// goroutines of the test process — the channel world directly, the socket
+// goroutines of the test process — the channel world directly, the ring
 // world via tcpmpi.RunLocal. True multi-process behavior is covered by the
 // differential solve tests in the root package.
 package commtest
@@ -82,6 +82,15 @@ func eqI64(got []int64, want ...int64) error {
 		}
 	}
 	return nil
+}
+
+// ramp is n values no two messages of a case share: message tag of rank from.
+func ramp(from, tag, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = float64(from) + float64(tag)/4096 + float64(i)*8
+	}
+	return v
 }
 
 // RunConformance runs the whole corpus against one backend.
@@ -491,6 +500,149 @@ func cases() []conformanceCase {
 					t.Errorf("MaxRankP2PBytes = %d, want 32", got)
 				}
 			},
+		},
+		{
+			// No backend may bound a message by what it buffers: two ranks
+			// that each send the other far more than any channel, socket or
+			// ring holds, and only then receive, must both finish.
+			name: "large-messages-both-ways",
+			size: 2,
+			fn: func(c *simmpi.Comm) error {
+				peer := 1 - c.Rank()
+				c.SendFloats(peer, 0, ramp(c.Rank(), 0, 100_000))
+				c.SendInts(peer, 1, []int{c.Rank()})
+				if err := eqF64(c.RecvFloats(peer, 0), ramp(peer, 0, 100_000)...); err != nil {
+					return fmt.Errorf("rank %d: %w", c.Rank(), err)
+				}
+				if got := c.RecvInts(peer, 1); len(got) != 1 || got[0] != peer {
+					return fmt.Errorf("rank %d: after the large message: %v", c.Rank(), got)
+				}
+				return nil
+			},
+			check: wantOK,
+		},
+		{
+			// Send to every neighbour, then receive from every neighbour —
+			// the set-up exchanges' idiom — with sizes that leave every rank
+			// stuck in a send whose receiver is stuck in a send to a third:
+			// 0 is sending 2 a large message, 2 is sending 1 one, 1 is
+			// sending 0 one. Each rank must take what is sent to it off the
+			// sender's hands while it waits, whoever it is waiting for.
+			name: "large-messages-around-a-circle",
+			size: 3,
+			fn: func(c *simmpi.Comm) error {
+				me := c.Rank()
+				n := func(from, to int) int {
+					if to == (from+2)%3 {
+						return 60_000
+					}
+					return 3
+				}
+				for to := 0; to < 3; to++ {
+					if to != me {
+						c.SendFloats(to, 5, ramp(me, to, n(me, to)))
+					}
+				}
+				for from := 0; from < 3; from++ {
+					if from == me {
+						continue
+					}
+					if err := eqF64(c.RecvFloats(from, 5), ramp(from, me, n(from, me))...); err != nil {
+						return fmt.Errorf("rank %d from %d: %w", me, from, err)
+					}
+				}
+				return nil
+			},
+			check: wantOK,
+		},
+		{
+			// A long stream of messages of every type and of lengths from
+			// nothing to a few thousand values, both ways at once: several
+			// times what a backend buffers, so that message boundaries fall
+			// all over its storage, and every value checked.
+			name: "stream-of-every-length",
+			size: 2,
+			fn: func(c *simmpi.Comm) error {
+				me, peer := c.Rank(), 1-c.Rank()
+				for i := 0; i < 600; i++ {
+					n := (i * 7919) % 3001
+					switch i % 3 {
+					case 0:
+						c.SendFloats(peer, i, ramp(me, i, n))
+						if err := eqF64(c.RecvFloats(peer, i), ramp(peer, i, n)...); err != nil {
+							return fmt.Errorf("rank %d message %d: %w", me, i, err)
+						}
+					case 1:
+						out := make([]int, n)
+						for k := range out {
+							out[k] = me + i*k
+						}
+						c.SendInts(peer, i, out)
+						for k, v := range c.RecvInts(peer, i) {
+							if v != peer+i*k {
+								return fmt.Errorf("rank %d message %d: int %d is %d", me, i, k, v)
+							}
+						}
+					default:
+						out := make([]float32, n)
+						for k := range out {
+							out[k] = float32(me*n + k)
+						}
+						c.SendFloats32(peer, i, out)
+						for k, v := range c.RecvFloats32(peer, i) {
+							if v != float32(peer*n+k) {
+								return fmt.Errorf("rank %d message %d: float32 %d is %v", me, i, k, v)
+							}
+						}
+					}
+				}
+				return nil
+			},
+			check: wantOK,
+		},
+		{
+			// A blocking operation and a background one may wait on the same
+			// peer for different kinds of message, and either may arrive
+			// first: whoever is looking must hand the other what is its.
+			name: "two-kinds-from-one-peer",
+			size: 2,
+			fn: func(c *simmpi.Comm) error {
+				for round := 0; round < 6; round++ {
+					collFirst := round%2 == 0
+					if c.Rank() == 0 {
+						// Late, so that both of rank 1's waits are asleep.
+						time.Sleep(5 * time.Millisecond)
+						if collFirst {
+							c.AllreduceSum(1)
+						}
+						c.SendFloats(1, round, []float64{float64(round)})
+						if !collFirst {
+							c.AllreduceSum(1)
+						}
+						continue
+					}
+					var sum, got []float64
+					if round < 3 {
+						// Background collective, blocking receive.
+						req := c.IallreduceSum(2)
+						got = c.RecvFloats(0, round)
+						sum, _ = req.Wait()
+					} else {
+						// Background receive, blocking collective.
+						req := c.IrecvFloats(0, round)
+						sum = c.AllreduceSum(2)
+						got, _ = req.Wait()
+					}
+					if err := eqF64(sum, 3); err != nil {
+						return fmt.Errorf("round %d sum: %w", round, err)
+					}
+					if err := eqF64(got, float64(round)); err != nil {
+						return fmt.Errorf("round %d message: %w", round, err)
+					}
+				}
+				return nil
+			},
+			check: wantOK,
 		},
 		{
 			// A rank that dies mid-protocol must surface as an error on the

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fsaicomm/internal/simmpi"
+	"fsaicomm/internal/tcpmpi"
 )
 
 const (
@@ -59,7 +60,7 @@ func (c sentCounter) Write(p []byte) (int, error) {
 }
 
 // Mesh is a set of resident rank workers: one OS process per rank, wired into
-// a socket mesh once, running one rank job after another (see the package
+// a mesh once, running one rank job after another (see the package
 // comment). Its methods are not safe for concurrent use.
 type Mesh struct {
 	workers []*worker
@@ -169,6 +170,11 @@ func residentBytes(pid int) int64 {
 // IdleRSS is the workers' summed resident set measured when the mesh had
 // formed: what the processes cost beyond the operators they will be sent.
 func (m *Mesh) IdleRSS() int64 { return m.idleRSS }
+
+// RingBytes is the shared memory the workers exchange frames through: one
+// mapping per pair of ranks, of which the idle resident set holds only the
+// pages touched so far.
+func (m *Mesh) RingBytes() int64 { return tcpmpi.MeshBytes(len(m.workers)) }
 
 // Reusable reports whether the next job may run on this mesh; one whose last
 // job failed on any rank, lost a worker or was canceled is only good to Close.

@@ -3,6 +3,8 @@ package mprun_test
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -18,6 +20,7 @@ import (
 	"fsaicomm/internal/mprun"
 	"fsaicomm/internal/simmpi"
 	"fsaicomm/internal/sparse"
+	"fsaicomm/internal/tcpmpi"
 )
 
 // holdOperators sets a system up the way Prepare does and returns what each
@@ -203,6 +206,9 @@ func TestPreparedReusesMesh(t *testing.T) {
 	}
 	if held := p.SizeBytes(); held < 2*idle {
 		t.Errorf("SizeBytes %d with resident workers, %d without: the workers' copy and resident set are not charged", held, idle)
+	} else if rings := meshes[0].RingBytes(); rings != tcpmpi.MeshBytes(ranks) || held-idle < meshes[0].IdleRSS()+rings {
+		t.Errorf("SizeBytes grew by %d with resident workers: less than their idle resident set %d plus %d bytes of rings (a mesh of %d maps %d)",
+			held-idle, meshes[0].IdleRSS(), rings, ranks, tcpmpi.MeshBytes(ranks))
 	}
 	p.Close()
 	if !meshes[0].Reaped() {
@@ -329,6 +335,102 @@ func TestPreparedSurvivesLostWorkersAndCancels(t *testing.T) {
 		t.Error("a worker process outlived Prepared.Close")
 	}
 	settle(t, base)
+}
+
+// ringFilesLeft lists the ring files that still have a name two seconds on:
+// meshes of other test binaries form at the same time, and a file is named
+// for the few milliseconds of its connection's handshake.
+func ringFilesLeft(t *testing.T) []string {
+	t.Helper()
+	var left []string
+	for wait := time.Duration(0); wait < 2*time.Second; wait += 50 * time.Millisecond {
+		left = left[:0]
+		for _, dir := range []string{"/dev/shm", os.TempDir()} {
+			found, _ := filepath.Glob(filepath.Join(dir, "fsaicomm-ring-*"))
+			left = append(left, found...)
+		}
+		if len(left) == 0 {
+			return nil
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	return left
+}
+
+// TestWorkerKilledWhilePeersPollOrSleep SIGKILLs a worker in the middle of a
+// solve whose other ranks wait the two ways a rank waits for a message:
+// polling a ring (two ranks: a peer in step answers within the poll) and
+// asleep on the doorbell (four ranks: with fewer cores than ranks some peer
+// is always far enough behind for a poll to run out). The third wait, asleep
+// with the outbound ring full, needs a peer that takes nothing out while it
+// is sent more than a ring holds, which no rank job does; tcpmpi's
+// TestPeerLostWhileParkedOnAFullRing kills a process in that state. Each time
+// the solve fails with ErrRankLost within the bound, the mesh is reaped, no
+// goroutine and no ring file is left — nor after Start or Close — and the
+// next solve, on new workers, returns the reference's bits.
+func TestWorkerKilledWhilePeersPollOrSleep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	var mu sync.Mutex
+	var meshes []*mprun.Mesh
+	mprun.WatchMeshes(t, func(m *mprun.Mesh) { mu.Lock(); meshes = append(meshes, m); mu.Unlock() })
+	current := func() *mprun.Mesh { mu.Lock(); defer mu.Unlock(); return meshes[len(meshes)-1] }
+	a, b := poissonRHS()
+	ctx := context.Background()
+	tcp := fsaicomm.SolveOptions{Transport: "tcp"}
+	endless := fsaicomm.SolveOptions{Transport: "tcp", Tol: 1e-300, MaxIter: 1 << 30}
+	for _, tc := range []struct {
+		name          string
+		ranks, victim int
+	}{
+		{"peer polling", 2, 1},
+		{"peers asleep on the doorbell", 4, 2},
+	} {
+		p, err := fsaicomm.Prepare(a, fsaicomm.Options{Ranks: tc.ranks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.Solve(ctx, b, tcp) // starts the resident mesh
+		if err != nil {
+			t.Fatalf("%s: reference solve: %v", tc.name, err)
+		}
+		if left := ringFilesLeft(t); left != nil {
+			t.Errorf("%s: a formed mesh left ring files behind: %v", tc.name, left)
+		}
+		base := runtime.NumGoroutine()
+		hitMesh := current()
+		start := time.Now()
+		time.AfterFunc(100*time.Millisecond, func() { hitMesh.KillWorker(tc.victim) })
+		if _, err := p.Solve(ctx, b, endless); !errors.Is(err, fsaicomm.ErrRankLost) {
+			t.Fatalf("%s: error %v, want one wrapping ErrRankLost", tc.name, err)
+		}
+		if took := time.Since(start); took > 20*time.Second {
+			t.Errorf("%s: the solve took %v to fail", tc.name, took)
+		}
+		if !hitMesh.Reaped() {
+			t.Errorf("%s: workers of the mesh it hit are still unreaped", tc.name)
+		}
+		settle(t, base)
+		if left := ringFilesLeft(t); left != nil {
+			t.Errorf("%s: the kill left ring files behind: %v", tc.name, left)
+		}
+		got, err := p.Solve(ctx, b, tcp)
+		if err != nil {
+			t.Fatalf("%s: next solve: %v", tc.name, err)
+		}
+		sameResult(t, tc.name+": next solve", got, want)
+		if current() == hitMesh {
+			t.Errorf("%s: the next solve reused the mesh the kill hit", tc.name)
+		}
+		p.Close()
+		if !current().Reaped() {
+			t.Errorf("%s: a worker process outlived Prepared.Close", tc.name)
+		}
+		if left := ringFilesLeft(t); left != nil {
+			t.Errorf("%s: Close left ring files behind: %v", tc.name, left)
+		}
+	}
 }
 
 // TestPreparedConcurrentTCPSolves: a second tcp solve that arrives while the

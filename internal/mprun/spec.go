@@ -6,16 +6,18 @@
 // solve of width K. The facade's in-process path calls RunJob directly from
 // goroutine ranks; the multi-process path ships the gob-encoded spec to
 // fsairank worker processes (self-hosted by any binary that calls
-// MaybeWorker) whose TCP mesh communicator runs the very same function. One
+// MaybeWorker) whose tcpmpi communicator runs the very same function. One
 // code path on both sides is what makes the cross-backend differential tests
 // meaningful: any divergence in results or meter structure is the
 // transport's fault, not a drifted reimplementation of the solve.
 //
 // The worker processes are resident: a Mesh (Start, Run, Close) spawns one
-// per rank and forms the socket mesh once; a worker runs every job on a fresh
-// communicator and meter over its long-lived endpoint and keeps the operators
-// of the first adopting job, so later jobs ship a right-hand side and solve
-// parameters only. Mesh.Reusable says when a mesh may take another job.
+// per rank and forms the mesh once — the ranks meet over loopback TCP, then
+// exchange their messages through shared-memory rings (internal/tcpmpi); a
+// worker runs every job on a fresh communicator and meter over its long-lived
+// endpoint and keeps the operators of the first adopting job, so later jobs
+// ship a right-hand side and solve parameters only. Mesh.Reusable says when a
+// mesh may take another job.
 package mprun
 
 import (

@@ -2,8 +2,8 @@
 // FSAIE-Comm reproduction. A Comm is one rank's handle on a world of ranks;
 // beneath it sits a pluggable Transport (see transport.go). The default
 // backend in this package runs ranks as goroutines inside one OS process and
-// exchanges messages over Go channels; internal/tcpmpi provides a real
-// TCP/Unix-socket backend where each rank is an OS process.
+// exchanges messages over Go channels; internal/tcpmpi provides the backend
+// where each rank is an OS process and messages cross shared-memory rings.
 //
 // The runtime provides the subset of MPI the paper's solver needs —
 // point-to-point sends/receives with tags, the collectives Barrier,
@@ -179,17 +179,36 @@ func (t *simTransport) Send(dst int, p Payload) error {
 	return nil
 }
 
-func (t *simTransport) Recv(src int) (Payload, error) {
-	ch := t.w.p2p[t.rank][src]
-	if t.w.timeout > 0 {
-		select {
-		case m := <-ch:
-			return m, nil
-		case <-time.After(t.w.timeout):
-			return Payload{}, fmt.Errorf("timed out receiving from %d (deadlock?)", src)
-		}
+// recvWithin takes the next value off ch, waiting at most timeout for it
+// (zero: for good). A value that is already there is taken without a timer,
+// and a timer that had to be armed is stopped when the value comes: a
+// time.After per receive would stay in the runtime's heap until it fired —
+// with the facade's timeout an hour of every receive a server ever made.
+func recvWithin[T any](ch <-chan T, timeout time.Duration) (m T, ok bool) {
+	select {
+	case m = <-ch:
+		return m, true
+	default:
 	}
-	return <-ch, nil
+	if timeout <= 0 {
+		return <-ch, true
+	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case m = <-ch:
+		return m, true
+	case <-t.C:
+		return m, false
+	}
+}
+
+func (t *simTransport) Recv(src int) (Payload, error) {
+	m, ok := recvWithin(t.w.p2p[t.rank][src], t.w.timeout)
+	if !ok {
+		return Payload{}, fmt.Errorf("timed out receiving from %d (deadlock?)", src)
+	}
+	return m, nil
 }
 
 // Collective performs a gather-to-root / broadcast rendezvous. All ranks
@@ -221,15 +240,9 @@ func (t *simTransport) Collective(contrib CollPayload) (CollPayload, error) {
 }
 
 func (t *simTransport) collRecv(ch chan CollPayload, op string, from int) (CollPayload, error) {
-	var m CollPayload
-	if t.w.timeout > 0 {
-		select {
-		case m = <-ch:
-		case <-time.After(t.w.timeout):
-			return CollPayload{}, fmt.Errorf("timed out in collective %q waiting for rank %d", op, from)
-		}
-	} else {
-		m = <-ch
+	m, ok := recvWithin(ch, t.w.timeout)
+	if !ok {
+		return CollPayload{}, fmt.Errorf("timed out in collective %q waiting for rank %d", op, from)
 	}
 	if m.Op != op {
 		return CollPayload{}, fmt.Errorf("collective mismatch: in %q, rank %d sent %q", op, from, m.Op)
@@ -241,7 +254,7 @@ func (t *simTransport) Close() error { return nil }
 
 // Comm is one rank's handle on a world. A Comm is confined to its rank's
 // goroutine; distinct Comms may be used concurrently. All metering happens
-// here, above the Transport, so the meters of the channel and socket
+// here, above the Transport, so the meters of the channel and ring
 // backends agree by construction.
 type Comm struct {
 	t       Transport
@@ -298,15 +311,11 @@ func (c *Comm) selfPush(p Payload) {
 // self-receive with nothing enqueued (and no nonblocking self-send pending)
 // can never be satisfied, so it fails like any other would-be deadlock.
 func (c *Comm) selfPop() (Payload, error) {
-	if c.timeout > 0 {
-		select {
-		case m := <-c.st.self:
-			return m, nil
-		case <-time.After(c.timeout):
-			return Payload{}, fmt.Errorf("timed out on self-receive (nothing self-sent?)")
-		}
+	m, ok := recvWithin(c.st.self, c.timeout)
+	if !ok {
+		return Payload{}, fmt.Errorf("timed out on self-receive (nothing self-sent?)")
 	}
-	return <-c.st.self, nil
+	return m, nil
 }
 
 // SendFloats sends a copy of data to dst with the given tag. A send to the

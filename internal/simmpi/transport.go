@@ -12,8 +12,8 @@ import (
 // against Comm runs unmodified over any backend.
 //
 // Two backends exist: the in-process channel simulator in this package
-// (goroutine ranks, the test oracle) and the TCP/Unix-socket backend in
-// internal/tcpmpi (OS-process ranks over real sockets). The conformance
+// (goroutine ranks, the test oracle) and the shared-memory ring backend in
+// internal/tcpmpi (OS-process ranks that meet over TCP). The conformance
 // suite in internal/commtest pins the semantics both must share:
 //
 //   - Per-sender FIFO: messages from one rank to another arrive in send

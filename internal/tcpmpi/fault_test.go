@@ -9,10 +9,14 @@ import (
 	"fsaicomm/internal/simmpi"
 )
 
+// TestRunLocalBasicTCPAndUnix runs the smallest mesh both ways a rank waits:
+// "tcp" polls first, "unix" parks at once (the names are the test floor's,
+// from when the two runs were two socket families).
 func TestRunLocalBasicTCPAndUnix(t *testing.T) {
-	for _, network := range []string{"tcp", "unix"} {
+	for network, poll := range map[string]time.Duration{"tcp": pollFor, "unix": 0} {
 		t.Run(network, func(t *testing.T) {
-			m, err := RunLocal(3, Config{Network: network, Timeout: 10 * time.Second}, func(c *simmpi.Comm) error {
+			defer PollFor(poll)()
+			m, err := RunLocal(3, Config{Timeout: 10 * time.Second}, func(c *simmpi.Comm) error {
 				if c.Rank() == 0 {
 					c.SendFloats(1, 5, []float64{1, 2})
 					c.SendInts(2, 6, []int{7})

@@ -1,7 +1,16 @@
-// Package tcpmpi is the socket backend of the simmpi Transport interface:
-// ranks are OS processes (or goroutines in tests) exchanging length-prefixed
-// frames over TCP loopback or Unix-domain sockets. Semantics are pinned to
-// the in-process channel backend by the conformance suite in
+// Package tcpmpi is the multi-process backend of the simmpi Transport
+// interface: ranks are OS processes (or goroutines in tests) on one host. The
+// name is where it came from and what still finds the peers: a rank listens
+// on a loopback TCP port, the mesh is formed by dialing those ports, and a
+// connection's death is how a lost rank shows. But no message travels over
+// TCP any more. Each connection owns a pair of byte rings in shared memory
+// (ring.go); the length-prefixed frames of this file are copied into the
+// ring, the goroutine that waits for a message takes them out itself, and the
+// socket carries the handshake, one doorbell byte to a peer that has gone to
+// sleep, and the EOF that means simmpi.ErrRankLost (endpoint.go). The rings
+// are a mapped file, which is unix (mapping_unix.go); elsewhere the package
+// builds and Connect fails. Semantics
+// are pinned to the in-process channel backend by the conformance suite in
 // internal/commtest; the differential tests in the root package additionally
 // assert bit-identical solver results across backends.
 package tcpmpi
@@ -9,36 +18,31 @@ package tcpmpi
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 
 	"fsaicomm/internal/simmpi"
 )
 
-// Frame kinds. Every frame on a mesh connection is
+// Frame kinds. Every frame in a ring is
 //
 //	u32 length (of everything after this field) | u8 kind | body
 //
 // with all integers little-endian and floats as IEEE-754 bit patterns.
 const (
-	kindHello byte = 1 // body: u32 rank — sent by the dialing (higher) rank
-	kindP2P   byte = 2 // body: p2p payload (see appendP2P)
-	kindColl  byte = 3 // body: collective payload (see appendColl)
+	kindP2P  byte = 2 // body: p2p payload (see appendP2P)
+	kindColl byte = 3 // body: collective payload (see appendColl)
 )
 
 // maxFrameBytes bounds a decoded frame; anything larger means a corrupt or
 // hostile stream, not solver traffic.
 const maxFrameBytes = 1 << 30
 
-// frameStep is the first allocation readFrame makes for a body and the least
-// it grows by; after that the buffer doubles as bytes actually arrive.
-const frameStep = 64 << 10
-
 // beginFrame starts a frame of the given kind in b's storage: the length
 // field is reserved, the encoders append the body, endFrame fills the length
-// in. One buffer, one Write: frames must not interleave when several
-// goroutines share a connection under the per-conn write mutex.
+// in. One buffer per connection, filled and copied out under the
+// connection's write mutex: frames of several goroutines must not interleave
+// in the ring.
 func beginFrame(b []byte, kind byte) []byte {
 	return append(b[:0], 0, 0, 0, 0, kind)
 }
@@ -48,37 +52,43 @@ func endFrame(b []byte) []byte {
 	return b
 }
 
-// readFrame reads one frame into buf's storage, growing it as needed, and
-// returns kind byte and body as one slice (frame[0] is the kind) so that the
-// caller can hand the storage back for the next frame; nothing decoded from
-// a frame may alias it. The body is not allocated on the header's word: the
-// buffer grows in steps no larger than what has already arrived, so a header
-// that lies costs about twice what the peer really sent, never the 1 GiB the
-// length field can claim.
-//
-// It works on any reader (the mesh handshake reads the raw connection:
-// buffering there would read ahead into the next frame, whose bytes would be
-// lost when the per-peer reader loop takes over with its own buffer).
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	// The header is read into the frame's own storage (a local array would
-	// escape through the Reader interface and cost an allocation per frame).
-	frame := slices.Grow(buf[:0], 4)[:4]
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(frame)
-	if n < 1 || n > maxFrameBytes {
-		return nil, fmt.Errorf("tcpmpi: frame length %d out of range", n)
-	}
-	frame = frame[:0]
-	for len(frame) < int(n) {
-		step := min(int(n)-len(frame), max(len(frame), frameStep, cap(frame)-len(frame)))
-		frame = slices.Grow(frame, step)[:len(frame)+step]
-		if _, err := io.ReadFull(r, frame[len(frame)-step:]); err != nil {
-			return nil, err
+// frameAsm puts frames back together from a byte stream that arrives in
+// pieces of any size — a ring hands over what has been published so far, and
+// a frame larger than the ring never sits in it whole. The body's storage is
+// reused from frame to frame, and it grows by what has arrived, not by what
+// the header declares: a header that lies costs about twice what the peer
+// really sent, never the 1 GiB the length field can claim.
+type frameAsm struct {
+	hdr  [4]byte
+	nhdr int
+	need int // body bytes the header declared; 0 while the header is incomplete
+	body []byte
+}
+
+// take consumes bytes of p toward the frame in progress and reports how many
+// it used. Once the frame is complete it is returned — kind byte and body as
+// one slice, frame[0] the kind — and the rest of p belongs to the next take.
+// The frame aliases the assembler's storage until then; nothing decoded from
+// it may.
+func (f *frameAsm) take(p []byte) (used int, frame []byte, err error) {
+	if f.need == 0 {
+		used = copy(f.hdr[f.nhdr:], p)
+		if f.nhdr += used; f.nhdr < len(f.hdr) {
+			return used, nil, nil
 		}
+		n := binary.LittleEndian.Uint32(f.hdr[:])
+		if n < 1 || n > maxFrameBytes {
+			return used, nil, fmt.Errorf("tcpmpi: frame length %d out of range", n)
+		}
+		f.nhdr, f.need, f.body = 0, int(n), f.body[:0]
 	}
-	return frame, nil
+	k := min(len(p)-used, f.need-len(f.body))
+	f.body = append(f.body, p[used:used+k]...)
+	if used += k; len(f.body) < f.need {
+		return used, nil, nil
+	}
+	f.need = 0
+	return used, f.body, nil
 }
 
 // Payload type tags inside p2p frames. Empty payloads are typeless on the

@@ -3,68 +3,43 @@ package tcpmpi
 import (
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"fsaicomm/internal/simmpi"
 )
 
-// listenAll opens one listener per rank and returns their addresses plus a
-// cleanup for any on-disk socket directory. Listeners all exist before any
-// address is returned, so mesh dials cannot race listener creation.
-func listenAll(cfg Config, size int) ([]net.Listener, []string, func(), error) {
-	cleanup := func() {}
-	var dir string
-	if cfg.Network == "unix" {
-		var err error
-		dir, err = os.MkdirTemp("", "tcpmpi-")
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("tcpmpi: socket dir: %w", err)
-		}
-		cleanup = func() { os.RemoveAll(dir) }
-	}
+// listenAll opens one loopback listener per rank and returns their
+// addresses. Listeners all exist before any address is returned, so mesh
+// dials cannot race listener creation.
+func listenAll(size int) ([]net.Listener, []string, error) {
 	lns := make([]net.Listener, size)
 	addrs := make([]string, size)
-	for r := 0; r < size; r++ {
-		var (
-			ln  net.Listener
-			err error
-		)
-		switch cfg.Network {
-		case "unix":
-			ln, err = net.Listen("unix", filepath.Join(dir, fmt.Sprintf("rank%d.sock", r)))
-		case "tcp":
-			ln, err = ListenTCP()
-		default:
-			err = fmt.Errorf("unknown network %q", cfg.Network)
-		}
+	for r := range lns {
+		ln, err := ListenTCP()
 		if err != nil {
 			for _, l := range lns[:r] {
 				l.Close()
 			}
-			cleanup()
-			return nil, nil, nil, fmt.Errorf("tcpmpi: rank %d listen: %w", r, err)
+			return nil, nil, fmt.Errorf("tcpmpi: rank %d listen: %w", r, err)
 		}
-		lns[r] = ln
-		addrs[r] = ln.Addr().String()
+		lns[r], addrs[r] = ln, ln.Addr().String()
 	}
-	return lns, addrs, cleanup, nil
+	return lns, addrs, nil
 }
 
-// RunLocal spawns fn on every rank of a fresh socket mesh, one goroutine per
-// rank, each over its own Endpoint — the full wire path (framing, mesh
-// handshake, reader demultiplexing) without the process-spawn cost. Panics
-// inside a rank are recovered into errors; the first non-nil error in rank
-// order wins. Each rank meters its own traffic (as the multi-process workers
-// do); the returned meter is the per-rank meters merged, comparable to an
-// in-process World's.
+// RunLocal spawns fn on every rank of a fresh mesh, one goroutine per rank,
+// each over its own Endpoint and its own mapping of the rings — the full wire
+// path (framing, mesh handshake, rings and doorbells) without the
+// process-spawn cost. Panics inside a rank are recovered into errors; the
+// first non-nil error in rank order wins. Each rank meters its own traffic (as
+// the multi-process workers do); the returned meter is the per-rank meters
+// merged, comparable to an in-process World's.
 func RunLocal(size int, cfg Config, fn func(c *simmpi.Comm) error) (*simmpi.Meter, error) {
 	return RunLocalTopo(size, cfg, simmpi.Topology{}, fn)
 }
 
 // RunLocalTopo is RunLocal with a two-level topology attached to every
-// rank's meter (and hence Comm), mirroring simmpi.RunTopo for the socket
+// rank's meter (and hence Comm), mirroring simmpi.RunTopo for this
 // backend.
 func RunLocalTopo(size int, cfg Config, topo simmpi.Topology, fn func(c *simmpi.Comm) error) (*simmpi.Meter, error) {
 	cfg = cfg.withDefaults()
@@ -74,11 +49,10 @@ func RunLocalTopo(size int, cfg Config, topo simmpi.Topology, fn func(c *simmpi.
 	if err := topo.Validate(size); err != nil {
 		return nil, err
 	}
-	lns, addrs, cleanup, err := listenAll(cfg, size)
+	lns, addrs, err := listenAll(size)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
 	meters := make([]*simmpi.Meter, size)
 	errs := make([]error, size)
 	var wg sync.WaitGroup

@@ -1,0 +1,8 @@
+//go:build !linux
+
+package tcpmpi
+
+// Without a way to hand the core over nobody polls: every wait parks.
+const canYield = false
+
+func yield() {}

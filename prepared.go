@@ -392,9 +392,9 @@ func (p *Prepared) Options() Options { return p.setupOpt }
 // that sums SizeBytes over such systems charges their shared structure once
 // per system, so its budget stays an upper bound on what they hold. Small
 // fixed overheads are ignored. While "tcp" solves keep worker processes
-// resident the figure grows by the workers' copy of the operators plus their
-// measured idle resident set, so a cache that re-reads it after a solve
-// bounds the processes with its byte budget.
+// resident the figure grows by the workers' copy of the operators, their
+// measured idle resident set and the shared memory of their rings, so a cache
+// that re-reads it after a solve bounds the processes with its byte budget.
 func (p *Prepared) SizeBytes() int64 {
 	return p.operatorBytes() + p.st.sizeBytes(p.plans) + p.meshBytes.Load()
 }
@@ -509,7 +509,7 @@ func (p *Prepared) runResident(ctx context.Context, jobs []*mprun.JobSpec) ([]*m
 			return nil, err
 		}
 		p.mesh = mesh
-		p.meshBytes.Store(p.operatorBytes() + mesh.IdleRSS())
+		p.meshBytes.Store(p.operatorBytes() + mesh.IdleRSS() + mesh.RingBytes())
 	}
 	outs, err := p.mesh.Run(ctx, jobs)
 	if !p.mesh.Reusable() {

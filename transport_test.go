@@ -208,11 +208,15 @@ func TestPreparedSolveTCPCancel(t *testing.T) {
 	}
 	// The tiny (but positive: zero means "default") tolerance cannot be met
 	// until the recurrence residual underflows to exactly zero, which on
-	// this fixture takes ~1.5s of multi-process solving (measured; the
+	// this fixture takes ~3.4s of multi-process solving (measured; the
 	// underflow bounds how long ANY tiny-tolerance run can last, so "run
-	// forever" is not an option). The cancel is timed well inside that
-	// window: the solve is underway within ~0.1s of Solve being called.
-	a := GeneratePoisson2D(96, 96)
+	// forever" is not an option; a 96×96 grid, which used to take ~1.5s
+	// over sockets, is through in 0.3s over the rings). The cancel is timed
+	// well inside that window: a first solve has started the workers and left
+	// them the operators — which under the race detector takes longer than
+	// the cancel waits — so the one that is canceled is underway within
+	// milliseconds of Solve being called.
+	a := GeneratePoisson2D(192, 192)
 	b := make([]float64, a.Rows)
 	for i := range b {
 		b[i] = 1 + float64(i%7)/7
@@ -221,6 +225,10 @@ func TestPreparedSolveTCPCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := p.Solve(context.Background(), b, SolveOptions{Transport: "tcp", Tol: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 600*time.Millisecond)
 	defer cancel()
 	start := time.Now()

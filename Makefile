@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 tier2 bench bce fuzz trace serve mp batch nodeaware spai cover loc
+.PHONY: all tier1 tier2 bench bce fuzz trace serve mp batch nodeaware spai cover loc placement
 
 all: tier1
 
@@ -97,7 +97,7 @@ tier2:
 # strictly fewer iterations than unpreconditioned GMRES on the
 # Péclet-skewed instance at every measured rank count and backend.
 bench:
-	$(GO) test -run xxx -bench '50k' -benchmem .
+	$(GO) test -run xxx -bench '50k|PreparedSolve8100' -benchmem .
 	$(GO) run ./cmd/fsaibench -exp benchjson -out BENCH_pipelined.json
 	$(GO) run ./cmd/fsaibench -exp transportjson -out BENCH_transport.json
 	$(GO) run ./cmd/fsaibench -exp batchjson -out BENCH_batch.json -csv BENCH_batch.csv
@@ -225,6 +225,21 @@ loc:
 		  if ($$2 ~ /_test\.go$$/) { t[d] += $$1; tt += $$1 } else { n[d] += $$1; nt += $$1 } } \
 		END { for (d in dirs) printf "%7d %7d  %s\n", n[d], t[d], d | "sort -k3"; close("sort -k3"); \
 		      printf "%7d %7d  total (non-test, test)\n", nt, tt }'
+
+# placement: where the linker put three hot kernels in the server binary,
+# as address mod 64. internal/simmpi and internal/tcpmpi are laid out before
+# every other package of the module and functions are aligned to 32 bytes, so
+# a change to either can move every kernel from 0 to 32 mod 64 or back, and
+# that alone moves the sim workloads of the benchmark by 15 % (ROADMAP item
+# 3). The accepted placement reads 0 / 32 / 32 in the order printed; compare
+# timings of two builds only when their lines agree.
+placement:
+	$(GO) build -o bin/fsaiserve ./cmd/fsaiserve
+	@$(GO) tool nm -n bin/fsaiserve | while read addr _ sym; do case "$$sym" in \
+		'fsaicomm/internal/sparse.rowDotCols[go.shape.float32]' | \
+		'fsaicomm/internal/sparse.mulVecRows[go.shape.float64]' | \
+		fsaicomm/internal/vecops.Dot) echo "$$((0x$$addr % 64)) mod 64  $$sym" ;; \
+	esac; done
 
 # cover: per-package statement coverage for the whole module.
 cover:

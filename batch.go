@@ -68,6 +68,8 @@ type BatchResult struct {
 	IntraNodeMessages int64
 	InterNodeBytes    int64
 	InterNodeMessages int64
+	// Waits is how the ranks' blocking waits ended (see Result).
+	Waits RankWaits
 	// SetupTime and SolveTime are wall-clock phase durations (SetupTime is
 	// 0 for Prepared.SolveBatch, whose setup was paid in Prepare).
 	SetupTime, SolveTime time.Duration
@@ -210,6 +212,7 @@ func (f *rankFold) batchResult() (*BatchResult, error) {
 		InterNodeMessages: f.comm.InterP2PMessages,
 		CollectiveCalls:   f.comm.CollectiveCalls,
 		CollectiveBytes:   f.comm.CollectiveBytes,
+		Waits:             f.waits,
 		SetupTime:         time.Duration(root.SetupNanos),
 		SolveTime:         time.Duration(root.SolveNanos),
 	}

@@ -10,6 +10,7 @@ package fsaicomm
 import (
 	"context"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -669,15 +670,42 @@ func BenchmarkTransposeDist50k(b *testing.B) {
 // 0's three operators and reports ns per stored entry (per column for the
 // k-wide products); the two solve benches time the whole in-process request
 // under them. Together they are a before/after that needs no server; names
-// contain "50k" so `make bench` picks them up.
+// contain "50k" so `make bench` picks them up. Three more put the ranks'
+// waiting policy where it can cost: two solves at once on the host's cores,
+// more ranks than cores, and the small system of warm-tcp, whose ranks meet
+// every few tens of microseconds (PreparedSolve8100 is named in the pattern).
 
 func prepareWarm50k(b *testing.B) (*Matrix, *Prepared) {
-	a := matgen.Poisson3D(37, 37, 37)
-	p, err := Prepare(a, Options{Method: FSAIEComm, Ranks: 2})
+	return prepareWarm(b, matgen.Poisson3D(37, 37, 37), 2)
+}
+
+func prepareWarm(b *testing.B, a *Matrix, ranks int) (*Matrix, *Prepared) {
+	p, err := Prepare(a, Options{Method: FSAIEComm, Ranks: ranks})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return a, p
+}
+
+// benchPreparedSolves times rounds of `atOnce` concurrent solves of one
+// right-hand side on p.
+func benchPreparedSolves(b *testing.B, a *Matrix, p *Prepared, atOnce int) {
+	rhs := GenerateRHS(a, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for j := 0; j < atOnce; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := p.Solve(context.Background(), rhs, SolveOptions{})
+				if err != nil || !res.Converged {
+					b.Errorf("converged=%v err=%v", res != nil && res.Converged, err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }
 
 func BenchmarkRowKernel50k(b *testing.B) {
@@ -715,14 +743,22 @@ func BenchmarkRowKernel50k(b *testing.B) {
 
 func BenchmarkPreparedSolve50k(b *testing.B) {
 	a, p := prepareWarm50k(b)
-	rhs := GenerateRHS(a, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := p.Solve(context.Background(), rhs, SolveOptions{})
-		if err != nil || !res.Converged {
-			b.Fatalf("converged=%v err=%v", res != nil && res.Converged, err)
-		}
-	}
+	benchPreparedSolves(b, a, p, 1)
+}
+
+func BenchmarkTwoPreparedSolves50k(b *testing.B) {
+	a, p := prepareWarm50k(b)
+	benchPreparedSolves(b, a, p, 2)
+}
+
+func BenchmarkPreparedSolve4Ranks50k(b *testing.B) {
+	a, p := prepareWarm(b, matgen.Poisson3D(37, 37, 37), 4)
+	benchPreparedSolves(b, a, p, 1)
+}
+
+func BenchmarkPreparedSolve8100(b *testing.B) {
+	a, p := prepareWarm(b, matgen.CFDDiffusion(90, 90, 500, 1), 2)
+	benchPreparedSolves(b, a, p, 1)
 }
 
 func BenchmarkPreparedSolveBatch2_50k(b *testing.B) {

@@ -186,6 +186,9 @@ type OverlapReport = archmodel.OverlapReport
 // WindowReport is one communication window's share of an OverlapReport.
 type WindowReport = archmodel.WindowReport
 
+// RankWaits counts blocking waits of rank goroutines by how they ended.
+type RankWaits = simmpi.Waits
+
 // Options configures a solve.
 type Options struct {
 	// Method selects FSAI, FSAIE, FSAIEComm or SPAI. The zero value is FSAI;
@@ -532,6 +535,11 @@ type Result struct {
 	// meter (0 for serial solves). The serving layer accumulates these into
 	// its /metrics report.
 	CollectiveCalls, CollectiveBytes int64
+	// Waits is how the ranks' blocking waits ended, summed over ranks: what
+	// they waited for there at first look, arrived while they polled, or
+	// after they went to sleep (each sleep costs a wake-up). It tells who
+	// arrived first, not what the program did: no two runs need agree on it.
+	Waits RankWaits
 	// ImbalanceIndex is avg/max per-rank preconditioner entries (1 =
 	// balanced; only meaningful for distributed solves).
 	ImbalanceIndex float64
@@ -867,6 +875,7 @@ func runRanks(ctx context.Context, transport string, tcp rankRunner, job mprun.J
 type rankFold struct {
 	root     *mprun.RankOutcome
 	comm     simmpi.Snapshot
+	waits    simmpi.Waits
 	x        [][]float64
 	costs    []experiments.IterCostInputs
 	sp       mprun.SolveParams
@@ -895,6 +904,9 @@ func foldOutcomes(outs []*mprun.RankOutcome, oldToNew []int, k int, sp mprun.Sol
 		f.comm.InterP2PMessages += out.SolveComm.InterP2PMessages
 		f.comm.CollectiveCalls += out.SolveComm.CollectiveCalls
 		f.comm.CollectiveBytes += out.SolveComm.CollectiveBytes
+		f.waits.Ready += out.Waits.Ready
+		f.waits.Polled += out.Waits.Polled
+		f.waits.Parked += out.Waits.Parked
 	}
 	f.root, f.pct, f.imb = outs[0], outs[0].Pct, outs[0].Imbalance
 	// Un-permute the (possibly partial, under cancellation) solution.
@@ -943,6 +955,7 @@ func (f *rankFold) result() (*Result, error) {
 		InterNodeMessages: f.comm.InterP2PMessages,
 		CollectiveCalls:   f.comm.CollectiveCalls,
 		CollectiveBytes:   f.comm.CollectiveBytes,
+		Waits:             f.waits,
 		SetupTime:         time.Duration(root.SetupNanos),
 		SolveTime:         time.Duration(root.SolveNanos),
 		Trace:             root.Trace,

@@ -214,6 +214,7 @@ func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Worksp
 	}
 	out.SolveNanos = time.Since(t1).Nanoseconds()
 	out.SolveComm = c.Meter().RankSnapshot(rank).Sub(out.SetupComm)
+	out.Waits = c.Waits()
 	out.XLocal = xl
 	out.Iterations = st.Iterations
 	out.Converged = st.Converged

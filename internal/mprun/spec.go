@@ -232,6 +232,11 @@ type RankOutcome struct {
 	// phases, taken as RankSnapshot deltas. Summed over ranks they give the
 	// deterministic world totals the differential tests compare bit-for-bit.
 	SetupComm, SolveComm simmpi.Snapshot
+	// Waits is how the blocking waits of the rank's goroutine ended over the
+	// job: on the channel backend every receive, on the ring backend what a
+	// Comm waits for by itself (self-receives, nonblocking operations). It
+	// tells who arrived first, so no two runs need agree on it.
+	Waits simmpi.Waits
 	// SetupNanos and SolveNanos are the rank's wall-clock phase durations.
 	SetupNanos, SolveNanos int64
 }

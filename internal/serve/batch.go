@@ -215,6 +215,7 @@ func (s *Server) runBatch(q *solveRequest, a *fsaicomm.Matrix, opt fsaicomm.Opti
 		s.met.interNodeMessages.Add(br.InterNodeMessages)
 		s.met.collectiveCalls.Add(br.CollectiveCalls)
 		s.met.collectiveBytes.Add(br.CollectiveBytes)
+		s.met.addWaits(br.Waits)
 	}
 	if err != nil { // JobTimeout: the batch was cut off collectively
 		s.met.jobsCanceled.Add(int64(k))

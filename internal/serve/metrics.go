@@ -172,6 +172,9 @@ type metrics struct {
 	commBytes       atomic.Int64
 	collectiveCalls atomic.Int64
 	collectiveBytes atomic.Int64
+	// How the ranks' blocking waits ended (fsaicomm.Result.Waits): parked is
+	// the number of wake-ups the solves paid for.
+	waitsReady, waitsPolled, waitsParked atomic.Int64
 
 	// Two-level topology split of the point-to-point totals: traffic between
 	// ranks on the same node vs different nodes (flat solves count everything
@@ -190,6 +193,12 @@ type metrics struct {
 
 	latency   *histogram
 	occupancy *occupancyHist
+}
+
+func (m *metrics) addWaits(w fsaicomm.RankWaits) {
+	m.waitsReady.Add(w.Ready)
+	m.waitsPolled.Add(w.Polled)
+	m.waitsParked.Add(w.Parked)
 }
 
 func newMetrics() *metrics {
@@ -239,6 +248,9 @@ type metricsSnapshot struct {
 		InterNodeMessages int64 `json:"inter_node_messages_total"`
 		CollectiveCalls   int64 `json:"collective_calls_total"`
 		CollectiveBytes   int64 `json:"collective_bytes_total"`
+		WaitsReady        int64 `json:"simmpi_waits_ready"`
+		WaitsPolled       int64 `json:"simmpi_waits_polled"`
+		WaitsParked       int64 `json:"simmpi_waits_parked"`
 	} `json:"solve"`
 	Batch struct {
 		BatchesTotal  int64             `json:"batches_total"`
@@ -287,6 +299,9 @@ func (m *metrics) snapshot(prepared, matrices *lru) ([]byte, error) {
 	s.Solve.InterNodeMessages = m.interNodeMessages.Load()
 	s.Solve.CollectiveCalls = m.collectiveCalls.Load()
 	s.Solve.CollectiveBytes = m.collectiveBytes.Load()
+	s.Solve.WaitsReady = m.waitsReady.Load()
+	s.Solve.WaitsPolled = m.waitsPolled.Load()
+	s.Solve.WaitsParked = m.waitsParked.Load()
 	s.Batch.BatchesTotal = m.batchesTotal.Load()
 	s.Batch.CoalescedJobs = m.coalescedJobs.Load()
 	s.Batch.Occupancy = m.occupancy.snapshot()

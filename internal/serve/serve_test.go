@@ -187,6 +187,10 @@ func TestSolveAndCacheHit(t *testing.T) {
 	if m.Solve.CollectiveCalls <= 0 || m.Solve.CommBytes <= 0 {
 		t.Fatalf("aggregate comm totals missing: %+v", m.Solve)
 	}
+	// Every collective is at least one blocking wait on each rank that entered.
+	if waits := m.Solve.WaitsReady + m.Solve.WaitsPolled + m.Solve.WaitsParked; waits < m.Solve.CollectiveCalls {
+		t.Fatalf("%d blocking waits counted for %d collective calls: %+v", waits, m.Solve.CollectiveCalls, m.Solve)
+	}
 }
 
 // A request may pick its rank backend per solve: "transport": "tcp" routes

@@ -705,6 +705,7 @@ func (s *Server) solveAdmitted(r *http.Request, q *solveRequest, m *uploaded, op
 	s.met.interNodeMessages.Add(res.InterNodeMessages)
 	s.met.collectiveCalls.Add(res.CollectiveCalls)
 	s.met.collectiveBytes.Add(res.CollectiveBytes)
+	s.met.addWaits(res.Waits)
 	if err != nil { // canceled: deadline or client disconnect
 		s.met.jobsCanceled.Add(1)
 		if r.Context().Err() != nil {

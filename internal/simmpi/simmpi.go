@@ -38,6 +38,8 @@ type World struct {
 	// goroutine slot and receives the result back.
 	collUp   []chan CollPayload
 	collDown []chan CollPayload
+	// parts is where rank 0, in one collective at a time, lines them up.
+	parts []CollPayload
 	// states holds each rank's Comm-level state (nonblocking chains and the
 	// self-send loopback queue). Entry r is touched only by rank r's
 	// goroutine, so no lock is needed.
@@ -57,7 +59,8 @@ type rankState struct {
 	// self carries rank→rank loopback messages (see Comm.SendFloats): a
 	// bounded FIFO so a runaway self-send loop fails loudly instead of
 	// consuming unbounded memory.
-	self chan Payload
+	self  chan Payload
+	waits Waits // of the rank's own goroutine
 }
 
 // selfQueueCap bounds the number of outstanding self-sends per rank. The
@@ -94,6 +97,7 @@ func NewWorldTopo(size int, timeout time.Duration, topo Topology) *World {
 		p2p:      make([][]chan Payload, size),
 		collUp:   make([]chan CollPayload, size),
 		collDown: make([]chan CollPayload, size),
+		parts:    make([]CollPayload, size),
 		states:   make([]rankState, size),
 	}
 	for d := 0; d < size; d++ {
@@ -122,12 +126,8 @@ func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.size {
 		panic(fmt.Sprintf("simmpi: rank %d outside [0,%d)", rank, w.size))
 	}
-	return &Comm{
-		t:       &simTransport{w: w, rank: rank},
-		meter:   w.meter,
-		timeout: w.timeout,
-		st:      &w.states[rank],
-	}
+	st := &w.states[rank]
+	return newComm(&simTransport{w, rank, &st.waits}, &simTransport{w: w, rank: rank}, w.meter, w.timeout, st)
 }
 
 // Run spawns fn on every rank of a fresh world and waits for all of them.
@@ -167,8 +167,9 @@ func RunTopo(size int, timeout time.Duration, topo Topology, fn func(c *Comm) er
 
 // simTransport is the channel backend: one rank's view of a World.
 type simTransport struct {
-	w    *World
-	rank int
+	w     *World
+	rank  int
+	waits *Waits // nil on the view of a rank's background operations (Comm.bg)
 }
 
 func (t *simTransport) Rank() int { return t.rank }
@@ -179,32 +180,8 @@ func (t *simTransport) Send(dst int, p Payload) error {
 	return nil
 }
 
-// recvWithin takes the next value off ch, waiting at most timeout for it
-// (zero: for good). A value that is already there is taken without a timer,
-// and a timer that had to be armed is stopped when the value comes: a
-// time.After per receive would stay in the runtime's heap until it fired —
-// with the facade's timeout an hour of every receive a server ever made.
-func recvWithin[T any](ch <-chan T, timeout time.Duration) (m T, ok bool) {
-	select {
-	case m = <-ch:
-		return m, true
-	default:
-	}
-	if timeout <= 0 {
-		return <-ch, true
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case m = <-ch:
-		return m, true
-	case <-t.C:
-		return m, false
-	}
-}
-
 func (t *simTransport) Recv(src int) (Payload, error) {
-	m, ok := recvWithin(t.w.p2p[t.rank][src], t.w.timeout)
+	m, ok := recvWithin(t.w.p2p[t.rank][src], t.w.timeout, t.waits)
 	if !ok {
 		return Payload{}, fmt.Errorf("timed out receiving from %d (deadlock?)", src)
 	}
@@ -217,7 +194,7 @@ func (t *simTransport) Collective(contrib CollPayload) (CollPayload, error) {
 	w := t.w
 	op := contrib.Op
 	if t.rank == 0 {
-		parts := make([]CollPayload, w.size)
+		parts := w.parts
 		parts[0] = contrib
 		for r := 1; r < w.size; r++ {
 			m, err := t.collRecv(w.collUp[r], op, r)
@@ -240,7 +217,7 @@ func (t *simTransport) Collective(contrib CollPayload) (CollPayload, error) {
 }
 
 func (t *simTransport) collRecv(ch chan CollPayload, op string, from int) (CollPayload, error) {
-	m, ok := recvWithin(ch, t.w.timeout)
+	m, ok := recvWithin(ch, t.w.timeout, t.waits)
 	if !ok {
 		return CollPayload{}, fmt.Errorf("timed out in collective %q waiting for rank %d", op, from)
 	}
@@ -261,6 +238,10 @@ type Comm struct {
 	meter   *Meter
 	timeout time.Duration
 	st      *rankState
+	// waits counts the blocking waits of the rank's goroutine; its background
+	// operations run beside it, through bg, and count none (bg.waits is nil).
+	waits *Waits
+	bg    *Comm
 }
 
 // NewComm wraps a Transport endpoint in a communicator. meter must have the
@@ -270,7 +251,12 @@ type Comm struct {
 // out-of-package backends; in-process worlds use World.Comm.
 func NewComm(t Transport, meter *Meter, timeout time.Duration) *Comm {
 	st := newRankState()
-	return &Comm{t: t, meter: meter, timeout: timeout, st: &st}
+	return newComm(t, t, meter, timeout, &st)
+}
+
+func newComm(t, bg Transport, meter *Meter, timeout time.Duration, st *rankState) *Comm {
+	return &Comm{t: t, meter: meter, timeout: timeout, st: st, waits: &st.waits,
+		bg: &Comm{t: bg, meter: meter, timeout: timeout, st: st}}
 }
 
 // Rank returns this communicator's rank.
@@ -282,6 +268,9 @@ func (c *Comm) Size() int { return c.t.Size() }
 // Meter returns the traffic meter (shared by all ranks of an in-process
 // world; per-process in multi-process worlds).
 func (c *Comm) Meter() *Meter { return c.meter }
+
+// Waits tells how this rank's blocking waits ended: who came first, no meter.
+func (c *Comm) Waits() Waits { return *c.waits }
 
 // Topology returns the two-level topology this communicator's meter
 // classifies traffic against; the zero Topology when none was declared. The
@@ -311,7 +300,7 @@ func (c *Comm) selfPush(p Payload) {
 // self-receive with nothing enqueued (and no nonblocking self-send pending)
 // can never be satisfied, so it fails like any other would-be deadlock.
 func (c *Comm) selfPop() (Payload, error) {
-	m, ok := recvWithin(c.st.self, c.timeout)
+	m, ok := recvWithin(c.st.self, c.timeout, c.waits)
 	if !ok {
 		return Payload{}, fmt.Errorf("timed out on self-receive (nothing self-sent?)")
 	}
@@ -555,6 +544,7 @@ var ErrWaited = fmt.Errorf("simmpi: request already waited")
 type Request struct {
 	kind     string
 	done     chan struct{}
+	waits    *Waits // of the rank that posted it
 	f64      []float64
 	f32      []float32
 	panicVal any
@@ -572,7 +562,7 @@ func (r *Request) Wait() ([]float64, error) {
 		return nil, fmt.Errorf("%w: %s", ErrWaited, r.kind)
 	}
 	r.waited = true
-	<-r.done
+	recvWithin(r.done, 0, r.waits)
 	if r.panicVal != nil {
 		panic(r.panicVal)
 	}
@@ -587,7 +577,7 @@ func (r *Request) Wait32() ([]float32, error) {
 		return nil, fmt.Errorf("%w: %s", ErrWaited, r.kind)
 	}
 	r.waited = true
-	<-r.done
+	recvWithin(r.done, 0, r.waits)
 	if r.panicVal != nil {
 		panic(r.panicVal)
 	}
@@ -608,7 +598,7 @@ func (r *Request) Done() bool {
 // poster may still Wait it). Called only from the owning rank's goroutine.
 func (c *Comm) drain(tail **Request) {
 	if t := *tail; t != nil {
-		<-t.done
+		recvWithin(t.done, 0, c.waits)
 	}
 }
 
@@ -632,7 +622,7 @@ func (c *Comm) Quiesce() {
 // entry completes; its panics are captured into the handle.
 func (c *Comm) post(kind string, tail **Request, fn func(r *Request)) *Request {
 	prev := *tail
-	r := &Request{kind: kind, done: make(chan struct{})}
+	r := &Request{kind: kind, done: make(chan struct{}), waits: c.waits}
 	*tail = r
 	go func() {
 		defer close(r.done)
@@ -642,7 +632,7 @@ func (c *Comm) post(kind string, tail **Request, fn func(r *Request)) *Request {
 			}
 		}()
 		if prev != nil {
-			<-prev.done
+			recvWithin(prev.done, 0, nil)
 			// A failed predecessor poisons the chain: executing after it
 			// would desynchronize this rank's operation order against its
 			// peers, so surface the same failure here.
@@ -664,7 +654,7 @@ func (c *Comm) IallreduceSum(vals ...float64) *Request {
 	c.meterCollective(8 * len(vals))
 	payload := append([]float64(nil), vals...)
 	return c.post("iallreduce-sum", &c.st.collTail, func(r *Request) {
-		r.f64 = c.collective("allreduce-sum", CollPayload{F64: payload}).F64
+		r.f64 = c.bg.collective("allreduce-sum", CollPayload{F64: payload}).F64
 	})
 }
 
@@ -695,7 +685,7 @@ func (c *Comm) IsendFloats(dst, tag int, data []float64) *Request {
 func (c *Comm) IrecvFloats(src, tag int) *Request {
 	c.checkPeer(src)
 	return c.post("irecv", &c.st.recvTail, func(r *Request) {
-		m := c.recv(src, tag)
+		m := c.bg.recv(src, tag)
 		if m.F64 == nil && (m.Ints != nil || m.F32 != nil) {
 			panic(fmt.Sprintf("simmpi: rank %d expected floats from %d tag %d, got %s", c.Rank(), src, tag, payloadKind(m)))
 		}
@@ -728,7 +718,7 @@ func (c *Comm) IsendFloats32(dst, tag int, data []float32) *Request {
 func (c *Comm) IrecvFloats32(src, tag int) *Request {
 	c.checkPeer(src)
 	return c.post("irecv32", &c.st.recvTail, func(r *Request) {
-		m := c.recv(src, tag)
+		m := c.bg.recv(src, tag)
 		if m.F32 == nil && (m.F64 != nil || m.Ints != nil) {
 			panic(fmt.Sprintf("simmpi: rank %d expected float32s from %d tag %d, got %s", c.Rank(), src, tag, payloadKind(m)))
 		}

@@ -1,9 +1,8 @@
-package tcpmpi
+package simmpi
 
 import "syscall"
 
-// canYield says that yield does something: only then is polling safe for a
-// rank that may be sharing its core (see pollFor).
+// canYield says that yield does something: only then does anybody poll (Poll).
 const canYield = true
 
 // yield offers the core this thread runs on to any other thread that could

@@ -1,6 +1,6 @@
 //go:build !linux
 
-package tcpmpi
+package simmpi
 
 // Without a way to hand the core over nobody polls: every wait parks.
 const canYield = false

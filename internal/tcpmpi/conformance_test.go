@@ -25,7 +25,7 @@ func TestConformanceTCP(t *testing.T) {
 // from when the second run was over unix-domain sockets; there is one socket
 // family now, and the test floor knows the cases by this name.)
 func TestConformanceUnix(t *testing.T) {
-	defer tcpmpi.PollFor(0)()
+	defer simmpi.PollFor(0)()
 	commtest.RunConformance(t, commtest.Harness{
 		Name: "unix",
 		Run: func(size int, timeout time.Duration, fn func(c *simmpi.Comm) error) (*simmpi.Meter, error) {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -33,22 +32,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// pollFor is how long a waiter looks at its rings before it parks on the
-// socket. A peer in step answers within a few microseconds, one that has a
-// little more of the iteration's phase to compute within some tens; waking a
-// parked thread costs 50 to 100, because the idle core has to be woken first
-// — and a rank that woke late is the peer that answers late, so its peer's
-// poll runs out as well. A poll is worth what the wake-up it saves costs, not
-// more. Between two looks the poller offers its core to whoever else can run
-// on it (yield): whether the peer it waits for has a core of its own is then
-// not something the poller needs to know — with one, the offer costs a system
-// call that comes straight back; without, the peer runs now instead of after
-// the poll, and two ranks on one core pass it back and forth without either
-// being put to sleep and woken. Where the system has no such call (canYield)
-// nobody polls. A variable only so that a test can run the corpus with every
-// wait parked.
-var pollFor = 100 * time.Microsecond
 
 const (
 	// sweepEvery is the first pause after which a parked waiter of a mesh of
@@ -402,11 +385,11 @@ func (pc *peerConn) release() {
 // queues and returns as soon as something happened that a waiter may have
 // been waiting for — a frame queued, room for a caller that wants room, a
 // doorbell rung — so that await can look again on everybody's behalf. With
-// nothing there it polls for a while, handing its core over between looks,
+// nothing there it polls as every waiter of the module does (simmpi.Poll)
 // and then parks on the socket. In a mesh of more than two every round also
 // takes what the other peers have published (serveOthers).
 func (e *Endpoint) pump(pc *peerConn, w want, deadline time.Time) error {
-	var polling time.Time
+	var poll simmpi.Poll
 	sweep := sweepEvery
 	for {
 		frames, moved, err := pc.drain()
@@ -426,30 +409,20 @@ func (e *Endpoint) pump(pc *peerConn, w want, deadline time.Time) error {
 			if !time.Now().Before(deadline) {
 				return os.ErrDeadlineExceeded
 			}
-			polling, sweep = time.Time{}, sweepEvery
+			poll, sweep = simmpi.Poll{}, sweepEvery
 			continue
 		}
-		if canYield && pollFor > 0 {
-			if polling.IsZero() {
-				polling = time.Now()
-			}
-			if time.Since(polling) < pollFor {
-				// A few looks, then the core goes to whoever else can run: a
-				// goroutine of this rank's own (a posted send, and a worker has
-				// one P), or another process — the peer it waits for, if they
-				// share a core.
-				for i := 0; i < 32 && pc.idle(w); i++ {
-				}
-				runtime.Gosched()
-				yield()
-				continue
-			}
+		// A few looks, and the core goes to whoever else can run: then round.
+		for i := 0; i < 32 && pc.idle(w); i++ {
+		}
+		if poll.Again() {
+			continue
 		}
 		rung, err := e.park(pc, w, deadline, &sweep)
 		if err != nil || rung {
 			return err
 		}
-		polling = time.Time{}
+		poll = simmpi.Poll{}
 	}
 }
 

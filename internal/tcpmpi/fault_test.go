@@ -13,9 +13,11 @@ import (
 // "tcp" polls first, "unix" parks at once (the names are the test floor's,
 // from when the two runs were two socket families).
 func TestRunLocalBasicTCPAndUnix(t *testing.T) {
-	for network, poll := range map[string]time.Duration{"tcp": pollFor, "unix": 0} {
+	for network, polls := range map[string]bool{"tcp": true, "unix": false} {
 		t.Run(network, func(t *testing.T) {
-			defer PollFor(poll)()
+			if !polls {
+				defer simmpi.PollFor(0)()
+			}
 			m, err := RunLocal(3, Config{Timeout: 10 * time.Second}, func(c *simmpi.Comm) error {
 				if c.Rank() == 0 {
 					c.SendFloats(1, 5, []float64{1, 2})

@@ -197,7 +197,7 @@ func TestPeerLostWhileParkedOnAFullRing(t *testing.T) {
 // system's yield, which one test process cannot observe.)
 func TestPollerHandsItsCoreOver(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer PollFor(time.Hour)()
+	defer simmpi.PollFor(time.Hour)()
 	start := time.Now()
 	_, err := RunLocal(2, Config{Timeout: time.Minute}, func(c *simmpi.Comm) error {
 		peer := 1 - c.Rank()

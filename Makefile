@@ -28,7 +28,11 @@ all: tier1
 # The wire step fails if a second data path comes back beside the rings:
 # non-test internal/tcpmpi has no per-peer reader (readLoop, bufio) and writes
 # three things to a socket — a doorbell byte, the hello and the ring file's
-# name — never a frame.
+# name — never a frame. The asm step fails if the module holds an assembly
+# file beside the one product kernel (internal/sparse/rowkernel_amd64.s: the
+# k-wide product with a column pair in one XMM register); every other kernel
+# is Go, and the arm64 vet keeps the portable body those platforms run
+# building (it needs no network and nothing but the toolchain).
 tier1:
 	$(GO) build ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
@@ -62,7 +66,11 @@ tier1:
 		if [ -n "$$readers" ] || [ -n "$$writes" ]; then \
 			echo "internal/tcpmpi moves frames over a socket again (the rings are the one data path):"; \
 			echo "$$readers"; echo "$$writes"; exit 1; fi
+	@asm="$$(find . -name '*.s' -not -path './benchmark/out/*' | grep -vx './internal/sparse/rowkernel_amd64.s')"; \
+		if [ -n "$$asm" ] || [ ! -f internal/sparse/rowkernel_amd64.s ]; then \
+			echo "the module's assembly is internal/sparse/rowkernel_amd64.s and nothing else:"; echo "$$asm"; exit 1; fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/sparse/ ./internal/vecops/
 	$(GO) test ./...
 
 # tier2: race-detector pass over the concurrency-bearing packages (the
@@ -226,17 +234,21 @@ loc:
 		END { for (d in dirs) printf "%7d %7d  %s\n", n[d], t[d], d | "sort -k3"; close("sort -k3"); \
 		      printf "%7d %7d  total (non-test, test)\n", nt, tt }'
 
-# placement: where the linker put three hot kernels in the server binary,
-# as address mod 64. internal/simmpi and internal/tcpmpi are laid out before
+# placement: where the linker put four hot kernels in the server binary, as
+# address mod 64. internal/simmpi and internal/tcpmpi are laid out before
 # every other package of the module and functions are aligned to 32 bytes, so
 # a change to either can move every kernel from 0 to 32 mod 64 or back, and
 # that alone moves the sim workloads of the benchmark by 15 % (ROADMAP item
-# 3). The accepted placement reads 0 / 32 / 32 in the order printed; compare
+# 3). The accepted placement reads 0 / 32 / 32 / 32 in the order printed: the
+# assembly pair kernel, its Go wrapper, and the two scalar kernels this target
+# has printed since PR 21 (rowDotCols[float32], which it printed first until
+# PR 24, is the portable body now and off the hot path on amd64). Compare
 # timings of two builds only when their lines agree.
 placement:
 	$(GO) build -o bin/fsaiserve ./cmd/fsaiserve
 	@$(GO) tool nm -n bin/fsaiserve | while read addr _ sym; do case "$$sym" in \
-		'fsaicomm/internal/sparse.rowDotCols[go.shape.float32]' | \
+		fsaicomm/internal/sparse.mulMatPairF64.abi0 | \
+		'fsaicomm/internal/sparse.mulMatWide[go.shape.float64]' | \
 		'fsaicomm/internal/sparse.mulVecRows[go.shape.float64]' | \
 		fsaicomm/internal/vecops.Dot) echo "$$((0x$$addr % 64)) mod 64  $$sym" ;; \
 	esac; done
@@ -246,8 +258,8 @@ cover:
 	$(GO) test -cover ./...
 
 # fuzz: short exploration of each sparse-format fuzz target and the product
-# kernels, the k-wide vector kernels at width 1 against the scalar ones they
-# stand in for, the dense QR least-squares kernel behind SPAI, the three
+# kernels (assembly and portable body against RowDot), the k-wide vector
+# kernels at width 1 and at width 2 against the scalar ones they stand in for, the dense QR least-squares kernel behind SPAI, the three
 # decoders of the socket transport that face bytes another process wrote,
 # the /solve request decoder, and two same-pattern uploads set up at once
 # against a live cache (seeds already run under plain `go test`).
@@ -258,6 +270,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCSR32RoundTrip -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzRowKernels -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzBatchKernelsWidth1 -fuzztime 30s ./internal/vecops/
+	$(GO) test -fuzz FuzzBatchKernelsWidth2 -fuzztime 30s ./internal/vecops/
 	$(GO) test -fuzz FuzzQRLeastSquares -fuzztime 30s ./internal/dense/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzRing -fuzztime 30s ./internal/tcpmpi/

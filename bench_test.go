@@ -716,11 +716,12 @@ func BenchmarkRowKernel50k(b *testing.B) {
 		lz   *distmat.Localized
 	}{{"A", r0.A.LZ}, {"G", r0.G.LZ}, {"GT", r0.GT.LZ}} {
 		m, m32 := o.lz.M, o.lz.M32()
-		x := make([]float64, 2*m.Cols)
+		x := make([]float64, 4*m.Cols)
 		for i := range x {
 			x[i] = float64(i%7) - 3
 		}
-		y := make([]float64, 2*m.Rows)
+		y := make([]float64, 4*m.Rows)
+		scalar := 0.0 // ns per stored entry of the f64 product, for the k2 ratio
 		for _, kc := range []struct {
 			name string
 			cols int
@@ -728,14 +729,26 @@ func BenchmarkRowKernel50k(b *testing.B) {
 		}{
 			{"f64", 1, func() { m.MulVec(x[:m.Cols], y[:m.Rows]) }},
 			{"f32", 1, func() { m32.MulVec(x[:m.Cols], y[:m.Rows]) }},
-			{"k2", 2, func() { m.MulMatCols(x, y, 2, nil) }},
+			{"k2", 2, func() { m.MulMatCols(x[:2*m.Cols], y[:2*m.Rows], 2, nil) }},
+			{"k2mask1", 1, func() { m.MulMatCols(x[:2*m.Cols], y[:2*m.Rows], 2, []int{1}) }},
+			{"k2mask01", 2, func() { m.MulMatCols(x[:2*m.Cols], y[:2*m.Rows], 2, []int{0, 1}) }},
+			{"k4", 4, func() { m.MulMatCols(x, y, 4, nil) }},
 			{"k1batch", 1, func() { m.MulMatCols(x[:m.Cols], y[:m.Rows], 1, nil) }},
 		} {
 			b.Run(o.name+"/"+kc.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					kc.mul()
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*kc.cols*m.NNZ()), "ns/entry")
+				perEntry := float64(b.Elapsed().Nanoseconds()) / float64(b.N*m.NNZ())
+				b.ReportMetric(perEntry/float64(kc.cols), "ns/entry")
+				switch {
+				case kc.name == "f64":
+					scalar = perEntry
+				case kc.name == "k2" && scalar > 0:
+					// The "two for the price of one" number: a product of two
+					// columns over the scalar product, entry for entry.
+					b.ReportMetric(perEntry/scalar, "k2/f64")
+				}
 			})
 		}
 	}
@@ -761,14 +774,20 @@ func BenchmarkPreparedSolve8100(b *testing.B) {
 	benchPreparedSolves(b, a, p, 1)
 }
 
+// BenchmarkPreparedSolveBatch2_50k is a warm round of two right-hand sides,
+// on the classic loop and on the fused one the batch-coalesce workload of the
+// repo benchmark runs.
 func BenchmarkPreparedSolveBatch2_50k(b *testing.B) {
 	a, p := prepareWarm50k(b)
 	rhs := [][]float64{GenerateRHS(a, 1), GenerateRHS(a, 2)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		br, err := p.SolveBatch(context.Background(), rhs, SolveOptions{})
-		if err != nil || !br.AllConverged() {
-			b.Fatalf("err=%v", err)
-		}
+	for _, v := range []CGVariant{CGClassic, CGFused} {
+		b.Run(v.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				br, err := p.SolveBatch(context.Background(), rhs, SolveOptions{CGVariant: v})
+				if err != nil || !br.AllConverged() {
+					b.Fatalf("err=%v", err)
+				}
+			}
+		})
 	}
 }

@@ -119,5 +119,5 @@ func (m *CSR32) MulMatCols(x, y []float64, k int, cols []int) {
 		panic(fmt.Sprintf("sparse: CSR32 MulMatCols shape mismatch: A is %dx%d, k=%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, k, len(x), len(y)))
 	}
-	mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, activeCols(k, cols), 0, m.Rows)
+	mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, cols, 0, m.Rows)
 }

@@ -1,0 +1,12 @@
+package sparse
+
+// The portable body of the k-wide product, for the tests that hold it and the
+// platform's body (the assembly on amd64) to the same reference.
+
+func (m *CSR) MulMatColsPortable(x, y []float64, k int, cols []int) {
+	mulMatRowsGo(m.RowPtr, m.ColIdx, m.Val, x, y, k, cols, 0, m.Rows)
+}
+
+func (m *CSR32) MulMatColsPortable(x, y []float64, k int, cols []int) {
+	mulMatRowsGo(m.RowPtr, m.ColIdx, m.Val, x, y, k, cols, 0, m.Rows)
+}

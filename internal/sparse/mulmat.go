@@ -4,11 +4,13 @@ package sparse
 // are stored row-major interleaved — X[i*k+c] is component i of vector c —
 // so every stored matrix entry touches k contiguous values of X, and one
 // pass over the matrix in memory serves all k vectors (the bandwidth-locality
-// argument behind the batched multi-RHS solve path; rowkernel.go walks each
-// row once per column pair, from cache). Each column's row sum accumulates
-// in MulVec's left-to-right entry order, so column c of MulMat is
-// bit-identical to MulVec on column c alone — the property the batched
-// solver's differential tests pin.
+// argument behind the batched multi-RHS solve path; the kernel walks each
+// block of rows once per column pair, from cache — rowkernel_amd64.s with the
+// pair in one XMM register, rowkernel.go's portable body elsewhere). Each
+// column's row sum accumulates in MulVec's left-to-right entry order, so
+// column c of MulMat is bit-identical to MulVec on column c alone — the
+// property the batched solver's differential tests pin. A nil mask means
+// every column and builds no list, at any width.
 
 import (
 	"fmt"
@@ -28,7 +30,7 @@ func (m *CSR) MulMat(x, y []float64, k int) { m.MulMatCols(x, y, k, nil) }
 // their exact scalar-solve arithmetic. A nil cols computes every column.
 func (m *CSR) MulMatCols(x, y []float64, k int, cols []int) {
 	checkMulMat(m, x, y, k, "MulMatCols")
-	mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, activeCols(k, cols), 0, m.Rows)
+	mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, cols, 0, m.Rows)
 }
 
 // MulMatParallel computes Y = A·X with rows partitioned across workers
@@ -37,9 +39,8 @@ func (m *CSR) MulMatCols(x, y []float64, k int, cols []int) {
 // result is bit-identical to MulMat for any worker count.
 func (m *CSR) MulMatParallel(x, y []float64, k, workers int) {
 	checkMulMat(m, x, y, k, "MulMatParallel")
-	all := activeCols(k, nil)
 	_ = parallel.For(workers, m.Rows, func(lo, hi int) error {
-		mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, all, lo, hi)
+		mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, nil, lo, hi)
 		return nil
 	})
 }

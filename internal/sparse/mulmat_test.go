@@ -156,3 +156,27 @@ func TestMulMatShapePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestMulMatWideBlockZeroAllocs: an unmasked product builds no column list,
+// whatever the width — a block wider than 16 used to allocate one per call
+// (three per CG iteration per rank, and -batch-max is uncapped).
+func TestMulMatWideBlockZeroAllocs(t *testing.T) {
+	const k = 17
+	rng := rand.New(rand.NewSource(23))
+	m := randomRectCSR(rng, 30, 20, 0.2)
+	m32 := NewCSR32(m)
+	x := make([]float64, m.Cols*k)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	y := make([]float64, m.Rows*k)
+	for name, mul := range map[string]func(){
+		"CSR.MulMat":       func() { m.MulMat(x, y, k) },
+		"CSR.MulMatCols":   func() { m.MulMatCols(x, y, k, nil) },
+		"CSR32.MulMatCols": func() { m32.MulMatCols(x, y, k, nil) },
+	} {
+		if n := testing.AllocsPerRun(20, mul); n != 0 {
+			t.Errorf("%s at k = %d: %v allocations per product, want 0", name, k, n)
+		}
+	}
+}

@@ -1,0 +1,107 @@
+#include "textflag.h"
+
+// The k-wide product kernel of rowkernel.go with a column pair in the two
+// lanes of one XMM register. For the rows [lo, hi) of a CSR matrix it writes
+//
+//	y[i*k+c0], y[i*k+c1] = Σₑ val[e]·x[colIdx[e]*k+c0], Σₑ val[e]·x[colIdx[e]*k+c1]
+//
+// each lane adding its terms left to right in entry order: MULPD and ADDPD
+// round per lane exactly as MULSD and ADDSD do, nothing is fused and nothing
+// is reassociated, so a lane holds the bits RowDot gives on that column
+// alone. c1 may equal c0 (an odd last column rides both lanes). Everything
+// is SSE2 but MOVDDUP, the one broadcast that is a plain load (a shuffle
+// would queue behind MOVHPD's on the same port: +6 % per entry on G); it is
+// SSE3, which GOAMD64=v1 does not promise, so the wrapper asks cpuHasSSE3
+// once. (The amd64 compiler fuses no multiply-add at any GOAMD64 level, so
+// the Go kernels round the way this file does everywhere it builds.)
+//
+// Safety is what the Go body's bounds checks give: a row pointer pair that
+// runs backwards or past the stored entries, or a column index that is
+// negative or not below xrows (both caught by one unsigned compare), stops
+// the walk before anything of that row is written, and the row's number is
+// returned for the Go wrapper to panic on. hi is returned when every row is
+// done. The wrapper has checked that rowPtr holds hi+1 entries, that y holds
+// hi·k, that xrows·k ≤ len(x) and that c0, c1 < k.
+//
+// Registers: R14 rowPtr, SI colIdx, DI val, R15 stored entries, DX &x[c0],
+// CX &x[c1], BX &y[i*k+c0], R13 &y[i*k+c1], R11 bytes per block row (8k),
+// R12 xrows, AX i, R9 entry, R10 end of row, R8 column index, X2 the sums.
+// LOADV leaves val[R9] as a float64 in both lanes of X0.
+
+#define LOADV64 MOVDDUP (DI)(R9*8), X0
+#define LOADV32 MOVSS (DI)(R9*4), X0; CVTSS2SD X0, X0; MOVDDUP X0, X0
+
+#define PAIRKERNEL(LOADV) \
+	MOVQ	rowPtr_base+0(FP), R14; \
+	MOVQ	colIdx_base+24(FP), SI; \
+	MOVQ	colIdx_len+32(FP), R15; \
+	MOVQ	val_base+48(FP), DI; \
+	MOVQ	val_len+56(FP), AX; \
+	CMPQ	AX, R15; \
+	CMOVQLT	AX, R15; \
+	MOVQ	xrows+136(FP), R12; \
+	MOVQ	k+144(FP), R11; \
+	SHLQ	$3, R11; \
+	MOVQ	c0+152(FP), R8; \
+	MOVQ	c1+160(FP), R9; \
+	MOVQ	x_base+72(FP), DX; \
+	LEAQ	(DX)(R9*8), CX; \
+	LEAQ	(DX)(R8*8), DX; \
+	MOVQ	lo+120(FP), AX; \
+	MOVQ	AX, R10; \
+	IMULQ	R11, R10; \
+	ADDQ	y_base+96(FP), R10; \
+	LEAQ	(R10)(R8*8), BX; \
+	LEAQ	(R10)(R9*8), R13; \
+row: \
+	CMPQ	AX, hi+128(FP); \
+	JGE	done; \
+	MOVQ	(R14)(AX*8), R9; \
+	MOVQ	8(R14)(AX*8), R10; \
+	CMPQ	R9, R10; \
+	JHI	done; \
+	CMPQ	R10, R15; \
+	JHI	done; \
+	XORPS	X2, X2; \
+	CMPQ	R9, R10; \
+	JEQ	store; \
+	PCALIGN	$32; \
+entry: \
+	MOVQ	(SI)(R9*8), R8; \
+	CMPQ	R8, R12; \
+	JCC	done; \
+	IMULQ	R11, R8; \
+	LOADV; \
+	MOVSD	(DX)(R8*1), X1; \
+	MOVHPD	(CX)(R8*1), X1; \
+	MULPD	X1, X0; \
+	ADDPD	X0, X2; \
+	INCQ	R9; \
+	CMPQ	R9, R10; \
+	JNE	entry; \
+store: \
+	MOVLPD	X2, (BX); \
+	MOVHPD	X2, (R13); \
+	ADDQ	R11, BX; \
+	ADDQ	R11, R13; \
+	INCQ	AX; \
+	JMP	row; \
+done: \
+	MOVQ	AX, ret+168(FP); \
+	RET
+
+// func mulMatPairF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
+TEXT ·mulMatPairF64(SB), NOSPLIT, $0-176
+	PAIRKERNEL(LOADV64)
+
+// func mulMatPairF32(rowPtr, colIdx []int, val []float32, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
+TEXT ·mulMatPairF32(SB), NOSPLIT, $0-176
+	PAIRKERNEL(LOADV32)
+
+// func cpuHasSSE3() bool
+TEXT ·cpuHasSSE3(SB), NOSPLIT, $0-1
+	MOVL	$1, AX
+	CPUID
+	ANDL	$1, CX
+	MOVB	CX, ret+0(FP)
+	RET

@@ -2,6 +2,7 @@ package sparse_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -74,8 +75,10 @@ func withEmptyTail(m *sparse.CSR, n int) *sparse.CSR {
 }
 
 // masks lists the column selections a k-wide product is checked under: all
-// columns, then every strict subset for k ≤ 3 (the empty one included) or
-// three random ones beyond.
+// columns, then every strict subset for k ≤ 3 (the empty one included), or —
+// beyond — the shapes the pair kernel tells apart: an adjacent pair, a
+// non-adjacent one, an odd count (a pair and a single), one column alone,
+// and two random draws.
 func masks(rng *rand.Rand, k int) [][]int {
 	out := [][]int{nil}
 	if k <= 3 {
@@ -90,7 +93,8 @@ func masks(rng *rand.Rand, k int) [][]int {
 		}
 		return out
 	}
-	for n := 0; n < 3; n++ {
+	out = append(out, []int{1, 2}, []int{0, k - 1}, []int{0, 2, k - 1}, []int{k - 1})
+	for n := 0; n < 2; n++ {
 		cols := []int{}
 		for c := 0; c < k; c++ {
 			if rng.Intn(2) == 1 {
@@ -102,12 +106,47 @@ func masks(rng *rand.Rand, k int) [][]int {
 	return out
 }
 
+// rowDotMulMatCols is the definition of a k-wide product: column c of the
+// result is RowDot on the de-interleaved column c, row by row; the columns
+// outside cols stay as they were.
+func rowDotMulMatCols[V sparse.Value](rowPtr, colIdx []int, val []V, x, y []float64, k int, cols []int) {
+	if cols == nil {
+		for c := 0; c < k; c++ {
+			cols = append(cols, c)
+		}
+	}
+	xc := make([]float64, len(x)/k)
+	for _, c := range cols {
+		for j := range xc {
+			xc[j] = x[j*k+c]
+		}
+		for i := 0; i+1 < len(rowPtr); i++ {
+			s, e := rowPtr[i], rowPtr[i+1]
+			y[i*k+c] = sparse.RowDot(colIdx[s:e], val[s:e], xc)
+		}
+	}
+}
+
+// requireSameBits is requireSame on the bit patterns: a zero of the other
+// sign or another NaN fails it.
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d is %v (%#x), RowDot on that column gives %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
 // checkKernels compares every product entry point on m with the indexed
-// loops, in both precisions, for k = 1..5 under masks.
+// loops, in both precisions, for k = 1..6 under masks; the k-wide products —
+// the platform's body and the portable one — also bit for bit with RowDot on
+// each de-interleaved column, masked columns proven untouched.
 func checkKernels(t *testing.T, rng *rand.Rand, name string, m *sparse.CSR) {
 	t.Helper()
 	m32 := sparse.NewCSR32(m)
-	for k := 1; k <= 5; k++ {
+	for k := 1; k <= 6; k++ {
 		x := make([]float64, m.Cols*k)
 		for i := range x {
 			x[i] = rng.NormFloat64()
@@ -133,19 +172,29 @@ func checkKernels(t *testing.T, rng *rand.Rand, name string, m *sparse.CSR) {
 			got := filled(m.Rows * k)
 			m.MulMatCols(x, got, k, cols)
 			requireSame(t, at+"MulMatCols", got, want)
+			rowDotMulMatCols(m.RowPtr, m.ColIdx, m.Val, x, want, k, cols)
+			requireSameBits(t, at+"MulMatCols", got, want)
+			got = filled(m.Rows * k)
+			m.MulMatColsPortable(x, got, k, cols)
+			requireSameBits(t, at+"portable body", got, want)
 			if cols == nil {
 				got = filled(m.Rows * k)
 				m.MulMat(x, got, k)
-				requireSame(t, at+"MulMat", got, want)
+				requireSameBits(t, at+"MulMat", got, want)
 				got = filled(m.Rows * k)
 				m.MulMatParallel(x, got, k, 3)
-				requireSame(t, at+"MulMatParallel", got, want)
+				requireSameBits(t, at+"MulMatParallel", got, want)
 			}
 			want = filled(m.Rows * k)
 			naiveMulMatCols(m32.RowPtr, m32.ColIdx, m32.Val, x, want, k, cols)
 			got = filled(m.Rows * k)
 			m32.MulMatCols(x, got, k, cols)
 			requireSame(t, at+"CSR32.MulMatCols", got, want)
+			rowDotMulMatCols(m32.RowPtr, m32.ColIdx, m32.Val, x, want, k, cols)
+			requireSameBits(t, at+"CSR32.MulMatCols", got, want)
+			got = filled(m.Rows * k)
+			m32.MulMatColsPortable(x, got, k, cols)
+			requireSameBits(t, at+"CSR32 portable body", got, want)
 		}
 	}
 }
@@ -187,12 +236,16 @@ func TestRowKernelsMatchIndexedLoops(t *testing.T) {
 
 // FuzzRowKernels drives the same comparison from arbitrary RowPtr / ColIdx
 // encodings (one signed byte each, as in FuzzCSRValidate): whatever passes
-// Validate must multiply exactly as the indexed loops do.
+// Validate must multiply exactly as the indexed loops do, and its k-wide
+// products — the assembly where there is one, and the portable body — must
+// hold RowDot's bits in every active column at widths 1–6, in both value
+// types, under nil, adjacent, non-adjacent, odd and single-column masks.
 func FuzzRowKernels(f *testing.F) {
 	f.Add(uint8(4), uint8(4), []byte{0, 2, 5, 8, 10}, []byte{0, 1, 0, 1, 2, 1, 2, 3, 2, 3}, int64(1))
 	f.Add(uint8(5), uint8(3), []byte{0, 0, 3, 3, 3, 3}, []byte{0, 1, 2}, int64(2)) // empty head and tail
 	f.Add(uint8(3), uint8(1), []byte{0, 1, 1, 2}, []byte{0, 0}, int64(3))          // one column
 	f.Add(uint8(0), uint8(0), []byte{0}, []byte{}, int64(4))
+	f.Add(uint8(3), uint8(7), []byte{0, 0, 7, 7}, []byte{0, 1, 2, 3, 4, 5, 6}, int64(5)) // a full row between empty ones
 	f.Fuzz(func(t *testing.T, rows, cols uint8, rowPtrB, colIdxB []byte, seed int64) {
 		m := &sparse.CSR{Rows: int(rows % 16), Cols: int(cols % 16),
 			RowPtr: make([]int, len(rowPtrB)), ColIdx: make([]int, len(colIdxB)), Val: make([]float64, len(colIdxB))}

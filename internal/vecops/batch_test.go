@@ -284,3 +284,79 @@ func FuzzBatchKernelsWidth1(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBatchKernelsWidth2: the unmasked 2-wide hand-off of every k-wide kernel
+// — the body a coalesced pair of requests runs — must give each column the
+// bits its scalar counterpart gives on that column alone, and count both
+// columns' flops, for any length and any per-column scalars, NaN and Inf
+// included. The generic body under mask [0 1] is held to the same.
+func FuzzBatchKernelsWidth2(f *testing.F) {
+	f.Add(int64(1), uint16(0), 0.5, -1.25, 2.0, 0.75)
+	f.Add(int64(2), uint16(1), 0.0, 1.0, -0.0, 1e300)
+	f.Add(int64(3), uint16(257), math.Inf(1), math.NaN(), math.NaN(), math.Inf(-1))
+	f.Fuzz(func(t *testing.T, seed int64, n16 uint16, alpha0, beta0, alpha1, beta1 float64) {
+		const k = 2
+		n := int(n16 % 1024)
+		rng := rand.New(rand.NewSource(seed))
+		alpha, beta := []float64{alpha0, alpha1}, []float64{beta0, beta1}
+		for _, mask := range [][]int{nil, {0, 1}} {
+			v := make([][]float64, 6) // u, w, p, s, x, r
+			for i := range v {
+				v[i] = randBlock(rng, n, k)
+			}
+			clone := func() [][]float64 {
+				c := make([][]float64, len(v))
+				for i := range v {
+					c[i] = append([]float64(nil), v[i]...)
+				}
+				return c
+			}
+			// same compares column c of k-wide blocks with scalar vectors.
+			same := func(name string, c int, got, want []float64) {
+				t.Helper()
+				for i := range want {
+					if math.Float64bits(got[i*k+c]) != math.Float64bits(want[i]) {
+						t.Fatalf("mask %v, %s column %d [%d]: k-wide %v, scalar %v", mask, name, c, i, got[i*k+c], want[i])
+					}
+				}
+			}
+			var fk, fs FlopCounter
+			dot, out, out2 := []float64{7, 7}, []float64{7, 7}, []float64{7, 7}
+
+			DotBatch(v[0], v[1], k, mask, dot, &fk)
+			Dot2Batch(v[0], v[1], v[2], k, mask, out, out2, &fk)
+			kw := clone()
+			AxpyBatch(alpha, kw[0], kw[1], k, mask, &fk)
+			XpayBatch(kw[0], beta, kw[2], k, mask, &fk)
+			fu := clone()
+			rr := []float64{7, 7}
+			FusedCGUpdateBatch(alpha, beta, fu[0], fu[1], fu[2], fu[3], fu[4], fu[5], k, mask, rr, &fk)
+
+			for c := 0; c < k; c++ {
+				s := make([][]float64, len(v))
+				for i := range v {
+					s[i] = col(v[i], k, c, n)
+				}
+				same("Dot", 0, dot[c:c+1], []float64{Dot(s[0], s[1], &fs)})
+				xy, zy := Dot2(s[0], s[1], s[2], &fs)
+				same("Dot2 xy", 0, out[c:c+1], []float64{xy})
+				same("Dot2 zy", 0, out2[c:c+1], []float64{zy})
+				Axpy(alpha[c], s[0], s[1], &fs)
+				same("Axpy", c, kw[1], s[1])
+				Xpay(s[0], beta[c], s[2], &fs)
+				same("Xpay", c, kw[2], s[2])
+
+				for i := range v {
+					s[i] = col(v[i], k, c, n)
+				}
+				same("FusedCGUpdate rr", 0, rr[c:c+1], []float64{FusedCGUpdate(alpha[c], beta[c], s[0], s[1], s[2], s[3], s[4], s[5], &fs)})
+				for i, name := range []string{"u", "w", "p", "s", "x", "r"} {
+					same("FusedCGUpdate "+name, c, fu[i], s[i])
+				}
+			}
+			if fk.Count() != fs.Count() {
+				t.Fatalf("mask %v: k-wide kernels counted %d flops, scalar column by column %d", mask, fk.Count(), fs.Count())
+			}
+		}
+	})
+}

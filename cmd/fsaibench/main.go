@@ -7,30 +7,7 @@
 //	fsaibench -exp all -set quick
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7
-// fig2 fig3a fig3b fig4 fig5a fig5b fig6 fig7 fig8 imbalance all,
-// plus interaction (filter × CG-variant × ranks study), phases (the
-// per-window exposed/hidden breakdown of the modeled solve time per CG
-// variant and rank count), benchjson (the BENCH_pipelined.json artifact
-// of `make bench`; -out selects the file, default stdout), transportjson
-// (the BENCH_transport.json artifact: measured ns/solve for the classic,
-// fused and pipelined variants at 4 and 8 ranks on the in-process and the
-// multi-process TCP backends; -transport narrows the backends measured)
-// batchjson (the BENCH_batch.json artifact: batched multi-RHS
-// Prepared.SolveBatch versus k looped solves — ns/RHS, and the ~k× drop in
-// per-RHS halo messages and collective calls; -csv additionally emits the
-// rows as CSV), nodeawarejson (the BENCH_nodeaware.json artifact:
-// node-aware halo aggregation under a 2-node × 4-rank topology versus the
-// flat per-rank schedule, asserting bit-identical solutions and the
-// inter-node message-count reduction) and mixedjson (the BENCH_mixed.json
-// artifact: float32 factors + FP64 iterative refinement versus the pure
-// FP64 baseline per backend, gated so fp32 halo bytes stay below 0.55× of
-// fp64 and the refined solve still reaches the FP64 tolerance) and
-// spaijson (the BENCH_spai.json artifact: adaptive SPAI + restarted GMRES
-// on the Péclet-skewed convection–diffusion instance versus unpreconditioned
-// GMRES, gated so the preconditioned solve converges in strictly fewer
-// iterations on every measured rank count and backend).
-// -precision fp32 reruns transportjson/batchjson with float32 factors;
-// mixedjson always measures both precisions side by side.
+// fig2 fig3a fig3b fig4 fig5a fig5b fig6 fig7 fig8 imbalance all.
 // The quick set (default) is a 7-matrix class-representative subset of
 // Table 1; -set full runs the whole 39-matrix catalog (minutes, not
 // seconds).
@@ -43,44 +20,43 @@ import (
 	"os"
 	"time"
 
-	"fsaicomm"
 	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/core"
 	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/krylov"
-	"fsaicomm/internal/mprun"
 	"fsaicomm/internal/testsets"
 )
 
+// order is the sequence -exp all runs.
+var order = []string{"table1", "table2", "table3", "table4", "table5", "table6", "table7",
+	"fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6", "fig7", "fig8", "imbalance"}
+
 func main() {
-	// The transportjson experiment spawns one process per rank by
-	// re-executing this binary; those copies divert into worker mode here.
-	mprun.MaybeWorker()
-	exp := flag.String("exp", "all", "experiment id (table1..table7, fig2..fig8, imbalance, ablation, scaling, convergence, csv, all)")
+	exp := flag.String("exp", "all", "experiment id (table1..table7, fig2..fig8, imbalance, all)")
 	set := flag.String("set", "quick", "matrix set: quick (7 matrices) or full (39)")
 	arch := flag.String("arch", "", "override architecture (skylake, a64fx, zen2); default per experiment")
 	workers := flag.Int("workers", 0, "setup worker threads per simulated rank (0 = 1 per rank)")
 	cg := flag.String("cg", "classic", "distributed CG loop: classic, classic-overlap, fused or pipelined")
-	outPath := flag.String("out", "", "output file for -exp benchjson/transportjson/batchjson (default stdout)")
-	transport := flag.String("transport", "both", "backends for -exp transportjson/batchjson: sim, tcp or both")
-	csvPath := flag.String("csv", "", "also write -exp batchjson rows as CSV to this file")
-	precision := flag.String("precision", "", "solve precision for -exp transportjson/batchjson: fp64 (default) or fp32 (float32 factors + FP64 refinement)")
 	flag.Parse()
 
-	if err := run(*exp, *set, *arch, *workers, *cg, *outPath, *transport, *csvPath, *precision, os.Stdout); err != nil {
+	if err := run(*exp, *set, *arch, *workers, *cg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "fsaibench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp, set, archOverride string, workers int, cg, outPath, transport, csvPath, precision string, out io.Writer) error {
+func run(exp, set, archOverride string, workers int, cg string, out io.Writer) error {
 	variant, err := krylov.ParseCGVariant(cg)
 	if err != nil {
 		return err
 	}
-	prec, err := fsaicomm.ParsePrecision(precision)
-	if err != nil {
-		return err
+	var override *archmodel.Profile
+	if archOverride != "" {
+		p, err := archmodel.ByName(archOverride)
+		if err != nil {
+			return err
+		}
+		override = &p
 	}
 	t1set := testsets.QuickSet()
 	if set == "full" {
@@ -93,55 +69,42 @@ func run(exp, set, archOverride string, workers int, cg, outPath, transport, csv
 		t2set = t2set[:3]
 	}
 
-	// Runners are shared per architecture so experiments reuse each other's
-	// memoized builds and solves (fig2 reuses table1/table3's Skylake work,
-	// fig4/fig5 reuse table5's A64FX work, and so on).
+	// Runners are shared per architecture and rank rule so experiments reuse
+	// each other's memoized builds and solves (fig2 reuses table1/table3's
+	// Skylake work, fig4/fig5 reuse table5's A64FX work, and so on). large
+	// selects the Table 2 rank rule.
 	cache := map[string]*experiments.Runner{}
-	runner := func(arch archmodel.Profile) *experiments.Runner {
-		if archOverride != "" {
-			p, err := archmodel.ByName(archOverride)
-			if err == nil {
-				arch = p
-			}
+	runner := func(arch archmodel.Profile, large bool) *experiments.Runner {
+		if override != nil {
+			arch = *override
 		}
-		if r, ok := cache[arch.Name]; ok {
-			return r
-		}
-		r := experiments.NewRunner(arch)
-		r.Workers = workers
-		r.Variant = variant
-		cache[arch.Name] = r
-		return r
-	}
-	largeRunner := func(arch archmodel.Profile) *experiments.Runner {
-		key := arch.Name + "-large"
-		if archOverride != "" {
-			if p, err := archmodel.ByName(archOverride); err == nil {
-				arch = p
-			}
+		key := arch.Name
+		if large {
+			key += "-large"
 		}
 		if r, ok := cache[key]; ok {
 			return r
 		}
 		r := experiments.NewRunner(arch)
-		r.RanksOf = testsets.LargeRanks
+		if large {
+			r.RanksOf = testsets.LargeRanks
+		}
 		r.Workers = workers
 		r.Variant = variant
 		cache[key] = r
 		return r
 	}
+	grid := func(r *experiments.Runner, set []testsets.Spec) error {
+		return experiments.WriteFilterGrid(out, r, set, core.FSAIEComm, core.DynamicFilter, experiments.PaperFilters)
+	}
+	histogram := func(arch archmodel.Profile, metric, title string) error {
+		return experiments.WriteHistogram(out, runner(arch, false), t1set, metric, title)
+	}
 
-	start := time.Now()
 	dispatch := map[string]func() error{
-		"table1": func() error {
-			return experiments.Table1(out, runner(archmodel.Skylake), t1set, 0.01)
-		},
-		"table2": func() error {
-			return experiments.Table1(out, largeRunner(archmodel.Zen2), t2set, 0.01)
-		},
-		"table3": func() error {
-			return experiments.Table3(out, runner(archmodel.Skylake), t1set)
-		},
+		"table1": func() error { return experiments.Table1(out, runner(archmodel.Skylake, false), t1set, 0.01) },
+		"table2": func() error { return experiments.Table1(out, runner(archmodel.Zen2, true), t2set, 0.01) },
+		"table3": func() error { return experiments.Table3(out, runner(archmodel.Skylake, false), t1set) },
 		"table4": func() error {
 			// Fixed per-core workload: the process count scales inversely
 			// with cores per process, as in the paper's hybrid sweep. These
@@ -158,268 +121,46 @@ func run(exp, set, archOverride string, workers int, cg, outPath, transport, csv
 			}
 			return experiments.WriteHybrid(out, mk, t1set, []int{1, 2, 4, 8, 48})
 		},
-		"table5": func() error {
-			r := runner(archmodel.A64FX)
-			return experiments.WriteFilterGrid(out, r, t1set, core.FSAIEComm, core.DynamicFilter, experiments.PaperFilters)
-		},
-		"table6": func() error {
-			r := runner(archmodel.Zen2)
-			return experiments.WriteFilterGrid(out, r, t1set, core.FSAIEComm, core.DynamicFilter, experiments.PaperFilters)
-		},
-		"table7": func() error {
-			r := largeRunner(archmodel.Zen2)
-			return experiments.WriteFilterGrid(out, r, t2set, core.FSAIEComm, core.DynamicFilter, experiments.PaperFilters)
-		},
+		"table5": func() error { return grid(runner(archmodel.A64FX, false), t1set) },
+		"table6": func() error { return grid(runner(archmodel.Zen2, false), t1set) },
+		"table7": func() error { return grid(runner(archmodel.Zen2, true), t2set) },
 		"fig2": func() error {
-			return experiments.WritePerMatrixFigure(out, runner(archmodel.Skylake), t1set, 0.01)
+			return experiments.WritePerMatrixFigure(out, runner(archmodel.Skylake, false), t1set, 0.01)
 		},
 		"fig3a": func() error {
-			return experiments.WriteHistogram(out, runner(archmodel.Skylake), t1set, "misses",
-				"Figure 3a: L1 DCM on x in GᵀGx per G nnz")
+			return histogram(archmodel.Skylake, "misses", "Figure 3a: L1 DCM on x in GᵀGx per G nnz")
 		},
 		"fig3b": func() error {
-			return experiments.WriteHistogram(out, runner(archmodel.Skylake), t1set, "gflops",
-				"Figure 3b: GFLOP/s per process in GᵀGx")
+			return histogram(archmodel.Skylake, "gflops", "Figure 3b: GFLOP/s per process in GᵀGx")
 		},
 		"fig4": func() error {
-			return experiments.WritePerMatrixFigure(out, runner(archmodel.A64FX), t1set, 0.05)
+			return experiments.WritePerMatrixFigure(out, runner(archmodel.A64FX, false), t1set, 0.05)
 		},
 		"fig5a": func() error {
-			return experiments.WriteHistogram(out, runner(archmodel.A64FX), t1set, "misses",
-				"Figure 5a: L1 DCM on x in GᵀGx per G nnz")
+			return histogram(archmodel.A64FX, "misses", "Figure 5a: L1 DCM on x in GᵀGx per G nnz")
 		},
 		"fig5b": func() error {
-			return experiments.WriteHistogram(out, runner(archmodel.A64FX), t1set, "gflops",
-				"Figure 5b: GFLOP/s per process in GᵀGx")
+			return histogram(archmodel.A64FX, "gflops", "Figure 5b: GFLOP/s per process in GᵀGx")
 		},
 		"fig6": func() error {
-			return experiments.WritePerMatrixFigure(out, runner(archmodel.Zen2), t1set, 0.05)
+			return experiments.WritePerMatrixFigure(out, runner(archmodel.Zen2, false), t1set, 0.05)
 		},
 		"fig7": func() error {
-			return experiments.WriteHistogram(out, runner(archmodel.Zen2), t1set, "gflops",
-				"Figure 7: GFLOP/s per process in GᵀGx")
+			return histogram(archmodel.Zen2, "gflops", "Figure 7: GFLOP/s per process in GᵀGx")
 		},
 		"fig8": func() error {
-			return experiments.WritePerMatrixFigure(out, largeRunner(archmodel.Zen2), t2set, 0.01)
-		},
-		"baselines": func() error {
-			return experiments.WriteBaselines(out, runner(archmodel.Skylake), t1set)
-		},
-		"setupcost": func() error {
-			return experiments.WriteSetupCost(out, t1set, 64)
-		},
-		"csv": func() error {
-			return experiments.WriteResultsCSV(out, runner(archmodel.Skylake), t1set, experiments.PaperFilters)
-		},
-		"convergence": func() error {
-			spec, err := testsets.ByName("thermal2-sim")
-			if err != nil {
-				return err
-			}
-			return experiments.WriteConvergence(out, runner(archmodel.Skylake), spec, 0.01)
-		},
-		"scaling": func() error {
-			spec, err := testsets.ByName("Queen_4147-sim")
-			if err != nil {
-				return err
-			}
-			// Fresh runners: the sweep overrides the rank rule per point.
-			mk := func() *experiments.Runner {
-				r := experiments.NewRunner(archmodel.Zen2)
-				r.Workers = workers
-				return r
-			}
-			return experiments.WriteScaling(out, mk, spec, []int{2, 4, 8, 16, 32})
-		},
-		"ablation": func() error {
-			return experiments.WriteAblation(out, runner(archmodel.Skylake), t1set)
+			return experiments.WritePerMatrixFigure(out, runner(archmodel.Zen2, true), t2set, 0.01)
 		},
 		"imbalance": func() error {
 			spec, err := testsets.ByName("consph-sim")
 			if err != nil {
 				return err
 			}
-			return experiments.WriteImbalanceStudy(out, runner(archmodel.Skylake), spec, 0.01)
-		},
-		"interaction": func() error {
-			// thermal2-sim has the largest pattern-side saving of the quick
-			// set, so the composition question is sharpest there.
-			spec, err := testsets.ByName("thermal2-sim")
-			if err != nil {
-				return err
-			}
-			// Fresh runners: the study overrides the rank rule per point.
-			mk := func() *experiments.Runner {
-				r := experiments.NewRunner(archmodel.Zen2)
-				if archOverride != "" {
-					if p, err := archmodel.ByName(archOverride); err == nil {
-						r.Arch = p
-					}
-				}
-				r.Workers = workers
-				return r
-			}
-			return experiments.WriteInteraction(out, mk, spec, []int{2, 4, 8}, []float64{0.05, 0.1})
-		},
-		"phases": func() error {
-			// Same instance and runners as the interaction study, so the
-			// Total column of the phases table matches its modeled times.
-			spec, err := testsets.ByName("thermal2-sim")
-			if err != nil {
-				return err
-			}
-			mk := func() *experiments.Runner {
-				r := experiments.NewRunner(archmodel.Zen2)
-				if archOverride != "" {
-					if p, err := archmodel.ByName(archOverride); err == nil {
-						r.Arch = p
-					}
-				}
-				r.Workers = workers
-				return r
-			}
-			return experiments.WritePhases(out, mk, spec, []int{4, 8}, 0.05)
-		},
-		"benchjson": func() error {
-			arch := archmodel.Skylake
-			if archOverride != "" {
-				p, err := archmodel.ByName(archOverride)
-				if err != nil {
-					return err
-				}
-				arch = p
-			}
-			w := out
-			if outPath != "" {
-				f, err := os.Create(outPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := experiments.WriteBenchJSON(w, arch, 8); err != nil {
-				return err
-			}
-			if outPath != "" {
-				fmt.Fprintf(out, "wrote bench artifact to %s\n", outPath)
-			}
-			return nil
-		},
-		"transportjson": func() error {
-			backends, err := transportBackends(transport)
-			if err != nil {
-				return err
-			}
-			w := out
-			if outPath != "" {
-				f, err := os.Create(outPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := writeTransportJSON(w, backends, prec); err != nil {
-				return err
-			}
-			if outPath != "" {
-				fmt.Fprintf(out, "wrote transport bench artifact to %s\n", outPath)
-			}
-			return nil
-		},
-		"nodeawarejson": func() error {
-			w := out
-			if outPath != "" {
-				f, err := os.Create(outPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := writeNodeAwareJSON(w); err != nil {
-				return err
-			}
-			if outPath != "" {
-				fmt.Fprintf(out, "wrote node-aware bench artifact to %s\n", outPath)
-			}
-			return nil
-		},
-		"spaijson": func() error {
-			backends, err := transportBackends(transport)
-			if err != nil {
-				return err
-			}
-			w := out
-			if outPath != "" {
-				f, err := os.Create(outPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := writeSPAIJSON(w, backends); err != nil {
-				return err
-			}
-			if outPath != "" {
-				fmt.Fprintf(out, "wrote SPAI bench artifact to %s\n", outPath)
-			}
-			return nil
-		},
-		"mixedjson": func() error {
-			backends, err := transportBackends(transport)
-			if err != nil {
-				return err
-			}
-			w := out
-			if outPath != "" {
-				f, err := os.Create(outPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := writeMixedJSON(w, backends); err != nil {
-				return err
-			}
-			if outPath != "" {
-				fmt.Fprintf(out, "wrote mixed-precision bench artifact to %s\n", outPath)
-			}
-			return nil
-		},
-		"batchjson": func() error {
-			backends, err := transportBackends(transport)
-			if err != nil {
-				return err
-			}
-			w := out
-			if outPath != "" {
-				f, err := os.Create(outPath)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := writeBatchJSON(w, csvPath, backends, prec); err != nil {
-				return err
-			}
-			if outPath != "" {
-				fmt.Fprintf(out, "wrote batch bench artifact to %s\n", outPath)
-			}
-			if csvPath != "" {
-				fmt.Fprintf(out, "wrote batch bench CSV to %s\n", csvPath)
-			}
-			return nil
+			return experiments.WriteImbalanceStudy(out, runner(archmodel.Skylake, false), spec, 0.01)
 		},
 	}
 
-	order := []string{"table1", "table2", "table3", "table4", "table5", "table6", "table7",
-		"fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6", "fig7", "fig8",
-		"imbalance", "ablation", "scaling", "interaction", "phases", "convergence", "setupcost", "baselines"}
+	start := time.Now()
 	if exp == "all" {
 		for _, id := range order {
 			fmt.Fprintf(out, "================ %s ================\n", id)

@@ -9,7 +9,7 @@ import (
 func TestRunSingleExperiments(t *testing.T) {
 	for _, exp := range []string{"imbalance", "fig3a"} {
 		var buf bytes.Buffer
-		if err := run(exp, "quick", "", 0, "classic", "", "both", "", "", &buf); err != nil {
+		if err := run(exp, "quick", "", 0, "classic", &buf); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 		if !strings.Contains(buf.String(), "completed") {
@@ -20,7 +20,7 @@ func TestRunSingleExperiments(t *testing.T) {
 
 func TestRunArchOverride(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run("fig3a", "quick", "a64fx", 2, "classic", "", "both", "", "", &buf); err != nil {
+	if err := run("fig3a", "quick", "a64fx", 2, "classic", &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "a64fx") {
@@ -31,7 +31,7 @@ func TestRunArchOverride(t *testing.T) {
 func TestRunCommHidingVariants(t *testing.T) {
 	for _, cg := range []string{"fused", "pipelined"} {
 		var buf bytes.Buffer
-		if err := run("imbalance", "quick", "", 0, cg, "", "both", "", "", &buf); err != nil {
+		if err := run("imbalance", "quick", "", 0, cg, &buf); err != nil {
 			t.Fatalf("-cg %s: %v", cg, err)
 		}
 		if !strings.Contains(buf.String(), "completed") {
@@ -40,38 +40,23 @@ func TestRunCommHidingVariants(t *testing.T) {
 	}
 }
 
-// The transport bench rows must carry a sane measurement per (variant,
-// ranks, backend) cell; sim-only keeps this free of process spawns — the
-// tcp rows go through the identical code path (see transport_test.go at
-// the repo root for the cross-backend identity).
-func TestRunTransportJSONSim(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run("transportjson", "quick", "", 0, "classic", "", "sim", "", "", &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{`"backend": "sim"`, `"variant": "pipelined"`, `"ranks": 8`, `"ns_per_op"`} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("transportjson output missing %s:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, `"backend": "tcp"`) {
-		t.Fatal("-transport sim produced tcp rows")
-	}
-}
-
 func TestRunRejectsBadArgs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run("nope", "quick", "", 0, "classic", "", "both", "", "", &buf); err == nil {
+	if err := run("nope", "quick", "", 0, "classic", &buf); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if err := run("table1", "huge", "", 0, "classic", "", "both", "", "", &buf); err == nil {
+	if err := run("table1", "huge", "", 0, "classic", &buf); err == nil {
 		t.Fatal("unknown set accepted")
 	}
-	if err := run("table1", "quick", "", 0, "bogus", "", "both", "", "", &buf); err == nil {
+	if err := run("table1", "quick", "", 0, "bogus", &buf); err == nil {
 		t.Fatal("unknown CG variant accepted")
 	}
-	if err := run("transportjson", "quick", "", 0, "classic", "", "carrier-pigeon", "", "", &buf); err == nil {
-		t.Fatal("unknown transport accepted")
+	// An unknown profile must fail before any experiment runs, not fall
+	// back to the experiment's default architecture.
+	if err := run("imbalance", "quick", "bogus", 0, "classic", &buf); err == nil {
+		t.Fatal("unknown architecture accepted")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("rejected runs wrote output:\n%s", buf.String())
 	}
 }

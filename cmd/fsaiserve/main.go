@@ -11,7 +11,6 @@
 //	          [-job-timeout 2m] [-drain-timeout 30s] [-transport sim]
 //	          [-batch-max 8] [-batch-window 0] [-v]
 //	fsaiserve -probe http://localhost:8097/healthz
-//	fsaiserve -batch-probe http://localhost:8097
 //
 // The daemon runs until SIGINT/SIGTERM, then drains: the health check
 // flips to 503, new solves are refused, running jobs finish (up to
@@ -23,15 +22,12 @@
 // share a prepared system and solver options and arrive within the window
 // are merged — up to -batch-max — into one batched multi-RHS solve under a
 // single admission slot; each client still gets its own column's solution,
-// bit-identical to a solo solve. -batch-probe exercises it end to end
-// against a running server: it uploads a catalog matrix, fires three
-// concurrent same-system solves, and exits 0 only if they coalesced into
-// one batch (checked via /metrics).
+// bit-identical to a solo solve.
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,8 +36,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -66,15 +60,11 @@ func main() {
 		probe         = flag.String("probe", "", "probe the given URL (expect HTTP 200) and exit; no server is started")
 		batchMax      = flag.Int("batch-max", 8, "maximum solve jobs coalesced into one batched solve (needs -batch-window > 0)")
 		batchWindow   = flag.Duration("batch-window", 0, "how long the first job of a batch waits for same-system followers; 0 disables coalescing")
-		batchProbe    = flag.String("batch-probe", "", "run the coalescing smoke client against the given server base URL and exit; no server is started")
 	)
 	flag.Parse()
 
 	if *probe != "" {
 		os.Exit(runProbe(*probe))
-	}
-	if *batchProbe != "" {
-		os.Exit(runBatchProbe(*batchProbe))
 	}
 	if *transport != "sim" && *transport != "tcp" {
 		fmt.Fprintf(os.Stderr, "fsaiserve: unknown transport %q (want sim or tcp)\n", *transport)
@@ -110,106 +100,12 @@ func runProbe(url string) int {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "probe %s: HTTP %d\n", url, resp.StatusCode)
+		// Say why: a draining daemon answers 503 with {"status":"draining"}.
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+		fmt.Fprintf(os.Stderr, "probe %s: HTTP %d %s\n", url, resp.StatusCode, bytes.TrimSpace(body))
 		return 1
 	}
 	fmt.Printf("probe %s: ok\n", url)
-	return 0
-}
-
-// runBatchProbe is the coalescing smoke client: upload a catalog matrix,
-// fire three concurrent same-system solves (distinct right-hand sides),
-// and verify via the responses and /metrics that they merged into one
-// batched solve. Exits nonzero on any divergence, so a Makefile target can
-// gate on it.
-func runBatchProbe(base string) int {
-	client := &http.Client{Timeout: 2 * time.Minute}
-	failf := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "batch-probe: "+format+"\n", args...)
-		return 1
-	}
-	resp, err := client.Post(base+"/matrix?gen=Dubcova2-sim", "application/json", nil)
-	if err != nil {
-		return failf("upload: %v", err)
-	}
-	var up struct {
-		Matrix string `json:"matrix"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&up)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || up.Matrix == "" {
-		return failf("upload: HTTP %d (%v)", resp.StatusCode, err)
-	}
-
-	const n = 3
-	type colResp struct {
-		Converged bool `json:"converged"`
-		Batched   int  `json:"batched"`
-		Coalesced bool `json:"coalesced"`
-	}
-	results := make([]colResp, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"matrix":%q,"ranks":3,"filter":0.01,"rhs_seed":%d}`, up.Matrix, i+1)
-			resp, err := client.Post(base+"/solve", "application/json", strings.NewReader(body))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				out, _ := io.ReadAll(resp.Body)
-				errs[i] = fmt.Errorf("HTTP %d: %s", resp.StatusCode, out)
-				return
-			}
-			errs[i] = json.NewDecoder(resp.Body).Decode(&results[i])
-		}()
-	}
-	wg.Wait()
-	coalesced := 0
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return failf("solve %d: %v", i, errs[i])
-		}
-		if !results[i].Converged {
-			return failf("solve %d did not converge", i)
-		}
-		if results[i].Batched != n {
-			return failf("solve %d: batched=%d, want %d (is the server running with -batch-window > 0?)",
-				i, results[i].Batched, n)
-		}
-		if results[i].Coalesced {
-			coalesced++
-		}
-	}
-	if coalesced != n-1 {
-		return failf("%d coalesced responses, want %d", coalesced, n-1)
-	}
-	resp, err = client.Get(base + "/metrics")
-	if err != nil {
-		return failf("metrics: %v", err)
-	}
-	var m struct {
-		Batch struct {
-			BatchesTotal  int64 `json:"batches_total"`
-			CoalescedJobs int64 `json:"coalesced_jobs"`
-		} `json:"batch"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&m)
-	resp.Body.Close()
-	if err != nil {
-		return failf("metrics: %v", err)
-	}
-	if m.Batch.BatchesTotal != 1 || m.Batch.CoalescedJobs != int64(n-1) {
-		return failf("metrics: batches_total=%d coalesced_jobs=%d, want 1/%d",
-			m.Batch.BatchesTotal, m.Batch.CoalescedJobs, n-1)
-	}
-	fmt.Printf("batch-probe: ok (%d jobs coalesced into 1 batched solve)\n", n)
 	return 0
 }
 

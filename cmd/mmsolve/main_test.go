@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -178,6 +179,10 @@ func TestRunGMRESSolvesNonsymmetric(t *testing.T) {
 	if err := run(mtx, "", "spai", 0, false, 64, 4, 0, "classic", 1e-8, 0, dist, "", 0, 2, 2, "", gm); err != nil {
 		t.Fatalf("distributed spai+gmres: %v", err)
 	}
+	flat := filepath.Join(dir, "x-flat.txt")
+	if err := run(mtx, "", "spai", 0, false, 64, 4, 0, "classic", 1e-8, 0, flat, "", 0, 0, 0, "", gm); err != nil {
+		t.Fatalf("flat spai+gmres: %v", err)
+	}
 	xs, err := readVector(serial)
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +192,19 @@ func TestRunGMRESSolvesNonsymmetric(t *testing.T) {
 	}
 	if _, err := readVector(dist); err != nil {
 		t.Fatal(err)
+	}
+	// The node-aware schedule must not change a single byte of the GMRES
+	// solution file against the flat 4-rank one.
+	napBytes, err := os.ReadFile(dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatBytes, err := os.ReadFile(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(napBytes, flatBytes) {
+		t.Fatal("2x2-node spai+gmres solution file differs from the flat 4-rank one")
 	}
 	// A CG solve on the same matrix must be rejected, not silently wrong.
 	if err := run(mtx, "", "fsai", 0, false, 64, 1, 0, "classic", 1e-8, 0, "", "", 0, 0, 0, "", cgFlags); err == nil {

@@ -16,7 +16,8 @@ import (
 // do. The result is a superset of the FSAIE-Comm extension whose halo
 // update needs MORE unknowns and possibly more neighbour processes,
 // demonstrating why Algorithm 3's admissibility test exists (the paper
-// argues this qualitatively; cmd/fsaibench -exp ablation measures it).
+// argues this qualitatively; TestExtendPatternNaiveIncreasesHalo and
+// TestVerifyCommInvarianceDetectsNaive pin it).
 func ExtendPatternNaive(l *distmat.Layout, s *fsai.DistRows, opt ExtendOptions) (*fsai.DistRows, error) {
 	if opt.LineBytes < 8 || opt.LineBytes%8 != 0 {
 		return nil, fmt.Errorf("core: line size %d not a positive multiple of 8 bytes", opt.LineBytes)

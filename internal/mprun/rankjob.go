@@ -72,8 +72,8 @@ func (ops rankOps) dress(sp SolveParams, k int) (aInner *distmat.Op) {
 		if sp.NoNodeAggregation {
 			// Baseline mode: keep the flat per-rank schedule under the declared
 			// topology, so the meter still classifies intra vs inter traffic
-			// but nothing is aggregated — the comparison plan for
-			// BENCH_nodeaware.
+			// but nothing is aggregated — the comparison plan of
+			// TestNodeAwareTransportDifferential.
 			op.Plan.SetNodeAware(false)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 
 // Worker environment. Start spawns the current executable with these set;
 // MaybeWorker intercepts the process before it reaches normal main/test
-// logic, so any binary (fsairank, fsaibench, fsaiserve, a test binary) can
+// logic, so any binary (fsairank, fsaiserve, a test binary) can
 // self-host its rank workers.
 const (
 	envWorker = "FSAICOMM_MP_WORKER"

@@ -112,6 +112,15 @@ func Table2() []Spec {
 	}
 }
 
+// BenchSpec is the ~50k-row 3-D Poisson instance (37³), the system of the
+// 50k benchmarks in bench_test.go.
+func BenchSpec() Spec {
+	return Spec{
+		ID: 900, Name: "bench-poisson-50k", Class: "2D/3D Problem",
+		Gen: func() *sparse.CSR { return matgen.Poisson3D(37, 37, 37) },
+	}
+}
+
 // QuickSet returns a small representative subset of Table 1 used by the
 // bench harness's default mode (one matrix per problem class; the full
 // campaign runs via cmd/fsaibench).

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/testsets"
 )
 
@@ -183,7 +182,7 @@ func TestMixedPrecisionHalvesHaloBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50k-row solves and worker processes")
 	}
-	a := experiments.BenchSpec().Generate()
+	a := testsets.BenchSpec().Generate()
 	b := GenerateRHS(a, 11)
 	prepared := map[Precision]*Prepared{}
 	for _, prec := range []Precision{FP64, FP32} {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/testsets"
 )
 
@@ -153,6 +154,15 @@ func TestSPAIGMRESConvergesWhereCGRejects(t *testing.T) {
 	if !res.Converged || res.RelResidual > 1e-8 {
 		t.Fatalf("spai+gmres: converged=%v rel residual %g in %d iterations",
 			res.Converged, res.RelResidual, res.Iterations)
+	}
+	// The preconditioner must earn its keep: strictly fewer iterations than
+	// unpreconditioned GMRES(30), the facade's default cycle length.
+	plain, err := krylov.GMRES(a, b, make([]float64, a.Rows), krylov.Identity{}, krylov.Options{Tol: 1e-8, Restart: 30}, nil)
+	if err != nil {
+		t.Fatalf("unpreconditioned gmres: %v", err)
+	}
+	if res.Iterations >= plain.Iterations {
+		t.Fatalf("spai+gmres took %d iterations, unpreconditioned GMRES(30) %d", res.Iterations, plain.Iterations)
 	}
 }
 

@@ -176,6 +176,12 @@ func TestNodeAwareTransportDifferential(t *testing.T) {
 				t.Fatalf("%v %q: aggregation did not reduce inter-node messages: flat %d, node-aware %d",
 					v, tr, flat.InterNodeMessages, nap.InterNodeMessages)
 			}
+			// The model never charges aggregation more than the flat schedule;
+			// it ties where the variant's overlap already hides the halo window.
+			if nap.ModeledSolveTime > flat.ModeledSolveTime {
+				t.Fatalf("%v %q: aggregation raised the modeled solve time: flat %g s, node-aware %g s",
+					v, tr, flat.ModeledSolveTime, nap.ModeledSolveTime)
+			}
 			if tr == "" {
 				simNap = nap
 				continue

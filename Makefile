@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 tier2 bench bce fuzz trace serve mp cover loc placement
+.PHONY: all tier1 reach tier2 bench bce fuzz trace serve mp cover loc placement
 
 all: tier1
 
@@ -36,7 +36,8 @@ all: tier1
 # step fails if a second measurement system comes back beside benchmark/ and
 # go test: a BENCH_* artifact at the repo root, or a cmd/fsaibench that
 # imports encoding/json (a JSON writer) or internal/mprun (a rank spawn) —
-# fsaibench prints the paper's tables and nothing else.
+# fsaibench prints the paper's tables and nothing else. The reach step fails
+# if a non-test function comes back that no entry point reaches (see reach).
 tier1:
 	$(GO) build ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
@@ -78,9 +79,51 @@ tier1:
 		if [ -n "$$artifacts" ]; then \
 			echo "a second measurement system is back (benchmark/ times, go test gates, fsaibench prints the paper's tables):"; \
 			echo "$$artifacts"; exit 1; fi
+	@$(MAKE) --no-print-directory reach
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/sparse/ ./internal/vecops/
 	$(GO) test ./...
+
+# reach: fail on a non-test function that no entry point reaches. The 14
+# entry points (the cmd/ binaries, the examples and the benchmark/ harness)
+# are linked for linux/amd64 and linux/arm64, where the portable kernels
+# link, with inlining off and the linker's -dumpdep, whose edges name every
+# symbol a binary keeps. Every non-test function `go list` builds for those
+# platforms is looked up among them with generic [shape] arguments, .abi0 and
+# closure suffixes stripped. A function nothing reaches is deleted, or moves
+# into its package's _test.go files when only those tests use it, or goes on
+# reach.allow with what keeps it; an entry there that names no unreachable
+# function fails the step too. Needs nothing but the toolchain.
+reach:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	mains="$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./cmd/... ./examples/...) fsaicomm/benchmark"; \
+	for arch in amd64 arm64; do \
+		export CGO_ENABLED=0 GOOS=linux GOARCH=$$arch; \
+		$(GO) list -f '{{$$p := .ImportPath}}{{$$d := .Dir}}{{range .GoFiles}}{{$$p}} {{$$d}}/{{.}}{{"\n"}}{{end}}' ./... >> "$$tmp/files" || exit 1; \
+		for p in $$mains; do \
+			dir=.; pkg=$$p; if [ $$p = fsaicomm/benchmark ]; then dir=benchmark; pkg=.; fi; \
+			(cd $$dir && $(GO) build -o "$$tmp/bin" -gcflags=all=-l -ldflags=-dumpdep $$pkg) > "$$tmp/dep" 2>&1 \
+				|| { cat "$$tmp/dep"; exit 1; }; \
+			awk -F ' -> ' -v p=$$p 'NF == 2 { for (i = 1; i <= 2; i++) { s = $$i; sub(/^main\./, p ".", s); print s } }' "$$tmp/dep"; \
+		done; \
+	done > "$$tmp/edges"; \
+	awk '{ while (gsub(/\[[^][]*\]/, "")) {} sub(/\.abi0$$/, ""); sub(/-(fm|range[0-9]+).*$$/, ""); \
+		sub(/\.(func|gowrap|deferwrap)[0-9]+.*$$/, ""); print }' "$$tmp/edges" | sort -u > "$$tmp/reached"; \
+	sort -u "$$tmp/files" > "$$tmp/srcs"; \
+	awk -v root="$$PWD/" 'NR == FNR { pkg[$$2] = $$1; next } \
+		/^func / { line = $$0; sub(/^func /, "", line); recv = ""; \
+			if (line ~ /^\(/) { t = line; sub(/\).*$$/, "", t); sub(/^\(/, "", t); n = split(t, w, " "); t = w[n]; \
+				while (gsub(/\[[^][]*\]/, "", t)) {} if (t ~ /^\*/) t = "(" t ")"; recv = t "."; sub(/^\([^)]*\) /, "", line) } \
+			name = line; sub(/[[(].*$$/, "", name); f = FILENAME; if (index(f, root) == 1) f = substr(f, length(root) + 1); \
+			if (recv != "" || (name != "init" && name != "main")) print pkg[FILENAME] "." recv name "\t" f ":" FNR }' \
+		"$$tmp/srcs" $$(cut -d' ' -f2 "$$tmp/srcs") | sort -u > "$$tmp/funcs"; \
+	awk '!/^#/ && NF { print $$1 }' reach.allow > "$$tmp/allow"; \
+	awk -F '\t' 'FILENAME == ARGV[1] { reached[$$0] = 1; next } FILENAME == ARGV[2] { allow[$$1] = 1; next } \
+		{ n++ } $$1 in reached { next } $$1 in allow { if (!($$1 in kept)) k++; kept[$$1] = 1; next } \
+		{ print "reached from no entry point: " $$1 "  " $$2; bad = 1 } \
+		END { for (s in allow) if (!(s in kept)) { print "reach.allow names no unreachable function: " s; bad = 1 } \
+			if (!bad) printf "reach: %d non-test functions, %d kept by reach.allow, the rest reached\n", n, k; exit bad }' \
+		"$$tmp/reached" "$$tmp/allow" "$$tmp/funcs"
 
 # tier2: race-detector pass over the concurrency-bearing packages (the
 # simulated MPI runtime, the socket transport and the multi-process rank
@@ -97,8 +140,9 @@ tier2:
 	$(GO) test -race ./internal/simmpi/... ./internal/tcpmpi/... ./internal/mprun/... ./internal/fsai/... ./internal/spai/... ./internal/dense/... ./internal/parallel/... ./internal/sparse/... ./internal/vecops/... ./internal/krylov/... ./internal/distmat/... ./internal/partition/... ./internal/core/... ./internal/archmodel/... ./internal/experiments/... ./internal/serve/... ./cmd/fsaiserve/... ./cmd/mmsolve/... .
 
 # bench: the in-process benchmarks of bench_test.go whose names carry the
-# ~50k-row system (serial vs parallel kernels, the CG variants, blocking vs
-# overlapped SpMV, batched vs looped multi-RHS, set-up and warm-path solves)
+# ~50k-row system (serial vs parallel factor builds and pattern powers, the
+# product kernels, the CG variants, blocking vs overlapped SpMV, batched vs
+# looped multi-RHS, set-up and warm-path solves)
 # plus the small warm-tcp system. The end-to-end benchmark is benchmark/run.sh;
 # the structural gates (inter-node messages, fp32 halo bytes, SPAI+GMRES
 # iterations, k-fold batch meters) are go tests.

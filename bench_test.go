@@ -354,17 +354,6 @@ func BenchmarkStaticExtendedSetup(b *testing.B) {
 	}
 }
 
-// BenchmarkIC0Setup measures the classical incomplete-Cholesky baseline.
-func BenchmarkIC0Setup(b *testing.B) {
-	a := matgen.Poisson2D(40, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := krylov.NewIC0(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---- Serial vs. parallel kernel benchmarks ----
 //
 // The pairs below pin the worker-pool speedup on a ~50k-row problem
@@ -386,23 +375,6 @@ func benchBuildWorkers(b *testing.B, workers int) {
 
 func BenchmarkFSAIBuild50kWorkers1(b *testing.B) { benchBuildWorkers(b, 1) }
 func BenchmarkFSAIBuild50kParallel(b *testing.B) { benchBuildWorkers(b, 0) }
-
-func benchSpMV50k(b *testing.B, workers int) {
-	a := matgen.Poisson3D(37, 37, 37)
-	x := make([]float64, a.Rows)
-	y := make([]float64, a.Rows)
-	for i := range x {
-		x[i] = float64(i % 7)
-	}
-	b.SetBytes(int64(12 * a.NNZ()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MulVecParallel(x, y, workers)
-	}
-}
-
-func BenchmarkSpMV50kWorkers1(b *testing.B) { benchSpMV50k(b, 1) }
-func BenchmarkSpMV50kParallel(b *testing.B) { benchSpMV50k(b, 0) }
 
 func benchPatternPower(b *testing.B, workers int) {
 	a := matgen.Poisson3D(37, 37, 37)
@@ -565,26 +537,6 @@ func benchSolveBatch50k(b *testing.B, batched bool) {
 
 func BenchmarkPreparedSolveBatch50k(b *testing.B)  { benchSolveBatch50k(b, true) }
 func BenchmarkPreparedSolveLooped50k(b *testing.B) { benchSolveBatch50k(b, false) }
-
-// BenchmarkSpMVSymmetric measures the half-storage symmetric kernel against
-// BenchmarkSpMVPoisson3D's full-CSR baseline (same matrix).
-func BenchmarkSpMVSymmetric(b *testing.B) {
-	a := matgen.Poisson3D(24, 24, 24)
-	s, err := sparse.NewSymCSR(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, a.Rows)
-	y := make([]float64, a.Rows)
-	for i := range x {
-		x[i] = float64(i % 7)
-	}
-	b.SetBytes(int64(12 * s.NNZStored()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.MulVec(x, y)
-	}
-}
 
 // ---- Set-up path benchmarks ----
 //

@@ -163,17 +163,6 @@ type RankCost struct {
 	IntraCommMsgs  int64
 }
 
-// Add accumulates another cost into this one.
-func (r *RankCost) Add(o RankCost) {
-	r.Flops += o.Flops
-	r.StreamBytes += o.StreamBytes
-	r.CacheMisses += o.CacheMisses
-	r.CommBytes += o.CommBytes
-	r.CommMsgs += o.CommMsgs
-	r.IntraCommBytes += o.IntraCommBytes
-	r.IntraCommMsgs += o.IntraCommMsgs
-}
-
 // ComputeTime returns only the on-node terms of the model: flop rate,
 // memory streaming and cache-miss latency. The process runs CoresPerProcess
 // cores, so the flop and stream terms are divided by the aggregate rate;
@@ -325,19 +314,6 @@ func (r OverlapReport) Scale(f float64) OverlapReport {
 		out.Windows[i] = w
 	}
 	return out
-}
-
-// SolveTime returns the modeled time of a solve: iterations times the
-// slowest rank's per-iteration time (ranks synchronize at the dot products
-// every iteration, so the maximum governs).
-func (p Profile) SolveTime(iters int, perRank []RankCost) float64 {
-	worst := 0.0
-	for _, rc := range perRank {
-		if t := p.Time(rc); t > worst {
-			worst = t
-		}
-	}
-	return float64(iters) * worst
 }
 
 // SolveTimeOverlapped returns the modeled time of a solve under an

@@ -55,6 +55,30 @@ func TestWithCoresPerProcess(t *testing.T) {
 	Skylake.WithCoresPerProcess(0)
 }
 
+// Add accumulates another cost into this one.
+func (r *RankCost) Add(o RankCost) {
+	r.Flops += o.Flops
+	r.StreamBytes += o.StreamBytes
+	r.CacheMisses += o.CacheMisses
+	r.CommBytes += o.CommBytes
+	r.CommMsgs += o.CommMsgs
+	r.IntraCommBytes += o.IntraCommBytes
+	r.IntraCommMsgs += o.IntraCommMsgs
+}
+
+// SolveTime returns the modeled time of a solve: iterations times the
+// slowest rank's per-iteration time (ranks synchronize at the dot products
+// every iteration, so the maximum governs).
+func (p Profile) SolveTime(iters int, perRank []RankCost) float64 {
+	worst := 0.0
+	for _, rc := range perRank {
+		if t := p.Time(rc); t > worst {
+			worst = t
+		}
+	}
+	return float64(iters) * worst
+}
+
 func TestTimeMonotone(t *testing.T) {
 	base := RankCost{Flops: 1e6, CacheMisses: 1e3, CommBytes: 1e4, CommMsgs: 10}
 	t0 := Skylake.Time(base)

@@ -84,9 +84,6 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Hits returns the accumulated hit count.
-func (c *Cache) Hits() int64 { return c.hits }
-
 // Misses returns the accumulated miss count.
 func (c *Cache) Misses() int64 { return c.misses }
 

@@ -46,8 +46,8 @@ func TestColdMissThenHit(t *testing.T) {
 	if c.Access(64) {
 		t.Fatal("next-line access hit")
 	}
-	if c.Hits() != 2 || c.Misses() != 2 {
-		t.Fatalf("hits=%d misses=%d", c.Hits(), c.Misses())
+	if c.hits != 2 || c.Misses() != 2 {
+		t.Fatalf("hits=%d misses=%d", c.hits, c.Misses())
 	}
 }
 
@@ -91,7 +91,7 @@ func TestFlushAndResetStats(t *testing.T) {
 	c := MustNew(1024, 64, 2)
 	c.Access(0)
 	c.ResetStats()
-	if c.Hits() != 0 || c.Misses() != 0 {
+	if c.hits != 0 || c.Misses() != 0 {
 		t.Fatal("ResetStats did not zero")
 	}
 	if !c.Access(0) {
@@ -211,7 +211,7 @@ func TestQuickConservationAndResidency(t *testing.T) {
 		for _, a := range addrs {
 			c.Access(a)
 		}
-		if c.Hits()+c.Misses() != int64(len(addrs)) {
+		if c.hits+c.Misses() != int64(len(addrs)) {
 			return false
 		}
 		c.ResetStats()

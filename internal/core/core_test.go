@@ -631,7 +631,7 @@ func TestVerifyCommInvarianceDetectsNaive(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		g, err := fsai.BuildDist(c, l, aRows, naive)
+		g, err := fsai.BuildDistWorkers(c, l, aRows, naive, 1)
 		if err != nil {
 			return err
 		}

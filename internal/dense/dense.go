@@ -1,6 +1,6 @@
 // Package dense provides the small dense linear-algebra kernels the FSAI
-// setup needs: Cholesky and LDLᵀ factorizations of symmetric positive
-// definite matrices and the associated triangular solves. It replaces the
+// setup needs: the Cholesky factorization of symmetric positive definite
+// matrices and the associated triangular solves. It replaces the
 // MKL/OpenBLAS dependency of the paper's implementation; the systems it
 // solves are the per-row restrictions A(S_i, S_i), which are tiny (typically
 // a few dozen unknowns).
@@ -51,21 +51,6 @@ func Cholesky(a []float64, n int) error {
 	return nil
 }
 
-// SolveChol solves (L·Lᵀ) x = b in place on b, where the lower triangle of a
-// holds a Cholesky factor produced by Cholesky.
-func SolveChol(a []float64, n int, b []float64) {
-	// Forward substitution L y = b.
-	for i := 0; i < n; i++ {
-		ri := a[i*n : i*n+i+1]
-		s := b[i]
-		for k, x := range ri[:i] {
-			s -= x * b[k]
-		}
-		b[i] = s / ri[i]
-	}
-	backSubstitute(a, n, b)
-}
-
 // backSubstitute solves Lᵀ x = y in place on b, L in the lower triangle of a.
 func backSubstitute(a []float64, n int, b []float64) {
 	for i := n - 1; i >= 0; i-- {
@@ -78,82 +63,22 @@ func backSubstitute(a []float64, n int, b []float64) {
 }
 
 // SolveSPD solves A x = b for a symmetric positive definite A (row-major,
-// only the lower triangle is read). A and b are overwritten; on return b
-// holds the solution.
+// only the lower triangle is read) by Cholesky, forward and back
+// substitution. A and b are overwritten; on return b holds the solution.
 func SolveSPD(a []float64, n int, b []float64) error {
 	if err := Cholesky(a, n); err != nil {
 		return err
 	}
-	SolveChol(a, n, b)
-	return nil
-}
-
-// LDLT overwrites a (row-major n×n, symmetric; lower triangle read) with the
-// LDLᵀ factorization: the strictly-lower part holds L (unit diagonal
-// implied) and the diagonal holds D. Unlike Cholesky it tolerates negative
-// pivots, failing only on (near-)zero ones.
-func LDLT(a []float64, n int) error {
-	if len(a) < n*n {
-		return fmt.Errorf("dense: LDLT buffer %d too small for n=%d", len(a), n)
-	}
-	v := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for k := 0; k < j; k++ {
-			v[k] = a[j*n+k] * a[k*n+k]
-		}
-		d := a[j*n+j]
-		for k := 0; k < j; k++ {
-			d -= a[j*n+k] * v[k]
-		}
-		if d == 0 || math.IsNaN(d) {
-			return fmt.Errorf("dense: LDLT zero pivot at %d", j)
-		}
-		a[j*n+j] = d
-		for i := j + 1; i < n; i++ {
-			s := a[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= a[i*n+k] * v[k]
-			}
-			a[i*n+j] = s / d
-		}
-	}
-	return nil
-}
-
-// SolveLDLT solves (L·D·Lᵀ) x = b in place on b using a factor from LDLT.
-func SolveLDLT(a []float64, n int, b []float64) {
 	for i := 0; i < n; i++ {
+		ri := a[i*n : i*n+i+1]
 		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= a[i*n+k] * b[k]
+		for k, x := range ri[:i] {
+			s -= x * b[k]
 		}
-		b[i] = s
+		b[i] = s / ri[i]
 	}
-	for i := 0; i < n; i++ {
-		b[i] /= a[i*n+i]
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= a[k*n+i] * b[k]
-		}
-		b[i] = s
-	}
-}
-
-// MulSym computes y = A x for a symmetric A stored row-major (lower triangle
-// read). Used by tests to verify solves.
-func MulSym(a []float64, n int, x, y []float64) {
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for j := 0; j <= i; j++ {
-			s += a[i*n+j] * x[j]
-		}
-		for j := i + 1; j < n; j++ {
-			s += a[j*n+i] * x[j]
-		}
-		y[i] = s
-	}
+	backSubstitute(a, n, b)
+	return nil
 }
 
 // SolveSPDLast solves A x = e_{n-1}, the last unit vector, for a symmetric

@@ -40,7 +40,7 @@ func TestOneOpMixedWidthsAndSchedules(t *testing.T) {
 					newOp := func() *Op {
 						op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi), WithOverlap())
 						op.SetF32(f32)
-						if op.Plan.NodeAware() != !tc.topo.Flat() {
+						if op.Plan.napActive() != !tc.topo.Flat() {
 							panic("routing does not follow the topology")
 						}
 						return op

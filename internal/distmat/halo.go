@@ -58,9 +58,6 @@ func (lz *Localized) M32() *sparse.CSR32 {
 	return lz.m32
 }
 
-// HaloSet returns the halo global indices (shared slice; do not mutate).
-func (lz *Localized) HaloSet() []int { return lz.Halo }
-
 // Localize remaps a local-rows matrix (global column indices) into the
 // local+halo column numbering. Rows without values (nil Val) localize to a
 // structure without values, to be completed by WithValues.
@@ -225,9 +222,6 @@ func (p *HaloPlan) SendPeerIDs() []int { return p.sendPeerIDs }
 // RecvPeerIDs returns the sorted ranks this plan receives from.
 func (p *HaloPlan) RecvPeerIDs() []int { return p.recvPeerIDs }
 
-// SendList returns the local row indices sent to the given peer rank, or nil.
-func (p *HaloPlan) SendList(peer int) []int { return p.SendPeers[peer] }
-
 // RecvCount returns the total number of halo values received per update.
 func (p *HaloPlan) RecvCount() int {
 	n := 0
@@ -349,13 +343,6 @@ func NewHaloPlanFromScheduleTopo(sendPeers, recvPeers [][]int, needCounts []int6
 // that never captured one. Shared slice; callers must not mutate.
 func (p *HaloPlan) NeedCounts() []int64 { return p.needCounts }
 
-// Topology returns the topology the plan was built under.
-func (p *HaloPlan) Topology() simmpi.Topology { return p.topo }
-
-// NodeAware reports whether exchanges currently route through the
-// node-aware aggregated protocol.
-func (p *HaloPlan) NodeAware() bool { return p.napActive() }
-
 // SetNodeAware toggles node-aware routing. Enabling it on a plan without a
 // multi-rank topology or a need matrix panics: silently falling back to the
 // flat schedule would fake the metered structural claims built on the
@@ -389,18 +376,6 @@ func (p *HaloPlan) Clone() *HaloPlan {
 		f32:         p.f32,
 		nap:         p.nap, // immutable once derived; buffers are NOT shared
 	}
-}
-
-// CloneTopo clones the plan with a different topology attached (node-aware
-// routing on iff topo has multi-rank nodes) — how a cached prepared system
-// serves solves under per-request topologies. The derived node schedule is
-// rebuilt lazily for the new topology.
-func (p *HaloPlan) CloneTopo(topo simmpi.Topology) *HaloPlan {
-	c := p.Clone()
-	c.topo = topo
-	c.nodeAware = !topo.Flat()
-	c.nap = nil
-	return c
 }
 
 // RecvGlobals returns, per peer rank, the global indices of the unknowns

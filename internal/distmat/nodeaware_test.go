@@ -67,8 +67,8 @@ func exchangeModes(topo simmpi.Topology, snaps *[2]simmpi.Snapshot, counts *[2][
 		for mode, aware := range []bool{false, true} {
 			p := handPlan(c.Rank(), topo)
 			p.SetNodeAware(aware)
-			if p.NodeAware() != aware {
-				return fmt.Errorf("rank %d: NodeAware() = %v after SetNodeAware(%v)", c.Rank(), p.NodeAware(), aware)
+			if p.napActive() != aware {
+				return fmt.Errorf("rank %d: node-aware routing %v after SetNodeAware(%v)", c.Rank(), p.napActive(), aware)
 			}
 			xExt := []float64{float64(100 * c.Rank()), float64(100*c.Rank() + 1), 0, 0, 0}
 			c.Barrier()
@@ -198,7 +198,7 @@ func TestNodeAwareAsyncAndBatchedExchange(t *testing.T) {
 	var batchCounts [4][4]int64
 	_, err := simmpi.RunTopo(4, testTimeout, topo, func(c *simmpi.Comm) error {
 		p := handPlan(c.Rank(), topo)
-		if !p.NodeAware() {
+		if !p.napActive() {
 			return fmt.Errorf("rank %d: schedule-topo plan not node-aware by default", c.Rank())
 		}
 
@@ -306,7 +306,7 @@ func TestNodeAwareSpMVBitIdenticalToFlat(t *testing.T) {
 	_, err := simmpi.RunTopo(nranks, testTimeout, topo, func(c *simmpi.Comm) error {
 		lo, hi := l.Range(c.Rank())
 		op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
-		if !op.Plan.NodeAware() {
+		if !op.Plan.napActive() {
 			return fmt.Errorf("rank %d: plan built under a topology Comm not node-aware", c.Rank())
 		}
 		scratch := NewDistVec(op.LZ)

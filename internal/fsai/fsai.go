@@ -34,15 +34,10 @@ func LowerPattern(a *sparse.CSR) *sparse.Pattern {
 	return sparse.PatternOf(a).LowerTriangle().WithDiagonal()
 }
 
-// PowerPattern returns the level-N pattern: lower triangle of pattern(Ã^N)
-// where Ã drops entries below tau (scale-independent). Level 1 with tau 0
-// reduces to LowerPattern.
-func PowerPattern(a *sparse.CSR, level int, tau float64) *sparse.Pattern {
-	return PowerPatternWorkers(a, level, tau, 0)
-}
-
-// PowerPatternWorkers is PowerPattern with an explicit worker count for the
-// symbolic powering (<= 0 selects GOMAXPROCS).
+// PowerPatternWorkers returns the level-N pattern: lower triangle of
+// pattern(Ã^N) where Ã drops entries below tau (scale-independent), powered
+// symbolically by workers workers (<= 0 selects GOMAXPROCS). Level 1 with
+// tau 0 reduces to LowerPattern.
 func PowerPatternWorkers(a *sparse.CSR, level int, tau float64, workers int) *sparse.Pattern {
 	at := a
 	if tau > 0 {
@@ -176,73 +171,6 @@ func solveRow(i int, sub []float64, m int, out []float64) error {
 	return nil
 }
 
-// FilterPattern drops entries of g with |g_ij| < filter·|g_ii| (the paper's
-// scale-independent comparison with the diagonal) and returns the surviving
-// pattern. Diagonal entries always survive. filter ≤ 0 keeps every stored
-// position.
-func FilterPattern(g *sparse.CSR, filter float64) *sparse.Pattern {
-	p := &sparse.Pattern{Rows: g.Rows, Cols: g.Cols, RowPtr: make([]int, g.Rows+1)}
-	for i := 0; i < g.Rows; i++ {
-		cols, vals := g.Row(i)
-		diag := 0.0
-		for k, c := range cols {
-			if c == i {
-				diag = math.Abs(vals[k])
-			}
-		}
-		for k, c := range cols {
-			if c == i || math.Abs(vals[k]) >= filter*diag {
-				p.ColIdx = append(p.ColIdx, c)
-			}
-		}
-		p.RowPtr[i+1] = len(p.ColIdx)
-	}
-	return p
-}
-
-// CountFiltered returns how many entries of g survive FilterPattern with the
-// given filter value, without materializing the pattern. Used by the dynamic
-// filtering bisection (Algorithm 4), which probes many filter values.
-func CountFiltered(g *sparse.CSR, filter float64) int64 {
-	var n int64
-	for i := 0; i < g.Rows; i++ {
-		cols, vals := g.Row(i)
-		diag := 0.0
-		for k, c := range cols {
-			if c == i {
-				diag = math.Abs(vals[k])
-			}
-		}
-		for k, c := range cols {
-			if c == i || math.Abs(vals[k]) >= filter*diag {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// BuildFiltered runs the two-pass pipeline: compute G on s, filter its
-// small entries, and recompute G on the surviving pattern (Algorithm 2
-// steps 4–5 of the paper, also the "drop and rescale" of Algorithm 1).
-func BuildFiltered(a *sparse.CSR, s *sparse.Pattern, filter float64) (*sparse.CSR, error) {
-	return BuildFilteredWorkers(a, s, filter, 0)
-}
-
-// BuildFilteredWorkers is BuildFiltered with an explicit worker count for
-// both build passes (<= 0 selects GOMAXPROCS).
-func BuildFilteredWorkers(a *sparse.CSR, s *sparse.Pattern, filter float64, workers int) (*sparse.CSR, error) {
-	g1, err := BuildWorkers(a, s, workers)
-	if err != nil {
-		return nil, err
-	}
-	if filter <= 0 {
-		return g1, nil
-	}
-	g, _, err := RebuildWorkers(a, g1, FilterPattern(g1, filter), workers)
-	return g, err
-}
-
 // DistRows is a rank's block of a distributed lower-triangular pattern:
 // local rows [Lo,Hi) with global column indices.
 type DistRows struct {
@@ -265,18 +193,11 @@ func (d *DistRows) Validate() error {
 	return nil
 }
 
-// BuildDist computes this rank's rows of the FSAI factor G on the
-// distributed pattern s with one row-solve worker (the historical serial
-// per-rank behavior; the simulated ranks themselves already run
-// concurrently). aRows holds the rank's rows of A (global columns). Rows of
-// A required for halo columns of s are gathered from their owners
-// (setup-phase communication). Collective.
-func BuildDist(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, s *DistRows) (*sparse.CSR, error) {
-	return BuildDistWorkers(c, l, aRows, s, 1)
-}
-
-// BuildDistWorkers is BuildDist with an explicit per-rank worker count for
-// the local row solves (<= 0 selects GOMAXPROCS). This is the hybrid
+// BuildDistWorkers computes this rank's rows of the FSAI factor G on the
+// distributed pattern s. aRows holds the rank's rows of A (global columns);
+// rows of A required for halo columns of s are gathered from their owners
+// (setup-phase communication). Collective. workers is the per-rank worker
+// count for the local row solves (<= 0 selects GOMAXPROCS). This is the hybrid
 // MPI+threads layer of the paper's setup: communication (the halo row
 // gather) stays on the rank goroutine; only the embarrassingly parallel row
 // loop fans out. Results are bit-identical for every worker count.
@@ -430,10 +351,3 @@ func CountFilteredDist(g *sparse.CSR, lo int, filter float64, base *sparse.Patte
 	}
 	return n
 }
-
-// NarrowFactor returns the float32-valued view of a built factor for
-// mixed-precision solves. The factor is always computed in float64 (the tiny
-// dense row systems are ill-conditioned enough that building in float32
-// would cost accuracy the refinement loop cannot recover); only the finished
-// values are narrowed, bounding the error at one rounding per entry.
-func NarrowFactor(g *sparse.CSR) *sparse.CSR32 { return sparse.NewCSR32(g) }

@@ -35,8 +35,8 @@ func TestLowerPatternProperties(t *testing.T) {
 
 func TestPowerPatternLevels(t *testing.T) {
 	a := matgen.Poisson2D(6, 6)
-	p1 := PowerPattern(a, 1, 0)
-	p2 := PowerPattern(a, 2, 0)
+	p1 := PowerPatternWorkers(a, 1, 0, 0)
+	p2 := PowerPatternWorkers(a, 2, 0, 0)
 	if !p1.Equal(LowerPattern(a)) {
 		t.Fatal("level 1 differs from LowerPattern")
 	}
@@ -44,8 +44,8 @@ func TestPowerPatternLevels(t *testing.T) {
 		t.Fatalf("level 2 pattern (%d) should strictly contain level 1 (%d)", p2.NNZ(), p1.NNZ())
 	}
 	// Thresholding shrinks the pattern.
-	pt := PowerPattern(matgen.CFDDiffusion(8, 8, 1000, 1), 2, 0.3)
-	pf := PowerPattern(matgen.CFDDiffusion(8, 8, 1000, 1), 2, 0)
+	pt := PowerPatternWorkers(matgen.CFDDiffusion(8, 8, 1000, 1), 2, 0.3, 0)
+	pf := PowerPatternWorkers(matgen.CFDDiffusion(8, 8, 1000, 1), 2, 0, 0)
 	if pt.NNZ() >= pf.NNZ() {
 		t.Fatalf("thresholded pattern %d not smaller than full %d", pt.NNZ(), pf.NNZ())
 	}
@@ -206,16 +206,40 @@ func TestFSAIReducesCGIterations(t *testing.T) {
 	}
 }
 
+// FilterPattern drops entries of g with |g_ij| < filter·|g_ii| (the paper's
+// scale-independent comparison with the diagonal) and returns the surviving
+// pattern: the serial reference of FilterDist. Diagonal entries always
+// survive. filter ≤ 0 keeps every stored position.
+func FilterPattern(g *sparse.CSR, filter float64) *sparse.Pattern {
+	p := &sparse.Pattern{Rows: g.Rows, Cols: g.Cols, RowPtr: make([]int, g.Rows+1)}
+	for i := 0; i < g.Rows; i++ {
+		cols, vals := g.Row(i)
+		diag := 0.0
+		for k, c := range cols {
+			if c == i {
+				diag = math.Abs(vals[k])
+			}
+		}
+		for k, c := range cols {
+			if c == i || math.Abs(vals[k]) >= filter*diag {
+				p.ColIdx = append(p.ColIdx, c)
+			}
+		}
+		p.RowPtr[i+1] = len(p.ColIdx)
+	}
+	return p
+}
+
 func TestFilterPatternAndCount(t *testing.T) {
 	a := matgen.CFDDiffusion(8, 8, 100, 4)
-	g, err := Build(a, PowerPattern(a, 2, 0))
+	g, err := Build(a, PowerPatternWorkers(a, 2, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []float64{0, 0.01, 0.1, 0.5} {
 		p := FilterPattern(g, f)
-		if int64(p.NNZ()) != CountFiltered(g, f) {
-			t.Fatalf("filter %v: pattern %d != count %d", f, p.NNZ(), CountFiltered(g, f))
+		if int64(p.NNZ()) != CountFilteredDist(g, 0, f, nil) {
+			t.Fatalf("filter %v: pattern %d != count %d", f, p.NNZ(), CountFilteredDist(g, 0, f, nil))
 		}
 		// Diagonal always survives.
 		for i := 0; i < p.Rows; i++ {
@@ -225,7 +249,7 @@ func TestFilterPatternAndCount(t *testing.T) {
 		}
 	}
 	// Monotonicity: larger filter, fewer entries.
-	if CountFiltered(g, 0.01) < CountFiltered(g, 0.1) {
+	if CountFilteredDist(g, 0, 0.01, nil) < CountFilteredDist(g, 0, 0.1, nil) {
 		t.Fatal("filter not monotone")
 	}
 	if FilterPattern(g, 0).NNZ() != g.NNZ() {
@@ -235,8 +259,12 @@ func TestFilterPatternAndCount(t *testing.T) {
 
 func TestBuildFilteredStillPreconditioners(t *testing.T) {
 	a := matgen.Poisson2D(12, 12)
-	s := PowerPattern(a, 2, 0)
-	g, err := BuildFiltered(a, s, 0.05)
+	s := PowerPatternWorkers(a, 2, 0, 0)
+	g1, err := Build(a, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := RebuildWorkers(a, g1, FilterPattern(g1, 0.05), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +290,7 @@ func TestBuildDistMatchesSerial(t *testing.T) {
 			lo, hi := l.Range(c.Rank())
 			aRows := distmat.ExtractLocalRows(a, lo, hi)
 			s := localLowerPattern(aRows, lo)
-			g, err := BuildDist(c, l, aRows, s)
+			g, err := BuildDistWorkers(c, l, aRows, s, 1)
 			if err != nil {
 				return err
 			}
@@ -386,7 +414,7 @@ func TestPowerPatternDistMatchesSerial(t *testing.T) {
 	}{
 		{1, 0}, {2, 0}, {3, 0}, {2, 0.2},
 	} {
-		want := PowerPattern(a, tc.level, tc.tau)
+		want := PowerPatternWorkers(a, tc.level, tc.tau, 0)
 		for _, nranks := range []int{1, 3} {
 			l := distmat.NewUniformLayout(n, nranks)
 			got := make([]*DistRows, nranks)
@@ -438,11 +466,11 @@ func TestPowerPatternDistLevelValidation(t *testing.T) {
 
 func TestLevel2PatternImprovesPreconditioner(t *testing.T) {
 	a := matgen.Poisson2D(16, 16)
-	g1, err := Build(a, PowerPattern(a, 1, 0))
+	g1, err := Build(a, PowerPatternWorkers(a, 1, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Build(a, PowerPattern(a, 2, 0))
+	g2, err := Build(a, PowerPatternWorkers(a, 2, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

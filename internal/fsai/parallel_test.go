@@ -71,20 +71,26 @@ func TestQuickBuildWorkersBitIdentical(t *testing.T) {
 	}
 }
 
+// The filtered rebuild with a previous factor — the reuse path a filtered
+// set-up runs — is bit-identical for every worker count.
 func TestBuildFilteredWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := randomSPD(rng, 500)
-	s := LowerPattern(a)
-	want, err := BuildFilteredWorkers(a, s, 0.05, 1)
+	g1, err := BuildWorkers(a, LowerPattern(a), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := FilterPattern(g1, 0.05)
+	want, _, err := RebuildWorkers(a, g1, s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 8} {
-		got, err := BuildFilteredWorkers(a, s, 0.05, w)
+		got, _, err := RebuildWorkers(a, g1, s, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		identicalCSR(t, "BuildFiltered", got, want)
+		identicalCSR(t, "RebuildWorkers", got, want)
 	}
 }
 
@@ -104,7 +110,7 @@ func TestPowerPatternWorkersIdentical(t *testing.T) {
 	}
 }
 
-// BuildDist with per-rank worker pools must match the 1-worker-per-rank
+// BuildDistWorkers with per-rank worker pools must match the 1-worker-per-rank
 // build bit-for-bit, across rank counts.
 func TestBuildDistWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -133,7 +139,7 @@ func TestBuildDistWorkersBitIdentical(t *testing.T) {
 		for _, w := range []int{2, 8} {
 			got := build(w)
 			for r := 0; r < nranks; r++ {
-				identicalCSR(t, "BuildDist", got[r], want[r])
+				identicalCSR(t, "BuildDistWorkers", got[r], want[r])
 			}
 		}
 	}

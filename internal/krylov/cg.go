@@ -17,7 +17,6 @@ package krylov
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 
 	"fsaicomm/internal/distmat"
@@ -170,30 +169,6 @@ type Identity struct{}
 // Apply copies r into z.
 func (Identity) Apply(r, z []float64, fc *vecops.FlopCounter) { copy(z, r) }
 
-// Jacobi is diagonal scaling, the cheapest classical baseline.
-type Jacobi struct{ InvDiag []float64 }
-
-// NewJacobi builds a Jacobi preconditioner from the matrix diagonal.
-func NewJacobi(a *sparse.CSR) (*Jacobi, error) {
-	d := a.Diagonal()
-	inv := make([]float64, len(d))
-	for i, v := range d {
-		if v == 0 {
-			return nil, fmt.Errorf("krylov: Jacobi: zero diagonal at %d", i)
-		}
-		inv[i] = 1 / v
-	}
-	return &Jacobi{InvDiag: inv}, nil
-}
-
-// Apply computes z = D⁻¹ r.
-func (j *Jacobi) Apply(r, z []float64, fc *vecops.FlopCounter) {
-	for i := range r {
-		z[i] = r[i] * j.InvDiag[i]
-	}
-	fc.Add(int64(len(r)))
-}
-
 // Split applies the factorized approximate inverse z = Gᵀ(G·r), the
 // preconditioning operation of FSAI/FSAIE/FSAIE-Comm in a serial solve.
 type Split struct {
@@ -226,7 +201,7 @@ func CG(a *sparse.CSR, b, x []float64, m Preconditioner, opt Options, fc *vecops
 }
 
 // oneRank returns a serial solve's matrix and preconditioner as the
-// distributed loops take them: distmat.LocalOp(a), and m behind RankLocal
+// distributed loops take them: distmat.LocalOp(a), and m behind rankLocal
 // (nil stays nil). Both live in the solve's workspace, so repeated solves of
 // one system through a caller's Workspace allocate nothing.
 func oneRank(a *sparse.CSR, m Preconditioner, opt *Options) (*distmat.Op, DistPreconditioner) {
@@ -271,16 +246,13 @@ func (DistIdentity) ApplyBatch(_ *simmpi.Comm, r, z []float64, k int, cols []int
 	}
 }
 
-// rankLocal is RankLocal's adapter; col holds one column in and out.
+// rankLocal runs a serial preconditioner, which needs nothing of other
+// ranks, as a distributed one: in place at k = 1, column by column on wider
+// blocks. col holds one column in and out.
 type rankLocal struct {
 	m   Preconditioner
 	col [2][]float64
 }
-
-// RankLocal runs a serial preconditioner that needs nothing of other ranks
-// — diagonal scaling, IC(0) of the rank's own diagonal block — as a
-// distributed one: in place at k = 1, column by column on wider blocks.
-func RankLocal(m Preconditioner) DistPreconditioner { return &rankLocal{m: m} }
 
 func (l *rankLocal) ApplyBatch(_ *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
 	if k == 1 {

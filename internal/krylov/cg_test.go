@@ -47,6 +47,33 @@ func residual(a *sparse.CSR, x, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
+// Jacobi is diagonal scaling, the cheapest classical baseline.
+type Jacobi struct{ InvDiag []float64 }
+
+// NewJacobi builds a Jacobi preconditioner from the matrix diagonal.
+func NewJacobi(a *sparse.CSR) (*Jacobi, error) {
+	d := a.Diagonal()
+	inv := make([]float64, len(d))
+	for i, v := range d {
+		if v == 0 {
+			return nil, fmt.Errorf("krylov: Jacobi: zero diagonal at %d", i)
+		}
+		inv[i] = 1 / v
+	}
+	return &Jacobi{InvDiag: inv}, nil
+}
+
+// Apply computes z = D⁻¹ r.
+func (j *Jacobi) Apply(r, z []float64, fc *vecops.FlopCounter) {
+	for i := range r {
+		z[i] = r[i] * j.InvDiag[i]
+	}
+	fc.Add(int64(len(r)))
+}
+
+// RankLocal runs a serial preconditioner as a distributed one (rankLocal).
+func RankLocal(m Preconditioner) DistPreconditioner { return &rankLocal{m: m} }
+
 func TestCGPoissonMatchesDirect(t *testing.T) {
 	a := matgen.Poisson2D(10, 10)
 	b := matgen.RandomRHS(a.Rows, 1, a.MaxNorm())

@@ -137,19 +137,6 @@ func ImbalanceRatio(g *Graph, part []int, nparts int) float64 {
 	return float64(max) / avg
 }
 
-// Validate checks that part is a valid assignment into [0, nparts).
-func Validate(g *Graph, part []int, nparts int) error {
-	if len(part) != g.N {
-		return fmt.Errorf("partition: assignment length %d, want %d", len(part), g.N)
-	}
-	for v, p := range part {
-		if p < 0 || p >= nparts {
-			return fmt.Errorf("partition: vertex %d assigned to part %d outside [0,%d)", v, p, nparts)
-		}
-	}
-	return nil
-}
-
 // CommVolume returns the total number of halo unknowns a row distribution
 // induces: for each vertex, the number of *other* parts among its
 // neighbours (each such part must receive that vertex's value every halo

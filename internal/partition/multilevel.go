@@ -400,28 +400,6 @@ func Block(n, nparts int) []int {
 	return part
 }
 
-// BlockByWeight partitions n rows into nparts contiguous blocks balancing
-// the given per-row weights (e.g. nnz per row).
-func BlockByWeight(weights []int64, nparts int) []int {
-	n := len(weights)
-	part := make([]int, n)
-	var total int64
-	for _, w := range weights {
-		total += w
-	}
-	target := float64(total) / float64(nparts)
-	p := 0
-	var acc int64
-	for i := 0; i < n; i++ {
-		if float64(acc) >= target*float64(p+1) && p < nparts-1 {
-			p++
-		}
-		part[i] = p
-		acc += weights[i]
-	}
-	return part
-}
-
 // Strip partitions by round-robin assignment (worst-case locality; used in
 // tests to stress halo machinery).
 func Strip(n, nparts int) []int {

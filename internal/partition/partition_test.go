@@ -1,12 +1,26 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"fsaicomm/internal/sparse"
 )
+
+// Validate checks that part is a valid assignment into [0, nparts).
+func Validate(g *Graph, part []int, nparts int) error {
+	if len(part) != g.N {
+		return fmt.Errorf("partition: assignment length %d, want %d", len(part), g.N)
+	}
+	for v, p := range part {
+		if p < 0 || p >= nparts {
+			return fmt.Errorf("partition: vertex %d assigned to part %d outside [0,%d)", v, p, nparts)
+		}
+	}
+	return nil
+}
 
 // grid2d builds the 5-point Laplacian pattern on an nx-by-ny grid.
 func grid2d(nx, ny int) *sparse.CSR {
@@ -83,21 +97,6 @@ func TestBlockPartition(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("parts used = %d, want 3", len(seen))
-	}
-}
-
-func TestBlockByWeight(t *testing.T) {
-	w := []int64{10, 1, 1, 1, 1, 1, 1, 1, 1, 10}
-	part := BlockByWeight(w, 2)
-	g := &Graph{N: len(w), VWeight: w}
-	imb := ImbalanceRatio(g, part, 2)
-	if imb > 1.45 {
-		t.Fatalf("imbalance = %v too high: %v", imb, part)
-	}
-	for i := 1; i < len(part); i++ {
-		if part[i] < part[i-1] {
-			t.Fatalf("not monotone: %v", part)
-		}
 	}
 }
 

@@ -8,6 +8,16 @@ import (
 	"time"
 )
 
+// Done reports whether the operation has completed (Wait would not block).
+func (r *Request) Done() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // IallreduceSum must agree with AllreduceSum and be metered identically.
 func TestIallreduceSumMatchesBlocking(t *testing.T) {
 	const nranks = 4

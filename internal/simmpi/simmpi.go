@@ -25,7 +25,7 @@ import (
 
 // World is an in-process communication universe of Size ranks: the channel
 // backend, and the semantic oracle the TCP backend is conformance-tested
-// against. Create one with NewWorld and derive per-rank communicators with
+// against. Create one with NewWorldTopo and derive per-rank communicators with
 // Comm.
 type World struct {
 	size    int
@@ -71,16 +71,10 @@ func newRankState() rankState {
 	return rankState{self: make(chan Payload, selfQueueCap)}
 }
 
-// NewWorld creates a world with the given number of ranks. timeout bounds
-// every blocking receive and collective; zero means block forever. A small
-// timeout turns would-be deadlocks into explicit panics in tests.
-func NewWorld(size int, timeout time.Duration) *World {
-	return NewWorldTopo(size, timeout, Topology{})
-}
-
-// NewWorldTopo creates a world whose meter classifies traffic against the
-// given two-level topology (see Topology). The zero topology gives NewWorld's
-// historical flat behavior. An invalid topology panics: a world silently
+// NewWorldTopo creates a world of size ranks whose meter classifies traffic
+// against the given two-level topology (see Topology); the zero topology is
+// flat. timeout bounds every blocking receive and collective; zero means
+// block forever. An invalid topology panics: a world silently
 // misattributing intra vs inter traffic would corrupt every metered claim
 // built on it.
 func NewWorldTopo(size int, timeout time.Duration, topo Topology) *World {
@@ -584,16 +578,6 @@ func (r *Request) Wait32() ([]float32, error) {
 	return r.f32, nil
 }
 
-// Done reports whether the operation has completed (Wait would not block).
-func (r *Request) Done() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // drain waits for the tail of a chain without consuming its handle (the
 // poster may still Wait it). Called only from the owning rank's goroutine.
 func (c *Comm) drain(tail **Request) {
@@ -749,12 +733,6 @@ type Meter struct {
 	interMsgs  []int64
 }
 
-// NewMeter returns a meter for the given world size with no node structure
-// (all point-to-point traffic counts as inter-node).
-func NewMeter(size int) *Meter {
-	return NewMeterTopo(size, Topology{})
-}
-
 // NewMeterTopo returns a meter for the given world size that classifies
 // point-to-point traffic against topo. An invalid topology panics.
 func NewMeterTopo(size int, topo Topology) *Meter {
@@ -884,14 +862,6 @@ func (m *Meter) PairBytes(src, dst int) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.pairBytes[src][dst]
-}
-
-// PairRow returns a copy of rank's outgoing per-destination byte counts.
-// The transport differential tests compare these rows across backends.
-func (m *Meter) PairRow(rank int) []int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]int64(nil), m.pairBytes[rank]...)
 }
 
 // CollectiveBytes returns the collective payload bytes charged to rank.

@@ -338,7 +338,7 @@ func TestWorldSizeValidation(t *testing.T) {
 			t.Fatal("size 0 accepted")
 		}
 	}()
-	NewWorld(0, 0)
+	NewWorldTopo(0, 0, Topology{})
 }
 
 func TestManyRanksStress(t *testing.T) {

@@ -94,7 +94,7 @@ func TestTopologyHelpers(t *testing.T) {
 
 func TestMeterMergeTopologyMismatchPanics(t *testing.T) {
 	a := simmpi.NewMeterTopo(4, simmpi.Topology{Nodes: 2, RanksPerNode: 2})
-	b := simmpi.NewMeter(4)
+	b := simmpi.NewMeterTopo(4, simmpi.Topology{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("merging meters with different topologies did not panic")

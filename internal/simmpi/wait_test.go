@@ -140,7 +140,7 @@ func TestWaitsAreCounted(t *testing.T) {
 // argument slice and the reduced vector — where it used to allocate four.
 // The world has no timeout, so no wait arms a timer.
 func TestAllreduceAllocatesNoPartsSlice(t *testing.T) {
-	w := NewWorld(2, 0)
+	w := NewWorldTopo(2, 0, Topology{})
 	c0, c1 := w.Comm(0), w.Comm(1)
 	enter, left := make(chan struct{}), make(chan struct{})
 	go func() {

@@ -45,9 +45,6 @@ func (c *COO) AddSym(i, j int, v float64) {
 	}
 }
 
-// NNZ returns the number of accumulated (possibly duplicate) entries.
-func (c *COO) NNZ() int { return len(c.I) }
-
 // ToCSR converts the accumulated entries into CSR form in O(rows + entries)
 // by counting sort (see Assembler), sorting only the rows whose entries were
 // not added in column order. Duplicates of one position are summed in the

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"fsaicomm/internal/parallel"
 )
 
 // CSR is a sparse matrix in compressed sparse row format.
@@ -128,41 +126,6 @@ func (m *CSR) MulVec(x, y []float64) {
 	mulVecRows(m.RowPtr, m.ColIdx, m.Val, x, y, 0, m.Rows)
 }
 
-// MulVecParallel computes y = A x with rows partitioned across workers
-// (<= 0 selects GOMAXPROCS). Each worker writes a disjoint slice of y and
-// every row dot product is the same left-to-right sum as MulVec, so the
-// result is bit-identical to the serial product for any worker count.
-func (m *CSR) MulVecParallel(x, y []float64, workers int) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("sparse: MulVecParallel shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d",
-			m.Rows, m.Cols, len(x), len(y)))
-	}
-	_ = parallel.For(workers, m.Rows, func(lo, hi int) error {
-		mulVecRows(m.RowPtr, m.ColIdx, m.Val, x, y, lo, hi)
-		return nil
-	})
-}
-
-// MulVecTrans computes y = Aᵀ x without forming the transpose.
-func (m *CSR) MulVecTrans(x, y []float64) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic(fmt.Sprintf("sparse: MulVecTrans shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d",
-			m.Rows, m.Cols, len(x), len(y)))
-	}
-	for j := range y {
-		y[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			y[m.ColIdx[k]] += m.Val[k] * xi
-		}
-	}
-}
-
 // Transpose returns Aᵀ as a new CSR matrix.
 func (m *CSR) Transpose() *CSR {
 	t := &CSR{
@@ -258,23 +221,6 @@ func (m *CSR) LowerTriangle() *CSR {
 	return l
 }
 
-// UpperTriangle returns the upper-triangular part of A (including the
-// diagonal) as a new CSR matrix.
-func (m *CSR) UpperTriangle() *CSR {
-	u := NewCSR(m.Rows, m.Cols, m.NNZ())
-	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.Row(i)
-		for k, c := range cols {
-			if c >= i {
-				u.ColIdx = append(u.ColIdx, c)
-				u.Val = append(u.Val, vals[k])
-			}
-		}
-		u.RowPtr[i+1] = len(u.ColIdx)
-	}
-	return u
-}
-
 // Scale multiplies every stored value by s in place.
 func (m *CSR) Scale(s float64) {
 	for k := range m.Val {
@@ -306,15 +252,6 @@ func (m *CSR) MaxNorm() float64 {
 	return max
 }
 
-// FrobeniusNorm returns the Frobenius norm of the stored entries.
-func (m *CSR) FrobeniusNorm() float64 {
-	sum := 0.0
-	for _, v := range m.Val {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
 // Dense expands the matrix into a row-major dense [][]float64. Intended for
 // tests on small matrices only.
 func (m *CSR) Dense() [][]float64 {
@@ -327,35 +264,4 @@ func (m *CSR) Dense() [][]float64 {
 		}
 	}
 	return d
-}
-
-// SubMatrix extracts the dense restriction A(rows, cols) into dst, a
-// row-major buffer of size len(rows)*len(cols). Both index sets must be
-// sorted ascending; dst is fully overwritten. This is the gather used to
-// build the small FSAI systems A(S_i, S_i).
-func (m *CSR) SubMatrix(rows, cols []int, dst []float64) {
-	nc := len(cols)
-	if len(dst) != len(rows)*nc {
-		panic(fmt.Sprintf("sparse: SubMatrix dst size %d, want %d", len(dst), len(rows)*nc))
-	}
-	for k := range dst {
-		dst[k] = 0
-	}
-	for ri, i := range rows {
-		rcols, rvals := m.Row(i)
-		// Merge walk over the row and the requested column set.
-		a, b := 0, 0
-		for a < len(rcols) && b < nc {
-			switch {
-			case rcols[a] < cols[b]:
-				a++
-			case rcols[a] > cols[b]:
-				b++
-			default:
-				dst[ri*nc+b] = rvals[a]
-				a++
-				b++
-			}
-		}
-	}
 }

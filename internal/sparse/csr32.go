@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // CSR32 is a CSR matrix whose values are stored in float32 — the
 // mixed-precision representation of the FSAI factors (and optionally the
@@ -32,51 +29,10 @@ func NewCSR32(m *CSR) *CSR32 {
 	return &CSR32{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: v}
 }
 
-// NNZ returns the number of stored entries.
-func (m *CSR32) NNZ() int { return len(m.ColIdx) }
-
 // Row returns the column indices and values of row i as shared slices.
 func (m *CSR32) Row(i int) ([]int, []float32) {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	return m.ColIdx[lo:hi], m.Val[lo:hi]
-}
-
-// Widen expands the matrix back to float64 storage (fresh arrays; nothing is
-// shared). Round-tripping f64 → f32 → f64 through NewCSR32 and Widen keeps
-// every in-range value within one float32 rounding (relative error ≤ 2⁻²⁴).
-func (m *CSR32) Widen() *CSR {
-	v := make([]float64, len(m.Val))
-	for i, x := range m.Val {
-		v[i] = float64(x)
-	}
-	return &CSR{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		RowPtr: append([]int(nil), m.RowPtr...),
-		ColIdx: append([]int(nil), m.ColIdx...),
-		Val:    v,
-	}
-}
-
-// MaxRelError returns the largest relative narrowing error |f64−f32|/|f64|
-// over the stored entries of m versus its float64 source values src (zero
-// entries compare absolutely). It is the quantity the round-trip fuzz target
-// bounds.
-func (m *CSR32) MaxRelError(src []float64) float64 {
-	if len(src) != len(m.Val) {
-		panic(fmt.Sprintf("sparse: MaxRelError value length %d, want %d", len(src), len(m.Val)))
-	}
-	worst := 0.0
-	for i, v := range src {
-		diff := math.Abs(v - float64(m.Val[i]))
-		if v != 0 {
-			diff /= math.Abs(v)
-		}
-		if diff > worst {
-			worst = diff
-		}
-	}
-	return worst
 }
 
 // MulVec computes y = A x with float64 accumulation. It panics when
@@ -87,27 +43,6 @@ func (m *CSR32) MulVec(x, y []float64) {
 			m.Rows, m.Cols, len(x), len(y)))
 	}
 	mulVecRows(m.RowPtr, m.ColIdx, m.Val, x, y, 0, m.Rows)
-}
-
-// MulVecTrans computes y = Aᵀ x without forming the transpose, with float64
-// accumulation.
-func (m *CSR32) MulVecTrans(x, y []float64) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic(fmt.Sprintf("sparse: CSR32 MulVecTrans shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d",
-			m.Rows, m.Cols, len(x), len(y)))
-	}
-	for j := range y {
-		y[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			y[m.ColIdx[k]] += float64(m.Val[k]) * xi
-		}
-	}
 }
 
 // MulMatCols computes the selected interleaved columns of Y = A·X for k

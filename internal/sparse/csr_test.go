@@ -93,61 +93,6 @@ func TestMulVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestMulVecTransMatchesExplicitTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 30; trial++ {
-		rows, cols := 1+rng.Intn(15), 1+rng.Intn(15)
-		m := testsets.RandomCSR(rng, rows, cols, 0.4)
-		x := make([]float64, rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		y1 := make([]float64, cols)
-		y2 := make([]float64, cols)
-		m.MulVecTrans(x, y1)
-		m.Transpose().MulVec(x, y2)
-		for j := range y1 {
-			if math.Abs(y1[j]-y2[j]) > 1e-12*(1+math.Abs(y2[j])) {
-				t.Fatalf("trial %d: column %d: %v vs %v", trial, j, y1[j], y2[j])
-			}
-		}
-	}
-}
-
-func TestMulVecParallelMatchesSerial(t *testing.T) {
-	// Bit-identity, not approximate equality: the row partition must not
-	// change a single rounding.
-	rng := rand.New(rand.NewSource(9))
-	for _, rows := range []int{1, 17, 400, 3000} {
-		m := testsets.RandomCSR(rng, rows, rows, 0.05)
-		x := make([]float64, rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := make([]float64, rows)
-		m.MulVec(x, want)
-		for _, w := range []int{1, 2, 8} {
-			got := make([]float64, rows)
-			m.MulVecParallel(x, got, w)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("rows=%d workers=%d: y[%d] = %v, serial %v", rows, w, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestMulVecParallelShapePanics(t *testing.T) {
-	m := tri4()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for short x")
-		}
-	}()
-	m.MulVecParallel(make([]float64, 3), make([]float64, 4), 2)
-}
-
 func TestMulVecShapePanics(t *testing.T) {
 	m := tri4()
 	for name, fn := range map[string]func(){
@@ -191,28 +136,19 @@ func TestTransposeInvolution(t *testing.T) {
 
 func TestTriangles(t *testing.T) {
 	m := tri4()
-	l, u := m.LowerTriangle(), m.UpperTriangle()
-	if l.NNZ() != 7 || u.NNZ() != 7 {
-		t.Fatalf("triangle nnz = %d/%d, want 7/7", l.NNZ(), u.NNZ())
+	l := m.LowerTriangle()
+	if l.NNZ() != 7 {
+		t.Fatalf("lower triangle nnz = %d, want 7", l.NNZ())
 	}
-	for i := 0; i < 4; i++ {
-		cols, _ := l.Row(i)
-		for _, c := range cols {
-			if c > i {
-				t.Fatalf("lower triangle has (%d,%d)", i, c)
-			}
-		}
-	}
-	// L + U - diag == A
-	d := m.Diagonal()
+	// L holds exactly the entries of A on and below the diagonal.
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			sum := l.At(i, j) + u.At(i, j)
-			if i == j {
-				sum -= d[i]
+			want := m.At(i, j)
+			if j > i {
+				want = 0
 			}
-			if sum != m.At(i, j) {
-				t.Fatalf("(%d,%d): L+U-D = %v, want %v", i, j, sum, m.At(i, j))
+			if l.Has(i, j) != (j <= i && m.Has(i, j)) || l.At(i, j) != want {
+				t.Fatalf("(%d,%d): L = %v, want %v", i, j, l.At(i, j), want)
 			}
 		}
 	}
@@ -239,20 +175,6 @@ func TestIsSymmetric(t *testing.T) {
 	c2.Add(2, 2, 1)
 	if c2.ToCSR().IsSymmetric(1e-14) {
 		t.Errorf("structurally asymmetric matrix reported symmetric")
-	}
-}
-
-func TestSubMatrix(t *testing.T) {
-	m := tri4()
-	rows := []int{1, 2}
-	cols := []int{0, 1, 3}
-	dst := make([]float64, 6)
-	m.SubMatrix(rows, cols, dst)
-	want := []float64{-1, 4, 0, 0, -1, -1}
-	for k := range want {
-		if dst[k] != want[k] {
-			t.Fatalf("dst = %v, want %v", dst, want)
-		}
 	}
 }
 
@@ -301,13 +223,9 @@ func TestScaleAndNorms(t *testing.T) {
 	if got := m.MaxNorm(); got != 8 {
 		t.Fatalf("MaxNorm = %v, want 8", got)
 	}
-	want := math.Sqrt(4*64 + 6*4)
-	if math.Abs(m.FrobeniusNorm()-want) > 1e-12 {
-		t.Fatalf("FrobeniusNorm = %v, want %v", m.FrobeniusNorm(), want)
-	}
 }
 
-// Property: for any matrix built from random entries, (Aᵀ)x via MulVecTrans
+// Property: for any matrix built from random entries, Aᵀx through Transpose
 // equals dense-transpose multiplication.
 func TestQuickTransposeProduct(t *testing.T) {
 	f := func(seed int64) bool {
@@ -319,7 +237,7 @@ func TestQuickTransposeProduct(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		y := make([]float64, cols)
-		m.MulVecTrans(x, y)
+		m.Transpose().MulVec(x, y)
 		d := m.Dense()
 		for j := 0; j < cols; j++ {
 			want := 0.0
@@ -352,62 +270,6 @@ func TestQuickCloneIsDeep(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSymCSRMatchesCSR(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(30)
-		c := sparse.NewCOO(n, n)
-		for i := 0; i < n; i++ {
-			c.Add(i, i, 4+rng.Float64())
-		}
-		for k := 0; k < 2*n; k++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			if i != j {
-				c.AddSym(i, j, rng.NormFloat64())
-			}
-		}
-		a := c.ToCSR()
-		s, err := sparse.NewSymCSR(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.NNZStored() >= a.NNZ() && a.NNZ() > n {
-			t.Fatalf("symmetric storage %d not below full %d", s.NNZStored(), a.NNZ())
-		}
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		y1 := make([]float64, n)
-		y2 := make([]float64, n)
-		a.MulVec(x, y1)
-		s.MulVec(x, y2)
-		for i := range y1 {
-			if math.Abs(y1[i]-y2[i]) > 1e-12*(1+math.Abs(y1[i])) {
-				t.Fatalf("trial %d: y[%d] = %v vs %v", trial, i, y2[i], y1[i])
-			}
-		}
-		// Round trip.
-		back := s.ToCSR()
-		if back.NNZ() != a.NNZ() {
-			t.Fatalf("ToCSR changed nnz: %d vs %d", back.NNZ(), a.NNZ())
-		}
-	}
-}
-
-func TestSymCSRRejectsAsymmetric(t *testing.T) {
-	c := sparse.NewCOO(2, 2)
-	c.Add(0, 0, 1)
-	c.Add(1, 1, 1)
-	c.Add(0, 1, 2)
-	if _, err := sparse.NewSymCSR(c.ToCSR()); err == nil {
-		t.Fatal("asymmetric accepted")
-	}
-	if _, err := sparse.NewSymCSR(sparse.NewCSR(2, 3, 0)); err == nil {
-		t.Fatal("rectangular accepted")
 	}
 }
 

@@ -12,11 +12,7 @@ package sparse
 // property the batched solver's differential tests pin. A nil mask means
 // every column and builds no list, at any width.
 
-import (
-	"fmt"
-
-	"fsaicomm/internal/parallel"
-)
+import "fmt"
 
 // MulMat computes Y = A·X for k interleaved vectors: len(x) = Cols·k,
 // len(y) = Rows·k, both row-major (x[i*k+c]). Column c of the result is
@@ -31,18 +27,6 @@ func (m *CSR) MulMat(x, y []float64, k int) { m.MulMatCols(x, y, k, nil) }
 func (m *CSR) MulMatCols(x, y []float64, k int, cols []int) {
 	checkMulMat(m, x, y, k, "MulMatCols")
 	mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, cols, 0, m.Rows)
-}
-
-// MulMatParallel computes Y = A·X with rows partitioned across workers
-// (<= 0 selects GOMAXPROCS). Workers write disjoint row blocks of y and
-// every per-column row sum keeps MulVec's left-to-right order, so the
-// result is bit-identical to MulMat for any worker count.
-func (m *CSR) MulMatParallel(x, y []float64, k, workers int) {
-	checkMulMat(m, x, y, k, "MulMatParallel")
-	_ = parallel.For(workers, m.Rows, func(lo, hi int) error {
-		mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, nil, lo, hi)
-		return nil
-	})
 }
 
 func checkMulMat(m *CSR, x, y []float64, k int, name string) {

@@ -111,29 +111,6 @@ func TestMulMatColsMasking(t *testing.T) {
 	}
 }
 
-// The worker-pool SpMM is bit-identical to the serial one for any worker
-// count (disjoint row blocks, same per-row order).
-func TestMulMatParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const n, k = 101, 8
-	m := randomRectCSR(rng, n, n, 0.1)
-	x := make([]float64, n*k)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := make([]float64, n*k)
-	m.MulMat(x, want, k)
-	for _, workers := range []int{1, 2, 3, 7, 0} {
-		got := make([]float64, n*k)
-		m.MulMatParallel(x, got, k, workers)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: differs at %d: %v != %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestMulMatShapePanics(t *testing.T) {
 	m := tri4()
 	for _, tc := range []struct {
@@ -143,7 +120,6 @@ func TestMulMatShapePanics(t *testing.T) {
 		{"k0", func() { m.MulMat(make([]float64, 4), make([]float64, 4), 0) }},
 		{"shortX", func() { m.MulMat(make([]float64, 7), make([]float64, 8), 2) }},
 		{"shortY", func() { m.MulMat(make([]float64, 8), make([]float64, 7), 2) }},
-		{"parallel", func() { m.MulMatParallel(make([]float64, 3), make([]float64, 8), 2, 2) }},
 		{"cols", func() { m.MulMatCols(make([]float64, 3), make([]float64, 8), 2, []int{0}) }},
 	} {
 		func() {

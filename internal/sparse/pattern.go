@@ -33,23 +33,6 @@ func (p *Pattern) Has(i, j int) bool {
 	return k < len(cols) && cols[k] == j
 }
 
-// Clone returns a deep copy of the pattern.
-func (p *Pattern) Clone() *Pattern {
-	return &Pattern{
-		Rows:   p.Rows,
-		Cols:   p.Cols,
-		RowPtr: append([]int(nil), p.RowPtr...),
-		ColIdx: append([]int(nil), p.ColIdx...),
-	}
-}
-
-// Validate checks structural invariants of the pattern.
-func (p *Pattern) Validate() error {
-	m := &CSR{Rows: p.Rows, Cols: p.Cols, RowPtr: p.RowPtr, ColIdx: p.ColIdx,
-		Val: make([]float64, len(p.ColIdx))}
-	return m.Validate()
-}
-
 // PatternOf extracts the sparsity pattern of a CSR matrix.
 func PatternOf(m *CSR) *Pattern {
 	return &Pattern{
@@ -130,34 +113,6 @@ func (p *Pattern) WithDiagonal() *Pattern {
 	return out
 }
 
-// Union returns the position-wise union of two patterns of equal shape.
-func (p *Pattern) Union(q *Pattern) *Pattern {
-	if p.Rows != q.Rows || p.Cols != q.Cols {
-		panic("sparse: Pattern.Union shape mismatch")
-	}
-	out := &Pattern{Rows: p.Rows, Cols: p.Cols, RowPtr: make([]int, p.Rows+1)}
-	for i := 0; i < p.Rows; i++ {
-		a, b := p.Row(i), q.Row(i)
-		x, y := 0, 0
-		for x < len(a) || y < len(b) {
-			switch {
-			case y == len(b) || (x < len(a) && a[x] < b[y]):
-				out.ColIdx = append(out.ColIdx, a[x])
-				x++
-			case x == len(a) || b[y] < a[x]:
-				out.ColIdx = append(out.ColIdx, b[y])
-				y++
-			default:
-				out.ColIdx = append(out.ColIdx, a[x])
-				x++
-				y++
-			}
-		}
-		out.RowPtr[i+1] = len(out.ColIdx)
-	}
-	return out
-}
-
 // Contains reports whether every position of q is also in p.
 func (p *Pattern) Contains(q *Pattern) bool {
 	if p.Rows != q.Rows || p.Cols != q.Cols {
@@ -208,17 +163,12 @@ func Threshold(a *CSR, tau float64) *CSR {
 	return out
 }
 
-// PatternPower computes the sparsity pattern of Ãᴺ symbolically, using all
-// available cores. level must be ≥ 1; level 1 is the pattern of Ã itself.
-// The result always includes the diagonal. Symbolic row-by-row expansion
-// with a visited scratch keeps the cost proportional to the output size
-// times the average row degree.
-func PatternPower(a *CSR, level int) *Pattern {
-	return PatternPowerWorkers(a, level, 0)
-}
-
-// PatternPowerWorkers is PatternPower with an explicit worker count (<= 0
-// selects GOMAXPROCS). Each output row depends only on input rows, so row
+// PatternPowerWorkers computes the sparsity pattern of Ãᴺ symbolically with
+// workers workers (<= 0 selects GOMAXPROCS). level must be ≥ 1; level 1 is
+// the pattern of Ã itself. The result always includes the diagonal.
+// Symbolic row-by-row expansion with a visited scratch keeps the cost
+// proportional to the output size times the average row degree. Each output
+// row depends only on input rows, so row
 // blocks expand independently with private scratch and are concatenated in
 // order: the result is bit-identical for every worker count.
 func PatternPowerWorkers(a *CSR, level, workers int) *Pattern {
@@ -323,35 +273,6 @@ func symbolicProductWorkers(p, q *Pattern, workers int) *Pattern {
 		for _, l := range frags[b].rowLen {
 			out.RowPtr[row+1] = out.RowPtr[row] + l
 			row++
-		}
-	}
-	return out
-}
-
-// RestrictToPattern returns a CSR matrix with exactly the positions of p,
-// valued from a where a has an entry and zero elsewhere.
-func RestrictToPattern(a *CSR, p *Pattern) *CSR {
-	if a.Rows != p.Rows || a.Cols != p.Cols {
-		panic("sparse: RestrictToPattern shape mismatch")
-	}
-	out := &CSR{
-		Rows:   p.Rows,
-		Cols:   p.Cols,
-		RowPtr: append([]int(nil), p.RowPtr...),
-		ColIdx: append([]int(nil), p.ColIdx...),
-		Val:    make([]float64, p.NNZ()),
-	}
-	for i := 0; i < p.Rows; i++ {
-		acols, avals := a.Row(i)
-		pcols := p.Row(i)
-		x := 0
-		for k, c := range pcols {
-			for x < len(acols) && acols[x] < c {
-				x++
-			}
-			if x < len(acols) && acols[x] == c {
-				out.Val[out.RowPtr[i]+k] = avals[x]
-			}
 		}
 	}
 	return out

@@ -1,8 +1,8 @@
 package sparse
 
 // The product kernels behind every y = A·x loop of the repository: CSR /
-// CSR32 MulVec, MulVecParallel, MulMat, MulMatCols, MulMatParallel and
-// distmat's interior/boundary row products all land here.
+// CSR32 MulVec, MulMat, MulMatCols and distmat's interior/boundary row
+// products all land here.
 //
 // RowDot is the scalar kernel and rowDotCols the k-wide one. Both take one
 // row as hoisted slices (cs, vs) instead of indexing RowPtr, ColIdx and Val

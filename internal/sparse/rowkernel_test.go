@@ -157,9 +157,6 @@ func checkKernels(t *testing.T, rng *rand.Rand, name string, m *sparse.CSR) {
 			got := filled(m.Rows)
 			m.MulVec(x, got)
 			requireSame(t, name+" MulVec", got, want)
-			got = filled(m.Rows)
-			m.MulVecParallel(x, got, 3)
-			requireSame(t, name+" MulVecParallel", got, want)
 			naiveMulVec(m32.RowPtr, m32.ColIdx, m32.Val, x, want)
 			got = filled(m.Rows)
 			m32.MulVec(x, got)
@@ -181,9 +178,6 @@ func checkKernels(t *testing.T, rng *rand.Rand, name string, m *sparse.CSR) {
 				got = filled(m.Rows * k)
 				m.MulMat(x, got, k)
 				requireSameBits(t, at+"MulMat", got, want)
-				got = filled(m.Rows * k)
-				m.MulMatParallel(x, got, k, 3)
-				requireSameBits(t, at+"MulMatParallel", got, want)
 			}
 			want = filled(m.Rows * k)
 			naiveMulMatCols(m32.RowPtr, m32.ColIdx, m32.Val, x, want, k, cols)

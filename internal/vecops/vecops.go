@@ -76,22 +76,6 @@ func Xpay(x []float64, a float64, y []float64, fc *FlopCounter) {
 	fc.Add(2 * int64(len(x)))
 }
 
-// Scale computes x ← a·x, counting len(x) flops.
-func Scale(a float64, x []float64, fc *FlopCounter) {
-	for i := range x {
-		x[i] *= a
-	}
-	fc.Add(int64(len(x)))
-}
-
-// Copy copies src into dst (no flops).
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("vecops: Copy length mismatch %d vs %d", len(dst), len(src)))
-	}
-	copy(dst, src)
-}
-
 // Dot2 returns (xᵀy, zᵀy) in one pass over the three vectors, counting 4·n
 // flops. The fused CG recurrence needs both rᵀu and wᵀu after every
 // preconditioner+SpMV application; merging them halves the sweeps over u.
@@ -196,43 +180,9 @@ func Norm2(x []float64, fc *FlopCounter) float64 {
 	return math.Sqrt(Dot(x, x, fc))
 }
 
-// NormInf returns the maximum absolute component of x (no flops counted).
-func NormInf(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Fill sets every component of x to v.
 func Fill(x []float64, v float64) {
 	for i := range x {
 		x[i] = v
-	}
-}
-
-// Narrow rounds src into the float32 buffer dst — the gather-side kernel of
-// the mixed-precision halo exchange (no flops counted; conversions are
-// charged to the bandwidth they save, not the ALU).
-func Narrow(dst []float32, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("vecops: Narrow length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] = float32(v)
-	}
-}
-
-// Widen expands the float32 buffer src into dst — the scatter-side kernel of
-// the mixed-precision halo exchange.
-func Widen(dst []float64, src []float32) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("vecops: Widen length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] = float64(v)
 	}
 }

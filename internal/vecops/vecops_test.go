@@ -45,9 +45,9 @@ func TestAxpyXpayScale(t *testing.T) {
 	if d[0] != 10.5 || d[1] != 11 {
 		t.Fatalf("Xpay = %v", d)
 	}
-	Scale(-1, d, nil)
-	if d[0] != -10.5 {
-		t.Fatalf("Scale = %v", d)
+	Xpay([]float64{0, 0}, -1, d, nil) // x = 0 scales y by a
+	if d[0] != -10.5 || d[1] != -11 {
+		t.Fatalf("Xpay as a scale = %v", d)
 	}
 }
 
@@ -55,9 +55,6 @@ func TestNorms(t *testing.T) {
 	x := []float64{3, -4}
 	if got := Norm2(x, nil); math.Abs(got-5) > 1e-15 {
 		t.Fatalf("Norm2 = %v, want 5", got)
-	}
-	if got := NormInf(x); got != 4 {
-		t.Fatalf("NormInf = %v, want 4", got)
 	}
 	Fill(x, 2)
 	if x[0] != 2 || x[1] != 2 {
@@ -70,7 +67,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 		"dot":  func() { Dot([]float64{1}, []float64{1, 2}, nil) },
 		"axpy": func() { Axpy(1, []float64{1}, []float64{1, 2}, nil) },
 		"xpay": func() { Xpay([]float64{1}, 1, []float64{1, 2}, nil) },
-		"copy": func() { Copy([]float64{1}, []float64{1, 2}) },
 	} {
 		func() {
 			defer func() {

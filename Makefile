@@ -24,7 +24,14 @@ all: tier1
 # internal/experiments, the cmd tools and the examples apart) the partitioners
 # are named in fsaicomm.go alone and partitionRows is called once, from
 # distribute; ExtendPattern is called once outside extend.go (its home, where
-# ExtendPatternSerial wraps it for the one-process build), from analysePattern.
+# ExtendPatternSerial wraps it for the cachelines example), from
+# analysePattern. The setup step fails if a second set-up path comes back
+# beside core.Analyse + Symbolic.Factor, which every build runs on a world of
+# as many ranks as the solve (one for a one-process solve): a non-test file
+# of internal/mprun that imports internal/core (the rank job adopts
+# operators, it never builds them), or non-test internal/core that calls a
+# serial builder (fsai.BuildWorkers, fsai.RebuildWorkers,
+# fsai.PowerPatternWorkers or spai.Build).
 # The wire step fails if a second data path comes back beside the rings:
 # non-test internal/tcpmpi has no per-peer reader (readLoop, bufio) and writes
 # three things to a socket — a doorbell byte, the hello and the ring file's
@@ -65,6 +72,12 @@ tier1:
 		if [ "$$parts" != "./fsaicomm.go" ] || [ "$$(echo "$$rows" | grep -c .)" -ne 1 ] || [ "$$(echo "$$ext" | grep -c .)" -ne 1 ]; then \
 			echo "partitioning or pattern extension has a call site beside the analyse phase:"; \
 			echo "$$parts"; echo "$$rows"; echo "$$ext"; exit 1; fi
+	@builds="$$(grep -l '"fsaicomm/internal/core"' $$(ls internal/mprun/*.go | grep -v _test.go); \
+		grep -nE '(fsai\.(BuildWorkers|RebuildWorkers|PowerPatternWorkers)|spai\.Build)\(' $$(ls internal/core/*.go | grep -v _test.go) \
+			| grep -v '^[^:]*:[0-9]*:[[:space:]]*//')"; \
+		if [ -n "$$builds" ]; then \
+			echo "a second set-up path is back (every build is core.Analyse + Symbolic.Factor; the rank job adopts):"; \
+			echo "$$builds"; exit 1; fi
 	@src="$$(ls internal/tcpmpi/*.go | grep -v _test.go)"; \
 		readers="$$(grep -nE 'readLoop|"bufio"' $$src)"; \
 		writes="$$(grep -nE '\.Write\(' $$src | grep -vE '\.Write\((doorbell|hello|append\(msg, path\.\.\.\))\)|^[^:]*:[0-9]*:[[:space:]]*//')"; \

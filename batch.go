@@ -136,7 +136,8 @@ func SolveBatch(a *Matrix, rhs [][]float64, opt Options) (*BatchResult, error) {
 // SolveBatchContext is SolveBatch with cancellation: every rank checks ctx
 // once per batch iteration through a collective verdict, so all ranks stop
 // at the same iteration boundary and the partial per-column results come
-// back with an ErrCanceled-wrapped error.
+// back with an ErrCanceled-wrapped error. It is Prepare, one
+// Prepared.SolveBatch and Close; BatchResult.SetupTime is the Prepare.
 func SolveBatchContext(ctx context.Context, a *Matrix, rhs [][]float64, opt Options) (*BatchResult, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -156,11 +157,16 @@ func SolveBatchContext(ctx context.Context, a *Matrix, rhs [][]float64, opt Opti
 	if err := checkBatchRHS(rhs, a.Rows); err != nil {
 		return nil, err
 	}
-	f, err := solveFullSetup(ctx, a, rhs, len(rhs), opt)
+	p, err := prepareOnce(a, opt)
 	if err != nil {
 		return nil, err
 	}
-	return f.batchResult()
+	defer p.Close()
+	res, err := p.SolveBatch(ctx, rhs, perSolve(opt))
+	if res != nil {
+		res.SetupTime = p.setup
+	}
+	return res, err
 }
 
 // SolveBatch runs one batched distributed CG solve over all columns of rhs
@@ -213,7 +219,6 @@ func (f *rankFold) batchResult() (*BatchResult, error) {
 		CollectiveCalls:   f.comm.CollectiveCalls,
 		CollectiveBytes:   f.comm.CollectiveBytes,
 		Waits:             f.waits,
-		SetupTime:         time.Duration(root.SetupNanos),
 		SolveTime:         time.Duration(root.SolveNanos),
 	}
 	for c := range res.Cols {

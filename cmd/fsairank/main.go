@@ -5,11 +5,12 @@
 //
 //	fsairank -selfcheck [-ranks 4] [-matrix Dubcova2-sim]
 //
-// which solves the named catalog matrix once with in-process goroutine ranks
-// and twice, one job after the other on one mesh of resident workers, with
-// one OS process per rank over the tcpmpi mesh, then diffs each tcp run against
-// the sim run bit for bit — solution vector, iteration count, and per-rank
-// metered traffic in both phases.
+// which sets the named catalog matrix up once on goroutine ranks, solves it
+// on them with the operators that set-up holds, and twice more, one job
+// after the other on one mesh of resident workers, with one OS process per
+// rank over the tcpmpi mesh — the first job ships the operators, the second
+// finds them kept. It then diffs each tcp run against the sim run bit for bit:
+// solution vector, iteration count, and per-rank metered solve traffic.
 package main
 
 import (
@@ -57,13 +58,29 @@ func runSelfcheck(ranks int, matrix string) error {
 	for i := range b {
 		b[i] = 1 + float64(i%7)/7
 	}
-	job := mprun.JobSpec{
-		Layout: distmat.NewUniformLayout(a.Rows, ranks),
-		Build: &mprun.BuildSource{PA: a,
-			Cfg: core.Config{Method: core.FSAIEComm, Filter: 0.01, LineBytes: 64}},
-		Solve: mprun.SolveParams{Tol: 1e-8, MaxIter: 2000, Variant: krylov.CGClassic},
+	layout := distmat.NewUniformLayout(a.Rows, ranks)
+	held := make([]mprun.Operators, ranks)
+	cfg := core.Config{Method: core.FSAIEComm, Filter: 0.01, LineBytes: 64}
+	if _, err := simmpi.Run(ranks, 60*time.Second, func(c *simmpi.Comm) error {
+		lo, hi := layout.Range(c.Rank())
+		bd, err := core.BuildPrecond(c, layout, distmat.ExtractLocalRows(a, lo, hi), cfg)
+		if err != nil {
+			return err
+		}
+		held[c.Rank()] = mprun.Operators{A: mprun.Hold(bd.AOp), G: mprun.Hold(bd.GOp), GT: mprun.Hold(bd.GTOp)}
+		return nil
+	}); err != nil {
+		return fmt.Errorf("set-up: %w", err)
 	}
-	jobFor := func(rank int) *mprun.JobSpec { return job.ForRank(rank, b) }
+	job := mprun.JobSpec{
+		Layout: layout,
+		Solve:  mprun.SolveParams{Tol: 1e-8, MaxIter: 2000, Variant: krylov.CGClassic},
+	}
+	jobFor := func(rank int) *mprun.JobSpec {
+		j := job.ForRank(rank, b)
+		j.Adopt = &held[rank]
+		return j
+	}
 	fmt.Printf("matrix %s: n=%d nnz=%d ranks=%d\n", matrix, a.Rows, a.NNZ(), ranks)
 
 	simOuts := make([]*mprun.RankOutcome, ranks)
@@ -129,9 +146,8 @@ func diffOutcomes(simOuts, tcpOuts []*mprun.RankOutcome) error {
 				return fmt.Errorf("rank %d: x[%d] diverges: %v vs %v", r, s.Lo+i, s.XLocal[i], p.XLocal[i])
 			}
 		}
-		if s.SetupComm != p.SetupComm || s.SolveComm != p.SolveComm {
-			return fmt.Errorf("rank %d: metered traffic diverges:\nsim setup %+v solve %+v\ntcp setup %+v solve %+v",
-				r, s.SetupComm, s.SolveComm, p.SetupComm, p.SolveComm)
+		if s.SolveComm != p.SolveComm {
+			return fmt.Errorf("rank %d: metered traffic diverges:\nsim %+v\ntcp %+v", r, s.SolveComm, p.SolveComm)
 		}
 	}
 	return nil

@@ -438,8 +438,8 @@ func (o Options) Validate() error {
 }
 
 // buildConfig is the set-up half of the options: what shapes the
-// preconditioner's values and pattern, for every build (serial or
-// distributed, FSAI family or SPAI; a method ignores the other's knobs).
+// preconditioner's values and pattern, for every build (on one rank or
+// many, FSAI family or SPAI; a method ignores the other's knobs).
 func buildConfig(opt Options) core.Config {
 	return core.Config{
 		Method:       opt.Method,
@@ -456,8 +456,8 @@ func buildConfig(opt Options) core.Config {
 }
 
 // solveParams is the solve half: what a rank job needs to run the Krylov
-// loop on operators it built or adopted, with the node grouping resolved
-// against the rank count.
+// loop on the operators it adopts, with the node grouping resolved against
+// the rank count.
 func solveParams(opt Options, ranks int) (mprun.SolveParams, error) {
 	topo, err := resolveTopology(ranks, opt.Nodes, opt.RanksPerNode)
 	if err != nil {
@@ -587,23 +587,15 @@ var ErrRankLost = simmpi.ErrRankLost
 // alongside the error.
 var ErrBreakdown = krylov.ErrBreakdown
 
+// checkInput is checkInputMatrix plus the checks of one right-hand side.
 func checkInput(a *Matrix, b []float64, solver Solver) error {
-	if a.Rows != a.Cols {
-		return fmt.Errorf("fsaicomm: matrix is %dx%d, want square", a.Rows, a.Cols)
+	if err := checkInputMatrix(a, solver); err != nil {
+		return err
 	}
 	if len(b) != a.Rows {
 		return fmt.Errorf("fsaicomm: rhs length %d, want %d", len(b), a.Rows)
 	}
-	if err := a.Validate(); err != nil {
-		return fmt.Errorf("fsaicomm: invalid matrix: %w", err)
-	}
-	if !a.IsFinite() {
-		return fmt.Errorf("%w: matrix contains NaN or Inf values", ErrInvalidOptions)
-	}
-	if err := checkFiniteRHS(b); err != nil {
-		return err
-	}
-	return checkSolverMatrix(a, solver)
+	return checkFiniteRHS(b)
 }
 
 // checkSolverMatrix enforces the solver's matrix requirements at the
@@ -644,7 +636,8 @@ func Solve(a *Matrix, b []float64, opt Options) (*Result, error) {
 
 // SolveContext is Solve with cancellation: the CG loop checks ctx once per
 // iteration and, when it fires, returns the partial Result so far together
-// with an ErrCanceled-wrapped error.
+// with an ErrCanceled-wrapped error. It is BuildPreconditioner followed by
+// SolveWith.
 func SolveContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -652,60 +645,11 @@ func SolveContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Re
 	if err := checkInput(a, b, opt.Solver); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults(a.Rows)
-	t0 := time.Now()
-	var pct float64
-	var precond krylov.Preconditioner
-	var g *sparse.CSR
-	if opt.Solver == SolverGMRES {
-		m, p, err := core.BuildSerialSPAI(a, buildConfig(opt))
-		if err != nil {
-			return nil, err
-		}
-		pct, precond = p, &krylov.MatPrecond{M: m}
-	} else {
-		var err error
-		g, pct, err = core.BuildSerialLevelWorkers(a, opt.Method, opt.Filter, opt.LineBytes, opt.PatternLevel, opt.Threshold, opt.Workers)
-		if err != nil {
-			return nil, err
-		}
-	}
-	setup := time.Since(t0)
-	x := make([]float64, a.Rows)
-	t1 := time.Now()
-	kopt := krylov.Options{Tol: opt.Tol, MaxIter: opt.MaxIter, Restart: opt.Restart, Trace: opt.Trace, Ctx: ctx}
-	var st krylov.Stats
-	var err error
-	switch {
-	case opt.Solver == SolverGMRES:
-		st, err = krylov.GMRES(a, b, x, precond, kopt, nil)
-	case opt.Precision == FP32:
-		st, err = krylov.SolveRefined(a, b, x, krylov.NewSplit(g, g.Transpose()), kopt, nil)
-	default:
-		st, err = krylov.CG(a, b, x, krylov.NewSplit(g, g.Transpose()), kopt, nil)
-	}
-	canceled := errors.Is(err, krylov.ErrCanceled)
-	broken := errors.Is(err, krylov.ErrBreakdown)
-	if err != nil && !errors.Is(err, krylov.ErrNoConvergence) && !canceled && !broken {
+	p, err := buildPreconditioner(a, opt.withDefaults(a.Rows))
+	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		X:              x,
-		Iterations:     st.Iterations,
-		Converged:      st.Converged,
-		RelResidual:    st.RelResidual,
-		Refinements:    st.Refinements,
-		PctNNZIncrease: pct,
-		Ranks:          1,
-		ImbalanceIndex: 1,
-		SetupTime:      setup,
-		SolveTime:      time.Since(t1),
-		Trace:          st.Trace,
-	}
-	if canceled || broken {
-		return res, err
-	}
-	return res, nil
+	return p.solve(ctx, b, opt)
 }
 
 // AutoRanks resolves a requested simulated-process count the way the
@@ -752,6 +696,8 @@ func SolveDistributed(a *Matrix, b []float64, opt Options) (*Result, error) {
 // of the distributed CG loop checks ctx once per iteration through a
 // collective verdict, so all ranks stop at the same iteration boundary and
 // the partial Result so far is returned with an ErrCanceled-wrapped error.
+// It is Prepare, one Prepared.Solve and Close; Result.SetupTime is the
+// Prepare.
 func SolveDistributedContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -759,35 +705,16 @@ func SolveDistributedContext(ctx context.Context, a *Matrix, b []float64, opt Op
 	if err := checkInput(a, b, opt.Solver); err != nil {
 		return nil, err
 	}
-	f, err := solveFullSetup(ctx, a, [][]float64{b}, 0, opt)
+	p, err := prepareOnce(a, opt)
 	if err != nil {
 		return nil, err
 	}
-	return f.result()
-}
-
-// solveFullSetup is the full-set-up path behind SolveDistributedContext
-// (k = 0) and SolveBatchContext (k = len(rhs)): partition, permute, and one
-// rank job per rank that builds its operators — core.BuildPrecond, the
-// analyse and factor phases Prepare runs, back to back — and solves.
-func solveFullSetup(ctx context.Context, a *Matrix, rhs [][]float64, k int, opt Options) (*rankFold, error) {
-	opt = opt.withDefaults(a.Rows)
-	ranks := AutoRanks(a, opt.Ranks)
-	sp, err := solveParams(opt, ranks)
-	if err != nil {
-		return nil, err
+	defer p.Close()
+	res, err := p.Solve(ctx, b, perSolve(opt))
+	if res != nil {
+		res.SetupTime = p.setup
 	}
-	d, err := distribute(a, opt, ranks)
-	if err != nil {
-		return nil, err
-	}
-	job := mprun.JobSpec{
-		Layout: d.layout,
-		Build:  &mprun.BuildSource{PA: d.permuted(a.Val), Cfg: buildConfig(opt)},
-		K:      k,
-		Solve:  sp,
-	}
-	return runRanks(ctx, opt.Transport, runTransient, job, nil, nil, rhs, d.oldToNew)
+	return res, err
 }
 
 // resolveTopology maps a requested node grouping onto the resolved rank
@@ -805,12 +732,8 @@ func resolveTopology(ranks, nodes, ranksPerNode int) (simmpi.Topology, error) {
 	return topo, nil
 }
 
-// rankRunner runs one set of rank jobs, jobs[r] on rank r, on worker
-// processes wired into a loopback socket mesh.
-type rankRunner func(ctx context.Context, jobs []*mprun.JobSpec) ([]*mprun.RankOutcome, error)
-
-// runTransient is the rankRunner of a solve with nowhere to keep workers: a
-// mesh is started for the one job and closed after it.
+// runTransient runs one set of rank jobs, jobs[r] on rank r, on a mesh of
+// worker processes started for them and closed after.
 func runTransient(ctx context.Context, jobs []*mprun.JobSpec) ([]*mprun.RankOutcome, error) {
 	mesh, err := mprun.Start(len(jobs))
 	if err != nil {
@@ -822,22 +745,21 @@ func runTransient(ctx context.Context, jobs []*mprun.JobSpec) ([]*mprun.RankOutc
 
 // runRanks is the one way a distributed solve runs. It cuts job into one
 // rank job per rank — each gets its rows of the permuted right-hand sides
-// and, when held is given, the operators a Prepare holds for it — and
-// executes them on the selected transport: "sim" (or empty) runs goroutine
-// ranks over the in-process metered channels, "tcp" hands them to tcp, which
-// runs them on one OS process per rank. Both run the identical mprun rank
-// job, which is what makes their results and meters bit-identical, and both
-// read the node grouping from the job itself. pools, when given, lends each
-// sim rank a workspace for the solve (worker processes start fresh anyway).
-func runRanks(ctx context.Context, transport string, tcp rankRunner, job mprun.JobSpec, held []mprun.Operators, pools []sync.Pool, rhs [][]float64, oldToNew []int) (*rankFold, error) {
+// and the operators held for it — and executes them on the selected
+// transport: "sim" (or empty) runs goroutine ranks over the in-process
+// metered channels, "tcp" runs them on p's worker processes, one OS process
+// per rank. Both run the identical mprun rank job, which is what makes their
+// results and meters bit-identical, and both read the node grouping from the
+// job itself. pools, when given, lends each sim rank a workspace for the
+// solve (worker processes start fresh anyway).
+func (p *Prepared) runRanks(ctx context.Context, transport string, job mprun.JobSpec, held []mprun.Operators, pools []sync.Pool, rhs [][]float64) (*rankFold, error) {
 	ranks := job.Layout.NRanks()
+	oldToNew := p.st.oldToNew
 	pb := packPermuted(rhs, oldToNew)
 	jobs := make([]*mprun.JobSpec, ranks)
 	for r := range jobs {
 		jobs[r] = job.ForRank(r, pb)
-		if held != nil {
-			jobs[r].Adopt = &held[r]
-		}
+		jobs[r].Adopt = &held[r]
 	}
 	topo, err := job.Topology(ranks)
 	if err != nil {
@@ -845,7 +767,7 @@ func runRanks(ctx context.Context, transport string, tcp rankRunner, job mprun.J
 	}
 	var outs []*mprun.RankOutcome
 	if transport == "tcp" {
-		outs, err = tcp(ctx, jobs)
+		outs, err = p.runResident(ctx, jobs)
 	} else {
 		outs = make([]*mprun.RankOutcome, ranks)
 		_, err = simmpi.RunTopo(ranks, time.Hour, topo, func(c *simmpi.Comm) error {
@@ -870,8 +792,7 @@ func runRanks(ctx context.Context, transport string, tcp rankRunner, job mprun.J
 // outcomes: rank 0's solver statistics, the solve-phase communication summed
 // over ranks, the solution columns in the caller's row order, the per-rank
 // cost inputs, and the solve they came from. pct and imb are the build
-// metrics: rank 0's after a full set-up; a Prepared overwrites them with its
-// own, since adopting ranks report none.
+// metrics of the Prepared the ranks adopted their operators from.
 type rankFold struct {
 	root     *mprun.RankOutcome
 	comm     simmpi.Snapshot
@@ -908,7 +829,7 @@ func foldOutcomes(outs []*mprun.RankOutcome, oldToNew []int, k int, sp mprun.Sol
 		f.waits.Polled += out.Waits.Polled
 		f.waits.Parked += out.Waits.Parked
 	}
-	f.root, f.pct, f.imb = outs[0], outs[0].Pct, outs[0].Imbalance
+	f.root = outs[0]
 	// Un-permute the (possibly partial, under cancellation) solution.
 	for c := range f.x {
 		col := make([]float64, n)
@@ -956,7 +877,6 @@ func (f *rankFold) result() (*Result, error) {
 		CollectiveCalls:   f.comm.CollectiveCalls,
 		CollectiveBytes:   f.comm.CollectiveBytes,
 		Waits:             f.waits,
-		SetupTime:         time.Duration(root.SetupNanos),
 		SolveTime:         time.Duration(root.SolveNanos),
 		Trace:             root.Trace,
 	}

@@ -336,6 +336,13 @@ func TestSolveTelemetryFacade(t *testing.T) {
 	if err != nil || ser.Trace == nil || len(ser.Trace.Iters) != ser.Iterations {
 		t.Fatalf("serial trace missing: %+v, %v", ser.Trace, err)
 	}
+	m, err := BuildPreconditioner(a, Options{Method: FSAI})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if with, err := m.SolveWith(b, Options{Trace: true}); err != nil || with.Trace == nil || len(with.Trace.Iters) != with.Iterations {
+		t.Fatalf("SolveWith trace missing: %+v, %v", with, err)
+	}
 
 	rr, err := SolveDistributed(a, b, Options{Method: FSAIEComm, Filter: 0.01, Ranks: 4,
 		CGVariant: CGPipelined, ResidualReplaceEvery: 10})

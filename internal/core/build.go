@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
@@ -27,7 +28,8 @@ type Config struct {
 	Threshold    float64
 	// Workers bounds the shared-memory worker pool used for the per-row
 	// solves inside each rank (n > 0 → exactly n; ≤ 0 → 1 worker per rank,
-	// since ranks already run concurrently). This is orthogonal to the rank
+	// since ranks already run concurrently, or GOMAXPROCS under BuildOneRank,
+	// whose one rank has the machine to itself). This is orthogonal to the rank
 	// count: ranks simulate distributed processes, workers are threads
 	// inside one process.
 	Workers int
@@ -471,75 +473,30 @@ func (c Config) spaiOptions() spai.Options {
 	}
 }
 
-// BuildSerialSPAI constructs the SPAI approximate inverse on an
-// undistributed matrix — the one-process counterpart of the SPAI branch of
-// BuildPrecond. Returns M and the percentage NNZ increase over A.
-func BuildSerialSPAI(a *sparse.CSR, cfg Config) (*sparse.CSR, float64, error) {
-	o := cfg.spaiOptions()
-	// Serial builds follow the other BuildSerial* entry points: Workers ≤ 0
-	// means all cores, not the one-per-rank default of distributed builds.
-	o.Workers = cfg.Workers
-	m, err := spai.Build(a, o)
-	if err != nil {
-		return nil, 0, err
+// BuildOneRank is the one-process build: BuildPrecond on a world of one rank
+// that owns every row of a. With the machine to itself the rank reads
+// Workers ≤ 0 as GOMAXPROCS, not as the one worker a rank of many gets.
+func BuildOneRank(a *sparse.CSR, cfg Config) (*Build, error) {
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	pct := 0.0
-	if a.NNZ() > 0 {
-		pct = 100 * float64(m.NNZ()-a.NNZ()) / float64(a.NNZ())
-	}
-	return m, pct, nil
+	l := &distmat.Layout{N: a.Rows, Offsets: []int{0, a.Rows}}
+	var b *Build
+	_, err := simmpi.Run(1, time.Hour, func(c *simmpi.Comm) error {
+		var err error
+		b, err = BuildPrecond(c, l, a, cfg)
+		return err
+	})
+	return b, err
 }
 
-// BuildSerial constructs the preconditioner on an undistributed matrix (the
-// one-process case; FSAIE and FSAIE-Comm coincide because there is no halo).
-// Returns G and the percentage NNZ increase over the FSAI pattern.
+// BuildSerial is BuildOneRank of the FSAI family with the default pattern
+// options: it returns G and the percentage NNZ increase over the FSAI
+// pattern (FSAIE and FSAIE-Comm coincide, since one rank has no halo).
 func BuildSerial(a *sparse.CSR, method Method, filter float64, lineBytes int) (*sparse.CSR, float64, error) {
-	return BuildSerialLevel(a, method, filter, lineBytes, 1, 0)
-}
-
-// BuildSerialLevel is BuildSerial with an explicit base-pattern sparse level
-// and thresholding tau (level ≤ 1 and tau 0 reproduce BuildSerial). The
-// row solves use all available cores; BuildSerialLevelWorkers exposes the
-// worker count.
-func BuildSerialLevel(a *sparse.CSR, method Method, filter float64, lineBytes, level int, tau float64) (*sparse.CSR, float64, error) {
-	return BuildSerialLevelWorkers(a, method, filter, lineBytes, level, tau, 0)
-}
-
-// BuildSerialLevelWorkers is BuildSerialLevel with an explicit worker count
-// for the per-row solves and pattern powering (<= 0 selects GOMAXPROCS).
-func BuildSerialLevelWorkers(a *sparse.CSR, method Method, filter float64, lineBytes, level int, tau float64, workers int) (*sparse.CSR, float64, error) {
-	if level < 1 {
-		level = 1
-	}
-	s := fsai.PowerPatternWorkers(a, level, tau, workers)
-	base := s.NNZ()
-	var pattern *sparse.Pattern
-	var gExt *sparse.CSR // factor on the extended pattern, if there is one
-	switch method {
-	case FSAI:
-		pattern = s
-	case FSAIE, FSAIEComm:
-		ext, err := ExtendPatternSerial(s, lineBytes)
-		if err != nil {
-			return nil, 0, err
-		}
-		gExt, err = fsai.BuildWorkers(a, ext, workers)
-		if err != nil {
-			return nil, 0, err
-		}
-		// Filter extension candidates only; the base pattern is protected.
-		pattern = fsai.FilterDist(gExt, 0, a.Rows, filter, s).Pattern
-	default:
-		return nil, 0, fmt.Errorf("core: unknown method %v", method)
-	}
-	// Rows the filter left whole are copied from gExt, not solved again.
-	g, _, err := fsai.RebuildWorkers(a, gExt, pattern, workers)
+	b, err := BuildOneRank(a, Config{Method: method, Filter: filter, LineBytes: lineBytes})
 	if err != nil {
 		return nil, 0, err
 	}
-	pct := 0.0
-	if base > 0 {
-		pct = 100 * float64(g.NNZ()-base) / float64(base)
-	}
-	return g, pct, nil
+	return b.GRows, b.PctNNZIncrease, nil
 }

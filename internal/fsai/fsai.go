@@ -34,18 +34,6 @@ func LowerPattern(a *sparse.CSR) *sparse.Pattern {
 	return sparse.PatternOf(a).LowerTriangle().WithDiagonal()
 }
 
-// PowerPatternWorkers returns the level-N pattern: lower triangle of
-// pattern(Ã^N) where Ã drops entries below tau (scale-independent), powered
-// symbolically by workers workers (<= 0 selects GOMAXPROCS). Level 1 with
-// tau 0 reduces to LowerPattern.
-func PowerPatternWorkers(a *sparse.CSR, level int, tau float64, workers int) *sparse.Pattern {
-	at := a
-	if tau > 0 {
-		at = sparse.Threshold(a, tau)
-	}
-	return sparse.PatternPowerWorkers(at, level, workers).LowerTriangle().WithDiagonal()
-}
-
 // Build computes the FSAI factor G of A on the lower-triangular pattern s,
 // using all available cores. The returned matrix has exactly the pattern s.
 func Build(a *sparse.CSR, s *sparse.Pattern) (*sparse.CSR, error) {

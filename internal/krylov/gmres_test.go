@@ -7,11 +7,11 @@ import (
 	"math"
 	"testing"
 
+	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/fsai"
 	"fsaicomm/internal/matgen"
 	"fsaicomm/internal/simmpi"
-	"fsaicomm/internal/spai"
 	"fsaicomm/internal/sparse"
 	"fsaicomm/internal/vecops"
 )
@@ -94,12 +94,12 @@ func TestGMRESConvergesWhereCGFSAIFails(t *testing.T) {
 		t.Fatal("CG+FSAI solved the nonsymmetric system; the axis split is pointless")
 	}
 
-	m, err := spai.Build(a, spai.Options{Level: 1, Steps: 2})
+	sp, err := core.BuildOneRank(a, core.Config{Method: core.SPAI, PatternLevel: 1, SPAISteps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := make([]float64, a.Rows)
-	st, err := GMRES(a, b, x, &MatPrecond{M: m}, Options{Tol: 1e-8, Restart: 30}, nil)
+	st, err := GMRES(a, b, x, &MatPrecond{M: sp.MRows}, Options{Tol: 1e-8, Restart: 30}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

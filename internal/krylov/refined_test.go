@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/matgen"
 	"fsaicomm/internal/simmpi"
@@ -166,12 +167,12 @@ func TestRefineComposesWithGMRES(t *testing.T) {
 		t.Logf("%s: %d refinements, %d inner GMRES iterations, rel residual %.3g", world, bs.Refinements, bs.Iterations, bs.Cols[0].RelResidual)
 	}
 
-	m, err := spai.Build(a, sopt)
+	one, err := core.BuildOneRank(a, core.Config{Method: core.SPAI, SPAISteps: sopt.Steps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := make([]float64, n)
-	bs, err := solve(nil, distmat.LocalOp(a), distmat.LocalOp(m), b, x)
+	bs, err := solve(nil, distmat.LocalOp(a), distmat.LocalOp(one.MRows), b, x)
 	check("one rank", x, bs, err)
 
 	const ranks = 2

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fsaicomm"
-	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/matgen"
@@ -26,20 +25,20 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// buildJob is the full-set-up job template over matrix a and a fixed
-// right-hand side; jobFor cuts it per rank.
-func buildJob(a *sparse.CSR, ranks int, sp mprun.SolveParams) (job mprun.JobSpec, jobFor func(rank int) *mprun.JobSpec) {
+// buildJob sets matrix a up once on goroutine ranks and returns the jobs
+// that adopt its operators and solve a fixed right-hand side, one per rank.
+func buildJob(t *testing.T, a *sparse.CSR, ranks int, sp mprun.SolveParams) (jobFor func(rank int) *mprun.JobSpec) {
 	b := make([]float64, a.Rows)
 	for i := range b {
 		b[i] = 1 + float64(i%7)/7
 	}
-	job = mprun.JobSpec{
-		Layout: distmat.NewUniformLayout(a.Rows, ranks),
-		Build: &mprun.BuildSource{PA: a,
-			Cfg: core.Config{Method: core.FSAIEComm, Filter: 0.01, LineBytes: 64}},
-		Solve: sp,
+	layout, held := holdOperators(t, a, ranks)
+	job := mprun.JobSpec{Layout: layout, Solve: sp}
+	return func(rank int) *mprun.JobSpec {
+		j := job.ForRank(rank, b)
+		j.Adopt = &held[rank]
+		return j
 	}
-	return job, func(rank int) *mprun.JobSpec { return job.ForRank(rank, b) }
 }
 
 // runSim executes the same jobs with in-process goroutine ranks, under the
@@ -84,13 +83,13 @@ func jobsOf(ranks int, jobFor func(rank int) *mprun.JobSpec) []*mprun.JobSpec {
 // TestMeshSolveMatchesSim is the round-trip check for the multi-process
 // machinery itself: spawn 4 worker processes, run the same rank job the sim
 // backend runs, and require bit-identical solutions, iteration counts, and
-// per-phase meter snapshots on every rank.
+// meter snapshots on every rank.
 func TestMeshSolveMatchesSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
 	}
 	const ranks = 4
-	_, jobFor := buildJob(matgen.Poisson2D(16, 16), ranks,
+	jobFor := buildJob(t, matgen.Poisson2D(16, 16), ranks,
 		mprun.SolveParams{Tol: 1e-8, MaxIter: 500, Variant: krylov.CGClassic})
 	want, err := runSim(ranks, jobFor)
 	if err != nil {
@@ -116,9 +115,6 @@ func TestMeshSolveMatchesSim(t *testing.T) {
 			t.Errorf("rank %d: stats differ: got (%d, %v, %g) want (%d, %v, %g)",
 				r, g.Iterations, g.Converged, g.RelResidual, w.Iterations, w.Converged, w.RelResidual)
 		}
-		if g.SetupComm != w.SetupComm {
-			t.Errorf("rank %d: setup comm differs:\n got %+v\nwant %+v", r, g.SetupComm, w.SetupComm)
-		}
 		if g.SolveComm != w.SolveComm {
 			t.Errorf("rank %d: solve comm differs:\n got %+v\nwant %+v", r, g.SolveComm, w.SolveComm)
 		}
@@ -139,7 +135,7 @@ func TestMeshCancelReturnsPartialOutcomes(t *testing.T) {
 	// A big enough system with an unreachably tiny (but positive: zero means
 	// "default") tolerance iterates far past the cancel point; the 16×16
 	// fixture would hit an exact-zero residual within milliseconds.
-	_, jobFor := buildJob(matgen.Poisson2D(64, 64), ranks,
+	jobFor := buildJob(t, matgen.Poisson2D(64, 64), ranks,
 		mprun.SolveParams{Tol: 1e-300, MaxIter: 1 << 30, Variant: krylov.CGClassic})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -176,24 +172,23 @@ func TestMeshCancelReturnsPartialOutcomes(t *testing.T) {
 	}
 }
 
-// TestMalformedSpecIsAnError: a spec that names both or neither set-up
-// source, a negative width, or a right-hand side of the wrong length comes
-// back as a descriptive error from every rank — on the sim path directly, on
-// the tcp path through the worker's report — never as a crash.
+// TestMalformedSpecIsAnError: a spec without the operators its solve needs,
+// a negative width, or a right-hand side of the wrong length comes back as a
+// descriptive error from every rank — on the sim path directly, on the tcp
+// path through the worker's report — never as a crash.
 func TestMalformedSpecIsAnError(t *testing.T) {
 	const ranks = 2
 	a := matgen.Poisson2D(8, 8)
-	good, _ := buildJob(a, ranks, mprun.SolveParams{Tol: 1e-8, MaxIter: 100})
-	b := make([]float64, a.Rows)
+	good := buildJob(t, a, ranks, mprun.SolveParams{Tol: 1e-8, MaxIter: 100})
 	cases := []struct {
 		name   string
 		mangle func(j *mprun.JobSpec)
 		want   string
 	}{
-		{"no source", func(j *mprun.JobSpec) { j.Build = nil }, "exactly one set-up source"},
-		{"both sources", func(j *mprun.JobSpec) { j.Adopt = &mprun.Operators{} }, "exactly one set-up source"},
-		{"adopts nothing", func(j *mprun.JobSpec) { j.Build, j.Adopt = nil, &mprun.Operators{} }, "do not hold"},
-		{"held, but by no worker", func(j *mprun.JobSpec) { j.Build, j.Adopt, j.Held = nil, &mprun.Operators{}, true }, "a worker holds: true"},
+		{"no operators", func(j *mprun.JobSpec) { j.Adopt = nil }, "do not hold"},
+		{"adopts nothing", func(j *mprun.JobSpec) { j.Adopt = &mprun.Operators{} }, "do not hold"},
+		{"held, but by no worker", func(j *mprun.JobSpec) { j.Adopt, j.Held = &mprun.Operators{}, true }, "a worker holds: true"},
+		{"factors for a GMRES solve", func(j *mprun.JobSpec) { j.Solve.Solver = krylov.SolverGMRES }, "do not hold"},
 		{"negative K", func(j *mprun.JobSpec) { j.K = -1 }, "negative"},
 		{"short rhs", func(j *mprun.JobSpec) { j.B = j.B[1:] }, "right-hand side"},
 		{"scalar rhs for K=2", func(j *mprun.JobSpec) { j.K = 2 }, "right-hand side"},
@@ -202,7 +197,7 @@ func TestMalformedSpecIsAnError(t *testing.T) {
 	}
 	for _, tc := range cases {
 		jobFor := func(rank int) *mprun.JobSpec {
-			j := good.ForRank(rank, b)
+			j := good(rank)
 			tc.mangle(j)
 			return j
 		}

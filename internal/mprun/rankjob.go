@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"fsaicomm/internal/archmodel"
-	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/krylov"
@@ -22,38 +21,26 @@ func ProfileFor(arch string) (archmodel.Profile, error) {
 }
 
 // rankOps are the operators a solve runs on: a with the factor pair g/gt
-// (CG) or with the explicit inverse m (GMRES). pct and imb are the build
-// metrics of operators built here (zero for adopted ones), misses what an
-// earlier job traced on adopted ones (nil: not known yet).
+// (CG) or with the explicit inverse m (GMRES). misses is what an earlier job
+// traced on them (nil: not known yet).
 type rankOps struct {
 	a, g, gt, m *distmat.Op
-	pct, imb    float64
 	misses      *experiments.TracedMisses
 }
 
-// obtain is step 1 of the job: the rank's operators from the spec's one
-// set-up source.
-func (j *JobSpec) obtain(c *simmpi.Comm) (rankOps, error) {
-	if ad := j.Adopt; ad != nil {
-		if j.Solve.Solver == krylov.SolverGMRES {
-			return rankOps{a: ad.A.op(c), m: ad.M.op(c), misses: ad.Misses}, nil
-		}
-		return rankOps{a: ad.A.op(c), g: ad.G.op(c), gt: ad.GT.op(c), misses: ad.Misses}, nil
+// adopt is step 1 of the job: the rank's operators, under the
+// communicator's topology.
+func (j *JobSpec) adopt(c *simmpi.Comm) rankOps {
+	ad := j.Adopt
+	if j.Solve.Solver == krylov.SolverGMRES {
+		return rankOps{a: ad.A.op(c), m: ad.M.op(c), misses: ad.Misses}
 	}
-	lo, hi := j.Layout.Range(c.Rank())
-	aRows := distmat.ExtractLocalRows(j.Build.PA, lo, hi)
-	bd, err := core.BuildPrecond(c, j.Layout, aRows, j.Build.Cfg)
-	if err != nil {
-		return rankOps{}, err
-	}
-	return rankOps{a: bd.AOp, g: bd.GOp, gt: bd.GTOp, m: bd.MOp,
-		pct: bd.PctNNZIncrease, imb: bd.ImbalanceIndex}, nil
+	return rankOps{a: ad.A.op(c), g: ad.G.op(c), gt: ad.GT.op(c), misses: ad.Misses}
 }
 
 // dress is step 2a: whatever the solve asks of the operators beyond their
-// values, applied the same way to built and adopted ones. It returns the
-// float32 twin of A for the inner solves of a mixed-precision job (nil
-// under FP64). Everything here is rank-local.
+// values. It returns the float32 twin of A for the inner solves of a
+// mixed-precision job (nil under FP64). Everything here is rank-local.
 func (ops rankOps) dress(sp SolveParams, k int) (aInner *distmat.Op) {
 	all := []*distmat.Op{ops.a, ops.g, ops.gt}
 	if ops.m != nil {
@@ -126,13 +113,13 @@ func (ops rankOps) cost(prof archmodel.Profile, sp SolveParams, nl, ranks int) e
 	return experiments.AssembleIterCost(miss, ops.a, ops.g, ops.gt, nl, ranks, sp.Variant)
 }
 
-// RunJob executes one rank of a distributed solve: obtain the operators
-// (build them here or adopt them), dress them for the solve, run one solve
-// of width K and fold statistics, meters and clocks into the outcome. It is
-// the single implementation behind both backends — the facade's goroutine
-// ranks and the fsairank worker processes call exactly this. ws may carry a
-// pooled workspace (nil allocates a fresh one); workspaces must never be
-// shared between concurrent solves.
+// RunJob executes one rank of a distributed solve: adopt the operators,
+// dress them for the solve, run one solve of width K and fold statistics,
+// meters and clocks into the outcome. It is the single implementation behind
+// both backends — the facade's goroutine ranks and the fsairank worker
+// processes call exactly this. ws may carry a pooled workspace (nil
+// allocates a fresh one); workspaces must never be shared between concurrent
+// solves.
 //
 // ctx must be non-nil and the same "all ranks or none" choice on every rank:
 // the loops poll it through a per-iteration collective verdict, which is
@@ -149,30 +136,11 @@ func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Worksp
 	}
 	lo, hi := job.Layout.Range(rank)
 	out := &RankOutcome{Rank: rank, Lo: lo, Hi: hi}
-	t0 := time.Now()
-	ops, err := job.obtain(c)
-	if err != nil {
-		return nil, err
-	}
+	ops := job.adopt(c)
 	aInner := ops.dress(sp, job.K)
 	if job.K == 0 { // the batched results carry no modeled time
 		out.Cost = ops.cost(prof, sp, hi-lo, c.Size())
 	}
-	if job.Build != nil {
-		// One barrier separates the phases: traffic up to and including it is
-		// "setup", everything after is "solve". Phase attribution needs no
-		// meter reset (and hence no cross-rank reset race): each rank's
-		// counters are charged synchronously on its own goroutine, so
-		// snapshot deltas are exact and deterministic on every backend.
-		// Adopted operators cost no communication and no barrier, and
-		// SetupNanos stays 0: that set-up was paid once, elsewhere.
-		c.Barrier()
-		out.SetupNanos = time.Since(t0).Nanoseconds()
-		if rank == 0 {
-			out.Pct, out.Imbalance = ops.pct, ops.imb
-		}
-	}
-	out.SetupComm = c.Meter().RankSnapshot(rank)
 
 	if ws == nil {
 		ws = &krylov.Workspace{}
@@ -213,7 +181,9 @@ func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Worksp
 		return nil, err
 	}
 	out.SolveNanos = time.Since(t1).Nanoseconds()
-	out.SolveComm = c.Meter().RankSnapshot(rank).Sub(out.SetupComm)
+	// Each rank's counters are charged synchronously on its own goroutine,
+	// so the snapshot is exact and deterministic on every backend.
+	out.SolveComm = c.Meter().RankSnapshot(rank)
 	out.Waits = c.Waits()
 	out.XLocal = xl
 	out.Iterations = st.Iterations

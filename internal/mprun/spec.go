@@ -1,15 +1,16 @@
 // Package mprun runs one rank's share of a distributed solve — the "rank
 // job" — identically under both transport backends. There is one job,
-// RunJob, over one spec: it obtains the rank's operators from exactly one
-// set-up source (build them here from the partitioned matrix, or adopt the
-// ones a Prepare cached), dresses them for the requested solve and runs one
-// solve of width K. The facade's in-process path calls RunJob directly from
-// goroutine ranks; the multi-process path ships the gob-encoded spec to
-// fsairank worker processes (self-hosted by any binary that calls
-// MaybeWorker) whose tcpmpi communicator runs the very same function. One
-// code path on both sides is what makes the cross-backend differential tests
-// meaningful: any divergence in results or meter structure is the
-// transport's fault, not a drifted reimplementation of the solve.
+// RunJob, over one spec: it adopts the rank's operators, which a set-up
+// (Prepare, on goroutine ranks) built and held, dresses them for the
+// requested solve and runs one solve of width K. A job never builds: the
+// package does not know how. The facade's in-process path calls RunJob
+// directly from goroutine ranks; the multi-process path ships the
+// gob-encoded spec to fsairank worker processes (self-hosted by any binary
+// that calls MaybeWorker) whose tcpmpi communicator runs the very same
+// function. One code path on both sides is what makes the cross-backend
+// differential tests meaningful: any divergence in results or meter
+// structure is the transport's fault, not a drifted reimplementation of the
+// solve.
 //
 // The worker processes are resident: a Mesh (Start, Run, Close) spawns one
 // per rank and forms the mesh once — the ranks meet over loopback TCP, then
@@ -23,25 +24,19 @@ package mprun
 import (
 	"fmt"
 
-	"fsaicomm/internal/core"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/simmpi"
-	"fsaicomm/internal/sparse"
 )
 
-// JobSpec is one rank's job: where its operators come from, and the solve to
-// run on them. Exactly one of Build and Adopt is set.
+// JobSpec is one rank's job: the operators it adopts, and the solve to run
+// on them.
 type JobSpec struct {
 	// Layout is the row distribution; the rank owns rows Layout.Range(rank).
 	Layout *distmat.Layout
-	// Build makes the rank build its operators here, over the communicator —
-	// the set-up then runs (and is metered) on whichever transport the solve
-	// uses.
-	Build *BuildSource
-	// Adopt hands the rank operators a set-up already built: no set-up
-	// communication, SetupNanos 0.
+	// Adopt hands the rank the operators a set-up built; adopting them costs
+	// no communication.
 	Adopt *Operators
 	// Held is the wire form of an Adopt whose operators the receiving worker
 	// keeps: a Mesh strips them (Adopt then carries only the traced misses)
@@ -61,13 +56,6 @@ type JobSpec struct {
 	B []float64
 	// Solve holds the solve-time knobs.
 	Solve SolveParams
-}
-
-// BuildSource is the full set-up: every rank receives the same permuted
-// matrix (small at this reproduction's scale) and extracts its own rows.
-type BuildSource struct {
-	PA  *sparse.CSR
-	Cfg core.Config
 }
 
 // HeldOp is one distributed operator as a finished set-up holds it: the
@@ -108,6 +96,9 @@ type Operators struct {
 
 // holds reports whether the set carries what the solver applies.
 func (o *Operators) holds(gmres bool) bool {
+	if o == nil {
+		return false
+	}
 	if gmres {
 		return o.A != nil && o.M != nil
 	}
@@ -171,14 +162,9 @@ func (j *JobSpec) check(rank, size int) error {
 	if j.Layout.NRanks() != size {
 		return fmt.Errorf("mprun: job spec lays out %d ranks, world has %d", j.Layout.NRanks(), size)
 	}
-	if (j.Build == nil) == (j.Adopt == nil) {
-		return fmt.Errorf("mprun: job spec must name exactly one set-up source (build here or adopt)")
-	}
 	gmres := j.Solve.Solver == krylov.SolverGMRES
 	switch {
-	case j.Build != nil && (j.Build.PA == nil || (j.Build.Cfg.Method == core.SPAI) != gmres):
-		return fmt.Errorf("mprun: build source needs a matrix and a method the %v solver applies (SPAI with GMRES, the FSAI family with CG)", j.Solve.Solver)
-	case j.Adopt != nil && !j.Adopt.holds(gmres):
+	case !j.Adopt.holds(gmres):
 		return fmt.Errorf("mprun: adopted operators (those a worker holds: %v) do not hold what a %v solve needs", j.Held, j.Solve.Solver)
 	case gmres && (j.K > 0 || j.Solve.Variant != krylov.CGClassic || j.Solve.Precision == krylov.FP32):
 		return fmt.Errorf("mprun: GMRES runs one FP64 right-hand side on the classic blocking schedule (K = %d, variant %v, precision %v)", j.K, j.Solve.Variant, j.Solve.Precision)
@@ -218,9 +204,6 @@ type RankOutcome struct {
 	// mixed-precision solve (0 for FP64 solves); Iterations then counts the
 	// total inner iterations across all steps.
 	Refinements int
-	// Pct and Imbalance are the build metrics (rank 0 of a build-here job
-	// only; whoever cached adopted operators already knows them).
-	Pct, Imbalance float64
 	// Trace is the rank's telemetry when the spec asked for it (rank 0).
 	Trace *krylov.IterTrace
 	// Batch carries the per-column outcomes of a batched job (nil for
@@ -228,17 +211,18 @@ type RankOutcome struct {
 	Batch *BatchOutcome
 	// Cost is the rank's modeled per-iteration cost inputs (scalar jobs).
 	Cost experiments.IterCostInputs
-	// SetupComm and SolveComm are this rank's metered traffic in the two
-	// phases, taken as RankSnapshot deltas. Summed over ranks they give the
-	// deterministic world totals the differential tests compare bit-for-bit.
-	SetupComm, SolveComm simmpi.Snapshot
+	// SolveComm is this rank's metered traffic over the job, which adopting
+	// its operators adds nothing to: the solve's. Summed over ranks it gives
+	// the deterministic world totals the differential tests compare bit for
+	// bit.
+	SolveComm simmpi.Snapshot
 	// Waits is how the blocking waits of the rank's goroutine ended over the
 	// job: on the channel backend every receive, on the ring backend what a
 	// Comm waits for by itself (self-receives, nonblocking operations). It
 	// tells who arrived first, so no two runs need agree on it.
 	Waits simmpi.Waits
-	// SetupNanos and SolveNanos are the rank's wall-clock phase durations.
-	SetupNanos, SolveNanos int64
+	// SolveNanos is the rank's wall-clock time in the Krylov loop.
+	SolveNanos int64
 }
 
 // BatchOutcome is the per-column solver outcome of a batched rank job.

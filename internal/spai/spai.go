@@ -15,14 +15,15 @@
 // run. Columns are independent, so the build is column-parallel via
 // internal/parallel and bit-identical for every worker count.
 //
-// The distributed build mirrors the FSAI one: each rank owns a block of
+// The build is distributed like the FSAI one: each rank owns a block of
 // rows of A and builds the matching block of columns of M (rows of Mᵀ),
 // gathering remote rows of Aᵀ (for shadow assembly) and of A (for
 // enrichment candidates) from their owners with the same setup-phase
 // collectives. Every rank runs the same number of gather rounds whether or
 // not it has active columns, so the collective schedule is rank-uniform,
-// and the per-column dense subproblems are assembled in the same order as
-// the serial build — the result is bitwise identical to Build.
+// and the per-column dense subproblems are assembled in the same order as a
+// one-process column loop would — the result is bitwise identical to it at
+// every rank count (the tests keep that loop as the serial reference).
 package spai
 
 import (
@@ -74,9 +75,8 @@ func (o Options) withDefaults() Options {
 }
 
 // rowFn returns the sorted global column indices and values of row k of
-// some matrix — Aᵀ for shadow/pattern work, A for candidate discovery. The
-// serial build reads the matrices directly; the distributed build reads
-// gathered row maps.
+// some matrix — Aᵀ for shadow/pattern work, A for candidate discovery —
+// read from the rank's rows and the gathered row maps.
 type rowFn func(k int) ([]int, []float64)
 
 // column is the per-column solve state.
@@ -288,79 +288,6 @@ func growF(v *[]float64, n int) []float64 {
 
 func nonfinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 
-// enrich runs the per-column adaptive loop: while the residual is above
-// epsilon and candidates remain, add the most profitable entries and
-// re-solve. Used by the serial build; the distributed build runs the same
-// logic round-by-round across columns to keep its gathers collective.
-func (col *column) enrich(aRow, atRow rowFn, colNorm2 []float64, opt Options, buf *scratch) error {
-	for step := 0; step < opt.Steps; step++ {
-		col.done = col.rnorm <= opt.Epsilon
-		if col.done || col.stalled {
-			return nil
-		}
-		ks := col.scoreCandidates(col.candidateSet(aRow, buf), atRow, colNorm2, opt.Add)
-		if len(ks) == 0 {
-			col.stalled = true
-			return nil
-		}
-		col.J = mergeSorted(col.J, ks)
-		col.I = buildShadow(col.j, col.J, atRow)
-		if err := col.solve(atRow, buf); err != nil {
-			return err
-		}
-	}
-	col.done = col.rnorm <= opt.Epsilon
-	return nil
-}
-
-// Build computes the SPAI right approximate inverse M ≈ A⁻¹ of the square
-// matrix a. The result has one column per adaptive per-column pattern;
-// A·M ≈ I in the Frobenius sense. Bit-identical for every worker count.
-func Build(a *sparse.CSR, opt Options) (*sparse.CSR, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("spai: matrix %dx%d not square", a.Rows, a.Cols)
-	}
-	opt = opt.withDefaults()
-	n := a.Rows
-	at := a.Transpose()
-	atRow := func(k int) ([]int, []float64) { return at.Row(k) }
-	aRow := func(i int) ([]int, []float64) { return a.Row(i) }
-	// ‖A·e_k‖² for the profitability denominators, summed in ascending row
-	// order (the distributed build reproduces this order exactly through
-	// the rank-ordered allreduce).
-	colNorm2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cols, vals := a.Row(i)
-		for t, k := range cols {
-			colNorm2[k] += vals[t] * vals[t]
-		}
-	}
-	// Initial pattern: rows of (structure(Aᵀ)+I)^Level = columns of
-	// (structure(A)+I)^Level.
-	pat := sparse.PatternPowerWorkers(at, opt.Level, opt.Workers)
-
-	cols := make([]*column, n)
-	err := parallel.For(opt.Workers, n, func(lo, hi int) error {
-		buf := newScratch()
-		for j := lo; j < hi; j++ {
-			col := &column{j: j, J: append([]int(nil), pat.Row(j)...)}
-			col.I = buildShadow(j, col.J, atRow)
-			if err := col.solve(atRow, buf); err != nil {
-				return err
-			}
-			if err := col.enrich(aRow, atRow, colNorm2, opt, buf); err != nil {
-				return err
-			}
-			cols[j] = col
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assembleTranspose(cols, n, n).Transpose(), nil
-}
-
 // assembleTranspose packs per-column states into the CSR whose row t is
 // column cols[t] of M — i.e. the local rows of Mᵀ.
 func assembleTranspose(cols []*column, rows, n int) *sparse.CSR {
@@ -385,7 +312,7 @@ func assembleTranspose(cols []*column, rows, n int) *sparse.CSR {
 // transpose. Collective; the gather/transpose schedule is rank-uniform
 // (every rank participates in the same collectives, with empty requests
 // when it has no active columns), and the result is bitwise identical to
-// the serial Build restricted to these rows.
+// the serial build restricted to these rows.
 func BuildDist(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows *sparse.CSR, opt Options) (*sparse.CSR, error) {
 	opt = opt.withDefaults()
 	n := l.N

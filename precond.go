@@ -1,6 +1,7 @@
 package fsaicomm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -39,7 +40,8 @@ type Preconditioner struct {
 // The returned Preconditioner is safe for sequential reuse across solves
 // (not for concurrent Apply calls; it owns scratch buffers). Method SPAI
 // (with Solver SolverGMRES) builds the explicit inverse of a general square
-// matrix; the FSAI family requires symmetry.
+// matrix; the FSAI family requires symmetry. The build is the one Prepare
+// runs, on a world of one rank.
 func BuildPreconditioner(a *Matrix, opt Options) (*Preconditioner, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -47,30 +49,23 @@ func BuildPreconditioner(a *Matrix, opt Options) (*Preconditioner, error) {
 	if err := checkInputMatrix(a, opt.Solver); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults(a.Rows)
+	return buildPreconditioner(a, opt.withDefaults(a.Rows))
+}
+
+// buildPreconditioner is BuildPreconditioner on checked input and options
+// with their defaults applied.
+func buildPreconditioner(a *Matrix, opt Options) (*Preconditioner, error) {
 	t0 := time.Now()
-	if opt.Method == SPAI {
-		m, pct, err := core.BuildSerialSPAI(a, buildConfig(opt))
-		if err != nil {
-			return nil, err
-		}
-		return &Preconditioner{
-			a: a, inv: m, restart: opt.Restart,
-			method: SPAI, pct: pct, setup: time.Since(t0),
-		}, nil
-	}
-	g, pct, err := core.BuildSerialLevelWorkers(a, opt.Method, opt.Filter, opt.LineBytes, opt.PatternLevel, opt.Threshold, opt.Workers)
+	bd, err := core.BuildOneRank(a, buildConfig(opt))
 	if err != nil {
 		return nil, err
 	}
-	return &Preconditioner{
-		a:      a,
-		split:  krylov.NewSplit(g, g.Transpose()),
-		method: opt.Method,
-		prec:   opt.Precision,
-		pct:    pct,
-		setup:  time.Since(t0),
-	}, nil
+	p := &Preconditioner{a: a, method: opt.Method, prec: opt.Precision, restart: opt.Restart,
+		inv: bd.MRows, pct: bd.PctNNZIncrease, setup: time.Since(t0)}
+	if bd.MRows == nil {
+		p.split = krylov.NewSplit(bd.GRows, bd.GTRows)
+	}
+	return p, nil
 }
 
 func checkInputMatrix(a *Matrix, solver Solver) error {
@@ -118,21 +113,31 @@ func (p *Preconditioner) Apply(r, z []float64) {
 	p.split.Apply(r, z, nil)
 }
 
-// SolveWith runs preconditioned CG on A·x = b reusing the built factor.
-// opt's method/filter fields are ignored (the factor is fixed); Tol,
-// MaxIter apply.
+// SolveWith runs the preconditioned Krylov solve of A·x = b reusing the
+// built preconditioner: CG (the FP64 refinement loop around it for an FP32
+// factor) or GMRES for SPAI. Of opt it reads Tol, MaxIter, Restart (0 keeps
+// the build-time value) and Trace; the set-up fields are ignored, since the
+// preconditioner is fixed.
 func (p *Preconditioner) SolveWith(b []float64, opt Options) (*Result, error) {
+	return p.solve(context.TODO(), b, opt)
+}
+
+// solve is the one-process solve behind Solve and SolveWith. It runs the
+// distributed loops on one rank and reuses the preconditioner's workspace.
+func (p *Preconditioner) solve(ctx context.Context, b []float64, opt Options) (*Result, error) {
 	if len(b) != p.a.Rows {
 		return nil, fmt.Errorf("fsaicomm: rhs length %d, want %d", len(b), p.a.Rows)
 	}
+	if err := checkFiniteRHS(b); err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults(p.a.Rows)
+	if opt.Restart <= 0 {
+		opt.Restart = p.restart
+	}
 	x := make([]float64, p.a.Rows)
 	t0 := time.Now()
-	restart := p.restart
-	if opt.Restart > 0 {
-		restart = opt.Restart
-	}
-	kopt := krylov.Options{Tol: opt.Tol, MaxIter: opt.MaxIter, Restart: restart, Work: &p.work}
+	kopt := krylov.Options{Tol: opt.Tol, MaxIter: opt.MaxIter, Restart: opt.Restart, Trace: opt.Trace, Ctx: ctx, Work: &p.work}
 	var st krylov.Stats
 	var err error
 	switch {
@@ -143,8 +148,9 @@ func (p *Preconditioner) SolveWith(b []float64, opt Options) (*Result, error) {
 	default:
 		st, err = krylov.CG(p.a, b, x, p.split, kopt, nil)
 	}
+	canceled := errors.Is(err, krylov.ErrCanceled)
 	broken := errors.Is(err, krylov.ErrBreakdown)
-	if err != nil && !errors.Is(err, krylov.ErrNoConvergence) && !broken {
+	if err != nil && !errors.Is(err, krylov.ErrNoConvergence) && !canceled && !broken {
 		return nil, err
 	}
 	res := &Result{
@@ -158,8 +164,9 @@ func (p *Preconditioner) SolveWith(b []float64, opt Options) (*Result, error) {
 		ImbalanceIndex: 1,
 		SetupTime:      p.setup,
 		SolveTime:      time.Since(t0),
+		Trace:          st.Trace,
 	}
-	if broken {
+	if canceled || broken {
 		return res, err
 	}
 	return res, nil

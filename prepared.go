@@ -91,6 +91,24 @@ func (o SolveOptions) over(setup Options) Options {
 	return setup
 }
 
+// perSolve is the per-solve half of opt, the inverse of over:
+// perSolve(opt).over(opt) is opt.
+func perSolve(opt Options) SolveOptions {
+	return SolveOptions{
+		Tol:                  opt.Tol,
+		MaxIter:              opt.MaxIter,
+		CGVariant:            opt.CGVariant,
+		Restart:              opt.Restart,
+		Arch:                 opt.Arch,
+		Trace:                opt.Trace,
+		ResidualReplaceEvery: opt.ResidualReplaceEvery,
+		Transport:            opt.Transport,
+		Nodes:                opt.Nodes,
+		RanksPerNode:         opt.RanksPerNode,
+		NoNodeAggregation:    opt.NoNodeAggregation,
+	}
+}
+
 // Prepared is a fully set-up distributed system: partition, permutation,
 // localized matrix, halo-plan schedules and preconditioner factors, built
 // once by Prepare and reusable for any number of Solve calls — including
@@ -310,6 +328,11 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 	if err := checkInputMatrix(a, opt.Solver); err != nil {
 		return nil, err
 	}
+	return prepare(a, opt)
+}
+
+// prepare is Prepare on checked input.
+func prepare(a *Matrix, opt Options) (*Prepared, error) {
 	opt = opt.withDefaults(a.Rows)
 	opt.Ranks = AutoRanks(a, opt.Ranks)
 	st, err := analyse(a, opt)
@@ -317,6 +340,16 @@ func Prepare(a *Matrix, opt Options) (*Prepared, error) {
 		return nil, err
 	}
 	return st.factor(a, nil)
+}
+
+// prepareOnce is the set-up of a one-off solve on checked input: the node
+// grouping is checked against the rank count before anything is built,
+// since the solve would reject it after.
+func prepareOnce(a *Matrix, opt Options) (*Prepared, error) {
+	if _, err := resolveTopology(AutoRanks(a, opt.Ranks), opt.Nodes, opt.RanksPerNode); err != nil {
+		return nil, err
+	}
+	return prepare(a, opt)
 }
 
 // Refactor prepares the system of a matrix that has the sparsity pattern p
@@ -448,6 +481,9 @@ func (p *Prepared) Solve(ctx context.Context, b []float64, so SolveOptions) (*Re
 	if len(b) != p.n {
 		return nil, fmt.Errorf("fsaicomm: rhs length %d, want %d", len(b), p.n)
 	}
+	if err := checkFiniteRHS(b); err != nil {
+		return nil, err
+	}
 	if p.setupOpt.Solver == SolverGMRES && so.CGVariant != CGClassic {
 		return nil, fmt.Errorf("%w: this system was prepared for SPAI+GMRES, which has only the classic blocking schedule", ErrInvalidOptions)
 	}
@@ -479,7 +515,7 @@ func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOpti
 		held = p.parts
 	}
 	job := mprun.JobSpec{Layout: p.st.layout, K: k, Solve: sp}
-	f, err := runRanks(ctx, so.Transport, p.runResident, job, held, pools, rhs, p.st.oldToNew)
+	f, err := p.runRanks(ctx, so.Transport, job, held, pools, rhs)
 	if err != nil {
 		return nil, err
 	}
@@ -490,9 +526,9 @@ func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOpti
 	return f, nil
 }
 
-// runResident is the rankRunner of a prepared system: the jobs run on the
-// system's own mesh, started here if there is none, whose workers keep the
-// operators after the first job. The mesh survives the job only if every
+// runResident runs one set of rank jobs, jobs[r] on rank r, on the system's
+// own mesh of worker processes, started here if there is none, whose
+// workers keep the operators after the first job. The mesh survives the job only if every
 // rank reported an outcome and nobody canceled; otherwise it is closed at
 // once and the next solve starts another — a lost worker costs the solve it
 // was lost in, never the entry. A solve that finds the mesh busy, or the

@@ -36,9 +36,11 @@ all: tier1
 # non-test internal/tcpmpi has no per-peer reader (readLoop, bufio) and writes
 # three things to a socket — a doorbell byte, the hello and the ring file's
 # name — never a frame. The asm step fails if the module holds an assembly
-# file beside the one product kernel (internal/sparse/rowkernel_amd64.s: the
-# k-wide product with a column pair in one XMM register); every other kernel
-# is Go, and the arm64 vet keeps the portable body those platforms run
+# file beside the one product-kernel file (internal/sparse/rowkernel_amd64.s,
+# which holds two kernels: the k-wide product with a column pair in one XMM
+# register, and the 1-wide run product that reads a run of consecutive
+# columns with one index and two entries per SSE2 load); every other kernel
+# is Go, and the arm64 vet keeps the portable bodies those platforms run
 # building (it needs no network and nothing but the toolchain). The bench
 # step fails if a second measurement system comes back beside benchmark/ and
 # go test: a BENCH_* artifact at the repo root, or a cmd/fsaibench that
@@ -232,18 +234,21 @@ loc:
 # every other package of the module and functions are aligned to 32 bytes, so
 # a change to either can move every kernel from 0 to 32 mod 64 or back, and
 # that alone moves the sim workloads of the benchmark by 15 % (ROADMAP item
-# 3). The accepted placement reads 0 / 32 / 32 / 32 in the order printed: the
-# assembly pair kernel, its Go wrapper, and the two scalar kernels this target
-# has printed since PR 21 (rowDotCols[float32], which it printed first until
-# PR 24, is the portable body now and off the hot path on amd64). Compare
-# timings of two builds only when their lines agree.
+# 2). Lines print in address order. The accepted placement reads
+# 0 / 32 / 32 / 32 for the assembly pair kernel, its Go wrapper, and the two
+# scalar kernels this target has printed since PR 21 (rowDotCols[float32],
+# which it printed first until PR 24, is the portable body now and off the
+# hot path on amd64); mulVecRunsF64 is the assembly run kernel, whose loop
+# heads sit under PCALIGN $32. Compare timings of two builds only when their
+# lines agree.
 placement:
 	$(GO) build -o bin/fsaiserve ./cmd/fsaiserve
 	@$(GO) tool nm -n bin/fsaiserve | while read addr _ sym; do case "$$sym" in \
 		fsaicomm/internal/sparse.mulMatPairF64.abi0 | \
 		'fsaicomm/internal/sparse.mulMatWide[go.shape.float64]' | \
 		'fsaicomm/internal/sparse.mulVecRows[go.shape.float64]' | \
-		fsaicomm/internal/vecops.Dot) echo "$$((0x$$addr % 64)) mod 64  $$sym" ;; \
+		fsaicomm/internal/vecops.Dot | \
+		fsaicomm/internal/sparse.mulVecRunsF64.abi0) echo "$$((0x$$addr % 64)) mod 64  $$sym" ;; \
 	esac; done
 
 # cover: per-package statement coverage for the whole module.

@@ -619,10 +619,12 @@ func BenchmarkTransposeDist50k(b *testing.B) {
 // The warm-sim and batch-coalesce workloads of the repo benchmark re-solve
 // this 37³ system (2 ranks, fsaie-comm, default filter) from a cached
 // Prepare. BenchmarkRowKernel50k times the product kernels alone on rank
-// 0's three operators and reports ns per stored entry (per column for the
-// k-wide products); the two solve benches time the whole in-process request
-// under them. Together they are a before/after that needs no server; names
-// contain "50k" so `make bench` picks them up. Three more put the ranks'
+// 0's three operators — "runs" is the 1-wide product over the operator's
+// run index, MulVec where it has none — and reports ns per stored entry (per
+// column for the k-wide products); the two solve benches time the whole
+// in-process request under them. Together they are a before/after that
+// needs no server; names contain "50k" so `make bench` picks them up.
+// Three more put the ranks'
 // waiting policy where it can cost: two solves at once on the host's cores,
 // more ranks than cores, and the small system of warm-tcp, whose ranks meet
 // every few tens of microseconds (PreparedSolve8100 is named in the pattern).
@@ -681,6 +683,8 @@ func BenchmarkRowKernel50k(b *testing.B) {
 		}{
 			{"f64", 1, func() { m.MulVec(x[:m.Cols], y[:m.Rows]) }},
 			{"f32", 1, func() { m32.MulVec(x[:m.Cols], y[:m.Rows]) }},
+			{"runs", 1, func() { m.MulVecRuns(o.lz.Runs(), x[:m.Cols], y[:m.Rows]) }},
+			{"f32runs", 1, func() { m32.MulVecRuns(o.lz.Runs(), x[:m.Cols], y[:m.Rows]) }},
 			{"k2", 2, func() { m.MulMatCols(x[:2*m.Cols], y[:2*m.Rows], 2, nil) }},
 			{"k2mask1", 1, func() { m.MulMatCols(x[:2*m.Cols], y[:2*m.Rows], 2, []int{1}) }},
 			{"k2mask01", 2, func() { m.MulMatCols(x[:2*m.Cols], y[:2*m.Rows], 2, []int{0, 1}) }},

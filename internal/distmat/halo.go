@@ -45,6 +45,10 @@ type Localized struct {
 	// follow from the input order alone.
 	rotated       []int
 	unsortedInput bool
+	// runs is M's run index (sparse.IndexRuns), nil where the pattern's runs
+	// save nothing: built once per pattern, shared by every view WithValues
+	// makes, and rebuilt by IndexRuns on a view that arrived without it.
+	runs *sparse.RunIndex
 }
 
 // NLocal returns the number of locally owned rows/columns.
@@ -57,6 +61,14 @@ func (lz *Localized) M32() *sparse.CSR32 {
 	lz.m32Once.Do(func() { lz.m32 = sparse.NewCSR32(lz.M) })
 	return lz.m32
 }
+
+// Runs returns the run index the 1-wide products walk, nil when they walk
+// the entries.
+func (lz *Localized) Runs() *sparse.RunIndex { return lz.runs }
+
+// IndexRuns builds the run index of a view that arrived without one: gob
+// ships the exported fields only.
+func (lz *Localized) IndexRuns() { lz.runs = sparse.IndexRuns(lz.M.RowPtr, lz.M.ColIdx) }
 
 // Localize remaps a local-rows matrix (global column indices) into the
 // local+halo column numbering. Rows without values (nil Val) localize to a
@@ -137,6 +149,7 @@ func Localize(lo, hi int, rows *sparse.CSR) *Localized {
 			rotateRow(m.Val[p:q], rows.Val[p:q], below, local)
 		}
 	}
+	lz.IndexRuns()
 	return lz
 }
 
@@ -170,7 +183,7 @@ func (lz *Localized) WithValues(vals []float64) *Localized {
 			rotateRow(vals[p:q], src[p:q], lz.rotated[t+1], lz.rotated[t+2])
 		}
 	}
-	return &Localized{Lo: lz.Lo, Hi: lz.Hi, Halo: lz.Halo, rotated: lz.rotated,
+	return &Localized{Lo: lz.Lo, Hi: lz.Hi, Halo: lz.Halo, rotated: lz.rotated, runs: lz.runs,
 		M: &sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: vals}}
 }
 

@@ -99,9 +99,12 @@ func NewOpFromParts(lz *Localized, plan *HaloPlan, opts ...OpOption) *Op {
 
 // LocalOp wraps a whole, undistributed matrix as the operator of a one-rank
 // world without copying it: every column is local and the plan has no
-// peers, so its products and the solvers over it take a nil Comm.
+// peers, so its products and the solvers over it take a nil Comm. The run
+// index is built here, as Localize builds it.
 func LocalOp(a *sparse.CSR) *Op {
-	return &Op{LZ: &Localized{Hi: a.Rows, M: a}, Plan: &HaloPlan{}}
+	lz := &Localized{Hi: a.Rows, M: a}
+	lz.IndexRuns()
+	return &Op{LZ: lz, Plan: &HaloPlan{}}
 }
 
 // Overlap returns the overlap view if it has been built, nil otherwise.
@@ -119,8 +122,11 @@ func (op *Op) EnsureOverlap() *OverlapOp {
 
 // MulVec computes the local part of y = A x, performing one halo update.
 // x holds the rank's local values (length NLocal); y receives the local
-// result. scratch must be a DistVec from NewDistVec(op.LZ). The flop counter
-// records 2·nnz operations.
+// result. scratch must be a DistVec from NewDistVec(op.LZ); an operator
+// whose plan has no peers does not touch it. The product walks the
+// pattern's column runs where the view has a run index, its entries
+// otherwise — the same bits either way. The flop counter records 2·nnz
+// operations.
 func (op *Op) MulVec(c *simmpi.Comm, x, y []float64, scratch *DistVec, fc *vecops.FlopCounter) {
 	nl := op.LZ.NLocal()
 	if len(x) != nl || len(y) != nl {
@@ -132,9 +138,9 @@ func (op *Op) MulVec(c *simmpi.Comm, x, y []float64, scratch *DistVec, fc *vecop
 		x = scratch.Ext
 	}
 	if op.f32 {
-		op.LZ.M32().MulVec(x, y)
+		op.LZ.M32().MulVecRuns(op.LZ.runs, x, y)
 	} else {
-		op.LZ.M.MulVec(x, y)
+		op.LZ.M.MulVecRuns(op.LZ.runs, x, y)
 	}
 	fc.Add(2 * int64(op.LZ.M.NNZ()))
 }

@@ -228,9 +228,30 @@ func TestCGBatchCancellation(t *testing.T) {
 	}
 }
 
+// solveMetered runs solve on rank c and returns the meter counts of the
+// solve alone. A rank meters only itself, so its own snapshots bracket the
+// solve exactly; a Reset between two barriers would race a peer that is
+// already metering the second one.
+func solveMetered(c *simmpi.Comm, solve func() error) (simmpi.Snapshot, error) {
+	before := c.Meter().RankSnapshot(c.Rank())
+	err := solve()
+	return c.Meter().RankSnapshot(c.Rank()).Sub(before), err
+}
+
+// sumPhases adds up the ranks' solve-phase counts that the tests compare.
+func sumPhases(phase []simmpi.Snapshot) (s simmpi.Snapshot) {
+	for _, p := range phase {
+		s.P2PBytes += p.P2PBytes
+		s.P2PMessages += p.P2PMessages
+		s.CollectiveCalls += p.CollectiveCalls
+	}
+	return s
+}
+
 // distBatchSolve runs DistCGBatch on nranks ranks and returns the
-// assembled interleaved solution, the stats, and the run's meter.
-func distBatchSolve(t *testing.T, a *sparse.CSR, b []float64, k, nranks int, opt Options) ([]float64, BatchStats, *simmpi.Meter) {
+// assembled interleaved solution, the stats, and the solve's meter counts
+// summed over ranks.
+func distBatchSolve(t *testing.T, a *sparse.CSR, b []float64, k, nranks int, opt Options) ([]float64, BatchStats, simmpi.Snapshot) {
 	t.Helper()
 	n := a.Rows
 	l := distmat.NewUniformLayout(n, nranks)
@@ -240,17 +261,17 @@ func distBatchSolve(t *testing.T, a *sparse.CSR, b []float64, k, nranks int, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
+	phase := make([]simmpi.Snapshot, nranks)
+	_, err = simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
 		lo, hi := l.Range(c.Rank())
 		op := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(a, lo, hi))
-		// Meter only the solve phase: reset after the collective setup.
-		c.Barrier()
-		if c.Rank() == 0 {
-			c.Meter().Reset()
-		}
-		c.Barrier()
 		xl := make([]float64, (hi-lo)*k)
-		bs, err := DistCGBatch(c, op, b[lo*k:hi*k], xl, &distJacobiBatch{inv: jac.InvDiag[lo:hi]}, k, opt, nil)
+		var bs BatchStats
+		var err error
+		phase[c.Rank()], err = solveMetered(c, func() error {
+			bs, err = DistCGBatch(c, op, b[lo*k:hi*k], xl, &distJacobiBatch{inv: jac.InvDiag[lo:hi]}, k, opt, nil)
+			return err
+		})
 		if err != nil {
 			return err
 		}
@@ -263,7 +284,7 @@ func distBatchSolve(t *testing.T, a *sparse.CSR, b []float64, k, nranks int, opt
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x, bst, w.Meter()
+	return x, bst, sumPhases(phase)
 }
 
 // The distributed batch is bit-identical per column to scalar DistCG for
@@ -288,16 +309,17 @@ func TestDistCGBatchMeteredAndBitwise(t *testing.T) {
 		// Scalar reference solve of the one RHS, metered.
 		want := make([]float64, n)
 		var wantSt Stats
-		w, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
+		phase := make([]simmpi.Snapshot, nranks)
+		_, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
 			lo, hi := l.Range(c.Rank())
 			op := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(a, lo, hi))
-			c.Barrier()
-			if c.Rank() == 0 {
-				c.Meter().Reset()
-			}
-			c.Barrier()
 			xl := make([]float64, hi-lo)
-			st, err := DistCG(c, op, rhs[lo:hi], xl, &distJacobi{inv: jac.InvDiag[lo:hi]}, opt, nil)
+			var st Stats
+			var err error
+			phase[c.Rank()], err = solveMetered(c, func() error {
+				st, err = DistCG(c, op, rhs[lo:hi], xl, &distJacobi{inv: jac.InvDiag[lo:hi]}, opt, nil)
+				return err
+			})
 			if err != nil {
 				return err
 			}
@@ -310,15 +332,14 @@ func TestDistCGBatchMeteredAndBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s scalar: %v", variant, err)
 		}
-		solo := w.Meter().Snapshot()
+		solo := sumPhases(phase)
 
 		// Batched solve of the same RHS duplicated k times.
 		dup := make([][]float64, k)
 		for c := range dup {
 			dup[c] = rhs
 		}
-		x, bst, meter := distBatchSolve(t, a, packRHS(dup, k), k, nranks, opt)
-		batch := meter.Snapshot()
+		x, bst, batch := distBatchSolve(t, a, packRHS(dup, k), k, nranks, opt)
 
 		for c := 0; c < k; c++ {
 			got := make([]float64, n)

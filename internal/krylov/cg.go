@@ -170,23 +170,26 @@ type Identity struct{}
 func (Identity) Apply(r, z []float64, fc *vecops.FlopCounter) { copy(z, r) }
 
 // Split applies the factorized approximate inverse z = Gᵀ(G·r), the
-// preconditioning operation of FSAI/FSAIE/FSAIE-Comm in a serial solve.
+// preconditioning operation of FSAI/FSAIE/FSAIE-Comm in a serial solve. It
+// applies through the one-rank operators of G and Gᵀ (distmat.LocalOp), so
+// its products take the path a distributed apply takes, column runs
+// included.
 type Split struct {
-	G, GT *sparse.CSR
+	G     *sparse.CSR // the factor NewSplit was given
+	g, gt *distmat.Op
 	w     []float64
 }
 
 // NewSplit builds the split preconditioner from the FSAI factor G (lower
 // triangular) and its transpose.
 func NewSplit(g, gt *sparse.CSR) *Split {
-	return &Split{G: g, GT: gt, w: make([]float64, g.Rows)}
+	return &Split{G: g, g: distmat.LocalOp(g), gt: distmat.LocalOp(gt), w: make([]float64, g.Rows)}
 }
 
 // Apply computes z = Gᵀ(G·r).
 func (s *Split) Apply(r, z []float64, fc *vecops.FlopCounter) {
-	s.G.MulVec(r, s.w)
-	s.GT.MulVec(s.w, z)
-	fc.Add(2 * int64(s.G.NNZ()+s.GT.NNZ()))
+	s.g.MulVec(nil, r, s.w, nil, fc)
+	s.gt.MulVec(nil, s.w, z, nil, fc)
 }
 
 // CG solves A x = b with preconditioned conjugate gradients, starting from

@@ -106,17 +106,20 @@ func innerTol(tol, relres float64) float64 {
 // inner iteration budget respectively. It is DistCGRefined on a one-rank
 // world.
 func SolveRefined(a *sparse.CSR, b, x []float64, m *Split, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	narrow := func(m *sparse.CSR) *distmat.Op {
-		op := distmat.LocalOp(m)
+	// The narrowed operators share the one-rank views, with their run
+	// indexes and float32 values, over a plan of their own.
+	narrow := func(op *distmat.Op) *distmat.Op {
+		op = distmat.NewOpFromParts(op.LZ, &distmat.HaloPlan{})
 		op.SetF32(true)
 		return op
 	}
 	var inner DistPreconditioner
 	if m != nil {
-		inner = NewDistSplit(narrow(m.G), narrow(m.GT))
+		inner = NewDistSplit(narrow(m.g), narrow(m.gt))
 	}
 	opt.Variant = CGClassic
-	return DistCGRefined(nil, distmat.LocalOp(a), narrow(a), b, x, inner, opt, fc)
+	outer := distmat.LocalOp(a)
+	return DistCGRefined(nil, outer, narrow(outer), b, x, inner, opt, fc)
 }
 
 // DistCGRefined solves A x = b distributed in mixed precision with FP64

@@ -94,6 +94,19 @@ type Operators struct {
 	Misses *experiments.TracedMisses
 }
 
+// indexRuns builds the run index of each operator that arrived over the
+// wire: gob ships the exported fields of its localized view, not the index.
+func (o *Operators) indexRuns() {
+	if o == nil {
+		return
+	}
+	for _, h := range []*HeldOp{o.A, o.G, o.GT, o.M} {
+		if h != nil && h.LZ != nil {
+			h.LZ.IndexRuns()
+		}
+	}
+}
+
 // holds reports whether the set carries what the solver applies.
 func (o *Operators) holds(gmres bool) bool {
 	if o == nil {

@@ -145,6 +145,9 @@ func workerMain() error {
 	// that say Held run on.
 	var held *Operators
 	for j := range jobs {
+		if !j.spec.Held {
+			j.spec.Adopt.indexRuns()
+		}
 		if j.spec.Held && j.spec.Adopt != nil && held != nil {
 			ops := *held
 			ops.Misses = j.spec.Adopt.Misses

@@ -440,17 +440,28 @@ func TestSolveOverload(t *testing.T) {
 }
 
 // A solve that cannot finish inside JobTimeout is cut off collectively and
-// reported as 504 with the progress it made.
+// reported as 504 with the progress it made. The system is the 1-D
+// Laplacian of 40,000 unknowns, whose recurrence residual takes ≈ 6 n
+// iterations to fall below Tol 1e-300: ≈ 250,000, seconds at any kernel
+// speed, where its set-up takes tens of milliseconds — so the deadline
+// fires inside the loop, past iteration 0, however fast an iteration gets.
 func TestSolveDeadline(t *testing.T) {
-	_, ts := testServer(t, Config{JobTimeout: 100 * time.Millisecond})
-	mr := uploadGen(t, ts.URL, "ecology2-sim")
+	_, ts := testServer(t, Config{JobTimeout: time.Second})
+	code, mr := upload(t, ts.URL, plate(40_000, 1, 1, 0, 0))
+	if code != http.StatusOK {
+		t.Fatalf("upload: %d", code)
+	}
 	req := solveRequest{Matrix: mr.Matrix, Ranks: 2, Tol: 1e-300, MaxIter: 5_000_000}
 	resp, body := postJSON(t, ts.URL+"/solve", req)
 	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("deadline solve: %d %s", resp.StatusCode, body)
+		t.Fatalf("deadline solve: %d %.300s", resp.StatusCode, body)
 	}
 	if !strings.Contains(string(body), "deadline") {
 		t.Fatalf("504 body: %s", body)
+	}
+	var iters int
+	if _, err := fmt.Sscanf(string(body[strings.Index(string(body), "after "):]), "after %d iterations", &iters); err != nil || iters == 0 {
+		t.Fatalf("504 body %s: the deadline did not fire inside the loop (%v)", body, err)
 	}
 	if m := getMetrics(t, ts.URL); m.Jobs.Canceled != 1 {
 		t.Fatalf("canceled = %d", m.Jobs.Canceled)

@@ -10,3 +10,12 @@ func (m *CSR) MulMatColsPortable(x, y []float64, k int, cols []int) {
 func (m *CSR32) MulMatColsPortable(x, y []float64, k int, cols []int) {
 	mulMatRowsGo(m.RowPtr, m.ColIdx, m.Val, x, y, k, cols, 0, m.Rows)
 }
+
+// AllRuns is the run index of a pattern whatever its runs save, so that the
+// tests reach the run product on every pattern they draw.
+func AllRuns(rowPtr, colIdx []int) *RunIndex {
+	return buildRuns(rowPtr, colIdx, countRuns(rowPtr, colIdx))
+}
+
+// Lists returns the index's row pointers and (start, length) pairs.
+func (r *RunIndex) Lists() (ptr, runs []int) { return r.ptr, r.runs }

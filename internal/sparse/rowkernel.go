@@ -14,7 +14,11 @@ package sparse
 // rowDotCols — the same walk, a column pair in the two lanes of one XMM
 // register, a pair for the price of one column — and rowDotCols stays as the
 // body of every other platform, the reference the assembly is fuzzed against
-// and the replay that words the panic for a row the assembly refuses.
+// and the replay that words the panic for a row the assembly refuses. A
+// 1-wide product over a pattern that is mostly column runs (runs.go) runs
+// the file's second kernel on amd64: one index pair per run, two entries per
+// SSE2 load, the same left-to-right sum; elsewhere it is mulVecRows, and
+// RowDot is what it is fuzzed against.
 
 // Value is a stored matrix value: float64, or float32 for the mixed-
 // precision operators. Products always accumulate in float64.

@@ -2,8 +2,9 @@ package sparse
 
 import "fmt"
 
-// The amd64 body of the k-wide product: rowkernel_amd64.s walks a block of
-// rows with one column pair in the two lanes of an XMM register, and this
+// The amd64 bodies of the k-wide product and of the run product:
+// rowkernel_amd64.s walks a block of rows, with one column pair in the two
+// lanes of an XMM register or one row's runs two entries per load, and this
 // file is everything Go has to do around it — the shape checks the assembly
 // relies on, the pairing of the active columns and the panic for a row the
 // assembly would not finish.
@@ -13,6 +14,12 @@ func mulMatPairF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi, 
 
 //go:noescape
 func mulMatPairF32(rowPtr, colIdx []int, val []float32, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
+
+//go:noescape
+func mulVecRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v int) int
+
+//go:noescape
+func mulVecRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v int) int
 
 func cpuHasSSE3() bool
 
@@ -80,4 +87,49 @@ func badRow[V Value](rowPtr, colIdx []int, val []V, x, y []float64, k int, cols 
 		panic(fmt.Sprintf("sparse: k-wide product, row %d: %v", i, r))
 	}()
 	mulMatRowsGo(rowPtr, colIdx, val, x, y, k, cols, i, i+1)
+}
+
+// mulVecRuns computes y[i] = (row i)·x for the rows [lo, hi), walking the
+// runs of r, one row block per call into the assembly; row b's values start
+// at rowPtr[b]. It panics, with the row named, on run pointers that run
+// backwards or past the index and on a run that leaves x or the values.
+func mulVecRuns[V Value](r *RunIndex, rowPtr, _ []int, val []V, x, y []float64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	if fit := min(len(r.ptr), len(rowPtr), len(y)+1) - 1; lo < 0 || hi > fit {
+		panic(fmt.Sprintf("sparse: run product of rows [%d, %d): the run index, RowPtr and y end at row %d", lo, hi, fit))
+	}
+	for b := lo; b < hi; b += rowBlock {
+		e := min(b+rowBlock, hi)
+		v := rowPtr[b]
+		if v < 0 || v > len(val) {
+			panic(fmt.Sprintf("sparse: run product, row %d: RowPtr %d outside the %d values", b, v, len(val)))
+		}
+		var done int
+		switch vs := any(val).(type) {
+		case []float64:
+			done = mulVecRunsF64(r.ptr, r.runs, vs, x, y, b, e, v)
+		case []float32:
+			done = mulVecRunsF32(r.ptr, r.runs, vs, x, y, b, e, v)
+		}
+		if done < e {
+			badRunRow(r, len(x), done)
+		}
+	}
+}
+
+// badRunRow panics on row i, whose runs the assembly refused, saying what is
+// wrong with them.
+func badRunRow(r *RunIndex, xrows, i int) {
+	p, q := r.ptr[i], r.ptr[i+1]
+	if p < 0 || p > q || q > len(r.runs)/2 {
+		panic(fmt.Sprintf("sparse: run product, row %d: runs [%d, %d) run backwards or past the %d indexed", i, p, q, len(r.runs)/2))
+	}
+	for t := p; t < q; t++ {
+		if s, n := r.runs[2*t], r.runs[2*t+1]; s < 0 || s >= xrows || n < 0 || n > xrows-s {
+			panic(fmt.Sprintf("sparse: run product, row %d: a run of %d from column %d leaves x (%d entries)", i, n, s, xrows))
+		}
+	}
+	panic(fmt.Sprintf("sparse: run product, row %d: a run reads past the values", i))
 }

@@ -1,5 +1,10 @@
 #include "textflag.h"
 
+// The two product kernels that have an amd64 body: the k-wide one of
+// rowkernel.go with a column pair in the two lanes of an XMM register
+// (mulMatPair*), and the 1-wide one of runs.go that walks a row's runs of
+// consecutive columns two entries per load (mulVecRuns*).
+
 // The k-wide product kernel of rowkernel.go with a column pair in the two
 // lanes of one XMM register. For the rows [lo, hi) of a CSR matrix it writes
 //
@@ -90,6 +95,116 @@ done: \
 	MOVQ	AX, ret+168(FP); \
 	RET
 
+// The run product of runs.go. For the rows [lo, hi) it writes
+//
+//	y[i] = Σ over row i's runs (s, n) of Σ_{j<n} val[v+j]·x[s+j], v advancing
+//
+// one run at a time in entry order, from the v the wrapper passes. Per run
+// it loads the start and the length once; the entries go two at a time —
+// MOVUPD of two x values, the two values (MOVUPD, or CVTPS2PD widening two
+// float32s), MULPD, then ADDSD the low lane, UNPCKHPD, ADDSD the high lane —
+// and a run of 8, one 64-byte line of x, is fully unrolled. The sum adds its
+// terms left to right in entry order and MULPD rounds per lane as MULSD
+// does, so y[i] holds RowDot's bits. Everything is SSE2.
+//
+// Safety is checked per row and per run with unsigned compares: the row's
+// run pointers ascending and inside the index, a run's start below xrows
+// (len(x)), its length at most xrows − start and at most the values left.
+// A refused row is not written and its number is returned for the Go wrapper
+// to panic on; hi is returned when every row is done. The wrapper has
+// checked that runPtr holds hi+1 entries, that y holds hi and that
+// 0 ≤ v ≤ len(val).
+//
+// Registers: R8 runPtr, R9 runs, R10 runs stored, DI &val[v], R11 values
+// left, DX x, R12 xrows, BX y, AX i, R13 run (byte offset), R14 end of the
+// row's runs, R15 run start, SI entries left in the run, CX &x[start], X2
+// the sum.
+
+#define PAIR64(o) MOVUPD o(DI), X0; MOVUPD o(CX), X1; MULPD X1, X0; ADDSD X0, X2; UNPCKHPD X0, X0; ADDSD X0, X2
+#define PAIR32(xo, vo) CVTPS2PD vo(DI), X0; MOVUPD xo(CX), X1; MULPD X1, X0; ADDSD X0, X2; UNPCKHPD X0, X0; ADDSD X0, X2
+#define STEP64 PAIR64(0)
+#define STEP32 PAIR32(0, 0)
+#define RUN8x64 PAIR64(0); PAIR64(16); PAIR64(32); PAIR64(48)
+#define RUN8x32 PAIR32(0, 0); PAIR32(16, 8); PAIR32(32, 16); PAIR32(48, 24)
+#define LAST64 MOVSD (DI), X0; MOVSD (CX), X1; MULSD X1, X0; ADDSD X0, X2
+#define LAST32 MOVSS (DI), X0; CVTSS2SD X0, X0; MOVSD (CX), X1; MULSD X1, X0; ADDSD X0, X2
+
+#define RUNKERNEL(STEP, RUN8, LAST, VSIZE) \
+	MOVQ	runPtr_base+0(FP), R8; \
+	MOVQ	runs_base+24(FP), R9; \
+	MOVQ	runs_len+32(FP), R10; \
+	SHRQ	$1, R10; \
+	MOVQ	val_base+48(FP), DI; \
+	MOVQ	val_len+56(FP), R11; \
+	MOVQ	v+136(FP), AX; \
+	SUBQ	AX, R11; \
+	LEAQ	(DI)(AX*VSIZE), DI; \
+	MOVQ	x_base+72(FP), DX; \
+	MOVQ	x_len+80(FP), R12; \
+	MOVQ	y_base+96(FP), BX; \
+	MOVQ	lo+120(FP), AX; \
+	PCALIGN	$32; \
+row: \
+	CMPQ	AX, hi+128(FP); \
+	JGE	done; \
+	MOVQ	(R8)(AX*8), R13; \
+	MOVQ	8(R8)(AX*8), R14; \
+	CMPQ	R13, R14; \
+	JHI	done; \
+	CMPQ	R14, R10; \
+	JHI	done; \
+	XORPS	X2, X2; \
+	SHLQ	$4, R13; \
+	SHLQ	$4, R14; \
+	CMPQ	R13, R14; \
+	JEQ	store; \
+	PCALIGN	$32; \
+run: \
+	MOVQ	(R9)(R13*1), R15; \
+	MOVQ	8(R9)(R13*1), SI; \
+	CMPQ	R15, R12; \
+	JCC	done; \
+	MOVQ	R12, CX; \
+	SUBQ	R15, CX; \
+	CMPQ	SI, CX; \
+	JHI	done; \
+	CMPQ	SI, R11; \
+	JHI	done; \
+	SUBQ	SI, R11; \
+	LEAQ	(DX)(R15*8), CX; \
+	CMPQ	SI, $8; \
+	JNE	pairs; \
+	RUN8; \
+	ADDQ	$(8*VSIZE), DI; \
+	JMP	next; \
+pairs: \
+	CMPQ	SI, $2; \
+	JCS	last; \
+	PCALIGN	$32; \
+pair: \
+	STEP; \
+	ADDQ	$16, CX; \
+	ADDQ	$(2*VSIZE), DI; \
+	SUBQ	$2, SI; \
+	CMPQ	SI, $2; \
+	JCC	pair; \
+last: \
+	TESTQ	SI, SI; \
+	JEQ	next; \
+	LAST; \
+	ADDQ	$VSIZE, DI; \
+next: \
+	ADDQ	$16, R13; \
+	CMPQ	R13, R14; \
+	JNE	run; \
+store: \
+	MOVSD	X2, (BX)(AX*8); \
+	INCQ	AX; \
+	JMP	row; \
+done: \
+	MOVQ	AX, ret+144(FP); \
+	RET
+
 // func mulMatPairF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
 TEXT ·mulMatPairF64(SB), NOSPLIT, $0-176
 	PAIRKERNEL(LOADV64)
@@ -97,6 +212,14 @@ TEXT ·mulMatPairF64(SB), NOSPLIT, $0-176
 // func mulMatPairF32(rowPtr, colIdx []int, val []float32, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
 TEXT ·mulMatPairF32(SB), NOSPLIT, $0-176
 	PAIRKERNEL(LOADV32)
+
+// func mulVecRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v int) int
+TEXT ·mulVecRunsF64(SB), NOSPLIT, $0-152
+	RUNKERNEL(STEP64, RUN8x64, LAST64, 8)
+
+// func mulVecRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v int) int
+TEXT ·mulVecRunsF32(SB), NOSPLIT, $0-152
+	RUNKERNEL(STEP32, RUN8x32, LAST32, 4)
 
 // func cpuHasSSE3() bool
 TEXT ·cpuHasSSE3(SB), NOSPLIT, $0-1

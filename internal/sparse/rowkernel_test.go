@@ -161,6 +161,7 @@ func checkKernels(t *testing.T, rng *rand.Rand, name string, m *sparse.CSR) {
 			got = filled(m.Rows)
 			m32.MulVec(x, got)
 			requireSame(t, name+" CSR32.MulVec", got, want)
+			checkRuns(t, name, m, m32, x)
 		}
 		for _, cols := range masks(rng, k) {
 			at := fmt.Sprintf("%s k=%d cols=%v ", name, k, cols)
@@ -191,6 +192,88 @@ func checkKernels(t *testing.T, rng *rand.Rand, name string, m *sparse.CSR) {
 			requireSameBits(t, at+"CSR32 portable body", got, want)
 		}
 	}
+}
+
+// checkRuns holds the run product of m and m32 to RowDot row by row, bit
+// for bit, on the run index whatever its runs save, and checks that
+// IndexRuns keeps an index exactly when 2·runs < nnz.
+func checkRuns(t *testing.T, name string, m *sparse.CSR, m32 *sparse.CSR32, x []float64) {
+	t.Helper()
+	r := sparse.AllRuns(m.RowPtr, m.ColIdx)
+	ptr, runs := r.Lists()
+	if kept := sparse.IndexRuns(m.RowPtr, m.ColIdx) != nil; kept != (len(runs) < m.NNZ()) {
+		t.Fatalf("%s: %d runs over %d entries, IndexRuns kept an index: %v", name, len(runs)/2, m.NNZ(), kept)
+	}
+	for i := 0; i < m.Rows; i++ {
+		e := m.RowPtr[i]
+		for q := ptr[i]; q < ptr[i+1]; q++ {
+			for j := 0; j < runs[2*q+1]; j++ {
+				if m.ColIdx[e] != runs[2*q]+j {
+					t.Fatalf("%s: row %d entry %d is column %d, its run says %d", name, i, e, m.ColIdx[e], runs[2*q]+j)
+				}
+				e++
+			}
+		}
+		if e != m.RowPtr[i+1] {
+			t.Fatalf("%s: row %d's runs cover %d of its %d entries", name, i, e-m.RowPtr[i], m.RowNNZ(i))
+		}
+	}
+	want, want32 := make([]float64, m.Rows), make([]float64, m.Rows)
+	for i := range want {
+		s, e := m.RowPtr[i], m.RowPtr[i+1]
+		want[i] = sparse.RowDot(m.ColIdx[s:e], m.Val[s:e], x)
+		want32[i] = sparse.RowDot(m32.ColIdx[s:e], m32.Val[s:e], x)
+	}
+	got := filled(m.Rows)
+	m.MulVecRuns(r, x, got)
+	requireSameBits(t, name+" MulVecRuns", got, want)
+	got = filled(m.Rows)
+	m32.MulVecRuns(r, x, got)
+	requireSameBits(t, name+" CSR32.MulVecRuns", got, want32)
+}
+
+// runsCSR builds a matrix of cols columns whose rows are the given runs
+// (start, length pairs; a row without runs is empty), with random values.
+func runsCSR(rng *rand.Rand, cols int, rows ...[]int) *sparse.CSR {
+	m := &sparse.CSR{Rows: len(rows), Cols: cols, RowPtr: []int{0}}
+	for _, runs := range rows {
+		for q := 0; q < len(runs); q += 2 {
+			for j := 0; j < runs[q+1]; j++ {
+				m.ColIdx = append(m.ColIdx, runs[q]+j)
+				m.Val = append(m.Val, rng.NormFloat64())
+			}
+		}
+		m.RowPtr = append(m.RowPtr, len(m.ColIdx))
+	}
+	return m
+}
+
+// TestRunProductShapes puts the run product through the shapes its
+// assembly tells apart: runs of every length from 1 to 9 and longer ones
+// (the unrolled run of 8, the pair loop, an odd last entry), empty rows
+// between and after full ones, a run ending on the last column of x, and
+// runs over halo slots — columns past a rank's local ones, here 30 local and
+// 10 halo, with one run crossing from the local block into the halo.
+func TestRunProductShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var rows [][]int
+	for n := 1; n <= 20; n++ {
+		rows = append(rows, []int{0, n}, nil, []int{40 - n, n})
+	}
+	rows = append(rows,
+		[]int{0, 1, 2, 8, 11, 3, 15, 9, 25, 2},
+		[]int{27, 6, 35, 5},
+		[]int{30, 8, 39, 1},
+		[]int{0, 8, 9, 8, 18, 8, 27, 8},
+		nil, nil)
+	m := runsCSR(rng, 40, rows...)
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if sparse.IndexRuns(m.RowPtr, m.ColIdx) == nil {
+		t.Fatal("a pattern of long runs got no run index")
+	}
+	checkKernels(t, rng, "runs", m)
 }
 
 // TestRowKernelsMatchIndexedLoops pins the kernels to the loops they
@@ -240,6 +323,9 @@ func FuzzRowKernels(f *testing.F) {
 	f.Add(uint8(3), uint8(1), []byte{0, 1, 1, 2}, []byte{0, 0}, int64(3))          // one column
 	f.Add(uint8(0), uint8(0), []byte{0}, []byte{}, int64(4))
 	f.Add(uint8(3), uint8(7), []byte{0, 0, 7, 7}, []byte{0, 1, 2, 3, 4, 5, 6}, int64(5)) // a full row between empty ones
+	f.Add(uint8(4), uint8(15), []byte{0, 9, 17, 17, 32},                                 // runs of 9, 8 and 15, the last ending on x's last column
+		[]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 5, 6, 7, 8, 9, 10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, int64(6))
+	f.Add(uint8(2), uint8(12), []byte{0, 7, 12}, []byte{0, 2, 3, 5, 6, 7, 11, 1, 2, 3, 9, 10}, int64(7)) // runs of 1, 2 and 3
 	f.Fuzz(func(t *testing.T, rows, cols uint8, rowPtrB, colIdxB []byte, seed int64) {
 		m := &sparse.CSR{Rows: int(rows % 16), Cols: int(cols % 16),
 			RowPtr: make([]int, len(rowPtrB)), ColIdx: make([]int, len(colIdxB)), Val: make([]float64, len(colIdxB))}

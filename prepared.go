@@ -418,9 +418,10 @@ func (p *Prepared) PctNNZIncrease() float64 { return p.pct }
 func (p *Prepared) Options() Options { return p.setupOpt }
 
 // SizeBytes estimates the memory the prepared system keeps alive — the
-// localized matrix and factors, the halo schedules, and the analysed
-// structure behind them — for cache byte-budget accounting. Every array the
-// system references counts in full, whether or not a system it was
+// localized matrix and factors with their run indexes, the halo schedules,
+// and the analysed structure behind them — for cache byte-budget
+// accounting. Every array the system references counts in full, whether or
+// not a system it was
 // refactored from (or one refactored from it) references it too: a cache
 // that sums SizeBytes over such systems charges their shared structure once
 // per system, so its budget stays an upper bound on what they hold. Small
@@ -451,7 +452,7 @@ func (p *Prepared) operatorBytes() int64 {
 			if h == nil {
 				continue
 			}
-			words := len(h.LZ.M.RowPtr) + len(h.LZ.M.ColIdx) + len(h.LZ.M.Val) + len(h.LZ.Halo)
+			words := len(h.LZ.M.RowPtr) + len(h.LZ.M.ColIdx) + len(h.LZ.M.Val) + len(h.LZ.Halo) + h.LZ.Runs().Words()
 			// A schedule costs its index lists plus one peer id per non-empty list.
 			for _, lists := range [][][]int{h.Send, h.Recv} {
 				for _, l := range lists {

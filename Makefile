@@ -20,18 +20,22 @@ all: tier1
 # fails if the per-solve process spawn comes back beside the resident mesh:
 # internal/mprun starts worker processes in one place (exec.Command once, in
 # Start) and has no Launch. The analyse step fails if pattern-only set-up work
-# gets a second way in beside the analyse phase: in the library (tests,
-# internal/experiments, the cmd tools and the examples apart) the partitioners
-# are named in fsaicomm.go alone and partitionRows is called once, from
-# distribute; ExtendPattern is called once outside extend.go (its home, where
-# ExtendPatternSerial wraps it for the cachelines example), from
-# analysePattern. The setup step fails if a second set-up path comes back
-# beside core.Analyse + Symbolic.Factor, which every build runs on a world of
-# as many ranks as the solve (one for a one-process solve): a non-test file
-# of internal/mprun that imports internal/core (the rank job adopts
-# operators, it never builds them), or non-test internal/core that calls a
-# serial builder (fsai.BuildWorkers, fsai.RebuildWorkers,
-# fsai.PowerPatternWorkers or spai.Build).
+# gets a second way in beside the analyse phase: in the library (tests, the
+# cmd tools and the examples apart) ExtendPattern is called once outside
+# extend.go (its home, where ExtendPatternSerial wraps it for the cachelines
+# example), from analysePattern; and, internal/experiments apart (its Runner
+# partitions with the spec ID as seed), the partitioners are named in
+# fsaicomm.go alone and partitionRows is called once, from distribute. The
+# setup step fails if a second set-up path comes back beside core.Analyse +
+# Symbolic.Factor, which every build runs on a world of as many ranks as the
+# solve (one for a one-process solve): a non-test file of internal/mprun that
+# imports internal/core (the rank job adopts operators, it never builds
+# them), non-test internal/core that calls a serial builder
+# (fsai.BuildWorkers, fsai.RebuildWorkers, fsai.PowerPatternWorkers or
+# spai.Build), or non-test internal/experiments that builds or solves by hand
+# (an fsai builder, core.ExtendPattern, core.FilterRebuild,
+# distmat.TransposeDist, distmat.NewOp or a krylov.Dist* loop): the paper's
+# tables build with core.BuildPrecond and solve with mprun.RunJob.
 # The wire step fails if a second data path comes back beside the rings:
 # non-test internal/tcpmpi has no per-peer reader (readLoop, bufio) and writes
 # three things to a socket — a doorbell byte, the hello and the ring file's
@@ -66,19 +70,21 @@ tier1:
 		launch="$$(grep -nE '^func (\([^)]*\) )?Launch\(' $$src)"; \
 		if [ "$$(echo "$$spawns" | grep -c .)" -gt 1 ] || [ -n "$$launch" ]; then \
 			echo "a second way to spawn rank workers is back in internal/mprun:"; echo "$$spawns"; echo "$$launch"; exit 1; fi
-	@lib="$$(find . -name '*.go' -not -name '*_test.go' -not -path './internal/experiments/*' -not -path './internal/partition/*' \
-			-not -path './cmd/*' -not -path './examples/*' -not -path './benchmark/*')"; \
-		parts="$$(grep -lE '[^.A-Za-z]partition\.[A-Z]' $$lib)"; \
-		rows="$$(grep -nE '[^A-Za-z]partitionRows\(' $$lib | grep -v 'func partitionRows(')"; \
+	@lib="$$(find . -name '*.go' -not -name '*_test.go' -not -path './cmd/*' -not -path './examples/*' -not -path './benchmark/*')"; \
+		nopart="$$(echo "$$lib" | grep -vE '^\./internal/(experiments|partition)/')"; \
+		parts="$$(grep -lE '[^.A-Za-z]partition\.[A-Z]' $$nopart)"; \
+		rows="$$(grep -nE '[^A-Za-z]partitionRows\(' $$nopart | grep -v 'func partitionRows(')"; \
 		ext="$$(grep -nE '[^A-Za-z]ExtendPattern\(' $$lib | grep -vE '^\./internal/core/extend\.go:|^[^:]*:[0-9]*:[[:space:]]*//')"; \
 		if [ "$$parts" != "./fsaicomm.go" ] || [ "$$(echo "$$rows" | grep -c .)" -ne 1 ] || [ "$$(echo "$$ext" | grep -c .)" -ne 1 ]; then \
 			echo "partitioning or pattern extension has a call site beside the analyse phase:"; \
 			echo "$$parts"; echo "$$rows"; echo "$$ext"; exit 1; fi
 	@builds="$$(grep -l '"fsaicomm/internal/core"' $$(ls internal/mprun/*.go | grep -v _test.go); \
 		grep -nE '(fsai\.(BuildWorkers|RebuildWorkers|PowerPatternWorkers)|spai\.Build)\(' $$(ls internal/core/*.go | grep -v _test.go) \
-			| grep -v '^[^:]*:[0-9]*:[[:space:]]*//')"; \
+			| grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; \
+		grep -nE '(fsai\.[A-Za-z]*Build[A-Za-z]*|core\.(ExtendPattern|FilterRebuild)|distmat\.(TransposeDist|NewOp)[A-Za-z]*|krylov\.Dist[A-Za-z]*)\(' \
+			$$(ls internal/experiments/*.go | grep -v _test.go) | grep -v '^[^:]*:[0-9]*:[[:space:]]*//')"; \
 		if [ -n "$$builds" ]; then \
-			echo "a second set-up path is back (every build is core.Analyse + Symbolic.Factor; the rank job adopts):"; \
+			echo "a second set-up path is back (every build is core.Analyse + Symbolic.Factor; the rank job adopts and solves):"; \
 			echo "$$builds"; exit 1; fi
 	@src="$$(ls internal/tcpmpi/*.go | grep -v _test.go)"; \
 		readers="$$(grep -nE 'readLoop|"bufio"' $$src)"; \

@@ -32,7 +32,6 @@ import (
 
 	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/core"
-	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/matgen"
 	"fsaicomm/internal/mprun"
@@ -457,11 +456,17 @@ func buildConfig(opt Options) core.Config {
 
 // solveParams is the solve half: what a rank job needs to run the Krylov
 // loop on the operators it adopts, with the node grouping resolved against
-// the rank count.
+// the rank count and the architecture profile resolved by name.
 func solveParams(opt Options, ranks int) (mprun.SolveParams, error) {
 	topo, err := resolveTopology(ranks, opt.Nodes, opt.RanksPerNode)
 	if err != nil {
 		return mprun.SolveParams{}, err
+	}
+	prof := archmodel.Skylake
+	if opt.Arch != "" {
+		if prof, err = archmodel.ByName(opt.Arch); err != nil {
+			return mprun.SolveParams{}, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+		}
 	}
 	return mprun.SolveParams{
 		Solver:               opt.Solver,
@@ -471,7 +476,7 @@ func solveParams(opt Options, ranks int) (mprun.SolveParams, error) {
 		Variant:              opt.CGVariant,
 		Trace:                opt.Trace,
 		ResidualReplaceEvery: opt.ResidualReplaceEvery,
-		Arch:                 opt.Arch,
+		Profile:              prof,
 		Precision:            opt.Precision,
 		Nodes:                topo.Nodes,
 		RanksPerNode:         topo.RanksPerNode,
@@ -798,7 +803,7 @@ type rankFold struct {
 	comm     simmpi.Snapshot
 	waits    simmpi.Waits
 	x        [][]float64
-	costs    []experiments.IterCostInputs
+	costs    []mprun.IterCostInputs
 	sp       mprun.SolveParams
 	pct, imb float64
 }
@@ -809,7 +814,7 @@ type rankFold struct {
 // across transports. k is the number of interleaved solution columns.
 func foldOutcomes(outs []*mprun.RankOutcome, oldToNew []int, k int, sp mprun.SolveParams) (*rankFold, error) {
 	n := len(oldToNew)
-	f := &rankFold{x: make([][]float64, k), costs: make([]experiments.IterCostInputs, len(outs)), sp: sp}
+	f := &rankFold{x: make([][]float64, k), costs: make([]mprun.IterCostInputs, len(outs)), sp: sp}
 	px := make([]float64, n*k)
 	for r, out := range outs {
 		if out == nil {
@@ -854,10 +859,6 @@ func (f *rankFold) err() error {
 
 // result assembles the caller-facing Result of a scalar solve.
 func (f *rankFold) result() (*Result, error) {
-	prof, err := mprun.ProfileFor(f.sp.Arch)
-	if err != nil {
-		return nil, fmt.Errorf("fsaicomm: %w", err)
-	}
 	root := f.root
 	res := &Result{
 		X:                 f.x[0],
@@ -883,8 +884,8 @@ func (f *rankFold) result() (*Result, error) {
 	if res.Iterations > 0 {
 		res.CommBytesPerIteration = float64(res.CommBytes) / float64(res.Iterations)
 	}
-	res.ModeledSolveTime = experiments.ModeledSolveTime(prof, f.sp.Variant, res.Iterations, f.costs)
-	res.Phases = experiments.ModeledPhases(prof, f.sp.Variant, res.Iterations, f.costs)
+	res.ModeledSolveTime = mprun.ModeledSolveTime(f.sp.Profile, f.sp.Variant, res.Iterations, f.costs)
+	res.Phases = mprun.ModeledPhases(f.sp.Profile, f.sp.Variant, res.Iterations, f.costs)
 	return res, f.err()
 }
 

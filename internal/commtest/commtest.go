@@ -193,7 +193,7 @@ func cases() []conformanceCase {
 			},
 			check: func(t *testing.T, m *simmpi.Meter, err error) {
 				wantOK(t, m, err)
-				if n := m.TotalP2PMessages(); n != 0 {
+				if n := m.Snapshot().P2PMessages; n != 0 {
 					t.Fatalf("self-sends metered: %d messages", n)
 				}
 			},
@@ -476,8 +476,8 @@ func cases() []conformanceCase {
 				if got := m.TotalP2PBytes(); got != 48 {
 					t.Errorf("TotalP2PBytes = %d, want 48", got)
 				}
-				if got := m.TotalP2PMessages(); got != 3 {
-					t.Errorf("TotalP2PMessages = %d, want 3", got)
+				if got := m.Snapshot().P2PMessages; got != 3 {
+					t.Errorf("Snapshot().P2PMessages = %d, want 3", got)
 				}
 				if got := m.PairBytes(0, 1); got != 24 {
 					t.Errorf("PairBytes(0,1) = %d, want 24", got)
@@ -485,11 +485,11 @@ func cases() []conformanceCase {
 				if got := m.PairBytes(1, 2); got != 16 {
 					t.Errorf("PairBytes(1,2) = %d, want 16", got)
 				}
-				if got := m.TotalCollectiveCalls(); got != 9 {
-					t.Errorf("TotalCollectiveCalls = %d, want 9", got)
+				if got := m.Snapshot().CollectiveCalls; got != 9 {
+					t.Errorf("Snapshot().CollectiveCalls = %d, want 9", got)
 				}
-				if got := m.TotalCollectiveBytes(); got != 72 {
-					t.Errorf("TotalCollectiveBytes = %d, want 72", got)
+				if got := m.Snapshot().CollectiveBytes; got != 72 {
+					t.Errorf("Snapshot().CollectiveBytes = %d, want 72", got)
 				}
 				ns := m.NeighborSets()
 				if len(ns[0]) != 2 || ns[0][0] != 1 || ns[0][1] != 2 ||

@@ -631,7 +631,7 @@ func TestVerifyCommInvarianceDetectsNaive(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		g, err := fsai.BuildDistWorkers(c, l, aRows, naive, 1)
+		g, _, err := fsai.RebuildDistWorkers(c, l, aRows, nil, naive, 1)
 		if err != nil {
 			return err
 		}

@@ -30,7 +30,7 @@ func sameBits(got, want *sparse.CSR) error {
 // TestFilterRebuildEqualsFromScratch: for every filter and strategy the
 // factor FilterRebuild returns — rows copied from the extended-pattern
 // factor where the filter left the pattern alone, solved elsewhere — is bit
-// for bit the factor BuildDistWorkers computes from scratch on the filtered
+// for bit the factor RebuildDistWorkers computes from scratch on the filtered
 // pattern, and the reused/solved counts add up. At filter 0 nothing is
 // solved twice; at 0.5 something is.
 func TestFilterRebuildEqualsFromScratch(t *testing.T) {
@@ -50,7 +50,7 @@ func TestFilterRebuildEqualsFromScratch(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				gExt, err := fsai.BuildDistWorkers(c, l, aRows, ext, 1)
+				gExt, _, err := fsai.RebuildDistWorkers(c, l, aRows, nil, ext, 1)
 				if err != nil {
 					return err
 				}
@@ -66,7 +66,7 @@ func TestFilterRebuildEqualsFromScratch(t *testing.T) {
 				if f != st.FilterUsed {
 					return fmt.Errorf("rank %d: FilterUsed %g, want %g", c.Rank(), st.FilterUsed, f)
 				}
-				want, err := fsai.BuildDistWorkers(c, l, aRows, fsai.FilterDist(gExt, lo, hi, f, s.Pattern), 1)
+				want, _, err := fsai.RebuildDistWorkers(c, l, aRows, nil, fsai.FilterDist(gExt, lo, hi, f, s.Pattern), 1)
 				if err != nil {
 					return err
 				}
@@ -114,7 +114,7 @@ func TestFilterRebuildAtZeroMovesNoRows(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		gExt, err := fsai.BuildDistWorkers(c, l, aRows, ext, 1)
+		gExt, _, err := fsai.RebuildDistWorkers(c, l, aRows, nil, ext, 1)
 		if err != nil {
 			return err
 		}

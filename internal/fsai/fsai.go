@@ -181,26 +181,17 @@ func (d *DistRows) Validate() error {
 	return nil
 }
 
-// BuildDistWorkers computes this rank's rows of the FSAI factor G on the
-// distributed pattern s. aRows holds the rank's rows of A (global columns);
-// rows of A required for halo columns of s are gathered from their owners
-// (setup-phase communication). Collective. workers is the per-rank worker
-// count for the local row solves (<= 0 selects GOMAXPROCS). This is the hybrid
-// MPI+threads layer of the paper's setup: communication (the halo row
-// gather) stays on the rank goroutine; only the embarrassingly parallel row
-// loop fans out. Results are bit-identical for every worker count.
-func BuildDistWorkers(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, s *DistRows, workers int) (*sparse.CSR, error) {
-	g, _, err := RebuildDistWorkers(c, l, aRows, nil, s, workers)
-	return g, err
-}
-
 // RebuildDistWorkers is the distributed RebuildWorkers: this rank's rows of
 // the factor on pattern s, copying from prev (this rank's rows of a factor
 // of the same matrix on another pattern, or nil) every row whose pattern is
-// unchanged and solving the rest. Only the rows that are solved contribute
-// to the halo row gather, so a rank that copies everything fetches nothing —
-// but it still takes part in the gather, which is collective: ranks may
-// differ in how many rows they copy. It also returns the copied-row count.
+// unchanged and solving the rest. aRows holds the rank's rows of A (global
+// columns). Only the rows that are solved contribute to the halo row gather,
+// so a rank that copies everything fetches nothing — but it still takes part
+// in the gather, which is collective: ranks may differ in how many rows they
+// copy. It also returns the copied-row count. workers is the per-rank worker
+// count for the local row solves (<= 0 selects GOMAXPROCS): the halo row
+// gather stays on the rank goroutine, only the row loop fans out, and the
+// result is bit-identical for every worker count.
 func RebuildDistWorkers(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, prev *sparse.CSR, s *DistRows, workers int) (*sparse.CSR, int, error) {
 	if err := s.Validate(); err != nil {
 		return nil, 0, err
@@ -232,9 +223,9 @@ func RemoteColumns(s *DistRows, prev *sparse.CSR) []int {
 	return need
 }
 
-// BuildGathered is BuildDistWorkers on rows of A that are already here: src
-// must serve the rank's block and every row RemoteColumns(s, nil) names. It
-// communicates nothing.
+// BuildGathered is RebuildDistWorkers with no previous factor on rows of A
+// that are already here: src must serve the rank's block and every row
+// RemoteColumns(s, nil) names. It communicates nothing.
 func BuildGathered(src *distmat.GatheredRows, s *DistRows, workers int) (*sparse.CSR, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

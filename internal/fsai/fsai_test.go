@@ -290,7 +290,7 @@ func TestBuildDistMatchesSerial(t *testing.T) {
 			lo, hi := l.Range(c.Rank())
 			aRows := distmat.ExtractLocalRows(a, lo, hi)
 			s := localLowerPattern(aRows, lo)
-			g, err := BuildDistWorkers(c, l, aRows, s, 1)
+			g, _, err := RebuildDistWorkers(c, l, aRows, nil, s, 1)
 			if err != nil {
 				return err
 			}

@@ -110,8 +110,9 @@ func TestPowerPatternWorkersIdentical(t *testing.T) {
 	}
 }
 
-// BuildDistWorkers with per-rank worker pools must match the 1-worker-per-rank
-// build bit-for-bit, across rank counts.
+// The distributed build (RebuildDistWorkers with no previous factor) with
+// per-rank worker pools must match the 1-worker-per-rank build bit-for-bit,
+// across rank counts.
 func TestBuildDistWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := randomSPD(rng, 300)
@@ -123,7 +124,7 @@ func TestBuildDistWorkersBitIdentical(t *testing.T) {
 			_, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
 				lo, hi := l.Range(c.Rank())
 				aRows := distmat.ExtractLocalRows(a, lo, hi)
-				g, err := BuildDistWorkers(c, l, aRows, localLowerPattern(aRows, lo), workers)
+				g, _, err := RebuildDistWorkers(c, l, aRows, nil, localLowerPattern(aRows, lo), workers)
 				if err != nil {
 					return err
 				}
@@ -139,7 +140,7 @@ func TestBuildDistWorkersBitIdentical(t *testing.T) {
 		for _, w := range []int{2, 8} {
 			got := build(w)
 			for r := 0; r < nranks; r++ {
-				identicalCSR(t, "BuildDistWorkers", got[r], want[r])
+				identicalCSR(t, "RebuildDistWorkers", got[r], want[r])
 			}
 		}
 	}

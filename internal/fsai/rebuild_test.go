@@ -49,11 +49,11 @@ func TestRebuildDistMixedReuse(t *testing.T) {
 		if c.Rank()%2 == 1 {
 			prevPattern = wide
 		}
-		prev, err := BuildDistWorkers(c, l, aRows, prevPattern, 1)
+		prev, _, err := RebuildDistWorkers(c, l, aRows, nil, prevPattern, 1)
 		if err != nil {
 			return err
 		}
-		want, err := BuildDistWorkers(c, l, aRows, s, 1)
+		want, _, err := RebuildDistWorkers(c, l, aRows, nil, s, 1)
 		if err != nil {
 			return err
 		}

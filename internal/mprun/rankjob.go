@@ -7,25 +7,16 @@ import (
 
 	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/distmat"
-	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/simmpi"
 )
-
-// ProfileFor resolves a job's cost-model profile name ("" = skylake).
-func ProfileFor(arch string) (archmodel.Profile, error) {
-	if arch == "" {
-		return archmodel.Skylake, nil
-	}
-	return archmodel.ByName(arch)
-}
 
 // rankOps are the operators a solve runs on: a with the factor pair g/gt
 // (CG) or with the explicit inverse m (GMRES). misses is what an earlier job
 // traced on them (nil: not known yet).
 type rankOps struct {
 	a, g, gt, m *distmat.Op
-	misses      *experiments.TracedMisses
+	misses      *TracedMisses
 }
 
 // adopt is step 1 of the job: the rank's operators, under the
@@ -87,7 +78,7 @@ func (ops rankOps) dress(sp SolveParams, k int) (aInner *distmat.Op) {
 // onTrace, when a test sets it, is called once per cache-simulator run.
 var onTrace func()
 
-func traced(m experiments.TracedMisses) experiments.TracedMisses {
+func traced(m TracedMisses) TracedMisses {
 	if onTrace != nil {
 		onTrace()
 	}
@@ -97,20 +88,24 @@ func traced(m experiments.TracedMisses) experiments.TracedMisses {
 // cost is step 2b: the rank's cost-model inputs. The cache simulator walks
 // every stored entry of the operators, so it runs only when no earlier job
 // on them handed its result over.
-func (ops rankOps) cost(prof archmodel.Profile, sp SolveParams, nl, ranks int) experiments.IterCostInputs {
-	var miss experiments.TracedMisses
+func (ops rankOps) cost(sp SolveParams, nl, ranks int) IterCostInputs {
+	prof := sp.Profile
+	if prof == (archmodel.Profile{}) {
+		prof = archmodel.Skylake
+	}
+	var miss TracedMisses
 	switch {
 	case ops.misses != nil:
 		miss = *ops.misses
 	case ops.m != nil:
-		miss = traced(experiments.TraceSPAIMisses(prof, ops.a, ops.m))
+		miss = traced(traceSPAIMisses(prof, ops.a, ops.m))
 	default:
-		miss = traced(experiments.TraceMisses(prof, ops.a, ops.g, ops.gt))
+		miss = traced(traceMisses(prof, ops.a, ops.g, ops.gt))
 	}
 	if ops.m != nil {
-		return experiments.AssembleSPAIGMRESIterCost(miss, ops.a, ops.m, nl, ranks, sp.Restart)
+		return assembleSPAIGMRESIterCost(miss, ops.a, ops.m, nl, ranks, sp.Restart)
 	}
-	return experiments.AssembleIterCost(miss, ops.a, ops.g, ops.gt, nl, ranks, sp.Variant)
+	return assembleIterCost(miss, ops.a, ops.g, ops.gt, nl, ranks, sp.Variant)
 }
 
 // RunJob executes one rank of a distributed solve: adopt the operators,
@@ -121,25 +116,22 @@ func (ops rankOps) cost(prof archmodel.Profile, sp SolveParams, nl, ranks int) e
 // allocates a fresh one); workspaces must never be shared between concurrent
 // solves.
 //
-// ctx must be non-nil and the same "all ranks or none" choice on every rank:
-// the loops poll it through a per-iteration collective verdict, which is
-// itself a collective every rank must enter.
+// ctx must be the same "all ranks or none" choice on every rank: the loops
+// poll a non-nil ctx through a per-iteration collective verdict, which is
+// itself a collective every rank must enter. A nil ctx makes the solve not
+// cancellable, with no verdict collective.
 func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Workspace) (*RankOutcome, error) {
 	rank := c.Rank()
 	if err := job.check(rank, c.Size()); err != nil {
 		return nil, err
 	}
 	sp := job.Solve
-	prof, err := ProfileFor(sp.Arch)
-	if err != nil {
-		return nil, err
-	}
 	lo, hi := job.Layout.Range(rank)
 	out := &RankOutcome{Rank: rank, Lo: lo, Hi: hi}
 	ops := job.adopt(c)
 	aInner := ops.dress(sp, job.K)
 	if job.K == 0 { // the batched results carry no modeled time
-		out.Cost = ops.cost(prof, sp, hi-lo, c.Size())
+		out.Cost = ops.cost(sp, hi-lo, c.Size())
 	}
 
 	if ws == nil {
@@ -154,6 +146,7 @@ func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Worksp
 	t1 := time.Now()
 	xl := make([]float64, len(job.B))
 	var st krylov.Stats
+	var err error
 	// K = 0 takes the scalar view of the k-wide loops (every CG variant,
 	// Stats with a trace), K ≥ 1 the batch entry points (classic and fused,
 	// per-column outcome); one split preconditioner type serves both.

@@ -24,8 +24,8 @@ package mprun
 import (
 	"fmt"
 
+	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/distmat"
-	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/simmpi"
 )
@@ -91,7 +91,7 @@ type Operators struct {
 	// solve's architecture profile; the job then assembles its cost inputs
 	// from it instead of running the cache simulator again. Nil makes the
 	// job trace.
-	Misses *experiments.TracedMisses
+	Misses *TracedMisses
 }
 
 // indexRuns builds the run index of each operator that arrived over the
@@ -130,8 +130,8 @@ type SolveParams struct {
 	Variant              krylov.CGVariant
 	Trace                bool
 	ResidualReplaceEvery int
-	// Arch names the cost-model profile ("" = skylake).
-	Arch string
+	// Profile is the cost-model profile; the zero Profile means skylake.
+	Profile archmodel.Profile
 	// Precision FP32 narrows the factor operators, adds a float32 twin of A
 	// and runs the FP64 iterative-refinement loop around the CG solve.
 	Precision krylov.Precision
@@ -223,7 +223,7 @@ type RankOutcome struct {
 	// scalar jobs).
 	Batch *BatchOutcome
 	// Cost is the rank's modeled per-iteration cost inputs (scalar jobs).
-	Cost experiments.IterCostInputs
+	Cost IterCostInputs
 	// SolveComm is this rank's metered traffic over the job, which adopting
 	// its operators adds nothing to: the solve's. Summed over ranks it gives
 	// the deterministic world totals the differential tests compare bit for

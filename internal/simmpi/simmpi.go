@@ -844,19 +844,6 @@ func (m *Meter) TotalP2PBytes() int64 {
 	return s
 }
 
-// TotalP2PMessages returns the total point-to-point message count.
-func (m *Meter) TotalP2PMessages() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var s int64
-	for i := range m.pairMsgs {
-		for _, n := range m.pairMsgs[i] {
-			s += n
-		}
-	}
-	return s
-}
-
 // PairBytes returns the bytes sent from src to dst.
 func (m *Meter) PairBytes(src, dst int) int64 {
 	m.mu.Lock()
@@ -879,29 +866,6 @@ func (m *Meter) CollectiveCalls(rank int) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.collOps[rank]
-}
-
-// TotalCollectiveCalls returns collective-call counts summed over ranks
-// (each logical collective contributes once per participating rank).
-func (m *Meter) TotalCollectiveCalls() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var s int64
-	for _, n := range m.collOps {
-		s += n
-	}
-	return s
-}
-
-// TotalCollectiveBytes returns collective payload bytes summed over ranks.
-func (m *Meter) TotalCollectiveBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var s int64
-	for _, b := range m.collBytes {
-		s += b
-	}
-	return s
 }
 
 // Snapshot is a point-in-time copy of the meter's aggregate counters.

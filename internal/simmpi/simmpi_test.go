@@ -28,7 +28,7 @@ func TestRunBasicSendRecv(t *testing.T) {
 	if b := w.Meter().PairBytes(0, 1); b != 24 {
 		t.Fatalf("metered %d bytes, want 24", b)
 	}
-	if n := w.Meter().TotalP2PMessages(); n != 1 {
+	if n := w.Meter().Snapshot().P2PMessages; n != 1 {
 		t.Fatalf("metered %d messages, want 1", n)
 	}
 }
@@ -279,7 +279,7 @@ func TestSelfSendLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Loopback traffic crosses no rank boundary and is not metered.
-	if n := w.Meter().TotalP2PMessages(); n != 0 {
+	if n := w.Meter().Snapshot().P2PMessages; n != 0 {
 		t.Fatalf("self-sends metered: %d messages", n)
 	}
 }
@@ -327,7 +327,7 @@ func TestMeterNeighborSetsAndReset(t *testing.T) {
 		t.Fatalf("MaxRankP2PBytes = %d, want 24", got)
 	}
 	w.Meter().Reset()
-	if w.Meter().TotalP2PBytes() != 0 || w.Meter().TotalP2PMessages() != 0 {
+	if w.Meter().TotalP2PBytes() != 0 || w.Meter().Snapshot().P2PMessages != 0 {
 		t.Fatal("Reset did not zero meter")
 	}
 }
@@ -403,10 +403,10 @@ func TestMeterCollectiveCallsAndBytes(t *testing.T) {
 			t.Fatalf("rank %d collective bytes = %d, want 32", r, got)
 		}
 	}
-	if got := m.TotalCollectiveCalls(); got != 3*ranks {
+	if got := m.Snapshot().CollectiveCalls; got != 3*ranks {
 		t.Fatalf("total collective calls = %d, want %d", got, 3*ranks)
 	}
-	if got := m.TotalCollectiveBytes(); got != 32*ranks {
+	if got := m.Snapshot().CollectiveBytes; got != 32*ranks {
 		t.Fatalf("total collective bytes = %d, want %d", got, 32*ranks)
 	}
 }

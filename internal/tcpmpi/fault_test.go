@@ -47,7 +47,7 @@ func TestRunLocalBasicTCPAndUnix(t *testing.T) {
 			if b := m.TotalP2PBytes(); b != 24 {
 				t.Fatalf("p2p bytes = %d, want 24", b)
 			}
-			if n := m.TotalCollectiveCalls(); n != 3 {
+			if n := m.Snapshot().CollectiveCalls; n != 3 {
 				t.Fatalf("collective calls = %d, want 3", n)
 			}
 		})

@@ -75,26 +75,43 @@ func TestOneProcessIsOneRank(t *testing.T) {
 	}
 }
 
-// TestNonFiniteRHSRejectedEverywhere: a NaN or +Inf in a right-hand side is
-// an input error at every solve entry point, returned before the Krylov loop
-// runs: ErrInvalidOptions and no result, never a breakdown at iteration 0.
+// TestNonFiniteRHSRejectedEverywhere: a NaN or +Inf in a right-hand side, and
+// a NaN or negative Tol, a negative MaxIter or Restart in the per-solve
+// options, are input errors at every solve entry point, returned before the
+// Krylov loop runs: ErrInvalidOptions and no result, never a breakdown at
+// iteration 0 or a silent default.
 func TestNonFiniteRHSRejectedEverywhere(t *testing.T) {
 	a := GeneratePoisson2D(8, 8)
 	good := GenerateRHS(a, 1)
-	opt := Options{Ranks: 2}
-	m, err := BuildPreconditioner(a, opt)
+	setup := Options{Ranks: 2}
+	m, err := BuildPreconditioner(a, setup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Prepare(a, opt)
+	p, err := Prepare(a, setup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	ctx := context.Background()
-	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+	withRHS := func(v float64) []float64 {
 		b := append([]float64(nil), good...)
-		b[3] = bad
+		b[3] = v
+		return b
+	}
+	for _, bad := range []struct {
+		name string
+		b    []float64
+		opt  Options
+	}{
+		{"rhs[3] = NaN", withRHS(math.NaN()), setup},
+		{"rhs[3] = +Inf", withRHS(math.Inf(1)), setup},
+		{"Tol NaN", good, Options{Ranks: 2, Tol: math.NaN(), MaxIter: 50}},
+		{"Tol -1", good, Options{Ranks: 2, Tol: -1}},
+		{"MaxIter -5", good, Options{Ranks: 2, MaxIter: -5}},
+		{"Restart -3", good, Options{Ranks: 2, Restart: -3}},
+	} {
+		b, opt, so := bad.b, bad.opt, perSolve(bad.opt)
 		for _, entry := range []struct {
 			name string
 			run  func() (any, error)
@@ -103,21 +120,21 @@ func TestNonFiniteRHSRejectedEverywhere(t *testing.T) {
 			{"SolveDistributed", func() (any, error) { return SolveDistributed(a, b, opt) }},
 			{"SolveBatch", func() (any, error) { return SolveBatch(a, [][]float64{good, b}, opt) }},
 			{"Preconditioner.SolveWith", func() (any, error) { return m.SolveWith(b, opt) }},
-			{"Prepared.Solve", func() (any, error) { return p.Solve(ctx, b, SolveOptions{}) }},
-			{"Prepared.SolveBatch", func() (any, error) { return p.SolveBatch(ctx, [][]float64{good, b}, SolveOptions{}) }},
+			{"Prepared.Solve", func() (any, error) { return p.Solve(ctx, b, so) }},
+			{"Prepared.SolveBatch", func() (any, error) { return p.SolveBatch(ctx, [][]float64{good, b}, so) }},
 		} {
 			res, err := entry.run()
 			if !errors.Is(err, ErrInvalidOptions) {
-				t.Errorf("%s with rhs[3] = %v: error %v, want one wrapping ErrInvalidOptions", entry.name, bad, err)
+				t.Errorf("%s with %s: error %v, want one wrapping ErrInvalidOptions", entry.name, bad.name, err)
 			}
 			switch r := res.(type) {
 			case *Result:
 				if r != nil {
-					t.Errorf("%s with rhs[3] = %v: a result came back with the error", entry.name, bad)
+					t.Errorf("%s with %s: a result came back with the error", entry.name, bad.name)
 				}
 			case *BatchResult:
 				if r != nil {
-					t.Errorf("%s with rhs[3] = %v: a result came back with the error", entry.name, bad)
+					t.Errorf("%s with %s: a result came back with the error", entry.name, bad.name)
 				}
 			}
 		}

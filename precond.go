@@ -117,8 +117,12 @@ func (p *Preconditioner) Apply(r, z []float64) {
 // built preconditioner: CG (the FP64 refinement loop around it for an FP32
 // factor) or GMRES for SPAI. Of opt it reads Tol, MaxIter, Restart (0 keeps
 // the build-time value) and Trace; the set-up fields are ignored, since the
-// preconditioner is fixed.
+// preconditioner is fixed. Per-solve fields that Validate rejects get an
+// ErrInvalidOptions-wrapped error, as at every other entry point.
 func (p *Preconditioner) SolveWith(b []float64, opt Options) (*Result, error) {
+	if err := perSolve(opt).Validate(); err != nil {
+		return nil, err
+	}
 	return p.solve(context.TODO(), b, opt)
 }
 

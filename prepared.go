@@ -10,10 +10,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/core"
 	"fsaicomm/internal/dense"
 	"fsaicomm/internal/distmat"
-	"fsaicomm/internal/experiments"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/mprun"
 	"fsaicomm/internal/simmpi"
@@ -143,7 +143,7 @@ type Prepared struct {
 	// per solve. The misses depend on the operators and the profile alone,
 	// so one entry serves every variant, precision, topology and transport.
 	tracedMu sync.Mutex
-	traced   map[string][]mprun.Operators
+	traced   map[archmodel.Profile][]mprun.Operators
 	// mesh is the resident worker set of "tcp" solves: spawned by the first
 	// one, holding parts from then on, closed by Close. meshMu is held by the
 	// solve running on it; a solve that finds it taken runs on a transient
@@ -505,12 +505,8 @@ func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOpti
 	if err != nil {
 		return nil, err
 	}
-	prof, err := mprun.ProfileFor(sp.Arch)
-	if err != nil {
-		return nil, fmt.Errorf("fsaicomm: %w", err)
-	}
 	p.tracedMu.Lock()
-	held, known := p.traced[prof.Name]
+	held, known := p.traced[sp.Profile]
 	p.tracedMu.Unlock()
 	if !known {
 		held = p.parts
@@ -522,7 +518,7 @@ func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOpti
 	}
 	f.pct, f.imb = p.pct, p.imbalance
 	if !known && k == 0 { // batched jobs assemble no cost inputs
-		p.rememberMisses(prof.Name, f.costs)
+		p.rememberMisses(sp.Profile, f.costs)
 	}
 	return f, nil
 }
@@ -587,7 +583,7 @@ func (p *Prepared) Close() {
 // rememberMisses keeps what the ranks of the first scalar solve under a
 // profile traced. Concurrent first solves may each trace and each land here;
 // they traced the same operators, so whichever is kept holds the same values.
-func (p *Prepared) rememberMisses(profile string, costs []experiments.IterCostInputs) {
+func (p *Prepared) rememberMisses(profile archmodel.Profile, costs []mprun.IterCostInputs) {
 	held := append([]mprun.Operators(nil), p.parts...)
 	for r := range held {
 		m := costs[r].Misses()
@@ -596,7 +592,7 @@ func (p *Prepared) rememberMisses(profile string, costs []experiments.IterCostIn
 	p.tracedMu.Lock()
 	defer p.tracedMu.Unlock()
 	if p.traced == nil {
-		p.traced = make(map[string][]mprun.Operators)
+		p.traced = make(map[archmodel.Profile][]mprun.Operators)
 	}
 	p.traced[profile] = held
 }

@@ -10,7 +10,8 @@ import (
 	"sync"
 	"testing"
 
-	"fsaicomm/internal/experiments"
+	"fsaicomm/internal/archmodel"
+	"fsaicomm/internal/mprun"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -216,7 +217,7 @@ func TestMissMemoChangesNoModeledTime(t *testing.T) {
 				}
 			}
 		}
-		if len(p.traced) != 2 || p.traced["skylake"] == nil || p.traced["a64fx"] == nil {
+		if len(p.traced) != 2 || p.traced[archmodel.Skylake] == nil || p.traced[archmodel.A64FX] == nil {
 			t.Fatalf("%s: %d profiles remembered, want skylake and a64fx", sys.name, len(p.traced))
 		}
 	}
@@ -239,12 +240,12 @@ func TestMissMemoTravelsToWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := p.traced["skylake"]
+	held := p.traced[archmodel.Skylake]
 	if len(held) != 3 {
 		t.Fatalf("a tcp first solve left %d ranks' misses, want 3", len(held))
 	}
 	for r := range held {
-		held[r].Misses = &experiments.TracedMisses{A: 1 << 40, Precond: 1 << 40}
+		held[r].Misses = &mprun.TracedMisses{A: 1 << 40, Precond: 1 << 40}
 	}
 	sim, err := p.Solve(ctx, b, SolveOptions{})
 	if err != nil {

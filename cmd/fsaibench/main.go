@@ -110,8 +110,12 @@ func run(exp, set, archOverride string, workers int, cg string, out io.Writer) e
 			// with cores per process, as in the paper's hybrid sweep. These
 			// runners change both the profile and the rank rule, so they do
 			// not share the per-architecture cache.
+			arch := archmodel.Skylake
+			if override != nil {
+				arch = *override
+			}
 			mk := func(cores int) *experiments.Runner {
-				r := experiments.NewRunner(archmodel.Skylake.WithCoresPerProcess(cores))
+				r := experiments.NewRunner(arch.WithCoresPerProcess(cores))
 				r.RanksOf = func(nnz int) int {
 					return testsets.RanksFor(nnz, 2048*cores, 1, 16)
 				}

@@ -255,6 +255,15 @@ func TestHybridTable(t *testing.T) {
 	if !strings.Contains(buf.String(), "CPU/Process") {
 		t.Fatal("hybrid output incomplete")
 	}
+	// The header names the profile the sweep runs on.
+	buf.Reset()
+	ax := func(cores int) *Runner { return tinyRunner(archmodel.A64FX.WithCoresPerProcess(cores)) }
+	if err := WriteHybrid(&buf, ax, tinySet(), []int{1, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "arch a64fx") {
+		t.Fatalf("hybrid header does not name a64fx:\n%s", buf.String())
+	}
 }
 
 // The per-window breakdown of the modeled solve time reconciles exactly —

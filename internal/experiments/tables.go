@@ -333,13 +333,14 @@ func Hybrid(arch func(cores int) *Runner, set []testsets.Spec, coresList []int) 
 	return out, nil
 }
 
-// WriteHybrid renders Table 4.
+// WriteHybrid renders Table 4. Every runner of the sweep shares one profile
+// but for its cores per process; the header names it.
 func WriteHybrid(w io.Writer, arch func(cores int) *Runner, set []testsets.Spec, coresList []int) error {
 	rows, err := Hybrid(arch, set, coresList)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Hybrid configuration sweep (FSAIE/FSAIE-Comm vs FSAI, best dynamic Filter)")
+	fmt.Fprintf(w, "Hybrid configuration sweep (FSAIE/FSAIE-Comm vs FSAI, best dynamic Filter, arch %s)\n", arch(1).Arch.Name)
 	var cells [][]string
 	for _, h := range rows {
 		cells = append(cells, []string{

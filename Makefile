@@ -170,22 +170,27 @@ tier2:
 bench:
 	$(GO) test -run xxx -bench '50k|PreparedSolve8100' -benchmem .
 
-# bce: keep the bounds checks out of the product kernels. Builds the two
-# packages that inline them with the compiler's check_bce pass, prints every
-# check left in rowkernel.go and fails if one sits on an inner-loop line
-# (marked "// bce:inner" in the source) that is not a gather from x (marked
+# bce: keep the bounds checks out of the kernels' inner loops. Builds the
+# two packages that inline the product kernels and internal/dense, whose
+# packed Cholesky runs the first build's row factorizations, with the
+# compiler's check_bce pass; prints every check left in rowkernel.go and
+# dense.go and fails if one sits on an inner-loop line (marked
+# "// bce:inner" in the source) that is not a gather from x (marked
 # "// bce:inner gather") — the one access per entry whose index is data.
+# The Cholesky has no gather: every check on its four-row loop fails.
 bce:
-	@out="$$($(GO) build -gcflags='-d=ssa/check_bce/debug=1' ./internal/sparse/ ./internal/distmat/ 2>&1)" \
+	@out="$$($(GO) build -gcflags='-d=ssa/check_bce/debug=1' ./internal/sparse/ ./internal/distmat/ ./internal/dense/ 2>&1)" \
 		|| { echo "$$out"; exit 1; }; \
-	echo "$$out" | grep 'rowkernel\.go' | sort -u | awk -F: ' \
-		NR == FNR { if (/bce:inner/) { inner[FNR] = 1; marked++ } if (/bce:inner gather/) gather[FNR] = 1; next } \
-		{ where = "setup"; if (inner[$$2]) where = gather[$$2] ? "gather" : "INNER LOOP"; \
-		  print $$0 "  [" where "]"; if (where == "INNER LOOP") bad++ } \
-		END { if (!marked) { print "bce: no bce:inner lines in rowkernel.go"; exit 1 } \
-		      if (bad) { print "bce: " bad " bounds check(s) inside a product loop"; exit 1 } \
-		      print "bce: " marked " inner-loop lines, only the gathers are checked" }' \
-		internal/sparse/rowkernel.go -
+	for f in internal/sparse/rowkernel.go internal/dense/dense.go; do \
+		echo "$$out" | grep -F "$$f:" | sort -u | awk -F: -v f=$$f ' \
+			NR == FNR { if (/bce:inner/) { inner[FNR] = 1; marked++ } if (/bce:inner gather/) gather[FNR] = 1; next } \
+			{ where = "setup"; if (inner[$$2]) where = gather[$$2] ? "gather" : "INNER LOOP"; \
+			  print $$0 "  [" where "]"; if (where == "INNER LOOP") bad++ } \
+			END { if (!marked) { print "bce: no bce:inner lines in " f; exit 1 } \
+			      if (bad) { print "bce: " bad " bounds check(s) inside an inner loop of " f; exit 1 } \
+			      print "bce: " f ": " marked " inner-loop lines, none checked but a gather" }' \
+			$$f - || exit 1; \
+	done
 
 # trace: emit a sample per-iteration telemetry artifact — the consph-sim
 # catalog instance solved with pipelined CG on 4 ranks, per-iteration
@@ -263,7 +268,8 @@ cover:
 
 # fuzz: short exploration of each sparse-format fuzz target and the product
 # kernels (assembly and portable body against RowDot), the k-wide vector
-# kernels at width 1 and at width 2 against the scalar ones they stand in for, the dense QR least-squares kernel behind SPAI, the three
+# kernels at width 1 and at width 2 against the scalar ones they stand in for, the dense QR least-squares kernel behind SPAI, the packed
+# Cholesky of the first build against its row-major reference, the three
 # decoders of the socket transport that face bytes another process wrote,
 # the /solve request decoder, and two same-pattern uploads set up at once
 # against a live cache (seeds already run under plain `go test`).
@@ -276,6 +282,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBatchKernelsWidth1 -fuzztime 30s ./internal/vecops/
 	$(GO) test -fuzz FuzzBatchKernelsWidth2 -fuzztime 30s ./internal/vecops/
 	$(GO) test -fuzz FuzzQRLeastSquares -fuzztime 30s ./internal/dense/
+	$(GO) test -fuzz FuzzCholeskyPackedFrom -fuzztime 30s ./internal/dense/
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzRing -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzDecodeP2P -fuzztime 30s ./internal/tcpmpi/

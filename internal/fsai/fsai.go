@@ -8,7 +8,9 @@
 // Each row is independent: solve A(S_i,S_i)·y = e_pos(i) and set
 // g_i = y/√y_pos — the textbook recipe that never forms L. Rows are tiny
 // dense SPD systems solved with internal/dense (the paper used MKL/OpenBLAS
-// here).
+// here), by Cholesky on a packed lower triangle that each worker chunk
+// carries from row to row: a row reuses the factor's rows over the leading
+// columns its pattern shares with the last row solved (rowSolver).
 //
 // The distributed build mirrors the paper's MPI implementation: each process
 // owns a block of rows of A and of S; the rows of A needed for halo columns
@@ -95,7 +97,7 @@ func buildRows(src *distmat.GatheredRows, s *sparse.Pattern, lo int, prev *spars
 	var reused atomic.Int64
 	err := parallel.For(workers, s.Rows, func(clo, chi int) error {
 		// Scratch is per chunk: workers never share mutable state.
-		var buf, rhs []float64
+		var rs rowSolver
 		copied := 0
 		for li := clo; li < chi; li++ {
 			cols := s.Row(li)
@@ -109,17 +111,9 @@ func buildRows(src *distmat.GatheredRows, s *sparse.Pattern, lo int, prev *spars
 				copied++
 				continue
 			}
-			m := len(cols)
-			if cap(buf) < m*m {
-				buf = make([]float64, m*m)
-				rhs = make([]float64, m)
-			}
-			sub := buf[:m*m]
-			gatherSub(src, cols, sub)
-			if err := solveRow(lo+li, sub, m, rhs[:m]); err != nil {
+			if err := rs.solve(src, lo+li, cols, out); err != nil {
 				return err
 			}
-			copy(out, rhs[:m])
 		}
 		reused.Add(int64(copied))
 		return nil
@@ -141,13 +135,38 @@ func checkRowPattern(i int, cols []int) error {
 	return nil
 }
 
-// solveRow solves sub·y = e_{m-1} (sub is the SPD restriction, m×m,
-// row-major; the diagonal position of row i is last because the pattern is
-// lower triangular and sorted) and writes the normalized g-row into out.
-func solveRow(i int, sub []float64, m int, out []float64) error {
-	if err := dense.SolveSPDLast(sub, m, out); err != nil {
+// rowSolver solves one worker chunk's rows. It keeps the packed factor of
+// A(last, last), the restriction of the last row it solved; row r of it
+// depends on last[:r+1] alone, so a row whose pattern starts with the same
+// p columns factors rows [p, m) only. Consecutive rows of an extended
+// pattern mostly share all but their last column. The bits are those of a
+// factorization from scratch.
+type rowSolver struct {
+	l, inv []float64 // packed factor of A(last, last) and its inverse pivots
+	last   []int     // the pattern l was factored for; nil if none
+}
+
+// solve writes into out row i of G, whose sorted pattern cols ends at i: it
+// solves A(cols, cols)·y = e_{m-1} — the diagonal comes last because the
+// pattern is lower triangular — and scales y by 1/√y_{m-1}.
+func (rs *rowSolver) solve(src *distmat.GatheredRows, i int, cols []int, out []float64) error {
+	m := len(cols)
+	p := 0
+	for p < len(rs.last) && p < m && rs.last[p] == cols[p] {
+		p++
+	}
+	if need := m * (m + 1) / 2; len(rs.l) < need {
+		rs.l = append(rs.l, make([]float64, need-len(rs.l))...)
+		rs.inv = append(rs.inv, make([]float64, m-len(rs.inv))...)
+	}
+	// A row that fails leaves rows [p, m) half done, of no pattern's factor.
+	rs.last = nil
+	gatherRows(src, cols, p, rs.l)
+	if err := dense.CholeskyPackedFrom(rs.l, rs.inv, p, m); err != nil {
 		return fmt.Errorf("fsai: row %d local system: %w", i, err)
 	}
+	rs.last = cols
+	dense.SolvePackedLast(rs.l, m, out)
 	yd := out[m-1]
 	if yd <= 0 || math.IsNaN(yd) {
 		return fmt.Errorf("fsai: row %d produced non-positive diagonal %g", i, yd)
@@ -157,6 +176,31 @@ func solveRow(i int, sub []float64, m int, out []float64) error {
 		out[k] *= scale
 	}
 	return nil
+}
+
+// gatherRows writes rows [p, m) of the restriction A(cols, cols) into the
+// packed lower triangle l: row r, over columns cols[:r+1], at r(r+1)/2.
+// cols is sorted and so is each row's stored columns, so a merge walk
+// fills row r in O(row nnz + r), with +0 where A stores nothing.
+func gatherRows(src *distmat.GatheredRows, cols []int, p int, l []float64) {
+	o := p * (p + 1) / 2
+	for r := p; r < len(cols); r++ {
+		rc, rv := src.Row(cols[r])
+		row := l[o : o+r+1]
+		a := 0
+		for b, c := range cols[:len(row)] {
+			for a < len(rc) && rc[a] < c {
+				a++
+			}
+			v := 0.0
+			if a < len(rc) && rc[a] == c {
+				v = rv[a]
+				a++
+			}
+			row[b] = v
+		}
+		o += r + 1
+	}
 }
 
 // DistRows is a rank's block of a distributed lower-triangular pattern:
@@ -232,32 +276,6 @@ func BuildGathered(src *distmat.GatheredRows, s *DistRows, workers int) (*sparse
 	}
 	g, _, err := buildRows(src, s.Pattern, s.Lo, nil, workers)
 	return g, err
-}
-
-// gatherSub fills the lower triangle of the dense m×m restriction
-// A(cols, cols) — the part the Cholesky solve reads — and zeroes the rest.
-// cols is sorted; each row's stored columns are sorted, so a merge walk
-// fills each row in O(row nnz + m).
-func gatherSub(src *distmat.GatheredRows, cols []int, sub []float64) {
-	m := len(cols)
-	clear(sub)
-	for ri, gk := range cols {
-		rc, rv := src.Row(gk)
-		row := sub[ri*m : ri*m+ri+1]
-		a, b := 0, 0
-		for a < len(rc) && b < len(row) {
-			switch {
-			case rc[a] < cols[b]:
-				a++
-			case rc[a] > cols[b]:
-				b++
-			default:
-				row[b] = rv[a]
-				a++
-				b++
-			}
-		}
-	}
 }
 
 // FilterDist applies the paper's value filtering to a rank's local rows of

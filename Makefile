@@ -266,7 +266,9 @@ placement:
 cover:
 	$(GO) test -cover ./...
 
-# fuzz: short exploration of each sparse-format fuzz target and the product
+# fuzz: short exploration of each sparse-format fuzz target (the Matrix
+# Market reader twice: its safety, and its bits and errors against the
+# line-by-line reference at one to five chunks) and the product
 # kernels (assembly and portable body against RowDot), the k-wide vector
 # kernels at width 1 and at width 2 against the scalar ones they stand in for, the dense QR least-squares kernel behind SPAI, the packed
 # Cholesky of the first build against its row-major reference, the three
@@ -276,7 +278,8 @@ cover:
 fuzz:
 	$(GO) test -fuzz FuzzCSRValidate -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzCOOToCSR -fuzztime 30s ./internal/sparse/
-	$(GO) test -fuzz FuzzReadMatrixMarket -fuzztime 30s ./internal/sparse/
+	$(GO) test -fuzz '^FuzzReadMatrixMarket$$' -fuzztime 30s ./internal/sparse/
+	$(GO) test -fuzz FuzzReadMatrixMarketMatchesReference -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzCSR32RoundTrip -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzRowKernels -fuzztime 30s ./internal/sparse/
 	$(GO) test -fuzz FuzzBatchKernelsWidth1 -fuzztime 30s ./internal/vecops/

@@ -11,27 +11,35 @@
 // matrix non-zero entries").
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cache is a set-associative cache with LRU replacement. Not safe for
 // concurrent use; the experiments run one instance per simulated process.
 type Cache struct {
-	lineBytes int
-	sets      int
+	lineShift uint   // log₂ of the line size
+	setMask   uint64 // set count − 1
 	ways      int
-	// tags[s] holds the line tags resident in set s, most recently used
-	// last. Length ≤ ways.
-	tags   [][]uint64
+	// tags[s·ways:][:used[s]] are the line tags resident in set s, most
+	// recently used first.
+	tags   []uint64
+	used   []int
 	hits   int64
 	misses int64
 }
 
-// New creates a cache of the given total capacity. capacityBytes must be a
-// multiple of lineBytes*ways, and the resulting set count must be a power of
-// two (hardware-like; the architecture profiles all satisfy this).
+// New creates a cache of the given total capacity. The line size and the
+// resulting set count must be powers of two (hardware-like; the architecture
+// profiles all satisfy this), and capacityBytes a multiple of lineBytes*ways.
 func New(capacityBytes, lineBytes, ways int) (*Cache, error) {
 	if lineBytes <= 0 || ways <= 0 || capacityBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive geometry %d/%d/%d", capacityBytes, lineBytes, ways)
+	}
+	shift := uint(bits.TrailingZeros(uint(lineBytes)))
+	if lineBytes != 1<<shift {
+		return nil, fmt.Errorf("cache: line size %d not a power of two in geometry %d/%d/%d", lineBytes, capacityBytes, lineBytes, ways)
 	}
 	if capacityBytes%(lineBytes*ways) != 0 {
 		return nil, fmt.Errorf("cache: capacity %d not a multiple of line*ways = %d", capacityBytes, lineBytes*ways)
@@ -40,11 +48,8 @@ func New(capacityBytes, lineBytes, ways int) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
-	c := &Cache{lineBytes: lineBytes, sets: sets, ways: ways, tags: make([][]uint64, sets)}
-	for s := range c.tags {
-		c.tags[s] = make([]uint64, 0, ways)
-	}
-	return c, nil
+	return &Cache{lineShift: shift, setMask: uint64(sets - 1), ways: ways,
+		tags: make([]uint64, sets*ways), used: make([]int, sets)}, nil
 }
 
 // MustNew is New that panics on error; for profile-derived geometries that
@@ -58,30 +63,38 @@ func MustNew(capacityBytes, lineBytes, ways int) *Cache {
 }
 
 // LineBytes returns the cache line size in bytes.
-func (c *Cache) LineBytes() int { return c.lineBytes }
+func (c *Cache) LineBytes() int { return 1 << c.lineShift }
 
 // Access touches the byte at addr and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
-	line := addr / uint64(c.lineBytes)
-	set := int(line % uint64(c.sets))
-	ways := c.tags[set]
-	for i, t := range ways {
-		if t == line {
-			// Move to MRU position.
-			copy(ways[i:], ways[i+1:])
-			ways[len(ways)-1] = line
-			c.hits++
-			return true
-		}
+	line := addr >> c.lineShift
+	s := int(line & c.setMask)
+	n := c.used[s]
+	set := c.tags[s*c.ways : s*c.ways+c.ways]
+	if n > 0 && set[0] == line { // a run of one line's entries hits here
+		c.hits++
+		return true
 	}
-	c.misses++
-	if len(ways) == c.ways {
-		copy(ways, ways[1:])
-		ways[len(ways)-1] = line
-	} else {
-		c.tags[set] = append(ways, line)
+	i := 1
+	for i < n && set[i] != line {
+		i++
 	}
-	return false
+	hit := i < n
+	switch {
+	case hit:
+		c.hits++
+	case n < len(set):
+		c.misses++
+		c.used[s], i = n+1, n
+	default:
+		c.misses++
+		i = n - 1 // the least recently used line leaves
+	}
+	for ; i > 0; i-- { // the lines in front of slot i age by one
+		set[i] = set[i-1]
+	}
+	set[0] = line
+	return hit
 }
 
 // Misses returns the accumulated miss count.
@@ -92,8 +105,6 @@ func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 
 // Flush empties the cache and zeroes the counters.
 func (c *Cache) Flush() {
-	for s := range c.tags {
-		c.tags[s] = c.tags[s][:0]
-	}
+	clear(c.used)
 	c.ResetStats()
 }

@@ -2,15 +2,109 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"fsaicomm/internal/sparse"
 )
 
+// refCache is the simulator as it was before its fast path, kept as the
+// reference: two divisions per access, a slice of tags per set with the most
+// recently used last, found by a scan from the least recently used.
+type refCache struct {
+	lineBytes, sets, ways int
+	tags                  [][]uint64
+	hits, misses          int64
+}
+
+func newRefCache(capacityBytes, lineBytes, ways int) *refCache {
+	sets := capacityBytes / (lineBytes * ways)
+	c := &refCache{lineBytes: lineBytes, sets: sets, ways: ways, tags: make([][]uint64, sets)}
+	for s := range c.tags {
+		c.tags[s] = make([]uint64, 0, ways)
+	}
+	return c
+}
+
+func (c *refCache) Access(addr uint64) bool {
+	line := addr / uint64(c.lineBytes)
+	set := int(line % uint64(c.sets))
+	ways := c.tags[set]
+	for i, t := range ways {
+		if t == line {
+			copy(ways[i:], ways[i+1:])
+			ways[len(ways)-1] = line
+			c.hits++
+			return true
+		}
+	}
+	c.misses++
+	if len(ways) == c.ways {
+		copy(ways, ways[1:])
+		ways[len(ways)-1] = line
+	} else {
+		c.tags[set] = append(ways, line)
+	}
+	return false
+}
+
+// resident returns the tags of set s, most recently used first.
+func (c *Cache) resident(s int) []uint64 {
+	return c.tags[s*c.ways : s*c.ways+c.used[s]]
+}
+
+// TestCacheMatchesReference drives the simulator and the reference with the
+// same random addresses — a working set around the capacity, so that hits,
+// refreshes and evictions all happen, with runs on one line as a CSR row
+// makes them, and a flush now and then — under the geometries the
+// architecture profiles give (Skylake and Zen 2 at 1, 8 and 48 cores per
+// process, A64FX at 1 and 12), the cachelines example's, and 1- and 2-way
+// toys. After every access it compares the answer, both counters and the
+// tags resident in the set.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, g := range [][3]int{
+		{32 << 10, 64, 8}, {256 << 10, 64, 8}, {1 << 20, 64, 8},
+		{64 << 10, 256, 4}, {512 << 10, 256, 4},
+		{32 << 10, 64, 4}, {32 << 10, 256, 4},
+		{64, 64, 1}, {4 * 64, 64, 1}, {2 * 64, 64, 2}, {16 * 8, 8, 2}, {8, 1, 2},
+	} {
+		capacity, line, ways := g[0], g[1], g[2]
+		c, ref := MustNew(capacity, line, ways), newRefCache(capacity, line, ways)
+		rng := rand.New(rand.NewSource(int64(capacity + line + ways)))
+		addr := uint64(0)
+		for k := 0; k < 40000; k++ {
+			switch r := rng.Intn(100); {
+			case r < 40: // the next entry of a run
+				addr += 8
+			case r == 40:
+				c.Flush()
+				ref = newRefCache(capacity, line, ways)
+			default:
+				addr = xBase + uint64(rng.Intn(3*capacity/2))
+			}
+			if got, want := c.Access(addr), ref.Access(addr); got != want {
+				t.Fatalf("%v, access %d at %#x: hit %v, reference %v", g, k, addr, got, want)
+			}
+			if c.hits != ref.hits || c.misses != ref.misses {
+				t.Fatalf("%v, access %d: %d hits %d misses, reference %d and %d", g, k, c.hits, c.misses, ref.hits, ref.misses)
+			}
+			s := int(addr / uint64(line) % uint64(ref.sets))
+			want := slices.Clone(ref.tags[s])
+			slices.Reverse(want)
+			if got := c.resident(s); !slices.Equal(got, want) {
+				t.Fatalf("%v, access %d: set %d holds %v, reference %v", g, k, s, got, want)
+			}
+		}
+	}
+}
+
 func TestNewGeometryValidation(t *testing.T) {
 	if _, err := New(0, 64, 8); err == nil {
 		t.Error("zero capacity accepted")
+	}
+	if _, err := New(4*96, 96, 1); err == nil {
+		t.Error("a line of 96 bytes accepted")
 	}
 	if _, err := New(100, 64, 8); err == nil {
 		t.Error("non-multiple capacity accepted")

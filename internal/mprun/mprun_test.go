@@ -259,3 +259,62 @@ func TestCacheTraceRunsOncePerSystemAndProfile(t *testing.T) {
 		t.Fatalf("after a full set-up solve: %d cache traces, want %d", got, 3*ranks)
 	}
 }
+
+// TestCacheTraceRunsOncePerFactorPlan counts the traces across Refactor: a
+// system refactored from one solved under two profiles, every rank keeping
+// its factor plan, traces under neither; one whose values move the filtered
+// pattern plans afresh and traces on every rank; and an SPAI+GMRES system,
+// which has no plan to keep, traces whatever its donor did.
+func TestCacheTraceRunsOncePerFactorPlan(t *testing.T) {
+	traces := mprun.CountTraces(t)
+	const ranks = 3
+	ctx := context.Background()
+	plate := func(ky float64) *sparse.CSR { return matgen.DiagShift(matgen.ThermalAniso(13, 11, 1, ky), 0.05) }
+	scaled := plate(1) // other values, the same filtered pattern
+	for k := range scaled.Val {
+		scaled.Val[k] *= 4
+	}
+	for _, tc := range []struct {
+		name     string
+		opt      fsaicomm.Options
+		a1, a2   *sparse.CSR
+		replan   bool
+		retraces int64
+	}{
+		{"kept plans", fsaicomm.Options{Method: fsaicomm.FSAIEComm, Filter: 0.05, Ranks: ranks}, plate(1), scaled, false, 0},
+		{"moved pattern", fsaicomm.Options{Method: fsaicomm.FSAIEComm, Filter: 0.05, Ranks: ranks}, plate(1), plate(0.02), true, 2 * ranks},
+		{"spai+gmres", fsaicomm.Options{Method: fsaicomm.SPAI, Solver: fsaicomm.SolverGMRES, SPAISteps: 1, Ranks: ranks},
+			fsaicomm.GenerateConvectionDiffusion2D(12, 10, 4), fsaicomm.GenerateConvectionDiffusion2D(12, 10, 9), false, 2 * ranks},
+	} {
+		donor, err := fsaicomm.Prepare(tc.a1, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := fsaicomm.GenerateRHS(tc.a1, 1)
+		before := traces.Load()
+		for _, arch := range []string{"skylake", "a64fx"} {
+			if _, err := donor.Solve(ctx, b, fsaicomm.SolveOptions{Arch: arch}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := traces.Load() - before; got != 2*ranks {
+			t.Fatalf("%s: the donor's first solves traced %d times, want %d", tc.name, got, 2*ranks)
+		}
+		r, err := donor.Refactor(tc.a2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.SetupPhases().Replanned != tc.replan {
+			t.Fatalf("%s: Replanned %v, want %v — the fixture no longer does what it is named for", tc.name, !tc.replan, tc.replan)
+		}
+		before = traces.Load()
+		for _, arch := range []string{"skylake", "a64fx", "skylake"} {
+			if _, err := r.Solve(ctx, b, fsaicomm.SolveOptions{Arch: arch}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := traces.Load() - before; got != tc.retraces {
+			t.Errorf("%s: the refactored system's solves traced %d times, want %d", tc.name, got, tc.retraces)
+		}
+	}
+}

@@ -133,6 +133,50 @@ func TestMatrixUploadBody(t *testing.T) {
 	}
 }
 
+// TestBodyOverLimitIs413: on a server with a 1 KiB body limit, a matrix
+// upload or a solve request over it is answered 413 naming the limit, and
+// one under it keeps its status — 200 when it is good, 400 when it is not.
+func TestBodyOverLimitIs413(t *testing.T) {
+	_, ts := testServer(t, Config{MaxBodyBytes: 1 << 10})
+	mm := func(a *fsaicomm.Matrix) string {
+		var buf bytes.Buffer
+		if err := fsaicomm.WriteMatrixMarket(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	small := fsaicomm.GeneratePoisson2D(3, 3)
+	post := func(path, body string) (int, string) {
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(out)
+	}
+	fp := small.Fingerprint()
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"small matrix", "/matrix", mm(small), http.StatusOK},
+		{"large matrix", "/matrix", mm(fsaicomm.GeneratePoisson2D(12, 12)), http.StatusRequestEntityTooLarge},
+		{"small bad matrix", "/matrix", "%%MatrixMarket matrix coordinate real general\n2 2 1\n", http.StatusBadRequest},
+		{"small solve", "/solve", fmt.Sprintf(`{"matrix":%q,"ranks":1}`, fp), http.StatusOK},
+		{"large solve", "/solve", fmt.Sprintf(`{"matrix":%q,"ranks":1,"rhs":[%s1]}`, fp, strings.Repeat("1.0000000000000002,", 60)), http.StatusRequestEntityTooLarge},
+		{"small bad solve", "/solve", `{"matrix":`, http.StatusBadRequest},
+	} {
+		code, body := post(tc.path, tc.body)
+		if code != tc.want {
+			t.Errorf("%s (%d bytes): %d %s, want %d", tc.name, len(tc.body), code, body, tc.want)
+		}
+		if tc.want == http.StatusRequestEntityTooLarge && !strings.Contains(body, "1024-byte limit") {
+			t.Errorf("%s: %s does not name the limit", tc.name, body)
+		}
+	}
+}
+
 func TestSolveAndCacheHit(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	mr := uploadGen(t, ts.URL, "ecology2-sim")

@@ -252,6 +252,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_, _ = w.Write(body) // the client is gone if this fails
 }
 
+// badBody answers an unreadable body: 413 naming the limit if it was cut off there, else 400.
+func badBody(what string, err error) *httpError {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return fail(http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooLarge.Limit)
+	}
+	return fail(http.StatusBadRequest, "%s: %v", what, err)
+}
+
 func writeErr(w http.ResponseWriter, err error) {
 	var he *httpError
 	if !errors.As(err, &he) {
@@ -285,7 +294,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		var err error
 		a, err = fsaicomm.ReadMatrixMarket(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		if err != nil {
-			writeErr(w, fail(http.StatusBadRequest, "parsing MatrixMarket body: %v", err))
+			writeErr(w, badBody("parsing MatrixMarket body", err))
 			return
 		}
 	}
@@ -429,7 +438,7 @@ func decodeSolve(body io.Reader) (*solveRequest, fsaicomm.Options, fsaicomm.Solv
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&q); err != nil {
-		return nil, fsaicomm.Options{}, fsaicomm.SolveOptions{}, fail(http.StatusBadRequest, "decoding request: %v", err)
+		return nil, fsaicomm.Options{}, fsaicomm.SolveOptions{}, badBody("decoding request", err)
 	}
 	opt, so, err := q.options()
 	return &q, opt, so, err

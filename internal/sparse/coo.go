@@ -15,17 +15,6 @@ func NewCOO(rows, cols int) *COO {
 	return &COO{Rows: rows, Cols: cols}
 }
 
-// Reserve makes room for n entries in total, so that Adds up to that count
-// do not reallocate.
-func (c *COO) Reserve(n int) {
-	if n <= cap(c.I) {
-		return
-	}
-	c.I = append(make([]int, 0, n), c.I...)
-	c.J = append(make([]int, 0, n), c.J...)
-	c.V = append(make([]float64, 0, n), c.V...)
-}
-
 // Add appends entry (i, j) = v. It panics on out-of-range indices so that
 // generator bugs fail loudly.
 func (c *COO) Add(i, j int, v float64) {

@@ -11,6 +11,10 @@ func (m *CSR32) MulMatColsPortable(x, y []float64, k int, cols []int) {
 	mulMatRowsGo(m.RowPtr, m.ColIdx, m.Val, x, y, k, cols, 0, m.Rows)
 }
 
+// ParseMatrixMarket is ReadMatrixMarket on a whole body with its entry lines
+// cut into the given number of chunks, whatever the body's size.
+func ParseMatrixMarket(data []byte, chunks int) (*CSR, error) { return parseMatrixMarket(data, chunks) }
+
 // AllRuns is the run index of a pattern whatever its runs save, so that the
 // tests reach the run product on every pattern they draw.
 func AllRuns(rowPtr, colIdx []int) *RunIndex {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/core"
 	"fsaicomm/internal/dense"
 	"fsaicomm/internal/distmat"
@@ -136,14 +135,11 @@ type Prepared struct {
 	// (read-only, shared by every solve) and the halo schedules (each solve
 	// wraps them in plans with private buffers).
 	parts []mprun.Operators
-	// traced holds, per architecture profile a scalar solve has run under,
-	// parts with each rank's cache-simulator misses filled in from that
-	// solve's cost inputs. Later solves under the profile adopt these, so
-	// the simulator walks a system's operators once per profile, not once
-	// per solve. The misses depend on the operators and the profile alone,
-	// so one entry serves every variant, precision, topology and transport.
-	tracedMu sync.Mutex
-	traced   map[archmodel.Profile][]mprun.Operators
+	// misses maps each profile a scalar solve ran under to every rank's
+	// traced cache misses ([]mprun.TracedMisses), which later solves adopt:
+	// the simulator walks the sparsity once per profile, shared by each
+	// system refactored from this one that kept every rank's factor plan.
+	misses *sync.Map
 	// mesh is the resident worker set of "tcp" solves: spawned by the first
 	// one, holding parts from then on, closed by Close. meshMu is held by the
 	// solve running on it; a solve that finds it taken runs on a transient
@@ -297,6 +293,12 @@ func (st *structure) factor(a *Matrix, donor *Prepared) (*Prepared, error) {
 			err = fmt.Errorf("%w: %w", ErrNotSPD, err)
 		}
 		return nil, err
+	}
+	// The misses follow from A's analysed structure and the factor plans: a
+	// system that kept every rank's plan has its donor's. SPAI keeps none.
+	p.misses = new(sync.Map)
+	if donor != nil && st.opt.Method != SPAI && slices.Equal(p.plans, donor.plans) {
+		p.misses = donor.misses
 	}
 	p.phases = SetupPhases{Permute: permute, SetupPhases: core.MeanPhases(rankPhases)}
 	p.setup = time.Since(t0)
@@ -505,11 +507,13 @@ func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOpti
 	if err != nil {
 		return nil, err
 	}
-	p.tracedMu.Lock()
-	held, known := p.traced[sp.Profile]
-	p.tracedMu.Unlock()
-	if !known {
-		held = p.parts
+	held := p.parts
+	traced, known := p.misses.Load(sp.Profile)
+	if known {
+		held = slices.Clone(p.parts)
+		for r := range held {
+			held[r].Misses = &traced.([]mprun.TracedMisses)[r]
+		}
 	}
 	job := mprun.JobSpec{Layout: p.st.layout, K: k, Solve: sp}
 	f, err := p.runRanks(ctx, so.Transport, job, held, pools, rhs)
@@ -518,7 +522,13 @@ func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOpti
 	}
 	f.pct, f.imb = p.pct, p.imbalance
 	if !known && k == 0 { // batched jobs assemble no cost inputs
-		p.rememberMisses(sp.Profile, f.costs)
+		// Concurrent first solves may each trace and each store; they traced
+		// the same sparsity, so whichever is kept holds the same values.
+		misses := make([]mprun.TracedMisses, len(f.costs))
+		for r := range f.costs {
+			misses[r] = f.costs[r].Misses()
+		}
+		p.misses.Store(sp.Profile, misses)
 	}
 	return f, nil
 }
@@ -578,21 +588,4 @@ func (p *Prepared) reap() {
 func (p *Prepared) Close() {
 	p.closed.Store(true)
 	p.reap()
-}
-
-// rememberMisses keeps what the ranks of the first scalar solve under a
-// profile traced. Concurrent first solves may each trace and each land here;
-// they traced the same operators, so whichever is kept holds the same values.
-func (p *Prepared) rememberMisses(profile archmodel.Profile, costs []mprun.IterCostInputs) {
-	held := append([]mprun.Operators(nil), p.parts...)
-	for r := range held {
-		m := costs[r].Misses()
-		held[r].Misses = &m
-	}
-	p.tracedMu.Lock()
-	defer p.tracedMu.Unlock()
-	if p.traced == nil {
-		p.traced = make(map[archmodel.Profile][]mprun.Operators)
-	}
-	p.traced[profile] = held
 }

@@ -217,8 +217,12 @@ func TestMissMemoChangesNoModeledTime(t *testing.T) {
 				}
 			}
 		}
-		if len(p.traced) != 2 || p.traced[archmodel.Skylake] == nil || p.traced[archmodel.A64FX] == nil {
-			t.Fatalf("%s: %d profiles remembered, want skylake and a64fx", sys.name, len(p.traced))
+		profiles := 0
+		p.misses.Range(func(any, any) bool { profiles++; return true })
+		_, sky := p.misses.Load(archmodel.Skylake)
+		_, fx := p.misses.Load(archmodel.A64FX)
+		if profiles != 2 || !sky || !fx {
+			t.Fatalf("%s: %d profiles remembered, want skylake and a64fx", sys.name, profiles)
 		}
 	}
 }
@@ -240,12 +244,13 @@ func TestMissMemoTravelsToWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := p.traced[archmodel.Skylake]
+	memo, _ := p.misses.Load(archmodel.Skylake)
+	held, _ := memo.([]mprun.TracedMisses)
 	if len(held) != 3 {
 		t.Fatalf("a tcp first solve left %d ranks' misses, want 3", len(held))
 	}
 	for r := range held {
-		held[r].Misses = &mprun.TracedMisses{A: 1 << 40, Precond: 1 << 40}
+		held[r] = mprun.TracedMisses{A: 1 << 40, Precond: 1 << 40}
 	}
 	sim, err := p.Solve(ctx, b, SolveOptions{})
 	if err != nil {
@@ -260,6 +265,63 @@ func TestMissMemoTravelsToWorkers(t *testing.T) {
 	}
 	if tcp.ModeledSolveTime != sim.ModeledSolveTime {
 		t.Fatalf("tcp workers modeled %v s, sim ranks %v s: the spec did not carry the misses", tcp.ModeledSolveTime, sim.ModeledSolveTime)
+	}
+}
+
+// The memo follows the factor plans across Refactor: misses planted on a
+// solved donor reach the sim and tcp modeled times of a system refactored
+// from it that kept its plans, and do not reach one whose values moved the
+// filtered pattern — that one models what a fresh Prepare does.
+func TestMissMemoFollowsTheFactorPlan(t *testing.T) {
+	a1, moved := plate(13, 11, 1, 1, 0.05), plate(13, 11, 1, 0.02, 0.05)
+	kept := a1.Clone()
+	for k := range kept.Val {
+		kept.Val[k] *= 4
+	}
+	opt := Options{Method: FSAIEComm, Filter: 0.05, Ranks: 3}
+	b := GenerateRHS(a1, 3)
+	ctx := context.Background()
+	donor, err := Prepare(a1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := donor.Solve(ctx, b, SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	traced, _ := donor.misses.Load(archmodel.Skylake)
+	held, _ := traced.([]mprun.TracedMisses)
+	for r := range held {
+		held[r] = mprun.TracedMisses{A: 1 << 40, Precond: 1 << 40}
+	}
+	for _, tc := range []struct {
+		a       *Matrix
+		planted bool
+	}{{kept, true}, {moved, false}} {
+		r, err := donor.Refactor(tc.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.SetupPhases().Replanned == tc.planted {
+			t.Fatalf("Replanned %v: the fixture no longer does what it is named for", !tc.planted)
+		}
+		fresh, err := Prepare(tc.a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Solve(ctx, b, SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, transport := range []string{"sim", "tcp"} {
+			got, err := r.Solve(ctx, b, SolveOptions{Transport: transport})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (got.ModeledSolveTime != want.ModeledSolveTime) != tc.planted {
+				t.Errorf("planted %v, %s: modeled %v s, a fresh Prepare's %v s", tc.planted, transport, got.ModeledSolveTime, want.ModeledSolveTime)
+			}
+		}
+		r.Close()
 	}
 }
 

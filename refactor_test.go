@@ -236,6 +236,83 @@ func TestRefactorEqualsPrepare(t *testing.T) {
 	}
 }
 
+// TestRefactorModeledTimeEqualsPrepare walks TestRefactorEqualsPrepare's
+// cells with every donor solved first, under two profiles, so that a system
+// refactored from it that kept its factor plans models with the misses its
+// donor traced: the modeled time of a₂ from a₁ and of a₃ from a₂ is, bit
+// for bit and under both profiles, the one a fresh Prepare of the matrix
+// models — whether the misses were inherited, or traced afresh after a
+// replan or for SPAI.
+func TestRefactorModeledTimeEqualsPrepare(t *testing.T) {
+	a1 := plate(13, 11, 1, 1, 0.05)
+	a2 := plate(13, 11, 1, 0.02, 0.05)
+	a3 := plate(13, 11, 1.3, 0.021, 0.07)
+	n1 := GenerateConvectionDiffusion2D(12, 10, 4)
+	n2 := GenerateConvectionDiffusion2D(12, 10, 9)
+	n3 := GenerateConvectionDiffusion2D(12, 10, 2.5)
+	type cell struct {
+		name       string
+		opt        Options
+		a1, a2, a3 *Matrix
+	}
+	var cells []cell
+	for _, part := range []string{"multilevel", "block"} {
+		for _, ranks := range []int{1, 2, 4} {
+			at := fmt.Sprintf("%s/%d", part, ranks)
+			base := Options{Ranks: ranks, Partitioner: part}
+			fsai, spai := base, base
+			fsai.Method = FSAI
+			spai.Method, spai.Solver, spai.SPAISteps = SPAI, SolverGMRES, 1
+			cells = append(cells, cell{"fsai/" + at, fsai, a1, a2, a3}, cell{"spai/" + at, spai, n1, n2, n3})
+			for _, method := range []Method{FSAIE, FSAIEComm} {
+				for _, filter := range []float64{0, 0.01, 0.05, 0.5} {
+					for _, strategy := range []FilterStrategy{StaticFilter, DynamicFilter} {
+						o := base
+						o.Method, o.Filter, o.Strategy = method, filter, strategy
+						cells = append(cells, cell{fmt.Sprintf("%v/f%g/%v/%s", method, filter, strategy, at), o, a1, a2, a3})
+					}
+				}
+			}
+		}
+	}
+	ctx := context.Background()
+	for _, tc := range cells {
+		b := GenerateRHS(tc.a1, 5)
+		p, err := Prepare(tc.a1, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v", tc.name, err)
+		}
+		for _, a := range []*Matrix{tc.a2, tc.a3} {
+			for _, arch := range []string{"skylake", "a64fx"} {
+				if _, err := p.Solve(ctx, b, SolveOptions{Arch: arch}); err != nil {
+					t.Fatalf("%s: donor solve: %v", tc.name, err)
+				}
+			}
+			if p, err = p.Refactor(a); err != nil {
+				t.Fatalf("%s: Refactor: %v", tc.name, err)
+			}
+			fresh, err := Prepare(a, tc.opt)
+			if err != nil {
+				t.Fatalf("%s: Prepare: %v", tc.name, err)
+			}
+			for _, arch := range []string{"a64fx", "skylake"} {
+				got, err := p.Solve(ctx, b, SolveOptions{Arch: arch})
+				if err != nil {
+					t.Fatalf("%s: %s solve: %v", tc.name, arch, err)
+				}
+				want, err := fresh.Solve(ctx, b, SolveOptions{Arch: arch})
+				if err != nil {
+					t.Fatalf("%s: %s reference solve: %v", tc.name, arch, err)
+				}
+				if math.Float64bits(got.ModeledSolveTime) != math.Float64bits(want.ModeledSolveTime) {
+					t.Fatalf("%s, %s: refactored system models %v s, a fresh Prepare %v s (replanned %v)",
+						tc.name, arch, got.ModeledSolveTime, want.ModeledSolveTime, p.SetupPhases().Replanned)
+				}
+			}
+		}
+	}
+}
+
 // Options whose first pattern depends on the values keep partition,
 // permutation and A's operator and rebuild the rest; the result is still
 // what Prepare gives.

@@ -41,9 +41,11 @@ all: tier1
 # three things to a socket — a doorbell byte, the hello and the ring file's
 # name — never a frame. The asm step fails if the module holds an assembly
 # file beside the one product-kernel file (internal/sparse/rowkernel_amd64.s,
-# which holds two kernels: the k-wide product with a column pair in one XMM
-# register, and the 1-wide run product that reads a run of consecutive
-# columns with one index and two entries per SSE2 load); every other kernel
+# which holds three kernels: the k-wide product with a column pair in one XMM
+# register, the 1-wide run product that reads a run of consecutive columns
+# with one index and two entries per SSE2 load, and the k-wide product over
+# the same runs, a column pair per register, with a body of its own for a
+# float64 batch of two); every other kernel
 # is Go, and the arm64 vet keeps the portable bodies those platforms run
 # building (it needs no network and nothing but the toolchain). The bench
 # step fails if a second measurement system comes back beside benchmark/ and
@@ -249,9 +251,10 @@ loc:
 # 0 / 32 / 32 / 32 for the assembly pair kernel, its Go wrapper, and the two
 # scalar kernels this target has printed since PR 21 (rowDotCols[float32],
 # which it printed first until PR 24, is the portable body now and off the
-# hot path on amd64); mulVecRunsF64 is the assembly run kernel, whose loop
-# heads sit under PCALIGN $32. Compare timings of two builds only when their
-# lines agree.
+# hot path on amd64); mulVecRunsF64 is the assembly run kernel and
+# mulMatRunsF64 its k-wide twin (mulMatRuns2F64 the body for a batch of
+# two), whose loop heads sit under PCALIGN $32; all three read 0. Compare
+# timings of two builds only when their lines agree.
 placement:
 	$(GO) build -o bin/fsaiserve ./cmd/fsaiserve
 	@$(GO) tool nm -n bin/fsaiserve | while read addr _ sym; do case "$$sym" in \
@@ -259,7 +262,9 @@ placement:
 		'fsaicomm/internal/sparse.mulMatWide[go.shape.float64]' | \
 		'fsaicomm/internal/sparse.mulVecRows[go.shape.float64]' | \
 		fsaicomm/internal/vecops.Dot | \
-		fsaicomm/internal/sparse.mulVecRunsF64.abi0) echo "$$((0x$$addr % 64)) mod 64  $$sym" ;; \
+		fsaicomm/internal/sparse.mulVecRunsF64.abi0 | \
+		fsaicomm/internal/sparse.mulMatRunsF64.abi0 | \
+		fsaicomm/internal/sparse.mulMatRuns2F64.abi0) echo "$$((0x$$addr % 64)) mod 64  $$sym" ;; \
 	esac; done
 
 # cover: per-package statement coverage for the whole module.

@@ -9,6 +9,7 @@ package fsaicomm
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"fsaicomm/internal/fsai"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/matgen"
+	"fsaicomm/internal/mprun"
 	"fsaicomm/internal/partition"
 	"fsaicomm/internal/simmpi"
 	"fsaicomm/internal/sparse"
@@ -620,10 +622,12 @@ func BenchmarkTransposeDist50k(b *testing.B) {
 // this 37³ system (2 ranks, fsaie-comm, default filter) from a cached
 // Prepare. BenchmarkRowKernel50k times the product kernels alone on rank
 // 0's three operators — "runs" is the 1-wide product over the operator's
-// run index, MulVec where it has none — and reports ns per stored entry (per
-// column for the k-wide products); the two solve benches time the whole
-// in-process request under them. Together they are a before/after that
-// needs no server; names contain "50k" so `make bench` picks them up.
+// run index, MulVec where it has none, "k2runs" the k-wide one — and reports
+// ns per stored entry (per column for the k-wide products);
+// BenchmarkApplyBatch50k times the factor apply of the batched loops on both
+// ranks; the solve benches time the whole in-process request under them.
+// Together they are a before/after that needs no server; names contain
+// "50k" so `make bench` picks them up.
 // Three more put the ranks'
 // waiting policy where it can cost: two solves at once on the host's cores,
 // more ranks than cores, and the small system of warm-tcp, whose ranks meet
@@ -685,11 +689,13 @@ func BenchmarkRowKernel50k(b *testing.B) {
 			{"f32", 1, func() { m32.MulVec(x[:m.Cols], y[:m.Rows]) }},
 			{"runs", 1, func() { m.MulVecRuns(o.lz.Runs(), x[:m.Cols], y[:m.Rows]) }},
 			{"f32runs", 1, func() { m32.MulVecRuns(o.lz.Runs(), x[:m.Cols], y[:m.Rows]) }},
-			{"k2", 2, func() { m.MulMatCols(x[:2*m.Cols], y[:2*m.Rows], 2, nil) }},
-			{"k2mask1", 1, func() { m.MulMatCols(x[:2*m.Cols], y[:2*m.Rows], 2, []int{1}) }},
-			{"k2mask01", 2, func() { m.MulMatCols(x[:2*m.Cols], y[:2*m.Rows], 2, []int{0, 1}) }},
-			{"k4", 4, func() { m.MulMatCols(x, y, 4, nil) }},
-			{"k1batch", 1, func() { m.MulMatCols(x[:m.Cols], y[:m.Rows], 1, nil) }},
+			{"k2", 2, func() { m.MulMatCols(nil, x[:2*m.Cols], y[:2*m.Rows], 2, nil) }},
+			{"k2runs", 2, func() { m.MulMatCols(o.lz.Runs(), x[:2*m.Cols], y[:2*m.Rows], 2, nil) }},
+			{"k2runsmask1", 1, func() { m.MulMatCols(o.lz.Runs(), x[:2*m.Cols], y[:2*m.Rows], 2, []int{1}) }},
+			{"k2mask1", 1, func() { m.MulMatCols(nil, x[:2*m.Cols], y[:2*m.Rows], 2, []int{1}) }},
+			{"k2mask01", 2, func() { m.MulMatCols(nil, x[:2*m.Cols], y[:2*m.Rows], 2, []int{0, 1}) }},
+			{"k4", 4, func() { m.MulMatCols(nil, x, y, 4, nil) }},
+			{"k1batch", 1, func() { m.MulMatCols(nil, x[:m.Cols], y[:m.Rows], 1, nil) }},
 		} {
 			b.Run(o.name+"/"+kc.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -707,6 +713,49 @@ func BenchmarkRowKernel50k(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkApplyBatch50k times the factor apply z = Gᵀ(G·r) that the
+// batched loops run, DistSplit.ApplyBatch with its two k-wide halo updates,
+// at k = 1 and 2 on the two goroutine ranks of the warm system, each rank's
+// G and Gᵀ over its run index. It reports wall time per stored entry of
+// both ranks' G and Gᵀ per column.
+func BenchmarkApplyBatch50k(b *testing.B) {
+	_, p := prepareWarm50k(b)
+	entries := 0
+	for _, h := range p.parts {
+		entries += h.G.LZ.M.NNZ() + h.GT.LZ.M.NNZ()
+	}
+	op := func(c *simmpi.Comm, h *mprun.HeldOp) *distmat.Op {
+		return distmat.NewOpFromParts(h.LZ, distmat.NewHaloPlanFromScheduleTopo(h.Send, h.Recv, h.Counts, c.Rank(), c.Topology()))
+	}
+	for _, k := range []int{1, 2} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			_, err := simmpi.Run(len(p.parts), time.Hour, func(c *simmpi.Comm) error {
+				h := p.parts[c.Rank()]
+				s := krylov.NewDistSplitBatch(op(c, h.G), op(c, h.GT), k)
+				nl := h.G.LZ.NLocal()
+				r, z := make([]float64, nl*k), make([]float64, nl*k)
+				for i := range r {
+					r[i] = float64(i%7) - 3
+				}
+				s.ApplyBatch(c, r, z, k, nil, nil)
+				c.Barrier()
+				if c.Rank() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					s.ApplyBatch(c, r, z, k, nil, nil)
+				}
+				c.Barrier()
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries*k), "ns/entry-col")
+		})
 	}
 }
 

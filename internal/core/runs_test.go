@@ -25,12 +25,13 @@ func withoutRuns(op *distmat.Op, f32 bool) *distmat.Op {
 // TestDistSplitRunsBitIdentical: the factor apply z = Gᵀ(G·r) walking
 // column runs equals the apply walking entries bit for bit, at 2, 3 and 4
 // ranks, for FSAI, FSAIE and FSAIE-Comm at Filter 0, 0.01 and 0.05, in FP64
-// and FP32. Up to Filter 0.01 the FSAIE family's factors are mostly runs and
-// must get run indexes on every rank, so that the runs are what is compared;
-// a filter of 0.05 drops enough of the extension that runs save nothing on
-// this system, and plain FSAI's are never mostly runs, so those cells hold
-// the entry walk to itself (the sparse fuzz holds runs to RowDot on every
-// pattern).
+// and FP32 — 1-wide (Apply) and k-wide (ApplyBatch at k = 2 and 3, on every
+// column and on one alone). Up to Filter 0.01 the FSAIE family's factors are
+// mostly runs and must get run indexes on every rank, so that the runs are
+// what is compared; a filter of 0.05 drops enough of the extension that runs
+// save nothing on this system, and plain FSAI's are never mostly runs, so
+// those cells hold the entry walk to itself (the sparse fuzz holds runs to
+// RowDot on every pattern).
 func TestDistSplitRunsBitIdentical(t *testing.T) {
 	a := matgen.Poisson3D(18, 17, 16)
 	for _, nranks := range []int{2, 3, 4} {
@@ -69,6 +70,25 @@ func TestDistSplitRunsBitIdentical(t *testing.T) {
 						for i := range want {
 							if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
 								return fmt.Errorf("%s: rank %d, z[%d] = %v walking runs, %v walking entries", at, c.Rank(), i, z[i], want[i])
+							}
+						}
+					}
+					// The k-wide apply of the batched loops, on every column
+					// and on the last one alone; the columns a mask leaves
+					// out keep their fill on both sides.
+					for _, k := range []int{2, 3} {
+						for _, cols := range [][]int{nil, {k - 1}} {
+							r, z, want := make([]float64, nl*k), make([]float64, nl*k), make([]float64, nl*k)
+							for i := range r {
+								r[i], z[i], want[i] = rng.NormFloat64(), -1, -1
+							}
+							runs.ApplyBatch(c, r, z, k, cols, nil)
+							entries.ApplyBatch(c, r, want, k, cols, nil)
+							for i := range want {
+								if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
+									return fmt.Errorf("%s, k %d, cols %v: rank %d, z[%d] = %v walking runs, %v walking entries",
+										at, k, cols, c.Rank(), i, z[i], want[i])
+								}
 							}
 						}
 					}

@@ -27,7 +27,9 @@ import (
 // column c — and a 1-wide block is a plain vector, so at k = 1 the product
 // IS the scalar one: MulVec, or the send-then-compute MulVecOverlap when
 // the operator carries the overlap view (same bits, same metered traffic).
-// There is no k-wide overlap schedule; wider blocks always block.
+// There is no k-wide overlap schedule; wider blocks always block. Like
+// MulVec, a wider product walks the pattern's column runs where the view has
+// a run index, its entries otherwise — the same bits either way.
 func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch *DistVec, fc *vecops.FlopCounter) {
 	nl := op.LZ.NLocal()
 	if len(x) != nl*k || len(y) != nl*k {
@@ -49,16 +51,17 @@ func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch 
 		op.Plan.ExchangeBatch(c, scratch.Ext, nl, k)
 		x = scratch.Ext
 	}
+	lz := op.LZ
 	if op.f32 {
-		op.LZ.M32().MulMatCols(x, y, k, cols)
+		lz.M32().MulMatCols(lz.runs, x, y, k, cols)
 	} else {
-		op.LZ.M.MulMatCols(x, y, k, cols)
+		lz.M.MulMatCols(lz.runs, x, y, k, cols)
 	}
 	nc := int64(k)
 	if cols != nil {
 		nc = int64(len(cols))
 	}
-	fc.Add(2 * int64(op.LZ.M.NNZ()) * nc)
+	fc.Add(2 * int64(lz.M.NNZ()) * nc)
 }
 
 // DotBatchDist reduces the per-column local dot products globally in ONE

@@ -62,8 +62,8 @@ func (lz *Localized) M32() *sparse.CSR32 {
 	return lz.m32
 }
 
-// Runs returns the run index the 1-wide products walk, nil when they walk
-// the entries.
+// Runs returns the run index the products walk at every width, nil when
+// they walk the entries.
 func (lz *Localized) Runs() *sparse.RunIndex { return lz.runs }
 
 // IndexRuns builds the run index of a view that arrived without one: gob

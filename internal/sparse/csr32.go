@@ -44,15 +44,3 @@ func (m *CSR32) MulVec(x, y []float64) {
 	}
 	mulVecRows(m.RowPtr, m.ColIdx, m.Val, x, y, 0, m.Rows)
 }
-
-// MulMatCols computes the selected interleaved columns of Y = A·X for k
-// columns stored row-major (x[i*k+c] = component i of column c), with
-// float64 accumulation. cols selects the active columns (nil = all),
-// matching CSR.MulMatCols.
-func (m *CSR32) MulMatCols(x, y []float64, k int, cols []int) {
-	if len(x) != m.Cols*k || len(y) != m.Rows*k {
-		panic(fmt.Sprintf("sparse: CSR32 MulMatCols shape mismatch: A is %dx%d, k=%d, len(x)=%d, len(y)=%d",
-			m.Rows, m.Cols, k, len(x), len(y)))
-	}
-	mulMatRows(m.RowPtr, m.ColIdx, m.Val, x, y, k, cols, 0, m.Rows)
-}

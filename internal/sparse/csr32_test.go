@@ -104,8 +104,8 @@ func TestCSR32ProductsMatchWiden(t *testing.T) {
 	}
 	yb32, yb64 := make([]float64, n*k), make([]float64, n*k)
 	for _, cols := range [][]int{nil, {0, 2}} {
-		m.MulMatCols(xb, yb32, k, cols)
-		wide.MulMatCols(xb, yb64, k, cols)
+		m.MulMatCols(nil, xb, yb32, k, cols)
+		wide.MulMatCols(nil, xb, yb64, k, cols)
 		active := cols
 		if active == nil {
 			active = []int{0, 1, 2}
@@ -125,7 +125,7 @@ func TestCSR32ShapePanics(t *testing.T) {
 	m := NewCSR32(tri4())
 	for name, fn := range map[string]func(){
 		"MulVec":     func() { m.MulVec(make([]float64, 3), make([]float64, 4)) },
-		"MulMatCols": func() { m.MulMatCols(make([]float64, 4), make([]float64, 8), 2, nil) },
+		"MulMatCols": func() { m.MulMatCols(nil, make([]float64, 4), make([]float64, 8), 2, nil) },
 	} {
 		func() {
 			defer func() {

@@ -86,7 +86,7 @@ func TestMulMatColsMasking(t *testing.T) {
 		y[i] = sentinel
 	}
 	cols := []int{0, 2, 4}
-	m.MulMatCols(x, y, k, cols)
+	m.MulMatCols(nil, x, y, k, cols)
 	active := map[int]bool{0: true, 2: true, 4: true}
 	for i := 0; i < 30; i++ {
 		for c := 0; c < k; c++ {
@@ -103,7 +103,7 @@ func TestMulMatColsMasking(t *testing.T) {
 
 	// nil mask is the full product.
 	y2 := make([]float64, 30*k)
-	m.MulMatCols(x, y2, k, nil)
+	m.MulMatCols(nil, x, y2, k, nil)
 	for i := range y2 {
 		if y2[i] != full[i] {
 			t.Fatalf("nil mask differs at %d", i)
@@ -120,7 +120,7 @@ func TestMulMatShapePanics(t *testing.T) {
 		{"k0", func() { m.MulMat(make([]float64, 4), make([]float64, 4), 0) }},
 		{"shortX", func() { m.MulMat(make([]float64, 7), make([]float64, 8), 2) }},
 		{"shortY", func() { m.MulMat(make([]float64, 8), make([]float64, 7), 2) }},
-		{"cols", func() { m.MulMatCols(make([]float64, 3), make([]float64, 8), 2, []int{0}) }},
+		{"cols", func() { m.MulMatCols(nil, make([]float64, 3), make([]float64, 8), 2, []int{0}) }},
 	} {
 		func() {
 			defer func() {
@@ -148,8 +148,8 @@ func TestMulMatWideBlockZeroAllocs(t *testing.T) {
 	y := make([]float64, m.Rows*k)
 	for name, mul := range map[string]func(){
 		"CSR.MulMat":       func() { m.MulMat(x, y, k) },
-		"CSR.MulMatCols":   func() { m.MulMatCols(x, y, k, nil) },
-		"CSR32.MulMatCols": func() { m32.MulMatCols(x, y, k, nil) },
+		"CSR.MulMatCols":   func() { m.MulMatCols(nil, x, y, k, nil) },
+		"CSR32.MulMatCols": func() { m32.MulMatCols(nil, x, y, k, nil) },
 	} {
 		if n := testing.AllocsPerRun(20, mul); n != 0 {
 			t.Errorf("%s at k = %d: %v allocations per product, want 0", name, k, n)

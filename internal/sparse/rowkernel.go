@@ -1,8 +1,8 @@
 package sparse
 
 // The product kernels behind every y = A·x loop of the repository: CSR /
-// CSR32 MulVec, MulMat, MulMatCols and distmat's interior/boundary row
-// products all land here.
+// CSR32 MulVec, MulVecRuns, MulMat, MulMatCols and distmat's
+// interior/boundary row products all land here.
 //
 // RowDot is the scalar kernel and rowDotCols the k-wide one. Both take one
 // row as hoisted slices (cs, vs) instead of indexing RowPtr, ColIdx and Val
@@ -15,10 +15,13 @@ package sparse
 // register, a pair for the price of one column — and rowDotCols stays as the
 // body of every other platform, the reference the assembly is fuzzed against
 // and the replay that words the panic for a row the assembly refuses. A
-// 1-wide product over a pattern that is mostly column runs (runs.go) runs
-// the file's second kernel on amd64: one index pair per run, two entries per
-// SSE2 load, the same left-to-right sum; elsewhere it is mulVecRows, and
-// RowDot is what it is fuzzed against.
+// product over a pattern that is mostly column runs (runs.go) walks the runs
+// at every width on amd64: at width 1 the file's second kernel, one index
+// pair per run and two entries per SSE2 load; wider, its third, the pair
+// kernel's lanes with one index pair per run (at k = 2 with both columns
+// active, a body with the stride built in). Each is the same left-to-right
+// sum; elsewhere the entries are walked, and RowDot is what both are fuzzed
+// against.
 
 // Value is a stored matrix value: float64, or float32 for the mixed-
 // precision operators. Products always accumulate in float64.
@@ -105,13 +108,16 @@ func mulMatRowsGo[V Value](rowPtr, colIdx []int, val []V, x, y []float64, k int,
 }
 
 // mulMatRows computes rows [lo, hi) of the active columns (cols, nil = all
-// k) of Y = A·X. A 1-wide block is a plain vector, so its product is the
-// scalar kernel; a wider one takes the platform's k-wide body (mulMatWide:
-// the assembly on amd64, mulMatRowsGo elsewhere).
-func mulMatRows[V Value](rowPtr, colIdx []int, val []V, x, y []float64, k int, cols []int, lo, hi int) {
-	if k == 1 && blockCols(k, cols) == 1 {
+// k) of Y = A·X, walking the runs of r, the run index of the pattern (nil:
+// the entries). A 1-wide block over the entries is a plain vector, so its
+// product is the scalar kernel; anything else takes the platform's k-wide
+// body (mulMatWide: the assembly on amd64, over the runs or the entries;
+// mulMatRowsGo elsewhere), where a 1-wide block under an index rides both
+// lanes — the operators' 1-wide products take MulVecRuns instead.
+func mulMatRows[V Value](r *RunIndex, rowPtr, colIdx []int, val []V, x, y []float64, k int, cols []int, lo, hi int) {
+	if k == 1 && blockCols(k, cols) == 1 && r == nil {
 		mulVecRows(rowPtr, colIdx, val, x, y, lo, hi)
 		return
 	}
-	mulMatWide(rowPtr, colIdx, val, x, y, k, cols, lo, hi)
+	mulMatWide(r, rowPtr, colIdx, val, x, y, k, cols, lo, hi)
 }

@@ -4,16 +4,25 @@ import "fmt"
 
 // The amd64 bodies of the k-wide product and of the run product:
 // rowkernel_amd64.s walks a block of rows, with one column pair in the two
-// lanes of an XMM register or one row's runs two entries per load, and this
-// file is everything Go has to do around it — the shape checks the assembly
-// relies on, the pairing of the active columns and the panic for a row the
-// assembly would not finish.
+// lanes of an XMM register (over the entries or over the runs) or one row's
+// runs two entries per load, and this file is everything Go has to do around
+// it — the shape checks the assembly relies on, the pairing of the active
+// columns and the panic for a row the assembly would not finish.
 
 //go:noescape
 func mulMatPairF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
 
 //go:noescape
 func mulMatPairF32(rowPtr, colIdx []int, val []float32, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
+
+//go:noescape
+func mulMatRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v, nruns, xrows, k, c0, c1 int) int
+
+//go:noescape
+func mulMatRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v, nruns, xrows, k, c0, c1 int) int
+
+//go:noescape
+func mulMatRuns2F64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v, nruns, xrows int) int
 
 //go:noescape
 func mulVecRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v int) int
@@ -34,9 +43,12 @@ const rowBlock = 256
 
 // mulMatWide computes rows [lo, hi) of the active columns of Y = A·X, the
 // columns two at a time and an odd last one in both lanes, each row block
-// walked once per pair while it is in cache. It panics, with the row named,
-// wherever mulMatRowsGo's bounds checks would.
-func mulMatWide[V Value](rowPtr, colIdx []int, val []V, x, y []float64, k int, cols []int, lo, hi int) {
+// walked once per pair while it is in cache — over the runs of r where the
+// pattern has a run index (nil: over the entries; a float64 batch of two
+// with both columns active takes the run body built for k = 2). It panics,
+// with the row named, wherever mulMatRowsGo's bounds checks would, and on
+// the run index's faults where mulVecRuns does.
+func mulMatWide[V Value](r *RunIndex, rowPtr, colIdx []int, val []V, x, y []float64, k int, cols []int, lo, hi int) {
 	n := blockCols(k, cols)
 	if lo >= hi || n == 0 {
 		return
@@ -48,6 +60,9 @@ func mulMatWide[V Value](rowPtr, colIdx []int, val []V, x, y []float64, k int, c
 	if fit := min(len(rowPtr)-1, len(y)/k); lo < 0 || hi > fit {
 		panic(fmt.Sprintf("sparse: k-wide product of rows [%d, %d): RowPtr and y (k=%d) end at row %d", lo, hi, k, fit))
 	}
+	if r != nil && hi >= len(r.ptr) {
+		panic(fmt.Sprintf("sparse: run product of rows [%d, %d): the run index ends at row %d", lo, hi, len(r.ptr)-1))
+	}
 	for a := 0; a < n; a++ {
 		if c := colAt(cols, a); c < 0 || c >= k {
 			panic(fmt.Sprintf("sparse: k-wide product: active column %d outside [0, %d)", c, k))
@@ -56,6 +71,10 @@ func mulMatWide[V Value](rowPtr, colIdx []int, val []V, x, y []float64, k int, c
 	xrows := len(x) / k
 	for b := lo; b < hi; b += rowBlock {
 		e := min(b+rowBlock, hi)
+		v := rowPtr[b]
+		if r != nil && (v < 0 || v > len(val)) {
+			panic(fmt.Sprintf("sparse: run product, row %d: RowPtr %d outside the %d values", b, v, len(val)))
+		}
 		for a := 0; a < n; a += 2 {
 			c0 := colAt(cols, a)
 			c1 := c0
@@ -63,13 +82,27 @@ func mulMatWide[V Value](rowPtr, colIdx []int, val []V, x, y []float64, k int, c
 				c1 = colAt(cols, a+1)
 			}
 			var done int
-			switch v := any(val).(type) {
+			switch vs := any(val).(type) {
 			case []float64:
-				done = mulMatPairF64(rowPtr, colIdx, v, x, y, b, e, xrows, k, c0, c1)
+				switch {
+				case r != nil && k == 2 && c0 == 0 && c1 == 1:
+					done = mulMatRuns2F64(r.ptr, r.runs, vs, x, y, b, e, v, len(r.runs)/2, xrows)
+				case r != nil:
+					done = mulMatRunsF64(r.ptr, r.runs, vs, x, y, b, e, v, len(r.runs)/2, xrows, k, c0, c1)
+				default:
+					done = mulMatPairF64(rowPtr, colIdx, vs, x, y, b, e, xrows, k, c0, c1)
+				}
 			case []float32:
-				done = mulMatPairF32(rowPtr, colIdx, v, x, y, b, e, xrows, k, c0, c1)
+				if r != nil {
+					done = mulMatRunsF32(r.ptr, r.runs, vs, x, y, b, e, v, len(r.runs)/2, xrows, k, c0, c1)
+				} else {
+					done = mulMatPairF32(rowPtr, colIdx, vs, x, y, b, e, xrows, k, c0, c1)
+				}
 			}
 			if done < e {
+				if r != nil {
+					badRunRow(r, xrows, done)
+				}
 				badRow(rowPtr, colIdx, val, x, y, k, cols, done)
 			}
 		}

@@ -1,9 +1,11 @@
 #include "textflag.h"
 
-// The two product kernels that have an amd64 body: the k-wide one of
+// The three product kernels that have an amd64 body: the k-wide one of
 // rowkernel.go with a column pair in the two lanes of an XMM register
-// (mulMatPair*), and the 1-wide one of runs.go that walks a row's runs of
-// consecutive columns two entries per load (mulVecRuns*).
+// (mulMatPair*), the 1-wide one of runs.go that walks a row's runs of
+// consecutive columns two entries per load (mulVecRuns*), and the k-wide one
+// over the same runs, a column pair per register (mulMatRuns*, with
+// mulMatRuns2F64 its body for the batch of two).
 
 // The k-wide product kernel of rowkernel.go with a column pair in the two
 // lanes of one XMM register. For the rows [lo, hi) of a CSR matrix it writes
@@ -205,6 +207,260 @@ done: \
 	MOVQ	AX, ret+144(FP); \
 	RET
 
+// The k-wide run product: PAIRKERNEL's lanes walked over RUNKERNEL's runs.
+// For the rows [lo, hi) it writes
+//
+//	y[i*k+c0], y[i*k+c1] = Σ over row i's runs (s, n) of Σ_{j<n} val[v+j]·x[(s+j)*k+c0], … c1
+//
+// v advancing one run at a time in entry order from the v the wrapper
+// passes. Per run it loads the start and the length once and finds
+// &x[s*k+c0] with one multiply. Per entry it broadcasts the value (MOVDDUP;
+// float32 values are widened two at a time by CVTPS2PD and broadcast lane
+// by lane), loads the pair of x lanes, then MULPD and ADDPD. When
+// c1 = c0+1 (k = 2 unmasked) the lanes are one MOVUPD and the entries' x
+// addresses are the pointer and the pointer plus 8k, the pointer moving 16k
+// bytes per two entries; otherwise they are MOVSD and MOVHPD and the
+// pointer moves 8k bytes per entry. A run is walked in unrolled blocks of 8
+// (a run of exactly 8, one 64-byte line of float64 values, takes nothing
+// else), then 4, 2 and 1. Each lane adds its terms left to right in entry
+// order from +0, so it holds RowDot's bits on that column alone, as
+// PAIRKERNEL's lanes do. c1 may equal c0 (an odd last column rides both
+// lanes). Needs SSE3 (MOVDDUP).
+//
+// Safety is RUNKERNEL's, with unsigned compares: per row the run pointers
+// ascending and at most nruns, per run the start below xrows and the length
+// at most the values left and at most xrows − start. A refused row is not
+// written and its number is returned for the Go wrapper to panic on; hi is
+// returned when every row is done. The wrapper has checked that runPtr holds
+// hi+1 entries, that y holds hi·k, that 0 ≤ v ≤ len(val), that nruns ≤
+// len(runs)/2, that xrows·k ≤ len(x) and that c0, c1 < k.
+//
+// Registers: R8 runPtr, R9 runs, DI &val[v+j], R11 values left, DX &x[c0],
+// R12 xrows, R15 bytes per x or y row (8k), R10 bytes from lane c0 to lane
+// c1, BX &y[i*k+c0], AX i, R13 run (byte offset), R14 end of the row's runs,
+// CX &x[(s+j)*k+c0], SI entries left in the run, X2 the sums, X3 two
+// widened float32 values.
+
+#define STEP2 LEAQ (CX)(R15*2), CX
+#define ADJ64(o, a) MOVDDUP o(DI), X0; MOVUPD a, X1; MULPD X1, X0; ADDPD X0, X2
+#define ADJ32(o, a) MOVSS o(DI), X0; CVTSS2SD X0, X0; MOVDDUP X0, X0; MOVUPD a, X1; MULPD X1, X0; ADDPD X0, X2
+#define GEN64(o) MOVDDUP o(DI), X0; MOVSD (CX), X1; MOVHPD (CX)(R10*1), X1; MULPD X1, X0; ADDPD X0, X2; ADDQ R15, CX
+#define GEN32(o) MOVSS o(DI), X0; CVTSS2SD X0, X0; MOVDDUP X0, X0; MOVSD (CX), X1; MOVHPD (CX)(R10*1), X1; MULPD X1, X0; ADDPD X0, X2; ADDQ R15, CX
+#define PAIRADJ32(o, a0, a1) CVTPS2PD o(DI), X3; MOVDDUP X3, X0; MOVUPD a0, X1; MULPD X1, X0; ADDPD X0, X2; UNPCKHPD X3, X3; MOVUPD a1, X1; MULPD X1, X3; ADDPD X3, X2
+#define PAIRGEN32(o) CVTPS2PD o(DI), X3; MOVDDUP X3, X0; MOVSD (CX), X1; MOVHPD (CX)(R10*1), X1; MULPD X1, X0; ADDPD X0, X2; ADDQ R15, CX; UNPCKHPD X3, X3; MOVSD (CX), X1; MOVHPD (CX)(R10*1), X1; MULPD X1, X3; ADDPD X3, X2; ADDQ R15, CX
+
+#define ADJ8x64 ADJ64(0, (CX)); ADJ64(8, (CX)(R15*1)); STEP2; ADJ64(16, (CX)); ADJ64(24, (CX)(R15*1)); STEP2; ADJ64(32, (CX)); ADJ64(40, (CX)(R15*1)); STEP2; ADJ64(48, (CX)); ADJ64(56, (CX)(R15*1)); STEP2; ADDQ $64, DI
+#define ADJ4x64 ADJ64(0, (CX)); ADJ64(8, (CX)(R15*1)); STEP2; ADJ64(16, (CX)); ADJ64(24, (CX)(R15*1)); STEP2; ADDQ $32, DI
+#define ADJ2x64 ADJ64(0, (CX)); ADJ64(8, (CX)(R15*1)); STEP2; ADDQ $16, DI
+#define ADJ1x64 ADJ64(0, (CX)); ADDQ $8, DI
+#define GEN8x64 GEN64(0); GEN64(8); GEN64(16); GEN64(24); GEN64(32); GEN64(40); GEN64(48); GEN64(56); ADDQ $64, DI
+#define GEN4x64 GEN64(0); GEN64(8); GEN64(16); GEN64(24); ADDQ $32, DI
+#define GEN2x64 GEN64(0); GEN64(8); ADDQ $16, DI
+#define GEN1x64 GEN64(0); ADDQ $8, DI
+#define ADJ8x32 PAIRADJ32(0, (CX), (CX)(R15*1)); STEP2; PAIRADJ32(8, (CX), (CX)(R15*1)); STEP2; PAIRADJ32(16, (CX), (CX)(R15*1)); STEP2; PAIRADJ32(24, (CX), (CX)(R15*1)); STEP2; ADDQ $32, DI
+#define ADJ4x32 PAIRADJ32(0, (CX), (CX)(R15*1)); STEP2; PAIRADJ32(8, (CX), (CX)(R15*1)); STEP2; ADDQ $16, DI
+#define ADJ2x32 PAIRADJ32(0, (CX), (CX)(R15*1)); STEP2; ADDQ $8, DI
+#define ADJ1x32 ADJ32(0, (CX)); ADDQ $4, DI
+#define GEN8x32 PAIRGEN32(0); PAIRGEN32(8); PAIRGEN32(16); PAIRGEN32(24); ADDQ $32, DI
+#define GEN4x32 PAIRGEN32(0); PAIRGEN32(8); ADDQ $16, DI
+#define GEN2x32 PAIRGEN32(0); ADDQ $8, DI
+#define GEN1x32 GEN32(0); ADDQ $4, DI
+
+// RUNBLOCKS walks the SI entries of one run from CX and DI in blocks of 8, 4,
+// 2 and 1 (B8 … B1), labels a8 … a1 its own, then jumps to next.
+#define RUNBLOCKS(B8, B4, B2, B1, a8, a4, a2, a1) \
+	CMPQ	SI, $8; \
+	JNE	a8; \
+	B8; \
+	JMP	next; \
+a8: \
+	CMPQ	SI, $8; \
+	JCS	a4; \
+	B8; \
+	SUBQ	$8, SI; \
+	JMP	a8; \
+a4: \
+	TESTQ	$4, SI; \
+	JEQ	a2; \
+	B4; \
+a2: \
+	TESTQ	$2, SI; \
+	JEQ	a1; \
+	B2; \
+a1: \
+	TESTQ	$1, SI; \
+	JEQ	next; \
+	B1; \
+	JMP	next
+
+#define RUNPAIRKERNEL(ADJ8, ADJ4, ADJ2, ADJ1, GEN8, GEN4, GEN2, GEN1, VSIZE) \
+	MOVQ	runPtr_base+0(FP), R8; \
+	MOVQ	runs_base+24(FP), R9; \
+	MOVQ	val_base+48(FP), DI; \
+	MOVQ	val_len+56(FP), R11; \
+	MOVQ	v+136(FP), AX; \
+	SUBQ	AX, R11; \
+	LEAQ	(DI)(AX*VSIZE), DI; \
+	MOVQ	xrows+152(FP), R12; \
+	MOVQ	k+160(FP), R15; \
+	SHLQ	$3, R15; \
+	MOVQ	c0+168(FP), AX; \
+	MOVQ	c1+176(FP), R10; \
+	SUBQ	AX, R10; \
+	SHLQ	$3, R10; \
+	MOVQ	x_base+72(FP), DX; \
+	LEAQ	(DX)(AX*8), DX; \
+	MOVQ	lo+120(FP), BX; \
+	IMULQ	R15, BX; \
+	ADDQ	y_base+96(FP), BX; \
+	LEAQ	(BX)(AX*8), BX; \
+	MOVQ	lo+120(FP), AX; \
+	PCALIGN	$32; \
+row: \
+	CMPQ	AX, hi+128(FP); \
+	JGE	done; \
+	MOVQ	(R8)(AX*8), R13; \
+	MOVQ	8(R8)(AX*8), R14; \
+	CMPQ	R13, R14; \
+	JHI	done; \
+	CMPQ	R14, nruns+144(FP); \
+	JHI	done; \
+	XORPS	X2, X2; \
+	SHLQ	$4, R13; \
+	SHLQ	$4, R14; \
+	CMPQ	R13, R14; \
+	JEQ	store; \
+	PCALIGN	$32; \
+run: \
+	MOVQ	(R9)(R13*1), CX; \
+	MOVQ	8(R9)(R13*1), SI; \
+	CMPQ	CX, R12; \
+	JCC	done; \
+	CMPQ	SI, R11; \
+	JHI	done; \
+	ADDQ	CX, SI; \
+	CMPQ	SI, R12; \
+	JHI	done; \
+	SUBQ	CX, SI; \
+	SUBQ	SI, R11; \
+	IMULQ	R15, CX; \
+	ADDQ	DX, CX; \
+	CMPQ	R10, $8; \
+	JNE	gen; \
+	RUNBLOCKS(ADJ8, ADJ4, ADJ2, ADJ1, adj8, adj4, adj2, adj1); \
+gen: \
+	RUNBLOCKS(GEN8, GEN4, GEN2, GEN1, gen8, gen4, gen2, gen1); \
+next: \
+	ADDQ	$16, R13; \
+	CMPQ	R13, R14; \
+	JNE	run; \
+store: \
+	MOVLPD	X2, (BX); \
+	MOVHPD	X2, (BX)(R10*1); \
+	ADDQ	R15, BX; \
+	INCQ	AX; \
+	JMP	row; \
+done: \
+	MOVQ	AX, ret+184(FP); \
+	RET
+
+// The k-wide run product of the batch of two: RUNPAIRKERNEL at k = 2 with
+// both columns active (c0 = 0, c1 = 1), which is the width a coalesced
+// batch of two runs at. The stride is 16 bytes, so an entry's x pair sits at
+// an immediate offset from the run's start and the start's address is a
+// shift: x[s*2] is 16s bytes in, the y pair of row i 16i bytes. The rest is
+// RUNPAIRKERNEL's adjacent path — the same checks, the same blocks of 8, 4,
+// 2 and 1 with a run of exactly 8 falling through to the next run, the same
+// lane sums and so the same bits — with the lane pair stored by one MOVUPD.
+// The wrapper has checked what it checks for RUNPAIRKERNEL, with k = 2.
+//
+// Registers: as RUNPAIRKERNEL's, less R15 and R10 (here the end of the run
+// being checked).
+
+#define K2(o, xo) MOVDDUP o(DI), X0; MOVUPD xo(CX), X1; MULPD X1, X0; ADDPD X0, X2
+#define K2x8 K2(0, 0); K2(8, 16); K2(16, 32); K2(24, 48); K2(32, 64); K2(40, 80); K2(48, 96); K2(56, 112); ADDQ $64, DI
+#define K2x4 K2(0, 0); K2(8, 16); K2(16, 32); K2(24, 48); ADDQ $32, DI; ADDQ $64, CX
+#define K2x2 K2(0, 0); K2(8, 16); ADDQ $16, DI; ADDQ $32, CX
+#define K2x1 K2(0, 0); ADDQ $8, DI
+
+#define RUNPAIR2KERNEL \
+	MOVQ	runPtr_base+0(FP), R8; \
+	MOVQ	runs_base+24(FP), R9; \
+	MOVQ	val_base+48(FP), DI; \
+	MOVQ	val_len+56(FP), R11; \
+	MOVQ	v+136(FP), AX; \
+	SUBQ	AX, R11; \
+	LEAQ	(DI)(AX*8), DI; \
+	MOVQ	xrows+152(FP), R12; \
+	MOVQ	x_base+72(FP), DX; \
+	MOVQ	lo+120(FP), AX; \
+	MOVQ	AX, BX; \
+	SHLQ	$4, BX; \
+	ADDQ	y_base+96(FP), BX; \
+row: \
+	CMPQ	AX, hi+128(FP); \
+	JGE	done; \
+	MOVQ	(R8)(AX*8), R13; \
+	MOVQ	8(R8)(AX*8), R14; \
+	CMPQ	R13, R14; \
+	JHI	done; \
+	CMPQ	R14, nruns+144(FP); \
+	JHI	done; \
+	XORPS	X2, X2; \
+	SHLQ	$4, R13; \
+	SHLQ	$4, R14; \
+	CMPQ	R13, R14; \
+	JEQ	store; \
+	PCALIGN	$32; \
+run: \
+	MOVQ	(R9)(R13*1), CX; \
+	MOVQ	8(R9)(R13*1), SI; \
+	CMPQ	CX, R12; \
+	JCC	done; \
+	CMPQ	SI, R11; \
+	JHI	done; \
+	LEAQ	(CX)(SI*1), R10; \
+	CMPQ	R10, R12; \
+	JHI	done; \
+	SUBQ	SI, R11; \
+	SHLQ	$4, CX; \
+	ADDQ	DX, CX; \
+	CMPQ	SI, $8; \
+	JNE	more; \
+	K2x8; \
+next: \
+	ADDQ	$16, R13; \
+	CMPQ	R13, R14; \
+	JNE	run; \
+store: \
+	MOVUPD	X2, (BX); \
+	ADDQ	$16, BX; \
+	INCQ	AX; \
+	JMP	row; \
+more: \
+	CMPQ	SI, $8; \
+	JCS	b4; \
+	K2x8; \
+	ADDQ	$128, CX; \
+	SUBQ	$8, SI; \
+	JMP	more; \
+b4: \
+	TESTQ	$4, SI; \
+	JEQ	b2; \
+	K2x4; \
+b2: \
+	TESTQ	$2, SI; \
+	JEQ	b1; \
+	K2x2; \
+b1: \
+	TESTQ	$1, SI; \
+	JEQ	next; \
+	K2x1; \
+	JMP	next; \
+done: \
+	MOVQ	AX, ret+160(FP); \
+	RET
+
 // func mulMatPairF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
 TEXT ·mulMatPairF64(SB), NOSPLIT, $0-176
 	PAIRKERNEL(LOADV64)
@@ -220,6 +476,18 @@ TEXT ·mulVecRunsF64(SB), NOSPLIT, $0-152
 // func mulVecRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v int) int
 TEXT ·mulVecRunsF32(SB), NOSPLIT, $0-152
 	RUNKERNEL(STEP32, RUN8x32, LAST32, 4)
+
+// func mulMatRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v, nruns, xrows, k, c0, c1 int) int
+TEXT ·mulMatRunsF64(SB), NOSPLIT, $0-192
+	RUNPAIRKERNEL(ADJ8x64, ADJ4x64, ADJ2x64, ADJ1x64, GEN8x64, GEN4x64, GEN2x64, GEN1x64, 8)
+
+// func mulMatRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v, nruns, xrows, k, c0, c1 int) int
+TEXT ·mulMatRunsF32(SB), NOSPLIT, $0-192
+	RUNPAIRKERNEL(ADJ8x32, ADJ4x32, ADJ2x32, ADJ1x32, GEN8x32, GEN4x32, GEN2x32, GEN1x32, 4)
+
+// func mulMatRuns2F64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v, nruns, xrows int) int
+TEXT ·mulMatRuns2F64(SB), NOSPLIT, $0-168
+	RUNPAIR2KERNEL
 
 // func cpuHasSSE3() bool
 TEXT ·cpuHasSSE3(SB), NOSPLIT, $0-1

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -39,7 +40,7 @@ func hostileProduct[V Value](t *testing.T, rowPtr, colIdx []int, val []V, xLen, 
 				msg = fmt.Sprint(r)
 			}
 		}()
-		mulMatWide(rowPtr, colIdx, val, x, y, k, cols, 0, rows)
+		mulMatWide(nil, rowPtr, colIdx, val, x, y, k, cols, 0, rows)
 	}()
 	for i, v := range all {
 		if (i < 64 || i >= 64+yLen) && v != guard {
@@ -54,8 +55,8 @@ func hostileProduct[V Value](t *testing.T, rowPtr, colIdx []int, val []V, xLen, 
 // backwards or past the stored entries, values shorter than the indices, and
 // an x or y too short for the product all panic from the Go wrapper with the
 // row named, with nothing of the rows after it written and nothing outside y
-// touched; so do the run product's refusals (hostileRunCases). Both value
-// types.
+// touched; so do the run products' refusals, 1-wide and k-wide
+// (hostileRunCases). Both value types.
 func TestHostileCSRPanicsWithRowNamed(t *testing.T) {
 	hostileRunCases(t)
 	if !sse3 {
@@ -106,6 +107,12 @@ func TestHostileCSRPanicsWithRowNamed(t *testing.T) {
 		}
 	}
 
+	// A run index shorter than the rows asked for is refused before any row.
+	msg, y := hostileRuns(t, []int{0, 1, 2}, []int{0, 2, 1, 2}, make([]float64, 8), 6, 4, 2, nil)
+	if !strings.Contains(msg, "the run index ends at row 2") || y[0] != 0.5 {
+		t.Fatalf("short run index: panic %q, y[0] = %v; want it refused before any row", msg, y[0])
+	}
+
 	// A mask naming a column outside the block is refused before any row.
 	rowPtr, colIdx := good()
 	for _, cols := range [][]int{{2}, {0, 7}, {-1}} {
@@ -121,13 +128,14 @@ func TestHostileCSRPanicsWithRowNamed(t *testing.T) {
 	}
 }
 
-// hostileRuns runs rows [0, rows) of the run product on the assembly's
-// wrapper, every row's values two apart in val, and returns what it
+// hostileRuns runs rows [0, rows) of the run product at width k on the
+// assembly's wrapper (mulVecRuns at k = 1, mulMatWide wider), every row's
+// values two apart in val, x holding xrows·k values, and returns what it
 // panicked with ("" if it did not). y is filled with 0.5 between guard
 // words; the guard words must survive.
-func hostileRuns[V Value](t *testing.T, ptr, runs []int, val []V, xLen, rows int) (msg string, y []float64) {
+func hostileRuns[V Value](t *testing.T, ptr, runs []int, val []V, xrows, rows, k int, cols []int) (msg string, y []float64) {
 	t.Helper()
-	x := make([]float64, xLen)
+	x := make([]float64, xrows*k)
 	for i := range x {
 		x[i] = float64(i + 1)
 	}
@@ -138,32 +146,47 @@ func hostileRuns[V Value](t *testing.T, ptr, runs []int, val []V, xLen, rows int
 	for i := range rowPtr {
 		rowPtr[i] = 2 * i
 	}
-	y, all := guarded(rows, 0.5)
+	y, all := guarded(rows*k, 0.5)
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				msg = fmt.Sprint(r)
 			}
 		}()
-		mulVecRuns(&RunIndex{ptr: ptr, runs: runs}, rowPtr, nil, val, x, y, 0, rows)
+		if r := (&RunIndex{ptr: ptr, runs: runs}); k == 1 {
+			mulVecRuns(r, rowPtr, nil, val, x, y, 0, rows)
+		} else {
+			mulMatWide(r, rowPtr, nil, val, x, y, k, cols, 0, rows)
+		}
 	}()
 	for i, v := range all {
-		if (i < 64 || i >= 64+rows) && v != guard {
+		if (i < 64 || i >= 64+rows*k) && v != guard {
 			t.Fatalf("word %d outside y was written: %v", i-64, v)
 		}
 	}
 	return msg, y
 }
 
-// hostileRunCases: the run kernel refuses, with the row named and nothing
+// hostileRunCases: the run kernels refuse, with the row named and nothing
 // of that row or the rows after it written, a run starting at or past the
 // rows of x (or negative), a run ending past them, a negative length, a run
 // reading past the values, and run pointers that run backwards or past the
-// index. The rows before the bad one hold RowDot's sums. Both value types.
+// index — 1-wide, and k-wide at widths 2 and 3 under adjacent, single-column
+// and split masks where the CPU runs the k-wide assembly. The rows before
+// the bad one hold RowDot's sums in the first pair of active columns, the
+// one walked when the row is refused. Both value types.
 func hostileRunCases(t *testing.T) {
-	// 4 rows over an x of 6: row i is the run (i, 2), values 2i and 2i+1.
+	// 4 rows over an x of 6 rows: row i is the run (i, 2), values 2i and 2i+1.
 	good := func() (ptr, runs []int) {
 		return []int{0, 1, 2, 3, 4}, []int{0, 2, 1, 2, 2, 2, 3, 2}
+	}
+	type width struct {
+		k    int
+		cols []int
+	}
+	widths := []width{{1, nil}}
+	if sse3 {
+		widths = append(widths, width{2, nil}, width{2, []int{1}}, width{3, []int{0, 2}}, width{3, nil})
 	}
 	for _, tc := range []struct {
 		name   string
@@ -180,23 +203,39 @@ func hostileRunCases(t *testing.T) {
 		{"run pointers run backwards", func(p, _ []int) { p[3] = 1 }, 8},
 		{"run pointers past the index", func(p, _ []int) { p[3] = 9 }, 8},
 	} {
-		for _, f32 := range []bool{false, true} {
-			ptr, runs := good()
-			tc.hurt(ptr, runs)
-			var msg string
-			var y []float64
-			if f32 {
-				msg, y = hostileRuns(t, ptr, runs, make([]float32, tc.valLen), 6, 4)
-			} else {
-				msg, y = hostileRuns(t, ptr, runs, make([]float64, tc.valLen), 6, 4)
-			}
-			at := fmt.Sprintf("%s, float32 %v", tc.name, f32)
-			if !strings.HasPrefix(msg, "sparse: run product, row 2:") {
-				t.Fatalf("%s: panic %q, want one from the wrapper naming row 2", at, msg)
-			}
-			for i, want := range []float64{1*1 + 2*2, 3*2 + 4*3, 0.5, 0.5} {
-				if y[i] != want {
-					t.Fatalf("%s: y[%d] = %v, want %v", at, i, y[i], want)
+		for _, w := range widths {
+			for _, f32 := range []bool{false, true} {
+				ptr, runs := good()
+				tc.hurt(ptr, runs)
+				var msg string
+				var y []float64
+				if f32 {
+					msg, y = hostileRuns(t, ptr, runs, make([]float32, tc.valLen), 6, 4, w.k, w.cols)
+				} else {
+					msg, y = hostileRuns(t, ptr, runs, make([]float64, tc.valLen), 6, 4, w.k, w.cols)
+				}
+				at := fmt.Sprintf("%s, k %d, cols %v, float32 %v", tc.name, w.k, w.cols, f32)
+				if !strings.HasPrefix(msg, "sparse: run product, row 2:") {
+					t.Fatalf("%s: panic %q, want one from the wrapper naming row 2", at, msg)
+				}
+				// The first pair of active columns is walked first and
+				// refused at row 2, so the panic comes before any other.
+				active := w.cols
+				if active == nil {
+					active = []int{0, 1}[:min(2, w.k)]
+				}
+				active = active[:min(2, len(active))]
+				for i := 0; i < 4; i++ {
+					for c := 0; c < w.k; c++ {
+						want := 0.5
+						if i < 2 && slices.Contains(active, c) {
+							// values 2i+1, 2i+2 times x rows i, i+1 of column c
+							want = float64(2*i+1)*float64(i*w.k+c+1) + float64(2*i+2)*float64((i+1)*w.k+c+1)
+						}
+						if got := y[i*w.k+c]; got != want {
+							t.Fatalf("%s: y[%d, %d] = %v, want %v", at, i, c, got, want)
+						}
+					}
 				}
 			}
 		}

@@ -3,8 +3,9 @@
 package sparse
 
 // mulMatWide is the k-wide product where rowkernel_amd64.s does not build:
-// the portable body.
-func mulMatWide[V Value](rowPtr, colIdx []int, val []V, x, y []float64, k int, cols []int, lo, hi int) {
+// the portable body, which walks the entries whatever the run index — the
+// same bits.
+func mulMatWide[V Value](_ *RunIndex, rowPtr, colIdx []int, val []V, x, y []float64, k int, cols []int, lo, hi int) {
 	mulMatRowsGo(rowPtr, colIdx, val, x, y, k, cols, lo, hi)
 }
 

@@ -141,11 +141,13 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 
 // checkKernels compares every product entry point on m with the indexed
 // loops, in both precisions, for k = 1..6 under masks; the k-wide products —
-// the platform's body and the portable one — also bit for bit with RowDot on
-// each de-interleaved column, masked columns proven untouched.
+// the platform's body over the entries and over the run index, and the
+// portable one — also bit for bit with RowDot on each de-interleaved column,
+// masked columns proven untouched.
 func checkKernels(t *testing.T, rng *rand.Rand, name string, m *sparse.CSR) {
 	t.Helper()
 	m32 := sparse.NewCSR32(m)
+	r := sparse.AllRuns(m.RowPtr, m.ColIdx)
 	for k := 1; k <= 6; k++ {
 		x := make([]float64, m.Cols*k)
 		for i := range x {
@@ -168,13 +170,16 @@ func checkKernels(t *testing.T, rng *rand.Rand, name string, m *sparse.CSR) {
 			want := filled(m.Rows * k)
 			naiveMulMatCols(m.RowPtr, m.ColIdx, m.Val, x, want, k, cols)
 			got := filled(m.Rows * k)
-			m.MulMatCols(x, got, k, cols)
+			m.MulMatCols(nil, x, got, k, cols)
 			requireSame(t, at+"MulMatCols", got, want)
 			rowDotMulMatCols(m.RowPtr, m.ColIdx, m.Val, x, want, k, cols)
 			requireSameBits(t, at+"MulMatCols", got, want)
 			got = filled(m.Rows * k)
 			m.MulMatColsPortable(x, got, k, cols)
 			requireSameBits(t, at+"portable body", got, want)
+			got = filled(m.Rows * k)
+			m.MulMatCols(r, x, got, k, cols)
+			requireSameBits(t, at+"MulMatCols over runs", got, want)
 			if cols == nil {
 				got = filled(m.Rows * k)
 				m.MulMat(x, got, k)
@@ -183,13 +188,16 @@ func checkKernels(t *testing.T, rng *rand.Rand, name string, m *sparse.CSR) {
 			want = filled(m.Rows * k)
 			naiveMulMatCols(m32.RowPtr, m32.ColIdx, m32.Val, x, want, k, cols)
 			got = filled(m.Rows * k)
-			m32.MulMatCols(x, got, k, cols)
+			m32.MulMatCols(nil, x, got, k, cols)
 			requireSame(t, at+"CSR32.MulMatCols", got, want)
 			rowDotMulMatCols(m32.RowPtr, m32.ColIdx, m32.Val, x, want, k, cols)
 			requireSameBits(t, at+"CSR32.MulMatCols", got, want)
 			got = filled(m.Rows * k)
 			m32.MulMatColsPortable(x, got, k, cols)
 			requireSameBits(t, at+"CSR32 portable body", got, want)
+			got = filled(m.Rows * k)
+			m32.MulMatCols(r, x, got, k, cols)
+			requireSameBits(t, at+"CSR32.MulMatCols over runs", got, want)
 		}
 	}
 }
@@ -248,9 +256,10 @@ func runsCSR(rng *rand.Rand, cols int, rows ...[]int) *sparse.CSR {
 	return m
 }
 
-// TestRunProductShapes puts the run product through the shapes its
-// assembly tells apart: runs of every length from 1 to 9 and longer ones
-// (the unrolled run of 8, the pair loop, an odd last entry), empty rows
+// TestRunProductShapes puts the run products — 1-wide and k-wide — through
+// the shapes their assembly tells apart: runs of every length from 1 to 9
+// and longer ones (the unrolled run of 8, the pair loop, an odd last entry;
+// at every width of checkKernels, adjacent lanes and split ones), empty rows
 // between and after full ones, a run ending on the last column of x, and
 // runs over halo slots — columns past a rank's local ones, here 30 local and
 // 10 halo, with one run crossing from the local block into the halo.
@@ -314,9 +323,10 @@ func TestRowKernelsMatchIndexedLoops(t *testing.T) {
 // FuzzRowKernels drives the same comparison from arbitrary RowPtr / ColIdx
 // encodings (one signed byte each, as in FuzzCSRValidate): whatever passes
 // Validate must multiply exactly as the indexed loops do, and its k-wide
-// products — the assembly where there is one, and the portable body — must
-// hold RowDot's bits in every active column at widths 1–6, in both value
-// types, under nil, adjacent, non-adjacent, odd and single-column masks.
+// products — the assembly where there is one, over the entries and over the
+// run index, and the portable body — must hold RowDot's bits in every active
+// column at widths 1–6, in both value types, under nil, adjacent,
+// non-adjacent, odd and single-column masks.
 func FuzzRowKernels(f *testing.F) {
 	f.Add(uint8(4), uint8(4), []byte{0, 2, 5, 8, 10}, []byte{0, 1, 0, 1, 2, 1, 2, 3, 2, 3}, int64(1))
 	f.Add(uint8(5), uint8(3), []byte{0, 0, 3, 3, 3, 3}, []byte{0, 1, 2}, int64(2)) // empty head and tail
@@ -326,6 +336,8 @@ func FuzzRowKernels(f *testing.F) {
 	f.Add(uint8(4), uint8(15), []byte{0, 9, 17, 17, 32},                                 // runs of 9, 8 and 15, the last ending on x's last column
 		[]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 5, 6, 7, 8, 9, 10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, int64(6))
 	f.Add(uint8(2), uint8(12), []byte{0, 7, 12}, []byte{0, 2, 3, 5, 6, 7, 11, 1, 2, 3, 9, 10}, int64(7)) // runs of 1, 2 and 3
+	f.Add(uint8(3), uint8(10), []byte{0, 8, 10, 15},                                                     // a run of 8, runs of 1 and a run of 5 ending on x's last column
+		[]byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 9, 5, 6, 7, 8, 9}, int64(8))
 	f.Fuzz(func(t *testing.T, rows, cols uint8, rowPtrB, colIdxB []byte, seed int64) {
 		m := &sparse.CSR{Rows: int(rows % 16), Cols: int(cols % 16),
 			RowPtr: make([]int, len(rowPtrB)), ColIdx: make([]int, len(colIdxB)), Val: make([]float64, len(colIdxB))}

@@ -6,11 +6,13 @@ import "fmt"
 // cache lines the base pattern already touches, so most of a factor's stored
 // entries sit in runs of consecutive columns — a run of 8 is one 64-byte
 // line of x. A RunIndex lists each row's maximal runs as (first column,
-// length) in entry order, and MulVecRuns walks them instead of the entries:
-// one start and one length per run, two entries per SSE2 load on amd64.
-// Each row still adds its terms left to right in entry order, so y holds
-// the bits RowDot gives. The index is a property of the pattern, built once
-// per pattern; ColIdx stays, because everything but this product reads it.
+// length) in entry order, and MulVecRuns and MulMatCols walk them instead of
+// the entries: one start and one length per run, then on amd64 two entries
+// per SSE2 load at width 1, or a column pair per register at stride k for a
+// k-wide block. Each sum still adds its terms left to right in entry order,
+// so y holds the bits RowDot gives. The index is a property of the pattern,
+// built once per pattern; ColIdx stays, because everything but these
+// products reads it.
 
 // RunIndex is the run index of a CSR pattern: row i's runs are r in
 // [ptr[i], ptr[i+1]), run r starting at column runs[2r] and holding

@@ -51,8 +51,15 @@ all: tier1
 # step fails if a second measurement system comes back beside benchmark/ and
 # go test: a BENCH_* artifact at the repo root, or a cmd/fsaibench that
 # imports encoding/json (a JSON writer) or internal/mprun (a rank spawn) —
-# fsaibench prints the paper's tables and nothing else. The reach step fails
-# if a non-test function comes back that no entry point reaches (see reach).
+# fsaibench prints the paper's tables and nothing else. The solve step fails
+# if a second /solve path comes back in internal/serve beside the one job
+# path, where a lone request is a job of one member and a coalescing batch
+# the same job with followers: non-test internal/serve takes an admission
+# slot in two places (s.sem <-: a free slot, or one waited for in the
+# queue), releases it in one (<-s.sem), builds one solveResponse literal and
+# adds a solve's totals to /metrics in one place (iterations.Add). The reach
+# step fails if a non-test function comes back that no entry point reaches
+# (see reach).
 tier1:
 	$(GO) build ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
@@ -102,6 +109,15 @@ tier1:
 		if [ -n "$$artifacts" ]; then \
 			echo "a second measurement system is back (benchmark/ times, go test gates, fsaibench prints the paper's tables):"; \
 			echo "$$artifacts"; exit 1; fi
+	@src="$$(ls internal/serve/*.go | grep -v _test.go)"; code='^[^:]*:[0-9]*:[[:space:]]*//'; \
+		takes="$$(grep -n 's\.sem <-' $$src | grep -v "$$code")"; \
+		frees="$$(grep -n '<-s\.sem' $$src | grep -v "$$code")"; \
+		answers="$$(grep -n 'solveResponse{' $$src | grep -v "$$code")"; \
+		totals="$$(grep -n 'iterations\.Add(' $$src | grep -v "$$code")"; \
+		if [ "$$(echo "$$takes" | grep -c .)" -gt 2 ] || [ "$$(echo "$$frees" | grep -c .)" -gt 1 ] || \
+			[ "$$(echo "$$answers" | grep -c .)" -gt 1 ] || [ "$$(echo "$$totals" | grep -c .)" -gt 1 ]; then \
+			echo "internal/serve has a second /solve path beside the one job path (admission, answer or /metrics totals twice):"; \
+			echo "$$takes"; echo "$$frees"; echo "$$answers"; echo "$$totals"; exit 1; fi
 	@$(MAKE) --no-print-directory reach
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/sparse/ ./internal/vecops/

@@ -11,7 +11,6 @@ package fsaicomm
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
@@ -46,33 +45,7 @@ type BatchResult struct {
 	// Iterations is the batch loop's iteration count — the maximum over
 	// columns, which is what the communication schedule paid for.
 	Iterations int
-	// Refinements counts the FP64 iterative-refinement steps of a
-	// mixed-precision (Options.Precision FP32) batched solve; zero for FP64.
-	Refinements int
-	// Ranks is the number of processes used.
-	Ranks int
-	// PctNNZIncrease and ImbalanceIndex are the build metrics (see Result).
-	PctNNZIncrease float64
-	ImbalanceIndex float64
-	// CommBytes, CommMessages, CollectiveCalls and CollectiveBytes are the
-	// aggregate solve-phase communication totals over all ranks. Divide by
-	// len(Cols) for the per-RHS amortized cost the batch exists to shrink.
-	CommBytes       int64
-	CommMessages    int64
-	CollectiveCalls int64
-	CollectiveBytes int64
-	// IntraNodeBytes/IntraNodeMessages and InterNodeBytes/InterNodeMessages
-	// split the point-to-point totals by the two-level topology (see
-	// Result); zero under the flat default except InterNode* == Comm*.
-	IntraNodeBytes    int64
-	IntraNodeMessages int64
-	InterNodeBytes    int64
-	InterNodeMessages int64
-	// Waits is how the ranks' blocking waits ended (see Result).
-	Waits RankWaits
-	// SetupTime and SolveTime are wall-clock phase durations (SetupTime is
-	// 0 for Prepared.SolveBatch, whose setup was paid in Prepare).
-	SetupTime, SolveTime time.Duration
+	SolveTotals
 }
 
 // AllConverged reports whether every column converged.
@@ -199,27 +172,14 @@ func (p *Prepared) SolveBatch(ctx context.Context, rhs [][]float64, so SolveOpti
 
 // batchResult assembles the caller-facing BatchResult of a batched solve.
 func (f *rankFold) batchResult() (*BatchResult, error) {
-	root, bo := f.root, f.root.Batch
+	bo := f.root.Batch
 	if bo == nil || bo.K != len(f.x) {
 		return nil, fmt.Errorf("fsaicomm: rank 0 reported no %d-column batch outcome", len(f.x))
 	}
 	res := &BatchResult{
-		Cols:              make([]ColResult, bo.K),
-		Iterations:        root.Iterations,
-		Refinements:       root.Refinements,
-		Ranks:             len(f.costs),
-		PctNNZIncrease:    f.pct,
-		ImbalanceIndex:    f.imb,
-		CommBytes:         f.comm.P2PBytes,
-		CommMessages:      f.comm.P2PMessages,
-		IntraNodeBytes:    f.comm.IntraP2PBytes,
-		IntraNodeMessages: f.comm.IntraP2PMessages,
-		InterNodeBytes:    f.comm.InterP2PBytes,
-		InterNodeMessages: f.comm.InterP2PMessages,
-		CollectiveCalls:   f.comm.CollectiveCalls,
-		CollectiveBytes:   f.comm.CollectiveBytes,
-		Waits:             f.waits,
-		SolveTime:         time.Duration(root.SolveNanos),
+		Cols:        make([]ColResult, bo.K),
+		Iterations:  f.root.Iterations,
+		SolveTotals: f.tot,
 	}
 	for c := range res.Cols {
 		res.Cols[c] = ColResult{

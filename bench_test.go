@@ -779,6 +779,81 @@ func BenchmarkPreparedSolve8100(b *testing.B) {
 	benchPreparedSolves(b, a, p, 1)
 }
 
+// BenchmarkPreparedSolvePrecision50k is the warm system solved in FP64 and
+// in FP32 with FP64 refinement, on the classic loop with one right-hand side
+// and on the fused loop with a batch of two, the two precisions alternated
+// solve by solve so that each pair sees the same host. It reports each
+// precision's ms per solve, their ratio, the share of pairs FP32 won, the
+// iterations (FP32's inner
+// ones, summed over its refinements) and the true relative residual
+// ‖b − Ax‖/‖b‖ of the first column, in units of 1e-9.
+func BenchmarkPreparedSolvePrecision50k(b *testing.B) {
+	a := matgen.Poisson3D(37, 37, 37)
+	var ps [2]*Prepared
+	for i, prec := range []Precision{FP64, FP32} {
+		p, err := Prepare(a, Options{Method: FSAIEComm, Ranks: 2, Precision: prec})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer p.Close()
+		ps[i] = p
+	}
+	rhs := [][]float64{GenerateRHS(a, 1), GenerateRHS(a, 2)}
+	for _, shape := range []struct {
+		name string
+		k    int
+		v    CGVariant
+	}{{"classic", 1, CGClassic}, {"batch2-fused", 2, CGFused}} {
+		b.Run(shape.name, func(b *testing.B) {
+			var took [2]time.Duration
+			var iters [2]int
+			var res [2]float64
+			refinements, wins := 0, 0
+			for i := 0; i < b.N; i++ {
+				var dt [2]time.Duration
+				for j, p := range ps {
+					so := SolveOptions{CGVariant: shape.v}
+					t0 := time.Now()
+					var x []float64
+					var refined int
+					if shape.k == 1 {
+						r, err := p.Solve(context.Background(), rhs[0], so)
+						if err != nil || !r.Converged {
+							b.Fatalf("precision %d: err=%v", j, err)
+						}
+						x, iters[j], refined = r.X, r.Iterations, r.Refinements
+					} else {
+						r, err := p.SolveBatch(context.Background(), rhs, so)
+						if err != nil || !r.AllConverged() {
+							b.Fatalf("precision %d: err=%v", j, err)
+						}
+						x, iters[j], refined = r.Cols[0].X, r.Iterations, r.Refinements
+					}
+					dt[j] = time.Since(t0)
+					took[j] += dt[j]
+					res[j] = trueRelResidual(a, rhs[0], x)
+					if j == 1 {
+						refinements = refined
+					}
+				}
+				if dt[1] < dt[0] {
+					wins++
+				}
+			}
+			ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+			b.ReportMetric(ms(took[0]), "fp64-ms")
+			b.ReportMetric(ms(took[1]), "fp32-ms")
+			b.ReportMetric(float64(took[1])/float64(took[0]), "fp32/fp64")
+			b.ReportMetric(float64(wins)/float64(b.N), "fp32-won/pairs")
+			b.ReportMetric(float64(iters[0]), "fp64-iters")
+			b.ReportMetric(float64(iters[1]), "fp32-inner-iters")
+			b.ReportMetric(float64(refinements), "refinements")
+			b.ReportMetric(res[0]/1e-9, "fp64-res/1e-9")
+			b.ReportMetric(res[1]/1e-9, "fp32-res/1e-9")
+		})
+	}
+}
+
 // BenchmarkPreparedSolveBatch2_50k is a warm round of two right-hand sides,
 // on the classic loop and on the fused one the batch-coalesce workload of the
 // repo benchmark runs.

@@ -306,9 +306,11 @@ type Options struct {
 	// small iteration overhead; Result.Refinements counts the outer steps).
 	// Tolerances much below ~1e-13 can sit under the float32 representation
 	// floor — the refinement then stops early and reports no convergence.
-	// This is a SETUP-level knob: it changes the prepared factors, so it
-	// lives here and not in SolveOptions, and is part of the serving layer's
-	// preconditioner cache key.
+	// It is a set-up-level knob, here and not in SolveOptions, and part of
+	// the serving layer's preconditioner cache key: the factors are built
+	// in float64 either way and the rank job narrows its operators per
+	// solve, but a system prepared for FP32 keeps the float32 values of A,
+	// G and Gᵀ from Prepare on, and Prepared.SizeBytes charges them.
 	Precision Precision
 }
 
@@ -500,30 +502,32 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
-// Result reports a solve.
-type Result struct {
-	// X is the solution vector (original row order).
-	X []float64
-	// Iterations and Converged report the CG run; RelResidual is the final
-	// relative residual.
-	Iterations  int
-	Converged   bool
-	RelResidual float64
+// SolveTotals are the totals every solve reports, scalar or batched: the
+// world it ran on and the build of the preconditioner it used, the
+// refinement steps, the solve phase's communication summed over ranks, how
+// the ranks' blocking waits ended, and the wall clock. Result and
+// BatchResult embed it, so res.CommBytes or res.SolveTime read the same on
+// either, and whoever sums solves (the serving layer's /metrics) sums one
+// type.
+type SolveTotals struct {
+	// Ranks is the number of processes used (1 for Solve).
+	Ranks int
+	// PctNNZIncrease is the preconditioner pattern growth versus the FSAI
+	// baseline pattern (the paper's "% NNZ"). ImbalanceIndex is avg/max
+	// per-rank preconditioner entries (1 = balanced; only meaningful for
+	// distributed solves).
+	PctNNZIncrease float64
+	ImbalanceIndex float64
 	// Refinements counts the FP64 iterative-refinement steps of a
 	// mixed-precision (Options.Precision FP32) solve; Iterations then counts
 	// the total inner iterations across all steps. Zero for FP64 solves.
 	Refinements int
-	// PctNNZIncrease is the preconditioner pattern growth versus the FSAI
-	// baseline pattern (the paper's "% NNZ").
-	PctNNZIncrease float64
-	// Ranks is the number of simulated processes used (1 for Solve).
-	Ranks int
 	// CommBytes is the total point-to-point traffic during the solve phase
-	// (0 for serial solves); CommMessages the point-to-point message count;
-	// CommBytesPerIteration the per-iteration volume.
-	CommBytes             int64
-	CommMessages          int64
-	CommBytesPerIteration float64
+	// (0 for serial solves); CommMessages the point-to-point message count.
+	// A batch pays them once for all its columns: divide by len(Cols) for
+	// the per-RHS amortized cost the batch exists to shrink.
+	CommBytes    int64
+	CommMessages int64
 	// IntraNodeBytes/IntraNodeMessages and InterNodeBytes/InterNodeMessages
 	// split the point-to-point totals by the two-level topology
 	// (Options.Nodes/RanksPerNode): traffic between ranks on the same node vs
@@ -537,20 +541,31 @@ type Result struct {
 	InterNodeMessages int64
 	// CollectiveCalls and CollectiveBytes are the aggregate collective
 	// totals over all ranks of the solve phase, from the simulated runtime's
-	// meter (0 for serial solves). The serving layer accumulates these into
-	// its /metrics report.
+	// meter (0 for serial solves).
 	CollectiveCalls, CollectiveBytes int64
 	// Waits is how the ranks' blocking waits ended, summed over ranks: what
 	// they waited for there at first look, arrived while they polled, or
 	// after they went to sleep (each sleep costs a wake-up). It tells who
 	// arrived first, not what the program did: no two runs need agree on it.
 	Waits RankWaits
-	// ImbalanceIndex is avg/max per-rank preconditioner entries (1 =
-	// balanced; only meaningful for distributed solves).
-	ImbalanceIndex float64
 	// SetupTime and SolveTime are wall-clock durations of preconditioner
-	// construction and the CG loop.
+	// construction and the Krylov loop. SetupTime is 0 for a Prepared solve,
+	// whose set-up was paid in Prepare.
 	SetupTime, SolveTime time.Duration
+}
+
+// Result reports a solve.
+type Result struct {
+	// X is the solution vector (original row order).
+	X []float64
+	// Iterations and Converged report the CG run; RelResidual is the final
+	// relative residual.
+	Iterations  int
+	Converged   bool
+	RelResidual float64
+	SolveTotals
+	// CommBytesPerIteration is the per-iteration point-to-point volume.
+	CommBytesPerIteration float64
 	// ModeledSolveTime is the solve time in seconds under the α–β cost model
 	// of the selected architecture profile (Options.Arch), with overlap
 	// credit for the communication-hiding CG variants. The simulated runtime
@@ -794,18 +809,16 @@ func (p *Prepared) runRanks(ctx context.Context, transport string, job mprun.Job
 }
 
 // rankFold is what every distributed result takes from the per-rank
-// outcomes: rank 0's solver statistics, the solve-phase communication summed
-// over ranks, the solution columns in the caller's row order, the per-rank
-// cost inputs, and the solve they came from. pct and imb are the build
-// metrics of the Prepared the ranks adopted their operators from.
+// outcomes: rank 0's solver statistics, the totals both result types embed,
+// the solution columns in the caller's row order, the per-rank cost inputs,
+// and the solve they came from. The totals' build metrics are those of the
+// Prepared the ranks adopted their operators from, which sets them.
 type rankFold struct {
-	root     *mprun.RankOutcome
-	comm     simmpi.Snapshot
-	waits    simmpi.Waits
-	x        [][]float64
-	costs    []mprun.IterCostInputs
-	sp       mprun.SolveParams
-	pct, imb float64
+	root  *mprun.RankOutcome
+	tot   SolveTotals
+	x     [][]float64
+	costs []mprun.IterCostInputs
+	sp    mprun.SolveParams
 }
 
 // foldOutcomes is the single fold behind Result and BatchResult. The
@@ -815,6 +828,7 @@ type rankFold struct {
 func foldOutcomes(outs []*mprun.RankOutcome, oldToNew []int, k int, sp mprun.SolveParams) (*rankFold, error) {
 	n := len(oldToNew)
 	f := &rankFold{x: make([][]float64, k), costs: make([]mprun.IterCostInputs, len(outs)), sp: sp}
+	t := &f.tot
 	px := make([]float64, n*k)
 	for r, out := range outs {
 		if out == nil {
@@ -822,19 +836,20 @@ func foldOutcomes(outs []*mprun.RankOutcome, oldToNew []int, k int, sp mprun.Sol
 		}
 		f.costs[r] = out.Cost
 		copy(px[out.Lo*k:out.Hi*k], out.XLocal)
-		f.comm.P2PBytes += out.SolveComm.P2PBytes
-		f.comm.P2PMessages += out.SolveComm.P2PMessages
-		f.comm.IntraP2PBytes += out.SolveComm.IntraP2PBytes
-		f.comm.IntraP2PMessages += out.SolveComm.IntraP2PMessages
-		f.comm.InterP2PBytes += out.SolveComm.InterP2PBytes
-		f.comm.InterP2PMessages += out.SolveComm.InterP2PMessages
-		f.comm.CollectiveCalls += out.SolveComm.CollectiveCalls
-		f.comm.CollectiveBytes += out.SolveComm.CollectiveBytes
-		f.waits.Ready += out.Waits.Ready
-		f.waits.Polled += out.Waits.Polled
-		f.waits.Parked += out.Waits.Parked
+		t.CommBytes += out.SolveComm.P2PBytes
+		t.CommMessages += out.SolveComm.P2PMessages
+		t.IntraNodeBytes += out.SolveComm.IntraP2PBytes
+		t.IntraNodeMessages += out.SolveComm.IntraP2PMessages
+		t.InterNodeBytes += out.SolveComm.InterP2PBytes
+		t.InterNodeMessages += out.SolveComm.InterP2PMessages
+		t.CollectiveCalls += out.SolveComm.CollectiveCalls
+		t.CollectiveBytes += out.SolveComm.CollectiveBytes
+		t.Waits.Ready += out.Waits.Ready
+		t.Waits.Polled += out.Waits.Polled
+		t.Waits.Parked += out.Waits.Parked
 	}
 	f.root = outs[0]
+	t.Ranks, t.Refinements, t.SolveTime = len(outs), f.root.Refinements, time.Duration(f.root.SolveNanos)
 	// Un-permute the (possibly partial, under cancellation) solution.
 	for c := range f.x {
 		col := make([]float64, n)
@@ -861,25 +876,12 @@ func (f *rankFold) err() error {
 func (f *rankFold) result() (*Result, error) {
 	root := f.root
 	res := &Result{
-		X:                 f.x[0],
-		Ranks:             len(f.costs),
-		Iterations:        root.Iterations,
-		Converged:         root.Converged,
-		RelResidual:       root.RelResidual,
-		Refinements:       root.Refinements,
-		PctNNZIncrease:    f.pct,
-		ImbalanceIndex:    f.imb,
-		CommBytes:         f.comm.P2PBytes,
-		CommMessages:      f.comm.P2PMessages,
-		IntraNodeBytes:    f.comm.IntraP2PBytes,
-		IntraNodeMessages: f.comm.IntraP2PMessages,
-		InterNodeBytes:    f.comm.InterP2PBytes,
-		InterNodeMessages: f.comm.InterP2PMessages,
-		CollectiveCalls:   f.comm.CollectiveCalls,
-		CollectiveBytes:   f.comm.CollectiveBytes,
-		Waits:             f.waits,
-		SolveTime:         time.Duration(root.SolveNanos),
-		Trace:             root.Trace,
+		X:           f.x[0],
+		Iterations:  root.Iterations,
+		Converged:   root.Converged,
+		RelResidual: root.RelResidual,
+		SolveTotals: f.tot,
+		Trace:       root.Trace,
 	}
 	if res.Iterations > 0 {
 		res.CommBytesPerIteration = float64(res.CommBytes) / float64(res.Iterations)

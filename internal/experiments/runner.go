@@ -175,12 +175,8 @@ func (r *Runner) Run(spec testsets.Spec, method core.Method, filter float64, str
 	}
 
 	// Set-up (Algorithm 2): build on goroutine ranks and hold the operators.
-	// precond is each rank's cost of one GᵀGx product; the solve's trace adds
-	// its cache misses.
 	cfg := core.Config{Method: method, Filter: filter, Strategy: strategy, LineBytes: r.Arch.LineBytes, Workers: r.Workers}
 	held := make([]mprun.Operators, ranks)
-	precond := make([]archmodel.RankCost, ranks)
-	nnzPrecond := make([]int64, ranks)
 	if _, err := simmpi.Run(ranks, runTimeout, func(c *simmpi.Comm) error {
 		lo, hi := me.layout.Range(c.Rank())
 		bd, err := core.BuildPrecond(c, me.layout, distmat.ExtractLocalRows(me.a, lo, hi), cfg)
@@ -188,14 +184,6 @@ func (r *Runner) Run(spec testsets.Spec, method core.Method, filter float64, str
 			return err
 		}
 		held[c.Rank()] = mprun.Operators{A: mprun.Hold(bd.AOp), G: mprun.Hold(bd.GOp), GT: mprun.Hold(bd.GTOp)}
-		n := int64(bd.GOp.LZ.M.NNZ() + bd.GTOp.LZ.M.NNZ())
-		nnzPrecond[c.Rank()] = n
-		precond[c.Rank()] = archmodel.RankCost{
-			Flops:       2 * n,
-			StreamBytes: 12*n + 24*int64(hi-lo),
-			CommBytes:   int64(8 * (bd.GOp.Plan.SendCount() + bd.GTOp.Plan.SendCount())),
-			CommMsgs:    int64(len(bd.GOp.Plan.SendPeerIDs()) + len(bd.GTOp.Plan.SendPeerIDs())),
-		}
 		if c.Rank() == 0 {
 			res.PctNNZ, res.ImbalanceIndex = bd.PctNNZIncrease, bd.ImbalanceIndex
 		}
@@ -225,11 +213,13 @@ func (r *Runner) Run(spec testsets.Spec, method core.Method, filter float64, str
 	var missSum, gflopSum float64
 	for rank, out := range outs {
 		costs[rank] = out.Cost
-		precond[rank].CacheMisses = out.Cost.PrecondMisses
-		if nnzPrecond[rank] > 0 {
-			missSum += float64(precond[rank].CacheMisses) / float64(nnzPrecond[rank])
+		// The job's cost of one GᵀGx product on the rank, its cache misses
+		// traced; two flops per entry of G and Gᵀ.
+		pc := out.Cost.Precond
+		if pc.Flops > 0 {
+			missSum += float64(pc.CacheMisses) / float64(pc.Flops/2)
 		}
-		gflopSum += r.Arch.GFlopsPerProcess(precond[rank])
+		gflopSum += r.Arch.GFlopsPerProcess(pc)
 		res.P2PBytes += out.SolveComm.P2PBytes
 		res.CollectiveCalls += out.SolveComm.CollectiveCalls
 	}

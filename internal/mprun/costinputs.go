@@ -12,12 +12,12 @@ import (
 // IterCostInputs holds one rank's per-iteration cost-model inputs for a
 // distributed CG solve with the split FSAI preconditioner: the flat
 // (fully-exposed) rank cost, the overlap-credit split matching the CG
-// variant's schedule, and the preconditioner-product miss count reused by
-// the GFLOP/s histograms.
+// variant's schedule, and the cost of one preconditioner application alone,
+// which the paper's GFLOP/s figures and miss histograms read.
 type IterCostInputs struct {
-	Rank          archmodel.RankCost
-	Overlap       archmodel.OverlapCost
-	PrecondMisses int64
+	Rank    archmodel.RankCost
+	Overlap archmodel.OverlapCost
+	Precond archmodel.RankCost
 }
 
 // TracedMisses is the cache-simulator half of the cost inputs: the misses on
@@ -51,7 +51,23 @@ func traceSPAIMisses(arch archmodel.Profile, aOp, mOp *distmat.Op) TracedMisses 
 
 // Misses recovers the traced half from assembled inputs.
 func (ci IterCostInputs) Misses() TracedMisses {
-	return TracedMisses{A: ci.Rank.CacheMisses - ci.PrecondMisses, Precond: ci.PrecondMisses}
+	return TracedMisses{A: ci.Rank.CacheMisses - ci.Precond.CacheMisses, Precond: ci.Precond.CacheMisses}
+}
+
+// precondCost is one preconditioner application on a rank of nl rows — a
+// product with each of ops, the factor pair or the explicit inverse — with
+// its traced misses: two flops and 12 streamed bytes per entry plus 24 per
+// row, and one halo update per operator.
+func precondCost(misses int64, nl int, ops ...*distmat.Op) archmodel.RankCost {
+	rc := archmodel.RankCost{StreamBytes: 24 * int64(nl), CacheMisses: misses}
+	for _, op := range ops {
+		n := int64(op.LZ.M.NNZ())
+		rc.Flops += 2 * n
+		rc.StreamBytes += 12 * n
+		rc.CommBytes += int64(8 * op.Plan.SendCount())
+		rc.CommMsgs += int64(len(op.Plan.SendPeerIDs()))
+	}
+	return rc
 }
 
 // reductionsFor is the global-collective count per CG iteration of a
@@ -142,7 +158,7 @@ func assembleIterCost(miss TracedMisses, aOp, gOp, gtOp *distmat.Op, nl, ranks i
 			IntraCommBytes: intraBytes,
 			IntraCommMsgs:  intraMsgs,
 		},
-		PrecondMisses: miss.Precond,
+		Precond: precondCost(miss.Precond, nl, gOp, gtOp),
 	}
 	// The classic loop's windows carry zero hiding compute, so it never
 	// needs the overlap view of the operators (interior nnz only feeds the
@@ -206,7 +222,7 @@ func assembleSPAIGMRESIterCost(miss TracedMisses, aOp, mOp *distmat.Op, nl, rank
 				{Name: "reduction", Comm: red},
 			},
 		},
-		PrecondMisses: miss.Precond,
+		Precond: precondCost(miss.Precond, nl, mOp),
 	}
 }
 

@@ -1,43 +1,58 @@
 package serve
 
-// Job coalescing: /solve requests that share a prepared system and solver
-// options (differing only in right-hand side) arriving within a short
-// window are merged into one batched solve. The batch pays the halo and
-// collective schedule once for all merged jobs — the per-RHS communication
-// drops by the batch size — and each client still receives its own
-// column's solution, bit-identical to a solo solve.
+// Jobs: every admitted /solve runs as a job, one solve under one admission
+// slot. A lone request is a job of one member that never enrols. A request
+// batching may coalesce is a member of a coalescing job: the first such
+// request with a batch key opens one as its leader, and every request with
+// that key that arrives while the leader waits for a slot and then out the
+// enrolment window joins it as a follower. The batch pays the halo and
+// collective schedule once for all members — the per-RHS communication
+// drops by the batch size — and each client still receives its own column's
+// solution, bit-identical to a solo solve.
 //
-// Admission interaction: the whole batch holds exactly ONE in-flight slot
-// (the leader's). A job that coalesces into an open batch never takes a
-// slot or a queue place of its own, so coalescing strictly reduces
-// admission pressure; it can never cause a 429 that the uncoalesced
-// requests would not have hit.
+// Admission interaction: the whole job holds exactly ONE in-flight slot
+// (the leader's). A follower never takes a slot or a queue place of its
+// own, so coalescing strictly reduces admission pressure; it can never
+// cause a 429 that the uncoalesced requests would not have hit.
+//
+// What differs between the two kinds, decided here and nowhere else: a lone
+// job calls Prepared.Solve under its member's context, so it dies with its
+// client, and its answer carries the modeled solve time and the trace. A
+// coalescing job calls Prepared.SolveBatch at any k, detached under
+// JobTimeout so that no member dies with another's client; its answers carry
+// the batch size and the per-RHS share of its communication, and only
+// coalescing jobs count in /metrics' batches_total and occupancy.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"fsaicomm"
 )
 
-// openBatch is one coalescing batch: the leader's job plus every follower
-// that joined during the enrollment window. rhs is append-only under the
-// server's batch lock while the batch is enrolled in Server.open; once the
-// leader (or the filling follower) removes it from the map, membership is
-// frozen. done is closed by the leader when the outcome fields (res, herr,
-// st) are final.
-type openBatch struct {
-	rhs  [][]float64
-	full chan struct{} // closed when the batch reaches BatchMax
-	done chan struct{} // closed when the outcome is ready
+// job is one solve under one admission slot. A coalescing job is enrolled
+// in Server.open under its batch key from the moment its leader opens it
+// until the enrolment window ends or the batch fills; rhs is append-only
+// under the server's batch lock while it is, and frozen after. done is
+// closed when the outcome fields below are final.
+type job struct {
+	key, bkey string        // prepared-cache key; batch key, "" for a lone job
+	rhs       [][]float64   // one per member, the leader's first
+	full      chan struct{} // coalescing jobs only: closed when the batch reaches BatchMax
+	done      chan struct{}
 
-	res  *fsaicomm.BatchResult
-	herr *httpError // non-nil: the whole batch failed with this status
+	herr *httpError // non-nil: every member answers with it
 	st   setupOutcome
+	tot  *fsaicomm.SolveTotals
+	cols []fsaicomm.ColResult // one per member
+	lone *fsaicomm.Result     // a lone job's result, for what only a scalar solve reports
 }
+
+func (j *job) coalescing() bool { return j.full != nil }
 
 // batchEligible reports whether a request may be coalesced: batching is
 // configured, the solver is the CG family (only it has a batched loop), the
@@ -54,236 +69,212 @@ func (s *Server) batchEligible(solver fsaicomm.Solver, so fsaicomm.SolveOptions)
 }
 
 // batchKey extends the prepared-cache key with every per-solve option, so
-// only jobs whose batched solves are interchangeable ever merge. Restart
-// rides along even though batched solves are CG-only today: the key must
-// separate any two requests whose solves could differ.
+// only jobs whose batched solves are interchangeable ever merge. Restart and
+// Trace ride along even though batched solves are CG-only and untraced
+// today: the key must separate any two requests whose solves could differ.
 func batchKey(skey string, so fsaicomm.SolveOptions) string {
-	return fmt.Sprintf("%s|tol%g|mi%d|cg%d|re%d|arch%s|rre%d|tr%s|n%d|rpn%d|nna%v",
-		skey, so.Tol, so.MaxIter, so.CGVariant, so.Restart, so.Arch, so.ResidualReplaceEvery, so.Transport,
+	return fmt.Sprintf("%s|tol%g|mi%d|cg%d|re%d|arch%s|trace%v|rre%d|tr%s|n%d|rpn%d|nna%v",
+		skey, so.Tol, so.MaxIter, so.CGVariant, so.Restart, so.Arch, so.Trace, so.ResidualReplaceEvery, so.Transport,
 		so.Nodes, so.RanksPerNode, so.NoNodeAggregation)
 }
 
-// solveBatched runs the coalescing /solve path. The caller has already
-// resolved the matrix and the options and checked the right-hand side's
-// shape.
-func (s *Server) solveBatched(w http.ResponseWriter, r *http.Request, q *solveRequest, m *uploaded, opt fsaicomm.Options, so fsaicomm.SolveOptions) {
-	a := m.a
-	ranks := fsaicomm.AutoRanks(a, opt.Ranks)
-	skey := setupKey(q.Matrix, m.pattern, opt, ranks)
-	bkey := batchKey(skey, so)
-
-	// A member needs its right-hand side in hand to enrol, so it is made
-	// before admission here — but not for a request that would open a batch
-	// only to be refused a slot: that one is refused now. (A joiner rides
-	// the leader's slot and is never refused.)
+// joinable reports whether a job is enrolled under bkey, one a request can
+// join without a slot of its own. A lone request (bkey "") never finds one.
+func (s *Server) joinable(bkey string) bool {
 	s.batMu.Lock()
-	_, joining := s.open[bkey]
-	s.batMu.Unlock()
-	if !joining && s.atCapacity() {
-		s.refuse(w, true)
-		return
-	}
-	rhs, err := q.rightHandSide(m)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-
-	s.batMu.Lock()
-	if ob := s.open[bkey]; ob != nil {
-		// Join the open batch: no admission slot, no queue place — the
-		// leader's slot covers the whole batch.
-		idx := len(ob.rhs)
-		ob.rhs = append(ob.rhs, rhs)
-		if len(ob.rhs) >= s.cfg.BatchMax {
-			delete(s.open, bkey) // full: freeze membership, wake the leader
-			close(ob.full)
-		}
-		s.batMu.Unlock()
-		s.met.jobsAccepted.Add(1)
-		s.met.coalescedJobs.Add(1)
-		select {
-		case <-ob.done:
-		case <-r.Context().Done():
-			// The client is gone; the batch still solves this column and
-			// discards it.
-			s.met.jobsCanceled.Add(1)
-			return
-		}
-		s.writeBatchColumn(w, q, ob, idx, true)
-		return
-	}
-	ob := &openBatch{
-		rhs:  [][]float64{rhs},
-		full: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	s.open[bkey] = ob
-	s.batMu.Unlock()
-
-	// Leader: acquire one slot for the whole batch, queueing like any
-	// scalar job. Followers keep joining while we wait — a job that was
-	// about to queue instead rides this slot (never double-counted).
-	acquired := false
-	select {
-	case s.sem <- struct{}{}:
-		acquired = true
-	default:
-		if int(s.met.queued.Load()) < s.cfg.MaxQueue {
-			s.met.queued.Add(1)
-			select {
-			case s.sem <- struct{}{}:
-				s.met.queued.Add(-1)
-				acquired = true
-			case <-r.Context().Done():
-				s.met.queued.Add(-1)
-			}
-		}
-	}
-	if !acquired {
-		// Rejected (queue full) or the leader's client vanished while
-		// queued: fail the whole batch — followers get the same answer
-		// their own admission attempt would have produced.
-		if r.Context().Err() != nil {
-			s.met.jobsCanceled.Add(1)
-			s.failBatch(bkey, ob, nil)
-			return
-		}
-		s.failBatch(bkey, ob, s.refuse(w, true))
-		return
-	}
-	// As on the scalar path, the slot is free again before any member's
-	// answer is published or written.
-	br, herr, st := func() (*fsaicomm.BatchResult, *httpError, setupOutcome) {
-		defer func() { <-s.sem }()
-		return s.runBatch(q, a, opt, so, skey, bkey, ob)
-	}()
-	s.finishBatch(ob, br, herr, st)
-	s.writeBatchColumn(w, q, ob, 0, false)
+	defer s.batMu.Unlock()
+	return s.open[bkey] != nil
 }
 
-// runBatch is the part of a batch that holds the leader's admission slot:
-// the enrollment window, the prepared system and the batched solve. It
-// returns the outcome every member will read.
-func (s *Server) runBatch(q *solveRequest, a *fsaicomm.Matrix, opt fsaicomm.Options, so fsaicomm.SolveOptions, skey, bkey string, ob *openBatch) (*fsaicomm.BatchResult, *httpError, setupOutcome) {
+// enrol makes a member of rhs: a follower (idx > 0) of the job enrolled
+// under bkey if there is one, else the leader (idx 0) of a new job, which is
+// enrolled for followers to join when bkey is set.
+func (s *Server) enrol(key, bkey string, rhs []float64) (j *job, idx int) {
+	s.batMu.Lock()
+	defer s.batMu.Unlock()
+	if j = s.open[bkey]; j != nil {
+		j.rhs = append(j.rhs, rhs)
+		if len(j.rhs) >= s.cfg.BatchMax {
+			delete(s.open, bkey) // full: freeze membership, wake the leader
+			close(j.full)
+		}
+		return j, len(j.rhs) - 1
+	}
+	j = &job{key: key, bkey: bkey, rhs: [][]float64{rhs}, done: make(chan struct{})}
+	if bkey != "" {
+		j.full = make(chan struct{})
+		s.open[bkey] = j
+	}
+	return j, 0
+}
+
+// freeze ends the job's enrolment: nobody joins it after this.
+func (s *Server) freeze(j *job) {
+	s.batMu.Lock()
+	if s.open[j.bkey] == j {
+		delete(s.open, j.bkey)
+	}
+	s.batMu.Unlock()
+}
+
+// finish freezes the job and publishes its outcome to every member. It is
+// called once per job, by its leader.
+func (s *Server) finish(j *job, herr *httpError) {
+	s.freeze(j)
+	j.herr = herr
+	close(j.done)
+}
+
+// admit takes the job's one admission slot: a free slot at once, else a
+// queue place while there is room, else the job is refused with 429. A
+// leader whose client leaves while queued frees its place, and the job's
+// other members are answered 503. On false the job is finished.
+func (s *Server) admit(ctx context.Context, j *job) bool {
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	default:
+	}
+	if s.atCapacity() {
+		s.finish(j, s.refusal())
+		return false
+	}
+	s.met.queued.Add(1)
+	defer s.met.queued.Add(-1)
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		s.met.jobsCanceled.Add(1)
+		s.finish(j, fail(http.StatusServiceUnavailable, "batch leader disconnected before the solve started"))
+		return false
+	}
+}
+
+// run is the work under the job's admission slot: a coalescing job first
+// waits out its enrolment window; then the prepared system, the solve and
+// its bookkeeping — latency, the cache's charge, the /metrics totals and
+// every member's job counter. It returns the error each member answers
+// with, nil when the job solved.
+func (s *Server) run(ctx context.Context, fp string, a *fsaicomm.Matrix, opt fsaicomm.Options, so fsaicomm.SolveOptions, j *job) *httpError {
 	s.met.jobsAccepted.Add(1)
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
-
-	// Enrollment window: wait for followers until the batch fills or the
-	// window elapses.
-	timer := time.NewTimer(s.cfg.BatchWindow)
-	select {
-	case <-ob.full:
-	case <-timer.C:
-	}
-	timer.Stop()
-	s.batMu.Lock()
-	if s.open[bkey] == ob {
-		delete(s.open, bkey)
-	}
-	k := len(ob.rhs)
-	s.batMu.Unlock()
-
-	// The batch runs detached from the leader's connection: a follower's
-	// job must not die because the leader's client hung up. JobTimeout
-	// still bounds it.
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.JobTimeout)
-	defer cancel()
-	t0 := time.Now()
-	p, st, err := s.prepare(skey, a, opt)
-	if err != nil {
-		s.met.jobsFailed.Add(int64(k))
-		return nil, fail(http.StatusUnprocessableEntity, "preparing system: %v", err), setupOutcome{}
-	}
-
-	br, err := p.SolveBatch(ctx, ob.rhs, so)
-	s.met.latency.observe(time.Since(t0))
-	s.recharge(skey, p, so)
-	s.met.batchesTotal.Add(1)
-	s.met.occupancy.observe(k)
-	if err != nil && !errors.Is(err, fsaicomm.ErrCanceled) {
-		s.met.jobsFailed.Add(int64(k))
-		return nil, fail(http.StatusUnprocessableEntity, "solve: %v", err), st
-	}
-	if br != nil {
-		s.met.iterations.Add(int64(br.Iterations))
-		s.met.commBytes.Add(br.CommBytes)
-		s.met.intraNodeBytes.Add(br.IntraNodeBytes)
-		s.met.intraNodeMessages.Add(br.IntraNodeMessages)
-		s.met.interNodeBytes.Add(br.InterNodeBytes)
-		s.met.interNodeMessages.Add(br.InterNodeMessages)
-		s.met.collectiveCalls.Add(br.CollectiveCalls)
-		s.met.collectiveBytes.Add(br.CollectiveBytes)
-		s.met.addWaits(br.Waits)
-	}
-	if err != nil { // JobTimeout: the batch was cut off collectively
-		s.met.jobsCanceled.Add(int64(k))
-		return nil, fail(http.StatusGatewayTimeout,
-			"batch exceeded its %v deadline after %d iterations", s.cfg.JobTimeout, br.Iterations), st
-	}
-	s.met.jobsCompleted.Add(int64(k))
-	s.logf("serve: batch %s ranks=%d k=%d iters=%d hit=%v setup=%v solve=%v",
-		q.Matrix, br.Ranks, k, br.Iterations, st.hit, st.setup, br.SolveTime)
-	return br, nil, st
-}
-
-// failBatch aborts a batch before it solved: enrollment closes, and every
-// member (the leader's writer runs separately) observes herr — or, when
-// herr is nil, a 503 placeholder for a leader that vanished while queued.
-func (s *Server) failBatch(bkey string, ob *openBatch, herr *httpError) {
-	if herr == nil {
-		herr = fail(http.StatusServiceUnavailable, "batch leader disconnected before the solve started")
-	}
-	s.batMu.Lock()
-	if s.open[bkey] == ob {
-		delete(s.open, bkey)
-	}
-	s.batMu.Unlock()
-	s.finishBatch(ob, nil, herr, setupOutcome{})
-}
-
-// finishBatch publishes the batch outcome and wakes every waiter. Must be
-// called exactly once, after membership is frozen.
-func (s *Server) finishBatch(ob *openBatch, res *fsaicomm.BatchResult, herr *httpError, st setupOutcome) {
-	ob.res = res
-	ob.herr = herr
-	ob.st = st
-	close(ob.done)
-}
-
-// writeBatchColumn renders one member's view of a finished batch: its own
-// solution column and per-column stats, plus the batch-level occupancy and
-// the per-RHS amortized communication (the batch totals divided by the
-// batch size — the number the coalescing exists to shrink).
-func (s *Server) writeBatchColumn(w http.ResponseWriter, q *solveRequest, ob *openBatch, idx int, coalesced bool) {
-	if ob.herr != nil {
-		if ob.herr.code == http.StatusTooManyRequests {
-			s.setRetryAfter(w, true)
+	what := "job"
+	if j.coalescing() {
+		timer := time.NewTimer(s.cfg.BatchWindow)
+		select {
+		case <-j.full:
+		case <-timer.C:
 		}
-		writeErr(w, ob.herr)
+		timer.Stop()
+		s.freeze(j)
+		// Detached: no member's job dies with another member's client.
+		ctx, what = context.Background(), "batch"
+	}
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.JobTimeout)
+	defer cancel()
+	k := int64(len(j.rhs))
+	t0 := time.Now()
+	p, st, err := s.prepare(j.key, a, opt)
+	if err != nil {
+		s.met.jobsFailed.Add(k)
+		return fail(http.StatusUnprocessableEntity, "preparing system: %v", err)
+	}
+	j.st = st
+	iters, err := j.solve(ctx, p, so)
+	s.met.latency.observe(time.Since(t0))
+	s.recharge(j.key, p, so)
+	if j.coalescing() {
+		s.met.batchesTotal.Add(1)
+		s.met.occupancy.observe(int(k))
+	}
+	if err != nil && (j.tot == nil || !errors.Is(err, fsaicomm.ErrCanceled)) {
+		s.met.jobsFailed.Add(k)
+		return fail(http.StatusUnprocessableEntity, "solve: %v", err)
+	}
+	s.met.addSolve(iters, j.tot)
+	if err != nil { // canceled: the deadline, or a lone job's client leaving
+		s.met.jobsCanceled.Add(k)
+		return fail(http.StatusGatewayTimeout,
+			"%s exceeded its %v deadline after %d iterations", what, s.cfg.JobTimeout, iters)
+	}
+	s.met.jobsCompleted.Add(k)
+	s.logf("serve: solve %s ranks=%d k=%d iters=%d hit=%v setup=%v solve=%v",
+		fp, j.tot.Ranks, k, iters, st.hit, st.setup, j.tot.SolveTime)
+	return nil
+}
+
+// solve runs the job on p and keeps the members' columns and the totals:
+// p.Solve for a lone job, p.SolveBatch at any k for a coalescing one. It
+// returns the loop's iteration count.
+func (j *job) solve(ctx context.Context, p *fsaicomm.Prepared, so fsaicomm.SolveOptions) (int, error) {
+	if j.coalescing() {
+		br, err := p.SolveBatch(ctx, j.rhs, so)
+		if br == nil {
+			return 0, err
+		}
+		j.cols, j.tot = br.Cols, &br.SolveTotals
+		return br.Iterations, err
+	}
+	res, err := p.Solve(ctx, j.rhs[0], so)
+	if res == nil {
+		return 0, err
+	}
+	j.lone, j.tot = res, &res.SolveTotals
+	j.cols = []fsaicomm.ColResult{{X: res.X, Iterations: res.Iterations, Converged: res.Converged, RelResidual: res.RelResidual}}
+	return res.Iterations, err
+}
+
+// answer writes member idx's view of the finished job: its own column and
+// the job's totals. A coalescing job's members also read the batch size and,
+// as communication, their per-RHS share of its totals (the number the
+// coalescing exists to shrink); a lone member reads the modeled solve time
+// and the trace.
+func (s *Server) answer(w http.ResponseWriter, fp string, j *job, idx int) {
+	if j.herr != nil {
+		s.writeFailure(w, j.herr, j.coalescing())
 		return
 	}
-	res := ob.res
-	col := &res.Cols[idx]
-	k := int64(len(res.Cols))
-	writeJSON(w, http.StatusOK, solveResponse{
-		Matrix:      q.Matrix,
-		CacheHit:    ob.st.hit,
-		Ranks:       res.Ranks,
+	col, t := &j.cols[idx], j.tot
+	k := int64(len(j.cols))
+	resp := &solveResponse{
+		Matrix:      fp,
+		CacheHit:    j.st.hit,
+		Ranks:       t.Ranks,
 		Iterations:  col.Iterations,
 		Converged:   col.Converged,
 		RelResidual: col.RelResidual,
-		Refinements: res.Refinements,
-		SetupMs:     float64(ob.st.setup) / float64(time.Millisecond),
-		SetupPhases: ob.st.phases,
-		PatternHit:  ob.st.patternHit,
-		SolveMs:     float64(res.SolveTime) / float64(time.Millisecond),
-		CommBytes:   res.CommBytes / k,
-		Collectives: res.CollectiveCalls / k,
-		PctNNZ:      res.PctNNZIncrease,
+		Refinements: t.Refinements,
+		SetupMs:     float64(j.st.setup) / float64(time.Millisecond),
+		SetupPhases: j.st.phases,
+		PatternHit:  j.st.patternHit,
+		SolveMs:     float64(t.SolveTime) / float64(time.Millisecond),
+		CommBytes:   t.CommBytes / k,
+		Collectives: t.CollectiveCalls / k,
+		PctNNZ:      t.PctNNZIncrease,
 		X:           col.X,
-		Batched:     int(k),
-		Coalesced:   coalesced,
-	})
+	}
+	if j.coalescing() {
+		resp.Batched, resp.Coalesced = int(k), idx > 0
+	} else {
+		resp.ModeledSec, resp.Trace = j.lone.ModeledSolveTime, j.lone.Trace
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// refusal counts a 429 and returns it.
+func (s *Server) refusal() *httpError {
+	s.met.jobsRejected.Add(1)
+	return fail(http.StatusTooManyRequests,
+		"server at capacity (%d running, %d queued)", s.cfg.MaxInFlight, s.cfg.MaxQueue)
+}
+
+// writeFailure answers herr; a 429 carries the backlog-derived Retry-After,
+// the one place the header is produced.
+func (s *Server) writeFailure(w http.ResponseWriter, herr *httpError, coalescing bool) {
+	if herr.code == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(coalescing)))
+	}
+	writeErr(w, herr)
 }

@@ -172,7 +172,7 @@ type metrics struct {
 	commBytes       atomic.Int64
 	collectiveCalls atomic.Int64
 	collectiveBytes atomic.Int64
-	// How the ranks' blocking waits ended (fsaicomm.Result.Waits): parked is
+	// How the ranks' blocking waits ended (fsaicomm.SolveTotals.Waits): parked is
 	// the number of wake-ups the solves paid for.
 	waitsReady, waitsPolled, waitsParked atomic.Int64
 
@@ -195,10 +195,19 @@ type metrics struct {
 	occupancy *occupancyHist
 }
 
-func (m *metrics) addWaits(w fsaicomm.RankWaits) {
-	m.waitsReady.Add(w.Ready)
-	m.waitsPolled.Add(w.Polled)
-	m.waitsParked.Add(w.Parked)
+// addSolve adds one solve's loop iterations and totals to the /metrics sums.
+func (m *metrics) addSolve(iters int, t *fsaicomm.SolveTotals) {
+	m.iterations.Add(int64(iters))
+	m.commBytes.Add(t.CommBytes)
+	m.intraNodeBytes.Add(t.IntraNodeBytes)
+	m.intraNodeMessages.Add(t.IntraNodeMessages)
+	m.interNodeBytes.Add(t.InterNodeBytes)
+	m.interNodeMessages.Add(t.InterNodeMessages)
+	m.collectiveCalls.Add(t.CollectiveCalls)
+	m.collectiveBytes.Add(t.CollectiveBytes)
+	m.waitsReady.Add(t.Waits.Ready)
+	m.waitsPolled.Add(t.Waits.Polled)
+	m.waitsParked.Add(t.Waits.Parked)
 }
 
 func newMetrics() *metrics {

@@ -11,8 +11,8 @@
 //   - Admission control: at most MaxInFlight concurrent solves, at most
 //     MaxQueue waiting; beyond that requests get 429 immediately, so an
 //     overloaded server degrades by refusing, not by thrashing.
-//   - Deadlines and cancellation: every job runs under a context combining
-//     the client connection and JobTimeout; cancellation propagates into
+//   - Deadlines and cancellation: every job runs under JobTimeout, a lone
+//     job also under its client's connection; cancellation propagates into
 //     the distributed CG loop, which stops collectively at an iteration
 //     boundary.
 //   - Caching: two byte-budget LRUs (uploaded matrices by content
@@ -112,9 +112,9 @@ type Server struct {
 	prepared *lru // fingerprint + setup options -> *fsaicomm.Prepared
 	sem      chan struct{}
 
-	// batMu guards open, the enrolling coalescing batches by batch key.
+	// batMu guards open, the enrolling coalescing jobs by batch key.
 	batMu sync.Mutex
-	open  map[string]*openBatch
+	open  map[string]*job
 
 	mu       sync.Mutex
 	draining bool
@@ -135,7 +135,7 @@ func New(cfg Config) *Server {
 		matrices: newLRU(cfg.MatrixCacheBytes, &met.matrixHits, &met.matrixMisses, &met.matrixEvictions, nil),
 		prepared: newLRU(cfg.CacheBytes, &met.preparedHits, &met.preparedMisses, &met.preparedEvictions, closePrepared),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
-		open:     make(map[string]*openBatch),
+		open:     make(map[string]*job),
 	}
 	s.mux.HandleFunc("POST /matrix", s.handleMatrix)
 	s.mux.HandleFunc("POST /solve", s.handleSolve)
@@ -196,7 +196,7 @@ func (s *Server) beginJob() (release func(), ok bool) {
 // the backlog the client would sit behind — queued plus in-flight jobs,
 // spread over the MaxInFlight slots — times the recent mean solve latency
 // from the histogram (one second before any data exists), plus the batch
-// enrollment window when the rejection came off the coalescing path (a
+// enrollment window when the rejected request could have coalesced (a
 // retry cannot possibly be served sooner than the window the batch holds
 // its leader for). Clamped to [1, 60] seconds.
 func (s *Server) retryAfterSeconds(batched bool) int {
@@ -217,12 +217,6 @@ func (s *Server) retryAfterSeconds(batched bool) int {
 		secs = 60
 	}
 	return secs
-}
-
-// setRetryAfter stamps the Retry-After header on a 429 response — the single
-// place the header is produced.
-func (s *Server) setRetryAfter(w http.ResponseWriter, batched bool) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(batched)))
 }
 
 type httpError struct {
@@ -360,16 +354,6 @@ func (q *solveRequest) rightHandSide(m *uploaded) ([]float64, error) {
 // slot busy and the queue full.
 func (s *Server) atCapacity() bool {
 	return len(s.sem) == cap(s.sem) && int(s.met.queued.Load()) >= s.cfg.MaxQueue
-}
-
-// refuse answers 429 with the backlog-derived Retry-After.
-func (s *Server) refuse(w http.ResponseWriter, batched bool) *httpError {
-	s.met.jobsRejected.Add(1)
-	herr := fail(http.StatusTooManyRequests,
-		"server at capacity (%d running, %d queued)", s.cfg.MaxInFlight, s.cfg.MaxQueue)
-	s.setRetryAfter(w, batched)
-	writeErr(w, herr)
-	return herr
 }
 
 func matrixBytes(a *fsaicomm.Matrix) int64 {
@@ -578,11 +562,11 @@ type solveResponse struct {
 	PctNNZ      float64   `json:"pct_nnz_increase"`
 	X           []float64 `json:"x"`
 
-	// Batched reports how many jobs the serving batch solved together (0
-	// when the job ran alone on the scalar path); Coalesced marks a job
-	// that rode another job's batch instead of opening its own. For
-	// batched jobs CommBytes and Collectives are the per-RHS amortized
-	// shares of the batch totals, and ModeledSec is not computed.
+	// Batched reports how many requests the coalescing job solved together
+	// (0 for a lone job); Coalesced marks a follower, a request that rode
+	// another's batch instead of opening its own. For coalesced requests
+	// CommBytes and Collectives are the per-RHS amortized shares of the
+	// batch totals, and ModeledSec is not computed.
 	Batched   int  `json:"batched,omitempty"`
 	Coalesced bool `json:"coalesced,omitempty"`
 
@@ -597,6 +581,11 @@ type solveResponse struct {
 	PatternHit  bool           `json:"pattern_hit,omitempty"`
 }
 
+// handleSolve is the one /solve path. Every request is a member of a job
+// (batch.go): a lone request is a job of one member; a request batching may
+// coalesce joins the job open under its batch key as a follower, or opens
+// one as its leader. The leader takes the job's one admission slot and runs
+// it; every member answers from the job's outcome.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.beginJob()
 	if !ok {
@@ -627,124 +616,49 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fail(http.StatusBadRequest, "rhs length %d, want %d", len(q.RHS), m.a.Rows))
 		return
 	}
-	// Everything above is O(request); the right-hand side (n random draws,
-	// or a scan of n values) is made only once the job is admitted, so a
-	// request refused under overload has cost the server nothing.
-
-	// Coalescing: an eligible request routes through the batching path,
-	// which merges it with concurrent same-system jobs into one batched
-	// solve under a single admission slot.
+	key := setupKey(q.Matrix, m.pattern, opt, fsaicomm.AutoRanks(m.a, opt.Ranks))
+	bkey := ""
 	if s.batchEligible(opt.Solver, so) {
-		s.solveBatched(w, r, q, m, opt, so)
+		bkey = batchKey(key, so)
+	}
+	// Everything above is O(request). A member carries its right-hand side
+	// (n random draws, or a scan of n values) into its job, but a request
+	// that would need a slot and finds none, nor a queue place, is refused
+	// before drawing it: a request refused under overload has cost the
+	// server nothing. (A follower rides the leader's slot and is never
+	// refused.)
+	if !s.joinable(bkey) && s.atCapacity() {
+		s.writeFailure(w, s.refusal(), bkey != "")
 		return
 	}
-
-	// Admission: take a free slot immediately if one exists; otherwise
-	// join the bounded queue or fail fast with 429 when it is full. A
-	// queued client that disconnects frees its queue place.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		if s.atCapacity() {
-			s.refuse(w, false)
-			return
-		}
-		s.met.queued.Add(1)
-		select {
-		case s.sem <- struct{}{}:
-			s.met.queued.Add(-1)
-		case <-r.Context().Done():
-			s.met.queued.Add(-1)
-			s.met.jobsCanceled.Add(1)
-			return // client is gone; nothing to write
-		}
-	}
-	// The slot covers the work, not the answer: it is free again before the
-	// response is written, so a client that has read its answer never finds
-	// the slot it just used still taken.
-	resp, err := func() (*solveResponse, error) {
-		defer func() { <-s.sem }()
-		return s.solveAdmitted(r, q, m, opt, so)
-	}()
-	switch {
-	case err != nil:
-		writeErr(w, err)
-	case resp != nil: // nil without an error: the client is gone
-		writeJSON(w, http.StatusOK, resp)
-	}
-}
-
-// solveAdmitted is the part of a scalar /solve that holds an admission slot:
-// right-hand side, prepared system (cached or built), solve. It returns the
-// response, an error to answer with, or neither when the client has gone.
-func (s *Server) solveAdmitted(r *http.Request, q *solveRequest, m *uploaded, opt fsaicomm.Options, so fsaicomm.SolveOptions) (*solveResponse, error) {
-	s.met.jobsAccepted.Add(1)
-	s.met.inFlight.Add(1)
-	defer s.met.inFlight.Add(-1)
 	rhs, err := q.rightHandSide(m)
 	if err != nil {
-		s.met.jobsFailed.Add(1)
-		return nil, err
+		writeErr(w, err)
+		return
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
-	defer cancel()
-
-	ranks := fsaicomm.AutoRanks(m.a, opt.Ranks)
-	key := setupKey(q.Matrix, m.pattern, opt, ranks)
-	t0 := time.Now()
-	p, st, err := s.prepare(key, m.a, opt)
-	if err != nil {
-		s.met.jobsFailed.Add(1)
-		return nil, fail(http.StatusUnprocessableEntity, "preparing system: %v", err)
-	}
-
-	res, err := p.Solve(ctx, rhs, so)
-	s.met.latency.observe(time.Since(t0))
-	s.recharge(key, p, so)
-	if err != nil && !errors.Is(err, fsaicomm.ErrCanceled) {
-		s.met.jobsFailed.Add(1)
-		return nil, fail(http.StatusUnprocessableEntity, "solve: %v", err)
-	}
-	s.met.iterations.Add(int64(res.Iterations))
-	s.met.commBytes.Add(res.CommBytes)
-	s.met.intraNodeBytes.Add(res.IntraNodeBytes)
-	s.met.intraNodeMessages.Add(res.IntraNodeMessages)
-	s.met.interNodeBytes.Add(res.InterNodeBytes)
-	s.met.interNodeMessages.Add(res.InterNodeMessages)
-	s.met.collectiveCalls.Add(res.CollectiveCalls)
-	s.met.collectiveBytes.Add(res.CollectiveBytes)
-	s.met.addWaits(res.Waits)
-	if err != nil { // canceled: deadline or client disconnect
-		s.met.jobsCanceled.Add(1)
-		if r.Context().Err() != nil {
-			return nil, nil
+	j, idx := s.enrol(key, bkey, rhs)
+	if idx > 0 {
+		s.met.jobsAccepted.Add(1)
+		s.met.coalescedJobs.Add(1)
+		select {
+		case <-j.done:
+		case <-r.Context().Done():
+			// The client is gone; the batch still solves this column and
+			// discards it.
+			s.met.jobsCanceled.Add(1)
+			return
 		}
-		return nil, fail(http.StatusGatewayTimeout,
-			"job exceeded its %v deadline after %d iterations", s.cfg.JobTimeout, res.Iterations)
+	} else if s.admit(r.Context(), j) {
+		// The slot covers the work, not the answer: it is free again before
+		// the outcome is published or written, so a client that has read its
+		// answer never finds the slot it just used still taken.
+		herr := func() *httpError {
+			defer func() { <-s.sem }()
+			return s.run(r.Context(), q.Matrix, m.a, opt, so, j)
+		}()
+		s.finish(j, herr)
 	}
-	s.met.jobsCompleted.Add(1)
-	s.logf("serve: solve %s ranks=%d iters=%d converged=%v hit=%v setup=%v solve=%v",
-		q.Matrix, res.Ranks, res.Iterations, res.Converged, st.hit, st.setup, res.SolveTime)
-	return &solveResponse{
-		Matrix:      q.Matrix,
-		CacheHit:    st.hit,
-		Ranks:       res.Ranks,
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-		RelResidual: res.RelResidual,
-		Refinements: res.Refinements,
-		SetupMs:     float64(st.setup) / float64(time.Millisecond),
-		SetupPhases: st.phases,
-		PatternHit:  st.patternHit,
-		SolveMs:     float64(res.SolveTime) / float64(time.Millisecond),
-		ModeledSec:  res.ModeledSolveTime,
-		CommBytes:   res.CommBytes,
-		Collectives: res.CollectiveCalls,
-		PctNNZ:      res.PctNNZIncrease,
-		X:           res.X,
-		Trace:       res.Trace,
-	}, nil
+	s.answer(w, q.Matrix, j, idx)
 }
 
 // setupPhasesMs is fsaicomm.SetupPhases on the wire: milliseconds per phase

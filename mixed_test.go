@@ -212,3 +212,44 @@ func TestMixedPrecisionHalvesHaloBytes(t *testing.T) {
 		}
 	}
 }
+
+// An FP32 system is charged the float32 values its solves read from Prepare
+// (and Refactor) on: its SizeBytes is the FP64 system's plus four bytes per
+// stored entry of A, G and Gᵀ on every rank, and a solve does not move it.
+func TestFP32SizeBytesChargesNarrowedValues(t *testing.T) {
+	a := GeneratePoisson3D(14, 14, 14)
+	b := GenerateRHS(a, 3)
+	opt := Options{Method: FSAIEComm, Ranks: 2, Filter: 0.01}
+	p64, err := Prepare(a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p64.Close()
+	opt.Precision = FP32
+	p32, err := Prepare(a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p32.Close()
+	refactored, err := p32.Refactor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refactored.Close()
+	for _, p := range []*Prepared{p32, refactored} {
+		var nnz int64
+		for _, r := range p.parts {
+			nnz += int64(r.A.LZ.M.NNZ() + r.G.LZ.M.NNZ() + r.GT.LZ.M.NNZ())
+		}
+		want := p64.SizeBytes() + 4*nnz
+		if got := p.SizeBytes(); got != want {
+			t.Fatalf("FP32 SizeBytes %d before a solve, want FP64's %d + 4·%d = %d", got, p64.SizeBytes(), nnz, want)
+		}
+		if _, err := p.Solve(context.Background(), b, SolveOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.SizeBytes(); got != want {
+			t.Fatalf("FP32 SizeBytes %d after a solve, want %d", got, want)
+		}
+	}
+}

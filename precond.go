@@ -158,17 +158,19 @@ func (p *Preconditioner) solve(ctx context.Context, b []float64, opt Options) (*
 		return nil, err
 	}
 	res := &Result{
-		X:              x,
-		Iterations:     st.Iterations,
-		Converged:      st.Converged,
-		RelResidual:    st.RelResidual,
-		Refinements:    st.Refinements,
-		PctNNZIncrease: p.pct,
-		Ranks:          1,
-		ImbalanceIndex: 1,
-		SetupTime:      p.setup,
-		SolveTime:      time.Since(t0),
-		Trace:          st.Trace,
+		X:           x,
+		Iterations:  st.Iterations,
+		Converged:   st.Converged,
+		RelResidual: st.RelResidual,
+		SolveTotals: SolveTotals{
+			Ranks:          1,
+			PctNNZIncrease: p.pct,
+			ImbalanceIndex: 1,
+			Refinements:    st.Refinements,
+			SetupTime:      p.setup,
+			SolveTime:      time.Since(t0),
+		},
+		Trace: st.Trace,
 	}
 	if canceled || broken {
 		return res, err

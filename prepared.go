@@ -282,6 +282,14 @@ func (st *structure) factor(a *Matrix, donor *Prepared) (*Prepared, error) {
 		} else {
 			held.G, held.GT = mprun.Hold(bd.GOp), mprun.Hold(bd.GTOp)
 		}
+		if st.opt.Precision == FP32 {
+			// FP32 solves read float32 copies of A, G and Gᵀ, kept on the
+			// shared localized views: made here, they are charged from the
+			// system's first SizeBytes on.
+			for _, h := range []*mprun.HeldOp{held.A, held.G, held.GT} {
+				h.LZ.M32()
+			}
+		}
 		p.parts[r] = held
 		if r == 0 {
 			p.pct = bd.PctNNZIncrease
@@ -420,8 +428,9 @@ func (p *Prepared) PctNNZIncrease() float64 { return p.pct }
 func (p *Prepared) Options() Options { return p.setupOpt }
 
 // SizeBytes estimates the memory the prepared system keeps alive — the
-// localized matrix and factors with their run indexes, the halo schedules,
-// and the analysed structure behind them — for cache byte-budget
+// localized matrix and factors with their run indexes and, for FP32, their
+// float32 values, the halo schedules, and the analysed structure behind
+// them — for cache byte-budget
 // accounting. Every array the system references counts in full, whether or
 // not a system it was
 // refactored from (or one refactored from it) references it too: a cache
@@ -464,6 +473,9 @@ func (p *Prepared) operatorBytes() int64 {
 				}
 			}
 			total += 8 * int64(words)
+			if p.setupOpt.Precision == FP32 {
+				total += 4 * int64(len(h.LZ.M.Val))
+			}
 		}
 	}
 	return total
@@ -520,7 +532,7 @@ func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOpti
 	if err != nil {
 		return nil, err
 	}
-	f.pct, f.imb = p.pct, p.imbalance
+	f.tot.PctNNZIncrease, f.tot.ImbalanceIndex = p.pct, p.imbalance
 	if !known && k == 0 { // batched jobs assemble no cost inputs
 		// Concurrent first solves may each trace and each store; they traced
 		// the same sparsity, so whichever is kept holds the same values.

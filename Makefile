@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 reach tier2 bench bce fuzz trace serve mp cover loc placement
+.PHONY: all tier1 reach procs tier2 bench bce fuzz trace serve mp cover loc placement
 
 all: tier1
 
@@ -59,7 +59,8 @@ all: tier1
 # queue), releases it in one (<-s.sem), builds one solveResponse literal and
 # adds a solve's totals to /metrics in one place (iterations.Add). The reach
 # step fails if a non-test function comes back that no entry point reaches
-# (see reach).
+# (see reach). The procs step, last, fails if a rank worker, a daemon or a
+# benchmark harness of this checkout is still running (see procs).
 tier1:
 	$(GO) build ./...
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
@@ -122,6 +123,31 @@ tier1:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/sparse/ ./internal/vecops/
 	$(GO) test ./...
+	@$(MAKE) --no-print-directory procs
+
+# procs: fail if a process is left running that this checkout started: a
+# rank worker (its environment holds FSAICOMM_MP_WORKER=1, whatever binary
+# it re-executed) or a run of bin/fsaiserve, bin/fsairank or the benchmark
+# harness (benchmark/out/bin/benchmark). Workers that are exiting get about
+# 3 s to go. The recipe's shell, its children and its ancestors (make, and
+# whatever shell ran it) are not counted. Lists each leftover with its
+# command line.
+procs:
+	@root="$$PWD"; self=$$$$; skip=" "; p=$$self; \
+	while [ "$$p" -gt 1 ] 2>/dev/null; do skip="$$skip$$p "; p=$$(awk '/^PPid:/ { print $$2 }' /proc/$$p/status); done; \
+	for try in 1 2 3 4 5 6 7 8 9 10; do left=""; \
+		for d in /proc/[0-9]*; do pid=$${d#/proc/}; \
+			case "$$(readlink $$d/exe 2>/dev/null)" in \
+			"$$root/bin/fsaiserve"* | "$$root/bin/fsairank"* | "$$root/benchmark/out/bin/benchmark"*) ;; \
+			*) tr '\0' '\n' 2>/dev/null < $$d/environ | grep -qx 'FSAICOMM_MP_WORKER=1' || continue ;; \
+			esac; \
+			case "$$skip" in *" $$pid "*) continue ;; esac; \
+			[ "$$(awk '/^PPid:/ { print $$2 }' $$d/status 2>/dev/null)" = "$$self" ] || [ ! -d $$d ] || left="$$left $$pid"; \
+		done; \
+		[ -z "$$left" ] && { echo "procs: no worker, daemon or harness of this checkout is running"; exit 0; }; \
+		sleep 0.2; \
+	done; \
+	for pid in $$left; do echo "left running: $$pid $$(tr '\0' ' ' 2>/dev/null < /proc/$$pid/cmdline)"; done; exit 1
 
 # reach: fail on a non-test function that no entry point reaches. The 14
 # entry points (the cmd/ binaries, the examples and the benchmark/ harness)

@@ -58,32 +58,6 @@ func (r *BatchResult) AllConverged() bool {
 	return true
 }
 
-// checkBatchRHS validates the RHS block shape shared by the batched entry
-// points.
-func checkBatchRHS(rhs [][]float64, n int) error {
-	if len(rhs) < 1 {
-		return fmt.Errorf("fsaicomm: batch needs at least 1 right-hand side")
-	}
-	for c := range rhs {
-		if len(rhs[c]) != n {
-			return fmt.Errorf("fsaicomm: rhs column %d length %d, want %d", c, len(rhs[c]), n)
-		}
-		if err := checkFiniteRHS(rhs[c]); err != nil {
-			return fmt.Errorf("rhs column %d: %w", c, err)
-		}
-	}
-	return nil
-}
-
-func checkBatchVariant(v CGVariant) error {
-	switch v {
-	case CGClassic, CGFused:
-		return nil
-	default:
-		return fmt.Errorf("%w: variant %d (batched solves support classic and fused)", ErrBatchVariant, int(v))
-	}
-}
-
 // packPermuted interleaves the RHS columns row-major in partition order:
 // pb[p*k+c] = rhs[c][old row of permuted row p].
 func packPermuted(rhs [][]float64, oldToNew []int) []float64 {
@@ -112,30 +86,12 @@ func SolveBatch(a *Matrix, rhs [][]float64, opt Options) (*BatchResult, error) {
 // back with an ErrCanceled-wrapped error. It is Prepare, one
 // Prepared.SolveBatch and Close; BatchResult.SetupTime is the Prepare.
 func SolveBatchContext(ctx context.Context, a *Matrix, rhs [][]float64, opt Options) (*BatchResult, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkBatchVariant(opt.CGVariant); err != nil {
-		return nil, err
-	}
-	if opt.Solver == SolverGMRES {
-		return nil, fmt.Errorf("%w: batched solves support the CG family only (GMRES solves one right-hand side at a time)", ErrInvalidOptions)
-	}
-	if len(rhs) < 1 {
-		return nil, checkBatchRHS(rhs, a.Rows)
-	}
-	if err := checkInput(a, rhs[0], opt.Solver); err != nil {
-		return nil, err
-	}
-	if err := checkBatchRHS(rhs, a.Rows); err != nil {
-		return nil, err
-	}
-	p, err := prepareOnce(a, opt)
+	p, err := prepareOnce(a, rhs, opt, true)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Close()
-	res, err := p.SolveBatch(ctx, rhs, perSolve(opt))
+	res, err := p.SolveBatch(ctx, rhs, opt.SolveOptions())
 	if res != nil {
 		res.SetupTime = p.setup
 	}
@@ -151,16 +107,7 @@ func SolveBatchContext(ctx context.Context, a *Matrix, rhs [][]float64, opt Opti
 // the same batch iteration and returns the partial per-column results with
 // an ErrCanceled-wrapped error.
 func (p *Prepared) SolveBatch(ctx context.Context, rhs [][]float64, so SolveOptions) (*BatchResult, error) {
-	if err := so.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkBatchVariant(so.CGVariant); err != nil {
-		return nil, err
-	}
-	if p.setupOpt.Solver == SolverGMRES {
-		return nil, fmt.Errorf("%w: batched solves support the CG family only (this system was prepared for SPAI+GMRES)", ErrInvalidOptions)
-	}
-	if err := checkBatchRHS(rhs, p.n); err != nil {
+	if err := p.check(so, rhs, true); err != nil {
 		return nil, err
 	}
 	f, err := p.run(ctx, rhs, len(rhs), so, nil)

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"sync"
 	"time"
@@ -188,320 +187,6 @@ type WindowReport = archmodel.WindowReport
 // RankWaits counts blocking waits of rank goroutines by how they ended.
 type RankWaits = simmpi.Waits
 
-// Options configures a solve.
-type Options struct {
-	// Method selects FSAI, FSAIE, FSAIEComm or SPAI. The zero value is FSAI;
-	// ParseMethod("") resolves the command-line default FSAIEComm. SPAI is
-	// the nonsymmetric axis and requires Solver SolverGMRES (and vice versa —
-	// Validate enforces the coupling both ways).
-	Method Method
-	// Solver selects the Krylov loop: SolverCG (default; the FSAI family)
-	// or SolverGMRES (restarted GMRES, required by and requiring Method
-	// SPAI). GMRES runs the classic blocking schedule in FP64 only.
-	Solver Solver
-	// Restart is the GMRES restart length m (cycle length of the rebuilt
-	// Krylov basis). Zero selects 30. Ignored by the CG solvers.
-	Restart int
-	// SPAISteps, SPAIAdd and SPAIEpsilon shape the adaptive SPAI build
-	// (Method SPAI only): SPAISteps rounds of pattern enrichment adding at
-	// most SPAIAdd entries per column per round, stopping a column once its
-	// least-squares residual drops below SPAIEpsilon (0 selects 0.4; the
-	// static pattern is SPAISteps 0). PatternLevel doubles as the SPAI base
-	// pattern level: the pattern of (structure(A)+I)^level.
-	SPAISteps   int
-	SPAIAdd     int
-	SPAIEpsilon float64
-	// Filter is the initial Filter value for the post-extension filtering
-	// (paper sweeps 0.01–0.2). Zero keeps every extension entry.
-	Filter float64
-	// Strategy selects static or dynamic filtering. Default static.
-	Strategy FilterStrategy
-	// LineBytes is the cache-line size steering the extension (64 for
-	// Skylake/Zen 2, 256 for A64FX). Default 64.
-	LineBytes int
-	// Tol is the relative residual target. Default 1e-8 (the paper's
-	// convergence criterion).
-	Tol float64
-	// MaxIter caps CG iterations. Default 10·n.
-	MaxIter int
-	// Ranks is the number of simulated processes for SolveDistributed.
-	// Default chosen from the matrix size (≈16k entries per rank, 2..12).
-	Ranks int
-	// PatternLevel selects the base sparse pattern: 1 (default) is the
-	// lower triangle of A; N > 1 uses the lower triangle of pattern(Ã^N),
-	// the paper's "sparse level". Threshold is the tau dropping small
-	// entries when forming Ã (0 keeps all).
-	PatternLevel int
-	Threshold    float64
-	// PartitionSeed seeds the multilevel partitioner. Deterministic per
-	// seed.
-	PartitionSeed int64
-	// Partitioner selects the row distribution for SolveDistributed:
-	// "multilevel" (default; METIS-like recursive bisection), "block"
-	// (contiguous equal row counts) or "strip" (round-robin; worst-case
-	// halo, useful to stress-test communication).
-	Partitioner string
-	// Workers bounds the shared-memory worker pool for the row-parallel
-	// preconditioner setup. For Solve, ≤ 0 means GOMAXPROCS. For
-	// SolveDistributed, ≤ 0 means 1 worker per simulated rank (the ranks
-	// themselves already run concurrently); set it explicitly to model the
-	// paper's MPI×OpenMP hybrid.
-	Workers int
-	// CGVariant selects the distributed CG loop: CGClassic (default; three
-	// reductions per iteration, blocking SpMV), CGClassicOverlap (classic
-	// recurrence, overlapped halo SpMV), CGFused (one batched Allreduce per
-	// iteration, overlapped SpMV, fused kernels) or CGPipelined (one
-	// nonblocking Allreduce per iteration, hidden behind the next SpMV and
-	// preconditioner application). Serial Solve ignores it. See
-	// ParseCGVariant for the flag spellings.
-	CGVariant CGVariant
-	// Arch names the architecture profile for Result.ModeledSolveTime:
-	// "skylake" (default), "a64fx" or "zen2". It only parameterizes the
-	// cost model; LineBytes independently steers the pattern extension.
-	Arch string
-	// Trace records per-iteration solver telemetry into Result.Trace
-	// (rank 0's view in distributed solves). Off by default; when off the
-	// solve does no telemetry work.
-	Trace bool
-	// ResidualReplaceEvery > 0 makes the pipelined CG loop recompute the
-	// true residual r = b − A·x every that-many iterations, arresting the
-	// rounding drift of the pipelined recurrence on ill-conditioned
-	// instances at the price of extra halo traffic (no extra collectives).
-	// Zero disables replacement; other CG variants ignore it.
-	ResidualReplaceEvery int
-	// Transport selects the rank runtime for SolveDistributed: "sim" (the
-	// default; in-process goroutine ranks over metered channels) or "tcp"
-	// (one OS process per rank over a loopback TCP mesh, spawned by
-	// re-executing the current binary — its main or TestMain must call
-	// mprun.MaybeWorker, which cmd binaries and the facade tests do). Both
-	// backends run the identical rank job and produce bit-identical results
-	// and meters; "tcp" pays real process and socket overheads — the
-	// processes are started for the solve and gone after it; a Prepared
-	// keeps its own between solves. Serial Solve ignores it.
-	Transport string
-	// Nodes and RanksPerNode declare a two-level topology over the ranks:
-	// Nodes contiguous blocks of RanksPerNode ranks each (mpirun's block
-	// mapping). Setting either (the other is derived; both must multiply to
-	// the rank count) splits the communication meters into intra-node vs
-	// inter-node traffic and switches the halo exchange to node-aware
-	// aggregation: cross-node values are combined into one message per node
-	// pair through per-node leader ranks, collapsing the inter-node message
-	// count from per-rank-pair to per-node-pair with bit-identical received
-	// values. Zero/zero (the default) is the historical flat world — every
-	// rank its own node, all point-to-point traffic counted inter-node.
-	Nodes int
-	// RanksPerNode is the number of ranks per node (see Nodes).
-	RanksPerNode int
-	// NoNodeAggregation keeps the flat per-rank halo schedule under a
-	// declared topology: the meters still split intra vs inter traffic but
-	// nothing is aggregated. This is the baseline the node-aware benchmarks
-	// compare against; it has no effect on a flat topology.
-	NoNodeAggregation bool
-	// Precision selects the solve's value width: FP64 (default) or FP32.
-	// Under FP32 the factors are still built in float64 and then narrowed to
-	// float32 — together with a float32 view of A — and the CG loop runs as
-	// the inner solve of an FP64 iterative-refinement outer loop: halo bytes
-	// drop ~2×, the outer loop recomputes the true FP64 residual each step,
-	// and the solve reaches the same Tol as pure FP64 (typically within a
-	// small iteration overhead; Result.Refinements counts the outer steps).
-	// Tolerances much below ~1e-13 can sit under the float32 representation
-	// floor — the refinement then stops early and reports no convergence.
-	// It is a set-up-level knob, here and not in SolveOptions, and part of
-	// the serving layer's preconditioner cache key: the factors are built
-	// in float64 either way and the rank job narrows its operators per
-	// solve, but a system prepared for FP32 keeps the float32 values of A,
-	// G and Gᵀ from Prepare on, and Prepared.SizeBytes charges them.
-	Precision Precision
-}
-
-// MaxRanks bounds Options.Ranks — twice the largest count anything in the
-// repository uses. A world costs ranks² channels on the sim transport and one
-// OS process per rank on tcp, and the count arrives from outside (the /solve
-// body), so it is capped rather than trusted.
-const MaxRanks = 64
-
-// ErrInvalidOptions is wrapped by the errors Validate returns for
-// nonsensical option values, so callers (and the HTTP layer, which maps it
-// to a 400 response) can classify them with errors.Is.
-var ErrInvalidOptions = errors.New("fsaicomm: invalid options")
-
-// Validate rejects nonsensical option combinations with a descriptive
-// error instead of silently clamping them. It is the single validator
-// shared by every facade entry point (Solve, SolveDistributed, Prepare,
-// BuildPreconditioner) and by the fsaiserve request decoder. Zero values
-// always pass: they mean "use the default". Negative tolerances, iteration
-// caps, rank counts, filters and pattern levels, unknown methods,
-// strategies, partitioners and architecture profiles all fail.
-func (o Options) Validate() error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", ErrInvalidOptions, fmt.Sprintf(format, args...))
-	}
-	if o.Tol < 0 || math.IsNaN(o.Tol) {
-		return fail("Tol %g is negative or NaN (0 selects the default 1e-8)", o.Tol)
-	}
-	if o.MaxIter < 0 {
-		return fail("MaxIter %d is negative (0 selects the default 10·n)", o.MaxIter)
-	}
-	if o.Ranks < 0 || o.Ranks > MaxRanks {
-		return fail("Ranks %d is outside 0..%d (0 selects an automatic rank count)", o.Ranks, MaxRanks)
-	}
-	if o.Filter < 0 || math.IsNaN(o.Filter) {
-		return fail("Filter %g is negative or NaN (0 keeps every extension entry)", o.Filter)
-	}
-	if o.LineBytes < 0 {
-		return fail("LineBytes %d is negative (0 selects 64)", o.LineBytes)
-	}
-	if o.PatternLevel < 0 {
-		return fail("PatternLevel %d is negative (0 or 1 is the lower triangle of A)", o.PatternLevel)
-	}
-	if o.Threshold < 0 || math.IsNaN(o.Threshold) {
-		return fail("Threshold %g is negative or NaN (0 keeps all entries)", o.Threshold)
-	}
-	if o.ResidualReplaceEvery < 0 {
-		return fail("ResidualReplaceEvery %d is negative (0 disables replacement)", o.ResidualReplaceEvery)
-	}
-	if o.Nodes < 0 {
-		return fail("Nodes %d is negative (0 means flat: one rank per node)", o.Nodes)
-	}
-	if o.RanksPerNode < 0 {
-		return fail("RanksPerNode %d is negative (0 means flat: one rank per node)", o.RanksPerNode)
-	}
-	if o.Restart < 0 {
-		return fail("Restart %d is negative (0 selects the default 30)", o.Restart)
-	}
-	if o.SPAISteps < 0 {
-		return fail("SPAISteps %d is negative (0 keeps the static pattern)", o.SPAISteps)
-	}
-	if o.SPAIAdd < 0 {
-		return fail("SPAIAdd %d is negative (0 selects the default 5)", o.SPAIAdd)
-	}
-	if o.SPAIEpsilon < 0 || math.IsNaN(o.SPAIEpsilon) {
-		return fail("SPAIEpsilon %g is negative or NaN (0 selects the default 0.4)", o.SPAIEpsilon)
-	}
-	switch o.Method {
-	case FSAI, FSAIE, FSAIEComm, SPAI:
-	default:
-		return fail("unknown method %d", int(o.Method))
-	}
-	switch o.Solver {
-	case SolverCG, SolverGMRES:
-	default:
-		return fail("unknown solver %d (want SolverCG or SolverGMRES)", int(o.Solver))
-	}
-	// The solver and the preconditioner kind are coupled: SPAI is an explicit
-	// right inverse only GMRES can apply, and GMRES has no use for the
-	// factor pair of the FSAI family.
-	if o.Method == SPAI && o.Solver != SolverGMRES {
-		return fail("Method SPAI requires Solver SolverGMRES (SPAI is a right inverse for GMRES, not a CG factor pair)")
-	}
-	if o.Solver == SolverGMRES && o.Method != SPAI {
-		return fail("Solver SolverGMRES requires Method SPAI (the FSAI family pairs with CG)")
-	}
-	if o.Solver == SolverGMRES {
-		if o.CGVariant != CGClassic {
-			return fail("GMRES has only the classic blocking schedule (leave CGVariant zero)")
-		}
-		if o.Precision == FP32 {
-			return fail("FP32 iterative refinement is a CG-family feature; GMRES solves run FP64")
-		}
-	}
-	switch o.Strategy {
-	case StaticFilter, DynamicFilter:
-	default:
-		return fail("unknown filter strategy %d", int(o.Strategy))
-	}
-	switch o.Partitioner {
-	case "", "multilevel", "block", "strip":
-	default:
-		return fail("unknown partitioner %q (want multilevel, block or strip)", o.Partitioner)
-	}
-	switch o.CGVariant {
-	case CGClassic, CGClassicOverlap, CGFused, CGPipelined:
-	default:
-		return fail("unknown CG variant %d", int(o.CGVariant))
-	}
-	switch o.Transport {
-	case "", "sim", "tcp":
-	default:
-		return fail("unknown transport %q (want sim or tcp)", o.Transport)
-	}
-	switch o.Precision {
-	case FP64, FP32:
-	default:
-		return fail("unknown precision %d (want FP64 or FP32)", int(o.Precision))
-	}
-	if o.Arch != "" {
-		if _, err := archmodel.ByName(o.Arch); err != nil {
-			return fail("%v", err)
-		}
-	}
-	return nil
-}
-
-// buildConfig is the set-up half of the options: what shapes the
-// preconditioner's values and pattern, for every build (on one rank or
-// many, FSAI family or SPAI; a method ignores the other's knobs).
-func buildConfig(opt Options) core.Config {
-	return core.Config{
-		Method:       opt.Method,
-		Filter:       opt.Filter,
-		Strategy:     opt.Strategy,
-		LineBytes:    opt.LineBytes,
-		PatternLevel: opt.PatternLevel,
-		Threshold:    opt.Threshold,
-		Workers:      opt.Workers,
-		SPAISteps:    opt.SPAISteps,
-		SPAIAdd:      opt.SPAIAdd,
-		SPAIEpsilon:  opt.SPAIEpsilon,
-	}
-}
-
-// solveParams is the solve half: what a rank job needs to run the Krylov
-// loop on the operators it adopts, with the node grouping resolved against
-// the rank count and the architecture profile resolved by name.
-func solveParams(opt Options, ranks int) (mprun.SolveParams, error) {
-	topo, err := resolveTopology(ranks, opt.Nodes, opt.RanksPerNode)
-	if err != nil {
-		return mprun.SolveParams{}, err
-	}
-	prof := archmodel.Skylake
-	if opt.Arch != "" {
-		if prof, err = archmodel.ByName(opt.Arch); err != nil {
-			return mprun.SolveParams{}, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-		}
-	}
-	return mprun.SolveParams{
-		Solver:               opt.Solver,
-		Restart:              opt.Restart,
-		Tol:                  opt.Tol,
-		MaxIter:              opt.MaxIter,
-		Variant:              opt.CGVariant,
-		Trace:                opt.Trace,
-		ResidualReplaceEvery: opt.ResidualReplaceEvery,
-		Profile:              prof,
-		Precision:            opt.Precision,
-		Nodes:                topo.Nodes,
-		RanksPerNode:         topo.RanksPerNode,
-		NoNodeAggregation:    opt.NoNodeAggregation,
-	}, nil
-}
-
-func (o Options) withDefaults(n int) Options {
-	if o.LineBytes == 0 {
-		o.LineBytes = 64
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-8
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 10 * n
-		if o.MaxIter < 100 {
-			o.MaxIter = 100
-		}
-	}
-	return o
-}
-
 // SolveTotals are the totals every solve reports, scalar or batched: the
 // world it ran on and the build of the preconditioner it used, the
 // refinement steps, the solve phase's communication summed over ranks, how
@@ -607,17 +292,6 @@ var ErrRankLost = simmpi.ErrRankLost
 // alongside the error.
 var ErrBreakdown = krylov.ErrBreakdown
 
-// checkInput is checkInputMatrix plus the checks of one right-hand side.
-func checkInput(a *Matrix, b []float64, solver Solver) error {
-	if err := checkInputMatrix(a, solver); err != nil {
-		return err
-	}
-	if len(b) != a.Rows {
-		return fmt.Errorf("fsaicomm: rhs length %d, want %d", len(b), a.Rows)
-	}
-	return checkFiniteRHS(b)
-}
-
 // checkSolverMatrix enforces the solver's matrix requirements at the
 // boundary: the CG family needs symmetry (an FSAI factor pair of a
 // nonsymmetric matrix is meaningless and CG would break down anyway), while
@@ -636,19 +310,6 @@ func checkSolverMatrix(a *Matrix, solver Solver) error {
 	return nil
 }
 
-// checkFiniteRHS rejects right-hand sides with NaN/Inf entries: a single
-// non-finite component makes every residual NaN, so the solve can only end
-// in breakdown — reject it at the boundary (and before it can poison a
-// content-addressed cache) instead.
-func checkFiniteRHS(b []float64) error {
-	for i, v := range b {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: rhs[%d] = %g is not finite", ErrInvalidOptions, i, v)
-		}
-	}
-	return nil
-}
-
 // Solve runs a preconditioned CG solve A·x = b on a single process.
 func Solve(a *Matrix, b []float64, opt Options) (*Result, error) {
 	return SolveContext(context.Background(), a, b, opt)
@@ -659,17 +320,31 @@ func Solve(a *Matrix, b []float64, opt Options) (*Result, error) {
 // with an ErrCanceled-wrapped error. It is BuildPreconditioner followed by
 // SolveWith.
 func SolveContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
+	setup, err := opt.setUp(a, opt.Ranks, false)
+	if err == nil {
+		err = checkRHS([][]float64{b}, a.Rows)
 	}
-	if err := checkInput(a, b, opt.Solver); err != nil {
-		return nil, err
-	}
-	p, err := buildPreconditioner(a, opt.withDefaults(a.Rows))
 	if err != nil {
 		return nil, err
 	}
-	return p.solve(ctx, b, opt)
+	p, err := buildPreconditioner(a, setup, opt.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return p.solve(ctx, b, opt.SolveOptions())
+}
+
+// setUp checks a set-up of a under o — every field, every combination at
+// ranks ranks for a batched solve or not, and the matrix — before any work,
+// and returns the canonical set-up group.
+func (o Options) setUp(a *Matrix, ranks int, batch bool) (Options, error) {
+	if err := o.check(ranks, batch); err != nil {
+		return Options{}, err
+	}
+	if err := checkInputMatrix(a, o.Solver); err != nil {
+		return Options{}, err
+	}
+	return o.canonical(a), nil
 }
 
 // AutoRanks resolves a requested simulated-process count the way the
@@ -690,18 +365,17 @@ func AutoRanks(a *Matrix, requested int) int {
 	return ranks
 }
 
-// partitionRows computes the row distribution selected by opt.Partitioner.
+// partitionRows computes the row distribution selected by the canonical
+// opt.Partitioner.
 func partitionRows(a *Matrix, opt Options, ranks int) ([]int, error) {
 	switch opt.Partitioner {
-	case "", "multilevel":
-		g := partition.GraphFromMatrix(a)
-		return partition.Multilevel(g, ranks, partition.Options{Seed: opt.PartitionSeed})
 	case "block":
 		return partition.Block(a.Rows, ranks), nil
 	case "strip":
 		return partition.Strip(a.Rows, ranks), nil
 	default:
-		return nil, fmt.Errorf("fsaicomm: unknown partitioner %q (want multilevel, block or strip)", opt.Partitioner)
+		g := partition.GraphFromMatrix(a)
+		return partition.Multilevel(g, ranks, partition.Options{Seed: opt.PartitionSeed})
 	}
 }
 
@@ -719,37 +393,16 @@ func SolveDistributed(a *Matrix, b []float64, opt Options) (*Result, error) {
 // It is Prepare, one Prepared.Solve and Close; Result.SetupTime is the
 // Prepare.
 func SolveDistributedContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkInput(a, b, opt.Solver); err != nil {
-		return nil, err
-	}
-	p, err := prepareOnce(a, opt)
+	p, err := prepareOnce(a, [][]float64{b}, opt, false)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Close()
-	res, err := p.Solve(ctx, b, perSolve(opt))
+	res, err := p.Solve(ctx, b, opt.SolveOptions())
 	if res != nil {
 		res.SetupTime = p.setup
 	}
 	return res, err
-}
-
-// resolveTopology maps a requested node grouping onto the resolved rank
-// count. Both fields zero is the flat world; otherwise the missing side is
-// derived and rank counts not divisible by the declared ranks-per-node are
-// rejected with a descriptive error.
-func resolveTopology(ranks, nodes, ranksPerNode int) (simmpi.Topology, error) {
-	if nodes == 0 && ranksPerNode == 0 {
-		return simmpi.Topology{}, nil
-	}
-	topo, err := simmpi.ResolveTopology(ranks, nodes, ranksPerNode)
-	if err != nil {
-		return simmpi.Topology{}, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-	}
-	return topo, nil
 }
 
 // runTransient runs one set of rank jobs, jobs[r] on rank r, on a mesh of

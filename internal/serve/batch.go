@@ -68,14 +68,12 @@ func (s *Server) batchEligible(solver fsaicomm.Solver, so fsaicomm.SolveOptions)
 	return so.CGVariant == fsaicomm.CGClassic || so.CGVariant == fsaicomm.CGFused
 }
 
-// batchKey extends the prepared-cache key with every per-solve option, so
-// only jobs whose batched solves are interchangeable ever merge. Restart and
-// Trace ride along even though batched solves are CG-only and untraced
-// today: the key must separate any two requests whose solves could differ.
+// batchKey extends the prepared-cache key with the per-solve group, so only
+// jobs whose batched solves are interchangeable ever merge: every field of
+// fsaicomm.SolveOptions, Restart and Trace included although batched solves
+// are CG-only and untraced today.
 func batchKey(skey string, so fsaicomm.SolveOptions) string {
-	return fmt.Sprintf("%s|tol%g|mi%d|cg%d|re%d|arch%s|trace%v|rre%d|tr%s|n%d|rpn%d|nna%v",
-		skey, so.Tol, so.MaxIter, so.CGVariant, so.Restart, so.Arch, so.Trace, so.ResidualReplaceEvery, so.Transport,
-		so.Nodes, so.RanksPerNode, so.NoNodeAggregation)
+	return fmt.Sprintf("%s|%v", skey, so)
 }
 
 // joinable reports whether a job is enrolled under bkey, one a request can

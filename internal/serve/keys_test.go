@@ -1,71 +1,67 @@
 package serve
 
 import (
+	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fsaicomm"
 )
 
-// The two cache keys cover every option, walked by reflection so that a
-// field added to Options or SolveOptions without a place in a key fails
-// here. Each per-solve option set to a legal non-zero value separates
-// batches. Each set-up option separates prepared systems, the SPAI knobs
-// only under SPAI, while what leaves the factors alone — Workers, Transport
-// and every per-solve option — leaves the prepared-cache key alone: one
+// The two cache keys are printed from the option groups; this test walks
+// both types by reflection, so a field added to either is held to its group
+// with no edit here beyond a legal value. Each per-solve field (a field of
+// SolveOptions) separates batches. Each set-up field separates prepared
+// systems — the SPAI knobs only under SPAI —, while Workers (the runtime
+// group) and every per-solve field leave the prepared-cache key alone: one
 // cached system serves both transports and any node grouping.
 func TestCacheKeysCoverEveryOption(t *testing.T) {
-	perSolve := map[string]any{
-		"Tol": 1e-6, "MaxIter": 50, "CGVariant": fsaicomm.CGFused, "Restart": 20, "Arch": "a64fx",
+	a := fsaicomm.GeneratePoisson2D(30, 30)
+	legal := map[string]any{
+		"Method": fsaicomm.FSAIE, "Filter": 0.05, "Strategy": fsaicomm.DynamicFilter, "LineBytes": 256,
+		"PatternLevel": 2, "Threshold": 0.1, "Ranks": fsaicomm.AutoRanks(a, 0) + 1, "Partitioner": "block",
+		"PartitionSeed": int64(7), "Precision": fsaicomm.FP32, "SPAISteps": 2, "SPAIAdd": 3, "SPAIEpsilon": 0.2,
+		"Workers": 4, "Tol": 1e-6, "MaxIter": 50, "CGVariant": fsaicomm.CGFused, "Restart": 20, "Arch": "a64fx",
 		"Trace": true, "ResidualReplaceEvery": 10, "Transport": "tcp", "Nodes": 2, "RanksPerNode": 2,
 		"NoNodeAggregation": true,
 	}
-	a := fsaicomm.GeneratePoisson2D(30, 30)
-	auto := fsaicomm.AutoRanks(a, 0)
-	setup := map[string]any{
-		"Method": fsaicomm.FSAIE, "Filter": 0.05, "Strategy": fsaicomm.DynamicFilter, "LineBytes": 256,
-		"PatternLevel": 2, "Threshold": 0.1, "Ranks": auto + 1, "Partitioner": "block",
-		"PartitionSeed": int64(7), "Precision": fsaicomm.FP32,
-	}
-	spai := map[string]any{"SPAISteps": 2, "SPAIAdd": 3, "SPAIEpsilon": 0.2}
-	inert := map[string]any{"Workers": 4}
-	for name, v := range perSolve {
-		inert[name] = v
-	}
-	with := func(o any, name string, v any) {
+	with := func(o any, name string) {
+		v, ok := legal[name]
+		if !ok {
+			t.Fatalf("%s has no legal non-zero value in this test", name)
+		}
 		reflect.ValueOf(o).Elem().FieldByName(name).Set(reflect.ValueOf(v))
 	}
 
 	sot := reflect.TypeOf(fsaicomm.SolveOptions{})
 	base := batchKey("skey", fsaicomm.SolveOptions{})
 	for i := 0; i < sot.NumField(); i++ {
-		name := sot.Field(i).Name
-		v, ok := perSolve[name]
-		if !ok {
-			t.Fatalf("SolveOptions.%s has no legal non-zero value in this test", name)
-		}
 		var so fsaicomm.SolveOptions
-		with(&so, name, v)
+		with(&so, sot.Field(i).Name)
 		if err := so.Validate(); err != nil {
-			t.Fatalf("SolveOptions.%s = %v: %v", name, v, err)
+			t.Fatalf("SolveOptions.%s: %v", sot.Field(i).Name, err)
 		}
 		if batchKey("skey", so) == base {
-			t.Errorf("SolveOptions.%s = %v does not change batchKey", name, v)
+			t.Errorf("SolveOptions.%s does not change batchKey", sot.Field(i).Name)
 		}
 	}
 
 	key := func(o fsaicomm.Options) string {
-		if err := o.Validate(); err != nil {
+		setup, err := o.Canonical(a)
+		if err != nil {
 			t.Fatalf("%+v: %v", o, err)
 		}
-		return setupKey("fp", "pattern", o, fsaicomm.AutoRanks(a, o.Ranks))
+		return setupKey("fp", "pattern", setup)
 	}
 	fsaiBase := fsaicomm.Options{Method: fsaicomm.FSAIEComm}
 	spaiBase := fsaicomm.Options{Method: fsaicomm.SPAI, Solver: fsaicomm.SolverGMRES}
 	ot := reflect.TypeOf(fsaicomm.Options{})
 	for i := 0; i < ot.NumField(); i++ {
 		name := ot.Field(i).Name
-		if name == "Solver" {
+		_, perSolve := sot.FieldByName(name)
+		switch {
+		case name == "Solver":
 			// The solver is implied by the method (SPAI ⇔ GMRES): neither
 			// changes alone, so Method's slot in the key covers it.
 			for _, o := range []fsaicomm.Options{fsaiBase, spaiBase} {
@@ -74,29 +70,53 @@ func TestCacheKeysCoverEveryOption(t *testing.T) {
 					t.Fatalf("Solver %v changed alone from method %v passes Validate", o.Solver, o.Method)
 				}
 			}
-			continue
-		}
-		type check struct {
-			base    fsaicomm.Options
-			v       any
-			changes bool
-		}
-		var checks []check
-		if v, ok := setup[name]; ok {
-			checks = append(checks, check{fsaiBase, v, true})
-		} else if v, ok := spai[name]; ok {
-			checks = append(checks, check{spaiBase, v, true}, check{fsaiBase, v, false})
-		} else if v, ok := inert[name]; ok {
-			checks = append(checks, check{fsaiBase, v, false})
-		} else {
-			t.Fatalf("Options.%s is in no group of this test: is it a set-up or a per-solve option?", name)
-		}
-		for _, c := range checks {
-			o := c.base
-			with(&o, name, c.v)
-			if got := key(o) != key(c.base); got != c.changes {
-				t.Errorf("Options.%s = %v under method %v: setupKey changes %v, want %v", name, c.v, c.base.Method, got, c.changes)
+		case perSolve || name == "Workers":
+			o := fsaiBase
+			with(&o, name)
+			if key(o) != key(fsaiBase) {
+				t.Errorf("Options.%s changes setupKey", name)
 			}
+		case strings.HasPrefix(name, "SPAI"):
+			o, p := spaiBase, fsaiBase
+			with(&o, name)
+			with(&p, name)
+			if key(o) == key(spaiBase) || key(p) != key(fsaiBase) {
+				t.Errorf("Options.%s: setupKey changes under SPAI %v, under FSAIE-Comm %v; want true, false",
+					name, key(o) != key(spaiBase), key(p) != key(fsaiBase))
+			}
+		default:
+			o := fsaiBase
+			with(&o, name)
+			if key(o) == key(fsaiBase) {
+				t.Errorf("Options.%s does not change setupKey", name)
+			}
+		}
+	}
+
+	// A cached system's answer does not depend on the per-solve values of the
+	// request that set it up: after one with every per-solve field set, the
+	// same system answers a request with none as a fresh server does.
+	_, ts := testServer(t, Config{})
+	_, fresh := testServer(t, Config{})
+	for _, gen := range []string{"Dubcova2-sim", "convdiff-sim"} {
+		mr := uploadGen(t, ts.URL, gen)
+		uploadGen(t, fresh.URL, gen)
+		plain := solveRequest{Matrix: mr.Matrix, Ranks: 2}
+		first := solveRequest{Matrix: mr.Matrix, Ranks: 2, Tol: 1e-4, MaxIter: 9, CG: "fused", Restart: 5,
+			Arch: "a64fx", Trace: true, ResidualReplaceEvery: 3, Nodes: 2, NoNodeAggregation: true}
+		if gen == "convdiff-sim" {
+			plain.Solver, first.Solver, first.CG = "gmres", "gmres", ""
+		}
+		for _, q := range []solveRequest{first, plain} {
+			if code, _, raw := solveOn(t, ts.URL, q); code != http.StatusOK {
+				t.Fatalf("%s %+v: %d %s", gen, q, code, raw)
+			}
+		}
+		_, got, _ := solveOn(t, ts.URL, plain)
+		_, want, _ := solveOn(t, fresh.URL, plain)
+		if !got.CacheHit || got.Iterations != want.Iterations || !sameX(got.X, want.X) {
+			t.Errorf("%s: a cached system answers %d iterations (cache hit %v); a fresh one %d, or other bits",
+				gen, got.Iterations, got.CacheHit, want.Iterations)
 		}
 	}
 }

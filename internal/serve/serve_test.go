@@ -410,6 +410,56 @@ func TestSolveValidation(t *testing.T) {
 	}
 }
 
+// TestIllegalCellsRefusedBeforeAdmission: an option combination the library
+// refuses is a 400 before the job is admitted — no job accepted or failed,
+// no prepared-cache lookup, no entry — whether the request says the rank
+// count or leaves it to AutoRanks.
+func TestIllegalCellsRefusedBeforeAdmission(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	mr := uploadGen(t, ts.URL, "Dubcova2-sim")
+	if code, _, raw := solveOn(t, ts.URL, solveRequest{Matrix: mr.Matrix, Ranks: 2}); code != http.StatusOK {
+		t.Fatalf("legal solve: %d %s", code, raw)
+	}
+	before := getMetrics(t, ts.URL)
+	for _, q := range []solveRequest{
+		{Matrix: mr.Matrix, LineBytes: 12},
+		{Matrix: mr.Matrix, Ranks: 2, Nodes: 3},
+		{Matrix: mr.Matrix, Nodes: 3}, // AutoRanks: 2
+		{Matrix: mr.Matrix, Ranks: 4, RanksPerNode: 3},
+	} {
+		if code, _, raw := solveOn(t, ts.URL, q); code != http.StatusBadRequest {
+			t.Errorf("%+v: %d %s, want 400", q, code, raw)
+		}
+	}
+	after := getMetrics(t, ts.URL)
+	if after.Jobs.Accepted != before.Jobs.Accepted || after.Jobs.Failed != before.Jobs.Failed ||
+		after.Cache.Prepared.Misses != before.Cache.Prepared.Misses || after.Cache.Prepared.Entries != before.Cache.Prepared.Entries {
+		t.Errorf("refused requests moved the meters: jobs accepted %d → %d, failed %d → %d; prepared misses %d → %d, entries %d → %d",
+			before.Jobs.Accepted, after.Jobs.Accepted, before.Jobs.Failed, after.Jobs.Failed,
+			before.Cache.Prepared.Misses, after.Cache.Prepared.Misses, before.Cache.Prepared.Entries, after.Cache.Prepared.Entries)
+	}
+}
+
+// TestRestartZeroOnCachedSystem: restart 0 selects 30 on a cached SPAI
+// system too, whatever restart the request that set it up asked for.
+func TestRestartZeroOnCachedSystem(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	_, fresh := testServer(t, Config{})
+	mr := uploadGen(t, ts.URL, "convdiff-sim")
+	uploadGen(t, fresh.URL, "convdiff-sim")
+	q := solveRequest{Matrix: mr.Matrix, Solver: "gmres", Ranks: 2}
+	five := q
+	five.Restart = 5
+	if code, _, raw := solveOn(t, ts.URL, five); code != http.StatusOK {
+		t.Fatalf("restart 5: %d %s", code, raw)
+	}
+	_, got, _ := solveOn(t, ts.URL, q)
+	_, want, _ := solveOn(t, fresh.URL, q)
+	if !got.CacheHit || got.Iterations != want.Iterations || !sameX(got.X, want.X) {
+		t.Fatalf("restart 0 after restart 5: %d iterations (cache hit %v), on a fresh server %d", got.Iterations, got.CacheHit, want.Iterations)
+	}
+}
+
 // Overload: with one slot and no queue, a second solve arriving while the
 // first runs is refused with 429 and counted as rejected.
 func TestSolveOverload(t *testing.T) {

@@ -458,22 +458,21 @@ func (q *solveRequest) options() (fsaicomm.Options, fsaicomm.SolveOptions, error
 		strategy = fsaicomm.DynamicFilter
 	}
 	opt := fsaicomm.Options{
-		Method:        method,
-		Solver:        solver,
-		Filter:        q.Filter,
-		Strategy:      strategy,
-		LineBytes:     q.LineBytes,
-		PatternLevel:  q.PatternLevel,
-		Threshold:     q.Threshold,
-		Ranks:         q.Ranks,
-		Partitioner:   q.Partitioner,
-		PartitionSeed: q.PartitionSeed,
-		Workers:       q.Workers,
-		Precision:     prec,
-		SPAISteps:     q.SPAISteps,
-		SPAIAdd:       q.SPAIAdd,
-		SPAIEpsilon:   q.SPAIEpsilon,
-
+		Method:               method,
+		Solver:               solver,
+		Filter:               q.Filter,
+		Strategy:             strategy,
+		LineBytes:            q.LineBytes,
+		PatternLevel:         q.PatternLevel,
+		Threshold:            q.Threshold,
+		Ranks:                q.Ranks,
+		Partitioner:          q.Partitioner,
+		PartitionSeed:        q.PartitionSeed,
+		Workers:              q.Workers,
+		Precision:            prec,
+		SPAISteps:            q.SPAISteps,
+		SPAIAdd:              q.SPAIAdd,
+		SPAIEpsilon:          q.SPAIEpsilon,
 		Tol:                  q.Tol,
 		MaxIter:              q.MaxIter,
 		Restart:              q.Restart,
@@ -489,53 +488,19 @@ func (q *solveRequest) options() (fsaicomm.Options, fsaicomm.SolveOptions, error
 	if err := opt.Validate(); err != nil {
 		return fsaicomm.Options{}, fsaicomm.SolveOptions{}, fail(http.StatusBadRequest, "%v", err)
 	}
-	so := fsaicomm.SolveOptions{
-		Tol:                  q.Tol,
-		MaxIter:              q.MaxIter,
-		Restart:              q.Restart,
-		CGVariant:            variant,
-		Arch:                 q.Arch,
-		Trace:                q.Trace,
-		ResidualReplaceEvery: q.ResidualReplaceEvery,
-		Transport:            q.Transport,
-		Nodes:                q.Nodes,
-		RanksPerNode:         q.RanksPerNode,
-		NoNodeAggregation:    q.NoNodeAggregation,
-	}
-	return opt, so, nil
+	return opt, opt.SolveOptions(), nil
 }
 
 // setupKey is the prepared-cache key: content fingerprint, pattern digest,
-// and every option that shapes the partition or the factors, canonicalized
-// so spellings of the same setup share an entry ("" and "multilevel", 0 and
-// 64-byte lines, automatic and explicit equal rank counts). Workers is
-// deliberately excluded: it parallelizes the build without changing its
-// result. So is Transport: setup always runs in-process, and the two solve
-// backends are bit-identical, so a prepared system serves requests on
-// either. Everything after the fingerprint is what two systems must share
-// for one to be refactored from the other (donorSuffix).
-func setupKey(fp, pattern string, o fsaicomm.Options, ranks int) string {
-	lb := o.LineBytes
-	if lb == 0 {
-		lb = 64
-	}
-	pl := o.PatternLevel
-	if pl < 1 {
-		pl = 1
-	}
-	part := o.Partitioner
-	if part == "" {
-		part = "multilevel"
-	}
-	key := fmt.Sprintf("%s|p%s|m%d|f%g|s%d|lb%d|pl%d|th%g|r%d|%s|seed%d|%s",
-		fp, pattern, o.Method, o.Filter, o.Strategy, lb, pl, o.Threshold, ranks, part, o.PartitionSeed,
-		o.Precision)
-	if o.Method == fsaicomm.SPAI {
-		// The adaptive SPAI knobs shape the cached inverse; the solver is
-		// implied by the method (SPAI ⇔ GMRES) so it needs no own field.
-		key += fmt.Sprintf("|sp%d.%d.%g", o.SPAISteps, o.SPAIAdd, o.SPAIEpsilon)
-	}
-	return key
+// and the canonical set-up group (fsaicomm.Options.Canonical), so spellings
+// of the same set-up share an entry ("" and "multilevel", 0 and 64-byte
+// lines, automatic and explicit equal rank counts). What leaves the factors
+// alone is not in it: Workers parallelizes the build without changing its
+// result, and no per-solve field — Transport and the node grouping included
+// — changes what Prepare builds. Everything after the fingerprint is what two
+// systems must share for one to be refactored from the other (donorSuffix).
+func setupKey(fp, pattern string, setup fsaicomm.Options) string {
+	return fmt.Sprintf("%s|%s|%v", fp, pattern, setup)
 }
 
 // donorSuffix is the part of a prepared-cache key behind the fingerprint:
@@ -616,7 +581,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fail(http.StatusBadRequest, "rhs length %d, want %d", len(q.RHS), m.a.Rows))
 		return
 	}
-	key := setupKey(q.Matrix, m.pattern, opt, fsaicomm.AutoRanks(m.a, opt.Ranks))
+	setup, err := opt.Canonical(m.a)
+	if err != nil {
+		writeErr(w, fail(http.StatusBadRequest, "%v", err))
+		return
+	}
+	key := setupKey(q.Matrix, m.pattern, setup)
 	bkey := ""
 	if s.batchEligible(opt.Solver, so) {
 		bkey = batchKey(key, so)

@@ -330,7 +330,12 @@ func TestPatternFaults(t *testing.T) {
 	if code, child, _ := solveOn(t, ts.URL, req2); code != http.StatusOK || !child.PatternHit {
 		t.Fatalf("child set-up: %d pattern_hit=%v", code, child.PatternHit)
 	}
-	donorKey := setupKey(mr.Matrix, patternOf(t, s, mr.Matrix), fsaicomm.Options{Method: fsaicomm.FSAIEComm, Filter: 0.01}, 2)
+	mv, _ := s.matrices.Get(mr.Matrix)
+	setup, err := fsaicomm.Options{Method: fsaicomm.FSAIEComm, Filter: 0.01, Ranks: 2}.Canonical(mv.(*uploaded).a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donorKey := setupKey(mr.Matrix, patternOf(t, s, mr.Matrix), setup)
 	s.prepared.mu.Lock()
 	el := s.prepared.items[donorKey]
 	s.prepared.mu.Unlock()

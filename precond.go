@@ -24,11 +24,10 @@ type Preconditioner struct {
 	// the float32 narrowing of the factors.
 	prec Precision
 	// inv is the explicit SPAI inverse (Method SPAI only; split is then
-	// nil) and restart the GMRES cycle length SolveWith uses.
-	inv     *Matrix
-	restart int
-	pct     float64
-	setup   time.Duration
+	// nil).
+	inv   *Matrix
+	pct   float64
+	setup time.Duration
 	// work holds the Krylov iteration vectors across SolveWith calls, so
 	// repeated solves with the same factor allocate no per-solve buffers
 	// (beyond the returned solution). Part of why the Preconditioner is
@@ -43,24 +42,22 @@ type Preconditioner struct {
 // matrix; the FSAI family requires symmetry. The build is the one Prepare
 // runs, on a world of one rank.
 func BuildPreconditioner(a *Matrix, opt Options) (*Preconditioner, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkInputMatrix(a, opt.Solver); err != nil {
-		return nil, err
-	}
-	return buildPreconditioner(a, opt.withDefaults(a.Rows))
-}
-
-// buildPreconditioner is BuildPreconditioner on checked input and options
-// with their defaults applied.
-func buildPreconditioner(a *Matrix, opt Options) (*Preconditioner, error) {
-	t0 := time.Now()
-	bd, err := core.BuildOneRank(a, buildConfig(opt))
+	setup, err := opt.setUp(a, opt.Ranks, false)
 	if err != nil {
 		return nil, err
 	}
-	p := &Preconditioner{a: a, method: opt.Method, prec: opt.Precision, restart: opt.Restart,
+	return buildPreconditioner(a, setup, opt.Workers)
+}
+
+// buildPreconditioner is BuildPreconditioner on checked input: the canonical
+// set-up group and the worker pool.
+func buildPreconditioner(a *Matrix, setup Options, workers int) (*Preconditioner, error) {
+	t0 := time.Now()
+	bd, err := core.BuildOneRank(a, buildConfig(setup, workers))
+	if err != nil {
+		return nil, err
+	}
+	p := &Preconditioner{a: a, method: setup.Method, prec: setup.Precision,
 		inv: bd.MRows, pct: bd.PctNNZIncrease, setup: time.Since(t0)}
 	if bd.MRows == nil {
 		p.split = krylov.NewSplit(bd.GRows, bd.GTRows)
@@ -115,33 +112,30 @@ func (p *Preconditioner) Apply(r, z []float64) {
 
 // SolveWith runs the preconditioned Krylov solve of A·x = b reusing the
 // built preconditioner: CG (the FP64 refinement loop around it for an FP32
-// factor) or GMRES for SPAI. Of opt it reads Tol, MaxIter, Restart (0 keeps
-// the build-time value) and Trace; the set-up fields are ignored, since the
-// preconditioner is fixed. Per-solve fields that Validate rejects get an
+// factor) or GMRES for SPAI. Of opt it reads the per-solve group — Tol,
+// MaxIter, Restart (0 selects 30) and Trace count here; the set-up fields
+// are ignored, since the preconditioner is fixed. Options that Validate
+// rejects and a right-hand side that is not finite get an
 // ErrInvalidOptions-wrapped error, as at every other entry point.
 func (p *Preconditioner) SolveWith(b []float64, opt Options) (*Result, error) {
-	if err := perSolve(opt).Validate(); err != nil {
+	err := opt.Validate()
+	if err == nil {
+		err = checkRHS([][]float64{b}, p.a.Rows)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return p.solve(context.TODO(), b, opt)
+	return p.solve(context.TODO(), b, opt.SolveOptions())
 }
 
-// solve is the one-process solve behind Solve and SolveWith. It runs the
-// distributed loops on one rank and reuses the preconditioner's workspace.
-func (p *Preconditioner) solve(ctx context.Context, b []float64, opt Options) (*Result, error) {
-	if len(b) != p.a.Rows {
-		return nil, fmt.Errorf("fsaicomm: rhs length %d, want %d", len(b), p.a.Rows)
-	}
-	if err := checkFiniteRHS(b); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults(p.a.Rows)
-	if opt.Restart <= 0 {
-		opt.Restart = p.restart
-	}
+// solve is the one-process solve behind Solve and SolveWith on a checked
+// right-hand side. It runs the distributed loops on one rank and reuses the
+// preconditioner's workspace.
+func (p *Preconditioner) solve(ctx context.Context, b []float64, so SolveOptions) (*Result, error) {
+	so = so.withDefaults(p.a.Rows)
 	x := make([]float64, p.a.Rows)
 	t0 := time.Now()
-	kopt := krylov.Options{Tol: opt.Tol, MaxIter: opt.MaxIter, Restart: opt.Restart, Trace: opt.Trace, Ctx: ctx, Work: &p.work}
+	kopt := krylov.Options{Tol: so.Tol, MaxIter: so.MaxIter, Restart: so.Restart, Trace: so.Trace, Ctx: ctx, Work: &p.work}
 	var st krylov.Stats
 	var err error
 	switch {

@@ -18,96 +18,6 @@ import (
 	"fsaicomm/internal/simmpi"
 )
 
-// SolveOptions are the per-solve knobs of a Prepared system: everything in
-// Options that does not change the partition or the preconditioner factors.
-// The setup-shaping fields (Method, Filter, Ranks, Partitioner, ...) are
-// fixed at Prepare time; trying to change them per solve would invalidate
-// the cached factors, so they simply are not here.
-type SolveOptions struct {
-	// Tol is the relative residual target. Default 1e-8.
-	Tol float64
-	// MaxIter caps CG iterations. Default 10·n.
-	MaxIter int
-	// CGVariant selects the distributed CG loop (see Options.CGVariant).
-	// Ignored by systems prepared for SPAI+GMRES, which run the classic
-	// blocking schedule only.
-	CGVariant CGVariant
-	// Restart overrides the GMRES restart length for this solve (0 keeps
-	// the Prepare-time Options.Restart). Ignored by CG-prepared systems.
-	Restart int
-	// Arch names the architecture profile for Result.ModeledSolveTime
-	// ("skylake" default, "a64fx", "zen2").
-	Arch string
-	// Trace records per-iteration telemetry into Result.Trace (rank 0).
-	Trace bool
-	// ResidualReplaceEvery periodically recomputes the true residual in the
-	// pipelined loop (see Options.ResidualReplaceEvery).
-	ResidualReplaceEvery int
-	// Transport selects the rank runtime: "sim" (default) or "tcp" (one OS
-	// process per rank). The first "tcp" solve of a Prepared starts the
-	// processes and ships them the localized factors and halo schedules; they
-	// stay, so later solves send a right-hand side and get a solution back,
-	// until Prepared.Close. See Options.Transport.
-	Transport string
-	// Nodes and RanksPerNode declare a per-solve two-level topology (see
-	// Options.Nodes). A cached prepared system can be solved under any node
-	// grouping: the node-aware relay schedule derives from need counts
-	// captured at Prepare time, with zero extra setup communication.
-	Nodes        int
-	RanksPerNode int
-	// NoNodeAggregation keeps the flat per-rank halo schedule under the
-	// declared topology (see Options.NoNodeAggregation).
-	NoNodeAggregation bool
-}
-
-// Validate rejects nonsensical per-solve options, reusing the facade's
-// single validator so the HTTP layer and the library agree on what a bad
-// request is.
-func (o SolveOptions) Validate() error {
-	if o.Restart < 0 {
-		return fmt.Errorf("%w: Restart %d is negative (0 keeps the Prepare-time value)", ErrInvalidOptions, o.Restart)
-	}
-	return o.over(Options{}).Validate()
-}
-
-// over returns setup with the per-solve knobs replaced by o's — the options
-// of one solve on a system set up with setup. A zero Tol or MaxIter means
-// the default, not the Prepare-time value; only Restart inherits.
-func (o SolveOptions) over(setup Options) Options {
-	setup.Tol = o.Tol
-	setup.MaxIter = o.MaxIter
-	setup.CGVariant = o.CGVariant
-	if o.Restart > 0 {
-		setup.Restart = o.Restart
-	}
-	setup.Arch = o.Arch
-	setup.Trace = o.Trace
-	setup.ResidualReplaceEvery = o.ResidualReplaceEvery
-	setup.Transport = o.Transport
-	setup.Nodes = o.Nodes
-	setup.RanksPerNode = o.RanksPerNode
-	setup.NoNodeAggregation = o.NoNodeAggregation
-	return setup
-}
-
-// perSolve is the per-solve half of opt, the inverse of over:
-// perSolve(opt).over(opt) is opt.
-func perSolve(opt Options) SolveOptions {
-	return SolveOptions{
-		Tol:                  opt.Tol,
-		MaxIter:              opt.MaxIter,
-		CGVariant:            opt.CGVariant,
-		Restart:              opt.Restart,
-		Arch:                 opt.Arch,
-		Trace:                opt.Trace,
-		ResidualReplaceEvery: opt.ResidualReplaceEvery,
-		Transport:            opt.Transport,
-		Nodes:                opt.Nodes,
-		RanksPerNode:         opt.RanksPerNode,
-		NoNodeAggregation:    opt.NoNodeAggregation,
-	}
-}
-
 // Prepared is a fully set-up distributed system: partition, permutation,
 // localized matrix, halo-plan schedules and preconditioner factors, built
 // once by Prepare and reusable for any number of Solve calls — including
@@ -118,9 +28,8 @@ func perSolve(opt Options) SolveOptions {
 // setup options) pair. A system solved over the "tcp" transport keeps its
 // rank worker processes, operators shipped, until Close.
 type Prepared struct {
-	n        int
-	ranks    int
-	setupOpt Options // canonicalized setup options (informational)
+	n     int
+	ranks int
 	// st is what the analyse phase found, shared read-only with the system
 	// this one was refactored from and with those refactored from it; plans
 	// holds, per rank, the factor structure the values were moved through —
@@ -201,7 +110,7 @@ func (d *distribution) permuted(vals []float64) *Matrix {
 // concurrently too.
 type structure struct {
 	*distribution
-	opt Options // canonical: defaults applied, rank count resolved
+	opt Options // the canonical set-up group
 	// aPtr and aIdx are a copy of the analysed pattern, what Refactor holds a
 	// matrix against.
 	aPtr, aIdx []int
@@ -211,8 +120,9 @@ type structure struct {
 }
 
 // analyse is the analyse phase: partition, permutation, and on every rank
-// core.Analyse of its rows. It reads a's pattern only.
-func analyse(a *Matrix, opt Options) (*structure, error) {
+// core.Analyse of its rows, with workers in each rank's pool. It reads a's
+// pattern only.
+func analyse(a *Matrix, opt Options, workers int) (*structure, error) {
 	t0 := time.Now()
 	d, err := distribute(a, opt, opt.Ranks)
 	if err != nil {
@@ -225,7 +135,7 @@ func analyse(a *Matrix, opt Options) (*structure, error) {
 		aIdx:         slices.Clone(a.ColIdx),
 		syms:         make([]*core.Symbolic, opt.Ranks),
 	}
-	cfg := buildConfig(opt)
+	cfg := buildConfig(opt, workers)
 	rankPhases := make([]core.SetupPhases, opt.Ranks)
 	if _, err := simmpi.Run(opt.Ranks, time.Hour, func(c *simmpi.Comm) error {
 		lo, hi := d.layout.Range(c.Rank())
@@ -253,13 +163,12 @@ func (st *structure) factor(a *Matrix, donor *Prepared) (*Prepared, error) {
 	t0 := time.Now()
 	ranks := st.opt.Ranks
 	p := &Prepared{
-		n:        a.Rows,
-		ranks:    ranks,
-		setupOpt: st.opt,
-		st:       st,
-		plans:    make([]*core.FactorPlan, ranks),
-		parts:    make([]mprun.Operators, ranks),
-		pools:    make([]sync.Pool, ranks),
+		n:     a.Rows,
+		ranks: ranks,
+		st:    st,
+		plans: make([]*core.FactorPlan, ranks),
+		parts: make([]mprun.Operators, ranks),
+		pools: make([]sync.Pool, ranks),
 	}
 	pa := st.permuted(a.Val)
 	permute := time.Since(t0)
@@ -332,34 +241,34 @@ func (st *structure) factor(a *Matrix, donor *Prepared) (*Prepared, error) {
 // setup-phase communication (plan index exchange, remote row gather,
 // distributed transpose) happens exactly once, here.
 func Prepare(a *Matrix, opt Options) (*Prepared, error) {
-	if err := opt.Validate(); err != nil {
+	setup, err := opt.setUp(a, AutoRanks(a, opt.Ranks), false)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkInputMatrix(a, opt.Solver); err != nil {
-		return nil, err
-	}
-	return prepare(a, opt)
+	return prepare(a, setup, opt.Workers)
 }
 
-// prepare is Prepare on checked input.
-func prepare(a *Matrix, opt Options) (*Prepared, error) {
-	opt = opt.withDefaults(a.Rows)
-	opt.Ranks = AutoRanks(a, opt.Ranks)
-	st, err := analyse(a, opt)
+// prepare is Prepare on checked input: the canonical set-up group and the
+// worker pool of each rank.
+func prepare(a *Matrix, setup Options, workers int) (*Prepared, error) {
+	st, err := analyse(a, setup, workers)
 	if err != nil {
 		return nil, err
 	}
 	return st.factor(a, nil)
 }
 
-// prepareOnce is the set-up of a one-off solve on checked input: the node
-// grouping is checked against the rank count before anything is built,
-// since the solve would reject it after.
-func prepareOnce(a *Matrix, opt Options) (*Prepared, error) {
-	if _, err := resolveTopology(AutoRanks(a, opt.Ranks), opt.Nodes, opt.RanksPerNode); err != nil {
+// prepareOnce is the set-up of a one-off solve of rhs, batched or not,
+// refused before any work if Prepare or the solve would refuse it.
+func prepareOnce(a *Matrix, rhs [][]float64, opt Options, batch bool) (*Prepared, error) {
+	setup, err := opt.setUp(a, AutoRanks(a, opt.Ranks), batch)
+	if err == nil {
+		err = checkRHS(rhs, a.Rows)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return prepare(a, opt)
+	return prepare(a, setup, opt.Workers)
 }
 
 // Refactor prepares the system of a matrix that has the sparsity pattern p
@@ -423,9 +332,9 @@ func (p *Prepared) SetupPhases() SetupPhases { return p.phases }
 // PctNNZIncrease returns the factor pattern growth versus the FSAI baseline.
 func (p *Prepared) PctNNZIncrease() float64 { return p.pct }
 
-// Options returns the canonicalized setup options (defaults applied,
-// automatic rank count resolved).
-func (p *Prepared) Options() Options { return p.setupOpt }
+// Options returns the canonical set-up group the system was prepared for
+// (see Options.Canonical).
+func (p *Prepared) Options() Options { return p.st.opt }
 
 // SizeBytes estimates the memory the prepared system keeps alive — the
 // localized matrix and factors with their run indexes and, for FP32, their
@@ -473,7 +382,7 @@ func (p *Prepared) operatorBytes() int64 {
 				}
 			}
 			total += 8 * int64(words)
-			if p.setupOpt.Precision == FP32 {
+			if p.st.opt.Precision == FP32 {
 				total += 4 * int64(len(h.LZ.M.Val))
 			}
 		}
@@ -490,17 +399,8 @@ func (p *Prepared) operatorBytes() int64 {
 // stop at the same iteration boundary and the partial Result comes back
 // with an ErrCanceled-wrapped error.
 func (p *Prepared) Solve(ctx context.Context, b []float64, so SolveOptions) (*Result, error) {
-	if err := so.Validate(); err != nil {
+	if err := p.check(so, [][]float64{b}, false); err != nil {
 		return nil, err
-	}
-	if len(b) != p.n {
-		return nil, fmt.Errorf("fsaicomm: rhs length %d, want %d", len(b), p.n)
-	}
-	if err := checkFiniteRHS(b); err != nil {
-		return nil, err
-	}
-	if p.setupOpt.Solver == SolverGMRES && so.CGVariant != CGClassic {
-		return nil, fmt.Errorf("%w: this system was prepared for SPAI+GMRES, which has only the classic blocking schedule", ErrInvalidOptions)
 	}
 	f, err := p.run(ctx, [][]float64{b}, 0, so, p.pools)
 	if err != nil {
@@ -509,16 +409,26 @@ func (p *Prepared) Solve(ctx context.Context, b []float64, so SolveOptions) (*Re
 	return f.result()
 }
 
+// check refuses a solve of rhs on p under so, batched or not, for what a
+// solve anywhere is refused for: a per-solve field, a combination with p's
+// set-up group and rank count, a right-hand side.
+func (p *Prepared) check(so SolveOptions, rhs [][]float64, batch bool) error {
+	if err := so.Validate(); err != nil {
+		return err
+	}
+	if err := cell(p.st.opt, so, p.ranks, batch); err != nil {
+		return err
+	}
+	return checkRHS(rhs, p.n)
+}
+
 // run is the cached-set-up path behind Solve (k = 0) and SolveBatch
 // (k = len(rhs)): one rank job per rank that adopts the operators Prepare
 // holds and solves under so. The worker processes of a tcp solve receive
 // the held operators over the wire, once per mesh, and run every job on a
 // fresh workspace, so pools only ever serve sim ranks.
 func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOptions, pools []sync.Pool) (*rankFold, error) {
-	sp, err := solveParams(so.over(p.setupOpt).withDefaults(p.n), p.ranks)
-	if err != nil {
-		return nil, err
-	}
+	sp := solveParams(p.st.opt, so, p.ranks, p.n)
 	held := p.parts
 	traced, known := p.misses.Load(sp.Profile)
 	if known {

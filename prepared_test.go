@@ -30,6 +30,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"too many ranks", Options{Ranks: MaxRanks + 1}, "Ranks"},
 		{"negative filter", Options{Filter: -0.1}, "Filter"},
 		{"negative linebytes", Options{LineBytes: -64}, "LineBytes"},
+		{"linebytes not a multiple of 8", Options{LineBytes: 12}, "LineBytes"},
+		{"3 nodes on 2 ranks", Options{Ranks: 2, Nodes: 3}, "not divisible"},
 		{"negative pattern level", Options{PatternLevel: -1}, "PatternLevel"},
 		{"negative threshold", Options{Threshold: -1e-3}, "Threshold"},
 		{"negative replace every", Options{ResidualReplaceEvery: -1}, "ResidualReplaceEvery"},

@@ -41,11 +41,13 @@ all: tier1
 # three things to a socket — a doorbell byte, the hello and the ring file's
 # name — never a frame. The asm step fails if the module holds an assembly
 # file beside the one product-kernel file (internal/sparse/rowkernel_amd64.s,
-# which holds three kernels: the k-wide product with a column pair in one XMM
+# which holds four kernels: the k-wide product with a column pair in one XMM
 # register, the 1-wide run product that reads a run of consecutive columns
-# with one index and two entries per SSE2 load, and the k-wide product over
-# the same runs, a column pair per register, with a body of its own for a
-# float64 batch of two); every other kernel
+# with one index and two entries per SSE2 load, the k-wide product over the
+# same runs, a column pair per register, with a body of its own for a
+# float64 batch of two, and the 1-wide entry walk, the product of a matrix
+# with no run index; the two 1-wide ones can carry a dot product through
+# their store step); every other kernel
 # is Go, and the arm64 vet keeps the portable bodies those platforms run
 # building (it needs no network and nothing but the toolchain). The bench
 # step fails if a second measurement system comes back beside benchmark/ and
@@ -284,26 +286,28 @@ loc:
 		END { for (d in dirs) printf "%7d %7d  %s\n", n[d], t[d], d | "sort -k3"; close("sort -k3"); \
 		      printf "%7d %7d  total (non-test, test)\n", nt, tt }'
 
-# placement: where the linker put four hot kernels in the server binary, as
+# placement: where the linker put the hot kernels in the server binary, as
 # address mod 64. internal/simmpi and internal/tcpmpi are laid out before
 # every other package of the module and functions are aligned to 32 bytes, so
 # a change to either can move every kernel from 0 to 32 mod 64 or back, and
 # that alone moves the sim workloads of the benchmark by 15 % (ROADMAP item
-# 2). Lines print in address order. The accepted placement reads
-# 0 / 32 / 32 / 32 for the assembly pair kernel, its Go wrapper, and the two
-# scalar kernels this target has printed since PR 21 (rowDotCols[float32],
-# which it printed first until PR 24, is the portable body now and off the
-# hot path on amd64); mulVecRunsF64 is the assembly run kernel and
-# mulMatRunsF64 its k-wide twin (mulMatRuns2F64 the body for a batch of
-# two), whose loop heads sit under PCALIGN $32; all three read 0. Compare
-# timings of two builds only when their lines agree.
+# 2). Lines print in address order. The accepted placement reads 0 for the
+# five assembly kernels — the pair kernel, the run kernel mulVecRunsF64, its
+# k-wide twin mulMatRunsF64, mulMatRuns2F64 (the body for a batch of two)
+# and the entry walk mulVecRowsF64, which took over the 1-wide product of
+# mulVecRows[float64] on amd64 (the portable body now, off the hot path
+# there, as rowDotCols[float32] is); their loop heads sit
+# under PCALIGN $32 — and 32 for the Go k-wide wrapper mulMatWide[float64],
+# vecops.Dot and the classic loop's fused update ClassicCGUpdateBatch.
+# Compare timings of two builds only when their lines agree.
 placement:
 	$(GO) build -o bin/fsaiserve ./cmd/fsaiserve
 	@$(GO) tool nm -n bin/fsaiserve | while read addr _ sym; do case "$$sym" in \
 		fsaicomm/internal/sparse.mulMatPairF64.abi0 | \
 		'fsaicomm/internal/sparse.mulMatWide[go.shape.float64]' | \
-		'fsaicomm/internal/sparse.mulVecRows[go.shape.float64]' | \
+		fsaicomm/internal/sparse.mulVecRowsF64.abi0 | \
 		fsaicomm/internal/vecops.Dot | \
+		fsaicomm/internal/vecops.ClassicCGUpdateBatch | \
 		fsaicomm/internal/sparse.mulVecRunsF64.abi0 | \
 		fsaicomm/internal/sparse.mulMatRunsF64.abi0 | \
 		fsaicomm/internal/sparse.mulMatRuns2F64.abi0) echo "$$((0x$$addr % 64)) mod 64  $$sym" ;; \
@@ -316,7 +320,9 @@ cover:
 # fuzz: short exploration of each sparse-format fuzz target (the Matrix
 # Market reader twice: its safety, and its bits and errors against the
 # line-by-line reference at one to five chunks) and the product
-# kernels (assembly and portable body against RowDot), the k-wide vector
+# kernels (assembly and portable body against RowDot, the dots they carry
+# against vecops.Dot, the rows they refuse against the portable body's
+# panics), the k-wide vector
 # kernels at width 1 and at width 2 against the scalar ones they stand in for, the dense QR least-squares kernel behind SPAI, the packed
 # Cholesky of the first build against its row-major reference, the three
 # decoders of the socket transport that face bytes another process wrote,

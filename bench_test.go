@@ -622,7 +622,9 @@ func BenchmarkTransposeDist50k(b *testing.B) {
 // this 37³ system (2 ranks, fsaie-comm, default filter) from a cached
 // Prepare. BenchmarkRowKernel50k times the product kernels alone on rank
 // 0's three operators — "runs" is the 1-wide product over the operator's
-// run index, MulVec where it has none, "k2runs" the k-wide one — and reports
+// run index, MulVec where it has none, "k2runs" the k-wide one, and
+// "f64dot" and "runsdot" the 1-wide products that also reduce w·y as the
+// classic loop's d·q and r·z do — and reports
 // ns per stored entry (per column for the k-wide products);
 // BenchmarkApplyBatch50k times the factor apply of the batched loops on both
 // ranks; the solve benches time the whole in-process request under them.
@@ -686,9 +688,11 @@ func BenchmarkRowKernel50k(b *testing.B) {
 			mul  func()
 		}{
 			{"f64", 1, func() { m.MulVec(x[:m.Cols], y[:m.Rows]) }},
-			{"f32", 1, func() { m32.MulVec(x[:m.Cols], y[:m.Rows]) }},
-			{"runs", 1, func() { m.MulVecRuns(o.lz.Runs(), x[:m.Cols], y[:m.Rows]) }},
-			{"f32runs", 1, func() { m32.MulVecRuns(o.lz.Runs(), x[:m.Cols], y[:m.Rows]) }},
+			{"f32", 1, func() { m32.MulVecDot(nil, x[:m.Cols], y[:m.Rows], nil) }},
+			{"f64dot", 1, func() { m.MulVecDot(nil, x[:m.Cols], y[:m.Rows], x[:m.Rows]) }},
+			{"runs", 1, func() { m.MulVecDot(o.lz.Runs(), x[:m.Cols], y[:m.Rows], nil) }},
+			{"runsdot", 1, func() { m.MulVecDot(o.lz.Runs(), x[:m.Cols], y[:m.Rows], x[:m.Rows]) }},
+			{"f32runs", 1, func() { m32.MulVecDot(o.lz.Runs(), x[:m.Cols], y[:m.Rows], nil) }},
 			{"k2", 2, func() { m.MulMatCols(nil, x[:2*m.Cols], y[:2*m.Rows], 2, nil) }},
 			{"k2runs", 2, func() { m.MulMatCols(o.lz.Runs(), x[:2*m.Cols], y[:2*m.Rows], 2, nil) }},
 			{"k2runsmask1", 1, func() { m.MulMatCols(o.lz.Runs(), x[:2*m.Cols], y[:2*m.Rows], 2, []int{1}) }},

@@ -47,7 +47,7 @@ func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch 
 		return
 	}
 	if !op.Plan.idle() {
-		copy(scratch.Ext[:nl*k], x)
+		scratch.load(x)
 		op.Plan.ExchangeBatch(c, scratch.Ext, nl, k)
 		x = scratch.Ext
 	}
@@ -62,6 +62,24 @@ func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch 
 		nc = int64(len(cols))
 	}
 	fc.Add(2 * int64(lz.M.NNZ()) * nc)
+}
+
+// MulMatDot is MulMat followed by DotBatchDist(c, w, y, k, cols, out, fc):
+// the product, then out[c] = Σ_ranks w_cᵀy_c for the active columns and
+// exact zeros for the masked ones, with those two calls' bits, flops and
+// collective. A blocking 1-wide product needs no second sweep: its kernel
+// adds wᵢyᵢ as it stores row i, from +0 in ascending i, which is
+// vecops.Dot's order. Wider blocks and the overlap schedule, which computes
+// the interior rows first, make the two calls. The classic CG loop takes
+// d·q here with w = x = d, and DistSplit r·z with w = r.
+func (op *Op) MulMatDot(c *simmpi.Comm, x, y, w []float64, k int, cols []int, scratch *DistVec, out []float64, fc *vecops.FlopCounter) {
+	if k == 1 && cols == nil && op.overlap == nil {
+		out[0] = op.mulVecDot(c, x, y, w, scratch, fc)
+		copy(out[:1], SumAcross(c, out[:1]))
+		return
+	}
+	op.MulMat(c, x, y, k, cols, scratch, fc)
+	DotBatchDist(c, w, y, k, cols, out, fc)
 }
 
 // DotBatchDist reduces the per-column local dot products globally in ONE

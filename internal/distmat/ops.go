@@ -39,6 +39,16 @@ func (v *DistVec) Fits(lz *Localized, k int) bool {
 // Local returns the locally-owned (interleaved) portion of the vector.
 func (v *DistVec) Local() []float64 { return v.Ext[:v.NLocal*v.K] }
 
+// load puts x, a rank's local block, in front of the halo: a copy, unless x
+// is the front of Ext already — a caller that keeps its operand in the
+// scratch (the classic CG loop's d, DistSplit's intermediate) pays no copy.
+// The halo exchange writes behind the local block only, so what x held stays.
+func (v *DistVec) load(x []float64) {
+	if len(x) == 0 || &x[0] != &v.Ext[0] {
+		copy(v.Ext, x)
+	}
+}
+
 // Op bundles a localized matrix with its halo plan so the distributed SpMV
 // reads as a single operation, as it does in the paper's solver.
 type Op struct {
@@ -123,26 +133,39 @@ func (op *Op) EnsureOverlap() *OverlapOp {
 // MulVec computes the local part of y = A x, performing one halo update.
 // x holds the rank's local values (length NLocal); y receives the local
 // result. scratch must be a DistVec from NewDistVec(op.LZ); an operator
-// whose plan has no peers does not touch it. The product walks the
-// pattern's column runs where the view has a run index, its entries
-// otherwise — the same bits either way. The flop counter records 2·nnz
-// operations.
+// whose plan has no peers does not touch it, and x may be scratch.Local()
+// itself, which saves the copy into it. The product walks the pattern's
+// column runs where the view has a run index, its entries otherwise — the
+// same bits either way. The flop counter records 2·nnz operations.
 func (op *Op) MulVec(c *simmpi.Comm, x, y []float64, scratch *DistVec, fc *vecops.FlopCounter) {
+	op.mulVecDot(c, x, y, nil, scratch, fc)
+}
+
+// mulVecDot is MulVec that also returns Σᵢ w[i]·y[i] over the local rows,
+// added in ascending i inside the product kernel as each row is stored
+// (vecops.Dot(w, y)'s bits and flops); w nil is MulVec, returning 0.
+func (op *Op) mulVecDot(c *simmpi.Comm, x, y, w []float64, scratch *DistVec, fc *vecops.FlopCounter) float64 {
 	nl := op.LZ.NLocal()
-	if len(x) != nl || len(y) != nl {
-		panic(fmt.Sprintf("distmat: MulVec local length %d/%d, want %d", len(x), len(y), nl))
+	if len(x) != nl || len(y) != nl || (w != nil && len(w) != nl) {
+		panic(fmt.Sprintf("distmat: MulVec local length %d/%d (w %d), want %d", len(x), len(y), len(w), nl))
 	}
 	if !op.Plan.idle() {
-		copy(scratch.Ext[:nl], x)
+		scratch.load(x)
 		op.Plan.Exchange(c, scratch.Ext, nl)
 		x = scratch.Ext
 	}
+	var dot float64
 	if op.f32 {
-		op.LZ.M32().MulVecRuns(op.LZ.runs, x, y)
+		dot = op.LZ.M32().MulVecDot(op.LZ.runs, x, y, w)
 	} else {
-		op.LZ.M.MulVecRuns(op.LZ.runs, x, y)
+		dot = op.LZ.M.MulVecDot(op.LZ.runs, x, y, w)
 	}
-	fc.Add(2 * int64(op.LZ.M.NNZ()))
+	flops := 2 * int64(op.LZ.M.NNZ())
+	if w != nil {
+		flops += 2 * int64(nl)
+	}
+	fc.Add(flops)
+	return dot
 }
 
 // Dot returns the global dot product of two distributed vectors; a nil Comm

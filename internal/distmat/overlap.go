@@ -68,7 +68,7 @@ func (o *OverlapOp) mulRows(rows []int, xExt, y []float64) {
 // finish. Results are identical to Op.MulVec; only the schedule differs.
 func (o *OverlapOp) MulVecOverlap(c *simmpi.Comm, x, y []float64, scratch *DistVec, fc *vecops.FlopCounter) {
 	nl := o.LZ.NLocal()
-	copy(scratch.Ext[:nl], x)
+	scratch.load(x)
 	// Post sends (the halo values leave now).
 	o.Plan.PostSends(c, scratch.Ext)
 	// Interior rows: no halo dependence.
@@ -88,7 +88,7 @@ func (o *OverlapOp) MulVecOverlap(c *simmpi.Comm, x, y []float64, scratch *DistV
 // the one a real-MPI port would execute verbatim.
 func (o *OverlapOp) MulVecOverlapAsync(c *simmpi.Comm, x, y []float64, scratch *DistVec, fc *vecops.FlopCounter) {
 	nl := o.LZ.NLocal()
-	copy(scratch.Ext[:nl], x)
+	scratch.load(x)
 	h := o.Plan.StartExchange(c, scratch.Ext)
 	o.mulRows(o.Interior, scratch.Ext, y)
 	h.Complete(c, scratch.Ext, nl)

@@ -241,10 +241,18 @@ func (s *wide) canceledAt(iter int) (BatchStats, error) {
 }
 
 // classic is the textbook PCG recurrence at width k: one product, one
-// preconditioner application and three reductions per iteration.
+// preconditioner application and three reductions per iteration. Each local
+// dot product rides the sweep that writes one of its operands: d·q the
+// product (distmat.Op.MulMatDot), r·r the update of x and r
+// (vecops.ClassicCGUpdateBatch) and r·z the preconditioner's last product
+// where it has one (applyDot). Every such sum adds the terms DotBatch adds
+// in DotBatch's order, so the bits are those of the separate calls.
 func (s *wide) classic(b, x []float64) (BatchStats, error) {
 	c, k, fc, bs := s.c, s.k, s.fc, &s.bs
-	r, z, d, q := s.ws.take4(s.nl * k)
+	// d lives in front of the product's halo, where the product reads it in
+	// place: no copy per iteration.
+	r, z, q := s.ws.take3(s.nl * k)
+	d := s.scratch.Local()
 	copy(r, b)
 	sc := s.ws.scalars(6 * k)
 	norm0, rho, alpha, negAlpha, beta, tmp := sc[:k], sc[k:2*k], sc[2*k:3*k], sc[3*k:4*k], sc[4*k:5*k], sc[5*k:]
@@ -263,9 +271,8 @@ func (s *wide) classic(b, x []float64) (BatchStats, error) {
 	if s.active = live; len(live) == 0 {
 		return conclude(*bs, fc, s.tr, nil)
 	}
-	s.m.ApplyBatch(c, r, z, k, s.mask(), fc)
+	s.applyDot(r, z, rho)
 	copy(d, z)
-	distmat.DotBatchDist(c, r, z, k, s.mask(), rho, fc)
 	s.tr.setup()
 
 	// Every freeze below is decided on Allreduce results — identical on every
@@ -274,8 +281,7 @@ func (s *wide) classic(b, x []float64) (BatchStats, error) {
 		if canceled(c, s.opt.Ctx) {
 			return s.canceledAt(iter)
 		}
-		s.op.MulMat(c, d, q, k, s.mask(), s.scratch, fc)
-		distmat.DotBatchDist(c, d, q, k, s.mask(), tmp, fc)
+		s.op.MulMatDot(c, d, q, d, k, s.mask(), s.scratch, tmp, fc)
 		live = s.active[:0]
 		for _, col := range s.active {
 			if badCurv(tmp[col]) {
@@ -289,9 +295,9 @@ func (s *wide) classic(b, x []float64) (BatchStats, error) {
 		if s.active = live; len(live) == 0 {
 			break
 		}
-		vecops.AxpyBatch(alpha, d, x, k, s.mask(), fc)
-		vecops.AxpyBatch(negAlpha, q, r, k, s.mask(), fc)
-		distmat.DotBatchDist(c, r, r, k, s.mask(), tmp, fc)
+		clear(tmp)
+		vecops.ClassicCGUpdateBatch(alpha, negAlpha, d, q, x, r, k, s.mask(), tmp, fc)
+		copy(tmp, distmat.SumAcross(c, tmp))
 		bs.Iterations = iter
 		live = s.active[:0]
 		for _, col := range s.active {
@@ -315,8 +321,7 @@ func (s *wide) classic(b, x []float64) (BatchStats, error) {
 			s.tr.record(iter, bs.Cols[0].RelResidual, alpha[0], beta[0])
 			break
 		}
-		s.m.ApplyBatch(c, r, z, k, s.mask(), fc)
-		distmat.DotBatchDist(c, r, z, k, s.mask(), tmp, fc)
+		s.applyDot(r, z, tmp)
 		// The pass's traffic is complete and α/β are still the scalars of the
 		// update that produced this iteration's residual.
 		s.tr.record(iter, bs.Cols[0].RelResidual, alpha[0], beta[0])
@@ -336,4 +341,17 @@ func (s *wide) classic(b, x []float64) (BatchStats, error) {
 		vecops.XpayBatch(z, beta, d, k, s.mask(), fc)
 	}
 	return conclude(*bs, fc, s.tr, nil)
+}
+
+// applyDot computes z = M·r on the active columns and out[c] = Σ_ranks
+// r_cᵀz_c: in one call where the preconditioner reduces inside its apply
+// (DistSplit), as the application followed by DotBatchDist otherwise.
+func (s *wide) applyDot(r, z, out []float64) {
+	cols := s.mask()
+	if m, ok := s.m.(*DistSplit); ok {
+		m.ApplyDotBatch(s.c, r, z, s.k, cols, out, s.fc)
+		return
+	}
+	s.m.ApplyBatch(s.c, r, z, s.k, cols, s.fc)
+	distmat.DotBatchDist(s.c, r, z, s.k, cols, out, s.fc)
 }

@@ -292,11 +292,12 @@ func haloScratch(v **distmat.DistVec, lz *distmat.Localized, k int) *distmat.Dis
 // DistSplit applies z = Gᵀ(G·r) with distributed G and Gᵀ, each with its own
 // halo plan — the two preconditioning products of the paper, at any width:
 // each performs one k-wide halo update (one message per neighbour). The
-// scratch is sized by the first application and follows the width after.
+// scratch is sized by the first application and follows the width after;
+// the intermediate G·r lives in front of Gᵀ's halo, where Gᵀ's product reads
+// it in place.
 type DistSplit struct {
 	G, GT   *distmat.Op
 	wG, wGT *distmat.DistVec
-	interm  []float64
 }
 
 // NewDistSplit builds the distributed split preconditioner from the local
@@ -314,7 +315,8 @@ func NewDistSplitBatch(g, gt *distmat.Op, k int) *DistSplit {
 // scratch returns the intermediate block and the two product scratches at
 // width k.
 func (s *DistSplit) scratch(k int) (interm []float64, wG, wGT *distmat.DistVec) {
-	return grow(&s.interm, s.G.LZ.NLocal()*k), haloScratch(&s.wG, s.G.LZ, k), haloScratch(&s.wGT, s.GT.LZ, k)
+	wG, wGT = haloScratch(&s.wG, s.G.LZ, k), haloScratch(&s.wGT, s.GT.LZ, k)
+	return wGT.Local(), wG, wGT
 }
 
 // ApplyBatch computes the local block of z = Gᵀ(G·r) on the active columns.
@@ -325,6 +327,15 @@ func (s *DistSplit) ApplyBatch(c *simmpi.Comm, r, z []float64, k int, cols []int
 	interm, wG, wGT := s.scratch(k)
 	s.G.MulMat(c, r, interm, k, cols, wG, fc)
 	s.GT.MulMat(c, interm, z, k, cols, wGT, fc)
+}
+
+// ApplyDotBatch is ApplyBatch followed by distmat.DotBatchDist(c, r, z, k,
+// cols, out, fc), the reduction riding Gᵀ's product (distmat.Op.MulMatDot):
+// at width 1 on blocking operators each rᵢzᵢ is added as zᵢ is stored.
+func (s *DistSplit) ApplyDotBatch(c *simmpi.Comm, r, z []float64, k int, cols []int, out []float64, fc *vecops.FlopCounter) {
+	interm, wG, wGT := s.scratch(k)
+	s.G.MulMat(c, r, interm, k, cols, wG, fc)
+	s.GT.MulMatDot(c, interm, z, r, k, cols, wGT, out, fc)
 }
 
 // Apply is ApplyBatch on one vector.

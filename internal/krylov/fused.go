@@ -141,9 +141,10 @@ func (ws *Workspace) scalars(n int) []float64 {
 	return sc
 }
 
-// take4 returns the four classic-CG vectors (r, z, d, q) of length n.
-func (ws *Workspace) take4(n int) (r, z, d, q []float64) {
-	return grow(&ws.r, n), grow(&ws.z, n), grow(&ws.d, n), grow(&ws.q, n)
+// take3 returns three of the classic-CG vectors (r, z, q) of length n; the
+// fourth, d, lives in the halo scratch of the operator's product.
+func (ws *Workspace) take3(n int) (r, z, q []float64) {
+	return grow(&ws.r, n), grow(&ws.z, n), grow(&ws.q, n)
 }
 
 // take5 returns the five fused-CG vectors (r, u, w, p, s) of length n; u,

@@ -123,7 +123,7 @@ func (m *CSR) MulVec(x, y []float64) {
 		panic(fmt.Sprintf("sparse: MulVec shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, len(x), len(y)))
 	}
-	mulVecRows(m.RowPtr, m.ColIdx, m.Val, x, y, 0, m.Rows)
+	mulVec(nil, m.RowPtr, m.ColIdx, m.Val, x, y, nil, 0, m.Rows, 0)
 }
 
 // Transpose returns Aᵀ as a new CSR matrix.

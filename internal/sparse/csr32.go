@@ -1,7 +1,5 @@
 package sparse
 
-import "fmt"
-
 // CSR32 is a CSR matrix whose values are stored in float32 — the
 // mixed-precision representation of the FSAI factors (and optionally the
 // operator). The structure (RowPtr, ColIdx) is shared with the float64
@@ -33,14 +31,4 @@ func NewCSR32(m *CSR) *CSR32 {
 func (m *CSR32) Row(i int) ([]int, []float32) {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	return m.ColIdx[lo:hi], m.Val[lo:hi]
-}
-
-// MulVec computes y = A x with float64 accumulation. It panics when
-// dimensions mismatch.
-func (m *CSR32) MulVec(x, y []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("sparse: CSR32 MulVec shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d",
-			m.Rows, m.Cols, len(x), len(y)))
-	}
-	mulVecRows(m.RowPtr, m.ColIdx, m.Val, x, y, 0, m.Rows)
 }

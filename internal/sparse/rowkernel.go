@@ -1,8 +1,8 @@
 package sparse
 
-// The product kernels behind every y = A·x loop of the repository: CSR /
-// CSR32 MulVec, MulVecRuns, MulMat, MulMatCols and distmat's
-// interior/boundary row products all land here.
+// The product kernels behind every y = A·x loop of the repository: CSR
+// MulVec, MulVecDot, MulMat, MulMatCols and distmat's interior/boundary row
+// products all land here.
 //
 // RowDot is the scalar kernel and rowDotCols the k-wide one. Both take one
 // row as hoisted slices (cs, vs) instead of indexing RowPtr, ColIdx and Val
@@ -10,18 +10,22 @@ package sparse
 // but the gather from x in range — `make bce` fails the build if another
 // check creeps into a line marked bce:inner. Each sum adds its terms left to
 // right in entry order, so the results are the bits the indexed loops
-// produced. On amd64 a k-wide product runs rowkernel_amd64.s in place of
-// rowDotCols — the same walk, a column pair in the two lanes of one XMM
-// register, a pair for the price of one column — and rowDotCols stays as the
-// body of every other platform, the reference the assembly is fuzzed against
-// and the replay that words the panic for a row the assembly refuses. A
-// product over a pattern that is mostly column runs (runs.go) walks the runs
-// at every width on amd64: at width 1 the file's second kernel, one index
-// pair per run and two entries per SSE2 load; wider, its third, the pair
+// produced. On amd64 the products run rowkernel_amd64.s instead, and the Go
+// bodies stay as the bodies of every other platform, the references the
+// assembly is fuzzed against and the replays that word the panic for a row
+// the assembly refuses: a k-wide product takes a column pair in the two
+// lanes of one XMM register, a pair for the price of one column, in place of
+// rowDotCols; a 1-wide one walks the entries in place of mulVecRows, whose
+// Go loop spends more instructions per row on re-slicing and reloading than
+// a short row spends on its entries. A product over a pattern that is mostly
+// column runs (runs.go) walks the runs at every width on amd64: at width 1
+// one index pair per run and two entries per SSE2 load; wider, the pair
 // kernel's lanes with one index pair per run (at k = 2 with both columns
 // active, a body with the stride built in). Each is the same left-to-right
-// sum; elsewhere the entries are walked, and RowDot is what both are fuzzed
-// against.
+// sum; elsewhere the entries are walked, and RowDot is what all are fuzzed
+// against. The 1-wide kernels can also return wᵀy, adding wᵢyᵢ as they store
+// row i, from +0 in ascending i: vecops.Dot's order, so its bits (dotRows is
+// the portable form).
 
 // Value is a stored matrix value: float64, or float32 for the mixed-
 // precision operators. Products always accumulate in float64.
@@ -39,12 +43,23 @@ func RowDot[V Value](cs []int, vs []V, x []float64) float64 {
 }
 
 // mulVecRows computes y[i] = (row i)·x for the rows [lo, hi) of a matrix
-// given as its three arrays.
+// given as its three arrays. It is the portable body of the 1-wide product
+// over the entries, and on amd64 the reference of the entry walk
+// (mulVecRowsF64/F32) and the replay that words its panic.
 func mulVecRows[V Value](rowPtr, colIdx []int, val []V, x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		s, e := rowPtr[i], rowPtr[i+1]
 		y[i] = RowDot(colIdx[s:e], val[s:e], x)
 	}
+}
+
+// dotRows returns sum plus Σᵢ w[i]·y[i] over the rows [lo, hi), added in
+// ascending i: from sum = +0 over every row, vecops.Dot(w, y)'s bits.
+func dotRows(w, y []float64, lo, hi int, sum float64) float64 {
+	for i := lo; i < hi; i++ {
+		sum += w[i] * y[i]
+	}
+	return sum
 }
 
 // blockCols is the number of columns a k-wide product walks under a mask
@@ -113,10 +128,10 @@ func mulMatRowsGo[V Value](rowPtr, colIdx []int, val []V, x, y []float64, k int,
 // product is the scalar kernel; anything else takes the platform's k-wide
 // body (mulMatWide: the assembly on amd64, over the runs or the entries;
 // mulMatRowsGo elsewhere), where a 1-wide block under an index rides both
-// lanes — the operators' 1-wide products take MulVecRuns instead.
+// lanes — the operators' 1-wide products take MulVecDot instead.
 func mulMatRows[V Value](r *RunIndex, rowPtr, colIdx []int, val []V, x, y []float64, k int, cols []int, lo, hi int) {
 	if k == 1 && blockCols(k, cols) == 1 && r == nil {
-		mulVecRows(rowPtr, colIdx, val, x, y, lo, hi)
+		mulVec(nil, rowPtr, colIdx, val, x, y, nil, lo, hi, 0)
 		return
 	}
 	mulMatWide(r, rowPtr, colIdx, val, x, y, k, cols, lo, hi)

@@ -2,12 +2,13 @@ package sparse
 
 import "fmt"
 
-// The amd64 bodies of the k-wide product and of the run product:
+// The amd64 bodies of the k-wide product and of the 1-wide one:
 // rowkernel_amd64.s walks a block of rows, with one column pair in the two
-// lanes of an XMM register (over the entries or over the runs) or one row's
-// runs two entries per load, and this file is everything Go has to do around
-// it — the shape checks the assembly relies on, the pairing of the active
-// columns and the panic for a row the assembly would not finish.
+// lanes of an XMM register (over the entries or over the runs), or one row's
+// runs two entries per load, or one row's entries, and this file is
+// everything Go has to do around it — the shape checks the assembly relies
+// on, the pairing of the active columns, the running dot carried from block
+// to block and the panic for a row the assembly would not finish.
 
 //go:noescape
 func mulMatPairF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
@@ -25,10 +26,16 @@ func mulMatRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v,
 func mulMatRuns2F64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v, nruns, xrows int) int
 
 //go:noescape
-func mulVecRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v int) int
+func mulVecRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v int, w []float64, sum float64) (int, float64)
 
 //go:noescape
-func mulVecRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v int) int
+func mulVecRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v int, w []float64, sum float64) (int, float64)
+
+//go:noescape
+func mulVecRowsF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi int, w []float64, sum float64) (int, float64)
+
+//go:noescape
+func mulVecRowsF32(rowPtr, colIdx []int, val []float32, x, y []float64, lo, hi int, w []float64, sum float64) (int, float64)
 
 func cpuHasSSE3() bool
 
@@ -47,7 +54,7 @@ const rowBlock = 256
 // pattern has a run index (nil: over the entries; a float64 batch of two
 // with both columns active takes the run body built for k = 2). It panics,
 // with the row named, wherever mulMatRowsGo's bounds checks would, and on
-// the run index's faults where mulVecRuns does.
+// the run index's faults where mulVec does.
 func mulMatWide[V Value](r *RunIndex, rowPtr, colIdx []int, val []V, x, y []float64, k int, cols []int, lo, hi int) {
 	n := blockCols(k, cols)
 	if lo >= hi || n == 0 {
@@ -122,34 +129,70 @@ func badRow[V Value](rowPtr, colIdx []int, val []V, x, y []float64, k int, cols 
 	mulMatRowsGo(rowPtr, colIdx, val, x, y, k, cols, i, i+1)
 }
 
-// mulVecRuns computes y[i] = (row i)·x for the rows [lo, hi), walking the
-// runs of r, one row block per call into the assembly; row b's values start
-// at rowPtr[b]. It panics, with the row named, on run pointers that run
-// backwards or past the index and on a run that leaves x or the values.
-func mulVecRuns[V Value](r *RunIndex, rowPtr, _ []int, val []V, x, y []float64, lo, hi int) {
+// mulVec computes y[i] = (row i)·x for the rows [lo, hi), one row block per
+// call into the assembly — over the runs of r where the pattern has a run
+// index (row b's values start at rowPtr[b]), over the entries otherwise —
+// and returns sum plus Σᵢ w[i]·y[i] over those rows, added in ascending i
+// as each row is stored (w nil: sum). It panics, with the row named, where
+// mulVecRows's bounds checks would, and on run pointers that run backwards
+// or past the index and on a run that leaves x or the values.
+func mulVec[V Value](r *RunIndex, rowPtr, colIdx []int, val []V, x, y, w []float64, lo, hi int, sum float64) float64 {
 	if lo >= hi {
-		return
+		return sum
 	}
-	if fit := min(len(r.ptr), len(rowPtr), len(y)+1) - 1; lo < 0 || hi > fit {
-		panic(fmt.Sprintf("sparse: run product of rows [%d, %d): the run index, RowPtr and y end at row %d", lo, hi, fit))
+	fit := min(len(rowPtr)-1, len(y))
+	if r != nil {
+		fit = min(fit, len(r.ptr)-1)
+	}
+	if w != nil {
+		fit = min(fit, len(w))
+	}
+	if lo < 0 || hi > fit {
+		panic(fmt.Sprintf("sparse: product of rows [%d, %d): RowPtr, y, the run index and w end at row %d", lo, hi, fit))
 	}
 	for b := lo; b < hi; b += rowBlock {
 		e := min(b+rowBlock, hi)
+		done := e
+		if r == nil {
+			switch vs := any(val).(type) {
+			case []float64:
+				done, sum = mulVecRowsF64(rowPtr, colIdx, vs, x, y, b, e, w, sum)
+			case []float32:
+				done, sum = mulVecRowsF32(rowPtr, colIdx, vs, x, y, b, e, w, sum)
+			}
+			if done < e {
+				badVecRow(rowPtr, colIdx, val, x, y, done)
+			}
+			continue
+		}
 		v := rowPtr[b]
 		if v < 0 || v > len(val) {
 			panic(fmt.Sprintf("sparse: run product, row %d: RowPtr %d outside the %d values", b, v, len(val)))
 		}
-		var done int
 		switch vs := any(val).(type) {
 		case []float64:
-			done = mulVecRunsF64(r.ptr, r.runs, vs, x, y, b, e, v)
+			done, sum = mulVecRunsF64(r.ptr, r.runs, vs, x, y, b, e, v, w, sum)
 		case []float32:
-			done = mulVecRunsF32(r.ptr, r.runs, vs, x, y, b, e, v)
+			done, sum = mulVecRunsF32(r.ptr, r.runs, vs, x, y, b, e, v, w, sum)
 		}
 		if done < e {
 			badRunRow(r, len(x), done)
 		}
 	}
+	return sum
+}
+
+// badVecRow panics on row i, which the entry walk refused: it replays the
+// row on the portable body, whose bounds checks say what is wrong with it.
+func badVecRow[V Value](rowPtr, colIdx []int, val []V, x, y []float64, i int) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			r = fmt.Sprintf("a column index is not below len(x) = %d", len(x))
+		}
+		panic(fmt.Sprintf("sparse: product, row %d: %v", i, r))
+	}()
+	mulVecRows(rowPtr, colIdx, val, x, y, i, i+1)
 }
 
 // badRunRow panics on row i, whose runs the assembly refused, saying what is

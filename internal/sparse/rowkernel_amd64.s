@@ -1,11 +1,27 @@
 #include "textflag.h"
 
-// The three product kernels that have an amd64 body: the k-wide one of
+// The four product kernels that have an amd64 body: the k-wide one of
 // rowkernel.go with a column pair in the two lanes of an XMM register
 // (mulMatPair*), the 1-wide one of runs.go that walks a row's runs of
-// consecutive columns two entries per load (mulVecRuns*), and the k-wide one
+// consecutive columns two entries per load (mulVecRuns*), the k-wide one
 // over the same runs, a column pair per register (mulMatRuns*, with
-// mulMatRuns2F64 its body for the batch of two).
+// mulMatRuns2F64 its body for the batch of two), and the 1-wide entry walk of
+// rowkernel.go (mulVecRows*). The two 1-wide kernels can also carry a dot
+// product through their store step (DOTSTEP).
+
+// DOTSTEP is the store step's running dot: when W (the base of w, or 0 for
+// none) is set, it adds w[i]·y[i] — X2 holds the y[i] just stored — to X4.
+// A sum carried from +0 over ascending rows adds vecops.Dot's terms in its
+// order, so it holds Dot's bits (a NaN stays a NaN; which operand's payload
+// it carries is not fixed by Go either). The operands go as in the compiled
+// s += w[i]*y[i]: w[i] first, the sum the destination of the add.
+#define DOTSTEP(W, skip) \
+	TESTQ	W, W; \
+	JEQ	skip; \
+	MOVSD	(W)(AX*8), X3; \
+	MULSD	X2, X3; \
+	ADDSD	X3, X4; \
+skip:
 
 // The k-wide product kernel of rowkernel.go with a column pair in the two
 // lanes of one XMM register. For the rows [lo, hi) of a CSR matrix it writes
@@ -113,14 +129,15 @@ done: \
 // run pointers ascending and inside the index, a run's start below xrows
 // (len(x)), its length at most xrows − start and at most the values left.
 // A refused row is not written and its number is returned for the Go wrapper
-// to panic on; hi is returned when every row is done. The wrapper has
-// checked that runPtr holds hi+1 entries, that y holds hi and that
-// 0 ≤ v ≤ len(val).
+// to panic on; hi is returned when every row is done, with sum plus
+// Σᵢ w[i]·y[i] over the rows done when w is not nil (DOTSTEP; sum itself when
+// it is). The wrapper has checked that runPtr holds hi+1 entries, that y and
+// a non-nil w hold hi and that 0 ≤ v ≤ len(val).
 //
 // Registers: R8 runPtr, R9 runs, R10 runs stored, DI &val[v], R11 values
 // left, DX x, R12 xrows, BX y, AX i, R13 run (byte offset), R14 end of the
-// row's runs, R15 run start, SI entries left in the run, CX &x[start], X2
-// the sum.
+// row's runs, R15 run start, SI entries left in the run, CX &x[start] (at
+// the store, w), X2 the sum, X4 the running dot.
 
 #define PAIR64(o) MOVUPD o(DI), X0; MOVUPD o(CX), X1; MULPD X1, X0; ADDSD X0, X2; UNPCKHPD X0, X0; ADDSD X0, X2
 #define PAIR32(xo, vo) CVTPS2PD vo(DI), X0; MOVUPD xo(CX), X1; MULPD X1, X0; ADDSD X0, X2; UNPCKHPD X0, X0; ADDSD X0, X2
@@ -144,6 +161,7 @@ done: \
 	MOVQ	x_base+72(FP), DX; \
 	MOVQ	x_len+80(FP), R12; \
 	MOVQ	y_base+96(FP), BX; \
+	MOVSD	sum+168(FP), X4; \
 	MOVQ	lo+120(FP), AX; \
 	PCALIGN	$32; \
 row: \
@@ -201,10 +219,88 @@ next: \
 	JNE	run; \
 store: \
 	MOVSD	X2, (BX)(AX*8); \
+	MOVQ	w_base+144(FP), CX; \
+	DOTSTEP(CX, nodot); \
 	INCQ	AX; \
 	JMP	row; \
 done: \
-	MOVQ	AX, ret+144(FP); \
+	MOVQ	AX, ret+176(FP); \
+	MOVSD	X4, ret1+184(FP); \
+	RET
+
+// The entry walk of rowkernel.go, the product of a matrix with no run index:
+// for the rows [lo, hi) it writes
+//
+//	y[i] = Σₑ val[e]·x[colIdx[e]]
+//
+// adding the terms left to right in entry order from +0 with MULSD and
+// ADDSD, the value the first operand of the product, as RowDot's compiled
+// loop does, so y[i] holds RowDot's bits. It is mulVecRows with the per-row
+// work of the Go loop — re-slicing the row, spilling and reloading the
+// slices around the call — reduced to two loads and three compares. Its
+// store step carries the running dot (DOTSTEP). Everything is SSE2.
+//
+// Safety is what the Go body's bounds checks give: a row pointer pair that
+// runs backwards or past the stored entries, or a column index that is
+// negative or not below len(x) (both caught by one unsigned compare), stops
+// the walk before anything of that row is written, and the row's number is
+// returned for the Go wrapper to panic on; hi is returned when every row is
+// done, with the running dot as RUNKERNEL returns it. The wrapper has checked
+// that rowPtr holds hi+1 entries and that y and a non-nil w hold hi.
+//
+// Registers: R14 rowPtr, SI colIdx, DI val, R15 stored entries, DX x, R12
+// len(x), BX y, AX i, R13 hi, R11 w (0 for none), R9 entry, R10 end of row,
+// R8 column index, X2 the row's sum, X4 the running dot.
+
+#define MULV64 MOVSD (DI)(R9*8), X0; MULSD (DX)(R8*8), X0
+#define MULV32 MOVSS (DI)(R9*4), X0; CVTSS2SD X0, X0; MULSD (DX)(R8*8), X0
+
+#define ROWKERNEL(MULV) \
+	MOVQ	rowPtr_base+0(FP), R14; \
+	MOVQ	colIdx_base+24(FP), SI; \
+	MOVQ	colIdx_len+32(FP), R15; \
+	MOVQ	val_base+48(FP), DI; \
+	MOVQ	val_len+56(FP), AX; \
+	CMPQ	AX, R15; \
+	CMOVQLT	AX, R15; \
+	MOVQ	x_base+72(FP), DX; \
+	MOVQ	x_len+80(FP), R12; \
+	MOVQ	y_base+96(FP), BX; \
+	MOVQ	hi+128(FP), R13; \
+	MOVQ	w_base+136(FP), R11; \
+	MOVSD	sum+160(FP), X4; \
+	MOVQ	lo+120(FP), AX; \
+	PCALIGN	$32; \
+row: \
+	CMPQ	AX, R13; \
+	JGE	done; \
+	MOVQ	(R14)(AX*8), R9; \
+	MOVQ	8(R14)(AX*8), R10; \
+	CMPQ	R9, R10; \
+	JHI	done; \
+	CMPQ	R10, R15; \
+	JHI	done; \
+	XORPS	X2, X2; \
+	CMPQ	R9, R10; \
+	JEQ	store; \
+	PCALIGN	$32; \
+entry: \
+	MOVQ	(SI)(R9*8), R8; \
+	CMPQ	R8, R12; \
+	JCC	done; \
+	MULV; \
+	ADDSD	X0, X2; \
+	INCQ	R9; \
+	CMPQ	R9, R10; \
+	JNE	entry; \
+store: \
+	MOVSD	X2, (BX)(AX*8); \
+	DOTSTEP(R11, nodot); \
+	INCQ	AX; \
+	JMP	row; \
+done: \
+	MOVQ	AX, ret+168(FP); \
+	MOVSD	X4, ret1+176(FP); \
 	RET
 
 // The k-wide run product: PAIRKERNEL's lanes walked over RUNKERNEL's runs.
@@ -469,12 +565,12 @@ TEXT ·mulMatPairF64(SB), NOSPLIT, $0-176
 TEXT ·mulMatPairF32(SB), NOSPLIT, $0-176
 	PAIRKERNEL(LOADV32)
 
-// func mulVecRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v int) int
-TEXT ·mulVecRunsF64(SB), NOSPLIT, $0-152
+// func mulVecRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v int, w []float64, sum float64) (int, float64)
+TEXT ·mulVecRunsF64(SB), NOSPLIT, $0-192
 	RUNKERNEL(STEP64, RUN8x64, LAST64, 8)
 
-// func mulVecRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v int) int
-TEXT ·mulVecRunsF32(SB), NOSPLIT, $0-152
+// func mulVecRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v int, w []float64, sum float64) (int, float64)
+TEXT ·mulVecRunsF32(SB), NOSPLIT, $0-192
 	RUNKERNEL(STEP32, RUN8x32, LAST32, 4)
 
 // func mulMatRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v, nruns, xrows, k, c0, c1 int) int
@@ -488,6 +584,14 @@ TEXT ·mulMatRunsF32(SB), NOSPLIT, $0-192
 // func mulMatRuns2F64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v, nruns, xrows int) int
 TEXT ·mulMatRuns2F64(SB), NOSPLIT, $0-168
 	RUNPAIR2KERNEL
+
+// func mulVecRowsF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi int, w []float64, sum float64) (int, float64)
+TEXT ·mulVecRowsF64(SB), NOSPLIT, $0-184
+	ROWKERNEL(MULV64)
+
+// func mulVecRowsF32(rowPtr, colIdx []int, val []float32, x, y []float64, lo, hi int, w []float64, sum float64) (int, float64)
+TEXT ·mulVecRowsF32(SB), NOSPLIT, $0-184
+	ROWKERNEL(MULV32)
 
 // func cpuHasSSE3() bool
 TEXT ·cpuHasSSE3(SB), NOSPLIT, $0-1

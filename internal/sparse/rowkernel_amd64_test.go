@@ -50,15 +50,46 @@ func hostileProduct[V Value](t *testing.T, rowPtr, colIdx []int, val []V, xLen, 
 	return msg, y
 }
 
+// hostileVec is hostileProduct for the 1-wide entry walk (mulVec over no run
+// index), with a w of n ones for the running dot when dot is set.
+func hostileVec[V Value](t *testing.T, rowPtr, colIdx []int, val []V, xLen, yLen int, dot bool, rows int) (msg string, y []float64) {
+	t.Helper()
+	x := make([]float64, xLen)
+	for i := range x {
+		x[i] = float64(i + 1)
+	}
+	y, all := guarded(yLen, 0.5)
+	var w []float64
+	if dot {
+		w, _ = guarded(yLen, 1)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		mulVec(nil, rowPtr, colIdx, val, x, y, w, 0, rows, 0)
+	}()
+	for i, v := range all {
+		if (i < 64 || i >= 64+yLen) && v != guard {
+			t.Fatalf("word %d outside y was written: %v", i-64, v)
+		}
+	}
+	return msg, y
+}
+
 // TestHostileCSRPanicsWithRowNamed: the assembly's safety is the Go kernel's.
 // A column index at or past the rows of x (or negative), a RowPtr that runs
 // backwards or past the stored entries, values shorter than the indices, and
 // an x or y too short for the product all panic from the Go wrapper with the
 // row named, with nothing of the rows after it written and nothing outside y
 // touched; so do the run products' refusals, 1-wide and k-wide
-// (hostileRunCases). Both value types.
+// (hostileRunCases), and the 1-wide entry walk's, with and without its
+// running dot. Both value types.
 func TestHostileCSRPanicsWithRowNamed(t *testing.T) {
 	hostileRunCases(t)
+	hostileVecCases(t)
 	if !sse3 {
 		t.Skip("no SSE3: the portable body runs, whose bounds checks are the compiler's")
 	}
@@ -129,7 +160,7 @@ func TestHostileCSRPanicsWithRowNamed(t *testing.T) {
 }
 
 // hostileRuns runs rows [0, rows) of the run product at width k on the
-// assembly's wrapper (mulVecRuns at k = 1, mulMatWide wider), every row's
+// assembly.s wrapper (mulVec at k = 1, mulMatWide wider), every row's
 // values two apart in val, x holding xrows·k values, and returns what it
 // panicked with ("" if it did not). y is filled with 0.5 between guard
 // words; the guard words must survive.
@@ -154,7 +185,7 @@ func hostileRuns[V Value](t *testing.T, ptr, runs []int, val []V, xrows, rows, k
 			}
 		}()
 		if r := (&RunIndex{ptr: ptr, runs: runs}); k == 1 {
-			mulVecRuns(r, rowPtr, nil, val, x, y, 0, rows)
+			mulVec(r, rowPtr, nil, val, x, y, nil, 0, rows, 0)
 		} else {
 			mulMatWide(r, rowPtr, nil, val, x, y, k, cols, 0, rows)
 		}
@@ -235,6 +266,59 @@ func hostileRunCases(t *testing.T) {
 						if got := y[i*w.k+c]; got != want {
 							t.Fatalf("%s: y[%d, %d] = %v, want %v", at, i, c, got, want)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// hostileVecCases: the 1-wide entry walk (SSE2, so on every amd64) refuses,
+// with the row named, nothing of that row or the rows after it written and
+// nothing outside y touched, a column index at or past len(x) or negative, a
+// RowPtr that runs backwards, is negative or runs past the stored entries,
+// values shorter than the indices, and a RowPtr, y or w too short for the
+// rows asked for — whether or not it carries the running dot.
+func hostileVecCases(t *testing.T) {
+	// 4 rows × 3 columns, two entries a row; row 2 is the one each case breaks.
+	good := func() (rowPtr, colIdx []int) {
+		return []int{0, 2, 4, 6, 8}, []int{0, 1, 1, 2, 0, 2, 0, 1}
+	}
+	for _, tc := range []struct {
+		name       string
+		hurt       func(rowPtr, colIdx []int) (rp, ci []int)
+		valLen     int
+		xLen, yLen int // 3 and 4 fit
+		row        int // the row the panic must name
+	}{
+		{"column index = len(x)", func(rp, ci []int) ([]int, []int) { ci[5] = 3; return rp, ci }, 8, 3, 4, 2},
+		{"column index huge", func(rp, ci []int) ([]int, []int) { ci[4] = 1 << 40; return rp, ci }, 8, 3, 4, 2},
+		{"column index negative", func(rp, ci []int) ([]int, []int) { ci[4] = -1; return rp, ci }, 8, 3, 4, 2},
+		{"RowPtr runs backwards", func(rp, ci []int) ([]int, []int) { rp[3] = 3; return rp, ci }, 8, 3, 4, 2},
+		{"RowPtr negative", func(rp, ci []int) ([]int, []int) { rp[2] = -4; return rp, ci }, 8, 3, 4, 1},
+		{"RowPtr past ColIdx", func(rp, ci []int) ([]int, []int) { rp[3] = 9; return rp, ci }, 8, 3, 4, 2},
+		{"Val shorter than ColIdx", func(rp, ci []int) ([]int, []int) { return rp, ci }, 5, 3, 4, 2},
+		{"RowPtr short", func(rp, ci []int) ([]int, []int) { return rp[:3], ci }, 8, 3, 4, 2},
+		{"x short", func(rp, ci []int) ([]int, []int) { return rp, ci }, 8, 2, 4, 1},
+		{"y short", func(rp, ci []int) ([]int, []int) { return rp, ci }, 8, 3, 2, 2},
+	} {
+		for _, dot := range []bool{false, true} {
+			for _, f32 := range []bool{false, true} {
+				rowPtr, colIdx := tc.hurt(good())
+				var msg string
+				var y []float64
+				if f32 {
+					msg, y = hostileVec(t, rowPtr, colIdx, make([]float32, tc.valLen), tc.xLen, tc.yLen, dot, 4)
+				} else {
+					msg, y = hostileVec(t, rowPtr, colIdx, make([]float64, tc.valLen), tc.xLen, tc.yLen, dot, 4)
+				}
+				at := fmt.Sprintf("%s, dot %v, float32 %v", tc.name, dot, f32)
+				if !strings.HasPrefix(msg, "sparse: product") || !strings.Contains(msg, fmt.Sprintf("row %d", tc.row)) {
+					t.Fatalf("%s: panic %q, want one from the wrapper naming row %d", at, msg, tc.row)
+				}
+				for i := tc.row; i < len(y); i++ {
+					if y[i] != 0.5 {
+						t.Fatalf("%s: y[%d] of the bad row or one after it was written: %v", at, i, y[i])
 					}
 				}
 			}

@@ -9,8 +9,13 @@ func mulMatWide[V Value](_ *RunIndex, rowPtr, colIdx []int, val []V, x, y []floa
 	mulMatRowsGo(rowPtr, colIdx, val, x, y, k, cols, lo, hi)
 }
 
-// mulVecRuns is the run product where rowkernel_amd64.s does not build: the
-// rows walked entry by entry, which gives the same bits.
-func mulVecRuns[V Value](_ *RunIndex, rowPtr, colIdx []int, val []V, x, y []float64, lo, hi int) {
+// mulVec is the 1-wide product where rowkernel_amd64.s does not build: the
+// rows walked entry by entry, which gives the run walk's bits, then the dot
+// with w over them in ascending rows.
+func mulVec[V Value](_ *RunIndex, rowPtr, colIdx []int, val []V, x, y, w []float64, lo, hi int, sum float64) float64 {
 	mulVecRows(rowPtr, colIdx, val, x, y, lo, hi)
+	if w == nil {
+		return sum
+	}
+	return dotRows(w, y, lo, hi, sum)
 }

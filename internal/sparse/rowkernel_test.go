@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fsaicomm/internal/sparse"
 	"fsaicomm/internal/testsets"
+	"fsaicomm/internal/vecops"
 )
 
 // The indexed loops the row kernels replaced, kept as the reference every
@@ -139,6 +141,16 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// requireSameOrNaN is requireSameBits with any NaN taken for any other.
+func requireSameOrNaN(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s: element %d is %v (%#x), want %v (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
 // checkKernels compares every product entry point on m with the indexed
 // loops, in both precisions, for k = 1..6 under masks; the k-wide products —
 // the platform's body over the entries and over the run index, and the
@@ -164,6 +176,7 @@ func checkKernels(t *testing.T, rng *rand.Rand, name string, m *sparse.CSR) {
 			m32.MulVec(x, got)
 			requireSame(t, name+" CSR32.MulVec", got, want)
 			checkRuns(t, name, m, m32, x)
+			checkDots(t, rng, name, m, m32)
 		}
 		for _, cols := range masks(rng, k) {
 			at := fmt.Sprintf("%s k=%d cols=%v ", name, k, cols)
@@ -238,6 +251,131 @@ func checkRuns(t *testing.T, name string, m *sparse.CSR, m32 *sparse.CSR32, x []
 	got = filled(m.Rows)
 	m32.MulVecRuns(r, x, got)
 	requireSameBits(t, name+" CSR32.MulVecRuns", got, want32)
+}
+
+// specials is x with signed zeros, infinities and NaNs of two payloads and
+// both signs at random places: the values a dot's order shows in its bits.
+func specials(rng *rand.Rand, n int) []float64 {
+	odd := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0xfff8000000000123), 1e308, -1e-308}
+	x := make([]float64, n)
+	for i := range x {
+		if rng.Intn(3) == 0 {
+			x[i] = odd[rng.Intn(len(odd))]
+		} else {
+			x[i] = rng.NormFloat64()
+		}
+	}
+	return x
+}
+
+// checkDots holds the 1-wide products that also reduce (MulVecDot, over the
+// entries and over the run index, both value types) to RowDot row by row and
+// their dot to vecops.Dot(w, y) on an x full of specials: with w the
+// product's own operand x[:rows] (the classic CG loop's d·q) when the matrix
+// is at least as wide as tall, and with another such vector. Bit for bit,
+// signed zeros and infinities included, except that a NaN need only be a
+// NaN: which operand's payload a NaN result carries is the compiler's
+// choice for the Go references (it differs under -race and fuzzing
+// instrumentation), so no order fixes it.
+func checkDots(t *testing.T, rng *rand.Rand, name string, m *sparse.CSR, m32 *sparse.CSR32) {
+	t.Helper()
+	x := specials(rng, m.Cols)
+	want, want32 := make([]float64, m.Rows), make([]float64, m.Rows)
+	for i := range want {
+		s, e := m.RowPtr[i], m.RowPtr[i+1]
+		want[i] = sparse.RowDot(m.ColIdx[s:e], m.Val[s:e], x)
+		want32[i] = sparse.RowDot(m32.ColIdx[s:e], m32.Val[s:e], x)
+	}
+	ws := [][]float64{specials(rng, m.Rows)}
+	if m.Cols >= m.Rows {
+		ws = append(ws, x[:m.Rows])
+	}
+	for _, r := range []*sparse.RunIndex{nil, sparse.AllRuns(m.RowPtr, m.ColIdx)} {
+		for j, w := range ws {
+			at := fmt.Sprintf("%s runs %v w%d ", name, r != nil, j)
+			for _, f32 := range []bool{false, true} {
+				y, wantY := filled(m.Rows), want
+				var dot float64
+				if f32 {
+					dot, wantY = m32.MulVecDot(r, x, y, w), want32
+				} else {
+					dot = m.MulVecDot(r, x, y, w)
+				}
+				requireSameOrNaN(t, fmt.Sprintf("%sfloat32 %v MulVecDot y", at, f32), y, wantY)
+				requireSameOrNaN(t, fmt.Sprintf("%sfloat32 %v MulVecDot w·y", at, f32), []float64{dot}, []float64{vecops.Dot(w, wantY, nil)})
+			}
+		}
+	}
+}
+
+// checkRefusals runs the 1-wide products of a matrix Validate refuses —
+// MulVec and MulVecDot on both value types — against the portable body row
+// by row: where a row makes the portable body panic, the product must panic
+// naming that row, with the rows before it written as the portable body
+// writes them and none after it; where none does, it must not panic. A
+// RowPtr of another length than Rows+1 is not a row fault and is skipped.
+func checkRefusals(t *testing.T, rng *rand.Rand, m *sparse.CSR) {
+	t.Helper()
+	if len(m.RowPtr) != m.Rows+1 {
+		return
+	}
+	m32 := &sparse.CSR32{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: make([]float32, len(m.Val))}
+	for i, v := range m.Val {
+		m32.Val[i] = float32(v)
+	}
+	x := specials(rng, m.Cols)
+	want, bad := filled(m.Rows), -1
+	for i := 0; i < m.Rows && bad < 0; i++ {
+		func() {
+			defer func() {
+				if recover() != nil {
+					bad = i
+				}
+			}()
+			sparse.MulVecRowsPortable(m.RowPtr, m.ColIdx, m.Val, x, want, i, i+1)
+		}()
+	}
+	for _, c := range []struct {
+		name string
+		mul  func(y []float64)
+	}{
+		{"MulVec", func(y []float64) { m.MulVec(x, y) }},
+		{"MulVecDot", func(y []float64) { m.MulVecDot(nil, x, y, x[:min(m.Rows, m.Cols)]) }},
+		{"CSR32.MulVec", func(y []float64) { m32.MulVec(x, y) }},
+		{"CSR32.MulVecDot", func(y []float64) { m32.MulVecDot(nil, x, y, specials(rng, m.Rows)) }},
+	} {
+		if c.name == "MulVecDot" && m.Cols < m.Rows {
+			continue
+		}
+		y := filled(m.Rows)
+		var msg string
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			c.mul(y)
+		}()
+		if bad < 0 {
+			if msg != "" {
+				t.Fatalf("%s: panic %q where the portable body refuses no row", c.name, msg)
+			}
+			continue
+		}
+		if !strings.HasPrefix(msg, fmt.Sprintf("sparse: product, row %d: ", bad)) {
+			t.Fatalf("%s: panic %q, want one naming row %d, the first the portable body refuses", c.name, msg, bad)
+		}
+		for i := bad; i < m.Rows; i++ {
+			if y[i] != untouched {
+				t.Fatalf("%s: row %d at or after the refused row %d was written: %v", c.name, i, bad, y[i])
+			}
+		}
+		if !strings.HasPrefix(c.name, "CSR32") {
+			requireSameOrNaN(t, c.name+" before the refused row", y[:bad], want[:bad])
+		}
+	}
 }
 
 // runsCSR builds a matrix of cols columns whose rows are the given runs
@@ -326,7 +464,10 @@ func TestRowKernelsMatchIndexedLoops(t *testing.T) {
 // products — the assembly where there is one, over the entries and over the
 // run index, and the portable body — must hold RowDot's bits in every active
 // column at widths 1–6, in both value types, under nil, adjacent,
-// non-adjacent, odd and single-column masks.
+// non-adjacent, odd and single-column masks; the 1-wide products that also
+// reduce must hold RowDot's bits and vecops.Dot's (checkDots). Whatever
+// Validate refuses must be refused by the 1-wide products where the
+// portable body refuses it, naming the row (checkRefusals).
 func FuzzRowKernels(f *testing.F) {
 	f.Add(uint8(4), uint8(4), []byte{0, 2, 5, 8, 10}, []byte{0, 1, 0, 1, 2, 1, 2, 3, 2, 3}, int64(1))
 	f.Add(uint8(5), uint8(3), []byte{0, 0, 3, 3, 3, 3}, []byte{0, 1, 2}, int64(2)) // empty head and tail
@@ -338,6 +479,13 @@ func FuzzRowKernels(f *testing.F) {
 	f.Add(uint8(2), uint8(12), []byte{0, 7, 12}, []byte{0, 2, 3, 5, 6, 7, 11, 1, 2, 3, 9, 10}, int64(7)) // runs of 1, 2 and 3
 	f.Add(uint8(3), uint8(10), []byte{0, 8, 10, 15},                                                     // a run of 8, runs of 1 and a run of 5 ending on x's last column
 		[]byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 9, 5, 6, 7, 8, 9}, int64(8))
+	// Rows the 1-wide entry walk refuses, each after a good row: pointers
+	// that run backwards, a pointer past the stored entries, a negative
+	// column and a column at the rows of x.
+	f.Add(uint8(3), uint8(4), []byte{0, 2, 1, 3}, []byte{0, 1, 2}, int64(9))
+	f.Add(uint8(3), uint8(4), []byte{0, 2, 4, 9}, []byte{0, 1, 2, 3, 1}, int64(10))
+	f.Add(uint8(3), uint8(4), []byte{0, 2, 4, 5}, []byte{0, 1, 2, 0xff, 3}, int64(11))
+	f.Add(uint8(3), uint8(4), []byte{0, 2, 4, 5}, []byte{0, 1, 2, 4, 3}, int64(12))
 	f.Fuzz(func(t *testing.T, rows, cols uint8, rowPtrB, colIdxB []byte, seed int64) {
 		m := &sparse.CSR{Rows: int(rows % 16), Cols: int(cols % 16),
 			RowPtr: make([]int, len(rowPtrB)), ColIdx: make([]int, len(colIdxB)), Val: make([]float64, len(colIdxB))}
@@ -350,6 +498,7 @@ func FuzzRowKernels(f *testing.F) {
 			m.Val[i] = rng.NormFloat64()
 		}
 		if m.Validate() != nil {
+			checkRefusals(t, rng, m)
 			return
 		}
 		checkKernels(t, rng, "fuzzed", m)

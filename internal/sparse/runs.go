@@ -6,7 +6,7 @@ import "fmt"
 // cache lines the base pattern already touches, so most of a factor's stored
 // entries sit in runs of consecutive columns — a run of 8 is one 64-byte
 // line of x. A RunIndex lists each row's maximal runs as (first column,
-// length) in entry order, and MulVecRuns and MulMatCols walk them instead of
+// length) in entry order, and MulVecDot and MulMatCols walk them instead of
 // the entries: one start and one length per run, then on amd64 two entries
 // per SSE2 load at width 1, or a column pair per register at stride k for a
 // k-wide block. Each sum still adds its terms left to right in entry order,
@@ -71,29 +71,26 @@ func (r *RunIndex) Words() int {
 	return len(r.ptr) + len(r.runs)
 }
 
-// MulVecRuns computes y = A·x as MulVec does, walking the runs of r, the
-// run index of m's pattern (nil: MulVec).
-func (m *CSR) MulVecRuns(r *RunIndex, x, y []float64) {
-	if r == nil {
-		m.MulVec(x, y)
-		return
-	}
-	checkRuns(m.Rows, m.Cols, x, y)
-	mulVecRuns(r, m.RowPtr, m.ColIdx, m.Val, x, y, 0, m.Rows)
+// MulVecDot computes y = A·x as MulVec does, walking the runs of r, the run
+// index of m's pattern (nil: the entries), and returns wᵀy: Σᵢ w[i]·y[i]
+// over the rows, added from +0 in ascending i as each row of y is stored —
+// the bits of vecops.Dot(w, y) after the product, without the second sweep.
+// A nil w is the product alone, returning 0.
+func (m *CSR) MulVecDot(r *RunIndex, x, y, w []float64) float64 {
+	checkRuns(m.Rows, m.Cols, x, y, w)
+	return mulVec(r, m.RowPtr, m.ColIdx, m.Val, x, y, w, 0, m.Rows, 0)
 }
 
-// MulVecRuns is CSR.MulVecRuns on float32 values, accumulating in float64.
-func (m *CSR32) MulVecRuns(r *RunIndex, x, y []float64) {
-	if r == nil {
-		m.MulVec(x, y)
-		return
-	}
-	checkRuns(m.Rows, m.Cols, x, y)
-	mulVecRuns(r, m.RowPtr, m.ColIdx, m.Val, x, y, 0, m.Rows)
+// MulVecDot is CSR.MulVecDot on float32 values, accumulating in float64.
+func (m *CSR32) MulVecDot(r *RunIndex, x, y, w []float64) float64 {
+	checkRuns(m.Rows, m.Cols, x, y, w)
+	return mulVec(r, m.RowPtr, m.ColIdx, m.Val, x, y, w, 0, m.Rows, 0)
 }
 
-func checkRuns(rows, cols int, x, y []float64) {
-	if len(x) != cols || len(y) != rows {
-		panic(fmt.Sprintf("sparse: MulVecRuns shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d", rows, cols, len(x), len(y)))
+// checkRuns panics unless x and y fit a rows×cols matrix's product and w,
+// when the product also reduces, holds rows values.
+func checkRuns(rows, cols int, x, y, w []float64) {
+	if len(x) != cols || len(y) != rows || (w != nil && len(w) != rows) {
+		panic(fmt.Sprintf("sparse: MulVecDot shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d, len(w)=%d", rows, cols, len(x), len(y), len(w)))
 	}
 }

@@ -14,8 +14,9 @@ package vecops
 // plain 0..k−1 loop.
 //
 // A 1-wide block is a plain vector: every kernel called with k = 1 and no
-// mask IS its scalar counterpart (Dot, Dot2, Axpy, Xpay, FusedCGUpdate),
-// which is what lets the k-wide CG loops be the scalar solve too.
+// mask IS its scalar counterpart (Dot, Dot2, Xpay, FusedCGUpdate, and for
+// the classic update Axpy, Axpy and Dot in one sweep), which is what lets
+// the k-wide CG loops be the scalar solve too.
 //
 // A 2-wide block with no mask — a coalesced pair of requests, the batch the
 // server fills most often — has a body of its own per kernel (the *Pair
@@ -115,36 +116,73 @@ func Dot2Batch(x, y, z []float64, k int, cols []int, outXY, outZY []float64, fc 
 	fc.Add(4 * int64(n) * int64(len(cols)))
 }
 
-// AxpyBatch computes y_c ← a[c]·x_c + y_c for every active column.
-// Counts 2·n flops per active column.
-func AxpyBatch(a []float64, x, y []float64, k int, cols []int, fc *FlopCounter) {
-	n := checkBatch2(x, y, k, a, "AxpyBatch")
+// ClassicCGUpdateBatch performs the classic-CG iteration update per active
+// column — x_c ← x_c + α[c]·d_c, r_c ← r_c + negAlpha[c]·q_c — and writes
+// Σᵢ r²[i,c] of the updated residual into rr[c], leaving masked columns of
+// rr untouched: on each column the bits of Axpy(α[c], d_c, x_c),
+// Axpy(negAlpha[c], q_c, r_c) and Dot(r_c, r_c) one after the other, each
+// vector streamed once. Counts their 6·n flops per active column.
+func ClassicCGUpdateBatch(alpha, negAlpha []float64, d, q, x, r []float64, k int, cols []int, rr []float64, fc *FlopCounter) {
+	n := checkBatch2(d, r, k, rr, "ClassicCGUpdateBatch")
+	if len(q) != len(d) || len(x) != len(d) || len(alpha) < k || len(negAlpha) < k {
+		panic(fmt.Sprintf("vecops: ClassicCGUpdateBatch length mismatch %d/%d/%d/%d, or fewer than k=%d scalars", len(d), len(q), len(x), len(r), k))
+	}
 	if cols == nil {
-		if k == 1 {
-			Axpy(a[0], x, y, fc)
-			return
-		}
-		if k == 2 {
-			axpyPair(a[0], a[1], x, y)
-			fc.Add(4 * int64(n))
-			return
-		}
-		for i := 0; i < n; i++ {
-			xs, ys := x[i*k:i*k+k], y[i*k:i*k+k]
+		switch k {
+		case 1:
+			a, na, rr0 := alpha[0], negAlpha[0], 0.0
+			q, x, r := q[:len(d)], x[:len(d)], r[:len(d)]
+			for i := range d {
+				rr0 += classicStep(a, na, d[i], q[i], &x[i], &r[i])
+			}
+			rr[0] = rr0
+		case 2:
+			a0, a1, n0, n1 := alpha[0], alpha[1], negAlpha[0], negAlpha[1]
+			q, x, r := q[:len(d)], x[:len(d)], r[:len(d)]
+			rr0, rr1 := 0.0, 0.0
+			for i := 0; i+1 < len(d); i += 2 {
+				rr0 += classicStep(a0, n0, d[i], q[i], &x[i], &r[i])
+				rr1 += classicStep(a1, n1, d[i+1], q[i+1], &x[i+1], &r[i+1])
+			}
+			rr[0], rr[1] = rr0, rr1
+		default:
 			for c := 0; c < k; c++ {
-				ys[c] += a[c] * xs[c]
+				rr[c] = 0
+			}
+			for i := 0; i < n; i++ {
+				ds, qs := d[i*k:i*k+k], q[i*k:i*k+k]
+				xs, rs := x[i*k:i*k+k], r[i*k:i*k+k]
+				for c := 0; c < k; c++ {
+					rr[c] += classicStep(alpha[c], negAlpha[c], ds[c], qs[c], &xs[c], &rs[c])
+				}
 			}
 		}
-		fc.Add(2 * int64(n) * int64(k))
+		fc.Add(6 * int64(n) * int64(k))
 		return
 	}
+	for _, c := range cols {
+		rr[c] = 0
+	}
 	for i := 0; i < n; i++ {
-		xs, ys := x[i*k:i*k+k], y[i*k:i*k+k]
+		ds, qs := d[i*k:i*k+k], q[i*k:i*k+k]
+		xs, rs := x[i*k:i*k+k], r[i*k:i*k+k]
 		for _, c := range cols {
-			ys[c] += a[c] * xs[c]
+			rr[c] += classicStep(alpha[c], negAlpha[c], ds[c], qs[c], &xs[c], &rs[c])
 		}
 	}
-	fc.Add(2 * int64(n) * int64(len(cols)))
+	fc.Add(6 * int64(n) * int64(len(cols)))
+}
+
+// classicStep is the classic-CG update of one vector component: it advances
+// x and r in place and returns the square of the new residual entry. Each
+// statement is the one Axpy and Dot evaluate, so a sum of its returns in
+// ascending components holds the bits of Axpy, Axpy and Dot run one after
+// the other.
+func classicStep(a, na, d, q float64, x, r *float64) float64 {
+	*x += a * d
+	ri := *r + na*q
+	*r = ri
+	return ri * ri
 }
 
 // XpayBatch computes y_c ← x_c + a[c]·y_c for every active column (the
@@ -303,14 +341,6 @@ func dot2Pair(x, y, z []float64) (xy0, xy1, zy0, zy1 float64) {
 		zy1 += z[i+1] * y[i+1]
 	}
 	return xy0, xy1, zy0, zy1
-}
-
-func axpyPair(a0, a1 float64, x, y []float64) {
-	y = y[:len(x)]
-	for i := 0; i+1 < len(x); i += 2 {
-		y[i] += a0 * x[i]
-		y[i+1] += a1 * x[i+1]
-	}
 }
 
 func xpayPair(x []float64, a0, a1 float64, y []float64) {

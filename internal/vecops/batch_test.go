@@ -67,24 +67,35 @@ func TestBatchKernelsMatchScalarBitwise(t *testing.T) {
 		}
 	}
 
-	// AxpyBatch vs Axpy.
-	yb := append([]float64(nil), y...)
-	AxpyBatch(a, x, yb, k, cols, nil)
+	// ClassicCGUpdateBatch vs Axpy, Axpy and Dot: x += a·d, r += −a·q, r·r.
+	na := make([]float64, k)
+	for c := range a {
+		na[c] = -a[c]
+	}
+	xb, rb := append([]float64(nil), y...), append([]float64(nil), z...)
+	rr := []float64{9, 9, 9, 9, 9}
+	ClassicCGUpdateBatch(a, na, x, y, xb, rb, k, cols, rr, nil)
 	for c := 0; c < k; c++ {
-		want := col(y, k, c, n)
+		wantX, wantR := col(y, k, c, n), col(z, k, c, n)
+		wantRR := 9.0
 		if active[c] {
-			Axpy(a[c], col(x, k, c, n), want, nil)
+			Axpy(a[c], col(x, k, c, n), wantX, nil)
+			Axpy(na[c], col(y, k, c, n), wantR, nil)
+			wantRR = Dot(wantR, wantR, nil)
 		}
-		got := col(yb, k, c, n)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("AxpyBatch col %d row %d: %v != %v", c, i, got[i], want[i])
+		gotX, gotR := col(xb, k, c, n), col(rb, k, c, n)
+		for i := range gotX {
+			if gotX[i] != wantX[i] || gotR[i] != wantR[i] {
+				t.Fatalf("ClassicCGUpdateBatch col %d row %d: x %v r %v, want %v %v", c, i, gotX[i], gotR[i], wantX[i], wantR[i])
 			}
+		}
+		if rr[c] != wantRR {
+			t.Fatalf("ClassicCGUpdateBatch col %d: rr %v, want %v", c, rr[c], wantRR)
 		}
 	}
 
 	// XpayBatch vs Xpay.
-	yb = append([]float64(nil), y...)
+	yb := append([]float64(nil), y...)
 	XpayBatch(x, a, yb, k, cols, nil)
 	for c := 0; c < k; c++ {
 		want := col(y, k, c, n)
@@ -173,9 +184,9 @@ func TestBatchFlopAccounting(t *testing.T) {
 		t.Fatalf("masked DotBatch flops = %d, want %d", fc.Count(), 2*n)
 	}
 	fc.Reset()
-	AxpyBatch(a, x, y, k, []int{0, 3}, &fc)
-	if fc.Count() != 2*n*2 {
-		t.Fatalf("AxpyBatch flops = %d, want %d", fc.Count(), 2*n*2)
+	ClassicCGUpdateBatch(a, a, x, y, x, y, k, []int{0, 3}, out, &fc)
+	if fc.Count() != 6*n*2 {
+		t.Fatalf("ClassicCGUpdateBatch flops = %d, want %d", fc.Count(), 6*n*2)
 	}
 }
 
@@ -265,9 +276,12 @@ func FuzzBatchKernelsWidth1(f *testing.F) {
 			same("Dot2", []float64{out[0], out2[0]}, []float64{xy, zy})
 
 			k, s := clone(), clone()
-			AxpyBatch([]float64{alpha}, k[0], k[1], 1, mask, &fk)
+			ClassicCGUpdateBatch([]float64{alpha}, []float64{-alpha}, k[0], k[3], k[1], k[4], 1, mask, out, &fk)
 			Axpy(alpha, s[0], s[1], &fs)
-			same("Axpy", k[1], s[1])
+			Axpy(-alpha, s[3], s[4], &fs)
+			same("Axpy x", k[1], s[1])
+			same("Axpy r", k[4], s[4])
+			same("ClassicCGUpdate rr", out, []float64{Dot(s[4], s[4], &fs)})
 			XpayBatch(k[0], []float64{beta}, k[2], 1, mask, &fk)
 			Xpay(s[0], beta, s[2], &fs)
 			same("Xpay", k[2], s[2])
@@ -326,7 +340,8 @@ func FuzzBatchKernelsWidth2(f *testing.F) {
 			DotBatch(v[0], v[1], k, mask, dot, &fk)
 			Dot2Batch(v[0], v[1], v[2], k, mask, out, out2, &fk)
 			kw := clone()
-			AxpyBatch(alpha, kw[0], kw[1], k, mask, &fk)
+			negAlpha, cr := []float64{-alpha0, -alpha1}, []float64{7, 7}
+			ClassicCGUpdateBatch(alpha, negAlpha, kw[0], kw[3], kw[1], kw[4], k, mask, cr, &fk)
 			XpayBatch(kw[0], beta, kw[2], k, mask, &fk)
 			fu := clone()
 			rr := []float64{7, 7}
@@ -342,7 +357,10 @@ func FuzzBatchKernelsWidth2(f *testing.F) {
 				same("Dot2 xy", 0, out[c:c+1], []float64{xy})
 				same("Dot2 zy", 0, out2[c:c+1], []float64{zy})
 				Axpy(alpha[c], s[0], s[1], &fs)
-				same("Axpy", c, kw[1], s[1])
+				same("Axpy x", c, kw[1], s[1])
+				Axpy(negAlpha[c], s[3], s[4], &fs)
+				same("Axpy r", c, kw[4], s[4])
+				same("ClassicCGUpdate rr", 0, cr[c:c+1], []float64{Dot(s[4], s[4], &fs)})
 				Xpay(s[0], beta[c], s[2], &fs)
 				same("Xpay", c, kw[2], s[2])
 

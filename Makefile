@@ -32,10 +32,14 @@ all: tier1
 # imports internal/core (the rank job adopts operators, it never builds
 # them), non-test internal/core that calls a serial builder
 # (fsai.BuildWorkers, fsai.RebuildWorkers, fsai.PowerPatternWorkers or
-# spai.Build), or non-test internal/experiments that builds or solves by hand
+# spai.Build), non-test internal/experiments that builds or solves by hand
 # (an fsai builder, core.ExtendPattern, core.FilterRebuild,
 # distmat.TransposeDist, distmat.NewOp or a krylov.Dist* loop): the paper's
-# tables build with core.BuildPrecond and solve with mprun.RunJob.
+# tables build with core.BuildPrecond and solve with mprun.RunJob — or
+# non-test code of the root package that builds or solves beside Prepare and
+# the rank job (krylov.CG, GMRES, SolveRefined or a Dist* loop,
+# core.BuildOneRank, BuildPrecond or BuildSerial): every facade solve, one
+# process too, is a Prepared system's mprun.RunJob per rank.
 # The wire step fails if a second data path comes back beside the rings:
 # non-test internal/tcpmpi has no per-peer reader (readLoop, bufio) and writes
 # three things to a socket — a doorbell byte, the hello and the ring file's
@@ -94,9 +98,11 @@ tier1:
 		grep -nE '(fsai\.(BuildWorkers|RebuildWorkers|PowerPatternWorkers)|spai\.Build)\(' $$(ls internal/core/*.go | grep -v _test.go) \
 			| grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; \
 		grep -nE '(fsai\.[A-Za-z]*Build[A-Za-z]*|core\.(ExtendPattern|FilterRebuild)|distmat\.(TransposeDist|NewOp)[A-Za-z]*|krylov\.Dist[A-Za-z]*)\(' \
-			$$(ls internal/experiments/*.go | grep -v _test.go) | grep -v '^[^:]*:[0-9]*:[[:space:]]*//')"; \
+			$$(ls internal/experiments/*.go | grep -v _test.go) | grep -v '^[^:]*:[0-9]*:[[:space:]]*//'; \
+		grep -nE '(krylov\.(CG|GMRES|SolveRefined|Dist[A-Za-z]*)|core\.(BuildOneRank|BuildPrecond|BuildSerial))\(' \
+			$$(ls *.go | grep -v _test.go) | grep -v '^[^:]*:[0-9]*:[[:space:]]*//')"; \
 		if [ -n "$$builds" ]; then \
-			echo "a second set-up path is back (every build is core.Analyse + Symbolic.Factor; the rank job adopts and solves):"; \
+			echo "a second set-up path is back (every build is core.Analyse + Symbolic.Factor; the rank job adopts and solves, for one process too):"; \
 			echo "$$builds"; exit 1; fi
 	@src="$$(ls internal/tcpmpi/*.go | grep -v _test.go)"; \
 		readers="$$(grep -nE 'readLoop|"bufio"' $$src)"; \

@@ -12,9 +12,9 @@
 //	        [-trace trace.json] [-rr 0] [-precision fp64|fp32]
 //
 // Without -rhs a deterministic random right-hand side normalized to the
-// matrix max norm is used (the paper's setup). With -ranks 1 the solve is
-// serial; otherwise the matrix is partitioned over simulated
-// message-passing ranks and solved with the distributed Krylov loop.
+// matrix max norm is used (the paper's setup). The matrix is partitioned
+// over simulated message-passing ranks and solved with the distributed
+// Krylov loop; -ranks 1 is the one-process solve, a world of one rank.
 // "-solver gmres" implies "-method spai" when -method is left at its
 // default (the FSAI family has no GMRES pairing).
 package main
@@ -156,12 +156,7 @@ func run(matrixPath, rhsPath, method string, filter float64, dynamic bool, line,
 	}
 	opt.Precision = prec
 
-	var res *fsaicomm.Result
-	if ranks == 1 {
-		res, err = fsaicomm.Solve(a, b, opt)
-	} else {
-		res, err = fsaicomm.SolveDistributed(a, b, opt)
-	}
+	res, err := fsaicomm.SolveDistributed(a, b, opt)
 	if err != nil {
 		return err
 	}

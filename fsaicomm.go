@@ -7,13 +7,17 @@
 //
 // The package exposes two entry points:
 //
-//   - Solve runs a preconditioned CG solve on a single process (the
-//     shared-memory case, where FSAIE and FSAIE-Comm coincide).
 //   - SolveDistributed distributes the matrix over a simulated cluster of
 //     message-passing ranks (goroutines), builds the selected
 //     preconditioner variant with communication-aware pattern extension and
 //     optional dynamic load-balancing filter, runs distributed CG, and
 //     reports iteration counts and metered communication volumes.
+//   - Solve is the same solve on a single process (the shared-memory case,
+//     where FSAIE and FSAIE-Comm coincide): a world of one rank, with the
+//     same answer, meters and modeled time SolveDistributed gives at Ranks 1.
+//
+// Every entry — these two, BuildPreconditioner, Prepare and the batched
+// solves — sets up with Prepare and solves with one rank job per rank.
 //
 // Matrices are CSR (see NewCOO / ReadMatrixMarket to build them). All
 // lower-level machinery lives in internal/ packages; cmd/fsaibench drives
@@ -199,8 +203,7 @@ type SolveTotals struct {
 	Ranks int
 	// PctNNZIncrease is the preconditioner pattern growth versus the FSAI
 	// baseline pattern (the paper's "% NNZ"). ImbalanceIndex is avg/max
-	// per-rank preconditioner entries (1 = balanced; only meaningful for
-	// distributed solves).
+	// per-rank preconditioner entries (1 = balanced, as one rank always is).
 	PctNNZIncrease float64
 	ImbalanceIndex float64
 	// Refinements counts the FP64 iterative-refinement steps of a
@@ -208,7 +211,8 @@ type SolveTotals struct {
 	// the total inner iterations across all steps. Zero for FP64 solves.
 	Refinements int
 	// CommBytes is the total point-to-point traffic during the solve phase
-	// (0 for serial solves); CommMessages the point-to-point message count.
+	// (0 on one rank, which has no peer); CommMessages the point-to-point
+	// message count.
 	// A batch pays them once for all its columns: divide by len(Cols) for
 	// the per-RHS amortized cost the batch exists to shrink.
 	CommBytes    int64
@@ -226,7 +230,7 @@ type SolveTotals struct {
 	InterNodeMessages int64
 	// CollectiveCalls and CollectiveBytes are the aggregate collective
 	// totals over all ranks of the solve phase, from the simulated runtime's
-	// meter (0 for serial solves).
+	// meter; a one-process solve reports what its one rank meters.
 	CollectiveCalls, CollectiveBytes int64
 	// Waits is how the ranks' blocking waits ended, summed over ranks: what
 	// they waited for there at first look, arrived while they polled, or
@@ -256,13 +260,12 @@ type Result struct {
 	// credit for the communication-hiding CG variants. The simulated runtime
 	// serializes ranks, so SolveTime cannot show an overlap win;
 	// ModeledSolveTime is the number to compare CG variants by (DESIGN.md
-	// §4d). Zero for serial solves.
+	// §4d). A one-process solve models its one rank.
 	ModeledSolveTime float64
 	// Phases is the per-window breakdown of ModeledSolveTime (worst rank,
 	// whole solve): per communication window ("halo", "reduction"), the raw
 	// α–β time, the credit hidden behind overlapped compute, and the exposed
-	// remainder. Phases.TotalSec == ModeledSolveTime exactly. Zero value for
-	// serial solves.
+	// remainder. Phases.TotalSec == ModeledSolveTime exactly.
 	Phases OverlapReport
 	// Trace is the per-iteration telemetry when Options.Trace is set (rank
 	// 0's view in distributed solves), nil otherwise.
@@ -310,15 +313,20 @@ func checkSolverMatrix(a *Matrix, solver Solver) error {
 	return nil
 }
 
-// Solve runs a preconditioned CG solve A·x = b on a single process.
+// Solve runs a preconditioned Krylov solve A·x = b on a single process: the
+// distributed solve on a world of one rank, which answers what
+// SolveDistributed answers at Ranks 1 — x, iterations, meters and
+// ModeledSolveTime, under every CGVariant. Options are checked at
+// Options.Ranks; Transport and the node grouping are ignored, since one
+// process has no peer to reach.
 func Solve(a *Matrix, b []float64, opt Options) (*Result, error) {
 	return SolveContext(context.Background(), a, b, opt)
 }
 
-// SolveContext is Solve with cancellation: the CG loop checks ctx once per
-// iteration and, when it fires, returns the partial Result so far together
-// with an ErrCanceled-wrapped error. It is BuildPreconditioner followed by
-// SolveWith.
+// SolveContext is Solve with cancellation: the Krylov loop checks ctx once
+// per iteration and, when it fires, returns the partial Result so far
+// together with an ErrCanceled-wrapped error. It is BuildPreconditioner
+// followed by SolveWith; Result.SetupTime is the build.
 func SolveContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Result, error) {
 	setup, err := opt.setUp(a, opt.Ranks, false)
 	if err == nil {
@@ -368,10 +376,12 @@ func AutoRanks(a *Matrix, requested int) int {
 // partitionRows computes the row distribution selected by the canonical
 // opt.Partitioner.
 func partitionRows(a *Matrix, opt Options, ranks int) ([]int, error) {
-	switch opt.Partitioner {
-	case "block":
+	switch {
+	case ranks == 1: // every partitioner puts every row on rank 0
+		return make([]int, a.Rows), nil
+	case opt.Partitioner == "block":
 		return partition.Block(a.Rows, ranks), nil
-	case "strip":
+	case opt.Partitioner == "strip":
 		return partition.Strip(a.Rows, ranks), nil
 	default:
 		g := partition.GraphFromMatrix(a)

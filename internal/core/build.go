@@ -27,11 +27,11 @@ type Config struct {
 	PatternLevel int
 	Threshold    float64
 	// Workers bounds the shared-memory worker pool used for the per-row
-	// solves inside each rank (n > 0 → exactly n; ≤ 0 → 1 worker per rank,
-	// since ranks already run concurrently, or GOMAXPROCS under BuildOneRank,
-	// whose one rank has the machine to itself). This is orthogonal to the rank
-	// count: ranks simulate distributed processes, workers are threads
-	// inside one process.
+	// solves inside each rank (n > 0 → exactly n; ≤ 0 → GOMAXPROCS on a
+	// world of one rank, which has the machine to itself, and 1 worker per
+	// rank on a larger one, whose ranks already run concurrently). This is
+	// orthogonal to the rank count: ranks simulate distributed processes,
+	// workers are threads inside one process.
 	Workers int
 	// SPAISteps, SPAIAdd and SPAIEpsilon configure the adaptive enrichment
 	// of the SPAI method (ignored by the FSAI family): Steps rounds of
@@ -43,12 +43,16 @@ type Config struct {
 	SPAIEpsilon float64
 }
 
-// rankWorkers resolves Config.Workers for per-rank pools: the zero value
-// means one worker per rank rather than GOMAXPROCS, because R ranks already
-// occupy the machine and R×GOMAXPROCS goroutines would oversubscribe it.
-func (c Config) rankWorkers() int {
-	if c.Workers > 0 {
+// rankWorkers resolves Config.Workers for the pool of a rank of a world of
+// ranks ranks, the one rule for its default: a lone rank has the machine to
+// itself and takes GOMAXPROCS, while R > 1 ranks already occupy it, so each
+// takes one worker rather than R×GOMAXPROCS goroutines oversubscribing it.
+func (c Config) rankWorkers(ranks int) int {
+	switch {
+	case c.Workers > 0:
 		return c.Workers
+	case ranks == 1:
+		return runtime.GOMAXPROCS(0)
 	}
 	return 1
 }
@@ -328,7 +332,7 @@ func (s *Symbolic) Factor(c *simmpi.Comm, aVal []float64, prev *FactorPlan) (*Bu
 		}
 		ph.Extend = lap()
 	}
-	gExt, err := fsai.BuildGathered(pat.gather.Values(c, aRows), pat.ext, cfg.rankWorkers())
+	gExt, err := fsai.BuildGathered(pat.gather.Values(c, aRows), pat.ext, cfg.rankWorkers(c.Size()))
 	if err != nil {
 		return nil, fmt.Errorf("core: build on the extended pattern: %w", err)
 	}
@@ -346,7 +350,7 @@ func (s *Symbolic) Factor(c *simmpi.Comm, aVal []float64, prev *FactorPlan) (*Bu
 		ph.RowsReused = g.Rows
 	default:
 		var rs RebuildStats
-		g, rs, err = FilterRebuild(c, l, aRows, gExt, pat.base.Pattern, cfg.Filter, cfg.Strategy, cfg.rankWorkers())
+		g, rs, err = FilterRebuild(c, l, aRows, gExt, pat.base.Pattern, cfg.Filter, cfg.Strategy, cfg.rankWorkers(c.Size()))
 		if err != nil {
 			return nil, err
 		}
@@ -445,7 +449,7 @@ func (s *Symbolic) SizeBytes(p *FactorPlan) int64 {
 // nothing of it is kept from one build to the next.
 func (b *Build) factorSPAI(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows *sparse.CSR, cfg Config) error {
 	t0 := time.Now()
-	m, err := spai.BuildDist(c, l, lo, hi, aRows, cfg.spaiOptions())
+	m, err := spai.BuildDist(c, l, lo, hi, aRows, cfg.spaiOptions(c.Size()))
 	if err != nil {
 		return fmt.Errorf("core: SPAI build: %w", err)
 	}
@@ -458,8 +462,9 @@ func (b *Build) factorSPAI(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows 
 	return nil
 }
 
-// spaiOptions maps the Config knobs onto the spai package's options.
-func (c Config) spaiOptions() spai.Options {
+// spaiOptions maps the Config knobs onto the spai package's options for a
+// rank of a world of ranks ranks.
+func (c Config) spaiOptions(ranks int) spai.Options {
 	level := c.PatternLevel
 	if level < 1 {
 		level = 1
@@ -469,17 +474,13 @@ func (c Config) spaiOptions() spai.Options {
 		Steps:   c.SPAISteps,
 		Add:     c.SPAIAdd,
 		Epsilon: c.SPAIEpsilon,
-		Workers: c.rankWorkers(),
+		Workers: c.rankWorkers(ranks),
 	}
 }
 
 // BuildOneRank is the one-process build: BuildPrecond on a world of one rank
-// that owns every row of a. With the machine to itself the rank reads
-// Workers ≤ 0 as GOMAXPROCS, not as the one worker a rank of many gets.
+// that owns every row of a.
 func BuildOneRank(a *sparse.CSR, cfg Config) (*Build, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	l := &distmat.Layout{N: a.Rows, Offsets: []int{0, a.Rows}}
 	var b *Build
 	_, err := simmpi.Run(1, time.Hour, func(c *simmpi.Comm) error {

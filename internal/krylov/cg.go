@@ -8,10 +8,12 @@
 // products reduce globally. There are five loop bodies: the classic and the
 // fused CG recurrence, each k wide (batch.go, fused.go) — a scalar solve is
 // the loop at width 1 — pipelined CG, restarted GMRES, and the FP64
-// refinement wrapper around any inner solve (refined.go). A serial solve
-// (CG, GMRES, SolveRefined) is the same loop on a one-rank world: a nil
-// Comm, under which every reduction is its local value, and
-// distmat.LocalOp, whose product reads the undistributed matrix in place.
+// refinement wrapper around any inner solve (refined.go). The library
+// solves on the Dist loops only, one rank job per rank (internal/mprun); CG
+// and GMRES, the one-rank entries other packages' tests call, are the same
+// loops on a one-rank world: a nil Comm, under which every reduction is its
+// local value, and distmat.LocalOp, whose product reads the undistributed
+// matrix in place.
 package krylov
 
 import (

@@ -60,16 +60,6 @@ func ParseSolver(s string) (Solver, error) {
 	}
 }
 
-// MatPrecond applies z ← M·r where M is an explicit sparse approximate
-// inverse (the serial SPAI preconditioner).
-type MatPrecond struct{ M *sparse.CSR }
-
-// Apply computes z = M·r.
-func (p *MatPrecond) Apply(r, z []float64, fc *vecops.FlopCounter) {
-	p.M.MulVec(r, z)
-	fc.Add(2 * int64(p.M.NNZ()))
-}
-
 // DistMatPrecond applies z ← M·r with a distributed explicit approximate
 // inverse — one halo-exchanged product, no collectives.
 type DistMatPrecond struct {

@@ -16,6 +16,16 @@ import (
 	"fsaicomm/internal/vecops"
 )
 
+// MatPrecond applies z ← M·r where M is an explicit sparse approximate
+// inverse (the serial SPAI preconditioner).
+type MatPrecond struct{ M *sparse.CSR }
+
+// Apply computes z = M·r.
+func (p *MatPrecond) Apply(r, z []float64, fc *vecops.FlopCounter) {
+	p.M.MulVec(r, z)
+	fc.Add(2 * int64(p.M.NNZ()))
+}
+
 func TestParseSolver(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

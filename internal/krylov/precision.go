@@ -14,7 +14,7 @@ const (
 	FP64 Precision = iota
 	// FP32 stores factor (and operator) values in float32 and runs the CG
 	// loop as the inner solve of an FP64 iterative-refinement outer loop
-	// (SolveRefined / DistCGRefined): halo traffic halves, products
+	// (DistCGRefined): halo traffic halves, products
 	// accumulate in float64, and the refinement recovers FP64 accuracy.
 	FP32
 )

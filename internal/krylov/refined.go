@@ -34,7 +34,6 @@ import (
 
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/simmpi"
-	"fsaicomm/internal/sparse"
 	"fsaicomm/internal/vecops"
 )
 
@@ -95,31 +94,6 @@ func innerTol(tol, relres float64) float64 {
 		t = refineSafety
 	}
 	return t
-}
-
-// SolveRefined solves A x = b in mixed precision with FP64 iterative
-// refinement: the inner CG solves run over the float32 narrowing of A and of
-// the split preconditioner's factors (nil m: unpreconditioned), the outer
-// loop computes FP64 residuals with the full-precision A. x is overwritten;
-// Stats.Refinements counts outer steps and Stats.Iterations the total inner
-// iterations. Options.Tol/MaxIter apply to the outer residual and the total
-// inner iteration budget respectively. It is DistCGRefined on a one-rank
-// world.
-func SolveRefined(a *sparse.CSR, b, x []float64, m *Split, opt Options, fc *vecops.FlopCounter) (Stats, error) {
-	// The narrowed operators share the one-rank views, with their run
-	// indexes and float32 values, over a plan of their own.
-	narrow := func(op *distmat.Op) *distmat.Op {
-		op = distmat.NewOpFromParts(op.LZ, &distmat.HaloPlan{})
-		op.SetF32(true)
-		return op
-	}
-	var inner DistPreconditioner
-	if m != nil {
-		inner = NewDistSplit(narrow(m.g), narrow(m.gt))
-	}
-	opt.Variant = CGClassic
-	outer := distmat.LocalOp(a)
-	return DistCGRefined(nil, outer, narrow(outer), b, x, inner, opt, fc)
 }
 
 // DistCGRefined solves A x = b distributed in mixed precision with FP64

@@ -79,7 +79,7 @@ type IterTrace struct {
 	// Iters has one record per iteration.
 	Iters []IterRecord `json:"iters"`
 	// Refines has one record per iterative-refinement step of a
-	// mixed-precision solve (SolveRefined and the Dist variants); empty for
+	// mixed-precision solve (DistCGRefined, DistCGBatchRefined); empty for
 	// plain FP64 solves. Refined solves record at refinement granularity —
 	// each record's delta spans its whole inner solve — so Setup + Iters +
 	// Refines still sums exactly to the metered totals.

@@ -65,7 +65,8 @@ type Options struct {
 	MaxIter int
 	// Ranks (set-up) is the number of simulated processes for
 	// SolveDistributed. Default chosen from the matrix size (≈16k entries per
-	// rank, 2..12; see AutoRanks).
+	// rank, 2..12; see AutoRanks). Solve and BuildPreconditioner check the
+	// options at it and build on one rank.
 	Ranks int
 	// PatternLevel (set-up) selects the base sparse pattern: 1 (default) is
 	// the lower triangle of A; N > 1 uses the lower triangle of
@@ -81,19 +82,21 @@ type Options struct {
 	// bisection), "block" (contiguous equal row counts) or "strip"
 	// (round-robin; worst-case halo, useful to stress-test communication).
 	Partitioner string
-	// Workers (runtime) bounds the shared-memory worker pool for the
-	// row-parallel preconditioner setup. For Solve, ≤ 0 means GOMAXPROCS. For
-	// SolveDistributed, ≤ 0 means 1 worker per simulated rank (the ranks
-	// themselves already run concurrently); set it explicitly to model the
-	// paper's MPI×OpenMP hybrid.
+	// Workers (runtime) bounds the shared-memory worker pool of each rank
+	// for the row-parallel preconditioner setup. ≤ 0 means GOMAXPROCS on a
+	// world of one rank (Solve, BuildPreconditioner, Ranks 1), which has the
+	// machine to itself, and 1 worker per rank on a larger one, whose ranks
+	// already run concurrently; set it explicitly to model the paper's
+	// MPI×OpenMP hybrid.
 	Workers int
 	// CGVariant (per-solve) selects the distributed CG loop: CGClassic
 	// (default; three reductions per iteration, blocking SpMV),
 	// CGClassicOverlap (classic recurrence, overlapped halo SpMV), CGFused
 	// (one batched Allreduce per iteration, overlapped SpMV, fused kernels)
 	// or CGPipelined (one nonblocking Allreduce per iteration, hidden behind
-	// the next SpMV and preconditioner application). Serial Solve ignores it.
-	// See ParseCGVariant for the flag spellings.
+	// the next SpMV and preconditioner application). A one-process solve
+	// runs it on one rank, as SolveDistributed does at Ranks 1. See
+	// ParseCGVariant for the flag spellings.
 	CGVariant CGVariant
 	// Arch (per-solve) names the architecture profile for
 	// Result.ModeledSolveTime: "skylake" (default), "a64fx" or "zen2". It
@@ -118,7 +121,8 @@ type Options struct {
 	// backends run the identical rank job and produce bit-identical results
 	// and meters; "tcp" pays real process and socket overheads — the
 	// processes are started for the solve and gone after it; a Prepared
-	// keeps its own between solves. Serial Solve ignores it.
+	// keeps its own between solves. Solve and SolveWith ignore it, as they
+	// ignore the node grouping: one process has no peer to reach.
 	Transport string
 	// Nodes and RanksPerNode (per-solve) declare a two-level topology over
 	// the ranks: Nodes contiguous blocks of RanksPerNode ranks each (mpirun's

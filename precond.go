@@ -2,45 +2,29 @@ package fsaicomm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
-	"fsaicomm/internal/core"
-	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/sparse"
 )
 
 // Preconditioner is a built approximate inverse that can be applied to many
-// right-hand sides (serial): the factorized GᵀG ≈ A⁻¹ of the FSAI family, or
-// the explicit right inverse M ≈ A⁻¹ of SPAI. Build once with
+// right-hand sides on one process: the factorized GᵀG ≈ A⁻¹ of the FSAI
+// family, or the explicit right inverse M ≈ A⁻¹ of SPAI. Build once with
 // BuildPreconditioner, then call SolveWith per system, or Apply to use it
-// inside a custom solver.
+// inside a custom solver. It is a Prepared system of one rank: SolveWith is
+// safe for concurrent use, as Prepared.Solve is; Apply is not, because it
+// owns scratch.
 type Preconditioner struct {
-	a      *Matrix
-	split  *krylov.Split
-	method Method
-	// prec FP32 makes SolveWith run the mixed-precision refinement loop over
-	// the float32 narrowing of the factors.
-	prec Precision
-	// inv is the explicit SPAI inverse (Method SPAI only; split is then
-	// nil).
-	inv   *Matrix
-	pct   float64
-	setup time.Duration
-	// work holds the Krylov iteration vectors across SolveWith calls, so
-	// repeated solves with the same factor allocate no per-solve buffers
-	// (beyond the returned solution). Part of why the Preconditioner is
-	// documented as sequential-reuse only.
-	work krylov.Workspace
+	one *Prepared // of one rank
+	w   []float64 // Apply's scratch: G·r
 }
 
 // BuildPreconditioner constructs the selected variant for matrix a once.
-// The returned Preconditioner is safe for sequential reuse across solves
-// (not for concurrent Apply calls; it owns scratch buffers). Method SPAI
-// (with Solver SolverGMRES) builds the explicit inverse of a general square
-// matrix; the FSAI family requires symmetry. The build is the one Prepare
-// runs, on a world of one rank.
+// Method SPAI (with Solver SolverGMRES) builds the explicit inverse of a
+// general square matrix; the FSAI family requires symmetry. Options are
+// checked at Options.Ranks, as at every entry point; the build is the one
+// Prepare runs, on a world of one rank.
 func BuildPreconditioner(a *Matrix, opt Options) (*Preconditioner, error) {
 	setup, err := opt.setUp(a, opt.Ranks, false)
 	if err != nil {
@@ -49,20 +33,15 @@ func BuildPreconditioner(a *Matrix, opt Options) (*Preconditioner, error) {
 	return buildPreconditioner(a, setup, opt.Workers)
 }
 
-// buildPreconditioner is BuildPreconditioner on checked input: the canonical
-// set-up group and the worker pool.
+// buildPreconditioner is BuildPreconditioner on checked input: it prepares
+// the canonical set-up group on one rank with the worker pool.
 func buildPreconditioner(a *Matrix, setup Options, workers int) (*Preconditioner, error) {
-	t0 := time.Now()
-	bd, err := core.BuildOneRank(a, buildConfig(setup, workers))
+	setup.Ranks = 1
+	p, err := prepare(a, setup, workers)
 	if err != nil {
 		return nil, err
 	}
-	p := &Preconditioner{a: a, method: setup.Method, prec: setup.Precision,
-		inv: bd.MRows, pct: bd.PctNNZIncrease, setup: time.Since(t0)}
-	if bd.MRows == nil {
-		p.split = krylov.NewSplit(bd.GRows, bd.GTRows)
-	}
-	return p, nil
+	return &Preconditioner{one: p}, nil
 }
 
 func checkInputMatrix(a *Matrix, solver Solver) error {
@@ -79,97 +58,69 @@ func checkInputMatrix(a *Matrix, solver Solver) error {
 }
 
 // Method returns the preconditioner variant that was built.
-func (p *Preconditioner) Method() Method { return p.method }
+func (p *Preconditioner) Method() Method { return p.one.st.opt.Method }
 
 // PctNNZIncrease returns the pattern growth versus the FSAI baseline.
-func (p *Preconditioner) PctNNZIncrease() float64 { return p.pct }
+func (p *Preconditioner) PctNNZIncrease() float64 { return p.one.pct }
 
 // SetupTime returns the wall-clock construction time.
-func (p *Preconditioner) SetupTime() time.Duration { return p.setup }
+func (p *Preconditioner) SetupTime() time.Duration { return p.one.setup }
 
 // Factor returns the lower-triangular factor G (GᵀG ≈ A⁻¹) of an FSAI-family
-// preconditioner, or the explicit inverse M of an SPAI one. The returned
-// matrix is shared; do not mutate it.
+// preconditioner, or the explicit inverse M of an SPAI one, in the caller's
+// row order (one rank keeps every row in place). The returned matrix is
+// shared; do not mutate it.
 func (p *Preconditioner) Factor() *Matrix {
-	if p.inv != nil {
-		return p.inv
+	ops := p.one.parts[0]
+	if ops.M != nil {
+		return ops.M.LZ.M
 	}
-	return p.split.G
+	return ops.G.LZ.M
 }
 
 // Apply computes the preconditioning operation: z = Gᵀ(G·r) for the FSAI
 // family, z = M·r for SPAI.
 func (p *Preconditioner) Apply(r, z []float64) {
-	if len(r) != p.a.Rows || len(z) != p.a.Rows {
-		panic(fmt.Sprintf("fsaicomm: Apply length %d/%d, want %d", len(r), len(z), p.a.Rows))
+	n := p.one.n
+	if len(r) != n || len(z) != n {
+		panic(fmt.Sprintf("fsaicomm: Apply length %d/%d, want %d", len(r), len(z), n))
 	}
-	if p.inv != nil {
-		p.inv.MulVec(r, z)
+	ops := p.one.parts[0]
+	if ops.M != nil {
+		ops.M.LZ.M.MulVec(r, z)
 		return
 	}
-	p.split.Apply(r, z, nil)
+	if p.w == nil {
+		p.w = make([]float64, n)
+	}
+	ops.G.LZ.M.MulVec(r, p.w)
+	ops.GT.LZ.M.MulVec(p.w, z)
 }
 
 // SolveWith runs the preconditioned Krylov solve of A·x = b reusing the
-// built preconditioner: CG (the FP64 refinement loop around it for an FP32
-// factor) or GMRES for SPAI. Of opt it reads the per-solve group — Tol,
-// MaxIter, Restart (0 selects 30) and Trace count here; the set-up fields
-// are ignored, since the preconditioner is fixed. Options that Validate
-// rejects and a right-hand side that is not finite get an
-// ErrInvalidOptions-wrapped error, as at every other entry point.
+// built preconditioner: Prepared.Solve on its one rank. Of opt it reads the
+// per-solve group, each field meaning what it means there, but the
+// transport and the node grouping, which a one-process solve has no use
+// for; the set-up fields are ignored, since the preconditioner is fixed.
+// Options that Validate rejects and a right-hand side that is not finite get
+// an ErrInvalidOptions-wrapped error, as at every other entry point.
+// Result.SetupTime is the build's.
 func (p *Preconditioner) SolveWith(b []float64, opt Options) (*Result, error) {
-	err := opt.Validate()
-	if err == nil {
-		err = checkRHS([][]float64{b}, p.a.Rows)
-	}
-	if err != nil {
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	return p.solve(context.TODO(), b, opt.SolveOptions())
 }
 
-// solve is the one-process solve behind Solve and SolveWith on a checked
-// right-hand side. It runs the distributed loops on one rank and reuses the
-// preconditioner's workspace.
+// solve is the one-process solve behind Solve and SolveWith: the one rank's
+// Prepared.Solve, without a transport or a node grouping to read.
 func (p *Preconditioner) solve(ctx context.Context, b []float64, so SolveOptions) (*Result, error) {
-	so = so.withDefaults(p.a.Rows)
-	x := make([]float64, p.a.Rows)
-	t0 := time.Now()
-	kopt := krylov.Options{Tol: so.Tol, MaxIter: so.MaxIter, Restart: so.Restart, Trace: so.Trace, Ctx: ctx, Work: &p.work}
-	var st krylov.Stats
-	var err error
-	switch {
-	case p.inv != nil:
-		st, err = krylov.GMRES(p.a, b, x, &krylov.MatPrecond{M: p.inv}, kopt, nil)
-	case p.prec == FP32:
-		st, err = krylov.SolveRefined(p.a, b, x, p.split, kopt, nil)
-	default:
-		st, err = krylov.CG(p.a, b, x, p.split, kopt, nil)
+	so.Transport, so.Nodes, so.RanksPerNode = "", 0, 0
+	res, err := p.one.Solve(ctx, b, so)
+	if res != nil {
+		res.SetupTime = p.one.setup
 	}
-	canceled := errors.Is(err, krylov.ErrCanceled)
-	broken := errors.Is(err, krylov.ErrBreakdown)
-	if err != nil && !errors.Is(err, krylov.ErrNoConvergence) && !canceled && !broken {
-		return nil, err
-	}
-	res := &Result{
-		X:           x,
-		Iterations:  st.Iterations,
-		Converged:   st.Converged,
-		RelResidual: st.RelResidual,
-		SolveTotals: SolveTotals{
-			Ranks:          1,
-			PctNNZIncrease: p.pct,
-			ImbalanceIndex: 1,
-			Refinements:    st.Refinements,
-			SetupTime:      p.setup,
-			SolveTime:      time.Since(t0),
-		},
-		Trace: st.Trace,
-	}
-	if canceled || broken {
-		return res, err
-	}
-	return res, nil
+	return res, err
 }
 
 // Pattern returns the sparsity pattern of the factor (FSAI family) or the

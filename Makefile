@@ -9,9 +9,13 @@ all: tier1
 # The twins step fails if a hand-copied second path comes back: a halo32.go
 # or a HaloPlan / ExchangeHandle method named like postSends32 in
 # internal/distmat (the halo exchange is one generic body; the SetF32 switch
-# and the Localized.M32 accessor are not twins and stay), or a non-test
-# *Serial function in internal/krylov (a serial solve is the distributed
-# loop on one rank). The loops step fails if a Krylov loop body comes back
+# and the Localized.M32 accessor are not twins and stay), a typed
+# point-to-point method of simmpi.Comm such as SendInts or IrecvFloats32, or
+# a Wait32, in non-test internal/simmpi (each send, receive, post and wait is
+# one generic body over float64, float32 and int; SendFloats and RecvFloats
+# stay as one-line forms of Send and Recv that benchmark/ calls), or a
+# non-test *Serial function in internal/krylov (a serial solve is the
+# distributed loop on one rank). The loops step fails if a Krylov loop body comes back
 # beside the five that exist: non-test internal/krylov compares an iteration
 # count with opt.MaxIter in five places — the k-wide classic and fused CG
 # loops, pipelined CG, and GMRES at its cycle top and inside the cycle (a
@@ -73,6 +77,8 @@ tier1:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	@twins="$$(ls internal/distmat/halo32.go 2>/dev/null; \
 		grep -nE '^func \([a-z]+ \*?(HaloPlan|ExchangeHandle)\) [A-Za-z0-9_]*[a-z0-9_]32\(' internal/distmat/*.go; \
+		grep -nE '^func \([a-z]+ \*?Comm\) (Send|Recv|Isend|Irecv)[A-Za-z0-9_]*\(|Wait32' $$(ls internal/simmpi/*.go | grep -v _test.go) \
+			| grep -vE ':func \([a-z]+ \*?Comm\) (SendFloats|RecvFloats)\('; \
 		grep -nE '^func (\([^)]*\) )?[A-Za-z0-9_]*Serial\(' $$(ls internal/krylov/*.go | grep -v _test.go))"; \
 		if [ -n "$$twins" ]; then echo "hand-copied twins are back:"; echo "$$twins"; exit 1; fi
 	@src="$$(ls internal/krylov/*.go | grep -v _test.go)"; \

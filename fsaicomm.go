@@ -549,8 +549,8 @@ func (f *rankFold) result() (*Result, error) {
 	if res.Iterations > 0 {
 		res.CommBytesPerIteration = float64(res.CommBytes) / float64(res.Iterations)
 	}
-	res.ModeledSolveTime = mprun.ModeledSolveTime(f.sp.Profile, f.sp.Variant, res.Iterations, f.costs)
-	res.Phases = mprun.ModeledPhases(f.sp.Profile, f.sp.Variant, res.Iterations, f.costs)
+	res.ModeledSolveTime = mprun.ModeledSolveTime(f.sp.Profile, res.Iterations, f.costs)
+	res.Phases = mprun.ModeledPhases(f.sp.Profile, res.Iterations, f.costs)
 	return res, f.err()
 }
 

@@ -118,13 +118,13 @@ func cases() []conformanceCase {
 				const msgs = 10
 				if c.Rank() != 0 {
 					for i := 0; i < msgs; i++ {
-						c.SendFloats(0, i, []float64{float64(100*c.Rank() + i)})
+						simmpi.Send(c, 0, i, []float64{float64(100*c.Rank() + i)})
 					}
 					return nil
 				}
 				for src := 1; src < c.Size(); src++ {
 					for i := 0; i < msgs; i++ {
-						got := c.RecvFloats(src, i)
+						got := simmpi.Recv[float64](c, src, i)
 						if err := eqF64(got, float64(100*src+i)); err != nil {
 							return fmt.Errorf("src %d msg %d: %w", src, i, err)
 						}
@@ -141,10 +141,10 @@ func cases() []conformanceCase {
 			size: 2,
 			fn: func(c *simmpi.Comm) error {
 				if c.Rank() == 0 {
-					c.SendFloats(1, 7, []float64{1})
+					simmpi.Send(c, 1, 7, []float64{1})
 					return nil
 				}
-				c.RecvFloats(0, 8)
+				simmpi.Recv[float64](c, 0, 8)
 				return nil
 			},
 			check: wantErrContaining("expected tag 8 from 0, got 7"),
@@ -157,15 +157,15 @@ func cases() []conformanceCase {
 			fn: func(c *simmpi.Comm) error {
 				if c.Rank() == 0 {
 					buf := []float64{1, 2, 3}
-					c.SendFloats(1, 0, buf)
+					simmpi.Send(c, 1, 0, buf)
 					buf[0], buf[1], buf[2] = -1, -2, -3
-					c.SendFloats(1, 1, buf)
+					simmpi.Send(c, 1, 1, buf)
 					return nil
 				}
-				if err := eqF64(c.RecvFloats(0, 0), 1, 2, 3); err != nil {
+				if err := eqF64(simmpi.Recv[float64](c, 0, 0), 1, 2, 3); err != nil {
 					return err
 				}
-				return eqF64(c.RecvFloats(0, 1), -1, -2, -3)
+				return eqF64(simmpi.Recv[float64](c, 0, 1), -1, -2, -3)
 			},
 			check: wantOK,
 		},
@@ -177,16 +177,16 @@ func cases() []conformanceCase {
 			size: 2,
 			fn: func(c *simmpi.Comm) error {
 				sent := []float64{float64(c.Rank()), 42}
-				c.SendFloats(c.Rank(), 3, sent)
-				got := c.RecvFloats(c.Rank(), 3)
+				simmpi.Send(c, c.Rank(), 3, sent)
+				got := simmpi.Recv[float64](c, c.Rank(), 3)
 				if err := eqF64(got, float64(c.Rank()), 42); err != nil {
 					return err
 				}
 				if &got[0] != &sent[0] {
 					return fmt.Errorf("rank %d: self-send copied the payload", c.Rank())
 				}
-				c.SendInts(c.Rank(), 4, []int{c.Rank()})
-				if ints := c.RecvInts(c.Rank(), 4); len(ints) != 1 || ints[0] != c.Rank() {
+				simmpi.Send(c, c.Rank(), 4, []int{c.Rank()})
+				if ints := simmpi.Recv[int](c, c.Rank(), 4); len(ints) != 1 || ints[0] != c.Rank() {
 					return fmt.Errorf("rank %d: self ints = %v", c.Rank(), ints)
 				}
 				return nil
@@ -294,14 +294,14 @@ func cases() []conformanceCase {
 			size: 2,
 			fn: func(c *simmpi.Comm) error {
 				if c.Rank() == 0 {
-					c.SendFloats(1, 0, nil)
-					c.SendFloats(1, 1, []float64{})
+					simmpi.Send[float64](c, 1, 0, nil)
+					simmpi.Send(c, 1, 1, []float64{})
 					return nil
 				}
-				if got := c.RecvFloats(0, 0); len(got) != 0 {
+				if got := simmpi.Recv[float64](c, 0, 0); len(got) != 0 {
 					return fmt.Errorf("nil send arrived as %v", got)
 				}
-				if got := c.RecvFloats(0, 1); len(got) != 0 {
+				if got := simmpi.Recv[float64](c, 0, 1); len(got) != 0 {
 					return fmt.Errorf("empty send arrived as %v", got)
 				}
 				// Ranks may contribute unevenly to an allgather, including
@@ -327,8 +327,8 @@ func cases() []conformanceCase {
 			size: 2,
 			fn: func(c *simmpi.Comm) error {
 				peer := 1 - c.Rank()
-				r := c.IsendFloats(peer, 0, []float64{1})
-				c.RecvFloats(peer, 0)
+				r := simmpi.Isend(c, peer, 0, []float64{1})
+				simmpi.Recv[float64](c, peer, 0)
 				if _, err := r.Wait(); err != nil {
 					return err
 				}
@@ -357,12 +357,12 @@ func cases() []conformanceCase {
 				const rounds = 5
 				next := (c.Rank() + 1) % c.Size()
 				prev := (c.Rank() + c.Size() - 1) % c.Size()
-				recvs := make([]*simmpi.Request, rounds)
-				sends := make([]*simmpi.Request, rounds)
-				colls := make([]*simmpi.Request, rounds)
+				recvs := make([]*simmpi.Request[float64], rounds)
+				sends := make([]*simmpi.Request[float64], rounds)
+				colls := make([]*simmpi.Request[float64], rounds)
 				for i := 0; i < rounds; i++ {
-					recvs[i] = c.IrecvFloats(prev, i)
-					sends[i] = c.IsendFloats(next, i, []float64{float64(10*c.Rank() + i)})
+					recvs[i] = simmpi.Irecv[float64](c, prev, i)
+					sends[i] = simmpi.Isend(c, next, i, []float64{float64(10*c.Rank() + i)})
 					colls[i] = c.IallreduceSum(float64(i))
 				}
 				for i := rounds - 1; i >= 0; i-- {
@@ -411,20 +411,62 @@ func cases() []conformanceCase {
 			timeout: 2 * time.Second,
 			fn: func(c *simmpi.Comm) error {
 				if c.Rank() == 0 {
-					c.SendInts(1, 0, []int{1})
+					simmpi.Send(c, 1, 0, []int{1})
 					return nil
 				}
-				c.RecvFloats(0, 0)
+				simmpi.Recv[float64](c, 0, 0)
 				return nil
 			},
 			check: wantErrContaining("expected floats from 0 tag 0, got ints"),
+		},
+		{
+			// Isend, Irecv and Wait carry every element type: the values
+			// arrive, each send is metered when it is posted (8, 4 and 8
+			// bytes a value), and a receive of the wrong type fails loudly
+			// through its Wait.
+			name: "nonblocking-every-element-type",
+			size: 2,
+			fn: func(c *simmpi.Comm) error {
+				me, peer := c.Rank(), 1-c.Rank()
+				f64 := simmpi.Irecv[float64](c, peer, 0)
+				f32 := simmpi.Irecv[float32](c, peer, 1)
+				ints := simmpi.Irecv[int](c, peer, 2)
+				before := c.Meter().RankSnapshot(me).P2PBytes
+				simmpi.Isend(c, peer, 0, []float64{float64(me), 0.1})
+				simmpi.Isend(c, peer, 1, []float32{float32(me), 0.1, 3})
+				simmpi.Isend(c, peer, 2, []int{me, -7})
+				if got := c.Meter().RankSnapshot(me).P2PBytes - before; got != 2*8+3*4+2*8 {
+					return fmt.Errorf("rank %d: %d bytes metered at post time, want 44", me, got)
+				}
+				if got, err := f64.Wait(); err != nil || eqF64(got, float64(peer), 0.1) != nil {
+					return fmt.Errorf("rank %d: float64s %v, %v", me, got, err)
+				}
+				if got, err := f32.Wait(); err != nil || len(got) != 3 || got[0] != float32(peer) || got[1] != 0.1 || got[2] != 3 {
+					return fmt.Errorf("rank %d: float32s %v, %v", me, got, err)
+				}
+				if got, err := ints.Wait(); err != nil || len(got) != 2 || got[0] != peer || got[1] != -7 {
+					return fmt.Errorf("rank %d: ints %v, %v", me, got, err)
+				}
+				if me == 0 {
+					_, err := simmpi.Isend(c, 1, 3, []float64{1}).Wait()
+					return err
+				}
+				_, err := simmpi.Irecv[float32](c, 0, 3).Wait()
+				return err
+			},
+			check: func(t *testing.T, m *simmpi.Meter, err error) {
+				wantErrContaining("rank 1 expected float32s from 0 tag 3, got floats")(t, m, err)
+				if got := m.TotalP2PBytes(); got != 2*44+8 {
+					t.Errorf("TotalP2PBytes = %d, want 96", got)
+				}
+			},
 		},
 		{
 			name: "invalid-peer",
 			size: 2,
 			fn: func(c *simmpi.Comm) error {
 				if c.Rank() == 0 {
-					c.SendFloats(5, 0, []float64{1})
+					simmpi.Send(c, 5, 0, []float64{1})
 				}
 				return nil
 			},
@@ -438,7 +480,7 @@ func cases() []conformanceCase {
 			timeout: 300 * time.Millisecond,
 			fn: func(c *simmpi.Comm) error {
 				if c.Rank() == 0 {
-					c.RecvFloats(1, 0)
+					simmpi.Recv[float64](c, 1, 0)
 					return nil
 				}
 				time.Sleep(600 * time.Millisecond) // alive but silent
@@ -455,16 +497,16 @@ func cases() []conformanceCase {
 			fn: func(c *simmpi.Comm) error {
 				switch c.Rank() {
 				case 0:
-					c.SendFloats(1, 0, []float64{1, 2, 3}) // 24 B
-					c.SendInts(2, 1, []int{1})             // 8 B
-					c.SendFloats(0, 2, []float64{9})       // loopback: unmetered
-					c.RecvFloats(0, 2)
+					simmpi.Send(c, 1, 0, []float64{1, 2, 3}) // 24 B
+					simmpi.Send(c, 2, 1, []int{1})           // 8 B
+					simmpi.Send(c, 0, 2, []float64{9})       // loopback: unmetered
+					simmpi.Recv[float64](c, 0, 2)
 				case 1:
-					c.RecvFloats(0, 0)
-					c.SendFloats(2, 2, []float64{4, 5}) // 16 B
+					simmpi.Recv[float64](c, 0, 0)
+					simmpi.Send(c, 2, 2, []float64{4, 5}) // 16 B
 				case 2:
-					c.RecvInts(0, 1)
-					c.RecvFloats(1, 2)
+					simmpi.Recv[int](c, 0, 1)
+					simmpi.Recv[float64](c, 1, 2)
 				}
 				c.Barrier()                  // 0 B, 1 call per rank
 				c.AllreduceSum(1, 2)         // 16 B per rank
@@ -509,12 +551,12 @@ func cases() []conformanceCase {
 			size: 2,
 			fn: func(c *simmpi.Comm) error {
 				peer := 1 - c.Rank()
-				c.SendFloats(peer, 0, ramp(c.Rank(), 0, 100_000))
-				c.SendInts(peer, 1, []int{c.Rank()})
-				if err := eqF64(c.RecvFloats(peer, 0), ramp(peer, 0, 100_000)...); err != nil {
+				simmpi.Send(c, peer, 0, ramp(c.Rank(), 0, 100_000))
+				simmpi.Send(c, peer, 1, []int{c.Rank()})
+				if err := eqF64(simmpi.Recv[float64](c, peer, 0), ramp(peer, 0, 100_000)...); err != nil {
 					return fmt.Errorf("rank %d: %w", c.Rank(), err)
 				}
-				if got := c.RecvInts(peer, 1); len(got) != 1 || got[0] != peer {
+				if got := simmpi.Recv[int](c, peer, 1); len(got) != 1 || got[0] != peer {
 					return fmt.Errorf("rank %d: after the large message: %v", c.Rank(), got)
 				}
 				return nil
@@ -540,14 +582,14 @@ func cases() []conformanceCase {
 				}
 				for to := 0; to < 3; to++ {
 					if to != me {
-						c.SendFloats(to, 5, ramp(me, to, n(me, to)))
+						simmpi.Send(c, to, 5, ramp(me, to, n(me, to)))
 					}
 				}
 				for from := 0; from < 3; from++ {
 					if from == me {
 						continue
 					}
-					if err := eqF64(c.RecvFloats(from, 5), ramp(from, me, n(from, me))...); err != nil {
+					if err := eqF64(simmpi.Recv[float64](c, from, 5), ramp(from, me, n(from, me))...); err != nil {
 						return fmt.Errorf("rank %d from %d: %w", me, from, err)
 					}
 				}
@@ -568,8 +610,8 @@ func cases() []conformanceCase {
 					n := (i * 7919) % 3001
 					switch i % 3 {
 					case 0:
-						c.SendFloats(peer, i, ramp(me, i, n))
-						if err := eqF64(c.RecvFloats(peer, i), ramp(peer, i, n)...); err != nil {
+						simmpi.Send(c, peer, i, ramp(me, i, n))
+						if err := eqF64(simmpi.Recv[float64](c, peer, i), ramp(peer, i, n)...); err != nil {
 							return fmt.Errorf("rank %d message %d: %w", me, i, err)
 						}
 					case 1:
@@ -577,8 +619,8 @@ func cases() []conformanceCase {
 						for k := range out {
 							out[k] = me + i*k
 						}
-						c.SendInts(peer, i, out)
-						for k, v := range c.RecvInts(peer, i) {
+						simmpi.Send(c, peer, i, out)
+						for k, v := range simmpi.Recv[int](c, peer, i) {
 							if v != peer+i*k {
 								return fmt.Errorf("rank %d message %d: int %d is %d", me, i, k, v)
 							}
@@ -588,8 +630,8 @@ func cases() []conformanceCase {
 						for k := range out {
 							out[k] = float32(me*n + k)
 						}
-						c.SendFloats32(peer, i, out)
-						for k, v := range c.RecvFloats32(peer, i) {
+						simmpi.Send(c, peer, i, out)
+						for k, v := range simmpi.Recv[float32](c, peer, i) {
 							if v != float32(peer*n+k) {
 								return fmt.Errorf("rank %d message %d: float32 %d is %v", me, i, k, v)
 							}
@@ -615,7 +657,7 @@ func cases() []conformanceCase {
 						if collFirst {
 							c.AllreduceSum(1)
 						}
-						c.SendFloats(1, round, []float64{float64(round)})
+						simmpi.Send(c, 1, round, []float64{float64(round)})
 						if !collFirst {
 							c.AllreduceSum(1)
 						}
@@ -625,11 +667,11 @@ func cases() []conformanceCase {
 					if round < 3 {
 						// Background collective, blocking receive.
 						req := c.IallreduceSum(2)
-						got = c.RecvFloats(0, round)
+						got = simmpi.Recv[float64](c, 0, round)
 						sum, _ = req.Wait()
 					} else {
 						// Background receive, blocking collective.
-						req := c.IrecvFloats(0, round)
+						req := simmpi.Irecv[float64](c, 0, round)
 						sum = c.AllreduceSum(2)
 						got, _ = req.Wait()
 					}
@@ -655,7 +697,7 @@ func cases() []conformanceCase {
 				if c.Rank() == 1 {
 					return nil // exits without ever sending
 				}
-				c.RecvFloats(1, 0)
+				simmpi.Recv[float64](c, 1, 0)
 				return nil
 			},
 			check: func(t *testing.T, m *simmpi.Meter, err error) {

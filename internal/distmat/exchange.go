@@ -29,41 +29,27 @@ type exchanger interface {
 func (p *HaloPlan) wire() exchanger {
 	if p.ex == nil {
 		if p.f32 {
-			p.ex = &halo[float32]{
-				p:    p,
-				send: (*simmpi.Comm).SendFloats32, isend: (*simmpi.Comm).IsendFloats32,
-				recv: (*simmpi.Comm).RecvFloats32, irecv: (*simmpi.Comm).IrecvFloats32,
-				wait: (*simmpi.Request).Wait32,
-			}
+			p.ex = &halo[float32]{p: p}
 		} else {
-			p.ex = &halo[float64]{
-				p:    p,
-				send: (*simmpi.Comm).SendFloats, isend: (*simmpi.Comm).IsendFloats,
-				recv: (*simmpi.Comm).RecvFloats, irecv: (*simmpi.Comm).IrecvFloats,
-				wait: (*simmpi.Request).Wait,
-			}
+			p.ex = &halo[float64]{p: p}
 		}
 	}
 	return p.ex
 }
 
-// halo is one plan's exchange state for wire type V: the point-to-point
-// primitives of that width and the buffers, lazily sized and reused across
-// updates so the per-iteration exchange allocates nothing on the send side
-// (simmpi copies payloads on Send). Confined to the rank's goroutine, like
-// the plan and the Comm it is used with.
+// halo is one plan's exchange state for wire type V: the buffers, lazily
+// sized and reused across updates so the per-iteration exchange allocates
+// nothing on the send side (simmpi copies payloads on Send). The values
+// travel through simmpi's generic Send, Isend, Recv and Irecv at type V.
+// Confined to the rank's goroutine, like the plan and the Comm it is used
+// with.
 type halo[V float32 | float64] struct {
-	p     *HaloPlan
-	send  func(c *simmpi.Comm, dst, tag int, data []V)
-	isend func(c *simmpi.Comm, dst, tag int, data []V) *simmpi.Request
-	recv  func(c *simmpi.Comm, src, tag int) []V
-	irecv func(c *simmpi.Comm, src, tag int) *simmpi.Request
-	wait  func(r *simmpi.Request) ([]V, error)
+	p *HaloPlan
 
 	sendBuf [][]V // per-peer gather buffers
 	// recvs are the receives a nonblocking flat post put up ahead of its
 	// sends; complete waits on them instead of receiving.
-	recvs []*simmpi.Request
+	recvs []*simmpi.Request[V]
 	// Node-aware relay workspaces (see nodeaware.go): the up-gather buffer,
 	// the leader's combined outbound and per-member down buffers, and the
 	// received up/inter payloads. A leader's self-up and self-down ride the
@@ -129,12 +115,6 @@ func unpack[V float32 | float64](xExt []float64, nLocal int, slots []int, vals [
 // byte the same.
 func (h *halo[V]) post(c *simmpi.Comm, xExt []float64, k int, async bool) {
 	p := h.p
-	put := h.send
-	if async {
-		// Isend copies the payload at post time, so the buffer is reusable
-		// at once and the send handle needs no wait.
-		put = func(c *simmpi.Comm, dst, tag int, data []V) { h.isend(c, dst, tag, data) }
-	}
 	direct := p.sendPeerIDs
 	if p.napActive() {
 		s := p.napInit()
@@ -145,11 +125,11 @@ func (h *halo[V]) post(c *simmpi.Comm, xExt []float64, k int, async bool) {
 			for _, d := range s.crossSendIDs {
 				o += pack(buf[o:], xExt, p.SendPeers[d], k)
 			}
-			put(c, s.leaderRank, tagNAPUp, buf)
+			h.put(c, s.leaderRank, tagNAPUp, buf, async)
 		}
 	} else if async {
 		for _, peer := range p.recvPeerIDs {
-			h.recvs = append(h.recvs, h.irecv(c, peer, tagHaloData))
+			h.recvs = append(h.recvs, simmpi.Irecv[V](c, peer, tagHaloData))
 		}
 	}
 	if h.sendBuf == nil {
@@ -159,7 +139,17 @@ func (h *halo[V]) post(c *simmpi.Comm, xExt []float64, k int, async bool) {
 		list := p.SendPeers[d]
 		buf := resize(&h.sendBuf[d], len(list)*k)
 		pack(buf, xExt, list, k)
-		put(c, d, tagHaloData, buf)
+		h.put(c, d, tagHaloData, buf, async)
+	}
+}
+
+// put sends data, through Isend when async: it copies the payload at post
+// time, so the buffer is reusable at once and the send handle needs no wait.
+func (h *halo[V]) put(c *simmpi.Comm, dst, tag int, data []V, async bool) {
+	if async {
+		simmpi.Isend(c, dst, tag, data)
+	} else {
+		simmpi.Send(c, dst, tag, data)
 	}
 }
 
@@ -182,11 +172,11 @@ func (h *halo[V]) complete(c *simmpi.Comm, xExt []float64, nLocal, k int) {
 		var vals []V
 		if len(h.recvs) > 0 {
 			var err error
-			if vals, err = h.wait(h.recvs[i]); err != nil {
+			if vals, err = h.recvs[i].Wait(); err != nil {
 				panic(fmt.Sprintf("distmat: rank %d halo update from %d: %v", c.Rank(), peer, err))
 			}
 		} else {
-			vals = h.recv(c, peer, tagHaloData)
+			vals = simmpi.Recv[V](c, peer, tagHaloData)
 		}
 		slots := p.RecvPeers[peer]
 		if len(vals) != len(slots)*k {
@@ -197,7 +187,7 @@ func (h *halo[V]) complete(c *simmpi.Comm, xExt []float64, nLocal, k int) {
 	}
 	h.recvs = h.recvs[:0]
 	if s != nil && s.downCount > 0 {
-		vals := h.recv(c, s.leaderRank, tagNAPDown)
+		vals := simmpi.Recv[V](c, s.leaderRank, tagNAPDown)
 		if len(vals) != s.downCount*k {
 			panic(fmt.Sprintf("distmat: rank %d node-aware down update: got %d values, want %d",
 				c.Rank(), len(vals), s.downCount*k))

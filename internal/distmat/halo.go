@@ -286,7 +286,7 @@ func BuildHaloPlan(c *simmpi.Comm, l *Layout, lz *Localized) *HaloPlan {
 	// Send my request lists to owners.
 	for p := 0; p < size; p++ {
 		if p != rank && len(needByOwner[p]) > 0 {
-			c.SendInts(p, tagPlanIdx, needByOwner[p])
+			simmpi.Send(c, p, tagPlanIdx, needByOwner[p])
 		}
 	}
 	// Receive request lists from ranks that need my rows.
@@ -294,7 +294,7 @@ func BuildHaloPlan(c *simmpi.Comm, l *Layout, lz *Localized) *HaloPlan {
 		if r == rank || all[r*size+rank] == 0 {
 			continue
 		}
-		wanted := c.RecvInts(r, tagPlanIdx)
+		wanted := simmpi.Recv[int](c, r, tagPlanIdx)
 		local := make([]int, len(wanted))
 		for k, g := range wanted {
 			if g < lz.Lo || g >= lz.Hi {

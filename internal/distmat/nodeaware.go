@@ -238,7 +238,7 @@ func (h *halo[V]) relay(c *simmpi.Comm, k int) {
 		}
 	}
 	for i, m := range r.upMembers {
-		h.upVals[i] = h.recv(c, m, tagNAPUp)
+		h.upVals[i] = simmpi.Recv[V](c, m, tagNAPUp)
 		if len(h.upVals[i]) != r.upCounts[i]*k {
 			panic(fmt.Sprintf("distmat: leader %d up from %d: got %d values, want %d",
 				c.Rank(), m, len(h.upVals[i]), r.upCounts[i]*k))
@@ -247,10 +247,10 @@ func (h *halo[V]) relay(c *simmpi.Comm, k int) {
 	for bi, b := range r.outNodes {
 		buf := resize(&h.outBufs[bi], r.outCounts[bi]*k)
 		concat(buf, r.outSegs[bi], h.upVals)
-		h.send(c, p.topo.Leader(b), tagNAPInter, buf)
+		simmpi.Send(c, p.topo.Leader(b), tagNAPInter, buf)
 	}
 	for bi, b := range r.inNodes {
-		h.inVals[bi] = h.recv(c, p.topo.Leader(b), tagNAPInter)
+		h.inVals[bi] = simmpi.Recv[V](c, p.topo.Leader(b), tagNAPInter)
 		if len(h.inVals[bi]) != r.inCounts[bi]*k {
 			panic(fmt.Sprintf("distmat: leader %d inter from node %d: got %d values, want %d",
 				c.Rank(), b, len(h.inVals[bi]), r.inCounts[bi]*k))
@@ -259,7 +259,7 @@ func (h *halo[V]) relay(c *simmpi.Comm, k int) {
 	for di, m := range r.downMembers {
 		buf := resize(&h.downBufs[di], r.downCounts[di]*k)
 		concat(buf, r.downSegs[di], h.inVals)
-		h.send(c, m, tagNAPDown, buf)
+		simmpi.Send(c, m, tagNAPDown, buf)
 	}
 }
 

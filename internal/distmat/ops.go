@@ -307,7 +307,7 @@ func PlanGather(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, wanted 
 	// Send requests.
 	for p := 0; p < size; p++ {
 		if p != rank && len(needByOwner[p]) > 0 {
-			c.SendInts(p, tagRowMeta, needByOwner[p])
+			simmpi.Send(c, p, tagRowMeta, needByOwner[p])
 		}
 	}
 	// Serve requests.
@@ -316,7 +316,7 @@ func PlanGather(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, wanted 
 		if r == rank || all[r*size+rank] == 0 {
 			continue
 		}
-		req := c.RecvInts(r, tagRowMeta)
+		req := simmpi.Recv[int](c, r, tagRowMeta)
 		total := 0
 		for k, gi := range req {
 			if gi < lo || gi >= hi {
@@ -332,7 +332,7 @@ func PlanGather(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, wanted 
 			meta[k] = rows.RowNNZ(li)
 			meta = append(meta, rows.ColIdx[rows.RowPtr[li]:rows.RowPtr[li+1]]...)
 		}
-		c.SendInts(r, tagRowCols, meta)
+		simmpi.Send(c, r, tagRowCols, meta)
 	}
 	// Collect responses in owner order, which is the order of need.
 	for p := 0; p < size; p++ {
@@ -341,7 +341,7 @@ func PlanGather(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, wanted 
 			continue
 		}
 		g.owners = append(g.owners, p)
-		meta := c.RecvInts(p, tagRowCols)
+		meta := simmpi.Recv[int](c, p, tagRowCols)
 		for _, n := range meta[:len(req)] {
 			g.ptr = append(g.ptr, g.ptr[len(g.ptr)-1]+n)
 		}
@@ -365,11 +365,11 @@ func (g *GatherPlan) Values(c *simmpi.Comm, rows *sparse.CSR) *GatheredRows {
 		for _, li := range req {
 			flat = append(flat, rows.Val[rows.RowPtr[li]:rows.RowPtr[li+1]]...)
 		}
-		c.SendFloats(r, tagRowVals, flat)
+		simmpi.Send(c, r, tagRowVals, flat)
 	}
 	out := &GatheredRows{lo: g.lo, hi: g.hi, local: rows, ids: g.ids, ptr: g.ptr, cols: g.cols}
 	for _, p := range g.owners {
-		out.vals = append(out.vals, c.RecvFloats(p, tagRowVals)...)
+		out.vals = append(out.vals, simmpi.Recv[float64](c, p, tagRowVals)...)
 	}
 	if len(out.vals) != len(out.cols) {
 		panic(fmt.Sprintf("distmat: rank %d gathered %d values for %d columns", c.Rank(), len(out.vals), len(out.cols)))
@@ -450,7 +450,7 @@ func PlanTranspose(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR) *Tra
 	}
 	for p := 0; p < size; p++ {
 		if p != rank && counts[p] > 0 {
-			c.SendInts(p, tagTransp, flat[p])
+			simmpi.Send(c, p, tagTransp, flat[p])
 		}
 	}
 	// What arrives, per source rank, in the same (i, j) layout.
@@ -459,7 +459,7 @@ func PlanTranspose(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR) *Tra
 		if r == rank || all[r*size+rank] == 0 {
 			continue
 		}
-		f := c.RecvInts(r, tagTransp)
+		f := simmpi.Recv[int](c, r, tagTransp)
 		rlo, rhi := l.Range(r)
 		for k := 0; k+1 < len(f); k += 2 {
 			gi, gj := f[k], f[k+1]
@@ -518,7 +518,7 @@ func (t *TransposePlan) Values(c *simmpi.Comm, vals []float64) []float64 {
 		for k, e := range es {
 			buf[k] = vals[e]
 		}
-		c.SendFloats(p, tagTransp, buf)
+		simmpi.Send(c, p, tagTransp, buf)
 	}
 	out := make([]float64, len(t.ColIdx))
 	for e, p := range t.to {
@@ -530,7 +530,7 @@ func (t *TransposePlan) Values(c *simmpi.Comm, vals []float64) []float64 {
 		if len(ps) == 0 {
 			continue
 		}
-		in := c.RecvFloats(r, tagTransp)
+		in := simmpi.Recv[float64](c, r, tagTransp)
 		if len(in) != len(ps) {
 			panic(fmt.Sprintf("distmat: rank %d sent rank %d %d values for %d planned entries", r, c.Rank(), len(in), len(ps)))
 		}

@@ -226,8 +226,8 @@ func (r *Runner) Run(spec testsets.Spec, method core.Method, filter float64, str
 	// Every variant is modeled with the windowed overlap-credit model (the
 	// classic loop's windows carry no hiding compute, so its time equals the
 	// fully-exposed α–β model); Phases is the matching per-window breakdown.
-	res.SolveTime = mprun.ModeledSolveTime(r.Arch, r.Variant, res.Iterations, costs)
-	res.Phases = mprun.ModeledPhases(r.Arch, r.Variant, res.Iterations, costs)
+	res.SolveTime = mprun.ModeledSolveTime(r.Arch, res.Iterations, costs)
+	res.Phases = mprun.ModeledPhases(r.Arch, res.Iterations, costs)
 	res.MissesPerNNZ = missSum / float64(ranks)
 	res.GFlopsPrecond = gflopSum / float64(ranks)
 	if res.Iterations > 0 {

@@ -226,11 +226,11 @@ func assembleSPAIGMRESIterCost(miss TracedMisses, aOp, mOp *distmat.Op, nl, rank
 	}
 }
 
-// ModeledSolveTime converts per-rank cost inputs into the variant-aware
-// modeled solve time under the overlap-credit model. Every variant flows
-// through the same windowed model; the classic loop's windows simply carry
-// no hiding compute, so its time equals the fully-exposed α–β model.
-func ModeledSolveTime(arch archmodel.Profile, variant krylov.CGVariant, iters int, costs []IterCostInputs) float64 {
+// ModeledSolveTime converts per-rank cost inputs, which carry the CG
+// variant's windows, into the modeled solve time under the overlap-credit
+// model; the classic loop's windows simply carry no hiding compute, so its
+// time equals the fully-exposed α–β model.
+func ModeledSolveTime(arch archmodel.Profile, iters int, costs []IterCostInputs) float64 {
 	perRank := make([]archmodel.OverlapCost, len(costs))
 	for i, ci := range costs {
 		perRank[i] = ci.Overlap
@@ -243,7 +243,7 @@ func ModeledSolveTime(arch archmodel.Profile, variant krylov.CGVariant, iters in
 // the iteration count. The report's per-iteration terms sum exactly (same
 // accumulation order) and TotalSec equals ModeledSolveTime bit-for-bit, so
 // the printed phases tables reconcile with the scalar modeled time.
-func ModeledPhases(arch archmodel.Profile, variant krylov.CGVariant, iters int, costs []IterCostInputs) archmodel.OverlapReport {
+func ModeledPhases(arch archmodel.Profile, iters int, costs []IterCostInputs) archmodel.OverlapReport {
 	var worst archmodel.OverlapCost
 	worstT := 0.0
 	for _, ci := range costs {

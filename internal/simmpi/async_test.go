@@ -9,7 +9,7 @@ import (
 )
 
 // Done reports whether the operation has completed (Wait would not block).
-func (r *Request) Done() bool {
+func (r *op) Done() bool {
 	select {
 	case <-r.done:
 		return true
@@ -52,8 +52,8 @@ func TestIallreduceOverlapsP2P(t *testing.T) {
 	_, err := Run(4, testTimeout, func(c *Comm) error {
 		req := c.IallreduceSum(1)
 		next, prev := (c.Rank()+1)%4, (c.Rank()+3)%4
-		c.SendFloats(next, 5, []float64{float64(c.Rank())})
-		got := c.RecvFloats(prev, 5)
+		Send(c, next, 5, []float64{float64(c.Rank())})
+		got := Recv[float64](c, prev, 5)
 		if got[0] != float64(prev) {
 			return fmt.Errorf("p2p payload %v, want %d", got, prev)
 		}
@@ -93,12 +93,12 @@ func TestIsendIrecvFloats(t *testing.T) {
 	w, err := Run(2, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []float64{1, 2, 3}
-			req := c.IsendFloats(1, 9, buf)
+			req := Isend(c, 1, 9, buf)
 			buf[0] = 99 // payload must have been copied at post time
 			_, err := req.Wait()
 			return err
 		}
-		req := c.IrecvFloats(0, 9)
+		req := Irecv[float64](c, 0, 9)
 		got, err := req.Wait()
 		if err != nil {
 			return err
@@ -122,8 +122,8 @@ func TestIsendIrecvFloats(t *testing.T) {
 func TestIrecvBeforeIsendNoDeadlock(t *testing.T) {
 	_, err := Run(2, testTimeout, func(c *Comm) error {
 		peer := 1 - c.Rank()
-		recv := c.IrecvFloats(peer, 3)
-		send := c.IsendFloats(peer, 3, []float64{float64(c.Rank())})
+		recv := Irecv[float64](c, peer, 3)
+		send := Isend(c, peer, 3, []float64{float64(c.Rank())})
 		got, err := recv.Wait()
 		if err != nil {
 			return err
@@ -150,13 +150,13 @@ func TestManyOutstandingRequestsOutOfOrderWaits(t *testing.T) {
 	)
 	_, err := Run(nranks, testTimeout, func(c *Comm) error {
 		next, prev := (c.Rank()+1)%nranks, (c.Rank()+nranks-1)%nranks
-		colls := make([]*Request, nops)
-		sends := make([]*Request, nops)
-		recvs := make([]*Request, nops)
+		colls := make([]*Request[float64], nops)
+		sends := make([]*Request[float64], nops)
+		recvs := make([]*Request[float64], nops)
 		for i := 0; i < nops; i++ {
 			colls[i] = c.IallreduceSum(float64(i), 1)
-			recvs[i] = c.IrecvFloats(prev, 40)
-			sends[i] = c.IsendFloats(next, 40, []float64{float64(c.Rank()*nops + i)})
+			recvs[i] = Irecv[float64](c, prev, 40)
+			sends[i] = Isend(c, next, 40, []float64{float64(c.Rank()*nops + i)})
 		}
 		// Wait in a rank-dependent shuffled order: out-of-order waits must
 		// neither deadlock nor cross results between handles.
@@ -224,14 +224,14 @@ func TestBlockingCollectiveDrainsOutstanding(t *testing.T) {
 func TestMixedSendOrderPreserved(t *testing.T) {
 	_, err := Run(2, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.IsendFloats(1, 11, []float64{1})
-			c.SendFloats(1, 11, []float64{2}) // must drain the Isend first
-			c.IsendFloats(1, 11, []float64{3})
+			Isend(c, 1, 11, []float64{1})
+			Send(c, 1, 11, []float64{2}) // must drain the Isend first
+			Isend(c, 1, 11, []float64{3})
 			c.Barrier()
 			return nil
 		}
 		for want := 1.0; want <= 3; want++ {
-			got := c.RecvFloats(0, 11)
+			got := Recv[float64](c, 0, 11)
 			if got[0] != want {
 				return fmt.Errorf("got %v, want %v", got, want)
 			}

@@ -5,10 +5,12 @@
 // exchanges messages over Go channels; internal/tcpmpi provides the backend
 // where each rank is an OS process and messages cross shared-memory rings.
 //
-// The runtime provides the subset of MPI the paper's solver needs —
-// point-to-point sends/receives with tags, the collectives Barrier,
-// Allreduce, Allgather and Bcast, and nonblocking twins — and, crucially, it
-// meters every byte that crosses rank boundaries. The paper's central
+// The runtime provides the subset of MPI the paper's solver needs — tagged
+// point-to-point messages of float64, float32 or int values (Send, Recv and
+// their nonblocking forms Isend and Irecv, one generic body each over Elem),
+// the collectives Barrier, Allreduce, Allgather and Bcast, and a nonblocking
+// IallreduceSum — and, crucially, it meters every byte that crosses rank
+// boundaries. The paper's central
 // communication claim (the FSAIE-Comm pattern extension leaves the
 // halo-exchange neighbour sets and volumes untouched) is verified against
 // this meter rather than against wall-clock timings. Metering happens in
@@ -53,10 +55,8 @@ type World struct {
 // post-recv-then-send idiom that makes nonblocking halo exchanges useful in
 // the first place.
 type rankState struct {
-	collTail *Request
-	sendTail *Request
-	recvTail *Request
-	// self carries rank→rank loopback messages (see Comm.SendFloats): a
+	collTail, sendTail, recvTail *op
+	// self carries rank→rank loopback messages (see Send): a
 	// bounded FIFO so a runaway self-send loop fails loudly instead of
 	// consuming unbounded memory.
 	self  chan Payload
@@ -301,60 +301,89 @@ func (c *Comm) selfPop() (Payload, error) {
 	return m, nil
 }
 
-// SendFloats sends a copy of data to dst with the given tag. A send to the
-// rank itself is a defined no-copy loopback: the receiver gets data's
-// backing array directly, no bytes are metered (nothing crosses a rank
-// boundary), and no transport is involved — so halo plans and collectives
-// built on top need no self special-casing on any backend.
-func (c *Comm) SendFloats(dst, tag int, data []float64) {
+// Elem is what a point-to-point message carries: float64, float32 (the
+// half-width halo values of mixed-precision solves) or int values.
+type Elem interface{ float64 | float32 | int }
+
+// slot is the field of p that carries T values (see Payload).
+func slot[T Elem](p *Payload) *[]T {
+	if s, ok := any(&p.F64).(*[]T); ok {
+		return s
+	}
+	if s, ok := any(&p.F32).(*[]T); ok {
+		return s
+	}
+	return any(&p.Ints).(*[]T)
+}
+
+// width is the metered size of one T: 4 bytes for a float32, 8 for a float64
+// and for an int, which travels as 8 bytes on every platform.
+func width[T Elem]() int {
+	if _, ok := any(T(0)).(float32); ok {
+		return 4
+	}
+	return 8
+}
+
+// message is the payload carrying data from src.
+func message[T Elem](src, tag int, data []T) Payload {
+	p := Payload{Src: src, Tag: tag}
+	*slot[T](&p) = data
+	return p
+}
+
+// Send sends a copy of data to dst with the given tag, metered at 4 bytes per
+// float32 and 8 per float64 or int. A send to the rank itself is a defined
+// no-copy loopback: the receiver gets data's backing array directly, no
+// bytes are metered (nothing crosses a rank boundary), and no transport is
+// involved — so halo plans and collectives built on top need no self
+// special-casing on any backend.
+func Send[T Elem](c *Comm, dst, tag int, data []T) {
 	c.checkPeer(dst)
 	c.drain(&c.st.sendTail)
+	c.deliver(dst, outgoing(c, dst, tag, data))
+}
+
+// outgoing is the message that sends data to dst: a copy, metered now, or
+// for the loopback data itself, unmetered.
+func outgoing[T Elem](c *Comm, dst, tag int, data []T) Payload {
+	if dst != c.Rank() {
+		c.meter.record(c.Rank(), dst, width[T]()*len(data))
+		data = append([]T(nil), data...)
+	}
+	return message(c.Rank(), tag, data)
+}
+
+// deliver hands m to the loopback queue or to the transport.
+func (c *Comm) deliver(dst int, m Payload) {
 	if dst == c.Rank() {
-		c.selfPush(Payload{Src: dst, Tag: tag, F64: data})
+		c.selfPush(m)
 		return
 	}
-	payload := append([]float64(nil), data...)
-	c.meter.record(c.Rank(), dst, 8*len(data))
-	if err := c.t.Send(dst, Payload{Src: c.Rank(), Tag: tag, F64: payload}); err != nil {
-		panic(fmt.Sprintf("simmpi: rank %d sending tag %d to %d: %v", c.Rank(), tag, dst, err))
+	if err := c.t.Send(dst, m); err != nil {
+		panic(fmt.Sprintf("simmpi: rank %d sending tag %d to %d: %v", c.Rank(), m.Tag, dst, err))
 	}
 }
 
-// SendFloats32 sends a copy of data to dst with the given tag, metered at
-// 4 bytes per value — the half-width point-to-point primitive behind the
-// mixed-precision halo exchange. Self-sends are a no-copy loopback, as for
-// SendFloats.
-func (c *Comm) SendFloats32(dst, tag int, data []float32) {
-	c.checkPeer(dst)
-	c.drain(&c.st.sendTail)
-	if dst == c.Rank() {
-		c.selfPush(Payload{Src: dst, Tag: tag, F32: data})
-		return
-	}
-	payload := append([]float32(nil), data...)
-	c.meter.record(c.Rank(), dst, 4*len(data))
-	if err := c.t.Send(dst, Payload{Src: c.Rank(), Tag: tag, F32: payload}); err != nil {
-		panic(fmt.Sprintf("simmpi: rank %d sending tag %d to %d: %v", c.Rank(), tag, dst, err))
-	}
+// Recv receives the T values of the next message from src, which must carry
+// the given tag. Messages from one sender arrive in send order; a mismatched
+// tag or element type panics (the solver uses strictly ordered phases, so a
+// mismatch is a protocol bug).
+func Recv[T Elem](c *Comm, src, tag int) []T {
+	c.drain(&c.st.recvTail)
+	return recv[T](c, src, tag)
 }
 
-// SendInts sends a copy of data to dst with the given tag. Self-sends are a
-// no-copy loopback, as for SendFloats.
-func (c *Comm) SendInts(dst, tag int, data []int) {
-	c.checkPeer(dst)
-	c.drain(&c.st.sendTail)
-	if dst == c.Rank() {
-		c.selfPush(Payload{Src: dst, Tag: tag, Ints: data})
-		return
-	}
-	payload := append([]int(nil), data...)
-	c.meter.record(c.Rank(), dst, 8*len(data))
-	if err := c.t.Send(dst, Payload{Src: c.Rank(), Tag: tag, Ints: payload}); err != nil {
-		panic(fmt.Sprintf("simmpi: rank %d sending tag %d to %d: %v", c.Rank(), tag, dst, err))
-	}
-}
+// SendFloats is Send of float64 values, the spelling benchmark/ calls.
+func (c *Comm) SendFloats(dst, tag int, data []float64) { Send(c, dst, tag, data) }
 
-func (c *Comm) recv(src, tag int) Payload {
+// RecvFloats is Recv of float64 values, the spelling benchmark/ calls.
+func (c *Comm) RecvFloats(src, tag int) []float64 { return Recv[float64](c, src, tag) }
+
+// recv takes the next message from src, off the loopback queue or the
+// transport, and returns its T values: the body of Recv and of Irecv's
+// background operation.
+func recv[T Elem](c *Comm, src, tag int) []T {
 	c.checkPeer(src)
 	var m Payload
 	var err error
@@ -369,52 +398,24 @@ func (c *Comm) recv(src, tag int) Payload {
 	if m.Tag != tag {
 		panic(fmt.Sprintf("simmpi: rank %d expected tag %d from %d, got %d", c.Rank(), tag, src, m.Tag))
 	}
-	return m
-}
-
-// RecvFloats receives a float payload from src with the given tag. Messages
-// from one sender arrive in send order; mismatched tags panic (the solver
-// uses strictly ordered phases, so a mismatch is a protocol bug).
-func (c *Comm) RecvFloats(src, tag int) []float64 {
-	c.drain(&c.st.recvTail)
-	m := c.recv(src, tag)
-	if m.F64 == nil && (m.Ints != nil || m.F32 != nil) {
-		panic(fmt.Sprintf("simmpi: rank %d expected floats from %d tag %d, got %s", c.Rank(), src, tag, payloadKind(m)))
+	vals := *slot[T](&m)
+	if vals == nil && (m.F64 != nil || m.F32 != nil || m.Ints != nil) {
+		panic(fmt.Sprintf("simmpi: rank %d expected %s from %d tag %d, got %s",
+			c.Rank(), payloadKind(message(0, 0, []T{})), src, tag, payloadKind(m)))
 	}
-	return m.F64
+	return vals
 }
 
-// RecvFloats32 receives a float32 payload from src with the given tag.
-func (c *Comm) RecvFloats32(src, tag int) []float32 {
-	c.drain(&c.st.recvTail)
-	m := c.recv(src, tag)
-	if m.F32 == nil && (m.F64 != nil || m.Ints != nil) {
-		panic(fmt.Sprintf("simmpi: rank %d expected float32s from %d tag %d, got %s", c.Rank(), src, tag, payloadKind(m)))
-	}
-	return m.F32
-}
-
-// RecvInts receives an int payload from src with the given tag.
-func (c *Comm) RecvInts(src, tag int) []int {
-	c.drain(&c.st.recvTail)
-	m := c.recv(src, tag)
-	if m.Ints == nil && (m.F64 != nil || m.F32 != nil) {
-		panic(fmt.Sprintf("simmpi: rank %d expected ints from %d tag %d, got %s", c.Rank(), src, tag, payloadKind(m)))
-	}
-	return m.Ints
-}
-
-// payloadKind names the populated slice of a payload for mismatch panics.
+// payloadKind names the populated slice of a non-empty payload for
+// mismatch panics.
 func payloadKind(m Payload) string {
 	switch {
 	case m.F64 != nil:
 		return "floats"
 	case m.F32 != nil:
 		return "float32s"
-	case m.Ints != nil:
-		return "ints"
 	default:
-		return "empty payload"
+		return "ints"
 	}
 }
 
@@ -518,55 +519,44 @@ func (c *Comm) collective(op string, contrib CollPayload) CollPayload {
 
 // ---- Nonblocking operations ----
 //
-// IallreduceSum, IsendFloats and IrecvFloats return immediately with a
-// Request handle; the operation itself runs on a background goroutine.
-// Each rank keeps three FIFO chains — collectives, sends, receives — so
-// outstanding operations of one kind complete in post order (matching the
-// per-sender ordering the blocking twins guarantee), while the three kinds
-// stay independent: posting a receive before the matching send, the whole
-// point of nonblocking halo exchanges, cannot self-deadlock. Metering is
-// charged at post time, identically to the blocking twins, so metered
-// structural claims hold regardless of which flavor a solver uses.
+// IallreduceSum, Isend and Irecv return immediately with a Request handle;
+// the operation itself runs on a background goroutine. Each rank keeps three
+// FIFO chains — collectives, sends, receives — so outstanding operations of
+// one kind complete in post order (matching the per-sender ordering of Send
+// and Recv), while the three kinds stay independent: posting a receive
+// before the matching send, the whole point of nonblocking halo exchanges,
+// cannot self-deadlock. Metering is charged at post time, identically to the
+// blocking operations, so metered structural claims hold regardless of which
+// flavor a solver uses.
 
 // ErrWaited is wrapped by Request.Wait when a handle is waited twice.
 var ErrWaited = fmt.Errorf("simmpi: request already waited")
 
-// Request is the wait handle of a nonblocking operation. A Request is
-// confined to the rank goroutine that posted it; the background goroutine
-// publishes its result (or recovered panic) before closing done, so Wait
-// observes it race-free.
-type Request struct {
+// op is the untyped part of a nonblocking operation, all a chain waits on:
+// the background goroutine publishes its result (or recovered panic) before
+// closing done, so a waiter observes it race-free.
+type op struct {
 	kind     string
 	done     chan struct{}
 	waits    *Waits // of the rank that posted it
-	f64      []float64
-	f32      []float32
 	panicVal any
 	waited   bool
 }
 
-// Wait blocks until the operation completes and returns its float payload
-// (the reduced vector for IallreduceSum, the received values for
-// IrecvFloats, nil for IsendFloats). Waiting a handle twice returns an
-// error wrapping ErrWaited instead of deadlocking. A panic inside the
-// operation (timeout, protocol mismatch) is re-raised in the waiting
-// goroutine, where the runtime's per-rank recovery can observe it.
-func (r *Request) Wait() ([]float64, error) {
-	if r.waited {
-		return nil, fmt.Errorf("%w: %s", ErrWaited, r.kind)
-	}
-	r.waited = true
-	recvWithin(r.done, 0, r.waits)
-	if r.panicVal != nil {
-		panic(r.panicVal)
-	}
-	return r.f64, nil
+// Request is the wait handle of a nonblocking operation whose result is T
+// values. A Request is confined to the rank goroutine that posted it.
+type Request[T Elem] struct {
+	op
+	vals []T
 }
 
-// Wait32 is Wait for operations whose payload is float32 (IrecvFloats32):
-// it blocks until completion and returns the received values. The waited-
-// twice and panic-propagation semantics match Wait exactly.
-func (r *Request) Wait32() ([]float32, error) {
+// Wait blocks until the operation completes and returns its values (the
+// reduced vector for IallreduceSum, the received values for Irecv, nil for
+// Isend). Waiting a handle twice returns an error wrapping ErrWaited instead
+// of deadlocking. A panic inside the operation (timeout, protocol mismatch)
+// is re-raised in the waiting goroutine, where the runtime's per-rank
+// recovery can observe it.
+func (r *Request[T]) Wait() ([]T, error) {
 	if r.waited {
 		return nil, fmt.Errorf("%w: %s", ErrWaited, r.kind)
 	}
@@ -575,12 +565,12 @@ func (r *Request) Wait32() ([]float32, error) {
 	if r.panicVal != nil {
 		panic(r.panicVal)
 	}
-	return r.f32, nil
+	return r.vals, nil
 }
 
 // drain waits for the tail of a chain without consuming its handle (the
 // poster may still Wait it). Called only from the owning rank's goroutine.
-func (c *Comm) drain(tail **Request) {
+func (c *Comm) drain(tail **op) {
 	if t := *tail; t != nil {
 		recvWithin(t.done, 0, c.waits)
 	}
@@ -604,10 +594,10 @@ func (c *Comm) Quiesce() {
 // post enqueues fn on the chain whose tail is *tail and returns its
 // Request. fn runs on a background goroutine after the previous chain
 // entry completes; its panics are captured into the handle.
-func (c *Comm) post(kind string, tail **Request, fn func(r *Request)) *Request {
+func post[T Elem](c *Comm, kind string, tail **op, fn func() []T) *Request[T] {
 	prev := *tail
-	r := &Request{kind: kind, done: make(chan struct{}), waits: c.waits}
-	*tail = r
+	r := &Request[T]{op: op{kind: kind, done: make(chan struct{}), waits: c.waits}}
+	*tail = &r.op
 	go func() {
 		defer close(r.done)
 		defer func() {
@@ -624,7 +614,7 @@ func (c *Comm) post(kind string, tail **Request, fn func(r *Request)) *Request {
 				panic(prev.panicVal)
 			}
 		}
-		fn(r)
+		r.vals = fn()
 	}()
 	return r
 }
@@ -634,80 +624,34 @@ func (c *Comm) post(kind string, tail **Request, fn func(r *Request)) *Request {
 // time exactly like AllreduceSum. All ranks must post (or call) matching
 // collectives in the same order; blocking collectives issued while
 // nonblocking ones are outstanding wait for them first.
-func (c *Comm) IallreduceSum(vals ...float64) *Request {
+func (c *Comm) IallreduceSum(vals ...float64) *Request[float64] {
 	c.meterCollective(8 * len(vals))
 	payload := append([]float64(nil), vals...)
-	return c.post("iallreduce-sum", &c.st.collTail, func(r *Request) {
-		r.f64 = c.bg.collective("allreduce-sum", CollPayload{F64: payload}).F64
+	return post(c, "iallreduce-sum", &c.st.collTail, func() []float64 {
+		return c.bg.collective("allreduce-sum", CollPayload{F64: payload}).F64
 	})
 }
 
-// IsendFloats posts a copy of data to dst with the given tag and returns
+// Isend posts a copy of data to dst with the given tag and returns
 // immediately; Wait yields (nil, nil) once the payload is handed to the
-// transport. Metered at post time exactly like SendFloats, so the per-pair
-// byte and message counts are independent of which flavor is used. Posted
+// transport. Metered at post time exactly like Send, so the per-pair byte
+// and message counts are independent of which flavor is used. Posted
 // self-sends enter the loopback queue in chain order, without copying.
-func (c *Comm) IsendFloats(dst, tag int, data []float64) *Request {
+func Isend[T Elem](c *Comm, dst, tag int, data []T) *Request[T] {
 	c.checkPeer(dst)
-	if dst == c.Rank() {
-		return c.post("isend", &c.st.sendTail, func(r *Request) {
-			c.selfPush(Payload{Src: dst, Tag: tag, F64: data})
-		})
-	}
-	payload := append([]float64(nil), data...)
-	c.meter.record(c.Rank(), dst, 8*len(data))
-	return c.post("isend", &c.st.sendTail, func(r *Request) {
-		if err := c.t.Send(dst, Payload{Src: c.Rank(), Tag: tag, F64: payload}); err != nil {
-			panic(fmt.Sprintf("simmpi: rank %d sending tag %d to %d: %v", c.Rank(), tag, dst, err))
-		}
+	m := outgoing(c, dst, tag, data)
+	return post(c, "isend", &c.st.sendTail, func() []T {
+		c.deliver(dst, m)
+		return nil
 	})
 }
 
-// IrecvFloats posts a receive for a float payload from src with the given
-// tag; Wait yields the values. Outstanding receives complete in post order,
-// so the per-sender FIFO delivery of the blocking twin is preserved.
-func (c *Comm) IrecvFloats(src, tag int) *Request {
+// Irecv posts a receive for T values from src with the given tag; Wait
+// yields the values. Outstanding receives complete in post order, so the
+// per-sender FIFO delivery of Recv is preserved.
+func Irecv[T Elem](c *Comm, src, tag int) *Request[T] {
 	c.checkPeer(src)
-	return c.post("irecv", &c.st.recvTail, func(r *Request) {
-		m := c.bg.recv(src, tag)
-		if m.F64 == nil && (m.Ints != nil || m.F32 != nil) {
-			panic(fmt.Sprintf("simmpi: rank %d expected floats from %d tag %d, got %s", c.Rank(), src, tag, payloadKind(m)))
-		}
-		r.f64 = m.F64
-	})
-}
-
-// IsendFloats32 posts a copy of data to dst with the given tag, metered at
-// 4 bytes per value like SendFloats32; Wait yields (nil, nil) once the
-// payload is handed to the transport. Posted self-sends enter the loopback
-// queue in chain order, without copying.
-func (c *Comm) IsendFloats32(dst, tag int, data []float32) *Request {
-	c.checkPeer(dst)
-	if dst == c.Rank() {
-		return c.post("isend32", &c.st.sendTail, func(r *Request) {
-			c.selfPush(Payload{Src: dst, Tag: tag, F32: data})
-		})
-	}
-	payload := append([]float32(nil), data...)
-	c.meter.record(c.Rank(), dst, 4*len(data))
-	return c.post("isend32", &c.st.sendTail, func(r *Request) {
-		if err := c.t.Send(dst, Payload{Src: c.Rank(), Tag: tag, F32: payload}); err != nil {
-			panic(fmt.Sprintf("simmpi: rank %d sending tag %d to %d: %v", c.Rank(), tag, dst, err))
-		}
-	})
-}
-
-// IrecvFloats32 posts a receive for a float32 payload from src with the
-// given tag; Wait32 yields the values.
-func (c *Comm) IrecvFloats32(src, tag int) *Request {
-	c.checkPeer(src)
-	return c.post("irecv32", &c.st.recvTail, func(r *Request) {
-		m := c.bg.recv(src, tag)
-		if m.F32 == nil && (m.F64 != nil || m.Ints != nil) {
-			panic(fmt.Sprintf("simmpi: rank %d expected float32s from %d tag %d, got %s", c.Rank(), src, tag, payloadKind(m)))
-		}
-		r.f32 = m.F32
-	})
+	return post(c, "irecv", &c.st.recvTail, func() []T { return recv[T](c.bg, src, tag) })
 }
 
 // Meter accumulates communication statistics. Safe for concurrent use.

@@ -3,6 +3,7 @@ package simmpi
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,10 +14,10 @@ const testTimeout = 5 * time.Second
 func TestRunBasicSendRecv(t *testing.T) {
 	w, err := Run(2, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.SendFloats(1, 7, []float64{1, 2, 3})
+			Send(c, 1, 7, []float64{1, 2, 3})
 			return nil
 		}
-		got := c.RecvFloats(0, 7)
+		got := Recv[float64](c, 0, 7)
 		if len(got) != 3 || got[2] != 3 {
 			return fmt.Errorf("got %v", got)
 		}
@@ -37,13 +38,13 @@ func TestSendCopiesPayload(t *testing.T) {
 	_, err := Run(2, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []float64{1, 2}
-			c.SendFloats(1, 0, buf)
+			Send(c, 1, 0, buf)
 			buf[0] = 99 // must not affect the received value
 			c.Barrier()
 			return nil
 		}
 		c.Barrier()
-		got := c.RecvFloats(0, 0)
+		got := Recv[float64](c, 0, 0)
 		if got[0] != 1 {
 			return fmt.Errorf("payload aliased sender buffer: %v", got)
 		}
@@ -58,8 +59,8 @@ func TestSendRecvInts(t *testing.T) {
 	_, err := Run(3, testTimeout, func(c *Comm) error {
 		next := (c.Rank() + 1) % 3
 		prev := (c.Rank() + 2) % 3
-		c.SendInts(next, 1, []int{c.Rank() * 10})
-		got := c.RecvInts(prev, 1)
+		Send(c, next, 1, []int{c.Rank() * 10})
+		got := Recv[int](c, prev, 1)
 		if got[0] != prev*10 {
 			return fmt.Errorf("rank %d got %v", c.Rank(), got)
 		}
@@ -70,16 +71,58 @@ func TestSendRecvInts(t *testing.T) {
 	}
 }
 
+// A steady-state Send+Recv round trip of 64 values between two sim ranks
+// allocates the two payload copies Send makes and nothing else, for every
+// element type: the generic bodies box nothing. The world has no timeout, so
+// no wait arms a timer.
+func TestRoundTripAllocatesOnlyPayloadCopies(t *testing.T) {
+	roundTripAllocs[float64](t, 8)
+	roundTripAllocs[float32](t, 4)
+	roundTripAllocs[int](t, 8)
+}
+
+func roundTripAllocs[T Elem](t *testing.T, width uint64) {
+	const n, runs = 64, 200
+	w := NewWorldTopo(2, 0, Topology{})
+	c0, c1 := w.Comm(0), w.Comm(1)
+	go func() { // echoes until an empty message comes
+		for v := Recv[T](c1, 0, 0); v != nil; v = Recv[T](c1, 0, 0) {
+			Send(c1, 0, 0, v)
+		}
+	}()
+	defer Send(c0, 1, 0, []T{})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	data := make([]T, n)
+	roundTrip := func() {
+		Send(c0, 1, 0, data)
+		if got := Recv[T](c0, 1, 0); len(got) != n {
+			panic(fmt.Sprint("echoed ", len(got), " values"))
+		}
+	}
+	roundTrip()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	allocs, bytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+	if allocs != 2 || bytes != 2*n*width {
+		t.Errorf("%T: a round trip of %d values allocates %d times, %d B; want 2 times, %d B",
+			data, n, allocs, bytes, 2*n*width)
+	}
+}
+
 func TestMessageOrderPerSender(t *testing.T) {
 	_, err := Run(2, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 50; i++ {
-				c.SendFloats(1, i, []float64{float64(i)})
+				Send(c, 1, i, []float64{float64(i)})
 			}
 			return nil
 		}
 		for i := 0; i < 50; i++ {
-			got := c.RecvFloats(0, i)
+			got := Recv[float64](c, 0, i)
 			if got[0] != float64(i) {
 				return fmt.Errorf("message %d out of order: %v", i, got)
 			}
@@ -176,11 +219,11 @@ func TestBarrierOrdering(t *testing.T) {
 	// After a barrier, all pre-barrier sends must be visible.
 	_, err := Run(2, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.SendInts(1, 0, []int{42})
+			Send(c, 1, 0, []int{42})
 		}
 		c.Barrier()
 		if c.Rank() == 1 {
-			got := c.RecvInts(0, 0)
+			got := Recv[int](c, 0, 0)
 			if got[0] != 42 {
 				return fmt.Errorf("got %v", got)
 			}
@@ -195,7 +238,7 @@ func TestBarrierOrdering(t *testing.T) {
 func TestDeadlockDetectedByTimeout(t *testing.T) {
 	_, err := Run(2, 50*time.Millisecond, func(c *Comm) error {
 		if c.Rank() == 1 {
-			c.RecvFloats(0, 0) // rank 0 never sends
+			Recv[float64](c, 0, 0) // rank 0 never sends
 		}
 		return nil
 	})
@@ -223,10 +266,10 @@ func TestCollectiveMismatchPanics(t *testing.T) {
 func TestTagMismatchPanics(t *testing.T) {
 	_, err := Run(2, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.SendFloats(1, 5, []float64{1})
+			Send(c, 1, 5, []float64{1})
 			return nil
 		}
-		c.RecvFloats(0, 6)
+		Recv[float64](c, 0, 6)
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "tag") {
@@ -237,10 +280,10 @@ func TestTagMismatchPanics(t *testing.T) {
 func TestPayloadTypeMismatchPanics(t *testing.T) {
 	_, err := Run(2, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.SendInts(1, 0, []int{1})
+			Send(c, 1, 0, []int{1})
 			return nil
 		}
-		c.RecvFloats(0, 0)
+		Recv[float64](c, 0, 0)
 		return nil
 	})
 	if err == nil {
@@ -251,8 +294,8 @@ func TestPayloadTypeMismatchPanics(t *testing.T) {
 func TestSelfSendLoopback(t *testing.T) {
 	w, err := Run(1, testTimeout, func(c *Comm) error {
 		sent := []float64{1, 2, 3}
-		c.SendFloats(0, 7, sent)
-		got := c.RecvFloats(0, 7)
+		Send(c, 0, 7, sent)
+		got := Recv[float64](c, 0, 7)
 		if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 			return fmt.Errorf("loopback payload = %v", got)
 		}
@@ -261,13 +304,13 @@ func TestSelfSendLoopback(t *testing.T) {
 		if &got[0] != &sent[0] {
 			return fmt.Errorf("loopback copied the payload")
 		}
-		c.SendInts(0, 8, []int{4, 5})
-		if ints := c.RecvInts(0, 8); len(ints) != 2 || ints[1] != 5 {
+		Send(c, 0, 8, []int{4, 5})
+		if ints := Recv[int](c, 0, 8); len(ints) != 2 || ints[1] != 5 {
 			return fmt.Errorf("loopback ints = %v", ints)
 		}
 		// Posted self-sends join the same loopback queue in chain order.
-		r := c.IsendFloats(0, 9, []float64{6})
-		if got := c.RecvFloats(0, 9); len(got) != 1 || got[0] != 6 {
+		r := Isend(c, 0, 9, []float64{6})
+		if got := Recv[float64](c, 0, 9); len(got) != 1 || got[0] != 6 {
 			return fmt.Errorf("posted loopback payload = %v", got)
 		}
 		if _, err := r.Wait(); err != nil {
@@ -286,7 +329,7 @@ func TestSelfSendLoopback(t *testing.T) {
 
 func TestSelfRecvWithoutSendTimesOut(t *testing.T) {
 	_, err := Run(1, 50*time.Millisecond, func(c *Comm) error {
-		c.RecvFloats(0, 0)
+		Recv[float64](c, 0, 0)
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
@@ -296,7 +339,7 @@ func TestSelfRecvWithoutSendTimesOut(t *testing.T) {
 
 func TestInvalidPeerPanics(t *testing.T) {
 	_, err := Run(1, testTimeout, func(c *Comm) error {
-		c.SendFloats(3, 0, []float64{1})
+		Send(c, 3, 0, []float64{1})
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "invalid peer") {
@@ -307,12 +350,12 @@ func TestInvalidPeerPanics(t *testing.T) {
 func TestMeterNeighborSetsAndReset(t *testing.T) {
 	w, err := Run(3, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.SendFloats(1, 0, []float64{1})
-			c.SendFloats(2, 0, []float64{1, 2})
+			Send(c, 1, 0, []float64{1})
+			Send(c, 2, 0, []float64{1, 2})
 		}
 		c.Barrier()
 		if c.Rank() != 0 {
-			c.RecvFloats(0, 0)
+			Recv[float64](c, 0, 0)
 		}
 		return nil
 	})
@@ -347,8 +390,8 @@ func TestManyRanksStress(t *testing.T) {
 		n := c.Size()
 		next, prev := (c.Rank()+1)%n, (c.Rank()+n-1)%n
 		for iter := 0; iter < 10; iter++ {
-			c.SendFloats(next, iter, []float64{float64(c.Rank())})
-			got := c.RecvFloats(prev, iter)
+			Send(c, next, iter, []float64{float64(c.Rank())})
+			got := Recv[float64](c, prev, iter)
 			if got[0] != float64(prev) {
 				return fmt.Errorf("iter %d: got %v", iter, got)
 			}
@@ -435,9 +478,9 @@ func TestMeterBcastChargesEveryRankOneCall(t *testing.T) {
 func TestMeterSnapshotSub(t *testing.T) {
 	w, err := Run(2, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.SendFloats(1, 7, []float64{1, 2, 3})
+			Send(c, 1, 7, []float64{1, 2, 3})
 		} else {
-			c.RecvFloats(0, 7)
+			Recv[float64](c, 0, 7)
 		}
 		c.AllreduceSum(1)
 		return nil

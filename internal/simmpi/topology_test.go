@@ -111,14 +111,14 @@ func allToAll(c *simmpi.Comm) error {
 	payload := []float64{float64(c.Rank()), float64(c.Rank())}
 	for dst := 0; dst < c.Size(); dst++ {
 		if dst != c.Rank() {
-			c.SendFloats(dst, tag, payload)
+			simmpi.Send(c, dst, tag, payload)
 		}
 	}
 	for src := 0; src < c.Size(); src++ {
 		if src == c.Rank() {
 			continue
 		}
-		vals := c.RecvFloats(src, tag)
+		vals := simmpi.Recv[float64](c, src, tag)
 		if len(vals) != 2 || vals[0] != float64(src) {
 			return fmt.Errorf("rank %d: bad payload from %d: %v", c.Rank(), src, vals)
 		}

@@ -51,9 +51,11 @@ type Transport interface {
 }
 
 // Payload is one tagged point-to-point message as carried by a Transport.
-// Exactly one of F64, F32 and Ints is meaningful; a zero-length payload of
-// any type is valid. F32 carries the half-width halo traffic of
-// mixed-precision solves — 4 bytes per value on the wire and on the meter.
+// Exactly one of F64, F32 and Ints is meaningful, the one of the message's
+// Elem: a Send of float64 values fills F64, of float32 values F32 and of int
+// values Ints. A zero-length payload of any type is valid. F32 carries the
+// half-width halo traffic of mixed-precision solves — 4 bytes per value on
+// the wire and on the meter; F64 and Ints take 8.
 type Payload struct {
 	Src, Tag int
 	F64      []float64

@@ -47,7 +47,7 @@ func TestUnansweredReceiveStillTimesOut(t *testing.T) {
 					if c.Rank() == 1 {
 						start := time.Now()
 						defer func() { took = time.Since(start) }()
-						c.RecvFloats(0, 0)
+						Recv[float64](c, 0, 0)
 					}
 					return nil
 				})
@@ -75,8 +75,8 @@ func TestNoGoroutineLeftPolling(t *testing.T) {
 		_, err := Run(8, testTimeout, func(c *Comm) error {
 			next, before := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
 			for i := 0; i < 50; i++ {
-				recv := c.IrecvFloats(before, i)
-				c.IsendFloats(next, i, []float64{float64(i)})
+				recv := Irecv[float64](c, before, i)
+				Isend(c, next, i, []float64{float64(i)})
 				sum := c.IallreduceSum(1)
 				if got, err := recv.Wait(); err != nil || got[0] != float64(i) {
 					return fmt.Errorf("rank %d round %d: received %v, %v", c.Rank(), i, got, err)
@@ -113,12 +113,12 @@ func TestWaitsAreCounted(t *testing.T) {
 			_, err := Run(2, testTimeout, func(c *Comm) error {
 				peer := 1 - c.Rank()
 				for i := 0; i < 100; i++ {
-					c.SendFloats(peer, i, []float64{1})
-					c.RecvFloats(peer, i) // one wait on the channel
-					c.AllreduceSum(1)     // one wait: rank 0 gathers, rank 1 takes the result
+					Send(c, peer, i, []float64{1})
+					Recv[float64](c, peer, i) // one wait on the channel
+					c.AllreduceSum(1)         // one wait: rank 0 gathers, rank 1 takes the result
 				}
-				req := c.IrecvFloats(peer, 100)
-				c.SendFloats(peer, 100, nil)
+				req := Irecv[float64](c, peer, 100)
+				Send[float64](c, peer, 100, nil)
 				_, err := req.Wait() // one wait, for the background receive
 				waits[c.Rank()] = c.Waits()
 				return err

@@ -20,17 +20,17 @@ func TestRunLocalBasicTCPAndUnix(t *testing.T) {
 			}
 			m, err := RunLocal(3, Config{Timeout: 10 * time.Second}, func(c *simmpi.Comm) error {
 				if c.Rank() == 0 {
-					c.SendFloats(1, 5, []float64{1, 2})
-					c.SendInts(2, 6, []int{7})
+					simmpi.Send(c, 1, 5, []float64{1, 2})
+					simmpi.Send(c, 2, 6, []int{7})
 				}
 				if c.Rank() == 1 {
-					got := c.RecvFloats(0, 5)
+					got := simmpi.Recv[float64](c, 0, 5)
 					if len(got) != 2 || got[1] != 2 {
 						t.Errorf("rank 1 got %v", got)
 					}
 				}
 				if c.Rank() == 2 {
-					got := c.RecvInts(0, 6)
+					got := simmpi.Recv[int](c, 0, 6)
 					if len(got) != 1 || got[0] != 7 {
 						t.Errorf("rank 2 got %v", got)
 					}
@@ -62,7 +62,7 @@ func TestDeadRankSurfacesRankLost(t *testing.T) {
 		if c.Rank() == 1 {
 			return nil // dies without sending
 		}
-		c.RecvFloats(1, 0)
+		simmpi.Recv[float64](c, 1, 0)
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "rank lost") {
@@ -89,13 +89,13 @@ func TestDroppedFrameTimesOut(t *testing.T) {
 	}
 	_, err := RunLocal(2, cfg, func(c *simmpi.Comm) error {
 		if c.Rank() == 0 {
-			c.SendFloats(1, 0, []float64{1})
+			simmpi.Send(c, 1, 0, []float64{1})
 			// Stay alive past the receiver's timeout so the failure is the
 			// bounded wait expiring, not this endpoint closing.
 			time.Sleep(800 * time.Millisecond)
 			return nil
 		}
-		c.RecvFloats(0, 0)
+		simmpi.Recv[float64](c, 0, 0)
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
@@ -117,11 +117,11 @@ func TestDuplicatedFrameArrivesTwice(t *testing.T) {
 	}
 	_, err := RunLocal(2, cfg, func(c *simmpi.Comm) error {
 		if c.Rank() == 0 {
-			c.SendFloats(1, 3, []float64{9})
+			simmpi.Send(c, 1, 3, []float64{9})
 			return nil
 		}
-		first := c.RecvFloats(0, 3)
-		second := c.RecvFloats(0, 3)
+		first := simmpi.Recv[float64](c, 0, 3)
+		second := simmpi.Recv[float64](c, 0, 3)
 		if len(first) != 1 || len(second) != 1 || first[0] != 9 || second[0] != 9 {
 			t.Errorf("duplicate delivery = %v, %v", first, second)
 		}
@@ -147,10 +147,10 @@ func TestDelayedFrameStillArrives(t *testing.T) {
 	}
 	_, err := RunLocal(2, cfg, func(c *simmpi.Comm) error {
 		if c.Rank() == 0 {
-			c.SendFloats(1, 0, []float64{4})
+			simmpi.Send(c, 1, 0, []float64{4})
 			return nil
 		}
-		if got := c.RecvFloats(0, 0); len(got) != 1 || got[0] != 4 {
+		if got := simmpi.Recv[float64](c, 0, 0); len(got) != 1 || got[0] != 4 {
 			t.Errorf("delayed delivery = %v", got)
 		}
 		return nil
@@ -180,7 +180,7 @@ func TestFailSendSurfacesOnSender(t *testing.T) {
 	}
 	_, err := RunLocal(2, cfg, func(c *simmpi.Comm) error {
 		if c.Rank() == 0 {
-			c.SendFloats(1, 0, []float64{1})
+			simmpi.Send(c, 1, 0, []float64{1})
 		}
 		return nil
 	})

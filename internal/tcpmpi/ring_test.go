@@ -203,10 +203,10 @@ func TestPollerHandsItsCoreOver(t *testing.T) {
 		peer := 1 - c.Rank()
 		for i := 0; i < 1000; i++ {
 			if c.Rank() == 0 {
-				c.SendInts(peer, i, []int{i})
-				c.RecvInts(peer, i)
+				simmpi.Send(c, peer, i, []int{i})
+				simmpi.Recv[int](c, peer, i)
 			} else {
-				c.SendInts(peer, i, c.RecvInts(peer, i))
+				simmpi.Send(c, peer, i, simmpi.Recv[int](c, peer, i))
 			}
 		}
 		return nil

@@ -13,7 +13,14 @@ all: tier1
 # point-to-point method of simmpi.Comm such as SendInts or IrecvFloats32, or
 # a Wait32, in non-test internal/simmpi (each send, receive, post and wait is
 # one generic body over float64, float32 and int; SendFloats and RecvFloats
-# stay as one-line forms of Send and Recv that benchmark/ calls), or a
+# stay as one-line forms of Send and Recv that benchmark/ calls), a typed
+# collective method of simmpi.Comm such as AllreduceMax, AllgatherInt64 or
+# BcastFloats (Allreduce and Allgather are generic functions over one
+# rendezvous in Comm; AllreduceSum stays as the one-line form of Allreduce
+# with Sum that benchmark/ calls), a Collective method in non-test
+# internal/simmpi or internal/tcpmpi (transports move payloads on two lanes
+# and never reduce), a CollPayload, appendColl or decodeColl in any non-test
+# file (one payload type and one frame codec serve both lanes), or a
 # non-test *Serial function in internal/krylov (a serial solve is the
 # distributed loop on one rank). The loops step fails if a Krylov loop body comes back
 # beside the five that exist: non-test internal/krylov compares an iteration
@@ -77,8 +84,10 @@ tier1:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	@twins="$$(ls internal/distmat/halo32.go 2>/dev/null; \
 		grep -nE '^func \([a-z]+ \*?(HaloPlan|ExchangeHandle)\) [A-Za-z0-9_]*[a-z0-9_]32\(' internal/distmat/*.go; \
-		grep -nE '^func \([a-z]+ \*?Comm\) (Send|Recv|Isend|Irecv)[A-Za-z0-9_]*\(|Wait32' $$(ls internal/simmpi/*.go | grep -v _test.go) \
-			| grep -vE ':func \([a-z]+ \*?Comm\) (SendFloats|RecvFloats)\('; \
+		grep -nE '^func \([a-z]+ \*?Comm\) (Send|Recv|Isend|Irecv|Allreduce|Allgather|Bcast)[A-Za-z0-9_]*\(|Wait32' $$(ls internal/simmpi/*.go | grep -v _test.go) \
+			| grep -vE ':func \([a-z]+ \*?Comm\) (SendFloats|RecvFloats|AllreduceSum)\('; \
+		grep -nE '^func \([^)]*\) Collective\(' $$(ls internal/simmpi/*.go internal/tcpmpi/*.go | grep -v _test.go); \
+		grep -nE 'CollPayload|appendColl|decodeColl' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/out/*'); \
 		grep -nE '^func (\([^)]*\) )?[A-Za-z0-9_]*Serial\(' $$(ls internal/krylov/*.go | grep -v _test.go))"; \
 		if [ -n "$$twins" ]; then echo "hand-copied twins are back:"; echo "$$twins"; exit 1; fi
 	@src="$$(ls internal/krylov/*.go | grep -v _test.go)"; \
@@ -299,11 +308,11 @@ loc:
 		      printf "%7d %7d  total (non-test, test)\n", nt, tt }'
 
 # placement: where the linker put the hot kernels in the server binary, as
-# address mod 64. internal/simmpi and internal/tcpmpi are laid out before
-# every other package of the module and functions are aligned to 32 bytes, so
-# a change to either can move every kernel from 0 to 32 mod 64 or back, and
-# that alone moves the sim workloads of the benchmark by 15 % (ROADMAP item
-# 2). Lines print in address order. The accepted placement reads 0 for the
+# address mod 64. Functions are aligned to 32 bytes and packages follow one
+# another (today internal/sparse, then internal/simmpi, vecops, distmat,
+# krylov, tcpmpi and the rest), so a change to one can move every function
+# linked after it from 0 to 32 mod 64 or back, and that alone moves the sim
+# workloads of the benchmark by 15 % (ROADMAP item 2). Lines print in address order. The accepted placement reads 0 for the
 # five assembly kernels — the pair kernel, the run kernel mulVecRunsF64, its
 # k-wide twin mulMatRunsF64, mulMatRuns2F64 (the body for a batch of two)
 # and the entry walk mulVecRowsF64, which took over the 1-wide product of
@@ -311,10 +320,16 @@ loc:
 # there, as rowDotCols[float32] is); their loop heads sit
 # under PCALIGN $32 — and 32 for the Go k-wide wrapper mulMatWide[float64],
 # vecops.Dot and the classic loop's fused update ClassicCGUpdateBatch.
+# Between them, also in address order, a "first of" line per package of the
+# module gives the offset of its first text symbol: an edit that moves all
+# of a package's Go code by 32 shows there even when no kernel line moves.
 # Compare timings of two builds only when their lines agree.
 placement:
 	$(GO) build -o bin/fsaiserve ./cmd/fsaiserve
-	@$(GO) tool nm -n bin/fsaiserve | while read addr _ sym; do case "$$sym" in \
+	@$(GO) tool nm -n bin/fsaiserve | while read addr typ sym; do \
+		case "$$typ$$sym" in [Tt]fsaicomm/* | [Tt]fsaicomm.*) pkg="$${sym%%.*}"; case "$$seen " in *" $$pkg "*) ;; *) \
+			seen="$$seen $$pkg"; echo "$$((0x$$addr % 64)) mod 64  first of $$pkg: $$sym" ;; esac ;; esac; \
+		case "$$sym" in \
 		fsaicomm/internal/sparse.mulMatPairF64.abi0 | \
 		'fsaicomm/internal/sparse.mulMatWide[go.shape.float64]' | \
 		fsaicomm/internal/sparse.mulVecRowsF64.abi0 | \
@@ -336,8 +351,9 @@ cover:
 # against vecops.Dot, the rows they refuse against the portable body's
 # panics), the k-wide vector
 # kernels at width 1 and at width 2 against the scalar ones they stand in for, the dense QR least-squares kernel behind SPAI, the packed
-# Cholesky of the first build against its row-major reference, the three
-# decoders of the socket transport that face bytes another process wrote,
+# Cholesky of the first build against its row-major reference, the frame
+# assembler, ring and message decoder of the socket transport, which face
+# bytes another process wrote,
 # the /solve request decoder, and two same-pattern uploads set up at once
 # against a live cache (seeds already run under plain `go test`).
 fuzz:
@@ -354,6 +370,5 @@ fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzRing -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzDecodeP2P -fuzztime 30s ./internal/tcpmpi/
-	$(GO) test -fuzz FuzzDecodeColl -fuzztime 30s ./internal/tcpmpi/
 	$(GO) test -fuzz FuzzSolveRequest -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzPatternRace -fuzztime 30s ./internal/serve/

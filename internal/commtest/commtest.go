@@ -4,6 +4,9 @@
 // (its semantics predate the Transport split); the ring backend must pass
 // the same table verbatim, under both `go test` and `go test -race`. A new
 // backend earns its place by adding a three-line harness, not new tests.
+// A backend only moves payloads on two lanes; the collective rendezvous
+// above them is simmpi.Comm's own, so the collective cases check that one
+// body over each backend's collective lane.
 //
 // The cases only assert behavior observable through the Comm API plus
 // process-shared memory (atomics), because every harness runs its ranks as
@@ -60,19 +63,7 @@ func wantErrContaining(substr string) func(t *testing.T, m *simmpi.Meter, err er
 	}
 }
 
-func eqF64(got []float64, want ...float64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("got %v, want %v", got, want)
-		}
-	}
-	return nil
-}
-
-func eqI64(got []int64, want ...int64) error {
+func eq[T simmpi.Elem](got []T, want ...T) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("got %v, want %v", got, want)
 	}
@@ -125,7 +116,7 @@ func cases() []conformanceCase {
 				for src := 1; src < c.Size(); src++ {
 					for i := 0; i < msgs; i++ {
 						got := simmpi.Recv[float64](c, src, i)
-						if err := eqF64(got, float64(100*src+i)); err != nil {
+						if err := eq(got, float64(100*src+i)); err != nil {
 							return fmt.Errorf("src %d msg %d: %w", src, i, err)
 						}
 					}
@@ -162,10 +153,10 @@ func cases() []conformanceCase {
 					simmpi.Send(c, 1, 1, buf)
 					return nil
 				}
-				if err := eqF64(simmpi.Recv[float64](c, 0, 0), 1, 2, 3); err != nil {
+				if err := eq(simmpi.Recv[float64](c, 0, 0), 1, 2, 3); err != nil {
 					return err
 				}
-				return eqF64(simmpi.Recv[float64](c, 0, 1), -1, -2, -3)
+				return eq(simmpi.Recv[float64](c, 0, 1), -1, -2, -3)
 			},
 			check: wantOK,
 		},
@@ -179,7 +170,7 @@ func cases() []conformanceCase {
 				sent := []float64{float64(c.Rank()), 42}
 				simmpi.Send(c, c.Rank(), 3, sent)
 				got := simmpi.Recv[float64](c, c.Rank(), 3)
-				if err := eqF64(got, float64(c.Rank()), 42); err != nil {
+				if err := eq(got, float64(c.Rank()), 42); err != nil {
 					return err
 				}
 				if &got[0] != &sent[0] {
@@ -209,16 +200,13 @@ func cases() []conformanceCase {
 				// gives different bit patterns, which is exactly what the
 				// rank-ordered reduction contract forbids.
 				want := 0.1 + 1.1 + 2.1 + 3.1
-				if err := eqF64(c.AllreduceSum(r+0.1, -r), want, -6); err != nil {
+				if err := eq(simmpi.Allreduce(c, simmpi.Sum, r+0.1, -r), want, -6); err != nil {
 					return fmt.Errorf("sum: %w", err)
 				}
-				if err := eqF64(c.AllreduceMax(r, -r), 3, 0); err != nil {
+				if err := eq(simmpi.Allreduce(c, simmpi.Max, r, -r), 3, 0); err != nil {
 					return fmt.Errorf("max: %w", err)
 				}
-				if err := eqF64(c.AllreduceMin(r, -r), 0, -3); err != nil {
-					return fmt.Errorf("min: %w", err)
-				}
-				if err := eqF64(c.AllgatherFloats([]float64{r * 10}), 0, 10, 20, 30); err != nil {
+				if err := eq(simmpi.Allgather(c, []float64{r * 10}), 0, 10, 20, 30); err != nil {
 					return fmt.Errorf("allgather: %w", err)
 				}
 				return nil
@@ -226,20 +214,21 @@ func cases() []conformanceCase {
 			check: wantOK,
 		},
 		{
+			// Int collectives: ints travel as 64-bit values on every backend.
 			name: "collectives-int64",
 			size: 3,
 			fn: func(c *simmpi.Comm) error {
-				r := int64(c.Rank())
-				if err := eqI64(c.AllreduceSumInt64(r, 1), 3, 3); err != nil {
+				r := c.Rank()
+				if err := eq(simmpi.Allreduce(c, simmpi.Sum, r, 1), 3, 3); err != nil {
 					return fmt.Errorf("sum: %w", err)
 				}
-				if err := eqI64(c.AllreduceMaxInt64(-r), 0); err != nil {
+				if err := eq(simmpi.Allreduce(c, simmpi.Max, -r), 0); err != nil {
 					return fmt.Errorf("max: %w", err)
 				}
-				if err := eqI64(c.AllgatherInt64([]int64{r, r}), 0, 0, 1, 1, 2, 2); err != nil {
+				if err := eq(simmpi.Allgather(c, []int{r, r}), 0, 0, 1, 1, 2, 2); err != nil {
 					return fmt.Errorf("allgather: %w", err)
 				}
-				got := c.AllgatherInt([]int{c.Rank() + 5})
+				got := simmpi.Allgather(c, []int{c.Rank() + 5})
 				if len(got) != 3 || got[0] != 5 || got[1] != 6 || got[2] != 7 {
 					return fmt.Errorf("allgather int: %v", got)
 				}
@@ -248,25 +237,54 @@ func cases() []conformanceCase {
 			check: wantOK,
 		},
 		{
-			name: "bcast-root0",
+			// Each collective carries float64 and int values alike, meters
+			// 8 bytes a value and one call per rank, and takes zero-length
+			// contributions. A float sum adds from +0 in ascending rank
+			// order: 1e16 + 1 loses the 1 before −1e16 comes, where adding
+			// rank 2's value before rank 1's would give 1; and 1e16 + 1 + 1
+			// loses both, where descending order, 1 + 1 + 1e16, keeps them.
+			name: "collectives-every-element-type",
 			size: 3,
 			fn: func(c *simmpi.Comm) error {
-				var in []float64
-				if c.Rank() == 0 {
-					in = []float64{3.5, -1}
+				me := c.Rank()
+				r := float64(me)
+				steps := []struct {
+					what   string
+					values int // each rank's contribution
+					run    func() error
+				}{
+					{"float64 sum", 2, func() error { return eq(simmpi.Allreduce(c, simmpi.Sum, r, 0.5), 3, 1.5) }},
+					{"float64 max", 2, func() error { return eq(simmpi.Allreduce(c, simmpi.Max, -r, r), 0, 2) }},
+					{"int sum", 2, func() error { return eq(simmpi.Allreduce(c, simmpi.Sum, me, 1), 3, 3) }},
+					{"int max", 2, func() error { return eq(simmpi.Allreduce(c, simmpi.Max, -me, me), 0, 2) }},
+					{"float64 allgather", 1, func() error { return eq(simmpi.Allgather(c, []float64{r / 2}), 0, 0.5, 1) }},
+					{"int allgather", 2, func() error { return eq(simmpi.Allgather(c, []int{me, -me}), 0, 0, 1, -1, 2, -2) }},
+					{"rank-ordered sum", 2, func() error {
+						return eq(simmpi.Allreduce(c, simmpi.Sum, []float64{1e16, 1, -1e16}[me], []float64{1e16, 1, 1}[me]), 0, 1e16)
+					}},
+					{"empty float64 allgather", 0, func() error { return eq(simmpi.Allgather[float64](c, nil)) }},
+					{"empty int allgather", 0, func() error { return eq(simmpi.Allgather(c, []int{})) }},
+					{"barrier", 0, func() error { c.Barrier(); return nil }},
 				}
-				return eqF64(c.BcastFloats(0, in), 3.5, -1)
-			},
-			check: wantOK,
-		},
-		{
-			name: "bcast-nonzero-root-rejected",
-			size: 2,
-			fn: func(c *simmpi.Comm) error {
-				c.BcastFloats(1, []float64{1})
+				for _, s := range steps {
+					before := c.Meter().RankSnapshot(me)
+					if err := s.run(); err != nil {
+						return fmt.Errorf("rank %d, %s: %w", me, s.what, err)
+					}
+					d := c.Meter().RankSnapshot(me).Sub(before)
+					if d.CollectiveCalls != 1 || d.CollectiveBytes != int64(8*s.values) {
+						return fmt.Errorf("rank %d, %s: %d calls and %d bytes metered, want 1 and %d",
+							me, s.what, d.CollectiveCalls, d.CollectiveBytes, 8*s.values)
+					}
+				}
 				return nil
 			},
-			check: wantErrContaining("root 0 only"),
+			check: func(t *testing.T, m *simmpi.Meter, err error) {
+				wantOK(t, m, err)
+				if s := m.Snapshot(); s.CollectiveCalls != 3*10 || s.CollectiveBytes != 3*8*13 || s.P2PMessages != 0 {
+					t.Errorf("meter %+v, want 30 collective calls, 312 bytes and no messages", s)
+				}
+			},
 		},
 		{
 			// No rank may observe the world past a barrier before every
@@ -318,7 +336,7 @@ func cases() []conformanceCase {
 				for i := 0; i < c.Rank(); i++ {
 					mine = append(mine, float64(10*c.Rank()+i))
 				}
-				return eqF64(c.AllgatherFloats(mine), 10, 20, 21)
+				return eq(simmpi.Allgather(c, mine), 10, 20, 21)
 			},
 			check: wantOK,
 		},
@@ -370,7 +388,7 @@ func cases() []conformanceCase {
 					if err != nil {
 						return err
 					}
-					if err := eqF64(got, float64(10*prev+i)); err != nil {
+					if err := eq(got, float64(10*prev+i)); err != nil {
 						return fmt.Errorf("round %d from %d: %w", i, prev, err)
 					}
 				}
@@ -382,7 +400,7 @@ func cases() []conformanceCase {
 					if err != nil {
 						return err
 					}
-					if err := eqF64(v, float64(4*i)); err != nil {
+					if err := eq(v, float64(4*i)); err != nil {
 						return fmt.Errorf("coll round %d: %w", i, err)
 					}
 				}
@@ -399,7 +417,7 @@ func cases() []conformanceCase {
 				if c.Rank() == 0 {
 					c.Barrier()
 				} else {
-					c.AllreduceSum(1)
+					simmpi.Allreduce(c, simmpi.Sum, 1.0)
 				}
 				return nil
 			},
@@ -438,7 +456,7 @@ func cases() []conformanceCase {
 				if got := c.Meter().RankSnapshot(me).P2PBytes - before; got != 2*8+3*4+2*8 {
 					return fmt.Errorf("rank %d: %d bytes metered at post time, want 44", me, got)
 				}
-				if got, err := f64.Wait(); err != nil || eqF64(got, float64(peer), 0.1) != nil {
+				if got, err := f64.Wait(); err != nil || eq(got, float64(peer), 0.1) != nil {
 					return fmt.Errorf("rank %d: float64s %v, %v", me, got, err)
 				}
 				if got, err := f32.Wait(); err != nil || len(got) != 3 || got[0] != float32(peer) || got[1] != 0.1 || got[2] != 3 {
@@ -508,9 +526,9 @@ func cases() []conformanceCase {
 					simmpi.Recv[int](c, 0, 1)
 					simmpi.Recv[float64](c, 1, 2)
 				}
-				c.Barrier()                  // 0 B, 1 call per rank
-				c.AllreduceSum(1, 2)         // 16 B per rank
-				c.AllgatherInt64([]int64{1}) // 8 B per rank
+				c.Barrier()                             // 0 B, 1 call per rank
+				simmpi.Allreduce(c, simmpi.Sum, 1.0, 2) // 16 B per rank
+				simmpi.Allgather(c, []int{1})           // 8 B per rank
 				return nil
 			},
 			check: func(t *testing.T, m *simmpi.Meter, err error) {
@@ -553,7 +571,7 @@ func cases() []conformanceCase {
 				peer := 1 - c.Rank()
 				simmpi.Send(c, peer, 0, ramp(c.Rank(), 0, 100_000))
 				simmpi.Send(c, peer, 1, []int{c.Rank()})
-				if err := eqF64(simmpi.Recv[float64](c, peer, 0), ramp(peer, 0, 100_000)...); err != nil {
+				if err := eq(simmpi.Recv[float64](c, peer, 0), ramp(peer, 0, 100_000)...); err != nil {
 					return fmt.Errorf("rank %d: %w", c.Rank(), err)
 				}
 				if got := simmpi.Recv[int](c, peer, 1); len(got) != 1 || got[0] != peer {
@@ -589,7 +607,7 @@ func cases() []conformanceCase {
 					if from == me {
 						continue
 					}
-					if err := eqF64(simmpi.Recv[float64](c, from, 5), ramp(from, me, n(from, me))...); err != nil {
+					if err := eq(simmpi.Recv[float64](c, from, 5), ramp(from, me, n(from, me))...); err != nil {
 						return fmt.Errorf("rank %d from %d: %w", me, from, err)
 					}
 				}
@@ -611,7 +629,7 @@ func cases() []conformanceCase {
 					switch i % 3 {
 					case 0:
 						simmpi.Send(c, peer, i, ramp(me, i, n))
-						if err := eqF64(simmpi.Recv[float64](c, peer, i), ramp(peer, i, n)...); err != nil {
+						if err := eq(simmpi.Recv[float64](c, peer, i), ramp(peer, i, n)...); err != nil {
 							return fmt.Errorf("rank %d message %d: %w", me, i, err)
 						}
 					case 1:
@@ -655,11 +673,11 @@ func cases() []conformanceCase {
 						// Late, so that both of rank 1's waits are asleep.
 						time.Sleep(5 * time.Millisecond)
 						if collFirst {
-							c.AllreduceSum(1)
+							simmpi.Allreduce(c, simmpi.Sum, 1.0)
 						}
 						simmpi.Send(c, 1, round, []float64{float64(round)})
 						if !collFirst {
-							c.AllreduceSum(1)
+							simmpi.Allreduce(c, simmpi.Sum, 1.0)
 						}
 						continue
 					}
@@ -672,13 +690,13 @@ func cases() []conformanceCase {
 					} else {
 						// Background receive, blocking collective.
 						req := simmpi.Irecv[float64](c, 0, round)
-						sum = c.AllreduceSum(2)
+						sum = simmpi.Allreduce(c, simmpi.Sum, 2.0)
 						got, _ = req.Wait()
 					}
-					if err := eqF64(sum, 3); err != nil {
+					if err := eq(sum, 3); err != nil {
 						return fmt.Errorf("round %d sum: %w", round, err)
 					}
-					if err := eqF64(got, float64(round)); err != nil {
+					if err := eq(got, float64(round)); err != nil {
 						return fmt.Errorf("round %d message: %w", round, err)
 					}
 				}

@@ -275,7 +275,7 @@ func analysePattern(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, cfg Co
 	} else {
 		p.base = LowerPatternDist(aRows, lo)
 	}
-	p.baseNNZ = c.AllreduceSumInt64(int64(p.base.Pattern.NNZ()))[0]
+	p.baseNNZ = int64(simmpi.Allreduce(c, simmpi.Sum, p.base.Pattern.NNZ())[0])
 	// Plain FSAI builds on the base pattern as it is: "without thresholding
 	// and filtering only null entries", and structural zeros cannot occur.
 	p.ext = p.base
@@ -387,11 +387,11 @@ func (s *Symbolic) Factor(c *simmpi.Comm, aVal []float64, prev *FactorPlan) (*Bu
 // moved reports, to every rank alike, whether on any rank the rows of g have
 // another pattern than the one p was planned for. Collective.
 func (p *FactorPlan) moved(c *simmpi.Comm, g *sparse.CSR) bool {
-	var differs int64
+	differs := 0
 	if !slices.Equal(g.RowPtr, p.rowPtr) || !slices.Equal(g.ColIdx, p.colIdx) {
 		differs = 1
 	}
-	return c.AllreduceMaxInt64(differs)[0] > 0
+	return simmpi.Allreduce(c, simmpi.Max, differs)[0] > 0
 }
 
 // planFactor plans the transpose and both halo-ready operators for the
@@ -404,8 +404,9 @@ func planFactor(c *simmpi.Comm, l *distmat.Layout, lo, hi int, g *sparse.CSR, ph
 	t1 := time.Now()
 	p.g = newOpShape(c, l, lo, hi, g.RowPtr, g.ColIdx)
 	p.gt = newOpShape(c, l, lo, hi, p.t.RowPtr, p.t.ColIdx)
-	p.finalNNZ = c.AllreduceSumInt64(int64(g.NNZ()))[0]
-	p.imbalance = distmat.NNZImbalanceIndex(c, int64(g.NNZ()))
+	nnz := g.NNZ()
+	p.finalNNZ = int64(simmpi.Allreduce(c, simmpi.Sum, nnz)[0])
+	p.imbalance = distmat.NNZImbalanceIndex(c, nnz)
 	ph.Transpose += t1.Sub(t0)
 	ph.HaloPlans += time.Since(t1)
 	return p
@@ -455,9 +456,9 @@ func (b *Build) factorSPAI(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows 
 	}
 	t1 := time.Now()
 	b.MRows, b.MOp = m, distmat.NewOp(c, l, lo, hi, m)
-	baseNNZ := c.AllreduceSumInt64(int64(aRows.NNZ()))[0]
-	finalNNZ := c.AllreduceSumInt64(int64(m.NNZ()))[0]
-	b.setNNZ(baseNNZ, finalNNZ, distmat.NNZImbalanceIndex(c, int64(m.NNZ())))
+	baseNNZ := simmpi.Allreduce(c, simmpi.Sum, aRows.NNZ())[0]
+	finalNNZ := simmpi.Allreduce(c, simmpi.Sum, m.NNZ())[0]
+	b.setNNZ(int64(baseNNZ), int64(finalNNZ), distmat.NNZImbalanceIndex(c, m.NNZ()))
 	b.Phases = SetupPhases{FirstBuild: t1.Sub(t0), HaloPlans: time.Since(t1)}
 	return nil
 }

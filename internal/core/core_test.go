@@ -571,7 +571,7 @@ func TestExtendPatternNaiveIncreasesHalo(t *testing.T) {
 		if len(hn) > len(hc) {
 			grew = 1
 		}
-		total := c.AllreduceSumInt64(int64(grew))[0]
+		total := simmpi.Allreduce(c, simmpi.Sum, grew)[0]
 		if c.Rank() == 0 && total == 0 {
 			return fmt.Errorf("naive extension never grew any rank's halo")
 		}

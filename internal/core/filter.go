@@ -66,7 +66,7 @@ func DynamicFilterValue(c *simmpi.Comm, gExt *sparse.CSR, lo int, filter float64
 	count := fsai.CountFilteredDist(gExt, lo, myF, base)
 	size := float64(c.Size())
 
-	total := c.AllreduceSumInt64(count)[0]
+	total := simmpi.Allreduce(c, simmpi.Sum, count)[0]
 	if total == 0 {
 		return myF
 	}
@@ -74,19 +74,19 @@ func DynamicFilterValue(c *simmpi.Comm, gExt *sparse.CSR, lo int, filter float64
 
 	for round := 0; round < maxBalanceRounds; round++ {
 		avg := float64(total) / size
-		target := int64(imbHigh * avg)
+		target := int(imbHigh * avg)
 		needWork := 0.0
 		if adjusting && count > target {
 			needWork = 1
 		}
-		if c.AllreduceMax(needWork)[0] == 0 {
+		if simmpi.Allreduce(c, simmpi.Max, needWork)[0] == 0 {
 			break
 		}
 		if needWork == 1 {
 			myF = bisectFilter(gExt, lo, base, filter, target)
 			count = fsai.CountFilteredDist(gExt, lo, myF, base)
 		}
-		total = c.AllreduceSumInt64(count)[0]
+		total = simmpi.Allreduce(c, simmpi.Sum, count)[0]
 		if total == 0 {
 			break
 		}
@@ -96,7 +96,7 @@ func DynamicFilterValue(c *simmpi.Comm, gExt *sparse.CSR, lo int, filter float64
 
 // bisectFilter finds (approximately) the smallest filter ≥ start whose
 // surviving count is ≤ target: double to bracket, then midpoint steps.
-func bisectFilter(gExt *sparse.CSR, lo int, base *sparse.Pattern, start float64, target int64) float64 {
+func bisectFilter(gExt *sparse.CSR, lo int, base *sparse.Pattern, start float64, target int) float64 {
 	loF := start
 	hiF := start
 	for fsai.CountFilteredDist(gExt, lo, hiF, base) > target {

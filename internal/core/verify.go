@@ -34,7 +34,7 @@ func VerifyCommInvariance(c *simmpi.Comm, base, ext *Build) error {
 	if bad != "" {
 		mine = float64(c.Rank() + 1)
 	}
-	worst := c.AllreduceMax(mine)[0]
+	worst := simmpi.Allreduce(c, simmpi.Max, mine)[0]
 	if worst > 0 {
 		if bad != "" && float64(c.Rank()+1) == worst {
 			return fmt.Errorf("core: communication invariance violated on rank %d: %s", c.Rank(), bad)

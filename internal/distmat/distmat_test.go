@@ -566,7 +566,7 @@ func TestDistributedDotAndNorm(t *testing.T) {
 func TestNNZImbalanceIndex(t *testing.T) {
 	_, err := simmpi.Run(4, testTimeout, func(c *simmpi.Comm) error {
 		// Ranks hold 10, 10, 10, 30 entries: avg 15, max 30, index 0.5.
-		local := int64(10)
+		local := 10
 		if c.Rank() == 3 {
 			local = 30
 		}

@@ -205,7 +205,7 @@ type HaloPlan struct {
 	// baselines under the same topology.
 	rank       int
 	topo       simmpi.Topology
-	needCounts []int64
+	needCounts []int
 	nodeAware  bool
 	nap        *napSched
 	// f32 selects the half-width wire format: halo values are narrowed to
@@ -277,11 +277,11 @@ func BuildHaloPlan(c *simmpi.Comm, l *Layout, lz *Localized) *HaloPlan {
 		plan.RecvPeers[owner] = append(plan.RecvPeers[owner], slotIdx)
 	}
 	// Everyone learns the full need-count matrix.
-	counts := make([]int64, size)
-	for p := 0; p < size; p++ {
-		counts[p] = int64(len(needByOwner[p]))
+	counts := make([]int, size)
+	for p, need := range needByOwner {
+		counts[p] = len(need)
 	}
-	all := c.AllgatherInt64(counts) // all[r*size+p] = count rank r needs from p
+	all := simmpi.Allgather(c, counts) // all[r*size+p] = count rank r needs from p
 	plan.needCounts = all
 	// Send my request lists to owners.
 	for p := 0; p < size; p++ {
@@ -342,7 +342,7 @@ func NewHaloPlanFromSchedule(sendPeers, recvPeers [][]int) *HaloPlan {
 // whenever topo has multi-rank nodes, exactly as BuildHaloPlan under a
 // topology-carrying Comm would — so a prepared system serialized once can be
 // solved under any per-request topology without redoing the setup exchange.
-func NewHaloPlanFromScheduleTopo(sendPeers, recvPeers [][]int, needCounts []int64, rank int, topo simmpi.Topology) *HaloPlan {
+func NewHaloPlanFromScheduleTopo(sendPeers, recvPeers [][]int, needCounts []int, rank int, topo simmpi.Topology) *HaloPlan {
 	p := NewHaloPlanFromSchedule(sendPeers, recvPeers)
 	p.rank = rank
 	p.topo = topo
@@ -354,7 +354,7 @@ func NewHaloPlanFromScheduleTopo(sendPeers, recvPeers [][]int, needCounts []int6
 // NeedCounts returns the plan's need matrix (needCounts[d*size+s] = values
 // rank d receives from rank s per exchange), or nil for schedule-built plans
 // that never captured one. Shared slice; callers must not mutate.
-func (p *HaloPlan) NeedCounts() []int64 { return p.needCounts }
+func (p *HaloPlan) NeedCounts() []int { return p.needCounts }
 
 // SetNodeAware toggles node-aware routing. Enabling it on a plan without a
 // multi-rank topology or a need matrix panics: silently falling back to the

@@ -101,7 +101,7 @@ func buildNapSched(p *HaloPlan) *napSched {
 	topo := p.topo
 	size := len(p.SendPeers)
 	rank := p.rank
-	need := func(d, src int) int { return int(p.needCounts[d*size+src]) }
+	need := func(d, src int) int { return p.needCounts[d*size+src] }
 
 	s := &napSched{
 		myNode:     topo.NodeOf(rank),

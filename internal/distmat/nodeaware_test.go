@@ -29,7 +29,7 @@ func handPlan(rank int, topo simmpi.Topology) *HaloPlan {
 		recv[p] = []int{slot}
 		slot++
 	}
-	need := make([]int64, size*size)
+	need := make([]int, size*size)
 	for d := 0; d < size; d++ {
 		for s := 0; s < size; s++ {
 			if d != s {

@@ -175,7 +175,7 @@ func Dot(c *simmpi.Comm, x, y []float64, fc *vecops.FlopCounter) float64 {
 	if c == nil {
 		return local
 	}
-	return c.AllreduceSum(local)[0]
+	return simmpi.Allreduce(c, simmpi.Sum, local)[0]
 }
 
 // SumAcross reduces vals element-wise over the ranks in one collective and
@@ -184,7 +184,7 @@ func SumAcross(c *simmpi.Comm, vals []float64) []float64 {
 	if c == nil {
 		return vals
 	}
-	return c.AllreduceSum(vals...)
+	return simmpi.Allreduce(c, simmpi.Sum, vals...)
 }
 
 // Norm2 returns the global Euclidean norm of a distributed vector (nil Comm
@@ -295,15 +295,15 @@ func PlanGather(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, wanted 
 	// need is sorted and ownership is contiguous, so each owner's requests
 	// are one run of it.
 	needByOwner := make([][]int, size)
-	counts := make([]int64, size)
+	counts := make([]int, size)
 	for start, p := 0, 0; start < len(need); {
 		p = ownerNear(l, need[start], p)
 		end := start + sort.SearchInts(need[start:], l.Offsets[p+1])
 		needByOwner[p] = need[start:end]
-		counts[p] = int64(end - start)
+		counts[p] = end - start
 		start = end
 	}
-	all := c.AllgatherInt64(counts)
+	all := simmpi.Allgather(c, counts)
 	// Send requests.
 	for p := 0; p < size; p++ {
 		if p != rank && len(needByOwner[p]) > 0 {
@@ -421,13 +421,13 @@ func PlanTranspose(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR) *Tra
 	if rlo, rhi := l.Range(rank); rlo != lo || rhi != hi || rows.Rows != hi-lo {
 		panic(fmt.Sprintf("distmat: rank %d transposes %d rows as [%d,%d), layout says [%d,%d)", rank, rows.Rows, lo, hi, rlo, rhi))
 	}
-	counts := make([]int64, size)
+	counts := make([]int, size)
 	own := 0 // owner of the column last looked at
 	for _, gj := range rows.ColIdx {
 		own = ownerNear(l, gj, own)
 		counts[own]++
 	}
-	all := c.AllgatherInt64(counts)
+	all := simmpi.Allgather(c, counts)
 	t := &TransposePlan{RowPtr: make([]int, hi-lo+1), to: make([]int, rows.NNZ()), send: make([][]int, size), recv: make([][]int, size)}
 	// Announce what leaves this rank: (i, j) pairs per destination.
 	flat := make([][]int, size)
@@ -553,9 +553,9 @@ func (t *TransposePlan) SizeBytes() int64 {
 // NNZImbalanceIndex computes the paper's imbalance index for per-rank entry
 // counts: average entries / maximum entries (≤ 1; 1 means balanced).
 // Collective.
-func NNZImbalanceIndex(c *simmpi.Comm, localNNZ int64) float64 {
-	sums := c.AllreduceSumInt64(localNNZ)
-	maxs := c.AllreduceMaxInt64(localNNZ)
+func NNZImbalanceIndex(c *simmpi.Comm, localNNZ int) float64 {
+	sums := simmpi.Allreduce(c, simmpi.Sum, localNNZ)
+	maxs := simmpi.Allreduce(c, simmpi.Max, localNNZ)
 	if maxs[0] == 0 {
 		return 1
 	}

@@ -320,8 +320,8 @@ func FilterDist(g *sparse.CSR, lo, hi int, filter float64, base *sparse.Pattern)
 
 // CountFilteredDist counts the entries FilterDist would keep, without
 // materializing the pattern. Used by the dynamic-filter bisection.
-func CountFilteredDist(g *sparse.CSR, lo int, filter float64, base *sparse.Pattern) int64 {
-	var n int64
+func CountFilteredDist(g *sparse.CSR, lo int, filter float64, base *sparse.Pattern) int {
+	n := 0
 	for li := 0; li < g.Rows; li++ {
 		gi := lo + li
 		cols, vals := g.Row(li)

@@ -238,7 +238,7 @@ func TestFilterPatternAndCount(t *testing.T) {
 	}
 	for _, f := range []float64{0, 0.01, 0.1, 0.5} {
 		p := FilterPattern(g, f)
-		if int64(p.NNZ()) != CountFilteredDist(g, 0, f, nil) {
+		if p.NNZ() != CountFilteredDist(g, 0, f, nil) {
 			t.Fatalf("filter %v: pattern %d != count %d", f, p.NNZ(), CountFilteredDist(g, 0, f, nil))
 		}
 		// Diagonal always survives.
@@ -360,7 +360,7 @@ func TestFilterDistMatchesSerial(t *testing.T) {
 		lo, hi := l.Range(r)
 		gRows := distmat.ExtractLocalRows(g, lo, hi)
 		fd := FilterDist(gRows, lo, hi, 0.05, nil)
-		if cf := CountFilteredDist(gRows, lo, 0.05, nil); cf != int64(fd.Pattern.NNZ()) {
+		if cf := CountFilteredDist(gRows, lo, 0.05, nil); cf != fd.Pattern.NNZ() {
 			t.Fatalf("count %d != pattern %d", cf, fd.Pattern.NNZ())
 		}
 		for li := 0; li < hi-lo; li++ {

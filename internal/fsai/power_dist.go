@@ -36,7 +36,7 @@ func PowerPatternDist(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, lo, 
 			}
 		}
 	}
-	diag := c.AllgatherFloats(localDiag)
+	diag := simmpi.Allgather(c, localDiag)
 
 	// Thresholded local rows of Ã (pattern only), diagonal guaranteed.
 	at := thresholdRows(aRows, lo, diag, tau)

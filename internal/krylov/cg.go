@@ -60,13 +60,13 @@ func globalLen(c *simmpi.Comm, nl int) int {
 	if c == nil {
 		return nl
 	}
-	return int(c.AllreduceSumInt64(int64(nl))[0])
+	return simmpi.Allreduce(c, simmpi.Sum, nl)[0]
 }
 
 // canceled is the once-per-iteration cancellation check. Serial solves
 // (c == nil) just poll the context. Distributed solves must exit their
 // collectives in lockstep, so the decision is itself collective: each rank
-// contributes its local context state to an AllreduceMax and every rank
+// contributes its local context state to a Max Allreduce and every rank
 // sees the same verdict — one rank observing cancellation stops all of
 // them at the same iteration boundary. Passing a nil Ctx keeps the solve
 // loops collective-free and byte-for-byte identical to their metered
@@ -79,11 +79,11 @@ func canceled(c *simmpi.Comm, ctx context.Context) bool {
 	if c == nil {
 		return ctx.Err() != nil
 	}
-	var flag int64
+	flag := 0
 	if ctx.Err() != nil {
 		flag = 1
 	}
-	return c.AllreduceMaxInt64(flag)[0] != 0
+	return simmpi.Allreduce(c, simmpi.Max, flag)[0] != 0
 }
 
 // Options controls a CG solve.
@@ -111,7 +111,7 @@ type Options struct {
 	// Ctx, when non-nil, cancels the solve: every loop checks it once per
 	// iteration and returns an ErrCanceled-wrapped error with the partial
 	// Stats accumulated so far. In distributed solves the check is a
-	// collective (an extra AllreduceMax per iteration), so all ranks of a
+	// collective (an extra Max Allreduce per iteration), so all ranks of a
 	// solve must either pass a context or none — and the communication
 	// metering of a context-free solve is unchanged.
 	Ctx context.Context

@@ -8,8 +8,8 @@ package krylov
 // The distributed loop has a fixed, rank-uniform collective schedule that
 // the telemetry tests pin: one Norm2 at every restart-cycle top, and for
 // inner iteration j (0-based within its cycle) j+1 modified-Gram–Schmidt
-// dot products plus one Norm2 — all through the metered AllreduceSum — with
-// one extra AllreduceMax per iteration when a cancellation context is
+// dot products plus one Norm2 — all through the metered Sum Allreduce — with
+// one extra Max Allreduce per iteration when a cancellation context is
 // supplied, exactly as in the CG variants.
 
 import (

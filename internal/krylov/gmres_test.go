@@ -332,7 +332,7 @@ func TestDistGMRESMatchesSerial(t *testing.T) {
 // performs j+1 Gram–Schmidt dots plus one norm (j+2 calls); the first
 // record of every later cycle additionally carries that cycle's top norm;
 // and the final record absorbs the terminating restart check. A supplied
-// context adds exactly one AllreduceMax per iteration.
+// context adds exactly one Max Allreduce per iteration.
 func TestDistGMRESCollectiveSchedule(t *testing.T) {
 	a := matgen.ConvectionDiffusion2D(12, 12, 20)
 	n := a.Rows
@@ -374,7 +374,7 @@ func TestDistGMRESCollectiveSchedule(t *testing.T) {
 		extra := int64(0)
 		if withCtx {
 			ctx = context.Background()
-			extra = 1 // one AllreduceMax cancellation poll per iteration
+			extra = 1 // one Max Allreduce cancellation poll per iteration
 		}
 		traces := run(ctx)
 		for r, tr := range traces {

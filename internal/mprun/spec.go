@@ -66,7 +66,7 @@ type JobSpec struct {
 type HeldOp struct {
 	LZ         *distmat.Localized
 	Send, Recv [][]int
-	Counts     []int64
+	Counts     []int
 }
 
 // Hold captures an operator for later adoption. The schedule lists are

@@ -194,7 +194,7 @@ func TestBlockingCollectiveDrainsOutstanding(t *testing.T) {
 	_, err := Run(3, testTimeout, func(c *Comm) error {
 		r1 := c.IallreduceSum(1)
 		r2 := c.IallreduceSum(2)
-		max := c.AllreduceMax(float64(c.Rank()))
+		max := Allreduce(c, Max, float64(c.Rank()))
 		if max[0] != 2 {
 			return fmt.Errorf("max %v, want 2", max)
 		}

@@ -1,16 +1,19 @@
 // Package simmpi is a message-passing runtime that stands in for MPI in the
 // FSAIE-Comm reproduction. A Comm is one rank's handle on a world of ranks;
-// beneath it sits a pluggable Transport (see transport.go). The default
-// backend in this package runs ranks as goroutines inside one OS process and
-// exchanges messages over Go channels; internal/tcpmpi provides the backend
-// where each rank is an OS process and messages cross shared-memory rings.
+// beneath it sits a pluggable Transport (see transport.go) that moves ordered
+// payloads between two ranks on two lanes. The default backend in this
+// package runs ranks as goroutines inside one OS process and exchanges
+// messages over Go channels; internal/tcpmpi provides the backend where each
+// rank is an OS process and messages cross shared-memory rings.
 //
 // The runtime provides the subset of MPI the paper's solver needs — tagged
 // point-to-point messages of float64, float32 or int values (Send, Recv and
-// their nonblocking forms Isend and Irecv, one generic body each over Elem),
-// the collectives Barrier, Allreduce, Allgather and Bcast, and a nonblocking
-// IallreduceSum — and, crucially, it meters every byte that crosses rank
-// boundaries. The paper's central
+// their nonblocking forms Isend and Irecv), the collectives Allreduce (Sum or
+// Max), Allgather and Barrier and a nonblocking IallreduceSum, one generic
+// body each over Elem — and, crucially, it meters every byte that crosses
+// rank boundaries. Every collective is one rendezvous, written once in Comm
+// for both backends: gather to rank 0, reduce in ascending rank order,
+// send the result down. The paper's central
 // communication claim (the FSAIE-Comm pattern extension leaves the
 // halo-exchange neighbour sets and volumes untouched) is verified against
 // this meter rather than against wall-clock timings. Metering happens in
@@ -33,15 +36,9 @@ type World struct {
 	size    int
 	timeout time.Duration
 	meter   *Meter
-	// p2p[dst][src] carries messages from src to dst; per-pair channels keep
-	// message order deterministic per sender as MPI guarantees.
-	p2p [][]chan Payload
-	// Collective rendezvous: every rank sends its contribution to the root
-	// goroutine slot and receives the result back.
-	collUp   []chan CollPayload
-	collDown []chan CollPayload
-	// parts is where rank 0, in one collective at a time, lines them up.
-	parts []CollPayload
+	// lanes[l][dst][src] carries lane l's messages from src to dst; per-pair
+	// channels keep message order deterministic per sender as MPI guarantees.
+	lanes [2][][]chan Payload
 	// states holds each rank's Comm-level state (nonblocking chains and the
 	// self-send loopback queue). Entry r is touched only by rank r's
 	// goroutine, so no lock is needed.
@@ -67,6 +64,14 @@ type rankState struct {
 // solver protocols post at most a handful before draining.
 const selfQueueCap = 256
 
+// laneCap is a channel's buffer per lane. Each point-to-point protocol phase
+// posts at most a few messages per pair before draining; a small buffer keeps
+// worlds cheap (they are created per solve in the experiment sweeps). A
+// collective channel holds at most two: the root is never more than one
+// collective ahead of a rank, so a result the rank has not taken yet and the
+// next collective's mismatch verdict.
+var laneCap = [2]int{P2P: 64, Coll: 2}
+
 func newRankState() rankState {
 	return rankState{self: make(chan Payload, selfQueueCap)}
 }
@@ -85,26 +90,22 @@ func NewWorldTopo(size int, timeout time.Duration, topo Topology) *World {
 		panic(err.Error())
 	}
 	w := &World{
-		size:     size,
-		timeout:  timeout,
-		meter:    NewMeterTopo(size, topo),
-		p2p:      make([][]chan Payload, size),
-		collUp:   make([]chan CollPayload, size),
-		collDown: make([]chan CollPayload, size),
-		parts:    make([]CollPayload, size),
-		states:   make([]rankState, size),
+		size:    size,
+		timeout: timeout,
+		meter:   NewMeterTopo(size, topo),
+		states:  make([]rankState, size),
 	}
-	for d := 0; d < size; d++ {
-		w.p2p[d] = make([]chan Payload, size)
-		for s := 0; s < size; s++ {
-			// Each protocol phase posts at most a few messages per pair
-			// before draining; a small buffer keeps worlds cheap (they are
-			// created per solve in the experiment sweeps).
-			w.p2p[d][s] = make(chan Payload, 64)
+	for l := range w.lanes {
+		w.lanes[l] = make([][]chan Payload, size)
+		for d := range w.lanes[l] {
+			w.lanes[l][d] = make([]chan Payload, size)
+			for s := range w.lanes[l][d] {
+				w.lanes[l][d][s] = make(chan Payload, laneCap[l])
+			}
 		}
-		w.collUp[d] = make(chan CollPayload, 1)
-		w.collDown[d] = make(chan CollPayload, 1)
-		w.states[d] = newRankState()
+	}
+	for r := range w.states {
+		w.states[r] = newRankState()
 	}
 	return w
 }
@@ -169,54 +170,15 @@ type simTransport struct {
 func (t *simTransport) Rank() int { return t.rank }
 func (t *simTransport) Size() int { return t.w.size }
 
-func (t *simTransport) Send(dst int, p Payload) error {
-	t.w.p2p[dst][t.rank] <- p
+func (t *simTransport) Send(lane Lane, dst int, p Payload) error {
+	t.w.lanes[lane][dst][t.rank] <- p
 	return nil
 }
 
-func (t *simTransport) Recv(src int) (Payload, error) {
-	m, ok := recvWithin(t.w.p2p[t.rank][src], t.w.timeout, t.waits)
+func (t *simTransport) Recv(lane Lane, src int) (Payload, error) {
+	m, ok := recvWithin(t.w.lanes[lane][t.rank][src], t.w.timeout, t.waits)
 	if !ok {
 		return Payload{}, fmt.Errorf("timed out receiving from %d (deadlock?)", src)
-	}
-	return m, nil
-}
-
-// Collective performs a gather-to-root / broadcast rendezvous. All ranks
-// must call the same op in the same order; op mismatches are errors.
-func (t *simTransport) Collective(contrib CollPayload) (CollPayload, error) {
-	w := t.w
-	op := contrib.Op
-	if t.rank == 0 {
-		parts := w.parts
-		parts[0] = contrib
-		for r := 1; r < w.size; r++ {
-			m, err := t.collRecv(w.collUp[r], op, r)
-			if err != nil {
-				return CollPayload{}, err
-			}
-			parts[r] = m
-		}
-		result, err := Reduce(op, parts)
-		if err != nil {
-			return CollPayload{}, err
-		}
-		for r := 1; r < w.size; r++ {
-			w.collDown[r] <- result
-		}
-		return result, nil
-	}
-	w.collUp[t.rank] <- contrib
-	return t.collRecv(w.collDown[t.rank], op, 0)
-}
-
-func (t *simTransport) collRecv(ch chan CollPayload, op string, from int) (CollPayload, error) {
-	m, ok := recvWithin(ch, t.w.timeout, t.waits)
-	if !ok {
-		return CollPayload{}, fmt.Errorf("timed out in collective %q waiting for rank %d", op, from)
-	}
-	if m.Op != op {
-		return CollPayload{}, fmt.Errorf("collective mismatch: in %q, rank %d sent %q", op, from, m.Op)
 	}
 	return m, nil
 }
@@ -236,6 +198,10 @@ type Comm struct {
 	// operations run beside it, through bg, and count none (bg.waits is nil).
 	waits *Waits
 	bg    *Comm
+	// parts is where the rank, as the root of a collective, lines the
+	// contributions up (see collective). Its blocking and its posted
+	// collectives never run at once.
+	parts []Payload
 }
 
 // NewComm wraps a Transport endpoint in a communicator. meter must have the
@@ -360,7 +326,7 @@ func (c *Comm) deliver(dst int, m Payload) {
 		c.selfPush(m)
 		return
 	}
-	if err := c.t.Send(dst, m); err != nil {
+	if err := c.t.Send(P2P, dst, m); err != nil {
 		panic(fmt.Sprintf("simmpi: rank %d sending tag %d to %d: %v", c.Rank(), m.Tag, dst, err))
 	}
 }
@@ -390,7 +356,7 @@ func recv[T Elem](c *Comm, src, tag int) []T {
 	if src == c.Rank() {
 		m, err = c.selfPop()
 	} else {
-		m, err = c.t.Recv(src)
+		m, err = c.t.Recv(P2P, src)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("simmpi: rank %d receiving tag %d from %d: %v", c.Rank(), tag, src, err))
@@ -398,99 +364,83 @@ func recv[T Elem](c *Comm, src, tag int) []T {
 	if m.Tag != tag {
 		panic(fmt.Sprintf("simmpi: rank %d expected tag %d from %d, got %d", c.Rank(), tag, src, m.Tag))
 	}
-	vals := *slot[T](&m)
-	if vals == nil && (m.F64 != nil || m.F32 != nil || m.Ints != nil) {
+	vals, ok := values[T](&m)
+	if !ok {
 		panic(fmt.Sprintf("simmpi: rank %d expected %s from %d tag %d, got %s",
 			c.Rank(), payloadKind(message(0, 0, []T{})), src, tag, payloadKind(m)))
 	}
 	return vals
 }
 
-// payloadKind names the populated slice of a non-empty payload for
-// mismatch panics.
+// values returns m's T values, and false if m carries values of another
+// type. An empty message has no type: it fits every T.
+func values[T Elem](m *Payload) ([]T, bool) {
+	vals := *slot[T](m)
+	return vals, len(vals) > 0 || len(m.F64)+len(m.F32)+len(m.Ints) == 0
+}
+
+// payloadKind names the element type of m, populated or typed empty, for
+// mismatch panics; "values" where m has none.
 func payloadKind(m Payload) string {
 	switch {
 	case m.F64 != nil:
 		return "floats"
 	case m.F32 != nil:
 		return "float32s"
-	default:
+	case m.Ints != nil:
 		return "ints"
 	}
+	return "values"
 }
+
+// Op is what a collective makes of the ranks' contributions. Sum and Max
+// are the reductions of Allreduce; the others are Comm's own.
+type Op int
+
+const (
+	// Sum adds the contributions element by element, from +0 in ascending
+	// rank order, so a float sum has the same bits on every backend.
+	Sum Op = iota + 1
+	// Max keeps the largest contribution element by element: rank 0's value
+	// unless a later rank's is greater.
+	Max
+	gather   // Allgather: the contributions one after another in rank order
+	barrier  // Barrier: nothing
+	mismatch // the root's answer when the ranks are not in one collective
+)
+
+var opNames = [...]string{Sum: "sum", Max: "max", gather: "allgather", barrier: "barrier", mismatch: "mismatch"}
+
+func (o Op) String() string {
+	if o < Sum || int(o) >= len(opNames) {
+		return fmt.Sprintf("op %d", int(o))
+	}
+	return opNames[o]
+}
+
+// Allreduce returns op (Sum or Max) of every rank's vals, element by
+// element, on every rank; each rank contributes as many values. The result
+// slice is shared between ranks; callers must not mutate it.
+func Allreduce[T Elem](c *Comm, op Op, vals ...T) []T {
+	if op != Sum && op != Max {
+		panic(fmt.Sprintf("simmpi: Allreduce with %v", op))
+	}
+	return syncCollective(c, op, vals)
+}
+
+// Allgather concatenates every rank's vals in rank order; ranks may
+// contribute different counts, none included.
+func Allgather[T Elem](c *Comm, vals []T) []T {
+	return syncCollective(c, gather, vals)
+}
+
+// AllreduceSum is Allreduce with Sum of float64 values, the spelling
+// benchmark/ calls.
+func (c *Comm) AllreduceSum(vals ...float64) []float64 { return Allreduce(c, Sum, vals...) }
 
 // Barrier blocks until every rank has entered it. It is metered as a
 // zero-byte collective call.
-func (c *Comm) Barrier() {
-	c.meterCollective(0)
-	c.syncCollective("barrier", CollPayload{})
-}
-
-// AllreduceSum returns the element-wise sum of vals over all ranks.
-// The result slice is shared between ranks; callers must not mutate it.
-func (c *Comm) AllreduceSum(vals ...float64) []float64 {
-	c.meterCollective(8 * len(vals))
-	return c.syncCollective("allreduce-sum", CollPayload{F64: vals}).F64
-}
-
-// AllreduceMax returns the element-wise max of vals over all ranks.
-func (c *Comm) AllreduceMax(vals ...float64) []float64 {
-	c.meterCollective(8 * len(vals))
-	return c.syncCollective("allreduce-max", CollPayload{F64: vals}).F64
-}
-
-// AllreduceMin returns the element-wise min of vals over all ranks.
-func (c *Comm) AllreduceMin(vals ...float64) []float64 {
-	c.meterCollective(8 * len(vals))
-	return c.syncCollective("allreduce-min", CollPayload{F64: vals}).F64
-}
-
-// AllreduceSumInt64 returns the element-wise sum of vals over all ranks.
-func (c *Comm) AllreduceSumInt64(vals ...int64) []int64 {
-	c.meterCollective(8 * len(vals))
-	return c.syncCollective("allreduce-sum-i64", CollPayload{I64: vals}).I64
-}
-
-// AllreduceMaxInt64 returns the element-wise max of vals over all ranks.
-func (c *Comm) AllreduceMaxInt64(vals ...int64) []int64 {
-	c.meterCollective(8 * len(vals))
-	return c.syncCollective("allreduce-max-i64", CollPayload{I64: vals}).I64
-}
-
-// AllgatherInt64 concatenates every rank's vals in rank order.
-func (c *Comm) AllgatherInt64(vals []int64) []int64 {
-	c.meterCollective(8 * len(vals))
-	return c.syncCollective("allgather-i64", CollPayload{I64: vals}).I64
-}
-
-// AllgatherFloats concatenates every rank's vals in rank order.
-func (c *Comm) AllgatherFloats(vals []float64) []float64 {
-	c.meterCollective(8 * len(vals))
-	return c.syncCollective("allgather-f64", CollPayload{F64: vals}).F64
-}
-
-// AllgatherInt concatenates every rank's vals in rank order.
-func (c *Comm) AllgatherInt(vals []int) []int {
-	c.meterCollective(8 * len(vals))
-	return c.syncCollective("allgather-int", CollPayload{Ints: vals}).Ints
-}
-
-// BcastFloats distributes root's vals to every rank. Non-root callers pass
-// their (ignored) local slice; the broadcast value is returned everywhere.
-func (c *Comm) BcastFloats(root int, vals []float64) []float64 {
-	if root != 0 {
-		// The rendezvous always reduces at rank 0; rotate via a send.
-		panic("simmpi: BcastFloats currently supports root 0 only")
-	}
-	bytes := 0
-	if c.Rank() == root {
-		// Only the root contributes payload; every rank still enters the
-		// collective, so every rank is charged a call.
-		bytes = 8 * len(vals)
-	}
-	c.meterCollective(bytes)
-	return c.syncCollective("bcast", CollPayload{F64: vals}).F64
-}
+func (c *Comm) Barrier() { syncCollective[float64](c, barrier, nil) }
 
 // meterCollective charges a collective's payload as size-1 point-to-point
 // messages from this rank (a flat cost model; the experiments only compare
@@ -499,22 +449,104 @@ func (c *Comm) meterCollective(bytes int) {
 	c.meter.recordCollective(c.Rank(), bytes)
 }
 
-// syncCollective is the blocking-collective entry point: it first waits out
-// this rank's outstanding nonblocking collectives so blocking and
-// nonblocking operations keep a single per-rank order (as MPI requires of
-// mixed collective streams), then performs the rendezvous.
-func (c *Comm) syncCollective(op string, contrib CollPayload) CollPayload {
+// syncCollective is the blocking-collective entry point: it meters one call
+// of 4 bytes per float32 value and 8 per float64 or int, waits out this
+// rank's outstanding nonblocking collectives so blocking and nonblocking
+// operations keep a single per-rank order (as MPI requires of mixed
+// collective streams), then performs the rendezvous.
+func syncCollective[T Elem](c *Comm, op Op, vals []T) []T {
+	c.meterCollective(width[T]() * len(vals))
 	c.drain(&c.st.collTail)
-	return c.collective(op, contrib)
+	return collective(c, op, vals)
 }
 
-func (c *Comm) collective(op string, contrib CollPayload) CollPayload {
-	contrib.Op = op
-	out, err := c.t.Collective(contrib)
-	if err != nil {
-		panic(fmt.Sprintf("simmpi: rank %d in collective %q: %v", c.Rank(), op, err))
+// collective is the one rendezvous of every collective on every backend.
+// Each rank other than 0 sends its contribution to rank 0, the root, on the
+// collective lane, with the op as the tag, and waits for the result. The
+// root receives the contributions in rank order, reduces them (reduce) and
+// sends the result down; in a world of one rank it reduces its own. A root
+// that finds a rank in another collective — another op, another element
+// type or, for a reduction, another count — sends every rank the mismatch
+// verdict before it panics, so the whole world fails at once.
+func collective[T Elem](c *Comm, op Op, vals []T) []T {
+	me, size := c.Rank(), c.Size()
+	if me != 0 {
+		c.put(0, message(me, int(op), vals), op)
+		m := c.take(0, op)
+		if Op(m.Tag) == mismatch {
+			panic(fmt.Sprintf("simmpi: rank %d in collective %v: collective mismatch, reported by rank 0", me, op))
+		}
+		return *slot[T](&m)
+	}
+	if len(c.parts) != size {
+		c.parts = make([]Payload, size)
+	}
+	parts := c.parts
+	parts[0] = message(0, int(op), vals)
+	for r := 1; r < size; r++ {
+		parts[r] = c.take(r, op)
+		m := &parts[r]
+		got, ok := values[T](m)
+		if Op(m.Tag) != op || !ok || (op == Sum || op == Max) && len(got) != len(vals) {
+			for d := 1; d < size; d++ {
+				// A rank that cannot be told is lost already: it fails anyway.
+				_ = c.t.Send(Coll, d, Payload{Tag: int(mismatch)})
+			}
+			panic(fmt.Sprintf("simmpi: rank 0 in collective %v of %d %s: collective mismatch: rank %d sent %v of %d %s",
+				op, len(vals), payloadKind(message(0, 0, []T{})), r, Op(m.Tag), len(m.F64)+len(m.F32)+len(m.Ints), payloadKind(*m)))
+		}
+	}
+	out := reduce[T](op, parts)
+	clear(parts)
+	for r := 1; r < size; r++ {
+		c.put(r, message(0, int(op), out), op)
 	}
 	return out
+}
+
+// reduce combines the contributions of a collective, parts[r] from rank r,
+// in ascending rank order, so that a floating-point result has the same
+// bits on every backend.
+func reduce[T Elem](op Op, parts []Payload) []T {
+	var out []T
+	switch op {
+	case Sum:
+		out = make([]T, len(*slot[T](&parts[0])))
+		for r := range parts {
+			for i, v := range *slot[T](&parts[r]) {
+				out[i] += v
+			}
+		}
+	case Max:
+		out = append(out, *slot[T](&parts[0])...)
+		for r := 1; r < len(parts); r++ {
+			for i, v := range *slot[T](&parts[r]) {
+				if v > out[i] {
+					out[i] = v
+				}
+			}
+		}
+	case gather:
+		for r := range parts {
+			out = append(out, *slot[T](&parts[r])...)
+		}
+	}
+	return out
+}
+
+// put and take move one collective message on the collective lane.
+func (c *Comm) put(dst int, m Payload, op Op) {
+	if err := c.t.Send(Coll, dst, m); err != nil {
+		panic(fmt.Sprintf("simmpi: rank %d in collective %v: %v", c.Rank(), op, err))
+	}
+}
+
+func (c *Comm) take(src int, op Op) Payload {
+	m, err := c.t.Recv(Coll, src)
+	if err != nil {
+		panic(fmt.Sprintf("simmpi: rank %d in collective %v: %v", c.Rank(), op, err))
+	}
+	return m
 }
 
 // ---- Nonblocking operations ----
@@ -621,14 +653,14 @@ func post[T Elem](c *Comm, kind string, tail **op, fn func() []T) *Request[T] {
 
 // IallreduceSum posts the element-wise sum reduction of vals over all ranks
 // and returns immediately; Wait yields the reduced vector. Metered at post
-// time exactly like AllreduceSum. All ranks must post (or call) matching
+// time exactly like Allreduce. All ranks must post (or call) matching
 // collectives in the same order; blocking collectives issued while
 // nonblocking ones are outstanding wait for them first.
 func (c *Comm) IallreduceSum(vals ...float64) *Request[float64] {
 	c.meterCollective(8 * len(vals))
 	payload := append([]float64(nil), vals...)
 	return post(c, "iallreduce-sum", &c.st.collTail, func() []float64 {
-		return c.bg.collective("allreduce-sum", CollPayload{F64: payload}).F64
+		return collective(c.bg, Sum, payload)
 	})
 }
 
@@ -803,7 +835,7 @@ func (m *Meter) CollectiveBytes(rank int) int64 {
 }
 
 // CollectiveCalls returns the number of collective operations rank has
-// entered (each Allreduce/Allgather/Barrier/Bcast counts once per
+// entered (each Allreduce/Allgather/Barrier/IallreduceSum counts once per
 // participating rank). The fused-reduction CG claim — one Allreduce per
 // iteration instead of three — is asserted against this counter.
 func (m *Meter) CollectiveCalls(rank int) int64 {

@@ -2,7 +2,6 @@ package simmpi
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -136,7 +135,7 @@ func TestMessageOrderPerSender(t *testing.T) {
 
 func TestAllreduceSum(t *testing.T) {
 	_, err := Run(4, testTimeout, func(c *Comm) error {
-		got := c.AllreduceSum(float64(c.Rank()), 1)
+		got := Allreduce(c, Sum, float64(c.Rank()), 1)
 		if got[0] != 6 || got[1] != 4 {
 			return fmt.Errorf("rank %d: %v", c.Rank(), got)
 		}
@@ -147,11 +146,12 @@ func TestAllreduceSum(t *testing.T) {
 	}
 }
 
+// The least of the values is the greatest of their negations, negated.
 func TestAllreduceMaxMin(t *testing.T) {
 	_, err := Run(5, testTimeout, func(c *Comm) error {
-		mx := c.AllreduceMax(float64(c.Rank()))
-		mn := c.AllreduceMin(float64(c.Rank()))
-		if mx[0] != 4 || mn[0] != 0 {
+		mx := Allreduce(c, Max, float64(c.Rank()))
+		mn := -Allreduce(c, Max, -float64(c.Rank()))[0]
+		if mx[0] != 4 || mn != 0 {
 			return fmt.Errorf("max=%v min=%v", mx, mn)
 		}
 		return nil
@@ -163,8 +163,8 @@ func TestAllreduceMaxMin(t *testing.T) {
 
 func TestAllreduceInt64(t *testing.T) {
 	_, err := Run(3, testTimeout, func(c *Comm) error {
-		s := c.AllreduceSumInt64(int64(c.Rank() + 1))
-		m := c.AllreduceMaxInt64(int64(c.Rank() + 1))
+		s := Allreduce(c, Sum, c.Rank()+1)
+		m := Allreduce(c, Max, c.Rank()+1)
 		if s[0] != 6 || m[0] != 3 {
 			return fmt.Errorf("sum=%v max=%v", s, m)
 		}
@@ -177,8 +177,8 @@ func TestAllreduceInt64(t *testing.T) {
 
 func TestAllgather(t *testing.T) {
 	_, err := Run(3, testTimeout, func(c *Comm) error {
-		g := c.AllgatherInt64([]int64{int64(c.Rank()), int64(c.Rank() * 2)})
-		want := []int64{0, 0, 1, 2, 2, 4}
+		g := Allgather(c, []int{c.Rank(), c.Rank() * 2})
+		want := []int{0, 0, 1, 2, 2, 4}
 		if len(g) != len(want) {
 			return fmt.Errorf("len %d", len(g))
 		}
@@ -187,26 +187,9 @@ func TestAllgather(t *testing.T) {
 				return fmt.Errorf("g=%v", g)
 			}
 		}
-		gi := c.AllgatherInt([]int{c.Rank()})
+		gi := Allgather(c, []int{c.Rank()})
 		if len(gi) != 3 || gi[2] != 2 {
 			return fmt.Errorf("gi=%v", gi)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	_, err := Run(4, testTimeout, func(c *Comm) error {
-		var in []float64
-		if c.Rank() == 0 {
-			in = []float64{math.Pi}
-		}
-		got := c.BcastFloats(0, in)
-		if got[0] != math.Pi {
-			return fmt.Errorf("rank %d got %v", c.Rank(), got)
 		}
 		return nil
 	})
@@ -247,19 +230,30 @@ func TestDeadlockDetectedByTimeout(t *testing.T) {
 	}
 }
 
+// Rank 0 sends every rank its mismatch verdict before it panics, so a
+// collective the ranks disagree on — in op, element type or count — fails
+// the whole world at once, long before the world's timeout.
 func TestCollectiveMismatchPanics(t *testing.T) {
-	// Short timeout: after rank 0 detects the mismatch and panics, rank 1 is
-	// left waiting for the broadcast and must time out.
-	_, err := Run(2, 100*time.Millisecond, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.AllreduceSum(1)
-		} else {
-			c.AllreduceMax(1)
+	for name, other := range map[string]func(c *Comm){
+		"op":    func(c *Comm) { Allreduce(c, Max, 1.0) },
+		"type":  func(c *Comm) { Allreduce(c, Sum, 1) },
+		"count": func(c *Comm) { Allreduce(c, Sum, 1.0, 2) },
+	} {
+		start := time.Now()
+		_, err := Run(3, testTimeout, func(c *Comm) error {
+			if c.Rank() == 2 {
+				other(c)
+			} else {
+				Allreduce(c, Sum, 1.0)
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "mismatch") {
+			t.Fatalf("%s: collective mismatch not detected: %v", name, err)
 		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "mismatch") {
-		t.Fatalf("collective mismatch not detected: %v", err)
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("%s: the world took %v to fail", name, took)
+		}
 	}
 }
 
@@ -395,7 +389,7 @@ func TestManyRanksStress(t *testing.T) {
 			if got[0] != float64(prev) {
 				return fmt.Errorf("iter %d: got %v", iter, got)
 			}
-			sum := c.AllreduceSum(1)
+			sum := Allreduce(c, Sum, 1.0)
 			if sum[0] != float64(n) {
 				return fmt.Errorf("allreduce = %v", sum)
 			}
@@ -409,7 +403,7 @@ func TestManyRanksStress(t *testing.T) {
 
 func TestAllgatherFloats(t *testing.T) {
 	_, err := Run(3, testTimeout, func(c *Comm) error {
-		g := c.AllgatherFloats([]float64{float64(c.Rank()) + 0.5})
+		g := Allgather(c, []float64{float64(c.Rank()) + 0.5})
 		want := []float64{0.5, 1.5, 2.5}
 		if len(g) != 3 {
 			return fmt.Errorf("len %d", len(g))
@@ -429,9 +423,9 @@ func TestAllgatherFloats(t *testing.T) {
 func TestMeterCollectiveCallsAndBytes(t *testing.T) {
 	const ranks = 3
 	w, err := Run(ranks, testTimeout, func(c *Comm) error {
-		c.AllreduceSum(1, 2, 3) // 24 bytes, 1 call per rank
-		c.AllreduceSum(1)       // 8 bytes, 1 call per rank
-		c.Barrier()             // 0 bytes, 1 call per rank
+		Allreduce(c, Sum, 1.0, 2, 3) // 24 bytes, 1 call per rank
+		Allreduce(c, Sum, 1.0)       // 8 bytes, 1 call per rank
+		c.Barrier()                  // 0 bytes, 1 call per rank
 		return nil
 	})
 	if err != nil {
@@ -454,27 +448,6 @@ func TestMeterCollectiveCallsAndBytes(t *testing.T) {
 	}
 }
 
-func TestMeterBcastChargesEveryRankOneCall(t *testing.T) {
-	const ranks = 4
-	w, err := Run(ranks, testTimeout, func(c *Comm) error {
-		c.BcastFloats(0, []float64{1, 2})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := w.Meter()
-	for r := 0; r < ranks; r++ {
-		if got := m.CollectiveCalls(r); got != 1 {
-			t.Fatalf("rank %d bcast calls = %d, want 1", r, got)
-		}
-	}
-	// Payload is charged to the root only.
-	if m.CollectiveBytes(0) != 16 || m.CollectiveBytes(1) != 0 {
-		t.Fatalf("bcast bytes = %d/%d, want 16/0", m.CollectiveBytes(0), m.CollectiveBytes(1))
-	}
-}
-
 func TestMeterSnapshotSub(t *testing.T) {
 	w, err := Run(2, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -482,7 +455,7 @@ func TestMeterSnapshotSub(t *testing.T) {
 		} else {
 			Recv[float64](c, 0, 7)
 		}
-		c.AllreduceSum(1)
+		Allreduce(c, Sum, 1.0)
 		return nil
 	})
 	if err != nil {

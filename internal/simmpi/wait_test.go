@@ -115,7 +115,7 @@ func TestWaitsAreCounted(t *testing.T) {
 				for i := 0; i < 100; i++ {
 					Send(c, peer, i, []float64{1})
 					Recv[float64](c, peer, i) // one wait on the channel
-					c.AllreduceSum(1)         // one wait: rank 0 gathers, rank 1 takes the result
+					Allreduce(c, Sum, 1.0)    // one wait: rank 0 gathers, rank 1 takes the result
 				}
 				req := Irecv[float64](c, peer, 100)
 				Send[float64](c, peer, 100, nil)
@@ -135,8 +135,8 @@ func TestWaitsAreCounted(t *testing.T) {
 	}
 }
 
-// A collective's contributions are lined up in storage the world keeps, so a
-// 1-value AllreduceSum on 2 ranks allocates three times — each rank's
+// A collective's contributions are lined up in storage the root's rank
+// keeps, so a 1-value Allreduce on 2 ranks allocates three times — each rank's
 // argument slice and the reduced vector — where it used to allocate four.
 // The world has no timeout, so no wait arms a timer.
 func TestAllreduceAllocatesNoPartsSlice(t *testing.T) {
@@ -145,18 +145,18 @@ func TestAllreduceAllocatesNoPartsSlice(t *testing.T) {
 	enter, left := make(chan struct{}), make(chan struct{})
 	go func() {
 		for range enter {
-			c1.AllreduceSum(2)
+			Allreduce(c1, Sum, 2.0)
 			left <- struct{}{}
 		}
 	}()
 	defer close(enter)
 	if allocs := testing.AllocsPerRun(200, func() {
 		enter <- struct{}{}
-		if sum := c0.AllreduceSum(1); sum[0] != 3 {
+		if sum := Allreduce(c0, Sum, 1.0); sum[0] != 3 {
 			panic(fmt.Sprint("sum ", sum))
 		}
 		<-left
 	}); allocs > 3 {
-		t.Fatalf("a 1-value AllreduceSum on 2 ranks allocates %v times, want at most 3", allocs)
+		t.Fatalf("a 1-value Allreduce on 2 ranks allocates %v times, want at most 3", allocs)
 	}
 }

@@ -327,7 +327,7 @@ func BuildDist(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows *sparse.CSR,
 			partial[k] += vals[t] * vals[t]
 		}
 	}
-	colNorm2 := c.AllreduceSum(partial...)
+	colNorm2 := simmpi.Allreduce(c, simmpi.Sum, partial...)
 
 	// atCache maps global k to row k of Aᵀ; aCache maps global i to row i
 	// of A. Local rows seed the caches; gathers fill the rest on demand.

@@ -66,14 +66,11 @@ func (f *fifo[T]) pop() T {
 	return v
 }
 
-// want names what a waiter needs of a connection.
+// want names what a waiter needs of a connection: a message queued on a
+// lane, want(simmpi.P2P) or want(simmpi.Coll), or wantRoom.
 type want uint8
 
-const (
-	wantP2P  want = iota // a queued point-to-point message
-	wantColl             // a queued collective message
-	wantRoom             // room in the outbound ring
-)
+const wantRoom want = 2 // room in the outbound ring
 
 // peerConn is one mesh connection: the shared mapping with the ring each way,
 // the socket that wakes a sleeper, and what has been taken out of the inbound
@@ -87,20 +84,19 @@ type peerConn struct {
 	in, out ring
 
 	// wmu serializes producers: a nonblocking send chain's goroutine and the
-	// rank goroutine's collective contribution may target the same peer at
+	// rank goroutine's collective message may target the same peer at
 	// once, and a frame's pieces must not interleave with another's. It also
 	// guards wbuf, the storage every outgoing frame is encoded into, so a
 	// steady-state send allocates nothing.
 	wmu  sync.Mutex
 	wbuf []byte
 
-	// mu guards the queues, err, draining and back. One goroutine at a time
+	// mu guards the lanes' queues, err, draining and back. One goroutine at a time
 	// holds the draining role: it alone reads the inbound ring's bytes, the
 	// frame assembler and the socket. A waiter that finds the role taken
 	// waits on back, which the drainer closes when it comes back.
 	mu       sync.Mutex
-	p2p      fifo[simmpi.Payload]
-	coll     fifo[simmpi.CollPayload]
+	lanes    [2]fifo[simmpi.Payload]
 	err      error // sticky: the peer is lost
 	draining bool
 	back     chan struct{}
@@ -300,11 +296,8 @@ func (e *Endpoint) hold(peer int) (*peerConn, error) {
 
 // has reports whether pc can give w right now. The caller holds pc.mu.
 func (pc *peerConn) has(w want) bool {
-	switch w {
-	case wantP2P:
-		return !pc.p2p.empty()
-	case wantColl:
-		return !pc.coll.empty()
+	if w != wantRoom {
+		return !pc.lanes[w].empty()
 	}
 	room, err := pc.out.room()
 	return room > 0 || err != nil // put reports a corrupt ring
@@ -313,7 +306,7 @@ func (pc *peerConn) has(w want) bool {
 // await returns, with pc.mu held, once pc has w. Until then the caller
 // drains the inbound ring itself if nobody does, and otherwise waits for the
 // one who does to come back: a blocking receive and a background collective
-// may want different kinds from one peer, and whoever holds the role queues
+// may want different lanes from one peer, and whoever holds the role queues
 // what the other is waiting for. Queued messages win over a lost peer, so
 // what a rank sent before it went is still delivered.
 func (e *Endpoint) await(pc *peerConn, peer int, w want) error {
@@ -556,27 +549,19 @@ func (pc *peerConn) drain() (frames int, moved bool, err error) {
 	}
 }
 
+// queue decodes a frame onto the queue of its lane.
 func (pc *peerConn) queue(frame []byte) error {
-	switch kind, body := frame[0], frame[1:]; kind {
-	case kindP2P:
-		p, err := decodeP2P(body)
-		if err != nil {
-			return err
-		}
-		pc.mu.Lock()
-		pc.p2p.push(p)
-		pc.mu.Unlock()
-	case kindColl:
-		p, err := decodeColl(body)
-		if err != nil {
-			return err
-		}
-		pc.mu.Lock()
-		pc.coll.push(p)
-		pc.mu.Unlock()
-	default:
+	kind := frame[0]
+	if kind != kindP2P && kind != kindColl {
 		return fmt.Errorf("tcpmpi: frame kind %d", kind)
 	}
+	p, err := decodeP2P(frame[1:])
+	if err != nil {
+		return err
+	}
+	pc.mu.Lock()
+	pc.lanes[kind-kindP2P].push(p)
+	pc.mu.Unlock()
 	return nil
 }
 
@@ -586,7 +571,7 @@ func (pc *peerConn) queue(frame []byte) error {
 // side, so that two ranks pushing large frames at each other both finish,
 // polls, and parks. A peer already known to be lost is not written to: its
 // ring would take the bytes without complaint. The caller holds pc.wmu.
-func (e *Endpoint) push(pc *peerConn, dst int, what string) error {
+func (e *Endpoint) push(pc *peerConn, dst int) error {
 	pc.mu.Lock()
 	lost := pc.err
 	pc.mu.Unlock()
@@ -599,7 +584,7 @@ func (e *Endpoint) push(pc *peerConn, dst int, what string) error {
 			_, err = pc.conn.Write(doorbell)
 		}
 		if err != nil {
-			return fmt.Errorf("%w: rank %d writing %s to rank %d: %v", simmpi.ErrRankLost, e.rank, what, dst, err)
+			return fmt.Errorf("%w: rank %d writing to rank %d: %v", simmpi.ErrRankLost, e.rank, dst, err)
 		}
 		if rest = rest[n:]; len(rest) == 0 {
 			return nil
@@ -609,7 +594,7 @@ func (e *Endpoint) push(pc *peerConn, dst int, what string) error {
 		}
 		if err := e.await(pc, dst, wantRoom); err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
-				err = fmt.Errorf("%w: rank %d timed out writing %s to rank %d", simmpi.ErrRankLost, e.rank, what, dst)
+				err = fmt.Errorf("%w: rank %d timed out writing to rank %d", simmpi.ErrRankLost, e.rank, dst)
 			}
 			return err
 		}
@@ -617,10 +602,10 @@ func (e *Endpoint) push(pc *peerConn, dst int, what string) error {
 	}
 }
 
-// Send frames a payload into dst's ring. A full ring is waited on within the
-// configured timeout; a closed or wedged peer surfaces as an
-// ErrRankLost-wrapped error.
-func (e *Endpoint) Send(dst int, p simmpi.Payload) error {
+// Send frames a payload into dst's ring on the given lane. A full ring is
+// waited on within the configured timeout; a closed or wedged peer surfaces
+// as an ErrRankLost-wrapped error.
+func (e *Endpoint) Send(lane simmpi.Lane, dst int, p simmpi.Payload) error {
 	pc, err := e.hold(dst)
 	if err != nil {
 		return err
@@ -628,94 +613,30 @@ func (e *Endpoint) Send(dst int, p simmpi.Payload) error {
 	defer pc.live.RUnlock()
 	pc.wmu.Lock()
 	defer pc.wmu.Unlock()
-	pc.wbuf = endFrame(appendP2P(beginFrame(pc.wbuf, kindP2P), p))
-	return e.push(pc, dst, "a message")
-}
-
-func (e *Endpoint) sendColl(dst int, p simmpi.CollPayload) error {
-	pc, err := e.hold(dst)
-	if err != nil {
-		return err
+	kind := kindP2P
+	if lane == simmpi.Coll {
+		kind = kindColl
 	}
-	defer pc.live.RUnlock()
-	pc.wmu.Lock()
-	defer pc.wmu.Unlock()
-	pc.wbuf = endFrame(appendColl(beginFrame(pc.wbuf, kindColl), p))
-	return e.push(pc, dst, "a collective")
+	pc.wbuf = endFrame(appendP2P(beginFrame(pc.wbuf, kind), p))
+	return e.push(pc, dst)
 }
 
-// Recv returns the next point-to-point payload from src.
-func (e *Endpoint) Recv(src int) (simmpi.Payload, error) {
+// Recv returns the next payload from src on the given lane.
+func (e *Endpoint) Recv(lane simmpi.Lane, src int) (simmpi.Payload, error) {
 	pc, err := e.hold(src)
 	if err != nil {
 		return simmpi.Payload{}, err
 	}
 	defer pc.live.RUnlock()
-	if err := e.await(pc, src, wantP2P); err != nil {
+	if err := e.await(pc, src, want(lane)); err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			err = fmt.Errorf("timed out receiving from %d (deadlock?)", src)
 		}
 		return simmpi.Payload{}, err
 	}
-	p := pc.p2p.pop()
+	p := pc.lanes[lane].pop()
 	pc.mu.Unlock()
 	return p, nil
-}
-
-func (e *Endpoint) collRecv(op string, from int) (simmpi.CollPayload, error) {
-	pc, err := e.hold(from)
-	if err != nil {
-		return simmpi.CollPayload{}, err
-	}
-	defer pc.live.RUnlock()
-	if err := e.await(pc, from, wantColl); err != nil {
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			err = fmt.Errorf("timed out in collective %q waiting for rank %d", op, from)
-		}
-		return simmpi.CollPayload{}, err
-	}
-	m := pc.coll.pop()
-	pc.mu.Unlock()
-	if m.Op != op {
-		return simmpi.CollPayload{}, fmt.Errorf("collective mismatch: in %q, rank %d sent %q", op, from, m.Op)
-	}
-	return m, nil
-}
-
-// Collective performs the whole-world rendezvous: rank 0 gathers every
-// contribution, reduces in rank order with the shared simmpi.Reduce (so
-// floating-point results are bitwise identical to the channel backend), and
-// frames the result back to every rank.
-func (e *Endpoint) Collective(contrib simmpi.CollPayload) (simmpi.CollPayload, error) {
-	op := contrib.Op
-	if e.size == 1 {
-		return simmpi.Reduce(op, []simmpi.CollPayload{contrib})
-	}
-	if e.rank == 0 {
-		parts := make([]simmpi.CollPayload, e.size)
-		parts[0] = contrib
-		for r := 1; r < e.size; r++ {
-			m, err := e.collRecv(op, r)
-			if err != nil {
-				return simmpi.CollPayload{}, err
-			}
-			parts[r] = m
-		}
-		result, err := simmpi.Reduce(op, parts)
-		if err != nil {
-			return simmpi.CollPayload{}, err
-		}
-		for r := 1; r < e.size; r++ {
-			if err := e.sendColl(r, result); err != nil {
-				return simmpi.CollPayload{}, err
-			}
-		}
-		return result, nil
-	}
-	if err := e.sendColl(0, contrib); err != nil {
-		return simmpi.CollPayload{}, err
-	}
-	return e.collRecv(op, 0)
 }
 
 // Close tears the mesh down. The sockets go first: that ends every wait of

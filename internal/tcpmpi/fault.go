@@ -7,7 +7,8 @@ import (
 )
 
 // Faults are test hooks injected between a Comm and the wire. Each hook sees
-// outgoing point-to-point payloads before framing; nil hooks are no-ops.
+// outgoing point-to-point payloads (the simmpi.P2P lane) before framing; nil
+// hooks are no-ops.
 // Hooks run on whichever goroutine performs the send (the rank goroutine for
 // blocking sends, a chain goroutine for posted ones), so they must be
 // safe for concurrent use if the test posts concurrent sends.
@@ -34,13 +35,16 @@ type faultTransport struct {
 }
 
 // WithFaults wraps t so that outgoing point-to-point sends pass through the
-// given fault hooks. Collectives and the rank/size/close surface pass
+// given fault hooks. The collective lane and the rank/size/close surface pass
 // through untouched.
 func WithFaults(t simmpi.Transport, f Faults) simmpi.Transport {
 	return &faultTransport{Transport: t, f: f}
 }
 
-func (ft *faultTransport) Send(dst int, p simmpi.Payload) error {
+func (ft *faultTransport) Send(lane simmpi.Lane, dst int, p simmpi.Payload) error {
+	if lane != simmpi.P2P {
+		return ft.Transport.Send(lane, dst, p)
+	}
 	if ft.f.FailSend != nil {
 		if err := ft.f.FailSend(dst, p); err != nil {
 			return err
@@ -54,11 +58,11 @@ func (ft *faultTransport) Send(dst int, p simmpi.Payload) error {
 			time.Sleep(d)
 		}
 	}
-	if err := ft.Transport.Send(dst, p); err != nil {
+	if err := ft.Transport.Send(lane, dst, p); err != nil {
 		return err
 	}
 	if ft.f.Duplicate != nil && ft.f.Duplicate(dst, p) {
-		return ft.Transport.Send(dst, p)
+		return ft.Transport.Send(lane, dst, p)
 	}
 	return nil
 }

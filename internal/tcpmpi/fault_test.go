@@ -35,7 +35,7 @@ func TestRunLocalBasicTCPAndUnix(t *testing.T) {
 						t.Errorf("rank 2 got %v", got)
 					}
 				}
-				sum := c.AllreduceSum(float64(c.Rank() + 1))
+				sum := simmpi.Allreduce(c, simmpi.Sum, float64(c.Rank()+1))
 				if sum[0] != 6 {
 					t.Errorf("rank %d sum = %v", c.Rank(), sum)
 				}

@@ -7,9 +7,12 @@
 // (ring.go); the length-prefixed frames of this file are copied into the
 // ring, the goroutine that waits for a message takes them out itself, and the
 // socket carries the handshake, one doorbell byte to a peer that has gone to
-// sleep, and the EOF that means simmpi.ErrRankLost (endpoint.go). The rings
-// are a mapped file, which is unix (mapping_unix.go); elsewhere the package
-// builds and Connect fails. Semantics
+// sleep, and the EOF that means simmpi.ErrRankLost (endpoint.go). A frame's
+// kind names its lane, point-to-point or collective, and each lane has a
+// queue of its own; the message is encoded the same way on both. The
+// collectives themselves are simmpi.Comm's: this package only moves their
+// messages. The rings are a mapped file, which is unix (mapping_unix.go);
+// elsewhere the package builds and Connect fails. Semantics
 // are pinned to the in-process channel backend by the conformance suite in
 // internal/commtest; the differential tests in the root package additionally
 // assert bit-identical solver results across backends.
@@ -28,10 +31,12 @@ import (
 //
 //	u32 length (of everything after this field) | u8 kind | body
 //
-// with all integers little-endian and floats as IEEE-754 bit patterns.
+// with all integers little-endian and floats as IEEE-754 bit patterns. The
+// kind is the lane the message travels on, kindP2P + lane; the body is the
+// message, the same on both lanes (see appendP2P).
 const (
-	kindP2P  byte = 2 // body: p2p payload (see appendP2P)
-	kindColl byte = 3 // body: collective payload (see appendColl)
+	kindP2P  byte = 2 // a point-to-point message (simmpi.P2P)
+	kindColl byte = 3 // a collective contribution or result (simmpi.Coll)
 )
 
 // maxFrameBytes bounds a decoded frame; anything larger means a corrupt or
@@ -91,7 +96,7 @@ func (f *frameAsm) take(p []byte) (used int, frame []byte, err error) {
 	return used, f.body, nil
 }
 
-// Payload type tags inside p2p frames. Empty payloads are typeless on the
+// Payload type tags inside frames. Empty payloads are typeless on the
 // wire, mirroring the channel backend where copying an empty slice yields
 // nil and the receiver-side type check accepts either accessor.
 const (
@@ -109,7 +114,7 @@ func appendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-// appendP2P appends the body of a point-to-point frame.
+// appendP2P appends the body of a frame of either lane.
 func appendP2P(b []byte, p simmpi.Payload) []byte {
 	typ, n := typNone, 0
 	switch {
@@ -188,94 +193,6 @@ func decodeP2P(body []byte) (simmpi.Payload, error) {
 		}
 	default:
 		return simmpi.Payload{}, fmt.Errorf("tcpmpi: p2p frame type %d", typ)
-	}
-	return p, nil
-}
-
-// appendColl appends the body of a collective frame.
-func appendColl(b []byte, p simmpi.CollPayload) []byte {
-	if len(p.Op) > 255 {
-		panic(fmt.Sprintf("tcpmpi: collective op %q too long", p.Op))
-	}
-	b = slices.Grow(b, 1+len(p.Op)+12+8*(len(p.F64)+len(p.I64)+len(p.Ints)))
-	b = append(b, byte(len(p.Op)))
-	b = append(b, p.Op...)
-	b = appendU32(b, uint32(len(p.F64)))
-	for _, v := range p.F64 {
-		b = appendU64(b, math.Float64bits(v))
-	}
-	b = appendU32(b, uint32(len(p.I64)))
-	for _, v := range p.I64 {
-		b = appendU64(b, uint64(v))
-	}
-	b = appendU32(b, uint32(len(p.Ints)))
-	for _, v := range p.Ints {
-		b = appendU64(b, uint64(v))
-	}
-	return b
-}
-
-func decodeColl(body []byte) (simmpi.CollPayload, error) {
-	bad := func() (simmpi.CollPayload, error) {
-		return simmpi.CollPayload{}, fmt.Errorf("tcpmpi: truncated or overlong collective frame (%d bytes left)", len(body))
-	}
-	if len(body) < 1 {
-		return bad()
-	}
-	opLen := int(body[0])
-	body = body[1:]
-	if len(body) < opLen {
-		return bad()
-	}
-	p := simmpi.CollPayload{Op: string(body[:opLen])}
-	body = body[opLen:]
-	vec := func() ([]uint64, bool) {
-		if len(body) < 4 {
-			return nil, false
-		}
-		n := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if n > maxFrameBytes/8 || len(body) < 8*n {
-			return nil, false
-		}
-		out := make([]uint64, n)
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint64(body[8*i:])
-		}
-		body = body[8*n:]
-		return out, true
-	}
-	f64, ok := vec()
-	if !ok {
-		return bad()
-	}
-	i64, ok := vec()
-	if !ok {
-		return bad()
-	}
-	ints, ok := vec()
-	if !ok || len(body) != 0 {
-		return bad()
-	}
-	// Mirror the channel backend's nil-for-empty contributions so reduced
-	// results round-trip identically.
-	if len(f64) > 0 {
-		p.F64 = make([]float64, len(f64))
-		for i, v := range f64 {
-			p.F64[i] = math.Float64frombits(v)
-		}
-	}
-	if len(i64) > 0 {
-		p.I64 = make([]int64, len(i64))
-		for i, v := range i64 {
-			p.I64[i] = int64(v)
-		}
-	}
-	if len(ints) > 0 {
-		p.Ints = make([]int, len(ints))
-		for i, v := range ints {
-			p.Ints[i] = int(int64(v))
-		}
 	}
 	return p, nil
 }

@@ -72,7 +72,7 @@ func TestLyingHeaderCostsWhatArrived(t *testing.T) {
 	}
 	e1.Close()
 	runtime.ReadMemStats(&before)
-	_, err = e0.Recv(1)
+	_, err = e0.Recv(simmpi.P2P, 1)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "rank lost") {
 		t.Fatalf("receiving a frame its sender hung up in the middle of: %v", err)
@@ -130,22 +130,22 @@ func TestReadFrameReusesItsBuffer(t *testing.T) {
 	}
 }
 
-// TestSendAllocatesNothing: a frame is encoded straight after its reserved
-// header into the connection's write buffer and copied from there into the
-// ring, so once that buffer has seen the largest payload a send costs no
-// allocation. The far end leaves the ring alone (the frames fit it, and
+// TestSendAllocatesNothing: a frame of either lane is encoded straight after
+// its reserved header into the connection's write buffer and copied from
+// there into the ring, so once that buffer has seen the largest payload a
+// send costs no allocation. The far end leaves the ring alone (the frames fit it, and
 // nobody sleeps, so no doorbell is rung either): a reader in this process
 // would allocate the decoded slices and AllocsPerRun counts the whole
 // process.
 func TestSendAllocatesNothing(t *testing.T) {
 	e0, _ := meshOf2(t, Config{Timeout: 5 * time.Second})
 	halo := simmpi.Payload{Src: 0, Tag: 3, F64: make([]float64, 16)}
-	sum := simmpi.CollPayload{Op: "allreduce-sum", F64: []float64{1, 2}}
+	sum := simmpi.Payload{Tag: int(simmpi.Sum), F64: []float64{1, 2}}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := e0.Send(1, halo); err != nil {
+		if err := e0.Send(simmpi.P2P, 1, halo); err != nil {
 			t.Fatal(err)
 		}
-		if err := e0.sendColl(1, sum); err != nil {
+		if err := e0.Send(simmpi.Coll, 1, sum); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -165,8 +165,8 @@ func TestFramesEndAtEveryOffsetAroundTheWrap(t *testing.T) {
 		v[i] = 1 / float64(i+3)
 	}
 	msg := simmpi.Payload{Src: 7, Tag: 9, F64: v}
-	sum := simmpi.CollPayload{Op: "allreduce-sum", F64: v[:2]}
-	length := len(endFrame(appendP2P(beginFrame(nil, kindP2P), msg))) + len(endFrame(appendColl(beginFrame(nil, kindColl), sum)))
+	sum := simmpi.Payload{Src: 1, Tag: int(simmpi.Sum), F64: v[:2]}
+	length := len(endFrame(appendP2P(beginFrame(nil, kindP2P), msg))) + len(endFrame(appendP2P(beginFrame(nil, kindColl), sum)))
 	for _, dir := range []struct {
 		from, to *Endpoint
 		src, dst int
@@ -177,18 +177,18 @@ func TestFramesEndAtEveryOffsetAroundTheWrap(t *testing.T) {
 			at := uint64(5*ringBytes - short)
 			out.tail.Store(at)
 			out.head.Store(at)
-			if err := dir.from.Send(dir.dst, msg); err != nil {
+			if err := dir.from.Send(simmpi.P2P, dir.dst, msg); err != nil {
 				t.Fatal(err)
 			}
-			if err := dir.from.sendColl(dir.dst, sum); err != nil {
+			if err := dir.from.Send(simmpi.Coll, dir.dst, sum); err != nil {
 				t.Fatal(err)
 			}
-			p, err := dir.to.Recv(dir.src)
+			p, err := dir.to.Recv(simmpi.P2P, dir.src)
 			if err != nil || p.Src != msg.Src || p.Tag != msg.Tag || !slices.Equal(p.F64, v) {
 				t.Fatalf("rank %d to %d, message starting %d bytes before the wrap: got %+v, %v", dir.src, dir.dst, short, p, err)
 			}
-			c, err := dir.to.collRecv(sum.Op, dir.src)
-			if err != nil || !slices.Equal(c.F64, sum.F64) {
+			c, err := dir.to.Recv(simmpi.Coll, dir.src)
+			if err != nil || c.Tag != sum.Tag || !slices.Equal(c.F64, sum.F64) {
 				t.Fatalf("rank %d to %d, collective after a message starting %d bytes before the wrap: got %+v, %v", dir.src, dir.dst, short, c, err)
 			}
 		}

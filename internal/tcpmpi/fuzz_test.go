@@ -9,7 +9,7 @@ import (
 	"fsaicomm/internal/simmpi"
 )
 
-// The three decoders face bytes a peer process wrote. Whatever arrives, they
+// The decoders face bytes a peer process wrote. Whatever arrives, they
 // must return a value or an error — never panic — and anything they accept
 // must be exactly what the encoder writes for the decoded value, so no two
 // byte strings mean the same message.
@@ -120,25 +120,6 @@ func FuzzDecodeP2P(f *testing.F) {
 		}
 		if again := appendP2P(nil, p); !bytes.Equal(again, body) {
 			t.Fatalf("p2p body %x decoded to %+v, which encodes as %x", body, p, again)
-		}
-	})
-}
-
-func FuzzDecodeColl(f *testing.F) {
-	f.Add(appendColl(nil, simmpi.CollPayload{Op: "barrier"}))
-	f.Add(appendColl(nil, simmpi.CollPayload{Op: "sum", F64: []float64{1, math.NaN()}}))
-	f.Add(appendColl(nil, simmpi.CollPayload{Op: "sumi64", I64: []int64{-1, math.MinInt64}}))
-	f.Add(appendColl(nil, simmpi.CollPayload{Op: "gather", Ints: []int{3, -4}}))
-	f.Add(append(appendColl(nil, simmpi.CollPayload{Op: "max", F64: []float64{2}}), 0)) // trailing byte
-	f.Add([]byte{200, 'x'})                                                             // op longer than the frame
-	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff})                                            // count without data
-	f.Fuzz(func(t *testing.T, body []byte) {
-		p, err := decodeColl(body)
-		if err != nil {
-			return
-		}
-		if again := appendColl(nil, p); !bytes.Equal(again, body) {
-			t.Fatalf("collective body %x decoded to %+v, which encodes as %x", body, p, again)
 		}
 	})
 }

@@ -96,15 +96,15 @@ func TestStaleDoorbellIsHarmless(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	if _, err := e1.Recv(0); err == nil || !strings.Contains(err.Error(), "timed out") || time.Since(start) < 250*time.Millisecond {
+	if _, err := e1.Recv(simmpi.P2P, 0); err == nil || !strings.Contains(err.Error(), "timed out") || time.Since(start) < 250*time.Millisecond {
 		t.Fatalf("a receive with five stale doorbells and no message ended after %v with: %v", time.Since(start), err)
 	}
 	for i := range 3 {
 		e0.peers[1].conn.Write(doorbell)
-		if err := e0.Send(1, simmpi.Payload{Tag: i, Ints: []int{i}}); err != nil {
+		if err := e0.Send(simmpi.P2P, 1, simmpi.Payload{Tag: i, Ints: []int{i}}); err != nil {
 			t.Fatal(err)
 		}
-		if p, err := e1.Recv(0); err != nil || p.Tag != i || len(p.Ints) != 1 || p.Ints[0] != i {
+		if p, err := e1.Recv(simmpi.P2P, 0); err != nil || p.Tag != i || len(p.Ints) != 1 || p.Ints[0] != i {
 			t.Fatalf("message %d after stale doorbells: %+v, %v", i, p, err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestPeerLostWhileParkedOnAFullRing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e0, lose := tc.peer(t)
 			sent := make(chan error, 1)
-			go func() { sent <- e0.Send(1, simmpi.Payload{F64: make([]float64, 4*ringBytes/8)}) }()
+			go func() { sent <- e0.Send(simmpi.P2P, 1, simmpi.Payload{F64: make([]float64, 4*ringBytes/8)}) }()
 			for room := 1; room > 0; time.Sleep(time.Millisecond) {
 				room, _ = e0.peers[1].out.room()
 			}

@@ -58,11 +58,12 @@ all: tier1
 # file beside the one product-kernel file (internal/sparse/rowkernel_amd64.s,
 # which holds four kernels: the k-wide product with a column pair in one XMM
 # register, the 1-wide run product that reads a run of consecutive columns
-# with one index and two entries per SSE2 load, the k-wide product over the
-# same runs, a column pair per register, with a body of its own for a
-# float64 batch of two, and the 1-wide entry walk, the product of a matrix
-# with no run index; the two 1-wide ones can carry a dot product through
-# their store step); every other kernel
+# with one index and a 64-byte line of x per two 256-bit loads (AVX2 hosts;
+# the index checked once, not per run), the k-wide product over the same
+# runs, a column pair per register, with a body of its own for a float64
+# batch of two, and the 1-wide entry walk, the product of a matrix with no
+# run index; the two 1-wide ones can carry a dot product through their
+# store step); every other kernel
 # is Go, and the arm64 vet keeps the portable bodies those platforms run
 # building (it needs no network and nothing but the toolchain). The bench
 # step fails if a second measurement system comes back beside benchmark/ and
@@ -313,13 +314,17 @@ loc:
 # krylov, tcpmpi and the rest), so a change to one can move every function
 # linked after it from 0 to 32 mod 64 or back, and that alone moves the sim
 # workloads of the benchmark by 15 % (ROADMAP item 2). Lines print in address order. The accepted placement reads 0 for the
-# five assembly kernels — the pair kernel, the run kernel mulVecRunsF64, its
-# k-wide twin mulMatRunsF64, mulMatRuns2F64 (the body for a batch of two)
-# and the entry walk mulVecRowsF64, which took over the 1-wide product of
-# mulVecRows[float64] on amd64 (the portable body now, off the hot path
-# there, as rowDotCols[float32] is); their loop heads sit
+# five assembly kernels — the pair kernel, the run kernel mulVecRunsF64 (its
+# line body AVX2), its k-wide twin mulMatRunsF64, mulMatRuns2F64 (the body
+# for a batch of two) and the entry walk mulVecRowsF64, which took over the
+# 1-wide product of mulVecRows[float64] on amd64 (the portable body now, off
+# the hot path there, as rowDotCols[float32] is); their loop heads sit
 # under PCALIGN $32 — and 32 for the Go k-wide wrapper mulMatWide[float64],
-# vecops.Dot and the classic loop's fused update ClassicCGUpdateBatch.
+# vecops.Dot and the classic loop's fused update ClassicCGUpdateBatch, and
+# 0 for RunIndex.stop, the O(1) block check that replaced the run kernels'
+# per-run compares. internal/sparse's first line names (*Assembler).Finish
+# at 32: the CPU probe runs from an init function linked in
+# rowkernel_amd64.go's place, so the package has no sparse.init.
 # Between them, also in address order, a "first of" line per package of the
 # module gives the offset of its first text symbol: an edit that moves all
 # of a package's Go code by 32 shows there even when no kernel line moves.
@@ -337,7 +342,8 @@ placement:
 		fsaicomm/internal/vecops.ClassicCGUpdateBatch | \
 		fsaicomm/internal/sparse.mulVecRunsF64.abi0 | \
 		fsaicomm/internal/sparse.mulMatRunsF64.abi0 | \
-		fsaicomm/internal/sparse.mulMatRuns2F64.abi0) echo "$$((0x$$addr % 64)) mod 64  $$sym" ;; \
+		fsaicomm/internal/sparse.mulMatRuns2F64.abi0 | \
+		'fsaicomm/internal/sparse.(*RunIndex).stop') echo "$$((0x$$addr % 64)) mod 64  $$sym" ;; \
 	esac; done
 
 # cover: per-package statement coverage for the whole module.

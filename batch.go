@@ -105,7 +105,8 @@ func SolveBatchContext(ctx context.Context, a *Matrix, rhs [][]float64, opt Opti
 // and fused CG variants have batched loops (ErrBatchVariant otherwise).
 // Safe for concurrent use like Solve. Cancellation stops all columns at
 // the same batch iteration and returns the partial per-column results with
-// an ErrCanceled-wrapped error.
+// an ErrCanceled-wrapped error; a nil ctx is never canceled, over either
+// transport.
 func (p *Prepared) SolveBatch(ctx context.Context, rhs [][]float64, so SolveOptions) (*BatchResult, error) {
 	if err := p.check(so, rhs, true); err != nil {
 		return nil, err

@@ -436,6 +436,11 @@ func runTransient(ctx context.Context, jobs []*mprun.JobSpec) ([]*mprun.RankOutc
 // job itself. pools, when given, lends each sim rank a workspace for the
 // solve (worker processes start fresh anyway).
 func (p *Prepared) runRanks(ctx context.Context, transport string, job mprun.JobSpec, held []mprun.Operators, pools []sync.Pool, rhs [][]float64) (*rankFold, error) {
+	if ctx == nil {
+		// Never canceled; the ranks still meter the cancel check, as
+		// worker processes always do, so both transports meter alike.
+		ctx = context.Background()
+	}
 	ranks := job.Layout.NRanks()
 	oldToNew := p.st.oldToNew
 	pb := packPermuted(rhs, oldToNew)

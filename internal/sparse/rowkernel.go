@@ -18,10 +18,11 @@ package sparse
 // rowDotCols; a 1-wide one walks the entries in place of mulVecRows, whose
 // Go loop spends more instructions per row on re-slicing and reloading than
 // a short row spends on its entries. A product over a pattern that is mostly
-// column runs (runs.go) walks the runs at every width on amd64: at width 1
-// one index pair per run and two entries per SSE2 load; wider, the pair
-// kernel's lanes with one index pair per run (at k = 2 with both columns
-// active, a body with the stride built in). Each is the same left-to-right
+// column runs (runs.go) walks the runs at every width on amd64, the index
+// checked once, not per run: at width 1 one index pair per run and a line
+// of x per two 256-bit loads (AVX2); wider, the pair kernel's lanes with one index
+// pair per run (at k = 2 with both columns active, a body with the stride
+// built in). Each is the same left-to-right
 // sum; elsewhere the entries are walked, and RowDot is what all are fuzzed
 // against. The 1-wide kernels can also return wᵀy, adding wᵢyᵢ as they store
 // row i, from +0 in ascending i: vecops.Dot's order, so its bits (dotRows is

@@ -4,11 +4,13 @@ import "fmt"
 
 // The amd64 bodies of the k-wide product and of the 1-wide one:
 // rowkernel_amd64.s walks a block of rows, with one column pair in the two
-// lanes of an XMM register (over the entries or over the runs), or one row's
-// runs two entries per load, or one row's entries, and this file is
-// everything Go has to do around it — the shape checks the assembly relies
-// on, the pairing of the active columns, the running dot carried from block
-// to block and the panic for a row the assembly would not finish.
+// lanes of an XMM register (over the entries or over the runs), or one
+// row's runs a line of x per two 256-bit loads, or one row's entries, and
+// this file is everything Go has to do around it — the shape checks the
+// assembly relies on (for the runs, the run index's own check,
+// RunIndex.stop), the pairing of the active columns, the running dot
+// carried from block to block and the panic for a row the assembly would
+// not finish.
 
 //go:noescape
 func mulMatPairF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
@@ -17,19 +19,19 @@ func mulMatPairF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi, 
 func mulMatPairF32(rowPtr, colIdx []int, val []float32, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
 
 //go:noescape
-func mulMatRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v, nruns, xrows, k, c0, c1 int) int
+func mulMatRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, k, c0, c1 int)
 
 //go:noescape
-func mulMatRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v, nruns, xrows, k, c0, c1 int) int
+func mulMatRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, k, c0, c1 int)
 
 //go:noescape
-func mulMatRuns2F64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v, nruns, xrows int) int
+func mulMatRuns2F64(runPtr, runs []int, val []float64, x, y []float64, lo, hi int)
 
 //go:noescape
-func mulVecRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v int, w []float64, sum float64) (int, float64)
+func mulVecRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi int, w []float64, sum float64) float64
 
 //go:noescape
-func mulVecRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v int, w []float64, sum float64) (int, float64)
+func mulVecRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi int, w []float64, sum float64) float64
 
 //go:noescape
 func mulVecRowsF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi int, w []float64, sum float64) (int, float64)
@@ -37,11 +39,15 @@ func mulVecRowsF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi i
 //go:noescape
 func mulVecRowsF32(rowPtr, colIdx []int, val []float32, x, y []float64, lo, hi int, w []float64, sum float64) (int, float64)
 
-func cpuHasSSE3() bool
+func cpuFeatures()
 
-// sse3 says whether the assembly's one instruction beyond the amd64 baseline
-// (MOVDDUP) is there; without it the portable body runs.
-var sse3 = cpuHasSSE3()
+// sse3 says whether the k-wide kernels' one instruction beyond the amd64
+// baseline (MOVDDUP) is there; without it the portable body runs. avx2 says
+// whether the 1-wide run product's VEX body runs; without AVX2 mulVecRunsGo
+// walks the runs. cpuFeatures sets both, once.
+var sse3, avx2 bool
+
+func init() { cpuFeatures() }
 
 // rowBlock is how many rows one call into the assembly walks. A goroutine
 // cannot be stopped inside it, so a GC stop waits for one block — a few
@@ -78,9 +84,13 @@ func mulMatWide[V Value](r *RunIndex, rowPtr, colIdx []int, val []V, x, y []floa
 	xrows := len(x) / k
 	for b := lo; b < hi; b += rowBlock {
 		e := min(b+rowBlock, hi)
-		v := rowPtr[b]
-		if r != nil && (v < 0 || v > len(val)) {
-			panic(fmt.Sprintf("sparse: run product, row %d: RowPtr %d outside the %d values", b, v, len(val)))
+		v, stop, fault := 0, e, ""
+		if r != nil {
+			v = rowPtr[b]
+			if v < 0 || v > len(val) {
+				panic(fmt.Sprintf("sparse: run product, row %d: RowPtr %d outside the %d values", b, v, len(val)))
+			}
+			stop, fault = r.stop(b, e, xrows, len(val)-v)
 		}
 		for a := 0; a < n; a += 2 {
 			c0 := colAt(cols, a)
@@ -88,27 +98,27 @@ func mulMatWide[V Value](r *RunIndex, rowPtr, colIdx []int, val []V, x, y []floa
 			if a+1 < n {
 				c1 = colAt(cols, a+1)
 			}
-			var done int
-			switch vs := any(val).(type) {
+			done := stop
+			switch vs := any(val[v:]).(type) { // v is 0 over the entries
 			case []float64:
 				switch {
 				case r != nil && k == 2 && c0 == 0 && c1 == 1:
-					done = mulMatRuns2F64(r.ptr, r.runs, vs, x, y, b, e, v, len(r.runs)/2, xrows)
+					mulMatRuns2F64(r.ptr, r.runs, vs, x, y, b, stop)
 				case r != nil:
-					done = mulMatRunsF64(r.ptr, r.runs, vs, x, y, b, e, v, len(r.runs)/2, xrows, k, c0, c1)
+					mulMatRunsF64(r.ptr, r.runs, vs, x, y, b, stop, k, c0, c1)
 				default:
 					done = mulMatPairF64(rowPtr, colIdx, vs, x, y, b, e, xrows, k, c0, c1)
 				}
 			case []float32:
 				if r != nil {
-					done = mulMatRunsF32(r.ptr, r.runs, vs, x, y, b, e, v, len(r.runs)/2, xrows, k, c0, c1)
+					mulMatRunsF32(r.ptr, r.runs, vs, x, y, b, stop, k, c0, c1)
 				} else {
 					done = mulMatPairF32(rowPtr, colIdx, vs, x, y, b, e, xrows, k, c0, c1)
 				}
 			}
 			if done < e {
-				if r != nil {
-					badRunRow(r, xrows, done)
+				if fault != "" {
+					panic(fault)
 				}
 				badRow(rowPtr, colIdx, val, x, y, k, cols, done)
 			}
@@ -135,7 +145,9 @@ func badRow[V Value](rowPtr, colIdx []int, val []V, x, y []float64, k int, cols 
 // and returns sum plus Σᵢ w[i]·y[i] over those rows, added in ascending i
 // as each row is stored (w nil: sum). It panics, with the row named, where
 // mulVecRows's bounds checks would, and on run pointers that run backwards
-// or past the index and on a run that leaves x or the values.
+// or past the index and on a run that leaves x or the values: a block the
+// index's check (RunIndex.stop) does not pass is walked up to its first
+// such row, which is not written, and nothing after it is.
 func mulVec[V Value](r *RunIndex, rowPtr, colIdx []int, val []V, x, y, w []float64, lo, hi int, sum float64) float64 {
 	if lo >= hi {
 		return sum
@@ -169,14 +181,45 @@ func mulVec[V Value](r *RunIndex, rowPtr, colIdx []int, val []V, x, y, w []float
 		if v < 0 || v > len(val) {
 			panic(fmt.Sprintf("sparse: run product, row %d: RowPtr %d outside the %d values", b, v, len(val)))
 		}
+		done, fault := r.stop(b, e, len(x), len(val)-v)
 		switch vs := any(val).(type) {
 		case []float64:
-			done, sum = mulVecRunsF64(r.ptr, r.runs, vs, x, y, b, e, v, w, sum)
+			if avx2 {
+				sum = mulVecRunsF64(r.ptr, r.runs, vs[v:], x, y, b, done, w, sum)
+			} else {
+				sum = mulVecRunsGo(r, vs[v:], x, y, b, done, w, sum)
+			}
 		case []float32:
-			done, sum = mulVecRunsF32(r.ptr, r.runs, vs, x, y, b, e, v, w, sum)
+			if avx2 {
+				sum = mulVecRunsF32(r.ptr, r.runs, vs[v:], x, y, b, done, w, sum)
+			} else {
+				sum = mulVecRunsGo(r, vs[v:], x, y, b, done, w, sum)
+			}
 		}
-		if done < e {
-			badRunRow(r, len(x), done)
+		if fault != "" {
+			panic(fault)
+		}
+	}
+	return sum
+}
+
+// mulVecRunsGo is the run product where the CPU has no AVX2: the runs of
+// the rows [lo, hi), which RunIndex.stop has checked, walked in Go from the
+// row's first value with RowDot's sum, and the running dot carried as the
+// assembly carries it.
+func mulVecRunsGo[V Value](r *RunIndex, val []V, x, y []float64, lo, hi int, w []float64, sum float64) float64 {
+	for i := lo; i < hi; i++ {
+		s := 0.0
+		for t := r.ptr[i]; t < r.ptr[i+1]; t++ {
+			c, n := r.runs[2*t], r.runs[2*t+1]
+			for j, v := range val[:n] {
+				s += float64(v) * x[c+j]
+			}
+			val = val[n:]
+		}
+		y[i] = s
+		if w != nil {
+			sum += w[i] * y[i]
 		}
 	}
 	return sum
@@ -193,19 +236,4 @@ func badVecRow[V Value](rowPtr, colIdx []int, val []V, x, y []float64, i int) {
 		panic(fmt.Sprintf("sparse: product, row %d: %v", i, r))
 	}()
 	mulVecRows(rowPtr, colIdx, val, x, y, i, i+1)
-}
-
-// badRunRow panics on row i, whose runs the assembly refused, saying what is
-// wrong with them.
-func badRunRow(r *RunIndex, xrows, i int) {
-	p, q := r.ptr[i], r.ptr[i+1]
-	if p < 0 || p > q || q > len(r.runs)/2 {
-		panic(fmt.Sprintf("sparse: run product, row %d: runs [%d, %d) run backwards or past the %d indexed", i, p, q, len(r.runs)/2))
-	}
-	for t := p; t < q; t++ {
-		if s, n := r.runs[2*t], r.runs[2*t+1]; s < 0 || s >= xrows || n < 0 || n > xrows-s {
-			panic(fmt.Sprintf("sparse: run product, row %d: a run of %d from column %d leaves x (%d entries)", i, n, s, xrows))
-		}
-	}
-	panic(fmt.Sprintf("sparse: run product, row %d: a run reads past the values", i))
 }

@@ -3,10 +3,10 @@
 // The four product kernels that have an amd64 body: the k-wide one of
 // rowkernel.go with a column pair in the two lanes of an XMM register
 // (mulMatPair*), the 1-wide one of runs.go that walks a row's runs of
-// consecutive columns two entries per load (mulVecRuns*), the k-wide one
-// over the same runs, a column pair per register (mulMatRuns*, with
-// mulMatRuns2F64 its body for the batch of two), and the 1-wide entry walk of
-// rowkernel.go (mulVecRows*). The two 1-wide kernels can also carry a dot
+// consecutive columns a line of x per two 256-bit loads (mulVecRuns*), the
+// k-wide one over the same runs, a column pair per register (mulMatRuns*,
+// with mulMatRuns2F64 its body for the batch of two), and the 1-wide entry
+// walk of rowkernel.go (mulVecRows*). The two 1-wide kernels can also carry a dot
 // product through their store step (DOTSTEP).
 
 // DOTSTEP is the store step's running dot: when W (the base of w, or 0 for
@@ -34,8 +34,8 @@ skip:
 // alone. c1 may equal c0 (an odd last column rides both lanes). Everything
 // is SSE2 but MOVDDUP, the one broadcast that is a plain load (a shuffle
 // would queue behind MOVHPD's on the same port: +6 % per entry on G); it is
-// SSE3, which GOAMD64=v1 does not promise, so the wrapper asks cpuHasSSE3
-// once. (The amd64 compiler fuses no multiply-add at any GOAMD64 level, so
+// SSE3, which GOAMD64=v1 does not promise, so the wrapper reads what
+// cpuFeatures found once. (The amd64 compiler fuses no multiply-add at any GOAMD64 level, so
 // the Go kernels round the way this file does everywhere it builds.)
 //
 // Safety is what the Go body's bounds checks give: a row pointer pair that
@@ -115,94 +115,86 @@ done: \
 
 // The run product of runs.go. For the rows [lo, hi) it writes
 //
-//	y[i] = Σ over row i's runs (s, n) of Σ_{j<n} val[v+j]·x[s+j], v advancing
+//	y[i] = Σ over row i's runs (s, n) of Σ_{j<n} val[j]·x[s+j], val advancing
 //
-// one run at a time in entry order, from the v the wrapper passes. Per run
-// it loads the start and the length once; the entries go two at a time —
-// MOVUPD of two x values, the two values (MOVUPD, or CVTPS2PD widening two
-// float32s), MULPD, then ADDSD the low lane, UNPCKHPD, ADDSD the high lane —
-// and a run of 8, one 64-byte line of x, is fully unrolled. The sum adds its
-// terms left to right in entry order and MULPD rounds per lane as MULSD
-// does, so y[i] holds RowDot's bits. Everything is SSE2.
+// one run at a time in entry order, from the val the wrapper passes (row
+// lo's first value). Per run it loads the start and the length once. A run
+// of 8, one 64-byte line of x, is two 256-bit loads of x multiplied by two
+// 256-bit loads of the values (VCVTPS2PD widens four float32s); the four
+// lanes of each product are then added to the row's sum one at a time,
+// lowest first (VPERMILPD brings a lane down, VEXTRACTF128 the upper pair).
+// Other runs go two entries at a time (the same with 128 bits) and an odd
+// last entry alone. Each multiply takes the value as its first operand,
+// each add the sum, as the compiled RowDot does; the sum adds its terms
+// left to right in entry order, VMULPD rounds per lane as MULSD does and
+// nothing is fused, so y[i] holds RowDot's bits. Every instruction is
+// VEX-encoded and VZEROUPPER ends the call. Needs AVX, and the wrapper runs
+// it where cpuFeatures found AVX2.
 //
-// Safety is checked per row and per run with unsigned compares: the row's
-// run pointers ascending and inside the index, a run's start below xrows
-// (len(x)), its length at most xrows − start and at most the values left.
-// A refused row is not written and its number is returned for the Go wrapper
-// to panic on; hi is returned when every row is done, with sum plus
-// Σᵢ w[i]·y[i] over the rows done when w is not nil (DOTSTEP; sum itself when
-// it is). The wrapper has checked that runPtr holds hi+1 entries, that y and
-// a non-nil w hold hi and that 0 ≤ v ≤ len(val).
+// Nothing is checked here but the trip counts: the wrapper has checked
+// (RunIndex.stop) that every run of the rows [lo, hi) lies inside x and
+// the values left, that their run pointers ascend inside the index, that
+// runPtr holds hi+1 entries and that y and a non-nil w hold hi. It returns
+// sum plus Σᵢ w[i]·y[i] over the rows when w is not nil (VDOTSTEP; sum
+// itself when it is).
 //
-// Registers: R8 runPtr, R9 runs, R10 runs stored, DI &val[v], R11 values
-// left, DX x, R12 xrows, BX y, AX i, R13 run (byte offset), R14 end of the
-// row's runs, R15 run start, SI entries left in the run, CX &x[start] (at
-// the store, w), X2 the sum, X4 the running dot.
+// Registers: R8 runPtr, R9 runs, DI &val[j], DX x, BX y, R11 w (0 for
+// none), R12 hi, AX i, R13 run (byte offset), R14 end of the row's runs,
+// CX &x[start], SI entries left in the run, X2 the sum, X4 the running dot.
 
-#define PAIR64(o) MOVUPD o(DI), X0; MOVUPD o(CX), X1; MULPD X1, X0; ADDSD X0, X2; UNPCKHPD X0, X0; ADDSD X0, X2
-#define PAIR32(xo, vo) CVTPS2PD vo(DI), X0; MOVUPD xo(CX), X1; MULPD X1, X0; ADDSD X0, X2; UNPCKHPD X0, X0; ADDSD X0, X2
-#define STEP64 PAIR64(0)
-#define STEP32 PAIR32(0, 0)
-#define RUN8x64 PAIR64(0); PAIR64(16); PAIR64(32); PAIR64(48)
-#define RUN8x32 PAIR32(0, 0); PAIR32(16, 8); PAIR32(32, 16); PAIR32(48, 24)
-#define LAST64 MOVSD (DI), X0; MOVSD (CX), X1; MULSD X1, X0; ADDSD X0, X2
-#define LAST32 MOVSS (DI), X0; CVTSS2SD X0, X0; MOVSD (CX), X1; MULSD X1, X0; ADDSD X0, X2
+// VDOTSTEP is DOTSTEP VEX-encoded.
+#define VDOTSTEP(W, skip) \
+	TESTQ	W, W; \
+	JEQ	skip; \
+	VMOVSD	(W)(AX*8), X3; \
+	VMULSD	X2, X3, X3; \
+	VADDSD	X3, X4, X4; \
+skip:
 
-#define RUNKERNEL(STEP, RUN8, LAST, VSIZE) \
+#define LANES(Y, X) VADDSD X, X2, X2; VPERMILPD $1, X, X3; VADDSD X3, X2, X2; VEXTRACTF128 $1, Y, X; VADDSD X, X2, X2; VPERMILPD $1, X, X; VADDSD X, X2, X2
+#define LINE64 VMOVUPD (DI), Y0; VMULPD (CX), Y0, Y0; VMOVUPD 32(DI), Y1; VMULPD 32(CX), Y1, Y1; LANES(Y0, X0); LANES(Y1, X1)
+#define LINE32 VCVTPS2PD (DI), Y0; VMULPD (CX), Y0, Y0; VCVTPS2PD 16(DI), Y1; VMULPD 32(CX), Y1, Y1; LANES(Y0, X0); LANES(Y1, X1)
+#define PAIR64 VMOVUPD (DI), X0; VMULPD (CX), X0, X0; VADDSD X0, X2, X2; VPERMILPD $1, X0, X0; VADDSD X0, X2, X2
+#define PAIR32 VCVTPS2PD (DI), X0; VMULPD (CX), X0, X0; VADDSD X0, X2, X2; VPERMILPD $1, X0, X0; VADDSD X0, X2, X2
+#define LAST64 VMOVSD (DI), X0; VMULSD (CX), X0, X0; VADDSD X0, X2, X2
+#define LAST32 VCVTSS2SD (DI), X0, X0; VMULSD (CX), X0, X0; VADDSD X0, X2, X2
+
+#define RUNKERNEL(LINE, PAIR, LAST, VSIZE) \
 	MOVQ	runPtr_base+0(FP), R8; \
 	MOVQ	runs_base+24(FP), R9; \
-	MOVQ	runs_len+32(FP), R10; \
-	SHRQ	$1, R10; \
 	MOVQ	val_base+48(FP), DI; \
-	MOVQ	val_len+56(FP), R11; \
-	MOVQ	v+136(FP), AX; \
-	SUBQ	AX, R11; \
-	LEAQ	(DI)(AX*VSIZE), DI; \
 	MOVQ	x_base+72(FP), DX; \
-	MOVQ	x_len+80(FP), R12; \
 	MOVQ	y_base+96(FP), BX; \
-	MOVSD	sum+168(FP), X4; \
 	MOVQ	lo+120(FP), AX; \
+	MOVQ	hi+128(FP), R12; \
+	MOVQ	w_base+136(FP), R11; \
+	VMOVSD	sum+160(FP), X4; \
 	PCALIGN	$32; \
 row: \
-	CMPQ	AX, hi+128(FP); \
+	CMPQ	AX, R12; \
 	JGE	done; \
 	MOVQ	(R8)(AX*8), R13; \
 	MOVQ	8(R8)(AX*8), R14; \
-	CMPQ	R13, R14; \
-	JHI	done; \
-	CMPQ	R14, R10; \
-	JHI	done; \
-	XORPS	X2, X2; \
+	VXORPS	X2, X2, X2; \
 	SHLQ	$4, R13; \
 	SHLQ	$4, R14; \
 	CMPQ	R13, R14; \
 	JEQ	store; \
 	PCALIGN	$32; \
 run: \
-	MOVQ	(R9)(R13*1), R15; \
+	MOVQ	(R9)(R13*1), CX; \
 	MOVQ	8(R9)(R13*1), SI; \
-	CMPQ	R15, R12; \
-	JCC	done; \
-	MOVQ	R12, CX; \
-	SUBQ	R15, CX; \
-	CMPQ	SI, CX; \
-	JHI	done; \
-	CMPQ	SI, R11; \
-	JHI	done; \
-	SUBQ	SI, R11; \
-	LEAQ	(DX)(R15*8), CX; \
+	LEAQ	(DX)(CX*8), CX; \
 	CMPQ	SI, $8; \
 	JNE	pairs; \
-	RUN8; \
+	LINE; \
 	ADDQ	$(8*VSIZE), DI; \
 	JMP	next; \
 pairs: \
 	CMPQ	SI, $2; \
 	JCS	last; \
-	PCALIGN	$32; \
 pair: \
-	STEP; \
+	PAIR; \
 	ADDQ	$16, CX; \
 	ADDQ	$(2*VSIZE), DI; \
 	SUBQ	$2, SI; \
@@ -218,14 +210,13 @@ next: \
 	CMPQ	R13, R14; \
 	JNE	run; \
 store: \
-	MOVSD	X2, (BX)(AX*8); \
-	MOVQ	w_base+144(FP), CX; \
-	DOTSTEP(CX, nodot); \
+	VMOVSD	X2, (BX)(AX*8); \
+	VDOTSTEP(R11, nodot); \
 	INCQ	AX; \
 	JMP	row; \
 done: \
-	MOVQ	AX, ret+176(FP); \
-	MOVSD	X4, ret1+184(FP); \
+	VMOVSD	X4, ret+168(FP); \
+	VZEROUPPER; \
 	RET
 
 // The entry walk of rowkernel.go, the product of a matrix with no run index:
@@ -306,11 +297,11 @@ done: \
 // The k-wide run product: PAIRKERNEL's lanes walked over RUNKERNEL's runs.
 // For the rows [lo, hi) it writes
 //
-//	y[i*k+c0], y[i*k+c1] = Σ over row i's runs (s, n) of Σ_{j<n} val[v+j]·x[(s+j)*k+c0], … c1
+//	y[i*k+c0], y[i*k+c1] = Σ over row i's runs (s, n) of Σ_{j<n} val[j]·x[(s+j)*k+c0], … c1
 //
-// v advancing one run at a time in entry order from the v the wrapper
-// passes. Per run it loads the start and the length once and finds
-// &x[s*k+c0] with one multiply. Per entry it broadcasts the value (MOVDDUP;
+// val advancing one run at a time in entry order from the val the wrapper
+// passes (row lo's first value). Per run it loads the start and the length
+// once and finds &x[s*k+c0] with one multiply. Per entry it broadcasts the value (MOVDDUP;
 // float32 values are widened two at a time by CVTPS2PD and broadcast lane
 // by lane), loads the pair of x lanes, then MULPD and ADDPD. When
 // c1 = c0+1 (k = 2 unmasked) the lanes are one MOVUPD and the entries' x
@@ -323,17 +314,15 @@ done: \
 // PAIRKERNEL's lanes do. c1 may equal c0 (an odd last column rides both
 // lanes). Needs SSE3 (MOVDDUP).
 //
-// Safety is RUNKERNEL's, with unsigned compares: per row the run pointers
-// ascending and at most nruns, per run the start below xrows and the length
-// at most the values left and at most xrows − start. A refused row is not
-// written and its number is returned for the Go wrapper to panic on; hi is
-// returned when every row is done. The wrapper has checked that runPtr holds
-// hi+1 entries, that y holds hi·k, that 0 ≤ v ≤ len(val), that nruns ≤
-// len(runs)/2, that xrows·k ≤ len(x) and that c0, c1 < k.
+// Nothing is checked here but the trip counts, as in RUNKERNEL: the wrapper
+// has checked (RunIndex.stop) that the runs of the rows [lo, hi) lie inside
+// the len(x)/k rows of x and the values left and that their run pointers
+// ascend inside the index, and that runPtr holds hi+1 entries, that y holds
+// hi·k and that c0, c1 < k.
 //
-// Registers: R8 runPtr, R9 runs, DI &val[v+j], R11 values left, DX &x[c0],
-// R12 xrows, R15 bytes per x or y row (8k), R10 bytes from lane c0 to lane
-// c1, BX &y[i*k+c0], AX i, R13 run (byte offset), R14 end of the row's runs,
+// Registers: R8 runPtr, R9 runs, DI &val[j], DX &x[c0], R12 hi, R15 bytes
+// per x or y row (8k), R10 bytes from lane c0 to lane c1, BX &y[i*k+c0],
+// AX i, R13 run (byte offset), R14 end of the row's runs,
 // CX &x[(s+j)*k+c0], SI entries left in the run, X2 the sums, X3 two
 // widened float32 values.
 
@@ -376,15 +365,15 @@ a8: \
 	SUBQ	$8, SI; \
 	JMP	a8; \
 a4: \
-	TESTQ	$4, SI; \
+	TESTB	$4, SIB; \
 	JEQ	a2; \
 	B4; \
 a2: \
-	TESTQ	$2, SI; \
+	TESTB	$2, SIB; \
 	JEQ	a1; \
 	B2; \
 a1: \
-	TESTQ	$1, SI; \
+	TESTB	$1, SIB; \
 	JEQ	next; \
 	B1; \
 	JMP	next
@@ -393,15 +382,11 @@ a1: \
 	MOVQ	runPtr_base+0(FP), R8; \
 	MOVQ	runs_base+24(FP), R9; \
 	MOVQ	val_base+48(FP), DI; \
-	MOVQ	val_len+56(FP), R11; \
-	MOVQ	v+136(FP), AX; \
-	SUBQ	AX, R11; \
-	LEAQ	(DI)(AX*VSIZE), DI; \
-	MOVQ	xrows+152(FP), R12; \
-	MOVQ	k+160(FP), R15; \
+	MOVQ	hi+128(FP), R12; \
+	MOVQ	k+136(FP), R15; \
 	SHLQ	$3, R15; \
-	MOVQ	c0+168(FP), AX; \
-	MOVQ	c1+176(FP), R10; \
+	MOVQ	c0+144(FP), AX; \
+	MOVQ	c1+152(FP), R10; \
 	SUBQ	AX, R10; \
 	SHLQ	$3, R10; \
 	MOVQ	x_base+72(FP), DX; \
@@ -413,14 +398,10 @@ a1: \
 	MOVQ	lo+120(FP), AX; \
 	PCALIGN	$32; \
 row: \
-	CMPQ	AX, hi+128(FP); \
+	CMPQ	AX, R12; \
 	JGE	done; \
 	MOVQ	(R8)(AX*8), R13; \
 	MOVQ	8(R8)(AX*8), R14; \
-	CMPQ	R13, R14; \
-	JHI	done; \
-	CMPQ	R14, nruns+144(FP); \
-	JHI	done; \
 	XORPS	X2, X2; \
 	SHLQ	$4, R13; \
 	SHLQ	$4, R14; \
@@ -430,15 +411,6 @@ row: \
 run: \
 	MOVQ	(R9)(R13*1), CX; \
 	MOVQ	8(R9)(R13*1), SI; \
-	CMPQ	CX, R12; \
-	JCC	done; \
-	CMPQ	SI, R11; \
-	JHI	done; \
-	ADDQ	CX, SI; \
-	CMPQ	SI, R12; \
-	JHI	done; \
-	SUBQ	CX, SI; \
-	SUBQ	SI, R11; \
 	IMULQ	R15, CX; \
 	ADDQ	DX, CX; \
 	CMPQ	R10, $8; \
@@ -457,7 +429,6 @@ store: \
 	INCQ	AX; \
 	JMP	row; \
 done: \
-	MOVQ	AX, ret+184(FP); \
 	RET
 
 // The k-wide run product of the batch of two: RUNPAIRKERNEL at k = 2 with
@@ -465,13 +436,12 @@ done: \
 // batch of two runs at. The stride is 16 bytes, so an entry's x pair sits at
 // an immediate offset from the run's start and the start's address is a
 // shift: x[s*2] is 16s bytes in, the y pair of row i 16i bytes. The rest is
-// RUNPAIRKERNEL's adjacent path — the same checks, the same blocks of 8, 4,
-// 2 and 1 with a run of exactly 8 falling through to the next run, the same
-// lane sums and so the same bits — with the lane pair stored by one MOVUPD.
+// RUNPAIRKERNEL's adjacent path — the same blocks of 8, 4, 2 and 1 with a
+// run of exactly 8 falling through to the next run, the same lane sums and
+// so the same bits — with the lane pair stored by one MOVUPD.
 // The wrapper has checked what it checks for RUNPAIRKERNEL, with k = 2.
 //
-// Registers: as RUNPAIRKERNEL's, less R15 and R10 (here the end of the run
-// being checked).
+// Registers: as RUNPAIRKERNEL's, less R15 and R10.
 
 #define K2(o, xo) MOVDDUP o(DI), X0; MOVUPD xo(CX), X1; MULPD X1, X0; ADDPD X0, X2
 #define K2x8 K2(0, 0); K2(8, 16); K2(16, 32); K2(24, 48); K2(32, 64); K2(40, 80); K2(48, 96); K2(56, 112); ADDQ $64, DI
@@ -483,25 +453,17 @@ done: \
 	MOVQ	runPtr_base+0(FP), R8; \
 	MOVQ	runs_base+24(FP), R9; \
 	MOVQ	val_base+48(FP), DI; \
-	MOVQ	val_len+56(FP), R11; \
-	MOVQ	v+136(FP), AX; \
-	SUBQ	AX, R11; \
-	LEAQ	(DI)(AX*8), DI; \
-	MOVQ	xrows+152(FP), R12; \
 	MOVQ	x_base+72(FP), DX; \
+	MOVQ	hi+128(FP), R12; \
 	MOVQ	lo+120(FP), AX; \
 	MOVQ	AX, BX; \
 	SHLQ	$4, BX; \
 	ADDQ	y_base+96(FP), BX; \
 row: \
-	CMPQ	AX, hi+128(FP); \
+	CMPQ	AX, R12; \
 	JGE	done; \
 	MOVQ	(R8)(AX*8), R13; \
 	MOVQ	8(R8)(AX*8), R14; \
-	CMPQ	R13, R14; \
-	JHI	done; \
-	CMPQ	R14, nruns+144(FP); \
-	JHI	done; \
 	XORPS	X2, X2; \
 	SHLQ	$4, R13; \
 	SHLQ	$4, R14; \
@@ -511,14 +473,6 @@ row: \
 run: \
 	MOVQ	(R9)(R13*1), CX; \
 	MOVQ	8(R9)(R13*1), SI; \
-	CMPQ	CX, R12; \
-	JCC	done; \
-	CMPQ	SI, R11; \
-	JHI	done; \
-	LEAQ	(CX)(SI*1), R10; \
-	CMPQ	R10, R12; \
-	JHI	done; \
-	SUBQ	SI, R11; \
 	SHLQ	$4, CX; \
 	ADDQ	DX, CX; \
 	CMPQ	SI, $8; \
@@ -541,20 +495,19 @@ more: \
 	SUBQ	$8, SI; \
 	JMP	more; \
 b4: \
-	TESTQ	$4, SI; \
+	TESTB	$4, SIB; \
 	JEQ	b2; \
 	K2x4; \
 b2: \
-	TESTQ	$2, SI; \
+	TESTB	$2, SIB; \
 	JEQ	b1; \
 	K2x2; \
 b1: \
-	TESTQ	$1, SI; \
+	TESTB	$1, SIB; \
 	JEQ	next; \
 	K2x1; \
 	JMP	next; \
 done: \
-	MOVQ	AX, ret+160(FP); \
 	RET
 
 // func mulMatPairF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi, xrows, k, c0, c1 int) int
@@ -565,24 +518,24 @@ TEXT ·mulMatPairF64(SB), NOSPLIT, $0-176
 TEXT ·mulMatPairF32(SB), NOSPLIT, $0-176
 	PAIRKERNEL(LOADV32)
 
-// func mulVecRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v int, w []float64, sum float64) (int, float64)
-TEXT ·mulVecRunsF64(SB), NOSPLIT, $0-192
-	RUNKERNEL(STEP64, RUN8x64, LAST64, 8)
+// func mulVecRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi int, w []float64, sum float64) float64
+TEXT ·mulVecRunsF64(SB), NOSPLIT, $0-176
+	RUNKERNEL(LINE64, PAIR64, LAST64, 8)
 
-// func mulVecRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v int, w []float64, sum float64) (int, float64)
-TEXT ·mulVecRunsF32(SB), NOSPLIT, $0-192
-	RUNKERNEL(STEP32, RUN8x32, LAST32, 4)
+// func mulVecRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi int, w []float64, sum float64) float64
+TEXT ·mulVecRunsF32(SB), NOSPLIT, $0-176
+	RUNKERNEL(LINE32, PAIR32, LAST32, 4)
 
-// func mulMatRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v, nruns, xrows, k, c0, c1 int) int
-TEXT ·mulMatRunsF64(SB), NOSPLIT, $0-192
+// func mulMatRunsF64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, k, c0, c1 int)
+TEXT ·mulMatRunsF64(SB), NOSPLIT, $0-160
 	RUNPAIRKERNEL(ADJ8x64, ADJ4x64, ADJ2x64, ADJ1x64, GEN8x64, GEN4x64, GEN2x64, GEN1x64, 8)
 
-// func mulMatRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, v, nruns, xrows, k, c0, c1 int) int
-TEXT ·mulMatRunsF32(SB), NOSPLIT, $0-192
+// func mulMatRunsF32(runPtr, runs []int, val []float32, x, y []float64, lo, hi, k, c0, c1 int)
+TEXT ·mulMatRunsF32(SB), NOSPLIT, $0-160
 	RUNPAIRKERNEL(ADJ8x32, ADJ4x32, ADJ2x32, ADJ1x32, GEN8x32, GEN4x32, GEN2x32, GEN1x32, 4)
 
-// func mulMatRuns2F64(runPtr, runs []int, val []float64, x, y []float64, lo, hi, v, nruns, xrows int) int
-TEXT ·mulMatRuns2F64(SB), NOSPLIT, $0-168
+// func mulMatRuns2F64(runPtr, runs []int, val []float64, x, y []float64, lo, hi int)
+TEXT ·mulMatRuns2F64(SB), NOSPLIT, $0-136
 	RUNPAIR2KERNEL
 
 // func mulVecRowsF64(rowPtr, colIdx []int, val []float64, x, y []float64, lo, hi int, w []float64, sum float64) (int, float64)
@@ -593,10 +546,30 @@ TEXT ·mulVecRowsF64(SB), NOSPLIT, $0-184
 TEXT ·mulVecRowsF32(SB), NOSPLIT, $0-184
 	ROWKERNEL(MULV32)
 
-// func cpuHasSSE3() bool
-TEXT ·cpuHasSSE3(SB), NOSPLIT, $0-1
+// func cpuFeatures() sets sse3 from CPUID.1:ECX bit 0, and avx2 when
+// CPUID.1:ECX has OSXSAVE and AVX (bits 27, 28), XCR0 has the SSE and YMM
+// state (bits 1, 2: the OS saves the YMM registers) and CPUID.7.0:EBX has
+// AVX2 (bit 5).
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-0
 	MOVL	$1, AX
+	XORL	CX, CX
 	CPUID
-	ANDL	$1, CX
-	MOVB	CX, ret+0(FP)
+	MOVL	CX, BX
+	ANDL	$1, BX
+	MOVB	BX, ·sse3(SB)
+	ANDL	$0x18000000, CX
+	CMPL	CX, $0x18000000
+	JNE	noavx2
+	XORL	CX, CX
+	XGETBV
+	ANDL	$6, AX
+	CMPL	AX, $6
+	JNE	noavx2
+	MOVL	$7, AX
+	XORL	CX, CX
+	CPUID
+	TESTL	$0x20, BX
+	JEQ	noavx2
+	MOVB	$1, ·avx2(SB)
+noavx2:
 	RET

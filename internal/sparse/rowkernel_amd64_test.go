@@ -2,8 +2,12 @@ package sparse
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -320,6 +324,234 @@ func hostileVecCases(t *testing.T) {
 					if y[i] != 0.5 {
 						t.Fatalf("%s: y[%d] of the bad row or one after it was written: %v", at, i, y[i])
 					}
+				}
+			}
+		}
+	}
+}
+
+// withoutAVX2 runs f with the 1-wide run product on the body a CPU without
+// AVX2 takes (mulVecRunsGo). Not for tests that run in parallel.
+func withoutAVX2(f func()) {
+	defer func(on bool) { avx2 = on }(avx2)
+	avx2 = false
+	f()
+}
+
+// runRows builds a pattern of cols columns from rows of runs (start, length
+// pairs; a row without runs is empty), with values drawn from rng.
+func runRows(rng *rand.Rand, rows [][]int) (rowPtr, colIdx []int, val []float64) {
+	rowPtr = []int{0}
+	for _, runs := range rows {
+		for q := 0; q < len(runs); q += 2 {
+			for j := 0; j < runs[q+1]; j++ {
+				colIdx = append(colIdx, runs[q]+j)
+				val = append(val, rng.NormFloat64())
+			}
+		}
+		rowPtr = append(rowPtr, len(colIdx))
+	}
+	return rowPtr, colIdx, val
+}
+
+// TestRunKernelEquivalence: the 1-wide run product — the AVX2 body where
+// the CPU has AVX2, and the fallback forced — writes the bits of the portable
+// entry walk (mulVecRows) and returns dotRows' running dot, for runs of
+// every length from 1 to 17 (a run of 8 is one line of x) at every offset
+// mod 8, alone, two to a row and after rows with no runs, in both value
+// types, with and without w, over more rows than one block. x and w hold
+// NaN, ±Inf, −0 and subnormals beside normal numbers. The one NaN in them
+// is the hardware's default NaN, the one that Inf−Inf and 0·Inf make, so
+// every NaN of a sum has that bit pattern whatever the order of a
+// multiply's or an add's operands, and bit for bit holds for NaNs too.
+func TestRunKernelEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	const cols = 64
+	var rows [][]int
+	for rep := 0; rep < 12; rep++ {
+		for n := 1; n <= 17; n++ {
+			s := rng.Intn(cols - n + 1)
+			if rep%2 == 0 {
+				s = (rep / 2 % 8) * ((cols - n) / 8) // runs starting on lines and off them
+			}
+			m := 1 + rng.Intn(17)
+			rows = append(rows, []int{s, n}, nil, []int{0, min(n, 20), 24, m})
+		}
+	}
+	rowPtr, colIdx, val := runRows(rng, rows)
+	r := buildRuns(rowPtr, colIdx, countRuns(rowPtr, colIdx))
+	if len(rows) <= rowBlock {
+		t.Fatalf("%d rows fit one block", len(rows))
+	}
+	val32 := make([]float32, len(val))
+	for i, v := range val {
+		val32[i] = float32(v)
+	}
+	nan := math.Float64frombits(0xfff8000000000000)
+	odd := []float64{nan, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 5e-324, -2.5e-310, math.SmallestNonzeroFloat64 * 3}
+	special := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			if rng.Intn(4) == 0 {
+				v[i] = odd[rng.Intn(len(odd))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+		return v
+	}
+	x, wOdd := special(cols), special(len(rows))
+	bodies := []struct {
+		name string
+		run  func(f func())
+	}{{"fallback", withoutAVX2}}
+	if avx2 {
+		bodies = append(bodies, struct {
+			name string
+			run  func(f func())
+		}{"AVX2", func(f func()) { f() }})
+	}
+	check := func(at string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: row %d is %v (%#x), the entry walk gives %v (%#x)", at, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	for _, body := range bodies {
+		for _, w := range [][]float64{nil, wOdd} {
+			for _, f32 := range []bool{false, true} {
+				at := fmt.Sprintf("%s, w %v, float32 %v", body.name, w != nil, f32)
+				want, got := make([]float64, len(rows)), make([]float64, len(rows))
+				var dot float64
+				body.run(func() {
+					if f32 {
+						mulVecRows(rowPtr, colIdx, val32, x, want, 0, len(rows))
+						dot = mulVec(r, rowPtr, colIdx, val32, x, got, w, 0, len(rows), 0)
+					} else {
+						mulVecRows(rowPtr, colIdx, val, x, want, 0, len(rows))
+						dot = mulVec(r, rowPtr, colIdx, val, x, got, w, 0, len(rows), 0)
+					}
+				})
+				check(at, got, want)
+				wantDot := 0.0
+				if w != nil {
+					wantDot = dotRows(w, want, 0, len(rows), 0)
+				}
+				check(at+", w·y", []float64{dot}, []float64{wantDot})
+			}
+		}
+	}
+}
+
+// TestRunIndexValidatesOnce: the first products on a freshly built index,
+// made by many goroutines at once, write identical bits and validate the
+// index once (counted through validateRuns); later products do not validate
+// it again. A hostile index, validated before the good one and another
+// after it, is refused at its bad row both times: no verdict leaks from one
+// index to another.
+func TestRunIndexValidatesOnce(t *testing.T) {
+	var calls atomic.Int64
+	defer func(v func(*RunIndex)) { validateRuns = v }(validateRuns)
+	validate := validateRuns
+	validateRuns = func(r *RunIndex) { calls.Add(1); validate(r) }
+
+	hostile := func() {
+		t.Helper()
+		ptr, runs := []int{0, 1, 2, 3, 4}, []int{0, 2, 1, 2, 5, 2, 3, 2} // row 2 leaves an x of 6
+		msg, _ := hostileRuns(t, ptr, runs, make([]float64, 8), 6, 4, 1, nil)
+		if !strings.HasPrefix(msg, "sparse: run product, row 2:") {
+			t.Fatalf("hostile index: panic %q, want row 2 refused", msg)
+		}
+	}
+	hostile()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("the hostile index was validated %d times", n)
+	}
+
+	rng := rand.New(rand.NewSource(45))
+	var rows [][]int
+	for i := 0; i < 3*rowBlock; i++ {
+		rows = append(rows, []int{rng.Intn(8) * 8, 8, 64 + rng.Intn(20), 1 + rng.Intn(9)})
+	}
+	rowPtr, colIdx, val := runRows(rng, rows)
+	m := &CSR{Rows: len(rows), Cols: 96, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	r := IndexRuns(rowPtr, colIdx)
+	if r == nil {
+		t.Fatal("a pattern of runs of 8 got no run index")
+	}
+	x, w := make([]float64, m.Cols), make([]float64, m.Rows)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+	const goroutines = 16
+	ys, dots := make([][]float64, goroutines), make([]float64, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range ys {
+		ys[g] = make([]float64, m.Rows)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			dots[g] = m.MulVecDot(r, x, ys[g], w)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("%d goroutines' first products validated the index %d times, want once", goroutines, n-1)
+	}
+	for g := 1; g < goroutines; g++ {
+		if !slices.Equal(ys[g], ys[0]) || math.Float64bits(dots[g]) != math.Float64bits(dots[0]) {
+			t.Fatalf("goroutine %d's product differs from goroutine 0's", g)
+		}
+	}
+	want := make([]float64, m.Rows)
+	mulVecRows(rowPtr, colIdx, val, x, want, 0, m.Rows)
+	if !slices.Equal(ys[0], want) {
+		t.Fatal("the concurrent first products differ from the entry walk")
+	}
+	m.MulVecDot(r, x, ys[0], w)
+	hostile()
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("%d validations after a second product on the good index and a second hostile one, want 3", n)
+	}
+}
+
+// TestRunBlockCheckEdges: the O(1) block check at its edges, 1-wide and
+// 2-wide, on 4 rows of one run of 2 each over an x of 6 rows. Runs that end
+// exactly on x's last row and take exactly the values there are run;
+// one value short, a run one past x and backwards run pointers on the last
+// row are refused naming row 3, with rows 0–2 written.
+func TestRunBlockCheckEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		ptr, runs []int
+		valLen    int
+		refused   bool
+	}{
+		{"exact fit", []int{0, 1, 2, 3, 4}, []int{0, 2, 1, 2, 2, 2, 4, 2}, 8, false},
+		{"one value short", []int{0, 1, 2, 3, 4}, []int{0, 2, 1, 2, 2, 2, 4, 2}, 7, true},
+		{"one past x", []int{0, 1, 2, 3, 4}, []int{0, 2, 1, 2, 2, 2, 5, 2}, 8, true},
+		{"last pointers backwards", []int{0, 1, 2, 3, 2}, []int{0, 2, 1, 2, 2, 2, 4, 2}, 8, true},
+	} {
+		for _, k := range []int{1, 2} {
+			if k == 2 && !sse3 {
+				continue
+			}
+			msg, y := hostileRuns(t, tc.ptr, tc.runs, make([]float64, tc.valLen), 6, 4, k, nil)
+			at := fmt.Sprintf("%s, k %d", tc.name, k)
+			if refused := msg != ""; refused != tc.refused || refused && !strings.HasPrefix(msg, "sparse: run product, row 3:") {
+				t.Fatalf("%s: panic %q, want a refusal of row 3: %v", at, msg, tc.refused)
+			}
+			for i := range y {
+				if written := y[i] != 0.5; written != (i < 3*k || !tc.refused) {
+					t.Fatalf("%s: y[%d] = %v", at, i, y[i])
 				}
 			}
 		}

@@ -397,7 +397,8 @@ func (p *Prepared) operatorBytes() int64 {
 // multiple goroutines; concurrent solves share the read-only parts and
 // nothing else. Cancellation follows SolveDistributedContext: all ranks
 // stop at the same iteration boundary and the partial Result comes back
-// with an ErrCanceled-wrapped error.
+// with an ErrCanceled-wrapped error. A nil ctx is never canceled, over
+// either transport.
 func (p *Prepared) Solve(ctx context.Context, b []float64, so SolveOptions) (*Result, error) {
 	if err := p.check(so, [][]float64{b}, false); err != nil {
 		return nil, err

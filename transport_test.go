@@ -3,6 +3,7 @@ package fsaicomm
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"testing"
 	"time"
@@ -256,5 +257,56 @@ func TestPreparedSolveTCPCancel(t *testing.T) {
 	}
 	if res.Iterations == 0 {
 		t.Fatal("Iterations = 0: cancel landed before the solve started?")
+	}
+}
+
+// TestPreparedNilContext: a nil ctx is never canceled, over either
+// transport, at both prepared entries. Solve and SolveBatch of one
+// right-hand side with a nil ctx, over sim and over tcp, give the bits of x
+// and the iterations of a sim Solve under context.Background, and Solve its
+// communication meters.
+func TestPreparedNilContext(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	a := GeneratePoisson2D(24, 24)
+	b := GenerateRHS(a, 7)
+	p, err := Prepare(a, Options{Method: FSAIEComm, Filter: 0.01, Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	want, err := p.Solve(context.Background(), b, SolveOptions{})
+	if err != nil || !want.Converged {
+		t.Fatalf("reference solve: converged %v, err %v", want != nil && want.Converged, err)
+	}
+	for _, transport := range []string{"sim", "tcp"} {
+		so := SolveOptions{Transport: transport}
+		res, err := p.Solve(nil, b, so)
+		if err != nil {
+			t.Fatalf("%s Solve: %v", transport, err)
+		}
+		if res.CollectiveCalls != want.CollectiveCalls || res.CommBytes != want.CommBytes {
+			t.Fatalf("%s Solve: meters (%d collectives, %d bytes), want (%d, %d)", transport,
+				res.CollectiveCalls, res.CommBytes, want.CollectiveCalls, want.CommBytes)
+		}
+		batch, err := p.SolveBatch(nil, [][]float64{b}, so)
+		if err != nil {
+			t.Fatalf("%s SolveBatch: %v", transport, err)
+		}
+		for _, got := range []struct {
+			entry string
+			x     []float64
+			iters int
+		}{{"Solve", res.X, res.Iterations}, {"SolveBatch", batch.Cols[0].X, batch.Cols[0].Iterations}} {
+			if got.iters != want.Iterations {
+				t.Fatalf("%s %s: %d iterations, want %d", transport, got.entry, got.iters, want.Iterations)
+			}
+			for i := range want.X {
+				if math.Float64bits(got.x[i]) != math.Float64bits(want.X[i]) {
+					t.Fatalf("%s %s: x[%d] = %v, want %v", transport, got.entry, i, got.x[i], want.X[i])
+				}
+			}
+		}
 	}
 }

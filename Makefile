@@ -22,7 +22,14 @@ all: tier1
 # and never reduce), a CollPayload, appendColl or decodeColl in any non-test
 # file (one payload type and one frame codec serve both lanes), or a
 # non-test *Serial function in internal/krylov (a serial solve is the
-# distributed loop on one rank). The loops step fails if a Krylov loop body comes back
+# distributed loop on one rank). The schedule step fails if a second product
+# schedule comes back beside the blocking one outside pipelined CG: non-test
+# code that names CGClassicOverlap, spells "classic-overlap", calls a blocking
+# MulVecOverlap( or names PostSends or CompleteRecvs (classic and fused block
+# at every width; the send-then-compute split, OverlapOp.MulVecOverlapAsync,
+# is pipelined CG's A product alone), or that calls EnsureOverlap( anywhere
+# but internal/krylov/pipelined.go, internal/mprun/costinputs.go (which
+# prices pipelined's A interior rows) and distmat's own WithOverlap. The loops step fails if a Krylov loop body comes back
 # beside the five that exist: non-test internal/krylov compares an iteration
 # count with opt.MaxIter in five places — the k-wide classic and fused CG
 # loops, pipelined CG, and GMRES at its cycle top and inside the cycle (a
@@ -91,6 +98,11 @@ tier1:
 		grep -nE 'CollPayload|appendColl|decodeColl' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/out/*'); \
 		grep -nE '^func (\([^)]*\) )?[A-Za-z0-9_]*Serial\(' $$(ls internal/krylov/*.go | grep -v _test.go))"; \
 		if [ -n "$$twins" ]; then echo "hand-copied twins are back:"; echo "$$twins"; exit 1; fi
+	@src="$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/out/*')"; \
+		sched="$$(grep -nE 'CGClassicOverlap|"classic-overlap"|MulVecOverlap\(|PostSends|CompleteRecvs' $$src; \
+		grep -nE 'EnsureOverlap\(' $$src | grep -vE '^\./internal/(krylov/pipelined|mprun/costinputs)\.go:|^[^:]*:[0-9]*:[[:space:]]*//' \
+			| grep -vE '^\./internal/distmat/ops\.go:[0-9]*:(func \(op \*Op\) EnsureOverlap\(\) |[[:space:]]*return func\(op \*Op\) \{ op\.EnsureOverlap\(\) \}$$)')"; \
+		if [ -n "$$sched" ]; then echo "a second product schedule is back outside pipelined CG:"; echo "$$sched"; exit 1; fi
 	@src="$$(ls internal/krylov/*.go | grep -v _test.go)"; \
 		loops="$$(grep -nE '[<>]= ([a-z]+\.)?opt\.MaxIter' $$src)"; \
 		refines="$$(grep -nE '^[[:space:]]*for .*maxRefinements' $$src)"; \
@@ -230,8 +242,9 @@ tier2:
 
 # bench: the in-process benchmarks of bench_test.go whose names carry the
 # ~50k-row system (serial vs parallel factor builds and pattern powers, the
-# product kernels, the CG variants, blocking vs overlapped SpMV, batched vs
-# looped multi-RHS, set-up and warm-path solves)
+# product kernels, the CG variants, the blocking SpMV vs pipelined CG's
+# send-then-compute one, batched vs looped multi-RHS, set-up and warm-path
+# solves)
 # plus the small warm-tcp system. The end-to-end benchmark is benchmark/run.sh;
 # the structural gates (inter-node messages, fp32 halo bytes, SPAI+GMRES
 # iterations, k-fold batch meters) are go tests.

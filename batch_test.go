@@ -379,7 +379,7 @@ func TestSolveBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []CGVariant{CGClassicOverlap, CGPipelined} {
+	for _, v := range []CGVariant{CGPipelined} {
 		if _, err := SolveBatch(a, rhs, Options{CGVariant: v}); !errors.Is(err, ErrBatchVariant) {
 			t.Errorf("SolveBatch variant %v: %v, want ErrBatchVariant", v, err)
 		}

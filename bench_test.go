@@ -420,10 +420,11 @@ func benchDistCG50k(b *testing.B, variant CGVariant) {
 }
 
 func BenchmarkDistCG50kClassic(b *testing.B)   { benchDistCG50k(b, CGClassic) }
-func BenchmarkDistCG50kOverlap(b *testing.B)   { benchDistCG50k(b, CGClassicOverlap) }
 func BenchmarkDistCG50kFused(b *testing.B)     { benchDistCG50k(b, CGFused) }
 func BenchmarkDistCG50kPipelined(b *testing.B) { benchDistCG50k(b, CGPipelined) }
 
+// benchDistSpMV50k times the blocking product against the send-then-compute
+// one pipelined CG runs A's product in.
 func benchDistSpMV50k(b *testing.B, overlap bool) {
 	a := matgen.Poisson3D(37, 37, 37)
 	n := a.Rows
@@ -444,7 +445,7 @@ func benchDistSpMV50k(b *testing.B, overlap bool) {
 			// Amortize plan construction over many products, like a solve.
 			for k := 0; k < 32; k++ {
 				if overlap {
-					op.Overlap().MulVecOverlap(c, x[lo:hi], y, scratch, nil)
+					op.EnsureOverlap().MulVecOverlapAsync(c, x[lo:hi], y, scratch, nil)
 				} else {
 					op.MulVec(c, x[lo:hi], y, scratch, nil)
 				}

@@ -36,7 +36,7 @@ func main() {
 	set := flag.String("set", "quick", "matrix set: quick (7 matrices) or full (39)")
 	arch := flag.String("arch", "", "override architecture (skylake, a64fx, zen2); default per experiment")
 	workers := flag.Int("workers", 0, "setup worker threads per simulated rank (0 = 1 per rank)")
-	cg := flag.String("cg", "classic", "distributed CG loop: classic, classic-overlap, fused or pipelined")
+	cg := flag.String("cg", "classic", "distributed CG loop: classic, fused or pipelined")
 	flag.Parse()
 
 	if err := run(*exp, *set, *arch, *workers, *cg, os.Stdout); err != nil {

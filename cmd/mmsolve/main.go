@@ -8,7 +8,7 @@
 //	mmsolve -matrix A.mtx [-rhs b.txt] [-method fsai|fsaie|fsaie-comm|spai]
 //	        [-solver cg|gmres] [-restart 30] [-spai-steps 0] [-spai-add 0] [-spai-eps 0]
 //	        [-filter 0.01] [-dynamic] [-line 64] [-ranks 4] [-workers 0]
-//	        [-cg classic|classic-overlap|fused|pipelined] [-tol 1e-8] [-out x.txt]
+//	        [-cg classic|fused|pipelined] [-tol 1e-8] [-out x.txt]
 //	        [-trace trace.json] [-rr 0] [-precision fp64|fp32]
 //
 // Without -rhs a deterministic random right-hand side normalized to the
@@ -46,7 +46,7 @@ func main() {
 		line       = flag.Int("line", 64, "cache line size in bytes steering the extension")
 		ranks      = flag.Int("ranks", 0, "simulated process count (0 = auto, 1 = serial)")
 		workers    = flag.Int("workers", 0, "setup worker threads (0 = all cores serial solve, 1 per rank distributed)")
-		cg         = flag.String("cg", "classic", "distributed CG loop: classic, classic-overlap, fused or pipelined (the last two use one Allreduce per iteration)")
+		cg         = flag.String("cg", "classic", "distributed CG loop: classic, fused or pipelined (the last two use one Allreduce per iteration)")
 		tol        = flag.Float64("tol", 1e-8, "relative residual tolerance")
 		maxIter    = flag.Int("maxiter", 0, "iteration cap (0 = 10n)")
 		outPath    = flag.String("out", "", "write the solution vector to this file (one value per line)")

@@ -96,9 +96,6 @@ type CGVariant = krylov.CGVariant
 const (
 	// CGClassic is the textbook loop: three reductions per iteration.
 	CGClassic = krylov.CGClassic
-	// CGClassicOverlap is the classic recurrence with the overlapped halo
-	// SpMV schedule (bit-identical results).
-	CGClassicOverlap = krylov.CGClassicOverlap
 	// CGFused is the fused-reduction (Chronopoulos–Gear) loop: one batched
 	// Allreduce per iteration.
 	CGFused = krylov.CGFused
@@ -108,8 +105,8 @@ const (
 	CGPipelined = krylov.CGPipelined
 )
 
-// ParseCGVariant parses "classic", "classic-overlap", "fused" or
-// "pipelined" (the -cg flag spellings of the command-line tools).
+// ParseCGVariant parses "classic", "fused" or "pipelined" (the -cg flag
+// spellings of the command-line tools).
 func ParseCGVariant(s string) (CGVariant, error) { return krylov.ParseCGVariant(s) }
 
 // Solver selects the Krylov loop of a solve.

@@ -66,9 +66,9 @@ type Build struct {
 	// GRows and GTRows are this rank's rows of G and Gᵀ with global columns.
 	GRows, GTRows *sparse.CSR
 	// GOp and GTOp are the halo-ready distributed operators used by the
-	// preconditioned solve, in the blocking FP64 schedule: a solve that wants
-	// the overlap view or float32 values asks the operators for them
-	// (EnsureOverlap, SetF32), which needs no communication.
+	// preconditioned solve, in FP64: an FP32 solve narrows them (SetF32),
+	// which needs no communication. Their products block under every CG
+	// variant.
 	GOp, GTOp *distmat.Op
 	// FilterUsed is this rank's final Filter value (ranks differ under the
 	// dynamic strategy).

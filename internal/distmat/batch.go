@@ -25,11 +25,9 @@ import (
 // always carries all k columns so the message schedule never depends on the
 // mask. Column c of the result is bit-identical to the scalar Op.MulVec on
 // column c — and a 1-wide block is a plain vector, so at k = 1 the product
-// IS the scalar one: MulVec, or the send-then-compute MulVecOverlap when
-// the operator carries the overlap view (same bits, same metered traffic).
-// There is no k-wide overlap schedule; wider blocks always block. Like
-// MulVec, a wider product walks the pattern's column runs where the view has
-// a run index, its entries otherwise — the same bits either way.
+// IS the scalar one, MulVec. Every width blocks. Like MulVec, a wider
+// product walks the pattern's column runs where the view has a run index,
+// its entries otherwise — the same bits either way.
 func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch *DistVec, fc *vecops.FlopCounter) {
 	nl := op.LZ.NLocal()
 	if len(x) != nl*k || len(y) != nl*k {
@@ -39,17 +37,13 @@ func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch 
 		panic(fmt.Sprintf("distmat: MulMat scratch %d×%d, want %d×%d", scratch.NLocal, scratch.K, nl, k))
 	}
 	if k == 1 && (cols == nil || len(cols) == 1) {
-		if op.overlap != nil {
-			op.overlap.MulVecOverlap(c, x, y, scratch, fc)
-		} else {
-			op.MulVec(c, x, y, scratch, fc)
-		}
+		op.MulVec(c, x, y, scratch, fc)
 		return
 	}
-	if !op.Plan.idle() {
+	if p := op.Plan; !p.idle() {
 		scratch.load(x)
-		op.Plan.ExchangeBatch(c, scratch.Ext, nl, k)
 		x = scratch.Ext
+		p.ExchangeBatch(c, x, nl, k)
 	}
 	lz := op.LZ
 	if op.f32 {
@@ -67,13 +61,12 @@ func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch 
 // MulMatDot is MulMat followed by DotBatchDist(c, w, y, k, cols, out, fc):
 // the product, then out[c] = Σ_ranks w_cᵀy_c for the active columns and
 // exact zeros for the masked ones, with those two calls' bits, flops and
-// collective. A blocking 1-wide product needs no second sweep: its kernel
-// adds wᵢyᵢ as it stores row i, from +0 in ascending i, which is
-// vecops.Dot's order. Wider blocks and the overlap schedule, which computes
-// the interior rows first, make the two calls. The classic CG loop takes
-// d·q here with w = x = d, and DistSplit r·z with w = r.
+// collective. A 1-wide product needs no second sweep: its kernel adds wᵢyᵢ
+// as it stores row i, from +0 in ascending i, which is vecops.Dot's order.
+// Wider blocks make the two calls. The classic CG loop takes d·q here with
+// w = x = d, and DistSplit r·z with w = r.
 func (op *Op) MulMatDot(c *simmpi.Comm, x, y, w []float64, k int, cols []int, scratch *DistVec, out []float64, fc *vecops.FlopCounter) {
-	if k == 1 && cols == nil && op.overlap == nil {
+	if k == 1 && cols == nil {
 		out[0] = op.mulVecDot(c, x, y, w, scratch, fc)
 		copy(out[:1], SumAcross(c, out[:1]))
 		return

@@ -172,11 +172,10 @@ func TestDotBatchDistOneCollective(t *testing.T) {
 
 // MulMatDot is MulMat then DotBatchDist, bit for bit: the same y, the same
 // reduced dots (exact zeros in masked columns), the same flops and the same
-// metered traffic, on blocking and overlap-dressed operators at k = 1, 2, 3
-// under nil and masked columns, in both precisions — with w the product's
-// own operand kept in the scratch (the classic CG loop's d·q) and with
-// another vector (DistSplit's r·z). The meters cover the whole run, set-up
-// included, which both sides share.
+// metered traffic, at k = 1, 2, 3 under nil and masked columns, in both
+// precisions — with w the product's own operand kept in the scratch (the
+// classic CG loop's d·q) and with another vector (DistSplit's r·z). The
+// meters cover the whole run, set-up included, which both sides share.
 func TestMulMatDotMatchesMulMatThenDot(t *testing.T) {
 	a := grid2d(9, 8)
 	n := a.Rows
@@ -194,66 +193,60 @@ func TestMulMatDotMatchesMulMatThenDot(t *testing.T) {
 			masks = append(masks, []int{0, k - 1})
 		}
 		for _, cols := range masks {
-			for _, overlap := range []bool{false, true} {
-				for _, f32 := range []bool{false, true} {
-					for _, selfDot := range []bool{true, false} {
-						at := fmt.Sprintf("k %d cols %v overlap %v f32 %v w=x %v", k, cols, overlap, f32, selfDot)
-						run := func(fused bool) (y, dots []float64, flops []int64, meter simmpi.Snapshot) {
-							y, dots, flops = make([]float64, n*k), make([]float64, nranks*k), make([]int64, nranks)
-							w, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
-								lo, hi := l.Range(c.Rank())
-								var opts []OpOption
-								if overlap {
-									opts = append(opts, WithOverlap())
-								}
-								op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi), opts...)
-								op.SetF32(f32)
-								scratch := NewBatchDistVec(op.LZ, k)
-								xl, wl := x[lo*k:hi*k], other[lo*k:hi*k]
-								if fused {
-									// The operand lives in the scratch, as the loop keeps d.
-									copy(scratch.Local(), xl)
-									xl = scratch.Local()
-								}
-								if selfDot {
-									wl = xl
-								}
-								yl, out := make([]float64, (hi-lo)*k), make([]float64, k)
-								for i := range out {
-									out[i] = 9
-								}
-								var fc vecops.FlopCounter
-								if fused {
-									op.MulMatDot(c, xl, yl, wl, k, cols, scratch, out, &fc)
-								} else {
-									op.MulMat(c, xl, yl, k, cols, scratch, &fc)
-									DotBatchDist(c, wl, yl, k, cols, out, &fc)
-								}
-								copy(y[lo*k:hi*k], yl)
-								copy(dots[c.Rank()*k:], out)
-								flops[c.Rank()] = fc.Count()
-								return nil
-							})
-							if err != nil {
-								t.Fatalf("%s: %v", at, err)
+			for _, f32 := range []bool{false, true} {
+				for _, selfDot := range []bool{true, false} {
+					at := fmt.Sprintf("k %d cols %v f32 %v w=x %v", k, cols, f32, selfDot)
+					run := func(fused bool) (y, dots []float64, flops []int64, meter simmpi.Snapshot) {
+						y, dots, flops = make([]float64, n*k), make([]float64, nranks*k), make([]int64, nranks)
+						w, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
+							lo, hi := l.Range(c.Rank())
+							op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
+							op.SetF32(f32)
+							scratch := NewBatchDistVec(op.LZ, k)
+							xl, wl := x[lo*k:hi*k], other[lo*k:hi*k]
+							if fused {
+								// The operand lives in the scratch, as the loop keeps d.
+								copy(scratch.Local(), xl)
+								xl = scratch.Local()
 							}
-							return y, dots, flops, w.Meter().Snapshot()
-						}
-						wantY, wantDots, wantFlops, wantMeter := run(false)
-						gotY, gotDots, gotFlops, gotMeter := run(true)
-						for i := range wantY {
-							if math.Float64bits(gotY[i]) != math.Float64bits(wantY[i]) {
-								t.Fatalf("%s: y[%d] = %v, MulMat gives %v", at, i, gotY[i], wantY[i])
+							if selfDot {
+								wl = xl
 							}
-						}
-						for i := range wantDots {
-							if math.Float64bits(gotDots[i]) != math.Float64bits(wantDots[i]) {
-								t.Fatalf("%s: rank %d dot %d = %v, DotBatchDist gives %v", at, i/k, i%k, gotDots[i], wantDots[i])
+							yl, out := make([]float64, (hi-lo)*k), make([]float64, k)
+							for i := range out {
+								out[i] = 9
 							}
+							var fc vecops.FlopCounter
+							if fused {
+								op.MulMatDot(c, xl, yl, wl, k, cols, scratch, out, &fc)
+							} else {
+								op.MulMat(c, xl, yl, k, cols, scratch, &fc)
+								DotBatchDist(c, wl, yl, k, cols, out, &fc)
+							}
+							copy(y[lo*k:hi*k], yl)
+							copy(dots[c.Rank()*k:], out)
+							flops[c.Rank()] = fc.Count()
+							return nil
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", at, err)
 						}
-						if !slices.Equal(gotFlops, wantFlops) || !reflect.DeepEqual(gotMeter, wantMeter) {
-							t.Fatalf("%s: flops %v meter %+v, the two calls count %v and %+v", at, gotFlops, gotMeter, wantFlops, wantMeter)
+						return y, dots, flops, w.Meter().Snapshot()
+					}
+					wantY, wantDots, wantFlops, wantMeter := run(false)
+					gotY, gotDots, gotFlops, gotMeter := run(true)
+					for i := range wantY {
+						if math.Float64bits(gotY[i]) != math.Float64bits(wantY[i]) {
+							t.Fatalf("%s: y[%d] = %v, MulMat gives %v", at, i, gotY[i], wantY[i])
 						}
+					}
+					for i := range wantDots {
+						if math.Float64bits(gotDots[i]) != math.Float64bits(wantDots[i]) {
+							t.Fatalf("%s: rank %d dot %d = %v, DotBatchDist gives %v", at, i/k, i%k, gotDots[i], wantDots[i])
+						}
+					}
+					if !slices.Equal(gotFlops, wantFlops) || !reflect.DeepEqual(gotMeter, wantMeter) {
+						t.Fatalf("%s: flops %v meter %+v, the two calls count %v and %+v", at, gotFlops, gotMeter, wantFlops, wantMeter)
 					}
 				}
 			}

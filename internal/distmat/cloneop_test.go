@@ -35,7 +35,7 @@ func TestNewOpFromPartsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Several concurrent solve worlds, each running blocking, overlapped and
+	// Several concurrent solve worlds, each running blocking and overlapped
 	// async SpMVs on its own clones of the cached parts.
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -52,14 +52,7 @@ func TestNewOpFromPartsBitIdentical(t *testing.T) {
 				scratch := NewDistVec(op.LZ)
 				y2 := make([]float64, hi-lo)
 				op.MulVec(c, x[lo:hi], y[lo:hi], scratch, nil)
-				op.Overlap().MulVecOverlap(c, x[lo:hi], y2, scratch, nil)
-				for i := range y2 {
-					if y2[i] != y[lo+i] {
-						t.Errorf("world %d rank %d: overlap SpMV differs at %d", w, c.Rank(), i)
-						break
-					}
-				}
-				op.Overlap().MulVecOverlapAsync(c, x[lo:hi], y2, scratch, nil)
+				op.overlap.MulVecOverlapAsync(c, x[lo:hi], y2, scratch, nil)
 				for i := range y2 {
 					if y2[i] != y[lo+i] {
 						t.Errorf("world %d rank %d: async SpMV differs at %d", w, c.Rank(), i)

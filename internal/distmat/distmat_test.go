@@ -706,9 +706,10 @@ func TestExchangePayloadSizeMismatchPanics(t *testing.T) {
 }
 
 // The overlap schedule (interior rows, then boundary rows, through the row
-// kernel) against the blocking Op.MulVec and against the indexed loop over
-// the localized rows, bit for bit, in both precisions; and against the
-// serial product within rounding (the localized column order differs).
+// kernel, the halo on the nonblocking primitives) against the blocking
+// Op.MulVec and against the indexed loop over the localized rows, bit for
+// bit, in both precisions; and against the serial product within rounding
+// (the localized column order differs).
 func TestOverlapMatchesBlocking(t *testing.T) {
 	a := grid2d(9, 9)
 	n := a.Rows
@@ -738,7 +739,7 @@ func TestOverlapMatchesBlocking(t *testing.T) {
 			blocking := make([]float64, hi-lo)
 			op.MulVec(c, x[lo:hi], blocking, scratch, nil)
 			y := make([]float64, hi-lo)
-			ov.MulVecOverlap(c, x[lo:hi], y, scratch, nil)
+			ov.MulVecOverlapAsync(c, x[lo:hi], y, scratch, nil)
 			m, m32 := op.LZ.M, op.LZ.M32()
 			for li := range y {
 				sum := 0.0
@@ -790,7 +791,7 @@ func TestOverlapFlopCount(t *testing.T) {
 		var fc vecops.FlopCounter
 		y := make([]float64, hi-lo)
 		x := make([]float64, hi-lo)
-		ov.MulVecOverlap(c, x, y, NewDistVec(op.LZ), &fc)
+		ov.MulVecOverlapAsync(c, x, y, NewDistVec(op.LZ), &fc)
 		if fc.Count() != 2*int64(op.LZ.M.NNZ()) {
 			return fmt.Errorf("flops %d, want %d", fc.Count(), 2*op.LZ.M.NNZ())
 		}
@@ -807,19 +808,19 @@ func TestNewOpWithOverlap(t *testing.T) {
 	_, err := simmpi.Run(2, testTimeout, func(c *simmpi.Comm) error {
 		lo, hi := l.Range(c.Rank())
 		plain := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
-		if plain.Overlap() != nil {
+		if plain.overlap != nil {
 			return fmt.Errorf("plain NewOp built an overlap view")
 		}
 		// EnsureOverlap is lazy, idempotent, and purely local.
 		ov := plain.EnsureOverlap()
-		if ov == nil || plain.Overlap() != ov || plain.EnsureOverlap() != ov {
+		if ov == nil || plain.overlap != ov || plain.EnsureOverlap() != ov {
 			return fmt.Errorf("EnsureOverlap not idempotent")
 		}
 		with := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi), WithOverlap())
-		if with.Overlap() == nil {
+		if with.overlap == nil {
 			return fmt.Errorf("WithOverlap did not build the overlap view")
 		}
-		if len(with.Overlap().Interior)+len(with.Overlap().Boundary) != hi-lo {
+		if len(with.overlap.Interior)+len(with.overlap.Boundary) != hi-lo {
 			return fmt.Errorf("overlap split incomplete")
 		}
 		return nil
@@ -829,43 +830,62 @@ func TestNewOpWithOverlap(t *testing.T) {
 	}
 }
 
-// PostSends reuses its gather buffers: repeated halo updates through the
-// split schedule allocate nothing on the send side and keep producing the
-// same values.
-func TestPostSendsBufferReuse(t *testing.T) {
+// ExchangeBatch reuses its gather buffers: repeated k-wide halo updates keep
+// each peer's send buffer (no allocation on the send side) and keep
+// producing the right values as the input changes.
+func TestExchangeBatchBufferReuse(t *testing.T) {
 	a := grid2d(8, 8)
 	n := a.Rows
+	const k = 2
 	l := NewUniformLayout(n, 2)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i + 1)
-	}
-	want := make([]float64, n)
-	a.MulVec(x, want)
-	got := make([]float64, n)
 	_, err := simmpi.Run(2, testTimeout, func(c *simmpi.Comm) error {
 		lo, hi := l.Range(c.Rank())
-		op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi), WithOverlap())
-		scratch := NewDistVec(op.LZ)
-		y := make([]float64, hi-lo)
+		op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
+		scratch := NewBatchDistVec(op.LZ, k)
+		x, y := make([]float64, (hi-lo)*k), make([]float64, (hi-lo)*k)
+		col, want := make([]float64, n), make([]float64, n)
+		var first []*float64
 		for round := 0; round < 3; round++ {
-			op.Overlap().MulVecOverlap(c, x[lo:hi], y, scratch, nil)
+			for i := range x {
+				x[i] = float64((lo+i/k+1)*(i%k+1) + round)
+			}
+			op.MulMat(c, x, y, k, nil, scratch, nil)
+			sendBuf := op.Plan.wire().(*halo[float64]).sendBuf
+			var bufs []*float64
+			for _, buf := range sendBuf {
+				if len(buf) > 0 {
+					bufs = append(bufs, &buf[0])
+				}
+			}
+			if len(bufs) == 0 {
+				return fmt.Errorf("rank %d sent nothing", c.Rank())
+			}
+			if first == nil {
+				first = bufs
+			} else if !slices.Equal(bufs, first) {
+				return fmt.Errorf("rank %d round %d: a send buffer was reallocated", c.Rank(), round)
+			}
+			for j := 0; j < k; j++ {
+				for i := range col {
+					col[i] = float64((i+1)*(j+1) + round)
+				}
+				a.MulVec(col, want)
+				for i := lo; i < hi; i++ {
+					if got := y[(i-lo)*k+j]; math.Abs(got-want[i]) > 1e-12*(1+math.Abs(want[i])) {
+						return fmt.Errorf("rank %d round %d: y[%d] column %d = %v, want %v", c.Rank(), round, i, j, got, want[i])
+					}
+				}
+			}
 		}
-		copy(got[lo:hi], y)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-			t.Fatalf("y[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
 }
 
-// The nonblocking-primitive halo schedule must be bit-identical to the
-// blocking one and metered byte-for-byte the same.
+// The nonblocking-primitive overlap schedule must be bit-identical to the
+// blocking product and metered byte-for-byte the same.
 func TestOverlapAsyncMatchesBlockingAndMeter(t *testing.T) {
 	a := grid2d(9, 9)
 	n := a.Rows
@@ -886,9 +906,9 @@ func TestOverlapAsyncMatchesBlockingAndMeter(t *testing.T) {
 			y := make([]float64, hi-lo)
 			for k := 0; k < 3; k++ { // repeat: handle/buffer reuse must hold
 				if async {
-					op.Overlap().MulVecOverlapAsync(c, x[lo:hi], y, scratch, nil)
+					op.overlap.MulVecOverlapAsync(c, x[lo:hi], y, scratch, nil)
 				} else {
-					op.Overlap().MulVecOverlap(c, x[lo:hi], y, scratch, nil)
+					op.MulVec(c, x[lo:hi], y, scratch, nil)
 				}
 			}
 			copy(got[lo:hi], y)

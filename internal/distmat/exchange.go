@@ -232,24 +232,11 @@ func (p *HaloPlan) ExchangeBatch(c *simmpi.Comm, xExt []float64, nLocal, k int) 
 	w.complete(c, xExt, nLocal, k)
 }
 
-// PostSends posts this rank's halo sends from xExt (local values already
-// filled by the caller). The overlap schedule calls it before computing
-// interior rows so the values travel while local work proceeds.
-func (p *HaloPlan) PostSends(c *simmpi.Comm, xExt []float64) {
-	p.wire().post(c, xExt, 1, false)
-}
-
-// CompleteRecvs drains this rank's halo receives into the halo slots of
-// xExt, completing an update started with PostSends.
-func (p *HaloPlan) CompleteRecvs(c *simmpi.Comm, xExt []float64, nLocal int) {
-	p.wire().complete(c, xExt, nLocal, 1)
-}
-
 // StartExchange posts one halo update entirely through the nonblocking
 // primitives. The returned handle completes the update; metering is
-// identical to PostSends/CompleteRecvs byte for byte, so structural
-// communication claims are independent of which schedule a solver uses. One
-// exchange may be outstanding per plan at a time, like the send buffers.
+// identical to Exchange byte for byte, so structural communication claims
+// are independent of which schedule a solver uses. One exchange may be
+// outstanding per plan at a time, like the send buffers.
 func (p *HaloPlan) StartExchange(c *simmpi.Comm, xExt []float64) *ExchangeHandle {
 	p.wire().post(c, xExt, 1, true)
 	p.async.plan = p

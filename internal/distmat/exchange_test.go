@@ -69,11 +69,8 @@ func TestOneOpMixedWidthsAndSchedules(t *testing.T) {
 						{"MulMat k=3", 3, func(op *Op, in, out []float64) {
 							op.MulMat(c, in, out, 3, nil, NewBatchDistVec(op.LZ, 3), nil)
 						}},
-						{"MulVecOverlap", 1, func(op *Op, in, out []float64) {
-							op.Overlap().MulVecOverlap(c, in, out, NewDistVec(op.LZ), nil)
-						}},
 						{"MulVecOverlapAsync", 1, func(op *Op, in, out []float64) {
-							op.Overlap().MulVecOverlapAsync(c, in, out, NewDistVec(op.LZ), nil)
+							op.overlap.MulVecOverlapAsync(c, in, out, NewDistVec(op.LZ), nil)
 						}},
 					}
 					reused := newOp()

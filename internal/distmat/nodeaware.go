@@ -30,8 +30,8 @@ package distmat
 //
 // Phase ordering is pinned by the runtime's per-sender FIFO + tag-match
 // discipline: a member sends its up before its intra directs, and the leader
-// receives ups (relay) before draining directs; the leader sends directs
-// (PostSends) before downs, and members receive directs before their down.
+// receives ups (relay) before draining directs; the leader posts its directs
+// before its downs, and members receive directs before their down.
 // Leader self-ups and self-downs ride the unmetered loopback queue in the
 // same order.
 

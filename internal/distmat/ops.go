@@ -54,8 +54,8 @@ func (v *DistVec) load(x []float64) {
 type Op struct {
 	LZ   *Localized
 	Plan *HaloPlan
-	// overlap is the interior/boundary row split, built on request (WithOverlap
-	// or EnsureOverlap); nil means the blocking schedule only.
+	// overlap is the interior/boundary row split of pipelined CG's A product,
+	// built on request (WithOverlap or EnsureOverlap); nil until then.
 	overlap *OverlapOp
 	// f32 selects the mixed-precision kernel: products read the float32 view
 	// of the matrix (float64 accumulation) and the halo travels half-width.
@@ -65,9 +65,10 @@ type Op struct {
 // OpOption configures NewOp.
 type OpOption func(*Op)
 
-// WithOverlap makes NewOp also build the interior/boundary overlap view, so
-// the operator supports the send-then-compute SpMV schedule
-// (OverlapOp.MulVecOverlap) the communication-hiding solver variants use.
+// WithOverlap makes NewOp also build the interior/boundary overlap view
+// ahead of time: the send-then-compute schedule
+// (OverlapOp.MulVecOverlapAsync) pipelined CG runs its A product in. The
+// operator's own products block either way.
 func WithOverlap() OpOption {
 	return func(op *Op) { op.EnsureOverlap() }
 }
@@ -116,9 +117,6 @@ func LocalOp(a *sparse.CSR) *Op {
 	lz.IndexRuns()
 	return &Op{LZ: lz, Plan: &HaloPlan{}}
 }
-
-// Overlap returns the overlap view if it has been built, nil otherwise.
-func (op *Op) Overlap() *OverlapOp { return op.overlap }
 
 // EnsureOverlap returns the overlap view, building it on first use. The
 // split is purely local (no communication), so lazy construction is safe in

@@ -63,36 +63,21 @@ func (o *OverlapOp) mulRows(rows []int, xExt, y []float64) {
 	}
 }
 
-// MulVecOverlap computes y = A x in overlap order: sends are posted first,
-// interior rows are computed, then receives complete and boundary rows
-// finish. Results are identical to Op.MulVec; only the schedule differs.
-func (o *OverlapOp) MulVecOverlap(c *simmpi.Comm, x, y []float64, scratch *DistVec, fc *vecops.FlopCounter) {
-	nl := o.LZ.NLocal()
-	scratch.load(x)
-	// Post sends (the halo values leave now).
-	o.Plan.PostSends(c, scratch.Ext)
-	// Interior rows: no halo dependence.
-	o.mulRows(o.Interior, scratch.Ext, y)
-	// Complete receives.
-	o.Plan.CompleteRecvs(c, scratch.Ext, nl)
-	// Boundary rows.
-	o.mulRows(o.Boundary, scratch.Ext, y)
-	fc.Add(2 * int64(o.LZ.M.NNZ()))
-}
-
-// MulVecOverlapAsync computes y = A x like MulVecOverlap but drives the
-// halo update through the nonblocking primitives (Irecv posted before
-// Isend, completion deferred until boundary rows need the values). Results
-// and metered traffic are identical to MulVecOverlap; only the posting
-// mechanism differs — this is the schedule the pipelined solver uses, and
-// the one a real-MPI port would execute verbatim.
+// MulVecOverlapAsync computes y = A x in overlap order: the halo update is
+// posted through the nonblocking primitives (Irecv before Isend), the
+// interior rows are computed while the values are in flight, then the
+// receives complete and the boundary rows finish. Results and metered
+// traffic are identical to Op.MulVec; only the schedule differs. It is the
+// product of A in the pipelined solver, and what a real-MPI port would
+// execute verbatim.
 func (o *OverlapOp) MulVecOverlapAsync(c *simmpi.Comm, x, y []float64, scratch *DistVec, fc *vecops.FlopCounter) {
 	nl := o.LZ.NLocal()
 	scratch.load(x)
-	h := o.Plan.StartExchange(c, scratch.Ext)
-	o.mulRows(o.Interior, scratch.Ext, y)
-	h.Complete(c, scratch.Ext, nl)
-	o.mulRows(o.Boundary, scratch.Ext, y)
+	xExt := scratch.Ext
+	h := o.Plan.StartExchange(c, xExt)
+	o.mulRows(o.Interior, xExt, y)
+	h.Complete(c, xExt, nl)
+	o.mulRows(o.Boundary, xExt, y)
 	fc.Add(2 * int64(o.LZ.M.NNZ()))
 }
 

@@ -76,7 +76,7 @@ type Runner struct {
 	// (<= 0 → 1 worker per rank; ranks already run concurrently).
 	Workers int
 	// Variant selects the distributed CG loop for every solve: classic,
-	// classic-overlap, fused or pipelined (see krylov.CGVariant).
+	// fused or pipelined (see krylov.CGVariant).
 	Variant krylov.CGVariant
 
 	mats    map[matKey]*matEntry
@@ -224,8 +224,9 @@ func (r *Runner) Run(spec testsets.Spec, method core.Method, filter float64, str
 		res.CollectiveCalls += out.SolveComm.CollectiveCalls
 	}
 	// Every variant is modeled with the windowed overlap-credit model (the
-	// classic loop's windows carry no hiding compute, so its time equals the
-	// fully-exposed α–β model); Phases is the matching per-window breakdown.
+	// classic and fused loops' windows carry no hiding compute, so their time
+	// equals the fully-exposed α–β model); Phases is the matching per-window
+	// breakdown.
 	res.SolveTime = mprun.ModeledSolveTime(r.Arch, res.Iterations, costs)
 	res.Phases = mprun.ModeledPhases(r.Arch, res.Iterations, costs)
 	res.MissesPerNNZ = missSum / float64(ranks)

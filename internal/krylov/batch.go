@@ -42,9 +42,9 @@ import (
 )
 
 // ErrBatchVariant is returned when a batched solve is asked for a CG
-// variant other than classic or fused. The overlap and pipelined schedules
-// hide latency that the batch already amortizes across columns; supporting
-// them would complicate the masked recurrences for no modeled gain.
+// variant other than classic or fused. The pipelined schedule hides latency
+// that the batch already amortizes across columns; supporting it would
+// complicate the masked recurrences for no modeled gain.
 var ErrBatchVariant = errors.New("krylov: batched solve supports the classic and fused variants only")
 
 // BatchStats reports the outcome of a k-wide solve: one Stats per column
@@ -196,8 +196,7 @@ type wide struct {
 	active []int
 }
 
-// distCGWide runs the recurrence opt.Variant names (CGClassicOverlap is the
-// classic one: the schedule is the operator's) at width k.
+// distCGWide runs the recurrence opt.Variant names at width k.
 func distCGWide(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner, k int, opt Options, fc *vecops.FlopCounter) (BatchStats, error) {
 	nl := op.LZ.NLocal()
 	if len(b) != nl*k || len(x) != nl*k {

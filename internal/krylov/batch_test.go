@@ -201,7 +201,7 @@ func TestBatchVariantRejected(t *testing.T) {
 	a := matgen.Poisson2D(4, 4)
 	b := make([]float64, a.Rows)
 	x := make([]float64, a.Rows)
-	for _, v := range []CGVariant{CGClassicOverlap, CGPipelined} {
+	for _, v := range []CGVariant{CGPipelined} {
 		_, err := oneRankBatch(t, a, b, x, nil, 1, Options{Variant: v})
 		if !errors.Is(err, ErrBatchVariant) {
 			t.Fatalf("variant %s: err = %v, want ErrBatchVariant", v, err)
@@ -508,7 +508,7 @@ func TestWideColumnsAreWidth1Solves(t *testing.T) {
 	b3 := packRHS([][]float64{rhs, rhs, rhs}, k)
 	for _, ranks := range []int{0, 1, 2, 4} {
 		for _, prec := range []Precision{FP64, FP32} {
-			for _, v := range []CGVariant{CGClassic, CGClassicOverlap, CGFused} {
+			for _, v := range []CGVariant{CGClassic, CGFused} {
 				name := fmt.Sprintf("ranks=%d/%v/%v", ranks, prec, v)
 				// Tight enough that the float32 inner solves need a second
 				// refinement.
@@ -530,9 +530,6 @@ func TestWideColumnsAreWidth1Solves(t *testing.T) {
 				}
 
 				opt.Trace = false
-				if v == CGClassicOverlap {
-					opt.Variant = CGClassic // the overlap schedule is a width-1 product's
-				}
 				x3, wide, traffic3 := wideSolve(t, a, b3, k, ranks, prec, opt)
 				if wide.Refinements != one.Refinements || wide.Iterations != one.Iterations {
 					t.Fatalf("%s: block ran %d refinements / %d iterations, width 1 %d / %d",

@@ -97,8 +97,8 @@ type Options struct {
 	// after every iteration (costs one float per iteration).
 	RecordResiduals bool
 	// Variant selects the communication structure of the distributed loop
-	// (classic, classic-overlap, fused or pipelined). The zero value is
-	// CGClassic. Ignored by the serial entry points.
+	// (classic, fused or pipelined). The zero value is CGClassic. Ignored by
+	// the serial entry points.
 	Variant CGVariant
 	// Work, when non-nil, supplies the iteration vectors so repeated solves
 	// allocate nothing in steady state. In distributed runs each rank must
@@ -322,9 +322,6 @@ func (s *DistSplit) scratch(k int) (interm []float64, wG, wGT *distmat.DistVec) 
 }
 
 // ApplyBatch computes the local block of z = Gᵀ(G·r) on the active columns.
-// At k = 1 the two products run in the send-then-compute schedule when the
-// operators were built with the overlap view (distmat.WithOverlap); the
-// result is bit-identical either way.
 func (s *DistSplit) ApplyBatch(c *simmpi.Comm, r, z []float64, k int, cols []int, fc *vecops.FlopCounter) {
 	interm, wG, wGT := s.scratch(k)
 	s.G.MulMat(c, r, interm, k, cols, wG, fc)
@@ -333,7 +330,7 @@ func (s *DistSplit) ApplyBatch(c *simmpi.Comm, r, z []float64, k int, cols []int
 
 // ApplyDotBatch is ApplyBatch followed by distmat.DotBatchDist(c, r, z, k,
 // cols, out, fc), the reduction riding Gᵀ's product (distmat.Op.MulMatDot):
-// at width 1 on blocking operators each rᵢzᵢ is added as zᵢ is stored.
+// at width 1 each rᵢzᵢ is added as zᵢ is stored.
 func (s *DistSplit) ApplyDotBatch(c *simmpi.Comm, r, z []float64, k int, cols []int, out []float64, fc *vecops.FlopCounter) {
 	interm, wG, wGT := s.scratch(k)
 	s.G.MulMat(c, r, interm, k, cols, wG, fc)
@@ -351,17 +348,12 @@ func (s *DistSplit) Apply(c *simmpi.Comm, r, z []float64, fc *vecops.FlopCounter
 // the one-rank world (not under CGPipelined, whose reduction is
 // nonblocking). It has no loop of its own: CGClassic and CGFused are the
 // k-wide recurrences of DistCGBatch at width 1, where every k-wide kernel
-// is its scalar counterpart; CGClassicOverlap is CGClassic on an operator
-// that carries the overlap view, which a 1-wide product then takes, and
-// CGFused dresses its operator the same way; CGPipelined dispatches to
-// DistCGPipelined. The one column's outcome comes back as Stats, its
-// breakdown as an ErrBreakdown-wrapped error.
+// is its scalar counterpart; CGPipelined dispatches to DistCGPipelined.
+// The one column's outcome comes back as Stats, its breakdown as an
+// ErrBreakdown-wrapped error.
 func DistCG(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
 	if opt.Variant == CGPipelined {
 		return DistCGPipelined(c, op, b, x, m, opt, fc)
-	}
-	if opt.Variant != CGClassic {
-		op.EnsureOverlap()
 	}
 	return scalarResult(distCGWide(c, op, b, x, m, 1, opt, fc))
 }

@@ -9,12 +9,8 @@ package krylov
 // space — and therefore the iteration count, up to floating-point rounding
 // — unchanged. The vector updates run as fused one-pass kernels
 // (vecops.Dot2Batch, vecops.FusedCGUpdateBatch — Dot2 and FusedCGUpdate at
-// width 1) so each iteration streams every vector once. A scalar solve
-// (DistCG) drives the SpMV through the interior/boundary overlap schedule,
-// so halo sends are in flight while interior rows are computed; there is no
-// k-wide send-then-compute product, so wider blocks use the blocking
-// schedule — whose metered traffic is the same, byte for byte and message
-// for message.
+// width 1) so each iteration streams every vector once. Its products block
+// at every width, as the classic loop's do.
 
 import (
 	"fmt"
@@ -32,13 +28,8 @@ const (
 	// reductions per iteration. The default, and the reference the other
 	// variants are cross-checked against.
 	CGClassic CGVariant = iota
-	// CGClassicOverlap keeps the classic recurrence but drives the SpMV
-	// through the interior/boundary overlap schedule (halo sends posted
-	// before interior rows are computed). Bit-identical results to
-	// CGClassic; only the communication schedule differs.
-	CGClassicOverlap
 	// CGFused is the Chronopoulos–Gear fused-reduction recurrence: one
-	// Allreduce of three scalars per iteration, overlapped SpMV and fused
+	// Allreduce of three scalars per iteration, blocking products and fused
 	// one-pass vector kernels. Same Krylov space as CGClassic; iteration
 	// counts may differ by ±1 from rounding (see DESIGN.md).
 	CGFused
@@ -51,36 +42,29 @@ const (
 	CGPipelined
 )
 
+// cgVariantNames are the flag spellings of the variants, in order.
+var cgVariantNames = [...]string{CGClassic: "classic", CGFused: "fused", CGPipelined: "pipelined"}
+
 // String returns the flag spelling of the variant.
 func (v CGVariant) String() string {
-	switch v {
-	case CGClassic:
-		return "classic"
-	case CGClassicOverlap:
-		return "classic-overlap"
-	case CGFused:
-		return "fused"
-	case CGPipelined:
-		return "pipelined"
-	default:
-		return fmt.Sprintf("CGVariant(%d)", int(v))
+	if v >= 0 && int(v) < len(cgVariantNames) {
+		return cgVariantNames[v]
 	}
+	return fmt.Sprintf("CGVariant(%d)", int(v))
 }
 
-// ParseCGVariant parses the -cg flag spellings: "classic",
-// "classic-overlap", "fused", "pipelined". The empty string is CGClassic.
+// ParseCGVariant parses the -cg flag spellings: "classic", "fused",
+// "pipelined". The empty string is CGClassic.
 func ParseCGVariant(s string) (CGVariant, error) {
 	switch s {
 	case "", "classic":
 		return CGClassic, nil
-	case "classic-overlap", "overlap":
-		return CGClassicOverlap, nil
 	case "fused":
 		return CGFused, nil
 	case "pipelined":
 		return CGPipelined, nil
 	default:
-		return CGClassic, fmt.Errorf("krylov: unknown CG variant %q (want classic, classic-overlap, fused or pipelined)", s)
+		return CGClassic, fmt.Errorf("krylov: unknown CG variant %q (want classic, fused or pipelined)", s)
 	}
 }
 

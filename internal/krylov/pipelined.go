@@ -32,10 +32,12 @@ import (
 // recurrence of Ghysels & Vanroose. Per iteration it performs exactly one
 // collective — a nonblocking IallreduceSum(rᵀu, wᵀu, ‖r‖²) overlapped with
 // the preconditioner apply and SpMV — with halo traffic byte-identical to
-// the classic loop (asserted by the metered tests). The SpMV and halo
-// exchanges run through the nonblocking Isend/Irecv schedule. In exact
-// arithmetic the iterates equal classic PCG's; the deeper rearrangement
-// rounds differently, so iteration counts may shift by ±2.
+// the classic loop (asserted by the metered tests). A's product runs in
+// the send-then-compute schedule (distmat.OverlapOp.MulVecOverlapAsync: the
+// halo travels on nonblocking Isend/Irecv while the interior rows are
+// computed); the preconditioner's products block, as in the other loops.
+// In exact arithmetic the iterates equal classic PCG's; the deeper
+// rearrangement rounds differently, so iteration counts may shift by ±2.
 func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
 	tr := newTracer(opt.Trace, c)
 	nl := op.LZ.NLocal()

@@ -89,8 +89,8 @@ func TestDistCGPipelinedHardCFDWithJacobi(t *testing.T) {
 }
 
 // Satellite 2, part 1 continued: the pipelined loop under the distributed
-// split preconditioner (the FSAI application path, overlap-built G and Gᵀ)
-// matches the unpreconditioned run when G is the identity.
+// split preconditioner (the FSAI application path) matches the
+// unpreconditioned run when G is the identity.
 func TestDistCGPipelinedWithSplitPrecond(t *testing.T) {
 	a := matgen.Poisson2D(12, 12)
 	n := a.Rows
@@ -111,8 +111,8 @@ func TestDistCGPipelinedWithSplitPrecond(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		gOp := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(g, lo, hi), distmat.WithOverlap())
-		gtOp := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(g, lo, hi), distmat.WithOverlap())
+		gOp := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(g, lo, hi))
+		gtOp := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(g, lo, hi))
 		x2 := make([]float64, hi-lo)
 		st2, err := DistCG(c, op, b[lo:hi], x2, NewDistSplit(gOp, gtOp), Options{Variant: CGPipelined}, nil)
 		if err != nil {

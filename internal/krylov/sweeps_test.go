@@ -16,9 +16,9 @@ import (
 	"fsaicomm/internal/vecops"
 )
 
-// TestFusedSweepsKeepTheLoopsBits pins a 1-wide classic solve (blocking and
-// overlap-dressed), the FP32-refined solve whose inner solves are that loop
-// over float32 operators, and GMRES, all on three goroutine ranks with an
+// TestFusedSweepsKeepTheLoopsBits pins a 1-wide classic solve, the
+// FP32-refined solve whose inner solves are that loop over float32
+// operators, and GMRES, all on three goroutine ranks with an
 // FSAI split preconditioner over the entries and over column runs, to what
 // the loops gave at commit 07ee7d3, before the dot products rode the sweeps:
 // a SHA-256 of x's bits, the iterations, every rank's Stats.Flops and the
@@ -53,15 +53,11 @@ func TestFusedSweepsKeepTheLoopsBits(t *testing.T) {
 	}{
 		{"classic", lower,
 			"x 4686dc2ddf8a284f iterations 26 flops [335816 347256 335816] meter {P2PBytes:190080 P2PMessages:216 CollectiveCalls:249 CollectiveBytes:2136 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:190080 InterP2PMessages:216}"},
-		{"classic-overlap", lower,
-			"x 4686dc2ddf8a284f iterations 26 flops [335816 347256 335816] meter {P2PBytes:190080 P2PMessages:216 CollectiveCalls:249 CollectiveBytes:2136 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:190080 InterP2PMessages:216}"},
 		{"fp32-refined", lower,
 			"x 375d5f5adf3a377e iterations 26 flops [342274 353934 342274] meter {P2PBytes:105600 P2PMessages:224 CollectiveCalls:261 CollectiveBytes:2280 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:105600 InterP2PMessages:224}"},
 		{"gmres", lower,
 			"x d4266bdd69c4da16 iterations 25 flops [700278 711498 700278] meter {P2PBytes:186560 P2PMessages:212 CollectiveCalls:1065 CollectiveBytes:8664 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:186560 InterP2PMessages:212}"},
 		{"classic", banded,
-			"x f0c58b09349ed5c3 iterations 40 flops [744480 755520 744480] meter {P2PBytes:153504 P2PMessages:328 CollectiveCalls:375 CollectiveBytes:3144 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:153504 InterP2PMessages:328}"},
-		{"classic-overlap", banded,
 			"x f0c58b09349ed5c3 iterations 40 flops [744480 755520 744480] meter {P2PBytes:153504 P2PMessages:328 CollectiveCalls:375 CollectiveBytes:3144 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:153504 InterP2PMessages:328}"},
 		{"fp32-refined", banded,
 			"x e30119469563777c iterations 41 flops [769550 781086 769550] meter {P2PBytes:87536 P2PMessages:344 CollectiveCalls:396 CollectiveBytes:3360 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:87536 InterP2PMessages:344}"},
@@ -90,8 +86,6 @@ func TestFusedSweepsKeepTheLoopsBits(t *testing.T) {
 			switch tc.name {
 			case "classic":
 				st, err = DistCG(c, aOp, b[lo:hi], xl, m, Options{}, &fc)
-			case "classic-overlap":
-				st, err = DistCG(c, aOp, b[lo:hi], xl, m, Options{Variant: CGClassicOverlap}, &fc)
 			case "fp32-refined":
 				st, err = DistCGRefined(c, aOp, op(a, true), b[lo:hi], xl, m, Options{}, &fc)
 			case "gmres":

@@ -65,7 +65,6 @@ func TestTraceMeterConservation(t *testing.T) {
 		opt  Options
 	}{
 		{"classic", Options{}},
-		{"classic-overlap", Options{Variant: CGClassicOverlap}},
 		{"fused", Options{Variant: CGFused}},
 		{"pipelined", Options{Variant: CGPipelined}},
 		{"pipelined-rr", Options{Variant: CGPipelined, ResidualReplaceEvery: 7}},
@@ -158,7 +157,7 @@ func TestStatsFinalizeEarlyExits(t *testing.T) {
 	indef := co.ToCSR()
 	ones := []float64{1, 1, 1, 1}
 
-	variants := []CGVariant{CGClassic, CGClassicOverlap, CGFused, CGPipelined}
+	variants := []CGVariant{CGClassic, CGFused, CGPipelined}
 	cases := []struct {
 		name     string
 		a        *sparse.CSR

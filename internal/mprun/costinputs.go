@@ -85,13 +85,14 @@ func reductionsFor(variant krylov.CGVariant) int64 {
 // schedule executes it, for archmodel's overlap-credit model. Every variant
 // carries the same two named windows — "halo" and "reduction" — so the
 // per-phase reports are comparable across variants; what changes is the
-// hiding compute. The classic loop hides nothing (both windows fully
-// exposed). The overlapped schedules hide the halo exchange behind the
-// interior rows of the three operators; the pipelined variant additionally
-// hides its single reduction behind the boundary rows — a disjoint compute
-// window, so no flop is credited twice (conservative: the real schedule
-// overlaps the reduction with the whole SpMV phase).
-func overlapCostFor(variant krylov.CGVariant, rc archmodel.RankCost, intNNZ, totNNZ, logP int64) archmodel.OverlapCost {
+// hiding compute. The classic and fused loops block at every product, so
+// they hide nothing (both windows fully exposed). The pipelined loop runs
+// A's product in the send-then-compute schedule, so its halo window hides
+// behind A's interior rows (aIntNNZ of them) alone, and it posts its single
+// reduction before the preconditioner apply and A's product, so the
+// reduction hides behind the rest of the iteration's products — a disjoint
+// compute window, so no flop is credited twice.
+func overlapCostFor(variant krylov.CGVariant, rc archmodel.RankCost, aIntNNZ, totNNZ, logP int64) archmodel.OverlapCost {
 	// Reductions are log₂-tree traffic between processes picked across the
 	// whole machine, so they are priced at the inter-node level; the halo
 	// window carries both levels of the exchange (all of the rank's
@@ -104,15 +105,10 @@ func overlapCostFor(variant krylov.CGVariant, rc archmodel.RankCost, intNNZ, tot
 		IntraCommMsgs: rc.IntraCommMsgs, IntraCommBytes: rc.IntraCommBytes,
 	}
 	var haloHide, redHide archmodel.RankCost
-	switch variant {
-	case krylov.CGClassic:
-		// Blocking schedule: nothing hides.
-	case krylov.CGPipelined:
-		bnd := totNNZ - intNNZ
-		haloHide = archmodel.RankCost{Flops: 2 * intNNZ, StreamBytes: 12 * intNNZ}
-		redHide = archmodel.RankCost{Flops: 2 * bnd, StreamBytes: 12 * bnd}
-	default: // CGClassicOverlap, CGFused: overlapped SpMV, blocking reduction
-		haloHide = archmodel.RankCost{Flops: 2 * intNNZ, StreamBytes: 12 * intNNZ}
+	if variant == krylov.CGPipelined {
+		rest := totNNZ - aIntNNZ
+		haloHide = archmodel.RankCost{Flops: 2 * aIntNNZ, StreamBytes: 12 * aIntNNZ}
+		redHide = archmodel.RankCost{Flops: 2 * rest, StreamBytes: 12 * rest}
 	}
 	return archmodel.OverlapCost{
 		Compute: archmodel.RankCost{Flops: rc.Flops, StreamBytes: rc.StreamBytes, CacheMisses: rc.CacheMisses},
@@ -160,15 +156,14 @@ func assembleIterCost(miss TracedMisses, aOp, gOp, gtOp *distmat.Op, nl, ranks i
 		},
 		Precond: precondCost(miss.Precond, nl, gOp, gtOp),
 	}
-	// The classic loop's windows carry zero hiding compute, so it never
-	// needs the overlap view of the operators (interior nnz only feeds the
-	// hide windows).
-	var intNNZ int64
-	if variant != krylov.CGClassic {
-		intNNZ = int64(aOp.EnsureOverlap().InteriorNNZ() +
-			gOp.EnsureOverlap().InteriorNNZ() + gtOp.EnsureOverlap().InteriorNNZ())
+	// Only pipelined CG's windows carry hiding compute, and only its A
+	// product is split into interior and boundary rows: the other loops
+	// never need the overlap view.
+	var aIntNNZ int64
+	if variant == krylov.CGPipelined {
+		aIntNNZ = int64(aOp.EnsureOverlap().InteriorNNZ())
 	}
-	out.Overlap = overlapCostFor(variant, out.Rank, intNNZ, totNNZ, logP)
+	out.Overlap = overlapCostFor(variant, out.Rank, aIntNNZ, totNNZ, logP)
 	return out
 }
 

@@ -32,21 +32,12 @@ func (j *JobSpec) adopt(c *simmpi.Comm) rankOps {
 // dress is step 2a: whatever the solve asks of the operators beyond their
 // values. It returns the float32 twin of A for the inner solves of a
 // mixed-precision job (nil under FP64). Everything here is rank-local.
-func (ops rankOps) dress(sp SolveParams, k int) (aInner *distmat.Op) {
+func (ops rankOps) dress(sp SolveParams) (aInner *distmat.Op) {
 	all := []*distmat.Op{ops.a, ops.g, ops.gt}
 	if ops.m != nil {
 		all = []*distmat.Op{ops.a, ops.m}
 	}
-	// The send-then-compute schedule belongs to the operator, and a 1-wide
-	// product takes it when the operator carries it; only the scalar CG
-	// variants other than classic ask for it. Batched jobs block at every
-	// width (K = 1 included, so that K tells the whole schedule), and so does
-	// GMRES (Variant classic by validation).
-	overlap := k == 0 && sp.Variant != krylov.CGClassic
 	for _, op := range all {
-		if overlap {
-			op.EnsureOverlap()
-		}
 		if sp.NoNodeAggregation {
 			// Baseline mode: keep the flat per-rank schedule under the declared
 			// topology, so the meter still classifies intra vs inter traffic
@@ -68,9 +59,6 @@ func (ops rankOps) dress(sp SolveParams, k int) (aInner *distmat.Op) {
 	// the outer FP64 residual. The clone preserves the plan's
 	// node-awareness.
 	aInner = distmat.NewOpFromParts(ops.a.LZ, ops.a.Plan.Clone())
-	if overlap {
-		aInner.EnsureOverlap()
-	}
 	aInner.SetF32(true)
 	return aInner
 }
@@ -129,7 +117,7 @@ func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Worksp
 	lo, hi := job.Layout.Range(rank)
 	out := &RankOutcome{Rank: rank, Lo: lo, Hi: hi}
 	ops := job.adopt(c)
-	aInner := ops.dress(sp, job.K)
+	aInner := ops.dress(sp)
 	if job.K == 0 { // the batched results carry no modeled time
 		out.Cost = ops.cost(sp, hi-lo, c.Size())
 	}

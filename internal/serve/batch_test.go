@@ -245,7 +245,6 @@ func TestSolveCoalescingEligibility(t *testing.T) {
 	mr := uploadGen(t, ts.URL, "Dubcova2-sim")
 	for _, req := range []solveRequest{
 		{Matrix: mr.Matrix, Ranks: 2, CG: "pipelined"},
-		{Matrix: mr.Matrix, Ranks: 2, CG: "classic-overlap"},
 		{Matrix: mr.Matrix, Ranks: 2, Trace: true},
 	} {
 		resp, body := postJSON(t, ts.URL+"/solve", req)

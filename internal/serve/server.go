@@ -399,7 +399,7 @@ type solveRequest struct {
 	Tol                  float64 `json:"tol,omitempty"`
 	MaxIter              int     `json:"max_iter,omitempty"`
 	Restart              int     `json:"restart,omitempty"` // GMRES restart length (0 = 30)
-	CG                   string  `json:"cg,omitempty"`      // classic | classic-overlap | fused | pipelined
+	CG                   string  `json:"cg,omitempty"`      // classic | fused | pipelined
 	Arch                 string  `json:"arch,omitempty"`
 	Trace                bool    `json:"trace,omitempty"`
 	ResidualReplaceEvery int     `json:"residual_replace_every,omitempty"`

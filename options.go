@@ -90,13 +90,13 @@ type Options struct {
 	// MPI×OpenMP hybrid.
 	Workers int
 	// CGVariant (per-solve) selects the distributed CG loop: CGClassic
-	// (default; three reductions per iteration, blocking SpMV),
-	// CGClassicOverlap (classic recurrence, overlapped halo SpMV), CGFused
-	// (one batched Allreduce per iteration, overlapped SpMV, fused kernels)
-	// or CGPipelined (one nonblocking Allreduce per iteration, hidden behind
-	// the next SpMV and preconditioner application). A one-process solve
-	// runs it on one rank, as SolveDistributed does at Ranks 1. See
-	// ParseCGVariant for the flag spellings.
+	// (default; three reductions per iteration, blocking SpMV), CGFused (one
+	// batched Allreduce per iteration, blocking SpMV, fused kernels) or
+	// CGPipelined (one nonblocking Allreduce per iteration, hidden behind the
+	// next SpMV and preconditioner application; A's product overlaps its halo
+	// exchange). A one-process solve runs it on one rank, as
+	// SolveDistributed does at Ranks 1. See ParseCGVariant for the flag
+	// spellings.
 	CGVariant CGVariant
 	// Arch (per-solve) names the architecture profile for
 	// Result.ModeledSolveTime: "skylake" (default), "a64fx" or "zen2". It
@@ -300,7 +300,7 @@ func (o SolveOptions) Validate() error {
 		return invalid("RanksPerNode %d is negative (0 means flat: one rank per node)", o.RanksPerNode)
 	}
 	switch o.CGVariant {
-	case CGClassic, CGClassicOverlap, CGFused, CGPipelined:
+	case CGClassic, CGFused, CGPipelined:
 	default:
 		return invalid("unknown CG variant %d", int(o.CGVariant))
 	}

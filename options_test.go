@@ -49,7 +49,6 @@ func TestIllegalCellsRefusedEverywhere(t *testing.T) {
 		{"GMRES pipelined", spai, SolveOptions{CGVariant: CGPipelined}, good, ErrInvalidOptions, all},
 		{"GMRES batch", spai, SolveOptions{}, good, ErrInvalidOptions, batch | prepBatch},
 		{"batch pipelined", two, SolveOptions{CGVariant: CGPipelined}, good, ErrBatchVariant, batch | prepBatch},
-		{"batch classic-overlap", two, SolveOptions{CGVariant: CGClassicOverlap}, good, ErrBatchVariant, batch | prepBatch},
 		{"3 nodes on 2 ranks", two, SolveOptions{Nodes: 3}, good, ErrInvalidOptions, all},
 		{"3 ranks per node on 4 ranks", Options{Ranks: 4}, SolveOptions{RanksPerNode: 3}, good, ErrInvalidOptions, all},
 		{"2 nodes of 3 on 4 ranks", Options{Ranks: 4}, SolveOptions{Nodes: 2, RanksPerNode: 3}, good, ErrInvalidOptions, all},

@@ -118,7 +118,6 @@ func TestPreparedMatchesSolveDistributed(t *testing.T) {
 		{"classic", fsaie, func(o *Options) {}},
 		{"fused", fsaie, func(o *Options) { o.CGVariant = CGFused }},
 		{"pipelined", fsaie, func(o *Options) { o.CGVariant = CGPipelined }},
-		{"classic-overlap", fsaie, func(o *Options) { o.CGVariant = CGClassicOverlap }},
 		{"fp32", fsaie, func(o *Options) { o.Precision = FP32 }},
 		{"2 nodes", fsaie, func(o *Options) { o.Ranks, o.Nodes = 4, 2 }},
 		{"2 nodes unaggregated", fsaie, func(o *Options) { o.Ranks, o.Nodes, o.NoNodeAggregation = 4, 2, true }},

@@ -252,17 +252,20 @@ bench:
 	$(GO) test -run xxx -bench '50k|PreparedSolve8100' -benchmem .
 
 # bce: keep the bounds checks out of the kernels' inner loops. Builds the
-# two packages that inline the product kernels and internal/dense, whose
-# packed Cholesky runs the first build's row factorizations, with the
-# compiler's check_bce pass; prints every check left in rowkernel.go and
-# dense.go and fails if one sits on an inner-loop line (marked
-# "// bce:inner" in the source) that is not a gather from x (marked
-# "// bce:inner gather") — the one access per entry whose index is data.
+# two packages that inline the product kernels, internal/dense, whose
+# packed Cholesky runs the first build's row factorizations, and
+# internal/fsai, whose gather plan fills them, with the compiler's
+# check_bce pass; prints every check left in rowkernel.go, dense.go and
+# fsai's plan.go and fails if one sits on an inner-loop line (marked
+# "// bce:inner" in the source) that is not a gather (marked
+# "// bce:inner gather") — the one access per entry whose index is data:
+# x in a product; in the plan's replay, a move's value and its place in
+# the packed triangle, both read from the plan, on one line.
 # The Cholesky has no gather: every check on its four-row loop fails.
 bce:
-	@out="$$($(GO) build -gcflags='-d=ssa/check_bce/debug=1' ./internal/sparse/ ./internal/distmat/ ./internal/dense/ 2>&1)" \
+	@out="$$($(GO) build -gcflags='-d=ssa/check_bce/debug=1' ./internal/sparse/ ./internal/distmat/ ./internal/dense/ ./internal/fsai/ 2>&1)" \
 		|| { echo "$$out"; exit 1; }; \
-	for f in internal/sparse/rowkernel.go internal/dense/dense.go; do \
+	for f in internal/sparse/rowkernel.go internal/dense/dense.go internal/fsai/plan.go; do \
 		echo "$$out" | grep -F "$$f:" | sort -u | awk -F: -v f=$$f ' \
 			NR == FNR { if (/bce:inner/) { inner[FNR] = 1; marked++ } if (/bce:inner gather/) gather[FNR] = 1; next } \
 			{ where = "setup"; if (inner[$$2]) where = gather[$$2] ? "gather" : "INNER LOOP"; \

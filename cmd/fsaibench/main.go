@@ -35,7 +35,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (table1..table7, fig2..fig8, imbalance, all)")
 	set := flag.String("set", "quick", "matrix set: quick (7 matrices) or full (39)")
 	arch := flag.String("arch", "", "override architecture (skylake, a64fx, zen2); default per experiment")
-	workers := flag.Int("workers", 0, "setup worker threads per simulated rank (0 = 1 per rank)")
+	workers := flag.Int("workers", 0, "setup worker threads per simulated rank (0 = GOMAXPROCS)")
 	cg := flag.String("cg", "classic", "distributed CG loop: classic, fused or pipelined")
 	flag.Parse()
 

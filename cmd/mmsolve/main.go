@@ -45,7 +45,7 @@ func main() {
 		dynamic    = flag.Bool("dynamic", false, "use the dynamic (load-balancing) filter strategy")
 		line       = flag.Int("line", 64, "cache line size in bytes steering the extension")
 		ranks      = flag.Int("ranks", 0, "simulated process count (0 = auto, 1 = serial)")
-		workers    = flag.Int("workers", 0, "setup worker threads (0 = all cores serial solve, 1 per rank distributed)")
+		workers    = flag.Int("workers", 0, "setup worker threads per rank (0 = GOMAXPROCS)")
 		cg         = flag.String("cg", "classic", "distributed CG loop: classic, fused or pipelined (the last two use one Allreduce per iteration)")
 		tol        = flag.Float64("tol", 1e-8, "relative residual tolerance")
 		maxIter    = flag.Int("maxiter", 0, "iteration cap (0 = 10n)")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -27,9 +26,9 @@ type Config struct {
 	PatternLevel int
 	Threshold    float64
 	// Workers bounds the shared-memory worker pool used for the per-row
-	// solves inside each rank (n > 0 → exactly n; ≤ 0 → GOMAXPROCS on a
-	// world of one rank, which has the machine to itself, and 1 worker per
-	// rank on a larger one, whose ranks already run concurrently). This is
+	// solves inside each rank (n > 0 → exactly n; ≤ 0 → GOMAXPROCS, on a
+	// world of any size: its ranks are goroutines of one process, so a rank
+	// that finishes its rows leaves its cores to the slower ones). This is
 	// orthogonal to the rank count: ranks simulate distributed processes,
 	// workers are threads inside one process.
 	Workers int
@@ -41,20 +40,6 @@ type Config struct {
 	SPAISteps   int
 	SPAIAdd     int
 	SPAIEpsilon float64
-}
-
-// rankWorkers resolves Config.Workers for the pool of a rank of a world of
-// ranks ranks, the one rule for its default: a lone rank has the machine to
-// itself and takes GOMAXPROCS, while R > 1 ranks already occupy it, so each
-// takes one worker rather than R×GOMAXPROCS goroutines oversubscribing it.
-func (c Config) rankWorkers(ranks int) int {
-	switch {
-	case c.Workers > 0:
-		return c.Workers
-	case ranks == 1:
-		return runtime.GOMAXPROCS(0)
-	}
-	return 1
 }
 
 // Build is the result of constructing a preconditioner on one rank. All
@@ -102,7 +87,8 @@ type Build struct {
 // contain a collective include the wait for the slowest rank; a phase that
 // did not run reads 0.
 type SetupPhases struct {
-	// Extend covers the base pattern and its extension (Algorithm 3).
+	// Extend covers the base pattern, its extension (Algorithm 3) and the
+	// plans of the gather that feeds the first build.
 	Extend time.Duration
 	// FirstBuild is the factor on the (extended) pattern — the only build of
 	// plain FSAI, of SPAI and of a static Filter 0; Filter and Rebuild are
@@ -192,7 +178,15 @@ type patternPlan struct {
 	ext     *fsai.DistRows // base itself for plain FSAI
 	st      ExtendStats
 	gather  *distmat.GatherPlan
+	// rows is where the first build's row solves gather the entries of A:
+	// made from structure at analyse time, replayed by every Factor. nil
+	// where values shape the pattern, or where it does not fit an int32.
+	rows *fsai.GatherPlan
 }
+
+// planRows makes the gather plan of the first build's row solves; a test
+// counts its calls.
+var planRows = fsai.PlanGather
 
 // FactorPlan is the structure of one factor pattern: G's rows, the
 // transpose that makes Gᵀ of them, both operators' localized structure and
@@ -255,6 +249,7 @@ func Analyse(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, cfg Config) (
 		if s.pat, err = analysePattern(c, l, aRows, cfg); err != nil {
 			return nil, err
 		}
+		s.pat.rows = planRows(s.pat.gather.Rows(aRows), s.pat.ext, cfg.Workers)
 		s.Phases.Extend = time.Since(t0)
 	}
 	return s, nil
@@ -332,7 +327,7 @@ func (s *Symbolic) Factor(c *simmpi.Comm, aVal []float64, prev *FactorPlan) (*Bu
 		}
 		ph.Extend = lap()
 	}
-	gExt, err := fsai.BuildGathered(pat.gather.Values(c, aRows), pat.ext, cfg.rankWorkers(c.Size()))
+	gExt, err := fsai.BuildGathered(pat.gather.Values(c, aRows), pat.ext, pat.rows, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: build on the extended pattern: %w", err)
 	}
@@ -350,7 +345,7 @@ func (s *Symbolic) Factor(c *simmpi.Comm, aVal []float64, prev *FactorPlan) (*Bu
 		ph.RowsReused = g.Rows
 	default:
 		var rs RebuildStats
-		g, rs, err = FilterRebuild(c, l, aRows, gExt, pat.base.Pattern, cfg.Filter, cfg.Strategy, cfg.rankWorkers(c.Size()))
+		g, rs, err = FilterRebuild(c, l, aRows, gExt, pat.base.Pattern, cfg.Filter, cfg.Strategy, cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -428,7 +423,7 @@ func (s *Symbolic) SizeBytes(p *FactorPlan) int64 {
 	var maps int64
 	if pat := s.pat; pat != nil {
 		words += len(pat.base.Pattern.RowPtr) + len(pat.base.Pattern.ColIdx)
-		maps += pat.gather.SizeBytes()
+		maps += pat.gather.SizeBytes() + pat.rows.SizeBytes()
 		ext := pat.ext.Pattern
 		inPlan := p != nil && len(ext.ColIdx) > 0 && len(p.colIdx) > 0 && &ext.ColIdx[0] == &p.colIdx[0]
 		if pat.ext != pat.base && !inPlan {
@@ -450,7 +445,7 @@ func (s *Symbolic) SizeBytes(p *FactorPlan) int64 {
 // nothing of it is kept from one build to the next.
 func (b *Build) factorSPAI(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows *sparse.CSR, cfg Config) error {
 	t0 := time.Now()
-	m, err := spai.BuildDist(c, l, lo, hi, aRows, cfg.spaiOptions(c.Size()))
+	m, err := spai.BuildDist(c, l, lo, hi, aRows, cfg.spaiOptions())
 	if err != nil {
 		return fmt.Errorf("core: SPAI build: %w", err)
 	}
@@ -463,9 +458,8 @@ func (b *Build) factorSPAI(c *simmpi.Comm, l *distmat.Layout, lo, hi int, aRows 
 	return nil
 }
 
-// spaiOptions maps the Config knobs onto the spai package's options for a
-// rank of a world of ranks ranks.
-func (c Config) spaiOptions(ranks int) spai.Options {
+// spaiOptions maps the Config knobs onto the spai package's options.
+func (c Config) spaiOptions() spai.Options {
 	level := c.PatternLevel
 	if level < 1 {
 		level = 1
@@ -475,7 +469,7 @@ func (c Config) spaiOptions(ranks int) spai.Options {
 		Steps:   c.SPAISteps,
 		Add:     c.SPAIAdd,
 		Epsilon: c.SPAIEpsilon,
-		Workers: c.rankWorkers(ranks),
+		Workers: c.Workers,
 	}
 }
 

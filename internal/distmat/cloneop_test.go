@@ -1,6 +1,8 @@
 package distmat
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -76,5 +78,45 @@ func TestNewOpFromPartsBitIdentical(t *testing.T) {
 					w, i, results[w][i], yRef[i])
 			}
 		}
+	}
+}
+
+// TestOverlapSplitSharedByViews: the interior/boundary split is made once
+// per localized pattern. Operators on views of it with other values — one
+// per job, or per refactored system — read the same split, and its ranges
+// hold the rows its lists name, in order.
+func TestOverlapSplitSharedByViews(t *testing.T) {
+	a := grid2d(9, 9)
+	l := NewUniformLayout(a.Rows, 3)
+	_, err := simmpi.Run(3, testTimeout, func(c *simmpi.Comm) error {
+		lo, hi := l.Range(c.Rank())
+		rows := ExtractLocalRows(a, lo, hi)
+		op := NewOp(c, l, lo, hi, rows)
+		first := op.EnsureOverlap()
+		for _, vals := range [][]float64{rows.Val, make([]float64, len(rows.Val))} {
+			other := NewOpFromParts(op.LZ.WithValues(vals), op.Plan.Clone()).EnsureOverlap()
+			if &other.Interior[0] != &first.Interior[0] || &other.Boundary[0] != &first.Boundary[0] ||
+				&other.interior[0] != &first.interior[0] || &other.boundary[0] != &first.boundary[0] {
+				return fmt.Errorf("rank %d: a view with other values split its rows again", c.Rank())
+			}
+		}
+		for _, cls := range []struct{ rows, ranges []int }{{first.Interior, first.interior}, {first.Boundary, first.boundary}} {
+			var listed []int
+			for k := 0; k < len(cls.ranges); k += 2 {
+				if k > 0 && cls.ranges[k] <= cls.ranges[k-1] {
+					return fmt.Errorf("rank %d: ranges %v touch or overlap", c.Rank(), cls.ranges)
+				}
+				for li := cls.ranges[k]; li < cls.ranges[k+1]; li++ {
+					listed = append(listed, li)
+				}
+			}
+			if !slices.Equal(listed, cls.rows) {
+				return fmt.Errorf("rank %d: ranges %v name rows %v, the list %v", c.Rank(), cls.ranges, listed, cls.rows)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -49,6 +49,13 @@ type Localized struct {
 	// save nothing: built once per pattern, shared by every view WithValues
 	// makes, and rebuilt by IndexRuns on a view that arrived without it.
 	runs *sparse.RunIndex
+	// split holds the interior/boundary split of the rows (overlap.go),
+	// made on first use and shared, like runs, by every view WithValues
+	// makes: every job's operator on a pattern reads one split. The holder
+	// itself is made on first use too (splitHolder), so a view that gob
+	// shipped gets one as well.
+	split     *rowSplit
+	splitOnce sync.Once
 }
 
 // NLocal returns the number of locally owned rows/columns.
@@ -183,8 +190,10 @@ func (lz *Localized) WithValues(vals []float64) *Localized {
 			rotateRow(vals[p:q], src[p:q], lz.rotated[t+1], lz.rotated[t+2])
 		}
 	}
-	return &Localized{Lo: lz.Lo, Hi: lz.Hi, Halo: lz.Halo, rotated: lz.rotated, runs: lz.runs,
+	v := &Localized{Lo: lz.Lo, Hi: lz.Hi, Halo: lz.Halo, rotated: lz.rotated, runs: lz.runs,
 		M: &sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: vals}}
+	v.split = lz.splitHolder()
+	return v
 }
 
 // HaloPlan is a rank's halo-update schedule: which locally-owned unknowns it

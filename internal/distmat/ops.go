@@ -199,40 +199,59 @@ func Norm2(c *simmpi.Comm, x []float64, fc *vecops.FlopCounter) float64 {
 // after a GatherRemoteRows: the rank's own rows are read in place from its
 // local block, the fetched remote rows sit CSR-style behind a sorted index
 // list, so a lookup is a range test or a binary search — no hash map, no
-// copy of local data.
+// copy of local data but the values, which Values lists in one array.
 type GatheredRows struct {
 	lo, hi int
-	local  *sparse.CSR
-	ids    []int // sorted global indices of the fetched rows
-	ptr    []int // row k of ids occupies cols/vals[ptr[k]:ptr[k+1]]
+	local  *sparse.CSR // its structure; its values are vals' front
+	ids    []int       // sorted global indices of the fetched rows
+	ptr    []int       // row k of ids occupies cols[ptr[k]:ptr[k+1]]
 	cols   []int
-	vals   []float64
+	// vals are the local block's values, then those of the fetched rows:
+	// row k of ids at vals[len(local.ColIdx)+ptr[k]:]. nil in a view of
+	// structure only (GatherPlan.Rows).
+	vals []float64
 }
 
 // LocalRows wraps a whole, undistributed matrix as a GatheredRows: every row
 // is local. It lets serial code share the row loops written against
 // GatherRemoteRows.
 func LocalRows(a *sparse.CSR) *GatheredRows {
-	return &GatheredRows{lo: 0, hi: a.Rows, local: a}
+	return &GatheredRows{lo: 0, hi: a.Rows, local: a, vals: a.Val}
 }
 
 // Row returns global row g (global columns) as shared, read-only slices. It
 // panics if g is neither local nor among the gathered rows.
 func (r *GatheredRows) Row(g int) ([]int, []float64) {
+	cols, at := r.Entries(g)
+	return cols, r.vals[at : at+len(cols)]
+}
+
+// Entries returns global row g's columns and the index in Values of its
+// first value. Views of structure only answer it too. It panics if g is
+// neither local nor among the gathered rows.
+func (r *GatheredRows) Entries(g int) ([]int, int) {
 	if g >= r.lo && g < r.hi {
-		return r.local.Row(g - r.lo)
+		p, q := r.local.RowPtr[g-r.lo], r.local.RowPtr[g-r.lo+1]
+		return r.local.ColIdx[p:q], p
 	}
 	return r.remote(g)
 }
 
-// remote is the slow path of Row, kept apart so that Row inlines.
-func (r *GatheredRows) remote(g int) ([]int, []float64) {
+// remote is the slow path of Entries, kept apart so that Entries inlines.
+func (r *GatheredRows) remote(g int) ([]int, int) {
 	k := sort.SearchInts(r.ids, g)
 	if k == len(r.ids) || r.ids[k] != g {
 		panic(fmt.Sprintf("distmat: row %d is neither local to [%d,%d) nor gathered", g, r.lo, r.hi))
 	}
-	return r.cols[r.ptr[k]:r.ptr[k+1]], r.vals[r.ptr[k]:r.ptr[k+1]]
+	return r.cols[r.ptr[k]:r.ptr[k+1]], len(r.local.ColIdx) + r.ptr[k]
 }
+
+// Values returns every value the rows hold, local block first, in the
+// order Entries indexes; nil in a view of structure only.
+func (r *GatheredRows) Values() []float64 { return r.vals }
+
+// Len is the number of values the rows hold, structure-only views included.
+func (r *GatheredRows) Len() int { return len(r.local.ColIdx) + len(r.cols) }
 
 // ownerNear is Layout.Owner for callers that walk indices in nearly sorted
 // order: it steps from the previous answer p instead of searching.
@@ -351,6 +370,12 @@ func PlanGather(c *simmpi.Comm, l *Layout, lo, hi int, rows *sparse.CSR, wanted 
 	return g
 }
 
+// Rows is the structure the plan gathers next to rows, the rank's block:
+// the GatheredRows Values returns, without values. Entries answers it.
+func (g *GatherPlan) Rows(rows *sparse.CSR) *GatheredRows {
+	return &GatheredRows{lo: g.lo, hi: g.hi, local: rows, ids: g.ids, ptr: g.ptr, cols: g.cols}
+}
+
 // Values is the value half: every rank sends the values of the rows it
 // serves and receives those of the rows it fetches. rows is the rank's
 // block of a matrix with the planned pattern. Collective.
@@ -365,12 +390,17 @@ func (g *GatherPlan) Values(c *simmpi.Comm, rows *sparse.CSR) *GatheredRows {
 		}
 		simmpi.Send(c, r, tagRowVals, flat)
 	}
-	out := &GatheredRows{lo: g.lo, hi: g.hi, local: rows, ids: g.ids, ptr: g.ptr, cols: g.cols}
+	out := g.Rows(rows)
+	out.vals = rows.Val
+	if len(g.owners) > 0 {
+		out.vals = make([]float64, len(rows.Val), len(rows.Val)+len(g.cols))
+		copy(out.vals, rows.Val)
+	}
 	for _, p := range g.owners {
 		out.vals = append(out.vals, simmpi.Recv[float64](c, p, tagRowVals)...)
 	}
-	if len(out.vals) != len(out.cols) {
-		panic(fmt.Sprintf("distmat: rank %d gathered %d values for %d columns", c.Rank(), len(out.vals), len(out.cols)))
+	if len(out.vals) != out.Len() {
+		panic(fmt.Sprintf("distmat: rank %d gathered %d values for %d columns", c.Rank(), len(out.vals)-len(rows.Val), len(g.cols)))
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package distmat
 
 import (
+	"sync"
+
 	"fsaicomm/internal/simmpi"
 	"fsaicomm/internal/sparse"
 	"fsaicomm/internal/vecops"
@@ -20,14 +22,25 @@ type OverlapOp struct {
 	*Op
 	// Interior and Boundary are the local row indices of each class.
 	Interior, Boundary []int
+	// interior and boundary are the same rows as contiguous ranges, lo and
+	// hi after each other: what the products walk.
+	interior, boundary []int
 }
 
-// NewOverlapOp builds the overlap view of an operator.
-func NewOverlapOp(op *Op) *OverlapOp {
-	nl := op.LZ.NLocal()
-	o := &OverlapOp{Op: op}
-	for li := 0; li < op.LZ.M.Rows; li++ {
-		cols, _ := op.LZ.M.Row(li)
+// rowSplit is the interior/boundary split of a localized pattern's rows,
+// made once (sync.Once) for every operator on it.
+type rowSplit struct {
+	once                 sync.Once
+	interior, boundary   []int // row lists
+	intRanges, bndRanges []int // the same rows as [lo, hi) ranges
+}
+
+// build splits the rows of lz: a row is boundary when it reads a halo
+// column.
+func (sp *rowSplit) build(lz *Localized) {
+	nl := lz.NLocal()
+	for li := 0; li < lz.M.Rows; li++ {
+		cols, _ := lz.M.Row(li)
 		boundary := false
 		for _, c := range cols {
 			if c >= nl {
@@ -36,30 +49,63 @@ func NewOverlapOp(op *Op) *OverlapOp {
 			}
 		}
 		if boundary {
-			o.Boundary = append(o.Boundary, li)
+			sp.boundary = append(sp.boundary, li)
+			sp.bndRanges = appendRange(sp.bndRanges, li)
 		} else {
-			o.Interior = append(o.Interior, li)
+			sp.interior = append(sp.interior, li)
+			sp.intRanges = appendRange(sp.intRanges, li)
 		}
 	}
-	return o
 }
 
-// mulRows computes the selected rows of y = M·xExt. The mixed-precision
-// operator reads the float32 value array instead, accumulating in float64
-// like sparse.CSR32.
-func (o *OverlapOp) mulRows(rows []int, xExt, y []float64) {
+// appendRange adds row li to ranges, flattened [lo, hi) pairs: it extends
+// the last range when that ends at li.
+func appendRange(ranges []int, li int) []int {
+	if n := len(ranges); n > 0 && ranges[n-1] == li {
+		ranges[n-1]++
+		return ranges
+	}
+	return append(ranges, li, li+1)
+}
+
+// splitHolder returns the holder of lz's split, making it on first use.
+func (lz *Localized) splitHolder() *rowSplit {
+	lz.splitOnce.Do(func() {
+		if lz.split == nil {
+			lz.split = new(rowSplit)
+		}
+	})
+	return lz.split
+}
+
+// NewOverlapOp builds the overlap view of an operator. The split is made
+// once per localized pattern and shared by the views of every operator on
+// it.
+func NewOverlapOp(op *Op) *OverlapOp {
+	sp := op.LZ.splitHolder()
+	sp.once.Do(func() { sp.build(op.LZ) })
+	return &OverlapOp{Op: op, Interior: sp.interior, Boundary: sp.boundary, interior: sp.intRanges, boundary: sp.bndRanges}
+}
+
+// mulRanges computes the rows of y = M·xExt in ranges, each range through
+// the entry kernel on a CSR view of its rows: RowDot's bits. The
+// mixed-precision operator reads the float32 value array instead,
+// accumulating in float64 like sparse.CSR32.
+func (o *OverlapOp) mulRanges(ranges []int, xExt, y []float64) {
 	if o.f32 {
 		m := o.LZ.M32()
-		for _, li := range rows {
-			cs, vs := m.Row(li)
-			y[li] = sparse.RowDot(cs, vs, xExt)
+		for t := 0; t+1 < len(ranges); t += 2 {
+			lo, hi := ranges[t], ranges[t+1]
+			v := sparse.CSR32{Rows: hi - lo, Cols: m.Cols, RowPtr: m.RowPtr[lo : hi+1], ColIdx: m.ColIdx, Val: m.Val}
+			v.MulVecDot(nil, xExt, y[lo:hi], nil)
 		}
 		return
 	}
 	m := o.LZ.M
-	for _, li := range rows {
-		cs, vs := m.Row(li)
-		y[li] = sparse.RowDot(cs, vs, xExt)
+	for t := 0; t+1 < len(ranges); t += 2 {
+		lo, hi := ranges[t], ranges[t+1]
+		v := sparse.CSR{Rows: hi - lo, Cols: m.Cols, RowPtr: m.RowPtr[lo : hi+1], ColIdx: m.ColIdx, Val: m.Val}
+		v.MulVecDot(nil, xExt, y[lo:hi], nil)
 	}
 }
 
@@ -75,9 +121,9 @@ func (o *OverlapOp) MulVecOverlapAsync(c *simmpi.Comm, x, y []float64, scratch *
 	scratch.load(x)
 	xExt := scratch.Ext
 	h := o.Plan.StartExchange(c, xExt)
-	o.mulRows(o.Interior, xExt, y)
+	o.mulRanges(o.interior, xExt, y)
 	h.Complete(c, xExt, nl)
-	o.mulRows(o.Boundary, xExt, y)
+	o.mulRanges(o.boundary, xExt, y)
 	fc.Add(2 * int64(o.LZ.M.NNZ()))
 }
 
@@ -85,8 +131,8 @@ func (o *OverlapOp) MulVecOverlapAsync(c *simmpi.Comm, x, y []float64, scratch *
 // available to hide communication behind.
 func (o *OverlapOp) InteriorNNZ() int {
 	n := 0
-	for _, li := range o.Interior {
-		n += o.LZ.M.RowNNZ(li)
+	for t := 0; t+1 < len(o.interior); t += 2 {
+		n += o.LZ.M.RowPtr[o.interior[t+1]] - o.LZ.M.RowPtr[o.interior[t]]
 	}
 	return n
 }

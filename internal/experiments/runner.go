@@ -73,7 +73,7 @@ type Runner struct {
 	Tol     float64
 	MaxIter int
 	// Workers bounds the shared-memory pool for per-rank row solves
-	// (<= 0 → 1 worker per rank; ranks already run concurrently).
+	// (<= 0 → GOMAXPROCS per rank, core.Config.Workers' rule).
 	Workers int
 	// Variant selects the distributed CG loop for every solve: classic,
 	// fused or pipelined (see krylov.CGVariant).

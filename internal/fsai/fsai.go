@@ -10,7 +10,9 @@
 // dense SPD systems solved with internal/dense (the paper used MKL/OpenBLAS
 // here), by Cholesky on a packed lower triangle that each worker chunk
 // carries from row to row: a row reuses the factor's rows over the leading
-// columns its pattern shares with the last row solved (rowSolver).
+// columns its pattern shares with the last row solved (rowSolver). The rows
+// it does factor are gathered from A by a merge walk, or by replaying a
+// GatherPlan made once from the structure (plan.go).
 //
 // The distributed build mirrors the paper's MPI implementation: each process
 // owns a block of rows of A and of S; the rows of A needed for halo columns
@@ -67,7 +69,7 @@ func RebuildWorkers(a *sparse.CSR, prev *sparse.CSR, s *sparse.Pattern, workers 
 	if prev != nil && prev.Rows != s.Rows {
 		return nil, 0, fmt.Errorf("fsai: previous factor has %d rows, pattern has %d", prev.Rows, s.Rows)
 	}
-	return buildRows(distmat.LocalRows(a), s, 0, prev, workers)
+	return buildRows(distmat.LocalRows(a), s, 0, prev, nil, workers)
 }
 
 // sameRow reports whether row li of prev has exactly the pattern s gives it.
@@ -85,8 +87,10 @@ func sameRow(prev *sparse.CSR, s *sparse.Pattern, li int) bool {
 // read: the whole matrix in the serial build, a rank's block plus its
 // gathered halo rows in the distributed one. It returns the factor and the
 // number of copied rows. The factor shares the pattern's index arrays, which
-// are read-only like every pattern: only its values are new.
-func buildRows(src *distmat.GatheredRows, s *sparse.Pattern, lo int, prev *sparse.CSR, workers int) (*sparse.CSR, int, error) {
+// are read-only like every pattern: only its values are new. plan, a
+// GatherPlan made for s on src's structure, or nil, says where the solves'
+// gathers write: without it they walk src's rows.
+func buildRows(src *distmat.GatheredRows, s *sparse.Pattern, lo int, prev *sparse.CSR, plan *GatherPlan, workers int) (*sparse.CSR, int, error) {
 	g := &sparse.CSR{
 		Rows:   s.Rows,
 		Cols:   s.Cols,
@@ -111,7 +115,7 @@ func buildRows(src *distmat.GatheredRows, s *sparse.Pattern, lo int, prev *spars
 				copied++
 				continue
 			}
-			if err := rs.solve(src, lo+li, cols, out); err != nil {
+			if err := rs.solve(src, lo+li, cols, out, plan, li); err != nil {
 				return err
 			}
 		}
@@ -148,20 +152,23 @@ type rowSolver struct {
 
 // solve writes into out row i of G, whose sorted pattern cols ends at i: it
 // solves A(cols, cols)·y = e_{m-1} — the diagonal comes last because the
-// pattern is lower triangular — and scales y by 1/√y_{m-1}.
-func (rs *rowSolver) solve(src *distmat.GatheredRows, i int, cols []int, out []float64) error {
+// pattern is lower triangular — and scales y by 1/√y_{m-1}. With a plan,
+// cols is row li of the pattern the plan was made for, and the plan fills
+// the rows of A(cols, cols) after the prefix row li shares with row li−1.
+func (rs *rowSolver) solve(src *distmat.GatheredRows, i int, cols []int, out []float64, plan *GatherPlan, li int) error {
 	m := len(cols)
-	p := 0
-	for p < len(rs.last) && p < m && rs.last[p] == cols[p] {
-		p++
-	}
+	p := sharedPrefix(rs.last, cols)
 	if need := m * (m + 1) / 2; len(rs.l) < need {
 		rs.l = append(rs.l, make([]float64, need-len(rs.l))...)
 		rs.inv = append(rs.inv, make([]float64, m-len(rs.inv))...)
 	}
 	// A row that fails leaves rows [p, m) half done, of no pattern's factor.
 	rs.last = nil
-	gatherRows(src, cols, p, rs.l)
+	q := m
+	if plan != nil {
+		q = plan.replay(li, p, m, rs.l, src.Values())
+	}
+	gatherRows(src, cols, p, q, rs.l)
 	if err := dense.CholeskyPackedFrom(rs.l, rs.inv, p, m); err != nil {
 		return fmt.Errorf("fsai: row %d local system: %w", i, err)
 	}
@@ -178,13 +185,13 @@ func (rs *rowSolver) solve(src *distmat.GatheredRows, i int, cols []int, out []f
 	return nil
 }
 
-// gatherRows writes rows [p, m) of the restriction A(cols, cols) into the
+// gatherRows writes rows [p, end) of the restriction A(cols, cols) into the
 // packed lower triangle l: row r, over columns cols[:r+1], at r(r+1)/2.
 // cols is sorted and so is each row's stored columns, so a merge walk
 // fills row r in O(row nnz + r), with +0 where A stores nothing.
-func gatherRows(src *distmat.GatheredRows, cols []int, p int, l []float64) {
+func gatherRows(src *distmat.GatheredRows, cols []int, p, end int, l []float64) {
 	o := p * (p + 1) / 2
-	for r := p; r < len(cols); r++ {
+	for r := p; r < end; r++ {
 		rc, rv := src.Row(cols[r])
 		row := l[o : o+r+1]
 		a := 0
@@ -244,7 +251,7 @@ func RebuildDistWorkers(c *simmpi.Comm, l *distmat.Layout, aRows *sparse.CSR, pr
 		return nil, 0, fmt.Errorf("fsai: previous factor has %d rows, pattern has %d", prev.Rows, s.Pattern.Rows)
 	}
 	rows := distmat.GatherRemoteRows(c, l, s.Lo, s.Hi, aRows, RemoteColumns(s, prev))
-	return buildRows(rows, s.Pattern, s.Lo, prev, workers)
+	return buildRows(rows, s.Pattern, s.Lo, prev, nil, workers)
 }
 
 // RemoteColumns lists the rows of A a build on s reads beyond the rank's own
@@ -269,12 +276,17 @@ func RemoteColumns(s *DistRows, prev *sparse.CSR) []int {
 
 // BuildGathered is RebuildDistWorkers with no previous factor on rows of A
 // that are already here: src must serve the rank's block and every row
-// RemoteColumns(s, nil) names. It communicates nothing.
-func BuildGathered(src *distmat.GatheredRows, s *DistRows, workers int) (*sparse.CSR, error) {
+// RemoteColumns(s, nil) names. It communicates nothing. plan is nil or
+// PlanGather's plan for s on src's structure; with it the row solves
+// replay their gathers instead of walking src's rows.
+func BuildGathered(src *distmat.GatheredRows, s *DistRows, plan *GatherPlan, workers int) (*sparse.CSR, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	g, _, err := buildRows(src, s.Pattern, s.Lo, nil, workers)
+	if plan != nil && (plan.s != s.Pattern || plan.nvals != src.Len()) {
+		return nil, fmt.Errorf("fsai: gather plan made for another pattern or other rows of A")
+	}
+	g, _, err := buildRows(src, s.Pattern, s.Lo, nil, plan, workers)
 	return g, err
 }
 

@@ -18,7 +18,7 @@ func buildFromScratch(t *testing.T, a *sparse.CSR, s *sparse.Pattern) *sparse.CS
 	g := &sparse.CSR{Rows: s.Rows, Cols: s.Cols, RowPtr: s.RowPtr, ColIdx: s.ColIdx, Val: make([]float64, s.NNZ())}
 	for i := 0; i < s.Rows; i++ {
 		var rs rowSolver
-		if err := rs.solve(src, i, s.Row(i), g.Val[g.RowPtr[i]:g.RowPtr[i+1]]); err != nil {
+		if err := rs.solve(src, i, s.Row(i), g.Val[g.RowPtr[i]:g.RowPtr[i+1]], nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func TestRowSolverPrefixState(t *testing.T) {
 		i := cols[len(cols)-1]
 		got, want := make([]float64, len(cols)), make([]float64, len(cols))
 		var fresh rowSolver
-		errGot, errWant := rs.solve(src, i, cols, got), fresh.solve(src, i, cols, want)
+		errGot, errWant := rs.solve(src, i, cols, got, nil, 0), fresh.solve(src, i, cols, want, nil, 0)
 		if fmt.Sprint(errGot) != fmt.Sprint(errWant) {
 			t.Fatalf("%v: error %v, from scratch %v", cols, errGot, errWant)
 		}
@@ -158,7 +158,7 @@ func TestRowSolverPrefixState(t *testing.T) {
 			sameBits(t, fmt.Sprint(cols), got, want)
 		}
 	}
-	if err := rs.solve(src, 7, []int{0, 1, 7}, make([]float64, 3)); err == nil {
+	if err := rs.solve(src, 7, []int{0, 1, 7}, make([]float64, 3), nil, 0); err == nil {
 		t.Fatal("the restriction to {0, 1, 7} is not definite, and solved")
 	}
 }

@@ -271,6 +271,18 @@ type matrixResponse struct {
 	Cached bool   `json:"cached"` // body was already known under this fingerprint
 }
 
+// sizedBody is a request body that gives ReadMatrixMarket its announced
+// Content-Length as the size of the buffer to read it into, in place of a
+// buffer that doubles as it fills. It is a hint only: a body that is
+// shorter or longer reads as it would without it.
+type sizedBody struct {
+	io.Reader
+	n int
+}
+
+// Len is the body's announced length.
+func (b sizedBody) Len() int { return b.n }
+
 // handleMatrix ingests a matrix — a MatrixMarket body, or a named catalog
 // matrix via ?gen=<name> with an empty body — fingerprints it and stores it
 // in the matrix cache. Re-uploading identical content is idempotent: same
@@ -285,8 +297,12 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		}
 		a = spec.Generate()
 	} else {
+		body := io.Reader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+			body = sizedBody{body, int(n)}
+		}
 		var err error
-		a, err = fsaicomm.ReadMatrixMarket(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		a, err = fsaicomm.ReadMatrixMarket(body)
 		if err != nil {
 			writeErr(w, badBody("parsing MatrixMarket body", err))
 			return

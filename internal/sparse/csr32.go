@@ -26,9 +26,3 @@ func NewCSR32(m *CSR) *CSR32 {
 	}
 	return &CSR32{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: v}
 }
-
-// Row returns the column indices and values of row i as shared slices.
-func (m *CSR32) Row(i int) ([]int, []float32) {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	return m.ColIdx[lo:hi], m.Val[lo:hi]
-}

@@ -84,10 +84,9 @@ type Options struct {
 	Partitioner string
 	// Workers (runtime) bounds the shared-memory worker pool of each rank
 	// for the row-parallel preconditioner setup. ≤ 0 means GOMAXPROCS on a
-	// world of one rank (Solve, BuildPreconditioner, Ranks 1), which has the
-	// machine to itself, and 1 worker per rank on a larger one, whose ranks
-	// already run concurrently; set it explicitly to model the paper's
-	// MPI×OpenMP hybrid.
+	// world of any size: its ranks are goroutines of one process, so a rank
+	// that finishes its rows leaves its cores to the slower ones. Set it
+	// explicitly to model the paper's MPI×OpenMP hybrid.
 	Workers int
 	// CGVariant (per-solve) selects the distributed CG loop: CGClassic
 	// (default; three reductions per iteration, blocking SpMV), CGFused (one

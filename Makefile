@@ -29,7 +29,16 @@ all: tier1
 # at every width; the send-then-compute split, OverlapOp.MulVecOverlapAsync,
 # is pipelined CG's A product alone), or that calls EnsureOverlap( anywhere
 # but internal/krylov/pipelined.go, internal/mprun/costinputs.go (which
-# prices pipelined's A interior rows) and distmat's own WithOverlap. The loops step fails if a Krylov loop body comes back
+# prices pipelined's A interior rows) and distmat's own WithOverlap. The
+# model step fails if the cost model is evaluated or assembled a second way:
+# non-test code that declares OverlapTime, SolveTimeOverlapped or
+# ModeledSolveTime (archmodel's Profile.OverlapReport is the one evaluator,
+# mprun.ModeledPhases the one solve-level function, and the facade's
+# Result.ModeledSolveTime is a field, its TotalSec), or that calls
+# ComputeTime( or CommTime( outside internal/archmodel (every modeled second
+# comes out of an OverlapReport), or non-test internal/mprun that builds
+# IterCostInputs{ in more than one place (one assembler, assembleIterCost,
+# prices every Krylov loop from its loop shape). The loops step fails if a Krylov loop body comes back
 # beside the five that exist: non-test internal/krylov compares an iteration
 # count with opt.MaxIter in five places — the k-wide classic and fused CG
 # loops, pipelined CG, and GMRES at its cycle top and inside the cycle (a
@@ -103,6 +112,13 @@ tier1:
 		grep -nE 'EnsureOverlap\(' $$src | grep -vE '^\./internal/(krylov/pipelined|mprun/costinputs)\.go:|^[^:]*:[0-9]*:[[:space:]]*//' \
 			| grep -vE '^\./internal/distmat/ops\.go:[0-9]*:(func \(op \*Op\) EnsureOverlap\(\) |[[:space:]]*return func\(op \*Op\) \{ op\.EnsureOverlap\(\) \}$$)')"; \
 		if [ -n "$$sched" ]; then echo "a second product schedule is back outside pipelined CG:"; echo "$$sched"; exit 1; fi
+	@src="$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/out/*')"; code='^[^:]*:[0-9]*:[[:space:]]*//'; \
+		model="$$(grep -nE '^func (\([^)]*\) )?(OverlapTime|SolveTimeOverlapped|ModeledSolveTime)\(' $$src; \
+		grep -nE '(ComputeTime|CommTime)\(' $$src | grep -v '^\./internal/archmodel/' | grep -v "$$code")"; \
+		inputs="$$(grep -n 'IterCostInputs{' $$(ls internal/mprun/*.go | grep -v _test.go) | grep -v "$$code")"; \
+		if [ -n "$$model" ] || [ "$$(echo "$$inputs" | grep -c .)" -gt 1 ]; then \
+			echo "the cost model is evaluated or assembled a second way (archmodel's OverlapReport evaluates, mprun's assembleIterCost assembles):"; \
+			echo "$$model"; echo "$$inputs"; exit 1; fi
 	@src="$$(ls internal/krylov/*.go | grep -v _test.go)"; \
 		loops="$$(grep -nE '[<>]= ([a-z]+\.)?opt\.MaxIter' $$src)"; \
 		refines="$$(grep -nE '^[[:space:]]*for .*maxRefinements' $$src)"; \

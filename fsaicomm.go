@@ -178,8 +178,8 @@ type IterRecord = krylov.IterRecord
 type CommDelta = krylov.CommDelta
 
 // OverlapReport is the per-window breakdown of the modeled solve time:
-// compute, always-exposed communication, and per-window raw / hidden /
-// exposed seconds under the overlap-credit model.
+// compute, and per-window raw / hidden / exposed seconds under the
+// overlap-credit model.
 type OverlapReport = archmodel.OverlapReport
 
 // WindowReport is one communication window's share of an OverlapReport.
@@ -551,8 +551,8 @@ func (f *rankFold) result() (*Result, error) {
 	if res.Iterations > 0 {
 		res.CommBytesPerIteration = float64(res.CommBytes) / float64(res.Iterations)
 	}
-	res.ModeledSolveTime = mprun.ModeledSolveTime(f.sp.Profile, res.Iterations, f.costs)
 	res.Phases = mprun.ModeledPhases(f.sp.Profile, res.Iterations, f.costs)
+	res.ModeledSolveTime = res.Phases.TotalSec
 	return res, f.err()
 }
 

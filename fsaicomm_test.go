@@ -294,6 +294,63 @@ func TestPartitionerOption(t *testing.T) {
 	}
 }
 
+// The per-window breakdown of the modeled solve time reconciles exactly with
+// ModeledSolveTime for every CG variant, and the windows land where the
+// schedules put them: classic and fused block at every product and hide
+// nothing — fused's halo window is classic's, per iteration — and only the
+// pipelined loop, whose A product overlaps its halo exchange and whose
+// reduction is nonblocking, hides halo and reduction time.
+func TestPhasesReconcileWithModeledSolveTime(t *testing.T) {
+	a := GeneratePoisson2D(16, 16)
+	b := GenerateRHS(a, 1)
+	var classic WindowReport // classic's halo window per iteration
+	for _, v := range []CGVariant{CGClassic, CGFused, CGPipelined} {
+		res, err := SolveDistributed(a, b, Options{Method: FSAIEComm, Filter: 0.05, Strategy: DynamicFilter,
+			Ranks: 3, Arch: "zen2", CGVariant: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := res.Phases
+		if rep.TotalSec != res.ModeledSolveTime {
+			t.Fatalf("%v: Phases.TotalSec %g != ModeledSolveTime %g", v, rep.TotalSec, res.ModeledSolveTime)
+		}
+		if len(rep.Windows) != 2 || rep.Windows[0].Name != "halo" || rep.Windows[1].Name != "reduction" ||
+			rep.Windows[0].RawSec <= 0 || rep.Windows[1].RawSec <= 0 {
+			t.Fatalf("%v: want non-empty halo and reduction windows, got %+v", v, rep.Windows)
+		}
+		// The whole-solve report is the per-iteration one scaled by the
+		// iteration count; scaling each component separately costs an ulp,
+		// so the window split reconciles to relative rounding error.
+		for _, w := range rep.Windows {
+			if d := w.HiddenSec - (w.RawSec - w.ExposedSec); d > 1e-12*w.RawSec || d < -1e-12*w.RawSec {
+				t.Fatalf("%v: window %q does not split raw time: %+v", v, w.Name, w)
+			}
+			if w.HiddenSec < 0 || w.ExposedSec < 0 {
+				t.Fatalf("%v: window %q negative component: %+v", v, w.Name, w)
+			}
+		}
+		halo, red := rep.Windows[0], rep.Windows[1]
+		if v == CGPipelined && (halo.HiddenSec <= 0 || red.HiddenSec <= 0) ||
+			v != CGPipelined && (halo.HiddenSec != 0 || red.HiddenSec != 0) {
+			t.Fatalf("%v: only pipelined hides, and both windows: halo %+v reduction %+v", v, halo, red)
+		}
+		n := float64(res.Iterations)
+		perIter := WindowReport{RawSec: halo.RawSec / n, HiddenSec: halo.HiddenSec / n, ExposedSec: halo.ExposedSec / n}
+		switch v {
+		case CGClassic:
+			classic = perIter
+		case CGFused:
+			// Fused runs classic's products on the same operators, so its
+			// halo window is classic's: the same traffic, nothing hidden.
+			for _, d := range []float64{perIter.RawSec - classic.RawSec, perIter.HiddenSec - classic.HiddenSec, perIter.ExposedSec - classic.ExposedSec} {
+				if d > 1e-12*classic.RawSec || d < -1e-12*classic.RawSec {
+					t.Fatalf("fused halo window per iteration %+v, classic's %+v", perIter, classic)
+				}
+			}
+		}
+	}
+}
+
 // The observability surface of the facade: opt-in per-iteration traces, the
 // per-window modeled-time breakdown reconciling exactly with
 // ModeledSolveTime, and the pipelined residual-replacement knob.

@@ -6,17 +6,20 @@
 // The paper's method consumes exactly one architectural parameter — the
 // cache-line size (64 B on Skylake and Zen 2, 256 B on A64FX) — which is why
 // A64FX shows the largest gains. The rest of the profile (L1 geometry, flop
-// rate, interconnect α/β) feeds a max-over-ranks time model:
+// rate, memory bandwidth, the two levels of interconnect α/β) feeds a
+// max-over-ranks time model, evaluated by OverlapReport alone:
 //
-//	iterTime = max over ranks of ( flops/rate + misses·missPenalty
-//	                               + msgs·α + bytes·β )
-//	solveTime = iterations · iterTime
+//	compute(c) = flops/(rate·cores) + streamBytes/(bw·cores) + misses·missPenalty
+//	comm(c)    = msgs·α + bytes·β + intraMsgs·α_intra + intraBytes·β_intra
+//	iterTime   = compute(rank) + Σ over windows w of max(0, comm(w.Comm) − compute(w.Hide))
+//	solveTime  = iterations · max over ranks of iterTime
 //
-// Counted flops come from the solver's FlopCounter, misses from the
-// deterministic cache simulator, and bytes/messages from the metered
-// runtime, so the model is exactly reproducible. Absolute times are not
-// meant to match the paper's hardware; relative comparisons between methods
-// (the content of every table) are.
+// A window is one communication phase of the iteration with the compute the
+// schedule runs while it is in flight. Flops, streamed bytes, bytes and
+// messages are counted from the operators and the loop, and misses come from
+// the deterministic cache simulator, so the model is exactly reproducible.
+// Absolute times are not meant to match the paper's hardware; relative
+// comparisons between methods (the content of every table) are.
 package archmodel
 
 import (
@@ -203,9 +206,9 @@ func (p Profile) Time(rc RankCost) float64 {
 //
 // Hide must be a portion of the iteration's total compute, and the Hide
 // windows of one OverlapCost must be disjoint portions — each flop can hide
-// at most one phase. The builders in internal/experiments carve the
-// iteration's compute accordingly (interior SpMV rows hide the halo
-// exchange; the preconditioner application hides the pipelined reduction).
+// at most one phase. internal/mprun carves the iteration's compute
+// accordingly (interior SpMV rows hide the halo exchange; the other
+// products hide the pipelined reduction).
 type CommWindow struct {
 	// Name labels the phase in reports ("halo", "reduction").
 	Name string
@@ -217,35 +220,15 @@ type CommWindow struct {
 	Hide RankCost
 }
 
-// OverlapCost is one rank's per-iteration cost split the way an overlapping
-// schedule executes it: all compute, communication that no schedule can
-// hide, and the hideable communication phases with their hiding windows.
+// OverlapCost is one rank's per-iteration cost split the way a schedule
+// executes it: all compute, and every communication phase with its hiding
+// window (a blocking schedule's windows hide nothing).
 type OverlapCost struct {
 	// Compute is the iteration's total on-node work (the Hide windows are
 	// portions of it, not additions).
 	Compute RankCost
-	// Exposed is communication serialized against everything (e.g. the
-	// blocking reductions of the classic and fused loops).
-	Exposed RankCost
-	// Windows are the overlappable communication phases.
+	// Windows are the iteration's communication phases.
 	Windows []CommWindow
-}
-
-// OverlapTime models one iteration of an overlapping schedule:
-//
-//	time = compute + exposed + Σ max(0, comm(w) − compute(w.Hide))
-//
-// The simulated runtime serializes goroutines and therefore cannot exhibit
-// overlap in wall-clock terms; this credit term is how the metered traffic
-// becomes the time a real network would see (DESIGN.md §4d).
-func (p Profile) OverlapTime(oc OverlapCost) float64 {
-	t := p.ComputeTime(oc.Compute) + p.CommTime(oc.Exposed)
-	for _, w := range oc.Windows {
-		if ex := p.CommTime(w.Comm) - p.ComputeTime(w.Hide); ex > 0 {
-			t += ex
-		}
-	}
-	return t
 }
 
 // WindowReport is one communication window's share of an iteration's
@@ -260,34 +243,33 @@ type WindowReport struct {
 	ExposedSec float64 `json:"exposed_s"`    // raw − hidden, charged to the iteration
 }
 
-// OverlapReport is the per-window breakdown of OverlapTime for one rank's
-// iteration cost. TotalSec is accumulated with the identical operation
-// order as OverlapTime, so the two are bit-for-bit equal — the breakdown
-// reconciles exactly with the scalar modeled time it explains.
+// OverlapReport is one rank's modeled iteration, window by window.
 type OverlapReport struct {
-	ComputeSec float64        `json:"compute_s"`      // on-node work
-	ExposedSec float64        `json:"exposed_comm_s"` // unwindowed (always-exposed) comm
+	ComputeSec float64        `json:"compute_s"` // on-node work
 	Windows    []WindowReport `json:"windows"`
-	TotalSec   float64        `json:"total_s"` // == OverlapTime(oc)
+	TotalSec   float64        `json:"total_s"` // compute + every window's exposed time
 }
 
-// OverlapReport decomposes OverlapTime(oc) into its per-window terms.
+// OverlapReport evaluates the model on one rank's iteration cost:
+//
+//	TotalSec = compute + Σ max(0, comm(w) − compute(w.Hide))
+//
+// The simulated runtime serializes goroutines and therefore cannot exhibit
+// overlap in wall-clock terms; this credit term is how the metered traffic
+// becomes the time a real network would see (DESIGN.md §4d).
 func (p Profile) OverlapReport(oc OverlapCost) OverlapReport {
 	rep := OverlapReport{
 		ComputeSec: p.ComputeTime(oc.Compute),
-		ExposedSec: p.CommTime(oc.Exposed),
 		Windows:    make([]WindowReport, 0, len(oc.Windows)),
 	}
-	// Accumulate exactly as OverlapTime does (same subexpressions, same
-	// order) so TotalSec matches it bit-for-bit.
-	t := p.ComputeTime(oc.Compute) + p.CommTime(oc.Exposed)
+	t := rep.ComputeSec
 	for _, w := range oc.Windows {
 		wr := WindowReport{
 			Name:      w.Name,
 			RawSec:    p.CommTime(w.Comm),
 			HideAvail: p.ComputeTime(w.Hide),
 		}
-		if ex := p.CommTime(w.Comm) - p.ComputeTime(w.Hide); ex > 0 {
+		if ex := wr.RawSec - wr.HideAvail; ex > 0 {
 			wr.ExposedSec = ex
 			t += ex
 		}
@@ -303,7 +285,6 @@ func (p Profile) OverlapReport(oc OverlapCost) OverlapReport {
 func (r OverlapReport) Scale(f float64) OverlapReport {
 	out := r
 	out.ComputeSec *= f
-	out.ExposedSec *= f
 	out.TotalSec *= f
 	out.Windows = make([]WindowReport, len(r.Windows))
 	for i, w := range r.Windows {
@@ -314,20 +295,6 @@ func (r OverlapReport) Scale(f float64) OverlapReport {
 		out.Windows[i] = w
 	}
 	return out
-}
-
-// SolveTimeOverlapped returns the modeled time of a solve under an
-// overlapping schedule: iterations times the slowest rank's OverlapTime
-// (the reduction still synchronizes ranks once per iteration, so the
-// maximum governs).
-func (p Profile) SolveTimeOverlapped(iters int, perRank []OverlapCost) float64 {
-	worst := 0.0
-	for _, oc := range perRank {
-		if t := p.OverlapTime(oc); t > worst {
-			worst = t
-		}
-	}
-	return float64(iters) * worst
 }
 
 // GFlopsPerProcess returns the modeled GFLOP/s a process achieves on work

@@ -146,15 +146,16 @@ func TestComputeCommSplitSumsToTime(t *testing.T) {
 	}
 }
 
-// With no windows, OverlapTime degenerates to the fully-exposed model.
-func TestOverlapTimeNoWindowsEqualsTime(t *testing.T) {
+// With nothing to hide its communication, the report degenerates to the
+// fully-exposed model.
+func TestOverlapReportNoHidingEqualsTime(t *testing.T) {
 	rc := RankCost{Flops: 1e6, StreamBytes: 1e7, CacheMisses: 1e3, CommBytes: 1e4, CommMsgs: 10}
 	oc := OverlapCost{
 		Compute: RankCost{Flops: rc.Flops, StreamBytes: rc.StreamBytes, CacheMisses: rc.CacheMisses},
-		Exposed: RankCost{CommBytes: rc.CommBytes, CommMsgs: rc.CommMsgs},
+		Windows: []CommWindow{{Name: "reduction", Comm: RankCost{CommBytes: rc.CommBytes, CommMsgs: rc.CommMsgs}}},
 	}
-	if got, want := Skylake.OverlapTime(oc), Skylake.Time(rc); got != want {
-		t.Fatalf("OverlapTime = %g, want Time = %g", got, want)
+	if got, want := Skylake.OverlapReport(oc).TotalSec, Skylake.Time(rc); got != want {
+		t.Fatalf("TotalSec = %g, want Time = %g", got, want)
 	}
 }
 
@@ -167,11 +168,11 @@ func TestOverlapCreditClamps(t *testing.T) {
 	smallHide := RankCost{Flops: 1e3} // compute ≪ comm
 	compute := RankCost{Flops: 2e9}
 
-	full := p.OverlapTime(OverlapCost{Compute: compute, Windows: []CommWindow{{Name: "halo", Comm: comm, Hide: bigHide}}})
+	full := p.OverlapReport(OverlapCost{Compute: compute, Windows: []CommWindow{{Name: "halo", Comm: comm, Hide: bigHide}}}).TotalSec
 	if full != p.ComputeTime(compute) {
 		t.Fatalf("fully hidden window still charged: %g vs %g", full, p.ComputeTime(compute))
 	}
-	part := p.OverlapTime(OverlapCost{Compute: compute, Windows: []CommWindow{{Name: "halo", Comm: comm, Hide: smallHide}}})
+	part := p.OverlapReport(OverlapCost{Compute: compute, Windows: []CommWindow{{Name: "halo", Comm: comm, Hide: smallHide}}}).TotalSec
 	want := p.ComputeTime(compute) + p.CommTime(comm) - p.ComputeTime(smallHide)
 	if diff := part - want; diff > 1e-18 || diff < -1e-18 {
 		t.Fatalf("partial credit: got %g, want %g", part, want)
@@ -190,35 +191,21 @@ func TestOverlapNeverSlower(t *testing.T) {
 		CommMsgs: halo.CommMsgs + red.CommMsgs, CommBytes: halo.CommBytes + red.CommBytes}
 	oc := OverlapCost{
 		Compute: compute,
-		Exposed: red,
-		Windows: []CommWindow{{Name: "halo", Comm: halo, Hide: RankCost{Flops: 4e7}}},
+		Windows: []CommWindow{{Name: "halo", Comm: halo, Hide: RankCost{Flops: 4e7}}, {Name: "reduction", Comm: red}},
 	}
-	if p.OverlapTime(oc) >= p.Time(exposedAll) {
-		t.Fatalf("overlapped %g not faster than exposed %g", p.OverlapTime(oc), p.Time(exposedAll))
-	}
-}
-
-func TestSolveTimeOverlappedUsesWorstRank(t *testing.T) {
-	mk := func(flops float64) OverlapCost {
-		return OverlapCost{Compute: RankCost{Flops: int64(flops)}, Exposed: RankCost{CommMsgs: 1}}
-	}
-	costs := []OverlapCost{mk(1e6), mk(5e6), mk(2e6)}
-	got := Skylake.SolveTimeOverlapped(10, costs)
-	want := 10 * Skylake.OverlapTime(costs[1])
-	if got != want {
-		t.Fatalf("SolveTimeOverlapped = %g, want %g", got, want)
-	}
-	if Skylake.SolveTimeOverlapped(10, nil) != 0 {
-		t.Fatal("empty ranks should cost 0")
+	if got := p.OverlapReport(oc).TotalSec; got >= p.Time(exposedAll) {
+		t.Fatalf("overlapped %g not faster than exposed %g", got, p.Time(exposedAll))
 	}
 }
 
-// OverlapReport is OverlapTime's breakdown and must reconcile with it
-// bit-for-bit: same windows, same clamping, same accumulation order.
-func TestOverlapReportReconcilesWithOverlapTime(t *testing.T) {
+// The report's terms are the scalar model's: its compute is ComputeTime,
+// each window's raw time CommTime and its hidden part Raw − Exposed, and
+// TotalSec the compute plus every window's exposed time, summed in window
+// order. A window with ample hiding compute is fully hidden, one with none
+// fully exposed.
+func TestOverlapReportSplitsWindows(t *testing.T) {
 	oc := OverlapCost{
 		Compute: RankCost{Flops: 2e6, StreamBytes: 1e7, CacheMisses: 2e3},
-		Exposed: RankCost{CommBytes: 2e4, CommMsgs: 20},
 		Windows: []CommWindow{
 			// Tiny traffic under a huge hiding window: fully hidden.
 			{Name: "halo", Comm: RankCost{CommBytes: 64, CommMsgs: 1}, Hide: RankCost{Flops: 1e6}},
@@ -228,18 +215,16 @@ func TestOverlapReportReconcilesWithOverlapTime(t *testing.T) {
 	}
 	for _, p := range []Profile{Skylake, A64FX, Zen2} {
 		rep := p.OverlapReport(oc)
-		if rep.TotalSec != p.OverlapTime(oc) {
-			t.Fatalf("%s: TotalSec %g != OverlapTime %g", p.Name, rep.TotalSec, p.OverlapTime(oc))
-		}
-		if rep.ComputeSec != p.ComputeTime(oc.Compute) || rep.ExposedSec != p.CommTime(oc.Exposed) {
-			t.Fatalf("%s: compute/exposed terms do not match the scalar model: %+v", p.Name, rep)
+		if rep.ComputeSec != p.ComputeTime(oc.Compute) {
+			t.Fatalf("%s: compute term does not match the scalar model: %+v", p.Name, rep)
 		}
 		if len(rep.Windows) != 2 {
 			t.Fatalf("%s: %d windows, want 2", p.Name, len(rep.Windows))
 		}
-		for _, w := range rep.Windows {
-			if w.RawSec != p.CommTime(oc.Windows[0].Comm) && w.RawSec != p.CommTime(oc.Windows[1].Comm) {
-				t.Fatalf("%s: window %q raw %g matches neither input", p.Name, w.Name, w.RawSec)
+		sum := rep.ComputeSec
+		for i, w := range rep.Windows {
+			if w.RawSec != p.CommTime(oc.Windows[i].Comm) || w.HideAvail != p.ComputeTime(oc.Windows[i].Hide) {
+				t.Fatalf("%s: window %q raw %g / hide %g do not match its input", p.Name, w.Name, w.RawSec, w.HideAvail)
 			}
 			if w.HiddenSec != w.RawSec-w.ExposedSec {
 				t.Fatalf("%s: window %q hidden %g != raw %g - exposed %g", p.Name, w.Name, w.HiddenSec, w.RawSec, w.ExposedSec)
@@ -247,6 +232,10 @@ func TestOverlapReportReconcilesWithOverlapTime(t *testing.T) {
 			if w.HiddenSec < 0 || w.ExposedSec < 0 {
 				t.Fatalf("%s: window %q negative component: %+v", p.Name, w.Name, w)
 			}
+			sum += w.ExposedSec
+		}
+		if rep.TotalSec != sum {
+			t.Fatalf("%s: TotalSec %g != compute + exposed windows %g", p.Name, rep.TotalSec, sum)
 		}
 		halo, red := rep.Windows[0], rep.Windows[1]
 		if halo.ExposedSec != 0 || halo.HiddenSec != halo.RawSec {
@@ -261,12 +250,14 @@ func TestOverlapReportReconcilesWithOverlapTime(t *testing.T) {
 func TestOverlapReportScale(t *testing.T) {
 	oc := OverlapCost{
 		Compute: RankCost{Flops: 1e6},
-		Exposed: RankCost{CommBytes: 1e4, CommMsgs: 10},
-		Windows: []CommWindow{{Name: "halo", Comm: RankCost{CommBytes: 1e5, CommMsgs: 5}, Hide: RankCost{Flops: 5e5}}},
+		Windows: []CommWindow{
+			{Name: "halo", Comm: RankCost{CommBytes: 1e5, CommMsgs: 5}, Hide: RankCost{Flops: 5e5}},
+			{Name: "reduction", Comm: RankCost{CommBytes: 1e4, CommMsgs: 10}},
+		},
 	}
 	rep := Skylake.OverlapReport(oc)
 	got := rep.Scale(7)
-	if got.TotalSec != 7*rep.TotalSec || got.ComputeSec != 7*rep.ComputeSec || got.ExposedSec != 7*rep.ExposedSec {
+	if got.TotalSec != 7*rep.TotalSec || got.ComputeSec != 7*rep.ComputeSec {
 		t.Fatalf("Scale(7) scalar fields wrong: %+v vs %+v", got, rep)
 	}
 	for i, w := range got.Windows {
@@ -275,8 +266,8 @@ func TestOverlapReportScale(t *testing.T) {
 			t.Fatalf("Scale(7) window %d wrong: %+v vs %+v", i, w, o)
 		}
 	}
-	if len(rep.Windows) != 1 || rep.Windows[0].HiddenSec <= 0 {
-		t.Fatalf("test premise: partially hidden window expected, got %+v", rep.Windows)
+	if len(rep.Windows) != 2 || rep.Windows[0].HiddenSec <= 0 {
+		t.Fatalf("test premise: a hidden window expected, got %+v", rep.Windows)
 	}
 	// Scaling must not alias the receiver's windows.
 	got.Windows[0].RawSec = -1

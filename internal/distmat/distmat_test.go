@@ -705,6 +705,15 @@ func TestExchangePayloadSizeMismatchPanics(t *testing.T) {
 	}
 }
 
+// rowsIn counts the rows of flattened [lo, hi) ranges.
+func rowsIn(ranges []int) int {
+	n := 0
+	for k := 0; k+1 < len(ranges); k += 2 {
+		n += ranges[k+1] - ranges[k]
+	}
+	return n
+}
+
 // The overlap schedule (interior rows, then boundary rows, through the row
 // kernel, the halo on the nonblocking primitives) against the blocking
 // Op.MulVec and against the indexed loop over the localized rows, bit for
@@ -731,9 +740,9 @@ func TestOverlapMatchesBlocking(t *testing.T) {
 			op.SetF32(f32)
 			ov := NewOverlapOp(op)
 			// Every local row is in exactly one class.
-			if len(ov.Interior)+len(ov.Boundary) != hi-lo {
+			if rowsIn(ov.interior)+rowsIn(ov.boundary) != hi-lo {
 				return fmt.Errorf("rank %d: class split covers %d of %d rows",
-					c.Rank(), len(ov.Interior)+len(ov.Boundary), hi-lo)
+					c.Rank(), rowsIn(ov.interior)+rowsIn(ov.boundary), hi-lo)
 			}
 			scratch := NewDistVec(op.LZ)
 			blocking := make([]float64, hi-lo)
@@ -820,7 +829,7 @@ func TestNewOpWithOverlap(t *testing.T) {
 		if with.overlap == nil {
 			return fmt.Errorf("WithOverlap did not build the overlap view")
 		}
-		if len(with.overlap.Interior)+len(with.overlap.Boundary) != hi-lo {
+		if rowsIn(with.overlap.interior)+rowsIn(with.overlap.boundary) != hi-lo {
 			return fmt.Errorf("overlap split incomplete")
 		}
 		return nil

@@ -20,19 +20,16 @@ import (
 // OverlapOp wraps an Op with the interior/boundary row split.
 type OverlapOp struct {
 	*Op
-	// Interior and Boundary are the local row indices of each class.
-	Interior, Boundary []int
-	// interior and boundary are the same rows as contiguous ranges, lo and
-	// hi after each other: what the products walk.
+	// interior and boundary are the local rows of each class as contiguous
+	// ranges, lo and hi after each other: what the products walk.
 	interior, boundary []int
 }
 
 // rowSplit is the interior/boundary split of a localized pattern's rows,
-// made once (sync.Once) for every operator on it.
+// made once (sync.Once) for every operator on it, as [lo, hi) ranges.
 type rowSplit struct {
-	once                 sync.Once
-	interior, boundary   []int // row lists
-	intRanges, bndRanges []int // the same rows as [lo, hi) ranges
+	once               sync.Once
+	interior, boundary []int
 }
 
 // build splits the rows of lz: a row is boundary when it reads a halo
@@ -49,11 +46,9 @@ func (sp *rowSplit) build(lz *Localized) {
 			}
 		}
 		if boundary {
-			sp.boundary = append(sp.boundary, li)
-			sp.bndRanges = appendRange(sp.bndRanges, li)
+			sp.boundary = appendRange(sp.boundary, li)
 		} else {
-			sp.interior = append(sp.interior, li)
-			sp.intRanges = appendRange(sp.intRanges, li)
+			sp.interior = appendRange(sp.interior, li)
 		}
 	}
 }
@@ -84,7 +79,7 @@ func (lz *Localized) splitHolder() *rowSplit {
 func NewOverlapOp(op *Op) *OverlapOp {
 	sp := op.LZ.splitHolder()
 	sp.once.Do(func() { sp.build(op.LZ) })
-	return &OverlapOp{Op: op, Interior: sp.interior, Boundary: sp.boundary, interior: sp.intRanges, boundary: sp.bndRanges}
+	return &OverlapOp{Op: op, interior: sp.interior, boundary: sp.boundary}
 }
 
 // mulRanges computes the rows of y = M·xExt in ranges, each range through

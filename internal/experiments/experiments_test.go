@@ -266,81 +266,6 @@ func TestHybridTable(t *testing.T) {
 	}
 }
 
-// The per-window breakdown of the modeled solve time reconciles exactly —
-// not approximately — with the scalar modeled solve time the tables print,
-// for every CG variant, and the windows land where the schedules put them:
-// classic and fused block at every product and hide nothing — fused's halo
-// window is classic's, per iteration — and only the pipelined loop, whose A
-// product overlaps its halo exchange and whose reduction is nonblocking,
-// hides halo and reduction time.
-func TestPhasesReconcileWithModeledSolveTime(t *testing.T) {
-	spec := tinySet()[0]
-	window := func(rep archmodel.OverlapReport, name string) archmodel.WindowReport {
-		for _, w := range rep.Windows {
-			if w.Name == name {
-				return w
-			}
-		}
-		return archmodel.WindowReport{Name: name}
-	}
-	perIter := map[krylov.CGVariant]archmodel.WindowReport{}
-	for _, v := range []krylov.CGVariant{krylov.CGClassic, krylov.CGFused, krylov.CGPipelined} {
-		r := tinyRunner(archmodel.Zen2)
-		r.Variant = v
-		res, err := r.Run(spec, core.FSAIEComm, 0.05, core.DynamicFilter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := res.Phases
-		if rep.TotalSec != res.SolveTime {
-			t.Fatalf("%v: Phases.TotalSec %g != SolveTime %g", v, rep.TotalSec, res.SolveTime)
-		}
-		halo, red := window(rep, "halo"), window(rep, "reduction")
-		if halo.RawSec <= 0 || red.RawSec <= 0 {
-			t.Fatalf("%v: empty windows: halo %+v reduction %+v", v, halo, red)
-		}
-		n := float64(res.Iterations)
-		perIter[v] = archmodel.WindowReport{RawSec: halo.RawSec / n, HiddenSec: halo.HiddenSec / n, ExposedSec: halo.ExposedSec / n}
-		// The whole-solve report is the per-iteration one scaled by the
-		// iteration count; scaling each component separately costs an ulp,
-		// so the window split reconciles to relative rounding error while
-		// TotalSec (the same multiplication SolveTime performs) stays exact.
-		for _, w := range []archmodel.WindowReport{halo, red} {
-			if d := w.HiddenSec - (w.RawSec - w.ExposedSec); d > 1e-12*w.RawSec || d < -1e-12*w.RawSec {
-				t.Fatalf("%v: window %q does not split raw time: %+v", v, w.Name, w)
-			}
-			if w.HiddenSec < 0 || w.ExposedSec < 0 {
-				t.Fatalf("%v: window %q negative component: %+v", v, w.Name, w)
-			}
-		}
-		switch v {
-		case krylov.CGClassic:
-			if halo.HiddenSec != 0 || red.HiddenSec != 0 {
-				t.Fatalf("classic hides nothing, got halo %+v reduction %+v", halo, red)
-			}
-		case krylov.CGFused:
-			if halo.HiddenSec != 0 || red.HiddenSec != 0 {
-				t.Fatalf("fused hides nothing, got halo %+v reduction %+v", halo, red)
-			}
-		case krylov.CGPipelined:
-			if red.HiddenSec <= 0 {
-				t.Fatalf("pipelined hides no reduction time: %+v", red)
-			}
-			if halo.HiddenSec <= 0 {
-				t.Fatalf("pipelined hides no halo time: %+v", halo)
-			}
-		}
-	}
-	// Fused runs classic's products on the same operators, so its halo
-	// window is classic's: the same traffic, nothing hidden.
-	c, f := perIter[krylov.CGClassic], perIter[krylov.CGFused]
-	for _, d := range []float64{f.RawSec - c.RawSec, f.HiddenSec - c.HiddenSec, f.ExposedSec - c.ExposedSec} {
-		if d > 1e-12*c.RawSec || d < -1e-12*c.RawSec {
-			t.Fatalf("fused halo window per iteration %+v, classic's %+v", f, c)
-		}
-	}
-}
-
 // TestPipelinedModeledBeatsFused pins the acceptance criterion for the
 // overlap-credit model: on a ranks>=4 benchmark configuration
 // (Queen_4147-sim, the Table 2 3-D Poisson instance), the modeled solve

@@ -41,10 +41,6 @@ type Result struct {
 	Iterations int
 	Converged  bool
 	SolveTime  float64 // modeled seconds (arch cost model)
-	// Phases is the per-window breakdown of SolveTime (worst rank, whole
-	// solve): for each communication window, raw α–β time, hidden credit and
-	// exposed remainder. Phases.TotalSec == SolveTime exactly.
-	Phases archmodel.OverlapReport
 
 	PctNNZ         float64 // % pattern entries added vs FSAI
 	ImbalanceIndex float64 // avg/max per-rank entries of G
@@ -225,10 +221,8 @@ func (r *Runner) Run(spec testsets.Spec, method core.Method, filter float64, str
 	}
 	// Every variant is modeled with the windowed overlap-credit model (the
 	// classic and fused loops' windows carry no hiding compute, so their time
-	// equals the fully-exposed α–β model); Phases is the matching per-window
-	// breakdown.
-	res.SolveTime = mprun.ModeledSolveTime(r.Arch, res.Iterations, costs)
-	res.Phases = mprun.ModeledPhases(r.Arch, res.Iterations, costs)
+	// equals the fully-exposed α–β model).
+	res.SolveTime = mprun.ModeledPhases(r.Arch, res.Iterations, costs).TotalSec
 	res.MissesPerNNZ = missSum / float64(ranks)
 	res.GFlopsPrecond = gflopSum / float64(ranks)
 	if res.Iterations > 0 {

@@ -10,12 +10,11 @@ import (
 )
 
 // IterCostInputs holds one rank's per-iteration cost-model inputs for a
-// distributed CG solve with the split FSAI preconditioner: the flat
-// (fully-exposed) rank cost, the overlap-credit split matching the CG
-// variant's schedule, and the cost of one preconditioner application alone,
-// which the paper's GFLOP/s figures and miss histograms read.
+// distributed Krylov solve: the iteration's cost split into compute and the
+// communication windows of the loop's schedule, and the cost of one
+// preconditioner application alone, which the paper's GFLOP/s figures and
+// miss histograms read.
 type IterCostInputs struct {
-	Rank    archmodel.RankCost
 	Overlap archmodel.OverlapCost
 	Precond archmodel.RankCost
 }
@@ -51,7 +50,7 @@ func traceSPAIMisses(arch archmodel.Profile, aOp, mOp *distmat.Op) TracedMisses 
 
 // Misses recovers the traced half from assembled inputs.
 func (ci IterCostInputs) Misses() TracedMisses {
-	return TracedMisses{A: ci.Rank.CacheMisses - ci.Precond.CacheMisses, Precond: ci.Precond.CacheMisses}
+	return TracedMisses{A: ci.Overlap.Compute.CacheMisses - ci.Precond.CacheMisses, Precond: ci.Precond.CacheMisses}
 }
 
 // precondCost is one preconditioner application on a rank of nl rows — a
@@ -70,185 +69,118 @@ func precondCost(misses int64, nl int, ops ...*distmat.Op) archmodel.RankCost {
 	return rc
 }
 
-// reductionsFor is the global-collective count per CG iteration of a
-// variant, an input to the message cost model.
-func reductionsFor(variant krylov.CGVariant) int64 {
-	switch variant {
-	case krylov.CGFused, krylov.CGPipelined:
-		return 1
-	default:
-		return 3
-	}
+// loopShape is what one iteration of a Krylov loop adds to its operators'
+// products in the cost model: the global reductions, each a log₂ tree of
+// inter-node messages, the bytes they move per tree level, the vector
+// kernels' flops and their 8-byte sweeps per local row. overlapped marks
+// pipelined CG, the one loop whose windows carry hiding compute.
+type loopShape struct {
+	reductions, redBytes int64
+	rowFlops, sweeps     int64
+	overlapped           bool
 }
 
-// overlapCostFor splits one rank's per-iteration cost the way a variant's
-// schedule executes it, for archmodel's overlap-credit model. Every variant
-// carries the same two named windows — "halo" and "reduction" — so the
-// per-phase reports are comparable across variants; what changes is the
-// hiding compute. The classic and fused loops block at every product, so
-// they hide nothing (both windows fully exposed). The pipelined loop runs
-// A's product in the send-then-compute schedule, so its halo window hides
-// behind A's interior rows (aIntNNZ of them) alone, and it posts its single
-// reduction before the preconditioner apply and A's product, so the
-// reduction hides behind the rest of the iteration's products — a disjoint
-// compute window, so no flop is credited twice.
-func overlapCostFor(variant krylov.CGVariant, rc archmodel.RankCost, aIntNNZ, totNNZ, logP int64) archmodel.OverlapCost {
-	// Reductions are log₂-tree traffic between processes picked across the
-	// whole machine, so they are priced at the inter-node level; the halo
-	// window carries both levels of the exchange (all of the rank's
-	// intra-node traffic is halo traffic), so a node-aware plan's cheap
-	// up/down legs are credited against the same interior-compute window the
-	// expensive inter-node leg hides behind.
-	red := archmodel.RankCost{CommMsgs: reductionsFor(variant) * logP, CommBytes: 24 * logP}
-	halo := archmodel.RankCost{
-		CommMsgs: rc.CommMsgs - red.CommMsgs, CommBytes: rc.CommBytes,
-		IntraCommMsgs: rc.IntraCommMsgs, IntraCommBytes: rc.IntraCommBytes,
+// cgLoop is the shape of a CG iteration: three reductions in the classic
+// loop, one in the fused and pipelined loops, and about ten vector sweeps.
+func cgLoop(variant krylov.CGVariant) loopShape {
+	sh := loopShape{reductions: 3, redBytes: 24, rowFlops: 12, sweeps: 10}
+	if variant == krylov.CGFused || variant == krylov.CGPipelined {
+		sh.reductions = 1
 	}
-	var haloHide, redHide archmodel.RankCost
-	if variant == krylov.CGPipelined {
-		rest := totNNZ - aIntNNZ
-		haloHide = archmodel.RankCost{Flops: 2 * aIntNNZ, StreamBytes: 12 * aIntNNZ}
-		redHide = archmodel.RankCost{Flops: 2 * rest, StreamBytes: 12 * rest}
+	sh.overlapped = variant == krylov.CGPipelined
+	return sh
+}
+
+// gmresLoop is the shape of a restarted GMRES(m) iteration. Its modified
+// Gram–Schmidt dot ladder costs j+1 dots plus one norm at iteration j of a
+// cycle, so averaged over a full cycle the reduction count per iteration is
+// (restart+3)/2, rounded up, and MGS touches ≈(restart+1)/2 basis vectors
+// per iteration on top of the products' vector traffic. 4·(restart+1) is
+// even, so the flops per row times nl are 4·nl·(restart+1)/2 exactly.
+func gmresLoop(restart int) loopShape {
+	if restart < 1 {
+		restart = 30 // krylov's GMRES default cycle length
 	}
-	return archmodel.OverlapCost{
-		Compute: archmodel.RankCost{Flops: rc.Flops, StreamBytes: rc.StreamBytes, CacheMisses: rc.CacheMisses},
-		Windows: []archmodel.CommWindow{
-			{Name: "halo", Comm: halo, Hide: haloHide},
-			{Name: "reduction", Comm: red, Hide: redHide},
-		},
+	red := int64((restart + 3 + 1) / 2)
+	return loopShape{
+		reductions: red,
+		redBytes:   24 * red / 2,
+		rowFlops:   4 * int64(restart+1) / 2,
+		sweeps:     int64(10 + (restart+1)/2),
 	}
 }
 
 // assembleIterCost builds one rank's per-iteration cost-model inputs from
-// the three distributed operators of a solve (A, G, Gᵀ) and their traced
-// misses. nl is the rank's local row count, ranks the world size. Every CG
-// rank job assembles its cost here, for the paper's tables and the facade's
-// modeled solve time alike, so every modeled number uses one set of
-// constants: matrix entries stream 12 B each (8 B value + 4 B index), the CG
-// vector kernels stream roughly 10 vector reads/writes, and reductions cost
-// log₂-tree messages.
-func assembleIterCost(miss TracedMisses, aOp, gOp, gtOp *distmat.Op, nl, ranks int, variant krylov.CGVariant) IterCostInputs {
+// the distributed operators of a solve — A first, then the preconditioner's
+// (G and Gᵀ, or SPAI's M) — their traced misses and the loop's shape. nl is
+// the rank's local row count, ranks the world size. Every rank job assembles
+// its cost here, for the paper's tables and the facade's modeled solve time
+// alike, so every modeled number uses one set of constants: matrix entries
+// stream 12 B each (8 B value + 4 B index), vectors 8 B per row per sweep,
+// and reductions cost log₂-tree messages.
+//
+// Every loop carries the same two named windows — "halo" and "reduction" —
+// so the per-phase reports are comparable across loops; what changes is the
+// hiding compute. Classic and fused CG and GMRES block at every product, so
+// they hide nothing. Pipelined CG runs A's product in the send-then-compute
+// schedule, so its halo window hides behind A's interior rows alone, and it
+// posts its single reduction before the other products, which hide it — a
+// disjoint compute window, so no flop is credited twice.
+func assembleIterCost(miss TracedMisses, sh loopShape, nl, ranks int, ops ...*distmat.Op) IterCostInputs {
 	logP := int64(math.Ceil(math.Log2(float64(ranks + 1))))
-	totNNZ := int64(aOp.LZ.M.NNZ() + gOp.LZ.M.NNZ() + gtOp.LZ.M.NNZ())
-	// Each operator's halo traffic is whatever ONE exchange under the plan's
-	// current routing charges this rank's meter, split by topology level:
-	// under a flat plan all of it is inter-node with the historical per-peer
-	// counts; under node-aware routing the inter level collapses to one
-	// message per peer node while the up/down legs land on the cheap intra
-	// level. Reductions are log₂-tree inter-node messages as before.
-	var intraMsgs, intraBytes, interMsgs, interBytes int64
-	for _, plan := range []*distmat.HaloPlan{aOp.Plan, gOp.Plan, gtOp.Plan} {
-		im, ib, xm, xb := plan.ExchangeCounts(1)
-		intraMsgs += im
-		intraBytes += ib
-		interMsgs += xm
-		interBytes += xb
+	// Each operator's halo traffic is what ONE exchange under its plan's
+	// routing charges this rank's meter, by topology level: all inter-node
+	// under a flat plan; under node-aware routing one inter-node message per
+	// peer node, the up/down legs on the cheap intra level. Both levels sit
+	// in the halo window and hide behind the same compute. Reductions are
+	// log₂ trees across the whole machine, priced at the inter-node level.
+	var totNNZ int64
+	var halo archmodel.RankCost
+	for _, op := range ops {
+		totNNZ += int64(op.LZ.M.NNZ())
+		im, ib, xm, xb := op.Plan.ExchangeCounts(1)
+		halo.IntraCommMsgs += im
+		halo.IntraCommBytes += ib
+		halo.CommMsgs += xm
+		halo.CommBytes += xb
 	}
-	out := IterCostInputs{
-		Rank: archmodel.RankCost{
-			Flops:          2*totNNZ + 12*int64(nl),
-			StreamBytes:    12*totNNZ + 80*int64(nl),
-			CacheMisses:    miss.A + miss.Precond,
-			CommBytes:      interBytes,
-			CommMsgs:       interMsgs + reductionsFor(variant)*logP,
-			IntraCommBytes: intraBytes,
-			IntraCommMsgs:  intraMsgs,
-		},
-		Precond: precondCost(miss.Precond, nl, gOp, gtOp),
-	}
-	// Only pipelined CG's windows carry hiding compute, and only its A
-	// product is split into interior and boundary rows: the other loops
-	// never need the overlap view.
-	var aIntNNZ int64
-	if variant == krylov.CGPipelined {
-		aIntNNZ = int64(aOp.EnsureOverlap().InteriorNNZ())
-	}
-	out.Overlap = overlapCostFor(variant, out.Rank, aIntNNZ, totNNZ, logP)
-	return out
-}
-
-// assembleSPAIGMRESIterCost builds one rank's per-iteration cost-model
-// inputs for the SPAI-preconditioned restarted GMRES(m) solve. Each inner
-// iteration streams two operators (A and the explicit inverse M, both in the
-// blocking schedule — GMRES has no overlapped variant) and runs the modified
-// Gram–Schmidt dot ladder: iteration j of a cycle costs j+1 dots plus one
-// norm, so averaged over a full cycle the reduction count per iteration is
-// (restart+3)/2, rounded up. The windows carry no hiding compute, matching
-// the classic CG pricing.
-func assembleSPAIGMRESIterCost(miss TracedMisses, aOp, mOp *distmat.Op, nl, ranks, restart int) IterCostInputs {
-	if restart < 1 {
-		restart = 30 // krylov's GMRES default cycle length
-	}
-	logP := int64(math.Ceil(math.Log2(float64(ranks + 1))))
-	totNNZ := int64(aOp.LZ.M.NNZ() + mOp.LZ.M.NNZ())
-	reductions := int64((restart + 3 + 1) / 2)
-	var intraMsgs, intraBytes, interMsgs, interBytes int64
-	for _, plan := range []*distmat.HaloPlan{aOp.Plan, mOp.Plan} {
-		im, ib, xm, xb := plan.ExchangeCounts(1)
-		intraMsgs += im
-		intraBytes += ib
-		interMsgs += xm
-		interBytes += xb
-	}
-	// MGS touches ≈(restart+1)/2 basis vectors per iteration on average, on
-	// top of the SpMV vector traffic — folded into the stream-byte term the
-	// same way CG's ~10 vector sweeps are.
-	vecSweeps := int64(10 + (restart+1)/2)
-	rc := archmodel.RankCost{
-		Flops:          2*totNNZ + 4*int64(nl)*int64(restart+1)/2,
-		StreamBytes:    12*totNNZ + 8*vecSweeps*int64(nl),
-		CacheMisses:    miss.A + miss.Precond,
-		CommBytes:      interBytes,
-		CommMsgs:       interMsgs + reductions*logP,
-		IntraCommBytes: intraBytes,
-		IntraCommMsgs:  intraMsgs,
-	}
-	red := archmodel.RankCost{CommMsgs: reductions * logP, CommBytes: 24 * logP * reductions / 2}
-	halo := archmodel.RankCost{
-		CommMsgs: rc.CommMsgs - red.CommMsgs, CommBytes: rc.CommBytes,
-		IntraCommMsgs: rc.IntraCommMsgs, IntraCommBytes: rc.IntraCommBytes,
+	red := archmodel.RankCost{CommMsgs: sh.reductions * logP, CommBytes: sh.redBytes * logP}
+	var haloHide, redHide archmodel.RankCost
+	if sh.overlapped {
+		aIntNNZ := int64(ops[0].EnsureOverlap().InteriorNNZ())
+		rest := totNNZ - aIntNNZ
+		haloHide = archmodel.RankCost{Flops: 2 * aIntNNZ, StreamBytes: 12 * aIntNNZ}
+		redHide = archmodel.RankCost{Flops: 2 * rest, StreamBytes: 12 * rest}
 	}
 	return IterCostInputs{
-		Rank: rc,
 		Overlap: archmodel.OverlapCost{
-			Compute: archmodel.RankCost{Flops: rc.Flops, StreamBytes: rc.StreamBytes, CacheMisses: rc.CacheMisses},
+			Compute: archmodel.RankCost{
+				Flops:       2*totNNZ + sh.rowFlops*int64(nl),
+				StreamBytes: 12*totNNZ + 8*sh.sweeps*int64(nl),
+				CacheMisses: miss.A + miss.Precond,
+			},
 			Windows: []archmodel.CommWindow{
-				{Name: "halo", Comm: halo},
-				{Name: "reduction", Comm: red},
+				{Name: "halo", Comm: halo, Hide: haloHide},
+				{Name: "reduction", Comm: red, Hide: redHide},
 			},
 		},
-		Precond: precondCost(miss.Precond, nl, mOp),
+		Precond: precondCost(miss.Precond, nl, ops[1:]...),
 	}
 }
 
-// ModeledSolveTime converts per-rank cost inputs, which carry the CG
-// variant's windows, into the modeled solve time under the overlap-credit
-// model; the classic loop's windows simply carry no hiding compute, so its
-// time equals the fully-exposed α–β model.
-func ModeledSolveTime(arch archmodel.Profile, iters int, costs []IterCostInputs) float64 {
-	perRank := make([]archmodel.OverlapCost, len(costs))
-	for i, ci := range costs {
-		perRank[i] = ci.Overlap
-	}
-	return arch.SolveTimeOverlapped(iters, perRank)
-}
-
-// ModeledPhases returns the per-window breakdown of ModeledSolveTime for
-// the same inputs: the worst rank's per-iteration OverlapReport scaled by
-// the iteration count. The report's per-iteration terms sum exactly (same
-// accumulation order) and TotalSec equals ModeledSolveTime bit-for-bit, so
-// the printed phases tables reconcile with the scalar modeled time.
+// ModeledPhases is the modeled solve: the per-iteration report of the rank
+// with the largest TotalSec — the reductions synchronize the ranks every
+// iteration, so the slowest governs — scaled by the iteration count. Its
+// TotalSec is the modeled solve time.
 func ModeledPhases(arch archmodel.Profile, iters int, costs []IterCostInputs) archmodel.OverlapReport {
-	var worst archmodel.OverlapCost
-	worstT := 0.0
+	var worst archmodel.OverlapReport
 	for _, ci := range costs {
-		if t := arch.OverlapTime(ci.Overlap); t > worstT {
-			worstT = t
-			worst = ci.Overlap
+		if rep := arch.OverlapReport(ci.Overlap); rep.TotalSec > worst.TotalSec {
+			worst = rep
 		}
 	}
-	if worstT == 0 {
+	if worst.TotalSec == 0 {
 		return archmodel.OverlapReport{}
 	}
-	return arch.OverlapReport(worst).Scale(float64(iters))
+	return worst.Scale(float64(iters))
 }

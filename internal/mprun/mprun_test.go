@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fsaicomm"
+	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/matgen"
@@ -316,5 +317,22 @@ func TestCacheTraceRunsOncePerFactorPlan(t *testing.T) {
 		if got := traces.Load() - before; got != tc.retraces {
 			t.Errorf("%s: the refactored system's solves traced %d times, want %d", tc.name, got, tc.retraces)
 		}
+	}
+}
+
+// TestModeledPhasesUsesWorstRank: the modeled solve is the slowest rank's
+// iteration report scaled by the iteration count, and no ranks cost nothing.
+func TestModeledPhasesUsesWorstRank(t *testing.T) {
+	var costs []mprun.IterCostInputs
+	for _, flops := range []int64{1e6, 5e6, 2e6} {
+		costs = append(costs, mprun.IterCostInputs{Overlap: archmodel.OverlapCost{Compute: archmodel.RankCost{Flops: flops},
+			Windows: []archmodel.CommWindow{{Name: "reduction", Comm: archmodel.RankCost{CommMsgs: 1}}}}})
+	}
+	worst := archmodel.Skylake.OverlapReport(costs[1].Overlap)
+	if got := mprun.ModeledPhases(archmodel.Skylake, 10, costs); !reflect.DeepEqual(got, worst.Scale(10)) || got.TotalSec != 10*worst.TotalSec {
+		t.Fatalf("ModeledPhases = %+v, want the worst rank's report scaled, %+v", got, worst.Scale(10))
+	}
+	if mprun.ModeledPhases(archmodel.Skylake, 10, nil).TotalSec != 0 {
+		t.Fatal("empty ranks should cost 0")
 	}
 }

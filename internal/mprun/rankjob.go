@@ -91,9 +91,9 @@ func (ops rankOps) cost(sp SolveParams, nl, ranks int) IterCostInputs {
 		miss = traced(traceMisses(prof, ops.a, ops.g, ops.gt))
 	}
 	if ops.m != nil {
-		return assembleSPAIGMRESIterCost(miss, ops.a, ops.m, nl, ranks, sp.Restart)
+		return assembleIterCost(miss, gmresLoop(sp.Restart), nl, ranks, ops.a, ops.m)
 	}
-	return assembleIterCost(miss, ops.a, ops.g, ops.gt, nl, ranks, sp.Variant)
+	return assembleIterCost(miss, cgLoop(sp.Variant), nl, ranks, ops.a, ops.g, ops.gt)
 }
 
 // RunJob executes one rank of a distributed solve: adopt the operators,

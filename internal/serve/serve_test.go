@@ -537,13 +537,19 @@ func TestSolveOverload(t *testing.T) {
 // reported as 504 with the progress it made. The system is the 1-D
 // Laplacian of 40,000 unknowns, whose recurrence residual takes ≈ 6 n
 // iterations to fall below Tol 1e-300: ≈ 250,000, seconds at any kernel
-// speed, where its set-up takes tens of milliseconds — so the deadline
-// fires inside the loop, past iteration 0, however fast an iteration gets.
+// speed. The deadline also covers set-up, which under -race can take the
+// whole second, so a zero b (set up in full, solved before the loop reads
+// the clock) prepares the system first: the deadline fires inside the
+// loop, past iteration 0, however fast an iteration gets.
 func TestSolveDeadline(t *testing.T) {
 	_, ts := testServer(t, Config{JobTimeout: time.Second})
 	code, mr := upload(t, ts.URL, plate(40_000, 1, 1, 0, 0))
 	if code != http.StatusOK {
 		t.Fatalf("upload: %d", code)
+	}
+	warm := solveRequest{Matrix: mr.Matrix, Ranks: 2, RHS: make([]float64, 40_000)}
+	if resp, body := postJSON(t, ts.URL+"/solve", warm); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up solve: %d %.300s", resp.StatusCode, body)
 	}
 	req := solveRequest{Matrix: mr.Matrix, Ranks: 2, Tol: 1e-300, MaxIter: 5_000_000}
 	resp, body := postJSON(t, ts.URL+"/solve", req)

@@ -7,13 +7,13 @@ all: tier1
 # tier1: the fast correctness gate — full build + gofmt + vet + full test
 # suite. The gofmt step fails (and lists the files) on any formatting diff.
 # The twins step fails if a hand-copied second path comes back: a halo32.go
-# or a HaloPlan / ExchangeHandle method named like postSends32 in
-# internal/distmat (the halo exchange is one generic body; the SetF32 switch
-# and the Localized.M32 accessor are not twins and stay), a typed
-# point-to-point method of simmpi.Comm such as SendInts or IrecvFloats32, or
-# a Wait32, in non-test internal/simmpi (each send, receive, post and wait is
-# one generic body over float64, float32 and int; SendFloats and RecvFloats
-# stay as one-line forms of Send and Recv that benchmark/ calls), a typed
+# or a HaloPlan method named like postSends32 in internal/distmat (the halo
+# exchange is one generic body; the SetF32 switch and the Localized.M32
+# accessor are not twins and stay), a typed point-to-point method of
+# simmpi.Comm such as SendInts or RecvFloats32, or a Wait32, in non-test
+# internal/simmpi (Send and Recv are one generic body each over float64,
+# float32 and int; SendFloats and RecvFloats stay as one-line forms of them
+# that benchmark/ calls), a typed
 # collective method of simmpi.Comm such as AllreduceMax, AllgatherInt64 or
 # BcastFloats (Allreduce and Allgather are generic functions over one
 # rendezvous in Comm; AllreduceSum stays as the one-line form of Allreduce
@@ -23,13 +23,14 @@ all: tier1
 # file (one payload type and one frame codec serve both lanes), or a
 # non-test *Serial function in internal/krylov (a serial solve is the
 # distributed loop on one rank). The schedule step fails if a second product
-# schedule comes back beside the blocking one outside pipelined CG: non-test
-# code that names CGClassicOverlap, spells "classic-overlap", calls a blocking
-# MulVecOverlap( or names PostSends or CompleteRecvs (classic and fused block
-# at every width; the send-then-compute split, OverlapOp.MulVecOverlapAsync,
-# is pipelined CG's A product alone), or that calls EnsureOverlap( anywhere
-# but internal/krylov/pipelined.go, internal/mprun/costinputs.go (which
-# prices pipelined's A interior rows) and distmat's own WithOverlap. The
+# schedule comes back beside the blocking one, which every loop runs at
+# every width, pipelined CG's A product included: non-test code that names
+# CGClassicOverlap, spells "classic-overlap", or names MulVecOverlap (the
+# blocking and the send-then-compute product), OverlapOp, StartExchange,
+# ExchangeHandle, EnsureOverlap, InteriorNNZ, PostSends, CompleteRecvs, Isend
+# or Irecv, or that declares an Isend or Irecv in internal/simmpi (the one
+# nonblocking operation is pipelined's IallreduceSum), or a WithOverlap whose
+# body does anything (it stays as the no-op spelling benchmark/ calls). The
 # model step fails if the cost model is evaluated or assembled a second way:
 # non-test code that declares OverlapTime, SolveTimeOverlapped or
 # ModeledSolveTime (archmodel's Profile.OverlapReport is the one evaluator,
@@ -100,18 +101,20 @@ tier1:
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	@twins="$$(ls internal/distmat/halo32.go 2>/dev/null; \
-		grep -nE '^func \([a-z]+ \*?(HaloPlan|ExchangeHandle)\) [A-Za-z0-9_]*[a-z0-9_]32\(' internal/distmat/*.go; \
-		grep -nE '^func \([a-z]+ \*?Comm\) (Send|Recv|Isend|Irecv|Allreduce|Allgather|Bcast)[A-Za-z0-9_]*\(|Wait32' $$(ls internal/simmpi/*.go | grep -v _test.go) \
+		grep -nE '^func \([a-z]+ \*?HaloPlan\) [A-Za-z0-9_]*[a-z0-9_]32\(' internal/distmat/*.go; \
+		grep -nE '^func \([a-z]+ \*?Comm\) (Send|Recv|Allreduce|Allgather|Bcast)[A-Za-z0-9_]*\(|Wait32' $$(ls internal/simmpi/*.go | grep -v _test.go) \
 			| grep -vE ':func \([a-z]+ \*?Comm\) (SendFloats|RecvFloats|AllreduceSum)\('; \
 		grep -nE '^func \([^)]*\) Collective\(' $$(ls internal/simmpi/*.go internal/tcpmpi/*.go | grep -v _test.go); \
 		grep -nE 'CollPayload|appendColl|decodeColl' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/out/*'); \
 		grep -nE '^func (\([^)]*\) )?[A-Za-z0-9_]*Serial\(' $$(ls internal/krylov/*.go | grep -v _test.go))"; \
 		if [ -n "$$twins" ]; then echo "hand-copied twins are back:"; echo "$$twins"; exit 1; fi
 	@src="$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/out/*')"; \
-		sched="$$(grep -nE 'CGClassicOverlap|"classic-overlap"|MulVecOverlap\(|PostSends|CompleteRecvs' $$src; \
-		grep -nE 'EnsureOverlap\(' $$src | grep -vE '^\./internal/(krylov/pipelined|mprun/costinputs)\.go:|^[^:]*:[0-9]*:[[:space:]]*//' \
-			| grep -vE '^\./internal/distmat/ops\.go:[0-9]*:(func \(op \*Op\) EnsureOverlap\(\) |[[:space:]]*return func\(op \*Op\) \{ op\.EnsureOverlap\(\) \}$$)')"; \
-		if [ -n "$$sched" ]; then echo "a second product schedule is back outside pipelined CG:"; echo "$$sched"; exit 1; fi
+		sched="$$(grep -nE 'CGClassicOverlap|"classic-overlap"|MulVecOverlap|OverlapOp|StartExchange|ExchangeHandle|EnsureOverlap|InteriorNNZ|PostSends|CompleteRecvs|\<I(send|recv)\>' $$src; \
+		grep -nE '^func (\([^)]*\) )?I(send|recv)[^A-Za-z0-9_]' $$(ls internal/simmpi/*.go | grep -v _test.go))"; \
+		noop="$$(grep -h -A2 '^func WithOverlap(' $$src)"; \
+		if [ -n "$$sched" ] || [ "$$noop" != "$$(printf 'func WithOverlap() OpOption {\n\treturn func(*Op) {}\n}')" ]; then \
+			echo "a second product schedule is back beside the blocking one (or WithOverlap does something):"; \
+			echo "$$sched"; echo "$$noop"; exit 1; fi
 	@src="$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/out/*')"; code='^[^:]*:[0-9]*:[[:space:]]*//'; \
 		model="$$(grep -nE '^func (\([^)]*\) )?(OverlapTime|SolveTimeOverlapped|ModeledSolveTime)\(' $$src; \
 		grep -nE '(ComputeTime|CommTime)\(' $$src | grep -v '^\./internal/archmodel/' | grep -v "$$code")"; \
@@ -258,9 +261,8 @@ tier2:
 
 # bench: the in-process benchmarks of bench_test.go whose names carry the
 # ~50k-row system (serial vs parallel factor builds and pattern powers, the
-# product kernels, the CG variants, the blocking SpMV vs pipelined CG's
-# send-then-compute one, batched vs looped multi-RHS, set-up and warm-path
-# solves)
+# product kernels, the CG variants, the distributed SpMV, batched vs looped
+# multi-RHS, set-up and warm-path solves)
 # plus the small warm-tcp system. The end-to-end benchmark is benchmark/run.sh;
 # the structural gates (inter-node messages, fp32 halo bytes, SPAI+GMRES
 # iterations, k-fold batch meters) are go tests.

@@ -19,7 +19,7 @@ import (
 
 // ErrBatchVariant is wrapped by the error batched solves return when the
 // selected CG variant has no batched loop (only CGClassic and CGFused do;
-// the overlap and pipelined schedules exist to hide latency the batch
+// pipelined CG's nonblocking reduction exists to hide latency the batch
 // already amortizes).
 var ErrBatchVariant = krylov.ErrBatchVariant
 

@@ -391,11 +391,12 @@ func BenchmarkPatternPower50kParallel(b *testing.B) { benchPatternPower(b, 0) }
 
 // ---- Communication-variant benchmarks ----
 //
-// Classic vs fused distributed CG and blocking vs overlapped SpMV on the
-// same ~50k-row Poisson3D case, 4 ranks. The fused loop trades three
+// Classic, fused and pipelined distributed CG and the distributed SpMV on
+// the same ~50k-row Poisson3D case, 4 ranks. The fused loop trades three
 // per-iteration reductions for one and merges the vector updates into
-// single-pass kernels; the overlap SpMV posts halo sends before computing
-// interior rows. Names contain "50k" so `make bench` picks them up.
+// single-pass kernels; pipelined CG posts its one reduction and waits after
+// the iteration's products. Names contain "50k" so `make bench` picks them
+// up.
 
 func benchDistCG50k(b *testing.B, variant CGVariant) {
 	a := matgen.Poisson3D(37, 37, 37)
@@ -423,9 +424,9 @@ func BenchmarkDistCG50kClassic(b *testing.B)   { benchDistCG50k(b, CGClassic) }
 func BenchmarkDistCG50kFused(b *testing.B)     { benchDistCG50k(b, CGFused) }
 func BenchmarkDistCG50kPipelined(b *testing.B) { benchDistCG50k(b, CGPipelined) }
 
-// benchDistSpMV50k times the blocking product against the send-then-compute
-// one pipelined CG runs A's product in.
-func benchDistSpMV50k(b *testing.B, overlap bool) {
+// BenchmarkDistSpMV50kBlocking times the distributed product every loop
+// runs, on four goroutine ranks.
+func BenchmarkDistSpMV50kBlocking(b *testing.B) {
 	a := matgen.Poisson3D(37, 37, 37)
 	n := a.Rows
 	const nranks = 4
@@ -439,16 +440,12 @@ func benchDistSpMV50k(b *testing.B, overlap bool) {
 	for i := 0; i < b.N; i++ {
 		_, err := simmpi.Run(nranks, time.Hour, func(c *simmpi.Comm) error {
 			lo, hi := l.Range(c.Rank())
-			op := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(a, lo, hi), distmat.WithOverlap())
+			op := distmat.NewOp(c, l, lo, hi, distmat.ExtractLocalRows(a, lo, hi))
 			scratch := distmat.NewDistVec(op.LZ)
 			y := make([]float64, hi-lo)
 			// Amortize plan construction over many products, like a solve.
 			for k := 0; k < 32; k++ {
-				if overlap {
-					op.EnsureOverlap().MulVecOverlapAsync(c, x[lo:hi], y, scratch, nil)
-				} else {
-					op.MulVec(c, x[lo:hi], y, scratch, nil)
-				}
+				op.MulVec(c, x[lo:hi], y, scratch, nil)
 			}
 			return nil
 		})
@@ -457,9 +454,6 @@ func benchDistSpMV50k(b *testing.B, overlap bool) {
 		}
 	}
 }
-
-func BenchmarkDistSpMV50kBlocking(b *testing.B) { benchDistSpMV50k(b, false) }
-func BenchmarkDistSpMV50kOverlap(b *testing.B)  { benchDistSpMV50k(b, true) }
 
 // ---- Batched multi-RHS benchmarks ----
 //

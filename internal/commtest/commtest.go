@@ -341,19 +341,16 @@ func cases() []conformanceCase {
 			check: wantOK,
 		},
 		{
+			// A posted reduction waited twice errors (wrapping ErrWaited)
+			// instead of deadlocking, with halo-like traffic crossing the
+			// pair between post and wait.
 			name: "double-wait-errors",
 			size: 2,
 			fn: func(c *simmpi.Comm) error {
 				peer := 1 - c.Rank()
-				r := simmpi.Isend(c, peer, 0, []float64{1})
-				simmpi.Recv[float64](c, peer, 0)
-				if _, err := r.Wait(); err != nil {
-					return err
-				}
-				if _, err := r.Wait(); !errors.Is(err, simmpi.ErrWaited) {
-					return fmt.Errorf("second Wait = %v, want ErrWaited", err)
-				}
 				ar := c.IallreduceSum(1)
+				simmpi.Send(c, peer, 0, []float64{1})
+				simmpi.Recv[float64](c, peer, 0)
 				if v, err := ar.Wait(); err != nil || v[0] != 2 {
 					return fmt.Errorf("iallreduce = %v, %v", v, err)
 				}
@@ -365,37 +362,28 @@ func cases() []conformanceCase {
 			check: wantOK,
 		},
 		{
-			// A ring of posted sends/receives plus overlapping nonblocking
-			// reductions: chains of each kind complete in post order while
-			// the three kinds progress independently. Exercised under -race
-			// this validates the chain goroutine handoffs on both backends.
+			// Pipelined CG's pattern round a ring: each round posts a
+			// reduction and then sends and receives blocking halo-like
+			// messages while it is in flight; the reductions are waited
+			// only at the end, last first. Posted reductions complete in
+			// post order while the point-to-point traffic goes on beside
+			// them. Exercised under -race this validates the chain
+			// goroutine handoffs on both backends.
 			name: "concurrent-async-chains",
 			size: 4,
 			fn: func(c *simmpi.Comm) error {
 				const rounds = 5
 				next := (c.Rank() + 1) % c.Size()
 				prev := (c.Rank() + c.Size() - 1) % c.Size()
-				recvs := make([]*simmpi.Request[float64], rounds)
-				sends := make([]*simmpi.Request[float64], rounds)
-				colls := make([]*simmpi.Request[float64], rounds)
+				colls := make([]*simmpi.Request, rounds)
 				for i := 0; i < rounds; i++ {
-					recvs[i] = simmpi.Irecv[float64](c, prev, i)
-					sends[i] = simmpi.Isend(c, next, i, []float64{float64(10*c.Rank() + i)})
 					colls[i] = c.IallreduceSum(float64(i))
-				}
-				for i := rounds - 1; i >= 0; i-- {
-					got, err := recvs[i].Wait()
-					if err != nil {
-						return err
-					}
-					if err := eq(got, float64(10*prev+i)); err != nil {
+					simmpi.Send(c, next, i, []float64{float64(10*c.Rank() + i)})
+					if err := eq(simmpi.Recv[float64](c, prev, i), float64(10*prev+i)); err != nil {
 						return fmt.Errorf("round %d from %d: %w", i, prev, err)
 					}
 				}
-				for i := 0; i < rounds; i++ {
-					if _, err := sends[i].Wait(); err != nil {
-						return err
-					}
+				for i := rounds - 1; i >= 0; i-- {
 					v, err := colls[i].Wait()
 					if err != nil {
 						return err
@@ -438,39 +426,41 @@ func cases() []conformanceCase {
 			check: wantErrContaining("expected floats from 0 tag 0, got ints"),
 		},
 		{
-			// Isend, Irecv and Wait carry every element type: the values
-			// arrive, each send is metered when it is posted (8, 4 and 8
-			// bytes a value), and a receive of the wrong type fails loudly
-			// through its Wait.
+			// Blocking sends of every element type cross a pair while a
+			// posted reduction is in flight: the values arrive, each send is
+			// metered when it is made (8, 4 and 8 bytes a value), the
+			// reduction comes out whole, and a receive of the wrong type
+			// fails loudly.
 			name: "nonblocking-every-element-type",
 			size: 2,
 			fn: func(c *simmpi.Comm) error {
 				me, peer := c.Rank(), 1-c.Rank()
-				f64 := simmpi.Irecv[float64](c, peer, 0)
-				f32 := simmpi.Irecv[float32](c, peer, 1)
-				ints := simmpi.Irecv[int](c, peer, 2)
+				sum := c.IallreduceSum(float64(me))
 				before := c.Meter().RankSnapshot(me).P2PBytes
-				simmpi.Isend(c, peer, 0, []float64{float64(me), 0.1})
-				simmpi.Isend(c, peer, 1, []float32{float32(me), 0.1, 3})
-				simmpi.Isend(c, peer, 2, []int{me, -7})
+				simmpi.Send(c, peer, 0, []float64{float64(me), 0.1})
+				simmpi.Send(c, peer, 1, []float32{float32(me), 0.1, 3})
+				simmpi.Send(c, peer, 2, []int{me, -7})
 				if got := c.Meter().RankSnapshot(me).P2PBytes - before; got != 2*8+3*4+2*8 {
-					return fmt.Errorf("rank %d: %d bytes metered at post time, want 44", me, got)
+					return fmt.Errorf("rank %d: %d bytes metered as sent, want 44", me, got)
 				}
-				if got, err := f64.Wait(); err != nil || eq(got, float64(peer), 0.1) != nil {
-					return fmt.Errorf("rank %d: float64s %v, %v", me, got, err)
+				if got := simmpi.Recv[float64](c, peer, 0); eq(got, float64(peer), 0.1) != nil {
+					return fmt.Errorf("rank %d: float64s %v", me, got)
 				}
-				if got, err := f32.Wait(); err != nil || len(got) != 3 || got[0] != float32(peer) || got[1] != 0.1 || got[2] != 3 {
-					return fmt.Errorf("rank %d: float32s %v, %v", me, got, err)
+				if got := simmpi.Recv[float32](c, peer, 1); len(got) != 3 || got[0] != float32(peer) || got[1] != 0.1 || got[2] != 3 {
+					return fmt.Errorf("rank %d: float32s %v", me, got)
 				}
-				if got, err := ints.Wait(); err != nil || len(got) != 2 || got[0] != peer || got[1] != -7 {
-					return fmt.Errorf("rank %d: ints %v, %v", me, got, err)
+				if got := simmpi.Recv[int](c, peer, 2); len(got) != 2 || got[0] != peer || got[1] != -7 {
+					return fmt.Errorf("rank %d: ints %v", me, got)
+				}
+				if got, err := sum.Wait(); err != nil || eq(got, 1) != nil {
+					return fmt.Errorf("rank %d: sum %v, %v", me, got, err)
 				}
 				if me == 0 {
-					_, err := simmpi.Isend(c, 1, 3, []float64{1}).Wait()
-					return err
+					simmpi.Send(c, 1, 3, []float64{1})
+					return nil
 				}
-				_, err := simmpi.Irecv[float32](c, 0, 3).Wait()
-				return err
+				simmpi.Recv[float32](c, 0, 3)
+				return nil
 			},
 			check: func(t *testing.T, m *simmpi.Meter, err error) {
 				wantErrContaining("rank 1 expected float32s from 0 tag 3, got floats")(t, m, err)
@@ -681,17 +671,16 @@ func cases() []conformanceCase {
 						}
 						continue
 					}
+					// A background collective and a blocking receive: the
+					// receive first, or the wait for the collective first.
 					var sum, got []float64
+					req := c.IallreduceSum(2)
 					if round < 3 {
-						// Background collective, blocking receive.
-						req := c.IallreduceSum(2)
 						got = simmpi.Recv[float64](c, 0, round)
 						sum, _ = req.Wait()
 					} else {
-						// Background receive, blocking collective.
-						req := simmpi.Irecv[float64](c, 0, round)
-						sum = simmpi.Allreduce(c, simmpi.Sum, 2.0)
-						got, _ = req.Wait()
+						sum, _ = req.Wait()
+						got = simmpi.Recv[float64](c, 0, round)
 					}
 					if err := eq(sum, 3); err != nil {
 						return fmt.Errorf("round %d sum: %w", round, err)

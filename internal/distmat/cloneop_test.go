@@ -1,7 +1,6 @@
 package distmat
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -36,8 +35,8 @@ func TestNewOpFromPartsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Several concurrent solve worlds, each running blocking and overlapped
-	// async SpMVs on its own clones of the cached parts.
+	// Several concurrent solve worlds, each running SpMVs on its own clones
+	// of the cached parts, the second with a posted reduction in flight.
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	results := make([][]float64, 4)
@@ -49,14 +48,18 @@ func TestNewOpFromPartsBitIdentical(t *testing.T) {
 			y := make([]float64, a.Rows)
 			_, err := simmpi.Run(ranks, testTimeout, func(c *simmpi.Comm) error {
 				lo, hi := l.Range(c.Rank())
-				op := NewOpFromParts(lzs[c.Rank()], plans[c.Rank()].Clone(), WithOverlap())
+				op := NewOpFromParts(lzs[c.Rank()], plans[c.Rank()].Clone())
 				scratch := NewDistVec(op.LZ)
 				y2 := make([]float64, hi-lo)
 				op.MulVec(c, x[lo:hi], y[lo:hi], scratch, nil)
-				op.overlap.MulVecOverlapAsync(c, x[lo:hi], y2, scratch, nil)
+				req := c.IallreduceSum(1)
+				op.MulVec(c, x[lo:hi], y2, scratch, nil)
+				if _, err := req.Wait(); err != nil {
+					return err
+				}
 				for i := range y2 {
 					if y2[i] != y[lo+i] {
-						t.Errorf("world %d rank %d: async SpMV differs at %d", w, c.Rank(), i)
+						t.Errorf("world %d rank %d: SpMV beside a reduction differs at %d", w, c.Rank(), i)
 						break
 					}
 				}
@@ -77,40 +80,5 @@ func TestNewOpFromPartsBitIdentical(t *testing.T) {
 					w, i, results[w][i], yRef[i])
 			}
 		}
-	}
-}
-
-// TestOverlapSplitSharedByViews: the interior/boundary split is made once
-// per localized pattern. Operators on views of it with other values — one
-// per job, or per refactored system — read the same split, and its ranges
-// are ordered, never touch, and together hold every local row.
-func TestOverlapSplitSharedByViews(t *testing.T) {
-	a := grid2d(9, 9)
-	l := NewUniformLayout(a.Rows, 3)
-	_, err := simmpi.Run(3, testTimeout, func(c *simmpi.Comm) error {
-		lo, hi := l.Range(c.Rank())
-		rows := ExtractLocalRows(a, lo, hi)
-		op := NewOp(c, l, lo, hi, rows)
-		first := op.EnsureOverlap()
-		for _, vals := range [][]float64{rows.Val, make([]float64, len(rows.Val))} {
-			other := NewOpFromParts(op.LZ.WithValues(vals), op.Plan.Clone()).EnsureOverlap()
-			if &other.interior[0] != &first.interior[0] || &other.boundary[0] != &first.boundary[0] {
-				return fmt.Errorf("rank %d: a view with other values split its rows again", c.Rank())
-			}
-		}
-		for _, ranges := range [][]int{first.interior, first.boundary} {
-			for k := 2; k < len(ranges); k += 2 {
-				if ranges[k] <= ranges[k-1] {
-					return fmt.Errorf("rank %d: ranges %v touch or overlap", c.Rank(), ranges)
-				}
-			}
-		}
-		if n := rowsIn(first.interior) + rowsIn(first.boundary); n != hi-lo {
-			return fmt.Errorf("rank %d: the ranges hold %d of %d rows", c.Rank(), n, hi-lo)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -705,20 +705,22 @@ func TestExchangePayloadSizeMismatchPanics(t *testing.T) {
 	}
 }
 
-// rowsIn counts the rows of flattened [lo, hi) ranges.
-func rowsIn(ranges []int) int {
-	n := 0
-	for k := 0; k+1 < len(ranges); k += 2 {
-		n += ranges[k+1] - ranges[k]
+// beside runs product with a reduction posted on every rank before it and
+// waited after it: the overlap pipelined CG runs.
+func beside(c *simmpi.Comm, product func()) error {
+	req := c.IallreduceSum(1)
+	product()
+	if sum, err := req.Wait(); err != nil || sum[0] != float64(c.Size()) {
+		return fmt.Errorf("rank %d: the reduction beside the product gave %v, %v", c.Rank(), sum, err)
 	}
-	return n
+	return nil
 }
 
-// The overlap schedule (interior rows, then boundary rows, through the row
-// kernel, the halo on the nonblocking primitives) against the blocking
-// Op.MulVec and against the indexed loop over the localized rows, bit for
-// bit, in both precisions; and against the serial product within rounding
-// (the localized column order differs).
+// Pipelined CG's overlap — the blocking Op.MulVec with a reduction in
+// flight — against the same product with nothing in flight and against the
+// indexed loop over the localized rows, bit for bit, in both precisions; and
+// against the serial product within rounding (the localized column order
+// differs).
 func TestOverlapMatchesBlocking(t *testing.T) {
 	a := grid2d(9, 9)
 	n := a.Rows
@@ -733,22 +735,17 @@ func TestOverlapMatchesBlocking(t *testing.T) {
 	l := NewUniformLayout(n, nranks)
 	for _, f32 := range []bool{false, true} {
 		got := make([]float64, n)
-		interiorNNZ := make([]int, nranks) // per-rank slot: ranks run concurrently
 		_, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
 			lo, hi := l.Range(c.Rank())
 			op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
 			op.SetF32(f32)
-			ov := NewOverlapOp(op)
-			// Every local row is in exactly one class.
-			if rowsIn(ov.interior)+rowsIn(ov.boundary) != hi-lo {
-				return fmt.Errorf("rank %d: class split covers %d of %d rows",
-					c.Rank(), rowsIn(ov.interior)+rowsIn(ov.boundary), hi-lo)
-			}
 			scratch := NewDistVec(op.LZ)
 			blocking := make([]float64, hi-lo)
 			op.MulVec(c, x[lo:hi], blocking, scratch, nil)
 			y := make([]float64, hi-lo)
-			ov.MulVecOverlapAsync(c, x[lo:hi], y, scratch, nil)
+			if err := beside(c, func() { op.MulVec(c, x[lo:hi], y, scratch, nil) }); err != nil {
+				return err
+			}
 			m, m32 := op.LZ.M, op.LZ.M32()
 			for li := range y {
 				sum := 0.0
@@ -760,12 +757,11 @@ func TestOverlapMatchesBlocking(t *testing.T) {
 					}
 				}
 				if y[li] != blocking[li] || y[li] != sum {
-					return fmt.Errorf("rank %d f32=%v row %d: overlap %v, blocking %v, indexed loop %v",
+					return fmt.Errorf("rank %d f32=%v row %d: beside a reduction %v, alone %v, indexed loop %v",
 						c.Rank(), f32, li, y[li], blocking[li], sum)
 				}
 			}
 			copy(got[lo:hi], y)
-			interiorNNZ[c.Rank()] = ov.InteriorNNZ()
 			return nil
 		})
 		if err != nil {
@@ -780,27 +776,23 @@ func TestOverlapMatchesBlocking(t *testing.T) {
 				t.Fatalf("f32=%v: y[%d] = %v, want %v", f32, i, got[i], want[i])
 			}
 		}
-		interiorTotal := 0
-		for _, nnz := range interiorNNZ {
-			interiorTotal += nnz
-		}
-		if interiorTotal == 0 {
-			t.Fatal("no interior work found on a grid partition")
-		}
 	}
 }
 
+// A product with a reduction in flight counts its 2·nnz flops, the compute
+// the cost model hides pipelined's reduction behind.
 func TestOverlapFlopCount(t *testing.T) {
 	a := grid2d(6, 6)
 	l := NewUniformLayout(a.Rows, 2)
 	_, err := simmpi.Run(2, testTimeout, func(c *simmpi.Comm) error {
 		lo, hi := l.Range(c.Rank())
 		op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
-		ov := NewOverlapOp(op)
 		var fc vecops.FlopCounter
 		y := make([]float64, hi-lo)
 		x := make([]float64, hi-lo)
-		ov.MulVecOverlapAsync(c, x, y, NewDistVec(op.LZ), &fc)
+		if err := beside(c, func() { op.MulVec(c, x, y, NewDistVec(op.LZ), &fc) }); err != nil {
+			return err
+		}
 		if fc.Count() != 2*int64(op.LZ.M.NNZ()) {
 			return fmt.Errorf("flops %d, want %d", fc.Count(), 2*op.LZ.M.NNZ())
 		}
@@ -811,26 +803,20 @@ func TestOverlapFlopCount(t *testing.T) {
 	}
 }
 
+// WithOverlap is kept as a spelling and changes nothing: the operator it
+// builds is the one built without it.
 func TestNewOpWithOverlap(t *testing.T) {
 	a := grid2d(6, 6)
 	l := NewUniformLayout(a.Rows, 2)
 	_, err := simmpi.Run(2, testTimeout, func(c *simmpi.Comm) error {
 		lo, hi := l.Range(c.Rank())
 		plain := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
-		if plain.overlap != nil {
-			return fmt.Errorf("plain NewOp built an overlap view")
-		}
-		// EnsureOverlap is lazy, idempotent, and purely local.
-		ov := plain.EnsureOverlap()
-		if ov == nil || plain.overlap != ov || plain.EnsureOverlap() != ov {
-			return fmt.Errorf("EnsureOverlap not idempotent")
+		if with := NewOpFromParts(plain.LZ, plain.Plan, WithOverlap()); *with != *plain {
+			return fmt.Errorf("rank %d: WithOverlap changed the operator", c.Rank())
 		}
 		with := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi), WithOverlap())
-		if with.overlap == nil {
-			return fmt.Errorf("WithOverlap did not build the overlap view")
-		}
-		if rowsIn(with.overlap.interior)+rowsIn(with.overlap.boundary) != hi-lo {
-			return fmt.Errorf("overlap split incomplete")
+		if !PlanEqual(with.Plan, plain.Plan) || with.f32 != plain.f32 {
+			return fmt.Errorf("rank %d: WithOverlap changed the plan", c.Rank())
 		}
 		return nil
 	})
@@ -893,8 +879,8 @@ func TestExchangeBatchBufferReuse(t *testing.T) {
 	}
 }
 
-// The nonblocking-primitive overlap schedule must be bit-identical to the
-// blocking product and metered byte-for-byte the same.
+// A product with a reduction in flight (pipelined CG's schedule) must be
+// bit-identical to the product alone and metered byte for byte the same.
 func TestOverlapAsyncMatchesBlockingAndMeter(t *testing.T) {
 	a := grid2d(9, 9)
 	n := a.Rows
@@ -910,14 +896,14 @@ func TestOverlapAsyncMatchesBlockingAndMeter(t *testing.T) {
 		got := make([]float64, n)
 		w, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
 			lo, hi := l.Range(c.Rank())
-			op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi), WithOverlap())
+			op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
 			scratch := NewDistVec(op.LZ)
 			y := make([]float64, hi-lo)
-			for k := 0; k < 3; k++ { // repeat: handle/buffer reuse must hold
-				if async {
-					op.overlap.MulVecOverlapAsync(c, x[lo:hi], y, scratch, nil)
-				} else {
+			for k := 0; k < 3; k++ { // repeat: buffer reuse must hold
+				if !async {
 					op.MulVec(c, x[lo:hi], y, scratch, nil)
+				} else if err := beside(c, func() { op.MulVec(c, x[lo:hi], y, scratch, nil) }); err != nil {
+					return err
 				}
 			}
 			copy(got[lo:hi], y)

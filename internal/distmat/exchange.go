@@ -7,8 +7,8 @@ package distmat
 // stay float64 while each halo value is narrowed once at the gather, travels
 // (and is metered) at 4 bytes and is widened at the scatter. A scalar update
 // is the k-wide one at k = 1, and the flat schedule is the node-aware one
-// with every peer direct, so blocking, overlapped, nonblocking, batched and
-// relayed updates are all one post followed by one complete.
+// with every peer direct, so scalar, batched and relayed updates are all one
+// post followed by one complete, on blocking sends and receives.
 
 import (
 	"fmt"
@@ -19,7 +19,7 @@ import (
 // exchanger is what a HaloPlan needs of its exchange state; the two
 // implementations are the two instantiations of halo.
 type exchanger interface {
-	post(c *simmpi.Comm, xExt []float64, k int, async bool)
+	post(c *simmpi.Comm, xExt []float64, k int)
 	complete(c *simmpi.Comm, xExt []float64, nLocal, k int)
 }
 
@@ -40,16 +40,13 @@ func (p *HaloPlan) wire() exchanger {
 // halo is one plan's exchange state for wire type V: the buffers, lazily
 // sized and reused across updates so the per-iteration exchange allocates
 // nothing on the send side (simmpi copies payloads on Send). The values
-// travel through simmpi's generic Send, Isend, Recv and Irecv at type V.
+// travel through simmpi's generic Send and Recv at type V.
 // Confined to the rank's goroutine, like the plan and the Comm it is used
 // with.
 type halo[V float32 | float64] struct {
 	p *HaloPlan
 
 	sendBuf [][]V // per-peer gather buffers
-	// recvs are the receives a nonblocking flat post put up ahead of its
-	// sends; complete waits on them instead of receiving.
-	recvs []*simmpi.Request[V]
 	// Node-aware relay workspaces (see nodeaware.go): the up-gather buffer,
 	// the leader's combined outbound and per-member down buffers, and the
 	// received up/inter payloads. A leader's self-up and self-down ride the
@@ -107,13 +104,8 @@ func unpack[V float32 | float64](xExt []float64, nLocal int, slots []int, vals [
 // post is the send half of one k-wide update. Under node-aware routing the
 // cross-node values go up to the node leader in one message, ahead of the
 // direct sends to same-node peers; under the flat schedule every peer is
-// direct. async selects the nonblocking primitives — receives first, so a
-// matching send can never block on an unposted receive, in the
-// MPI_Irecv/MPI_Isend idiom. The aggregated protocol keeps its receives
-// ordered per sender (ups before directs before downs), so there they all
-// wait for complete. Metering is charged at post time either way, byte for
-// byte the same.
-func (h *halo[V]) post(c *simmpi.Comm, xExt []float64, k int, async bool) {
+// direct. Sends are metered as they are made.
+func (h *halo[V]) post(c *simmpi.Comm, xExt []float64, k int) {
 	p := h.p
 	direct := p.sendPeerIDs
 	if p.napActive() {
@@ -125,11 +117,7 @@ func (h *halo[V]) post(c *simmpi.Comm, xExt []float64, k int, async bool) {
 			for _, d := range s.crossSendIDs {
 				o += pack(buf[o:], xExt, p.SendPeers[d], k)
 			}
-			h.put(c, s.leaderRank, tagNAPUp, buf, async)
-		}
-	} else if async {
-		for _, peer := range p.recvPeerIDs {
-			h.recvs = append(h.recvs, simmpi.Irecv[V](c, peer, tagHaloData))
+			simmpi.Send(c, s.leaderRank, tagNAPUp, buf)
 		}
 	}
 	if h.sendBuf == nil {
@@ -139,17 +127,7 @@ func (h *halo[V]) post(c *simmpi.Comm, xExt []float64, k int, async bool) {
 		list := p.SendPeers[d]
 		buf := resize(&h.sendBuf[d], len(list)*k)
 		pack(buf, xExt, list, k)
-		h.put(c, d, tagHaloData, buf, async)
-	}
-}
-
-// put sends data, through Isend when async: it copies the payload at post
-// time, so the buffer is reusable at once and the send handle needs no wait.
-func (h *halo[V]) put(c *simmpi.Comm, dst, tag int, data []V, async bool) {
-	if async {
-		simmpi.Isend(c, dst, tag, data)
-	} else {
-		simmpi.Send(c, dst, tag, data)
+		simmpi.Send(c, d, tagHaloData, buf)
 	}
 }
 
@@ -168,16 +146,8 @@ func (h *halo[V]) complete(c *simmpi.Comm, xExt []float64, nLocal, k int) {
 			h.relay(c, k)
 		}
 	}
-	for i, peer := range direct {
-		var vals []V
-		if len(h.recvs) > 0 {
-			var err error
-			if vals, err = h.recvs[i].Wait(); err != nil {
-				panic(fmt.Sprintf("distmat: rank %d halo update from %d: %v", c.Rank(), peer, err))
-			}
-		} else {
-			vals = simmpi.Recv[V](c, peer, tagHaloData)
-		}
+	for _, peer := range direct {
+		vals := simmpi.Recv[V](c, peer, tagHaloData)
 		slots := p.RecvPeers[peer]
 		if len(vals) != len(slots)*k {
 			panic(fmt.Sprintf("distmat: rank %d halo update from %d: got %d values, want %d",
@@ -185,7 +155,6 @@ func (h *halo[V]) complete(c *simmpi.Comm, xExt []float64, nLocal, k int) {
 		}
 		unpack(xExt, nLocal, slots, vals, k)
 	}
-	h.recvs = h.recvs[:0]
 	if s != nil && s.downCount > 0 {
 		vals := simmpi.Recv[V](c, s.leaderRank, tagNAPDown)
 		if len(vals) != s.downCount*k {
@@ -228,26 +197,6 @@ func (p *HaloPlan) ExchangeBatch(c *simmpi.Comm, xExt []float64, nLocal, k int) 
 	// All sends are posted before any receive is drained; per-pair FIFO
 	// channels make that deadlock-free.
 	w := p.wire()
-	w.post(c, xExt, k, false)
+	w.post(c, xExt, k)
 	w.complete(c, xExt, nLocal, k)
-}
-
-// StartExchange posts one halo update entirely through the nonblocking
-// primitives. The returned handle completes the update; metering is
-// identical to Exchange byte for byte, so structural communication claims
-// are independent of which schedule a solver uses. One exchange may be
-// outstanding per plan at a time, like the send buffers.
-func (p *HaloPlan) StartExchange(c *simmpi.Comm, xExt []float64) *ExchangeHandle {
-	p.wire().post(c, xExt, 1, true)
-	p.async.plan = p
-	return &p.async
-}
-
-// ExchangeHandle is an in-flight halo update started with StartExchange.
-type ExchangeHandle struct{ plan *HaloPlan }
-
-// Complete waits the posted receives and scatters their values into the
-// halo slots of xExt, finishing the update.
-func (h *ExchangeHandle) Complete(c *simmpi.Comm, xExt []float64, nLocal int) {
-	h.plan.wire().complete(c, xExt, nLocal, 1)
 }

@@ -38,7 +38,7 @@ func TestOneOpMixedWidthsAndSchedules(t *testing.T) {
 					lo, hi := l.Range(c.Rank())
 					nl := hi - lo
 					newOp := func() *Op {
-						op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi), WithOverlap())
+						op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
 						op.SetF32(f32)
 						if op.Plan.napActive() != !tc.topo.Flat() {
 							panic("routing does not follow the topology")
@@ -68,9 +68,6 @@ func TestOneOpMixedWidthsAndSchedules(t *testing.T) {
 						}},
 						{"MulMat k=3", 3, func(op *Op, in, out []float64) {
 							op.MulMat(c, in, out, 3, nil, NewBatchDistVec(op.LZ, 3), nil)
-						}},
-						{"MulVecOverlapAsync", 1, func(op *Op, in, out []float64) {
-							op.overlap.MulVecOverlapAsync(c, in, out, NewDistVec(op.LZ), nil)
 						}},
 					}
 					reused := newOp()

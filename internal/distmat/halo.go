@@ -49,13 +49,6 @@ type Localized struct {
 	// save nothing: built once per pattern, shared by every view WithValues
 	// makes, and rebuilt by IndexRuns on a view that arrived without it.
 	runs *sparse.RunIndex
-	// split holds the interior/boundary split of the rows (overlap.go),
-	// made on first use and shared, like runs, by every view WithValues
-	// makes: every job's operator on a pattern reads one split. The holder
-	// itself is made on first use too (splitHolder), so a view that gob
-	// shipped gets one as well.
-	split     *rowSplit
-	splitOnce sync.Once
 }
 
 // NLocal returns the number of locally owned rows/columns.
@@ -190,10 +183,8 @@ func (lz *Localized) WithValues(vals []float64) *Localized {
 			rotateRow(vals[p:q], src[p:q], lz.rotated[t+1], lz.rotated[t+2])
 		}
 	}
-	v := &Localized{Lo: lz.Lo, Hi: lz.Hi, Halo: lz.Halo, rotated: lz.rotated, runs: lz.runs,
-		M: &sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: vals}}
-	v.split = lz.splitHolder()
-	return v
+	v := &sparse.CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: m.RowPtr, ColIdx: m.ColIdx, Val: vals}
+	return &Localized{Lo: lz.Lo, Hi: lz.Hi, Halo: lz.Halo, rotated: lz.rotated, runs: lz.runs, M: v}
 }
 
 // HaloPlan is a rank's halo-update schedule: which locally-owned unknowns it
@@ -224,9 +215,6 @@ type HaloPlan struct {
 	// ex is the exchange state — primitives and reusable buffers — for the
 	// current width, built on first use (see exchange.go).
 	ex exchanger
-	// async is the reusable handle for StartExchange (one outstanding
-	// nonblocking exchange per plan at a time).
-	async ExchangeHandle
 }
 
 // SetF32 selects (or clears) the half-width float32 halo wire format for
@@ -380,7 +368,7 @@ func (p *HaloPlan) SetNodeAware(on bool) {
 
 // Clone returns a plan that shares this plan's immutable schedule (peer
 // sets and index lists, which no exchange mutates) but owns fresh send
-// buffers and async state. The per-rank schedule of a matrix is computed
+// buffers. The per-rank schedule of a matrix is computed
 // collectively once (BuildHaloPlan) and is then pure data; cloning lets a
 // preconditioner cache hand each concurrent solve its own plan instance
 // without redoing the setup-phase index exchange — the buffers are the only

@@ -187,9 +187,10 @@ func TestNodeAwareHandBuiltExchangeTCP(t *testing.T) {
 	checkHandAttribution(t, snaps, counts)
 }
 
-// The async (StartExchange/Complete) and k-wide batched paths must deliver
-// the same values through the same aggregated envelopes: the handle defers
-// the node-aware receives to Complete, and a k-wide batch still costs one
+// A single-column update with a posted reduction in flight (pipelined CG's
+// schedule) and a k-wide batched update must deliver the same values
+// through the same aggregated envelopes: the relay goes through while the
+// reduction travels on its own lane, and a k-wide batch still costs one
 // message per envelope, carrying k columns.
 func TestNodeAwareAsyncAndBatchedExchange(t *testing.T) {
 	topo := simmpi.Topology{Nodes: 2, RanksPerNode: 2}
@@ -202,15 +203,18 @@ func TestNodeAwareAsyncAndBatchedExchange(t *testing.T) {
 			return fmt.Errorf("rank %d: schedule-topo plan not node-aware by default", c.Rank())
 		}
 
-		// Async single-column exchange.
+		// Single-column exchange beside a posted reduction.
 		xExt := []float64{float64(100 * c.Rank()), float64(100*c.Rank() + 1), 0, 0, 0}
 		c.Barrier()
 		if c.Rank() == 0 {
 			c.Meter().Reset()
 		}
 		c.Barrier()
-		h := p.StartExchange(c, xExt)
-		h.Complete(c, xExt, 2)
+		req := c.IallreduceSum(1)
+		p.Exchange(c, xExt, 2)
+		if sum, err := req.Wait(); err != nil || sum[0] != 4 {
+			return fmt.Errorf("rank %d: reduction beside the update: %v, %v", c.Rank(), sum, err)
+		}
 		if err := checkHandHalo(c.Rank(), xExt); err != nil {
 			return fmt.Errorf("async: %w", err)
 		}
@@ -258,8 +262,8 @@ func TestNodeAwareAsyncAndBatchedExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Async metering is identical to the blocking exchange (charged at post
-	// time): the hand-computed node-aware split.
+	// The update beside the reduction is metered as the hand-computed
+	// node-aware split.
 	if asyncSnap.IntraP2PMessages != 8 || asyncSnap.IntraP2PBytes != 96 ||
 		asyncSnap.InterP2PMessages != 2 || asyncSnap.InterP2PBytes != 64 {
 		t.Fatalf("async split: %+v, want intra 8/96 inter 2/64", asyncSnap)

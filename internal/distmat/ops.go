@@ -54,9 +54,6 @@ func (v *DistVec) load(x []float64) {
 type Op struct {
 	LZ   *Localized
 	Plan *HaloPlan
-	// overlap is the interior/boundary row split of pipelined CG's A product,
-	// built on request (WithOverlap or EnsureOverlap); nil until then.
-	overlap *OverlapOp
 	// f32 selects the mixed-precision kernel: products read the float32 view
 	// of the matrix (float64 accumulation) and the halo travels half-width.
 	f32 bool
@@ -65,12 +62,11 @@ type Op struct {
 // OpOption configures NewOp.
 type OpOption func(*Op)
 
-// WithOverlap makes NewOp also build the interior/boundary overlap view
-// ahead of time: the send-then-compute schedule
-// (OverlapOp.MulVecOverlapAsync) pipelined CG runs its A product in. The
-// operator's own products block either way.
+// WithOverlap changes nothing: every product blocks, so there is no
+// overlap view to build ahead of time. It stays as the spelling benchmark/
+// builds its operators with.
 func WithOverlap() OpOption {
-	return func(op *Op) { op.EnsureOverlap() }
+	return func(*Op) {}
 }
 
 // SetF32 switches the operator between full and mixed precision. Under f32
@@ -116,16 +112,6 @@ func LocalOp(a *sparse.CSR) *Op {
 	lz := &Localized{Hi: a.Rows, M: a}
 	lz.IndexRuns()
 	return &Op{LZ: lz, Plan: &HaloPlan{}}
-}
-
-// EnsureOverlap returns the overlap view, building it on first use. The
-// split is purely local (no communication), so lazy construction is safe in
-// collective contexts.
-func (op *Op) EnsureOverlap() *OverlapOp {
-	if op.overlap == nil {
-		op.overlap = NewOverlapOp(op)
-	}
-	return op.overlap
 }
 
 // MulVec computes the local part of y = A x, performing one halo update.

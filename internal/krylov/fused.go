@@ -35,8 +35,8 @@ const (
 	CGFused
 	// CGPipelined is the Ghysels–Vanroose pipelined recurrence: the single
 	// reduction of the fused loop becomes a nonblocking IallreduceSum whose
-	// flight time is covered by the next preconditioner apply and SpMV, so
-	// no rank ever idles in a collective. Same Krylov space as CGClassic;
+	// flight time is covered by the next preconditioner apply and SpMV, both
+	// blocking products, so no rank ever idles in a collective. Same Krylov space as CGClassic;
 	// iteration counts may differ by ±2 from the deeper scalar recurrence
 	// rearrangement (see DESIGN.md §4d).
 	CGPipelined

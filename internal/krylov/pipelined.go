@@ -32,10 +32,9 @@ import (
 // recurrence of Ghysels & Vanroose. Per iteration it performs exactly one
 // collective — a nonblocking IallreduceSum(rᵀu, wᵀu, ‖r‖²) overlapped with
 // the preconditioner apply and SpMV — with halo traffic byte-identical to
-// the classic loop (asserted by the metered tests). A's product runs in
-// the send-then-compute schedule (distmat.OverlapOp.MulVecOverlapAsync: the
-// halo travels on nonblocking Isend/Irecv while the interior rows are
-// computed); the preconditioner's products block, as in the other loops.
+// the classic loop (asserted by the metered tests). Its products block, A's
+// and the preconditioner's, as in the other loops: what the reduction hides
+// behind is the whole of both.
 // In exact arithmetic the iterates equal classic PCG's; the deeper
 // rearrangement rounds differently, so iteration counts may shift by ±2.
 func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
@@ -52,9 +51,8 @@ func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreco
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	r, u, w, p, s, z, q, mv, nv := ws.take9(nl)
 	scratch := haloScratch(&ws.scratch, op.LZ, 1)
-	ov := op.EnsureOverlap()
+	r, u, w, p, s, z, q, mv, nv := ws.take9(nl)
 
 	copy(r, b)
 	vecops.Fill(p, 0)
@@ -62,7 +60,7 @@ func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreco
 	vecops.Fill(z, 0)
 	vecops.Fill(q, 0)
 	m.ApplyBatch(c, r, u, 1, nil, fc)
-	ov.MulVecOverlapAsync(c, u, w, scratch, fc)
+	op.MulVec(c, u, w, scratch, fc)
 	tr.setup()
 
 	var norm0, gamma, alpha, beta float64
@@ -78,7 +76,7 @@ func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreco
 		// while the reduction is in flight. They only read w and write the
 		// scratch vectors m and n, so they commute with the wait.
 		m.ApplyBatch(c, w, mv, 1, nil, fc)
-		ov.MulVecOverlapAsync(c, mv, nv, scratch, fc)
+		op.MulVec(c, mv, nv, scratch, fc)
 		g, err := req.Wait()
 		if err != nil {
 			return finish(st, fc, tr), err
@@ -139,14 +137,14 @@ func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreco
 			// globally synchronized, so every rank replaces on the same
 			// iterations and the solve stays deterministic. mv/nv are free
 			// here — the next pass overwrites both.
-			ov.MulVecOverlapAsync(c, x, nv, scratch, fc)
+			op.MulVec(c, x, nv, scratch, fc)
 			copy(r, b)
 			vecops.Axpy(-1, nv, r, fc)
 			m.ApplyBatch(c, r, u, 1, nil, fc)
-			ov.MulVecOverlapAsync(c, u, w, scratch, fc)
-			ov.MulVecOverlapAsync(c, p, s, scratch, fc)
+			op.MulVec(c, u, w, scratch, fc)
+			op.MulVec(c, p, s, scratch, fc)
 			m.ApplyBatch(c, s, q, 1, nil, fc)
-			ov.MulVecOverlapAsync(c, q, z, scratch, fc)
+			op.MulVec(c, q, z, scratch, fc)
 		}
 		if it > 0 {
 			// Close the pass: the record's comm delta spans this pass's

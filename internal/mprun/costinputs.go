@@ -73,7 +73,7 @@ func precondCost(misses int64, nl int, ops ...*distmat.Op) archmodel.RankCost {
 // products in the cost model: the global reductions, each a log₂ tree of
 // inter-node messages, the bytes they move per tree level, the vector
 // kernels' flops and their 8-byte sweeps per local row. overlapped marks
-// pipelined CG, the one loop whose windows carry hiding compute.
+// pipelined CG, the one loop that hides a reduction behind its products.
 type loopShape struct {
 	reductions, redBytes int64
 	rowFlops, sweeps     int64
@@ -121,11 +121,11 @@ func gmresLoop(restart int) loopShape {
 //
 // Every loop carries the same two named windows — "halo" and "reduction" —
 // so the per-phase reports are comparable across loops; what changes is the
-// hiding compute. Classic and fused CG and GMRES block at every product, so
-// they hide nothing. Pipelined CG runs A's product in the send-then-compute
-// schedule, so its halo window hides behind A's interior rows alone, and it
-// posts its single reduction before the other products, which hide it — a
-// disjoint compute window, so no flop is credited twice.
+// hiding compute. Every product blocks, so no loop's halo window hides
+// anything, and classic and fused CG and GMRES wait out their reductions
+// too. Pipelined CG posts its single reduction before the iteration's
+// products with A, G and Gᵀ and waits after them, so all of their compute
+// hides it.
 func assembleIterCost(miss TracedMisses, sh loopShape, nl, ranks int, ops ...*distmat.Op) IterCostInputs {
 	logP := int64(math.Ceil(math.Log2(float64(ranks + 1))))
 	// Each operator's halo traffic is what ONE exchange under its plan's
@@ -145,12 +145,9 @@ func assembleIterCost(miss TracedMisses, sh loopShape, nl, ranks int, ops ...*di
 		halo.CommBytes += xb
 	}
 	red := archmodel.RankCost{CommMsgs: sh.reductions * logP, CommBytes: sh.redBytes * logP}
-	var haloHide, redHide archmodel.RankCost
+	var redHide archmodel.RankCost
 	if sh.overlapped {
-		aIntNNZ := int64(ops[0].EnsureOverlap().InteriorNNZ())
-		rest := totNNZ - aIntNNZ
-		haloHide = archmodel.RankCost{Flops: 2 * aIntNNZ, StreamBytes: 12 * aIntNNZ}
-		redHide = archmodel.RankCost{Flops: 2 * rest, StreamBytes: 12 * rest}
+		redHide = archmodel.RankCost{Flops: 2 * totNNZ, StreamBytes: 12 * totNNZ}
 	}
 	return IterCostInputs{
 		Overlap: archmodel.OverlapCost{
@@ -160,7 +157,7 @@ func assembleIterCost(miss TracedMisses, sh loopShape, nl, ranks int, ops ...*di
 				CacheMisses: miss.A + miss.Precond,
 			},
 			Windows: []archmodel.CommWindow{
-				{Name: "halo", Comm: halo, Hide: haloHide},
+				{Name: "halo", Comm: halo},
 				{Name: "reduction", Comm: red, Hide: redHide},
 			},
 		},

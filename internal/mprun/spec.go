@@ -231,7 +231,7 @@ type RankOutcome struct {
 	SolveComm simmpi.Snapshot
 	// Waits is how the blocking waits of the rank's goroutine ended over the
 	// job: on the channel backend every receive, on the ring backend what a
-	// Comm waits for by itself (self-receives, nonblocking operations). It
+	// Comm waits for by itself (self-receives, posted reductions). It
 	// tells who arrived first, so no two runs need agree on it.
 	Waits simmpi.Waits
 	// SolveNanos is the rank's wall-clock time in the Krylov loop.

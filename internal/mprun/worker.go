@@ -173,7 +173,7 @@ func workerMain() error {
 }
 
 // runOn runs one job over a fresh communicator and meter on the long-lived
-// endpoint, so no count and no nonblocking chain carries over from the job
+// endpoint, so no count and no posted reduction carries over from the job
 // before. A panic — how the communicator reports a lost peer — comes back as
 // the job's error.
 func runOn(ctx context.Context, ep *tcpmpi.Endpoint, spec *JobSpec) (out *RankOutcome, err error) {
@@ -190,8 +190,8 @@ func runOn(ctx context.Context, ep *tcpmpi.Endpoint, spec *JobSpec) (out *RankOu
 	}
 	c := simmpi.NewComm(ep, simmpi.NewMeterTopo(ep.Size(), topo), opTimeout)
 	if out, err = RunJob(ctx, c, spec, nil); err == nil {
-		// The last iteration may have posted nonblocking sends whose chains
-		// are still flushing; the next job's traffic must not overtake them.
+		// A reduction posted and never waited may still be flushing; the
+		// next job's traffic must not overtake it.
 		c.Quiesce()
 	}
 	return out, err

@@ -180,6 +180,10 @@ func (s *Server) run(ctx context.Context, fp string, a *fsaicomm.Matrix, opt fsa
 		return fail(http.StatusUnprocessableEntity, "preparing system: %v", err)
 	}
 	j.st = st
+	if !st.hit && ctx.Err() != nil { // set-up is not interrupted; the system stays cached
+		s.met.jobsCanceled.Add(k)
+		return fail(http.StatusGatewayTimeout, "%s exceeded its %v deadline during set-up", what, s.cfg.JobTimeout)
+	}
 	iters, err := j.solve(ctx, p, so)
 	s.met.latency.observe(time.Since(t0))
 	s.recharge(j.key, p, so)

@@ -225,16 +225,20 @@ func TestSolveCoalescingSingleSlot(t *testing.T) {
 
 // A batched fp32 job that runs out of JobTimeout before its first
 // refinement is a 504 like its scalar twin, not a 200 carrying x = 0: the
-// refinement wrapper reports the cancellation it saw as ErrCanceled.
+// refinement wrapper reports the cancellation it saw as ErrCanceled. The
+// first request sets the system up past its deadline (a 504 of its own, no
+// batch run); the second finds it cached and reaches the solve.
 func TestBatchedFP32DeadlineIs504(t *testing.T) {
 	_, ts := testServer(t, Config{BatchMax: 2, BatchWindow: 10 * time.Millisecond, JobTimeout: time.Nanosecond})
 	mr := uploadGen(t, ts.URL, "Dubcova2-sim")
-	resp, body := postJSON(t, ts.URL+"/solve", solveRequest{Matrix: mr.Matrix, Ranks: 2, Precision: "fp32"})
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("fp32 batch past its deadline: %d %.200s", resp.StatusCode, body)
+	req := solveRequest{Matrix: mr.Matrix, Ranks: 2, Precision: "fp32"}
+	for _, what := range []string{"set-up", "fp32 batch"} {
+		if resp, body := postJSON(t, ts.URL+"/solve", req); resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("%s past its deadline: %d %.200s", what, resp.StatusCode, body)
+		}
 	}
-	if m := getMetrics(t, ts.URL); m.Jobs.Canceled != 1 || m.Batch.BatchesTotal != 1 {
-		t.Fatalf("canceled = %d, batches = %d, want 1 and 1", m.Jobs.Canceled, m.Batch.BatchesTotal)
+	if m := getMetrics(t, ts.URL); m.Jobs.Canceled != 2 || m.Batch.BatchesTotal != 1 {
+		t.Fatalf("canceled = %d, batches = %d, want 2 and 1", m.Jobs.Canceled, m.Batch.BatchesTotal)
 	}
 }
 

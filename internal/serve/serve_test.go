@@ -547,8 +547,15 @@ func TestSolveDeadline(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("upload: %d", code)
 	}
+	// The warm-up's set-up can outlast the deadline under -race; it answers
+	// 504 then, and its set-up is cached either way.
 	warm := solveRequest{Matrix: mr.Matrix, Ranks: 2, RHS: make([]float64, 40_000)}
-	if resp, body := postJSON(t, ts.URL+"/solve", warm); resp.StatusCode != http.StatusOK {
+	canceled := int64(1)
+	switch resp, body := postJSON(t, ts.URL+"/solve", warm); resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusGatewayTimeout:
+		canceled++
+	default:
 		t.Fatalf("warm-up solve: %d %.300s", resp.StatusCode, body)
 	}
 	req := solveRequest{Matrix: mr.Matrix, Ranks: 2, Tol: 1e-300, MaxIter: 5_000_000}
@@ -563,8 +570,30 @@ func TestSolveDeadline(t *testing.T) {
 	if _, err := fmt.Sscanf(string(body[strings.Index(string(body), "after "):]), "after %d iterations", &iters); err != nil || iters == 0 {
 		t.Fatalf("504 body %s: the deadline did not fire inside the loop (%v)", body, err)
 	}
+	if m := getMetrics(t, ts.URL); m.Jobs.Canceled != canceled {
+		t.Fatalf("canceled = %d, want %d", m.Jobs.Canceled, canceled)
+	}
+}
+
+// A set-up that outlasts JobTimeout is not interrupted, but the job answers
+// 504 when it ends, even where the solve would take no iteration (a zero
+// right-hand side), and counts as canceled; the prepared system stays
+// cached, and the same request again is a cache hit with nothing to solve.
+func TestSetupOutlastsDeadline(t *testing.T) {
+	_, ts := testServer(t, Config{JobTimeout: time.Millisecond})
+	mr := uploadGen(t, ts.URL, "Dubcova2-sim")
+	req := solveRequest{Matrix: mr.Matrix, Ranks: 2, RHS: make([]float64, mr.Rows)}
+	resp, body := postJSON(t, ts.URL+"/solve", req)
+	if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(body), "deadline during set-up") {
+		t.Fatalf("set-up past the deadline: %d %.300s", resp.StatusCode, body)
+	}
 	if m := getMetrics(t, ts.URL); m.Jobs.Canceled != 1 {
-		t.Fatalf("canceled = %d", m.Jobs.Canceled)
+		t.Fatalf("canceled = %d, want 1", m.Jobs.Canceled)
+	}
+	resp, body = postJSON(t, ts.URL+"/solve", req)
+	var sr solveResponse
+	if err := json.Unmarshal(body, &sr); resp.StatusCode != http.StatusOK || err != nil || !sr.CacheHit {
+		t.Fatalf("second request: %d %v %.300s", resp.StatusCode, err, body)
 	}
 }
 

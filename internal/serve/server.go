@@ -54,6 +54,9 @@ type Config struct {
 	// MatrixCacheBytes budgets the uploaded-matrix cache. Default 256 MiB.
 	MatrixCacheBytes int64
 	// JobTimeout bounds one solve job (setup + Krylov loop). Default 120s.
+	// A set-up in progress is not interrupted: a job whose set-up outlasts
+	// the deadline answers 504 when the set-up ends, and the prepared system
+	// stays cached for the next request, whose solve the deadline bounds.
 	JobTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (matrix uploads dominate).
 	// Default 64 MiB.

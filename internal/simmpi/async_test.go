@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Done reports whether the operation has completed (Wait would not block).
-func (r *op) Done() bool {
+// Done reports whether the reduction has completed (Wait would not block).
+func (r *Request) Done() bool {
 	select {
 	case <-r.done:
 		return true
@@ -88,61 +88,10 @@ func TestRequestDoubleWaitErrors(t *testing.T) {
 	}
 }
 
-// Isend/Irecv round trip with metering identical to the blocking twins.
-func TestIsendIrecvFloats(t *testing.T) {
-	w, err := Run(2, testTimeout, func(c *Comm) error {
-		if c.Rank() == 0 {
-			buf := []float64{1, 2, 3}
-			req := Isend(c, 1, 9, buf)
-			buf[0] = 99 // payload must have been copied at post time
-			_, err := req.Wait()
-			return err
-		}
-		req := Irecv[float64](c, 0, 9)
-		got, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-			return fmt.Errorf("got %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := w.Meter().PairBytes(0, 1); b != 24 {
-		t.Fatalf("metered %d bytes, want 24", b)
-	}
-}
-
-// The post-recv-then-send idiom must not deadlock: both ranks post their
-// receives first, then their sends, then wait — the pattern a nonblocking
-// halo exchange uses.
-func TestIrecvBeforeIsendNoDeadlock(t *testing.T) {
-	_, err := Run(2, testTimeout, func(c *Comm) error {
-		peer := 1 - c.Rank()
-		recv := Irecv[float64](c, peer, 3)
-		send := Isend(c, peer, 3, []float64{float64(c.Rank())})
-		got, err := recv.Wait()
-		if err != nil {
-			return err
-		}
-		if got[0] != float64(peer) {
-			return fmt.Errorf("got %v, want %d", got, peer)
-		}
-		_, err = send.Wait()
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Stress: many outstanding IallreduceSum and Isend/Irecv handles at once,
-// waited out of post order, on every rank, with results checked per
-// operation. Run under -race in tier2, this is the race gate for the
-// chain bookkeeping.
+// Stress: many outstanding IallreduceSum handles at once, with blocking
+// point-to-point traffic round a ring after each post, waited out of post
+// order, on every rank, with results checked per operation. Run under
+// -race in tier2, this is the race gate for the chain bookkeeping.
 func TestManyOutstandingRequestsOutOfOrderWaits(t *testing.T) {
 	const (
 		nranks = 4
@@ -150,13 +99,13 @@ func TestManyOutstandingRequestsOutOfOrderWaits(t *testing.T) {
 	)
 	_, err := Run(nranks, testTimeout, func(c *Comm) error {
 		next, prev := (c.Rank()+1)%nranks, (c.Rank()+nranks-1)%nranks
-		colls := make([]*Request[float64], nops)
-		sends := make([]*Request[float64], nops)
-		recvs := make([]*Request[float64], nops)
+		colls := make([]*Request, nops)
 		for i := 0; i < nops; i++ {
 			colls[i] = c.IallreduceSum(float64(i), 1)
-			recvs[i] = Irecv[float64](c, prev, 40)
-			sends[i] = Isend(c, next, 40, []float64{float64(c.Rank()*nops + i)})
+			Send(c, next, 40, []float64{float64(c.Rank()*nops + i)})
+			if v := Recv[float64](c, prev, 40); v[0] != float64(prev*nops+i) {
+				return fmt.Errorf("recv %d: got %v, want %d", i, v, prev*nops+i)
+			}
 		}
 		// Wait in a rank-dependent shuffled order: out-of-order waits must
 		// neither deadlock nor cross results between handles.
@@ -169,16 +118,6 @@ func TestManyOutstandingRequestsOutOfOrderWaits(t *testing.T) {
 			}
 			if g[0] != float64(i*nranks) || g[1] != nranks {
 				return fmt.Errorf("collective %d: got %v", i, g)
-			}
-			v, err := recvs[i].Wait()
-			if err != nil {
-				return err
-			}
-			if v[0] != float64(prev*nops+i) {
-				return fmt.Errorf("recv %d: got %v, want %d", i, v, prev*nops+i)
-			}
-			if _, err := sends[i].Wait(); err != nil {
-				return err
 			}
 		}
 		return nil
@@ -219,21 +158,27 @@ func TestBlockingCollectiveDrainsOutstanding(t *testing.T) {
 	}
 }
 
-// A mix of blocking and nonblocking sends to the same peer must preserve
-// per-sender FIFO order.
+// Sends to one peer mixed with posted reductions must keep per-sender FIFO
+// order: a reduction in flight never takes, delays or reorders a message.
 func TestMixedSendOrderPreserved(t *testing.T) {
 	_, err := Run(2, testTimeout, func(c *Comm) error {
+		var reqs []*Request
 		if c.Rank() == 0 {
-			Isend(c, 1, 11, []float64{1})
-			Send(c, 1, 11, []float64{2}) // must drain the Isend first
-			Isend(c, 1, 11, []float64{3})
-			c.Barrier()
-			return nil
+			for v := 1.0; v <= 3; v++ {
+				reqs = append(reqs, c.IallreduceSum(v))
+				Send(c, 1, 11, []float64{v})
+			}
+		} else {
+			for want := 1.0; want <= 3; want++ {
+				reqs = append(reqs, c.IallreduceSum(want))
+				if got := Recv[float64](c, 0, 11); got[0] != want {
+					return fmt.Errorf("got %v, want %v", got, want)
+				}
+			}
 		}
-		for want := 1.0; want <= 3; want++ {
-			got := Recv[float64](c, 0, 11)
-			if got[0] != want {
-				return fmt.Errorf("got %v, want %v", got, want)
+		for i, r := range reqs {
+			if sum, err := r.Wait(); err != nil || sum[0] != float64(2*(i+1)) {
+				return fmt.Errorf("reduction %d: %v, %v", i, sum, err)
 			}
 		}
 		c.Barrier()

@@ -7,18 +7,17 @@
 // rank is an OS process and messages cross shared-memory rings.
 //
 // The runtime provides the subset of MPI the paper's solver needs — tagged
-// point-to-point messages of float64, float32 or int values (Send, Recv and
-// their nonblocking forms Isend and Irecv), the collectives Allreduce (Sum or
-// Max), Allgather and Barrier and a nonblocking IallreduceSum, one generic
-// body each over Elem — and, crucially, it meters every byte that crosses
-// rank boundaries. Every collective is one rendezvous, written once in Comm
-// for both backends: gather to rank 0, reduce in ascending rank order,
-// send the result down. The paper's central
-// communication claim (the FSAIE-Comm pattern extension leaves the
-// halo-exchange neighbour sets and volumes untouched) is verified against
-// this meter rather than against wall-clock timings. Metering happens in
-// Comm, above the Transport, so the counters are identical across backends
-// by construction.
+// blocking point-to-point messages of float64, float32 or int values (Send
+// and Recv), the collectives Allreduce (Sum or Max), Allgather and Barrier
+// and a nonblocking IallreduceSum, one generic body each over Elem — and,
+// crucially, it meters every byte that crosses rank boundaries. Every
+// collective is one rendezvous, written once in Comm for both backends:
+// gather to rank 0, reduce in ascending rank order, send the result down.
+// The paper's central communication claim (the FSAIE-Comm pattern extension
+// leaves the halo-exchange neighbour sets and volumes untouched) is verified
+// against this meter rather than against wall-clock timings. Metering
+// happens in Comm, above the Transport, so the counters are identical
+// across backends by construction.
 package simmpi
 
 import (
@@ -39,20 +38,18 @@ type World struct {
 	// lanes[l][dst][src] carries lane l's messages from src to dst; per-pair
 	// channels keep message order deterministic per sender as MPI guarantees.
 	lanes [2][][]chan Payload
-	// states holds each rank's Comm-level state (nonblocking chains and the
-	// self-send loopback queue). Entry r is touched only by rank r's
-	// goroutine, so no lock is needed.
+	// states holds each rank's Comm-level state (the nonblocking collective
+	// chain and the self-send loopback queue). Entry r is touched only by
+	// rank r's goroutine, so no lock is needed.
 	states []rankState
 }
 
 // rankState is the per-rank state a Comm needs above the transport: the
-// tails of the nonblocking-operation chains and the self-send loopback
-// queue. Collectives, sends and receives each order independently: chaining
-// sends behind receives (or vice versa) would deadlock the
-// post-recv-then-send idiom that makes nonblocking halo exchanges useful in
-// the first place.
+// tail of the nonblocking-collective chain and the self-send loopback queue.
+// The chain orders collectives only: point-to-point traffic travels on a
+// lane of its own beside a posted reduction.
 type rankState struct {
-	collTail, sendTail, recvTail *op
+	collTail *Request
 	// self carries rank→rank loopback messages (see Send): a
 	// bounded FIFO so a runaway self-send loop fails loudly instead of
 	// consuming unbounded memory.
@@ -257,8 +254,8 @@ func (c *Comm) selfPush(p Payload) {
 }
 
 // selfPop dequeues the next loopback message, bounded by the timeout: a
-// self-receive with nothing enqueued (and no nonblocking self-send pending)
-// can never be satisfied, so it fails like any other would-be deadlock.
+// self-receive with nothing enqueued can never be satisfied, so it fails
+// like any other would-be deadlock.
 func (c *Comm) selfPop() (Payload, error) {
 	m, ok := recvWithin(c.st.self, c.timeout, c.waits)
 	if !ok {
@@ -306,28 +303,14 @@ func message[T Elem](src, tag int, data []T) Payload {
 // special-casing on any backend.
 func Send[T Elem](c *Comm, dst, tag int, data []T) {
 	c.checkPeer(dst)
-	c.drain(&c.st.sendTail)
-	c.deliver(dst, outgoing(c, dst, tag, data))
-}
-
-// outgoing is the message that sends data to dst: a copy, metered now, or
-// for the loopback data itself, unmetered.
-func outgoing[T Elem](c *Comm, dst, tag int, data []T) Payload {
-	if dst != c.Rank() {
-		c.meter.record(c.Rank(), dst, width[T]()*len(data))
-		data = append([]T(nil), data...)
-	}
-	return message(c.Rank(), tag, data)
-}
-
-// deliver hands m to the loopback queue or to the transport.
-func (c *Comm) deliver(dst int, m Payload) {
-	if dst == c.Rank() {
-		c.selfPush(m)
+	me := c.Rank()
+	if dst == me {
+		c.selfPush(message(me, tag, data))
 		return
 	}
-	if err := c.t.Send(P2P, dst, m); err != nil {
-		panic(fmt.Sprintf("simmpi: rank %d sending tag %d to %d: %v", c.Rank(), m.Tag, dst, err))
+	c.meter.record(me, dst, width[T]()*len(data))
+	if err := c.t.Send(P2P, dst, message(me, tag, append([]T(nil), data...))); err != nil {
+		panic(fmt.Sprintf("simmpi: rank %d sending tag %d to %d: %v", me, tag, dst, err))
 	}
 }
 
@@ -336,20 +319,6 @@ func (c *Comm) deliver(dst int, m Payload) {
 // tag or element type panics (the solver uses strictly ordered phases, so a
 // mismatch is a protocol bug).
 func Recv[T Elem](c *Comm, src, tag int) []T {
-	c.drain(&c.st.recvTail)
-	return recv[T](c, src, tag)
-}
-
-// SendFloats is Send of float64 values, the spelling benchmark/ calls.
-func (c *Comm) SendFloats(dst, tag int, data []float64) { Send(c, dst, tag, data) }
-
-// RecvFloats is Recv of float64 values, the spelling benchmark/ calls.
-func (c *Comm) RecvFloats(src, tag int) []float64 { return Recv[float64](c, src, tag) }
-
-// recv takes the next message from src, off the loopback queue or the
-// transport, and returns its T values: the body of Recv and of Irecv's
-// background operation.
-func recv[T Elem](c *Comm, src, tag int) []T {
 	c.checkPeer(src)
 	var m Payload
 	var err error
@@ -371,6 +340,12 @@ func recv[T Elem](c *Comm, src, tag int) []T {
 	}
 	return vals
 }
+
+// SendFloats is Send of float64 values, the spelling benchmark/ calls.
+func (c *Comm) SendFloats(dst, tag int, data []float64) { Send(c, dst, tag, data) }
+
+// RecvFloats is Recv of float64 values, the spelling benchmark/ calls.
+func (c *Comm) RecvFloats(src, tag int) []float64 { return Recv[float64](c, src, tag) }
 
 // values returns m's T values, and false if m carries values of another
 // type. An empty message has no type: it fits every T.
@@ -456,7 +431,7 @@ func (c *Comm) meterCollective(bytes int) {
 // collective streams), then performs the rendezvous.
 func syncCollective[T Elem](c *Comm, op Op, vals []T) []T {
 	c.meterCollective(width[T]() * len(vals))
-	c.drain(&c.st.collTail)
+	c.Quiesce()
 	return collective(c, op, vals)
 }
 
@@ -549,48 +524,38 @@ func (c *Comm) take(src int, op Op) Payload {
 	return m
 }
 
-// ---- Nonblocking operations ----
+// ---- The nonblocking collective ----
 //
-// IallreduceSum, Isend and Irecv return immediately with a Request handle;
-// the operation itself runs on a background goroutine. Each rank keeps three
-// FIFO chains — collectives, sends, receives — so outstanding operations of
-// one kind complete in post order (matching the per-sender ordering of Send
-// and Recv), while the three kinds stay independent: posting a receive
-// before the matching send, the whole point of nonblocking halo exchanges,
-// cannot self-deadlock. Metering is charged at post time, identically to the
-// blocking operations, so metered structural claims hold regardless of which
-// flavor a solver uses.
+// IallreduceSum returns immediately with a Request handle; the reduction
+// itself runs on a background goroutine. Each rank keeps one FIFO chain of
+// them, so outstanding reductions complete in post order, while blocking
+// point-to-point traffic goes on beside them on its own lane: pipelined CG
+// runs its halo updates with the reduction in flight. Metering is charged
+// at post time, identically to Allreduce.
 
 // ErrWaited is wrapped by Request.Wait when a handle is waited twice.
 var ErrWaited = fmt.Errorf("simmpi: request already waited")
 
-// op is the untyped part of a nonblocking operation, all a chain waits on:
-// the background goroutine publishes its result (or recovered panic) before
-// closing done, so a waiter observes it race-free.
-type op struct {
-	kind     string
+// Request is the wait handle of a posted IallreduceSum, confined to the rank
+// goroutine that posted it. The background goroutine publishes the reduced
+// vector (or a recovered panic) before closing done, so a waiter observes it
+// race-free.
+type Request struct {
 	done     chan struct{}
 	waits    *Waits // of the rank that posted it
+	vals     []float64
 	panicVal any
 	waited   bool
 }
 
-// Request is the wait handle of a nonblocking operation whose result is T
-// values. A Request is confined to the rank goroutine that posted it.
-type Request[T Elem] struct {
-	op
-	vals []T
-}
-
-// Wait blocks until the operation completes and returns its values (the
-// reduced vector for IallreduceSum, the received values for Irecv, nil for
-// Isend). Waiting a handle twice returns an error wrapping ErrWaited instead
-// of deadlocking. A panic inside the operation (timeout, protocol mismatch)
-// is re-raised in the waiting goroutine, where the runtime's per-rank
-// recovery can observe it.
-func (r *Request[T]) Wait() ([]T, error) {
+// Wait blocks until the reduction completes and returns the reduced vector.
+// Waiting a handle twice returns an error wrapping ErrWaited instead of
+// deadlocking. A panic inside the operation (timeout, protocol mismatch) is
+// re-raised in the waiting goroutine, where the runtime's per-rank recovery
+// can observe it.
+func (r *Request) Wait() ([]float64, error) {
 	if r.waited {
-		return nil, fmt.Errorf("%w: %s", ErrWaited, r.kind)
+		return nil, fmt.Errorf("%w: iallreduce-sum", ErrWaited)
 	}
 	r.waited = true
 	recvWithin(r.done, 0, r.waits)
@@ -600,36 +565,33 @@ func (r *Request[T]) Wait() ([]T, error) {
 	return r.vals, nil
 }
 
-// drain waits for the tail of a chain without consuming its handle (the
-// poster may still Wait it). Called only from the owning rank's goroutine.
-func (c *Comm) drain(tail **op) {
-	if t := *tail; t != nil {
+// Quiesce waits for this rank's posted reductions to finish executing,
+// without consuming their handles (the poster may still Wait them). Every
+// blocking collective quiesces first. An in-process world never needs it
+// otherwise (chain goroutines outlive the rank closures), but a rank that
+// owns its transport's lifetime must quiesce before tearing it down: a
+// reduction posted and never waited may still owe a peer its part, and
+// exiting the process (or closing the endpoint) first would turn that
+// peer's receive into a spurious rank-lost failure. Chain entries that panicked are already captured into
+// their handles; Quiesce only waits, it never re-raises.
+func (c *Comm) Quiesce() {
+	if t := c.st.collTail; t != nil {
 		recvWithin(t.done, 0, c.waits)
 	}
 }
 
-// Quiesce waits for every outstanding nonblocking chain on this rank —
-// sends, receives and collectives — to finish executing. An in-process
-// world never needs it (chain goroutines outlive the rank closures), but a
-// rank that owns its transport's lifetime must quiesce before tearing it
-// down: the solver's final iteration may have posted an async halo send a
-// peer is still waiting on, and exiting the process (or closing the
-// endpoint) first would turn that peer's receive into a spurious rank-lost
-// failure. Chain entries that panicked are already captured into their
-// handles; Quiesce only waits, it never re-raises.
-func (c *Comm) Quiesce() {
-	c.drain(&c.st.sendTail)
-	c.drain(&c.st.recvTail)
-	c.drain(&c.st.collTail)
-}
-
-// post enqueues fn on the chain whose tail is *tail and returns its
-// Request. fn runs on a background goroutine after the previous chain
-// entry completes; its panics are captured into the handle.
-func post[T Elem](c *Comm, kind string, tail **op, fn func() []T) *Request[T] {
-	prev := *tail
-	r := &Request[T]{op: op{kind: kind, done: make(chan struct{}), waits: c.waits}}
-	*tail = &r.op
+// IallreduceSum posts the element-wise sum reduction of vals over all ranks
+// and returns immediately; Wait yields the reduced vector. Metered at post
+// time exactly like Allreduce. The reduction runs on a background goroutine
+// after the rank's previous posted one completes. All ranks must post (or
+// call) matching collectives in the same order; blocking collectives issued
+// while nonblocking ones are outstanding wait for them first.
+func (c *Comm) IallreduceSum(vals ...float64) *Request {
+	c.meterCollective(8 * len(vals))
+	payload := append([]float64(nil), vals...)
+	prev := c.st.collTail
+	r := &Request{done: make(chan struct{}), waits: c.waits}
+	c.st.collTail = r
 	go func() {
 		defer close(r.done)
 		defer func() {
@@ -640,50 +602,15 @@ func post[T Elem](c *Comm, kind string, tail **op, fn func() []T) *Request[T] {
 		if prev != nil {
 			recvWithin(prev.done, 0, nil)
 			// A failed predecessor poisons the chain: executing after it
-			// would desynchronize this rank's operation order against its
+			// would desynchronize this rank's collective order against its
 			// peers, so surface the same failure here.
 			if prev.panicVal != nil {
 				panic(prev.panicVal)
 			}
 		}
-		r.vals = fn()
+		r.vals = collective(c.bg, Sum, payload)
 	}()
 	return r
-}
-
-// IallreduceSum posts the element-wise sum reduction of vals over all ranks
-// and returns immediately; Wait yields the reduced vector. Metered at post
-// time exactly like Allreduce. All ranks must post (or call) matching
-// collectives in the same order; blocking collectives issued while
-// nonblocking ones are outstanding wait for them first.
-func (c *Comm) IallreduceSum(vals ...float64) *Request[float64] {
-	c.meterCollective(8 * len(vals))
-	payload := append([]float64(nil), vals...)
-	return post(c, "iallreduce-sum", &c.st.collTail, func() []float64 {
-		return collective(c.bg, Sum, payload)
-	})
-}
-
-// Isend posts a copy of data to dst with the given tag and returns
-// immediately; Wait yields (nil, nil) once the payload is handed to the
-// transport. Metered at post time exactly like Send, so the per-pair byte
-// and message counts are independent of which flavor is used. Posted
-// self-sends enter the loopback queue in chain order, without copying.
-func Isend[T Elem](c *Comm, dst, tag int, data []T) *Request[T] {
-	c.checkPeer(dst)
-	m := outgoing(c, dst, tag, data)
-	return post(c, "isend", &c.st.sendTail, func() []T {
-		c.deliver(dst, m)
-		return nil
-	})
-}
-
-// Irecv posts a receive for T values from src with the given tag; Wait
-// yields the values. Outstanding receives complete in post order, so the
-// per-sender FIFO delivery of Recv is preserved.
-func Irecv[T Elem](c *Comm, src, tag int) *Request[T] {
-	c.checkPeer(src)
-	return post(c, "irecv", &c.st.recvTail, func() []T { return recv[T](c.bg, src, tag) })
 }
 
 // Meter accumulates communication statistics. Safe for concurrent use.

@@ -5,7 +5,7 @@ import "errors"
 // Transport is the wire layer beneath a Comm: one rank's connection to its
 // world. It moves ordered payloads between two ranks on two lanes and knows
 // nothing of what they mean: tags, element types, copies, the collective
-// rendezvous (see collective), the nonblocking operation chains and the
+// rendezvous (see collective), the chain of posted reductions and the
 // meters all live in Comm, so a solver written against Comm runs unmodified
 // over any backend.
 //
@@ -48,7 +48,7 @@ type Transport interface {
 type Lane uint8
 
 const (
-	P2P  Lane = iota // tagged point-to-point messages (Send, Recv, Isend, Irecv)
+	P2P  Lane = iota // tagged point-to-point messages (Send, Recv)
 	Coll             // collective contributions and results; the tag is the Op
 )
 

@@ -1,8 +1,7 @@
 package sparse
 
 // The product kernels behind every y = A·x loop of the repository: CSR
-// MulVec, MulVecDot, MulMat, MulMatCols and distmat's interior/boundary row
-// products all land here.
+// MulVec, MulVecDot, MulMat and MulMatCols all land here.
 //
 // RowDot is the scalar kernel and rowDotCols the k-wide one. Both take one
 // row as hoisted slices (cs, vs) instead of indexing RowPtr, ColIdx and Val

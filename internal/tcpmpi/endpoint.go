@@ -83,9 +83,9 @@ type peerConn struct {
 	mem     []byte
 	in, out ring
 
-	// wmu serializes producers: a nonblocking send chain's goroutine and the
-	// rank goroutine's collective message may target the same peer at
-	// once, and a frame's pieces must not interleave with another's. It also
+	// wmu serializes producers: the rank goroutine's send and a posted
+	// reduction's background goroutine may target the same peer at once,
+	// and a frame's pieces must not interleave with another's. It also
 	// guards wbuf, the storage every outgoing frame is encoded into, so a
 	// steady-state send allocates nothing.
 	wmu  sync.Mutex

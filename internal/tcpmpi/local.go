@@ -79,9 +79,9 @@ func RunLocalTopo(size int, cfg Config, topo simmpi.Topology, fn func(c *simmpi.
 			c := simmpi.NewComm(t, meters[rank], cfg.Timeout)
 			errs[rank] = fn(c)
 			if errs[rank] == nil {
-				// Flush outstanding nonblocking chains before the deferred
-				// endpoint Close: a peer may still be waiting on an async
-				// send fn posted on its way out.
+				// Flush posted reductions before the deferred endpoint
+				// Close: a peer may still be waiting on the part of one fn
+				// posted on its way out.
 				c.Quiesce()
 			}
 		}(r)

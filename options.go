@@ -92,8 +92,8 @@ type Options struct {
 	// (default; three reductions per iteration, blocking SpMV), CGFused (one
 	// batched Allreduce per iteration, blocking SpMV, fused kernels) or
 	// CGPipelined (one nonblocking Allreduce per iteration, hidden behind the
-	// next SpMV and preconditioner application; A's product overlaps its halo
-	// exchange). A one-process solve runs it on one rank, as
+	// next SpMV and preconditioner application, both blocking). Every
+	// product blocks on its halo exchange. A one-process solve runs it on one rank, as
 	// SolveDistributed does at Ranks 1. See ParseCGVariant for the flag
 	// spellings.
 	CGVariant CGVariant

@@ -378,7 +378,7 @@ func TestRefactorConcurrentWithSolve(t *testing.T) {
 			defer wg.Done()
 			so := SolveOptions{}
 			if i%2 == 1 {
-				so.CGVariant = CGFused // builds the overlap view on private operators
+				so.CGVariant = CGFused // a second variant on the donor's structure
 			}
 			got, err := donor.Solve(ctx, b, so)
 			if err != nil {

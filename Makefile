@@ -92,7 +92,14 @@ all: tier1
 # the same job with followers: non-test internal/serve takes an admission
 # slot in two places (s.sem <-: a free slot, or one waited for in the
 # queue), releases it in one (<-s.sem), builds one solveResponse literal and
-# adds a solve's totals to /metrics in one place (iterations.Add). The reach
+# adds a solve's totals to /metrics in one place (iterations.Add). The flat
+# step fails if a node topology or node-aware halo aggregation comes back
+# beside the flat world every workload runs (aggregation lost on this host's
+# clock wherever it was measured; EXPERIMENTS.md): a file named nodeaware.go
+# anywhere or internal/simmpi/topology.go, or a non-comment line of non-test
+# code that names Topology(, ResolveTopology, RanksPerNode,
+# NoNodeAggregation, SetNodeAware, NeedCounts, RunTopo, NewWorldTopo,
+# NewMeterTopo, RunLocalTopo, IntraAlphaSec, IntraCommMsgs or napSched. The reach
 # step fails if a non-test function comes back that no entry point reaches
 # (see reach). The procs step, last, fails if a rank worker, a daemon or a
 # benchmark harness of this checkout is still running (see procs).
@@ -174,6 +181,13 @@ tier1:
 			[ "$$(echo "$$answers" | grep -c .)" -gt 1 ] || [ "$$(echo "$$totals" | grep -c .)" -gt 1 ]; then \
 			echo "internal/serve has a second /solve path beside the one job path (admission, answer or /metrics totals twice):"; \
 			echo "$$takes"; echo "$$frees"; echo "$$answers"; echo "$$totals"; exit 1; fi
+	@src="$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/out/*')"; code='^[^:]*:[0-9]*:[[:space:]]*//'; \
+		flat="$$(find . -name nodeaware.go -not -path './benchmark/out/*'; ls internal/simmpi/topology.go 2>/dev/null; \
+		grep -nE 'Topology\(|ResolveTopology|RanksPerNode|NoNodeAggregation|SetNodeAware|NeedCounts|RunTopo|NewWorldTopo|NewMeterTopo|RunLocalTopo|IntraAlphaSec|IntraCommMsgs|napSched' $$src \
+			| grep -v "$$code")"; \
+		if [ -n "$$flat" ]; then \
+			echo "a node topology or node-aware halo aggregation is back beside the flat world (one exchange, one meter, one α–β pair):"; \
+			echo "$$flat"; exit 1; fi
 	@$(MAKE) --no-print-directory reach
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/sparse/ ./internal/vecops/
@@ -248,10 +262,10 @@ reach:
 # tier2: race-detector pass over the concurrency-bearing packages (the
 # simulated MPI runtime, the socket transport and the multi-process rank
 # runner, the worker pool, the row-parallel FSAI builds, the batched SpMM
-# and block vector kernels, the distributed solver/operator layers with the
-# node-aware halo relay, the hierarchical cost model and experiment sweeps,
-# the HTTP serving layer with its concurrent cached solves and job
-# coalescing, the topology-carrying CLI, the column-parallel SPAI build
+# and block vector kernels, the distributed solver/operator layers, the
+# cost model and experiment sweeps, the HTTP serving layer with its
+# concurrent cached solves and job coalescing, the solver CLI, the
+# column-parallel SPAI build
 # with its dense QR kernel, the partitioner and the core build that sit on
 # the rank-parallel set-up path, and the root facade's cross-backend
 # transport suite).

@@ -726,14 +726,14 @@ func BenchmarkApplyBatch50k(b *testing.B) {
 	for _, h := range p.parts {
 		entries += h.G.LZ.M.NNZ() + h.GT.LZ.M.NNZ()
 	}
-	op := func(c *simmpi.Comm, h *mprun.HeldOp) *distmat.Op {
-		return distmat.NewOpFromParts(h.LZ, distmat.NewHaloPlanFromScheduleTopo(h.Send, h.Recv, h.Counts, c.Rank(), c.Topology()))
+	op := func(h *mprun.HeldOp) *distmat.Op {
+		return distmat.NewOpFromParts(h.LZ, distmat.NewHaloPlanFromSchedule(h.Send, h.Recv))
 	}
 	for _, k := range []int{1, 2} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			_, err := simmpi.Run(len(p.parts), time.Hour, func(c *simmpi.Comm) error {
 				h := p.parts[c.Rank()]
-				s := krylov.NewDistSplitBatch(op(c, h.G), op(c, h.GT), k)
+				s := krylov.NewDistSplitBatch(op(h.G), op(h.GT), k)
 				nl := h.G.LZ.NLocal()
 				r, z := make([]float64, nl*k), make([]float64, nl*k)
 				for i := range r {

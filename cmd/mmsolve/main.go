@@ -52,8 +52,6 @@ func main() {
 		outPath    = flag.String("out", "", "write the solution vector to this file (one value per line)")
 		tracePath  = flag.String("trace", "", "write per-iteration solver telemetry (residual, alpha/beta, comm deltas) to this JSON file")
 		rr         = flag.Int("rr", 0, "pipelined CG: recompute the true residual every N iterations (0 = off)")
-		nodes      = flag.Int("nodes", 0, "two-level topology: number of nodes (0 = flat; ranks must divide evenly)")
-		rpn        = flag.Int("ranks-per-node", 0, "two-level topology: ranks per node (0 = flat; pairs with -nodes, either may be derived)")
 		precision  = flag.String("precision", "", "solve precision: fp64 (default) or fp32 (float32 factors + FP64 iterative refinement; halves halo traffic)")
 	)
 	flag.Parse()
@@ -69,7 +67,7 @@ func main() {
 		*method = "spai"
 	}
 	sp := spaiFlags{solver: *solver, restart: *restart, steps: *spaiSteps, add: *spaiAdd, eps: *spaiEps}
-	if err := run(*matrixPath, *rhsPath, *method, *filter, *dynamic, *line, *ranks, *workers, *cg, *tol, *maxIter, *outPath, *tracePath, *rr, *nodes, *rpn, *precision, sp); err != nil {
+	if err := run(*matrixPath, *rhsPath, *method, *filter, *dynamic, *line, *ranks, *workers, *cg, *tol, *maxIter, *outPath, *tracePath, *rr, *precision, sp); err != nil {
 		fmt.Fprintln(os.Stderr, "mmsolve:", err)
 		os.Exit(1)
 	}
@@ -85,7 +83,7 @@ type spaiFlags struct {
 	eps     float64
 }
 
-func run(matrixPath, rhsPath, method string, filter float64, dynamic bool, line, ranks, workers int, cg string, tol float64, maxIter int, outPath, tracePath string, rr, nodes, rpn int, precision string, sp spaiFlags) error {
+func run(matrixPath, rhsPath, method string, filter float64, dynamic bool, line, ranks, workers int, cg string, tol float64, maxIter int, outPath, tracePath string, rr int, precision string, sp spaiFlags) error {
 	if matrixPath == "" {
 		return fmt.Errorf("-matrix is required")
 	}
@@ -122,11 +120,6 @@ func run(matrixPath, rhsPath, method string, filter float64, dynamic bool, line,
 		Workers:              workers,
 		Trace:                tracePath != "",
 		ResidualReplaceEvery: rr,
-		Nodes:                nodes,
-		RanksPerNode:         rpn,
-	}
-	if (nodes != 0 || rpn != 0) && ranks == 1 {
-		return fmt.Errorf("-nodes/-ranks-per-node need a distributed solve (-ranks > 1)")
 	}
 	m, err := fsaicomm.ParseMethod(method)
 	if err != nil {
@@ -182,17 +175,6 @@ func run(matrixPath, rhsPath, method string, filter float64, dynamic bool, line,
 		fmt.Printf(", %d bytes exchanged (%.1f per iteration)", res.CommBytes, res.CommBytesPerIteration)
 	}
 	fmt.Println()
-	if nodes != 0 || rpn != 0 {
-		dn, dr := nodes, rpn
-		if dn == 0 {
-			dn = res.Ranks / dr
-		}
-		if dr == 0 {
-			dr = res.Ranks / dn
-		}
-		fmt.Printf("topology: %d nodes x %d ranks/node; intra-node %d msgs / %d bytes, inter-node %d msgs / %d bytes\n",
-			dn, dr, res.IntraNodeMessages, res.IntraNodeBytes, res.InterNodeMessages, res.InterNodeBytes)
-	}
 	for _, win := range res.Phases.Windows {
 		fmt.Printf("modeled %s window: %.3e s raw, %.3e s hidden, %.3e s exposed\n",
 			win.Name, win.RawSec, win.HiddenSec, win.ExposedSec)

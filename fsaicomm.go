@@ -214,17 +214,6 @@ type SolveTotals struct {
 	// the per-RHS amortized cost the batch exists to shrink.
 	CommBytes    int64
 	CommMessages int64
-	// IntraNodeBytes/IntraNodeMessages and InterNodeBytes/InterNodeMessages
-	// split the point-to-point totals by the two-level topology
-	// (Options.Nodes/RanksPerNode): traffic between ranks on the same node vs
-	// ranks on different nodes. Under the flat default every rank is its own
-	// node, so all traffic is inter-node (Intra* stay 0) and
-	// InterNodeBytes == CommBytes. The invariant
-	// IntraNodeBytes+InterNodeBytes == CommBytes holds always.
-	IntraNodeBytes    int64
-	IntraNodeMessages int64
-	InterNodeBytes    int64
-	InterNodeMessages int64
 	// CollectiveCalls and CollectiveBytes are the aggregate collective
 	// totals over all ranks of the solve phase, from the simulated runtime's
 	// meter; a one-process solve reports what its one rank meters.
@@ -313,8 +302,7 @@ func checkSolverMatrix(a *Matrix, solver Solver) error {
 // Solve runs a preconditioned Krylov solve A·x = b on a single process: the
 // distributed solve on a world of one rank, which answers what
 // SolveDistributed answers at Ranks 1 — x, iterations, meters and
-// ModeledSolveTime, under every CGVariant. Options are checked at
-// Options.Ranks; Transport and the node grouping are ignored, since one
+// ModeledSolveTime, under every CGVariant. Transport is ignored, since one
 // process has no peer to reach.
 func Solve(a *Matrix, b []float64, opt Options) (*Result, error) {
 	return SolveContext(context.Background(), a, b, opt)
@@ -325,7 +313,7 @@ func Solve(a *Matrix, b []float64, opt Options) (*Result, error) {
 // together with an ErrCanceled-wrapped error. It is BuildPreconditioner
 // followed by SolveWith; Result.SetupTime is the build.
 func SolveContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Result, error) {
-	setup, err := opt.setUp(a, opt.Ranks, false)
+	setup, err := opt.setUp(a, false)
 	if err == nil {
 		err = checkRHS([][]float64{b}, a.Rows)
 	}
@@ -339,11 +327,11 @@ func SolveContext(ctx context.Context, a *Matrix, b []float64, opt Options) (*Re
 	return p.solve(ctx, b, opt.SolveOptions())
 }
 
-// setUp checks a set-up of a under o — every field, every combination at
-// ranks ranks for a batched solve or not, and the matrix — before any work,
-// and returns the canonical set-up group.
-func (o Options) setUp(a *Matrix, ranks int, batch bool) (Options, error) {
-	if err := o.check(ranks, batch); err != nil {
+// setUp checks a set-up of a under o — every field, every combination for
+// a batched solve or not, and the matrix — before any work, and returns the
+// canonical set-up group.
+func (o Options) setUp(a *Matrix, batch bool) (Options, error) {
+	if err := o.check(batch); err != nil {
 		return Options{}, err
 	}
 	if err := checkInputMatrix(a, o.Solver); err != nil {
@@ -429,9 +417,8 @@ func runTransient(ctx context.Context, jobs []*mprun.JobSpec) ([]*mprun.RankOutc
 // transport: "sim" (or empty) runs goroutine ranks over the in-process
 // metered channels, "tcp" runs them on p's worker processes, one OS process
 // per rank. Both run the identical mprun rank job, which is what makes their
-// results and meters bit-identical, and both read the node grouping from the
-// job itself. pools, when given, lends each sim rank a workspace for the
-// solve (worker processes start fresh anyway).
+// results and meters bit-identical. pools, when given, lends each sim rank a
+// workspace for the solve (worker processes start fresh anyway).
 func (p *Prepared) runRanks(ctx context.Context, transport string, job mprun.JobSpec, held []mprun.Operators, pools []sync.Pool, rhs [][]float64) (*rankFold, error) {
 	if ctx == nil {
 		// Never canceled; the ranks still meter the cancel check, as
@@ -446,16 +433,13 @@ func (p *Prepared) runRanks(ctx context.Context, transport string, job mprun.Job
 		jobs[r] = job.ForRank(r, pb)
 		jobs[r].Adopt = &held[r]
 	}
-	topo, err := job.Topology(ranks)
-	if err != nil {
-		return nil, err
-	}
 	var outs []*mprun.RankOutcome
+	var err error
 	if transport == "tcp" {
 		outs, err = p.runResident(ctx, jobs)
 	} else {
 		outs = make([]*mprun.RankOutcome, ranks)
-		_, err = simmpi.RunTopo(ranks, time.Hour, topo, func(c *simmpi.Comm) error {
+		_, err = simmpi.Run(ranks, time.Hour, func(c *simmpi.Comm) error {
 			var ws *krylov.Workspace
 			if pools != nil {
 				pool := &pools[c.Rank()]
@@ -503,10 +487,6 @@ func foldOutcomes(outs []*mprun.RankOutcome, oldToNew []int, k int, sp mprun.Sol
 		copy(px[out.Lo*k:out.Hi*k], out.XLocal)
 		t.CommBytes += out.SolveComm.P2PBytes
 		t.CommMessages += out.SolveComm.P2PMessages
-		t.IntraNodeBytes += out.SolveComm.IntraP2PBytes
-		t.IntraNodeMessages += out.SolveComm.IntraP2PMessages
-		t.InterNodeBytes += out.SolveComm.InterP2PBytes
-		t.InterNodeMessages += out.SolveComm.InterP2PMessages
 		t.CollectiveCalls += out.SolveComm.CollectiveCalls
 		t.CollectiveBytes += out.SolveComm.CollectiveBytes
 		t.Waits.Ready += out.Waits.Ready

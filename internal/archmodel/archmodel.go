@@ -6,11 +6,11 @@
 // The paper's method consumes exactly one architectural parameter — the
 // cache-line size (64 B on Skylake and Zen 2, 256 B on A64FX) — which is why
 // A64FX shows the largest gains. The rest of the profile (L1 geometry, flop
-// rate, memory bandwidth, the two levels of interconnect α/β) feeds a
+// rate, memory bandwidth, the interconnect α/β) feeds a
 // max-over-ranks time model, evaluated by OverlapReport alone:
 //
 //	compute(c) = flops/(rate·cores) + streamBytes/(bw·cores) + misses·missPenalty
-//	comm(c)    = msgs·α + bytes·β + intraMsgs·α_intra + intraBytes·β_intra
+//	comm(c)    = msgs·α + bytes·β
 //	iterTime   = compute(rank) + Σ over windows w of max(0, comm(w.Comm) − compute(w.Hide))
 //	solveTime  = iterations · max over ranks of iterTime
 //
@@ -46,21 +46,11 @@ type Profile struct {
 	MemBWPerCore float64
 	// MissPenaltySec is the added latency charged per simulated L1 miss.
 	MissPenaltySec float64
-	// AlphaSec and BetaSecPerByte are the INTER-NODE interconnect
-	// latency/bandwidth cost parameters — the network crossing between
-	// compute nodes. They price RankCost.CommMsgs/CommBytes, which under a
-	// flat topology is all point-to-point traffic (the historical meaning).
+	// AlphaSec and BetaSecPerByte are the interconnect latency/bandwidth
+	// cost parameters. They price RankCost.CommMsgs/CommBytes, all
+	// point-to-point traffic.
 	AlphaSec       float64
 	BetaSecPerByte float64
-	// IntraAlphaSec and IntraBetaSecPerByte price INTRA-NODE messages —
-	// ranks sharing a node exchange through shared memory, which is an
-	// order of magnitude cheaper in latency and several in bandwidth than
-	// the network (the asymmetry the Bienz–Gropp–Olson node-aware exchange
-	// exploits). They apply to RankCost.IntraCommMsgs/IntraCommBytes, which
-	// are zero under a flat topology, leaving every historical model output
-	// bit-identical.
-	IntraAlphaSec       float64
-	IntraBetaSecPerByte float64
 	// CoresPerProcess is the default hybrid configuration (the paper uses
 	// 8 threads per MPI process in the main campaign).
 	CoresPerProcess int
@@ -70,46 +60,40 @@ type Profile struct {
 // figures, not peaks; they only scale the model's time unit.
 var (
 	Skylake = Profile{
-		Name:                "skylake",
-		LineBytes:           64,
-		L1Bytes:             32 * 1024,
-		L1Ways:              8,
-		FlopsPerSec:         4.0e9,
-		MemBWPerCore:        5.0e9,
-		MissPenaltySec:      5.0e-9,
-		AlphaSec:            1.5e-6,
-		BetaSecPerByte:      8.0e-11,
-		IntraAlphaSec:       3.0e-7,
-		IntraBetaSecPerByte: 1.0e-11,
-		CoresPerProcess:     8,
+		Name:            "skylake",
+		LineBytes:       64,
+		L1Bytes:         32 * 1024,
+		L1Ways:          8,
+		FlopsPerSec:     4.0e9,
+		MemBWPerCore:    5.0e9,
+		MissPenaltySec:  5.0e-9,
+		AlphaSec:        1.5e-6,
+		BetaSecPerByte:  8.0e-11,
+		CoresPerProcess: 8,
 	}
 	A64FX = Profile{
-		Name:                "a64fx",
-		LineBytes:           256,
-		L1Bytes:             64 * 1024,
-		L1Ways:              4,
-		FlopsPerSec:         5.0e9,
-		MemBWPerCore:        18.0e9,
-		MissPenaltySec:      8.0e-9,
-		AlphaSec:            1.0e-6,
-		BetaSecPerByte:      4.0e-11,
-		IntraAlphaSec:       2.0e-7,
-		IntraBetaSecPerByte: 5.0e-12,
-		CoresPerProcess:     12,
+		Name:            "a64fx",
+		LineBytes:       256,
+		L1Bytes:         64 * 1024,
+		L1Ways:          4,
+		FlopsPerSec:     5.0e9,
+		MemBWPerCore:    18.0e9,
+		MissPenaltySec:  8.0e-9,
+		AlphaSec:        1.0e-6,
+		BetaSecPerByte:  4.0e-11,
+		CoresPerProcess: 12,
 	}
 	Zen2 = Profile{
-		Name:                "zen2",
-		LineBytes:           64,
-		L1Bytes:             32 * 1024,
-		L1Ways:              8,
-		FlopsPerSec:         4.5e9,
-		MemBWPerCore:        3.5e9,
-		MissPenaltySec:      4.5e-9,
-		AlphaSec:            1.3e-6,
-		BetaSecPerByte:      5.0e-11,
-		IntraAlphaSec:       2.5e-7,
-		IntraBetaSecPerByte: 8.0e-12,
-		CoresPerProcess:     8,
+		Name:            "zen2",
+		LineBytes:       64,
+		L1Bytes:         32 * 1024,
+		L1Ways:          8,
+		FlopsPerSec:     4.5e9,
+		MemBWPerCore:    3.5e9,
+		MissPenaltySec:  4.5e-9,
+		AlphaSec:        1.3e-6,
+		BetaSecPerByte:  5.0e-11,
+		CoresPerProcess: 8,
 	}
 )
 
@@ -154,16 +138,13 @@ func (p Profile) NewProcessCache() *cache.Cache {
 }
 
 // RankCost aggregates one rank's per-iteration work. CommBytes/CommMsgs is
-// inter-node (network) traffic; IntraCommBytes/IntraCommMsgs is same-node
-// (shared-memory) traffic, zero whenever no two-level topology is in play.
+// its point-to-point traffic.
 type RankCost struct {
-	Flops          int64
-	StreamBytes    int64 // matrix + vector bytes streamed from memory
-	CacheMisses    int64
-	CommBytes      int64
-	CommMsgs       int64
-	IntraCommBytes int64
-	IntraCommMsgs  int64
+	Flops       int64
+	StreamBytes int64 // matrix + vector bytes streamed from memory
+	CacheMisses int64
+	CommBytes   int64
+	CommMsgs    int64
 }
 
 // ComputeTime returns only the on-node terms of the model: flop rate,
@@ -177,19 +158,10 @@ func (p Profile) ComputeTime(rc RankCost) float64 {
 		float64(rc.CacheMisses)*p.MissPenaltySec
 }
 
-// CommTime returns only the interconnect terms of the model, the
-// hierarchical α–β cost pricing each level with its own parameters:
-//
-//	α·msgs + β·bytes + α_intra·intraMsgs + β_intra·intraBytes
-//
-// With no intra-node traffic (every flat-topology cost) this is exactly the
-// historical single-level α–β cost.
+// CommTime returns only the interconnect terms of the model, the α–β cost
+// α·msgs + β·bytes.
 func (p Profile) CommTime(rc RankCost) float64 {
-	t := float64(rc.CommMsgs)*p.AlphaSec + float64(rc.CommBytes)*p.BetaSecPerByte
-	if rc.IntraCommMsgs != 0 || rc.IntraCommBytes != 0 {
-		t += float64(rc.IntraCommMsgs)*p.IntraAlphaSec + float64(rc.IntraCommBytes)*p.IntraBetaSecPerByte
-	}
-	return t
+	return float64(rc.CommMsgs)*p.AlphaSec + float64(rc.CommBytes)*p.BetaSecPerByte
 }
 
 // Time converts a rank cost into modeled seconds with communication fully

@@ -62,8 +62,6 @@ func (r *RankCost) Add(o RankCost) {
 	r.CacheMisses += o.CacheMisses
 	r.CommBytes += o.CommBytes
 	r.CommMsgs += o.CommMsgs
-	r.IntraCommBytes += o.IntraCommBytes
-	r.IntraCommMsgs += o.IntraCommMsgs
 }
 
 // SolveTime returns the modeled time of a solve: iterations times the

@@ -31,7 +31,7 @@ import (
 func (op *Op) MulMat(c *simmpi.Comm, x, y []float64, k int, cols []int, scratch *DistVec, fc *vecops.FlopCounter) {
 	nl := op.LZ.NLocal()
 	if len(x) != nl*k || len(y) != nl*k {
-		panic(fmt.Sprintf("distmat: MulMat local length %d/%d, want %d (k=%d)", len(x), len(y), nl*k, k))
+		panic(fmt.Sprintf("distmat: MulMat local length %d/%d, want %d (%d rows, k=%d)", len(x), len(y), nl*k, nl, k))
 	}
 	if scratch.NLocal != nl || scratch.K != k {
 		panic(fmt.Sprintf("distmat: MulMat scratch %d×%d, want %d×%d", scratch.NLocal, scratch.K, nl, k))

@@ -1,14 +1,13 @@
 package distmat
 
 // The halo update, written once. A plan's schedule — peers, index lists,
-// node-aware relay segments, message counts — does not depend on how wide
-// the values travel, so the exchange is generic over the wire type V:
-// float64, or float32 for mixed-precision solves, whose iteration vectors
-// stay float64 while each halo value is narrowed once at the gather, travels
-// (and is metered) at 4 bytes and is widened at the scatter. A scalar update
-// is the k-wide one at k = 1, and the flat schedule is the node-aware one
-// with every peer direct, so scalar, batched and relayed updates are all one
-// post followed by one complete, on blocking sends and receives.
+// message counts — does not depend on how wide the values travel, so the
+// exchange is generic over the wire type V: float64, or float32 for
+// mixed-precision solves, whose iteration vectors stay float64 while each
+// halo value is narrowed once at the gather, travels (and is metered) at 4
+// bytes and is widened at the scatter. A scalar update is the k-wide one at
+// k = 1, so scalar and batched updates are both one post followed by one
+// complete, on blocking sends and receives.
 
 import (
 	"fmt"
@@ -47,14 +46,6 @@ type halo[V float32 | float64] struct {
 	p *HaloPlan
 
 	sendBuf [][]V // per-peer gather buffers
-	// Node-aware relay workspaces (see nodeaware.go): the up-gather buffer,
-	// the leader's combined outbound and per-member down buffers, and the
-	// received up/inter payloads. A leader's self-up and self-down ride the
-	// no-copy loopback queue, so the payload it scatters IS the buffer it
-	// gathered into.
-	upBuf             []V
-	outBufs, downBufs [][]V
-	upVals, inVals    [][]V
 }
 
 // resize returns *store with length n, reusing its capacity.
@@ -101,29 +92,14 @@ func unpack[V float32 | float64](xExt []float64, nLocal int, slots []int, vals [
 	}
 }
 
-// post is the send half of one k-wide update. Under node-aware routing the
-// cross-node values go up to the node leader in one message, ahead of the
-// direct sends to same-node peers; under the flat schedule every peer is
-// direct. Sends are metered as they are made.
+// post is the send half of one k-wide update: one message to every peer.
+// Sends are metered as they are made.
 func (h *halo[V]) post(c *simmpi.Comm, xExt []float64, k int) {
 	p := h.p
-	direct := p.sendPeerIDs
-	if p.napActive() {
-		s := p.napInit()
-		direct = s.intraSendIDs
-		if s.upCount > 0 {
-			buf := resize(&h.upBuf, s.upCount*k)
-			o := 0
-			for _, d := range s.crossSendIDs {
-				o += pack(buf[o:], xExt, p.SendPeers[d], k)
-			}
-			simmpi.Send(c, s.leaderRank, tagNAPUp, buf)
-		}
-	}
 	if h.sendBuf == nil {
 		h.sendBuf = make([][]V, len(p.SendPeers))
 	}
-	for _, d := range direct {
+	for _, d := range p.sendPeerIDs {
 		list := p.SendPeers[d]
 		buf := resize(&h.sendBuf[d], len(list)*k)
 		pack(buf, xExt, list, k)
@@ -132,49 +108,42 @@ func (h *halo[V]) post(c *simmpi.Comm, xExt []float64, k int) {
 }
 
 // complete is the receive half: it fills the halo slots of xExt (local part
-// already in place, nLocal rows of k columns). A node leader first
-// discharges its relay duty; then every rank drains its direct receives and
-// finally scatters the one down message holding what other nodes owe it.
+// already in place, nLocal rows of k columns) from one message per peer.
 func (h *halo[V]) complete(c *simmpi.Comm, xExt []float64, nLocal, k int) {
 	p := h.p
-	direct := p.recvPeerIDs
-	var s *napSched
-	if p.napActive() {
-		s = p.napInit()
-		direct = s.intraRecvIDs
-		if s.isLeader && s.relay != nil {
-			h.relay(c, k)
-		}
-	}
-	for _, peer := range direct {
+	for _, peer := range p.recvPeerIDs {
 		vals := simmpi.Recv[V](c, peer, tagHaloData)
 		slots := p.RecvPeers[peer]
 		if len(vals) != len(slots)*k {
-			panic(fmt.Sprintf("distmat: rank %d halo update from %d: got %d values, want %d",
-				c.Rank(), peer, len(vals), len(slots)*k))
+			panic(fmt.Sprintf("distmat: rank %d halo update from %d: got %d values, want %d (k=%d)",
+				c.Rank(), peer, len(vals), len(slots)*k, k))
 		}
 		unpack(xExt, nLocal, slots, vals, k)
-	}
-	if s != nil && s.downCount > 0 {
-		vals := simmpi.Recv[V](c, s.leaderRank, tagNAPDown)
-		if len(vals) != s.downCount*k {
-			panic(fmt.Sprintf("distmat: rank %d node-aware down update: got %d values, want %d",
-				c.Rank(), len(vals), s.downCount*k))
-		}
-		for _, src := range s.crossRecvIDs {
-			slots := p.RecvPeers[src]
-			unpack(xExt, nLocal, slots, vals[:len(slots)*k], k)
-			vals = vals[len(slots)*k:]
-		}
 	}
 }
 
 // idle reports whether an update of this plan moves nothing, so a product
-// may read its input in place: nobody to send to, nobody to receive from and
-// no relay duty. An empty halo alone does not say so — rank 0 of a
-// lower-triangular factor receives nothing and still owes its sends.
+// may read its input in place: nobody to send to and nobody to receive from.
+// An empty halo alone does not say so — rank 0 of a lower-triangular factor
+// receives nothing and still owes its sends.
 func (p *HaloPlan) idle() bool {
-	return len(p.sendPeerIDs) == 0 && len(p.recvPeerIDs) == 0 && !p.napActive()
+	return len(p.sendPeerIDs) == 0 && len(p.recvPeerIDs) == 0
+}
+
+// ExchangeCounts returns the messages and bytes ONE k-wide halo update
+// charges to this rank's meter: one message per send peer, carrying that
+// peer's list k values wide at the plan's wire width. This is the
+// structural quantity the α–β cost model prices and the metered tests pin.
+func (p *HaloPlan) ExchangeCounts(k int) (msgs, bytes int64) {
+	bpv := int64(8) // bytes per value on the wire
+	if p.f32 {
+		bpv = 4
+	}
+	for _, d := range p.sendPeerIDs {
+		msgs++
+		bytes += bpv * int64(len(p.SendPeers[d])) * int64(k)
+	}
+	return msgs, bytes
 }
 
 // Exchange performs one halo update: xExt must have length
@@ -189,14 +158,12 @@ func (p *HaloPlan) Exchange(c *simmpi.Comm, xExt []float64, nLocal int) {
 // filled; the halo slots are filled from peers. Each peer receives exactly
 // one message per update — the same message count as the scalar Exchange —
 // carrying len(list)·k values, so batching k right-hand sides costs zero
-// extra messages; under node-aware routing that is one message per node
-// pair on the inter-node leg. Frozen (converged) columns still travel: the
+// extra messages. Frozen (converged) columns still travel: the
 // payload width is fixed at k, which keeps the schedule independent of the
 // convergence mask.
 func (p *HaloPlan) ExchangeBatch(c *simmpi.Comm, xExt []float64, nLocal, k int) {
 	// All sends are posted before any receive is drained; per-pair FIFO
-	// channels make that deadlock-free.
-	w := p.wire()
-	w.post(c, xExt, k)
-	w.complete(c, xExt, nLocal, k)
+	// channels make that deadlock-free. wire() leaves its exchange in p.ex.
+	p.wire().post(c, xExt, k)
+	p.ex.complete(c, xExt, nLocal, k)
 }

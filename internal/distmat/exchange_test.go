@@ -7,6 +7,7 @@ import (
 
 	"fsaicomm/internal/simmpi"
 	"fsaicomm/internal/sparse"
+	"fsaicomm/internal/tcpmpi"
 )
 
 // One operator, every product entry point in turn, at changing widths: each
@@ -23,86 +24,75 @@ func TestOneOpMixedWidthsAndSchedules(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	for _, tc := range []struct {
-		name  string
-		ranks int
-		topo  simmpi.Topology
-	}{
-		{"flat", 3, simmpi.Topology{}},
-		{"node-aware", 4, simmpi.Topology{Nodes: 2, RanksPerNode: 2}},
-	} {
-		for _, f32 := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/f32=%v", tc.name, f32), func(t *testing.T) {
-				l := NewUniformLayout(n, tc.ranks)
-				_, err := simmpi.RunTopo(tc.ranks, testTimeout, tc.topo, func(c *simmpi.Comm) error {
-					lo, hi := l.Range(c.Rank())
-					nl := hi - lo
-					newOp := func() *Op {
-						op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
-						op.SetF32(f32)
-						if op.Plan.napActive() != !tc.topo.Flat() {
-							panic("routing does not follow the topology")
-						}
-						return op
-					}
-					// block is the rank's rows of the first k columns of x.
-					block := func(k int) []float64 {
-						b := make([]float64, nl*k)
-						for i := 0; i < nl; i++ {
-							for j := 0; j < k; j++ {
-								b[i*k+j] = x[j*n+lo+i]
-							}
-						}
-						return b
-					}
-					calls := []struct {
-						name string
-						k    int
-						run  func(op *Op, in, out []float64)
-					}{
-						{"MulMat k=2", 2, func(op *Op, in, out []float64) {
-							op.MulMat(c, in, out, 2, nil, NewBatchDistVec(op.LZ, 2), nil)
-						}},
-						{"MulVec", 1, func(op *Op, in, out []float64) {
-							op.MulVec(c, in, out, NewDistVec(op.LZ), nil)
-						}},
-						{"MulMat k=3", 3, func(op *Op, in, out []float64) {
-							op.MulMat(c, in, out, 3, nil, NewBatchDistVec(op.LZ, 3), nil)
-						}},
-					}
-					reused := newOp()
-					var wantMsgs, wantBytes int64
-					before := c.Meter().RankSnapshot(c.Rank())
-					got := make([][]float64, len(calls))
-					for i, call := range calls {
-						got[i] = make([]float64, nl*call.k)
-						call.run(reused, block(call.k), got[i])
-						im, ib, em, eb := reused.Plan.ExchangeCounts(call.k)
-						wantMsgs += im + em
-						wantBytes += ib + eb
-					}
-					d := c.Meter().RankSnapshot(c.Rank()).Sub(before)
-					if d.P2PMessages != wantMsgs || d.P2PBytes != wantBytes {
-						return fmt.Errorf("rank %d metered %d messages / %d bytes, ExchangeCounts sums to %d / %d",
-							c.Rank(), d.P2PMessages, d.P2PBytes, wantMsgs, wantBytes)
-					}
-					for i, call := range calls {
-						want := make([]float64, nl*call.k)
-						call.run(newOp(), block(call.k), want)
-						for j := range want {
-							if got[i][j] != want[j] {
-								return fmt.Errorf("rank %d %s: entry %d is %v on the reused operator, %v on a fresh one",
-									c.Rank(), call.name, j, got[i][j], want[j])
-							}
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
+	const ranks = 3
+	for _, f32 := range []bool{false, true} {
+		t.Run(fmt.Sprintf("flat/f32=%v", f32), func(t *testing.T) {
+			l := NewUniformLayout(n, ranks)
+			_, err := simmpi.Run(ranks, testTimeout, func(c *simmpi.Comm) error {
+				lo, hi := l.Range(c.Rank())
+				nl := hi - lo
+				newOp := func() *Op {
+					op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
+					op.SetF32(f32)
+					return op
 				}
+				// block is the rank's rows of the first k columns of x.
+				block := func(k int) []float64 {
+					b := make([]float64, nl*k)
+					for i := 0; i < nl; i++ {
+						for j := 0; j < k; j++ {
+							b[i*k+j] = x[j*n+lo+i]
+						}
+					}
+					return b
+				}
+				calls := []struct {
+					name string
+					k    int
+					run  func(op *Op, in, out []float64)
+				}{
+					{"MulMat k=2", 2, func(op *Op, in, out []float64) {
+						op.MulMat(c, in, out, 2, nil, NewBatchDistVec(op.LZ, 2), nil)
+					}},
+					{"MulVec", 1, func(op *Op, in, out []float64) {
+						op.MulVec(c, in, out, NewDistVec(op.LZ), nil)
+					}},
+					{"MulMat k=3", 3, func(op *Op, in, out []float64) {
+						op.MulMat(c, in, out, 3, nil, NewBatchDistVec(op.LZ, 3), nil)
+					}},
+				}
+				reused := newOp()
+				var wantMsgs, wantBytes int64
+				before := c.Meter().RankSnapshot(c.Rank())
+				got := make([][]float64, len(calls))
+				for i, call := range calls {
+					got[i] = make([]float64, nl*call.k)
+					call.run(reused, block(call.k), got[i])
+					m, b := reused.Plan.ExchangeCounts(call.k)
+					wantMsgs += m
+					wantBytes += b
+				}
+				d := c.Meter().RankSnapshot(c.Rank()).Sub(before)
+				if d.P2PMessages != wantMsgs || d.P2PBytes != wantBytes {
+					return fmt.Errorf("rank %d metered %d messages / %d bytes, ExchangeCounts sums to %d / %d",
+						c.Rank(), d.P2PMessages, d.P2PBytes, wantMsgs, wantBytes)
+				}
+				for i, call := range calls {
+					want := make([]float64, nl*call.k)
+					call.run(newOp(), block(call.k), want)
+					for j := range want {
+						if got[i][j] != want[j] {
+							return fmt.Errorf("rank %d %s: entry %d is %v on the reused operator, %v on a fresh one",
+								c.Rank(), call.name, j, got[i][j], want[j])
+						}
+					}
+				}
+				return nil
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -228,4 +218,113 @@ func TestProductExchangesOnEmptyHaloWithSends(t *testing.T) {
 			t.Fatalf("LocalOp copied its input into the scratch vector")
 		}
 	}
+}
+
+// handPlan builds a hand-designed 4-rank halo whose exact meter the tests
+// below pin: every rank owns 2 values and sends its local 0 to every other
+// rank, receiving one value from each peer into halo slots ordered by source
+// rank — 3 messages of 8 bytes per rank, 12 / 96 over the world.
+func handPlan(rank int) *HaloPlan {
+	const size = 4
+	send := make([][]int, size)
+	recv := make([][]int, size)
+	slot := 0
+	for p := 0; p < size; p++ {
+		if p == rank {
+			continue
+		}
+		send[p] = []int{0}
+		recv[p] = []int{slot}
+		slot++
+	}
+	return NewHaloPlanFromSchedule(send, recv)
+}
+
+// handExchange runs k-wide hand-plan updates on c — one at k = 1 beside a
+// posted reduction (pipelined CG's schedule), one at k = 3 — and checks
+// what lands in the halo: column j of local value i holds
+// 100·rank + i + 1000·j, so the slot of source s must read 100·s + 1000·j.
+// It returns the rank's metered messages and bytes for each update, beside
+// what ExchangeCounts predicts for it.
+func handExchange(c *simmpi.Comm) (metered, predicted [2][2]int64, err error) {
+	p := handPlan(c.Rank())
+	for u, k := range []int{1, 3} {
+		ext := make([]float64, 5*k)
+		for i := 0; i < 2; i++ {
+			for j := 0; j < k; j++ {
+				ext[i*k+j] = float64(100*c.Rank() + i + 1000*j)
+			}
+		}
+		before := c.Meter().RankSnapshot(c.Rank())
+		if k == 1 {
+			req := c.IallreduceSum(1)
+			p.Exchange(c, ext, 2)
+			if sum, err := req.Wait(); err != nil || sum[0] != 4 {
+				return metered, predicted, fmt.Errorf("rank %d: reduction beside the update: %v, %v", c.Rank(), sum, err)
+			}
+		} else {
+			p.ExchangeBatch(c, ext, 2, k)
+		}
+		d := c.Meter().RankSnapshot(c.Rank()).Sub(before)
+		metered[u] = [2]int64{d.P2PMessages, d.P2PBytes}
+		m, b := p.ExchangeCounts(k)
+		predicted[u] = [2]int64{m, b}
+		slot := 0
+		for src := 0; src < 4; src++ {
+			if src == c.Rank() {
+				continue
+			}
+			for j := 0; j < k; j++ {
+				if got, want := ext[(2+slot)*k+j], float64(100*src+1000*j); got != want {
+					return metered, predicted, fmt.Errorf("rank %d k=%d halo slot %d col %d: got %v, want %v",
+						c.Rank(), k, slot, j, got, want)
+				}
+			}
+			slot++
+		}
+		c.Barrier()
+	}
+	return metered, predicted, nil
+}
+
+// checkHandMeter pins each rank's hand-computed meter: 3 messages per
+// update, 24 bytes at k = 1 and 72 at k = 3 — a k-wide update costs one
+// message per peer, carrying k columns — and ExchangeCounts agreeing.
+func checkHandMeter(t *testing.T, metered, predicted [4][2][2]int64) {
+	t.Helper()
+	for r := 0; r < 4; r++ {
+		for u, want := range [2][2]int64{{3, 24}, {3, 72}} {
+			if metered[r][u] != want || predicted[r][u] != want {
+				t.Fatalf("rank %d update %d: metered %v, ExchangeCounts %v, want %v",
+					r, u, metered[r][u], predicted[r][u], want)
+			}
+		}
+	}
+}
+
+func TestHandBuiltExchangeSim(t *testing.T) {
+	var metered, predicted [4][2][2]int64
+	_, err := simmpi.Run(4, testTimeout, func(c *simmpi.Comm) (err error) {
+		metered[c.Rank()], predicted[c.Rank()], err = handExchange(c)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkHandMeter(t, metered, predicted)
+}
+
+func TestHandBuiltExchangeTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("socket transport in -short mode")
+	}
+	var metered, predicted [4][2][2]int64
+	_, err := tcpmpi.RunLocal(4, tcpmpi.Config{Timeout: testTimeout}, func(c *simmpi.Comm) (err error) {
+		metered[c.Rank()], predicted[c.Rank()], err = handExchange(c)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkHandMeter(t, metered, predicted)
 }

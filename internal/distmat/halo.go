@@ -19,9 +19,6 @@ const (
 	tagRowCols  = 104 // remote row gather: column indices
 	tagRowVals  = 105 // remote row gather: values
 	tagTransp   = 106 // distributed transpose payloads
-	tagNAPUp    = 107 // node-aware exchange: member → node leader gather
-	tagNAPInter = 108 // node-aware exchange: leader → leader combined message
-	tagNAPDown  = 109 // node-aware exchange: node leader → member scatter
 )
 
 // Localized is the kernel-ready view of a rank's rows: column indices are
@@ -194,20 +191,6 @@ type HaloPlan struct {
 	SendPeers                [][]int // [peer] -> local row indices (0-based within rank) to send
 	RecvPeers                [][]int // [peer] -> halo slot indices to fill
 	sendPeerIDs, recvPeerIDs []int
-	// Node-aware routing state (see nodeaware.go). rank is the owning rank,
-	// topo the two-level topology the plan was built under, and needCounts
-	// the full size×size need matrix (needCounts[d*size+s] = values rank d
-	// receives from rank s per exchange) captured for free from
-	// BuildHaloPlan's allgather — everything the NAP relay schedule is
-	// derived from, with zero extra communication. nodeAware selects the
-	// aggregated protocol; it defaults to on whenever the topology has
-	// multi-rank nodes and can be toggled with SetNodeAware for flat-plan
-	// baselines under the same topology.
-	rank       int
-	topo       simmpi.Topology
-	needCounts []int
-	nodeAware  bool
-	nap        *napSched
 	// f32 selects the half-width wire format: halo values are narrowed to
 	// float32 at the gather, travel (and are metered) at 4 bytes each, and
 	// are widened back on scatter. The schedule is precision-independent.
@@ -259,10 +242,7 @@ func BuildHaloPlan(c *simmpi.Comm, l *Layout, lz *Localized) *HaloPlan {
 	plan := &HaloPlan{
 		SendPeers: make([][]int, size),
 		RecvPeers: make([][]int, size),
-		rank:      rank,
-		topo:      c.Topology(),
 	}
-	plan.nodeAware = !plan.topo.Flat()
 	// Group my needed globals by owner.
 	needByOwner := make([][]int, size)
 	for slotIdx, g := range lz.Halo {
@@ -279,7 +259,6 @@ func BuildHaloPlan(c *simmpi.Comm, l *Layout, lz *Localized) *HaloPlan {
 		counts[p] = len(need)
 	}
 	all := simmpi.Allgather(c, counts) // all[r*size+p] = count rank r needs from p
-	plan.needCounts = all
 	// Send my request lists to owners.
 	for p := 0; p < size; p++ {
 		if p != rank && len(needByOwner[p]) > 0 {
@@ -333,39 +312,6 @@ func NewHaloPlanFromSchedule(sendPeers, recvPeers [][]int) *HaloPlan {
 	return p
 }
 
-// NewHaloPlanFromScheduleTopo is NewHaloPlanFromSchedule with a two-level
-// topology re-attached: needCounts is the need matrix BuildHaloPlan captured
-// (see NeedCounts) and rank the owning rank. Node-aware routing is enabled
-// whenever topo has multi-rank nodes, exactly as BuildHaloPlan under a
-// topology-carrying Comm would — so a prepared system serialized once can be
-// solved under any per-request topology without redoing the setup exchange.
-func NewHaloPlanFromScheduleTopo(sendPeers, recvPeers [][]int, needCounts []int, rank int, topo simmpi.Topology) *HaloPlan {
-	p := NewHaloPlanFromSchedule(sendPeers, recvPeers)
-	p.rank = rank
-	p.topo = topo
-	p.needCounts = needCounts
-	p.nodeAware = !topo.Flat()
-	return p
-}
-
-// NeedCounts returns the plan's need matrix (needCounts[d*size+s] = values
-// rank d receives from rank s per exchange), or nil for schedule-built plans
-// that never captured one. Shared slice; callers must not mutate.
-func (p *HaloPlan) NeedCounts() []int { return p.needCounts }
-
-// SetNodeAware toggles node-aware routing. Enabling it on a plan without a
-// multi-rank topology or a need matrix panics: silently falling back to the
-// flat schedule would fake the metered structural claims built on the
-// toggle. Disabling keeps the topology attached (the meter still classifies
-// intra vs inter), which is exactly the flat-plan baseline the node-aware
-// benchmarks compare against.
-func (p *HaloPlan) SetNodeAware(on bool) {
-	if on && (p.topo.Flat() || p.needCounts == nil) {
-		panic("distmat: SetNodeAware(true) needs a multi-rank topology and a need matrix (build with BuildHaloPlan under a topology Comm or NewHaloPlanFromScheduleTopo)")
-	}
-	p.nodeAware = on
-}
-
 // Clone returns a plan that shares this plan's immutable schedule (peer
 // sets and index lists, which no exchange mutates) but owns fresh send
 // buffers. The per-rank schedule of a matrix is computed
@@ -374,18 +320,9 @@ func (p *HaloPlan) SetNodeAware(on bool) {
 // without redoing the setup-phase index exchange — the buffers are the only
 // mutable state, and each clone grows its own lazily.
 func (p *HaloPlan) Clone() *HaloPlan {
-	return &HaloPlan{
-		SendPeers:   p.SendPeers,
-		RecvPeers:   p.RecvPeers,
-		sendPeerIDs: p.sendPeerIDs,
-		recvPeerIDs: p.recvPeerIDs,
-		rank:        p.rank,
-		topo:        p.topo,
-		needCounts:  p.needCounts,
-		nodeAware:   p.nodeAware,
-		f32:         p.f32,
-		nap:         p.nap, // immutable once derived; buffers are NOT shared
-	}
+	q := *p
+	q.ex = nil
+	return &q
 }
 
 // RecvGlobals returns, per peer rank, the global indices of the unknowns

@@ -131,7 +131,7 @@ func (op *Op) MulVec(c *simmpi.Comm, x, y []float64, scratch *DistVec, fc *vecop
 func (op *Op) mulVecDot(c *simmpi.Comm, x, y, w []float64, scratch *DistVec, fc *vecops.FlopCounter) float64 {
 	nl := op.LZ.NLocal()
 	if len(x) != nl || len(y) != nl || (w != nil && len(w) != nl) {
-		panic(fmt.Sprintf("distmat: MulVec local length %d/%d (w %d), want %d", len(x), len(y), len(w), nl))
+		panic(fmt.Sprintf("distmat: MulVec local length %d/%d (w %d), want %d (+%d halo)", len(x), len(y), len(w), nl, len(op.LZ.Halo)))
 	}
 	if !op.Plan.idle() {
 		scratch.load(x)

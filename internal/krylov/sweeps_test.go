@@ -52,17 +52,17 @@ func TestFusedSweepsKeepTheLoopsBits(t *testing.T) {
 		want string
 	}{
 		{"classic", lower,
-			"x 4686dc2ddf8a284f iterations 26 flops [335816 347256 335816] meter {P2PBytes:190080 P2PMessages:216 CollectiveCalls:249 CollectiveBytes:2136 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:190080 InterP2PMessages:216}"},
+			"x 4686dc2ddf8a284f iterations 26 flops [335816 347256 335816] meter {P2PBytes:190080 P2PMessages:216 CollectiveCalls:249 CollectiveBytes:2136}"},
 		{"fp32-refined", lower,
-			"x 375d5f5adf3a377e iterations 26 flops [342274 353934 342274] meter {P2PBytes:105600 P2PMessages:224 CollectiveCalls:261 CollectiveBytes:2280 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:105600 InterP2PMessages:224}"},
+			"x 375d5f5adf3a377e iterations 26 flops [342274 353934 342274] meter {P2PBytes:105600 P2PMessages:224 CollectiveCalls:261 CollectiveBytes:2280}"},
 		{"gmres", lower,
-			"x d4266bdd69c4da16 iterations 25 flops [700278 711498 700278] meter {P2PBytes:186560 P2PMessages:212 CollectiveCalls:1065 CollectiveBytes:8664 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:186560 InterP2PMessages:212}"},
+			"x d4266bdd69c4da16 iterations 25 flops [700278 711498 700278] meter {P2PBytes:186560 P2PMessages:212 CollectiveCalls:1065 CollectiveBytes:8664}"},
 		{"classic", banded,
-			"x f0c58b09349ed5c3 iterations 40 flops [744480 755520 744480] meter {P2PBytes:153504 P2PMessages:328 CollectiveCalls:375 CollectiveBytes:3144 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:153504 InterP2PMessages:328}"},
+			"x f0c58b09349ed5c3 iterations 40 flops [744480 755520 744480] meter {P2PBytes:153504 P2PMessages:328 CollectiveCalls:375 CollectiveBytes:3144}"},
 		{"fp32-refined", banded,
-			"x e30119469563777c iterations 41 flops [769550 781086 769550] meter {P2PBytes:87536 P2PMessages:344 CollectiveCalls:396 CollectiveBytes:3360 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:87536 InterP2PMessages:344}"},
+			"x e30119469563777c iterations 41 flops [769550 781086 769550] meter {P2PBytes:87536 P2PMessages:344 CollectiveCalls:396 CollectiveBytes:3360}"},
 		{"gmres", banded,
-			"x 0399df016142fdfb iterations 40 flops [1366936 1378308 1366936] meter {P2PBytes:157472 P2PMessages:340 CollectiveCalls:1698 CollectiveBytes:13728 IntraP2PBytes:0 IntraP2PMessages:0 InterP2PBytes:157472 InterP2PMessages:340}"},
+			"x 0399df016142fdfb iterations 40 flops [1366936 1378308 1366936] meter {P2PBytes:157472 P2PMessages:340 CollectiveCalls:1698 CollectiveBytes:13728}"},
 	} {
 		g, gt := tc.g, tc.g.Transpose()
 		x := make([]float64, a.Rows)

@@ -22,8 +22,8 @@ type IterCostInputs struct {
 // TracedMisses is the cache-simulator half of the cost inputs: the misses on
 // x of one product with A and of one preconditioner application, for one
 // rank under one architecture profile. It depends on the operators' sparsity
-// and the profile's cache only — not on the CG variant, the precision, the
-// topology or the right-hand side — so whoever keeps the operators may keep
+// and the profile's cache only — not on the CG variant, the precision or the
+// right-hand side — so whoever keeps the operators may keep
 // it beside them. Tracing walks every stored entry through the LRU
 // simulator; everything else in the assembly is counting.
 type TracedMisses struct {
@@ -71,7 +71,7 @@ func precondCost(misses int64, nl int, ops ...*distmat.Op) archmodel.RankCost {
 
 // loopShape is what one iteration of a Krylov loop adds to its operators'
 // products in the cost model: the global reductions, each a log₂ tree of
-// inter-node messages, the bytes they move per tree level, the vector
+// messages, the bytes they move per tree level, the vector
 // kernels' flops and their 8-byte sweeps per local row. overlapped marks
 // pipelined CG, the one loop that hides a reduction behind its products.
 type loopShape struct {
@@ -128,21 +128,16 @@ func gmresLoop(restart int) loopShape {
 // hides it.
 func assembleIterCost(miss TracedMisses, sh loopShape, nl, ranks int, ops ...*distmat.Op) IterCostInputs {
 	logP := int64(math.Ceil(math.Log2(float64(ranks + 1))))
-	// Each operator's halo traffic is what ONE exchange under its plan's
-	// routing charges this rank's meter, by topology level: all inter-node
-	// under a flat plan; under node-aware routing one inter-node message per
-	// peer node, the up/down legs on the cheap intra level. Both levels sit
-	// in the halo window and hide behind the same compute. Reductions are
-	// log₂ trees across the whole machine, priced at the inter-node level.
+	// Each operator's halo traffic is what ONE exchange under its plan
+	// charges this rank's meter. Reductions are log₂ trees across the whole
+	// machine.
 	var totNNZ int64
 	var halo archmodel.RankCost
 	for _, op := range ops {
 		totNNZ += int64(op.LZ.M.NNZ())
-		im, ib, xm, xb := op.Plan.ExchangeCounts(1)
-		halo.IntraCommMsgs += im
-		halo.IntraCommBytes += ib
-		halo.CommMsgs += xm
-		halo.CommBytes += xb
+		m, b := op.Plan.ExchangeCounts(1)
+		halo.CommMsgs += m
+		halo.CommBytes += b
 	}
 	red := archmodel.RankCost{CommMsgs: sh.reductions * logP, CommBytes: sh.redBytes * logP}
 	var redHide archmodel.RankCost

@@ -42,19 +42,11 @@ func buildJob(t *testing.T, a *sparse.CSR, ranks int, sp mprun.SolveParams) (job
 	}
 }
 
-// runSim executes the same jobs with in-process goroutine ranks, under the
-// topology the jobs declare — the oracle the multi-process path must match
-// bit for bit.
+// runSim executes the same jobs with in-process goroutine ranks — the
+// oracle the multi-process path must match bit for bit.
 func runSim(ranks int, jobFor func(rank int) *mprun.JobSpec) ([]*mprun.RankOutcome, error) {
 	outs := make([]*mprun.RankOutcome, ranks)
-	var topo simmpi.Topology
-	if j := jobFor(0); j != nil {
-		var err error
-		if topo, err = j.Topology(ranks); err != nil {
-			return nil, err
-		}
-	}
-	_, err := simmpi.RunTopo(ranks, 30*time.Second, topo, func(c *simmpi.Comm) error {
+	_, err := simmpi.Run(ranks, 30*time.Second, func(c *simmpi.Comm) error {
 		out, err := mprun.RunJob(context.Background(), c, jobFor(c.Rank()), nil)
 		outs[c.Rank()] = out
 		return err
@@ -216,7 +208,7 @@ func TestMalformedSpecIsAnError(t *testing.T) {
 
 // TestCacheTraceRunsOncePerSystemAndProfile counts the cache-simulator runs
 // behind a prepared system's solves: the first scalar solve under a profile
-// traces on every rank, every later one — whatever its variant or topology —
+// traces on every rank, every later one — whatever its variant —
 // is handed the result; profiles are remembered side by side; a batched
 // solve assembles no cost inputs at all; and a full set-up, which has no
 // earlier solve to learn from, traces every time.
@@ -237,7 +229,6 @@ func TestCacheTraceRunsOncePerSystemAndProfile(t *testing.T) {
 		{fsaicomm.SolveOptions{}, ranks},
 		{fsaicomm.SolveOptions{Arch: "skylake", CGVariant: fsaicomm.CGFused}, ranks},
 		{fsaicomm.SolveOptions{Arch: "a64fx"}, 2 * ranks},
-		{fsaicomm.SolveOptions{Arch: "skylake", Nodes: 2}, 2 * ranks},
 		{fsaicomm.SolveOptions{Arch: "a64fx", CGVariant: fsaicomm.CGPipelined}, 2 * ranks},
 	} {
 		if _, err := p.Solve(ctx, b, step.so); err != nil {

@@ -19,33 +19,19 @@ type rankOps struct {
 	misses      *TracedMisses
 }
 
-// adopt is step 1 of the job: the rank's operators, under the
-// communicator's topology.
-func (j *JobSpec) adopt(c *simmpi.Comm) rankOps {
+// adopt is step 1 of the job: the rank's operators.
+func (j *JobSpec) adopt() rankOps {
 	ad := j.Adopt
 	if j.Solve.Solver == krylov.SolverGMRES {
-		return rankOps{a: ad.A.op(c), m: ad.M.op(c), misses: ad.Misses}
+		return rankOps{a: ad.A.op(), m: ad.M.op(), misses: ad.Misses}
 	}
-	return rankOps{a: ad.A.op(c), g: ad.G.op(c), gt: ad.GT.op(c), misses: ad.Misses}
+	return rankOps{a: ad.A.op(), g: ad.G.op(), gt: ad.GT.op(), misses: ad.Misses}
 }
 
 // dress is step 2a: whatever the solve asks of the operators beyond their
 // values. It returns the float32 twin of A for the inner solves of a
 // mixed-precision job (nil under FP64). Everything here is rank-local.
 func (ops rankOps) dress(sp SolveParams) (aInner *distmat.Op) {
-	all := []*distmat.Op{ops.a, ops.g, ops.gt}
-	if ops.m != nil {
-		all = []*distmat.Op{ops.a, ops.m}
-	}
-	for _, op := range all {
-		if sp.NoNodeAggregation {
-			// Baseline mode: keep the flat per-rank schedule under the declared
-			// topology, so the meter still classifies intra vs inter traffic
-			// but nothing is aggregated — the comparison plan of
-			// TestNodeAwareTransportDifferential.
-			op.Plan.SetNodeAware(false)
-		}
-	}
 	if sp.Precision != krylov.FP32 {
 		return nil
 	}
@@ -56,8 +42,7 @@ func (ops rankOps) dress(sp SolveParams) (aInner *distmat.Op) {
 	ops.gt.SetF32(true)
 	// The inner A shares a's localized matrix but clones the plan, so the
 	// inner halo runs half-width while a keeps the full-width schedule for
-	// the outer FP64 residual. The clone preserves the plan's
-	// node-awareness.
+	// the outer FP64 residual.
 	aInner = distmat.NewOpFromParts(ops.a.LZ, ops.a.Plan.Clone())
 	aInner.SetF32(true)
 	return aInner
@@ -116,7 +101,7 @@ func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Worksp
 	sp := job.Solve
 	lo, hi := job.Layout.Range(rank)
 	out := &RankOutcome{Rank: rank, Lo: lo, Hi: hi}
-	ops := job.adopt(c)
+	ops := job.adopt()
 	aInner := ops.dress(sp)
 	if job.K == 0 { // the batched results carry no modeled time
 		out.Cost = ops.cost(sp, hi-lo, c.Size())

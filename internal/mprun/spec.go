@@ -60,26 +60,22 @@ type JobSpec struct {
 
 // HeldOp is one distributed operator as a finished set-up holds it: the
 // localized rows (read-only, shared by concurrent solves) and the halo
-// schedule as plain index lists plus the need-count matrix captured when the
-// plan was built, from which a per-solve topology's node-aware relay
-// schedule is derived with zero extra communication.
+// schedule as plain index lists.
 type HeldOp struct {
 	LZ         *distmat.Localized
 	Send, Recv [][]int
-	Counts     []int
 }
 
 // Hold captures an operator for later adoption. The schedule lists are
 // referenced, not copied; every adopting solve wraps them in a fresh plan
 // with private buffers.
 func Hold(op *distmat.Op) *HeldOp {
-	return &HeldOp{LZ: op.LZ, Send: op.Plan.SendPeers, Recv: op.Plan.RecvPeers, Counts: op.Plan.NeedCounts()}
+	return &HeldOp{LZ: op.LZ, Send: op.Plan.SendPeers, Recv: op.Plan.RecvPeers}
 }
 
-// op rebuilds the operator under the communicator's topology.
-func (h *HeldOp) op(c *simmpi.Comm) *distmat.Op {
-	plan := distmat.NewHaloPlanFromScheduleTopo(h.Send, h.Recv, h.Counts, c.Rank(), c.Topology())
-	return distmat.NewOpFromParts(h.LZ, plan)
+// op rebuilds the operator over a fresh plan.
+func (h *HeldOp) op() *distmat.Op {
+	return distmat.NewOpFromParts(h.LZ, distmat.NewHaloPlanFromSchedule(h.Send, h.Recv))
 }
 
 // Operators is one rank's share of a finished set-up: A with the factor
@@ -135,22 +131,6 @@ type SolveParams struct {
 	// Precision FP32 narrows the factor operators, adds a float32 twin of A
 	// and runs the FP64 iterative-refinement loop around the CG solve.
 	Precision krylov.Precision
-	// Nodes/RanksPerNode declare the two-level topology (0/0 = flat); under
-	// a multi-rank topology the halo plans aggregate cross-node traffic per
-	// node pair unless NoNodeAggregation keeps the flat per-rank schedule
-	// (the metered baseline the node-aware benchmarks compare to).
-	Nodes, RanksPerNode int
-	NoNodeAggregation   bool
-}
-
-// Topology resolves the job's declared node grouping against the world
-// size. The zero declaration yields the zero (flat) topology, keeping every
-// pre-topology meter reading bit-identical.
-func (j *JobSpec) Topology(size int) (simmpi.Topology, error) {
-	if j.Solve.Nodes == 0 && j.Solve.RanksPerNode == 0 {
-		return simmpi.Topology{}, nil
-	}
-	return simmpi.ResolveTopology(size, j.Solve.Nodes, j.Solve.RanksPerNode)
 }
 
 // ForRank returns rank's copy of a job template: the same job with B cut to

@@ -182,13 +182,8 @@ func runOn(ctx context.Context, ep *tcpmpi.Endpoint, spec *JobSpec) (out *RankOu
 			out, err = nil, fmt.Errorf("rank %d panicked: %v", ep.Rank(), p)
 		}
 	}()
-	// Each worker meters its own rank's traffic under the job's declared
-	// topology, so the intra/inter split matches the in-process backend's.
-	topo, err := spec.Topology(ep.Size())
-	if err != nil {
-		return nil, err
-	}
-	c := simmpi.NewComm(ep, simmpi.NewMeterTopo(ep.Size(), topo), opTimeout)
+	// Each worker meters its own rank's traffic.
+	c := simmpi.NewComm(ep, simmpi.NewMeter(ep.Size()), opTimeout)
 	if out, err = RunJob(ctx, c, spec, nil); err == nil {
 		// A reduction posted and never waited may still be flushing; the
 		// next job's traffic must not overtake it.

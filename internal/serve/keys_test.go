@@ -15,7 +15,7 @@ import (
 // SolveOptions) separates batches. Each set-up field separates prepared
 // systems — the SPAI knobs only under SPAI —, while Workers (the runtime
 // group) and every per-solve field leave the prepared-cache key alone: one
-// cached system serves both transports and any node grouping.
+// cached system serves both transports.
 func TestCacheKeysCoverEveryOption(t *testing.T) {
 	a := fsaicomm.GeneratePoisson2D(30, 30)
 	legal := map[string]any{
@@ -23,8 +23,7 @@ func TestCacheKeysCoverEveryOption(t *testing.T) {
 		"PatternLevel": 2, "Threshold": 0.1, "Ranks": fsaicomm.AutoRanks(a, 0) + 1, "Partitioner": "block",
 		"PartitionSeed": int64(7), "Precision": fsaicomm.FP32, "SPAISteps": 2, "SPAIAdd": 3, "SPAIEpsilon": 0.2,
 		"Workers": 4, "Tol": 1e-6, "MaxIter": 50, "CGVariant": fsaicomm.CGFused, "Restart": 20, "Arch": "a64fx",
-		"Trace": true, "ResidualReplaceEvery": 10, "Transport": "tcp", "Nodes": 2, "RanksPerNode": 2,
-		"NoNodeAggregation": true,
+		"Trace": true, "ResidualReplaceEvery": 10, "Transport": "tcp",
 	}
 	with := func(o any, name string) {
 		v, ok := legal[name]
@@ -103,7 +102,7 @@ func TestCacheKeysCoverEveryOption(t *testing.T) {
 		uploadGen(t, fresh.URL, gen)
 		plain := solveRequest{Matrix: mr.Matrix, Ranks: 2}
 		first := solveRequest{Matrix: mr.Matrix, Ranks: 2, Tol: 1e-4, MaxIter: 9, CG: "fused", Restart: 5,
-			Arch: "a64fx", Trace: true, ResidualReplaceEvery: 3, Nodes: 2, NoNodeAggregation: true}
+			Arch: "a64fx", Trace: true, ResidualReplaceEvery: 3}
 		if gen == "convdiff-sim" {
 			plain.Solver, first.Solver, first.CG = "gmres", "gmres", ""
 		}

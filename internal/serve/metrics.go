@@ -170,19 +170,12 @@ type metrics struct {
 
 	iterations      atomic.Int64
 	commBytes       atomic.Int64
+	commMessages    atomic.Int64
 	collectiveCalls atomic.Int64
 	collectiveBytes atomic.Int64
 	// How the ranks' blocking waits ended (fsaicomm.SolveTotals.Waits): parked is
 	// the number of wake-ups the solves paid for.
 	waitsReady, waitsPolled, waitsParked atomic.Int64
-
-	// Two-level topology split of the point-to-point totals: traffic between
-	// ranks on the same node vs different nodes (flat solves count everything
-	// inter-node, so intra stays 0 and inter == commBytes).
-	intraNodeBytes    atomic.Int64
-	intraNodeMessages atomic.Int64
-	interNodeBytes    atomic.Int64
-	interNodeMessages atomic.Int64
 
 	batchesTotal  atomic.Int64 // batched solves executed (any occupancy)
 	coalescedJobs atomic.Int64 // jobs that rode another job's batch
@@ -199,10 +192,7 @@ type metrics struct {
 func (m *metrics) addSolve(iters int, t *fsaicomm.SolveTotals) {
 	m.iterations.Add(int64(iters))
 	m.commBytes.Add(t.CommBytes)
-	m.intraNodeBytes.Add(t.IntraNodeBytes)
-	m.intraNodeMessages.Add(t.IntraNodeMessages)
-	m.interNodeBytes.Add(t.InterNodeBytes)
-	m.interNodeMessages.Add(t.InterNodeMessages)
+	m.commMessages.Add(t.CommMessages)
 	m.collectiveCalls.Add(t.CollectiveCalls)
 	m.collectiveBytes.Add(t.CollectiveBytes)
 	m.waitsReady.Add(t.Waits.Ready)
@@ -249,17 +239,17 @@ type metricsSnapshot struct {
 		Matrices cacheSnapshot    `json:"matrices"`
 	} `json:"cache"`
 	Solve struct {
-		Iterations        int64 `json:"iterations_total"`
-		CommBytes         int64 `json:"comm_bytes_total"`
-		IntraNodeBytes    int64 `json:"intra_node_bytes_total"`
-		IntraNodeMessages int64 `json:"intra_node_messages_total"`
-		InterNodeBytes    int64 `json:"inter_node_bytes_total"`
-		InterNodeMessages int64 `json:"inter_node_messages_total"`
-		CollectiveCalls   int64 `json:"collective_calls_total"`
-		CollectiveBytes   int64 `json:"collective_bytes_total"`
-		WaitsReady        int64 `json:"simmpi_waits_ready"`
-		WaitsPolled       int64 `json:"simmpi_waits_polled"`
-		WaitsParked       int64 `json:"simmpi_waits_parked"`
+		Iterations int64 `json:"iterations_total"`
+		CommBytes  int64 `json:"comm_bytes_total"`
+		// CommMessages is every solve's point-to-point message count. Its
+		// key keeps the name benchmark/ decodes (and sums into
+		// simmpi.p2p_messages_per_rhs) until ROADMAP item 20 respells it.
+		CommMessages    int64 `json:"inter_node_messages_total"`
+		CollectiveCalls int64 `json:"collective_calls_total"`
+		CollectiveBytes int64 `json:"collective_bytes_total"`
+		WaitsReady      int64 `json:"simmpi_waits_ready"`
+		WaitsPolled     int64 `json:"simmpi_waits_polled"`
+		WaitsParked     int64 `json:"simmpi_waits_parked"`
 	} `json:"solve"`
 	Batch struct {
 		BatchesTotal  int64             `json:"batches_total"`
@@ -302,10 +292,7 @@ func (m *metrics) snapshot(prepared, matrices *lru) ([]byte, error) {
 	}
 	s.Solve.Iterations = m.iterations.Load()
 	s.Solve.CommBytes = m.commBytes.Load()
-	s.Solve.IntraNodeBytes = m.intraNodeBytes.Load()
-	s.Solve.IntraNodeMessages = m.intraNodeMessages.Load()
-	s.Solve.InterNodeBytes = m.interNodeBytes.Load()
-	s.Solve.InterNodeMessages = m.interNodeMessages.Load()
+	s.Solve.CommMessages = m.commMessages.Load()
 	s.Solve.CollectiveCalls = m.collectiveCalls.Load()
 	s.Solve.CollectiveBytes = m.collectiveBytes.Load()
 	s.Solve.WaitsReady = m.waitsReady.Load()

@@ -17,6 +17,7 @@ import (
 
 	"fsaicomm"
 	"fsaicomm/internal/mprun"
+	"fsaicomm/internal/testsets"
 )
 
 // TestMain lets this test binary self-host the rank worker processes that
@@ -290,6 +291,58 @@ func TestSolveTransportTCP(t *testing.T) {
 	}
 }
 
+// TestMetricsCountPointToPointMessages: /metrics' inter_node_messages_total
+// (the key benchmark/ reads) is the sum of CommMessages over the solves the
+// server ran, on both transports: each request is replayed through the
+// library on the same matrix, options and right-hand side.
+func TestMetricsCountPointToPointMessages(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	const gen = "Dubcova2-sim"
+	mr := uploadGen(t, ts.URL, gen)
+	spec, err := testsets.ByName(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := spec.Generate()
+	reqs := []solveRequest{
+		{Matrix: mr.Matrix, Ranks: 2},
+		{Matrix: mr.Matrix, Ranks: 3, CG: "fused", RHSSeed: 2},
+		{Matrix: mr.Matrix, Ranks: 3, CG: "pipelined", RHSSeed: 3},
+	}
+	if !testing.Short() {
+		reqs = append(reqs,
+			solveRequest{Matrix: mr.Matrix, Ranks: 2, Transport: "tcp"},
+			solveRequest{Matrix: mr.Matrix, Ranks: 3, CG: "fused", RHSSeed: 4, Transport: "tcp"})
+	}
+	var want int64
+	for _, q := range reqs {
+		if code, _, raw := solveOn(t, ts.URL, q); code != http.StatusOK {
+			t.Fatalf("%+v: %d %s", q, code, raw)
+		}
+		opt, so, err := q.options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := fsaicomm.Prepare(a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := max(q.RHSSeed, 1)
+		res, err := p.Solve(context.Background(), fsaicomm.GenerateRHS(a, seed), so)
+		p.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CommMessages == 0 {
+			t.Fatalf("%+v: a distributed solve sent no messages", q)
+		}
+		want += res.CommMessages
+	}
+	if got := getMetrics(t, ts.URL).Solve.CommMessages; got != want {
+		t.Fatalf("inter_node_messages_total %d, the solves sent %d", got, want)
+	}
+}
+
 // The concurrency satellite: N clients solving the same cached system in
 // parallel get bit-identical solutions, and the cache counts exactly one
 // miss (the priming build) plus one hit per concurrent request.
@@ -423,9 +476,9 @@ func TestIllegalCellsRefusedBeforeAdmission(t *testing.T) {
 	before := getMetrics(t, ts.URL)
 	for _, q := range []solveRequest{
 		{Matrix: mr.Matrix, LineBytes: 12},
-		{Matrix: mr.Matrix, Ranks: 2, Nodes: 3},
-		{Matrix: mr.Matrix, Nodes: 3}, // AutoRanks: 2
-		{Matrix: mr.Matrix, Ranks: 4, RanksPerNode: 3},
+		{Matrix: mr.Matrix, Ranks: 2, Method: "spai"},
+		{Matrix: mr.Matrix, Method: "spai"}, // AutoRanks: 2
+		{Matrix: mr.Matrix, Ranks: 4, Solver: "gmres", CG: "fused"},
 	} {
 		if code, _, raw := solveOn(t, ts.URL, q); code != http.StatusBadRequest {
 			t.Errorf("%+v: %d %s, want 400", q, code, raw)
@@ -437,6 +490,37 @@ func TestIllegalCellsRefusedBeforeAdmission(t *testing.T) {
 		t.Errorf("refused requests moved the meters: jobs accepted %d → %d, failed %d → %d; prepared misses %d → %d, entries %d → %d",
 			before.Jobs.Accepted, after.Jobs.Accepted, before.Jobs.Failed, after.Jobs.Failed,
 			before.Cache.Prepared.Misses, after.Cache.Prepared.Misses, before.Cache.Prepared.Entries, after.Cache.Prepared.Entries)
+	}
+}
+
+// TestNodeFieldsRefusedBeforeAdmission: the world is flat, so a /solve body
+// that still asks for a node grouping — nodes, ranks_per_node or
+// no_node_aggregation — is a 400 that names the field, before admission: no
+// job accepted or rejected, and the one slot stays free for the next solve.
+func TestNodeFieldsRefusedBeforeAdmission(t *testing.T) {
+	_, ts := testServer(t, Config{MaxInFlight: 1, MaxQueue: -1})
+	mr := uploadGen(t, ts.URL, "Dubcova2-sim")
+	before := getMetrics(t, ts.URL)
+	for _, field := range []string{"nodes", "ranks_per_node", "no_node_aggregation"} {
+		body := map[string]any{"matrix": mr.Matrix, "ranks": 4, field: 2}
+		if field == "no_node_aggregation" {
+			body[field] = true
+		}
+		resp, raw := postJSON(t, ts.URL+"/solve", body)
+		var e struct{ Error string }
+		json.Unmarshal(raw, &e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"`+field+`"`) {
+			t.Errorf("%s: %d %s, want a 400 that names the field", field, resp.StatusCode, raw)
+		}
+	}
+	after := getMetrics(t, ts.URL)
+	if after.Jobs.Accepted != before.Jobs.Accepted || after.Jobs.Rejected != before.Jobs.Rejected ||
+		after.Jobs.InFlight != 0 || after.Jobs.Queued != 0 {
+		t.Errorf("refused requests moved the job meters: accepted %d → %d, rejected %d → %d, in flight %d, queued %d",
+			before.Jobs.Accepted, after.Jobs.Accepted, before.Jobs.Rejected, after.Jobs.Rejected, after.Jobs.InFlight, after.Jobs.Queued)
+	}
+	if code, _, raw := solveOn(t, ts.URL, solveRequest{Matrix: mr.Matrix, Ranks: 4}); code != http.StatusOK {
+		t.Fatalf("legal solve after the refusals: %d %s", code, raw)
 	}
 }
 

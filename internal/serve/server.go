@@ -423,14 +423,6 @@ type solveRequest struct {
 	Trace                bool    `json:"trace,omitempty"`
 	ResidualReplaceEvery int     `json:"residual_replace_every,omitempty"`
 	Transport            string  `json:"transport,omitempty"` // sim | tcp (rank backend; empty = server default)
-	// Nodes/RanksPerNode declare a per-solve two-level topology; the halo
-	// exchange aggregates cross-node traffic per node pair unless
-	// NoNodeAggregation keeps the flat schedule (see fsaicomm.Options.Nodes).
-	// Deliberately NOT part of the prepared-cache key: one cached system
-	// serves any node grouping, the relay schedule is derived locally.
-	Nodes             int  `json:"nodes,omitempty"`
-	RanksPerNode      int  `json:"ranks_per_node,omitempty"`
-	NoNodeAggregation bool `json:"no_node_aggregation,omitempty"`
 }
 
 // decodeSolve reads a /solve body into the request and the facade options it
@@ -500,9 +492,6 @@ func (q *solveRequest) options() (fsaicomm.Options, fsaicomm.SolveOptions, error
 		Trace:                q.Trace,
 		ResidualReplaceEvery: q.ResidualReplaceEvery,
 		Transport:            q.Transport,
-		Nodes:                q.Nodes,
-		RanksPerNode:         q.RanksPerNode,
-		NoNodeAggregation:    q.NoNodeAggregation,
 	}
 	if err := opt.Validate(); err != nil {
 		return fsaicomm.Options{}, fsaicomm.SolveOptions{}, fail(http.StatusBadRequest, "%v", err)
@@ -515,8 +504,8 @@ func (q *solveRequest) options() (fsaicomm.Options, fsaicomm.SolveOptions, error
 // of the same set-up share an entry ("" and "multilevel", 0 and 64-byte
 // lines, automatic and explicit equal rank counts). What leaves the factors
 // alone is not in it: Workers parallelizes the build without changing its
-// result, and no per-solve field — Transport and the node grouping included
-// — changes what Prepare builds. Everything after the fingerprint is what two
+// result, and no per-solve field — Transport included — changes what
+// Prepare builds. Everything after the fingerprint is what two
 // systems must share for one to be refactored from the other (donorSuffix).
 func setupKey(fp, pattern string, setup fsaicomm.Options) string {
 	return fmt.Sprintf("%s|%s|%v", fp, pattern, setup)

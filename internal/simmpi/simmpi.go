@@ -29,7 +29,7 @@ import (
 
 // World is an in-process communication universe of Size ranks: the channel
 // backend, and the semantic oracle the TCP backend is conformance-tested
-// against. Create one with NewWorldTopo and derive per-rank communicators with
+// against. Create one with NewWorld and derive per-rank communicators with
 // Comm.
 type World struct {
 	size    int
@@ -73,24 +73,17 @@ func newRankState() rankState {
 	return rankState{self: make(chan Payload, selfQueueCap)}
 }
 
-// NewWorldTopo creates a world of size ranks whose meter classifies traffic
-// against the given two-level topology (see Topology); the zero topology is
-// flat. timeout bounds every blocking receive and collective; zero means
-// block forever. An invalid topology panics: a world silently
-// misattributing intra vs inter traffic would corrupt every metered claim
-// built on it.
-func NewWorldTopo(size int, timeout time.Duration, topo Topology) *World {
+// NewWorld creates a world of size ranks. timeout bounds every blocking
+// receive and collective; zero means block forever.
+func NewWorld(size int, timeout time.Duration) *World {
 	if size < 1 {
 		panic(fmt.Sprintf("simmpi: world size %d < 1", size))
-	}
-	if err := topo.Validate(size); err != nil {
-		panic(err.Error())
 	}
 	w := &World{
 		size:    size,
 		timeout: timeout,
-		meter:   NewMeterTopo(size, topo),
 		states:  make([]rankState, size),
+		meter:   NewMeter(size),
 	}
 	for l := range w.lanes {
 		w.lanes[l] = make([][]chan Payload, size)
@@ -127,13 +120,7 @@ func (w *World) Comm(rank int) *Comm {
 // non-nil error wins. The world is returned so callers can inspect the
 // traffic meter afterwards.
 func Run(size int, timeout time.Duration, fn func(c *Comm) error) (*World, error) {
-	return RunTopo(size, timeout, Topology{}, fn)
-}
-
-// RunTopo is Run on a world with the given topology attached (see
-// NewWorldTopo).
-func RunTopo(size int, timeout time.Duration, topo Topology, fn func(c *Comm) error) (*World, error) {
-	w := NewWorldTopo(size, timeout, topo)
+	w := NewWorld(size, timeout)
 	errs := make([]error, size)
 	var wg sync.WaitGroup
 	for r := 0; r < size; r++ {
@@ -228,12 +215,6 @@ func (c *Comm) Meter() *Meter { return c.meter }
 
 // Waits tells how this rank's blocking waits ended: who came first, no meter.
 func (c *Comm) Waits() Waits { return *c.waits }
-
-// Topology returns the two-level topology this communicator's meter
-// classifies traffic against; the zero Topology when none was declared. The
-// meter is the single source of truth so the node-aware halo plans and the
-// intra/inter counters can never disagree about who shares a node.
-func (c *Comm) Topology() Topology { return c.meter.Topology() }
 
 func (c *Comm) checkPeer(peer int) {
 	if peer < 0 || peer >= c.Size() {
@@ -614,45 +595,23 @@ func (c *Comm) IallreduceSum(vals ...float64) *Request {
 }
 
 // Meter accumulates communication statistics. Safe for concurrent use.
-// Every point-to-point message is additionally classified against the
-// meter's Topology as intra-node (sender and receiver share a node) or
-// inter-node; under a flat topology nothing can be intra-node, so the
-// historical counters keep their exact meaning and every pre-topology caller
-// reads its traffic as "all network".
 type Meter struct {
 	mu        sync.Mutex
-	topo      Topology
 	size      int
 	pairBytes [][]int64
 	pairMsgs  [][]int64
 	collBytes []int64
 	collOps   []int64
-	// Per-source-rank intra/inter splits. Full pair matrices already exist
-	// above; these are the cheap per-level rollups the cost model and the
-	// /metrics endpoint read.
-	intraBytes []int64
-	intraMsgs  []int64
-	interBytes []int64
-	interMsgs  []int64
 }
 
-// NewMeterTopo returns a meter for the given world size that classifies
-// point-to-point traffic against topo. An invalid topology panics.
-func NewMeterTopo(size int, topo Topology) *Meter {
-	if err := topo.Validate(size); err != nil {
-		panic(err.Error())
-	}
+// NewMeter returns a meter for a world of the given size.
+func NewMeter(size int) *Meter {
 	m := &Meter{
-		topo:       topo,
-		size:       size,
-		pairBytes:  make([][]int64, size),
-		pairMsgs:   make([][]int64, size),
-		collBytes:  make([]int64, size),
-		collOps:    make([]int64, size),
-		intraBytes: make([]int64, size),
-		intraMsgs:  make([]int64, size),
-		interBytes: make([]int64, size),
-		interMsgs:  make([]int64, size),
+		size:      size,
+		pairBytes: make([][]int64, size),
+		pairMsgs:  make([][]int64, size),
+		collBytes: make([]int64, size),
+		collOps:   make([]int64, size),
 	}
 	for i := 0; i < size; i++ {
 		m.pairBytes[i] = make([]int64, size)
@@ -661,24 +620,10 @@ func NewMeterTopo(size int, topo Topology) *Meter {
 	return m
 }
 
-// Topology returns the topology the meter classifies traffic against.
-func (m *Meter) Topology() Topology {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.topo
-}
-
 func (m *Meter) record(src, dst, bytes int) {
 	m.mu.Lock()
 	m.pairBytes[src][dst] += int64(bytes)
 	m.pairMsgs[src][dst]++
-	if m.topo.SameNode(src, dst) {
-		m.intraBytes[src] += int64(bytes)
-		m.intraMsgs[src]++
-	} else {
-		m.interBytes[src] += int64(bytes)
-		m.interMsgs[src]++
-	}
 	m.mu.Unlock()
 }
 
@@ -693,18 +638,12 @@ func (m *Meter) recordCollective(rank, bytes int) {
 func (m *Meter) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := 0; i < m.size; i++ {
-		for j := 0; j < m.size; j++ {
-			m.pairBytes[i][j] = 0
-			m.pairMsgs[i][j] = 0
-		}
-		m.collBytes[i] = 0
-		m.collOps[i] = 0
-		m.intraBytes[i] = 0
-		m.intraMsgs[i] = 0
-		m.interBytes[i] = 0
-		m.interMsgs[i] = 0
+	for i := range m.pairBytes {
+		clear(m.pairBytes[i])
+		clear(m.pairMsgs[i])
 	}
+	clear(m.collBytes)
+	clear(m.collOps)
 }
 
 // Merge adds o's counters into m. The multi-process launcher uses it to
@@ -717,9 +656,6 @@ func (m *Meter) Merge(o *Meter) {
 	if o.size != m.size {
 		panic(fmt.Sprintf("simmpi: merging meter of size %d into %d", o.size, m.size))
 	}
-	if o.topo != m.topo {
-		panic(fmt.Sprintf("simmpi: merging meter with topology %+v into %+v", o.topo, m.topo))
-	}
 	for i := 0; i < m.size; i++ {
 		for j := 0; j < m.size; j++ {
 			m.pairBytes[i][j] += o.pairBytes[i][j]
@@ -727,10 +663,6 @@ func (m *Meter) Merge(o *Meter) {
 		}
 		m.collBytes[i] += o.collBytes[i]
 		m.collOps[i] += o.collOps[i]
-		m.intraBytes[i] += o.intraBytes[i]
-		m.intraMsgs[i] += o.intraMsgs[i]
-		m.interBytes[i] += o.interBytes[i]
-		m.interMsgs[i] += o.interMsgs[i]
 	}
 }
 
@@ -777,11 +709,6 @@ func (m *Meter) CollectiveCalls(rank int) int64 {
 type Snapshot struct {
 	P2PBytes, P2PMessages            int64
 	CollectiveCalls, CollectiveBytes int64
-	// The topology split of the point-to-point totals above:
-	// P2PBytes = IntraP2PBytes + InterP2PBytes and likewise for messages.
-	// Under a flat topology the intra pair is always zero.
-	IntraP2PBytes, IntraP2PMessages int64
-	InterP2PBytes, InterP2PMessages int64
 }
 
 // Snapshot returns the current aggregate counters.
@@ -796,10 +723,6 @@ func (m *Meter) Snapshot() Snapshot {
 		}
 		s.CollectiveCalls += m.collOps[i]
 		s.CollectiveBytes += m.collBytes[i]
-		s.IntraP2PBytes += m.intraBytes[i]
-		s.IntraP2PMessages += m.intraMsgs[i]
-		s.InterP2PBytes += m.interBytes[i]
-		s.InterP2PMessages += m.interMsgs[i]
 	}
 	return s
 }
@@ -823,24 +746,16 @@ func (m *Meter) RankSnapshot(rank int) Snapshot {
 	}
 	s.CollectiveCalls = m.collOps[rank]
 	s.CollectiveBytes = m.collBytes[rank]
-	s.IntraP2PBytes = m.intraBytes[rank]
-	s.IntraP2PMessages = m.intraMsgs[rank]
-	s.InterP2PBytes = m.interBytes[rank]
-	s.InterP2PMessages = m.interMsgs[rank]
 	return s
 }
 
 // Sub returns the counter-wise difference s − o.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return Snapshot{
-		P2PBytes:         s.P2PBytes - o.P2PBytes,
-		P2PMessages:      s.P2PMessages - o.P2PMessages,
-		CollectiveCalls:  s.CollectiveCalls - o.CollectiveCalls,
-		CollectiveBytes:  s.CollectiveBytes - o.CollectiveBytes,
-		IntraP2PBytes:    s.IntraP2PBytes - o.IntraP2PBytes,
-		IntraP2PMessages: s.IntraP2PMessages - o.IntraP2PMessages,
-		InterP2PBytes:    s.InterP2PBytes - o.InterP2PBytes,
-		InterP2PMessages: s.InterP2PMessages - o.InterP2PMessages,
+		P2PBytes:        s.P2PBytes - o.P2PBytes,
+		P2PMessages:     s.P2PMessages - o.P2PMessages,
+		CollectiveCalls: s.CollectiveCalls - o.CollectiveCalls,
+		CollectiveBytes: s.CollectiveBytes - o.CollectiveBytes,
 	}
 }
 

@@ -82,7 +82,7 @@ func TestRoundTripAllocatesOnlyPayloadCopies(t *testing.T) {
 
 func roundTripAllocs[T Elem](t *testing.T, width uint64) {
 	const n, runs = 64, 200
-	w := NewWorldTopo(2, 0, Topology{})
+	w := NewWorld(2, 0)
 	c0, c1 := w.Comm(0), w.Comm(1)
 	go func() { // echoes until an empty message comes
 		for v := Recv[T](c1, 0, 0); v != nil; v = Recv[T](c1, 0, 0) {
@@ -367,7 +367,7 @@ func TestWorldSizeValidation(t *testing.T) {
 			t.Fatal("size 0 accepted")
 		}
 	}()
-	NewWorldTopo(0, 0, Topology{})
+	NewWorld(0, 0)
 }
 
 func TestManyRanksStress(t *testing.T) {

@@ -139,7 +139,7 @@ func TestWaitsAreCounted(t *testing.T) {
 // argument slice and the reduced vector — where it used to allocate four.
 // The world has no timeout, so no wait arms a timer.
 func TestAllreduceAllocatesNoPartsSlice(t *testing.T) {
-	w := NewWorldTopo(2, 0, Topology{})
+	w := NewWorld(2, 0)
 	c0, c1 := w.Comm(0), w.Comm(1)
 	enter, left := make(chan struct{}), make(chan struct{})
 	go func() {

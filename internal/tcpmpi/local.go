@@ -35,19 +35,9 @@ func listenAll(size int) ([]net.Listener, []string, error) {
 // the multi-process workers do); the returned meter is the per-rank meters
 // merged, comparable to an in-process World's.
 func RunLocal(size int, cfg Config, fn func(c *simmpi.Comm) error) (*simmpi.Meter, error) {
-	return RunLocalTopo(size, cfg, simmpi.Topology{}, fn)
-}
-
-// RunLocalTopo is RunLocal with a two-level topology attached to every
-// rank's meter (and hence Comm), mirroring simmpi.RunTopo for this
-// backend.
-func RunLocalTopo(size int, cfg Config, topo simmpi.Topology, fn func(c *simmpi.Comm) error) (*simmpi.Meter, error) {
 	cfg = cfg.withDefaults()
 	if size < 1 {
 		return nil, fmt.Errorf("tcpmpi: world size %d < 1", size)
-	}
-	if err := topo.Validate(size); err != nil {
-		return nil, err
 	}
 	lns, addrs, err := listenAll(size)
 	if err != nil {
@@ -75,7 +65,7 @@ func RunLocalTopo(size int, cfg Config, topo simmpi.Topology, fn func(c *simmpi.
 			if cfg.Wrap != nil {
 				t = cfg.Wrap(rank, t)
 			}
-			meters[rank] = simmpi.NewMeterTopo(size, topo)
+			meters[rank] = simmpi.NewMeter(size)
 			c := simmpi.NewComm(t, meters[rank], cfg.Timeout)
 			errs[rank] = fn(c)
 			if errs[rank] == nil {
@@ -87,7 +77,7 @@ func RunLocalTopo(size int, cfg Config, topo simmpi.Topology, fn func(c *simmpi.
 		}(r)
 	}
 	wg.Wait()
-	merged := simmpi.NewMeterTopo(size, topo)
+	merged := simmpi.NewMeter(size)
 	for _, m := range meters {
 		if m != nil {
 			merged.Merge(m)

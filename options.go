@@ -8,7 +8,6 @@ import (
 	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/core"
 	"fsaicomm/internal/mprun"
-	"fsaicomm/internal/simmpi"
 )
 
 // Options configures a solve. Every field belongs to one of three groups:
@@ -65,8 +64,8 @@ type Options struct {
 	MaxIter int
 	// Ranks (set-up) is the number of simulated processes for
 	// SolveDistributed. Default chosen from the matrix size (≈16k entries per
-	// rank, 2..12; see AutoRanks). Solve and BuildPreconditioner check the
-	// options at it and build on one rank.
+	// rank, 2..12; see AutoRanks). Solve and BuildPreconditioner build on
+	// one rank.
 	Ranks int
 	// PatternLevel (set-up) selects the base sparse pattern: 1 (default) is
 	// the lower triangle of A; N > 1 uses the lower triangle of
@@ -120,29 +119,9 @@ type Options struct {
 	// backends run the identical rank job and produce bit-identical results
 	// and meters; "tcp" pays real process and socket overheads — the
 	// processes are started for the solve and gone after it; a Prepared
-	// keeps its own between solves. Solve and SolveWith ignore it, as they
-	// ignore the node grouping: one process has no peer to reach.
+	// keeps its own between solves. Solve and SolveWith ignore it: one
+	// process has no peer to reach.
 	Transport string
-	// Nodes and RanksPerNode (per-solve) declare a two-level topology over
-	// the ranks: Nodes contiguous blocks of RanksPerNode ranks each (mpirun's
-	// block mapping). Setting either (the other is derived; both must divide
-	// the rank count and multiply to it) splits the communication meters into
-	// intra-node vs inter-node traffic and switches the halo exchange to
-	// node-aware aggregation: cross-node values are combined into one message
-	// per node pair through per-node leader ranks, collapsing the inter-node
-	// message count from per-rank-pair to per-node-pair with bit-identical
-	// received values. Zero/zero (the default) is the historical flat world —
-	// every rank its own node, all point-to-point traffic counted inter-node.
-	// A cached prepared system serves any node grouping: the relay schedule
-	// derives from need counts captured at Prepare time.
-	Nodes int
-	// RanksPerNode is the number of ranks per node (see Nodes).
-	RanksPerNode int
-	// NoNodeAggregation (per-solve) keeps the flat per-rank halo schedule
-	// under a declared topology: the meters still split intra vs inter
-	// traffic but nothing is aggregated. This is the baseline the node-aware
-	// benchmarks compare against; it has no effect on a flat topology.
-	NoNodeAggregation bool
 	// Precision (set-up) selects the solve's value width: FP64 (default) or
 	// FP32. Under FP32 the factors are still built in float64 and then
 	// narrowed to float32 — together with a float32 view of A — and the CG
@@ -180,10 +159,6 @@ type SolveOptions struct {
 	// later solves send a right-hand side and get a solution back, until
 	// Prepared.Close.
 	Transport string
-	// Nodes and RanksPerNode must divide the prepared rank count.
-	Nodes             int
-	RanksPerNode      int
-	NoNodeAggregation bool
 }
 
 // SolveOptions returns the per-solve group of o.
@@ -197,9 +172,6 @@ func (o Options) SolveOptions() SolveOptions {
 		Trace:                o.Trace,
 		ResidualReplaceEvery: o.ResidualReplaceEvery,
 		Transport:            o.Transport,
-		Nodes:                o.Nodes,
-		RanksPerNode:         o.RanksPerNode,
-		NoNodeAggregation:    o.NoNodeAggregation,
 	}
 }
 
@@ -221,14 +193,12 @@ func invalid(format string, args ...any) error {
 // Validate rejects nonsensical options with a descriptive error instead of
 // silently clamping them: the set-up fields here, the per-solve ones by
 // SolveOptions.Validate, then every combination of fields (SPAI ⇔ GMRES;
-// GMRES with the classic schedule and FP64; Nodes and RanksPerNode dividing
-// Ranks when Ranks is set — the entry points check them at the rank count
-// they resolve). Zero values always pass: they mean "use the default".
-func (o Options) Validate() error { return o.check(o.Ranks, false) }
+// GMRES with the classic schedule and FP64). Zero values always pass: they
+// mean "use the default".
+func (o Options) Validate() error { return o.check(false) }
 
-// check is Validate at a resolved rank count (0: not resolved yet) for a
-// batched solve or not.
-func (o Options) check(ranks int, batch bool) error {
+// check is Validate for a batched solve or not.
+func (o Options) check(batch bool) error {
 	switch {
 	case o.Ranks < 0 || o.Ranks > MaxRanks:
 		return invalid("Ranks %d is outside 0..%d (0 selects an automatic rank count)", o.Ranks, MaxRanks)
@@ -276,7 +246,7 @@ func (o Options) check(ranks int, batch bool) error {
 	if err := so.Validate(); err != nil {
 		return err
 	}
-	return cell(o, so, ranks, batch)
+	return cell(o, so, batch)
 }
 
 // Validate rejects nonsensical per-solve options: negative or NaN numbers,
@@ -293,10 +263,6 @@ func (o SolveOptions) Validate() error {
 		return invalid("Restart %d is negative (0 selects the default 30)", o.Restart)
 	case o.ResidualReplaceEvery < 0:
 		return invalid("ResidualReplaceEvery %d is negative (0 disables replacement)", o.ResidualReplaceEvery)
-	case o.Nodes < 0:
-		return invalid("Nodes %d is negative (0 means flat: one rank per node)", o.Nodes)
-	case o.RanksPerNode < 0:
-		return invalid("RanksPerNode %d is negative (0 means flat: one rank per node)", o.RanksPerNode)
 	}
 	switch o.CGVariant {
 	case CGClassic, CGFused, CGPipelined:
@@ -317,14 +283,12 @@ func (o SolveOptions) Validate() error {
 }
 
 // cell is the one check of how the fields of the two groups combine, for a
-// solve on ranks ranks (0: not resolved yet, the node grouping waits for it)
-// that is batched or not:
+// solve that is batched or not:
 //   - SPAI is a right inverse only GMRES applies, and GMRES has no use for
 //     the factor pair of the FSAI family;
 //   - GMRES runs the classic schedule in FP64 on one right-hand side;
-//   - a batch runs the CG family on the classic or fused schedule;
-//   - Nodes and RanksPerNode divide the rank count.
-func cell(setup Options, so SolveOptions, ranks int, batch bool) error {
+//   - a batch runs the CG family on the classic or fused schedule.
+func cell(setup Options, so SolveOptions, batch bool) error {
 	gmres := setup.Solver == SolverGMRES
 	switch {
 	case setup.Method == SPAI && !gmres:
@@ -340,23 +304,18 @@ func cell(setup Options, so SolveOptions, ranks int, batch bool) error {
 	case batch && so.CGVariant != CGClassic && so.CGVariant != CGFused:
 		return fmt.Errorf("%w: variant %v (batched solves support classic and fused)", ErrBatchVariant, so.CGVariant)
 	}
-	if ranks > 0 && (so.Nodes != 0 || so.RanksPerNode != 0) {
-		if _, err := simmpi.ResolveTopology(ranks, so.Nodes, so.RanksPerNode); err != nil {
-			return invalid("%v", err)
-		}
-	}
 	return nil
 }
 
-// Canonical checks o for a distributed system of matrix a — every field,
-// and every combination at the rank count Prepare resolves — and returns
+// Canonical checks o for a distributed system of matrix a — every field
+// and every combination — and returns
 // its set-up group in the one form all spellings of it share: defaults
 // resolved (LineBytes, PatternLevel, Partitioner, Ranks), the SPAI knobs
 // zero unless Method is SPAI, Workers zero, and the per-solve fields at
 // their defaults for a. It is what Prepared.Options reports and what the
 // serving layer keys its cache of prepared systems by.
 func (o Options) Canonical(a *Matrix) (Options, error) {
-	if err := o.check(AutoRanks(a, o.Ranks), false); err != nil {
+	if err := o.check(false); err != nil {
 		return Options{}, err
 	}
 	return o.canonical(a), nil
@@ -422,16 +381,11 @@ func buildConfig(setup Options, workers int) core.Config {
 }
 
 // solveParams is what a rank job needs to run the Krylov loop under so on
-// the operators of a system set up with setup on ranks ranks of n rows, with
-// the node grouping resolved against the rank count and the architecture
-// profile resolved by name. Neither can fail: so has passed Validate and the
-// cell check at this rank count.
-func solveParams(setup Options, so SolveOptions, ranks, n int) mprun.SolveParams {
+// the operators of a system set up with setup, of n rows, with the
+// architecture profile resolved by name. It cannot fail: so has passed
+// Validate.
+func solveParams(setup Options, so SolveOptions, n int) mprun.SolveParams {
 	so = so.withDefaults(n)
-	var topo simmpi.Topology
-	if so.Nodes != 0 || so.RanksPerNode != 0 {
-		topo, _ = simmpi.ResolveTopology(ranks, so.Nodes, so.RanksPerNode)
-	}
 	prof := archmodel.Skylake
 	if so.Arch != "" {
 		prof, _ = archmodel.ByName(so.Arch)
@@ -446,9 +400,6 @@ func solveParams(setup Options, so SolveOptions, ranks, n int) mprun.SolveParams
 		ResidualReplaceEvery: so.ResidualReplaceEvery,
 		Profile:              prof,
 		Precision:            setup.Precision,
-		Nodes:                topo.Nodes,
-		RanksPerNode:         topo.RanksPerNode,
-		NoNodeAggregation:    so.NoNodeAggregation,
 	}
 }
 

@@ -49,10 +49,6 @@ func TestIllegalCellsRefusedEverywhere(t *testing.T) {
 		{"GMRES pipelined", spai, SolveOptions{CGVariant: CGPipelined}, good, ErrInvalidOptions, all},
 		{"GMRES batch", spai, SolveOptions{}, good, ErrInvalidOptions, batch | prepBatch},
 		{"batch pipelined", two, SolveOptions{CGVariant: CGPipelined}, good, ErrBatchVariant, batch | prepBatch},
-		{"3 nodes on 2 ranks", two, SolveOptions{Nodes: 3}, good, ErrInvalidOptions, all},
-		{"3 ranks per node on 4 ranks", Options{Ranks: 4}, SolveOptions{RanksPerNode: 3}, good, ErrInvalidOptions, all},
-		{"2 nodes of 3 on 4 ranks", Options{Ranks: 4}, SolveOptions{Nodes: 2, RanksPerNode: 3}, good, ErrInvalidOptions, all},
-		{"3 nodes on the automatic 2 ranks", Options{}, SolveOptions{Nodes: 3}, good, ErrInvalidOptions, dist | batch | prep | prepBatch},
 		{"LineBytes 12", Options{LineBytes: 12, Ranks: 2}, SolveOptions{}, good, ErrInvalidOptions, one | dist | batch},
 		{"Filter NaN", Options{Filter: math.NaN(), Ranks: 2}, SolveOptions{}, good, ErrInvalidOptions, one | dist | batch},
 		{"rhs[3] = NaN", two, SolveOptions{}, withRHS(math.NaN()), ErrInvalidOptions, all},
@@ -62,7 +58,6 @@ func TestIllegalCellsRefusedEverywhere(t *testing.T) {
 		{"MaxIter -5", two, SolveOptions{MaxIter: -5}, good, ErrInvalidOptions, all},
 		{"Restart -3", two, SolveOptions{Restart: -3}, good, ErrInvalidOptions, all},
 		{"ResidualReplaceEvery -1", two, SolveOptions{ResidualReplaceEvery: -1}, good, ErrInvalidOptions, all},
-		{"Nodes -1", two, SolveOptions{Nodes: -1}, good, ErrInvalidOptions, all},
 	}
 	ctx := context.Background()
 	m, err := BuildPreconditioner(a, Options{})

@@ -23,10 +23,10 @@ type Preconditioner struct {
 // BuildPreconditioner constructs the selected variant for matrix a once.
 // Method SPAI (with Solver SolverGMRES) builds the explicit inverse of a
 // general square matrix; the FSAI family requires symmetry. Options are
-// checked at Options.Ranks, as at every entry point; the build is the one
-// Prepare runs, on a world of one rank.
+// checked as at every entry point; the build is the one Prepare runs, on a
+// world of one rank.
 func BuildPreconditioner(a *Matrix, opt Options) (*Preconditioner, error) {
-	setup, err := opt.setUp(a, opt.Ranks, false)
+	setup, err := opt.setUp(a, false)
 	if err != nil {
 		return nil, err
 	}
@@ -100,8 +100,7 @@ func (p *Preconditioner) Apply(r, z []float64) {
 // SolveWith runs the preconditioned Krylov solve of A·x = b reusing the
 // built preconditioner: Prepared.Solve on its one rank. Of opt it reads the
 // per-solve group, each field meaning what it means there, but the
-// transport and the node grouping, which a one-process solve has no use
-// for; the set-up fields are ignored, since the preconditioner is fixed.
+// transport, which a one-process solve has no use for; the set-up fields are ignored, since the preconditioner is fixed.
 // Options that Validate rejects and a right-hand side that is not finite get
 // an ErrInvalidOptions-wrapped error, as at every other entry point.
 // Result.SetupTime is the build's.
@@ -113,9 +112,9 @@ func (p *Preconditioner) SolveWith(b []float64, opt Options) (*Result, error) {
 }
 
 // solve is the one-process solve behind Solve and SolveWith: the one rank's
-// Prepared.Solve, without a transport or a node grouping to read.
+// Prepared.Solve, without a transport to read.
 func (p *Preconditioner) solve(ctx context.Context, b []float64, so SolveOptions) (*Result, error) {
-	so.Transport, so.Nodes, so.RanksPerNode = "", 0, 0
+	so.Transport = ""
 	res, err := p.one.Solve(ctx, b, so)
 	if res != nil {
 		res.SetupTime = p.one.setup

@@ -241,7 +241,7 @@ func (st *structure) factor(a *Matrix, donor *Prepared) (*Prepared, error) {
 // setup-phase communication (plan index exchange, remote row gather,
 // distributed transpose) happens exactly once, here.
 func Prepare(a *Matrix, opt Options) (*Prepared, error) {
-	setup, err := opt.setUp(a, AutoRanks(a, opt.Ranks), false)
+	setup, err := opt.setUp(a, false)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +261,7 @@ func prepare(a *Matrix, setup Options, workers int) (*Prepared, error) {
 // prepareOnce is the set-up of a one-off solve of rhs, batched or not,
 // refused before any work if Prepare or the solve would refuse it.
 func prepareOnce(a *Matrix, rhs [][]float64, opt Options, batch bool) (*Prepared, error) {
-	setup, err := opt.setUp(a, AutoRanks(a, opt.Ranks), batch)
+	setup, err := opt.setUp(a, batch)
 	if err == nil {
 		err = checkRHS(rhs, a.Rows)
 	}
@@ -412,12 +412,12 @@ func (p *Prepared) Solve(ctx context.Context, b []float64, so SolveOptions) (*Re
 
 // check refuses a solve of rhs on p under so, batched or not, for what a
 // solve anywhere is refused for: a per-solve field, a combination with p's
-// set-up group and rank count, a right-hand side.
+// set-up group, a right-hand side.
 func (p *Prepared) check(so SolveOptions, rhs [][]float64, batch bool) error {
 	if err := so.Validate(); err != nil {
 		return err
 	}
-	if err := cell(p.st.opt, so, p.ranks, batch); err != nil {
+	if err := cell(p.st.opt, so, batch); err != nil {
 		return err
 	}
 	return checkRHS(rhs, p.n)
@@ -429,7 +429,7 @@ func (p *Prepared) check(so SolveOptions, rhs [][]float64, batch bool) error {
 // the held operators over the wire, once per mesh, and run every job on a
 // fresh workspace, so pools only ever serve sim ranks.
 func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOptions, pools []sync.Pool) (*rankFold, error) {
-	sp := solveParams(p.st.opt, so, p.ranks, p.n)
+	sp := solveParams(p.st.opt, so, p.n)
 	held := p.parts
 	traced, known := p.misses.Load(sp.Profile)
 	if known {

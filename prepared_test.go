@@ -31,7 +31,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative filter", Options{Filter: -0.1}, "Filter"},
 		{"negative linebytes", Options{LineBytes: -64}, "LineBytes"},
 		{"linebytes not a multiple of 8", Options{LineBytes: 12}, "LineBytes"},
-		{"3 nodes on 2 ranks", Options{Ranks: 2, Nodes: 3}, "not divisible"},
 		{"negative pattern level", Options{PatternLevel: -1}, "PatternLevel"},
 		{"negative threshold", Options{Threshold: -1e-3}, "Threshold"},
 		{"negative replace every", Options{ResidualReplaceEvery: -1}, "ResidualReplaceEvery"},
@@ -119,8 +118,6 @@ func TestPreparedMatchesSolveDistributed(t *testing.T) {
 		{"fused", fsaie, func(o *Options) { o.CGVariant = CGFused }},
 		{"pipelined", fsaie, func(o *Options) { o.CGVariant = CGPipelined }},
 		{"fp32", fsaie, func(o *Options) { o.Precision = FP32 }},
-		{"2 nodes", fsaie, func(o *Options) { o.Ranks, o.Nodes = 4, 2 }},
-		{"2 nodes unaggregated", fsaie, func(o *Options) { o.Ranks, o.Nodes, o.NoNodeAggregation = 4, 2, true }},
 		{"spai+gmres", Options{Method: SPAI, Solver: SolverGMRES, SPAISteps: 1, Ranks: 3}, func(o *Options) {}},
 	}
 	for _, tc := range cases {
@@ -134,8 +131,7 @@ func TestPreparedMatchesSolveDistributed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: Prepare: %v", v, err)
 		}
-		got, err := p.Solve(context.Background(), b, SolveOptions{CGVariant: opt.CGVariant,
-			Nodes: opt.Nodes, NoNodeAggregation: opt.NoNodeAggregation})
+		got, err := p.Solve(context.Background(), b, SolveOptions{CGVariant: opt.CGVariant})
 		if err != nil {
 			t.Fatalf("%v: Prepared.Solve: %v", v, err)
 		}
@@ -170,7 +166,7 @@ func TestPreparedMatchesSolveDistributed(t *testing.T) {
 // (which is handed the result), a tcp solve (whose workers receive it in
 // their spec) and a from-scratch SolveDistributed (which always traces)
 // agree to the bit — for skylake, then a64fx, then skylake again, so two
-// profiles sit side by side; classic and fused; flat and two nodes; and for
+// profiles sit side by side; classic and fused; and for
 // an SPAI+GMRES system, whose misses are those of A and M.
 func TestMissMemoChangesNoModeledTime(t *testing.T) {
 	a := GenerateElasticity2D(9, 9, 3)
@@ -196,24 +192,22 @@ func TestMissMemoChangesNoModeledTime(t *testing.T) {
 				transports = append(transports, "tcp")
 			}
 			for _, variant := range sys.variants {
-				for _, nodes := range []int{0, 2} {
-					at := fmt.Sprintf("%s arch=%s cg=%v nodes=%d", sys.name, arch, variant, nodes)
-					opt := sys.opt
-					opt.Arch, opt.CGVariant, opt.Nodes = arch, variant, nodes
-					ref, err := SolveDistributed(a, b, opt)
+				at := fmt.Sprintf("%s arch=%s cg=%v", sys.name, arch, variant)
+				opt := sys.opt
+				opt.Arch, opt.CGVariant = arch, variant
+				ref, err := SolveDistributed(a, b, opt)
+				if err != nil {
+					t.Fatalf("%s: SolveDistributed: %v", at, err)
+				}
+				so := SolveOptions{Arch: arch, CGVariant: variant}
+				for _, transport := range transports {
+					so.Transport = transport
+					got, err := p.Solve(ctx, b, so)
 					if err != nil {
-						t.Fatalf("%s: SolveDistributed: %v", at, err)
+						t.Fatalf("%s %s: %v", at, transport, err)
 					}
-					so := SolveOptions{Arch: arch, CGVariant: variant, Nodes: nodes}
-					for _, transport := range transports {
-						so.Transport = transport
-						got, err := p.Solve(ctx, b, so)
-						if err != nil {
-							t.Fatalf("%s %s: %v", at, transport, err)
-						}
-						if got.ModeledSolveTime != ref.ModeledSolveTime || !reflect.DeepEqual(got.Phases, ref.Phases) {
-							t.Fatalf("%s %s: modeled %v s, from scratch %v s", at, transport, got.ModeledSolveTime, ref.ModeledSolveTime)
-						}
+					if got.ModeledSolveTime != ref.ModeledSolveTime || !reflect.DeepEqual(got.Phases, ref.Phases) {
+						t.Fatalf("%s %s: modeled %v s, from scratch %v s", at, transport, got.ModeledSolveTime, ref.ModeledSolveTime)
 					}
 				}
 			}

@@ -111,95 +111,15 @@ func TestPreparedSolveTransportDifferential(t *testing.T) {
 				t.Fatalf("%v: x[%d] diverges: tcp %v vs sim %v", v, i, tcp.X[i], sim.X[i])
 			}
 		}
-		if tcp.CommBytes != sim.CommBytes || tcp.CollectiveCalls != sim.CollectiveCalls {
-			t.Fatalf("%v: meters diverge: tcp (%d, %d) vs sim (%d, %d)",
-				v, tcp.CommBytes, tcp.CollectiveCalls, sim.CommBytes, sim.CollectiveCalls)
+		if tcp.CommBytes != sim.CommBytes || tcp.CommMessages != sim.CommMessages || tcp.CollectiveCalls != sim.CollectiveCalls {
+			t.Fatalf("%v: meters diverge: tcp (%d B, %d msgs, %d calls) vs sim (%d B, %d msgs, %d calls)",
+				v, tcp.CommBytes, tcp.CommMessages, tcp.CollectiveCalls, sim.CommBytes, sim.CommMessages, sim.CollectiveCalls)
+		}
+		if tcp.ModeledSolveTime != sim.ModeledSolveTime {
+			t.Fatalf("%v: modeled time diverges: tcp %g vs sim %g", v, tcp.ModeledSolveTime, sim.ModeledSolveTime)
 		}
 		if tcp.SetupTime != 0 {
 			t.Fatalf("%v: prepared tcp solve reports setup time %v", v, tcp.SetupTime)
-		}
-	}
-}
-
-// TestNodeAwareTransportDifferential is the end-to-end proof of the
-// node-aware aggregation claim, across every CG variant and both backends:
-// under a declared 2-node × 2-rank topology the aggregated exchange must
-// leave the solution, the iteration count and the inter-node byte volume
-// bit-identical to the flat per-rank schedule while strictly reducing the
-// inter-node message count — and the goroutine and process backends must
-// meter all of it identically.
-func TestNodeAwareTransportDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	a := GeneratePoisson2D(24, 24)
-	b := GenerateRHS(a, 5)
-	p, err := Prepare(a, Options{Method: FSAIEComm, Filter: 0.01, Ranks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []CGVariant{CGClassic, CGFused, CGPipelined} {
-		var simNap *Result
-		for _, tr := range []string{"", "tcp"} {
-			so := SolveOptions{CGVariant: v, Transport: tr, Nodes: 2, RanksPerNode: 2}
-			so.NoNodeAggregation = true
-			flat, err := p.Solve(context.Background(), b, so)
-			if err != nil {
-				t.Fatalf("%v %q flat: %v", v, tr, err)
-			}
-			so.NoNodeAggregation = false
-			nap, err := p.Solve(context.Background(), b, so)
-			if err != nil {
-				t.Fatalf("%v %q node-aware: %v", v, tr, err)
-			}
-			if nap.Iterations != flat.Iterations || nap.RelResidual != flat.RelResidual {
-				t.Fatalf("%v %q: stats diverge: node-aware (%d, %g) vs flat (%d, %g)",
-					v, tr, nap.Iterations, nap.RelResidual, flat.Iterations, flat.RelResidual)
-			}
-			for i := range flat.X {
-				if nap.X[i] != flat.X[i] {
-					t.Fatalf("%v %q: x[%d] diverges: node-aware %v vs flat %v", v, tr, i, nap.X[i], flat.X[i])
-				}
-			}
-			for _, r := range []*Result{flat, nap} {
-				if r.IntraNodeBytes+r.InterNodeBytes != r.CommBytes ||
-					r.IntraNodeMessages+r.InterNodeMessages != r.CommMessages {
-					t.Fatalf("%v %q: topology split does not sum to the totals: intra %d/%d + inter %d/%d vs %d/%d",
-						v, tr, r.IntraNodeMessages, r.IntraNodeBytes,
-						r.InterNodeMessages, r.InterNodeBytes, r.CommMessages, r.CommBytes)
-				}
-			}
-			if nap.InterNodeBytes != flat.InterNodeBytes {
-				t.Fatalf("%v %q: aggregation changed inter-node bytes: flat %d, node-aware %d",
-					v, tr, flat.InterNodeBytes, nap.InterNodeBytes)
-			}
-			if nap.InterNodeMessages >= flat.InterNodeMessages {
-				t.Fatalf("%v %q: aggregation did not reduce inter-node messages: flat %d, node-aware %d",
-					v, tr, flat.InterNodeMessages, nap.InterNodeMessages)
-			}
-			// The model never charges aggregation more than the flat schedule.
-			if nap.ModeledSolveTime > flat.ModeledSolveTime {
-				t.Fatalf("%v %q: aggregation raised the modeled solve time: flat %g s, node-aware %g s",
-					v, tr, flat.ModeledSolveTime, nap.ModeledSolveTime)
-			}
-			if tr == "" {
-				simNap = nap
-				continue
-			}
-			// Cross-backend: the process mesh must reproduce the goroutine
-			// world bit for bit, meters included.
-			if nap.IntraNodeBytes != simNap.IntraNodeBytes || nap.IntraNodeMessages != simNap.IntraNodeMessages ||
-				nap.InterNodeBytes != simNap.InterNodeBytes || nap.InterNodeMessages != simNap.InterNodeMessages {
-				t.Fatalf("%v: meters diverge across backends: tcp intra %d/%d inter %d/%d vs sim intra %d/%d inter %d/%d",
-					v, nap.IntraNodeMessages, nap.IntraNodeBytes, nap.InterNodeMessages, nap.InterNodeBytes,
-					simNap.IntraNodeMessages, simNap.IntraNodeBytes, simNap.InterNodeMessages, simNap.InterNodeBytes)
-			}
-			for i := range simNap.X {
-				if nap.X[i] != simNap.X[i] {
-					t.Fatalf("%v: node-aware x[%d] diverges across backends: tcp %v vs sim %v",
-						v, i, nap.X[i], simNap.X[i])
-				}
-			}
 		}
 	}
 }

@@ -240,15 +240,22 @@ func handPlan(rank int) *HaloPlan {
 	return NewHaloPlanFromSchedule(send, recv)
 }
 
-// handExchange runs k-wide hand-plan updates on c — one at k = 1 beside a
-// posted reduction (pipelined CG's schedule), one at k = 3 — and checks
-// what lands in the halo: column j of local value i holds
-// 100·rank + i + 1000·j, so the slot of source s must read 100·s + 1000·j.
-// It returns the rank's metered messages and bytes for each update, beside
-// what ExchangeCounts predicts for it.
-func handExchange(c *simmpi.Comm) (metered, predicted [2][2]int64, err error) {
+// handUpdate is one hand-plan update: k columns, optionally posted beside
+// a nonblocking reduction (pipelined CG's schedule).
+type handUpdate struct {
+	k      int
+	beside bool
+}
+
+// handExchange runs the given hand-plan updates on c and checks what lands
+// in the halo: column j of local value i holds 100·rank + i + 1000·j, so the
+// slot of source s must read 100·s + 1000·j. It returns the rank's metered
+// messages and bytes for each update, beside what ExchangeCounts predicts
+// for it.
+func handExchange(c *simmpi.Comm, ups []handUpdate) (metered, predicted [][2]int64, err error) {
 	p := handPlan(c.Rank())
-	for u, k := range []int{1, 3} {
+	for _, u := range ups {
+		k := u.k
 		ext := make([]float64, 5*k)
 		for i := 0; i < 2; i++ {
 			for j := 0; j < k; j++ {
@@ -256,19 +263,24 @@ func handExchange(c *simmpi.Comm) (metered, predicted [2][2]int64, err error) {
 			}
 		}
 		before := c.Meter().RankSnapshot(c.Rank())
+		var req *simmpi.Request
+		if u.beside {
+			req = c.IallreduceSum(1)
+		}
 		if k == 1 {
-			req := c.IallreduceSum(1)
 			p.Exchange(c, ext, 2)
-			if sum, err := req.Wait(); err != nil || sum[0] != 4 {
-				return metered, predicted, fmt.Errorf("rank %d: reduction beside the update: %v, %v", c.Rank(), sum, err)
-			}
 		} else {
 			p.ExchangeBatch(c, ext, 2, k)
 		}
+		if req != nil {
+			if sum, err := req.Wait(); err != nil || sum[0] != 4 {
+				return nil, nil, fmt.Errorf("rank %d: reduction beside the update: %v, %v", c.Rank(), sum, err)
+			}
+		}
 		d := c.Meter().RankSnapshot(c.Rank()).Sub(before)
-		metered[u] = [2]int64{d.P2PMessages, d.P2PBytes}
+		metered = append(metered, [2]int64{d.P2PMessages, d.P2PBytes})
 		m, b := p.ExchangeCounts(k)
-		predicted[u] = [2]int64{m, b}
+		predicted = append(predicted, [2]int64{m, b})
 		slot := 0
 		for src := 0; src < 4; src++ {
 			if src == c.Rank() {
@@ -276,7 +288,7 @@ func handExchange(c *simmpi.Comm) (metered, predicted [2][2]int64, err error) {
 			}
 			for j := 0; j < k; j++ {
 				if got, want := ext[(2+slot)*k+j], float64(100*src+1000*j); got != want {
-					return metered, predicted, fmt.Errorf("rank %d k=%d halo slot %d col %d: got %v, want %v",
+					return nil, nil, fmt.Errorf("rank %d k=%d halo slot %d col %d: got %v, want %v",
 						c.Rank(), k, slot, j, got, want)
 				}
 			}
@@ -287,44 +299,61 @@ func handExchange(c *simmpi.Comm) (metered, predicted [2][2]int64, err error) {
 	return metered, predicted, nil
 }
 
-// checkHandMeter pins each rank's hand-computed meter: 3 messages per
-// update, 24 bytes at k = 1 and 72 at k = 3 — a k-wide update costs one
-// message per peer, carrying k columns — and ExchangeCounts agreeing.
-func checkHandMeter(t *testing.T, metered, predicted [4][2][2]int64) {
+// runHand runs ups on a 4-rank world, in-process or over sockets, and pins
+// each rank's hand-computed meter: 3 messages per update, 24·k bytes — a
+// k-wide update costs one message per peer, carrying k columns — and
+// ExchangeCounts agreeing.
+func runHand(t *testing.T, sockets bool, ups []handUpdate) {
 	t.Helper()
+	var metered, predicted [4][][2]int64
+	fn := func(c *simmpi.Comm) (err error) {
+		metered[c.Rank()], predicted[c.Rank()], err = handExchange(c, ups)
+		return err
+	}
+	var err error
+	if sockets {
+		_, err = tcpmpi.RunLocal(4, tcpmpi.Config{Timeout: testTimeout}, fn)
+	} else {
+		_, err = simmpi.Run(4, testTimeout, fn)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r := 0; r < 4; r++ {
-		for u, want := range [2][2]int64{{3, 24}, {3, 72}} {
-			if metered[r][u] != want || predicted[r][u] != want {
-				t.Fatalf("rank %d update %d: metered %v, ExchangeCounts %v, want %v",
-					r, u, metered[r][u], predicted[r][u], want)
+		for i, u := range ups {
+			want := [2]int64{3, int64(24 * u.k)}
+			if metered[r][i] != want || predicted[r][i] != want {
+				t.Fatalf("rank %d update %d (%+v): metered %v, ExchangeCounts %v, want %v",
+					r, i, u, metered[r][i], predicted[r][i], want)
 			}
 		}
 	}
 }
 
-func TestHandBuiltExchangeSim(t *testing.T) {
-	var metered, predicted [4][2][2]int64
-	_, err := simmpi.Run(4, testTimeout, func(c *simmpi.Comm) (err error) {
-		metered[c.Rank()], predicted[c.Rank()], err = handExchange(c)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkHandMeter(t, metered, predicted)
+// The hand-built plan's single-column update on goroutine ranks: halo
+// values, per-rank meter and ExchangeCounts. (The NodeAware prefix dates
+// from when these tests also drove a node-aware relay; every update now
+// goes straight to its peer.)
+func TestNodeAwareHandBuiltExchangeSim(t *testing.T) {
+	runHand(t, false, []handUpdate{{k: 1}})
 }
 
-func TestHandBuiltExchangeTCP(t *testing.T) {
+// The same single-column update over the socket transport.
+func TestNodeAwareHandBuiltExchangeTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("socket transport in -short mode")
 	}
-	var metered, predicted [4][2][2]int64
-	_, err := tcpmpi.RunLocal(4, tcpmpi.Config{Timeout: testTimeout}, func(c *simmpi.Comm) (err error) {
-		metered[c.Rank()], predicted[c.Rank()], err = handExchange(c)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
+	runHand(t, true, []handUpdate{{k: 1}})
+}
+
+// A single-column update with a posted reduction in flight and a k-wide
+// batched update must deliver the same values, the reduction travelling on
+// its own lane, and a k-wide batch still costs one message per peer,
+// carrying k columns — on both transports.
+func TestNodeAwareAsyncAndBatchedExchange(t *testing.T) {
+	ups := []handUpdate{{k: 1, beside: true}, {k: 3}}
+	runHand(t, false, ups)
+	if !testing.Short() {
+		runHand(t, true, ups)
 	}
-	checkHandMeter(t, metered, predicted)
 }

@@ -78,3 +78,36 @@ func TestMeterAttributionTCP(t *testing.T) {
 	}
 	checkAllToAllAttribution(t, m)
 }
+
+// A flat world has one tier of point-to-point traffic: every message of the
+// all-to-all counts once into the world total, which is the sum of the
+// per-rank snapshots and of the pair matrix, and none of it is booked as a
+// collective. (/metrics exports that one total as inter_node_messages_total.)
+func TestMeterFlatTopologyAllInter(t *testing.T) {
+	w, err := simmpi.Run(4, 10*time.Second, allToAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := w.Meter()
+	s := m.Snapshot()
+	if s.P2PMessages != 12 || s.P2PBytes != 192 {
+		t.Fatalf("totals: %d msgs / %d bytes, want 12 / 192", s.P2PMessages, s.P2PBytes)
+	}
+	var ranks simmpi.Snapshot
+	var pairs int64
+	for r := 0; r < 4; r++ {
+		rs := m.RankSnapshot(r)
+		ranks.P2PMessages += rs.P2PMessages
+		ranks.P2PBytes += rs.P2PBytes
+		for d := 0; d < 4; d++ {
+			pairs += m.PairBytes(r, d)
+		}
+	}
+	if ranks.P2PMessages != s.P2PMessages || ranks.P2PBytes != s.P2PBytes || pairs != s.P2PBytes {
+		t.Fatalf("world total %d/%d is not the rank sum %d/%d and the pair sum %d bytes",
+			s.P2PMessages, s.P2PBytes, ranks.P2PMessages, ranks.P2PBytes, pairs)
+	}
+	if s.CollectiveCalls != 0 || s.CollectiveBytes != 0 {
+		t.Fatalf("point-to-point traffic booked as collectives: %+v", s)
+	}
+}

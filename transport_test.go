@@ -124,6 +124,70 @@ func TestPreparedSolveTransportDifferential(t *testing.T) {
 	}
 }
 
+// TestNodeAwareTransportDifferential keeps the per-solve claims the
+// node-aware comparison rested on, now that every solve runs the one flat
+// schedule: back-to-back solves on one Prepared, across every CG variant and
+// both backends, must each meter only their own traffic — the second solve on
+// a backend reads the first one's messages, bytes, collectives and modeled
+// time exactly, with the same x — and the process mesh must reproduce the
+// goroutine world bit for bit.
+func TestNodeAwareTransportDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	a := GeneratePoisson2D(24, 24)
+	b := GenerateRHS(a, 5)
+	p, err := Prepare(a, Options{Method: FSAIEComm, Filter: 0.01, Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(r, q *Result) bool {
+		if r.Iterations != q.Iterations || r.RelResidual != q.RelResidual ||
+			r.CommMessages != q.CommMessages || r.CommBytes != q.CommBytes ||
+			r.CollectiveCalls != q.CollectiveCalls || r.CollectiveBytes != q.CollectiveBytes ||
+			r.ModeledSolveTime != q.ModeledSolveTime {
+			return false
+		}
+		for i := range r.X {
+			if r.X[i] != q.X[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, v := range []CGVariant{CGClassic, CGFused, CGPipelined} {
+		var sim *Result
+		for _, tr := range []string{"", "tcp"} {
+			var runs [2]*Result
+			for i := range runs {
+				runs[i], err = p.Solve(context.Background(), b, SolveOptions{CGVariant: v, Transport: tr})
+				if err != nil {
+					t.Fatalf("%v %q solve %d: %v", v, tr, i, err)
+				}
+			}
+			first, second := runs[0], runs[1]
+			if first.CommMessages <= 0 || first.CommBytes <= 0 {
+				t.Fatalf("%v %q: a 4-rank solve metered no halo traffic: %d msgs / %d bytes",
+					v, tr, first.CommMessages, first.CommBytes)
+			}
+			if !same(first, second) {
+				t.Fatalf("%v %q: back-to-back solves differ: (%d it, %d msgs, %d B, %d calls, %g s) then (%d it, %d msgs, %d B, %d calls, %g s)",
+					v, tr, first.Iterations, first.CommMessages, first.CommBytes, first.CollectiveCalls, first.ModeledSolveTime,
+					second.Iterations, second.CommMessages, second.CommBytes, second.CollectiveCalls, second.ModeledSolveTime)
+			}
+			if tr == "" {
+				sim = first
+				continue
+			}
+			if !same(first, sim) {
+				t.Fatalf("%v: backends differ: tcp (%d it, %d msgs, %d B, %d calls, %g s) vs sim (%d it, %d msgs, %d B, %d calls, %g s)",
+					v, first.Iterations, first.CommMessages, first.CommBytes, first.CollectiveCalls, first.ModeledSolveTime,
+					sim.Iterations, sim.CommMessages, sim.CommBytes, sim.CollectiveCalls, sim.ModeledSolveTime)
+			}
+		}
+	}
+}
+
 // TestPreparedSolveTCPCancel cancels a multi-process prepared solve
 // mid-flight: the workers must wind down within the kill grace, and the
 // caller gets the partial Result with an ErrCanceled-wrapped error — the

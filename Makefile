@@ -22,15 +22,19 @@ all: tier1
 # and never reduce), a CollPayload, appendColl or decodeColl in any non-test
 # file (one payload type and one frame codec serve both lanes), or a
 # non-test *Serial function in internal/krylov (a serial solve is the
-# distributed loop on one rank). The schedule step fails if a second product
+# distributed loop on one rank). The schedule step fails if a second
 # schedule comes back beside the blocking one, which every loop runs at
-# every width, pipelined CG's A product included: non-test code that names
-# CGClassicOverlap, spells "classic-overlap", or names MulVecOverlap (the
-# blocking and the send-then-compute product), OverlapOp, StartExchange,
-# ExchangeHandle, EnsureOverlap, InteriorNNZ, PostSends, CompleteRecvs, Isend
-# or Irecv, or that declares an Isend or Irecv in internal/simmpi (the one
-# nonblocking operation is pipelined's IallreduceSum), or a WithOverlap whose
-# body does anything (it stays as the no-op spelling benchmark/ calls). The
+# every width for every product and every collective, pipelined CG's
+# included: non-test code that names CGClassicOverlap, spells
+# "classic-overlap", or names MulVecOverlap (the blocking and the
+# send-then-compute product), OverlapOp, StartExchange, ExchangeHandle,
+# EnsureOverlap, InteriorNNZ, PostSends, CompleteRecvs, Isend or Irecv, or a
+# posted reduction or its overlap credit in the cost model — IallreduceSum,
+# Quiesce, ErrWaited, simmpi.Request, overlapped, HiddenSec or HideAvail —,
+# or that declares an Isend, Irecv, Iallreduce… or a Request type in
+# internal/simmpi (simmpi has no nonblocking operation), or a WithOverlap
+# whose body does anything (it stays as the no-op spelling benchmark/
+# calls). The
 # model step fails if the cost model is evaluated or assembled a second way:
 # non-test code that declares OverlapTime, SolveTimeOverlapped or
 # ModeledSolveTime (archmodel's Profile.OverlapReport is the one evaluator,
@@ -117,10 +121,11 @@ tier1:
 		if [ -n "$$twins" ]; then echo "hand-copied twins are back:"; echo "$$twins"; exit 1; fi
 	@src="$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/out/*')"; \
 		sched="$$(grep -nE 'CGClassicOverlap|"classic-overlap"|MulVecOverlap|OverlapOp|StartExchange|ExchangeHandle|EnsureOverlap|InteriorNNZ|PostSends|CompleteRecvs|\<I(send|recv)\>' $$src; \
-		grep -nE '^func (\([^)]*\) )?I(send|recv)[^A-Za-z0-9_]' $$(ls internal/simmpi/*.go | grep -v _test.go))"; \
+		grep -nE 'IallreduceSum|Quiesce|ErrWaited|simmpi\.Request\>|\<overlapped\>|HiddenSec|HideAvail' $$src; \
+		grep -nE '^func (\([^)]*\) )?(I(send|recv)[^A-Za-z0-9_]|Iallreduce)|^type Request\>' $$(ls internal/simmpi/*.go | grep -v _test.go))"; \
 		noop="$$(grep -h -A2 '^func WithOverlap(' $$src)"; \
 		if [ -n "$$sched" ] || [ "$$noop" != "$$(printf 'func WithOverlap() OpOption {\n\treturn func(*Op) {}\n}')" ]; then \
-			echo "a second product schedule is back beside the blocking one (or WithOverlap does something):"; \
+			echo "a second schedule is back beside the blocking one (or WithOverlap does something):"; \
 			echo "$$sched"; echo "$$noop"; exit 1; fi
 	@src="$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/out/*')"; code='^[^:]*:[0-9]*:[[:space:]]*//'; \
 		model="$$(grep -nE '^func (\([^)]*\) )?(OverlapTime|SolveTimeOverlapped|ModeledSolveTime)\(' $$src; \
@@ -224,7 +229,9 @@ procs:
 # link, with inlining off and the linker's -dumpdep, whose edges name every
 # symbol a binary keeps. Every non-test function `go list` builds for those
 # platforms is looked up among them with generic [shape] arguments, .abi0 and
-# closure suffixes stripped. A function nothing reaches is deleted, or moves
+# closure suffixes stripped; a .opendefer symbol counts for nothing (the
+# linker hangs one off an unrelated caller, so stripping it to its function
+# would reach that function without a call). A function nothing reaches is deleted, or moves
 # into its package's _test.go files when only those tests use it, or goes on
 # reach.allow with what keeps it; an entry there that names no unreachable
 # function fails the step too. Needs nothing but the toolchain.
@@ -241,7 +248,8 @@ reach:
 			awk -F ' -> ' -v p=$$p 'NF == 2 { for (i = 1; i <= 2; i++) { s = $$i; sub(/^main\./, p ".", s); print s } }' "$$tmp/dep"; \
 		done; \
 	done > "$$tmp/edges"; \
-	awk '{ while (gsub(/\[[^][]*\]/, "")) {} sub(/\.abi0$$/, ""); sub(/-(fm|range[0-9]+).*$$/, ""); \
+	awk '/\.opendefer$$/ { next } \
+		{ while (gsub(/\[[^][]*\]/, "")) {} sub(/\.abi0$$/, ""); sub(/-(fm|range[0-9]+).*$$/, ""); \
 		sub(/\.(func|gowrap|deferwrap)[0-9]+.*$$/, ""); print }' "$$tmp/edges" | sort -u > "$$tmp/reached"; \
 	sort -u "$$tmp/files" > "$$tmp/srcs"; \
 	awk -v root="$$PWD/" 'NR == FNR { pkg[$$2] = $$1; next } \

@@ -18,9 +18,7 @@ import (
 )
 
 // ErrBatchVariant is wrapped by the error batched solves return when the
-// selected CG variant has no batched loop (only CGClassic and CGFused do;
-// pipelined CG's nonblocking reduction exists to hide latency the batch
-// already amortizes).
+// selected CG variant has no batched loop (only CGClassic and CGFused do).
 var ErrBatchVariant = krylov.ErrBatchVariant
 
 // ColResult is one column's outcome of a batched solve.

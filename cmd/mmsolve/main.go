@@ -9,7 +9,7 @@
 //	        [-solver cg|gmres] [-restart 30] [-spai-steps 0] [-spai-add 0] [-spai-eps 0]
 //	        [-filter 0.01] [-dynamic] [-line 64] [-ranks 4] [-workers 0]
 //	        [-cg classic|fused|pipelined] [-tol 1e-8] [-out x.txt]
-//	        [-trace trace.json] [-rr 0] [-precision fp64|fp32]
+//	        [-trace trace.json] [-precision fp64|fp32]
 //
 // Without -rhs a deterministic random right-hand side normalized to the
 // matrix max norm is used (the paper's setup). The matrix is partitioned
@@ -51,7 +51,6 @@ func main() {
 		maxIter    = flag.Int("maxiter", 0, "iteration cap (0 = 10n)")
 		outPath    = flag.String("out", "", "write the solution vector to this file (one value per line)")
 		tracePath  = flag.String("trace", "", "write per-iteration solver telemetry (residual, alpha/beta, comm deltas) to this JSON file")
-		rr         = flag.Int("rr", 0, "pipelined CG: recompute the true residual every N iterations (0 = off)")
 		precision  = flag.String("precision", "", "solve precision: fp64 (default) or fp32 (float32 factors + FP64 iterative refinement; halves halo traffic)")
 	)
 	flag.Parse()
@@ -67,7 +66,7 @@ func main() {
 		*method = "spai"
 	}
 	sp := spaiFlags{solver: *solver, restart: *restart, steps: *spaiSteps, add: *spaiAdd, eps: *spaiEps}
-	if err := run(*matrixPath, *rhsPath, *method, *filter, *dynamic, *line, *ranks, *workers, *cg, *tol, *maxIter, *outPath, *tracePath, *rr, *precision, sp); err != nil {
+	if err := run(*matrixPath, *rhsPath, *method, *filter, *dynamic, *line, *ranks, *workers, *cg, *tol, *maxIter, *outPath, *tracePath, *precision, sp); err != nil {
 		fmt.Fprintln(os.Stderr, "mmsolve:", err)
 		os.Exit(1)
 	}
@@ -83,7 +82,7 @@ type spaiFlags struct {
 	eps     float64
 }
 
-func run(matrixPath, rhsPath, method string, filter float64, dynamic bool, line, ranks, workers int, cg string, tol float64, maxIter int, outPath, tracePath string, rr int, precision string, sp spaiFlags) error {
+func run(matrixPath, rhsPath, method string, filter float64, dynamic bool, line, ranks, workers int, cg string, tol float64, maxIter int, outPath, tracePath, precision string, sp spaiFlags) error {
 	if matrixPath == "" {
 		return fmt.Errorf("-matrix is required")
 	}
@@ -112,14 +111,13 @@ func run(matrixPath, rhsPath, method string, filter float64, dynamic bool, line,
 	}
 
 	opt := fsaicomm.Options{
-		Filter:               filter,
-		LineBytes:            line,
-		Tol:                  tol,
-		MaxIter:              maxIter,
-		Ranks:                ranks,
-		Workers:              workers,
-		Trace:                tracePath != "",
-		ResidualReplaceEvery: rr,
+		Filter:    filter,
+		LineBytes: line,
+		Tol:       tol,
+		MaxIter:   maxIter,
+		Ranks:     ranks,
+		Workers:   workers,
+		Trace:     tracePath != "",
 	}
 	m, err := fsaicomm.ParseMethod(method)
 	if err != nil {
@@ -176,8 +174,7 @@ func run(matrixPath, rhsPath, method string, filter float64, dynamic bool, line,
 	}
 	fmt.Println()
 	for _, win := range res.Phases.Windows {
-		fmt.Printf("modeled %s window: %.3e s raw, %.3e s hidden, %.3e s exposed\n",
-			win.Name, win.RawSec, win.HiddenSec, win.ExposedSec)
+		fmt.Printf("modeled %s window: %.3e s\n", win.Name, win.RawSec)
 	}
 
 	if tracePath != "" {

@@ -31,7 +31,7 @@ func writeTestMatrix(t *testing.T) string {
 func TestRunSolvesAndWritesSolution(t *testing.T) {
 	mtx := writeTestMatrix(t)
 	out := filepath.Join(t.TempDir(), "x.txt")
-	if err := run(mtx, "", "fsaie-comm", 0.01, true, 64, 2, 2, "classic", 1e-8, 0, out, "", 0, "", cgFlags); err != nil {
+	if err := run(mtx, "", "fsaie-comm", 0.01, true, 64, 2, 2, "classic", 1e-8, 0, out, "", "", cgFlags); err != nil {
 		t.Fatal(err)
 	}
 	x, err := readVector(out)
@@ -49,7 +49,7 @@ func TestRunCommHidingCGMatchesClassic(t *testing.T) {
 	outs := map[string]string{}
 	for _, cg := range []string{"classic", "fused", "pipelined"} {
 		out := filepath.Join(dir, "x-"+cg+".txt")
-		if err := run(mtx, "", "fsaie-comm", 0.01, false, 64, 4, 0, cg, 1e-8, 0, out, "", 0, "", cgFlags); err != nil {
+		if err := run(mtx, "", "fsaie-comm", 0.01, false, 64, 4, 0, cg, 1e-8, 0, out, "", "", cgFlags); err != nil {
 			t.Fatalf("-cg %s: %v", cg, err)
 		}
 		outs[cg] = out
@@ -74,7 +74,7 @@ func TestRunCommHidingCGMatchesClassic(t *testing.T) {
 func TestRunWritesTraceArtifact(t *testing.T) {
 	mtx := writeTestMatrix(t)
 	trace := filepath.Join(t.TempDir(), "trace.json")
-	if err := run(mtx, "", "fsai", 0, false, 64, 4, 0, "pipelined", 1e-8, 0, "", trace, 10, "", cgFlags); err != nil {
+	if err := run(mtx, "", "fsai", 0, false, 64, 4, 0, "pipelined", 1e-8, 0, "", trace, "", cgFlags); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(trace)
@@ -101,7 +101,7 @@ func TestRunSerialWithRHS(t *testing.T) {
 		f.WriteString("1.0\n")
 	}
 	f.Close()
-	if err := run(mtx, rhs, "fsai", 0, false, 64, 1, 0, "classic", 1e-8, 0, "", "", 0, "", cgFlags); err != nil {
+	if err := run(mtx, rhs, "fsai", 0, false, 64, 1, 0, "classic", 1e-8, 0, "", "", "", cgFlags); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,11 +126,11 @@ func TestRunGMRESSolvesNonsymmetric(t *testing.T) {
 	dir := t.TempDir()
 	gm := spaiFlags{solver: "gmres", restart: 20, steps: 2}
 	serial := filepath.Join(dir, "x-serial.txt")
-	if err := run(mtx, "", "spai", 0, false, 64, 1, 0, "classic", 1e-8, 0, serial, "", 0, "", gm); err != nil {
+	if err := run(mtx, "", "spai", 0, false, 64, 1, 0, "classic", 1e-8, 0, serial, "", "", gm); err != nil {
 		t.Fatalf("serial spai+gmres: %v", err)
 	}
 	dist := filepath.Join(dir, "x-dist.txt")
-	if err := run(mtx, "", "spai", 0, false, 64, 4, 0, "classic", 1e-8, 0, dist, "", 0, "", gm); err != nil {
+	if err := run(mtx, "", "spai", 0, false, 64, 4, 0, "classic", 1e-8, 0, dist, "", "", gm); err != nil {
 		t.Fatalf("distributed spai+gmres: %v", err)
 	}
 	xs, err := readVector(serial)
@@ -144,25 +144,25 @@ func TestRunGMRESSolvesNonsymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A CG solve on the same matrix must be rejected, not silently wrong.
-	if err := run(mtx, "", "fsai", 0, false, 64, 1, 0, "classic", 1e-8, 0, "", "", 0, "", cgFlags); err == nil {
+	if err := run(mtx, "", "fsai", 0, false, 64, 1, 0, "classic", 1e-8, 0, "", "", "", cgFlags); err == nil {
 		t.Fatal("CG accepted a nonsymmetric matrix")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	mtx := writeTestMatrix(t)
-	if err := run("", "", "fsai", 0, false, 64, 1, 0, "classic", 0, 0, "", "", 0, "", cgFlags); err == nil {
+	if err := run("", "", "fsai", 0, false, 64, 1, 0, "classic", 0, 0, "", "", "", cgFlags); err == nil {
 		t.Fatal("missing matrix accepted")
 	}
-	if err := run(mtx, "", "bogus", 0, false, 64, 1, 0, "classic", 0, 0, "", "", 0, "", cgFlags); err == nil {
+	if err := run(mtx, "", "bogus", 0, false, 64, 1, 0, "classic", 0, 0, "", "", "", cgFlags); err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	if err := run(mtx, "", "fsai", 0, false, 64, 1, 0, "bogus", 0, 0, "", "", 0, "", cgFlags); err == nil {
+	if err := run(mtx, "", "fsai", 0, false, 64, 1, 0, "bogus", 0, 0, "", "", "", cgFlags); err == nil {
 		t.Fatal("unknown CG variant accepted")
 	}
 	short := filepath.Join(t.TempDir(), "short.txt")
 	os.WriteFile(short, []byte("1.0\n"), 0o644)
-	if err := run(mtx, short, "fsai", 0, false, 64, 1, 0, "classic", 0, 0, "", "", 0, "", cgFlags); err == nil {
+	if err := run(mtx, short, "fsai", 0, false, 64, 1, 0, "classic", 0, 0, "", "", "", cgFlags); err == nil {
 		t.Fatal("short rhs accepted")
 	}
 }

@@ -99,9 +99,10 @@ const (
 	// CGFused is the fused-reduction (Chronopoulos–Gear) loop: one batched
 	// Allreduce per iteration.
 	CGFused = krylov.CGFused
-	// CGPipelined is the pipelined (Ghysels–Vanroose) loop: one nonblocking
-	// Allreduce per iteration, overlapped with the next SpMV and
-	// preconditioner application.
+	// CGPipelined is the pipelined (Ghysels–Vanroose) loop: one blocking
+	// Allreduce per iteration, as CGFused, over a deeper recurrence that
+	// buys nothing on a runtime whose collectives all block; measured
+	// slower than CGClassic (DESIGN.md §4d).
 	CGPipelined = krylov.CGPipelined
 )
 
@@ -178,8 +179,7 @@ type IterRecord = krylov.IterRecord
 type CommDelta = krylov.CommDelta
 
 // OverlapReport is the per-window breakdown of the modeled solve time:
-// compute, and per-window raw / hidden / exposed seconds under the
-// overlap-credit model.
+// compute, and the α–β seconds of each communication window.
 type OverlapReport = archmodel.OverlapReport
 
 // WindowReport is one communication window's share of an OverlapReport.
@@ -242,16 +242,15 @@ type Result struct {
 	// CommBytesPerIteration is the per-iteration point-to-point volume.
 	CommBytesPerIteration float64
 	// ModeledSolveTime is the solve time in seconds under the α–β cost model
-	// of the selected architecture profile (Options.Arch), with overlap
-	// credit for the communication-hiding CG variants. The simulated runtime
-	// serializes ranks, so SolveTime cannot show an overlap win;
-	// ModeledSolveTime is the number to compare CG variants by (DESIGN.md
-	// §4d). A one-process solve models its one rank.
+	// of the selected architecture profile (Options.Arch): compute plus
+	// every halo update and reduction waited out in full, as every loop
+	// blocks on each. It is a model claim; SolveTime is the wall clock. A
+	// one-process solve models its one rank.
 	ModeledSolveTime float64
 	// Phases is the per-window breakdown of ModeledSolveTime (worst rank,
-	// whole solve): per communication window ("halo", "reduction"), the raw
-	// α–β time, the credit hidden behind overlapped compute, and the exposed
-	// remainder. Phases.TotalSec == ModeledSolveTime exactly.
+	// whole solve): the compute time and, per communication window ("halo",
+	// "reduction"), its α–β time. Phases.TotalSec == ModeledSolveTime
+	// exactly.
 	Phases OverlapReport
 	// Trace is the per-iteration telemetry when Options.Trace is set (rank
 	// 0's view in distributed solves), nil otherwise.

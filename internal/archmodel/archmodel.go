@@ -11,11 +11,11 @@
 //
 //	compute(c) = flops/(rate·cores) + streamBytes/(bw·cores) + misses·missPenalty
 //	comm(c)    = msgs·α + bytes·β
-//	iterTime   = compute(rank) + Σ over windows w of max(0, comm(w.Comm) − compute(w.Hide))
+//	iterTime   = compute(rank) + Σ over windows w of comm(w.Comm)
 //	solveTime  = iterations · max over ranks of iterTime
 //
-// A window is one communication phase of the iteration with the compute the
-// schedule runs while it is in flight. Flops, streamed bytes, bytes and
+// A window is one communication phase of the iteration; every collective
+// and every product blocks, so each is waited out in full. Flops, streamed bytes, bytes and
 // messages are counted from the operators and the loop, and misses come from
 // the deterministic cache simulator, so the model is exactly reproducible.
 // Absolute times are not meant to match the paper's hardware; relative
@@ -164,91 +164,58 @@ func (p Profile) CommTime(rc RankCost) float64 {
 	return float64(rc.CommMsgs)*p.AlphaSec + float64(rc.CommBytes)*p.BetaSecPerByte
 }
 
-// Time converts a rank cost into modeled seconds with communication fully
-// exposed (no overlap credit): ComputeTime + CommTime.
+// Time converts a rank cost into modeled seconds: ComputeTime + CommTime.
 func (p Profile) Time(rc RankCost) float64 {
 	return p.ComputeTime(rc) + p.CommTime(rc)
 }
 
-// CommWindow is one communication phase of an iteration paired with the
-// compute the schedule runs while that traffic is in flight. The α–β cost
-// of the phase is charged only to the extent it exceeds the hiding compute:
-//
-//	exposed(window) = max(0, CommTime(Comm) − ComputeTime(Hide))
-//
-// Hide must be a portion of the iteration's total compute, and the Hide
-// windows of one OverlapCost must be disjoint portions — each flop can hide
-// at most one phase. internal/mprun carves the iteration's compute
-// accordingly (interior SpMV rows hide the halo exchange; the other
-// products hide the pipelined reduction).
+// CommWindow is one communication phase of an iteration, charged its α–β
+// cost CommTime(Comm) in full: every operation of every loop blocks.
 type CommWindow struct {
 	// Name labels the phase in reports ("halo", "reduction").
 	Name string
 	// Comm carries the phase's interconnect traffic (CommMsgs/CommBytes);
 	// compute fields are ignored.
 	Comm RankCost
-	// Hide carries the compute available during the phase (Flops,
-	// StreamBytes, CacheMisses); comm fields are ignored.
-	Hide RankCost
 }
 
 // OverlapCost is one rank's per-iteration cost split the way a schedule
-// executes it: all compute, and every communication phase with its hiding
-// window (a blocking schedule's windows hide nothing).
+// executes it: all compute, and every communication phase.
 type OverlapCost struct {
-	// Compute is the iteration's total on-node work (the Hide windows are
-	// portions of it, not additions).
+	// Compute is the iteration's total on-node work.
 	Compute RankCost
 	// Windows are the iteration's communication phases.
 	Windows []CommWindow
 }
 
 // WindowReport is one communication window's share of an iteration's
-// modeled time: the raw α–β cost of its traffic, the compute available to
-// hide it, the credit actually taken, and the exposed remainder. Hidden is
-// defined as Raw − Exposed, so the split is exact by construction.
+// modeled time: the α–β cost of its traffic.
 type WindowReport struct {
-	Name       string  `json:"window"`
-	RawSec     float64 `json:"raw_s"`        // α–β time of the window's traffic
-	HideAvail  float64 `json:"hide_avail_s"` // compute time available to hide it
-	HiddenSec  float64 `json:"hidden_s"`     // min(raw, available) — the credit
-	ExposedSec float64 `json:"exposed_s"`    // raw − hidden, charged to the iteration
+	Name   string  `json:"window"`
+	RawSec float64 `json:"raw_s"` // α–β time of the window's traffic
 }
 
 // OverlapReport is one rank's modeled iteration, window by window.
 type OverlapReport struct {
 	ComputeSec float64        `json:"compute_s"` // on-node work
 	Windows    []WindowReport `json:"windows"`
-	TotalSec   float64        `json:"total_s"` // compute + every window's exposed time
+	TotalSec   float64        `json:"total_s"` // compute + every window's α–β time
 }
 
 // OverlapReport evaluates the model on one rank's iteration cost:
 //
-//	TotalSec = compute + Σ max(0, comm(w) − compute(w.Hide))
-//
-// The simulated runtime serializes goroutines and therefore cannot exhibit
-// overlap in wall-clock terms; this credit term is how the metered traffic
-// becomes the time a real network would see (DESIGN.md §4d).
+//	TotalSec = compute + Σ comm(w)
 func (p Profile) OverlapReport(oc OverlapCost) OverlapReport {
 	rep := OverlapReport{
 		ComputeSec: p.ComputeTime(oc.Compute),
 		Windows:    make([]WindowReport, 0, len(oc.Windows)),
 	}
-	t := rep.ComputeSec
+	rep.TotalSec = rep.ComputeSec
 	for _, w := range oc.Windows {
-		wr := WindowReport{
-			Name:      w.Name,
-			RawSec:    p.CommTime(w.Comm),
-			HideAvail: p.ComputeTime(w.Hide),
-		}
-		if ex := wr.RawSec - wr.HideAvail; ex > 0 {
-			wr.ExposedSec = ex
-			t += ex
-		}
-		wr.HiddenSec = wr.RawSec - wr.ExposedSec
+		wr := WindowReport{Name: w.Name, RawSec: p.CommTime(w.Comm)}
+		rep.TotalSec += wr.RawSec
 		rep.Windows = append(rep.Windows, wr)
 	}
-	rep.TotalSec = t
 	return rep
 }
 
@@ -261,9 +228,6 @@ func (r OverlapReport) Scale(f float64) OverlapReport {
 	out.Windows = make([]WindowReport, len(r.Windows))
 	for i, w := range r.Windows {
 		w.RawSec *= f
-		w.HideAvail *= f
-		w.HiddenSec *= f
-		w.ExposedSec *= f
 		out.Windows[i] = w
 	}
 	return out

@@ -144,8 +144,7 @@ func TestComputeCommSplitSumsToTime(t *testing.T) {
 	}
 }
 
-// With nothing to hide its communication, the report degenerates to the
-// fully-exposed model.
+// A report of one window is the scalar model: compute plus its α–β time.
 func TestOverlapReportNoHidingEqualsTime(t *testing.T) {
 	rc := RankCost{Flops: 1e6, StreamBytes: 1e7, CacheMisses: 1e3, CommBytes: 1e4, CommMsgs: 10}
 	oc := OverlapCost{
@@ -157,57 +156,14 @@ func TestOverlapReportNoHidingEqualsTime(t *testing.T) {
 	}
 }
 
-// A window whose hiding compute exceeds its communication contributes
-// nothing; one whose compute falls short contributes exactly the residue.
-func TestOverlapCreditClamps(t *testing.T) {
-	p := Skylake
-	comm := RankCost{CommMsgs: 4, CommBytes: 4096}
-	bigHide := RankCost{Flops: 1e9}   // compute ≫ comm
-	smallHide := RankCost{Flops: 1e3} // compute ≪ comm
-	compute := RankCost{Flops: 2e9}
-
-	full := p.OverlapReport(OverlapCost{Compute: compute, Windows: []CommWindow{{Name: "halo", Comm: comm, Hide: bigHide}}}).TotalSec
-	if full != p.ComputeTime(compute) {
-		t.Fatalf("fully hidden window still charged: %g vs %g", full, p.ComputeTime(compute))
-	}
-	part := p.OverlapReport(OverlapCost{Compute: compute, Windows: []CommWindow{{Name: "halo", Comm: comm, Hide: smallHide}}}).TotalSec
-	want := p.ComputeTime(compute) + p.CommTime(comm) - p.ComputeTime(smallHide)
-	if diff := part - want; diff > 1e-18 || diff < -1e-18 {
-		t.Fatalf("partial credit: got %g, want %g", part, want)
-	}
-}
-
-// Overlap can only help: for the same traffic, the overlapped schedule is
-// never modeled slower than the exposed one, and strictly faster as soon as
-// any window has both traffic and hiding compute.
-func TestOverlapNeverSlower(t *testing.T) {
-	p := A64FX
-	compute := RankCost{Flops: 5e7, StreamBytes: 1e8}
-	halo := RankCost{CommMsgs: 6, CommBytes: 48 * 1024}
-	red := RankCost{CommMsgs: 2, CommBytes: 48}
-	exposedAll := RankCost{Flops: compute.Flops, StreamBytes: compute.StreamBytes,
-		CommMsgs: halo.CommMsgs + red.CommMsgs, CommBytes: halo.CommBytes + red.CommBytes}
-	oc := OverlapCost{
-		Compute: compute,
-		Windows: []CommWindow{{Name: "halo", Comm: halo, Hide: RankCost{Flops: 4e7}}, {Name: "reduction", Comm: red}},
-	}
-	if got := p.OverlapReport(oc).TotalSec; got >= p.Time(exposedAll) {
-		t.Fatalf("overlapped %g not faster than exposed %g", got, p.Time(exposedAll))
-	}
-}
-
 // The report's terms are the scalar model's: its compute is ComputeTime,
-// each window's raw time CommTime and its hidden part Raw − Exposed, and
-// TotalSec the compute plus every window's exposed time, summed in window
-// order. A window with ample hiding compute is fully hidden, one with none
-// fully exposed.
+// each window's time CommTime, and TotalSec the compute plus every window's
+// time, summed in window order.
 func TestOverlapReportSplitsWindows(t *testing.T) {
 	oc := OverlapCost{
 		Compute: RankCost{Flops: 2e6, StreamBytes: 1e7, CacheMisses: 2e3},
 		Windows: []CommWindow{
-			// Tiny traffic under a huge hiding window: fully hidden.
-			{Name: "halo", Comm: RankCost{CommBytes: 64, CommMsgs: 1}, Hide: RankCost{Flops: 1e6}},
-			// Heavy traffic with no compute to hide it: fully exposed.
+			{Name: "halo", Comm: RankCost{CommBytes: 64, CommMsgs: 1}},
 			{Name: "reduction", Comm: RankCost{CommBytes: 1e6, CommMsgs: 100}},
 		},
 	}
@@ -221,26 +177,13 @@ func TestOverlapReportSplitsWindows(t *testing.T) {
 		}
 		sum := rep.ComputeSec
 		for i, w := range rep.Windows {
-			if w.RawSec != p.CommTime(oc.Windows[i].Comm) || w.HideAvail != p.ComputeTime(oc.Windows[i].Hide) {
-				t.Fatalf("%s: window %q raw %g / hide %g do not match its input", p.Name, w.Name, w.RawSec, w.HideAvail)
+			if w.Name != oc.Windows[i].Name || w.RawSec != p.CommTime(oc.Windows[i].Comm) {
+				t.Fatalf("%s: window %q raw %g does not match its input", p.Name, w.Name, w.RawSec)
 			}
-			if w.HiddenSec != w.RawSec-w.ExposedSec {
-				t.Fatalf("%s: window %q hidden %g != raw %g - exposed %g", p.Name, w.Name, w.HiddenSec, w.RawSec, w.ExposedSec)
-			}
-			if w.HiddenSec < 0 || w.ExposedSec < 0 {
-				t.Fatalf("%s: window %q negative component: %+v", p.Name, w.Name, w)
-			}
-			sum += w.ExposedSec
+			sum += w.RawSec
 		}
 		if rep.TotalSec != sum {
-			t.Fatalf("%s: TotalSec %g != compute + exposed windows %g", p.Name, rep.TotalSec, sum)
-		}
-		halo, red := rep.Windows[0], rep.Windows[1]
-		if halo.ExposedSec != 0 || halo.HiddenSec != halo.RawSec {
-			t.Fatalf("%s: fully hidable halo window not fully hidden: %+v", p.Name, halo)
-		}
-		if red.HiddenSec != 0 || red.ExposedSec != red.RawSec {
-			t.Fatalf("%s: unhidable reduction window not fully exposed: %+v", p.Name, red)
+			t.Fatalf("%s: TotalSec %g != compute + windows %g", p.Name, rep.TotalSec, sum)
 		}
 	}
 }
@@ -249,7 +192,7 @@ func TestOverlapReportScale(t *testing.T) {
 	oc := OverlapCost{
 		Compute: RankCost{Flops: 1e6},
 		Windows: []CommWindow{
-			{Name: "halo", Comm: RankCost{CommBytes: 1e5, CommMsgs: 5}, Hide: RankCost{Flops: 5e5}},
+			{Name: "halo", Comm: RankCost{CommBytes: 1e5, CommMsgs: 5}},
 			{Name: "reduction", Comm: RankCost{CommBytes: 1e4, CommMsgs: 10}},
 		},
 	}
@@ -259,13 +202,9 @@ func TestOverlapReportScale(t *testing.T) {
 		t.Fatalf("Scale(7) scalar fields wrong: %+v vs %+v", got, rep)
 	}
 	for i, w := range got.Windows {
-		o := rep.Windows[i]
-		if w.RawSec != 7*o.RawSec || w.HideAvail != 7*o.HideAvail || w.HiddenSec != 7*o.HiddenSec || w.ExposedSec != 7*o.ExposedSec {
+		if o := rep.Windows[i]; w.Name != o.Name || w.RawSec != 7*o.RawSec {
 			t.Fatalf("Scale(7) window %d wrong: %+v vs %+v", i, w, o)
 		}
-	}
-	if len(rep.Windows) != 2 || rep.Windows[0].HiddenSec <= 0 {
-		t.Fatalf("test premise: a hidden window expected, got %+v", rep.Windows)
 	}
 	// Scaling must not alias the receiver's windows.
 	got.Windows[0].RawSec = -1

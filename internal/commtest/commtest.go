@@ -16,7 +16,6 @@
 package commtest
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -341,62 +340,6 @@ func cases() []conformanceCase {
 			check: wantOK,
 		},
 		{
-			// A posted reduction waited twice errors (wrapping ErrWaited)
-			// instead of deadlocking, with halo-like traffic crossing the
-			// pair between post and wait.
-			name: "double-wait-errors",
-			size: 2,
-			fn: func(c *simmpi.Comm) error {
-				peer := 1 - c.Rank()
-				ar := c.IallreduceSum(1)
-				simmpi.Send(c, peer, 0, []float64{1})
-				simmpi.Recv[float64](c, peer, 0)
-				if v, err := ar.Wait(); err != nil || v[0] != 2 {
-					return fmt.Errorf("iallreduce = %v, %v", v, err)
-				}
-				if _, err := ar.Wait(); !errors.Is(err, simmpi.ErrWaited) {
-					return fmt.Errorf("second collective Wait = %v, want ErrWaited", err)
-				}
-				return nil
-			},
-			check: wantOK,
-		},
-		{
-			// Pipelined CG's pattern round a ring: each round posts a
-			// reduction and then sends and receives blocking halo-like
-			// messages while it is in flight; the reductions are waited
-			// only at the end, last first. Posted reductions complete in
-			// post order while the point-to-point traffic goes on beside
-			// them. Exercised under -race this validates the chain
-			// goroutine handoffs on both backends.
-			name: "concurrent-async-chains",
-			size: 4,
-			fn: func(c *simmpi.Comm) error {
-				const rounds = 5
-				next := (c.Rank() + 1) % c.Size()
-				prev := (c.Rank() + c.Size() - 1) % c.Size()
-				colls := make([]*simmpi.Request, rounds)
-				for i := 0; i < rounds; i++ {
-					colls[i] = c.IallreduceSum(float64(i))
-					simmpi.Send(c, next, i, []float64{float64(10*c.Rank() + i)})
-					if err := eq(simmpi.Recv[float64](c, prev, i), float64(10*prev+i)); err != nil {
-						return fmt.Errorf("round %d from %d: %w", i, prev, err)
-					}
-				}
-				for i := rounds - 1; i >= 0; i-- {
-					v, err := colls[i].Wait()
-					if err != nil {
-						return err
-					}
-					if err := eq(v, float64(4*i)); err != nil {
-						return fmt.Errorf("coll round %d: %w", i, err)
-					}
-				}
-				return nil
-			},
-			check: wantOK,
-		},
-		{
 			// Mismatched collective ops across ranks must be detected, not
 			// silently reduced.
 			name: "collective-op-mismatch",
@@ -426,8 +369,8 @@ func cases() []conformanceCase {
 			check: wantErrContaining("expected floats from 0 tag 0, got ints"),
 		},
 		{
-			// Blocking sends of every element type cross a pair while a
-			// posted reduction is in flight: the values arrive, each send is
+			// Sends of every element type cross a pair and wait on the lane
+			// while a reduction runs: the values arrive, each send is
 			// metered when it is made (8, 4 and 8 bytes a value), the
 			// reduction comes out whole, and a receive of the wrong type
 			// fails loudly.
@@ -435,13 +378,15 @@ func cases() []conformanceCase {
 			size: 2,
 			fn: func(c *simmpi.Comm) error {
 				me, peer := c.Rank(), 1-c.Rank()
-				sum := c.IallreduceSum(float64(me))
 				before := c.Meter().RankSnapshot(me).P2PBytes
 				simmpi.Send(c, peer, 0, []float64{float64(me), 0.1})
 				simmpi.Send(c, peer, 1, []float32{float32(me), 0.1, 3})
 				simmpi.Send(c, peer, 2, []int{me, -7})
 				if got := c.Meter().RankSnapshot(me).P2PBytes - before; got != 2*8+3*4+2*8 {
 					return fmt.Errorf("rank %d: %d bytes metered as sent, want 44", me, got)
+				}
+				if got := simmpi.Allreduce(c, simmpi.Sum, float64(me)); eq(got, 1) != nil {
+					return fmt.Errorf("rank %d: sum %v", me, got)
 				}
 				if got := simmpi.Recv[float64](c, peer, 0); eq(got, float64(peer), 0.1) != nil {
 					return fmt.Errorf("rank %d: float64s %v", me, got)
@@ -451,9 +396,6 @@ func cases() []conformanceCase {
 				}
 				if got := simmpi.Recv[int](c, peer, 2); len(got) != 2 || got[0] != peer || got[1] != -7 {
 					return fmt.Errorf("rank %d: ints %v", me, got)
-				}
-				if got, err := sum.Wait(); err != nil || eq(got, 1) != nil {
-					return fmt.Errorf("rank %d: sum %v, %v", me, got, err)
 				}
 				if me == 0 {
 					simmpi.Send(c, 1, 3, []float64{1})
@@ -651,42 +593,27 @@ func cases() []conformanceCase {
 			check: wantOK,
 		},
 		{
-			// A blocking operation and a background one may wait on the same
-			// peer for different kinds of message, and either may arrive
-			// first: whoever is looking must hand the other what is its.
+			// A frame of one lane may arrive while its receiver waits on the
+			// other, from the same peer: a point-to-point frame ahead of a
+			// collective's contribution (at the root) or its result (at rank
+			// 1). Whoever is looking must set aside what is not its. The
+			// sender comes late, so that the receiver's wait is asleep.
 			name: "two-kinds-from-one-peer",
 			size: 2,
 			fn: func(c *simmpi.Comm) error {
 				for round := 0; round < 6; round++ {
-					collFirst := round%2 == 0
-					if c.Rank() == 0 {
-						// Late, so that both of rank 1's waits are asleep.
+					me, peer := c.Rank(), 1-c.Rank()
+					if me == round%2 {
 						time.Sleep(5 * time.Millisecond)
-						if collFirst {
-							simmpi.Allreduce(c, simmpi.Sum, 1.0)
-						}
-						simmpi.Send(c, 1, round, []float64{float64(round)})
-						if !collFirst {
-							simmpi.Allreduce(c, simmpi.Sum, 1.0)
-						}
-						continue
+						simmpi.Send(c, peer, round, []float64{float64(round)})
 					}
-					// A background collective and a blocking receive: the
-					// receive first, or the wait for the collective first.
-					var sum, got []float64
-					req := c.IallreduceSum(2)
-					if round < 3 {
-						got = simmpi.Recv[float64](c, 0, round)
-						sum, _ = req.Wait()
-					} else {
-						sum, _ = req.Wait()
-						got = simmpi.Recv[float64](c, 0, round)
-					}
-					if err := eq(sum, 3); err != nil {
+					if err := eq(simmpi.Allreduce(c, simmpi.Sum, 1.0), 2); err != nil {
 						return fmt.Errorf("round %d sum: %w", round, err)
 					}
-					if err := eq(got, float64(round)); err != nil {
-						return fmt.Errorf("round %d message: %w", round, err)
+					if me != round%2 {
+						if err := eq(simmpi.Recv[float64](c, peer, round), float64(round)); err != nil {
+							return fmt.Errorf("round %d message: %w", round, err)
+						}
 					}
 				}
 				return nil

@@ -705,22 +705,9 @@ func TestExchangePayloadSizeMismatchPanics(t *testing.T) {
 	}
 }
 
-// beside runs product with a reduction posted on every rank before it and
-// waited after it: the overlap pipelined CG runs.
-func beside(c *simmpi.Comm, product func()) error {
-	req := c.IallreduceSum(1)
-	product()
-	if sum, err := req.Wait(); err != nil || sum[0] != float64(c.Size()) {
-		return fmt.Errorf("rank %d: the reduction beside the product gave %v, %v", c.Rank(), sum, err)
-	}
-	return nil
-}
-
-// Pipelined CG's overlap — the blocking Op.MulVec with a reduction in
-// flight — against the same product with nothing in flight and against the
-// indexed loop over the localized rows, bit for bit, in both precisions; and
-// against the serial product within rounding (the localized column order
-// differs).
+// Op.MulVec against the indexed loop over the localized rows, bit for bit,
+// in both precisions, and against the serial product within rounding (the
+// localized column order differs).
 func TestOverlapMatchesBlocking(t *testing.T) {
 	a := grid2d(9, 9)
 	n := a.Rows
@@ -740,12 +727,8 @@ func TestOverlapMatchesBlocking(t *testing.T) {
 			op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
 			op.SetF32(f32)
 			scratch := NewDistVec(op.LZ)
-			blocking := make([]float64, hi-lo)
-			op.MulVec(c, x[lo:hi], blocking, scratch, nil)
 			y := make([]float64, hi-lo)
-			if err := beside(c, func() { op.MulVec(c, x[lo:hi], y, scratch, nil) }); err != nil {
-				return err
-			}
+			op.MulVec(c, x[lo:hi], y, scratch, nil)
 			m, m32 := op.LZ.M, op.LZ.M32()
 			for li := range y {
 				sum := 0.0
@@ -756,9 +739,9 @@ func TestOverlapMatchesBlocking(t *testing.T) {
 						sum += m.Val[k] * scratch.Ext[m.ColIdx[k]]
 					}
 				}
-				if y[li] != blocking[li] || y[li] != sum {
-					return fmt.Errorf("rank %d f32=%v row %d: beside a reduction %v, alone %v, indexed loop %v",
-						c.Rank(), f32, li, y[li], blocking[li], sum)
+				if y[li] != sum {
+					return fmt.Errorf("rank %d f32=%v row %d: product %v, indexed loop %v",
+						c.Rank(), f32, li, y[li], sum)
 				}
 			}
 			copy(got[lo:hi], y)
@@ -779,8 +762,7 @@ func TestOverlapMatchesBlocking(t *testing.T) {
 	}
 }
 
-// A product with a reduction in flight counts its 2·nnz flops, the compute
-// the cost model hides pipelined's reduction behind.
+// A product counts its 2·nnz flops, what the cost model charges for it.
 func TestOverlapFlopCount(t *testing.T) {
 	a := grid2d(6, 6)
 	l := NewUniformLayout(a.Rows, 2)
@@ -790,9 +772,7 @@ func TestOverlapFlopCount(t *testing.T) {
 		var fc vecops.FlopCounter
 		y := make([]float64, hi-lo)
 		x := make([]float64, hi-lo)
-		if err := beside(c, func() { op.MulVec(c, x, y, NewDistVec(op.LZ), &fc) }); err != nil {
-			return err
-		}
+		op.MulVec(c, x, y, NewDistVec(op.LZ), &fc)
 		if fc.Count() != 2*int64(op.LZ.M.NNZ()) {
 			return fmt.Errorf("flops %d, want %d", fc.Count(), 2*op.LZ.M.NNZ())
 		}
@@ -879,8 +859,9 @@ func TestExchangeBatchBufferReuse(t *testing.T) {
 	}
 }
 
-// A product with a reduction in flight (pipelined CG's schedule) must be
-// bit-identical to the product alone and metered byte for byte the same.
+// Repeated products over one scratch give the first product's bits, and
+// each is metered as one halo update: the rank's bytes and messages are
+// three times what ExchangeCounts predicts for one.
 func TestOverlapAsyncMatchesBlockingAndMeter(t *testing.T) {
 	a := grid2d(9, 9)
 	n := a.Rows
@@ -891,52 +872,26 @@ func TestOverlapAsyncMatchesBlockingAndMeter(t *testing.T) {
 	}
 	const nranks = 4
 	l := NewUniformLayout(n, nranks)
-	run := func(async bool) ([]float64, *simmpi.Meter) {
-		t.Helper()
-		got := make([]float64, n)
-		w, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
-			lo, hi := l.Range(c.Rank())
-			op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
-			scratch := NewDistVec(op.LZ)
-			y := make([]float64, hi-lo)
-			for k := 0; k < 3; k++ { // repeat: buffer reuse must hold
-				if !async {
-					op.MulVec(c, x[lo:hi], y, scratch, nil)
-				} else if err := beside(c, func() { op.MulVec(c, x[lo:hi], y, scratch, nil) }); err != nil {
-					return err
-				}
-			}
-			copy(got[lo:hi], y)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, w.Meter()
-	}
-	blocking, mb := run(false)
-	asyncY, ma := run(true)
-	for i := range blocking {
-		if blocking[i] != asyncY[i] {
-			t.Fatalf("y[%d]: async %v != blocking %v (must be bit-identical)", i, asyncY[i], blocking[i])
-		}
-	}
-	for s := 0; s < nranks; s++ {
-		for d := 0; d < nranks; d++ {
-			if mb.PairBytes(s, d) != ma.PairBytes(s, d) {
-				t.Fatalf("pair %d->%d: async %d bytes != blocking %d", s, d, ma.PairBytes(s, d), mb.PairBytes(s, d))
+	_, err := simmpi.Run(nranks, testTimeout, func(c *simmpi.Comm) error {
+		lo, hi := l.Range(c.Rank())
+		op := NewOp(c, l, lo, hi, ExtractLocalRows(a, lo, hi))
+		scratch := NewDistVec(op.LZ)
+		first, y := make([]float64, hi-lo), make([]float64, hi-lo)
+		before := c.Meter().RankSnapshot(c.Rank())
+		op.MulVec(c, x[lo:hi], first, scratch, nil)
+		for k := 0; k < 2; k++ { // repeat: buffer reuse must hold
+			op.MulVec(c, x[lo:hi], y, scratch, nil)
+			if !slices.Equal(y, first) {
+				return fmt.Errorf("rank %d product %d: %v, first %v (must be bit-identical)", c.Rank(), k+2, y, first)
 			}
 		}
-	}
-	nb, na := mb.NeighborSets(), ma.NeighborSets()
-	for r := range nb {
-		if len(nb[r]) != len(na[r]) {
-			t.Fatalf("rank %d neighbour sets differ: %v vs %v", r, na[r], nb[r])
+		d := c.Meter().RankSnapshot(c.Rank()).Sub(before)
+		if m, b := op.Plan.ExchangeCounts(1); d.P2PMessages != 3*m || d.P2PBytes != 3*b {
+			return fmt.Errorf("rank %d: metered %d messages, %d bytes; want 3 × (%d, %d)", c.Rank(), d.P2PMessages, d.P2PBytes, m, b)
 		}
-		for k := range nb[r] {
-			if nb[r][k] != na[r][k] {
-				t.Fatalf("rank %d neighbour sets differ: %v vs %v", r, na[r], nb[r])
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

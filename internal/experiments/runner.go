@@ -219,9 +219,8 @@ func (r *Runner) Run(spec testsets.Spec, method core.Method, filter float64, str
 		res.P2PBytes += out.SolveComm.P2PBytes
 		res.CollectiveCalls += out.SolveComm.CollectiveCalls
 	}
-	// Every variant is modeled with the windowed overlap-credit model (the
-	// classic and fused loops' windows carry no hiding compute, so their time
-	// equals the fully-exposed α–β model).
+	// Every variant is modeled by the one windowed α–β model, every window
+	// waited out in full.
 	res.SolveTime = mprun.ModeledPhases(r.Arch, res.Iterations, costs).TotalSec
 	res.MissesPerNNZ = missSum / float64(ranks)
 	res.GFlopsPrecond = gflopSum / float64(ranks)

@@ -42,9 +42,7 @@ import (
 )
 
 // ErrBatchVariant is returned when a batched solve is asked for a CG
-// variant other than classic or fused. The pipelined schedule hides latency
-// that the batch already amortizes across columns; supporting it would
-// complicate the masked recurrences for no modeled gain.
+// variant other than classic or fused.
 var ErrBatchVariant = errors.New("krylov: batched solve supports the classic and fused variants only")
 
 // BatchStats reports the outcome of a k-wide solve: one Stats per column

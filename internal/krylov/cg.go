@@ -125,6 +125,8 @@ type Options struct {
 	// ill-conditioned instances at the price of extra halo traffic — no
 	// extra collectives. Zero (the default) disables replacement. Ignored by
 	// the other variants, whose recurrences track the true residual closely.
+	// No option above this package sets it: the FP32 inner pipelined solves
+	// of the refinement loop replace every pipelinedInnerReplaceEvery.
 	ResidualReplaceEvery int
 }
 
@@ -345,8 +347,7 @@ func (s *DistSplit) Apply(c *simmpi.Comm, r, z []float64, fc *vecops.FlopCounter
 // DistCG solves A x = b in the distributed setting. Every rank passes its
 // local slices of b and x (x zeroed); all ranks receive identical Stats.
 // The operator op must be built over the same layout as b/x. A nil Comm is
-// the one-rank world (not under CGPipelined, whose reduction is
-// nonblocking). It has no loop of its own: CGClassic and CGFused are the
+// the one-rank world. It has no loop of its own: CGClassic and CGFused are the
 // k-wide recurrences of DistCGBatch at width 1, where every k-wide kernel
 // is its scalar counterpart; CGPipelined dispatches to DistCGPipelined.
 // The one column's outcome comes back as Stats, its breakdown as an

@@ -34,11 +34,11 @@ const (
 	// counts may differ by ±1 from rounding (see DESIGN.md).
 	CGFused
 	// CGPipelined is the Ghysels–Vanroose pipelined recurrence: the single
-	// reduction of the fused loop becomes a nonblocking IallreduceSum whose
-	// flight time is covered by the next preconditioner apply and SpMV, both
-	// blocking products, so no rank ever idles in a collective. Same Krylov space as CGClassic;
-	// iteration counts may differ by ±2 from the deeper scalar recurrence
-	// rearrangement (see DESIGN.md §4d).
+	// reduction of the fused loop comes one preconditioner apply and SpMV
+	// early. It blocks like every collective, so the rearrangement hides
+	// nothing; measured slower than CGClassic (DESIGN.md §4d). Same Krylov
+	// space as CGClassic; iteration counts may differ by ±2 from the deeper
+	// scalar recurrence rearrangement.
 	CGPipelined
 )
 

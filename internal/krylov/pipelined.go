@@ -1,23 +1,18 @@
 package krylov
 
 // The pipelined (Ghysels–Vanroose) Conjugate Gradient variant. The fused
-// recurrence of fused.go already pays only one collective per iteration,
-// but that collective is still blocking: every rank stalls in the Allreduce
-// between the SpMV and the vector updates. Pipelining rearranges the
-// recurrence once more so the reduction's operands are available one
-// operator application early: the three scalars are posted as a nonblocking
-// IallreduceSum, the next preconditioner apply m = M·w and SpMV n = A·m run
-// while the reduction is in flight, and the wait happens only when α and β
-// are actually needed. The latency of the collective hides behind the
-// heaviest compute of the iteration. The price is two extra recurrence
-// vectors on top of fused's (z ≈ A·M·s and q ≈ M·s, kept current by the
-// 8-way update kernel) and one wasted preconditioner+SpMV application after
-// the final iteration.
-//
-// The in-process simulated runtime serializes goroutines, so the overlap
-// cannot show up in wall-clock time here; internal/archmodel's
-// overlap-credit term converts the metered traffic into the modeled time a
-// real network would see (DESIGN.md §4d).
+// recurrence of fused.go already pays only one collective per iteration;
+// pipelining rearranges the recurrence once more so the reduction's operands
+// are available one operator application early, before the next
+// preconditioner apply m = M·w and SpMV n = A·m. On a runtime with a
+// nonblocking reduction those two products could cover its flight time.
+// Here every collective blocks, so the loop reduces where it would have
+// posted and the rearrangement buys nothing: the price is two extra
+// recurrence vectors on top of fused's (z ≈ A·M·s and q ≈ M·s, kept current
+// by the 8-way update kernel) and one wasted preconditioner+SpMV
+// application after the final iteration. It was measured slower than the
+// classic loop on both transports (DESIGN.md §4d) and stays only as an
+// option value.
 
 import (
 	"fmt"
@@ -30,11 +25,10 @@ import (
 
 // DistCGPipelined solves A x = b with the pipelined preconditioned CG
 // recurrence of Ghysels & Vanroose. Per iteration it performs exactly one
-// collective — a nonblocking IallreduceSum(rᵀu, wᵀu, ‖r‖²) overlapped with
-// the preconditioner apply and SpMV — with halo traffic byte-identical to
-// the classic loop (asserted by the metered tests). Its products block, A's
-// and the preconditioner's, as in the other loops: what the reduction hides
-// behind is the whole of both.
+// collective — the blocking reduction of (rᵀu, wᵀu, ‖r‖²), through
+// distmat.SumAcross like the other loops' — with halo traffic
+// byte-identical to the classic loop (asserted by the metered tests). A nil
+// Comm is the one-rank world.
 // In exact arithmetic the iterates equal classic PCG's; the deeper
 // rearrangement rounds differently, so iteration counts may shift by ±2.
 func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreconditioner, opt Options, fc *vecops.FlopCounter) (Stats, error) {
@@ -70,17 +64,12 @@ func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreco
 			return finish(st, fc, tr), fmt.Errorf("%w at iteration %d", ErrCanceled, it)
 		}
 		ruL, wuL, rrL := vecops.Dot3(r, u, w, fc)
-		// The single collective of the iteration, posted nonblocking.
-		req := c.IallreduceSum(ruL, wuL, rrL)
-		// Overlap window: the preconditioner apply and the SpMV execute
-		// while the reduction is in flight. They only read w and write the
-		// scratch vectors m and n, so they commute with the wait.
+		// The single collective of the iteration.
+		g := distmat.SumAcross(c, []float64{ruL, wuL, rrL})
+		// The preconditioner apply and the SpMV only read w and write the
+		// scratch vectors m and n, so they may follow the reduction.
 		m.ApplyBatch(c, w, mv, 1, nil, fc)
 		op.MulVec(c, mv, nv, scratch, fc)
-		g, err := req.Wait()
-		if err != nil {
-			return finish(st, fc, tr), err
-		}
 		gammaNew, delta, rr := g[0], g[1], g[2]
 		// upAlpha/upBeta are the scalars of the update that produced this
 		// pass's residual (computed in the previous pass), reported in the
@@ -148,8 +137,8 @@ func DistCGPipelined(c *simmpi.Comm, op *distmat.Op, b, x []float64, m DistPreco
 		}
 		if it > 0 {
 			// Close the pass: the record's comm delta spans this pass's
-			// reduction post, overlap-window SpMV and any replacement
-			// traffic, so per-iteration deltas sum exactly to run totals.
+			// reduction, products and any replacement traffic, so
+			// per-iteration deltas sum exactly to run totals.
 			tr.record(it, st.RelResidual, upAlpha, upBeta)
 		}
 	}

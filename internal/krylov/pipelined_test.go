@@ -382,3 +382,26 @@ func TestPipelinedResidualReplacementMeter(t *testing.T) {
 		}
 	}
 }
+
+// The pipelined loop reduces through distmat.SumAcross like the others, so
+// a nil Comm is its one-rank world too: the same bits and iterations as the
+// solve on a world of one rank.
+func TestDistCGPipelinedOnNilComm(t *testing.T) {
+	a := matgen.Poisson2D(12, 12)
+	b := matgen.RandomRHS(a.Rows, 9, a.MaxNorm())
+	opt := Options{Variant: CGPipelined}
+	x := make([]float64, a.Rows)
+	st, err := DistCG(nil, distmat.LocalOp(a), b, x, nil, opt, nil)
+	if err != nil || !st.Converged {
+		t.Fatalf("nil Comm: %+v, %v", st, err)
+	}
+	want, stWorld := distSolve(t, a, b, 1, nil, opt)
+	if st.Iterations != stWorld.Iterations {
+		t.Fatalf("nil Comm: %d iterations, one-rank world %d", st.Iterations, stWorld.Iterations)
+	}
+	for i := range x {
+		if x[i] != want[i] {
+			t.Fatalf("x[%d]: nil Comm %v, one-rank world %v", i, x[i], want[i])
+		}
+	}
+}

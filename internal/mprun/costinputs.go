@@ -72,12 +72,10 @@ func precondCost(misses int64, nl int, ops ...*distmat.Op) archmodel.RankCost {
 // loopShape is what one iteration of a Krylov loop adds to its operators'
 // products in the cost model: the global reductions, each a log₂ tree of
 // messages, the bytes they move per tree level, the vector
-// kernels' flops and their 8-byte sweeps per local row. overlapped marks
-// pipelined CG, the one loop that hides a reduction behind its products.
+// kernels' flops and their 8-byte sweeps per local row.
 type loopShape struct {
 	reductions, redBytes int64
 	rowFlops, sweeps     int64
-	overlapped           bool
 }
 
 // cgLoop is the shape of a CG iteration: three reductions in the classic
@@ -87,7 +85,6 @@ func cgLoop(variant krylov.CGVariant) loopShape {
 	if variant == krylov.CGFused || variant == krylov.CGPipelined {
 		sh.reductions = 1
 	}
-	sh.overlapped = variant == krylov.CGPipelined
 	return sh
 }
 
@@ -120,12 +117,8 @@ func gmresLoop(restart int) loopShape {
 // and reductions cost log₂-tree messages.
 //
 // Every loop carries the same two named windows — "halo" and "reduction" —
-// so the per-phase reports are comparable across loops; what changes is the
-// hiding compute. Every product blocks, so no loop's halo window hides
-// anything, and classic and fused CG and GMRES wait out their reductions
-// too. Pipelined CG posts its single reduction before the iteration's
-// products with A, G and Gᵀ and waits after them, so all of their compute
-// hides it.
+// so the per-phase reports are comparable across loops. Every product and
+// every reduction blocks, so each window is waited out in full.
 func assembleIterCost(miss TracedMisses, sh loopShape, nl, ranks int, ops ...*distmat.Op) IterCostInputs {
 	logP := int64(math.Ceil(math.Log2(float64(ranks + 1))))
 	// Each operator's halo traffic is what ONE exchange under its plan
@@ -140,10 +133,6 @@ func assembleIterCost(miss TracedMisses, sh loopShape, nl, ranks int, ops ...*di
 		halo.CommBytes += b
 	}
 	red := archmodel.RankCost{CommMsgs: sh.reductions * logP, CommBytes: sh.redBytes * logP}
-	var redHide archmodel.RankCost
-	if sh.overlapped {
-		redHide = archmodel.RankCost{Flops: 2 * totNNZ, StreamBytes: 12 * totNNZ}
-	}
 	return IterCostInputs{
 		Overlap: archmodel.OverlapCost{
 			Compute: archmodel.RankCost{
@@ -153,7 +142,7 @@ func assembleIterCost(miss TracedMisses, sh loopShape, nl, ranks int, ops ...*di
 			},
 			Windows: []archmodel.CommWindow{
 				{Name: "halo", Comm: halo},
-				{Name: "reduction", Comm: red, Hide: redHide},
+				{Name: "reduction", Comm: red},
 			},
 		},
 		Precond: precondCost(miss.Precond, nl, ops[1:]...),

@@ -112,10 +112,9 @@ func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Worksp
 	}
 	opt := krylov.Options{Tol: sp.Tol, MaxIter: sp.MaxIter,
 		Variant: sp.Variant, Restart: sp.Restart,
-		Work:                 ws,
-		Trace:                sp.Trace,
-		ResidualReplaceEvery: sp.ResidualReplaceEvery,
-		Ctx:                  ctx}
+		Work:  ws,
+		Trace: sp.Trace,
+		Ctx:   ctx}
 	t1 := time.Now()
 	xl := make([]float64, len(job.B))
 	var st krylov.Stats

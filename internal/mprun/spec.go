@@ -119,13 +119,12 @@ func (o *Operators) holds(gmres bool) bool {
 type SolveParams struct {
 	// Solver selects the loop: CG (the FSAI family) or restarted GMRES with
 	// cycle length Restart (SPAI).
-	Solver               krylov.Solver
-	Restart              int
-	Tol                  float64
-	MaxIter              int
-	Variant              krylov.CGVariant
-	Trace                bool
-	ResidualReplaceEvery int
+	Solver  krylov.Solver
+	Restart int
+	Tol     float64
+	MaxIter int
+	Variant krylov.CGVariant
+	Trace   bool
 	// Profile is the cost-model profile; the zero Profile means skylake.
 	Profile archmodel.Profile
 	// Precision FP32 narrows the factor operators, adds a float32 twin of A
@@ -211,7 +210,7 @@ type RankOutcome struct {
 	SolveComm simmpi.Snapshot
 	// Waits is how the blocking waits of the rank's goroutine ended over the
 	// job: on the channel backend every receive, on the ring backend what a
-	// Comm waits for by itself (self-receives, posted reductions). It
+	// Comm waits for by itself (self-receives). It
 	// tells who arrived first, so no two runs need agree on it.
 	Waits simmpi.Waits
 	// SolveNanos is the rank's wall-clock time in the Krylov loop.

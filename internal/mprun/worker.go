@@ -173,8 +173,7 @@ func workerMain() error {
 }
 
 // runOn runs one job over a fresh communicator and meter on the long-lived
-// endpoint, so no count and no posted reduction carries over from the job
-// before. A panic — how the communicator reports a lost peer — comes back as
+// endpoint, so no count carries over from the job before. A panic — how the communicator reports a lost peer — comes back as
 // the job's error.
 func runOn(ctx context.Context, ep *tcpmpi.Endpoint, spec *JobSpec) (out *RankOutcome, err error) {
 	defer func() {
@@ -184,10 +183,5 @@ func runOn(ctx context.Context, ep *tcpmpi.Endpoint, spec *JobSpec) (out *RankOu
 	}()
 	// Each worker meters its own rank's traffic.
 	c := simmpi.NewComm(ep, simmpi.NewMeter(ep.Size()), opTimeout)
-	if out, err = RunJob(ctx, c, spec, nil); err == nil {
-		// A reduction posted and never waited may still be flushing; the
-		// next job's traffic must not overtake it.
-		c.Quiesce()
-	}
-	return out, err
+	return RunJob(ctx, c, spec, nil)
 }

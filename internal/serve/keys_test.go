@@ -23,7 +23,7 @@ func TestCacheKeysCoverEveryOption(t *testing.T) {
 		"PatternLevel": 2, "Threshold": 0.1, "Ranks": fsaicomm.AutoRanks(a, 0) + 1, "Partitioner": "block",
 		"PartitionSeed": int64(7), "Precision": fsaicomm.FP32, "SPAISteps": 2, "SPAIAdd": 3, "SPAIEpsilon": 0.2,
 		"Workers": 4, "Tol": 1e-6, "MaxIter": 50, "CGVariant": fsaicomm.CGFused, "Restart": 20, "Arch": "a64fx",
-		"Trace": true, "ResidualReplaceEvery": 10, "Transport": "tcp",
+		"Trace": true, "Transport": "tcp",
 	}
 	with := func(o any, name string) {
 		v, ok := legal[name]
@@ -102,7 +102,7 @@ func TestCacheKeysCoverEveryOption(t *testing.T) {
 		uploadGen(t, fresh.URL, gen)
 		plain := solveRequest{Matrix: mr.Matrix, Ranks: 2}
 		first := solveRequest{Matrix: mr.Matrix, Ranks: 2, Tol: 1e-4, MaxIter: 9, CG: "fused", Restart: 5,
-			Arch: "a64fx", Trace: true, ResidualReplaceEvery: 3}
+			Arch: "a64fx", Trace: true}
 		if gen == "convdiff-sim" {
 			plain.Solver, first.Solver, first.CG = "gmres", "gmres", ""
 		}

@@ -495,18 +495,28 @@ func TestIllegalCellsRefusedBeforeAdmission(t *testing.T) {
 
 // TestNodeFieldsRefusedBeforeAdmission: the world is flat, so a /solve body
 // that still asks for a node grouping — nodes, ranks_per_node or
-// no_node_aggregation — is a 400 that names the field, before admission: no
-// job accepted or rejected, and the one slot stays free for the next solve.
+// no_node_aggregation — is a 400 that names the field, before admission.
 func TestNodeFieldsRefusedBeforeAdmission(t *testing.T) {
+	refusedBeforeAdmission(t, map[string]any{"nodes": 2, "ranks_per_node": 2, "no_node_aggregation": true})
+}
+
+// TestResidualReplaceEveryRefusedBeforeAdmission: the pipelined loop's
+// residual replacement is no per-solve option, so a /solve body that sets
+// residual_replace_every is a 400 that names the field, before admission.
+func TestResidualReplaceEveryRefusedBeforeAdmission(t *testing.T) {
+	refusedBeforeAdmission(t, map[string]any{"residual_replace_every": 10})
+}
+
+// refusedBeforeAdmission posts, for each field, a 4-rank solve that carries
+// it with its value and wants a 400 that names the field: no job accepted
+// or rejected, and the one slot stays free for the next solve.
+func refusedBeforeAdmission(t *testing.T, fields map[string]any) {
+	t.Helper()
 	_, ts := testServer(t, Config{MaxInFlight: 1, MaxQueue: -1})
 	mr := uploadGen(t, ts.URL, "Dubcova2-sim")
 	before := getMetrics(t, ts.URL)
-	for _, field := range []string{"nodes", "ranks_per_node", "no_node_aggregation"} {
-		body := map[string]any{"matrix": mr.Matrix, "ranks": 4, field: 2}
-		if field == "no_node_aggregation" {
-			body[field] = true
-		}
-		resp, raw := postJSON(t, ts.URL+"/solve", body)
+	for field, v := range fields {
+		resp, raw := postJSON(t, ts.URL+"/solve", map[string]any{"matrix": mr.Matrix, "ranks": 4, field: v})
 		var e struct{ Error string }
 		json.Unmarshal(raw, &e)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"`+field+`"`) {

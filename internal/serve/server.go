@@ -415,14 +415,13 @@ type solveRequest struct {
 	Precision string `json:"precision,omitempty"`
 
 	// Per-solve options.
-	Tol                  float64 `json:"tol,omitempty"`
-	MaxIter              int     `json:"max_iter,omitempty"`
-	Restart              int     `json:"restart,omitempty"` // GMRES restart length (0 = 30)
-	CG                   string  `json:"cg,omitempty"`      // classic | fused | pipelined
-	Arch                 string  `json:"arch,omitempty"`
-	Trace                bool    `json:"trace,omitempty"`
-	ResidualReplaceEvery int     `json:"residual_replace_every,omitempty"`
-	Transport            string  `json:"transport,omitempty"` // sim | tcp (rank backend; empty = server default)
+	Tol       float64 `json:"tol,omitempty"`
+	MaxIter   int     `json:"max_iter,omitempty"`
+	Restart   int     `json:"restart,omitempty"` // GMRES restart length (0 = 30)
+	CG        string  `json:"cg,omitempty"`      // classic | fused | pipelined
+	Arch      string  `json:"arch,omitempty"`
+	Trace     bool    `json:"trace,omitempty"`
+	Transport string  `json:"transport,omitempty"` // sim | tcp (rank backend; empty = server default)
 }
 
 // decodeSolve reads a /solve body into the request and the facade options it
@@ -469,29 +468,28 @@ func (q *solveRequest) options() (fsaicomm.Options, fsaicomm.SolveOptions, error
 		strategy = fsaicomm.DynamicFilter
 	}
 	opt := fsaicomm.Options{
-		Method:               method,
-		Solver:               solver,
-		Filter:               q.Filter,
-		Strategy:             strategy,
-		LineBytes:            q.LineBytes,
-		PatternLevel:         q.PatternLevel,
-		Threshold:            q.Threshold,
-		Ranks:                q.Ranks,
-		Partitioner:          q.Partitioner,
-		PartitionSeed:        q.PartitionSeed,
-		Workers:              q.Workers,
-		Precision:            prec,
-		SPAISteps:            q.SPAISteps,
-		SPAIAdd:              q.SPAIAdd,
-		SPAIEpsilon:          q.SPAIEpsilon,
-		Tol:                  q.Tol,
-		MaxIter:              q.MaxIter,
-		Restart:              q.Restart,
-		CGVariant:            variant,
-		Arch:                 q.Arch,
-		Trace:                q.Trace,
-		ResidualReplaceEvery: q.ResidualReplaceEvery,
-		Transport:            q.Transport,
+		Method:        method,
+		Solver:        solver,
+		Filter:        q.Filter,
+		Strategy:      strategy,
+		LineBytes:     q.LineBytes,
+		PatternLevel:  q.PatternLevel,
+		Threshold:     q.Threshold,
+		Ranks:         q.Ranks,
+		Partitioner:   q.Partitioner,
+		PartitionSeed: q.PartitionSeed,
+		Workers:       q.Workers,
+		Precision:     prec,
+		SPAISteps:     q.SPAISteps,
+		SPAIAdd:       q.SPAIAdd,
+		SPAIEpsilon:   q.SPAIEpsilon,
+		Tol:           q.Tol,
+		MaxIter:       q.MaxIter,
+		Restart:       q.Restart,
+		CGVariant:     variant,
+		Arch:          q.Arch,
+		Trace:         q.Trace,
+		Transport:     q.Transport,
 	}
 	if err := opt.Validate(); err != nil {
 		return fsaicomm.Options{}, fsaicomm.SolveOptions{}, fail(http.StatusBadRequest, "%v", err)

@@ -8,9 +8,9 @@
 //
 // The runtime provides the subset of MPI the paper's solver needs — tagged
 // blocking point-to-point messages of float64, float32 or int values (Send
-// and Recv), the collectives Allreduce (Sum or Max), Allgather and Barrier
-// and a nonblocking IallreduceSum, one generic body each over Elem — and,
-// crucially, it meters every byte that crosses rank boundaries. Every
+// and Recv) and the collectives Allreduce (Sum or Max), Allgather and
+// Barrier, one generic body each over Elem, every one of them blocking —
+// and, crucially, it meters every byte that crosses rank boundaries. Every
 // collective is one rendezvous, written once in Comm for both backends:
 // gather to rank 0, reduce in ascending rank order, send the result down.
 // The paper's central communication claim (the FSAIE-Comm pattern extension
@@ -38,18 +38,15 @@ type World struct {
 	// lanes[l][dst][src] carries lane l's messages from src to dst; per-pair
 	// channels keep message order deterministic per sender as MPI guarantees.
 	lanes [2][][]chan Payload
-	// states holds each rank's Comm-level state (the nonblocking collective
-	// chain and the self-send loopback queue). Entry r is touched only by
-	// rank r's goroutine, so no lock is needed.
+	// states holds each rank's Comm-level state (the self-send loopback
+	// queue and the wait counters). Entry r is touched only by rank r's
+	// goroutine, so no lock is needed.
 	states []rankState
 }
 
 // rankState is the per-rank state a Comm needs above the transport: the
-// tail of the nonblocking-collective chain and the self-send loopback queue.
-// The chain orders collectives only: point-to-point traffic travels on a
-// lane of its own beside a posted reduction.
+// self-send loopback queue and the counters of the rank's waits.
 type rankState struct {
-	collTail *Request
 	// self carries rank→rank loopback messages (see Send): a
 	// bounded FIFO so a runaway self-send loop fails loudly instead of
 	// consuming unbounded memory.
@@ -112,7 +109,7 @@ func (w *World) Comm(rank int) *Comm {
 		panic(fmt.Sprintf("simmpi: rank %d outside [0,%d)", rank, w.size))
 	}
 	st := &w.states[rank]
-	return newComm(&simTransport{w, rank, &st.waits}, &simTransport{w: w, rank: rank}, w.meter, w.timeout, st)
+	return newComm(&simTransport{w, rank, &st.waits}, w.meter, w.timeout, st)
 }
 
 // Run spawns fn on every rank of a fresh world and waits for all of them.
@@ -148,7 +145,7 @@ func Run(size int, timeout time.Duration, fn func(c *Comm) error) (*World, error
 type simTransport struct {
 	w     *World
 	rank  int
-	waits *Waits // nil on the view of a rank's background operations (Comm.bg)
+	waits *Waits
 }
 
 func (t *simTransport) Rank() int { return t.rank }
@@ -178,13 +175,9 @@ type Comm struct {
 	meter   *Meter
 	timeout time.Duration
 	st      *rankState
-	// waits counts the blocking waits of the rank's goroutine; its background
-	// operations run beside it, through bg, and count none (bg.waits is nil).
-	waits *Waits
-	bg    *Comm
+	waits   *Waits // the blocking waits of the rank's goroutine
 	// parts is where the rank, as the root of a collective, lines the
-	// contributions up (see collective). Its blocking and its posted
-	// collectives never run at once.
+	// contributions up (see collective).
 	parts []Payload
 }
 
@@ -195,12 +188,11 @@ type Comm struct {
 // out-of-package backends; in-process worlds use World.Comm.
 func NewComm(t Transport, meter *Meter, timeout time.Duration) *Comm {
 	st := newRankState()
-	return newComm(t, t, meter, timeout, &st)
+	return newComm(t, meter, timeout, &st)
 }
 
-func newComm(t, bg Transport, meter *Meter, timeout time.Duration, st *rankState) *Comm {
-	return &Comm{t: t, meter: meter, timeout: timeout, st: st, waits: &st.waits,
-		bg: &Comm{t: bg, meter: meter, timeout: timeout, st: st}}
+func newComm(t Transport, meter *Meter, timeout time.Duration, st *rankState) *Comm {
+	return &Comm{t: t, meter: meter, timeout: timeout, st: st, waits: &st.waits}
 }
 
 // Rank returns this communicator's rank.
@@ -217,7 +209,7 @@ func (c *Comm) Meter() *Meter { return c.meter }
 func (c *Comm) Waits() Waits { return *c.waits }
 
 func (c *Comm) checkPeer(peer int) {
-	if peer < 0 || peer >= c.Size() {
+	if uint(peer) >= uint(c.Size()) {
 		panic(fmt.Sprintf("simmpi: rank %d addressed invalid peer %d", c.Rank(), peer))
 	}
 }
@@ -398,21 +390,13 @@ func (c *Comm) AllreduceSum(vals ...float64) []float64 { return Allreduce(c, Sum
 // zero-byte collective call.
 func (c *Comm) Barrier() { syncCollective[float64](c, barrier, nil) }
 
-// meterCollective charges a collective's payload as size-1 point-to-point
-// messages from this rank (a flat cost model; the experiments only compare
-// collective counts between methods, which are identical by construction).
-func (c *Comm) meterCollective(bytes int) {
-	c.meter.recordCollective(c.Rank(), bytes)
-}
-
-// syncCollective is the blocking-collective entry point: it meters one call
-// of 4 bytes per float32 value and 8 per float64 or int, waits out this
-// rank's outstanding nonblocking collectives so blocking and nonblocking
-// operations keep a single per-rank order (as MPI requires of mixed
-// collective streams), then performs the rendezvous.
+// syncCollective is the collective entry point: it meters one call of 4
+// bytes per float32 value and 8 per float64 or int, charged to this rank (a
+// flat cost model; the experiments only compare collective counts between
+// methods, which are identical by construction), then performs the
+// rendezvous.
 func syncCollective[T Elem](c *Comm, op Op, vals []T) []T {
-	c.meterCollective(width[T]() * len(vals))
-	c.Quiesce()
+	c.meter.recordCollective(c.Rank(), width[T]()*len(vals))
 	return collective(c, op, vals)
 }
 
@@ -503,95 +487,6 @@ func (c *Comm) take(src int, op Op) Payload {
 		panic(fmt.Sprintf("simmpi: rank %d in collective %v: %v", c.Rank(), op, err))
 	}
 	return m
-}
-
-// ---- The nonblocking collective ----
-//
-// IallreduceSum returns immediately with a Request handle; the reduction
-// itself runs on a background goroutine. Each rank keeps one FIFO chain of
-// them, so outstanding reductions complete in post order, while blocking
-// point-to-point traffic goes on beside them on its own lane: pipelined CG
-// runs its halo updates with the reduction in flight. Metering is charged
-// at post time, identically to Allreduce.
-
-// ErrWaited is wrapped by Request.Wait when a handle is waited twice.
-var ErrWaited = fmt.Errorf("simmpi: request already waited")
-
-// Request is the wait handle of a posted IallreduceSum, confined to the rank
-// goroutine that posted it. The background goroutine publishes the reduced
-// vector (or a recovered panic) before closing done, so a waiter observes it
-// race-free.
-type Request struct {
-	done     chan struct{}
-	waits    *Waits // of the rank that posted it
-	vals     []float64
-	panicVal any
-	waited   bool
-}
-
-// Wait blocks until the reduction completes and returns the reduced vector.
-// Waiting a handle twice returns an error wrapping ErrWaited instead of
-// deadlocking. A panic inside the operation (timeout, protocol mismatch) is
-// re-raised in the waiting goroutine, where the runtime's per-rank recovery
-// can observe it.
-func (r *Request) Wait() ([]float64, error) {
-	if r.waited {
-		return nil, fmt.Errorf("%w: iallreduce-sum", ErrWaited)
-	}
-	r.waited = true
-	recvWithin(r.done, 0, r.waits)
-	if r.panicVal != nil {
-		panic(r.panicVal)
-	}
-	return r.vals, nil
-}
-
-// Quiesce waits for this rank's posted reductions to finish executing,
-// without consuming their handles (the poster may still Wait them). Every
-// blocking collective quiesces first. An in-process world never needs it
-// otherwise (chain goroutines outlive the rank closures), but a rank that
-// owns its transport's lifetime must quiesce before tearing it down: a
-// reduction posted and never waited may still owe a peer its part, and
-// exiting the process (or closing the endpoint) first would turn that
-// peer's receive into a spurious rank-lost failure. Chain entries that panicked are already captured into
-// their handles; Quiesce only waits, it never re-raises.
-func (c *Comm) Quiesce() {
-	if t := c.st.collTail; t != nil {
-		recvWithin(t.done, 0, c.waits)
-	}
-}
-
-// IallreduceSum posts the element-wise sum reduction of vals over all ranks
-// and returns immediately; Wait yields the reduced vector. Metered at post
-// time exactly like Allreduce. The reduction runs on a background goroutine
-// after the rank's previous posted one completes. All ranks must post (or
-// call) matching collectives in the same order; blocking collectives issued
-// while nonblocking ones are outstanding wait for them first.
-func (c *Comm) IallreduceSum(vals ...float64) *Request {
-	c.meterCollective(8 * len(vals))
-	payload := append([]float64(nil), vals...)
-	prev := c.st.collTail
-	r := &Request{done: make(chan struct{}), waits: c.waits}
-	c.st.collTail = r
-	go func() {
-		defer close(r.done)
-		defer func() {
-			if p := recover(); p != nil {
-				r.panicVal = p
-			}
-		}()
-		if prev != nil {
-			recvWithin(prev.done, 0, nil)
-			// A failed predecessor poisons the chain: executing after it
-			// would desynchronize this rank's collective order against its
-			// peers, so surface the same failure here.
-			if prev.panicVal != nil {
-				panic(prev.panicVal)
-			}
-		}
-		r.vals = collective(c.bg, Sum, payload)
-	}()
-	return r
 }
 
 // Meter accumulates communication statistics. Safe for concurrent use.
@@ -694,8 +589,8 @@ func (m *Meter) CollectiveBytes(rank int) int64 {
 }
 
 // CollectiveCalls returns the number of collective operations rank has
-// entered (each Allreduce/Allgather/Barrier/IallreduceSum counts once per
-// participating rank). The fused-reduction CG claim — one Allreduce per
+// entered (each Allreduce/Allgather/Barrier counts once per participating
+// rank). The fused-reduction CG claim — one Allreduce per
 // iteration instead of three — is asserted against this counter.
 func (m *Meter) CollectiveCalls(rank int) int64 {
 	m.mu.Lock()
@@ -730,7 +625,7 @@ func (m *Meter) Snapshot() Snapshot {
 // RankSnapshot returns the counters attributable to one rank: the
 // point-to-point traffic it sent and the collectives it entered. All
 // metering happens synchronously on the originating rank's goroutine (sends
-// and collective posts are charged at post time), so a rank snapshotting
+// and collectives are charged when they are made), so a rank snapshotting
 // itself between program phases sees exactly its own traffic, and the sum of
 // all rank snapshots equals the aggregate Snapshot. Allocation-free, so
 // solvers can call it every iteration.

@@ -112,11 +112,20 @@ func roundTripAllocs[T Elem](t *testing.T, width uint64) {
 	}
 }
 
+// Messages from one sender arrive in send order, also when reductions run
+// while they wait on the lane: a collective never takes, delays or reorders
+// a point-to-point message.
 func TestMessageOrderPerSender(t *testing.T) {
 	_, err := Run(2, testTimeout, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 50; i++ {
 				Send(c, 1, i, []float64{float64(i)})
+			}
+			for v := 1.0; v <= 3; v++ {
+				Send(c, 1, 11, []float64{v})
+				if sum := Allreduce(c, Sum, v); sum[0] != 2*v {
+					return fmt.Errorf("reduction %v: %v", v, sum)
+				}
 			}
 			return nil
 		}
@@ -124,6 +133,14 @@ func TestMessageOrderPerSender(t *testing.T) {
 			got := Recv[float64](c, 0, i)
 			if got[0] != float64(i) {
 				return fmt.Errorf("message %d out of order: %v", i, got)
+			}
+		}
+		for want := 1.0; want <= 3; want++ {
+			if sum := Allreduce(c, Sum, want); sum[0] != 2*want {
+				return fmt.Errorf("reduction %v: %v", want, sum)
+			}
+			if got := Recv[float64](c, 0, 11); got[0] != want {
+				return fmt.Errorf("got %v, want %v", got, want)
 			}
 		}
 		return nil

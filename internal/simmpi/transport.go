@@ -5,9 +5,8 @@ import "errors"
 // Transport is the wire layer beneath a Comm: one rank's connection to its
 // world. It moves ordered payloads between two ranks on two lanes and knows
 // nothing of what they mean: tags, element types, copies, the collective
-// rendezvous (see collective), the chain of posted reductions and the
-// meters all live in Comm, so a solver written against Comm runs unmodified
-// over any backend.
+// rendezvous (see collective) and the meters all live in Comm, so a solver
+// written against Comm runs unmodified over any backend.
 //
 // Two backends exist: the in-process channel simulator in this package
 // (goroutine ranks, the test oracle) and the shared-memory ring backend in
@@ -43,8 +42,8 @@ type Transport interface {
 }
 
 // Lane is one of the two message streams between a pair of ranks, each a
-// FIFO of its own: a collective in flight, blocking or posted, never takes a
-// point-to-point message, nor a receive a collective's.
+// FIFO of its own: a collective never takes a point-to-point message, nor a
+// receive a collective's.
 type Lane uint8
 
 const (

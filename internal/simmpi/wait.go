@@ -16,8 +16,7 @@ type Poll struct{ since time.Time }
 
 // Again reports whether the waiter should look again rather than park. Before
 // it says yes it gives away what the one it waits for may need: its P (a
-// goroutine rank, or a posted send of its own, runs now, not after the poll)
-// and then its core (another process or solve); with nobody to take them both
+// goroutine rank runs now, not after the poll) and then its core (another process or solve); with nobody to take them both
 // calls come straight back. Where the core cannot be given away nobody polls.
 func (p *Poll) Again() bool {
 	if p.since.IsZero() {
@@ -38,17 +37,14 @@ func PollFor(d time.Duration) (restore func()) {
 	return func() { pollFor, d = d, pollFor }
 }
 
-// Waits counts the blocking waits of a rank's goroutine (plain adds: not its
-// background operations') by how they ended: at first look, polling, parked.
+// Waits counts the blocking waits of a rank's goroutine (plain adds) by how
+// they ended: at first look, polling, parked.
 type Waits struct{ Ready, Polled, Parked int64 }
 
 // recvWithin takes the next value off ch: what is there, what comes while it
 // polls, and then it parks for at most timeout (zero: for good). The timer is
 // armed to park and stopped after: a time.After would stay queued for an hour.
-func recvWithin[T any](ch <-chan T, timeout time.Duration, wc *Waits) (m T, ok bool) {
-	if wc == nil {
-		wc = new(Waits) // a background operation's
-	}
+func recvWithin(ch <-chan Payload, timeout time.Duration, wc *Waits) (m Payload, ok bool) {
 	select {
 	case m = <-ch:
 		wc.Ready++
@@ -68,11 +64,11 @@ func recvWithin[T any](ch <-chan T, timeout time.Duration, wc *Waits) (m T, ok b
 		return <-ch, true
 	}
 	t := time.NewTimer(timeout)
-	defer t.Stop()
 	select {
 	case m = <-ch:
-		return m, true
+		ok = true
 	case <-t.C:
-		return m, false
 	}
+	t.Stop()
+	return m, ok
 }

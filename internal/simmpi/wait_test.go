@@ -8,27 +8,6 @@ import (
 	"time"
 )
 
-// The nonblocking suite once more with no wait polling: every Wait, drain,
-// predecessor and receive that finds nothing parks, which the shipped poll
-// mostly keeps tests this quick from doing.
-func TestAsyncWithEveryWaitParked(t *testing.T) {
-	defer PollFor(0)()
-	for _, tc := range []struct {
-		name string
-		fn   func(*testing.T)
-	}{
-		{"IallreduceSumMatchesBlocking", TestIallreduceSumMatchesBlocking},
-		{"IallreduceOverlapsP2P", TestIallreduceOverlapsP2P},
-		{"RequestDoubleWaitErrors", TestRequestDoubleWaitErrors},
-		{"ManyOutstandingRequestsOutOfOrderWaits", TestManyOutstandingRequestsOutOfOrderWaits},
-		{"BlockingCollectiveDrainsOutstanding", TestBlockingCollectiveDrainsOutstanding},
-		{"MixedSendOrderPreserved", TestMixedSendOrderPreserved},
-		{"AsyncDeadlockSurfacesThroughWait", TestAsyncDeadlockSurfacesThroughWait},
-	} {
-		t.Run(tc.name, tc.fn)
-	}
-}
-
 // A receive nobody sends to fails with the deadlock error when its timeout
 // runs out, polling or not: the poll comes out of the first 100 µs of the
 // wait, it is not a way round the timer. The bound is on the best of three
@@ -64,8 +43,7 @@ func TestUnansweredReceiveStillTimesOut(t *testing.T) {
 	}
 }
 
-// Once Run returns nothing of the world is left running: no rank, no
-// background operation — a reduction nobody waited for included — and no
+// Once Run returns nothing of the world is left running: no rank and no
 // poller.
 func TestNoGoroutineLeftPolling(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -74,18 +52,15 @@ func TestNoGoroutineLeftPolling(t *testing.T) {
 		_, err := Run(8, testTimeout, func(c *Comm) error {
 			next, before := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
 			for i := 0; i < 50; i++ {
-				sum := c.IallreduceSum(1)
 				Send(c, next, i, []float64{float64(i)})
 				if got := Recv[float64](c, before, i); got[0] != float64(i) {
 					return fmt.Errorf("rank %d round %d: received %v", c.Rank(), i, got)
 				}
-				if got, err := sum.Wait(); err != nil || got[0] != 8 {
-					return fmt.Errorf("rank %d round %d: sum %v, %v", c.Rank(), i, got, err)
+				if got := Allreduce(c, Sum, 1.0); got[0] != 8 {
+					return fmt.Errorf("rank %d round %d: sum %v", c.Rank(), i, got)
 				}
 				c.Barrier()
 			}
-			c.IallreduceSum(1) // never waited: the barrier drains it
-			c.Barrier()
 			return nil
 		})
 		runtime.GOMAXPROCS(prev)
@@ -117,17 +92,15 @@ func TestWaitsAreCounted(t *testing.T) {
 					Recv[float64](c, peer, i) // one wait on the channel
 					Allreduce(c, Sum, 1.0)    // one wait: rank 0 gathers, rank 1 takes the result
 				}
-				req := c.IallreduceSum(1)
-				_, err := req.Wait() // one wait, for the background reduction
 				waits[c.Rank()] = c.Waits()
-				return err
+				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for r, w := range waits {
-				if total := w.Ready + w.Polled + w.Parked; total != 201 || (poll == 0 && w.Polled != 0) {
-					t.Errorf("rank %d: %+v, want 201 waits in all", r, w)
+				if total := w.Ready + w.Polled + w.Parked; total != 200 || (poll == 0 && w.Polled != 0) {
+					t.Errorf("rank %d: %+v, want 200 waits in all", r, w)
 				}
 			}
 		})

@@ -83,9 +83,8 @@ type peerConn struct {
 	mem     []byte
 	in, out ring
 
-	// wmu serializes producers: the rank goroutine's send and a posted
-	// reduction's background goroutine may target the same peer at once,
-	// and a frame's pieces must not interleave with another's. It also
+	// wmu serializes producers: two goroutines may send to the same peer
+	// at once, and a frame's pieces must not interleave with another's. It also
 	// guards wbuf, the storage every outgoing frame is encoded into, so a
 	// steady-state send allocates nothing.
 	wmu  sync.Mutex
@@ -305,9 +304,8 @@ func (pc *peerConn) has(w want) bool {
 
 // await returns, with pc.mu held, once pc has w. Until then the caller
 // drains the inbound ring itself if nobody does, and otherwise waits for the
-// one who does to come back: a blocking receive and a background collective
-// may want different lanes from one peer, and whoever holds the role queues
-// what the other is waiting for. Queued messages win over a lost peer, so
+// one who does to come back: a frame may belong to another lane than the
+// one wanted, and whoever holds the role queues it for whoever wants it. Queued messages win over a lost peer, so
 // what a rank sent before it went is still delivered.
 func (e *Endpoint) await(pc *peerConn, peer int, w want) error {
 	var deadline time.Time

@@ -9,9 +9,8 @@ import (
 // Faults are test hooks injected between a Comm and the wire. Each hook sees
 // outgoing point-to-point payloads (the simmpi.P2P lane) before framing; nil
 // hooks are no-ops.
-// Hooks run on whichever goroutine performs the send (the rank goroutine for
-// blocking sends, a chain goroutine for posted ones), so they must be
-// safe for concurrent use if the test posts concurrent sends.
+// Hooks run on whichever goroutine performs the send, so they must be safe
+// for concurrent use if the test sends concurrently.
 type Faults struct {
 	// Drop suppresses the send entirely when it returns true: the frame
 	// never reaches the wire and the receiver's bounded wait times out.

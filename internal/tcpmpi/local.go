@@ -68,12 +68,6 @@ func RunLocal(size int, cfg Config, fn func(c *simmpi.Comm) error) (*simmpi.Mete
 			meters[rank] = simmpi.NewMeter(size)
 			c := simmpi.NewComm(t, meters[rank], cfg.Timeout)
 			errs[rank] = fn(c)
-			if errs[rank] == nil {
-				// Flush posted reductions before the deferred endpoint
-				// Close: a peer may still be waiting on the part of one fn
-				// posted on its way out.
-				c.Quiesce()
-			}
 		}(r)
 	}
 	wg.Wait()

@@ -93,8 +93,8 @@ func Dot2(x, y, z []float64, fc *FlopCounter) (xy, zy float64) {
 
 // Dot3 returns (xᵀy, zᵀy, xᵀx) in one pass over the three vectors,
 // counting 6·n flops. The pipelined CG recurrence reduces all three scalars
-// of an iteration — rᵀu, wᵀu and ‖r‖² — in one nonblocking collective, and
-// this kernel produces the local contributions in a single sweep.
+// of an iteration — rᵀu, wᵀu and ‖r‖² — in one collective, and this kernel
+// produces the local contributions in a single sweep.
 func Dot3(x, y, z []float64, fc *FlopCounter) (xy, zy, xx float64) {
 	if len(x) != len(y) || len(z) != len(y) {
 		panic(fmt.Sprintf("vecops: Dot3 length mismatch %d/%d/%d", len(x), len(y), len(z)))

@@ -23,17 +23,17 @@ func TestModeledTimeBitPins(t *testing.T) {
 		want string
 	}{
 		{"classic", spd, Options{Method: FSAIEComm, Ranks: 2, CGVariant: CGClassic},
-			"iters 28 total 3f53e1c0bcd894d5 phases 3f53e1c0bcd894d5 compute 3f4c7444afe4320e halo 3f18634017a569ae 0000000000000000 0000000000000000 3f18634017a569ae reduction 3f3085a98db094cc 0000000000000000 0000000000000000 3f3085a98db094cc"},
+			"iters 28 total 3f53e1c0bcd894d5 phases 3f53e1c0bcd894d5 compute 3f4c7444afe4320e halo 3f18634017a569ae reduction 3f3085a98db094cc"},
 		{"fused", spd, Options{Method: FSAIEComm, Ranks: 2, CGVariant: CGFused},
-			"iters 28 total 3f51211c1c7abbdc phases 3f51211c1c7abbdc compute 3f4c7444afe4320e halo 3f18634017a569ae 0000000000000000 0000000000000000 3f18634017a569ae reduction 3f160c5c30e4c39f 0000000000000000 0000000000000000 3f160c5c30e4c39f"},
+			"iters 28 total 3f51211c1c7abbdc phases 3f51211c1c7abbdc compute 3f4c7444afe4320e halo 3f18634017a569ae reduction 3f160c5c30e4c39f"},
 		{"pipelined", spd, Options{Method: FSAIEComm, Ranks: 2, CGVariant: CGPipelined},
-			"iters 28 total 3f4f80acb2d8df44 phases 3f4f80acb2d8df44 compute 3f4c7444afe4320e halo 3f18634017a569ae 0000000000000000 0000000000000000 3f18634017a569ae reduction 3f160c5c30e4c39f 3f4699d0c1bc0709 3f160c5c30e4c39f 0000000000000000"},
+			"iters 28 total 3f51211c1c7abbdc phases 3f51211c1c7abbdc compute 3f4c7444afe4320e halo 3f18634017a569ae reduction 3f160c5c30e4c39f"},
 		{"a64fx-3", spd, Options{Method: FSAIEComm, Ranks: 3, Arch: "a64fx"},
-			"iters 28 total 3f3c5c55d6658b10 phases 3f3c5c55d6658b10 compute 3f2364e23e9bfb39 halo 3f1e99ad3f85a853 0000000000000000 0000000000000000 3f1e99ad3f85a853 reduction 3f2606f2ce6c46be 0000000000000000 0000000000000000 3f2606f2ce6c46be"},
+			"iters 28 total 3f3c5c55d6658b10 phases 3f3c5c55d6658b10 compute 3f2364e23e9bfb39 halo 3f1e99ad3f85a853 reduction 3f2606f2ce6c46be"},
 		{"fp32", spd, Options{Method: FSAIEComm, Ranks: 2, Precision: FP32},
-			"iters 29 total 3f548db89c8a80f5 phases 3f548db89c8a80f5 compute 3f4d786bb62c586a halo 3f18a5491569bef6 0000000000000000 0000000000000000 3f18a5491569bef6 reduction 3f311cb8c076e341 0000000000000000 0000000000000000 3f311cb8c076e341"},
+			"iters 29 total 3f548db89c8a80f5 phases 3f548db89c8a80f5 compute 3f4d786bb62c586a halo 3f18a5491569bef6 reduction 3f311cb8c076e341"},
 		{"spai-gmres", nonsym, Options{Method: SPAI, Solver: SolverGMRES, SPAISteps: 2, Ranks: 2},
-			"iters 59 total 3f6f34aca5500940 phases 3f6f34aca5500940 compute 3f443342931ba7db halo 3f27d7d8b196ed40 0000000000000000 0000000000000000 3f27d7d8b196ed40 reduction 3f68aa5e756fb074 0000000000000000 0000000000000000 3f68aa5e756fb074"},
+			"iters 59 total 3f6f34aca5500940 phases 3f6f34aca5500940 compute 3f443342931ba7db halo 3f27d7d8b196ed40 reduction 3f68aa5e756fb074"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -46,7 +46,7 @@ func TestModeledTimeBitPins(t *testing.T) {
 			got := fmt.Sprintf("iters %d total %s phases %s compute %s", res.Iterations,
 				bits(res.ModeledSolveTime), bits(ph.TotalSec), bits(ph.ComputeSec))
 			for _, w := range ph.Windows {
-				got += fmt.Sprintf(" %s %s %s %s %s", w.Name, bits(w.RawSec), bits(w.HideAvail), bits(w.HiddenSec), bits(w.ExposedSec))
+				got += fmt.Sprintf(" %s %s", w.Name, bits(w.RawSec))
 			}
 			if got != c.want {
 				t.Errorf("modeled bits\n got %q\nwant %q", got, c.want)

@@ -90,11 +90,11 @@ type Options struct {
 	// CGVariant (per-solve) selects the distributed CG loop: CGClassic
 	// (default; three reductions per iteration, blocking SpMV), CGFused (one
 	// batched Allreduce per iteration, blocking SpMV, fused kernels) or
-	// CGPipelined (one nonblocking Allreduce per iteration, hidden behind the
-	// next SpMV and preconditioner application, both blocking). Every
-	// product blocks on its halo exchange. A one-process solve runs it on one rank, as
-	// SolveDistributed does at Ranks 1. See ParseCGVariant for the flag
-	// spellings.
+	// CGPipelined (one Allreduce per iteration over the Ghysels–Vanroose
+	// recurrence; measured slower than classic, DESIGN.md §4d). Every
+	// product blocks on its halo exchange and every reduction blocks. A
+	// one-process solve runs it on one rank, as SolveDistributed does at
+	// Ranks 1. See ParseCGVariant for the flag spellings.
 	CGVariant CGVariant
 	// Arch (per-solve) names the architecture profile for
 	// Result.ModeledSolveTime: "skylake" (default), "a64fx" or "zen2". It
@@ -105,12 +105,6 @@ type Options struct {
 	// Result.Trace (rank 0's view in distributed solves). Off by default;
 	// when off the solve does no telemetry work.
 	Trace bool
-	// ResidualReplaceEvery (per-solve) > 0 makes the pipelined CG loop
-	// recompute the true residual r = b − A·x every that-many iterations,
-	// arresting the rounding drift of the pipelined recurrence on
-	// ill-conditioned instances at the price of extra halo traffic (no extra
-	// collectives). Zero disables replacement; other CG variants ignore it.
-	ResidualReplaceEvery int
 	// Transport (per-solve) selects the rank runtime for SolveDistributed:
 	// "sim" (the default; in-process goroutine ranks over metered channels)
 	// or "tcp" (one OS process per rank over a loopback TCP mesh, spawned by
@@ -152,8 +146,6 @@ type SolveOptions struct {
 	Restart int
 	Arch    string
 	Trace   bool
-	// ResidualReplaceEvery applies to the pipelined loop.
-	ResidualReplaceEvery int
 	// Transport: the first "tcp" solve of a Prepared starts the processes
 	// and ships them the localized factors and halo schedules; they stay, so
 	// later solves send a right-hand side and get a solution back, until
@@ -164,14 +156,13 @@ type SolveOptions struct {
 // SolveOptions returns the per-solve group of o.
 func (o Options) SolveOptions() SolveOptions {
 	return SolveOptions{
-		Tol:                  o.Tol,
-		MaxIter:              o.MaxIter,
-		CGVariant:            o.CGVariant,
-		Restart:              o.Restart,
-		Arch:                 o.Arch,
-		Trace:                o.Trace,
-		ResidualReplaceEvery: o.ResidualReplaceEvery,
-		Transport:            o.Transport,
+		Tol:       o.Tol,
+		MaxIter:   o.MaxIter,
+		CGVariant: o.CGVariant,
+		Restart:   o.Restart,
+		Arch:      o.Arch,
+		Trace:     o.Trace,
+		Transport: o.Transport,
 	}
 }
 
@@ -261,8 +252,6 @@ func (o SolveOptions) Validate() error {
 		return invalid("MaxIter %d is negative (0 selects the default 10·n)", o.MaxIter)
 	case o.Restart < 0:
 		return invalid("Restart %d is negative (0 selects the default 30)", o.Restart)
-	case o.ResidualReplaceEvery < 0:
-		return invalid("ResidualReplaceEvery %d is negative (0 disables replacement)", o.ResidualReplaceEvery)
 	}
 	switch o.CGVariant {
 	case CGClassic, CGFused, CGPipelined:
@@ -391,15 +380,14 @@ func solveParams(setup Options, so SolveOptions, n int) mprun.SolveParams {
 		prof, _ = archmodel.ByName(so.Arch)
 	}
 	return mprun.SolveParams{
-		Solver:               setup.Solver,
-		Restart:              so.Restart,
-		Tol:                  so.Tol,
-		MaxIter:              so.MaxIter,
-		Variant:              so.CGVariant,
-		Trace:                so.Trace,
-		ResidualReplaceEvery: so.ResidualReplaceEvery,
-		Profile:              prof,
-		Precision:            setup.Precision,
+		Solver:    setup.Solver,
+		Restart:   so.Restart,
+		Tol:       so.Tol,
+		MaxIter:   so.MaxIter,
+		Variant:   so.CGVariant,
+		Trace:     so.Trace,
+		Profile:   prof,
+		Precision: setup.Precision,
 	}
 }
 

@@ -57,7 +57,6 @@ func TestIllegalCellsRefusedEverywhere(t *testing.T) {
 		{"Tol -1", two, SolveOptions{Tol: -1}, good, ErrInvalidOptions, all},
 		{"MaxIter -5", two, SolveOptions{MaxIter: -5}, good, ErrInvalidOptions, all},
 		{"Restart -3", two, SolveOptions{Restart: -3}, good, ErrInvalidOptions, all},
-		{"ResidualReplaceEvery -1", two, SolveOptions{ResidualReplaceEvery: -1}, good, ErrInvalidOptions, all},
 	}
 	ctx := context.Background()
 	m, err := BuildPreconditioner(a, Options{})

@@ -414,13 +414,14 @@ func (p *Prepared) Solve(ctx context.Context, b []float64, so SolveOptions) (*Re
 // solve anywhere is refused for: a per-solve field, a combination with p's
 // set-up group, a right-hand side.
 func (p *Prepared) check(so SolveOptions, rhs [][]float64, batch bool) error {
-	if err := so.Validate(); err != nil {
-		return err
+	err := so.Validate()
+	if err == nil {
+		err = cell(p.st.opt, so, batch)
 	}
-	if err := cell(p.st.opt, so, batch); err != nil {
-		return err
+	if err == nil {
+		err = checkRHS(rhs, p.n)
 	}
-	return checkRHS(rhs, p.n)
+	return err
 }
 
 // run is the cached-set-up path behind Solve (k = 0) and SolveBatch

@@ -33,7 +33,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"linebytes not a multiple of 8", Options{LineBytes: 12}, "LineBytes"},
 		{"negative pattern level", Options{PatternLevel: -1}, "PatternLevel"},
 		{"negative threshold", Options{Threshold: -1e-3}, "Threshold"},
-		{"negative replace every", Options{ResidualReplaceEvery: -1}, "ResidualReplaceEvery"},
 		{"unknown method", Options{Method: Method(42)}, "method"},
 		{"unknown strategy", Options{Strategy: FilterStrategy(9)}, "strategy"},
 		{"unknown partitioner", Options{Partitioner: "metis"}, "partitioner"},

@@ -43,7 +43,14 @@ all: tier1
 # ComputeTime( or CommTime( outside internal/archmodel (every modeled second
 # comes out of an OverlapReport), or non-test internal/mprun that builds
 # IterCostInputs{ in more than one place (one assembler, assembleIterCost,
-# prices every Krylov loop from its loop shape). The loops step fails if a Krylov loop body comes back
+# prices every Krylov loop from its loop shape). It also fails if a rank job
+# prices itself: a non-comment line of non-test internal/mprun/rankjob.go,
+# worker.go, mesh.go or spec.go that names TracedMisses, IterCostInputs or
+# archmodel (the job solves and meters; the holder of the operators prices
+# the solve beside it with mprun.Price), or a call of traceMisses,
+# traceSPAIMisses, a cache.Trace… function or NewProcessCache in non-test
+# code outside internal/mprun/costinputs.go (archmodel.go declares the last)
+# — the cache simulator runs in Price alone, never in a worker process. The loops step fails if a Krylov loop body comes back
 # beside the five that exist: non-test internal/krylov compares an iteration
 # count with opt.MaxIter in five places — the k-wide classic and fused CG
 # loops, pipelined CG, and GMRES at its cycle top and inside the cycle (a
@@ -131,9 +138,13 @@ tier1:
 		model="$$(grep -nE '^func (\([^)]*\) )?(OverlapTime|SolveTimeOverlapped|ModeledSolveTime)\(' $$src; \
 		grep -nE '(ComputeTime|CommTime)\(' $$src | grep -v '^\./internal/archmodel/' | grep -v "$$code")"; \
 		inputs="$$(grep -n 'IterCostInputs{' $$(ls internal/mprun/*.go | grep -v _test.go) | grep -v "$$code")"; \
-		if [ -n "$$model" ] || [ "$$(echo "$$inputs" | grep -c .)" -gt 1 ]; then \
-			echo "the cost model is evaluated or assembled a second way (archmodel's OverlapReport evaluates, mprun's assembleIterCost assembles):"; \
-			echo "$$model"; echo "$$inputs"; exit 1; fi
+		job="$$(grep -nE '\<(TracedMisses|IterCostInputs|archmodel)\>' $$(printf 'internal/mprun/%s.go ' rankjob worker mesh spec) | grep -v "$$code")"; \
+		trace="$$(grep -nE '\<(trace(SPAI)?Misses|cache\.Trace[A-Za-z]*|NewProcessCache)\(' $$src | grep -v "$$code" | \
+			grep -vE '^\./internal/(mprun/costinputs\.go|archmodel/archmodel\.go):')"; \
+		if [ -n "$$model" ] || [ "$$(echo "$$inputs" | grep -c .)" -gt 1 ] || [ -n "$$job$$trace" ]; then \
+			echo "the cost model is evaluated or assembled a second way (archmodel's OverlapReport evaluates, mprun's assembleIterCost assembles),"; \
+			echo "or a rank job prices itself (mprun.Price in costinputs.go traces and prices, beside the job):"; \
+			echo "$$model"; echo "$$inputs"; echo "$$job"; echo "$$trace"; exit 1; fi
 	@src="$$(ls internal/krylov/*.go | grep -v _test.go)"; \
 		loops="$$(grep -nE '[<>]= ([a-z]+\.)?opt\.MaxIter' $$src)"; \
 		refines="$$(grep -nE '^[[:space:]]*for .*maxRefinements' $$src)"; \

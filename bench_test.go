@@ -394,9 +394,9 @@ func BenchmarkPatternPower50kParallel(b *testing.B) { benchPatternPower(b, 0) }
 // Classic, fused and pipelined distributed CG and the distributed SpMV on
 // the same ~50k-row Poisson3D case, 4 ranks. The fused loop trades three
 // per-iteration reductions for one and merges the vector updates into
-// single-pass kernels; pipelined CG posts its one reduction and waits after
-// the iteration's products. Names contain "50k" so `make bench` picks them
-// up.
+// single-pass kernels; pipelined CG reorders the recurrence around its one
+// reduction, which blocks where it stands like every other. Names contain
+// "50k" so `make bench` picks them up.
 
 func benchDistCG50k(b *testing.B, variant CGVariant) {
 	a := matgen.Poisson3D(37, 37, 37)
@@ -415,8 +415,8 @@ func benchDistCG50k(b *testing.B, variant CGVariant) {
 		}
 		modeled = res.ModeledSolveTime
 	}
-	// The serialized simulated runtime cannot show overlap in ns/op; the
-	// overlap-credit cost model can (DESIGN.md §4d).
+	// Beside ns/op, the cost model's time for the same solve, which charges
+	// every halo and reduction window in full (DESIGN.md §4d).
 	b.ReportMetric(modeled*1e3, "modeled-ms/solve")
 }
 

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"fsaicomm/internal/archmodel"
@@ -410,79 +409,33 @@ func runTransient(ctx context.Context, jobs []*mprun.JobSpec) ([]*mprun.RankOutc
 	return mesh.Run(ctx, jobs)
 }
 
-// runRanks is the one way a distributed solve runs. It cuts job into one
-// rank job per rank — each gets its rows of the permuted right-hand sides
-// and the operators held for it — and executes them on the selected
-// transport: "sim" (or empty) runs goroutine ranks over the in-process
-// metered channels, "tcp" runs them on p's worker processes, one OS process
-// per rank. Both run the identical mprun rank job, which is what makes their
-// results and meters bit-identical. pools, when given, lends each sim rank a
-// workspace for the solve (worker processes start fresh anyway).
-func (p *Prepared) runRanks(ctx context.Context, transport string, job mprun.JobSpec, held []mprun.Operators, pools []sync.Pool, rhs [][]float64) (*rankFold, error) {
-	if ctx == nil {
-		// Never canceled; the ranks still meter the cancel check, as
-		// worker processes always do, so both transports meter alike.
-		ctx = context.Background()
-	}
-	ranks := job.Layout.NRanks()
-	oldToNew := p.st.oldToNew
-	pb := packPermuted(rhs, oldToNew)
-	jobs := make([]*mprun.JobSpec, ranks)
-	for r := range jobs {
-		jobs[r] = job.ForRank(r, pb)
-		jobs[r].Adopt = &held[r]
-	}
-	var outs []*mprun.RankOutcome
-	var err error
-	if transport == "tcp" {
-		outs, err = p.runResident(ctx, jobs)
-	} else {
-		outs = make([]*mprun.RankOutcome, ranks)
-		_, err = simmpi.Run(ranks, time.Hour, func(c *simmpi.Comm) error {
-			var ws *krylov.Workspace
-			if pools != nil {
-				pool := &pools[c.Rank()]
-				ws = pool.Get().(*krylov.Workspace)
-				defer pool.Put(ws)
-			}
-			out, err := mprun.RunJob(ctx, c, jobs[c.Rank()], ws)
-			outs[c.Rank()] = out
-			return err
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return foldOutcomes(outs, oldToNew, len(rhs), job.Solve)
-}
-
 // rankFold is what every distributed result takes from the per-rank
-// outcomes: rank 0's solver statistics, the totals both result types embed,
-// the solution columns in the caller's row order, the per-rank cost inputs,
-// and the solve they came from. The totals' build metrics are those of the
-// Prepared the ranks adopted their operators from, which sets them.
+// outcomes: rank 0's solver statistics, the totals both result types embed
+// and the solution columns in the caller's row order. The Prepared the ranks
+// adopted their operators from sets the totals' build metrics, the
+// solve's architecture profile and, for a scalar solve, the per-rank cost
+// inputs.
 type rankFold struct {
 	root  *mprun.RankOutcome
 	tot   SolveTotals
 	x     [][]float64
 	costs []mprun.IterCostInputs
-	sp    mprun.SolveParams
+	prof  archmodel.Profile
 }
 
 // foldOutcomes is the single fold behind Result and BatchResult. The
 // communication totals are sums of per-rank solve-phase snapshot deltas —
 // charged synchronously on each rank, so they are deterministic and identical
 // across transports. k is the number of interleaved solution columns.
-func foldOutcomes(outs []*mprun.RankOutcome, oldToNew []int, k int, sp mprun.SolveParams) (*rankFold, error) {
+func foldOutcomes(outs []*mprun.RankOutcome, oldToNew []int, k int) (*rankFold, error) {
 	n := len(oldToNew)
-	f := &rankFold{x: make([][]float64, k), costs: make([]mprun.IterCostInputs, len(outs)), sp: sp}
+	f := &rankFold{x: make([][]float64, k)}
 	t := &f.tot
 	px := make([]float64, n*k)
 	for r, out := range outs {
 		if out == nil {
 			return nil, fmt.Errorf("fsaicomm: rank %d reported no outcome", r)
 		}
-		f.costs[r] = out.Cost
 		copy(px[out.Lo*k:out.Hi*k], out.XLocal)
 		t.CommBytes += out.SolveComm.P2PBytes
 		t.CommMessages += out.SolveComm.P2PMessages
@@ -530,7 +483,7 @@ func (f *rankFold) result() (*Result, error) {
 	if res.Iterations > 0 {
 		res.CommBytesPerIteration = float64(res.CommBytes) / float64(res.Iterations)
 	}
-	res.Phases = mprun.ModeledPhases(f.sp.Profile, res.Iterations, f.costs)
+	res.Phases = mprun.ModeledPhases(f.prof, res.Iterations, f.costs)
 	res.ModeledSolveTime = res.Phases.TotalSec
 	return res, f.err()
 }

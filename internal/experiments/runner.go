@@ -4,12 +4,14 @@
 // iteration counts, metered communication, simulated cache misses and
 // modeled solve times, and renders the paper's tables and figure series as
 // text. Every configuration runs on the library's one pipeline: the set-up
-// is core.BuildPrecond on goroutine ranks, and the solve is one
-// mprun.RunJob per rank on the operators that set-up holds.
+// is core.BuildPrecond on goroutine ranks, the solve is one mprun.RunJob
+// per rank on the operators that set-up holds, and mprun.Price prices it on
+// the same operators.
 package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"fsaicomm/internal/archmodel"
@@ -192,7 +194,7 @@ func (r *Runner) Run(spec testsets.Spec, method core.Method, filter float64, str
 	// the solve's traffic and nothing else. A nil context keeps the loop free
 	// of cancellation collectives.
 	job := mprun.JobSpec{Layout: me.layout, Solve: mprun.SolveParams{
-		Tol: r.Tol, MaxIter: r.MaxIter, Variant: r.Variant, Profile: r.Arch}}
+		Tol: r.Tol, MaxIter: r.MaxIter, Variant: r.Variant}}
 	outs := make([]*mprun.RankOutcome, ranks)
 	if _, err := simmpi.Run(ranks, runTimeout, func(c *simmpi.Comm) error {
 		j := job.ForRank(c.Rank(), me.b)
@@ -205,13 +207,14 @@ func (r *Runner) Run(spec testsets.Spec, method core.Method, filter float64, str
 	}
 
 	res.Iterations, res.Converged = outs[0].Iterations, outs[0].Converged
-	costs := make([]mprun.IterCostInputs, ranks)
+	// Price the solve on the operators held here, with a memo of its own:
+	// the runner memoizes the whole Result.
+	costs := mprun.Price(held, me.layout, r.Arch, job.Solve, new(sync.Map))
 	var missSum, gflopSum float64
 	for rank, out := range outs {
-		costs[rank] = out.Cost
-		// The job's cost of one GᵀGx product on the rank, its cache misses
-		// traced; two flops per entry of G and Gᵀ.
-		pc := out.Cost.Precond
+		// The cost of one GᵀGx product on the rank, its cache misses traced;
+		// two flops per entry of G and Gᵀ.
+		pc := costs[rank].Precond
 		if pc.Flops > 0 {
 			missSum += float64(pc.CacheMisses) / float64(pc.Flops/2)
 		}

@@ -2,6 +2,7 @@ package mprun
 
 import (
 	"math"
+	"sync"
 
 	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/cache"
@@ -24,8 +25,8 @@ type IterCostInputs struct {
 // rank under one architecture profile. It depends on the operators' sparsity
 // and the profile's cache only — not on the CG variant, the precision or the
 // right-hand side — so whoever keeps the operators may keep
-// it beside them. Tracing walks every stored entry through the LRU
-// simulator; everything else in the assembly is counting.
+// it beside them (Price's memo). Tracing walks every stored entry through
+// the LRU simulator; everything else in the assembly is counting.
 type TracedMisses struct {
 	A, Precond int64
 }
@@ -48,9 +49,61 @@ func traceSPAIMisses(arch archmodel.Profile, aOp, mOp *distmat.Op) TracedMisses 
 	}
 }
 
-// Misses recovers the traced half from assembled inputs.
-func (ci IterCostInputs) Misses() TracedMisses {
-	return TracedMisses{A: ci.Overlap.Compute.CacheMisses - ci.Precond.CacheMisses, Precond: ci.Precond.CacheMisses}
+// onTrace, when a test sets it, is called once per rank Price traces.
+var onTrace func()
+
+// trace runs the simulator over the rank's operators.
+func (ops rankOps) trace(prof archmodel.Profile) TracedMisses {
+	if onTrace != nil {
+		onTrace()
+	}
+	if ops.m != nil {
+		return traceSPAIMisses(prof, ops.a, ops.m)
+	}
+	return traceMisses(prof, ops.a, ops.g, ops.gt)
+}
+
+// Price returns every rank's per-iteration cost-model inputs for a scalar
+// solve under sp on held, rank r's share of a set-up laid out by layout,
+// under the architecture profile prof. Pricing reads the operators, the
+// profile and the loop, never a run: whoever holds the operators prices the
+// solve beside the rank jobs, which only solve and meter. The cache
+// simulator runs only when memo (per profile, every rank's []TracedMisses)
+// has no entry for prof; it then traces the ranks side by side, one
+// goroutine each, and stores what they traced. Concurrent first
+// solves may each trace and each store; they traced the same sparsity, so
+// whichever is kept holds the same values.
+func Price(held []Operators, layout *distmat.Layout, prof archmodel.Profile, sp SolveParams, memo *sync.Map) []IterCostInputs {
+	ops := make([]rankOps, len(held))
+	for r := range held {
+		ops[r] = held[r].adopt(sp.Solver)
+		ops[r].dress(sp) // an FP32 solve's factor halo moves 4 bytes per value
+	}
+	known, _ := memo.Load(prof)
+	miss, _ := known.([]TracedMisses)
+	if miss == nil {
+		miss = make([]TracedMisses, len(ops))
+		var wg sync.WaitGroup
+		for r := range ops {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				miss[r] = ops[r].trace(prof)
+			}()
+		}
+		wg.Wait()
+		memo.Store(prof, miss)
+	}
+	costs := make([]IterCostInputs, len(ops))
+	for r, o := range ops {
+		nl := layout.LocalSize(r)
+		if o.m != nil {
+			costs[r] = assembleIterCost(miss[r], gmresLoop(sp.Restart), nl, len(ops), o.a, o.m)
+		} else {
+			costs[r] = assembleIterCost(miss[r], cgLoop(sp.Variant), nl, len(ops), o.a, o.g, o.gt)
+		}
+	}
+	return costs
 }
 
 // precondCost is one preconditioner application on a rank of nl rows — a
@@ -110,9 +163,9 @@ func gmresLoop(restart int) loopShape {
 // assembleIterCost builds one rank's per-iteration cost-model inputs from
 // the distributed operators of a solve — A first, then the preconditioner's
 // (G and Gᵀ, or SPAI's M) — their traced misses and the loop's shape. nl is
-// the rank's local row count, ranks the world size. Every rank job assembles
-// its cost here, for the paper's tables and the facade's modeled solve time
-// alike, so every modeled number uses one set of constants: matrix entries
+// the rank's local row count, ranks the world size. Price assembles every
+// rank's cost here, for the paper's tables and the facade's modeled solve
+// time alike, so every modeled number uses one set of constants: matrix entries
 // stream 12 B each (8 B value + 4 B index), vectors 8 B per row per sweep,
 // and reductions cost log₂-tree messages.
 //

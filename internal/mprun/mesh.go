@@ -64,7 +64,7 @@ func (c sentCounter) Write(p []byte) (int, error) {
 // comment). Its methods are not safe for concurrent use.
 type Mesh struct {
 	workers []*worker
-	// shipped[r] is the operator set rank r's worker keeps (Misses unset).
+	// shipped[r] is the operator set rank r's worker keeps.
 	shipped []Operators
 	idleRSS int64
 	ran     bool
@@ -194,20 +194,18 @@ func (m *Mesh) Close() {
 }
 
 // wire returns what rank r is sent for job j. Operators its worker already
-// keeps stay home: the spec says Held and carries only the traced misses.
+// keeps stay home: the spec goes without them.
 func (m *Mesh) wire(r int, j *JobSpec) *JobSpec {
 	if j == nil || j.Adopt == nil || j.Adopt.A == nil {
 		return j
 	}
-	ops := *j.Adopt
-	ops.Misses = nil
-	if m.shipped[r] == ops {
+	if m.shipped[r] == *j.Adopt {
 		held := *j
-		held.Adopt, held.Held = &Operators{Misses: j.Adopt.Misses}, true
+		held.Adopt = nil
 		return &held
 	}
 	if m.shipped[r].A == nil {
-		m.shipped[r] = ops
+		m.shipped[r] = *j.Adopt
 	}
 	return j
 }

@@ -168,7 +168,9 @@ func TestMeshCancelReturnsPartialOutcomes(t *testing.T) {
 // TestMalformedSpecIsAnError: a spec without the operators its solve needs,
 // a negative width, or a right-hand side of the wrong length comes back as a
 // descriptive error from every rank — on the sim path directly, on the tcp
-// path through the worker's report — never as a crash.
+// path through the worker's report — never as a crash. A worker reads a spec
+// without operators as "run on what you hold"; one that holds nothing yet
+// refuses it.
 func TestMalformedSpecIsAnError(t *testing.T) {
 	const ranks = 2
 	a := matgen.Poisson2D(8, 8)
@@ -180,7 +182,6 @@ func TestMalformedSpecIsAnError(t *testing.T) {
 	}{
 		{"no operators", func(j *mprun.JobSpec) { j.Adopt = nil }, "do not hold"},
 		{"adopts nothing", func(j *mprun.JobSpec) { j.Adopt = &mprun.Operators{} }, "do not hold"},
-		{"held, but by no worker", func(j *mprun.JobSpec) { j.Adopt, j.Held = &mprun.Operators{}, true }, "a worker holds: true"},
 		{"factors for a GMRES solve", func(j *mprun.JobSpec) { j.Solve.Solver = krylov.SolverGMRES }, "do not hold"},
 		{"negative K", func(j *mprun.JobSpec) { j.K = -1 }, "negative"},
 		{"short rhs", func(j *mprun.JobSpec) { j.B = j.B[1:] }, "right-hand side"},
@@ -197,8 +198,8 @@ func TestMalformedSpecIsAnError(t *testing.T) {
 		if _, err := runSim(ranks, jobFor); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s (sim): error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
-		if testing.Short() || tc.name != "short rhs" {
-			continue // one trip through real worker processes is enough
+		if testing.Short() || tc.name != "short rhs" && tc.name != "no operators" {
+			continue // a trip through real worker processes for each side of the check is enough
 		}
 		if _, err := runMesh(context.Background(), ranks, jobFor); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s (tcp): error %v, want one mentioning %q", tc.name, err, tc.want)
@@ -208,10 +209,12 @@ func TestMalformedSpecIsAnError(t *testing.T) {
 
 // TestCacheTraceRunsOncePerSystemAndProfile counts the cache-simulator runs
 // behind a prepared system's solves: the first scalar solve under a profile
-// traces on every rank, every later one — whatever its variant —
-// is handed the result; profiles are remembered side by side; a batched
-// solve assembles no cost inputs at all; and a full set-up, which has no
-// earlier solve to learn from, traces every time.
+// traces every rank, every later one — whatever its variant or transport —
+// is priced from the result; profiles are remembered side by side; a
+// batched solve assembles no cost inputs at all; and a full set-up, which
+// has no earlier solve to learn from, traces every time. The traces run in
+// the process that holds the operators, a tcp solve's included: its worker
+// processes only solve.
 func TestCacheTraceRunsOncePerSystemAndProfile(t *testing.T) {
 	traces := mprun.CountTraces(t)
 	const ranks = 4
@@ -221,6 +224,7 @@ func TestCacheTraceRunsOncePerSystemAndProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer p.Close()
 	ctx := context.Background()
 	for i, step := range []struct {
 		so   fsaicomm.SolveOptions
@@ -230,6 +234,8 @@ func TestCacheTraceRunsOncePerSystemAndProfile(t *testing.T) {
 		{fsaicomm.SolveOptions{Arch: "skylake", CGVariant: fsaicomm.CGFused}, ranks},
 		{fsaicomm.SolveOptions{Arch: "a64fx"}, 2 * ranks},
 		{fsaicomm.SolveOptions{Arch: "a64fx", CGVariant: fsaicomm.CGPipelined}, 2 * ranks},
+		{fsaicomm.SolveOptions{Arch: "zen2", Transport: "tcp"}, 3 * ranks},
+		{fsaicomm.SolveOptions{Arch: "zen2"}, 3 * ranks},
 	} {
 		if _, err := p.Solve(ctx, b, step.so); err != nil {
 			t.Fatal(err)
@@ -241,14 +247,14 @@ func TestCacheTraceRunsOncePerSystemAndProfile(t *testing.T) {
 	if _, err := p.SolveBatch(ctx, [][]float64{b, b}, fsaicomm.SolveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := traces.Load(); got != 2*ranks {
-		t.Fatalf("a batched solve traced: %d cache traces, want %d", got, 2*ranks)
+	if got := traces.Load(); got != 3*ranks {
+		t.Fatalf("a batched solve traced: %d cache traces, want %d", got, 3*ranks)
 	}
 	if _, err := fsaicomm.SolveDistributed(a, b, fsaicomm.Options{Ranks: ranks}); err != nil {
 		t.Fatal(err)
 	}
-	if got := traces.Load(); got != 3*ranks {
-		t.Fatalf("after a full set-up solve: %d cache traces, want %d", got, 3*ranks)
+	if got := traces.Load(); got != 4*ranks {
+		t.Fatalf("after a full set-up solve: %d cache traces, want %d", got, 4*ranks)
 	}
 }
 

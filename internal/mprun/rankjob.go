@@ -5,30 +5,27 @@ import (
 	"errors"
 	"time"
 
-	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/simmpi"
 )
 
 // rankOps are the operators a solve runs on: a with the factor pair g/gt
-// (CG) or with the explicit inverse m (GMRES). misses is what an earlier job
-// traced on them (nil: not known yet).
+// (CG) or with the explicit inverse m (GMRES).
 type rankOps struct {
 	a, g, gt, m *distmat.Op
-	misses      *TracedMisses
 }
 
-// adopt is step 1 of the job: the rank's operators.
-func (j *JobSpec) adopt() rankOps {
-	ad := j.Adopt
-	if j.Solve.Solver == krylov.SolverGMRES {
-		return rankOps{a: ad.A.op(), m: ad.M.op(), misses: ad.Misses}
+// adopt is step 1 of the job: the operators solver applies, each over a
+// fresh plan.
+func (o *Operators) adopt(solver krylov.Solver) rankOps {
+	if solver == krylov.SolverGMRES {
+		return rankOps{a: o.A.op(), m: o.M.op()}
 	}
-	return rankOps{a: ad.A.op(), g: ad.G.op(), gt: ad.GT.op(), misses: ad.Misses}
+	return rankOps{a: o.A.op(), g: o.G.op(), gt: o.GT.op()}
 }
 
-// dress is step 2a: whatever the solve asks of the operators beyond their
+// dress is step 2: whatever the solve asks of the operators beyond their
 // values. It returns the float32 twin of A for the inner solves of a
 // mixed-precision job (nil under FP64). Everything here is rank-local.
 func (ops rankOps) dress(sp SolveParams) (aInner *distmat.Op) {
@@ -46,39 +43,6 @@ func (ops rankOps) dress(sp SolveParams) (aInner *distmat.Op) {
 	aInner = distmat.NewOpFromParts(ops.a.LZ, ops.a.Plan.Clone())
 	aInner.SetF32(true)
 	return aInner
-}
-
-// onTrace, when a test sets it, is called once per cache-simulator run.
-var onTrace func()
-
-func traced(m TracedMisses) TracedMisses {
-	if onTrace != nil {
-		onTrace()
-	}
-	return m
-}
-
-// cost is step 2b: the rank's cost-model inputs. The cache simulator walks
-// every stored entry of the operators, so it runs only when no earlier job
-// on them handed its result over.
-func (ops rankOps) cost(sp SolveParams, nl, ranks int) IterCostInputs {
-	prof := sp.Profile
-	if prof == (archmodel.Profile{}) {
-		prof = archmodel.Skylake
-	}
-	var miss TracedMisses
-	switch {
-	case ops.misses != nil:
-		miss = *ops.misses
-	case ops.m != nil:
-		miss = traced(traceSPAIMisses(prof, ops.a, ops.m))
-	default:
-		miss = traced(traceMisses(prof, ops.a, ops.g, ops.gt))
-	}
-	if ops.m != nil {
-		return assembleIterCost(miss, gmresLoop(sp.Restart), nl, ranks, ops.a, ops.m)
-	}
-	return assembleIterCost(miss, cgLoop(sp.Variant), nl, ranks, ops.a, ops.g, ops.gt)
 }
 
 // RunJob executes one rank of a distributed solve: adopt the operators,
@@ -101,11 +65,8 @@ func RunJob(ctx context.Context, c *simmpi.Comm, job *JobSpec, ws *krylov.Worksp
 	sp := job.Solve
 	lo, hi := job.Layout.Range(rank)
 	out := &RankOutcome{Rank: rank, Lo: lo, Hi: hi}
-	ops := job.adopt()
+	ops := job.Adopt.adopt(sp.Solver)
 	aInner := ops.dress(sp)
-	if job.K == 0 { // the batched results carry no modeled time
-		out.Cost = ops.cost(sp, hi-lo, c.Size())
-	}
 
 	if ws == nil {
 		ws = &krylov.Workspace{}

@@ -10,7 +10,8 @@
 // function. One code path on both sides is what makes the cross-backend
 // differential tests meaningful: any divergence in results or meter
 // structure is the transport's fault, not a drifted reimplementation of the
-// solve.
+// solve. A job solves and meters; the cost model prices the solve beside it,
+// in Price, called by whoever holds the operators.
 //
 // The worker processes are resident: a Mesh (Start, Run, Close) spawns one
 // per rank and forms the mesh once — the ranks meet over loopback TCP, then
@@ -24,7 +25,6 @@ package mprun
 import (
 	"fmt"
 
-	"fsaicomm/internal/archmodel"
 	"fsaicomm/internal/distmat"
 	"fsaicomm/internal/krylov"
 	"fsaicomm/internal/simmpi"
@@ -36,12 +36,9 @@ type JobSpec struct {
 	// Layout is the row distribution; the rank owns rows Layout.Range(rank).
 	Layout *distmat.Layout
 	// Adopt hands the rank the operators a set-up built; adopting them costs
-	// no communication.
+	// no communication. A Mesh sends a worker that keeps them a spec without
+	// them (nil), which the worker reads as "what you hold".
 	Adopt *Operators
-	// Held is the wire form of an Adopt whose operators the receiving worker
-	// keeps: a Mesh strips them (Adopt then carries only the traced misses)
-	// and the worker puts its own back. Nobody else sets it.
-	Held bool
 	// K is the shape of the solve's answer, not a choice of loop: 0 asks for
 	// a scalar solve — GMRES, or CG through krylov's width-1 views (every
 	// variant, Stats with a trace, a modeled time) — and K ≥ 1 for the batch
@@ -83,19 +80,11 @@ func (h *HeldOp) op() *distmat.Op {
 // the unused set is nil.
 type Operators struct {
 	A, G, GT, M *HeldOp
-	// Misses is what an earlier job on these operators traced under the
-	// solve's architecture profile; the job then assembles its cost inputs
-	// from it instead of running the cache simulator again. Nil makes the
-	// job trace.
-	Misses *TracedMisses
 }
 
 // indexRuns builds the run index of each operator that arrived over the
 // wire: gob ships the exported fields of its localized view, not the index.
 func (o *Operators) indexRuns() {
-	if o == nil {
-		return
-	}
 	for _, h := range []*HeldOp{o.A, o.G, o.GT, o.M} {
 		if h != nil && h.LZ != nil {
 			h.LZ.IndexRuns()
@@ -125,8 +114,6 @@ type SolveParams struct {
 	MaxIter int
 	Variant krylov.CGVariant
 	Trace   bool
-	// Profile is the cost-model profile; the zero Profile means skylake.
-	Profile archmodel.Profile
 	// Precision FP32 narrows the factor operators, adds a float32 twin of A
 	// and runs the FP64 iterative-refinement loop around the CG solve.
 	Precision krylov.Precision
@@ -157,7 +144,7 @@ func (j *JobSpec) check(rank, size int) error {
 	gmres := j.Solve.Solver == krylov.SolverGMRES
 	switch {
 	case !j.Adopt.holds(gmres):
-		return fmt.Errorf("mprun: adopted operators (those a worker holds: %v) do not hold what a %v solve needs", j.Held, j.Solve.Solver)
+		return fmt.Errorf("mprun: adopted operators (on a worker, those it holds) do not hold what a %v solve needs", j.Solve.Solver)
 	case gmres && (j.K > 0 || j.Solve.Variant != krylov.CGClassic || j.Solve.Precision == krylov.FP32):
 		return fmt.Errorf("mprun: GMRES runs one FP64 right-hand side on the classic blocking schedule (K = %d, variant %v, precision %v)", j.K, j.Solve.Variant, j.Solve.Precision)
 	case j.K < 0:
@@ -201,8 +188,6 @@ type RankOutcome struct {
 	// Batch carries the per-column outcomes of a batched job (nil for
 	// scalar jobs).
 	Batch *BatchOutcome
-	// Cost is the rank's modeled per-iteration cost inputs (scalar jobs).
-	Cost IterCostInputs
 	// SolveComm is this rank's metered traffic over the job, which adopting
 	// its operators adds nothing to: the solve's. Summed over ranks it gives
 	// the deterministic world totals the differential tests compare bit for

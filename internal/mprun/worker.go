@@ -142,18 +142,17 @@ func workerMain() error {
 	}()
 
 	// held are the operators of the first adopting job, which later jobs
-	// that say Held run on.
+	// sent without operators run on; before one, such a job adopts nothing
+	// and its check refuses it.
 	var held *Operators
 	for j := range jobs {
-		if !j.spec.Held {
+		if j.spec.Adopt == nil {
+			j.spec.Adopt = held
+		} else {
 			j.spec.Adopt.indexRuns()
-		}
-		if j.spec.Held && j.spec.Adopt != nil && held != nil {
-			ops := *held
-			ops.Misses = j.spec.Adopt.Misses
-			j.spec.Adopt = &ops
-		} else if j.spec.Adopt != nil && held == nil {
-			held = j.spec.Adopt
+			if held == nil {
+				held = j.spec.Adopt
+			}
 		}
 		out, jobErr := runOn(j.ctx, ep, j.spec)
 		msg := doneMsg{Outcome: out}

@@ -107,9 +107,11 @@ type Options struct {
 	Trace bool
 	// Transport (per-solve) selects the rank runtime for SolveDistributed:
 	// "sim" (the default; in-process goroutine ranks over metered channels)
-	// or "tcp" (one OS process per rank over a loopback TCP mesh, spawned by
-	// re-executing the current binary — its main or TestMain must call
-	// mprun.MaybeWorker, which cmd binaries and the facade tests do). Both
+	// or "tcp" (one OS process per rank, spawned by re-executing the current
+	// binary — its main or TestMain must call mprun.MaybeWorker, which cmd
+	// binaries and the facade tests do; the ranks meet over loopback TCP,
+	// which then only carries wake-ups and tells a lost rank, and every
+	// message goes through shared-memory rings, see internal/tcpmpi). Both
 	// backends run the identical rank job and produce bit-identical results
 	// and meters; "tcp" pays real process and socket overheads — the
 	// processes are started for the solve and gone after it; a Prepared
@@ -370,10 +372,10 @@ func buildConfig(setup Options, workers int) core.Config {
 }
 
 // solveParams is what a rank job needs to run the Krylov loop under so on
-// the operators of a system set up with setup, of n rows, with the
-// architecture profile resolved by name. It cannot fail: so has passed
-// Validate.
-func solveParams(setup Options, so SolveOptions, n int) mprun.SolveParams {
+// the operators of a system set up with setup, of n rows, and the
+// architecture profile the solve is priced under, resolved by name. It
+// cannot fail: so has passed Validate.
+func solveParams(setup Options, so SolveOptions, n int) (mprun.SolveParams, archmodel.Profile) {
 	so = so.withDefaults(n)
 	prof := archmodel.Skylake
 	if so.Arch != "" {
@@ -386,9 +388,8 @@ func solveParams(setup Options, so SolveOptions, n int) mprun.SolveParams {
 		MaxIter:   so.MaxIter,
 		Variant:   so.CGVariant,
 		Trace:     so.Trace,
-		Profile:   prof,
 		Precision: setup.Precision,
-	}
+	}, prof
 }
 
 // checkRHS rejects a block of right-hand sides (one or more columns) for a

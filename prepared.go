@@ -44,10 +44,11 @@ type Prepared struct {
 	// (read-only, shared by every solve) and the halo schedules (each solve
 	// wraps them in plans with private buffers).
 	parts []mprun.Operators
-	// misses maps each profile a scalar solve ran under to every rank's
-	// traced cache misses ([]mprun.TracedMisses), which later solves adopt:
-	// the simulator walks the sparsity once per profile, shared by each
-	// system refactored from this one that kept every rank's factor plan.
+	// misses maps each profile a scalar solve was priced under to every
+	// rank's traced cache misses ([]mprun.TracedMisses), which later solves
+	// are priced from (mprun.Price): the simulator walks the sparsity once
+	// per profile, shared by each system refactored from this one that kept
+	// every rank's factor plan.
 	misses *sync.Map
 	// mesh is the resident worker set of "tcp" solves: spawned by the first
 	// one, holding parts from then on, closed by Close. meshMu is held by the
@@ -424,35 +425,60 @@ func (p *Prepared) check(so SolveOptions, rhs [][]float64, batch bool) error {
 	return err
 }
 
-// run is the cached-set-up path behind Solve (k = 0) and SolveBatch
-// (k = len(rhs)): one rank job per rank that adopts the operators Prepare
-// holds and solves under so. The worker processes of a tcp solve receive
-// the held operators over the wire, once per mesh, and run every job on a
-// fresh workspace, so pools only ever serve sim ranks.
+// run is the one way a distributed solve runs, behind Solve (k = 0) and
+// SolveBatch (k = len(rhs)). It cuts the solve under so into one rank job
+// per rank — each gets its rows of the permuted right-hand sides and the
+// operators p holds for it — and executes them on so's transport: "sim"
+// (or empty) runs goroutine ranks over the in-process metered channels,
+// "tcp" runs them on p's worker processes, one OS process per rank, which
+// receive the held operators over the wire once per mesh. Both run the
+// identical mprun rank job, which is what makes their results and meters
+// bit-identical. pools, when given, lends each sim rank a workspace for the
+// solve (worker processes start fresh anyway). A scalar solve is priced
+// here, where its operators are held, from the misses p.misses remembers
+// for the profile (traced on the first such solve).
 func (p *Prepared) run(ctx context.Context, rhs [][]float64, k int, so SolveOptions, pools []sync.Pool) (*rankFold, error) {
-	sp := solveParams(p.st.opt, so, p.n)
-	held := p.parts
-	traced, known := p.misses.Load(sp.Profile)
-	if known {
-		held = slices.Clone(p.parts)
-		for r := range held {
-			held[r].Misses = &traced.([]mprun.TracedMisses)[r]
-		}
+	if ctx == nil {
+		// Never canceled; the ranks still meter the cancel check, as
+		// worker processes always do, so both transports meter alike.
+		ctx = context.Background()
 	}
+	sp, prof := solveParams(p.st.opt, so, p.n)
 	job := mprun.JobSpec{Layout: p.st.layout, K: k, Solve: sp}
-	f, err := p.runRanks(ctx, so.Transport, job, held, pools, rhs)
+	pb := packPermuted(rhs, p.st.oldToNew)
+	jobs := make([]*mprun.JobSpec, p.ranks)
+	for r := range jobs {
+		jobs[r] = job.ForRank(r, pb)
+		jobs[r].Adopt = &p.parts[r]
+	}
+	var outs []*mprun.RankOutcome
+	var err error
+	if so.Transport == "tcp" {
+		outs, err = p.runResident(ctx, jobs)
+	} else {
+		outs = make([]*mprun.RankOutcome, p.ranks)
+		_, err = simmpi.Run(p.ranks, time.Hour, func(c *simmpi.Comm) error {
+			var ws *krylov.Workspace
+			if pools != nil {
+				pool := &pools[c.Rank()]
+				ws = pool.Get().(*krylov.Workspace)
+				defer pool.Put(ws)
+			}
+			out, err := mprun.RunJob(ctx, c, jobs[c.Rank()], ws)
+			outs[c.Rank()] = out
+			return err
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
-	f.tot.PctNNZIncrease, f.tot.ImbalanceIndex = p.pct, p.imbalance
-	if !known && k == 0 { // batched jobs assemble no cost inputs
-		// Concurrent first solves may each trace and each store; they traced
-		// the same sparsity, so whichever is kept holds the same values.
-		misses := make([]mprun.TracedMisses, len(f.costs))
-		for r := range f.costs {
-			misses[r] = f.costs[r].Misses()
-		}
-		p.misses.Store(sp.Profile, misses)
+	f, err := foldOutcomes(outs, p.st.oldToNew, len(rhs))
+	if err != nil {
+		return nil, err
+	}
+	f.tot.PctNNZIncrease, f.tot.ImbalanceIndex, f.prof = p.pct, p.imbalance, prof
+	if k == 0 { // a batched result carries no modeled time
+		f.costs = mprun.Price(p.parts, p.st.layout, prof, sp, p.misses)
 	}
 	return f, nil
 }

@@ -160,10 +160,10 @@ func TestPreparedMatchesSolveDistributed(t *testing.T) {
 }
 
 // A Prepared remembers, per architecture profile, the cache-simulator misses
-// its first scalar solve traced and hands them to every later solve. The
+// its first scalar solve traced and prices every later solve from them. The
 // modeled time they feed must not notice: solve 1 (which traces), solve 2
-// (which is handed the result), a tcp solve (whose workers receive it in
-// their spec) and a from-scratch SolveDistributed (which always traces)
+// (which is priced from the result), a tcp solve (priced the same way, in
+// this process) and a from-scratch SolveDistributed (which always traces)
 // agree to the bit — for skylake, then a64fx, then skylake again, so two
 // profiles sit side by side; classic and fused; and for
 // an SPAI+GMRES system, whose misses are those of A and M.
@@ -221,11 +221,11 @@ func TestMissMemoChangesNoModeledTime(t *testing.T) {
 	}
 }
 
-// The remembered misses reach worker processes inside the job spec: planted
-// values no trace could produce move the modeled time of a tcp solve exactly
-// as they move a sim solve's — workers that traced anyway would not notice
-// them. The memo itself is filled by a tcp solve here, from the outcomes the
-// workers sent back.
+// The remembered misses price every transport's solves alike: planted values
+// no trace could produce move the modeled time of a tcp solve exactly as they
+// move a sim solve's — a tcp solve priced by tracing anyway would not notice
+// them. The memo itself is filled by a tcp solve here, priced in the process
+// that holds the operators while the workers solve.
 func TestMissMemoTravelsToWorkers(t *testing.T) {
 	a := GeneratePoisson2D(14, 14)
 	b := GenerateRHS(a, 2)
@@ -258,7 +258,7 @@ func TestMissMemoTravelsToWorkers(t *testing.T) {
 		t.Fatal("planted misses did not move the sim solve's modeled time")
 	}
 	if tcp.ModeledSolveTime != sim.ModeledSolveTime {
-		t.Fatalf("tcp workers modeled %v s, sim ranks %v s: the spec did not carry the misses", tcp.ModeledSolveTime, sim.ModeledSolveTime)
+		t.Fatalf("tcp solve modeled %v s, sim solve %v s: the tcp solve was not priced from the memo", tcp.ModeledSolveTime, sim.ModeledSolveTime)
 	}
 }
 
